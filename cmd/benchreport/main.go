@@ -5,7 +5,10 @@
 // report. With -baseline it compares ns/op, B/op and allocs/op against a
 // committed reference and exits non-zero when any benchmark regresses
 // beyond the tolerance — wall-clock or allocation creep in the hot loop
-// fails the build instead of landing silently.
+// fails the build instead of landing silently — or when a result
+// fingerprint differs from the reference's: the simulator's output for a
+// seed is the same on every machine, so a refactor that changes it cannot
+// pass as one that does not.
 //
 //	benchreport -out BENCH_PR2.json                      # measure + write
 //	benchreport -out BENCH_PR2.json -baseline BENCH_BASELINE.json
@@ -27,7 +30,8 @@
 // Every report is stamped with a runner fingerprint (GOOS/GOARCH, CPU
 // model, core count); when the measured fingerprint does not match the
 // baseline's, the ns/op gate downgrades to warnings instead of failing —
-// new runner hardware should prompt a baseline refresh, not break CI.
+// new runner hardware should prompt a baseline refresh, not break CI. The
+// result-fingerprint gate is host-independent and stays armed.
 // Refresh the baseline (and say so in the PR) when a change is *meant* to
 // shift the step cost or when the runner class changes.
 //
@@ -66,6 +70,9 @@ type Report struct {
 	CPUs      int       `json:"cpus"`
 	CPUModel  string    `json:"cpu_model,omitempty"`
 	CreatedAt time.Time `json:"created_at"`
+	// Seed is the master seed the results were produced with (absent from
+	// reports that predate the field, which all used the default, 1).
+	Seed uint64 `json:"seed,omitempty"`
 
 	Benchmarks []BenchResult `json:"benchmarks"`
 	// WorkersCurve is the 10k-node step cost at each measured worker
@@ -128,6 +135,7 @@ func main() {
 		CPUs:      runtime.NumCPU(),
 		CPUModel:  cpuModel(),
 		CreatedAt: time.Now().UTC(),
+		Seed:      *seed,
 	}
 
 	curveWorkers, err := parseCurve(*curve)
@@ -216,7 +224,8 @@ func main() {
 // verdict splits a gate result into hard failures and regressions
 // downgraded to warnings: ns/op comparisons only bind when the baseline
 // was measured on this runner class, while a missing measurement is a
-// harness bug and fails on any hardware.
+// harness bug and a changed result a behaviour change — both fail on any
+// hardware.
 func verdict(res gateResult) (failures, downgraded []string) {
 	if res.fingerprintOK {
 		failures = res.regressions
@@ -224,6 +233,7 @@ func verdict(res gateResult) (failures, downgraded []string) {
 		downgraded = res.regressions
 	}
 	failures = append(failures, res.missing...)
+	failures = append(failures, res.drifted...)
 	return failures, downgraded
 }
 
@@ -497,13 +507,26 @@ func benchRoute(seed uint64) BenchResult {
 	}
 }
 
-// gateResult separates the two failure classes: ns/op regressions (only
-// meaningful on matching hardware — downgraded to warnings otherwise) and
-// missing measurements (a harness bug on any hardware — always fatal).
+// gateResult separates the failure classes: ns/op regressions (only
+// meaningful on matching hardware — downgraded to warnings otherwise),
+// missing measurements (a harness bug on any hardware — always fatal) and
+// drifted result fingerprints (the simulation itself produced different
+// output than the baseline's — always fatal). fingerprintOK is the runner
+// fingerprint match that arms the regressions.
 type gateResult struct {
 	regressions   []string
 	missing       []string
+	drifted       []string
 	fingerprintOK bool
+}
+
+// masterSeed resolves a report's seed; reports written before the field
+// existed all used the flag default.
+func (r Report) masterSeed() uint64 {
+	if r.Seed == 0 {
+		return 1
+	}
+	return r.Seed
 }
 
 // loadBaseline reads and validates a committed baseline report. A
@@ -543,7 +566,9 @@ func loadBaseline(path string) Report {
 // from either side are reported too: a silently dropped measurement must
 // not pass the gate. Curve points absent from the baseline are exempt
 // from the missing check when the baseline predates the curve schema
-// entirely.
+// entirely. A result fingerprint that differs from the baseline's for
+// the same measurement — same seed, size and round count, so the same
+// simulation — is reported as drifted whatever the hardware.
 func gate(rep, base Report, tolerance float64) gateResult {
 	baseBench := map[string]BenchResult{}
 	for _, b := range append(append([]BenchResult{}, base.Benchmarks...), base.WorkersCurve...) {
@@ -556,6 +581,13 @@ func gate(rep, base Report, tolerance float64) gateResult {
 		ref, ok := baseBench[b.Name]
 		if !ok {
 			continue // new measurement: nothing to gate against yet
+		}
+		if b.ResultFingerprint != "" && ref.ResultFingerprint != "" &&
+			b.ResultFingerprint != ref.ResultFingerprint &&
+			rep.masterSeed() == base.masterSeed() && b.Nodes == ref.Nodes && b.TimedRounds == ref.TimedRounds {
+			res.drifted = append(res.drifted, fmt.Sprintf(
+				"%s: result fingerprint %s differs from the baseline's %s — the simulation's output changed",
+				b.Name, b.ResultFingerprint, ref.ResultFingerprint))
 		}
 		checks := []struct {
 			unit      string
@@ -584,6 +616,7 @@ func gate(rep, base Report, tolerance float64) gateResult {
 	}
 	sort.Strings(res.regressions)
 	sort.Strings(res.missing)
+	sort.Strings(res.drifted)
 	return res
 }
 

@@ -251,3 +251,51 @@ func TestGateV1BaselineNoCurve(t *testing.T) {
 		t.Fatalf("v1 baseline gate: failures=%v downgraded=%v, want clean", failures, downgraded)
 	}
 }
+
+// TestGateResultFingerprintPasses: equal result fingerprints add nothing
+// to the verdict, and fingerprints that are not comparable — another seed,
+// another round count, one side without a fingerprint — are not compared.
+func TestGateResultFingerprintPasses(t *testing.T) {
+	base := runner(Report{Schema: schemaV3,
+		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000), {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	rep := runner(Report{Schema: schemaV3, Seed: 1,
+		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000), {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	if res := gate(rep, base, 0.20); len(res.drifted) != 0 {
+		t.Fatalf("drifted = %v on identical fingerprints", res.drifted)
+	}
+	other := alloc("Step10k", 1000, 27_000_000, 100_000)
+	other.ResultFingerprint = "bb"
+	reseeded := runner(Report{Schema: schemaV3, Seed: 2, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	if res := gate(reseeded, base, 0.20); len(res.drifted) != 0 {
+		t.Fatalf("drifted = %v for a run with another seed", res.drifted)
+	}
+	other.TimedRounds = 5
+	longer := runner(Report{Schema: schemaV3, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	if res := gate(longer, base, 0.20); len(res.drifted) != 0 {
+		t.Fatalf("drifted = %v for a run with another round count", res.drifted)
+	}
+}
+
+// TestGateResultFingerprintFails: a result fingerprint that differs from
+// the baseline's is a hard failure — on matching hardware and, unlike the
+// timing gates, on mismatched hardware too.
+func TestGateResultFingerprintFails(t *testing.T) {
+	base := runner(Report{Schema: schemaV3,
+		Benchmarks:   []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000)},
+		WorkersCurve: []BenchResult{point(1, 1000, "aa")}}, "old-xeon")
+	changed := alloc("Step10k", 1000, 27_000_000, 100_000)
+	changed.ResultFingerprint = "bb"
+	for _, model := range []string{"old-xeon", "new-xeon"} {
+		rep := runner(Report{Schema: schemaV3,
+			Benchmarks:   []BenchResult{changed},
+			WorkersCurve: []BenchResult{point(1, 1000, "bb")}}, model)
+		res := gate(rep, base, 0.20)
+		if len(res.drifted) != 2 {
+			t.Fatalf("runner %s: drifted = %v, want Step10k and its curve point", model, res.drifted)
+		}
+		failures, downgraded := verdict(res)
+		if len(failures) != 2 || len(downgraded) != 0 {
+			t.Fatalf("runner %s: verdict = (%v, %v), want both drifts fatal", model, failures, downgraded)
+		}
+	}
+}

@@ -60,6 +60,52 @@ func (m Map) PositionFromTail(id segment.ID) (int, bool) {
 	return int(m.Lo + segment.ID(m.Size) - id), true
 }
 
+// WordsFrom re-bases the map at origin lo: on return, bit i of dst reports
+// Has(lo+i) for every i in [0, 64·len(dst)) — the shifted-word read that
+// lets a peer run word algebra over a neighbour's map whose window opened
+// at a different ID than its own (maps on a live network are stale by up
+// to a period, so their origins trail the reader's). IDs outside the map's
+// window read as absent, exactly as Has reports them, and stray bits past
+// Size in the last word (a decoded map's padding is untrusted) are masked.
+func (m Map) WordsFrom(dst []uint64, lo segment.ID) {
+	span := segment.Window{Lo: lo, Hi: lo + segment.ID(64*len(dst))}
+	if iv := span.Intersect(m.Window()); iv.Lo >= iv.Hi {
+		clear(dst)
+		return
+	}
+	// The windows overlap, so the origins are less than a window apart.
+	shift := int(lo - m.Lo)
+	for wi := range dst {
+		dst[wi] = m.bitsAt(shift + wi*64)
+	}
+}
+
+// bitsAt returns the 64 availability bits starting at window index start,
+// which may be negative or run past Size; out-of-window bits are zero.
+func (m Map) bitsAt(start int) uint64 {
+	if start <= -64 || start >= m.Size {
+		return 0
+	}
+	q, r := start>>6, uint(start)&63 // floor division: q is -1 for a negative start
+	var v uint64
+	if q >= 0 {
+		v = m.word(q) >> r
+	}
+	if r != 0 && q+1 < len(m.Bits) {
+		v |= m.word(q+1) << (64 - r)
+	}
+	return v
+}
+
+// word returns Bits[i] with any bits at or past Size cleared.
+func (m Map) word(i int) uint64 {
+	w := m.Bits[i]
+	if r := uint(m.Size) & 63; r != 0 && i == (m.Size-1)>>6 {
+		w &= 1<<r - 1
+	}
+	return w
+}
+
 // Marshal encodes the map into the compact wire format: a 4-byte window
 // size, an 8-byte head ID (of which only HeadIDBits are semantically
 // meaningful on a real wire; we keep whole bytes for simplicity and cost

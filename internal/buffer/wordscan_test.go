@@ -99,3 +99,35 @@ func TestMissingMaskMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestWordsFromMatchesHas drives the shifted-word read against per-ID Has
+// over random sizes, origins and shifts in both directions — origins behind
+// the map (a staler reader), ahead of it, whole windows apart — with stray
+// padding bits set past Size the way an untrusted decoded map may carry
+// them.
+func TestWordsFromMatchesHas(t *testing.T) {
+	rng := sim.DeriveRNG(1, 0x5f17)
+	for trial := 0; trial < 4000; trial++ {
+		size := 1 + rng.Intn(700)
+		lo := segment.ID(rng.Intn(2000))
+		m := randomBuffer(rng, size, lo).Snapshot()
+		if r := uint(size) & 63; r != 0 && rng.Intn(2) == 0 {
+			m.Bits[len(m.Bits)-1] |= ^uint64(0) << r // garbage past Size
+		}
+		origin := lo + segment.ID(rng.Intn(2*size+200)) - segment.ID(size+100)
+		dst := make([]uint64, 1+rng.Intn(13))
+		for i := range dst {
+			dst[i] = ^uint64(0) // WordsFrom must overwrite, not OR into, dst
+		}
+
+		m.WordsFrom(dst, origin)
+
+		for i := 0; i < 64*len(dst); i++ {
+			got := dst[i>>6]&(1<<(uint(i)&63)) != 0
+			if want := m.Has(origin + segment.ID(i)); got != want {
+				t.Fatalf("trial %d (size=%d lo=%d origin=%d words=%d): bit %d (segment %d) = %v, Has = %v",
+					trial, size, lo, origin, len(dst), i, origin+segment.ID(i), got, want)
+			}
+		}
+	}
+}

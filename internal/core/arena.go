@@ -82,7 +82,7 @@ type roundArena struct {
 	// backs the round's scheduler output, plus the candidate-enumeration
 	// buffers reset per node.
 	sched     scheduler.Scratch
-	candLive  []nbSnap
+	candLive  []scheduler.NeighborWords
 	candUnion []uint64
 	candSup   []scheduler.Supplier
 	cands     []scheduler.Candidate

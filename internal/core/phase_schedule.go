@@ -6,7 +6,6 @@ import (
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/metrics"
-	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
 	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
@@ -170,14 +169,6 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 	return out
 }
 
-// nbSnap is one live neighbour's advertised words during candidate
-// enumeration.
-type nbSnap struct {
-	id   overlay.NodeID
-	rate float64
-	bits []uint64
-}
-
 // candidatesFor enumerates the fresh segments any connected neighbour
 // advertises inside the fetch window, with per-supplier rate estimates and
 // FIFO positions.
@@ -187,10 +178,12 @@ type nbSnap struct {
 // the exchange, so the neighbours' advertised words, the node's own words
 // and the fetch window share one bit origin. The union of neighbour words
 // minus the node's own words yields available-and-absent segments in a
-// few word operations; the remaining pending-request filter is a dense
-// array read, and per-segment supplier lists fill in ascending neighbour
-// order — bit enumeration ascends, so the output is identical to the
-// per-ID scan's (IDs ascending, suppliers in neighbour order).
+// few word operations; a pre-pass over the surviving bits clears the
+// pending requests (a dense array read each), and scheduler.FillCandidates
+// — the fill the livenet peer shares — lists per-segment suppliers in
+// ascending neighbour order. Bit enumeration ascends, so the output is
+// identical to the per-ID scan's (IDs ascending, suppliers in neighbour
+// order).
 //
 // ar, when non-nil, supplies the enumeration buffers, reset here per
 // node: the returned candidates (and their supplier subslices) are valid
@@ -212,7 +205,7 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 		return w.candidatesForSlow(n, index, snaps, win, round)
 	}
 	nWords := (width + 63) / 64
-	var live []nbSnap
+	var live []scheduler.NeighborWords
 	var union []uint64
 	if ar != nil {
 		live = ar.candLive[:0]
@@ -222,7 +215,7 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 		union = ar.candUnion[:nWords]
 		clear(union)
 	} else {
-		live = make([]nbSnap, 0, len(n.nbrs))
+		live = make([]scheduler.NeighborWords, 0, len(n.nbrs))
 		union = make([]uint64, nWords)
 	}
 	for _, nb := range n.nbrs {
@@ -237,7 +230,7 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 		for wi := 0; wi < nWords; wi++ {
 			union[wi] |= snap.Bits[wi]
 		}
-		live = append(live, nbSnap{id: nb, rate: n.Ctrl.Rate(int(nb)), bits: snap.Bits})
+		live = append(live, scheduler.NeighborWords{Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: snap.Size, Bits: snap.Bits})
 	}
 	if ar != nil {
 		ar.candLive = live
@@ -252,9 +245,20 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 	if r := uint(width) & 63; r != 0 {
 		union[nWords-1] &= 1<<r - 1
 	}
+	// Buffer absence is already encoded in the union; the pending-request
+	// half of Fresh is dropped per bit here, before any supplier work.
 	var any uint64
 	for wi := 0; wi < nWords; wi++ {
-		any |= union[wi]
+		word := union[wi]
+		for m := word; m != 0; m &= m - 1 {
+			k := mathbits.TrailingZeros64(m)
+			if s, ok := n.seg.slot(win.Lo + segment.ID(wi*64+k)); ok &&
+				(int(n.seg.gossipExpiry[s]) > round || int(n.seg.prefetchExpiry[s]) > round) {
+				word &^= 1 << uint(k)
+			}
+		}
+		union[wi] = word
+		any |= word
 	}
 	if any == 0 {
 		// Every union bit has at least one advertising holder, so an empty
@@ -272,150 +276,12 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 		arena = make([]scheduler.Supplier, 0, 8*len(live))
 		cands = make([]scheduler.Candidate, 0, width)
 	}
-	size := own.Size()
-	if len(live) > 63 {
-		arena, cands = fillCandidatesScalar(arena, cands, live, union, n, win, round, size)
-	} else {
-		arena, cands = fillCandidatesWord(arena, cands, live, union, n, win, round, size)
-	}
+	arena, cands = scheduler.FillCandidates(arena, cands, live, union, win.Lo)
 	if ar != nil {
 		ar.candSup = arena
 		ar.cands = cands
 	}
 	return cands
-}
-
-// fillCandidatesWord materialises candidates from the union words by
-// positional popcount: six bit-sliced vertical counter planes accumulate,
-// per bit lane, how many live neighbours advertise the segment (plane p
-// holds bit p of every lane's count; the ripple-carry add is branch-free
-// per neighbour word), the supplier arena is carved into exactly-sized
-// per-candidate runs from those counts, and one masked-word pass per
-// neighbour fills the runs at each lane's cursor. The per-(segment,
-// neighbour) membership probes of the scalar fill collapse into word ANDs,
-// while candidates still emerge with IDs ascending and suppliers in live
-// (ascending neighbour) order — the exact scalar output. Counts ride in
-// six planes, so callers with more than 63 live neighbours use
-// fillCandidatesScalar instead.
-func fillCandidatesWord(arena []scheduler.Supplier, cands []scheduler.Candidate, live []nbSnap, union []uint64, n *Node, win segment.Window, round, size int) ([]scheduler.Supplier, []scheduler.Candidate) {
-	// starts/next entries are read only at set bits of the current word,
-	// which the same iteration always writes first — no per-word clearing.
-	var starts, next [64]int32
-	for wi := range union {
-		word := union[wi]
-		if word == 0 {
-			continue
-		}
-		// Buffer absence is already encoded in the union; only the
-		// pending-request half of Fresh remains, dropped per bit before
-		// any supplier work happens.
-		m := word
-		for m != 0 {
-			k := mathbits.TrailingZeros64(m)
-			m &= m - 1
-			id := win.Lo + segment.ID(wi*64+k)
-			if s, ok := n.seg.slot(id); ok &&
-				(int(n.seg.gossipExpiry[s]) > round || int(n.seg.prefetchExpiry[s]) > round) {
-				word &^= 1 << uint(k)
-			}
-		}
-		if word == 0 {
-			continue
-		}
-		var c0, c1, c2, c3, c4, c5 uint64
-		for _, ns := range live {
-			x := ns.bits[wi] & word
-			carry := c0 & x
-			c0 ^= x
-			x = carry
-			carry = c1 & x
-			c1 ^= x
-			x = carry
-			carry = c2 & x
-			c2 ^= x
-			x = carry
-			carry = c3 & x
-			c3 ^= x
-			x = carry
-			carry = c4 & x
-			c4 ^= x
-			c5 ^= carry
-		}
-		base := len(arena)
-		off := base
-		m = word
-		for m != 0 {
-			k := mathbits.TrailingZeros64(m)
-			m &= m - 1
-			cnt := int((c0 >> uint(k)) & 1)
-			cnt |= int((c1>>uint(k))&1) << 1
-			cnt |= int((c2>>uint(k))&1) << 2
-			cnt |= int((c3>>uint(k))&1) << 3
-			cnt |= int((c4>>uint(k))&1) << 4
-			cnt |= int((c5>>uint(k))&1) << 5
-			starts[k] = int32(off)
-			next[k] = int32(off)
-			off += cnt
-		}
-		arena = slices.Grow(arena, off-base)[:off]
-		for _, ns := range live {
-			x := ns.bits[wi] & word
-			for x != 0 {
-				k := mathbits.TrailingZeros64(x)
-				x &= x - 1
-				p := next[k]
-				next[k] = p + 1
-				arena[p] = scheduler.Supplier{
-					Node:             int(ns.id),
-					Rate:             ns.rate,
-					PositionFromTail: size - (wi*64 + k),
-				}
-			}
-		}
-		m = word
-		for m != 0 {
-			k := mathbits.TrailingZeros64(m)
-			m &= m - 1
-			a, e := int(starts[k]), int(next[k])
-			cands = append(cands, scheduler.Candidate{ID: win.Lo + segment.ID(wi*64+k), Suppliers: arena[a:e:e]})
-		}
-	}
-	return arena, cands
-}
-
-// fillCandidatesScalar is the per-bit fill over the union words: for each
-// candidate bit it probes every live neighbour's word individually. Kept
-// as the wide-neighbourhood fallback and as the differential oracle for
-// fillCandidatesWord, whose output it matches entry for entry.
-func fillCandidatesScalar(arena []scheduler.Supplier, cands []scheduler.Candidate, live []nbSnap, union []uint64, n *Node, win segment.Window, round, size int) ([]scheduler.Supplier, []scheduler.Candidate) {
-	for wi := range union {
-		word := union[wi]
-		for word != 0 {
-			k := wi*64 + mathbits.TrailingZeros64(word)
-			word &= word - 1
-			id := win.Lo + segment.ID(k)
-			// Buffer absence is already encoded in the union; only the
-			// pending-request half of Fresh remains.
-			if s, ok := n.seg.slot(id); ok &&
-				(int(n.seg.gossipExpiry[s]) > round || int(n.seg.prefetchExpiry[s]) > round) {
-				continue
-			}
-			a := len(arena)
-			bit := uint64(1) << (uint(k) & 63)
-			for _, ns := range live {
-				if ns.bits[wi]&bit == 0 {
-					continue
-				}
-				arena = append(arena, scheduler.Supplier{
-					Node:             int(ns.id),
-					Rate:             ns.rate,
-					PositionFromTail: size - k,
-				})
-			}
-			cands = append(cands, scheduler.Candidate{ID: id, Suppliers: arena[a:len(arena):len(arena)]})
-		}
-	}
-	return arena, cands
 }
 
 // candidatesForSlow is the window-agnostic fallback for misaligned

@@ -10,8 +10,9 @@ import (
 )
 
 // TestCandidatesWordMatchesOracle differentially tests the word-parallel
-// candidate enumeration (union algebra + bit-sliced positional popcount)
-// against candidatesForSlow, the window-agnostic per-ID oracle that shares
+// candidate enumeration (union algebra, the pending pre-pass and
+// scheduler.FillCandidates' bit-sliced positional popcount) against
+// candidatesForSlow, the window-agnostic per-ID oracle that shares
 // no code with the word path. A churn-enabled world supplies realistic
 // inputs round after round: partially filled buffers, dead neighbours,
 // pending gossip and pre-fetch marks from earlier scheduling — every
@@ -68,103 +69,4 @@ func TestCandidatesWordMatchesOracle(t *testing.T) {
 	if compared == 0 {
 		t.Fatal("no candidates were ever enumerated; the differential test exercised nothing")
 	}
-}
-
-// TestFillCandidatesScalarMatchesWord pins the two fill variants against
-// each other on the same precomputed unions the hot path builds: the
-// scalar fill is the >63-neighbour fallback, so it must stay entry-for-
-// entry identical to the word fill it substitutes for.
-func TestFillCandidatesScalarMatchesWord(t *testing.T) {
-	cfg := DefaultConfig(80)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Seed = 11
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	compared := 0
-	for round := 0; round < cfg.PlaybackDelayRounds+8; round++ {
-		engine.Run(1)
-		compared += compareFills(t, w, engine.Clock())
-	}
-	if compared == 0 {
-		t.Fatal("no aligned candidates found; the fill comparison exercised nothing")
-	}
-}
-
-// compareFills runs both fill variants over every node's current aligned
-// union and reports how many candidates were compared.
-func compareFills(t *testing.T, w *World, clock *sim.Clock) int {
-	t.Helper()
-	w.round = clock.Round()
-	var sample metrics.RoundSample
-	snaps := w.exchangePhase(&sample)
-	index := w.buildIndex()
-	pos := w.playbackPos(w.round)
-	fetchWin := segment.Window{Lo: pos, Hi: w.fetchEdge(w.round)}
-	compared := 0
-	for _, id := range w.order {
-		n := w.nodes[id]
-		if n == nil || n.IsSource || len(n.nbrs) == 0 {
-			continue
-		}
-		own := n.Buf
-		win := fetchWin
-		if hi := win.Lo + segment.ID(own.Size()); win.Hi > hi {
-			win.Hi = hi
-		}
-		width := int(win.Hi - win.Lo)
-		if width <= 0 || own.Lo() != win.Lo {
-			continue
-		}
-		nWords := (width + 63) / 64
-		union := make([]uint64, nWords)
-		var live []nbSnap
-		aligned := true
-		for _, nb := range n.nbrs {
-			j := index[nb]
-			if j < 0 {
-				continue
-			}
-			snap := snaps[j]
-			if snap.Lo != win.Lo || snap.Size != own.Size() {
-				aligned = false
-				break
-			}
-			for wi := 0; wi < nWords; wi++ {
-				union[wi] |= snap.Bits[wi]
-			}
-			live = append(live, nbSnap{id: nb, rate: n.Ctrl.Rate(int(nb)), bits: snap.Bits})
-		}
-		if !aligned || len(live) == 0 {
-			continue
-		}
-		ownBits := own.Words()
-		for wi := 0; wi < nWords; wi++ {
-			union[wi] &^= ownBits[wi]
-		}
-		if r := uint(width) & 63; r != 0 {
-			union[nWords-1] &= 1<<r - 1
-		}
-		_, word := fillCandidatesWord(nil, nil, live, union, n, win, w.round, own.Size())
-		_, scalar := fillCandidatesScalar(nil, nil, live, union, n, win, w.round, own.Size())
-		if len(word) != len(scalar) {
-			t.Fatalf("node %d: word fill %d candidates, scalar fill %d", id, len(word), len(scalar))
-		}
-		for i := range scalar {
-			if word[i].ID != scalar[i].ID || len(word[i].Suppliers) != len(scalar[i].Suppliers) {
-				t.Fatalf("node %d cand %d: word %+v vs scalar %+v", id, i, word[i], scalar[i])
-			}
-			for j := range scalar[i].Suppliers {
-				if word[i].Suppliers[j] != scalar[i].Suppliers[j] {
-					t.Fatalf("node %d seg %d supplier %d: word %+v vs scalar %+v",
-						id, word[i].ID, j, word[i].Suppliers[j], scalar[i].Suppliers[j])
-				}
-			}
-			compared++
-		}
-	}
-	return compared
 }

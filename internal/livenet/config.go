@@ -159,3 +159,22 @@ func (c Config) sourceDegree() int {
 	}
 	return 2 * c.Neighbors
 }
+
+// inboxCap sizes a peer's inbox from that peer's own fan-in, not from the
+// population. Per period a peer hears one map per neighbour (adoption is
+// bidirectional, so a degree runs to about twice its target), no more
+// asks than it could grant or carry (its 2·O backlog horizon — what lies
+// beyond is evicted on arrival anyway), and the data it asked for (its
+// inbound budget O, plus the pushes and rescues riding the same link).
+// Two periods' worth absorbs an inbox loop that is scheduled late. The
+// source doubles as rendezvous point, so it also takes a Connect from
+// every joiner of a bootstrap burst. Stats.TransportDropped counts what
+// overflows.
+func (c Config) inboxCap(isSource bool) int {
+	degree, out, burst := c.Neighbors, c.OutboundPerPeriod, 0
+	if isSource {
+		degree, out, burst = c.sourceDegree(), c.SourceOutbound, c.Peers
+	}
+	perPeriod := 2*degree + 2*out + c.OutboundPerPeriod + c.RescueLimit
+	return max(64, 2*perPeriod+burst)
+}

@@ -6,10 +6,11 @@
 // (internal/protocol) as the deterministic simulator: mesh repair under
 // churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
 // (BackupResponsible + the urgent-line prediction), fresh-segment push
-// (PlanPush) and supplier-side EDF serving with bounded carry queues
-// (PlanServe). Only the input assembly and the transport differ; the
-// decisions are the shared code paths, which is what the sim↔livenet
-// parity tests pin.
+// (PlanPush), pull scheduling over word-aligned neighbour maps
+// (scheduler.FillCandidates + Algorithm 1) and supplier-side EDF serving
+// with bounded carry queues (PlanServe). Only the input assembly and the
+// transport differ; the decisions are the shared code paths, which is
+// what the sim↔livenet parity tests pin.
 package livenet
 
 import (
@@ -65,14 +66,15 @@ type Stats struct {
 	AsksReceived  int64
 	GrantsSent    int64
 	GrantsEvicted int64
-	// Socket-path loss accounting, separable by mechanism so a CI gate
-	// (or a human reading the stats line) can tell WAN loss from local
-	// overload: TransportDropped counts datagrams discarded because the
-	// node's own inbox was full, ShapeDropped datagrams the traffic
+	// Loss accounting, separable by mechanism so a CI gate (or a human
+	// reading the stats line) can tell WAN loss from local overload:
+	// TransportDropped counts messages discarded because the receiving
+	// inbox was full (on the socket path the node's own, on the
+	// in-process path any peer's), ShapeDropped datagrams the traffic
 	// shaper consumed as injected link loss, ShapeDelayed datagrams it
 	// released late (latency, jitter or bandwidth queueing). Resyncs
-	// counts clock re-anchor jumps taken (see Config.Resync). All zero
-	// on the in-process channel path.
+	// counts clock re-anchor jumps taken (see Config.Resync). The shaper
+	// and re-sync figures are zero on the in-process channel path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64
@@ -110,6 +112,49 @@ func (s Stats) TailContinuity(n int) float64 {
 // channels, serve EDF with carry queues, repair their meshes, and rescue
 // urgent holes from the backup ring. Run blocks until the session drains.
 func Run(ctx context.Context, cfg Config, periods int) Stats {
+	s := newSession(cfg)
+	ticker := time.NewTicker(s.cfg.Period)
+	defer ticker.Stop()
+	for period := 0; period < periods; period++ {
+		select {
+		case <-ctx.Done():
+		case <-ticker.C:
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		s.tick(period)
+	}
+	return s.close()
+}
+
+// session is a driver-mode session: every peer of the mesh in one
+// process over the channel transport, with one loop driving every peer's
+// period clock.
+type session struct {
+	cfg   Config
+	space dht.Space
+	nw    *network
+	st    *counters
+	peers map[int]*peer
+	src   *peer
+	wg    sync.WaitGroup
+	rng   *sim.RNG
+	// churnAt indexes the scripted churn by period.
+	churnAt map[int][]ChurnEvent
+	// pos is the shared playback position; order the period's sweep
+	// order, the live peer IDs ascending.
+	pos   segment.ID
+	order []int
+	stats Stats
+	// continuous / playing tally the playback samples behind
+	// Stats.Continuity.
+	continuous, playing int
+}
+
+// newSession builds the mesh: the source, cfg.Peers receivers, each
+// running its inbox loop, wired by the RP's initial contact lists.
+func newSession(cfg Config) *session {
 	// A peer can hold at most cfg.Peers distinct links (the source plus
 	// every other receiver); an M above that would spin the bootstrap
 	// wiring forever looking for a new neighbour that cannot exist.
@@ -120,174 +165,199 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 	// field (playback evaluation, ask deadlines, warm-up gates, rescue
 	// gating) must see the same value.
 	cfg.PlaybackLagPeriods = cfg.lagPeriods()
-	space := dht.NewSpace(ringSpace)
-	nw := newNetwork(max(256, 16*(cfg.Peers+1)))
-	st := &counters{}
-	peers := make(map[int]*peer)
-	var wg sync.WaitGroup
-	spawn := func(isSource bool, openAt segment.ID, joinPeriod int) *peer {
-		id, inbox := nw.register()
-		p := newPeer(nw, id, inbox, cfg, space, st, isSource, openAt, joinPeriod)
-		if isSource {
-			// Driver mode's RP candidate pool is the registry oracle; the
-			// socket path replaces it with the peer's sighting history
-			// (see RunNode).
-			p.sample = func(max, exclude int) []int {
-				return nw.sample(p.rng, max, exclude)
-			}
-		}
-		peers[p.id] = p
-		wg.Add(1)
-		go p.loop(&wg)
-		return p
+	s := &session{
+		cfg:     cfg,
+		space:   dht.NewSpace(ringSpace),
+		nw:      newNetwork(),
+		st:      &counters{},
+		peers:   make(map[int]*peer),
+		rng:     sim.DeriveRNG(cfg.Seed, 0x11fe),
+		churnAt: make(map[int][]ChurnEvent),
 	}
-	src := spawn(true, 0, 0)
+	s.src = s.spawn(true, 0, 0)
 	for i := 0; i < cfg.Peers; i++ {
-		spawn(false, 0, 0)
+		s.spawn(false, 0, 0)
 	}
 	// Bootstrap wiring (the RP's initial contact lists): every peer links
 	// to cfg.Neighbors others, the first M of them to the source so
 	// content has an exit. Links are installed directly on both sides —
 	// this is the session's construction, not a protocol message.
-	rng := sim.DeriveRNG(cfg.Seed, 0x11fe)
+	link := func(a, b int) {
+		p := s.peers[a]
+		p.mu.Lock()
+		p.link(b, 0)
+		p.mu.Unlock()
+	}
 	connect := func(a, b int) {
-		if a == b {
-			return
+		if a != b {
+			link(a, b)
+			link(b, a)
 		}
-		pa, pb := peers[a], peers[b]
-		pa.links[b], pb.links[a] = true, true
-		pa.nbrSeen[b], pb.nbrSeen[a] = 0, 0
 	}
 	for i := 1; i <= cfg.Peers; i++ {
 		if i <= cfg.Neighbors {
-			connect(i, src.id)
+			connect(i, s.src.id)
 		}
-		for len(peers[i].links) < cfg.Neighbors {
-			connect(i, 1+rng.Intn(cfg.Peers))
+		for len(s.peers[i].nbrs) < cfg.Neighbors {
+			connect(i, 1+s.rng.Intn(cfg.Peers))
 		}
 	}
-
-	churnAt := make(map[int][]ChurnEvent)
 	for _, ev := range cfg.Churn {
-		churnAt[ev.Period] = append(churnAt[ev.Period], ev)
+		s.churnAt[ev.Period] = append(s.churnAt[ev.Period], ev)
 	}
+	return s
+}
 
-	ticker := time.NewTicker(cfg.Period)
-	defer ticker.Stop()
-	stats := Stats{}
-	continuous, playingSamples := 0, 0
-	pos := segment.ID(0)
-	lag := cfg.lagPeriods()
-	ran := 0
-	for period := 0; period < periods; period++ {
-		select {
-		case <-ctx.Done():
-		case <-ticker.C:
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		ran = period + 1
-
-		// Scripted churn: abrupt kills first (silence, not goodbyes),
-		// then rendezvous-path joins.
-		for _, ev := range churnAt[period] {
-			if ev.KillFraction > 0 {
-				var victims []int
-				for id := range peers {
-					if id != src.id {
-						victims = append(victims, id)
-					}
-				}
-				sort.Ints(victims)
-				rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
-				kill := int(math.Round(ev.KillFraction * float64(len(victims))))
-				for _, id := range victims[:min(kill, len(victims))] {
-					nw.unregister(id)
-					close(peers[id].stop)
-					delete(peers, id)
-					stats.Killed++
-				}
-			}
-			for j := 0; j < ev.Join; j++ {
-				np := spawn(false, pos, period)
-				for _, c := range nw.sample(rng, cfg.Neighbors+2, np.id) {
-					nw.Send(c, Message{From: np.id, Kind: msgConnect})
-				}
-				stats.Joined++
-			}
-		}
-
-		members := nw.members()
-		memberSet := make(map[int]bool, len(members))
-		for _, id := range members {
-			memberSet[id] = true
-		}
-		rv := newRingView(space, members)
-
-		// Source ingests this period's fresh segments.
-		src.mu.Lock()
-		for s := segment.ID(period * cfg.Rate); s < segment.ID((period+1)*cfg.Rate); s++ {
-			src.buf.Insert(s)
-		}
-		src.mu.Unlock()
-
-		if period >= lag {
-			pos = segment.ID((period - lag) * cfg.Rate)
-		}
-		order := make([]int, 0, len(peers))
-		for id := range peers {
-			order = append(order, id)
-		}
-		sort.Ints(order)
-		// Two passes per period, the simulator's schedule→serve phase
-		// order over real messages: every peer plans (announce, repair,
-		// request, rescue) before any peer serves, so a request sent
-		// this period is granted this period and a pull hop costs one
-		// period of pipeline, not two.
-		for _, id := range order {
-			peers[id].periodPlan(period, pos, rv, memberSet)
-		}
-		for _, id := range order {
-			peers[id].periodServe(period, memberSet)
-		}
-
-		// Playback bookkeeping after the pipeline warm-up.
-		if period >= lag {
-			win := segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)}
-			periodContinuous, periodPlaying := 0, 0
-			for _, id := range order {
-				p := peers[id]
-				if p.isSource {
-					continue
-				}
-				p.mu.Lock()
-				ok := p.buf.HasAll(win)
-				p.missedLast = !ok
-				if ok {
-					p.missStreak = 0
-				} else {
-					p.missStreak++
-				}
-				p.mu.Unlock()
-				periodPlaying++
-				playingSamples++
-				if ok {
-					periodContinuous++
-					continuous++
-				}
-			}
-			if periodPlaying > 0 {
-				stats.PerPeriod = append(stats.PerPeriod, float64(periodContinuous)/float64(periodPlaying))
-			}
+// spawn registers a peer, starts its inbox loop and returns it.
+func (s *session) spawn(isSource bool, openAt segment.ID, joinPeriod int) *peer {
+	id, inbox := s.nw.register(s.cfg.inboxCap(isSource))
+	p := newPeer(s.nw, id, inbox, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
+	if isSource {
+		// Driver mode's RP candidate pool is the registry oracle; the
+		// socket path replaces it with the peer's sighting history
+		// (see RunNode).
+		p.sample = func(max, exclude int) []int {
+			return s.nw.sample(p.rng, max, exclude)
 		}
 	}
-	for _, p := range peers {
+	s.peers[p.id] = p
+	s.wg.Add(1)
+	go p.loop(&s.wg)
+	return p
+}
+
+// churn applies one period's scripted events: abrupt kills first
+// (silence, not goodbyes), then rendezvous-path joins.
+func (s *session) churn(period int) {
+	for _, ev := range s.churnAt[period] {
+		if ev.KillFraction > 0 {
+			var victims []int
+			for id := range s.peers {
+				if id != s.src.id {
+					victims = append(victims, id)
+				}
+			}
+			sort.Ints(victims)
+			s.rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+			kill := int(math.Round(ev.KillFraction * float64(len(victims))))
+			for _, id := range victims[:min(kill, len(victims))] {
+				s.nw.unregister(id)
+				close(s.peers[id].stop)
+				delete(s.peers, id)
+				s.stats.Killed++
+			}
+		}
+		for j := 0; j < ev.Join; j++ {
+			np := s.spawn(false, s.pos, period)
+			for _, c := range s.nw.sample(s.rng, s.cfg.Neighbors+2, np.id) {
+				s.nw.Send(c, Message{From: np.id, Kind: msgConnect})
+			}
+			s.stats.Joined++
+		}
+	}
+}
+
+// tick runs one scheduling period for the whole mesh.
+func (s *session) tick(period int) {
+	s.plan(period)
+	s.serve(period)
+}
+
+// plan applies the period's churn and runs its three planning phases,
+// returning once the transport has fallen quiet behind the last of them.
+func (s *session) plan(period int) {
+	s.churn(period)
+
+	members := s.nw.members()
+	memberSet := make(map[int]bool, len(members))
+	for _, id := range members {
+		memberSet[id] = true
+	}
+	rv := newRingView(s.space, members)
+
+	// Source ingests this period's fresh segments.
+	s.src.ingestFresh(period)
+
+	s.pos = s.cfg.posFor(period)
+	s.order = s.order[:0]
+	for id := range s.peers {
+		s.order = append(s.order, id)
+	}
+	sort.Ints(s.order)
+	s.sweep(func(p *peer) { p.periodBegin(period, s.pos, rv, memberSet) })
+	s.sweep((*peer).periodAnnounce)
+	s.sweep((*peer).periodSchedule)
+}
+
+// sweep runs one phase of the period over every peer, then waits until
+// the peer goroutines have handled what the phase sent (and what handling
+// it sent in turn: push forwards, connect replies). A period is four
+// such sweeps — begin (the source pushes), announce, schedule, serve, the
+// simulator's push → exchange → schedule → serve → playback round order
+// over real messages. Each phase reads what the one before it sent, and
+// nothing but the barrier makes that true; a sweep that merely takes long
+// enough for the inboxes to drain behind it hides the race only until the
+// sweep gets faster or the host slower. The barrier ends the moment the
+// transport falls quiet; half a period — the fixed wait a socket-path node
+// uses — bounds it, so a wedged peer costs the mesh late phases, not its
+// clock.
+func (s *session) sweep(phase func(*peer)) {
+	for _, id := range s.order {
+		phase(s.peers[id])
+	}
+	s.nw.awaitQuiet(s.cfg.Period / 2)
+}
+
+// serve runs the period's serve phase and, once the grants have landed,
+// evaluates playback.
+func (s *session) serve(period int) {
+	cfg := s.cfg
+	s.sweep((*peer).periodServe)
+	s.stats.Periods = period + 1
+
+	// Playback bookkeeping after the pipeline warm-up: the simulator's
+	// apply → playback order, so a segment granted for this period's
+	// window counts as played, not as still in an inbox.
+	if period < cfg.PlaybackLagPeriods {
+		return
+	}
+	win := segment.Window{Lo: s.pos, Hi: s.pos + segment.ID(cfg.Rate)}
+	periodContinuous, periodPlaying := 0, 0
+	for _, id := range s.order {
+		p := s.peers[id]
+		if p.isSource {
+			continue
+		}
+		p.mu.Lock()
+		ok := p.buf.HasAll(win)
+		p.missedLast = !ok
+		if ok {
+			p.missStreak = 0
+		} else {
+			p.missStreak++
+		}
+		p.mu.Unlock()
+		periodPlaying++
+		if ok {
+			periodContinuous++
+		}
+	}
+	s.playing += periodPlaying
+	s.continuous += periodContinuous
+	if periodPlaying > 0 {
+		s.stats.PerPeriod = append(s.stats.PerPeriod, float64(periodContinuous)/float64(periodPlaying))
+	}
+}
+
+// close stops every peer, waits for the loops to drain and returns the
+// session's stats.
+func (s *session) close() Stats {
+	for _, p := range s.peers {
 		close(p.stop)
 	}
-	wg.Wait()
+	s.wg.Wait()
 
-	stats.Periods = ran
+	stats, st := s.stats, s.st
 	stats.Delivered = st.delivered.Load()
 	stats.PushDelivered = st.pushDelivered.Load()
 	stats.Rescued = st.rescued.Load()
@@ -300,12 +370,13 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 	stats.AsksReceived = st.asksReceived.Load()
 	stats.GrantsSent = st.grantsSent.Load()
 	stats.GrantsEvicted = st.grantsEvicted.Load()
-	if playingSamples > 0 {
-		stats.Continuity = float64(continuous) / float64(playingSamples)
+	stats.TransportDropped = s.nw.dropped.Load()
+	if s.playing > 0 {
+		stats.Continuity = float64(s.continuous) / float64(s.playing)
 	}
-	for _, p := range peers {
-		for nb := range p.links {
-			if !nw.alive(nb) {
+	for _, p := range s.peers {
+		for _, nb := range p.nbrs {
+			if !s.nw.alive(nb.id) {
 				stats.EndDeadLinks++
 			}
 		}

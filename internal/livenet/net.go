@@ -3,6 +3,8 @@ package livenet
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
@@ -38,8 +40,11 @@ type Message struct {
 	Gossip []int
 	// Seg is the segment a request asks for or a data message delivers.
 	Seg segment.ID
-	// Deadline is the period in which Seg plays at the requester, the
-	// supplier-side EDF key (msgRequest).
+	// Deadline is the one time-valued field, read per kind: on a request
+	// the period in which Seg plays at the requester (the supplier-side
+	// EDF key), on data the offset into the period at which the sender's
+	// uplink finished the segment (peer.wireAt, the receiver's rate
+	// observation), on a rendezvous point's ConnectOK its current period.
 	Deadline sim.Time
 	// Hop is the push-hop counter on data (0 = pull grant or rescue
 	// reply; h >= 1 = eager push, forwarded while h < PushHops).
@@ -68,29 +73,43 @@ type Message struct {
 // what recover, exactly as over UDP (the drop model udpTransport
 // mirrors).
 type network struct {
-	mu       sync.RWMutex
-	inboxes  map[int]chan Message
-	nextID   int
-	inboxCap int
+	mu      sync.RWMutex
+	inboxes map[int]chan Message
+	nextID  int
+
+	// sent counts the messages accepted into an inbox and handled those
+	// their receivers are done with (Transport.Handled); the difference is
+	// what is in flight. Messages are sent by the driver goroutine and by
+	// peers in the middle of handling one, so once the driver stops
+	// sending, equality means the whole session is quiet. quiet carries
+	// the wake-up for a driver parked in awaitQuiet (waiting).
+	sent    atomic.Int64
+	handled atomic.Int64
+	waiting atomic.Bool
+	quiet   chan struct{}
+	// dropped counts messages discarded because the receiver's inbox was
+	// full — overload made visible; a vanished receiver is churn, not a
+	// drop.
+	dropped atomic.Int64
 }
 
-func newNetwork(inboxCap int) *network {
-	return &network{inboxes: make(map[int]chan Message), inboxCap: inboxCap}
+func newNetwork() *network {
+	return &network{inboxes: make(map[int]chan Message), quiet: make(chan struct{}, 1)}
 }
 
 // register allocates the next peer ID and its inbox.
-func (nw *network) register() (int, chan Message) {
+func (nw *network) register(inboxCap int) (int, chan Message) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	id := nw.nextID
 	nw.nextID++
-	ch := make(chan Message, nw.inboxCap)
+	ch := make(chan Message, inboxCap)
 	nw.inboxes[id] = ch
 	return id, ch
 }
 
-// unregister removes a departed peer; in-flight sends to it fail from now
-// on, which is how the rest of the mesh eventually notices.
+// unregister removes a departed peer; sends to it fail from now on, which
+// is how the rest of the mesh eventually notices.
 func (nw *network) unregister(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -107,19 +126,56 @@ func (nw *network) alive(id int) bool {
 }
 
 // Send delivers non-blockingly; false means the receiver is gone or
-// saturated and the message was dropped.
+// saturated and the message was dropped. The registry lock is held across
+// the channel operation, so nothing enters an inbox after unregister
+// returns — a stopping peer's leftover count is exact.
 func (nw *network) Send(to int, m Message) bool {
 	nw.mu.RLock()
+	defer nw.mu.RUnlock()
 	ch, ok := nw.inboxes[to]
-	nw.mu.RUnlock()
 	if !ok {
 		return false
 	}
+	// Counted before the message can be received, so handled never runs
+	// ahead of sent.
+	nw.sent.Add(1)
 	select {
 	case ch <- m:
 		return true
 	default:
+		nw.sent.Add(-1)
+		nw.dropped.Add(1)
 		return false
+	}
+}
+
+// Handled implements Transport.
+func (nw *network) Handled(n int) {
+	if nw.handled.Add(int64(n)) == nw.sent.Load() && nw.waiting.Load() {
+		select {
+		case nw.quiet <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// awaitQuiet blocks until every message sent so far has been handled —
+// including the ones handling them sent in turn — or the bound expires.
+// Only the session driver calls it, between its own sends.
+func (nw *network) awaitQuiet(bound time.Duration) {
+	if nw.handled.Load() == nw.sent.Load() {
+		return
+	}
+	nw.waiting.Store(true)
+	defer nw.waiting.Store(false)
+	timer := time.NewTimer(bound)
+	defer timer.Stop()
+	for nw.handled.Load() != nw.sent.Load() {
+		select {
+		case <-nw.quiet:
+		case <-timer.C:
+			return
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := newUDPTransport(nc.Listen, nc.ID, max(256, 16*(cfg.Peers+1)))
+	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxCap(nc.Source))
 	if err != nil {
 		return nil, err
 	}
@@ -271,9 +271,11 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		rv := newRingView(n.space, ids)
 
 		// Plan at the tick, serve half a period later: the temporal
-		// mirror of the driver's two-pass phase order, giving this
-		// period's requests — in flight across real sockets — time to
-		// reach their suppliers before the serve pass drains them.
+		// stand-in for the driver's barriers between phases. A node
+		// cannot count what is in flight across real sockets, so it
+		// runs the planning phases back to back and gives this period's
+		// requests half a period to reach their suppliers before the
+		// serve phase drains them.
 		p.periodPlan(period, pos, rv, members)
 		half := time.NewTimer(cfg.Period / 2)
 		select {
@@ -284,7 +286,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		p.periodServe(period, members)
+		p.periodServe()
 
 		if !nc.Source && period >= lag {
 			win := segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)}
@@ -296,7 +298,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			} else {
 				p.missStreak++
 			}
-			links := len(p.links)
+			links := len(p.nbrs)
 			p.mu.Unlock()
 			playingSamples++
 			if ok {
@@ -313,7 +315,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			}
 		} else if nc.Logf != nil && period%nc.LogEvery == 0 {
 			p.mu.Lock()
-			links := len(p.links)
+			links := len(p.nbrs)
 			p.mu.Unlock()
 			nc.Logf("period %d: links=%d members=%d", period, links, len(members))
 		}
@@ -340,8 +342,8 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		stats.Continuity = float64(continuous) / float64(playingSamples)
 	}
 	p.mu.Lock()
-	for nb := range p.links {
-		if p.curPeriod-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods {
+	for _, nb := range p.nbrs {
+		if p.curPeriod-nb.seen > p.cfg.DeadAfterPeriods {
 			stats.EndDeadLinks++
 		}
 	}

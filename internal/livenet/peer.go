@@ -1,10 +1,10 @@
 package livenet
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"continustreaming/internal/bandwidth"
 	"continustreaming/internal/buffer"
@@ -31,6 +31,24 @@ type counters struct {
 	asksReceived  atomic.Int64
 	grantsSent    atomic.Int64
 	grantsEvicted atomic.Int64
+}
+
+// neighbour is one linked peer's row in the peer's neighbour table.
+type neighbour struct {
+	id int
+	// seen is the period of the link's latest sign of life (a map
+	// announcement or the connect handshake); mesh repair drops a link
+	// silent beyond Config.DeadAfterPeriods.
+	seen int
+	// m is the neighbour's latest advertised map (Size 0 until one
+	// arrives). Its Bits are shared with the sender's other receivers and
+	// never written.
+	m buffer.Map
+	// asked counts the asks sent to this neighbour in the current period.
+	// A livenet supplier's reply is credited one period after the ask (see
+	// periodBegin), so the tally is handed to the rate controller when the
+	// next period begins.
+	asked int
 }
 
 // peer is one goroutine's protocol state: the same per-node architecture
@@ -65,12 +83,15 @@ type peer struct {
 	// in-process candidate pools exactly as before the seam.
 	nodeMode bool
 
-	mu      sync.Mutex
-	buf     *buffer.Buffer
-	backup  *dht.Store
-	links   map[int]bool
-	nbrMaps map[int]buffer.Map
-	nbrSeen map[int]int
+	mu  sync.Mutex
+	buf *buffer.Buffer
+	// backup is the peer's share of the VoD backup ring.
+	backup *dht.Store
+	// nbrs is the neighbour table: one row per linked peer, ascending by
+	// ID; nbrIDs mirrors the IDs in the overlay form the protocol
+	// functions take. Both change only through link and unlink.
+	nbrs   []neighbour
+	nbrIDs []overlay.NodeID
 	// overheard is the adoption candidate pool: peer IDs learned from
 	// piggybacked membership gossip, stamped with the period heard.
 	overheard map[int]int
@@ -87,19 +108,12 @@ type peer struct {
 	// expiry period, after which the peer re-asks.
 	pending       map[segment.ID]int
 	rescuePending map[segment.ID]int
-	// carry is the supplier-side bounded carry queue; asks the fresh
-	// requests accumulated since the last serve.
-	carry []protocol.Request
-	asks  []protocol.Ask
-	// lastRequested holds the previous period's per-supplier ask counts.
-	// A livenet supplier serves at its next period boundary, so a
-	// request's data arrives one period after the ask; crediting the
-	// rate controller on the period the reply is due keeps requests and
-	// deliveries paired the way the BSP simulator pairs them — without
-	// this, every ask looks unanswered in its own period and the service
-	// estimates decay until the scheduler deems every supplier too slow
-	// to bother asking (measured: pull traffic collapses to zero).
-	lastRequested map[int]int
+	// carry is the supplier-side bounded carry queue and carrySpare the
+	// storage the next one is built into (the two alternate); asks holds
+	// the fresh requests accumulated since the last serve, asksSpare the
+	// emptied list the serve pass swaps in.
+	carry, carrySpare []protocol.Request
+	asks, asksSpare   []protocol.Ask
 
 	// clockSeen is the highest period stamp heard from any peer (wire
 	// v2 stamps every message with the sender's clock). Node mode
@@ -109,12 +123,7 @@ type peer struct {
 	clockSeen int
 	resyncs   int
 
-	curPeriod int
-	// periodAt is the wall-clock instant of the current period's plan
-	// tick — the anchor ObserveDelivery offsets are measured from, so
-	// the rate controller sees true arrival offsets (the simulator's
-	// (d.at - now) in period fractions), not per-period counts.
-	periodAt     time.Time
+	curPeriod    int
 	pos          segment.ID
 	rv           ringView
 	pushSpent    int
@@ -126,31 +135,66 @@ type peer struct {
 	missStreak   int
 	lastReplace  int
 
+	// members is the current period's membership view (set by
+	// periodBegin, read-only): who the peer may adopt, gossip about and
+	// serve.
+	members map[int]bool
+
 	// view and rewireScratch are the peer's reusable maintenance seam:
 	// the view provider PlanRewire consults past its fast path, and the
-	// scratch its pools and intents are carved from. Both are touched
-	// only from the peer's own goroutine.
+	// scratch its pools and intents are carved from.
 	view          peerView
 	rewireScratch protocol.RewireScratch
 
+	// The rest is round-lived scratch, touched only under mu by the plan
+	// and serve passes: every buffer is grow-only and reset per use, and
+	// the callbacks are built once in newPeer, so a steady-state period
+	// allocates nothing but the payloads it hands to the transport (the
+	// announced snapshot and its gossip picks).
+
+	// live, words, sup and cands back the candidate enumeration: the
+	// linked neighbours' maps re-based at the peer's own buffer origin
+	// (words holds the union followed by one run per neighbour), and the
+	// arenas scheduler.FillCandidates carves exactly-sized runs from.
+	live  []scheduler.NeighborWords
+	words []uint64
+	sup   []scheduler.Supplier
+	cands []scheduler.Candidate
+	// sched is Algorithm 1's scratch; its request arena is reset before
+	// every schedule, after the previous period's requests were sent.
+	sched scheduler.Scratch
 	// serveScratch backs PlanServe's request staging across periods; the
 	// granted slice it aliases is consumed before the next period plans.
 	serveScratch protocol.ServeScratch
+	serveIn      protocol.ServeInput
+	// positions is the supplier-side rarity's reusable position list.
+	positions []int
+	// gossip is the latest announce's pick arena (a payload, allocated per
+	// announce) and gossipEnd where each neighbour's picks end in it;
+	// gossipAt is the neighbour GossipPicks is currently emitting for.
+	gossipEnd []int
+	gossip    []int
+	gossipAt  int
+	// rescueIDs backs the urgent-line prediction's missed-ID list.
+	rescueIDs []segment.ID
+
+	aliveFn    func(overlay.NodeID) bool
+	gossipFn   func(to, about overlay.NodeID)
+	inFlightFn func(segment.ID) bool
+	nbrHasFn   func(overlay.NodeID, segment.ID) bool
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
 // through its channels: supply estimates from the rate controller, the
 // gossip-fed overheard pool, the ring view's clockwise successors, and —
-// for the source — the RP membership sample. members is set for the
-// duration of one maintainMesh call.
+// for the source — the RP membership sample.
 type peerView struct {
-	p       *peer
-	members map[int]bool
+	p *peer
 }
 
 func (v *peerView) AppendNeighbors(dst []protocol.NeighborSupply) []protocol.NeighborSupply {
 	p := v.p
-	for _, nb := range p.neighbourNodeIDs() {
+	for _, nb := range p.nbrIDs {
 		s := protocol.NeighborSupply{ID: nb, Known: p.ctrl.Known(int(nb))}
 		if s.Known {
 			s.Supply = p.ctrl.Supply(int(nb))
@@ -207,9 +251,9 @@ func (v *peerView) AppendRPCandidates(dst []overlay.NodeID, max int) []overlay.N
 	return dst
 }
 
-func (v *peerView) Alive(id overlay.NodeID) bool { return v.members[int(id)] }
+func (v *peerView) Alive(id overlay.NodeID) bool { return v.p.members[int(id)] }
 
-func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.links[int(id)] }
+func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)) }
 
 // newPeer constructs a peer on a transport-provided identity and inbox;
 // joiners open their buffer at the shared playback position instead of
@@ -228,15 +272,11 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		rng:           sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
 		buf:           buffer.New(cfg.BufferSegments, openAt),
 		backup:        dht.NewStore(),
-		links:         make(map[int]bool),
-		nbrMaps:       make(map[int]buffer.Map),
-		nbrSeen:       make(map[int]int),
 		overheard:     make(map[int]int),
 		sighted:       make(map[int]int),
 		ctrl:          bandwidth.NewController(0.3, float64(cfg.Rate)),
 		pending:       make(map[segment.ID]int),
 		rescuePending: make(map[segment.ID]int),
-		lastRequested: make(map[int]int),
 		curPeriod:     joinPeriod,
 		lastReplace:   joinPeriod - 1000, // no artificial cooldown at birth
 	}
@@ -250,6 +290,16 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 			ExpectedNodes: cfg.Peers,
 		})
 	}
+	p.aliveFn = func(id overlay.NodeID) bool { return p.members[int(id)] }
+	p.gossipFn = p.noteGossipPick
+	p.inFlightFn = p.inFlight
+	p.nbrHasFn = p.neighbourHas
+	p.serveIn = protocol.ServeInput{
+		SupplierHas:    p.buf.Has,
+		RequesterAlive: p.aliveFn,
+		RequesterHas:   p.nbrHasFn,
+		Rarity:         p.supplierRarity,
+	}
 	return p
 }
 
@@ -261,6 +311,18 @@ func (p *peer) outbound() int {
 	return p.cfg.OutboundPerPeriod
 }
 
+// wireAt is when, measured from the start of the period, the peer's
+// uplink finishes the slot-th segment it transmits in it: pushes, rescue
+// replies and grants share the one uplink, each segment occupying it for
+// τ/O — the simulator's wire model (its serve phase's done, its push
+// phase's wire). Every data message carries its wireAt in Deadline, and
+// the receiver's rate controller takes it as the arrival offset. The
+// stamp is the sender's own claim: a false one distorts nobody's standing
+// but the sender's.
+func (p *peer) wireAt(slot int) sim.Time {
+	return sim.Time(slot) * bandwidth.PerSegment(p.outbound(), sim.Second)
+}
+
 // degreeTarget mirrors the simulator's rule: M for peers, the protected
 // source degree for the root.
 func (p *peer) degreeTarget() int {
@@ -270,15 +332,70 @@ func (p *peer) degreeTarget() int {
 	return p.cfg.Neighbors
 }
 
-// loop drains the inbox until the peer is stopped.
+// nbrIndex returns the neighbour table index of id, or the insertion
+// point and false when id is not linked.
+func (p *peer) nbrIndex(id int) (int, bool) {
+	return slices.BinarySearch(p.nbrIDs, overlay.NodeID(id))
+}
+
+// linked reports whether id is a connected neighbour.
+func (p *peer) linked(id int) bool {
+	_, ok := p.nbrIndex(id)
+	return ok
+}
+
+// link connects id as of period now (refreshing the row of an existing
+// link) and returns its row.
+func (p *peer) link(id, now int) *neighbour {
+	i, ok := p.nbrIndex(id)
+	if !ok {
+		p.nbrs = slices.Insert(p.nbrs, i, neighbour{id: id})
+		p.nbrIDs = slices.Insert(p.nbrIDs, i, overlay.NodeID(id))
+		delete(p.overheard, id)
+	}
+	p.nbrs[i].seen = now
+	return &p.nbrs[i]
+}
+
+// unlink drops the neighbour at table index i with everything learned
+// about it.
+func (p *peer) unlink(i int) {
+	p.ctrl.Forget(p.nbrs[i].id)
+	p.nbrs = slices.Delete(p.nbrs, i, i+1)
+	p.nbrIDs = slices.Delete(p.nbrIDs, i, i+1)
+}
+
+// neighbourHas reports whether a linked neighbour's latest map shows a
+// segment (the push and serve paths' "already has it" probe).
+func (p *peer) neighbourHas(id overlay.NodeID, seg segment.ID) bool {
+	i, ok := p.nbrIndex(int(id))
+	return ok && p.nbrs[i].m.Has(seg)
+}
+
+// loop drains the inbox until the peer is stopped, reporting each drained
+// burst to the transport (see Transport.Handled).
 func (p *peer) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
 		select {
 		case <-p.stop:
+			// What is still queued will never be handled; say so, so the
+			// transport's in-flight count does not wait for it.
+			p.tr.Handled(len(p.inbox))
 			return
 		case m := <-p.inbox:
 			p.handle(m)
+			n := 1
+			for more := true; more; {
+				select {
+				case m = <-p.inbox:
+					p.handle(m)
+					n++
+				default:
+					more = false
+				}
+			}
+			p.tr.Handled(n)
 		}
 	}
 }
@@ -316,16 +433,21 @@ func (p *peer) handle(m Message) {
 			continue
 		}
 		p.sighted[g] = p.curPeriod
-		if !p.links[g] {
+		if !p.linked(g) {
 			p.overheard[g] = p.curPeriod
 		}
 	}
 	switch m.Kind {
 	case msgMap:
-		if m.Map != nil {
-			p.nbrMaps[m.From] = *m.Map
+		// Only linked neighbours' maps are kept: a peer this one has
+		// already dropped may announce once more before the Bye reaches
+		// it, and that map would never be read.
+		if i, ok := p.nbrIndex(m.From); ok {
+			if m.Map != nil {
+				p.nbrs[i].m = *m.Map
+			}
+			p.nbrs[i].seen = p.curPeriod
 		}
-		p.nbrSeen[m.From] = p.curPeriod
 	case msgRequest:
 		p.st.asksReceived.Add(1)
 		p.asks = append(p.asks, protocol.Ask{
@@ -343,7 +465,7 @@ func (p *peer) handle(m Message) {
 		// serving unbounded copies for free.
 		if p.pushSpent+p.rescueSpent < 2*p.outbound() && (p.buf.Has(m.Seg) || p.backup.Has(m.Seg)) {
 			p.rescueSpent++
-			p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true})
+			p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.wireAt(p.pushSpent + p.rescueSpent)})
 		}
 	case msgConnect:
 		// Adoption is bidirectional, as in the simulator's addEdge; the
@@ -352,9 +474,7 @@ func (p *peer) handle(m Message) {
 		// stamps the reply with the current period (the joiner's clock
 		// sync) and a membership sample (its first adoption candidates) —
 		// the bootstrap handshake of the socket path.
-		p.links[m.From] = true
-		p.nbrSeen[m.From] = p.curPeriod
-		delete(p.overheard, m.From)
+		p.link(m.From, p.curPeriod)
 		snap := p.buf.Snapshot()
 		reply := Message{From: p.id, Kind: msgConnectOK, Map: &snap}
 		if p.rpServer {
@@ -365,16 +485,14 @@ func (p *peer) handle(m Message) {
 		}
 		p.send(m.From, reply)
 	case msgConnectOK:
-		p.links[m.From] = true
-		p.nbrSeen[m.From] = p.curPeriod
-		delete(p.overheard, m.From)
+		nb := p.link(m.From, p.curPeriod)
 		if m.Map != nil {
-			p.nbrMaps[m.From] = *m.Map
+			nb.m = *m.Map
 		}
 	case msgBye:
-		delete(p.links, m.From)
-		delete(p.nbrMaps, m.From)
-		p.ctrl.Forget(m.From)
+		if i, ok := p.nbrIndex(m.From); ok {
+			p.unlink(i)
+		}
 	}
 }
 
@@ -393,21 +511,21 @@ func (p *peer) receiveData(m Message) {
 	stored := p.buf.Insert(m.Seg)
 	if stored {
 		p.st.delivered.Add(1)
-		// Credit the true arrival offset within the period, in period
-		// fractions — the livenet mirror of the simulator's
-		// (d.at - now).Seconds(). This matters under loss: a service
-		// rate estimated as delivered-per-period is a throughput, and
-		// Algorithm 1 caps asks per supplier at the estimated rate, so
-		// throughput-as-estimate ratchets down on every lost grant and
-		// never back up (ask less -> deliver less -> estimate less —
-		// the measured pull collapse). Offsets below a full period keep
-		// the estimate a rate: 3 segments by mid-period is a 6/s
-		// supplier, with headroom above demand to re-ask lost grants.
-		off := 1.0
-		if p.cfg.Period > 0 && !p.periodAt.IsZero() {
-			if frac := time.Since(p.periodAt).Seconds() / p.cfg.Period.Seconds(); frac < off {
-				off = frac
-			}
+		// Credit the delivery at the offset its sender's uplink finished
+		// it (see wireAt) — the livenet mirror of the simulator's
+		// (d.at - now).Seconds(). The rate controller divides deliveries
+		// by the latest offset, so a neighbour whose uplink is crowded
+		// reads as slow and Algorithm 1 steers asks away from it; that
+		// feedback is what keeps suppliers from being herded onto. An
+		// offset taken from this peer's own wall clock cannot carry it —
+		// a supplier's grants leave in one burst, so the clock measures
+		// where in the period the runtime happened to serve, and the
+		// estimates (and with them evictions and replacements) moved
+		// with the speed of the code and of the host. Unstamped data
+		// credits the whole period.
+		off := m.Deadline.Seconds()
+		if off <= 0 {
+			off = 1
 		}
 		p.ctrl.ObserveDelivery(m.From, off)
 		if m.Rescue {
@@ -437,50 +555,51 @@ func (p *peer) receiveData(m Message) {
 		budget := p.outbound() - p.pushSpent
 		sends := protocol.PlanPush(
 			p.cfg.Seed^uint64(p.id)*0x9e3779b97f4a7c15^uint64(p.curPeriod),
-			overlay.NodeID(p.id), []segment.ID{m.Seg}, p.neighbourNodeIDs(),
-			func(to overlay.NodeID, seg segment.ID) bool {
-				nm, ok := p.nbrMaps[int(to)]
-				return ok && nm.Has(seg)
-			}, budget)
-		p.pushSpent += len(sends)
+			overlay.NodeID(p.id), []segment.ID{m.Seg}, p.nbrIDs, p.nbrHasFn, budget)
 		for _, s := range sends {
-			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1})
+			p.pushSpent++
+			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.wireAt(p.pushSpent+p.rescueSpent)})
 		}
 	}
 }
 
-// neighbourNodeIDs returns the connected neighbours as overlay IDs in
-// ascending order (the protocol functions' canonical neighbour form).
-func (p *peer) neighbourNodeIDs() []overlay.NodeID {
-	out := make([]overlay.NodeID, 0, len(p.links))
-	for id := range p.links {
-		out = append(out, overlay.NodeID(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// A scheduling period runs in four phases, the simulator's round order
+// (push → exchange → schedule → serve) over real messages. Each phase
+// reads what the one before it sent, so the order only means something if
+// the runtime lets those messages land in between: the driver waits for
+// the channel transport to fall quiet after every phase (see
+// session.tick), and then a push lands before its receiver announces or
+// asks, every map a peer schedules against was announced this period, and
+// every ask is in its supplier's hands when that supplier serves — a pull
+// hop costs one period, not two. A socket-path node cannot see what is in
+// flight; it runs the first three phases back to back at its tick
+// (periodPlan) and serves half a period later. Message handling
+// interleaves concurrently under the same lock throughout.
 
-// periodPlan is the first half of a scheduling period, run for every peer
-// before any peer serves: advance the window, push fresh segments
-// (source), repair the mesh, announce the buffer map with piggybacked
-// membership gossip, schedule pulls, and fire DHT rescues for urgent
-// holes. Splitting plan from serve mirrors the simulator's phase order —
-// requests scheduled in a period are served within that same period — so
-// a pull hop costs one period, not two; message handling still
-// interleaves concurrently under the same lock.
-func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]bool) {
+// periodBegin opens period now: advance the clock and the window, settle
+// the previous period's accounts, and — on the source — push the fresh
+// segments. rv and members are the period's ring and membership views;
+// the later phases read them from the peer.
+func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int]bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.curPeriod = now
-	p.periodAt = time.Now()
 	p.pos = pos
 	p.rv = rv
-	// This period's serve pass answers the asks scheduled below; credit
-	// them so the end-of-period Tick pairs requests with arrivals.
-	for s, count := range p.lastRequested {
-		p.ctrl.NoteRequested(s, count)
+	p.members = members
+	// A livenet supplier serves at its next period boundary, so a
+	// request's data arrives one period after the ask; crediting the rate
+	// controller on the period the reply is due keeps requests and
+	// deliveries paired the way the BSP simulator pairs them — without
+	// this, every ask looks unanswered in its own period and the service
+	// estimates decay until the scheduler deems every supplier too slow
+	// to bother asking (measured: pull traffic collapses to zero).
+	for i := range p.nbrs {
+		if nb := &p.nbrs[i]; nb.asked > 0 {
+			p.ctrl.NoteRequested(nb.id, nb.asked)
+			nb.asked = 0
+		}
 	}
-	p.lastRequested = map[int]int{}
 	p.buf.AdvanceTo(pos)
 	p.backup.PruneBelow(pos)
 	for seg, exp := range p.pending {
@@ -515,29 +634,52 @@ func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]
 		p.alpha.Apply(p.overdue, p.repeated)
 		p.overdue, p.repeated = 0, 0
 	}
-
 	if p.isSource {
 		p.pushFresh(now)
 	}
+}
+
+// periodAnnounce is the exchange phase: repair the mesh, then announce
+// the buffer map with piggybacked membership gossip.
+func (p *peer) periodAnnounce() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.cfg.Repair {
-		p.maintainMesh(now, members)
+		p.maintainMesh(p.curPeriod)
 	}
-	p.announce(members)
-	if !p.isSource {
-		p.schedulePulls(now)
-		if p.cfg.Repair && now >= p.cfg.PlaybackLagPeriods {
-			p.rescueUrgent(now)
-		}
+	p.announce()
+}
+
+// periodSchedule schedules the period's pulls over the neighbour maps and
+// fires DHT rescues for urgent holes.
+func (p *peer) periodSchedule() {
+	if p.isSource {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := p.curPeriod
+	p.schedulePulls(now)
+	if p.cfg.Repair && now >= p.cfg.PlaybackLagPeriods {
+		p.rescueUrgent(now)
 	}
 }
 
-// periodServe is the second half: drain the asks that arrived — including
-// this period's, sent during the plan pass — through the supplier-side
-// service discipline, then fold the period's rate observations.
-func (p *peer) periodServe(now int, members map[int]bool) {
+// periodPlan runs the three planning phases back to back, for a runtime
+// that cannot order them against the network.
+func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]bool) {
+	p.periodBegin(now, pos, rv, members)
+	p.periodAnnounce()
+	p.periodSchedule()
+}
+
+// periodServe drains the asks that arrived — including this period's —
+// through the supplier-side service discipline, then folds the period's
+// rate observations.
+func (p *peer) periodServe() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.servePeriod(now, members)
+	p.servePeriod(p.curPeriod)
 	p.ctrl.Tick()
 	p.pushSpent, p.rescueSpent, p.pushReceived = 0, 0, 0
 }
@@ -554,14 +696,10 @@ func (p *peer) pushFresh(now int) {
 		}
 	}
 	sends := protocol.PlanPush(
-		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), fresh, p.neighbourNodeIDs(),
-		func(to overlay.NodeID, seg segment.ID) bool {
-			nm, ok := p.nbrMaps[int(to)]
-			return ok && nm.Has(seg)
-		}, p.outbound())
-	p.pushSpent += len(sends)
+		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), fresh, p.nbrIDs, p.nbrHasFn, p.outbound())
 	for _, s := range sends {
-		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1})
+		p.pushSpent++
+		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.wireAt(p.pushSpent)})
 	}
 }
 
@@ -569,38 +707,18 @@ func (p *peer) pushFresh(now int) {
 // supplier-side discipline: protocol.PlanServe (EDF + rarity + bounded
 // carry) with the engine, protocol.ServeRoundRobin without — the same
 // code paths the simulator's serveSupplier drives.
-func (p *peer) servePeriod(now int, members map[int]bool) {
+func (p *peer) servePeriod(now int) {
 	asks := p.asks
-	p.asks = nil
+	p.asks = p.asksSpare[:0]
 	var res protocol.ServeResult
 	if p.cfg.Engine {
-		res = protocol.PlanServe(protocol.ServeInput{
-			Carried:     p.carry,
-			Fresh:       asks,
-			Capacity:    2*p.outbound() - p.pushSpent - p.rescueSpent,
-			QueueCap:    p.cfg.QueueFactor * p.outbound(),
-			Horizon:     sim.Time(now),
-			SupplierHas: p.buf.Has,
-			RequesterAlive: func(id overlay.NodeID) bool {
-				return members[int(id)]
-			},
-			RequesterHas: func(id overlay.NodeID, seg segment.ID) bool {
-				nm, ok := p.nbrMaps[int(id)]
-				return ok && nm.Has(seg)
-			},
-			Rarity: func(seg segment.ID) float64 {
-				var positions []int
-				for nb := range p.links {
-					if nm, ok := p.nbrMaps[nb]; ok {
-						if pft, ok := nm.PositionFromTail(seg); ok {
-							positions = append(positions, pft)
-						}
-					}
-				}
-				return protocol.SupplierRarity(p.cfg.BufferSegments, positions)
-			},
-		}, &p.serveScratch)
-		p.carry = res.Queued
+		in := &p.serveIn
+		in.Carried, in.Fresh, in.QueueInto = p.carry, asks, p.carrySpare
+		in.Capacity = 2*p.outbound() - p.pushSpent - p.rescueSpent
+		in.QueueCap = p.cfg.QueueFactor * p.outbound()
+		in.Horizon = sim.Time(now)
+		res = protocol.PlanServe(*in, &p.serveScratch)
+		p.carry, p.carrySpare = res.Queued, p.carry[:0]
 		p.st.queueCarried.Add(int64(len(res.Queued)))
 	} else {
 		reqs := make([]protocol.Request, len(asks))
@@ -608,18 +726,33 @@ func (p *peer) servePeriod(now int, members map[int]bool) {
 			reqs[i] = protocol.Request{Requester: a.Requester, ID: a.ID, Expected: a.Deadline}
 		}
 		res = protocol.ServeRoundRobin(reqs, 2*p.outbound())
-		p.carry = nil
+		p.carry = p.carry[:0]
 	}
+	p.asksSpare = asks[:0]
 	p.st.grantsEvicted.Add(res.Evicted.Total())
-	for _, g := range res.Granted {
+	backlog := p.pushSpent + p.rescueSpent
+	for k, g := range res.Granted {
 		if g.Carried {
 			p.st.queueServed.Add(1)
 		}
 		if p.buf.Has(g.ID) {
 			p.st.grantsSent.Add(1)
-			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID})
+			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.wireAt(backlog + k + 1)})
 		}
 	}
+}
+
+// supplierRarity is the serve side's rarity view of a segment: the
+// product, over the linked neighbours advertising it, of its eviction
+// probability in each one's window (protocol.SupplierRarity).
+func (p *peer) supplierRarity(seg segment.ID) float64 {
+	p.positions = p.positions[:0]
+	for i := range p.nbrs {
+		if pft, ok := p.nbrs[i].m.PositionFromTail(seg); ok {
+			p.positions = append(p.positions, pft)
+		}
+	}
+	return protocol.SupplierRarity(p.cfg.BufferSegments, p.positions)
 }
 
 // maintainMesh drops neighbours discovered dead (registry failure or
@@ -627,18 +760,16 @@ func (p *peer) servePeriod(now int, members map[int]bool) {
 // — protocol.PlanRewire, the simulator's maintenance rules — over the
 // peer's locally learned view, sending Bye/Connect control messages for
 // the resulting intent.
-func (p *peer) maintainMesh(now int, members map[int]bool) {
-	for nb := range p.links {
-		silent := now-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods
-		if !members[nb] || silent {
-			delete(p.links, nb)
-			delete(p.nbrMaps, nb)
-			delete(p.overheard, nb)
-			p.ctrl.Forget(nb)
+func (p *peer) maintainMesh(now int) {
+	members := p.members
+	for i := len(p.nbrs) - 1; i >= 0; i-- {
+		nb := &p.nbrs[i]
+		if !members[nb.id] || now-nb.seen > p.cfg.DeadAfterPeriods {
+			delete(p.overheard, nb.id)
+			p.unlink(i)
 			p.st.deadDropped.Add(1)
 		}
 	}
-	p.view.members = members
 	view := protocol.MaintenanceView{
 		Node:            overlay.NodeID(p.id),
 		Source:          0, // the source is always peer 0
@@ -646,7 +777,7 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 		Warm:            now > p.cfg.PlaybackLagPeriods,
 		Round:           now,
 		LastReplace:     p.lastReplace,
-		Degree:          len(p.links),
+		Degree:          len(p.nbrs),
 		DegreeTarget:    p.degreeTarget(),
 		MissedLastRound: p.missedLast,
 		MissStreak:      p.missStreak,
@@ -654,7 +785,6 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 	}
 	p.rewireScratch.Reset()
 	intent, ok := protocol.PlanRewire(view, p.cfg.maintenanceTuning(), &p.rewireScratch)
-	p.view.members = nil
 	if !ok {
 		return
 	}
@@ -663,15 +793,15 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 		for next < len(intent.Adopt) {
 			c := int(intent.Adopt[next])
 			next++
-			if members[c] && !p.links[c] && c != p.id {
+			if members[c] && !p.linked(c) && c != p.id {
 				return c, true
 			}
 		}
 		return -1, false
 	}
 	for _, victim := range intent.Drop {
-		v := int(victim)
-		if !p.links[v] {
+		vi, ok := p.nbrIndex(int(victim))
+		if !ok {
 			continue
 		}
 		cand, ok := takeCandidate()
@@ -680,14 +810,12 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 		}
 		p.lastReplace = now
 		p.st.replaced.Add(1)
-		delete(p.links, v)
-		delete(p.nbrMaps, v)
-		p.ctrl.Forget(v)
-		p.send(v, Message{From: p.id, Kind: msgBye})
+		p.unlink(vi)
+		p.send(int(victim), Message{From: p.id, Kind: msgBye})
 		delete(p.overheard, cand)
 		p.send(cand, Message{From: p.id, Kind: msgConnect})
 	}
-	for want := p.degreeTarget() - len(p.links); want > 0; want-- {
+	for want := p.degreeTarget() - len(p.nbrs); want > 0; want-- {
 		cand, ok := takeCandidate()
 		if !ok {
 			break
@@ -699,19 +827,123 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 
 // announce sends the buffer map to every neighbour, with membership
 // gossip piggybacked via the shared protocol picks (two of the sender's
-// other neighbours per receiver).
-func (p *peer) announce(members map[int]bool) {
+// other neighbours per receiver). Every receiver gets the same snapshot:
+// it is immutable once sent, and so are the gossip runs carved from one
+// arena — the two payloads a period hands to the transport.
+func (p *peer) announce() {
+	n := len(p.nbrs)
+	if n == 0 {
+		return
+	}
 	snap := p.buf.Snapshot()
-	nbs := p.neighbourNodeIDs()
-	gossip := make(map[overlay.NodeID][]int, len(nbs))
-	protocol.GossipPicks(p.rng, nbs,
-		func(id overlay.NodeID) bool { return members[int(id)] },
-		func(to, about overlay.NodeID) {
-			gossip[to] = append(gossip[to], int(about))
+	p.gossipEnd = slices.Grow(p.gossipEnd[:0], n)[:n]
+	p.gossip = make([]int, 0, 2*n)
+	p.gossipAt = 0
+	protocol.GossipPicks(p.rng, p.nbrIDs, p.aliveFn, p.gossipFn)
+	for ; p.gossipAt < n; p.gossipAt++ {
+		p.gossipEnd[p.gossipAt] = len(p.gossip)
+	}
+	start := 0
+	for i, end := range p.gossipEnd {
+		var g []int
+		if end > start {
+			g = p.gossip[start:end:end]
+		}
+		start = end
+		p.send(p.nbrs[i].id, Message{From: p.id, Kind: msgMap, Map: &snap, Gossip: g})
+	}
+}
+
+// noteGossipPick is GossipPicks' emit callback. Picks arrive grouped by
+// receiver in neighbour order, so each receiver's run is closed as soon
+// as the next one's first pick shows up.
+func (p *peer) noteGossipPick(to, about overlay.NodeID) {
+	for p.nbrIDs[p.gossipAt] != to {
+		p.gossipEnd[p.gossipAt] = len(p.gossip)
+		p.gossipAt++
+	}
+	p.gossip = append(p.gossip, int(about))
+}
+
+// supplierRotation is where the ascending supplier list starts this
+// period. Algorithm 1 and the priority terms see suppliers in list order,
+// and any fixed order would hand the same neighbours every near-tie; a
+// rotation that is a pure function of (seed, peer, period) spreads them
+// across the neighbourhood while staying reproducible per seed.
+func supplierRotation(seed uint64, id, period, n int) int {
+	return int(scheduler.Jitter(seed, uint64(id), uint64(period)) % uint64(n))
+}
+
+// candidates enumerates the fresh segments any linked neighbour advertises
+// inside the peer's own buffer window — available there, absent here, not
+// already asked for — on the simulator's word path: each neighbour's map
+// is re-based at the own buffer origin (maps arrive a period stale, so
+// their windows open lower), the union of those words minus the own words
+// and the in-flight bits is what is wanted, and scheduler.FillCandidates
+// lists the suppliers. The own window opens at the playback position
+// (periodPlan has just advanced it), which is the fetch-window floor:
+// segments behind it are pruned on both sides, and asking for them would
+// burn the inbound budget on unfulfillable requests.
+//
+// The result aliases the peer's scratch and is valid until the next call.
+func (p *peer) candidates(now int) []scheduler.Candidate {
+	own := p.buf.Words()
+	nw := len(own)
+	origin := p.buf.Lo()
+	size := p.buf.Size()
+	p.words = slices.Grow(p.words[:0], nw*(len(p.nbrs)+1))[:nw]
+	union := p.words
+	clear(union)
+	live := p.live[:0]
+	for i := range p.nbrs {
+		nb := &p.nbrs[i]
+		if nb.m.Size == 0 {
+			continue // linked, no map heard yet
+		}
+		at := len(p.words)
+		p.words = p.words[:at+nw]
+		bits := p.words[at : at+nw : at+nw]
+		nb.m.WordsFrom(bits, origin)
+		for wi, w := range bits {
+			union[wi] |= w
+		}
+		live = append(live, scheduler.NeighborWords{
+			Node: nb.id,
+			Rate: p.ctrl.Rate(nb.id),
+			Tail: int(nb.m.Lo-origin) + nb.m.Size,
+			Bits: bits,
 		})
-	for _, nb := range nbs {
-		m := snap
-		p.send(int(nb), Message{From: p.id, Kind: msgMap, Map: &m, Gossip: gossip[nb]})
+	}
+	p.live = live
+	if len(live) == 0 {
+		return nil
+	}
+	for wi := range union {
+		union[wi] &^= own[wi]
+	}
+	if r := uint(size) & 63; r != 0 {
+		union[nw-1] &= 1<<r - 1
+	}
+	for seg := range p.pending {
+		clearBit(union, int(seg-origin), size)
+	}
+	for seg := range p.rescuePending {
+		clearBit(union, int(seg-origin), size)
+	}
+	if k := supplierRotation(p.cfg.Seed, p.id, now, len(live)); k > 0 {
+		// Rotate left by k with three reversals.
+		slices.Reverse(live[:k])
+		slices.Reverse(live[k:])
+		slices.Reverse(live)
+	}
+	p.sup, p.cands = scheduler.FillCandidates(p.sup[:0], p.cands[:0], live, union, origin)
+	return p.cands
+}
+
+// clearBit clears bit i of words when 0 <= i < size.
+func clearBit(words []uint64, i, size int) {
+	if i >= 0 && i < size {
+		words[i>>6] &^= 1 << (uint(i) & 63)
 	}
 }
 
@@ -723,41 +955,11 @@ func (p *peer) schedulePulls(now int) {
 	if budget <= 0 {
 		return
 	}
-	found := map[segment.ID][]scheduler.Supplier{}
-	for nb, m := range p.nbrMaps {
-		if !p.links[nb] {
-			continue
-		}
-		// Clamp to the fetch window: an older map's window can start
-		// below the current playback position, and segments behind pos
-		// are pruned on both sides — asking for them burns the whole
-		// inbound budget on unfulfillable requests (the simulator's
-		// schedulePhase applies the same [pos, edge) floor).
-		w := m.Window()
-		if w.Lo < p.pos {
-			w.Lo = p.pos
-		}
-		for id := w.Lo; id < w.Hi; id++ {
-			if !m.Has(id) || p.buf.Has(id) {
-				continue
-			}
-			if _, ok := p.pending[id]; ok {
-				continue
-			}
-			if _, ok := p.rescuePending[id]; ok {
-				continue
-			}
-			pft, _ := m.PositionFromTail(id)
-			found[id] = append(found[id], scheduler.Supplier{
-				Node: nb, Rate: p.ctrl.Rate(nb), PositionFromTail: pft,
-			})
-		}
+	cands := p.candidates(now)
+	if len(cands) == 0 {
+		return
 	}
-	cands := make([]scheduler.Candidate, 0, len(found))
-	for id, sup := range found {
-		cands = append(cands, scheduler.Candidate{ID: id, Suppliers: sup})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
+	p.sched.Reset()
 	in := scheduler.Input{
 		PriorityInput: scheduler.PriorityInput{
 			Play:         p.pos,
@@ -768,28 +970,35 @@ func (p *peer) schedulePulls(now int) {
 		Tau:           sim.Second,
 		InboundBudget: budget,
 		Candidates:    cands,
+		Scratch:       &p.sched,
 		JitterSeed:    p.cfg.Seed ^ uint64(p.id)*0x9e3779b97f4a7c15,
 		RarityNoise:   0.3,
 	}
-	reqs := (scheduler.Greedy{}).Schedule(in)
-	perSupplier := map[int]int{}
-	for _, r := range reqs {
+	for _, r := range (scheduler.Greedy{}).Schedule(in) {
 		p.st.asksSent.Add(1)
 		p.pending[r.ID] = now + p.cfg.retryPeriods()
-		perSupplier[r.Supplier]++
+		if i, ok := p.nbrIndex(r.Supplier); ok {
+			p.nbrs[i].asked++
+		}
 		p.send(r.Supplier, Message{
 			From: p.id, Kind: msgRequest, Seg: r.ID, Deadline: p.playDeadline(r.ID),
 		})
 	}
-	// Credited next period, when the supplier's serve actually replies
-	// (see lastRequested).
-	p.lastRequested = perSupplier
 }
 
 // playDeadline is the period in which a segment plays — the EDF key the
 // supplier orders by and the horizon test for carrying.
 func (p *peer) playDeadline(seg segment.ID) sim.Time {
 	return sim.Time(int(seg)/p.cfg.Rate + p.cfg.PlaybackLagPeriods)
+}
+
+// inFlight reports whether a pull or a rescue for seg is outstanding.
+func (p *peer) inFlight(seg segment.ID) bool {
+	if _, ok := p.pending[seg]; ok {
+		return true
+	}
+	_, ok := p.rescuePending[seg]
+	return ok
 }
 
 // rescueUrgent runs the urgent-line prediction (the same α-adapted
@@ -801,14 +1010,8 @@ func (p *peer) rescueUrgent(now int) {
 	if p.alpha == nil {
 		return
 	}
-	plan := prefetch.Predict(p.buf, p.pos, p.alpha.Value(), p.cfg.RescueLimit,
-		func(id segment.ID) bool {
-			if _, ok := p.pending[id]; ok {
-				return true
-			}
-			_, ok := p.rescuePending[id]
-			return ok
-		})
+	var plan prefetch.Decision
+	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.RescueLimit, p.inFlightFn)
 	if !plan.Triggered {
 		return
 	}

@@ -1,0 +1,303 @@
+package livenet
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"continustreaming/internal/buffer"
+	"continustreaming/internal/dht"
+	"continustreaming/internal/scheduler"
+	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
+)
+
+// nullTransport swallows everything a peer sends.
+type nullTransport struct{}
+
+func (nullTransport) Send(int, Message) bool { return true }
+func (nullTransport) Handled(int)            {}
+
+// candidatesPerID is the per-ID candidate enumerator the livenet ran before
+// it moved onto the word path, kept as the differential oracle: walk every
+// linked neighbour's map one segment ID at a time through Map.Has, collect
+// suppliers per segment, sort by ID. The fetch window is the peer's own
+// buffer window — the floor at the playback position the retired code
+// applied, plus the ceiling the word path adds (a segment past the own
+// window cannot be stored, so asking for it wastes budget; on a live mesh
+// no map reaches that far). Suppliers are listed in the given neighbour
+// order.
+func candidatesPerID(p *peer, order []int) []scheduler.Candidate {
+	found := map[segment.ID][]scheduler.Supplier{}
+	for _, i := range order {
+		nb := p.nbrs[i]
+		w := nb.m.Window().Intersect(p.buf.Window())
+		for id := w.Lo; id < w.Hi; id++ {
+			if !nb.m.Has(id) || p.buf.Has(id) || p.inFlight(id) {
+				continue
+			}
+			pft, _ := nb.m.PositionFromTail(id)
+			found[id] = append(found[id], scheduler.Supplier{
+				Node: nb.id, Rate: p.ctrl.Rate(nb.id), PositionFromTail: pft,
+			})
+		}
+	}
+	cands := make([]scheduler.Candidate, 0, len(found))
+	for id, sup := range found {
+		cands = append(cands, scheduler.Candidate{ID: id, Suppliers: sup})
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
+	return cands
+}
+
+// rotatedOrder lists the indices of the neighbours that have announced a
+// map, ascending, rotated the way the peer rotates its supplier list.
+func rotatedOrder(p *peer, period int) []int {
+	var order []int
+	for i, nb := range p.nbrs {
+		if nb.m.Size > 0 {
+			order = append(order, i)
+		}
+	}
+	if len(order) == 0 {
+		return nil
+	}
+	k := supplierRotation(p.cfg.Seed, p.id, period, len(order))
+	return append(order[k:len(order):len(order)], order[:k]...)
+}
+
+// randomPeer builds a peer mid-session: a half-full buffer, linked
+// neighbours whose maps are misaligned with it in both directions and
+// partially stale (some never announced, some whole windows behind),
+// differing rate estimates, and in-flight pulls and rescues.
+func randomPeer(rng *sim.RNG, size int) *peer {
+	cfg := DefaultConfig()
+	cfg.BufferSegments = size
+	cfg.Seed = rng.Uint64()
+	lo := segment.ID(rng.Intn(3000))
+	p := newPeer(nullTransport{}, 1+rng.Intn(500), nil, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	for i := 0; i < size; i++ {
+		if rng.Intn(2) == 0 {
+			p.buf.Insert(lo + segment.ID(i))
+		}
+	}
+	for n := rng.Intn(12); n > 0; n-- {
+		id := 1000 + rng.Intn(400)
+		nb := p.link(id, 0)
+		switch rng.Intn(8) {
+		case 0:
+			// linked, no map heard yet
+		case 1:
+			nb.m = randomMap(rng, size, lo-segment.ID(size+rng.Intn(50))) // a whole window behind
+		default:
+			nb.m = randomMap(rng, size, lo+segment.ID(rng.Intn(60))-40) // stale by a few periods, or a little ahead
+		}
+		if rng.Intn(2) == 0 {
+			p.ctrl.NoteRequested(id, 3)
+			p.ctrl.ObserveDelivery(id, 0.1+rng.Float64())
+		}
+	}
+	p.ctrl.Tick()
+	for n := rng.Intn(20); n > 0; n-- {
+		p.pending[lo+segment.ID(rng.Intn(size+20))-10] = 5
+	}
+	for n := rng.Intn(6); n > 0; n-- {
+		p.rescuePending[lo+segment.ID(rng.Intn(size))] = 5
+	}
+	return p
+}
+
+func randomMap(rng *sim.RNG, size int, lo segment.ID) buffer.Map {
+	b := buffer.New(size, lo)
+	for i := 0; i < size; i++ {
+		if rng.Intn(3) != 0 {
+			b.Insert(b.Lo() + segment.ID(i))
+		}
+	}
+	return b.Snapshot()
+}
+
+// TestCandidatesMatchPerIDOracle differentially tests the word-path
+// enumeration against the retired per-ID enumerator: same candidate IDs,
+// same supplier sets in the same order, same rates and PositionFromTail.
+func TestCandidatesMatchPerIDOracle(t *testing.T) {
+	rng := sim.DeriveRNG(1, 0xca4d)
+	compared := 0
+	for trial := 0; trial < 400; trial++ {
+		size := 600
+		if trial%4 == 3 {
+			size = 1 + rng.Intn(300) // odd sizes: partial last words, single-word windows
+		}
+		p := randomPeer(rng, size)
+		period := rng.Intn(1000)
+
+		got := p.candidates(period)
+		want := candidatesPerID(p, rotatedOrder(p, period))
+
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d candidates, oracle %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("trial %d cand %d: ID %d, oracle %d", trial, i, got[i].ID, want[i].ID)
+			}
+			if !slices.Equal(got[i].Suppliers, want[i].Suppliers) {
+				t.Fatalf("trial %d seg %d: suppliers %+v, oracle %+v", trial, got[i].ID, got[i].Suppliers, want[i].Suppliers)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no candidates were ever enumerated; the differential test exercised nothing")
+	}
+}
+
+// TestSupplierRotation pins the supplier order as a pure function of
+// (seed, peer, period): the ascending neighbour list rotated by
+// supplierRotation, the same on every call, and not the same every period.
+func TestSupplierRotation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	const lo = segment.ID(700)
+	p := newPeer(nullTransport{}, 17, nil, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	// One segment every neighbour holds and the peer lacks, so its
+	// candidate lists the whole supplier order.
+	seg := lo + 100
+	ids := []int{3, 8, 21, 40, 77, 130}
+	for i, id := range ids {
+		b := buffer.New(cfg.BufferSegments, lo-segment.ID(10*i))
+		b.Insert(seg)
+		p.link(id, 0).m = b.Snapshot()
+	}
+	order := func(period int) []int {
+		cands := p.candidates(period)
+		if len(cands) != 1 || cands[0].ID != seg {
+			t.Fatalf("period %d: candidates %+v, want only segment %d", period, cands, seg)
+		}
+		var out []int
+		for _, s := range cands[0].Suppliers {
+			out = append(out, s.Node)
+		}
+		return out
+	}
+	starts := map[int]bool{}
+	for period := 0; period < 40; period++ {
+		got := order(period)
+		k := supplierRotation(p.cfg.Seed, p.id, period, len(ids))
+		want := append(slices.Clone(ids[k:]), ids[:k]...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("period %d: supplier order %v, want ascending rotated by %d: %v", period, got, k, want)
+		}
+		if again := order(period); !slices.Equal(again, got) {
+			t.Fatalf("period %d: order changed between calls: %v then %v", period, got, again)
+		}
+		starts[got[0]] = true
+	}
+	if len(starts) < 3 {
+		t.Fatalf("40 periods started the supplier list at only %d distinct neighbours", len(starts))
+	}
+	same := true
+	for period := 0; period < 8; period++ {
+		same = same && supplierRotation(cfg.Seed, p.id, period, 6) == supplierRotation(cfg.Seed, p.id+1, period, 6)
+	}
+	if same {
+		t.Fatal("two peers rotate identically over 8 periods")
+	}
+}
+
+// periodAllocBound is how many heap allocations a warmed peer's period may
+// make: the three payloads its announce hands to the transport — the
+// buffer-map snapshot (the Map and its words) and the gossip arena its
+// per-neighbour picks are carved from. Receivers keep them, so they cannot
+// come from scratch. Everything else a period touches — neighbour words,
+// candidate and supplier arenas, Algorithm 1's scratch, the serve plan, the
+// carry queue, the rescue prediction — is reused.
+const periodAllocBound = 3
+
+// TestPeriodAllocations drives one peer through steady-state periods on
+// the channel transport — neighbours announce misaligned maps, ask it for
+// segments and grant what it asked for — and holds its periodPlan +
+// periodServe to periodAllocBound allocations.
+func TestPeriodAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PlaybackLagPeriods = cfg.lagPeriods()
+	const self, nbrs = 4, 8
+	nw := newNetwork()
+	members := map[int]bool{}
+	var ids []int
+	inboxes := map[int]chan Message{}
+	for i := 0; i <= nbrs; i++ {
+		id, ch := nw.register(256)
+		members[id], inboxes[id] = true, ch
+		ids = append(ids, id)
+	}
+	p := newPeer(nw, self, inboxes[self], cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	rv := newRingView(p.space, ids)
+	for _, id := range ids {
+		if id != self {
+			p.link(id, 0)
+		}
+	}
+
+	// Every neighbour holds the stream up to the live edge; half of them
+	// announce a window one period stale.
+	const periods = 140
+	maps := make([][]Message, periods)
+	for at := range maps {
+		for _, id := range ids {
+			if id == self {
+				continue
+			}
+			b := buffer.New(cfg.BufferSegments, cfg.posFor(at-id%2))
+			for s := b.Lo(); s < segment.ID((at+1)*cfg.Rate); s++ {
+				b.Insert(s)
+			}
+			m := b.Snapshot()
+			maps[at] = append(maps[at], Message{From: id, Kind: msgMap, Map: &m, Period: at})
+		}
+	}
+	var asked []Message // the peer's asks, answered next period
+	period := 0
+	step := func() {
+		// What the network delivers between two ticks: the neighbours'
+		// maps, grants for last period's asks, and asks for what the
+		// peer holds.
+		for _, m := range maps[period] {
+			p.handle(m)
+		}
+		for k, a := range asked {
+			p.handle(Message{From: a.From, Kind: msgData, Seg: a.Seg, Period: period, Deadline: sim.Time(70 * (k + 1))})
+		}
+		asked = asked[:0]
+		for k, id := range ids {
+			if seg := cfg.posFor(period) + segment.ID(k); id != self && p.buf.Has(seg) {
+				p.handle(Message{From: id, Kind: msgRequest, Seg: seg, Deadline: p.playDeadline(seg), Period: period})
+			}
+		}
+		p.periodPlan(period, cfg.posFor(period), rv, members)
+		p.periodServe()
+		for _, id := range ids {
+			for ch := inboxes[id]; len(ch) > 0; {
+				if m := <-ch; m.Kind == msgRequest {
+					asked = append(asked, Message{From: id, Seg: m.Seg})
+				}
+			}
+		}
+		period++
+	}
+	for period < 60 {
+		step() // warm every scratch buffer to its steady-state size
+	}
+	delivered, asks, grants := p.st.delivered.Load(), p.st.asksSent.Load(), p.st.grantsSent.Load()
+
+	avg := testing.AllocsPerRun(periods-60-1, step)
+
+	t.Logf("allocs per period: %.2f; delivered %d asks %d grants %d", avg, p.st.delivered.Load()-delivered, p.st.asksSent.Load()-asks, p.st.grantsSent.Load()-grants)
+	if avg > periodAllocBound {
+		t.Errorf("a steady-state period allocates %.1f times, bound %d", avg, periodAllocBound)
+	}
+	if p.st.delivered.Load() == delivered || p.st.asksSent.Load() == asks || p.st.grantsSent.Load() == grants {
+		t.Fatalf("the measured periods moved no data: delivered %d->%d, asks %d->%d, grants %d->%d",
+			delivered, p.st.delivered.Load(), asks, p.st.asksSent.Load(), grants, p.st.grantsSent.Load())
+	}
+}

@@ -1,0 +1,119 @@
+package livenet
+
+import (
+	"testing"
+	"time"
+)
+
+// manualSession builds a driver-mode mesh the test ticks by hand: no
+// ticker, and a period long enough that no barrier bound ever expires.
+func manualSession(peers int, seed uint64) *session {
+	cfg := DefaultConfig()
+	cfg.Peers, cfg.Period, cfg.Seed = peers, 2*time.Second, seed
+	return newSession(cfg)
+}
+
+// TestPlanServeBarrier pins the barrier between the planning phases and
+// the serve phase: when a period's serve pass starts, every ask the
+// schedule pass sent is in its supplier's asks — none still in an inbox,
+// none in the hands of a goroutine that has not run yet — and nothing at
+// all is in flight.
+func TestPlanServeBarrier(t *testing.T) {
+	s := manualSession(60, 3)
+	defer s.close()
+	total := int64(0)
+	for period := 0; period < 30; period++ {
+		before := s.st.asksSent.Load()
+		s.plan(period)
+
+		sent := s.st.asksSent.Load() - before
+		total += sent
+		if got, want := s.nw.handled.Load(), s.nw.sent.Load(); got != want {
+			t.Fatalf("period %d: %d of %d messages handled when the serve pass starts", period, got, want)
+		}
+		queued := int64(0)
+		for _, p := range s.peers {
+			p.mu.Lock()
+			queued += int64(len(p.asks))
+			p.mu.Unlock()
+		}
+		if queued != sent {
+			t.Fatalf("period %d: %d asks sent by the schedule pass, %d in their suppliers' hands at serve time", period, sent, queued)
+		}
+		if got := s.st.asksReceived.Load(); got != before+sent {
+			t.Fatalf("period %d: %d asks received of %d sent", period, got, before+sent)
+		}
+		s.serve(period)
+	}
+	if total == 0 {
+		t.Fatal("no ask was ever sent; the barrier test exercised nothing")
+	}
+	if d := s.nw.dropped.Load(); d != 0 {
+		t.Fatalf("%d messages dropped into saturated inboxes on an idle host", d)
+	}
+}
+
+// TestKilledPeerDoesNotWedgeBarrier checks the in-flight accounting across
+// a kill: messages left in a stopped peer's inbox, and sends to it after
+// it is gone, must not leave the barrier waiting out its bound.
+func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
+	s := manualSession(40, 5)
+	s.churnAt[8] = []ChurnEvent{{Period: 8, KillFraction: 0.3}}
+	s.churnAt[10] = []ChurnEvent{{Period: 10, Join: 6}}
+	defer s.close()
+	for period := 0; period < 16; period++ {
+		start := time.Now()
+		s.tick(period)
+		if took := time.Since(start); took > s.cfg.Period/2 {
+			t.Fatalf("period %d took %v: a barrier waited out its %v bound", period, took, s.cfg.Period/2)
+		}
+		if got, want := s.nw.handled.Load(), s.nw.sent.Load(); got > want {
+			t.Fatalf("period %d: %d messages handled, only %d sent", period, got, want)
+		}
+	}
+	if s.stats.Killed == 0 || s.stats.Joined != 6 {
+		t.Fatalf("churn not applied: killed=%d joined=%d", s.stats.Killed, s.stats.Joined)
+	}
+}
+
+// TestSaturatedInboxCounted checks that a send into a full inbox is
+// counted as a transport drop, and a send to a vanished peer is not.
+func TestSaturatedInboxCounted(t *testing.T) {
+	nw := newNetwork()
+	id, _ := nw.register(2)
+	for i := 0; i < 5; i++ {
+		nw.Send(id, Message{Kind: msgBye})
+	}
+	if got := nw.dropped.Load(); got != 3 {
+		t.Fatalf("dropped = %d after 5 sends into a 2-slot inbox, want 3", got)
+	}
+	if got := nw.sent.Load(); got != 2 {
+		t.Fatalf("sent = %d, want the 2 accepted messages", got)
+	}
+	nw.unregister(id)
+	if nw.Send(id, Message{Kind: msgBye}) {
+		t.Fatal("send to an unregistered peer succeeded")
+	}
+	if got := nw.dropped.Load(); got != 3 {
+		t.Fatalf("dropped = %d after a send to a vanished peer, want it unchanged at 3", got)
+	}
+}
+
+// TestInboxCapFollowsFanIn pins the inbox sizing as a function of the
+// peer's own fan-in: a receiver's inbox does not grow with the audience,
+// and the source's grows only by the bootstrap burst.
+func TestInboxCapFollowsFanIn(t *testing.T) {
+	small, large := DefaultConfig(), DefaultConfig()
+	small.Peers, large.Peers = 24, 4000
+	if a, b := small.inboxCap(false), large.inboxCap(false); a != b {
+		t.Fatalf("receiver inbox grows with the audience: %d at 24 peers, %d at 4000", a, b)
+	}
+	if a, b := small.inboxCap(true), large.inboxCap(true); b-a != large.Peers-small.Peers {
+		t.Fatalf("source inbox %d at 24 peers, %d at 4000: want the difference to be the bootstrap burst", a, b)
+	}
+	wide := small
+	wide.Neighbors, wide.OutboundPerPeriod = 2*small.Neighbors, 2*small.OutboundPerPeriod
+	if wide.inboxCap(false) <= small.inboxCap(false) {
+		t.Fatal("a wider, faster peer did not get a larger inbox")
+	}
+}

@@ -16,4 +16,12 @@ package livenet
 type Transport interface {
 	// Send delivers m to peer to, non-blockingly. False means dropped.
 	Send(to int, m Message) bool
+	// Handled reports that the receiving peer is done with n delivered
+	// messages: it applied them, or it stopped with them still queued.
+	// The channel transport pairs the count with its sends to tell when
+	// nothing is in flight — the driver's barrier between phases.
+	// Datagrams in flight across sockets cannot be counted, so the UDP
+	// transport ignores it (a socket-path node waits half a period
+	// instead).
+	Handled(n int)
 }

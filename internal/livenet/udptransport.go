@@ -3,6 +3,7 @@ package livenet
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,7 @@ import (
 type udpTransport struct {
 	self    int
 	conn    *net.UDPConn
+	local   string // the bound address, rendered once
 	inbox   chan Message
 	closed  atomic.Bool
 	dropped atomic.Int64
@@ -33,11 +35,20 @@ type udpTransport struct {
 	// seeded per-link loss, latency/jitter, reorder and bandwidth caps
 	// applied between encode and the socket write. epoch anchors the
 	// shaper's link clock (the token buckets run on time-since-bind).
-	shaper *Shaper
-	epoch  time.Time
+	// Frames the shaper holds back wait in delayed.
+	shaper  *Shaper
+	epoch   time.Time
+	delayed delayQueue
 
 	mu   sync.RWMutex
-	book map[int]*net.UDPAddr
+	book map[int]bookEntry
+}
+
+// bookEntry is one peer's address on file, with the string form gossip
+// annotations carry rendered once per change rather than once per send.
+type bookEntry struct {
+	addr netip.AddrPort
+	text string
 }
 
 // maxBook bounds the address book. Gossip arrives from an open socket,
@@ -61,21 +72,31 @@ func newUDPTransport(listen string, self, inboxCap int) (*udpTransport, error) {
 	t := &udpTransport{
 		self:  self,
 		conn:  conn,
+		local: conn.LocalAddr().String(),
 		inbox: make(chan Message, inboxCap),
-		book:  make(map[int]*net.UDPAddr),
+		book:  make(map[int]bookEntry),
 		epoch: time.Now(),
 	}
 	go t.readLoop()
 	return t, nil
 }
 
-// setShaper installs an egress traffic shaper (nil = clean network).
-// Call before the first Send; the transport never swaps shapers while
-// datagrams are in flight.
-func (t *udpTransport) setShaper(s *Shaper) { t.shaper = s }
+// setShaper installs an egress traffic shaper (nil = clean network) and
+// starts the goroutine that releases the frames it delays. Call before
+// the first Send; the transport never swaps shapers while datagrams are
+// in flight.
+func (t *udpTransport) setShaper(s *Shaper) {
+	t.shaper = s
+	if s != nil {
+		t.delayed.wake = make(chan struct{}, 1)
+		t.delayed.done = make(chan struct{})
+		t.delayed.exited = make(chan struct{})
+		go t.delayed.run(t.conn)
+	}
+}
 
 // LocalAddr returns the bound socket address ("ip:port").
-func (t *udpTransport) LocalAddr() string { return t.conn.LocalAddr().String() }
+func (t *udpTransport) LocalAddr() string { return t.local }
 
 // Inbox returns the receive channel the read loop delivers into.
 func (t *udpTransport) Inbox() chan Message { return t.inbox }
@@ -84,8 +105,11 @@ func (t *udpTransport) Inbox() chan Message { return t.inbox }
 // inbox was full — the socket path's equivalent of channel-send drops.
 func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
-// Learn records a peer's address, overwriting any previous one (a peer
-// that rebinds is reached at its latest known socket).
+// Handled implements Transport; datagrams in flight cannot be counted.
+func (t *udpTransport) Handled(int) {}
+
+// Learn records a peer's address ("host:port"), overwriting any previous
+// one (a peer that rebinds is reached at its latest known socket).
 func (t *udpTransport) Learn(id int, addr string) error {
 	if id < 0 || id == t.self {
 		return fmt.Errorf("livenet: cannot learn address for peer %d", id)
@@ -94,18 +118,28 @@ func (t *udpTransport) Learn(id int, addr string) error {
 	if err != nil {
 		return fmt.Errorf("livenet: peer %d address %q: %v", id, addr, err)
 	}
-	t.learnUDP(id, ua)
+	t.learn(id, ua.AddrPort())
 	return nil
 }
 
-// learnUDP is Learn for an already-resolved source address.
-func (t *udpTransport) learnUDP(id int, addr *net.UDPAddr) {
-	if id < 0 || id == t.self || addr == nil {
+// learn is Learn for an address already in binary form: a datagram's
+// source, or a parsed gossip annotation.
+func (t *udpTransport) learn(id int, addr netip.AddrPort) {
+	if id < 0 || id == t.self || !addr.IsValid() {
 		return
 	}
+	// One form per address whatever socket family reported it: a
+	// dual-stack socket shows IPv4 peers as IPv4-mapped IPv6.
+	addr = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
+	t.mu.RLock()
+	e, known := t.book[id]
+	t.mu.RUnlock()
+	if known && e.addr == addr {
+		return // the steady state: every datagram re-reports a known address
+	}
 	t.mu.Lock()
-	if _, known := t.book[id]; known || len(t.book) < maxBook {
-		t.book[id] = addr
+	if known || len(t.book) < maxBook {
+		t.book[id] = bookEntry{addr: addr, text: addr.String()}
 	}
 	t.mu.Unlock()
 }
@@ -125,10 +159,10 @@ func (t *udpTransport) Send(to int, m Message) bool {
 	if ok && len(m.Gossip) > 0 {
 		addrs = make([]string, len(m.Gossip))
 		for i, g := range m.Gossip {
-			if a, ok := t.book[g]; ok {
-				addrs[i] = a.String()
+			if e, ok := t.book[g]; ok {
+				addrs[i] = e.text
 			} else if g == t.self {
-				addrs[i] = t.conn.LocalAddr().String()
+				addrs[i] = t.local
 			}
 		}
 	}
@@ -151,29 +185,29 @@ func (t *udpTransport) Send(to int, m Message) bool {
 			return true
 		}
 		if fate.Delay > 0 {
-			// The frame is freshly allocated per Send and dst addresses
-			// are never mutated, so the deferred write shares them
-			// safely. Writes after Close fail at the socket and are
-			// discarded — the same silence an in-flight datagram meets
-			// when its destination dies.
-			time.AfterFunc(fate.Delay, func() {
-				if !t.closed.Load() {
-					t.conn.WriteToUDP(frame, dst)
-				}
-			})
+			// The frame is freshly allocated per Send, so the queue owns
+			// it. Frames still queued at Close are discarded — the same
+			// silence an in-flight datagram meets when its sender dies.
+			t.delayed.push(time.Now().Add(fate.Delay), frame, dst.addr)
 			return true
 		}
 	}
-	_, err = t.conn.WriteToUDP(frame, dst)
+	_, err = t.conn.WriteToUDPAddrPort(frame, dst.addr)
 	return err == nil
 }
 
-// Close shuts the socket down; the read loop exits and Send refuses.
+// Close shuts the socket down; the read loop and the delay queue exit
+// and Send refuses.
 func (t *udpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	return t.conn.Close()
+	err := t.conn.Close()
+	if t.delayed.done != nil {
+		close(t.delayed.done)
+		<-t.delayed.exited
+	}
+	return err
 }
 
 // readLoop decodes datagrams into the inbox, learning the sender's
@@ -184,7 +218,7 @@ func (t *udpTransport) Close() error {
 func (t *udpTransport) readLoop() {
 	buf := make([]byte, maxFrame)
 	for {
-		n, src, err := t.conn.ReadFromUDP(buf)
+		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if t.closed.Load() {
 				return
@@ -195,13 +229,13 @@ func (t *udpTransport) readLoop() {
 		if err != nil || m.From == t.self {
 			continue
 		}
-		t.learnUDP(m.From, src)
+		t.learn(m.From, src)
 		for i, g := range m.Gossip {
 			if m.GossipAddrs == nil || m.GossipAddrs[i] == "" {
 				continue
 			}
-			if ua, err := net.ResolveUDPAddr("udp", m.GossipAddrs[i]); err == nil {
-				t.learnUDP(g, ua)
+			if ap, err := netip.ParseAddrPort(m.GossipAddrs[i]); err == nil {
+				t.learn(g, ap)
 			}
 		}
 		m.GossipAddrs = nil
@@ -209,6 +243,117 @@ func (t *udpTransport) readLoop() {
 		case t.inbox <- m:
 		default:
 			t.dropped.Add(1)
+		}
+	}
+}
+
+// delayedFrame is one datagram the shaper is holding back.
+type delayedFrame struct {
+	due   time.Time
+	seq   uint64 // arrival order: equal due times leave FIFO
+	frame []byte
+	dst   netip.AddrPort
+}
+
+func (a *delayedFrame) before(b *delayedFrame) bool {
+	if !a.due.Equal(b.due) {
+		return a.due.Before(b.due)
+	}
+	return a.seq < b.seq
+}
+
+// delayQueue releases shaped datagrams at their due times: one binary
+// min-heap ordered by (due, arrival) and one goroutine that sleeps until
+// the earliest entry is due — in place of a timer and a goroutine per
+// delayed datagram.
+type delayQueue struct {
+	mu   sync.Mutex
+	heap []delayedFrame
+	seq  uint64
+	// wake tells the sender the earliest due time moved up; done stops
+	// it, and exited is closed once it has returned.
+	wake, done, exited chan struct{}
+}
+
+// push queues a frame for release at due.
+func (q *delayQueue) push(due time.Time, frame []byte, dst netip.AddrPort) {
+	q.mu.Lock()
+	q.seq++
+	q.heap = append(q.heap, delayedFrame{due: due, seq: q.seq, frame: frame, dst: dst})
+	i := len(q.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.heap[i].before(&q.heap[parent]) {
+			break
+		}
+		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		i = parent
+	}
+	q.mu.Unlock()
+	if i == 0 {
+		select {
+		case q.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// pop removes and returns the earliest frame if it is due at now;
+// otherwise it reports how long until one is (zero when the queue is
+// empty).
+func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool, wait time.Duration) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.heap) == 0 {
+		return f, false, 0
+	}
+	if wait = q.heap[0].due.Sub(now); wait > 0 {
+		return f, false, wait
+	}
+	f = q.heap[0]
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap[last] = delayedFrame{} // release the frame
+	q.heap = q.heap[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if q.heap[c].before(&q.heap[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		q.heap[i], q.heap[least] = q.heap[least], q.heap[i]
+		i = least
+	}
+	return f, true, 0
+}
+
+// run is the sender goroutine: write everything due, then sleep until the
+// next due time, an earlier arrival, or Close.
+func (q *delayQueue) run(conn *net.UDPConn) {
+	defer close(q.exited)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		f, ok, wait := q.pop(time.Now())
+		if ok {
+			// A datagram the socket refuses is a datagram the network
+			// lost: nobody is left to tell, and the protocol retries.
+			_, _ = conn.WriteToUDPAddrPort(f.frame, f.dst)
+			continue
+		}
+		if wait <= 0 {
+			wait = time.Hour // empty: park until a push wakes us
+		}
+		timer.Reset(wait)
+		select {
+		case <-q.done:
+			return
+		case <-q.wake:
+		case <-timer.C:
 		}
 	}
 }

@@ -82,8 +82,14 @@ type ServeResult struct {
 // current round) in time for its deadline is evicted rather than carried.
 // reqs is reordered in place.
 func Serve(reqs []Request, capacity, queueCap int, horizon sim.Time) ServeResult {
+	return serveInto(reqs, capacity, queueCap, horizon, nil)
+}
+
+// serveInto is Serve with the carry queue appended to queued (from length
+// zero; nil allocates fresh).
+func serveInto(reqs []Request, capacity, queueCap int, horizon sim.Time, queued []Request) ServeResult {
 	Order(reqs)
-	var res ServeResult
+	res := ServeResult{Queued: queued[:0]}
 	if capacity < 0 {
 		capacity = 0
 	}
@@ -144,6 +150,12 @@ type ServeInput struct {
 	// Rarity evaluates the supplier-side rarity of a segment over the
 	// supplier's own neighbours' advertised maps (SupplierRarity).
 	Rarity func(segment.ID) float64
+	// QueueInto, when non-nil, is the storage the result's Queued is
+	// appended to (from length zero) instead of a fresh slice: a caller
+	// that owns a single carry queue — a livenet peer — alternates two
+	// buffers between Carried and QueueInto and never allocates. It must
+	// not alias Carried.
+	QueueInto []Request
 }
 
 // ServeScratch is PlanServe's reusable working storage: one grow-only
@@ -152,7 +164,8 @@ type ServeInput struct {
 // reallocating. A result's Granted slice aliases the scratch, so it is
 // valid only until the next PlanServe call through the same scratch —
 // exactly the consume-immediately lifetime both runtimes have. Queued is
-// never arena-backed: it outlives the call inside carry queues.
+// never scratch-backed: it outlives the call inside carry queues (a caller
+// recycling its own queue storage passes ServeInput.QueueInto).
 type ServeScratch struct {
 	reqs []Request
 }
@@ -223,7 +236,7 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 	if sc != nil {
 		sc.reqs = reqs
 	}
-	res := Serve(reqs, in.Capacity, in.QueueCap, in.Horizon)
+	res := serveInto(reqs, in.Capacity, in.QueueCap, in.Horizon, in.QueueInto)
 	res.Evicted.Stale += stale
 	return res
 }
