@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/prefetch"
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
@@ -56,7 +60,7 @@ type roundArena struct {
 	serveScatter [][]transferReq
 
 	// asks is the serve stage's merged fresh-ask list for this supplier
-	// shard, stable-sorted by supplier (arrival order preserved within
+	// shard, grouped by supplier ascending (arrival order preserved within
 	// each supplier); suppliers the distinct supplier worklist; deliveries
 	// the shard's granted transfers, alive until the round's apply phase.
 	asks       []transferReq
@@ -73,9 +77,18 @@ type roundArena struct {
 	sctx     serveCtx
 
 	// applyBucket holds the deliveries addressed to this ownership
-	// shard's receivers, scattered sequentially then sorted and applied
-	// shard-locally.
+	// shard's receivers, scattered sequentially then grouped by receiver
+	// and applied shard-locally: applyPerm is the grouped order as indices
+	// into the bucket, applyRun the staging buffer one receiver's
+	// deliveries are gathered into and sorted in.
 	applyBucket []delivery
+	applyPerm   []int32
+	applyRun    []delivery
+
+	// groupCnt is the counting-sort table of the two group-by-owner
+	// passes (serve by supplier, apply by receiver), one slot per ring ID
+	// this shard owns, indexed by World.shardRank. All zero between uses.
+	groupCnt []int32
 
 	// sched is the schedule phase's scratch (this index read as a
 	// contiguous range shard): the policy scratch whose request arena
@@ -92,6 +105,13 @@ type roundArena struct {
 	// predict backs its hoisted exclusion callback.
 	predictIDs []segment.ID
 	predict    predictCtx
+
+	// walks holds the pre-fetch route stage's outcomes for this index
+	// range — node × segment × replica order, consumed by the claim stage
+	// in the same round — and route is the stage's walk scratch, whose
+	// Stale list the stage's reduce evicts.
+	walks []prefetch.Walk
+	route dht.RouteScratch
 }
 
 // predictCtx carries the per-node state the hoisted Urgent Line exclusion
@@ -129,8 +149,127 @@ func (w *World) ensureArenas() {
 		w.arenas = make([]roundArena, phaseShards)
 		for s := range w.arenas {
 			w.arenas[s].provider.w = w
+			w.arenas[s].groupCnt = make([]int32, w.shardSize[s])
 		}
 	}
+}
+
+// shardRanks numbers the ring IDs of each ownership shard 0, 1, 2, … in
+// ascending ID order: rank[id] is id's number within shard shardOf(id),
+// size[s] how many IDs shard s owns. The assignment depends only on the
+// identifier space, so it is computed once per world. It is what lets a
+// shard group its asks or deliveries by owner with a counting sort over
+// a table as small as the shard (and private to it) rather than one
+// slot per ring ID: within a shard, ascending rank is ascending ID.
+func shardRanks(spaceN int) (rank []int32, size [phaseShards]int32) {
+	rank = make([]int32, spaceN)
+	for id := range rank {
+		s := sim.ShardIndex(uint64(id), phaseShards)
+		rank[id] = size[s]
+		size[s]++
+	}
+	return rank, size
+}
+
+// startOffsets turns a counting-sort table of per-slot counts into
+// per-slot start offsets in place and returns the total count.
+func startOffsets(cnt []int32) int {
+	total := int32(0)
+	for k, c := range cnt {
+		cnt[k] = total
+		total += c
+	}
+	return int(total)
+}
+
+// groupAsks builds supplier shard s's fresh-ask list for the round in
+// arenas[s].asks: every ask the scatter stage bucketed for s, grouped by
+// supplier ascending, each supplier's asks in arrival order. Reading the
+// scatter buckets in scatter-shard order reproduces the
+// requester-ascending arrival order a sequential scan would produce, and
+// the counting sort is stable, so the result is the one a stable sort of
+// the concatenated buckets by supplier gives — without the concatenated
+// copy or the log factor. Only shard s's serve stage calls it, after the
+// scatter barrier.
+func groupAsks(arenas []roundArena, s int, rank []int32) {
+	ar := &arenas[s]
+	cnt := ar.groupCnt
+	for r := range arenas {
+		for _, tr := range arenas[r].serveScatter[s] {
+			cnt[rank[tr.supplier]]++
+		}
+	}
+	total := startOffsets(cnt)
+	ar.asks = slices.Grow(ar.asks[:0], total)[:total]
+	for r := range arenas {
+		for _, tr := range arenas[r].serveScatter[s] {
+			k := rank[tr.supplier]
+			ar.asks[cnt[k]] = tr
+			cnt[k]++
+		}
+	}
+	clear(cnt)
+}
+
+// eachReceiverRun calls fn once per receiver with deliveries in the
+// shard's applyBucket, receivers ascending, handing it that receiver's
+// deliveries in canonical arrival order (timestamp, segment, sender,
+// prefetch first): the runs a sort of the whole bucket by (receiver,
+// timestamp, segment, sender, prefetch) would contain. A counting sort
+// groups bucket indices by receiver; each run (about ten entries) is
+// then gathered into the staging buffer and sorted there, so the bucket
+// is never copied whole. The (sender, prefetch) tie-breaks make the
+// outcome independent of how the delivery slice was assembled upstream.
+// run is valid only during the call.
+func (ar *roundArena) eachReceiverRun(rank []int32, fn func(run []delivery)) {
+	bucket := ar.applyBucket
+	if len(bucket) == 0 {
+		return
+	}
+	cnt := ar.groupCnt
+	for i := range bucket {
+		cnt[rank[bucket[i].to]]++
+	}
+	startOffsets(cnt)
+	perm := slices.Grow(ar.applyPerm[:0], len(bucket))[:len(bucket)]
+	ar.applyPerm = perm
+	for i := range bucket {
+		k := rank[bucket[i].to]
+		perm[cnt[k]] = int32(i)
+		cnt[k]++
+	}
+	// cnt[k] is now the end of rank k's run, the previous rank's end its
+	// start.
+	lo := int32(0)
+	for k, hi := range cnt {
+		cnt[k] = 0
+		if hi == lo {
+			continue
+		}
+		run := ar.applyRun[:0]
+		for _, i := range perm[lo:hi] {
+			run = append(run, bucket[i])
+		}
+		ar.applyRun = run
+		lo = hi
+		slices.SortFunc(run, compareArrival)
+		fn(run)
+	}
+}
+
+// compareArrival is one receiver's canonical arrival order: timestamp,
+// segment, sender, and a pre-fetch ahead of a gossip copy.
+func compareArrival(a, b delivery) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.id != b.id {
+		return cmp.Compare(a.id, b.id)
+	}
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	return btoi(b.prefetch) - btoi(a.prefetch)
 }
 
 // resetGossip readies the scatter buckets for a new round, keeping every

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
@@ -14,13 +11,12 @@ import (
 // backup stores, α feedback and the traffic counters. Deliveries landing
 // after the round boundary go to the in-flight queue instead.
 //
-// Receivers are partitioned into shards by node ID; every shard sorts its
-// own arena bucket by (receiver, timestamp, segment, sender, prefetch) —
-// one sort whose receiver-major runs are exactly the per-receiver
-// canonical orders the old group-then-sort pass produced — and applies
-// each run while accumulating into a private metric sample; the per-shard
-// samples are folded in shard order afterwards. A receiver belongs to
-// exactly one shard, so all per-node mutation stays shard-local.
+// Receivers are partitioned into shards by node ID; every shard groups
+// its own arena bucket by receiver, puts each receiver's run in canonical
+// order (roundArena.eachReceiverRun), and applies it while accumulating
+// into a private metric sample; the per-shard samples are folded in shard
+// order afterwards. A receiver belongs to exactly one shard, so all
+// per-node mutation stays shard-local.
 func (w *World) applyDeliveries(clock *sim.Clock, deliveries []delivery, sample *metrics.RoundSample) {
 	end := clock.RoundEnd()
 	w.ensureArenas()
@@ -44,39 +40,11 @@ func (w *World) applyDeliveries(clock *sim.Clock, deliveries []delivery, sample 
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseApply),
 		func(s int, _ *sim.RNG) metrics.RoundSample {
 			var local metrics.RoundSample
-			bucket := w.arenas[s].applyBucket
-			if len(bucket) == 0 {
-				return local
-			}
-			// Canonical arrival order: the (from, prefetch) tie-breaks
-			// make the outcome independent of how the delivery slice was
-			// assembled upstream. The comparator sorts the shard's bucket
-			// in place — the bucket lives in the shard's own arena.
-			slices.SortFunc(bucket, func(a, b delivery) int {
-				if a.to != b.to {
-					return cmp.Compare(a.to, b.to)
+			w.arenas[s].eachReceiverRun(w.shardRank, func(run []delivery) {
+				if n := w.nodes[run[0].to]; n != nil {
+					w.applyToReceiver(n, run, pos, p, segBits, now, &local)
 				}
-				if a.at != b.at {
-					return cmp.Compare(a.at, b.at)
-				}
-				if a.id != b.id {
-					return cmp.Compare(a.id, b.id)
-				}
-				if a.from != b.from {
-					return cmp.Compare(a.from, b.from)
-				}
-				return btoi(b.prefetch) - btoi(a.prefetch)
 			})
-			for lo := 0; lo < len(bucket); {
-				hi := lo
-				for hi < len(bucket) && bucket[hi].to == bucket[lo].to {
-					hi++
-				}
-				if n := w.nodes[bucket[lo].to]; n != nil {
-					w.applyToReceiver(n, bucket[lo:hi], pos, p, segBits, now, &local)
-				}
-				lo = hi
-			}
 			return local
 		},
 		func(_ int, local metrics.RoundSample) {

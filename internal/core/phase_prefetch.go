@@ -47,9 +47,12 @@ func (d worldDirectory) AvailableRate(node dht.ID) float64 {
 	return float64(spare)
 }
 
-// resolvePrefetch executes Algorithm 2 for every triggered node. The
-// phase is sequential: DHT routing evicts dead table entries and consumes
-// supplier leftovers, both shared state.
+// resolvePrefetch executes Algorithm 2 for every triggered node as a
+// two-stage pipeline. The route stage (routePrefetch) walks the DHT for
+// all of them in parallel; the claim stage below then visits the nodes
+// in w.order, asks the located owners, and commits — supplier choice
+// reads the outbound ledger earlier claims have already charged, so it
+// is the half that needs an order.
 func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sample *metrics.RoundSample) []delivery {
 	if !w.cfg.Profile.Prefetch {
 		return nil
@@ -58,88 +61,129 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 		w.retr = &prefetch.Retriever{
 			Space:    w.space,
 			Replicas: w.cfg.Replicas,
-			Locator:  w.dhtNet,
+			Router:   w.dhtNet,
 			Dir:      worldDirectory{w},
 			Scratch:  &w.retrScratch,
 		}
 	}
 	retr := w.retr
+	w.routePrefetch(plans)
 	start := clock.Now()
 	var out []delivery
-	for i, plan := range plans {
-		if !plan.Triggered {
-			continue
-		}
-		n := w.seq[i]
-		results := retr.LocateAll(dht.ID(n.ID), plan.Missed)
-		sample.LookupAttempts += int64(len(results))
-		for _, res := range results {
-			sample.PrefetchRoutingBits += int64(res.RoutingMessages) * w.cfg.RoutingMessageBits
-			if !res.Found {
-				// Classify the failure — the repair pipeline's health
-				// telemetry: routing rot, replica loss, and capacity
-				// exhaustion need different cures.
-				switch {
-				case len(res.Owners) == 0:
-					sample.LookupNoRoute++
-				case !anyOwnerHolds(retr.Dir, res.Owners, res.ID):
-					sample.LookupNoBackup++
-				default:
-					sample.LookupNoRate++
-				}
-				// Last resort: a direct ask at the media source. Every
-				// deployment has this path — the source generated the
-				// segment and its address is channel metadata — and it is
-				// what makes a segment whose k arc owners all churned away
-				// recoverable at all. Charged to the same outbound ledger
-				// as every other transfer, so the source's gossip serving
-				// shrinks correspondingly.
-				if w.cfg.SourceRescue {
-					src := w.nodes[w.source]
-					if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
-						w.addOutUsed(w.source, 1)
-						n.markPrefetchPending(res.ID, w.round)
-						sample.SourceRescues++
-						sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
-						direct := w.Latency(n.ID, w.source)
-						transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
-						at := start + 2*direct + transfer + direct
-						out = append(out, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
-					}
-				}
+	for r := range w.arenas {
+		walks := w.arenas[r].walks
+		lo, hi := sim.ShardRange(len(plans), phaseShards, r)
+		for i := lo; i < hi; i++ {
+			plan := plans[i]
+			if !plan.Triggered {
 				continue
 			}
-			sample.LookupFound++
-			supplier := overlay.NodeID(res.Supplier)
-			if w.outUsedOf(supplier) >= 2*w.nodes[supplier].Rates.Out {
-				continue // leftover vanished since the lookup
-			}
-			w.addOutUsed(supplier, 1)
-			n.markPrefetchPending(res.ID, w.round)
-			// t_fetch = locate + reply + request + retrieve (eq. 6): the
-			// locate leg walks the routed path; the remaining three legs
-			// are direct exchanges with the chosen supplier.
-			direct := w.Latency(n.ID, supplier)
-			transfer := bandwidth.PerSegment(int(res.Rate), sim.Second)
-			at := start + sim.Time(res.LocateHops)*w.cfg.THop + 2*direct + transfer + direct
-			out = append(out, delivery{to: n.ID, from: supplier, id: res.ID, at: at, prefetch: true})
-			// Everyone on the winning route overhears the exchange.
-			w.overhearRoute(n.ID, res)
+			// All of a node's segments are resolved against the ledger as
+			// it stands before the node's first claim.
+			k := len(plan.Missed) * retr.Replicas
+			results := retr.Choose(plan.Missed, walks[:k])
+			walks = walks[k:]
+			out = w.claimPrefetch(w.seq[i], results, start, sample, out)
 		}
 	}
 	return out
 }
 
-// anyOwnerHolds reports whether any of the located arc owners holds a
-// backup of the segment (used to separate replica loss from capacity
-// exhaustion in the lookup-failure telemetry).
-func anyOwnerHolds(dir prefetch.Directory, owners []dht.ID, id segment.ID) bool {
-	for _, o := range owners {
-		if dir.HasBackup(o, id) {
-			return true
+// claimPrefetch commits node n's resolved lookups: it charges the chosen
+// suppliers' outbound ledgers, falls back to the source where a lookup
+// failed, counts every outcome, and appends the resulting transfers to
+// out.
+func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start sim.Time, sample *metrics.RoundSample, out []delivery) []delivery {
+	sample.LookupAttempts += int64(len(results))
+	for _, res := range results {
+		sample.PrefetchRoutingBits += int64(res.RoutingMessages) * w.cfg.RoutingMessageBits
+		if !res.Found {
+			// Classify the failure — the repair pipeline's health
+			// telemetry: routing rot, replica loss, and capacity
+			// exhaustion need different cures.
+			switch {
+			case len(res.Owners) == 0:
+				sample.LookupNoRoute++
+			case !res.Held:
+				sample.LookupNoBackup++
+			default:
+				sample.LookupNoRate++
+			}
+			// Last resort: a direct ask at the media source. Every
+			// deployment has this path — the source generated the
+			// segment and its address is channel metadata — and it is
+			// what makes a segment whose k arc owners all churned away
+			// recoverable at all. Charged to the same outbound ledger
+			// as every other transfer, so the source's gossip serving
+			// shrinks correspondingly.
+			if w.cfg.SourceRescue {
+				src := w.nodes[w.source]
+				if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
+					w.addOutUsed(w.source, 1)
+					n.markPrefetchPending(res.ID, w.round)
+					sample.SourceRescues++
+					sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
+					direct := w.Latency(n.ID, w.source)
+					transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
+					at := start + 2*direct + transfer + direct
+					out = append(out, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
+				}
+			}
+			continue
 		}
+		sample.LookupFound++
+		supplier := overlay.NodeID(res.Supplier)
+		if w.outUsedOf(supplier) >= 2*w.nodes[supplier].Rates.Out {
+			continue // leftover vanished since the lookup
+		}
+		w.addOutUsed(supplier, 1)
+		n.markPrefetchPending(res.ID, w.round)
+		// t_fetch = locate + reply + request + retrieve (eq. 6): the
+		// locate leg walks the routed path; the remaining three legs
+		// are direct exchanges with the chosen supplier.
+		direct := w.Latency(n.ID, supplier)
+		transfer := bandwidth.PerSegment(int(res.Rate), sim.Second)
+		at := start + sim.Time(res.LocateHops)*w.cfg.THop + 2*direct + transfer + direct
+		out = append(out, delivery{to: n.ID, from: supplier, id: res.ID, at: at, prefetch: true})
+		// Everyone on the winning route overhears the exchange.
+		w.overhearRoute(n.ID, res)
 	}
-	return false
+	return out
+}
+
+// routePrefetch is the route stage: every triggered node's k hashed
+// walks per missed segment, fanned out over the predict phase's
+// contiguous index ranges. Walks only read the overlay — membership and
+// the dht.Network forwarding tables — and the claim stage writes neither:
+// its overhearing feeds a node's PeerTable DHT levels, a second table the
+// walks never consult. So a walk's outcome does not depend on when it
+// runs, and the stage can route everything before the first claim. Shard
+// r appends its nodes' walks to its own arena in node × segment × replica
+// order, where the claim stage reads them back with a cursor. A walk
+// that meets a dead forwarding entry steps over it — to exactly the hop
+// that evicting it and retrying would reach — and lists it; the reduce
+// evicts the listed entries in shard order. Eviction is idempotent, so
+// entries listed by several walks cost nothing and the tables leave the
+// phase without any dead entry a walk met, whatever the worker count.
+func (w *World) routePrefetch(plans []prefetch.Decision) {
+	retr := w.retr
+	w.ensureArenas()
+	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseRoute),
+		func(r int, _ *sim.RNG) struct{} {
+			ar := &w.arenas[r]
+			ar.walks = ar.walks[:0]
+			ar.route.Stale = ar.route.Stale[:0]
+			lo, hi := sim.ShardRange(len(plans), phaseShards, r)
+			for i := lo; i < hi; i++ {
+				if plans[i].Triggered {
+					ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed, &ar.route)
+				}
+			}
+			return struct{}{}
+		},
+		func(r int, _ struct{}) {
+			w.dhtNet.EvictStale(w.arenas[r].route.Stale)
+		})
 }
 
 // overhearRoute feeds routing-path observations into peer tables: each

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"continustreaming/internal/bandwidth"
@@ -131,19 +130,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseServe),
 		func(s int, _ *sim.RNG) shardServe {
 			ar := &w.arenas[s]
-			// Concatenating the scatter buckets in scatter-shard order
-			// reproduces the requester-ascending arrival order a sequential
-			// scan would produce; the stable sort then groups each
-			// supplier's asks without disturbing that order within a group.
-			ar.asks = ar.asks[:0]
-			for r := 0; r < phaseShards; r++ {
-				// Cross-shard read of scatter output, sequenced by the
-				// barrier between the two MapReduce calls.
-				ar.asks = append(ar.asks, w.arenas[r].serveScatter[s]...)
-			}
-			slices.SortStableFunc(ar.asks, func(a, b transferReq) int {
-				return cmp.Compare(a.supplier, b.supplier)
-			})
+			// Cross-shard read of scatter output, sequenced by the barrier
+			// between the two MapReduce calls.
+			groupAsks(w.arenas, s, w.shardRank)
 			// The worklist is the union of carry-queue holders and fresh-ask
 			// targets, ascending and deduplicated — the same set (and order)
 			// the retired per-shard map produced.

@@ -1,0 +1,230 @@
+package core
+
+import (
+	"cmp"
+	"reflect"
+	"slices"
+	"testing"
+
+	"continustreaming/internal/churn"
+	"continustreaming/internal/dht"
+	"continustreaming/internal/overlay"
+	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
+)
+
+// ownedIDs lists the ring IDs ownership shard s holds in a space of n.
+func ownedIDs(n, s int) []overlay.NodeID {
+	var ids []overlay.NodeID
+	for id := 0; id < n; id++ {
+		if sim.ShardIndex(uint64(id), phaseShards) == s {
+			ids = append(ids, overlay.NodeID(id))
+		}
+	}
+	return ids
+}
+
+// TestGroupAsksMatchesStableSort checks the serve stage's counting sort
+// against the stable comparison sort it replaced: the same asks, scattered
+// over the same buckets, must come out in the same order — suppliers
+// ascending, arrival order within a supplier — for random sets full of
+// repeated suppliers, a single supplier, and no asks at all; and the count
+// table must be left clean for the next use.
+func TestGroupAsksMatchesStableSort(t *testing.T) {
+	const spaceN, shard = 2048, 5
+	rank, size := shardRanks(spaceN)
+	owned := ownedIDs(spaceN, shard)
+	rng := sim.DeriveRNG(21, 1)
+	arenas := make([]roundArena, phaseShards)
+	arenas[shard].groupCnt = make([]int32, size[shard])
+	for _, tc := range []struct {
+		name            string
+		asks, suppliers int
+	}{
+		{"random", 900, len(owned)},
+		{"heavy-ties", 900, 3},
+		{"one-supplier", 200, 1},
+		{"empty", 0, 1},
+	} {
+		var concat []transferReq
+		for r := range arenas {
+			arenas[r].resetServeScatter()
+		}
+		for i := 0; i < tc.asks; i++ {
+			tr := transferReq{
+				supplier:  owned[rng.Intn(tc.suppliers)],
+				requester: overlay.NodeID(i), // distinct: identifies arrival order
+				id:        segment.ID(rng.Intn(50)),
+			}
+			// Scatter shards fill in ascending order, like requester ranges.
+			r := i * phaseShards / tc.asks
+			arenas[r].serveScatter[shard] = append(arenas[r].serveScatter[shard], tr)
+			concat = append(concat, tr)
+		}
+		slices.SortStableFunc(concat, func(a, b transferReq) int {
+			return cmp.Compare(a.supplier, b.supplier)
+		})
+		groupAsks(arenas, shard, rank)
+		if got := arenas[shard].asks; !slices.Equal(got, concat) {
+			t.Fatalf("%s: grouped asks differ from the stable sort", tc.name)
+		}
+		for k, c := range arenas[shard].groupCnt {
+			if c != 0 {
+				t.Fatalf("%s: count table slot %d left at %d", tc.name, k, c)
+			}
+		}
+	}
+}
+
+// TestReceiverRunsMatchFullSort checks the apply stage's group-then-sort
+// against the whole-bucket comparison sort it replaced: concatenating the
+// runs eachReceiverRun hands out must reproduce the bucket sorted by
+// (receiver, timestamp, segment, sender, prefetch), on random sets dense
+// with ties in every key, a single receiver, and an empty bucket.
+func TestReceiverRunsMatchFullSort(t *testing.T) {
+	const spaceN, shard = 2048, 9
+	rank, size := shardRanks(spaceN)
+	owned := ownedIDs(spaceN, shard)
+	rng := sim.DeriveRNG(22, 1)
+	ar := roundArena{groupCnt: make([]int32, size[shard])}
+	for _, tc := range []struct {
+		name                 string
+		deliveries, receiver int
+	}{
+		{"random", 1200, len(owned)},
+		{"heavy-ties", 1200, 4},
+		{"one-receiver", 150, 1},
+		{"empty", 0, 1},
+	} {
+		ar.applyBucket = ar.applyBucket[:0]
+		for i := 0; i < tc.deliveries; i++ {
+			ar.applyBucket = append(ar.applyBucket, delivery{
+				to:       owned[rng.Intn(tc.receiver)],
+				from:     overlay.NodeID(rng.Intn(4)),
+				id:       segment.ID(rng.Intn(6)),
+				at:       sim.Time(rng.Intn(3)),
+				prefetch: rng.Intn(2) == 0,
+			})
+		}
+		want := slices.Clone(ar.applyBucket)
+		slices.SortFunc(want, func(a, b delivery) int {
+			return cmp.Or(
+				cmp.Compare(a.to, b.to),
+				cmp.Compare(a.at, b.at),
+				cmp.Compare(a.id, b.id),
+				cmp.Compare(a.from, b.from),
+				btoi(b.prefetch)-btoi(a.prefetch),
+			)
+		})
+		var got []delivery
+		ar.eachReceiverRun(rank, func(run []delivery) {
+			for _, d := range run[1:] {
+				if d.to != run[0].to {
+					t.Fatalf("%s: run mixes receivers %d and %d", tc.name, run[0].to, d.to)
+				}
+			}
+			got = append(got, run...)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: receiver runs differ from the full sort", tc.name)
+		}
+		for k, c := range ar.groupCnt {
+			if c != 0 {
+				t.Fatalf("%s: count table slot %d left at %d", tc.name, k, c)
+			}
+		}
+	}
+}
+
+// forwardingTables snapshots every member's dht.Network forwarding table.
+func forwardingTables(w *World) map[dht.ID][]dht.ID {
+	out := make(map[dht.ID][]dht.ID)
+	for _, id := range w.dhtNet.IDs() {
+		out[id] = w.dhtNet.Table(id).Peers()
+	}
+	return out
+}
+
+// TestPrefetchPipelineDeterministicAcrossWorkerCounts steps a 600-node
+// world under churn at Workers 1 and 4 in lockstep. The route stage runs
+// its walks in whatever order the pool schedules them and evicts dead
+// forwarding entries only afterwards, so beyond the samples the test
+// compares what that could disturb: every forwarding table, after every
+// round. It also insists the run had lookups to route and dead entries to
+// evict.
+func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
+	const nodes, rounds = 600, 24
+	build := func(workers int) (*World, *sim.Engine) {
+		cfg := smallConfig(nodes, ProfileContinuStreaming())
+		cfg.Churn = churn.DefaultConfig()
+		// At the default cadence the repair phase sweeps every table every
+		// round, so no walk ever meets a dead entry; repairing every third
+		// round leaves the walks of the rounds between something to evict.
+		cfg.DHTRepairIntervalRounds = 3
+		cfg.Workers = workers
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, sim.NewEngine(w, cfg.Tau)
+	}
+	w1, e1 := build(1)
+	w4, e4 := build(4)
+	var lookups int64
+	evictions := 0
+	for r := 0; r < rounds; r++ {
+		e1.Run(1)
+		e4.Run(1)
+		s1, s4 := w1.Collector().Samples(), w4.Collector().Samples()
+		if s1[r] != s4[r] {
+			t.Fatalf("round %d samples diverge:\n1 worker:  %+v\n4 workers: %+v", r, s1[r], s4[r])
+		}
+		if !reflect.DeepEqual(forwardingTables(w1), forwardingTables(w4)) {
+			t.Fatalf("round %d: forwarding tables diverge between 1 and 4 workers", r)
+		}
+		lookups += s1[r].LookupAttempts
+		for s := range w4.arenas {
+			evictions += len(w4.arenas[s].route.Stale)
+		}
+	}
+	if lookups == 0 || evictions == 0 {
+		t.Fatalf("run exercised %d lookups and %d stale entries; need both", lookups, evictions)
+	}
+}
+
+// TestRouteStageAllocationFree pins the route stage's steady state on a
+// warmed static world: its walk and stale arenas are grow-only, so a
+// repeat of the stage costs the fixed price of a sim.MapReduce fan-out
+// (the per-shard RNG streams and the two capturing closures) and not one
+// allocation more. The stage only reads the world, so re-running it on
+// the same plans is a faithful repeat.
+func TestRouteStageAllocationFree(t *testing.T) {
+	cfg := smallConfig(400, ProfileContinuStreaming())
+	cfg.Workers = 1
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine(w, cfg.Tau)
+	engine.Run(cfg.PlaybackDelayRounds + 6)
+	plans := w.predictPhase(engine.Clock())
+	routed := 0
+	for _, p := range plans {
+		if p.Triggered {
+			routed += len(p.Missed)
+		}
+	}
+	if routed == 0 {
+		t.Fatal("no node triggered a pre-fetch; the stage would route nothing")
+	}
+	w.routePrefetch(plans) // sizes the arenas for exactly this load
+	fanout := testing.AllocsPerRun(20, func() {
+		sim.MapReduce(w.pool, phaseShards, 1,
+			func(r int, _ *sim.RNG) struct{} { _ = w.arenas[r].walks; return struct{}{} },
+			func(r int, _ struct{}) { _ = w.arenas[r].walks })
+	})
+	stage := testing.AllocsPerRun(20, func() { w.routePrefetch(plans) })
+	if stage > fanout {
+		t.Fatalf("route stage allocates %.0f per run, an empty MapReduce %.0f", stage, fanout)
+	}
+}

@@ -25,6 +25,7 @@ const (
 	phasePush    = 0x48c9
 	phaseSched   = 0x19f3
 	phasePredict = 0x33d7
+	phaseRoute   = 0x71a5
 )
 
 // phaseSeed keys one sharded-phase invocation's RNG streams by (master
@@ -40,9 +41,10 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // in internal/protocol: phases that touch only per-node state fan out
 // over the worker pool; transfer resolution and delivery application run
 // as a sharded map/reduce pipeline (partitioned by node ID, merged in
-// shard order); phases that rewire shared structures (DHT lookups, churn)
-// run deterministically single-threaded. The per-phase drivers live in
-// the phase_*.go files of this package.
+// shard order); the pre-fetch phase routes its DHT lookups the same way
+// and then commits supplier claims in node order; churn, which rewires
+// shared structures, runs deterministically single-threaded. The
+// per-phase drivers live in the phase_*.go files of this package.
 func (w *World) Step(clock *sim.Clock) {
 	w.round = clock.Round()
 	sample := metrics.RoundSample{Round: w.round}

@@ -16,8 +16,14 @@ import (
 func benchStep(b *testing.B, n, workers int) {
 	b.Helper()
 	cfg := DefaultConfig(n)
-	cfg.Profile = ProfileContinuStreaming()
 	cfg.Churn = churn.DefaultConfig()
+	benchStepConfig(b, cfg, workers)
+}
+
+// benchStepConfig is benchStep for an arbitrary base configuration.
+func benchStepConfig(b *testing.B, cfg Config, workers int) {
+	b.Helper()
+	cfg.Profile = ProfileContinuStreaming()
 	cfg.Workers = workers
 	cfg.Seed = 1
 	w, err := NewWorld(cfg)
@@ -49,6 +55,16 @@ func BenchmarkStep10k(b *testing.B) {
 			benchStep(b, 10000, workers)
 		})
 	}
+}
+
+// BenchmarkStepStatic8k drives one round of a warmed 8000-node static
+// world — Figure 7's largest size, and the repository benchmark's
+// sim_static_8k world — at every available core. With churn idle the
+// round is schedule, serve, apply and the pre-fetch rescue path, so this
+// is the benchmark (and, with -cpuprofile, the profile) for work on those
+// phases.
+func BenchmarkStepStatic8k(b *testing.B) {
+	benchStepConfig(b, DefaultConfig(8000), runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkStep1k is the paper-scale reference point for the same

@@ -59,6 +59,11 @@ type World struct {
 	// rarity holds each serve shard's reusable rarity memo (see
 	// rarityCache); only the owning shard touches its entry.
 	rarity []rarityCache
+	// shardRank numbers every ring ID within its ownership shard and
+	// shardSize counts each shard's IDs (see shardRanks); read-only after
+	// construction.
+	shardRank []int32
+	shardSize [phaseShards]int32
 
 	// idGen counts how many times each ring ID has been assigned and
 	// vacated (indexed by ring ID). It salts the per-node random streams
@@ -68,8 +73,8 @@ type World struct {
 	idGen []uint64
 
 	// retr is the long-lived Algorithm 2 retriever with its reusable
-	// lookup scratch; resolvePrefetch is sequential, so one scratch
-	// serves the whole phase (built lazily on first use).
+	// lookup scratch; resolvePrefetch's claim stage is sequential, so one
+	// scratch serves the whole phase (built lazily on first use).
 	retr        *prefetch.Retriever
 	retrScratch prefetch.Scratch
 
@@ -127,6 +132,7 @@ func NewWorld(cfg Config) (*World, error) {
 		rarity:    make([]rarityCache, phaseShards),
 		idGen:     make([]uint64, space.N()),
 	}
+	w.shardRank, w.shardSize = shardRanks(space.N())
 	graph := cfg.Topology
 	if graph == nil {
 		graph = topology.Generate(topology.GenerateConfig{

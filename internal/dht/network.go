@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/bits"
+
 	"continustreaming/internal/sim"
 )
 
@@ -10,11 +12,14 @@ import (
 // and the on-demand retrieval path of the streaming system.
 //
 // Network is not safe for concurrent mutation; the simulation mutates it
-// only between parallel phases.
+// only between parallel phases. Everything routing touches — RouteTo,
+// Owner, Alive, Table.NextHop — only reads, so any number of goroutines
+// may route at once while nobody joins, leaves or edits a table.
 type Network struct {
 	space  Space
 	tables []*Table // dense, indexed by ID; nil = not a member
 	sorted []ID     // alive IDs, ascending
+	alive  []uint64 // membership bitmap, bit id set iff tables[id] != nil
 }
 
 // NewNetwork returns an empty network over space. Membership is a dense
@@ -23,7 +28,11 @@ type Network struct {
 // routing and repair hot paths issue per hop become one bounds-checked
 // load instead of a map lookup.
 func NewNetwork(space Space) *Network {
-	return &Network{space: space, tables: make([]*Table, space.N())}
+	return &Network{
+		space:  space,
+		tables: make([]*Table, space.N()),
+		alive:  make([]uint64, (space.N()+63)/64),
+	}
 }
 
 // Space returns the identifier space.
@@ -63,6 +72,7 @@ func (n *Network) Join(id ID, rng *sim.RNG) *Table {
 	t := NewTable(n.space, id)
 	n.insertSorted(id)
 	n.tables[id] = t
+	n.alive[id>>6] |= 1 << (uint(id) & 63)
 	n.FillTable(t, rng)
 	return t
 }
@@ -87,6 +97,7 @@ func (n *Network) Leave(id ID) {
 		return
 	}
 	n.tables[id] = nil
+	n.alive[id>>6] &^= 1 << (uint(id) & 63)
 	i := searchIDs(n.sorted, id)
 	n.sorted = append(n.sorted[:i], n.sorted[i+1:]...)
 }
@@ -116,30 +127,45 @@ func (n *Network) insertSorted(id ID) {
 
 // Owner returns the alive node that owns key: the node counter-clockwise
 // closest to it (the largest alive ID <= key, wrapping). The second result
-// is false when the network is empty.
+// is false when the network is empty. It reads the membership bitmap —
+// the highest set bit at or below key — because every route ends here.
 func (n *Network) Owner(key ID) (ID, bool) {
 	if len(n.sorted) == 0 {
 		return 0, false
 	}
-	// First alive ID strictly greater than key, then step back one.
-	i := searchIDs(n.sorted, key+1)
-	if i == 0 {
-		return n.sorted[len(n.sorted)-1], true // wrap
+	wi := int(key) >> 6
+	word := n.alive[wi] & (^uint64(0) >> (63 - uint(key)&63))
+	for word == 0 {
+		// Nothing at or below key in this word: step down, wrapping past
+		// zero to the top of the ring. The network is non-empty, so the
+		// walk ends at the latest back in key's own word, whose bits above
+		// key are then the wrapped answer.
+		if wi--; wi < 0 {
+			wi = len(n.alive) - 1
+		}
+		word = n.alive[wi]
 	}
-	return n.sorted[i-1], true
+	return ID(wi<<6 + 63 - bits.LeadingZeros64(word)), true
 }
 
 // TrueSuccessor returns the alive node clockwise-closest after id (itself
 // excluded). Used for graceful-leave handover targets and invariant checks.
 func (n *Network) TrueSuccessor(id ID) (ID, bool) {
-	if len(n.sorted) == 0 || (len(n.sorted) == 1 && n.sorted[0] == id) {
+	if len(n.sorted) == 0 {
 		return 0, false
 	}
-	i := searchIDs(n.sorted, id+1)
-	if i == len(n.sorted) {
-		i = 0
+	// Lowest set bit strictly above id, wrapping; coming back round to id
+	// itself means it is the only member.
+	wi := int(id) >> 6
+	word := n.alive[wi] & (^uint64(1) << (uint(id) & 63))
+	for word == 0 {
+		if wi++; wi == len(n.alive) {
+			wi = 0
+		}
+		word = n.alive[wi]
 	}
-	return n.sorted[i], true
+	succ := ID(wi<<6 + bits.TrailingZeros64(word))
+	return succ, succ != id
 }
 
 // randomInArc picks a uniformly random alive node in the (possibly wrapped)
@@ -202,30 +228,42 @@ type RouteOutcome struct {
 	Success bool
 }
 
+// StaleHop names a forwarding-table entry a walk found dead: node At's
+// table still lists Peer, which has left.
+type StaleHop struct {
+	At, Peer ID
+}
+
 // RouteScratch is reusable routing state a caller threads through
 // repeated RouteTo calls. Zero value is ready to use. With RecordPath
 // set, each RouteTo resets and refills Path in place, so the recorded
 // path is valid only until the next RouteTo with the same scratch;
-// callers that retain paths must copy them out.
+// callers that retain paths must copy them out. Stale is append-only:
+// the caller drains it with EvictStale and resets it.
 type RouteScratch struct {
 	// RecordPath enables path recording into Path.
 	RecordPath bool
 	// Path holds the last recorded walk, origin first.
 	Path []ID
+	// Stale accumulates every dead entry the walks stepped over.
+	Stale []StaleHop
 }
 
 // RouteTo performs greedy clockwise routing from the alive node from
-// toward key target, walking real peer tables. A hop to a dead peer
-// evicts the entry from the forwarding table and the walk retries from
-// the same node; if no alive closer peer remains, routing stops there.
-// The walk is bounded by 4·log₂N + 4 hops (comfortably above the
-// appendix bound of 2.41·log₂N) as a defensive guard against table
-// corruption.
+// toward key target, walking real peer tables. A dead peer is stepped
+// over — the walk takes the best alive closer peer, which is the one an
+// evict-and-retry would reach — and listed in sc.Stale; if no alive
+// closer peer remains, routing stops there. The walk is bounded by
+// 4·log₂N + 4 hops (comfortably above the appendix bound of
+// 2.41·log₂N) as a defensive guard against table corruption.
 //
-// RouteTo allocates nothing: sc may be nil when the caller does not need
-// the path, and a warm scratch's Path buffer is reused across calls.
-// This is the routing core the round pipeline's pre-fetch and rescue
-// paths run on; Route wraps it for tests and diagnostics.
+// RouteTo writes nothing but sc, so routes with distinct scratches may
+// run concurrently; the dead entries stay in the tables until the caller
+// passes the collected list to EvictStale. It allocates nothing: sc may
+// be nil when the caller needs neither the path nor the stale list, and
+// a warm scratch's buffers are reused across calls. This is the routing
+// core the round pipeline's pre-fetch and rescue paths run on; Route
+// wraps it for tests and diagnostics.
 func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	record := sc != nil && sc.RecordPath
 	if record {
@@ -237,14 +275,17 @@ func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	for hops := 0; hops < maxHops; hops++ {
 		t := n.Table(cur)
 		if t == nil {
-			break // origin died mid-route; count as failure
+			break // origin is not a member; count as failure
 		}
-		next, ok := t.NextHop(target)
-		for ok && !n.Alive(next) {
-			t.Evict(next)
-			next, ok = t.NextHop(target)
+		d := n.space.Clockwise(cur, target)
+		next, level := t.hopAtOrBelow(d, bits.Len(uint(d)))
+		for level != 0 && !n.Alive(next) {
+			if sc != nil {
+				sc.Stale = append(sc.Stale, StaleHop{At: cur, Peer: next})
+			}
+			next, level = t.hopAtOrBelow(d, level-1)
 		}
-		if !ok {
+		if level == 0 {
 			break
 		}
 		cur = next
@@ -263,10 +304,24 @@ func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	return out
 }
 
+// EvictStale removes the listed dead entries from their forwarding
+// tables. Entries already gone (listed by several walks) or whose peer
+// ID is a member again are left alone, so applying a list twice changes
+// nothing.
+func (n *Network) EvictStale(stale []StaleHop) {
+	for _, h := range stale {
+		if t := n.Table(h.At); t != nil && !n.Alive(h.Peer) {
+			t.Evict(h.Peer)
+		}
+	}
+}
+
 // Route is the path-materialising wrapper around RouteTo: one fresh
-// RouteResult per call, safe to retain.
+// RouteResult per call, safe to retain. It evicts the dead entries its
+// walk stepped over.
 func (n *Network) Route(from, target ID) RouteResult {
 	sc := RouteScratch{RecordPath: true}
 	out := n.RouteTo(from, target, &sc)
+	n.EvictStale(sc.Stale)
 	return RouteResult{Path: sc.Path, Target: out.Target, Final: out.Final, Success: out.Success}
 }

@@ -1,0 +1,240 @@
+package dht
+
+import (
+	"reflect"
+	"testing"
+
+	"continustreaming/internal/sim"
+)
+
+// This file keeps the retired routing code as differential oracles: the
+// level scan NextHop replaced, the sorted-membership searches Owner and
+// TrueSuccessor replaced, and the evict-inline walk RouteTo replaced.
+
+// nextHopScan is the retired NextHop: scan every level for the peer with
+// the smallest clockwise distance to the target that improves on self.
+func nextHopScan(t *Table, target ID) (ID, bool) {
+	best := Vacant
+	bestDist := t.space.Clockwise(t.self, target)
+	for _, p := range t.peers {
+		if p == Vacant {
+			continue
+		}
+		if d := t.space.Clockwise(p, target); d < bestDist {
+			bestDist = d
+			best = p
+		}
+	}
+	return best, best != Vacant
+}
+
+// ownerSearch and successorSearch are the retired binary searches over
+// the sorted membership.
+func ownerSearch(n *Network, key ID) (ID, bool) {
+	if len(n.sorted) == 0 {
+		return 0, false
+	}
+	i := searchIDs(n.sorted, key+1)
+	if i == 0 {
+		return n.sorted[len(n.sorted)-1], true
+	}
+	return n.sorted[i-1], true
+}
+
+func successorSearch(n *Network, id ID) (ID, bool) {
+	if len(n.sorted) == 0 || (len(n.sorted) == 1 && n.sorted[0] == id) {
+		return 0, false
+	}
+	i := searchIDs(n.sorted, id+1)
+	if i == len(n.sorted) {
+		i = 0
+	}
+	return n.sorted[i], true
+}
+
+// routeEvictInline is the retired RouteTo: a hop to a dead peer evicts the
+// entry on the spot and retries from the same node.
+func routeEvictInline(n *Network, from, target ID) RouteOutcome {
+	out := RouteOutcome{Target: target}
+	cur := from
+	maxHops := 4*n.space.Levels() + 4
+	for hops := 0; hops < maxHops; hops++ {
+		t := n.Table(cur)
+		if t == nil {
+			break
+		}
+		next, ok := nextHopScan(t, target)
+		for ok && !n.Alive(next) {
+			t.Evict(next)
+			next, ok = nextHopScan(t, target)
+		}
+		if !ok {
+			break
+		}
+		cur = next
+		out.Hops++
+		if cur == target {
+			break
+		}
+	}
+	out.Final = cur
+	owner, ok := ownerSearch(n, target)
+	out.Success = ok && owner == cur
+	return out
+}
+
+// TestNextHopMatchesLevelScan drives the level-indexed NextHop against the
+// scan on random tables with vacant levels, over every target of the ring
+// — which covers target = self, target = a peer, target one short of a
+// peer, and targets on both sides of the wrap for every self.
+func TestNextHopMatchesLevelScan(t *testing.T) {
+	rng := sim.DeriveRNG(11, 1)
+	for _, size := range []int{2, 16, 256, 1024} {
+		s := NewSpace(size)
+		for trial := 0; trial < 40; trial++ {
+			self := ID(rng.Intn(size))
+			tb := NewTable(s, self)
+			// Fill a random subset of levels, each from anywhere in its arc;
+			// high selves put most arcs across the wrap.
+			for level := 1; level <= s.Levels(); level++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				width := 1 << (level - 1)
+				tb.Consider(s.Wrap(int(self) + width + rng.Intn(width)))
+			}
+			for target := ID(0); int(target) < size; target++ {
+				got, gotOK := tb.NextHop(target)
+				want, wantOK := nextHopScan(tb, target)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("N=%d self=%d peers=%v target=%d: NextHop=(%d,%v), scan=(%d,%v)",
+						size, self, tb.peers, target, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestBitmapOwnershipMatchesSortedSearch churns a network through random
+// joins and leaves — starting empty, passing through single-member states,
+// in a space small enough that the extremes of the ring are regularly the
+// only members — and checks Owner and TrueSuccessor against the sorted
+// searches for every key after every step.
+func TestBitmapOwnershipMatchesSortedSearch(t *testing.T) {
+	for _, size := range []int{2, 64, 256} { // one partial word, one full word, several
+		s := NewSpace(size)
+		net := NewNetwork(s)
+		rng := sim.DeriveRNG(12, uint64(size))
+		check := func(step int) {
+			t.Helper()
+			for key := ID(0); int(key) < size; key++ {
+				got, gotOK := net.Owner(key)
+				want, wantOK := ownerSearch(net, key)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("N=%d step %d members=%v: Owner(%d)=(%d,%v), search=(%d,%v)",
+						size, step, net.IDs(), key, got, gotOK, want, wantOK)
+				}
+				got, gotOK = net.TrueSuccessor(key)
+				want, wantOK = successorSearch(net, key)
+				if gotOK != wantOK || (gotOK && got != want) {
+					t.Fatalf("N=%d step %d members=%v: TrueSuccessor(%d)=(%d,%v), search=(%d,%v)",
+						size, step, net.IDs(), key, got, gotOK, want, wantOK)
+				}
+			}
+		}
+		check(0)
+		for step := 1; step <= 300; step++ {
+			// Lean toward leaving once populated so the membership keeps
+			// returning to the empty and single-member states.
+			if net.Size() > 0 && rng.Intn(5) < 3 {
+				net.Leave(net.IDs()[rng.Intn(net.Size())])
+			} else {
+				net.Join(ID(rng.Intn(size)), rng)
+			}
+			check(step)
+		}
+	}
+}
+
+// tablesOf snapshots every member's peer levels.
+func tablesOf(n *Network) map[ID][]ID {
+	out := make(map[ID][]ID, n.Size())
+	for _, id := range n.IDs() {
+		out[id] = append([]ID(nil), n.Table(id).peers...)
+	}
+	return out
+}
+
+// TestReadOnlyRouteMatchesEvictInline pins the exactness claim the round
+// pipeline's parallel route stage rests on. On twin churned networks, one
+// runs the retired evict-inline walk and the other the read-only RouteTo
+// with evictions deferred to the end: every route reports the same
+// outcome although the second network's tables keep their dead entries
+// throughout, routing leaves those tables untouched, the deferred
+// EvictStale then brings them to exactly the first network's state, and
+// applying the stale list a second time changes nothing.
+func TestReadOnlyRouteMatchesEvictInline(t *testing.T) {
+	s := NewSpace(1024)
+	inline := churnedNetwork(t, s, 512, 7)
+	deferred := churnedNetwork(t, s, 512, 7)
+	before := tablesOf(deferred)
+	rng := sim.DeriveRNG(7, 6)
+	var sc RouteScratch
+	for q := 0; q < 3000; q++ {
+		from := inline.IDs()[rng.Intn(inline.Size())]
+		target := ID(rng.Intn(s.N()))
+		want := routeEvictInline(inline, from, target)
+		got := deferred.RouteTo(from, target, &sc)
+		if got != want {
+			t.Fatalf("route %d (%d→%d): read-only %+v, evict-inline %+v", q, from, target, got, want)
+		}
+		if bare := deferred.RouteTo(from, target, nil); bare != got {
+			t.Fatalf("route %d: nil-scratch outcome %+v differs from %+v", q, bare, got)
+		}
+	}
+	if len(sc.Stale) == 0 {
+		t.Fatal("no walk met a dead entry; the test exercises nothing")
+	}
+	if !reflect.DeepEqual(tablesOf(deferred), before) {
+		t.Fatal("RouteTo modified a forwarding table")
+	}
+	deferred.EvictStale(sc.Stale)
+	want := tablesOf(inline)
+	if got := tablesOf(deferred); !reflect.DeepEqual(got, want) {
+		t.Fatal("tables after deferred eviction differ from the evict-inline network's")
+	}
+	deferred.EvictStale(sc.Stale)
+	if got := tablesOf(deferred); !reflect.DeepEqual(got, want) {
+		t.Fatal("second EvictStale of the same list changed a table")
+	}
+}
+
+// TestRouteToConcurrentReaders routes from several goroutines at once over
+// one churned network, each with its own scratch; under -race this is the
+// check that a walk writes nothing shared.
+func TestRouteToConcurrentReaders(t *testing.T) {
+	s := NewSpace(1024)
+	net := churnedNetwork(t, s, 512, 7)
+	const workers = 4
+	outs := make([][]RouteOutcome, workers)
+	done := make(chan int, workers) // one send per worker
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			rng := sim.DeriveRNG(7, 8) // same queries in every goroutine
+			var sc RouteScratch
+			for q := 0; q < 500; q++ {
+				from := net.IDs()[rng.Intn(net.Size())]
+				outs[g] = append(outs[g], net.RouteTo(from, ID(rng.Intn(s.N())), &sc))
+			}
+			done <- g
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		<-done
+	}
+	for g := 1; g < workers; g++ {
+		if !reflect.DeepEqual(outs[g], outs[0]) {
+			t.Fatalf("goroutine %d routed differently from goroutine 0", g)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package dht
 
+import "math/bits"
+
 // Table is one node's levelled DHT peer list. Level i (1-based) holds at
 // most one peer drawn from the arc [self+2^(i-1), self+2^i); the paper
 // stresses the node "has much freedom in choosing its DHT peers", so any
@@ -111,19 +113,25 @@ func (t *Table) Successor() (ID, bool) {
 // result is false when no peer improves on self ("until no closer peer can
 // be found").
 func (t *Table) NextHop(target ID) (ID, bool) {
-	// Moving clockwise toward the target means shrinking the clockwise
-	// distance Clockwise(node, target); a peer past the target wraps to a
-	// huge distance and is never chosen.
-	best := Vacant
-	bestDist := t.space.Clockwise(t.self, target)
-	for _, p := range t.peers {
-		if p == Vacant {
-			continue
-		}
-		if d := t.space.Clockwise(p, target); d < bestDist {
-			bestDist = d
-			best = p
+	d := t.space.Clockwise(t.self, target)
+	p, level := t.hopAtOrBelow(d, bits.Len(uint(d)))
+	return p, level != 0
+}
+
+// hopAtOrBelow returns the best next hop toward a target at clockwise
+// distance d among the peers at or below level, with the level it sits
+// on (0 when none qualifies). Levels are disjoint distance bands —
+// Consider, the only writer, files a peer under bits.Len of its distance
+// — so every peer above level bits.Len(d) lies past the target, the peer
+// on that level is the closest one unless it too is past the target, and
+// below it the highest occupied level wins outright. A caller that finds
+// the returned peer unusable continues the search from level-1.
+func (t *Table) hopAtOrBelow(d, level int) (ID, int) {
+	for ; level >= 1; level-- {
+		p := t.peers[level-1]
+		if p != Vacant && t.space.Clockwise(t.self, p) <= d {
+			return p, level
 		}
 	}
-	return best, best != Vacant
+	return Vacant, 0
 }

@@ -191,23 +191,23 @@ func (pt *PeerTable) Hear(id NodeID, latency sim.Time) {
 		return
 	}
 	pt.seq++
+	// One scan finds both the entry to refresh and, should the list be
+	// full and id new, the oldest entry to replace (first among equals).
+	oldest := 0
 	for i := range pt.overheard {
 		if pt.overheard[i].ID == id {
 			pt.overheard[i].Latency = latency
 			pt.overheard[i].Seq = pt.seq
 			return
 		}
+		if pt.overheard[i].Seq < pt.overheard[oldest].Seq {
+			oldest = i
+		}
 	}
 	entry := Overheard{ID: id, Latency: latency, Seq: pt.seq}
 	if len(pt.overheard) < pt.h {
 		pt.overheard = append(pt.overheard, entry)
 		return
-	}
-	oldest := 0
-	for i := 1; i < len(pt.overheard); i++ {
-		if pt.overheard[i].Seq < pt.overheard[oldest].Seq {
-			oldest = i
-		}
 	}
 	pt.overheard[oldest] = entry
 }

@@ -2,6 +2,8 @@ package prefetch
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -232,8 +234,8 @@ func TestRetrieverPicksHighestRateHolder(t *testing.T) {
 	dir.rates[owners[0]] = 3.0
 	dir.backups[owners[1]] = map[segment.ID]bool{segID: true}
 	dir.rates[owners[1]] = 9.0
-	r := &Retriever{Space: space, Replicas: 4, Locator: net, Dir: dir}
-	res := r.Locate(ids[0], segID)
+	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
+	res := r.LocateAll(ids[0], []segment.ID{segID})[0]
 	if !res.Found {
 		t.Fatal("segment not found")
 	}
@@ -256,19 +258,22 @@ func TestRetrieverNotFound(t *testing.T) {
 	}
 	net := buildRing(t, space, ids)
 	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
-	r := &Retriever{Space: space, Replicas: 4, Locator: net, Dir: dir}
-	res := r.Locate(ids[0], 123)
-	if res.Found {
-		t.Fatal("found a segment nobody holds")
+	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
+	res := r.LocateAll(ids[0], []segment.ID{123})[0]
+	if res.Found || res.Held {
+		t.Fatalf("segment nobody holds: Found=%v Held=%v", res.Found, res.Held)
 	}
 	// Holder exists but has no spare rate: still not found.
 	key := dht.HashKey(space, 123, 1)
 	owner, _ := net.Owner(key)
 	dir.backups[owner] = map[segment.ID]bool{123: true}
 	dir.rates[owner] = 0
-	res = r.Locate(ids[0], 123)
+	res = r.LocateAll(ids[0], []segment.ID{123})[0]
 	if res.Found {
 		t.Fatal("zero-rate holder selected")
+	}
+	if !res.Held {
+		t.Fatal("a located owner holds the segment, but Held is false")
 	}
 }
 
@@ -280,10 +285,51 @@ func TestLocateAllAscendingOrder(t *testing.T) {
 	}
 	net := buildRing(t, space, ids)
 	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
-	r := &Retriever{Space: space, Replicas: 2, Locator: net, Dir: dir}
+	r := &Retriever{Space: space, Replicas: 2, Router: net, Dir: dir}
 	out := r.LocateAll(ids[0], []segment.ID{9, 3, 7})
 	if len(out) != 3 || out[0].ID != 3 || out[1].ID != 7 || out[2].ID != 9 {
 		t.Fatalf("order wrong: %+v", out)
+	}
+}
+
+// TestRouteAllConcurrent runs the route step from several goroutines over
+// one Retriever, as the round pipeline's route stage does, and checks
+// each against the sequential walks; under -race it is the check that
+// RouteAll shares nothing but read-only configuration, the Choose scratch
+// included.
+func TestRouteAllConcurrent(t *testing.T) {
+	space := dht.NewSpace(256)
+	var ids []dht.ID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, dht.ID(i*4))
+	}
+	net := buildRing(t, space, ids)
+	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
+	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir, Scratch: &Scratch{}}
+	missed := []segment.ID{3, 7, 9, 40, 41}
+	want := make([][]Walk, len(ids))
+	for i, from := range ids {
+		want[i] = r.RouteAll(nil, from, missed, nil)
+		if len(want[i]) != len(missed)*r.Replicas {
+			t.Fatalf("RouteAll returned %d walks for %d segments x %d replicas", len(want[i]), len(missed), r.Replicas)
+		}
+	}
+	const workers = 4
+	got := make([][]Walk, len(ids))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			var sc dht.RouteScratch
+			for i := g; i < len(ids); i += workers {
+				got[i] = r.RouteAll(nil, ids[i], missed, &sc)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent RouteAll differs from the sequential walks")
 	}
 }
 

@@ -7,20 +7,9 @@ import (
 	"continustreaming/internal/segment"
 )
 
-// Locator abstracts the DHT routing substrate Algorithm 2 runs on. In the
-// simulation it is *dht.Network; the livenet runtime provides its own
-// implementation over real message passing.
-type Locator interface {
-	// Route performs greedy routing from the alive node `from` toward ring
-	// key `key` and reports the walk.
-	Route(from, key dht.ID) dht.RouteResult
-}
-
-// ScratchRouter is the optional Locator extension the allocation-free
-// path uses: routing through a reusable scratch, no materialised walk.
-// *dht.Network implements it; Locators that don't are routed through
-// Route as before.
-type ScratchRouter interface {
+// Router is the DHT routing substrate Algorithm 2 runs on: one greedy
+// walk from an alive node toward a ring key. *dht.Network implements it.
+type Router interface {
 	RouteTo(from, key dht.ID, sc *dht.RouteScratch) dht.RouteOutcome
 }
 
@@ -40,65 +29,104 @@ type LookupResult struct {
 	Supplier dht.ID
 	Rate     float64
 	Found    bool
+	// Held reports whether any located owner held the segment at all,
+	// spare rate or not: it separates replica loss (!Held) from capacity
+	// exhaustion (Held && !Found) in the failure telemetry.
+	Held bool
 	// RoutingMessages counts every routed hop across the k parallel
 	// lookups plus the final direct request, for the pre-fetch overhead
 	// metric (§5.3 estimates k·(log n/2 + 1) + 1 messages).
 	RoutingMessages int
-	// LocateHops is the hop count of the path that reached the chosen
-	// supplier (the longest successful path when several replied), used to
-	// compute the fetch completion time.
+	// LocateHops is the hop count of the walk that reached the chosen
+	// supplier, used to compute the fetch completion time.
 	LocateHops int
 	// Owners lists the distinct arc owners that were successfully located,
 	// whether or not they held the segment (visible for diagnostics).
 	Owners []dht.ID
 }
 
-// Scratch is reusable per-caller state for a Retriever's lookups: the
-// route scratch, the arena backing every LookupResult.Owners, and the
-// LocateAll work buffers. Zero value is ready to use. The reuse
-// contract: results returned by LocateAll (including their Owners
-// slices) are valid only until the next LocateAll call through the same
-// Scratch — long-lived owners thread one Scratch through a round and
-// consume each node's results before locating for the next.
+// Walk is one replica lookup's routed outcome, packed to eight bytes: the
+// round pipeline holds a whole round's walks (tens of thousands at 8000
+// nodes) between its route and choose stages.
+type Walk struct {
+	owner int32 // the arc owner reached, -1 when routing failed
+	hops  int32
+}
+
+// Scratch is reusable per-caller state for Choose: the result slice and
+// the arena backing every LookupResult.Owners. Zero value is ready to
+// use. The reuse contract: results returned by Choose (including their
+// Owners slices) are valid only until the next Choose call through the
+// same Scratch — long-lived owners thread one Scratch through a round and
+// consume each node's results before choosing for the next.
 type Scratch struct {
-	route   dht.RouteScratch
 	owners  []dht.ID
-	ordered []segment.ID
 	results []LookupResult
 }
 
-// Retriever executes Algorithm 2 against a Locator and Directory.
+// Retriever executes Algorithm 2 against a Router and Directory, in two
+// steps: RouteAll walks the DHT, Choose asks the located owners. The
+// split lets a caller route for many nodes at once — walks only read the
+// overlay — and keep the order-sensitive supplier choice sequential.
 type Retriever struct {
 	Space dht.Space
 	// Replicas is k, the number of hashed backup keys per segment.
 	Replicas int
-	Locator  Locator
+	Router   Router
 	Dir      Directory
-	// Scratch, when non-nil, makes Locate/LocateAll allocation-free in
-	// the steady state (see the Scratch reuse contract). Nil keeps the
+	// Scratch, when non-nil, makes Choose allocation-free in the steady
+	// state (see the Scratch reuse contract). Nil keeps the
 	// allocate-fresh behaviour, which is always safe to retain.
 	Scratch *Scratch
 }
 
-// route dispatches one greedy walk, through the scratch path when both
-// the Locator and the Retriever support it.
-func (r *Retriever) route(from, key dht.ID) dht.RouteOutcome {
-	if sr, ok := r.Locator.(ScratchRouter); ok {
-		var sc *dht.RouteScratch
-		if r.Scratch != nil {
-			sc = &r.Scratch.route
+// RouteAll runs the k hashed lookups of every missed segment from node
+// from and appends their outcomes to dst, Replicas per segment in
+// missed × replica-index order. It reads the Retriever's configuration
+// and writes only dst and sc, so any number of RouteAll calls may run
+// concurrently given a dst and sc each. sc may be nil; otherwise the
+// dead forwarding entries the walks stepped over accumulate in sc.Stale
+// for the caller to evict.
+func (r *Retriever) RouteAll(dst []Walk, from dht.ID, missed []segment.ID, sc *dht.RouteScratch) []Walk {
+	for _, id := range missed {
+		for i := 1; i <= r.Replicas; i++ {
+			route := r.Router.RouteTo(from, dht.HashKey(r.Space, id, i), sc)
+			w := Walk{owner: -1, hops: int32(route.Hops)}
+			if route.Success {
+				w.owner = int32(route.Final)
+			}
+			dst = append(dst, w)
 		}
-		return sr.RouteTo(from, key, sc)
 	}
-	res := r.Locator.Route(from, key)
-	return dht.RouteOutcome{Target: res.Target, Final: res.Final, Hops: res.Hops(), Success: res.Success}
+	return dst
 }
 
-// Locate runs the k parallel lookups for one missed segment from node
-// `from` and picks the owner with the highest available sending rate among
-// those that actually hold the segment. Determinism: replicas are probed in
-// index order and ties broken toward the lower node ID.
-func (r *Retriever) Locate(from dht.ID, id segment.ID) LookupResult {
+// Choose completes the lookups RouteAll started: for each missed segment
+// it asks the owners its k walks reached and picks the one with the
+// highest available sending rate among those that actually hold the
+// segment. walks must be RouteAll's output for the same missed list.
+// Determinism: replicas are probed in index order and ties broken toward
+// the lower node ID. With a Scratch the returned slice and its Owners are
+// reused by the next Choose call; copy anything that must outlive it.
+func (r *Retriever) Choose(missed []segment.ID, walks []Walk) []LookupResult {
+	var out []LookupResult
+	if r.Scratch != nil {
+		out = r.Scratch.results[:0]
+		r.Scratch.owners = r.Scratch.owners[:0]
+	} else {
+		out = make([]LookupResult, 0, len(missed))
+	}
+	for i, id := range missed {
+		out = append(out, r.choose(id, walks[i*r.Replicas:(i+1)*r.Replicas]))
+	}
+	if r.Scratch != nil {
+		r.Scratch.results = out[:0]
+	}
+	return out
+}
+
+// choose resolves one segment from its k walks.
+func (r *Retriever) choose(id segment.ID, walks []Walk) LookupResult {
 	res := LookupResult{ID: id, Rate: 0}
 	// Owners doubles as the dedup set (k is small); with a scratch it is
 	// carved from the grow-only arena as a full-capacity subslice, so
@@ -111,20 +139,19 @@ func (r *Retriever) Locate(from dht.ID, id segment.ID) LookupResult {
 		ownerStart = len(r.Scratch.owners)
 		res.Owners = r.Scratch.owners[ownerStart:ownerStart]
 	}
-	for i := 1; i <= r.Replicas; i++ {
-		key := dht.HashKey(r.Space, id, i)
-		route := r.route(from, key)
-		res.RoutingMessages += route.Hops
-		if !route.Success {
+	for _, w := range walks {
+		res.RoutingMessages += int(w.hops)
+		if w.owner < 0 {
 			continue
 		}
-		owner := route.Final
+		owner := dht.ID(w.owner)
 		if !slices.Contains(res.Owners, owner) {
 			res.Owners = append(res.Owners, owner)
 		}
 		if !r.Dir.HasBackup(owner, id) {
 			continue
 		}
+		res.Held = true
 		rate := r.Dir.AvailableRate(owner)
 		if rate <= 0 {
 			continue
@@ -133,13 +160,13 @@ func (r *Retriever) Locate(from dht.ID, id segment.ID) LookupResult {
 			res.Found = true
 			res.Supplier = owner
 			res.Rate = rate
-			res.LocateHops = route.Hops
+			res.LocateHops = int(w.hops)
 		}
 	}
 	slices.Sort(res.Owners)
 	if r.Scratch != nil && len(res.Owners) > 0 {
 		// The append above may have grown past the arena; fold the final
-		// slice back so the next Locate carves after it. Full-capacity
+		// slice back so the next lookup carves after it. Full-capacity
 		// subslicing keeps earlier results' Owners untouched either way.
 		r.Scratch.owners = append(r.Scratch.owners[:ownerStart], res.Owners...)
 		res.Owners = r.Scratch.owners[ownerStart:len(r.Scratch.owners):len(r.Scratch.owners)]
@@ -151,30 +178,13 @@ func (r *Retriever) Locate(from dht.ID, id segment.ID) LookupResult {
 	return res
 }
 
-// LocateAll runs Locate for every missed segment in ascending ID order
-// (Algorithm 2's input ordering) and returns the per-segment results.
-// With a Scratch the returned slice and its Owners are reused by the
-// next LocateAll call; copy anything that must outlive it.
+// LocateAll is Algorithm 2 end to end for one node: RouteAll then Choose
+// over the missed segments in ascending ID order (the algorithm's input
+// ordering). It leaves dead forwarding entries in place.
 func (r *Retriever) LocateAll(from dht.ID, missed []segment.ID) []LookupResult {
-	var ordered []segment.ID
-	var out []LookupResult
-	if r.Scratch != nil {
-		ordered = r.Scratch.ordered[:0]
-		out = r.Scratch.results[:0]
-		r.Scratch.owners = r.Scratch.owners[:0]
-	} else {
-		out = make([]LookupResult, 0, len(missed))
-	}
-	ordered = append(ordered, missed...)
+	ordered := slices.Clone(missed)
 	slices.Sort(ordered)
-	for _, id := range ordered {
-		out = append(out, r.Locate(from, id))
-	}
-	if r.Scratch != nil {
-		r.Scratch.ordered = ordered[:0]
-		r.Scratch.results = out[:0]
-	}
-	return out
+	return r.Choose(ordered, r.RouteAll(nil, from, ordered, nil))
 }
 
 // Tags tracks which locally received segments arrived via pre-fetch, so
