@@ -70,13 +70,12 @@ type Report struct {
 	CPUs      int       `json:"cpus"`
 	CPUModel  string    `json:"cpu_model,omitempty"`
 	CreatedAt time.Time `json:"created_at"`
-	// Seed is the master seed the results were produced with (absent from
-	// reports that predate the field, which all used the default, 1).
+	// Seed is the master seed the results were produced with.
 	Seed uint64 `json:"seed,omitempty"`
 
 	Benchmarks []BenchResult `json:"benchmarks"`
 	// WorkersCurve is the 10k-node step cost at each measured worker
-	// count (schema v2; absent from v1 baselines).
+	// count.
 	WorkersCurve []BenchResult      `json:"workers_curve,omitempty"`
 	Continuity   []ContinuityResult `json:"continuity"`
 }
@@ -89,8 +88,7 @@ type BenchResult struct {
 	TimedRounds int    `json:"timed_rounds"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	// BPerOp and AllocsPerOp are the heap bytes and allocation count per
-	// timed round (schema v3; zero in v1/v2 baselines, where the
-	// allocation gate stays disarmed until the baseline is refreshed).
+	// timed round.
 	BPerOp      int64 `json:"b_per_op,omitempty"`
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	// ResultFingerprint hashes the run's full per-round metrics; two
@@ -106,11 +104,8 @@ type ContinuityResult struct {
 	PCNew       float64 `json:"pc_new"`
 }
 
-const (
-	schemaV1 = "continustreaming-benchreport/v1"
-	schemaV2 = "continustreaming-benchreport/v2"
-	schemaV3 = "continustreaming-benchreport/v3"
-)
+// schema tags the one report layout benchreport reads and writes.
+const schema = "continustreaming-benchreport/v3"
 
 func main() {
 	var (
@@ -128,7 +123,7 @@ func main() {
 	flag.Parse()
 
 	rep := Report{
-		Schema:    schemaV3,
+		Schema:    schema,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -520,38 +515,35 @@ type gateResult struct {
 	fingerprintOK bool
 }
 
-// masterSeed resolves a report's seed; reports written before the field
-// existed all used the flag default.
-func (r Report) masterSeed() uint64 {
-	if r.Seed == 0 {
-		return 1
-	}
-	return r.Seed
-}
-
-// loadBaseline reads and validates a committed baseline report. A
-// structurally-valid JSON file that is not a benchreport baseline (wrong
-// schema tag, or no measurements at all) must fail the gate, not
-// silently pass it with nothing to compare against. Older schemas are
-// accepted — a v1 baseline (no workers curve) and a v2 baseline (no
-// allocation figures) still gate what they recorded, and the newer
-// comparisons simply have no reference until the baseline is refreshed.
+// loadBaseline reads a committed baseline report.
 func loadBaseline(path string) Report {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("baseline: %v", err)
 	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
+	base, err := parseBaseline(raw)
+	if err != nil {
 		fatalf("baseline %s: %v", path, err)
 	}
-	if base.Schema != schemaV1 && base.Schema != schemaV2 && base.Schema != schemaV3 {
-		fatalf("baseline %s: schema %q, want %q, %q or %q", path, base.Schema, schemaV1, schemaV2, schemaV3)
+	return base
+}
+
+// parseBaseline decodes and validates a baseline report. A
+// structurally-valid JSON file that is not a current benchreport baseline
+// (another schema tag, or no measurements at all) must fail the gate, not
+// silently pass it with nothing to compare against.
+func parseBaseline(raw []byte) (Report, error) {
+	var base Report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return Report{}, err
+	}
+	if base.Schema != schema {
+		return Report{}, fmt.Errorf("schema %q, want %q; refresh it with -update-baseline", base.Schema, schema)
 	}
 	if len(base.Benchmarks) == 0 {
-		fatalf("baseline %s: no benchmarks recorded; refresh it with -update-baseline", path)
+		return Report{}, fmt.Errorf("no benchmarks recorded; refresh it with -update-baseline")
 	}
-	return base
+	return base, nil
 }
 
 // gate compares measured ns/op, B/op and allocs/op — the plain
@@ -561,12 +553,9 @@ func loadBaseline(path string) Report {
 // downgrade the cost messages to warnings at the caller; allocation
 // counts are steadier across hardware than wall time, but a different
 // memory allocator or word size can still move them, so they share the
-// downgrade). The allocation checks arm only when the baseline recorded
-// a non-zero figure — v1/v2 baselines carry none. Measurements missing
-// from either side are reported too: a silently dropped measurement must
-// not pass the gate. Curve points absent from the baseline are exempt
-// from the missing check when the baseline predates the curve schema
-// entirely. A result fingerprint that differs from the baseline's for
+// downgrade). Measurements the baseline has and the run lacks are
+// reported too: a silently dropped measurement must not pass the gate. A
+// result fingerprint that differs from the baseline's for
 // the same measurement — same seed, size and round count, so the same
 // simulation — is reported as drifted whatever the hardware.
 func gate(rep, base Report, tolerance float64) gateResult {
@@ -584,7 +573,7 @@ func gate(rep, base Report, tolerance float64) gateResult {
 		}
 		if b.ResultFingerprint != "" && ref.ResultFingerprint != "" &&
 			b.ResultFingerprint != ref.ResultFingerprint &&
-			rep.masterSeed() == base.masterSeed() && b.Nodes == ref.Nodes && b.TimedRounds == ref.TimedRounds {
+			rep.Seed == base.Seed && b.Nodes == ref.Nodes && b.TimedRounds == ref.TimedRounds {
 			res.drifted = append(res.drifted, fmt.Sprintf(
 				"%s: result fingerprint %s differs from the baseline's %s — the simulation's output changed",
 				b.Name, b.ResultFingerprint, ref.ResultFingerprint))
@@ -598,9 +587,6 @@ func gate(rep, base Report, tolerance float64) gateResult {
 			{"allocs/op", b.AllocsPerOp, ref.AllocsPerOp},
 		}
 		for _, c := range checks {
-			if c.want <= 0 {
-				continue // pre-v3 baseline (or unmeasured): nothing to gate
-			}
 			limit := float64(c.want) * (1 + tolerance)
 			if float64(c.got) > limit {
 				res.regressions = append(res.regressions, fmt.Sprintf(

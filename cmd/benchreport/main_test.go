@@ -35,7 +35,7 @@ func TestParseCurve(t *testing.T) {
 // curveReport builds a report with a workers curve from (workers, ns/op,
 // fingerprint) triples.
 func curveReport(cpus int, points ...BenchResult) Report {
-	return Report{Schema: schemaV2, CPUs: cpus, WorkersCurve: points}
+	return Report{Schema: schema, CPUs: cpus, WorkersCurve: points}
 }
 
 func point(workers int, ns int64, fp string) BenchResult {
@@ -113,12 +113,12 @@ func runner(rep Report, model string) Report {
 // fails the gate exactly like a plain benchmark.
 func TestGateCoversCurvePoints(t *testing.T) {
 	base := runner(Report{
-		Schema:       schemaV2,
+		Schema:       schema,
 		Benchmarks:   []BenchResult{{Name: "Step10k", NsPerOp: 1000}},
 		WorkersCurve: []BenchResult{point(1, 1000, "aa"), point(8, 300, "aa")},
 	}, "m")
 	rep := runner(Report{
-		Schema:       schemaV2,
+		Schema:       schema,
 		Benchmarks:   []BenchResult{{Name: "Step10k", NsPerOp: 1000}},
 		WorkersCurve: []BenchResult{point(1, 1000, "aa"), point(8, 500, "aa")},
 	}, "m")
@@ -140,12 +140,12 @@ func TestGateCoversCurvePoints(t *testing.T) {
 // measurement still fails.
 func TestGateDowngradeWithCurves(t *testing.T) {
 	base := runner(Report{
-		Schema:       schemaV2,
+		Schema:       schema,
 		Benchmarks:   []BenchResult{{Name: "Step10k", NsPerOp: 1000}},
 		WorkersCurve: []BenchResult{point(1, 1000, "aa"), point(8, 300, "aa")},
 	}, "old-xeon")
 	rep := runner(Report{
-		Schema:       schemaV2,
+		Schema:       schema,
 		Benchmarks:   []BenchResult{{Name: "Step10k", NsPerOp: 5000}},
 		WorkersCurve: []BenchResult{point(1, 5000, "aa")}, // w8 missing
 	}, "new-xeon")
@@ -171,9 +171,9 @@ func alloc(name string, ns, bytes, allocs int64) BenchResult {
 // TestGateAllocationPasses: allocation figures inside tolerance — even
 // slightly above the baseline — pass the gate.
 func TestGateAllocationPasses(t *testing.T) {
-	base := runner(Report{Schema: schemaV3,
+	base := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000)}}, "m")
-	rep := runner(Report{Schema: schemaV3,
+	rep := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 30_000_000, 110_000)}}, "m")
 	res := gate(rep, base, 0.20)
 	failures, downgraded := verdict(res)
@@ -185,9 +185,9 @@ func TestGateAllocationPasses(t *testing.T) {
 // TestGateAllocationFails: B/op and allocs/op regressions beyond the
 // tolerance fail on matching hardware, independently of ns/op.
 func TestGateAllocationFails(t *testing.T) {
-	base := runner(Report{Schema: schemaV3,
+	base := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000)}}, "m")
-	rep := runner(Report{Schema: schemaV3,
+	rep := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 40_000_000, 200_000)}}, "m")
 	res := gate(rep, base, 0.20)
 	failures, downgraded := verdict(res)
@@ -204,9 +204,9 @@ func TestGateAllocationFails(t *testing.T) {
 // TestGateAllocationDowngrades: on mismatched hardware the allocation
 // regressions downgrade to warnings alongside the ns/op ones.
 func TestGateAllocationDowngrades(t *testing.T) {
-	base := runner(Report{Schema: schemaV3,
+	base := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000)}}, "old-xeon")
-	rep := runner(Report{Schema: schemaV3,
+	rep := runner(Report{Schema: schema,
 		Benchmarks: []BenchResult{alloc("Step10k", 5000, 40_000_000, 200_000)}}, "new-xeon")
 	res := gate(rep, base, 0.20)
 	failures, downgraded := verdict(res)
@@ -218,37 +218,22 @@ func TestGateAllocationDowngrades(t *testing.T) {
 	}
 }
 
-// TestGateV2BaselineNoAllocations: a v2 baseline recorded no allocation
-// figures, so the allocation gate stays disarmed however much the
-// measured run allocates; ns/op still gates.
-func TestGateV2BaselineNoAllocations(t *testing.T) {
-	base := runner(Report{Schema: schemaV2,
-		Benchmarks: []BenchResult{{Name: "Step10k", NsPerOp: 1000}}}, "m")
-	rep := runner(Report{Schema: schemaV3,
-		Benchmarks: []BenchResult{alloc("Step10k", 2000, 40_000_000, 200_000)}}, "m")
-	res := gate(rep, base, 0.20)
-	failures, _ := verdict(res)
-	if len(failures) != 1 || !strings.Contains(failures[0], "ns/op") {
-		t.Fatalf("failures = %v, want only the ns/op regression", failures)
+// TestParseBaselineRejectsOtherSchemas: a baseline in a retired layout, or
+// one with nothing recorded, fails with the refresh hint instead of
+// gating against figures it does not carry.
+func TestParseBaselineRejectsOtherSchemas(t *testing.T) {
+	for _, raw := range []string{
+		`{"schema":"continustreaming-benchreport/v1","benchmarks":[{"name":"Step1k","ns_per_op":100}]}`,
+		`{"schema":"continustreaming-benchreport/v2","benchmarks":[{"name":"Step1k","ns_per_op":100}]}`,
+		`{"schema":"continustreaming-benchreport/v3","benchmarks":[]}`,
+	} {
+		if _, err := parseBaseline([]byte(raw)); err == nil || !strings.Contains(err.Error(), "-update-baseline") {
+			t.Errorf("parseBaseline(%s) = %v, want a refusal with the refresh hint", raw, err)
+		}
 	}
-}
-
-// TestGateV1BaselineNoCurve: a pre-curve baseline still gates the plain
-// benchmarks and does not demand curve points it never recorded.
-func TestGateV1BaselineNoCurve(t *testing.T) {
-	base := runner(Report{
-		Schema:     schemaV1,
-		Benchmarks: []BenchResult{{Name: "Step1k", NsPerOp: 100}, {Name: "Step10k", NsPerOp: 1000}},
-	}, "m")
-	rep := runner(Report{
-		Schema:       schemaV2,
-		Benchmarks:   []BenchResult{{Name: "Step1k", NsPerOp: 90}, {Name: "Step10k", NsPerOp: 900}},
-		WorkersCurve: []BenchResult{point(1, 900, "aa"), point(8, 300, "aa")},
-	}, "m")
-	res := gate(rep, base, 0.20)
-	failures, downgraded := verdict(res)
-	if len(failures) != 0 || len(downgraded) != 0 {
-		t.Fatalf("v1 baseline gate: failures=%v downgraded=%v, want clean", failures, downgraded)
+	ok := `{"schema":"continustreaming-benchreport/v3","seed":1,"benchmarks":[{"name":"Step1k","ns_per_op":100}]}`
+	if base, err := parseBaseline([]byte(ok)); err != nil || base.Seed != 1 || len(base.Benchmarks) != 1 {
+		t.Errorf("parseBaseline(current) = %+v, %v", base, err)
 	}
 }
 
@@ -256,21 +241,21 @@ func TestGateV1BaselineNoCurve(t *testing.T) {
 // to the verdict, and fingerprints that are not comparable — another seed,
 // another round count, one side without a fingerprint — are not compared.
 func TestGateResultFingerprintPasses(t *testing.T) {
-	base := runner(Report{Schema: schemaV3,
+	base := runner(Report{Schema: schema, Seed: 1,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000), {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
-	rep := runner(Report{Schema: schemaV3, Seed: 1,
+	rep := runner(Report{Schema: schema, Seed: 1,
 		Benchmarks: []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000), {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
 	if res := gate(rep, base, 0.20); len(res.drifted) != 0 {
 		t.Fatalf("drifted = %v on identical fingerprints", res.drifted)
 	}
 	other := alloc("Step10k", 1000, 27_000_000, 100_000)
 	other.ResultFingerprint = "bb"
-	reseeded := runner(Report{Schema: schemaV3, Seed: 2, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	reseeded := runner(Report{Schema: schema, Seed: 2, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
 	if res := gate(reseeded, base, 0.20); len(res.drifted) != 0 {
 		t.Fatalf("drifted = %v for a run with another seed", res.drifted)
 	}
 	other.TimedRounds = 5
-	longer := runner(Report{Schema: schemaV3, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
+	longer := runner(Report{Schema: schema, Seed: 1, Benchmarks: []BenchResult{other, {Name: "Maintenance10k", NsPerOp: 10}}}, "m")
 	if res := gate(longer, base, 0.20); len(res.drifted) != 0 {
 		t.Fatalf("drifted = %v for a run with another round count", res.drifted)
 	}
@@ -280,13 +265,13 @@ func TestGateResultFingerprintPasses(t *testing.T) {
 // the baseline's is a hard failure — on matching hardware and, unlike the
 // timing gates, on mismatched hardware too.
 func TestGateResultFingerprintFails(t *testing.T) {
-	base := runner(Report{Schema: schemaV3,
+	base := runner(Report{Schema: schema,
 		Benchmarks:   []BenchResult{alloc("Step10k", 1000, 27_000_000, 100_000)},
 		WorkersCurve: []BenchResult{point(1, 1000, "aa")}}, "old-xeon")
 	changed := alloc("Step10k", 1000, 27_000_000, 100_000)
 	changed.ResultFingerprint = "bb"
 	for _, model := range []string{"old-xeon", "new-xeon"} {
-		rep := runner(Report{Schema: schemaV3,
+		rep := runner(Report{Schema: schema,
 			Benchmarks:   []BenchResult{changed},
 			WorkersCurve: []BenchResult{point(1, 1000, "bb")}}, model)
 		res := gate(rep, base, 0.20)

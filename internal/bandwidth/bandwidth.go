@@ -137,38 +137,3 @@ func PerSegment(rate int, tau sim.Time) sim.Time {
 	}
 	return t
 }
-
-// Budget tracks integer segment credit for one node over one scheduling
-// period. Spend returns false once the credit is exhausted.
-type Budget struct {
-	capacity int
-	used     int
-}
-
-// NewBudget returns a budget with the given per-period capacity, derived
-// from a rate: capacity = rate · tau.
-func NewBudget(rate int, tau sim.Time) Budget {
-	c := int(int64(rate) * int64(tau) / int64(sim.Second))
-	if c < 0 {
-		c = 0
-	}
-	return Budget{capacity: c}
-}
-
-// Capacity returns the total credit for the period.
-func (b *Budget) Capacity() int { return b.capacity }
-
-// Remaining returns the unspent credit.
-func (b *Budget) Remaining() int { return b.capacity - b.used }
-
-// Spend consumes n credits if available and reports success.
-func (b *Budget) Spend(n int) bool {
-	if n < 0 || b.used+n > b.capacity {
-		return false
-	}
-	b.used += n
-	return true
-}
-
-// Reset restores the full capacity for a new period.
-func (b *Budget) Reset() { b.used = 0 }

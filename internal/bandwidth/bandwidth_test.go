@@ -3,7 +3,6 @@ package bandwidth
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"continustreaming/internal/sim"
 )
@@ -86,56 +85,6 @@ func TestDrawSkewedDegenerateRanges(t *testing.T) {
 		if v < 5 || v > 10 {
 			t.Fatalf("out of range %d", v)
 		}
-	}
-}
-
-func TestBudgetSpend(t *testing.T) {
-	b := NewBudget(15, sim.Second)
-	if b.Capacity() != 15 || b.Remaining() != 15 {
-		t.Fatalf("capacity = %d", b.Capacity())
-	}
-	if !b.Spend(10) || b.Remaining() != 5 {
-		t.Fatal("spend 10 failed")
-	}
-	if b.Spend(6) {
-		t.Fatal("overspend allowed")
-	}
-	if !b.Spend(5) || b.Remaining() != 0 {
-		t.Fatal("exact spend failed")
-	}
-	if b.Spend(-1) {
-		t.Fatal("negative spend allowed")
-	}
-	b.Reset()
-	if b.Remaining() != 15 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestBudgetSubSecondTau(t *testing.T) {
-	b := NewBudget(10, 500*sim.Millisecond)
-	if b.Capacity() != 5 {
-		t.Fatalf("capacity = %d, want 5", b.Capacity())
-	}
-	zero := NewBudget(0, sim.Second)
-	if zero.Capacity() != 0 {
-		t.Fatal("zero rate should have zero capacity")
-	}
-}
-
-func TestBudgetNeverNegativeQuick(t *testing.T) {
-	f := func(rate uint8, spends []uint8) bool {
-		b := NewBudget(int(rate), sim.Second)
-		for _, s := range spends {
-			b.Spend(int(s))
-			if b.Remaining() < 0 || b.Remaining() > b.Capacity() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -164,13 +164,6 @@ func (b *Buffer) PositionFromTail(id segment.ID) (int, bool) {
 	return int(b.Hi() - id), true
 }
 
-// MissingIn returns the IDs in w (clipped to the buffer window) that are
-// absent, in ascending order. The result is freshly allocated; hot paths
-// use AppendMissingIn with reused scratch instead.
-func (b *Buffer) MissingIn(w segment.Window) []segment.ID {
-	return b.AppendMissingIn(nil, w)
-}
-
 // AppendMissingIn appends the IDs in w (clipped to the buffer window) that
 // are absent to dst, in ascending order, and returns the extended slice.
 // The scan runs word-at-a-time over the complemented availability bits, so

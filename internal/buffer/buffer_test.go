@@ -116,14 +116,14 @@ func TestMissingInAndCounts(t *testing.T) {
 	for _, id := range []segment.ID{1, 3, 5} {
 		b.Insert(id)
 	}
-	miss := b.MissingIn(segment.Window{Lo: 0, Hi: 6})
+	miss := b.AppendMissingIn(nil, segment.Window{Lo: 0, Hi: 6})
 	want := []segment.ID{0, 2, 4}
 	if len(miss) != len(want) {
-		t.Fatalf("MissingIn = %v", miss)
+		t.Fatalf("AppendMissingIn = %v", miss)
 	}
 	for i := range want {
 		if miss[i] != want[i] {
-			t.Fatalf("MissingIn = %v, want %v", miss, want)
+			t.Fatalf("AppendMissingIn = %v, want %v", miss, want)
 		}
 	}
 	if got := b.CountIn(segment.Window{Lo: 0, Hi: 6}); got != 3 {
@@ -204,28 +204,8 @@ func TestUnmarshalMapRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMapFreshIn(t *testing.T) {
-	b := New(10, 0)
-	for _, id := range []segment.ID{2, 4, 6, 8} {
-		b.Insert(id)
-	}
-	m := b.Snapshot()
-	local := New(10, 0)
-	local.Insert(4)
-	fresh := m.FreshIn(segment.Window{Lo: 0, Hi: 10}, func(id segment.ID) bool { return !local.Has(id) })
-	want := []segment.ID{2, 6, 8}
-	if len(fresh) != len(want) {
-		t.Fatalf("FreshIn = %v", fresh)
-	}
-	for i := range want {
-		if fresh[i] != want[i] {
-			t.Fatalf("FreshIn = %v, want %v", fresh, want)
-		}
-	}
-}
-
 // Property: Insert/AdvanceTo never corrupt the held counter, and Has agrees
-// with MissingIn for arbitrary operation sequences.
+// with AppendMissingIn for arbitrary operation sequences.
 func TestBufferInvariantsQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
 		b := New(64, 0)

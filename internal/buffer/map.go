@@ -143,18 +143,3 @@ func UnmarshalMap(data []byte) (Map, error) {
 	}
 	return m, nil
 }
-
-// FreshIn returns the IDs advertised by the map within w that pass the keep
-// filter, ascending. The scheduler uses it to enumerate segments that are
-// "all fresh to the local node" (§4.2): available at a neighbour and not in
-// the local buffer.
-func (m Map) FreshIn(w segment.Window, keep func(segment.ID) bool) []segment.ID {
-	w = w.Intersect(m.Window())
-	var out []segment.ID
-	for id := w.Lo; id < w.Hi; id++ {
-		if m.Has(id) && keep(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}

@@ -305,15 +305,11 @@ type serveCtx struct {
 	sn         *Node
 	neighbours []overlay.NodeID
 	cache      *rarityCache
-	positions  []int
 	pos        segment.ID
 
-	// nbWords holds the live neighbours' advertised availability words when
-	// every snapshot aligns with the playback window (aligned); the rarity
-	// closure then counts holders with one bit probe per neighbour word and
-	// collapses the product to a repeated factor.
+	// nbWords holds the live neighbours' advertised availability words; the
+	// rarity closure counts holders with one bit probe per neighbour word.
 	nbWords [][]uint64
-	aligned bool
 
 	supplierHas    func(segment.ID) bool
 	requesterAlive func(overlay.NodeID) bool
@@ -321,29 +317,16 @@ type serveCtx struct {
 	rarity         func(segment.ID) float64
 }
 
-// prepRarity readies the rarity fast path for the current supplier: with
-// every live neighbour's map opening at the shared playback position at
-// full window size, a segment's position-from-tail is identical in each
-// holder, so rarity needs only a holder count. Any misaligned snapshot
-// (never produced by the round pipeline, whose buffers all advance to the
-// playback position before the exchange) disables the fast path and the
-// closure runs the scalar position-gathering loop, retained as the
-// differential oracle.
+// prepRarity gathers the current supplier's live neighbours' words. Every
+// snapshot shares the playback origin and window size (alignedWords), so a
+// segment's position-from-tail is identical in each holder and rarity
+// needs only a holder count.
 func (c *serveCtx) prepRarity() {
 	c.nbWords = c.nbWords[:0]
-	c.aligned = true
-	size := c.w.cfg.BufferSegments
 	for _, nb := range c.neighbours {
-		j := c.index[nb]
-		if j < 0 {
-			continue
+		if j := c.index[nb]; j >= 0 {
+			c.nbWords = append(c.nbWords, c.w.alignedWords(c.snaps[j], c.pos, c.sn.ID, nb))
 		}
-		snap := c.snaps[j]
-		if snap.Lo != c.pos || snap.Size != size {
-			c.aligned = false
-			return
-		}
-		c.nbWords = append(c.nbWords, snap.Bits)
 	}
 }
 
@@ -363,36 +346,20 @@ func (c *serveCtx) ensure(w *World) {
 		if r, ok := c.cache.get(id); ok {
 			return r
 		}
+		// Holder count via one bit probe per neighbour word; an ID outside
+		// the shared window has no holders and keeps the empty product's 1.
 		size := c.w.cfg.BufferSegments
-		var r float64
-		if c.aligned {
-			// Holder count via one bit probe per neighbour word; an ID
-			// outside the shared window has no holders and keeps the empty
-			// product's 1 — exactly the scalar loop's result.
-			count := 0
-			i := int(id - c.pos)
-			if i >= 0 && i < size {
-				wi, bit := i>>6, uint64(1)<<(uint(i)&63)
-				for _, words := range c.nbWords {
-					if words[wi]&bit != 0 {
-						count++
-					}
+		count := 0
+		i := int(id - c.pos)
+		if i >= 0 && i < size {
+			wi, bit := i>>6, uint64(1)<<(uint(i)&63)
+			for _, words := range c.nbWords {
+				if words[wi]&bit != 0 {
+					count++
 				}
 			}
-			r = protocol.SupplierRarityUniform(size, size-i, count)
-		} else {
-			c.positions = c.positions[:0]
-			for _, nb := range c.neighbours {
-				j := c.index[nb]
-				if j < 0 {
-					continue
-				}
-				if pft, ok := c.snaps[j].PositionFromTail(id); ok {
-					c.positions = append(c.positions, pft)
-				}
-			}
-			r = protocol.SupplierRarity(size, c.positions)
 		}
+		r := protocol.SupplierRarityUniform(size, size-i, count)
 		c.cache.put(id, r)
 		return r
 	}

@@ -19,9 +19,10 @@ import (
 // steady-state work the gate should price.
 func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 
-// BenchSchedulePhase executes the scheduling slice of one round — buffer-
-// map exchange, candidate enumeration, and Algorithm 1 request selection —
-// and returns how many requests were scheduled. Before returning it
+// BenchSchedulePhase executes the scheduling slice of one round — the
+// window advance that opens it, buffer-map exchange, candidate enumeration,
+// and Algorithm 1 request selection — and returns how many requests were
+// scheduled. Before returning it
 // unwinds the pending-request marks the scheduler set (a gossipExpiry at
 // or below the current round is behaviourally identical to the zero "no
 // pending request" state, so resetting the scheduled IDs to 0 restores the
@@ -29,6 +30,7 @@ func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 // — the property a benchmark iteration needs.
 func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.round = clock.Round()
+	w.beginRound()
 	var sample metrics.RoundSample
 	snaps := w.exchangePhase(&sample)
 	index := w.buildIndex()

@@ -257,6 +257,9 @@ func (c Config) Validate() error {
 	if err := c.Stream.Validate(); err != nil {
 		return err
 	}
+	if c.Stream.Rate > 64 {
+		return fmt.Errorf("core: stream rate %d exceeds 64 segments per round, the push planner's one-word frontier", c.Stream.Rate)
+	}
 	if c.BufferSegments <= 0 {
 		return fmt.Errorf("core: non-positive buffer size %d", c.BufferSegments)
 	}

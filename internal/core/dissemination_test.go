@@ -11,9 +11,10 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// serveFixture builds a world plus the snapshot/index context
-// serveSupplier needs, and picks a non-source supplier.
-func serveFixture(t *testing.T, workers int) (*World, overlay.NodeID, []buffer.Map, []int32) {
+// serveFixture builds a world at playback position pos — every buffer
+// advanced there, as beginRound leaves them — plus the snapshot/index
+// context serveSupplier needs, and picks a non-source supplier.
+func serveFixture(t *testing.T, workers int, pos segment.ID) (*World, overlay.NodeID, []buffer.Map, []int32) {
 	t.Helper()
 	cfg := smallConfig(30, ProfileContinuStreaming())
 	cfg.Workers = workers
@@ -34,6 +35,7 @@ func serveFixture(t *testing.T, workers int) (*World, overlay.NodeID, []buffer.M
 	snaps := make([]buffer.Map, len(w.Nodes()))
 	index := w.buildIndex()
 	for i, id := range w.Nodes() {
+		w.Node(id).Buf.AdvanceTo(pos)
 		snaps[i] = w.Node(id).Buf.Snapshot()
 	}
 	return w, sup, snaps, index
@@ -48,10 +50,10 @@ func serveFixture(t *testing.T, workers int) (*World, overlay.NodeID, []buffer.M
 func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 	var first []segment.ID
 	for _, workers := range []int{1, 4} {
-		w, sup, snaps, index := serveFixture(t, workers)
+		pos := segment.ID(100)
+		w, sup, snaps, index := serveFixture(t, workers, pos)
 		sn := w.Node(sup)
 		sn.Rates.Out = 1 // capacity 2 with backlog spill
-		pos := segment.ID(100)
 		p := w.cfg.Stream.Rate
 		// Six contending requesters asking for segments at increasing
 		// deadlines (ids 1, 2, 3 rounds ahead of pos).
@@ -93,7 +95,7 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 // neighbour advertises, one for a segment none do — the rare segment
 // must win the single grant slot.
 func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
-	w, sup, _, index := serveFixture(t, 1)
+	w, sup, _, index := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
 	pos := segment.ID(0)
@@ -125,7 +127,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 // overload beyond the backlog horizon is carried (earliest deadlines
 // first) and served from the queue on the next call, rather than dropped.
 func TestQueueCarriesUnservedRequests(t *testing.T) {
-	w, sup, snaps, index := serveFixture(t, 1)
+	w, sup, snaps, index := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
 	pos := segment.ID(0)

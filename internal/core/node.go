@@ -234,12 +234,6 @@ func (n *Node) markPrefetchPending(id segment.ID, round int) {
 	n.Tags.Mark(id)
 }
 
-// prefetchInFlight reports whether id has an unexpired pre-fetch pending.
-func (n *Node) prefetchInFlight(id segment.ID, round int) bool {
-	s, ok := n.seg.slot(id)
-	return ok && int(n.seg.prefetchExpiry[s]) > round
-}
-
 // receive ingests a delivered segment at time at. It returns true when the
 // segment was newly stored (false for duplicates or out-of-window
 // arrivals). The caller handles accounting.

@@ -25,7 +25,7 @@ func pushBudget(n *Node) int { return n.Rates.Out }
 // 8000+ nodes, while a push-seeded one starts several generations deep.
 // Hop 1 is the source spraying its connected neighbours; hop h+1 is every
 // hop-h receiver forwarding what it just received. The per-pusher send
-// plan is protocol.PlanPush; this driver owns the sharding, the ledgers
+// plan is protocol.PlanPushMask; this driver owns the sharding, the ledgers
 // and the wire-time bookkeeping.
 //
 // Each hop runs as a sharded map/reduce: pushers are partitioned by the
@@ -104,33 +104,23 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 					// orders, so pushers sharing neighbours spray different
 					// prefixes instead of racing to the same targets.
 					//
-					// The fresh window is at most one round's worth of
-					// segments, so the availability probe collapses to one
-					// missing-mask word per neighbour. pushReceived lags the
-					// current hop's own sends (cross-shard state, constant
-					// while the hop plans), which only lets the final hop
-					// overshoot by the in-flight few — counted on arrival
-					// below. PlanPush stays the oracle for wide windows.
-					var sends []protocol.Send
-					planSeed := seed ^ uint64(id)*0x9e3779b97f4a7c15
-					if int(hi-lo) <= 64 {
-						sends = protocol.PlanPushMask(planSeed, id, lo, segs, w.neighborsOf(id),
-							func(to overlay.NodeID) uint64 {
-								t := w.nodes[to]
-								// A dead or inbound-saturated target accepts
-								// nothing this hop.
-								if t == nil || t.pushReceived >= t.Rates.In {
-									return 0
-								}
-								return t.Buf.MissingMask(segment.Window{Lo: lo, Hi: hi})
-							}, budget)
-					} else {
-						sends = protocol.PlanPush(planSeed, id, segs, w.neighborsOf(id),
-							func(to overlay.NodeID, seg segment.ID) bool {
-								t := w.nodes[to]
-								return t == nil || t.Buf.Has(seg) || t.pushReceived >= t.Rates.In
-							}, budget)
-					}
+					// The fresh window is one round's worth of segments
+					// (Config.Validate bounds Stream.Rate to 64), so the
+					// availability probe is one missing-mask word per
+					// neighbour. pushReceived lags the current hop's own sends
+					// (cross-shard state, constant while the hop plans), which
+					// only lets the final hop overshoot by the in-flight few —
+					// counted on arrival below.
+					sends := protocol.PlanPushMask(seed^uint64(id)*0x9e3779b97f4a7c15, id, lo, segs, w.neighborsOf(id),
+						func(to overlay.NodeID) uint64 {
+							t := w.nodes[to]
+							// A dead or inbound-saturated target accepts
+							// nothing this hop.
+							if t == nil || t.pushReceived >= t.Rates.In {
+								return 0
+							}
+							return t.Buf.MissingMask(segment.Window{Lo: lo, Hi: hi})
+						}, budget)
 					if len(sends) == 0 {
 						continue
 					}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	mathbits "math/bits"
 	"slices"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/metrics"
+	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
 	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
@@ -185,10 +187,14 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 // identical to the per-ID scan's (IDs ascending, suppliers in neighbour
 // order).
 //
-// ar, when non-nil, supplies the enumeration buffers, reset here per
-// node: the returned candidates (and their supplier subslices) are valid
-// only until the next candidatesFor call on the same arena — exactly the
-// scheduling call that consumes them.
+// Alignment is an invariant of the round pipeline, not a case to handle:
+// a node or snapshot whose window opens elsewhere is a sequencing bug and
+// panics.
+//
+// ar supplies the enumeration buffers, reset here per node: the returned
+// candidates (and their supplier subslices) are valid only until the next
+// candidatesFor call on the same arena — exactly the scheduling call that
+// consumes them.
 func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
 	if len(n.nbrs) == 0 {
 		return nil
@@ -202,39 +208,26 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 		return nil
 	}
 	if own.Lo() != win.Lo {
-		return w.candidatesForSlow(n, index, snaps, win, round)
+		panic(fmt.Sprintf("core: node %d schedules window [%d,%d) with its buffer at %d; beginRound advances every buffer to the playback position first",
+			n.ID, win.Lo, win.Hi, own.Lo()))
 	}
 	nWords := (width + 63) / 64
-	var live []scheduler.NeighborWords
-	var union []uint64
-	if ar != nil {
-		live = ar.candLive[:0]
-		if cap(ar.candUnion) < nWords {
-			ar.candUnion = make([]uint64, nWords)
-		}
-		union = ar.candUnion[:nWords]
-		clear(union)
-	} else {
-		live = make([]scheduler.NeighborWords, 0, len(n.nbrs))
-		union = make([]uint64, nWords)
-	}
+	live := ar.candLive[:0]
+	ar.candUnion = slices.Grow(ar.candUnion[:0], nWords)[:nWords]
+	union := ar.candUnion
+	clear(union)
 	for _, nb := range n.nbrs {
 		j := index[nb]
 		if j < 0 {
 			continue // neighbour died this round; maintenance will repair
 		}
-		snap := snaps[j]
-		if snap.Lo != win.Lo || snap.Size != own.Size() {
-			return w.candidatesForSlow(n, index, snaps, win, round)
-		}
+		bits := w.alignedWords(snaps[j], win.Lo, n.ID, nb)
 		for wi := 0; wi < nWords; wi++ {
-			union[wi] |= snap.Bits[wi]
+			union[wi] |= bits[wi]
 		}
-		live = append(live, scheduler.NeighborWords{Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: snap.Size, Bits: snap.Bits})
+		live = append(live, scheduler.NeighborWords{Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: w.cfg.BufferSegments, Bits: bits})
 	}
-	if ar != nil {
-		ar.candLive = live
-	}
+	ar.candLive = live
 	if len(live) == 0 {
 		return nil
 	}
@@ -262,67 +255,25 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 	}
 	if any == 0 {
 		// Every union bit has at least one advertising holder, so an empty
-		// union is exactly the scalar path's "no supplier entries" exit.
+		// union means no supplier entries.
 		return nil
 	}
 	// One arena for every supplier entry; per-candidate lists are
 	// capacity-capped subslices so later appends never alias them.
-	var arena []scheduler.Supplier
-	var cands []scheduler.Candidate
-	if ar != nil {
-		arena = ar.candSup[:0]
-		cands = ar.cands[:0]
-	} else {
-		arena = make([]scheduler.Supplier, 0, 8*len(live))
-		cands = make([]scheduler.Candidate, 0, width)
-	}
-	arena, cands = scheduler.FillCandidates(arena, cands, live, union, win.Lo)
-	if ar != nil {
-		ar.candSup = arena
-		ar.cands = cands
-	}
-	return cands
+	ar.candSup, ar.cands = scheduler.FillCandidates(ar.candSup[:0], ar.cands[:0], live, union, win.Lo)
+	return ar.cands
 }
 
-// candidatesForSlow is the window-agnostic fallback for misaligned
-// snapshots (never hit by the round pipeline, whose windows all open at
-// the playback position; kept so the enumeration is correct for any
-// input).
-func (w *World) candidatesForSlow(n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
-	type entry struct {
-		suppliers []scheduler.Supplier
+// alignedWords returns the availability words of the snapshot reader holds
+// of its neighbour nb, after checking the invariant the word paths rest on:
+// every snapshot of a round opens at the round's playback position pos at
+// full window size, because beginRound advances every buffer before the
+// exchange. A snapshot that opens elsewhere is a sequencing bug, not input,
+// and panics.
+func (w *World) alignedWords(snap buffer.Map, pos segment.ID, reader, nb overlay.NodeID) []uint64 {
+	if snap.Lo != pos || snap.Size != w.cfg.BufferSegments {
+		panic(fmt.Sprintf("core: node %d reads neighbour %d's snapshot [%d,%d) in a round whose windows open at %d with %d segments",
+			reader, nb, snap.Lo, snap.Lo+segment.ID(snap.Size), pos, w.cfg.BufferSegments))
 	}
-	found := make(map[segment.ID]*entry)
-	var ids []segment.ID
-	for _, nb := range n.nbrs {
-		j := index[nb]
-		if j < 0 {
-			continue
-		}
-		snap := snaps[j]
-		wn := win.Intersect(snap.Window())
-		for id := wn.Lo; id < wn.Hi; id++ {
-			if !snap.Has(id) || !n.Fresh(id, round) {
-				continue
-			}
-			pft, _ := snap.PositionFromTail(id)
-			e := found[id]
-			if e == nil {
-				e = &entry{}
-				found[id] = e
-				ids = append(ids, id)
-			}
-			e.suppliers = append(e.suppliers, scheduler.Supplier{
-				Node:             int(nb),
-				Rate:             n.Ctrl.Rate(int(nb)),
-				PositionFromTail: pft,
-			})
-		}
-	}
-	slices.Sort(ids)
-	cands := make([]scheduler.Candidate, 0, len(ids))
-	for _, id := range ids {
-		cands = append(cands, scheduler.Candidate{ID: id, Suppliers: found[id].suppliers})
-	}
-	return cands
+	return snap.Bits
 }

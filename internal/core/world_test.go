@@ -43,6 +43,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.THop = 0 },
 		func(c *Config) { c.RoutingMessageBits = 0 },
 		func(c *Config) { c.Stream.Rate = 0 },
+		func(c *Config) { c.Stream.Rate = 65 }, // past the push planner's one-word frontier
 		func(c *Config) { c.Bandwidth.MeanIn = 0 },
 		func(c *Config) { c.Churn.LeaveFraction = -1 },
 	}

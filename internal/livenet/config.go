@@ -22,7 +22,9 @@ type Config struct {
 	SourceDegree int
 	// Period is the real-time scheduling period (scaled-down τ).
 	Period time.Duration
-	// Rate is p in segments per period.
+	// Rate is p in segments per period. The push frontier is one 64-bit
+	// word: of a wider period only the first 64 segments are push-seeded,
+	// the rest spread by pull.
 	Rate int
 	// BufferSegments is B.
 	BufferSegments int

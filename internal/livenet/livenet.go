@@ -6,7 +6,7 @@
 // (internal/protocol) as the deterministic simulator: mesh repair under
 // churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
 // (BackupResponsible + the urgent-line prediction), fresh-segment push
-// (PlanPush), pull scheduling over word-aligned neighbour maps
+// (PlanPushMask), pull scheduling over word-aligned neighbour maps
 // (scheduler.FillCandidates + Algorithm 1) and supplier-side EDF serving
 // with bounded carry queues (PlanServe). Only the input assembly and the
 // transport differ; the decisions are the shared code paths, which is
@@ -328,17 +328,8 @@ func (s *session) serve(period int) {
 		if p.isSource {
 			continue
 		}
-		p.mu.Lock()
-		ok := p.buf.HasAll(win)
-		p.missedLast = !ok
-		if ok {
-			p.missStreak = 0
-		} else {
-			p.missStreak++
-		}
-		p.mu.Unlock()
 		periodPlaying++
-		if ok {
+		if p.evalPlayback(win) {
 			periodContinuous++
 		}
 	}
@@ -357,19 +348,8 @@ func (s *session) close() Stats {
 	}
 	s.wg.Wait()
 
-	stats, st := s.stats, s.st
-	stats.Delivered = st.delivered.Load()
-	stats.PushDelivered = st.pushDelivered.Load()
-	stats.Rescued = st.rescued.Load()
-	stats.RescueAsked = st.rescueAsked.Load()
-	stats.QueueServed = st.queueServed.Load()
-	stats.QueueCarried = st.queueCarried.Load()
-	stats.DeadDropped = st.deadDropped.Load()
-	stats.Replaced = st.replaced.Load()
-	stats.AsksSent = st.asksSent.Load()
-	stats.AsksReceived = st.asksReceived.Load()
-	stats.GrantsSent = st.grantsSent.Load()
-	stats.GrantsEvicted = st.grantsEvicted.Load()
+	stats := s.stats
+	s.st.fill(&stats)
 	stats.TransportDropped = s.nw.dropped.Load()
 	if s.playing > 0 {
 		stats.Continuity = float64(s.continuous) / float64(s.playing)

@@ -54,7 +54,6 @@ type Message struct {
 	// clock exists and carry 0). Receivers re-anchor their period clock
 	// to the max stamp heard — the continuous re-sync that keeps EDF
 	// deadlines and playback positions aligned when a node misses ticks.
-	// Wire version 1 frames decode with Period 0 (no stamp).
 	Period int
 	// Rescue marks data served from the DHT backup path.
 	Rescue bool

@@ -289,52 +289,26 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		p.periodServe()
 
 		if !nc.Source && period >= lag {
-			win := segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)}
-			p.mu.Lock()
-			ok := p.buf.HasAll(win)
-			p.missedLast = !ok
-			if ok {
-				p.missStreak = 0
-			} else {
-				p.missStreak++
-			}
-			links := len(p.nbrs)
-			p.mu.Unlock()
+			ok := p.evalPlayback(segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)})
 			playingSamples++
-			if ok {
-				continuous++
-			}
 			sample := 0.0
 			if ok {
+				continuous++
 				sample = 1
 			}
 			stats.PerPeriod = append(stats.PerPeriod, sample)
 			if nc.Logf != nil && period%nc.LogEvery == 0 {
 				nc.Logf("period %d: pos=%d links=%d members=%d continuous=%v",
-					period, pos, links, len(members), ok)
+					period, pos, p.linkCount(), len(members), ok)
 			}
 		} else if nc.Logf != nil && period%nc.LogEvery == 0 {
-			p.mu.Lock()
-			links := len(p.nbrs)
-			p.mu.Unlock()
-			nc.Logf("period %d: links=%d members=%d", period, links, len(members))
+			nc.Logf("period %d: links=%d members=%d", period, p.linkCount(), len(members))
 		}
 	}
 	stop()
 	wg.Wait()
 
-	stats.Delivered = n.st.delivered.Load()
-	stats.PushDelivered = n.st.pushDelivered.Load()
-	stats.Rescued = n.st.rescued.Load()
-	stats.RescueAsked = n.st.rescueAsked.Load()
-	stats.QueueServed = n.st.queueServed.Load()
-	stats.QueueCarried = n.st.queueCarried.Load()
-	stats.DeadDropped = n.st.deadDropped.Load()
-	stats.Replaced = n.st.replaced.Load()
-	stats.AsksSent = n.st.asksSent.Load()
-	stats.AsksReceived = n.st.asksReceived.Load()
-	stats.GrantsSent = n.st.grantsSent.Load()
-	stats.GrantsEvicted = n.st.grantsEvicted.Load()
+	n.st.fill(&stats)
 	stats.TransportDropped = n.tr.Dropped()
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
@@ -353,6 +327,13 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, n.tr.Dropped())
 	}
 	return stats, nil
+}
+
+// linkCount is the peer's current degree, for the node's progress log.
+func (p *peer) linkCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.nbrs)
 }
 
 // ingestFresh is the source's per-period segment generation.

@@ -33,6 +33,22 @@ type counters struct {
 	grantsEvicted atomic.Int64
 }
 
+// fill copies the counters into the stats a session or node returns.
+func (c *counters) fill(st *Stats) {
+	st.Delivered = c.delivered.Load()
+	st.PushDelivered = c.pushDelivered.Load()
+	st.Rescued = c.rescued.Load()
+	st.RescueAsked = c.rescueAsked.Load()
+	st.QueueServed = c.queueServed.Load()
+	st.QueueCarried = c.queueCarried.Load()
+	st.DeadDropped = c.deadDropped.Load()
+	st.Replaced = c.replaced.Load()
+	st.AsksSent = c.asksSent.Load()
+	st.AsksReceived = c.asksReceived.Load()
+	st.GrantsSent = c.grantsSent.Load()
+	st.GrantsEvicted = c.grantsEvicted.Load()
+}
+
 // neighbour is one linked peer's row in the peer's neighbour table.
 type neighbour struct {
 	id int
@@ -181,7 +197,10 @@ type peer struct {
 	aliveFn    func(overlay.NodeID) bool
 	gossipFn   func(to, about overlay.NodeID)
 	inFlightFn func(segment.ID) bool
-	nbrHasFn   func(overlay.NodeID, segment.ID) bool
+	nbrLacksFn func(overlay.NodeID) uint64
+	// pushBase is the first segment of the push frontier nbrLacksFn
+	// answers for, set before each PlanPushMask call.
+	pushBase segment.ID
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
@@ -293,11 +312,11 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 	p.aliveFn = func(id overlay.NodeID) bool { return p.members[int(id)] }
 	p.gossipFn = p.noteGossipPick
 	p.inFlightFn = p.inFlight
-	p.nbrHasFn = p.neighbourHas
+	p.nbrLacksFn = p.neighbourLacks
 	p.serveIn = protocol.ServeInput{
 		SupplierHas:    p.buf.Has,
 		RequesterAlive: p.aliveFn,
-		RequesterHas:   p.nbrHasFn,
+		RequesterHas:   p.neighbourHas,
 		Rarity:         p.supplierRarity,
 	}
 	return p
@@ -366,10 +385,21 @@ func (p *peer) unlink(i int) {
 }
 
 // neighbourHas reports whether a linked neighbour's latest map shows a
-// segment (the push and serve paths' "already has it" probe).
+// segment (the serve path's "already has it" probe).
 func (p *peer) neighbourHas(id overlay.NodeID, seg segment.ID) bool {
 	i, ok := p.nbrIndex(int(id))
 	return ok && p.nbrs[i].m.Has(seg)
+}
+
+// neighbourLacks is the push planner's probe: bit i set when a linked
+// neighbour's latest map does not show segment pushBase+i. The map is up
+// to a period stale, so it is re-based at the frontier.
+func (p *peer) neighbourLacks(id overlay.NodeID) uint64 {
+	var word [1]uint64
+	if i, ok := p.nbrIndex(int(id)); ok {
+		p.nbrs[i].m.WordsFrom(word[:], p.pushBase)
+	}
+	return ^word[0]
 }
 
 // loop drains the inbox until the peer is stopped, reporting each drained
@@ -553,9 +583,10 @@ func (p *peer) receiveData(m Message) {
 	// path draws on.
 	if p.cfg.Engine && m.Hop > 0 && m.Hop < p.cfg.PushHops && stored {
 		budget := p.outbound() - p.pushSpent
-		sends := protocol.PlanPush(
+		p.pushBase = m.Seg
+		sends := protocol.PlanPushMask(
 			p.cfg.Seed^uint64(p.id)*0x9e3779b97f4a7c15^uint64(p.curPeriod),
-			overlay.NodeID(p.id), []segment.ID{m.Seg}, p.nbrIDs, p.nbrHasFn, budget)
+			overlay.NodeID(p.id), m.Seg, []segment.ID{m.Seg}, p.nbrIDs, p.nbrLacksFn, budget)
 		for _, s := range sends {
 			p.pushSpent++
 			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.wireAt(p.pushSpent+p.rescueSpent)})
@@ -684,19 +715,36 @@ func (p *peer) periodServe() {
 	p.pushSpent, p.rescueSpent, p.pushReceived = 0, 0, 0
 }
 
+// evalPlayback evaluates one period's playback — does the peer hold every
+// segment of win — and records the outcome in the miss state mesh
+// maintenance reads.
+func (p *peer) evalPlayback(win segment.Window) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ok := p.buf.HasAll(win)
+	p.missedLast = !ok
+	if ok {
+		p.missStreak = 0
+	} else {
+		p.missStreak++
+	}
+	return ok
+}
+
 // pushFresh is the source's hop-1 spray of this period's new segments.
 func (p *peer) pushFresh(now int) {
 	if !p.cfg.Engine || p.cfg.PushHops <= 0 {
 		return
 	}
 	fresh := make([]segment.ID, 0, p.cfg.Rate)
-	for s := segment.ID(now * p.cfg.Rate); s < segment.ID((now+1)*p.cfg.Rate); s++ {
+	p.pushBase = segment.ID(now * p.cfg.Rate)
+	for s := p.pushBase; s < segment.ID((now+1)*p.cfg.Rate); s++ {
 		if p.buf.Has(s) {
 			fresh = append(fresh, s)
 		}
 	}
-	sends := protocol.PlanPush(
-		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), fresh, p.nbrIDs, p.nbrHasFn, p.outbound())
+	sends := protocol.PlanPushMask(
+		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), p.pushBase, fresh, p.nbrIDs, p.nbrLacksFn, p.outbound())
 	for _, s := range sends {
 		p.pushSpent++
 		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.wireAt(p.pushSpent)})
@@ -1002,7 +1050,7 @@ func (p *peer) inFlight(seg segment.ID) bool {
 }
 
 // rescueUrgent runs the urgent-line prediction (the same α-adapted
-// prefetch.Predict the simulator drives) and fires DHT-backed retrievals
+// prefetch.PredictInto the simulator drives) and fires DHT-backed retrievals
 // for the predicted-missed segments: each goes to the ring owner of one
 // of its k backup keys, falling back to the source when the ring is too
 // thin to locate one.

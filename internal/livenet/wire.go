@@ -23,19 +23,17 @@ import (
 //	int64   Seg
 //	int64   Deadline
 //	byte    Hop
-//	int32   Period (version >= 2 only)
+//	int32   Period
 //	uint16  gossip entry count
 //	  per entry: int32 peer ID, uint8 address length, address bytes
 //	if Map present: uint32 map length, then buffer.Map.Marshal bytes
 //
-// Version 2 adds the Period stamp: the sender's current session period
-// on every message, the continuous clock re-sync that replaces trusting
-// the one-shot bootstrap handshake (a receiver that missed ticks — GC
-// pause, scheduler stall, loss-delayed handshake — re-anchors to the
-// max stamp it hears). Version 1 frames still decode, with Period 0:
-// a stamp no newer than the session start, which never pulls a clock
-// forward — the compatibility fallback the mixed-version fuzz corpus
-// and TestWireDecodesVersion1Frames pin.
+// Period is the sender's current session period, stamped on every
+// message: the continuous clock re-sync that replaces trusting the
+// one-shot bootstrap handshake (a receiver that missed ticks — GC pause,
+// scheduler stall, loss-delayed handshake — re-anchors to the max stamp
+// it hears). Version 1 frames, which carried no stamp, are rejected like
+// any other unknown version.
 //
 // Gossip entries carry an optional transport address (empty in-process;
 // the UDP transport fills them from its address book so membership
@@ -46,14 +44,11 @@ import (
 // hostile or corrupted datagram cannot make a peer allocate unbounded
 // memory or misparse a field.
 const (
-	wireVersion   = 2
-	wireVersionV1 = 1
+	wireVersion = 2
 
-	// wireHeaderLen is the fixed part of a current-version payload:
-	// version, kind, flags, From, Seg, Deadline, Hop, Period, gossip
-	// count. wireHeaderLenV1 is the version-1 layout, without Period.
-	wireHeaderLen   = 1 + 1 + 1 + 4 + 8 + 8 + 1 + 4 + 2
-	wireHeaderLenV1 = 1 + 1 + 1 + 4 + 8 + 8 + 1 + 2
+	// wireHeaderLen is the fixed part of a payload: version, kind, flags,
+	// From, Seg, Deadline, Hop, Period, gossip count.
+	wireHeaderLen = 1 + 1 + 1 + 4 + 8 + 8 + 1 + 4 + 2
 
 	// maxFrame bounds a whole frame; a UDP datagram cannot exceed 65507
 	// payload bytes anyway, and every legitimate message (B=600 map plus
@@ -163,16 +158,11 @@ func DecodeMessage(data []byte) (Message, error) {
 	if len(p) < 1 {
 		return Message{}, fmt.Errorf("livenet: empty payload")
 	}
-	headerLen := wireHeaderLen
-	switch p[0] {
-	case wireVersion:
-	case wireVersionV1:
-		headerLen = wireHeaderLenV1
-	default:
+	if p[0] != wireVersion {
 		return Message{}, fmt.Errorf("livenet: unsupported wire version %d", p[0])
 	}
-	if len(p) < headerLen {
-		return Message{}, fmt.Errorf("livenet: %d-byte payload shorter than the %d-byte header", len(p), headerLen)
+	if len(p) < wireHeaderLen {
+		return Message{}, fmt.Errorf("livenet: %d-byte payload shorter than the %d-byte header", len(p), wireHeaderLen)
 	}
 	kind := MsgKind(p[1])
 	if kind > msgBye {
@@ -188,25 +178,20 @@ func DecodeMessage(data []byte) (Message, error) {
 		Seg:      segment.ID(binary.LittleEndian.Uint64(p[7:15])),
 		Deadline: sim.Time(binary.LittleEndian.Uint64(p[15:23])),
 		Hop:      int(p[23]),
+		Period:   int(int32(binary.LittleEndian.Uint32(p[24:28]))),
 		Rescue:   flags&flagRescue != 0,
 	}
 	if m.From < 0 {
 		return Message{}, fmt.Errorf("livenet: negative peer ID %d", m.From)
 	}
-	if p[0] >= wireVersion {
-		// Version 1 frames carry no period stamp; Period 0 — never newer
-		// than the session start — is the decode fallback that keeps an
-		// old sender's messages from steering anyone's clock.
-		m.Period = int(int32(binary.LittleEndian.Uint32(p[24:28])))
-		if m.Period < 0 {
-			return Message{}, fmt.Errorf("livenet: negative period stamp %d", m.Period)
-		}
+	if m.Period < 0 {
+		return Message{}, fmt.Errorf("livenet: negative period stamp %d", m.Period)
 	}
-	count := int(binary.LittleEndian.Uint16(p[headerLen-2 : headerLen]))
+	count := int(binary.LittleEndian.Uint16(p[wireHeaderLen-2 : wireHeaderLen]))
 	if count > maxGossipEntries {
 		return Message{}, fmt.Errorf("livenet: %d gossip entries exceed the wire cap %d", count, maxGossipEntries)
 	}
-	off := headerLen
+	off := wireHeaderLen
 	if count > 0 {
 		m.Gossip = make([]int, count)
 		addrs := make([]string, count)

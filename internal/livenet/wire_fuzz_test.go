@@ -11,14 +11,12 @@ import (
 // FuzzWireDecode drives DecodeMessage with arbitrary bytes: it must
 // never panic or over-allocate, and anything it accepts must re-encode
 // to a decode-equal message (the codec's round-trip invariant holds for
-// every accepted input, not just frames we produced). The decoder
-// accepts two versions — current frames with the period stamp and the
-// version-1 fallback without it — so the invariant runs accepted v1
-// inputs through the v1→v2 upgrade path: re-encoding always emits the
-// current version, and the upgraded frame must decode back to the same
-// message. Seed corpus under testdata/fuzz/FuzzWireDecode covers every
-// message kind in both versions plus known rejection shapes; CI extends
-// it with a timed fuzz run.
+// every accepted input, not just frames we produced). Only the current
+// version is accepted. The seeds below cover every message kind in the
+// current version; the corpus under testdata/fuzz/FuzzWireDecode adds the
+// stamped shapes the re-sync path sends and, as must-reject cases, every
+// kind in the retired version 1 layout; CI extends it with a timed fuzz
+// run.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -29,11 +27,15 @@ func FuzzWireDecode(f *testing.F) {
 	b := buffer.New(64, 40)
 	b.Insert(47)
 	snap := b.Snapshot()
-	for _, m := range []Message{
+	seeds := []Message{
 		{Kind: msgData, From: 3, Seg: 1200, Hop: 1, Period: 41},
 		{Kind: msgData, From: 9, Seg: 77, Rescue: true, Period: 12},
 		{Kind: msgMap, From: 2, Period: 77, Map: &snap, Gossip: []int{5, 11}},
-	} {
+	}
+	for kind := msgMap; kind <= msgBye; kind++ {
+		seeds = append(seeds, Message{Kind: kind, From: 4, Seg: 9, Period: 3})
+	}
+	for _, m := range seeds {
 		frame, err := EncodeMessage(m)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
@@ -45,6 +47,9 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[4] != wireVersion {
+			t.Fatalf("accepted a version-%d frame: %+v", data[4], m)
+		}
 		frame, err := EncodeMessage(m)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v (%+v)", err, m)
@@ -54,7 +59,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
 		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("round trip changed the message (input version %d)\nfirst  %+v\nsecond %+v", data[4], m, m2)
+			t.Fatalf("round trip changed the message\nfirst  %+v\nsecond %+v", m, m2)
 		}
 		// Re-encoding must be stable: the second decode equals the first.
 		f2, err := EncodeMessage(m2)

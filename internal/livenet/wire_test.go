@@ -172,13 +172,13 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 }
 
 // encodeMessageV1 renders m in the wire version 1 layout (no Period
-// field) — the format every pre-resync node speaks, kept here as the
-// reference for the decode-fallback contract. It supports exactly the
-// shapes randomMessage produces.
+// field) — the format pre-resync nodes spoke, kept here as the reference
+// for the must-reject contract. It supports exactly the shapes
+// randomMessage produces.
 func encodeMessageV1(t *testing.T, m Message) []byte {
 	t.Helper()
 	out := make([]byte, 4)
-	out = append(out, wireVersionV1, byte(m.Kind))
+	out = append(out, 1, byte(m.Kind))
 	flags := byte(0)
 	if m.Rescue {
 		flags |= flagRescue
@@ -210,43 +210,18 @@ func encodeMessageV1(t *testing.T, m Message) []byte {
 	return out
 }
 
-// TestWireDecodesVersion1Frames pins the version fallback: every kind
-// in the pre-period-stamp layout still decodes, field for field, with
-// Period 0 — a stamp no newer than the session start, so an old
-// sender's frames can never steer a clock. A v1 frame claiming the
-// period-stamp flag does not exist (v1 rejected unknown flags), and
-// truncating a v1 frame must still fail cleanly.
-func TestWireDecodesVersion1Frames(t *testing.T) {
+// TestWireRejectsVersion1Frames pins the retired version: no kind in the
+// pre-period-stamp layout decodes any more — an unstamped frame must not
+// reach a peer as a message stamped with period 0 — and neither does any
+// prefix of one.
+func TestWireRejectsVersion1Frames(t *testing.T) {
 	rng := sim.DeriveRNG(99, 0x1111)
 	for kind := msgMap; kind <= msgBye; kind++ {
 		for trial := 0; trial < 50; trial++ {
-			m := randomMessage(rng, kind)
-			frame := encodeMessageV1(t, m)
-			got, err := DecodeMessage(frame)
-			if err != nil {
-				t.Fatalf("kind %d trial %d: v1 decode: %v", kind, trial, err)
-			}
-			want := m
-			want.Period = 0 // v1 carries no stamp
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("kind %d trial %d: v1 fallback changed the message\nsent %+v\ngot  %+v", kind, trial, want, got)
-			}
-			// The fallback must survive a round trip through the current
-			// encoder: decode(encode(got)) == got.
-			reframe, err := EncodeMessage(got)
-			if err != nil {
-				t.Fatalf("kind %d: re-encode of v1-decoded message: %v", kind, err)
-			}
-			again, err := DecodeMessage(reframe)
-			if err != nil {
-				t.Fatalf("kind %d: decode of re-encoded frame: %v", kind, err)
-			}
-			if !reflect.DeepEqual(got, again) {
-				t.Fatalf("kind %d: v1→v2 upgrade not stable\nfirst  %+v\nsecond %+v", kind, got, again)
-			}
-			for cut := 0; cut < len(frame); cut++ {
-				if _, err := DecodeMessage(frame[:cut]); err == nil {
-					t.Fatalf("kind %d: %d-byte prefix of a v1 frame decoded without error", kind, cut)
+			frame := encodeMessageV1(t, randomMessage(rng, kind))
+			for cut := 0; cut <= len(frame); cut++ {
+				if m, err := DecodeMessage(frame[:cut]); err == nil {
+					t.Fatalf("kind %d trial %d: %d of %d bytes of a v1 frame decoded as %+v", kind, trial, cut, len(frame), m)
 				}
 			}
 		}

@@ -270,19 +270,6 @@ func (c *Collector) Totals() RoundSample {
 	return t
 }
 
-// AggregateControlOverhead returns total control bits over total data bits.
-func (c *Collector) AggregateControlOverhead() float64 {
-	t := c.Totals()
-	return t.ControlOverhead()
-}
-
-// AggregatePrefetchOverhead returns total pre-fetch bits over total data
-// bits.
-func (c *Collector) AggregatePrefetchOverhead() float64 {
-	t := c.Totals()
-	return t.PrefetchOverhead()
-}
-
 // Quantile returns the q-quantile (0..1) of the series values using
 // nearest-rank; it is used by dispersion checks in tests.
 func (s Series) Quantile(q float64) float64 {

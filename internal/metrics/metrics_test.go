@@ -116,10 +116,10 @@ func TestCollector(t *testing.T) {
 		totals.Prefetches != 2 || totals.Overdue != 1 || totals.Repeated != 1 {
 		t.Fatalf("totals = %+v", totals)
 	}
-	if got := c.AggregateControlOverhead(); math.Abs(got-0.05) > 1e-12 {
+	if got := totals.ControlOverhead(); math.Abs(got-0.05) > 1e-12 {
 		t.Fatalf("aggregate control = %v", got)
 	}
-	if got := c.AggregatePrefetchOverhead(); math.Abs(got-30.0/400) > 1e-12 {
+	if got := totals.PrefetchOverhead(); math.Abs(got-30.0/400) > 1e-12 {
 		t.Fatalf("aggregate prefetch = %v", got)
 	}
 }

@@ -13,7 +13,7 @@ func space() dht.Space { return dht.NewSpace(1024) }
 
 func TestNewPeerTable(t *testing.T) {
 	pt := NewPeerTable(space(), 7, 5, 20)
-	if pt.Self() != 7 || pt.M() != 5 || pt.NeighborSlots() != 5 {
+	if pt.Self() != 7 || pt.M() != 5 || len(pt.Neighbors()) != 0 {
 		t.Fatalf("fresh table wrong: self=%d m=%d", pt.Self(), pt.M())
 	}
 	if pt.DHT() == nil || pt.DHT().Self() != 7 {
@@ -66,8 +66,8 @@ func TestAddRemoveNeighbors(t *testing.T) {
 	if pt.RemoveNeighbor(20) {
 		t.Fatal("double remove succeeded")
 	}
-	if pt.NeighborSlots() != 1 {
-		t.Fatalf("slots = %d", pt.NeighborSlots())
+	if got := len(pt.Neighbors()); got != 2 {
+		t.Fatalf("%d neighbours left, want 2", got)
 	}
 }
 
@@ -119,35 +119,6 @@ func TestHearSelfAndNeighborsExcluded(t *testing.T) {
 	pt.Hear(700, 10)
 	if pt.DHT().Filled() == 0 {
 		t.Fatal("Hear did not refresh DHT peers")
-	}
-}
-
-func TestBestOverheard(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 2, 5)
-	pt.Hear(1, 30)
-	pt.Hear(2, 10)
-	pt.Hear(3, 20)
-	best, ok := pt.BestOverheard(nil)
-	if !ok || best.ID != 2 {
-		t.Fatalf("best = %+v", best)
-	}
-	best, ok = pt.BestOverheard(func(id NodeID) bool { return id == 2 })
-	if !ok || best.ID != 3 {
-		t.Fatalf("filtered best = %+v", best)
-	}
-	_, ok = pt.BestOverheard(func(NodeID) bool { return true })
-	if ok {
-		t.Fatal("all-excluded returned a candidate")
-	}
-}
-
-func TestBestOverheardTieBreaksByID(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 2, 5)
-	pt.Hear(9, 10)
-	pt.Hear(4, 10)
-	best, ok := pt.BestOverheard(nil)
-	if !ok || best.ID != 4 {
-		t.Fatalf("tie break = %+v", best)
 	}
 }
 
@@ -320,12 +291,12 @@ func TestRendezvousRegisterFailure(t *testing.T) {
 	rp := NewRendezvous(dht.NewSpace(64))
 	rp.Register(5)
 	rp.Register(5)
-	if rp.KnownCount() != 1 {
+	if len(rp.known) != 1 {
 		t.Fatal("duplicate register")
 	}
 	rp.ReportFailure(5)
 	rp.ReportFailure(5)
-	if rp.KnownCount() != 0 {
+	if len(rp.known) != 0 {
 		t.Fatal("failure not removed")
 	}
 	if rp.String() == "" {
@@ -333,8 +304,7 @@ func TestRendezvousRegisterFailure(t *testing.T) {
 	}
 }
 
-// Property: overheard list never exceeds H, never contains self, and
-// BestOverheard is always the minimum-latency entry.
+// Property: overheard list never exceeds H and never contains self.
 func TestOverheardInvariantsQuick(t *testing.T) {
 	f := func(events []uint16) bool {
 		pt := NewPeerTable(dht.NewSpace(256), 0, 2, 5)
@@ -345,17 +315,10 @@ func TestOverheardInvariantsQuick(t *testing.T) {
 		if len(list) > 5 {
 			return false
 		}
-		var min sim.Time = 1 << 60
 		for _, o := range list {
 			if o.ID == 0 {
 				return false
 			}
-			if o.Latency < min {
-				min = o.Latency
-			}
-		}
-		if best, ok := pt.BestOverheard(nil); ok && best.Latency != min {
-			return false
 		}
 		return true
 	}

@@ -168,9 +168,6 @@ func (pt *PeerTable) RemoveNeighbor(id NodeID) bool {
 	return true
 }
 
-// NeighborSlots returns how many neighbour slots remain free.
-func (pt *PeerTable) NeighborSlots() int { return pt.m - len(pt.neighbors) }
-
 // UpdateSupply refreshes the recent-supply column for neighbour id.
 func (pt *PeerTable) UpdateSupply(id NodeID, rate float64) {
 	if i, ok := pt.findNeighbor(id); ok {
@@ -235,27 +232,6 @@ func (pt *PeerTable) ForgetOverheard(id NodeID) {
 			return
 		}
 	}
-}
-
-// BestOverheard returns the lowest-latency overheard node not excluded by
-// the filter, for neighbour replacement: "it will be replaced by an
-// overheard node which has the lowest latency." The second result is false
-// when no candidate exists.
-func (pt *PeerTable) BestOverheard(exclude func(NodeID) bool) (Overheard, bool) {
-	best := -1
-	for i, o := range pt.overheard {
-		if exclude != nil && exclude(o.ID) {
-			continue
-		}
-		if best == -1 || o.Latency < pt.overheard[best].Latency ||
-			(o.Latency == pt.overheard[best].Latency && o.ID < pt.overheard[best].ID) {
-			best = i
-		}
-	}
-	if best == -1 {
-		return Overheard{}, false
-	}
-	return pt.overheard[best], true
 }
 
 // TakeOverheard removes and returns the entry for id, used when promoting

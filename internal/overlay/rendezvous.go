@@ -29,9 +29,6 @@ func NewRendezvous(space dht.Space) *Rendezvous {
 	return &Rendezvous{space: space, used: make(map[NodeID]bool)}
 }
 
-// KnownCount reports how many nodes the RP currently lists.
-func (rp *Rendezvous) KnownCount() int { return len(rp.known) }
-
 // AssignID allocates a uniformly random ring ID not held by any current
 // assignment. It panics when every slot is held at once, which would mean
 // more simultaneous nodes than ring positions — a misconfiguration, not a

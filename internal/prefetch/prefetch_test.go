@@ -144,7 +144,7 @@ func TestPredictThreeCases(t *testing.T) {
 	for id := segment.ID(1000); id <= 1011; id++ {
 		buf.Insert(id)
 	}
-	d := Predict(buf, 1000, 1.0/60, 5, nil)
+	d, _ := PredictInto(nil, buf, 1000, 1.0/60, 5, nil)
 	if len(d.Missed) != 0 || d.Triggered {
 		t.Fatalf("case 1 failed: %+v", d)
 	}
@@ -155,7 +155,7 @@ func TestPredictThreeCases(t *testing.T) {
 			buf2.Insert(id)
 		}
 	}
-	d = Predict(buf2, 1000, 1.0/60, 5, nil)
+	d, _ = PredictInto(nil, buf2, 1000, 1.0/60, 5, nil)
 	if !d.Triggered || len(d.Missed) != 3 {
 		t.Fatalf("case 2 failed: %+v", d)
 	}
@@ -166,7 +166,7 @@ func TestPredictThreeCases(t *testing.T) {
 	}
 	// Empty urgent zone: Nmiss = 11 > l = 5, suppressed.
 	buf3 := buffer.New(600, 1000)
-	d = Predict(buf3, 1000, 1.0/60, 5, nil)
+	d, _ = PredictInto(nil, buf3, 1000, 1.0/60, 5, nil)
 	if d.Triggered || len(d.Missed) != 11 {
 		t.Fatalf("case 3 failed: %d missed, triggered=%v", len(d.Missed), d.Triggered)
 	}
@@ -175,7 +175,7 @@ func TestPredictThreeCases(t *testing.T) {
 func TestPredictExcludesInFlight(t *testing.T) {
 	buf := buffer.New(600, 1000)
 	inflight := map[segment.ID]bool{1001: true, 1002: true, 1003: true, 1004: true, 1005: true, 1006: true}
-	d := Predict(buf, 1000, 1.0/60, 5, func(id segment.ID) bool { return inflight[id] })
+	d, _ := PredictInto(nil, buf, 1000, 1.0/60, 5, func(id segment.ID) bool { return inflight[id] })
 	// 11 missing minus 6 in flight = 5 <= l: triggers.
 	if !d.Triggered || len(d.Missed) != 5 {
 		t.Fatalf("exclude failed: %+v", d)
@@ -211,6 +211,12 @@ func buildRing(t *testing.T, space dht.Space, ids []dht.ID) *dht.Network {
 	return net
 }
 
+// locate is Algorithm 2 end to end for one segment: route, then choose.
+func locate(r *Retriever, from dht.ID, id segment.ID) LookupResult {
+	missed := []segment.ID{id}
+	return r.Choose(missed, r.RouteAll(nil, from, missed, nil))[0]
+}
+
 func TestRetrieverPicksHighestRateHolder(t *testing.T) {
 	space := dht.NewSpace(256)
 	var ids []dht.ID
@@ -235,7 +241,7 @@ func TestRetrieverPicksHighestRateHolder(t *testing.T) {
 	dir.backups[owners[1]] = map[segment.ID]bool{segID: true}
 	dir.rates[owners[1]] = 9.0
 	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
-	res := r.LocateAll(ids[0], []segment.ID{segID})[0]
+	res := locate(r, ids[0], segID)
 	if !res.Found {
 		t.Fatal("segment not found")
 	}
@@ -259,7 +265,7 @@ func TestRetrieverNotFound(t *testing.T) {
 	net := buildRing(t, space, ids)
 	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
 	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
-	res := r.LocateAll(ids[0], []segment.ID{123})[0]
+	res := locate(r, ids[0], 123)
 	if res.Found || res.Held {
 		t.Fatalf("segment nobody holds: Found=%v Held=%v", res.Found, res.Held)
 	}
@@ -268,27 +274,12 @@ func TestRetrieverNotFound(t *testing.T) {
 	owner, _ := net.Owner(key)
 	dir.backups[owner] = map[segment.ID]bool{123: true}
 	dir.rates[owner] = 0
-	res = r.LocateAll(ids[0], []segment.ID{123})[0]
+	res = locate(r, ids[0], 123)
 	if res.Found {
 		t.Fatal("zero-rate holder selected")
 	}
 	if !res.Held {
 		t.Fatal("a located owner holds the segment, but Held is false")
-	}
-}
-
-func TestLocateAllAscendingOrder(t *testing.T) {
-	space := dht.NewSpace(256)
-	var ids []dht.ID
-	for i := 0; i < 32; i++ {
-		ids = append(ids, dht.ID(i*8))
-	}
-	net := buildRing(t, space, ids)
-	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
-	r := &Retriever{Space: space, Replicas: 2, Router: net, Dir: dir}
-	out := r.LocateAll(ids[0], []segment.ID{9, 3, 7})
-	if len(out) != 3 || out[0].ID != 3 || out[1].ID != 7 || out[2].ID != 9 {
-		t.Fatalf("order wrong: %+v", out)
 	}
 }
 

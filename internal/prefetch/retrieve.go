@@ -74,9 +74,9 @@ type Retriever struct {
 	Replicas int
 	Router   Router
 	Dir      Directory
-	// Scratch, when non-nil, makes Choose allocation-free in the steady
-	// state (see the Scratch reuse contract). Nil keeps the
-	// allocate-fresh behaviour, which is always safe to retain.
+	// Scratch makes Choose allocation-free in the steady state (see the
+	// Scratch reuse contract). Nil is a fresh scratch per Choose call,
+	// whose results are always safe to retain.
 	Scratch *Scratch
 }
 
@@ -109,36 +109,28 @@ func (r *Retriever) RouteAll(dst []Walk, from dht.ID, missed []segment.ID, sc *d
 // the lower node ID. With a Scratch the returned slice and its Owners are
 // reused by the next Choose call; copy anything that must outlive it.
 func (r *Retriever) Choose(missed []segment.ID, walks []Walk) []LookupResult {
-	var out []LookupResult
-	if r.Scratch != nil {
-		out = r.Scratch.results[:0]
-		r.Scratch.owners = r.Scratch.owners[:0]
-	} else {
-		out = make([]LookupResult, 0, len(missed))
+	sc := r.Scratch
+	if sc == nil {
+		sc = &Scratch{}
 	}
+	out := sc.results[:0]
+	sc.owners = sc.owners[:0]
 	for i, id := range missed {
-		out = append(out, r.choose(id, walks[i*r.Replicas:(i+1)*r.Replicas]))
+		out = append(out, r.choose(sc, id, walks[i*r.Replicas:(i+1)*r.Replicas]))
 	}
-	if r.Scratch != nil {
-		r.Scratch.results = out[:0]
-	}
+	sc.results = out[:0]
 	return out
 }
 
 // choose resolves one segment from its k walks.
-func (r *Retriever) choose(id segment.ID, walks []Walk) LookupResult {
+func (r *Retriever) choose(sc *Scratch, id segment.ID, walks []Walk) LookupResult {
 	res := LookupResult{ID: id, Rate: 0}
-	// Owners doubles as the dedup set (k is small); with a scratch it is
-	// carved from the grow-only arena as a full-capacity subslice, so
-	// later lookups can never append into it.
-	ownerStart := 0
-	if r.Scratch != nil {
-		// Carve with open capacity so appends land in the arena's spare
-		// room; earlier results hold full-capacity subslices ending at
-		// ownerStart, so those bytes are exclusively this lookup's.
-		ownerStart = len(r.Scratch.owners)
-		res.Owners = r.Scratch.owners[ownerStart:ownerStart]
-	}
+	// Owners doubles as the dedup set (k is small). It is carved from the
+	// grow-only arena with open capacity so appends land in the arena's
+	// spare room; earlier results hold full-capacity subslices ending at
+	// ownerStart, so those bytes are exclusively this lookup's.
+	ownerStart := len(sc.owners)
+	res.Owners = sc.owners[ownerStart:ownerStart]
 	for _, w := range walks {
 		res.RoutingMessages += int(w.hops)
 		if w.owner < 0 {
@@ -164,27 +156,18 @@ func (r *Retriever) choose(id segment.ID, walks []Walk) LookupResult {
 		}
 	}
 	slices.Sort(res.Owners)
-	if r.Scratch != nil && len(res.Owners) > 0 {
+	if len(res.Owners) > 0 {
 		// The append above may have grown past the arena; fold the final
 		// slice back so the next lookup carves after it. Full-capacity
 		// subslicing keeps earlier results' Owners untouched either way.
-		r.Scratch.owners = append(r.Scratch.owners[:ownerStart], res.Owners...)
-		res.Owners = r.Scratch.owners[ownerStart:len(r.Scratch.owners):len(r.Scratch.owners)]
+		sc.owners = append(sc.owners[:ownerStart], res.Owners...)
+		res.Owners = sc.owners[ownerStart:len(sc.owners):len(sc.owners)]
 	}
 	if res.Found {
 		// The direct UDP request to the supplier is one more message.
 		res.RoutingMessages++
 	}
 	return res
-}
-
-// LocateAll is Algorithm 2 end to end for one node: RouteAll then Choose
-// over the missed segments in ascending ID order (the algorithm's input
-// ordering). It leaves dead forwarding entries in place.
-func (r *Retriever) LocateAll(from dht.ID, missed []segment.ID) []LookupResult {
-	ordered := slices.Clone(missed)
-	slices.Sort(ordered)
-	return r.Choose(ordered, r.RouteAll(nil, from, ordered, nil))
 }
 
 // Tags tracks which locally received segments arrived via pre-fetch, so

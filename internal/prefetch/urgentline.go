@@ -24,27 +24,22 @@ type Decision struct {
 	Triggered bool
 }
 
-// Predict evaluates the Urgent Line against the local buffer: every absent
-// segment at or left of the line is predicted missed. limit is l, the
-// maximum number of segments the retrieval algorithm may fetch per period;
-// exceeding it suppresses the trigger "to avoid too much pre-fetch
+// PredictInto evaluates the Urgent Line against the local buffer: every
+// absent segment at or left of the line is predicted missed. limit is l,
+// the maximum number of segments the retrieval algorithm may fetch per
+// period; exceeding it suppresses the trigger "to avoid too much pre-fetch
 // traffic".
 //
 // exclude, when non-nil, removes IDs from consideration before the three-
 // case rule is applied — the node uses it to skip segments already fetched
 // by an in-flight pre-fetch, which otherwise would be re-requested every
 // period until they arrive.
-func Predict(buf *buffer.Buffer, head segment.ID, alpha float64, limit int, exclude func(segment.ID) bool) Decision {
-	d, _ := PredictInto(nil, buf, head, alpha, limit, exclude)
-	return d
-}
-
-// PredictInto is Predict with caller-supplied scratch: the missed IDs are
-// appended to arena (the word-scan AppendMissingIn path, then compacted in
-// place by exclude), the Decision's Missed field is a capacity-capped
-// subslice of the grown arena, and the arena — its length advanced past
-// the kept entries — is returned for the caller to carry forward. Missed
-// stays valid until the caller resets the arena.
+//
+// The missed IDs are appended to arena (the word-scan AppendMissingIn
+// path, then compacted in place by exclude), the Decision's Missed field
+// is a capacity-capped subslice of the grown arena, and the arena — its
+// length advanced past the kept entries — is returned for the caller to
+// carry forward. Missed stays valid until the caller resets the arena.
 func PredictInto(arena []segment.ID, buf *buffer.Buffer, head segment.ID, alpha float64, limit int, exclude func(segment.ID) bool) (Decision, []segment.ID) {
 	w := UrgentWindow(head, alpha, buf.Size())
 	base := len(arena)

@@ -164,28 +164,29 @@ func TestServeParitySimVsLivenet(t *testing.T) {
 }
 
 // TestPushParitySimVsLivenet asserts the eager-push plan is identical for
-// both runtimes' has-views of the same neighbourhood.
+// both runtimes' lacks-views of the same neighbourhood.
 func TestPushParitySimVsLivenet(t *testing.T) {
 	w := newParityWorld(t)
+	const base = segment.ID(120)
 	segs := []segment.ID{120, 121, 122}
 	nbs := w.order
 	// Sim-shaped view: direct buffer reads.
-	simHas := func(to overlay.NodeID, seg segment.ID) bool {
-		b, ok := w.bufs[to]
-		return ok && b.Has(seg)
+	simLacks := func(to overlay.NodeID) uint64 {
+		return w.bufs[to].MissingMask(segment.Window{Lo: base, Hi: base + 3})
 	}
-	// Livenet-shaped view: announced map reads.
+	// Livenet-shaped view: announced maps re-based at the frontier.
 	nbrMaps := make(map[int]buffer.Map)
 	for _, id := range w.order {
 		nbrMaps[int(id)] = w.bufs[id].Snapshot()
 	}
-	liveHas := func(to overlay.NodeID, seg segment.ID) bool {
-		nm, ok := nbrMaps[int(to)]
-		return ok && nm.Has(seg)
+	liveLacks := func(to overlay.NodeID) uint64 {
+		var word [1]uint64
+		nbrMaps[int(to)].WordsFrom(word[:], base)
+		return ^word[0]
 	}
 	const seed, budget = 0xfeed, 5
-	simPlan := PlanPush(seed, 7, segs, nbs, simHas, budget)
-	livePlan := PlanPush(seed, 7, segs, nbs, liveHas, budget)
+	simPlan := PlanPushMask(seed, 7, base, segs, nbs, simLacks, budget)
+	livePlan := PlanPushMask(seed, 7, base, segs, nbs, liveLacks, budget)
 	if !reflect.DeepEqual(simPlan, livePlan) {
 		t.Fatalf("push plans diverged:\nsim  %+v\nlive %+v", simPlan, livePlan)
 	}

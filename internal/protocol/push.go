@@ -24,8 +24,8 @@ func compareRanked(a, b ranked) int {
 	return cmp.Compare(a.to, b.to)
 }
 
-// PlanPush computes one pusher's eager transmissions for one hop of the
-// fresh-segment push: for every fresh segment it holds, the pusher
+// PlanPushMask computes one pusher's eager transmissions for one hop of
+// the fresh-segment push: for every fresh segment it holds, the pusher
 // forwards copies to neighbours that lack the segment, breadth-first
 // across segments (each segment gets its first copy out before any
 // segment gets its second) until the outbound budget is exhausted.
@@ -34,37 +34,15 @@ func compareRanked(a, b ranked) int {
 // pushers holding the same segment spray different neighbour prefixes and
 // the copies spread instead of piling onto the lowest IDs; the order is a
 // pure function of its inputs, which keeps the phase worker-count
-// deterministic. has reports whether a neighbour already holds a segment
-// (such targets are skipped — though concurrent pushers in the same hop
-// may still race to the same target, which the caller counts as a push
-// duplicate on arrival).
-func PlanPush(seed uint64, from overlay.NodeID, segs []segment.ID, neighbours []overlay.NodeID, has func(overlay.NodeID, segment.ID) bool, budget int) []Send {
-	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
-		return nil
-	}
-	arena := make([]ranked, 0, len(segs)*len(neighbours))
-	off := make([]int, len(segs)+1)
-	for i, s := range segs {
-		for _, nb := range neighbours {
-			if has(nb, s) {
-				continue
-			}
-			arena = append(arena, ranked{to: nb, key: scheduler.Jitter(seed, uint64(s), uint64(nb))})
-		}
-		off[i+1] = len(arena)
-		slices.SortFunc(arena[off[i]:], compareRanked)
-	}
-	return emitPush(from, segs, arena, off, budget)
-}
-
-// PlanPushMask is PlanPush with the availability probe hoisted to one word
-// per neighbour: lacks(nb) returns a bitmask over the frontier window
-// [base, base+64) in which bit (s-base) set means nb lacks segment s and
-// can accept a copy, evaluated once per neighbour instead of once per
-// (segment, neighbour) pair. Every segment must satisfy base <= s <
-// base+64; callers with wider frontiers fall back to PlanPush. The output
-// is identical to PlanPush with has(nb, s) reporting the inverse of the
-// segment's mask bit — PlanPush stays as the scalar differential oracle.
+// deterministic.
+//
+// lacks(nb) is the availability probe, one word per neighbour: a bitmask
+// over the frontier window [base, base+64) in which bit (s-base) set means
+// nb lacks segment s and can accept a copy (holders are skipped — though
+// concurrent pushers in the same hop may still race to the same target,
+// which the caller counts as a push duplicate on arrival). Every segment
+// must satisfy base <= s < base+64: a push frontier is one period's fresh
+// segments, and both runtimes bound the period to one word.
 func PlanPushMask(seed uint64, from overlay.NodeID, base segment.ID, segs []segment.ID, neighbours []overlay.NodeID, lacks func(overlay.NodeID) uint64, budget int) []Send {
 	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
 		return nil

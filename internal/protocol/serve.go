@@ -75,19 +75,14 @@ type ServeResult struct {
 	Evicted Evictions
 }
 
-// Serve runs one supplier's earliest-deadline-first service discipline.
+// serve runs one supplier's earliest-deadline-first service discipline.
 // capacity is how many segments the supplier can still transmit within
 // its backlog horizon this round; queueCap bounds the carry queue; any
 // request beyond both that cannot arrive after horizon (the end of the
 // current round) in time for its deadline is evicted rather than carried.
-// reqs is reordered in place.
-func Serve(reqs []Request, capacity, queueCap int, horizon sim.Time) ServeResult {
-	return serveInto(reqs, capacity, queueCap, horizon, nil)
-}
-
-// serveInto is Serve with the carry queue appended to queued (from length
-// zero; nil allocates fresh).
-func serveInto(reqs []Request, capacity, queueCap int, horizon sim.Time, queued []Request) ServeResult {
+// reqs is reordered in place; the carry queue is appended to queued (from
+// length zero; nil allocates fresh).
+func serve(reqs []Request, capacity, queueCap int, horizon sim.Time, queued []Request) ServeResult {
 	Order(reqs)
 	res := ServeResult{Queued: queued[:0]}
 	if capacity < 0 {
@@ -177,15 +172,13 @@ type ServeScratch struct {
 // supplier-side rarity, and run the earliest-deadline-first service
 // discipline with bounded carry. Both the simulator's serveSupplier
 // driver and the livenet peer serve path call it — the decision is the
-// shared protocol; only the input assembly differs. sc may be nil
-// (allocate-fresh); see ServeScratch for the aliasing contract.
+// shared protocol; only the input assembly differs. A nil sc is a one-call
+// scratch; see ServeScratch for the aliasing contract.
 func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
-	var reqs []Request
-	if sc != nil {
-		reqs = sc.reqs[:0]
-	} else {
-		reqs = make([]Request, 0, len(in.Carried)+len(in.Fresh))
+	if sc == nil {
+		sc = &ServeScratch{}
 	}
+	reqs := sc.reqs[:0]
 	var stale int64
 	for _, c := range in.Carried {
 		// Revalidate: the requester may have died, the segment may have
@@ -233,10 +226,8 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 			Rarity:    in.Rarity(a.ID),
 		})
 	}
-	if sc != nil {
-		sc.reqs = reqs
-	}
-	res := serveInto(reqs, in.Capacity, in.QueueCap, in.Horizon, in.QueueInto)
+	sc.reqs = reqs
+	res := serve(reqs, in.Capacity, in.QueueCap, in.Horizon, in.QueueInto)
 	res.Evicted.Stale += stale
 	return res
 }

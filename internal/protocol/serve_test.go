@@ -48,7 +48,7 @@ func TestServeGrantsCapacityThenQueues(t *testing.T) {
 		{Requester: 4, ID: 13, Deadline: 500}, // earliest deadline: granted first
 		{Requester: 5, ID: 14, Deadline: 8000},
 	}
-	res := Serve(reqs, 2, 1, 1000)
+	res := serve(reqs, 2, 1, 1000, nil)
 	if len(res.Granted) != 2 || res.Granted[0].ID != 13 || res.Granted[1].ID != 10 {
 		t.Fatalf("granted %+v, want EDF order [13 10]", res.Granted)
 	}
@@ -67,7 +67,7 @@ func TestServeEvictsPastDeadline(t *testing.T) {
 		{Requester: 1, ID: 10, Deadline: 900},
 		{Requester: 2, ID: 11, Deadline: 950},
 	}
-	res := Serve(reqs, 0, 8, 1000)
+	res := serve(reqs, 0, 8, 1000, nil)
 	if len(res.Granted) != 0 || len(res.Queued) != 0 {
 		t.Fatalf("granted %d queued %d, want none", len(res.Granted), len(res.Queued))
 	}
@@ -95,7 +95,8 @@ func TestSupplierRarity(t *testing.T) {
 func TestPlanPushBreadthFirstAndBudget(t *testing.T) {
 	segs := []segment.ID{100, 101}
 	nbs := []overlay.NodeID{1, 2, 3}
-	sends := PlanPush(7, 42, segs, nbs, func(overlay.NodeID, segment.ID) bool { return false }, 3)
+	lacksAll := func(overlay.NodeID) uint64 { return ^uint64(0) }
+	sends := PlanPushMask(7, 42, 100, segs, nbs, lacksAll, 3)
 	if len(sends) != 3 {
 		t.Fatalf("%d sends, want budget-limited 3", len(sends))
 	}
@@ -110,7 +111,7 @@ func TestPlanPushBreadthFirstAndBudget(t *testing.T) {
 		}
 	}
 	// Deterministic: identical inputs, identical plan.
-	again := PlanPush(7, 42, segs, nbs, func(overlay.NodeID, segment.ID) bool { return false }, 3)
+	again := PlanPushMask(7, 42, 100, segs, nbs, lacksAll, 3)
 	if !reflect.DeepEqual(sends, again) {
 		t.Fatalf("plan not deterministic: %+v vs %+v", sends, again)
 	}
@@ -119,7 +120,12 @@ func TestPlanPushBreadthFirstAndBudget(t *testing.T) {
 func TestPlanPushSkipsHolders(t *testing.T) {
 	segs := []segment.ID{100}
 	nbs := []overlay.NodeID{1, 2, 3}
-	sends := PlanPush(7, 42, segs, nbs, func(to overlay.NodeID, _ segment.ID) bool { return to != 2 }, 10)
+	sends := PlanPushMask(7, 42, 100, segs, nbs, func(to overlay.NodeID) uint64 {
+		if to == 2 {
+			return 1
+		}
+		return 0
+	}, 10)
 	if len(sends) != 1 || sends[0].To != 2 {
 		t.Fatalf("sends %+v, want exactly one to the only non-holder 2", sends)
 	}

@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
@@ -36,10 +38,32 @@ func TestSupplierRarityUniformMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPlanPushMaskMatchesPlanPush cross-checks the hoisted one-word
-// availability probe against the scalar per-(segment, neighbour) oracle on
-// random frontiers: random neighbour sets, random per-neighbour holdings,
-// random budgets. The two must emit identical Send sequences.
+// planPushProbe is the push planner's differential oracle: the same plan
+// with availability probed once per (segment, neighbour) pair — has reports
+// whether a neighbour already holds a segment — and no window bound.
+func planPushProbe(seed uint64, from overlay.NodeID, segs []segment.ID, neighbours []overlay.NodeID, has func(overlay.NodeID, segment.ID) bool, budget int) []Send {
+	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
+		return nil
+	}
+	arena := make([]ranked, 0, len(segs)*len(neighbours))
+	off := make([]int, len(segs)+1)
+	for i, s := range segs {
+		for _, nb := range neighbours {
+			if has(nb, s) {
+				continue
+			}
+			arena = append(arena, ranked{to: nb, key: scheduler.Jitter(seed, uint64(s), uint64(nb))})
+		}
+		off[i+1] = len(arena)
+		slices.SortFunc(arena[off[i]:], compareRanked)
+	}
+	return emitPush(from, segs, arena, off, budget)
+}
+
+// TestPlanPushMaskMatchesPlanPush cross-checks the one-word availability
+// probe against the per-(segment, neighbour) oracle on random frontiers:
+// random neighbour sets, random per-neighbour holdings, random budgets.
+// The two must emit identical Send sequences.
 func TestPlanPushMaskMatchesPlanPush(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0x9a5e)
 	for trial := 0; trial < 3000; trial++ {
@@ -71,7 +95,7 @@ func TestPlanPushMaskMatchesPlanPush(t *testing.T) {
 		seed := rng.Uint64()
 		budget := rng.Intn(20)
 
-		scalar := PlanPush(seed, from, segs, neighbours,
+		scalar := planPushProbe(seed, from, segs, neighbours,
 			func(nb overlay.NodeID, s segment.ID) bool {
 				return holds[nb]&(1<<uint(s-base)) != 0
 			}, budget)

@@ -21,14 +21,7 @@ func (RarestFirst) Name() string { return "rarest-first" }
 
 // Schedule implements Policy.
 func (RarestFirst) Schedule(in Input) []Request {
-	scored := scoredBuf(in)
-	for _, c := range in.Candidates {
-		if len(c.Suppliers) == 0 {
-			continue
-		}
-		scored = append(scored, scoredCandidate{c: c})
-	}
-	saveScored(in, scored)
+	scored := scoreCandidates(&in, nil)
 	slices.SortFunc(scored, func(a, b scoredCandidate) int {
 		na, nb := len(a.c.Suppliers), len(b.c.Suppliers)
 		if na != nb {
@@ -56,14 +49,7 @@ func (r *Random) Name() string { return "random-order" }
 
 // Schedule implements Policy.
 func (r *Random) Schedule(in Input) []Request {
-	scored := scoredBuf(in)
-	for _, c := range in.Candidates {
-		if len(c.Suppliers) == 0 {
-			continue
-		}
-		scored = append(scored, scoredCandidate{c: c})
-	}
-	saveScored(in, scored)
+	scored := scoreCandidates(&in, nil)
 	// Deterministic order first, then a seeded shuffle.
 	slices.SortFunc(scored, func(a, b scoredCandidate) int { return cmp.Compare(a.c.ID, b.c.ID) })
 	r.RNG.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
@@ -79,14 +65,7 @@ func (UrgencyOnly) Name() string { return "urgency-only" }
 
 // Schedule implements Policy.
 func (UrgencyOnly) Schedule(in Input) []Request {
-	scored := scoredBuf(in)
-	for _, c := range in.Candidates {
-		if len(c.Suppliers) == 0 {
-			continue
-		}
-		scored = append(scored, scoredCandidate{c: c, priority: noisyUrgency(in, c)})
-	}
-	saveScored(in, scored)
+	scored := scoreCandidates(&in, noisyUrgency)
 	sortByPriority(in, scored)
 	return assignGreedy(in, scored)
 }
@@ -99,14 +78,7 @@ func (RarityOnly) Name() string { return "rarity-only" }
 
 // Schedule implements Policy.
 func (RarityOnly) Schedule(in Input) []Request {
-	scored := scoredBuf(in)
-	for _, c := range in.Candidates {
-		if len(c.Suppliers) == 0 {
-			continue
-		}
-		scored = append(scored, scoredCandidate{c: c, priority: noisyRarity(in, c)})
-	}
-	saveScored(in, scored)
+	scored := scoreCandidates(&in, noisyRarity)
 	sortByPriority(in, scored)
 	return assignGreedy(in, scored)
 }

@@ -22,9 +22,18 @@ func (Greedy) Name() string { return "urgency-rarity-greedy" }
 
 // Schedule implements Policy.
 func (Greedy) Schedule(in Input) []Request {
-	scored := scoreCandidates(in)
+	scored := scoreCandidates(&in, combinedPriority)
 	sortByPriority(in, scored)
 	return assignGreedy(in, scored)
+}
+
+// combinedPriority is equation (3) over the perturbed terms.
+func combinedPriority(in Input, c Candidate) float64 {
+	p := noisyUrgency(in, c)
+	if r := noisyRarity(in, c); r > p {
+		p = r
+	}
+	return p
 }
 
 type scoredCandidate struct {
@@ -57,21 +66,6 @@ type Scratch struct {
 // invalidated.
 func (sc *Scratch) Reset() { sc.reqs = sc.reqs[:0] }
 
-// scoredBuf returns the scratch's scored buffer (or a fresh one),
-// emptied; saveScored stores regrowth back so capacity survives reuse.
-func scoredBuf(in Input) []scoredCandidate {
-	if in.Scratch != nil {
-		return in.Scratch.scored[:0]
-	}
-	return make([]scoredCandidate, 0, len(in.Candidates))
-}
-
-func saveScored(in Input, s []scoredCandidate) {
-	if in.Scratch != nil {
-		in.Scratch.scored = s
-	}
-}
-
 // sortByPriority orders candidates by descending priority, breaking ties
 // with the node's jitter so neighbouring peers diverge, then by ID for
 // full determinism.
@@ -89,21 +83,26 @@ func sortByPriority(in Input, scored []scoredCandidate) {
 	})
 }
 
-func scoreCandidates(in Input) []scoredCandidate {
-	out := scoredBuf(in)
+// scoreCandidates lists the candidates that have a supplier, each with the
+// priority the policy's function gives it (nil: unranked), in the call's
+// scratch. Every policy enters through here, so a nil in.Scratch becomes a
+// one-call scratch at this one place and nothing downstream tests for it.
+func scoreCandidates(in *Input, priority func(Input, Candidate) float64) []scoredCandidate {
+	if in.Scratch == nil {
+		in.Scratch = &Scratch{}
+	}
+	out := in.Scratch.scored[:0]
 	for _, c := range in.Candidates {
 		if len(c.Suppliers) == 0 {
 			continue
 		}
-		u := noisyUrgency(in, c)
-		r := noisyRarity(in, c)
-		p := u
-		if r > p {
-			p = r
+		sc := scoredCandidate{c: c}
+		if priority != nil {
+			sc.priority = priority(*in, c)
 		}
-		out = append(out, scoredCandidate{c: c, priority: p})
+		out = append(out, sc)
 	}
-	saveScored(in, out)
+	in.Scratch.scored = out
 	return out
 }
 
@@ -122,14 +121,9 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 	tauMS := float64(in.Tau)
 	// queue tracks supplier -> queueing time τ(j) in ms; reqs doubles as
 	// the duplicate-candidate guard (an ID appears in it iff assigned).
-	var queue []supplierLoad
-	var reqs []Request
-	start := 0
-	if in.Scratch != nil {
-		queue = in.Scratch.queue[:0]
-		reqs = in.Scratch.reqs
-		start = len(reqs)
-	}
+	queue := in.Scratch.queue[:0]
+	reqs := in.Scratch.reqs
+	start := len(reqs)
 	for _, sc := range ordered {
 		if len(reqs)-start >= limit {
 			break
@@ -144,7 +138,7 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 		if dup {
 			continue
 		}
-		bestAt := math_inf
+		bestAt := unreachable
 		bestSupplier := -1
 		bestJitter := uint64(0)
 		for _, s := range sc.c.Suppliers {
@@ -195,15 +189,13 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 			ExpectedAt: sim.Time(bestAt),
 		})
 	}
-	if in.Scratch != nil {
-		in.Scratch.queue = queue
-		in.Scratch.reqs = reqs
-		if len(reqs) == start {
-			return nil
-		}
-		return reqs[start:len(reqs):len(reqs)]
+	in.Scratch.queue = queue
+	in.Scratch.reqs = reqs
+	if len(reqs) == start {
+		return nil
 	}
-	return reqs
+	return reqs[start:len(reqs):len(reqs)]
 }
 
-const math_inf = 1e18
+// unreachable is an expected completion time no real transfer has.
+const unreachable = 1e18

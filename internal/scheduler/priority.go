@@ -150,9 +150,9 @@ type Input struct {
 	InboundBudget int
 	// Candidates are the fresh segments; order need not be significant.
 	Candidates []Candidate
-	// Scratch, when non-nil, supplies the policy's reusable working
-	// storage; see Scratch for the lifetime contract of the returned
-	// requests. Nil keeps the allocate-fresh behaviour.
+	// Scratch supplies the policy's reusable working storage; see Scratch
+	// for the lifetime contract of the returned requests. Nil is a
+	// one-call scratch.
 	Scratch *Scratch
 	// JitterSeed decorrelates equal-priority decisions across nodes. With
 	// synchronized buffer windows many segments tie exactly on priority

@@ -124,18 +124,12 @@ func TestEventQueueOrdering(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("queue has %d left, want 1", q.Len())
 	}
-	if at, ok := q.PeekTime(); !ok || at != 30 {
-		t.Fatalf("PeekTime = %v, %v", at, ok)
-	}
 	ev, ok := q.Pop()
-	if !ok || ev.Payload != "c" {
+	if !ok || ev.Payload != "c" || ev.At != 30 {
 		t.Fatalf("Pop = %+v, %v", ev, ok)
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue returned ok")
-	}
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("PeekTime on empty queue returned ok")
 	}
 }
 

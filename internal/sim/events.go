@@ -35,15 +35,6 @@ func (q *EventQueue[T]) Push(at Time, payload T) {
 // Len reports the number of pending events.
 func (q *EventQueue[T]) Len() int { return len(q.h) }
 
-// PeekTime returns the timestamp of the earliest event. The second result is
-// false when the queue is empty.
-func (q *EventQueue[T]) PeekTime() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].At, true
-}
-
 // PopUntil removes and returns, in order, every event with At <= deadline.
 func (q *EventQueue[T]) PopUntil(deadline Time) []Event[T] {
 	var out []Event[T]

@@ -135,7 +135,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Pick returns a uniformly chosen element index of a slice of length n.
-// It is sugar for Intn that reads better at call sites choosing peers.
-func (r *RNG) Pick(n int) int { return r.Intn(n) }
