@@ -161,8 +161,8 @@ func BenchmarkFigure11PrefetchOverheadVsSize(b *testing.B) {
 }
 
 // BenchmarkAblationSchedulingPolicies quantifies the design choices
-// DESIGN.md calls out: how each scheduling discipline fares on the same
-// workload (static, 300 nodes).
+// EXPERIMENTS.md calls out: how each scheduling discipline fares on the
+// same workload (static, 300 nodes).
 func BenchmarkAblationSchedulingPolicies(b *testing.B) {
 	b.ReportAllocs()
 	systems := []System{CoolStreaming, ContinuStreamingNoPrefetch, ContinuStreaming}

@@ -27,39 +27,30 @@ import (
 )
 
 func main() {
+	// Protocol flags bind straight to the default config's fields, so
+	// -help shows the real defaults and a flag's value is the value used.
+	cfg := livenet.DefaultConfig()
+	flag.IntVar(&cfg.Peers, "peers", 8, "expected audience size (capacity scaling)")
+	flag.DurationVar(&cfg.Period, "period", cfg.Period, "scheduling period (scaled-down tau)")
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "policy randomness seed")
+	flag.BoolVar(&cfg.Engine, "engine", cfg.Engine, "dissemination engine (push + EDF serve + carry queues)")
+	flag.BoolVar(&cfg.Repair, "repair", cfg.Repair, "mesh repair and DHT rescue")
+	flag.BoolVar(&cfg.Resync, "resync", cfg.Resync, "continuous clock re-sync from peer period stamps")
+	flag.IntVar(&cfg.RetryPeriods, "retry", cfg.RetryPeriods, "pull/rescue retry window in periods")
+	flag.IntVar(&cfg.PushHops, "pushhops", cfg.PushHops, "push depth (0 = pull-only)")
 	var (
 		id        = flag.Int("id", 0, "peer ID (0 = the source/RP)")
 		listen    = flag.String("listen", "127.0.0.1:0", "UDP address to bind (port 0 picks a free one)")
 		bootstrap = flag.String("bootstrap", "", "rendezvous point address (empty = this node is the RP)")
 		source    = flag.Bool("source", false, "emit the stream (must be id 0)")
-		peers     = flag.Int("peers", 8, "expected audience size (capacity scaling)")
 		periods   = flag.Int("periods", 60, "session length in scheduling periods")
-		period    = flag.Duration("period", 50*time.Millisecond, "scheduling period (scaled-down tau)")
-		seed      = flag.Uint64("seed", 1, "policy randomness seed")
 		exitat    = flag.Int("exitat", 0, "abruptly fail at this period (0 = run to completion)")
-		engine    = flag.Bool("engine", true, "dissemination engine (push + EDF serve + carry queues)")
-		repair    = flag.Bool("repair", true, "mesh repair and DHT rescue")
-		resync    = flag.Bool("resync", true, "continuous clock re-sync from peer period stamps")
-		retry     = flag.Int("retry", 0, "pull/rescue retry window in periods (0 = default)")
-		pushhops  = flag.Int("pushhops", -1, "push depth override (-1 = protocol default, 0 = pull-only)")
 		shape     = flag.String("shape", "", "egress WAN shaping profile, e.g. loss=2%,latency=50ms,jitter=20ms")
 		shapeseed = flag.Uint64("shapeseed", 0, "traffic shaper seed (fixed seed = replayable drop/delay sequence)")
 		logevery  = flag.Int("logevery", 10, "progress log cadence in periods")
 		timeout   = flag.Duration("timeout", 3*time.Minute, "hard wall-clock bound on the whole run")
 	)
 	flag.Parse()
-
-	cfg := livenet.DefaultConfig()
-	cfg.Peers = *peers
-	cfg.Period = *period
-	cfg.Seed = *seed
-	cfg.Engine = *engine
-	cfg.Repair = *repair
-	cfg.Resync = *resync
-	cfg.RetryPeriods = *retry
-	if *pushhops >= 0 {
-		cfg.PushHops = *pushhops
-	}
 
 	logger := log.New(os.Stderr, fmt.Sprintf("livenode[%d] ", *id), log.Ltime|log.Lmicroseconds)
 	node, err := livenet.NewNode(cfg, livenet.NodeConfig{
@@ -77,7 +68,7 @@ func main() {
 		logger.Fatalf("setup: %v", err)
 	}
 	fmt.Printf("LISTEN=%s\n", node.Addr())
-	logger.Printf("bound %s, bootstrap %q, %d periods of %v", node.Addr(), *bootstrap, *periods, *period)
+	logger.Printf("bound %s, bootstrap %q, %d periods of %v", node.Addr(), *bootstrap, *periods, cfg.Period)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

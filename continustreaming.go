@@ -485,8 +485,8 @@ func RunLive(ctx context.Context, cfg LiveConfig, periods int) (LiveResult, erro
 		inner.Peers = cfg.Peers
 	}
 	if cfg.Neighbors > 0 {
-		inner.Neighbors = cfg.Neighbors
-		inner.SourceDegree = 2 * cfg.Neighbors
+		inner.M = cfg.Neighbors
+		inner.SourceDegreeTarget = 2 * cfg.Neighbors
 	}
 	if cfg.PeriodMillis > 0 {
 		inner.Period = time.Duration(cfg.PeriodMillis) * time.Millisecond
@@ -545,8 +545,11 @@ func RunLive(ctx context.Context, cfg LiveConfig, periods int) (LiveResult, erro
 		}
 		inner.Churn = append(inner.Churn, livenet.ChurnEvent{Period: joinAt, Join: cfg.JoinCount})
 	}
-	st := livenet.Run(ctx, inner, periods)
-	return liveResultOf(st), nil
+	// livenet.Run has no error return; NewNode above validates for itself.
+	if err := inner.Validate(); err != nil {
+		return LiveResult{}, err
+	}
+	return liveResultOf(livenet.Run(ctx, inner, periods)), nil
 }
 
 // liveResultOf condenses livenet session stats into the public result;

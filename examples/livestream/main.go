@@ -34,7 +34,7 @@ func main() {
 	}
 
 	fmt.Printf("streaming live: %d peers, M=%d, %v periods, kill 33%% at period 30...\n",
-		cfg.Peers, cfg.Neighbors, cfg.Period)
+		cfg.Peers, cfg.M, cfg.Period)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	stats := livenet.Run(ctx, cfg, 80)

@@ -17,7 +17,6 @@ import (
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
-	"continustreaming/internal/topology"
 )
 
 // PolicyKind selects the data scheduling discipline.
@@ -92,54 +91,35 @@ func ProfileSchedulingOnly() Profile {
 type Config struct {
 	// Nodes is the overlay population, including the source.
 	Nodes int
-	// M is the target number of connected neighbours (paper default 5);
-	// H the overheard-list capacity (paper default 20).
-	M int
+	// Params are the protocol parameters the livenet reads too.
+	protocol.Params
+	// H is the overheard-list capacity (paper default 20).
 	H int
-	// Stream is the media stream; BufferSegments is B.
-	Stream         segment.Stream
-	BufferSegments int
+	// Stream is the media stream; its Rate is p.
+	Stream segment.Stream
 	// Tau is the scheduling period (paper: 1 s).
 	Tau sim.Time
-	// Bandwidth assigns inbound/outbound rates.
+	// Bandwidth assigns inbound/outbound rates; its MeanOut and SourceOut
+	// are O.
 	Bandwidth bandwidth.Profile
-	// Replicas is k (backup copies per segment); PrefetchLimit is l (max
-	// pre-fetches per node per period).
-	Replicas      int
-	PrefetchLimit int
 	// SpaceSize is the DHT ring size N; 0 selects the smallest power of
 	// two >= max(8192, 2·Nodes).
 	SpaceSize int
 	// PlaybackDelayRounds is D: every node plays D scheduling periods
 	// behind the live edge. The paper never states its startup buffering
-	// delay; D is the one free parameter we calibrate (see DESIGN.md §6).
+	// delay; D is the one free parameter we calibrate (EXPERIMENTS.md
+	// reports every figure at the calibrated value).
 	PlaybackDelayRounds int
 	// PlaybackDelaySegments overrides the delay at segment granularity
 	// when positive (finer calibration than whole rounds); otherwise the
 	// delay is PlaybackDelayRounds · Stream.Rate segments.
 	PlaybackDelaySegments int
-	// THop is the expected one-hop latency used by the α initialiser
-	// (paper: ≈50 ms measured from its traces).
-	THop sim.Time
 	// Churn configures the dynamic environment (zero value = static).
 	Churn churn.Config
 	// Profile selects the system under test.
 	Profile Profile
 	// Seed drives all randomness.
 	Seed uint64
-	// Topology optionally supplies a pre-built trace graph; nil generates
-	// one from Seed with the paper's augmentation applied.
-	Topology *topology.Graph
-	// LowSupplyThreshold is the segments/s below which a neighbour counts
-	// as "supplied little data" and becomes replaceable (§4.1).
-	LowSupplyThreshold float64
-	// ReplaceCooldownRounds is the minimum spacing between two low-supply
-	// replacements by the same node. Without it a node re-judges its
-	// neighbours every period and keeps rewiring: each swap discards the
-	// rate estimates both sides learned, which measurably destabilises the
-	// mesh (scheduling quality drops and supplier drops double). A real
-	// deployment pays connection setup costs that impose the same pacing.
-	ReplaceCooldownRounds int
 	// DHTRepairIntervalRounds is how often (in scheduling periods) every
 	// node actively repairs its DHT peer levels — evicting dead entries
 	// and refilling vacant arcs from alive members — so greedy routing
@@ -147,50 +127,12 @@ type Config struct {
 	// churn. 0 disables active repair and leaves only the passive
 	// overheard-traffic renewal, the pre-repair behaviour.
 	DHTRepairIntervalRounds int
-	// MaxDistressReplacements caps how many low-supply neighbours a node
-	// may swap out in a single round while its playback is in sustained
-	// distress (two or more consecutive discontinuous rounds). Outside
-	// distress the cap is 1, the paper's one-replacement-per-period rule;
-	// 0 keeps the cap at 1 even under distress.
-	MaxDistressReplacements int
-	// SourceDegreeTarget is the connected-neighbour count maintenance
-	// holds the source at (0 falls back to M). The source's outbound (100
-	// segments/s against a 10 segments/s stream) is wasted behind an
-	// M-sized neighbour set: every fresh segment's dissemination starts
-	// from those first-generation holders, and under churn the epidemic
-	// needs the wider birth fan-out to reach the whole mesh before the
-	// playback deadline.
-	SourceDegreeTarget int
-	// SourceRescue lets a failed on-demand lookup fall back to a direct
-	// request at the media source when it has spare outbound — the
-	// retrieval path of last resort a real deployment always has. Without
-	// it a segment whose k arc owners all churned away (or never received
-	// it) is unrecoverable no matter how healthy routing is.
-	SourceRescue bool
-	// PushHops is H: how many mesh hops the fresh-segment push phase
-	// eagerly forwards each newly generated segment before pull
-	// scheduling takes over (profiles with Push set; 0 disables the
-	// phase). Hop 1 is the source spraying its connected neighbours; hop
-	// h+1 is every hop-h receiver forwarding onward. Each pusher spends
-	// at most one period's outbound (its O) on pushing, charged against
-	// the same ledger as its gossip serving.
-	PushHops int
-	// QueueFactor bounds the supplier-side carry queue: requests beyond
-	// a supplier's per-round backlog horizon are carried to the next
-	// round, at most QueueFactor·O of them (earliest deadlines kept,
-	// later ones evicted). 0 disables queueing and restores drop-and-
-	// retry.
-	QueueFactor int
 	// WarmupRounds is how long after joining a node is excluded from the
 	// warm continuity metric (metrics.RoundSample.ContinuityWarm): a
 	// joiner needs a round or two of catch-up before its misses say
 	// anything about dissemination quality. It only affects reporting,
 	// never scheduling.
 	WarmupRounds int
-	// RarityNoise perturbs rarity rankings per (node, segment) by up to
-	// ±RarityNoise, standing in for the measurement heterogeneity of a
-	// real deployment (see scheduler.Input.RarityNoise).
-	RarityNoise float64
 	// RoutingMessageBits is the wire size of one DHT routing message
 	// (paper: 10 bytes = 80 bits).
 	RoutingMessageBits int64
@@ -216,33 +158,19 @@ type Config struct {
 func DefaultConfig(n int) Config {
 	d := protocol.Default()
 	return Config{
-		Nodes:                 n,
-		M:                     d.M,
-		H:                     d.H,
-		Stream:                segment.DefaultStream(),
-		BufferSegments:        d.BufferSegments,
-		Tau:                   sim.Second,
-		Bandwidth:             bandwidth.DefaultProfile(),
-		Replicas:              d.Replicas,
-		PrefetchLimit:         d.PrefetchLimit,
-		PlaybackDelayRounds:   7,
-		PlaybackDelaySegments: 65,
-		THop:                  50 * sim.Millisecond,
-		Profile:               ProfileContinuStreaming(),
-		Seed:                  1,
-		LowSupplyThreshold:    d.Maintenance.LowSupplyThreshold,
-		ReplaceCooldownRounds: d.Maintenance.ReplaceCooldownRounds,
-		RarityNoise:           d.RarityNoise,
-		RoutingMessageBits:    80,
-
+		Nodes:                   n,
+		Params:                  d.Params,
+		H:                       d.H,
+		Stream:                  segment.DefaultStream(),
+		Tau:                     sim.Second,
+		Bandwidth:               bandwidth.DefaultProfile(),
+		PlaybackDelayRounds:     7,
+		PlaybackDelaySegments:   65,
+		Profile:                 ProfileContinuStreaming(),
+		Seed:                    1,
 		DHTRepairIntervalRounds: d.DHTRepairIntervalRounds,
-		MaxDistressReplacements: d.Maintenance.MaxDistressReplacements,
-		SourceDegreeTarget:      d.SourceDegreeTarget,
-		SourceRescue:            true,
-
-		PushHops:     d.PushHops,
-		QueueFactor:  d.QueueFactor,
-		WarmupRounds: d.WarmupRounds,
+		WarmupRounds:            d.WarmupRounds,
+		RoutingMessageBits:      80,
 	}
 }
 
@@ -251,8 +179,8 @@ func (c Config) Validate() error {
 	if c.Nodes < 2 {
 		return fmt.Errorf("core: need at least 2 nodes, got %d", c.Nodes)
 	}
-	if c.M <= 0 {
-		return fmt.Errorf("core: non-positive M %d", c.M)
+	if err := c.Params.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if err := c.Stream.Validate(); err != nil {
 		return err
@@ -260,23 +188,14 @@ func (c Config) Validate() error {
 	if c.Stream.Rate > 64 {
 		return fmt.Errorf("core: stream rate %d exceeds 64 segments per round, the push planner's one-word frontier", c.Stream.Rate)
 	}
-	if c.BufferSegments <= 0 {
-		return fmt.Errorf("core: non-positive buffer size %d", c.BufferSegments)
-	}
 	if c.Tau <= 0 {
 		return fmt.Errorf("core: non-positive tau %v", c.Tau)
 	}
 	if err := c.Bandwidth.Validate(); err != nil {
 		return err
 	}
-	if c.Replicas <= 0 || c.PrefetchLimit <= 0 {
-		return fmt.Errorf("core: replicas %d and prefetch limit %d must be positive", c.Replicas, c.PrefetchLimit)
-	}
 	if c.PlaybackDelayRounds <= 0 {
 		return fmt.Errorf("core: non-positive playback delay %d", c.PlaybackDelayRounds)
-	}
-	if c.THop <= 0 {
-		return fmt.Errorf("core: non-positive t_hop %v", c.THop)
 	}
 	if err := c.Churn.Validate(); err != nil {
 		return err
@@ -289,18 +208,6 @@ func (c Config) Validate() error {
 	}
 	if c.DHTRepairIntervalRounds < 0 {
 		return fmt.Errorf("core: negative DHT repair interval %d", c.DHTRepairIntervalRounds)
-	}
-	if c.MaxDistressReplacements < 0 {
-		return fmt.Errorf("core: negative distress replacement cap %d", c.MaxDistressReplacements)
-	}
-	if c.SourceDegreeTarget < 0 {
-		return fmt.Errorf("core: negative source degree target %d", c.SourceDegreeTarget)
-	}
-	if c.PushHops < 0 {
-		return fmt.Errorf("core: negative push hops %d", c.PushHops)
-	}
-	if c.QueueFactor < 0 {
-		return fmt.Errorf("core: negative queue factor %d", c.QueueFactor)
 	}
 	if c.WarmupRounds < 0 {
 		return fmt.Errorf("core: negative warmup rounds %d", c.WarmupRounds)

@@ -31,11 +31,11 @@ func TestDiagTail(t *testing.T) {
 	cfg.Churn = churn.DefaultConfig()
 	cfg.Seed = 1
 	cfg.SourceDegreeTarget = envInt("SRCDEG", cfg.SourceDegreeTarget)
-	cfg.MaxDistressReplacements = envInt("DISTRESS", cfg.MaxDistressReplacements)
-	cfg.ReplaceCooldownRounds = envInt("COOLDOWN", cfg.ReplaceCooldownRounds)
+	cfg.Maintenance.MaxDistressReplacements = envInt("DISTRESS", cfg.Maintenance.MaxDistressReplacements)
+	cfg.Maintenance.ReplaceCooldownRounds = envInt("COOLDOWN", cfg.Maintenance.ReplaceCooldownRounds)
 	cfg.DHTRepairIntervalRounds = envInt("REPAIR", cfg.DHTRepairIntervalRounds)
 	if v := os.Getenv("THRESH"); v != "" {
-		fmt.Sscanf(v, "%f", &cfg.LowSupplyThreshold)
+		fmt.Sscanf(v, "%f", &cfg.Maintenance.LowSupplyThreshold)
 	}
 	w, err := NewWorld(cfg)
 	if err != nil {
@@ -44,8 +44,8 @@ func TestDiagTail(t *testing.T) {
 	sim.NewEngine(w, cfg.Tau).Run(40)
 	cont := w.Collector().ContinuitySeries()
 	fmt.Printf("tail10=%.4f srcdeg=%d distress=%d cooldown=%d repair=%d thresh=%.2f\n",
-		cont.TailMean(10), cfg.SourceDegreeTarget, cfg.MaxDistressReplacements,
-		cfg.ReplaceCooldownRounds, cfg.DHTRepairIntervalRounds, cfg.LowSupplyThreshold)
+		cont.TailMean(10), cfg.SourceDegreeTarget, cfg.Maintenance.MaxDistressReplacements,
+		cfg.Maintenance.ReplaceCooldownRounds, cfg.DHTRepairIntervalRounds, cfg.Maintenance.LowSupplyThreshold)
 }
 
 // TestDiagChurnTrack (DIAG=1) prints per-round health of the dynamic

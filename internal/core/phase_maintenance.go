@@ -86,7 +86,6 @@ func (w *World) maintenancePhase() {
 			}
 			ar.intents = ar.intents[:0]
 			ar.rewire.Reset()
-			tuning := w.maintenanceTuning()
 			for _, id := range ar.nodes {
 				n := w.nodes[id]
 				// Snapshot the neighbour list before the dead scan:
@@ -101,7 +100,7 @@ func (w *World) maintenancePhase() {
 					}
 				}
 				ar.provider.n = n
-				if intent, ok := protocol.PlanRewire(w.maintenanceView(n, warm, &ar.provider), tuning, &ar.rewire); ok {
+				if intent, ok := protocol.PlanRewire(w.maintenanceView(n, warm, &ar.provider), w.cfg.Maintenance, &ar.rewire); ok {
 					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; no other shard touches it
 					ar.intents = append(ar.intents, intent)
 				}
@@ -126,15 +125,6 @@ func (w *World) maintenancePhase() {
 	}
 }
 
-// maintenanceTuning maps the config knobs onto the protocol's tuning.
-func (w *World) maintenanceTuning() protocol.MaintenanceTuning {
-	return protocol.MaintenanceTuning{
-		LowSupplyThreshold:      w.cfg.LowSupplyThreshold,
-		ReplaceCooldownRounds:   w.cfg.ReplaceCooldownRounds,
-		MaxDistressReplacements: w.cfg.MaxDistressReplacements,
-	}
-}
-
 // maintenanceView assembles one node's rewire decision scalars from
 // shard-owned world state. The candidate pools live behind the provider
 // seam — most nodes are at target degree and PlanRewire's fast path
@@ -148,7 +138,7 @@ func (w *World) maintenanceView(n *Node, warm bool, prov protocol.ViewProvider) 
 		Round:           w.round,
 		LastReplace:     n.lastReplace,
 		Degree:          len(n.nbrs),
-		DegreeTarget:    w.degreeTarget(n),
+		DegreeTarget:    w.cfg.DegreeTarget(n.IsSource),
 		MissedLastRound: n.missedLastRound,
 		MissStreak:      n.missStreak,
 		Provider:        prov,
@@ -166,17 +156,6 @@ func (w *World) shardWorkLists() {
 		s := w.shardOf(id)
 		w.arenas[s].nodes = append(w.arenas[s].nodes, id)
 	}
-}
-
-// degreeTarget is the connected-neighbour count maintenance refills the
-// node toward: M for ordinary peers, SourceDegreeTarget for the source
-// (degree protection — the stream's root is where every segment's
-// epidemic starts, and its outbound capacity dwarfs an M-sized fan-out).
-func (w *World) degreeTarget(n *Node) int {
-	if n.IsSource && w.cfg.SourceDegreeTarget > 0 {
-		return w.cfg.SourceDegreeTarget
-	}
-	return w.cfg.M
 }
 
 // applyRewire executes one intent against the live edge set: replacements
@@ -212,7 +191,7 @@ func (w *World) applyRewire(intent protocol.RewireIntent) {
 		n.Table.TakeOverheard(cand)
 		w.addEdge(n.ID, cand)
 	}
-	for len(n.nbrs) < w.degreeTarget(n) {
+	for len(n.nbrs) < w.cfg.DegreeTarget(n.IsSource) {
 		cand, ok := takeCandidate()
 		if !ok {
 			break

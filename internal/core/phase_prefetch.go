@@ -116,18 +116,16 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			// recoverable at all. Charged to the same outbound ledger
 			// as every other transfer, so the source's gossip serving
 			// shrinks correspondingly.
-			if w.cfg.SourceRescue {
-				src := w.nodes[w.source]
-				if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
-					w.addOutUsed(w.source, 1)
-					n.markPrefetchPending(res.ID, w.round)
-					sample.SourceRescues++
-					sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
-					direct := w.Latency(n.ID, w.source)
-					transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
-					at := start + 2*direct + transfer + direct
-					out = append(out, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
-				}
+			src := w.nodes[w.source]
+			if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
+				w.addOutUsed(w.source, 1)
+				n.markPrefetchPending(res.ID, w.round)
+				sample.SourceRescues++
+				sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
+				direct := w.Latency(n.ID, w.source)
+				transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
+				at := start + 2*direct + transfer + direct
+				out = append(out, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
 			}
 			continue
 		}

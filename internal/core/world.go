@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"continustreaming/internal/bandwidth"
@@ -133,17 +132,11 @@ func NewWorld(cfg Config) (*World, error) {
 		idGen:     make([]uint64, space.N()),
 	}
 	w.shardRank, w.shardSize = shardRanks(space.N())
-	graph := cfg.Topology
-	if graph == nil {
-		graph = topology.Generate(topology.GenerateConfig{
-			N:         cfg.Nodes,
-			AvgDegree: 2.5,
-			Seed:      cfg.Seed,
-		})
-	}
-	if graph.N() != cfg.Nodes {
-		return nil, fmt.Errorf("core: topology has %d nodes, config wants %d", graph.N(), cfg.Nodes)
-	}
+	graph := topology.Generate(topology.GenerateConfig{
+		N:         cfg.Nodes,
+		AvgDegree: 2.5,
+		Seed:      cfg.Seed,
+	})
 	topology.Augment(graph, cfg.M, sim.DeriveRNG(cfg.Seed, 0xa06))
 
 	// Assign ring IDs to trace indices.

@@ -139,11 +139,13 @@ func baseConfig(n int, profile core.Profile, dynamic bool, o Options) core.Confi
 	cfg.Profile = profile
 	cfg.Seed = o.Seed
 	cfg.Workers = o.Workers
-	if o.Delay > 0 {
-		cfg.PlaybackDelayRounds = o.Delay
-	}
+	// One delay override: segments win over rounds, and a rounds
+	// override clears the calibrated segment-granular default that would
+	// otherwise shadow it.
 	if o.DelaySegments > 0 {
 		cfg.PlaybackDelaySegments = o.DelaySegments
+	} else if o.Delay > 0 {
+		cfg.PlaybackDelayRounds, cfg.PlaybackDelaySegments = o.Delay, 0
 	}
 	core.ApplyKnobOverride(&cfg.PushHops, o.PushHops)
 	core.ApplyKnobOverride(&cfg.QueueFactor, o.QueueFactor)

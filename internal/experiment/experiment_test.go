@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"continustreaming/internal/core"
 )
 
 // tinyOptions keeps integration runs fast; the qualitative assertions
@@ -96,6 +98,32 @@ func TestFigure5TrackShape(t *testing.T) {
 	tbl := res.Table().Render()
 	if !strings.Contains(tbl, "static") {
 		t.Fatalf("table: %s", tbl)
+	}
+}
+
+// TestDelayOverrideMovesPlayback: Options.Delay (continusim -delay) must
+// reach the playback position. It was a silent no-op while the default
+// config's segment-granular delay shadowed every rounds override.
+func TestDelayOverrideMovesPlayback(t *testing.T) {
+	track := func(o Options) string {
+		t.Helper()
+		o.Rounds, o.StableTail, o.Seed = 10, 4, 3
+		res, err := RunFigure5(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table().Render()
+	}
+	rate := core.DefaultConfig(2).Stream.Rate
+	base, rounds, segs := track(Options{}), track(Options{Delay: 3}), track(Options{DelaySegments: 3 * rate})
+	if rounds == base {
+		t.Fatal("Delay: 3 left the track identical to the default delay")
+	}
+	if rounds != segs {
+		t.Fatalf("Delay: 3 and DelaySegments: %d disagree:\n%s\n%s", 3*rate, rounds, segs)
+	}
+	if both := track(Options{Delay: 5, DelaySegments: 3 * rate}); both != segs {
+		t.Fatal("DelaySegments did not win over Delay")
 	}
 }
 

@@ -18,7 +18,7 @@ func BenchmarkPeerPeriod(b *testing.B) {
 	s := newSession(cfg)
 	defer s.close()
 	period := 0
-	for ; period < 3*cfg.lagPeriods(); period++ {
+	for ; period < 3*cfg.PlaybackLagPeriods; period++ {
 		s.tick(period)
 	}
 	b.ReportAllocs()

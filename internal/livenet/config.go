@@ -1,33 +1,28 @@
 package livenet
 
 import (
+	"fmt"
 	"time"
 
 	"continustreaming/internal/protocol"
+	"continustreaming/internal/segment"
 )
 
-// Config parameterises a live session. Protocol constants default from
-// protocol.Default() — the same source the simulator's core.DefaultConfig
-// derives from — so the two runtimes cannot drift apart on M, p, B, O or
-// the engine knobs.
+// Config parameterises a live session: the protocol parameters shared
+// with the simulator (the embedded protocol.Params, so cfg.M or
+// cfg.PushHops is the same field in both runtimes) plus what only a
+// wall-clock runtime needs. DefaultConfig is the one defaults mechanism;
+// a zero field is a zero, not a request for the default.
 type Config struct {
+	protocol.Params
 	// Peers is the number of receivers (the source is extra).
 	Peers int
-	// Neighbors is M, the connected-neighbour target maintenance refills
-	// toward.
-	Neighbors int
-	// SourceDegree is the degree protection held at the source (0 falls
-	// back to 2·Neighbors): the root's edges are where fresh segments
-	// enter the mesh.
-	SourceDegree int
 	// Period is the real-time scheduling period (scaled-down τ).
 	Period time.Duration
 	// Rate is p in segments per period. The push frontier is one 64-bit
 	// word: of a wider period only the first 64 segments are push-seeded,
 	// the rest spread by pull.
 	Rate int
-	// BufferSegments is B.
-	BufferSegments int
 	// OutboundPerPeriod bounds how many segments a peer serves per period
 	// (O); the backlog horizon and carry queue scale from it exactly as
 	// in the simulator.
@@ -38,27 +33,15 @@ type Config struct {
 	// PlaybackLagPeriods is how many periods playback trails the live
 	// edge; real message passing needs a few periods of pipeline.
 	PlaybackLagPeriods int
-	// PushHops is the dissemination engine's fresh-segment push depth:
-	// the source sprays each new segment to its neighbours, and receivers
-	// forward it on for PushHops-1 more hops. 0 disables the push.
-	PushHops int
-	// QueueFactor bounds the supplier-side carry queue at QueueFactor ×
-	// OutboundPerPeriod requests; 0 disables queueing (drop-and-retry).
-	QueueFactor int
-	// Replicas is k, the backup copies per segment on the rescue ring.
-	Replicas int
-	// RescueLimit caps DHT-backed rescues per peer per period (the
-	// paper's l).
-	RescueLimit int
 	// DeadAfterPeriods is how many silent periods (no buffer-map
 	// announcement) make a neighbour presumed dead. Mesh repair then
 	// drops and replaces it.
 	DeadAfterPeriods int
 	// RetryPeriods is how many periods an in-flight pull or rescue stays
-	// pending before the peer re-asks (0 = the default 2). On a shaped
-	// link whose round trip exceeds a period, widen it so a slow-but-
-	// arriving grant is not double-requested; under heavy loss keep it
-	// tight so dropped grants re-fire quickly.
+	// pending before the peer re-asks. On a shaped link whose round trip
+	// exceeds a period, widen it so a slow-but-arriving grant is not
+	// double-requested; under heavy loss keep it tight so dropped grants
+	// re-fire quickly.
 	RetryPeriods int
 	// Resync enables continuous clock re-sync on the socket path: every
 	// wire message carries the sender's period stamp, and a node that
@@ -68,14 +51,6 @@ type Config struct {
 	// drift gap. DefaultConfig enables it; the in-process channel driver
 	// ignores it (one loop drives every peer's clock).
 	Resync bool
-	// LowSupplyThreshold overrides the shared low-supply replacement
-	// threshold (segments/period below which a struggling peer may swap
-	// a neighbour out): 0 keeps the protocol default, negative disables
-	// low-supply replacement entirely (dead-neighbour repair still
-	// runs). ReplaceCooldownPeriods spaces successive replacements by
-	// the same peer (0 keeps the livenet default).
-	LowSupplyThreshold     float64
-	ReplaceCooldownPeriods int
 	// Engine enables the dissemination engine (push + EDF serve + carry
 	// queues); off, suppliers keep the published pull-only round-robin
 	// discipline. Repair enables mesh repair and the DHT rescue path.
@@ -100,66 +75,74 @@ type ChurnEvent struct {
 	Join         int
 }
 
-// DefaultConfig returns a laptop-friendly live session wired to the
-// shared protocol defaults.
+// DefaultConfig returns a laptop-friendly live session on the shared
+// protocol defaults. The two shared parameters the livenet runs at a
+// different value are set here and nowhere else.
 func DefaultConfig() Config {
 	d := protocol.Default()
-	return Config{
+	cfg := Config{
+		Params:             d.Params,
 		Peers:              24,
-		Neighbors:          d.M,
-		SourceDegree:       2 * d.M,
 		Period:             50 * time.Millisecond,
 		Rate:               d.Rate,
-		BufferSegments:     d.BufferSegments,
 		OutboundPerPeriod:  d.OutboundPerPeriod,
 		SourceOutbound:     d.SourceOutbound,
 		PlaybackLagPeriods: 6,
-		PushHops:           d.PushHops,
-		QueueFactor:        d.QueueFactor,
-		Replicas:           d.Replicas,
-		RescueLimit:        d.PrefetchLimit,
 		DeadAfterPeriods:   3,
+		RetryPeriods:       2,
 		Engine:             true,
 		Repair:             true,
 		Resync:             true,
 		Seed:               1,
 	}
+	// The root's edges are where fresh segments enter the mesh; the
+	// livenet holds 2·M of them where the simulator holds 20.
+	cfg.SourceDegreeTarget = 2 * cfg.M
+	// The replacement cooldown is shortened to the livenet's faster
+	// period scale.
+	cfg.Maintenance.ReplaceCooldownRounds = 4
+	return cfg
 }
 
-// retryPeriods resolves the pending-window default.
-func (c Config) retryPeriods() int {
-	if c.RetryPeriods > 0 {
-		return c.RetryPeriods
+// Validate reports the first parameter a session cannot run on.
+func (c Config) Validate() error {
+	if err := c.Params.Validate(); err != nil {
+		return fmt.Errorf("livenet: %w", err)
 	}
-	return 2
+	switch {
+	case c.Peers < 0:
+		return fmt.Errorf("livenet: negative audience size %d", c.Peers)
+	case c.Period <= 0:
+		return fmt.Errorf("livenet: non-positive period %v", c.Period)
+	case c.Rate <= 0:
+		return fmt.Errorf("livenet: non-positive rate %d", c.Rate)
+	case c.OutboundPerPeriod <= 0 || c.SourceOutbound <= 0:
+		return fmt.Errorf("livenet: outbound %d and source outbound %d must be positive", c.OutboundPerPeriod, c.SourceOutbound)
+	case c.PlaybackLagPeriods <= 0:
+		return fmt.Errorf("livenet: non-positive playback lag %d", c.PlaybackLagPeriods)
+	case c.DeadAfterPeriods <= 0:
+		return fmt.Errorf("livenet: non-positive dead-after bound %d", c.DeadAfterPeriods)
+	case c.RetryPeriods <= 0:
+		return fmt.Errorf("livenet: non-positive retry window %d", c.RetryPeriods)
+	}
+	return nil
 }
 
-// maintenanceTuning maps the shared defaults onto the per-period rewire
-// decision; the cooldown is shortened to livenet's faster period scale.
-func (c Config) maintenanceTuning() protocol.MaintenanceTuning {
-	d := protocol.Default()
-	t := protocol.MaintenanceTuning{
-		LowSupplyThreshold:      d.Maintenance.LowSupplyThreshold,
-		ReplaceCooldownRounds:   4,
-		MaxDistressReplacements: d.Maintenance.MaxDistressReplacements,
-	}
-	if c.LowSupplyThreshold > 0 {
-		t.LowSupplyThreshold = c.LowSupplyThreshold
-	} else if c.LowSupplyThreshold < 0 {
-		t.LowSupplyThreshold = 0
-	}
-	if c.ReplaceCooldownPeriods > 0 {
-		t.ReplaceCooldownRounds = c.ReplaceCooldownPeriods
-	}
-	return t
+// fitAudience bounds M by the audience: a peer can hold at most Peers
+// distinct links (the source plus every other receiver), and an M above
+// that would spin the bootstrap wiring forever looking for a neighbour
+// that cannot exist.
+func (c Config) fitAudience() Config {
+	c.M = min(c.M, c.Peers)
+	return c
 }
 
-// sourceDegree resolves the source's degree target.
-func (c Config) sourceDegree() int {
-	if c.SourceDegree > 0 {
-		return c.SourceDegree
+// posFor is the playback position at an absolute session period.
+func (c Config) posFor(period int) segment.ID {
+	if lag := c.PlaybackLagPeriods; period >= lag {
+		return segment.ID((period - lag) * c.Rate)
 	}
-	return 2 * c.Neighbors
+	return 0
 }
 
 // inboxCap sizes a peer's inbox from that peer's own fan-in, not from the
@@ -173,10 +156,10 @@ func (c Config) sourceDegree() int {
 // every joiner of a bootstrap burst. Stats.TransportDropped counts what
 // overflows.
 func (c Config) inboxCap(isSource bool) int {
-	degree, out, burst := c.Neighbors, c.OutboundPerPeriod, 0
+	out, burst := c.OutboundPerPeriod, 0
 	if isSource {
-		degree, out, burst = c.sourceDegree(), c.SourceOutbound, c.Peers
+		out, burst = c.SourceOutbound, c.Peers
 	}
-	perPeriod := 2*degree + 2*out + c.OutboundPerPeriod + c.RescueLimit
+	perPeriod := 2*c.DegreeTarget(isSource) + 2*out + c.OutboundPerPeriod + c.PrefetchLimit
 	return max(64, 2*perPeriod+burst)
 }

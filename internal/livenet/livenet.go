@@ -110,7 +110,8 @@ func (s Stats) TailContinuity(n int) float64 {
 // push-seeds them; peers exchange maps with piggybacked membership
 // gossip, schedule with the paper's urgency+rarity policy, pull over
 // channels, serve EDF with carry queues, repair their meshes, and rescue
-// urgent holes from the backup ring. Run blocks until the session drains.
+// urgent holes from the backup ring. Run blocks until the session drains;
+// it has no error return, so cfg must already pass Validate.
 func Run(ctx context.Context, cfg Config, periods int) Stats {
 	s := newSession(cfg)
 	ticker := time.NewTicker(s.cfg.Period)
@@ -155,16 +156,7 @@ type session struct {
 // newSession builds the mesh: the source, cfg.Peers receivers, each
 // running its inbox loop, wired by the RP's initial contact lists.
 func newSession(cfg Config) *session {
-	// A peer can hold at most cfg.Peers distinct links (the source plus
-	// every other receiver); an M above that would spin the bootstrap
-	// wiring forever looking for a new neighbour that cannot exist.
-	if cfg.Neighbors > cfg.Peers {
-		cfg.Neighbors = cfg.Peers
-	}
-	// Resolve the lag default once, up front: every consumer of the raw
-	// field (playback evaluation, ask deadlines, warm-up gates, rescue
-	// gating) must see the same value.
-	cfg.PlaybackLagPeriods = cfg.lagPeriods()
+	cfg = cfg.fitAudience()
 	s := &session{
 		cfg:     cfg,
 		space:   dht.NewSpace(ringSpace),
@@ -179,7 +171,7 @@ func newSession(cfg Config) *session {
 		s.spawn(false, 0, 0)
 	}
 	// Bootstrap wiring (the RP's initial contact lists): every peer links
-	// to cfg.Neighbors others, the first M of them to the source so
+	// to cfg.M others, the first M of them to the source so
 	// content has an exit. Links are installed directly on both sides —
 	// this is the session's construction, not a protocol message.
 	link := func(a, b int) {
@@ -195,10 +187,10 @@ func newSession(cfg Config) *session {
 		}
 	}
 	for i := 1; i <= cfg.Peers; i++ {
-		if i <= cfg.Neighbors {
+		if i <= cfg.M {
 			connect(i, s.src.id)
 		}
-		for len(s.peers[i].nbrs) < cfg.Neighbors {
+		for len(s.peers[i].nbrs) < cfg.M {
 			connect(i, 1+s.rng.Intn(cfg.Peers))
 		}
 	}
@@ -249,7 +241,7 @@ func (s *session) churn(period int) {
 		}
 		for j := 0; j < ev.Join; j++ {
 			np := s.spawn(false, s.pos, period)
-			for _, c := range s.nw.sample(s.rng, s.cfg.Neighbors+2, np.id) {
+			for _, c := range s.nw.sample(s.rng, s.cfg.M+2, np.id) {
 				s.nw.Send(c, Message{From: np.id, Kind: msgConnect})
 			}
 			s.stats.Joined++

@@ -2,24 +2,99 @@ package livenet
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
-	"continustreaming/internal/protocol"
+	"continustreaming/internal/sim"
 )
 
+// TestDefaultConfig pins the values a default live session resolves to,
+// recorded before the config refactor of PR 16: a change to a default —
+// shared or livenet-only — has to show up here as a changed number.
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Peers <= 0 || cfg.Neighbors <= 0 || cfg.Period <= 0 || cfg.Rate <= 0 {
-		t.Fatalf("bad defaults: %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	// The shared-defaults contract: livenet must restate nothing by hand.
-	d := protocol.Default()
-	if cfg.Neighbors != d.M || cfg.Rate != d.Rate || cfg.BufferSegments != d.BufferSegments ||
-		cfg.OutboundPerPeriod != d.OutboundPerPeriod || cfg.SourceOutbound != d.SourceOutbound ||
-		cfg.PushHops != d.PushHops || cfg.QueueFactor != d.QueueFactor ||
-		cfg.Replicas != d.Replicas || cfg.RescueLimit != d.PrefetchLimit {
-		t.Fatalf("livenet defaults drifted from protocol.Default():\nlive %+v\nshared %+v", cfg, d)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"M", float64(cfg.M), 5},
+		{"source degree", float64(cfg.DegreeTarget(true)), 10},
+		{"peer degree", float64(cfg.DegreeTarget(false)), 5},
+		{"replacement cooldown", float64(cfg.Maintenance.ReplaceCooldownRounds), 4},
+		{"playback lag", float64(cfg.PlaybackLagPeriods), 6},
+		{"retry window", float64(cfg.RetryPeriods), 2},
+		{"dead-after", float64(cfg.DeadAfterPeriods), 3},
+		{"p", float64(cfg.Rate), 10},
+		{"B", float64(cfg.BufferSegments), 600},
+		{"O", float64(cfg.OutboundPerPeriod), 15},
+		{"source O", float64(cfg.SourceOutbound), 100},
+		{"push hops", float64(cfg.PushHops), 2},
+		{"queue factor", float64(cfg.QueueFactor), 2},
+		{"k", float64(cfg.Replicas), 4},
+		{"l", float64(cfg.PrefetchLimit), 5},
+		{"rarity noise", cfg.RarityNoise, 0.3},
+		{"low-supply threshold", cfg.Maintenance.LowSupplyThreshold, 1},
+		{"distress cap", float64(cfg.Maintenance.MaxDistressReplacements), 3},
+		{"t_hop (ms)", float64(cfg.THop / sim.Millisecond), 50},
+		{"receiver inbox", float64(cfg.inboxCap(false)), 120},
+		{"source inbox", float64(cfg.inboxCap(true)), 504},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestConfigValidateRejects: every parameter a session cannot run on is
+// an error at the boundary (NewNode, RunLive), not a ticker panic or a
+// silent default further in.
+func TestConfigValidateRejects(t *testing.T) {
+	bad := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative peers", func(c *Config) { c.Peers = -1 }},
+		{"zero period", func(c *Config) { c.Period = 0 }},
+		{"zero rate", func(c *Config) { c.Rate = 0 }},
+		{"zero buffer", func(c *Config) { c.BufferSegments = 0 }},
+		{"zero outbound", func(c *Config) { c.OutboundPerPeriod = 0 }},
+		{"zero source uplink", func(c *Config) { c.SourceOutbound = 0 }},
+		{"zero lag", func(c *Config) { c.PlaybackLagPeriods = 0 }},
+		{"zero dead-after", func(c *Config) { c.DeadAfterPeriods = 0 }},
+		{"zero retry", func(c *Config) { c.RetryPeriods = 0 }},
+		{"negative push hops", func(c *Config) { c.PushHops = -1 }},
+		{"negative queue", func(c *Config) { c.QueueFactor = -1 }},
+		{"zero M", func(c *Config) { c.M = 0 }},
+		{"zero replicas", func(c *Config) { c.Replicas = 0 }},
+		{"zero source degree", func(c *Config) { c.SourceDegreeTarget = 0 }},
+		{"negative distress", func(c *Config) { c.Maintenance.MaxDistressReplacements = -1 }},
+		{"zero t_hop", func(c *Config) { c.THop = 0 }},
+		{"zero prefetch limit", func(c *Config) { c.PrefetchLimit = 0 }},
+	}
+	for _, c := range bad {
+		cfg := DefaultConfig()
+		c.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "livenet: ") {
+			t.Errorf("%s: error %q lacks the livenet: prefix", c.name, err)
+		}
+		if _, nerr := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true}); nerr == nil {
+			t.Errorf("%s: NewNode accepted", c.name)
+		}
+	}
+	// Engine knobs at 0 mean "off" and stay valid.
+	off := DefaultConfig()
+	off.PushHops, off.QueueFactor, off.Peers = 0, 0, 0
+	if err := off.Validate(); err != nil {
+		t.Fatalf("push/queue off rejected: %v", err)
 	}
 }
 

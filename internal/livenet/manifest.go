@@ -40,9 +40,9 @@ type Manifest struct {
 	// NoResync disables the continuous clock re-sync (Config.Resync),
 	// reproducing the drift-prone pre-resync behaviour for A/B runs.
 	NoResync bool `json:"noResync,omitempty"`
-	// Retry overrides Config.RetryPeriods (0 = default); PushHops, when
-	// non-nil, overrides the push depth (explicit 0 = pull-only, the
-	// WAN acceptance scenario's configuration).
+	// Retry overrides Config.RetryPeriods (0 = livenode's default);
+	// PushHops, when non-nil, overrides the push depth (explicit 0 =
+	// pull-only, the WAN acceptance scenario's configuration).
 	Retry    int  `json:"retry,omitempty"`
 	PushHops *int `json:"pushHops,omitempty"`
 	// Groups composes the session. Exactly one group must be the

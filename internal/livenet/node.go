@@ -74,12 +74,10 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if (nc.Bootstrap == "") != nc.Source {
 		return nil, fmt.Errorf("livenet: exactly the source runs without a bootstrap address")
 	}
-	if cfg.Neighbors > cfg.Peers {
-		cfg.Neighbors = cfg.Peers
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	// One resolved lag value for every consumer of the raw field, as in
-	// the driver-mode Run.
-	cfg.PlaybackLagPeriods = cfg.lagPeriods()
+	cfg = cfg.fitAudience()
 	profile, err := ParseShapeProfile(nc.Shape)
 	if err != nil {
 		return nil, err
@@ -108,22 +106,6 @@ const (
 	bootstrapAttempts = 100
 	bootstrapTick     = 100 * time.Millisecond
 )
-
-// lagPeriods resolves the playback pipeline depth.
-func (c Config) lagPeriods() int {
-	if c.PlaybackLagPeriods > 0 {
-		return c.PlaybackLagPeriods
-	}
-	return 6
-}
-
-// posFor is the playback position at an absolute session period.
-func (c Config) posFor(period int) segment.ID {
-	if lag := c.lagPeriods(); period >= lag {
-		return segment.ID((period - lag) * c.Rate)
-	}
-	return 0
-}
 
 // Run executes this process's side of the session until the absolute
 // session period count is reached (period numbering is shared across
@@ -194,8 +176,8 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		}
 		p.mu.Unlock()
 		sort.Ints(dial)
-		if len(dial) > cfg.Neighbors {
-			dial = dial[:cfg.Neighbors]
+		if len(dial) > cfg.M {
+			dial = dial[:cfg.M]
 		}
 		for _, id := range dial {
 			n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
@@ -218,7 +200,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer ticker.Stop()
 	stats := Stats{}
 	continuous, playingSamples := 0, 0
-	lag := cfg.lagPeriods()
+	lag := cfg.PlaybackLagPeriods
 	for period := start; period < periods; period++ {
 		select {
 		case <-ctx.Done():

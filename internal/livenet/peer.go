@@ -305,7 +305,7 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 			PlaybackRate:  cfg.Rate,
 			BufferSize:    cfg.BufferSegments,
 			Tau:           sim.Second,
-			THop:          50 * sim.Millisecond,
+			THop:          cfg.THop,
 			ExpectedNodes: cfg.Peers,
 		})
 	}
@@ -340,15 +340,6 @@ func (p *peer) outbound() int {
 // but the sender's.
 func (p *peer) wireAt(slot int) sim.Time {
 	return sim.Time(slot) * bandwidth.PerSegment(p.outbound(), sim.Second)
-}
-
-// degreeTarget mirrors the simulator's rule: M for peers, the protected
-// source degree for the root.
-func (p *peer) degreeTarget() int {
-	if p.isSource {
-		return p.cfg.sourceDegree()
-	}
-	return p.cfg.Neighbors
 }
 
 // nbrIndex returns the neighbour table index of id, or the insertion
@@ -510,7 +501,7 @@ func (p *peer) handle(m Message) {
 		if p.rpServer {
 			reply.Deadline = sim.Time(p.curPeriod)
 			if p.sample != nil {
-				reply.Gossip = p.sample(p.cfg.Neighbors+2, m.From)
+				reply.Gossip = p.sample(p.cfg.M+2, m.From)
 			}
 		}
 		p.send(m.From, reply)
@@ -826,13 +817,13 @@ func (p *peer) maintainMesh(now int) {
 		Round:           now,
 		LastReplace:     p.lastReplace,
 		Degree:          len(p.nbrs),
-		DegreeTarget:    p.degreeTarget(),
+		DegreeTarget:    p.cfg.DegreeTarget(p.isSource),
 		MissedLastRound: p.missedLast,
 		MissStreak:      p.missStreak,
 		Provider:        &p.view,
 	}
 	p.rewireScratch.Reset()
-	intent, ok := protocol.PlanRewire(view, p.cfg.maintenanceTuning(), &p.rewireScratch)
+	intent, ok := protocol.PlanRewire(view, p.cfg.Maintenance, &p.rewireScratch)
 	if !ok {
 		return
 	}
@@ -863,7 +854,7 @@ func (p *peer) maintainMesh(now int) {
 		delete(p.overheard, cand)
 		p.send(cand, Message{From: p.id, Kind: msgConnect})
 	}
-	for want := p.degreeTarget() - len(p.nbrs); want > 0; want-- {
+	for want := p.cfg.DegreeTarget(p.isSource) - len(p.nbrs); want > 0; want-- {
 		cand, ok := takeCandidate()
 		if !ok {
 			break
@@ -1020,11 +1011,11 @@ func (p *peer) schedulePulls(now int) {
 		Candidates:    cands,
 		Scratch:       &p.sched,
 		JitterSeed:    p.cfg.Seed ^ uint64(p.id)*0x9e3779b97f4a7c15,
-		RarityNoise:   0.3,
+		RarityNoise:   p.cfg.RarityNoise,
 	}
 	for _, r := range (scheduler.Greedy{}).Schedule(in) {
 		p.st.asksSent.Add(1)
-		p.pending[r.ID] = now + p.cfg.retryPeriods()
+		p.pending[r.ID] = now + p.cfg.RetryPeriods
 		if i, ok := p.nbrIndex(r.Supplier); ok {
 			p.nbrs[i].asked++
 		}
@@ -1059,7 +1050,7 @@ func (p *peer) rescueUrgent(now int) {
 		return
 	}
 	var plan prefetch.Decision
-	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.RescueLimit, p.inFlightFn)
+	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.PrefetchLimit, p.inFlightFn)
 	if !plan.Triggered {
 		return
 	}
@@ -1081,7 +1072,7 @@ func (p *peer) rescueUrgent(now int) {
 		if target < 0 {
 			target = 0 // the source: the retrieval path of last resort
 		}
-		p.rescuePending[seg] = now + p.cfg.retryPeriods()
+		p.rescuePending[seg] = now + p.cfg.RetryPeriods
 		p.st.rescueAsked.Add(1)
 		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
 	}

@@ -220,7 +220,6 @@ const periodAllocBound = 3
 // periodServe to periodAllocBound allocations.
 func TestPeriodAllocations(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PlaybackLagPeriods = cfg.lagPeriods()
 	const self, nbrs = 4, 8
 	nw := newNetwork()
 	members := map[int]bool{}

@@ -112,7 +112,7 @@ func TestInboxCapFollowsFanIn(t *testing.T) {
 		t.Fatalf("source inbox %d at 24 peers, %d at 4000: want the difference to be the bootstrap burst", a, b)
 	}
 	wide := small
-	wide.Neighbors, wide.OutboundPerPeriod = 2*small.Neighbors, 2*small.OutboundPerPeriod
+	wide.M, wide.OutboundPerPeriod = 2*small.M, 2*small.OutboundPerPeriod
 	if wide.inboxCap(false) <= small.inboxCap(false) {
 		t.Fatal("a wider, faster peer did not get a larger inbox")
 	}

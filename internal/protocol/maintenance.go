@@ -137,19 +137,23 @@ type MaintenanceView struct {
 }
 
 // MaintenanceTuning is the paper-calibrated maintenance knobs, shared by
-// both runtimes via Defaults.
+// both runtimes as Params.Maintenance.
 type MaintenanceTuning struct {
 	// LowSupplyThreshold is the segments/s below which a neighbour
 	// counts as "supplied little data" and becomes replaceable (§4.1).
 	LowSupplyThreshold float64
 	// ReplaceCooldownRounds is the minimum spacing between two
-	// low-supply replacements by the same node: every swap discards the
-	// rate estimates both sides learned, and a node that rewires every
-	// round never learns who its good suppliers are.
+	// low-supply replacements by the same node. Without it a node
+	// re-judges its neighbours every period and keeps rewiring: each swap
+	// discards the rate estimates both sides learned, which measurably
+	// destabilises the mesh (scheduling quality drops and supplier drops
+	// double). A real deployment pays connection setup costs that impose
+	// the same pacing.
 	ReplaceCooldownRounds int
 	// MaxDistressReplacements caps how many starved links a node in
 	// sustained playback distress (MissStreak >= 2) may shed at once;
-	// outside distress the paper's one-replacement rule holds.
+	// outside distress the cap is 1, the paper's one-replacement-per-period
+	// rule, and 0 keeps it at 1 even under distress.
 	MaxDistressReplacements int
 }
 

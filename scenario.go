@@ -2,6 +2,7 @@ package continustreaming
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,7 +135,7 @@ func parsePopulation(s string) (int, error) {
 		mult, s = 1_000_000, s[:len(s)-1]
 	}
 	v, err := strconv.Atoi(s)
-	if err != nil || v <= 0 {
+	if err != nil || v <= 0 || v > math.MaxInt/mult {
 		return 0, fmt.Errorf("bad population suffix %q", s)
 	}
 	return v * mult, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -181,6 +183,45 @@ func TestScenarioByNameSuffixes(t *testing.T) {
 			t.Errorf("ScenarioByName(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzScenarioByName drives the config entry point that takes raw CLI
+// text (continusim -scenario): it must never panic, an accepted name
+// must yield a positive population, and a name that carries a population
+// suffix must never come back at the 1000-node default unless the suffix
+// spells 1000 — the silent fallback an overflowing "…k" suffix used to
+// take. testdata/fuzz/FuzzScenarioByName holds that input.
+func FuzzScenarioByName(f *testing.F) {
+	for _, name := range []string{"flashcrowd100k", "hetdynamic8000", "HomStatic2K", "baseline", " flashcrowd1m ", "baseline1000", "hetstatic01k", "flashcrowd-10k", "fig5", ""} {
+		f.Add(name, 0)
+	}
+	f.Add("baseline", 777)
+	f.Fuzz(func(t *testing.T, name string, n int) {
+		cfg, err := ScenarioByName(name, n)
+		if err != nil {
+			return
+		}
+		if cfg.Nodes <= 0 {
+			t.Fatalf("ScenarioByName(%q, %d) accepted with Nodes = %d", name, n, cfg.Nodes)
+		}
+		if cfg.Nodes != 1000 {
+			return
+		}
+		base := strings.ToLower(strings.TrimSpace(name))
+		for _, prefix := range Scenarios() {
+			suffix, ok := strings.CutPrefix(base, prefix)
+			if !ok || suffix == "" {
+				continue
+			}
+			digits, mult := suffix, 1
+			if d, ok := strings.CutSuffix(suffix, "k"); ok {
+				digits, mult = d, 1000
+			}
+			if v, err := strconv.Atoi(digits); err != nil || v <= 0 || v > 1000 || v*mult != 1000 {
+				t.Fatalf("ScenarioByName(%q, %d) fell back to 1000 nodes past its suffix %q", name, n, suffix)
+			}
+		}
+	})
 }
 
 // TestHomogeneousKnobChangesOutcome checks the new Config field reaches
