@@ -130,6 +130,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseServe),
 		func(s int, _ *sim.RNG) shardServe {
 			ar := &w.arenas[s]
+			// Reset ahead of the empty-worklist return below: a shard with
+			// nothing to serve hands apply nothing, not last round's grants.
+			ar.deliveries = ar.deliveries[:0]
 			// Cross-shard read of scatter output, sequenced by the barrier
 			// between the two MapReduce calls.
 			groupAsks(w.arenas, s, w.shardRank)
@@ -147,7 +150,6 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 			}
 			slices.Sort(ar.suppliers)
 			ar.suppliers = slices.Compact(ar.suppliers)
-			ar.deliveries = ar.deliveries[:0]
 			var res shardServe
 			askLo := 0
 			for _, sup := range ar.suppliers {
