@@ -14,10 +14,12 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// roundArena is one ownership shard's reusable round-lived scratch. Every
-// buffer in it is grow-only: phases reset slices to [:0] (or re-point
-// per-bucket heads) instead of reallocating, so after warm-up the round
-// pipeline's recurring transients cost no allocation at all.
+// roundArena is one ownership shard's reusable round-lived scratch, plus
+// the one list that outlives a round: the shard's in-flight deliveries
+// (later). Every buffer in it is grow-only: phases reset slices to [:0]
+// (or re-point per-bucket heads, or compact in place) instead of
+// reallocating, so after warm-up the round pipeline's recurring
+// transients cost no allocation at all.
 //
 // Ownership follows the shard rule everywhere else in the pipeline: only
 // the shard that owns arena index s (or sequential phase code between
@@ -61,11 +63,25 @@ type roundArena struct {
 
 	// asks is the serve stage's merged fresh-ask list for this supplier
 	// shard, grouped by supplier ascending (arrival order preserved within
-	// each supplier); suppliers the distinct supplier worklist; deliveries
-	// the shard's granted transfers, alive until the round's apply phase.
-	asks       []transferReq
-	suppliers  []overlay.NodeID
-	deliveries []delivery
+	// each supplier); suppliers the distinct supplier worklist.
+	asks      []transferReq
+	suppliers []overlay.NodeID
+
+	// deliverScatter holds the serve stage's grants: deliverScatter[s]
+	// collects the transfers this supplier shard granted to receivers
+	// owned by shard s, alive until the round's apply phase reads them.
+	// Sized to phaseShards once; the serve stage resets each bucket at the
+	// top of its map func, ahead of every return.
+	deliverScatter [][]delivery
+
+	// later holds the deliveries in flight to this ownership shard's
+	// receivers that no serve shard hands over this round: transfers that
+	// spilled past an earlier round's boundary, the push phase's late
+	// copies and the pre-fetch claim stage's transfers (the latter two
+	// appended from sequential code). The apply stage moves the due ones
+	// into applyBucket and compacts the rest in place; churn drops those
+	// addressed to departed nodes.
+	later []delivery
 
 	// planAsks and rrReqs stage one supplier's fresh asks for PlanServe /
 	// ServeRoundRobin; serve is the PlanServe request scratch; sctx backs
@@ -76,14 +92,10 @@ type roundArena struct {
 	serve    protocol.ServeScratch
 	sctx     serveCtx
 
-	// applyBucket holds the deliveries addressed to this ownership
-	// shard's receivers, scattered sequentially then grouped by receiver
-	// and applied shard-locally: applyPerm is the grouped order as indices
-	// into the bucket, applyRun the staging buffer one receiver's
-	// deliveries are gathered into and sorted in.
+	// applyBucket holds the deliveries this ownership shard's receivers
+	// take in this round, collected by the shard itself, grouped by
+	// receiver and applied shard-locally (eachReceiverRun).
 	applyBucket []delivery
-	applyPerm   []int32
-	applyRun    []delivery
 
 	// groupCnt is the counting-sort table of the two group-by-owner
 	// passes (serve by supplier, apply by receiver), one slot per ring ID
@@ -211,33 +223,62 @@ func groupAsks(arenas []roundArena, s int, rank []int32) {
 	clear(cnt)
 }
 
-// eachReceiverRun calls fn once per receiver with deliveries in the
-// shard's applyBucket, receivers ascending, handing it that receiver's
-// deliveries in canonical arrival order (timestamp, segment, sender,
-// prefetch first): the runs a sort of the whole bucket by (receiver,
-// timestamp, segment, sender, prefetch) would contain. A counting sort
-// groups bucket indices by receiver; each run (about ten entries) is
-// then gathered into the staging buffer and sorted there, so the bucket
-// is never copied whole. The (sender, prefetch) tie-breaks make the
-// outcome independent of how the delivery slice was assembled upstream.
-// run is valid only during the call.
-func (ar *roundArena) eachReceiverRun(rank []int32, fn func(run []delivery)) {
-	bucket := ar.applyBucket
-	if len(bucket) == 0 {
-		return
-	}
+// eachReceiverRun hands receiver shard s its arrivals of the round ending
+// at end: it calls fn once per receiver, receivers ascending, with that
+// receiver's deliveries in canonical arrival order (timestamp, segment,
+// sender, prefetch first) — the runs a sort of everything due by
+// (receiver, timestamp, segment, sender, prefetch) would contain. The
+// sources are the shard's own in-flight list and what each serve shard
+// granted its receivers (a cross-shard read of serve output, sequenced
+// by the barrier between the serve and apply MapReduce calls); whatever
+// lands after end stays in — or joins — the in-flight list, compacted in
+// place. Like groupAsks it is a counting sort straight from the sources
+// into owner order: one pass counts the due deliveries per receiver, a
+// second places them in applyBucket, and each run (about ten entries) is
+// sorted where it lies. The order the sources are read in is free:
+// compareArrival is a total order, so a receiver's sorted run is the
+// same however its deliveries were assembled — which is what lets every
+// shard collect its own without a sequential merge. Only shard s's apply
+// stage calls it; run is valid only during the call.
+func eachReceiverRun(arenas []roundArena, s int, rank []int32, end sim.Time, fn func(run []delivery)) {
+	ar := &arenas[s]
 	cnt := ar.groupCnt
-	for i := range bucket {
-		cnt[rank[bucket[i].to]]++
+	for _, d := range ar.later {
+		if d.at <= end {
+			cnt[rank[d.to]]++
+		}
 	}
-	startOffsets(cnt)
-	perm := slices.Grow(ar.applyPerm[:0], len(bucket))[:len(bucket)]
-	ar.applyPerm = perm
-	for i := range bucket {
-		k := rank[bucket[i].to]
-		perm[cnt[k]] = int32(i)
+	for r := range arenas {
+		for _, d := range arenas[r].deliverScatter[s] {
+			if d.at <= end {
+				cnt[rank[d.to]]++
+			}
+		}
+	}
+	total := startOffsets(cnt)
+	due := slices.Grow(ar.applyBucket[:0], total)[:total]
+	kept := ar.later[:0]
+	for _, d := range ar.later {
+		if d.at > end {
+			kept = append(kept, d)
+			continue
+		}
+		k := rank[d.to]
+		due[cnt[k]] = d
 		cnt[k]++
 	}
+	for r := range arenas {
+		for _, d := range arenas[r].deliverScatter[s] {
+			if d.at > end {
+				kept = append(kept, d)
+				continue
+			}
+			k := rank[d.to]
+			due[cnt[k]] = d
+			cnt[k]++
+		}
+	}
+	ar.applyBucket, ar.later = due, kept
 	// cnt[k] is now the end of rank k's run, the previous rank's end its
 	// start.
 	lo := int32(0)
@@ -246,11 +287,7 @@ func (ar *roundArena) eachReceiverRun(rank []int32, fn func(run []delivery)) {
 		if hi == lo {
 			continue
 		}
-		run := ar.applyRun[:0]
-		for _, i := range perm[lo:hi] {
-			run = append(run, bucket[i])
-		}
-		ar.applyRun = run
+		run := due[lo:hi]
 		lo = hi
 		slices.SortFunc(run, compareArrival)
 		fn(run)
@@ -272,26 +309,22 @@ func compareArrival(a, b delivery) int {
 	return btoi(b.prefetch) - btoi(a.prefetch)
 }
 
-// resetGossip readies the scatter buckets for a new round, keeping every
-// bucket's capacity.
-func (ar *roundArena) resetGossip() {
-	if ar.gossip == nil {
-		ar.gossip = make([][]hearEvent, phaseShards)
+// resetBuckets readies one shard's per-destination-shard buckets for a
+// new round: sized to phaseShards on first use, every bucket emptied with
+// its capacity kept.
+func resetBuckets[T any](buckets [][]T) [][]T {
+	if buckets == nil {
+		buckets = make([][]T, phaseShards)
 	}
-	for i := range ar.gossip {
-		ar.gossip[i] = ar.gossip[i][:0]
+	for i := range buckets {
+		buckets[i] = buckets[i][:0]
 	}
+	return buckets
 }
 
-// resetServeScatter readies the transfer scatter buckets likewise.
-func (ar *roundArena) resetServeScatter() {
-	if ar.serveScatter == nil {
-		ar.serveScatter = make([][]transferReq, phaseShards)
-	}
-	for i := range ar.serveScatter {
-		ar.serveScatter[i] = ar.serveScatter[i][:0]
-	}
-}
+func (ar *roundArena) resetGossip()         { ar.gossip = resetBuckets(ar.gossip) }
+func (ar *roundArena) resetServeScatter()   { ar.serveScatter = resetBuckets(ar.serveScatter) }
+func (ar *roundArena) resetDeliverScatter() { ar.deliverScatter = resetBuckets(ar.deliverScatter) }
 
 // serveCtx carries the per-supplier state the hoisted ServeInput
 // callbacks read. The closures are built once per shard (ensure) and

@@ -124,18 +124,29 @@ type segTrack struct {
 	prefetchExpiry   []int32    // 0 = no pending pre-fetch
 }
 
-// initState sizes the segment tracker for the configured buffer.
-func (n *Node) initState(bufSize int) {
-	n.seg = segTrack{
-		slots:            bufSize,
-		arrived:          make([]sim.Time, bufSize),
-		gossipExpiry:     make([]int32, bufSize),
-		gossipExpectedAt: make([]sim.Time, bufSize),
-		prefetchExpiry:   make([]int32, bufSize),
+// openSegTrack returns a clear tracker whose window opens at lo (>= 0),
+// on recycled's arrays when it has any — a departed node's, handed back
+// by World.leave — and on fresh ones otherwise. gossipExpectedAt is left
+// as found: it is read only under a set gossipExpiry, which rewrites it.
+func openSegTrack(slots int, lo segment.ID, recycled segTrack) segTrack {
+	t := recycled
+	if t.arrived == nil {
+		t = segTrack{
+			slots:            slots,
+			arrived:          make([]sim.Time, slots),
+			gossipExpiry:     make([]int32, slots),
+			gossipExpectedAt: make([]sim.Time, slots),
+			prefetchExpiry:   make([]int32, slots),
+		}
+	} else {
+		clear(t.gossipExpiry)
+		clear(t.prefetchExpiry)
 	}
-	for i := range n.seg.arrived {
-		n.seg.arrived[i] = -1
+	for i := range t.arrived {
+		t.arrived[i] = -1
 	}
+	t.lo, t.loSlot = lo, int(lo)%slots
+	return t
 }
 
 // slot maps id to its array index; ok is false outside the tracked range.

@@ -9,30 +9,21 @@ import (
 // applyDeliveries ingests every arrival of the round, in canonical
 // (timestamp, segment, sender) order per receiver, updating buffers,
 // backup stores, α feedback and the traffic counters. Deliveries landing
-// after the round boundary go to the in-flight queue instead.
+// after the round boundary wait in the receiver shard's in-flight list
+// (roundArena.later) for the round they land in.
 //
-// Receivers are partitioned into shards by node ID; every shard groups
-// its own arena bucket by receiver, puts each receiver's run in canonical
-// order (roundArena.eachReceiverRun), and applies it while accumulating
-// into a private metric sample; the per-shard samples are folded in shard
-// order afterwards. A receiver belongs to exactly one shard, so all
-// per-node mutation stays shard-local.
-func (w *World) applyDeliveries(clock *sim.Clock, deliveries []delivery, sample *metrics.RoundSample) {
+// Receivers are partitioned into shards by node ID, and the phase is one
+// parallel stage with no sequential prologue: every shard collects its
+// own arrivals — its due in-flight deliveries plus what each serve shard
+// granted its receivers — grouped by receiver, each receiver's run in
+// canonical order (eachReceiverRun), and applies them while accumulating
+// into a private metric sample; the per-shard samples are folded in
+// shard order afterwards. A receiver belongs to exactly one shard, so
+// all per-node mutation stays shard-local, and because compareArrival is
+// a total order the outcome does not depend on the order the arrivals
+// were collected in.
+func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	end := clock.RoundEnd()
-	w.ensureArenas()
-	// The in-flight queue is a shared heap whose tie-break is push order,
-	// so this partition pass stays sequential; it is a single cheap scan.
-	for s := range w.arenas {
-		w.arenas[s].applyBucket = w.arenas[s].applyBucket[:0]
-	}
-	for _, d := range deliveries {
-		if d.at > end {
-			w.inflight.Push(d.at, d)
-			continue
-		}
-		s := w.shardOf(d.to)
-		w.arenas[s].applyBucket = append(w.arenas[s].applyBucket, d)
-	}
 	pos := w.playbackPos(w.round)
 	p := w.cfg.Stream.Rate
 	segBits := w.cfg.Stream.BitsPerSegment
@@ -40,7 +31,7 @@ func (w *World) applyDeliveries(clock *sim.Clock, deliveries []delivery, sample 
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseApply),
 		func(s int, _ *sim.RNG) metrics.RoundSample {
 			var local metrics.RoundSample
-			w.arenas[s].eachReceiverRun(w.shardRank, func(run []delivery) {
+			eachReceiverRun(w.arenas, s, w.shardRank, end, func(run []delivery) {
 				if n := w.nodes[run[0].to]; n != nil {
 					w.applyToReceiver(n, run, pos, p, segBits, now, &local)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"continustreaming/internal/dht"
@@ -29,12 +30,16 @@ func (w *World) churnPhase() {
 	}
 	if plan.TotalLeavers() > 0 {
 		// Drop cross-round deliveries addressed to this round's departed
-		// nodes in one pass: their connections are gone, and a joiner
-		// recycling a ring slot must not inherit them. One Filter per
-		// round (not per leaver) keeps churn O(queue + leavers). Transfers
-		// the dead sent while alive still arrive — packets already on the
-		// wire — matching the pre-recycling behaviour.
-		w.inflight.Filter(func(d delivery) bool { return w.nodes[d.to] != nil })
+		// nodes in one pass over the shards' in-flight lists: their
+		// connections are gone, and a joiner recycling a ring slot must
+		// not inherit them. One pass per round (not per leaver) keeps
+		// churn O(in flight + leavers). Transfers the dead sent while
+		// alive still arrive — packets already on the wire — matching the
+		// pre-recycling behaviour.
+		for s := range w.arenas {
+			ar := &w.arenas[s]
+			ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
+		}
 		// Same recycling hazard on the supplier side: carried requests
 		// from this round's leavers must go before any joiner can reuse
 		// their ring slots and pass the serve-time liveness check.
@@ -72,6 +77,9 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	}
 	w.dhtNet.Leave(dht.ID(id))
 	w.nodes[id] = nil
+	// The tracker's arrays go to the next joiner (buildNode).
+	w.freeSeg = append(w.freeSeg, n.seg)
+	n.seg = segTrack{}
 	w.outUsed[id] = 0
 	// The carry queue held promises of this node's buffer; a joiner
 	// recycling the slot must not inherit them.
@@ -102,10 +110,9 @@ func (w *World) join() {
 	ping := 10*sim.Millisecond + sim.Time(w.rng.Intn(191))
 	n := w.buildNode(id, ping, false)
 	n.JoinedRound = w.round
-	// The newcomer's buffer opens at the current playback position, and
-	// its segment tracker follows.
+	// The newcomer's buffer opens at the current playback position, where
+	// buildNode already opened its segment tracker.
 	n.Buf.AdvanceTo(w.playbackPos(w.round))
-	n.pruneBelow(w.playbackPos(w.round))
 	cands := w.rp.Candidates(id, 6)
 	var donor *Node
 	for _, c := range cands {

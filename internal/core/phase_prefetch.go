@@ -52,10 +52,12 @@ func (d worldDirectory) AvailableRate(node dht.ID) float64 {
 // all of them in parallel; the claim stage below then visits the nodes
 // in w.order, asks the located owners, and commits — supplier choice
 // reads the outbound ledger earlier claims have already charged, so it
-// is the half that needs an order.
-func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sample *metrics.RoundSample) []delivery {
+// is the half that needs an order. Each committed transfer joins the
+// in-flight list of the shard that owns its receiver, where the round's
+// apply stage finds it.
+func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sample *metrics.RoundSample) {
 	if !w.cfg.Profile.Prefetch {
-		return nil
+		return
 	}
 	if w.retr == nil {
 		w.retr = &prefetch.Retriever{
@@ -69,7 +71,6 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 	retr := w.retr
 	w.routePrefetch(plans)
 	start := clock.Now()
-	var out []delivery
 	for r := range w.arenas {
 		walks := w.arenas[r].walks
 		lo, hi := sim.ShardRange(len(plans), phaseShards, r)
@@ -83,18 +84,18 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 			k := len(plan.Missed) * retr.Replicas
 			results := retr.Choose(plan.Missed, walks[:k])
 			walks = walks[k:]
-			out = w.claimPrefetch(w.seq[i], results, start, sample, out)
+			w.claimPrefetch(w.seq[i], results, start, sample)
 		}
 	}
-	return out
 }
 
 // claimPrefetch commits node n's resolved lookups: it charges the chosen
 // suppliers' outbound ledgers, falls back to the source where a lookup
-// failed, counts every outcome, and appends the resulting transfers to
-// out.
-func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start sim.Time, sample *metrics.RoundSample, out []delivery) []delivery {
+// failed, counts every outcome, and puts the resulting transfers in
+// flight to n (sequential code, so it may write n's shard's list).
+func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start sim.Time, sample *metrics.RoundSample) {
 	sample.LookupAttempts += int64(len(results))
+	ar := &w.arenas[w.shardOf(n.ID)]
 	for _, res := range results {
 		sample.PrefetchRoutingBits += int64(res.RoutingMessages) * w.cfg.RoutingMessageBits
 		if !res.Found {
@@ -125,7 +126,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 				direct := w.Latency(n.ID, w.source)
 				transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
 				at := start + 2*direct + transfer + direct
-				out = append(out, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
+				ar.later = append(ar.later, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
 			}
 			continue
 		}
@@ -142,11 +143,10 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 		direct := w.Latency(n.ID, supplier)
 		transfer := bandwidth.PerSegment(int(res.Rate), sim.Second)
 		at := start + sim.Time(res.LocateHops)*w.cfg.THop + 2*direct + transfer + direct
-		out = append(out, delivery{to: n.ID, from: supplier, id: res.ID, at: at, prefetch: true})
+		ar.later = append(ar.later, delivery{to: n.ID, from: supplier, id: res.ID, at: at, prefetch: true})
 		// Everyone on the winning route overhears the exchange.
 		w.overhearRoute(n.ID, res)
 	}
-	return out
 }
 
 // routePrefetch is the route stage: every triggered node's k hashed

@@ -56,6 +56,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	if len(fresh) == 0 {
 		return
 	}
+	w.ensureArenas()
 	start := clock.Now()
 	end := clock.RoundEnd()
 	segBits := w.cfg.Stream.BitsPerSegment
@@ -167,7 +168,8 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 					// rule as every late pull or pre-fetch delivery.
 					// Landing it now would let the next hop (and this
 					// round's snapshots) see a segment before it arrived.
-					w.inflight.Push(at, delivery{to: snd.To, from: snd.From, id: snd.ID, at: at})
+					ar := &w.arenas[w.shardOf(snd.To)]
+					ar.later = append(ar.later, delivery{to: snd.To, from: snd.From, id: snd.ID, at: at})
 					continue
 				}
 				sample.DataBits += segBits

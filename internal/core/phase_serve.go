@@ -75,11 +75,12 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // previous round and serves them earliest-deadline-first (rarest-first on
 // ties, computed from its own neighbours' buffer maps) at its real
 // service rate; like a pipelined TCP supplier it keeps transmitting into
-// the next period (slots past τ arrive next round via the in-flight
-// queue) up to one extra period's worth of backlog, minus whatever the
-// push phase already spent. Requests beyond the horizon are carried in a
-// bounded per-supplier queue to the next round — deadline-hopeless and
-// overflow entries are evicted and the requester times out and retries.
+// the next period (slots past τ arrive next round via the receiver
+// shard's in-flight list) up to one extra period's worth of backlog,
+// minus whatever the push phase already spent. Requests beyond the
+// horizon are carried in a bounded per-supplier queue to the next round —
+// deadline-hopeless and overflow entries are evicted and the requester
+// times out and retries.
 //
 // The phase runs as a two-stage sharded pipeline. Stage 1 (scatter)
 // partitions requesters into contiguous index ranges and buckets their
@@ -89,9 +90,12 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // sequential scan would produce. Stage 2 (serve) gives each supplier shard
 // exclusive ownership of its suppliers — including their carry queues and
 // push spend, which live in the engine's matching shard — so it runs the
-// service discipline and writes the ledger partition it owns, with
-// deliveries and counters merged in shard order afterwards.
-func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, snaps []buffer.Map, index []int32, sample *metrics.RoundSample) []delivery {
+// service discipline and writes the ledger partition it owns; counters
+// are merged in shard order afterwards. Grants are not merged at all: the
+// serving shard appends each to the bucket of the shard that owns its
+// receiver (roundArena.deliverScatter), where the apply stage picks them
+// up — the same shard-to-shard hand-off as stage 1's, one stage later.
+func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, snaps []buffer.Map, index []int32, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseScatter),
@@ -132,7 +136,7 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 			ar := &w.arenas[s]
 			// Reset ahead of the empty-worklist return below: a shard with
 			// nothing to serve hands apply nothing, not last round's grants.
-			ar.deliveries = ar.deliveries[:0]
+			ar.resetDeliverScatter()
 			// Cross-shard read of scatter output, sequenced by the barrier
 			// between the two MapReduce calls.
 			groupAsks(w.arenas, s, w.shardRank)
@@ -186,8 +190,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 					}
 					done := (backlog + sim.Time(k+1)) * per
 					at := start + done + w.Latency(sup, g.Requester)
-					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; no other shard touches it
-					ar.deliveries = append(ar.deliveries, delivery{to: g.Requester, from: sup, id: g.ID, at: at})
+					rs := w.shardOf(g.Requester)
+					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; receiver shards read it only after the serve barrier
+					ar.deliverScatter[rs] = append(ar.deliverScatter[rs], delivery{to: g.Requester, from: sup, id: g.ID, at: at})
 				}
 			}
 			return res
@@ -200,14 +205,6 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 			sample.QueueEvictedOverflow += res.evicted.Overflow
 			sample.QueueEvictedStale += res.evicted.Stale
 		})
-
-	// One reusable round buffer holds the merged deliveries; Step recycles
-	// it after the apply phase consumes every entry.
-	all := w.deliveryBuf[:0]
-	for s := range w.arenas {
-		all = append(all, w.arenas[s].deliveries...)
-	}
-	return all
 }
 
 // serveSupplier runs one supplier's scheduling period: it assembles the

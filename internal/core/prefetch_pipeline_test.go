@@ -76,17 +76,21 @@ func TestGroupAsksMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestReceiverRunsMatchFullSort checks the apply stage's group-then-sort
-// against the whole-bucket comparison sort it replaced: concatenating the
-// runs eachReceiverRun hands out must reproduce the bucket sorted by
-// (receiver, timestamp, segment, sender, prefetch), on random sets dense
-// with ties in every key, a single receiver, and an empty bucket.
+// TestReceiverRunsMatchFullSort checks the apply stage's collect, group
+// and per-run sort against a whole-set comparison sort: with a shard's
+// arrivals spread over its own in-flight list and every serve shard's
+// grant bucket, concatenating the runs eachReceiverRun hands out must
+// reproduce the due deliveries sorted by (receiver, timestamp, segment,
+// sender, prefetch), and the in-flight list must come out holding exactly
+// the late ones — on random sets dense with ties in every key, a single
+// receiver, and no deliveries at all.
 func TestReceiverRunsMatchFullSort(t *testing.T) {
-	const spaceN, shard = 2048, 9
+	const spaceN, shard, end = 2048, 9, sim.Time(2)
 	rank, size := shardRanks(spaceN)
 	owned := ownedIDs(spaceN, shard)
 	rng := sim.DeriveRNG(22, 1)
-	ar := roundArena{groupCnt: make([]int32, size[shard])}
+	arenas := make([]roundArena, phaseShards)
+	arenas[shard].groupCnt = make([]int32, size[shard])
 	for _, tc := range []struct {
 		name                 string
 		deliveries, receiver int
@@ -96,18 +100,32 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 		{"one-receiver", 150, 1},
 		{"empty", 0, 1},
 	} {
-		ar.applyBucket = ar.applyBucket[:0]
+		for r := range arenas {
+			arenas[r].resetDeliverScatter()
+		}
+		arenas[shard].later = arenas[shard].later[:0]
+		var want, wantLate []delivery
 		for i := 0; i < tc.deliveries; i++ {
-			ar.applyBucket = append(ar.applyBucket, delivery{
+			d := delivery{
 				to:       owned[rng.Intn(tc.receiver)],
 				from:     overlay.NodeID(rng.Intn(4)),
 				id:       segment.ID(rng.Intn(6)),
-				at:       sim.Time(rng.Intn(3)),
+				at:       sim.Time(rng.Intn(4)), // 3 is past the round's end
 				prefetch: rng.Intn(2) == 0,
-			})
+			}
+			// One source in five is the shard's own in-flight list.
+			if r := rng.Intn(phaseShards * 5 / 4); r < phaseShards {
+				arenas[r].deliverScatter[shard] = append(arenas[r].deliverScatter[shard], d)
+			} else {
+				arenas[shard].later = append(arenas[shard].later, d)
+			}
+			if d.at > end {
+				wantLate = append(wantLate, d)
+			} else {
+				want = append(want, d)
+			}
 		}
-		want := slices.Clone(ar.applyBucket)
-		slices.SortFunc(want, func(a, b delivery) int {
+		byReceiverArrival := func(a, b delivery) int {
 			return cmp.Or(
 				cmp.Compare(a.to, b.to),
 				cmp.Compare(a.at, b.at),
@@ -115,9 +133,10 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 				cmp.Compare(a.from, b.from),
 				btoi(b.prefetch)-btoi(a.prefetch),
 			)
-		})
+		}
+		slices.SortFunc(want, byReceiverArrival)
 		var got []delivery
-		ar.eachReceiverRun(rank, func(run []delivery) {
+		eachReceiverRun(arenas, shard, rank, end, func(run []delivery) {
 			for _, d := range run[1:] {
 				if d.to != run[0].to {
 					t.Fatalf("%s: run mixes receivers %d and %d", tc.name, run[0].to, d.to)
@@ -128,7 +147,13 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: receiver runs differ from the full sort", tc.name)
 		}
-		for k, c := range ar.groupCnt {
+		gotLate := slices.Clone(arenas[shard].later)
+		slices.SortFunc(gotLate, byReceiverArrival)
+		slices.SortFunc(wantLate, byReceiverArrival)
+		if !slices.Equal(gotLate, wantLate) {
+			t.Fatalf("%s: %d deliveries left in flight, want the %d late ones", tc.name, len(gotLate), len(wantLate))
+		}
+		for k, c := range arenas[shard].groupCnt {
 			if c != 0 {
 				t.Fatalf("%s: count table slot %d left at %d", tc.name, k, c)
 			}

@@ -40,11 +40,17 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // phases. Each phase is a thin sharded driver over the decision functions
 // in internal/protocol: phases that touch only per-node state fan out
 // over the worker pool; transfer resolution and delivery application run
-// as a sharded map/reduce pipeline (partitioned by node ID, merged in
-// shard order); the pre-fetch phase routes its DHT lookups the same way
-// and then commits supplier claims in node order; churn, which rewires
-// shared structures, runs deterministically single-threaded. The
-// per-phase drivers live in the phase_*.go files of this package.
+// as a sharded map/reduce pipeline partitioned by node ID, whose stages
+// hand work from shard to shard — requesters' asks to supplier shards,
+// suppliers' grants to receiver shards — through per-pair buckets read
+// after a barrier, with only counters merged in shard order; the
+// pre-fetch phase routes its DHT lookups the same way and then commits
+// supplier claims in node order; churn, which rewires shared structures,
+// runs deterministically single-threaded. No phase needs the round's
+// deliveries in one sequence: a receiver applies its arrivals in
+// compareArrival order, which is total, so between the serve and
+// playback probes the spine does no per-delivery work. The per-phase
+// drivers live in the phase_*.go files of this package.
 func (w *World) Step(clock *sim.Clock) {
 	w.round = clock.Round()
 	sample := metrics.RoundSample{Round: w.round}
@@ -73,21 +79,16 @@ func (w *World) Step(clock *sim.Clock) {
 	w.probe("predict")
 	plans := w.predictPhase(clock)
 	w.probe("prefetch")
-	prefetchDeliveries := w.resolvePrefetch(clock, plans, &sample)
+	w.resolvePrefetch(clock, plans, &sample)
 	w.probe("schedule")
 	requests := w.schedulePhase(clock, snaps, index)
 	for _, reqs := range requests {
 		sample.Requests += int64(len(reqs))
 	}
 	w.probe("serve")
-	deliveries := w.resolveTransfers(clock, requests, snaps, index, &sample)
-	deliveries = append(deliveries, prefetchDeliveries...)
-	deliveries = append(deliveries, w.dueInflight(clock)...)
-	// Recycle the (possibly regrown) backing for next round's transfer
-	// resolution; the apply phase copies every entry out before returning.
-	w.deliveryBuf = deliveries[:0]
+	w.resolveTransfers(clock, requests, snaps, index, &sample)
 	w.probe("apply")
-	w.applyDeliveries(clock, deliveries, &sample)
+	w.applyDeliveries(clock, &sample)
 	w.probe("playback")
 	w.playbackPhase(clock, &sample)
 	w.probe("maintenance")
@@ -157,14 +158,4 @@ func (w *World) deadlineOf(id segment.ID, pos segment.ID, p int, now sim.Time) s
 	}
 	roundsAhead := sim.Time(int(id-pos) / p)
 	return now + (roundsAhead+1)*w.cfg.Tau
-}
-
-// dueInflight drains cross-round deliveries that land during this round.
-func (w *World) dueInflight(clock *sim.Clock) []delivery {
-	events := w.inflight.PopUntil(clock.RoundEnd())
-	out := make([]delivery, 0, len(events))
-	for _, ev := range events {
-		out = append(out, ev.Payload)
-	}
-	return out
 }

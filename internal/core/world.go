@@ -42,8 +42,6 @@ type World struct {
 	churnProc *churn.Process
 	collector *metrics.Collector
 
-	// inflight holds deliveries that arrive in a future round.
-	inflight *sim.EventQueue[delivery]
 	// outUsed tracks each node's outbound spend within the current round
 	// (push seeding and gossip serving first, then pre-fetch takes the
 	// leftovers). The dense ledger is indexed by ring ID and sharded by
@@ -71,22 +69,23 @@ type World struct {
 	// reuse) leaves every derivation exactly as before.
 	idGen []uint64
 
+	// freeSeg holds departed nodes' segment trackers (four B-slot arrays,
+	// the bulk of a node's footprint) for the next joiners to reuse. Churn
+	// is sequential, so the list needs no shard discipline; it holds at
+	// most leavers minus joiners, memory that was live before they left.
+	freeSeg []segTrack
+
 	// retr is the long-lived Algorithm 2 retriever with its reusable
 	// lookup scratch; resolvePrefetch's claim stage is sequential, so one
 	// scratch serves the whole phase (built lazily on first use).
 	retr        *prefetch.Retriever
 	retrScratch prefetch.Scratch
 
-	// arenas holds each ownership shard's round-lived scratch (see
-	// roundArena); only shard s (or sequential phase code) touches
-	// arenas[s]. Built lazily on first use.
+	// arenas holds each ownership shard's round-lived scratch and its
+	// in-flight deliveries — the transfers that land in a later round
+	// than the one that granted them (see roundArena); only shard s (or
+	// sequential phase code) touches arenas[s]. Built lazily on first use.
 	arenas []roundArena
-
-	// deliveryBuf is the reusable merged-delivery buffer for one round's
-	// transfer resolution; Step recycles it (possibly regrown by the
-	// prefetch and in-flight appends) once the apply phase has consumed
-	// every entry.
-	deliveryBuf []delivery
 
 	// round mirrors the engine clock for code that needs the index between
 	// phases.
@@ -125,7 +124,6 @@ func NewWorld(cfg Config) (*World, error) {
 		pool:      sim.NewPool(cfg.Workers),
 		rng:       sim.DeriveRNG(cfg.Seed, 0x0571d),
 		collector: metrics.NewCollector(),
-		inflight:  sim.NewEventQueue[delivery](),
 		outUsed:   make([]int32, space.N()),
 		dissem:    protocol.NewEngine(phaseShards),
 		rarity:    make([]rarityCache, phaseShards),
@@ -199,7 +197,14 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 		Backup:      dht.NewStore(),
 		RNG:         nodeRNG,
 	}
-	n.initState(cfg.BufferSegments)
+	// The tracker opens where the node's window will: the stream start for
+	// the initial population, the playback position for a joiner.
+	var recycled segTrack
+	if k := len(w.freeSeg) - 1; k >= 0 {
+		recycled, w.freeSeg[k] = w.freeSeg[k], segTrack{}
+		w.freeSeg = w.freeSeg[:k]
+	}
+	n.seg = openSegTrack(cfg.BufferSegments, w.playbackPos(w.round), recycled)
 	if cfg.Profile.Prefetch && !isSource {
 		n.Alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
 			PlaybackRate:  cfg.Stream.Rate,

@@ -3,7 +3,6 @@ package sim
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -102,59 +101,5 @@ func TestPoolMapOrdering(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("Map[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue[string]()
-	q.Push(30, "c")
-	q.Push(10, "a")
-	q.Push(20, "b")
-	q.Push(10, "a2") // tie: preserves push order
-	got := q.PopUntil(25)
-	want := []string{"a", "a2", "b"}
-	if len(got) != len(want) {
-		t.Fatalf("PopUntil returned %d events, want %d", len(got), len(want))
-	}
-	for i, ev := range got {
-		if ev.Payload != want[i] {
-			t.Fatalf("event %d = %q, want %q", i, ev.Payload, want[i])
-		}
-	}
-	if q.Len() != 1 {
-		t.Fatalf("queue has %d left, want 1", q.Len())
-	}
-	ev, ok := q.Pop()
-	if !ok || ev.Payload != "c" || ev.At != 30 {
-		t.Fatalf("Pop = %+v, %v", ev, ok)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty queue returned ok")
-	}
-}
-
-func TestEventQueueSortedProperty(t *testing.T) {
-	// Property: popping everything yields non-decreasing timestamps,
-	// regardless of push order.
-	f := func(times []int16) bool {
-		q := NewEventQueue[int]()
-		for i, tt := range times {
-			q.Push(Time(tt), i)
-		}
-		prev := Time(-1 << 20)
-		for {
-			ev, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if ev.At < prev {
-				return false
-			}
-			prev = ev.At
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -119,27 +119,6 @@ func TestMapReduceShardStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestEventQueueFilter(t *testing.T) {
-	q := NewEventQueue[int]()
-	for i := 0; i < 10; i++ {
-		q.Push(Time(i%3), i) // timestamp ties exercise Seq preservation
-	}
-	q.Filter(func(v int) bool { return v%2 == 0 })
-	if q.Len() != 5 {
-		t.Fatalf("kept %d events, want 5", q.Len())
-	}
-	// Survivors must pop in (At, Seq) order — i.e. the same relative order
-	// they would have popped in without the filter.
-	want := []int{0, 6, 4, 2, 8} // At 0: 0,6; At 1: 4; At 2: 2,8
-	var got []int
-	for _, ev := range q.PopUntil(Time(100)) {
-		got = append(got, ev.Payload)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pop order after filter = %v, want %v", got, want)
-	}
-}
-
 func TestMapReduceZeroShards(t *testing.T) {
 	p := NewPool(4)
 	called := false
