@@ -18,8 +18,7 @@
 // comment on the flagged line or the line above; the reason is
 // mandatory. Exit status is non-zero when any finding survives. Under
 // GitHub Actions each finding is additionally emitted as an ::error
-// workflow command so it annotates the checks UI (the same mechanism as
-// benchreport's ::warning lines).
+// workflow command so it annotates the checks UI.
 //
 // The analyzers are built on the in-repo internal/analysis framework (a
 // stdlib-only mirror of golang.org/x/tools/go/analysis — the build image

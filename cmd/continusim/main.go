@@ -3,7 +3,9 @@
 // evaluation section. -scenario instead runs one named public-API
 // scenario (the same constructors library callers use), with an optional
 // population suffix or -nodes override — the path CI's scale smoke and
-// ad-hoc big runs go through.
+// ad-hoc big runs go through. A flag the selected mode never reads (-sizes
+// under -scenario, -nodes under -experiment) is an error, not a silent run
+// at the defaults.
 //
 // Usage:
 //
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,6 +53,9 @@ func main() {
 		churnTr  = flag.String("churntrace", "", "churn trace file (tracegen -churn output) driving the dynamic runs instead of uniform 5%/round")
 	)
 	flag.Parse()
+	if err := checkModeFlags(flag.CommandLine, *scenario != ""); err != nil {
+		fatalf("%v", err)
+	}
 
 	opts := experiment.Options{Rounds: *rounds, StableTail: *tail, Seed: *seed, Delay: *delay, DelaySegments: *delaySeg, Workers: *workers, Par: *par, PushHops: *pushHops, QueueFactor: *queueFac}
 	if *churnTr != "" {
@@ -87,10 +93,6 @@ func main() {
 		runScenario(*scenario, cfg, *rounds, *tail, *csv, *phasepro)
 		return
 	}
-	if *phasepro {
-		fatalf("-phaseprof profiles a single simulation; use it with -scenario")
-	}
-
 	run := func(name string, fn func() (*metrics.Table, error)) {
 		tbl, err := fn()
 		if err != nil {
@@ -160,6 +162,29 @@ func main() {
 		fatalf("unknown experiment %q (want one of %s, flashcrowd10k, all)", *which, strings.Join(order, ", "))
 	}
 	run(*which, fn)
+}
+
+// Flags only one of the two modes reads. Setting one in the other mode
+// would run, silently, at that mode's defaults.
+var (
+	experimentOnlyFlags = []string{"experiment", "sizes", "delay", "delayseg", "par"}
+	scenarioOnlyFlags   = []string{"nodes", "phaseprof"}
+)
+
+// checkModeFlags returns an error naming the first flag set on the command
+// line that the selected mode never reads.
+func checkModeFlags(fs *flag.FlagSet, scenarioMode bool) error {
+	ignored, mode := scenarioOnlyFlags, "-experiment"
+	if scenarioMode {
+		ignored, mode = experimentOnlyFlags, "-scenario"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(ignored, f.Name) {
+			err = fmt.Errorf("-%s does nothing under %s", f.Name, mode)
+		}
+	})
+	return err
 }
 
 // runScenario executes one named public-API scenario through

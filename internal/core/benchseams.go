@@ -5,29 +5,39 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// This file exports phase-level benchmark seams for cmd/benchreport: CI
-// gates the maintenance and scheduling cost centres individually, not just
-// the whole-round step, so a regression in one phase cannot hide inside
-// another phase's improvement. The seams run real phase drivers against a
-// warmed world; they exist for measurement only and are not part of the
-// simulation API.
+// This file exports phase-level measurement seams: the repository
+// benchmark's probes (bench/probes.go) and this package's Schedule10k and
+// Maintenance10k benchmarks and ceilings price the maintenance and
+// scheduling cost centres individually, not just the whole-round step, so a
+// regression in one phase cannot hide inside another phase's improvement.
+// The seams run real phase drivers against a warmed world; they exist for
+// measurement only and are not part of the simulation API.
 
 // BenchMaintenanceRound executes one maintenance phase against the current
 // world state — the same call the round pipeline makes. Repeated calls are
 // meaningful benchmark iterations: maintenance is idempotent on a stable
 // mesh apart from the paced replacements it decides, exactly the
-// steady-state work the gate should price.
+// steady-state work a measurement should price.
 func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 
 // BenchSchedulePhase executes the scheduling slice of one round — the
 // window advance that opens it, buffer-map exchange, candidate enumeration,
 // and Algorithm 1 request selection — and returns how many requests were
-// scheduled. Before returning it
-// unwinds the pending-request marks the scheduler set (a gossipExpiry at
-// or below the current round is behaviourally identical to the zero "no
-// pending request" state, so resetting the scheduled IDs to 0 restores the
-// exact candidate set), which makes repeated calls schedule identical work
-// — the property a benchmark iteration needs.
+// scheduled. Before returning it unwinds the pending-request marks the
+// scheduler set (a gossipExpiry at or below the current round is
+// behaviourally identical to the zero "no pending request" state, so
+// resetting the scheduled IDs to 0 restores the candidate set), which makes
+// repeated calls schedule identical work — the property a benchmark
+// iteration needs.
+//
+// Use it on a world you are finished stepping. The unwind covers the next
+// probe call, not the next round: every call also files its requests with
+// the nodes' rate controllers (Ctrl.NoteRequested in schedulePhase), and
+// those ask tallies stay, so the following real round's Tick folds them in
+// as asks that were never served and the suppliers' service estimates drop
+// (one probe call before two more rounds moves the Step10k world's result
+// fingerprint cd56af0a7dd25347 → 0dfc89e1b39e1045; EXPERIMENTS.md,
+// "Measurement harnesses (PR 18)").
 func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.round = clock.Round()
 	w.beginRound()

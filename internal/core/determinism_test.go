@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"reflect"
 	"runtime"
 	"testing"
@@ -128,30 +126,5 @@ func TestOutboundLedgerConsistent(t *testing.T) {
 					tc.profile.Name, id, used, tc.factor*n.Rates.Out)
 			}
 		}
-	}
-}
-
-// TestDefaultConfigGoldenFingerprint pins BC-1 — the default config
-// reproduces the golden output bit for bit — in tier-1: the Step1k world
-// of cmd/benchreport and BENCH_BASELINE.json (1000 nodes, default churn,
-// seed 1, warmed D + 2 rounds, then 5 more), hashed the way benchreport
-// hashes it. A refactor of Config, DefaultConfig or any default value
-// that moves a single counter of a single round fails here, not only in
-// CI's benchreport-against-JSON comparison.
-func TestDefaultConfigGoldenFingerprint(t *testing.T) {
-	cfg := DefaultConfig(1000)
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.NewEngine(w, cfg.Tau).Run(cfg.PlaybackDelayRounds + 2 + 5)
-	h := fnv.New64a()
-	for _, s := range w.Collector().Samples() {
-		fmt.Fprintf(h, "%+v\n", s)
-	}
-	if got, want := fmt.Sprintf("%016x", h.Sum64()), "2aba2b17242e7744"; got != want {
-		t.Fatalf("Step1k fingerprint %s, want %s: the default configuration no longer reproduces the golden run", got, want)
 	}
 }

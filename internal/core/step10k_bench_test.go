@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -9,29 +10,36 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// benchStep measures steady-state World.Step cost at population n with the
-// given worker-pool width. The world warms up past the playback delay
-// first so every phase (scheduling, transfers, deliveries, pre-fetch,
-// churn) carries its full load during the timed rounds.
-func benchStep(b *testing.B, n, workers int) {
-	b.Helper()
+// churnConfig is the default configuration at population n under the
+// default 5 %/round churn — the world of every measurement below except the
+// static one.
+func churnConfig(n int) Config {
 	cfg := DefaultConfig(n)
 	cfg.Churn = churn.DefaultConfig()
-	benchStepConfig(b, cfg, workers)
+	return cfg
 }
 
-// benchStepConfig is benchStep for an arbitrary base configuration.
-func benchStepConfig(b *testing.B, cfg Config, workers int) {
-	b.Helper()
-	cfg.Profile = ProfileContinuStreaming()
+// warmedWorld builds cfg's world at the given worker-pool width and runs it
+// past the playback delay, so every phase (scheduling, transfers,
+// deliveries, pre-fetch, maintenance, churn, repair) carries its full load
+// in the rounds that follow. It is the one world builder the benchmarks and
+// the golden tests share, so they measure the same worlds.
+func warmedWorld(tb testing.TB, cfg Config, workers int) (*World, *sim.Engine) {
+	tb.Helper()
 	cfg.Workers = workers
-	cfg.Seed = 1
 	w, err := NewWorld(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	engine := sim.NewEngine(w, cfg.Tau)
 	engine.Run(cfg.PlaybackDelayRounds + 2)
+	return w, engine
+}
+
+// benchStep times steady-state World.Step on cfg's warmed world.
+func benchStep(b *testing.B, cfg Config, workers int) {
+	b.Helper()
+	_, engine := warmedWorld(b, cfg, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,23 +47,30 @@ func benchStepConfig(b *testing.B, cfg Config, workers int) {
 	}
 }
 
-// BenchmarkStep10k drives one scheduling period of a 10,000-node overlay
-// under churn — past the paper's largest evaluation size — once with a
-// single worker (the pre-refactor sequential resolve path's concurrency)
-// and once with every available core. The sharded pipeline guarantees both
-// configurations produce bit-identical simulations; the benchmark exists
-// to show the wall-clock gap between them on multi-core hardware.
-func BenchmarkStep10k(b *testing.B) {
+// benchStepWidths runs benchStep at one worker and at every available core.
+func benchStepWidths(b *testing.B, cfg Config) {
 	widths := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		widths = append(widths, p)
 	}
 	for _, workers := range widths {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchStep(b, 10000, workers)
+			benchStep(b, cfg, workers)
 		})
 	}
 }
+
+// BenchmarkStep10k drives one scheduling period of a 10,000-node overlay
+// under churn — past the paper's largest evaluation size — once with a
+// single worker and once with every available core. The golden test below
+// pins that both produce bit-identical simulations; the benchmark exists to
+// show the wall-clock gap between them on multi-core hardware (CI's
+// scale-smoke job fails unless workers=4 beats workers=1 by 1.3×).
+func BenchmarkStep10k(b *testing.B) { benchStepWidths(b, churnConfig(10000)) }
+
+// BenchmarkStep1k is the paper-scale reference point for the same
+// measurement.
+func BenchmarkStep1k(b *testing.B) { benchStepWidths(b, churnConfig(1000)) }
 
 // BenchmarkStepStatic8k drives one round of a warmed 8000-node static
 // world — Figure 7's largest size, and the repository benchmark's
@@ -64,48 +79,16 @@ func BenchmarkStep10k(b *testing.B) {
 // is the benchmark (and, with -cpuprofile, the profile) for work on those
 // phases.
 func BenchmarkStepStatic8k(b *testing.B) {
-	benchStepConfig(b, DefaultConfig(8000), runtime.GOMAXPROCS(0))
+	benchStep(b, DefaultConfig(8000), runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkStep1k is the paper-scale reference point for the same
-// measurement.
-func BenchmarkStep1k(b *testing.B) {
-	widths := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		widths = append(widths, p)
-	}
-	for _, workers := range widths {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchStep(b, 1000, workers)
-		})
-	}
-}
-
-// BenchmarkMaintenance10k isolates the neighbour-maintenance phase on a
-// warmed 10,000-node world under churn: membership-gossip scatter, hear
-// delivery and dead-neighbour cleanup, rewire planning through the
-// provider seam, and the sequential intent application. The phase runs
-// entirely out of the round-lived shard arenas, so allocs/op is the
-// headline number — it must stay near zero as the planning fast path and
-// arena reuse carry the steady state.
 // BenchmarkSchedule10k isolates the scheduling slice of a round — buffer-
 // map exchange, word-parallel candidate enumeration, Algorithm 1 selection
-// — on a warmed 10,000-node world under churn, through the same exported
-// seam cmd/benchreport gates in CI. BenchSchedulePhase unwinds the
-// pending-request marks it sets, so every iteration schedules the
+// — on a warmed 10,000-node world under churn. BenchSchedulePhase unwinds
+// the pending-request marks it sets, so every iteration schedules the
 // identical candidate load.
 func BenchmarkSchedule10k(b *testing.B) {
-	cfg := DefaultConfig(10000)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Seed = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
+	w, engine := warmedWorld(b, churnConfig(10000), 1)
 	want := w.BenchSchedulePhase(engine.Clock())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -116,21 +99,133 @@ func BenchmarkSchedule10k(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintenance10k isolates the neighbour-maintenance phase on a
+// warmed 10,000-node world under churn: membership-gossip scatter, hear
+// delivery and dead-neighbour cleanup, rewire planning through the
+// provider seam, and the sequential intent application. The phase runs
+// entirely out of the round-lived shard arenas, so allocs/op is the
+// headline number — it must stay near zero as the planning fast path and
+// arena reuse carry the steady state.
 func BenchmarkMaintenance10k(b *testing.B) {
-	cfg := DefaultConfig(10000)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Seed = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
+	w, _ := warmedWorld(b, churnConfig(10000), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.maintenancePhase()
+	}
+}
+
+// heapPerOp calls f iters times and returns the heap allocations and bytes
+// per call. runtime.MemStats' Mallocs and TotalAlloc are monotonic, so the
+// deltas are exact whenever the collector runs inside the window.
+func heapPerOp(iters int, f func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(iters)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// sampleFingerprint hashes every per-round metrics sample the world has
+// recorded, warm-up included: one counter of one round moving changes it.
+func sampleFingerprint(w *World) string {
+	h := fnv.New64a()
+	for _, s := range w.Collector().Samples() {
+		fmt.Fprintf(h, "%+v\n", s)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestDefaultConfigGoldenFingerprint pins BC-1 — the default configuration
+// reproduces the golden output bit for bit, on every host and at every
+// worker count — and puts a ceiling on what a steady-state round may
+// allocate. Each row is a warmed world of the benchmarks above stepped a
+// few more rounds: the fingerprint covers every counter of every round, so
+// a refactor of Config, DefaultConfig, any default value or any phase that
+// moves one of them fails the row by name; the ceilings sit 20 % above the
+// level measured when they were set (PR 18: Step1k 5 817 allocs and
+// 1.17 MB per round, Step10k 35 714 / 35 803 / 35 853 at 1/4/8 workers and
+// 9.35 MB; a few more under -race, which the margin absorbs). When a change
+// means to move a fingerprint or a ceiling, update the row and say so.
+func TestDefaultConfigGoldenFingerprint(t *testing.T) {
+	const step10k = "cd56af0a7dd25347"
+	rows := []struct {
+		name        string
+		nodes       int
+		workers     int
+		rounds      int // stepped after the warm-up, and the ceilings' divisor
+		fingerprint string
+		// sameAs names an earlier row whose measured fingerprint this one
+		// must equal, so a worker-count divergence is reported as one even
+		// when every width has drifted from the constant.
+		sameAs    string
+		maxAllocs uint64 // per round
+		maxBytes  uint64
+		after     func(*testing.T, *World) // further checks on the stepped world
+	}{
+		{"Step1k", 1000, 1, 5, "2aba2b17242e7744", "", 7000, 1_400_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 43000, 11_300_000, maintenanceCeiling},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 43000, 11_300_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 43000, 11_300_000, nil},
+	}
+	measured := map[string]string{}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			w, engine := warmedWorld(t, churnConfig(row.nodes), row.workers)
+			allocs, bytes := heapPerOp(row.rounds, func() { engine.Run(1) })
+			t.Logf("%s: %d allocs/op, %d B/op", row.name, allocs, bytes)
+			if allocs > row.maxAllocs {
+				t.Errorf("%s: %d allocs per round, ceiling %d", row.name, allocs, row.maxAllocs)
+			}
+			if bytes > row.maxBytes {
+				t.Errorf("%s: %d B per round, ceiling %d", row.name, bytes, row.maxBytes)
+			}
+			got := sampleFingerprint(w)
+			measured[row.name] = got
+			if got != row.fingerprint {
+				t.Errorf("%s: fingerprint %s, want %s: the default configuration no longer reproduces the golden run", row.name, got, row.fingerprint)
+			}
+			if ref, ok := measured[row.sameAs]; ok && got != ref {
+				t.Errorf("%s: fingerprint %s, but %s measured %s: the pipeline is not bit-identical across worker counts", row.name, got, row.sameAs, ref)
+			}
+			if row.after != nil {
+				row.after(t, w)
+			}
+		})
+	}
+}
+
+// maintenanceCeiling prices the neighbour-maintenance phase in place on a
+// world that is finished stepping (248 allocs per phase there when the
+// ceiling was set, 233 at BenchmarkMaintenance10k's warm point).
+func maintenanceCeiling(t *testing.T, w *World) {
+	allocs, bytes := heapPerOp(2, w.maintenancePhase)
+	t.Logf("Maintenance10k: %d allocs/op, %d B/op", allocs, bytes)
+	if allocs > 300 {
+		t.Errorf("Maintenance10k: %d allocs per phase, ceiling 300", allocs)
+	}
+}
+
+// TestSchedule10kGoldenAndCeiling pins the scheduling slice of the warmed
+// 10,000-node world: the number of requests Algorithm 1 selects, hashed
+// over two probe calls (equal, since the probe unwinds its marks), and the
+// slice's allocations (1 423 per call when the ceiling was set). The probe
+// leaves the world unfit for further stepping — see BenchSchedulePhase —
+// so this world is built for it alone.
+func TestSchedule10kGoldenAndCeiling(t *testing.T) {
+	w, engine := warmedWorld(t, churnConfig(10000), 1)
+	h := fnv.New64a()
+	allocs, bytes := heapPerOp(2, func() {
+		fmt.Fprintf(h, "%d\n", w.BenchSchedulePhase(engine.Clock()))
+	})
+	t.Logf("Schedule10k: %d allocs/op, %d B/op", allocs, bytes)
+	if allocs > 1700 {
+		t.Errorf("Schedule10k: %d allocs per call, ceiling 1700", allocs)
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "88d7fbc87848a185"; got != want {
+		t.Errorf("Schedule10k: fingerprint %s, want %s: the scheduler selects a different request load", got, want)
 	}
 }

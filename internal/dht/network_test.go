@@ -10,8 +10,12 @@ import (
 
 // buildNetwork joins n distinct random IDs into a space-sized ring.
 func buildNetwork(t testing.TB, space Space, n int, seed uint64) *Network {
+	return buildNetworkFrom(space, n, sim.DeriveRNG(seed, 1))
+}
+
+// buildNetworkFrom is buildNetwork drawing from the caller's stream.
+func buildNetworkFrom(space Space, n int, rng *sim.RNG) *Network {
 	net := NewNetwork(space)
-	rng := sim.DeriveRNG(seed, 1)
 	joined := 0
 	for joined < n {
 		id := ID(rng.Intn(space.N()))
