@@ -5,7 +5,7 @@
 // population suffix or -nodes override — the path CI's scale smoke and
 // ad-hoc big runs go through. A flag the selected mode never reads (-sizes
 // under -scenario, -nodes under -experiment) is an error, not a silent run
-// at the defaults.
+// at the defaults; so is -seed 0, which both modes would run as seed 1.
 //
 // Usage:
 //
@@ -172,7 +172,9 @@ var (
 )
 
 // checkModeFlags returns an error naming the first flag set on the command
-// line that the selected mode never reads.
+// line whose value the run would not use: one the selected mode never
+// reads, or -seed 0, which the public Config and experiment.Options both
+// read as "unset" and replace with 1.
 func checkModeFlags(fs *flag.FlagSet, scenarioMode bool) error {
 	ignored, mode := scenarioOnlyFlags, "-experiment"
 	if scenarioMode {
@@ -180,8 +182,12 @@ func checkModeFlags(fs *flag.FlagSet, scenarioMode bool) error {
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(ignored, f.Name) {
+		switch {
+		case err != nil:
+		case slices.Contains(ignored, f.Name):
 			err = fmt.Errorf("-%s does nothing under %s", f.Name, mode)
+		case f.Name == "seed" && f.Value.String() == "0":
+			err = errors.New("-seed 0 would run as seed 1; seeds start at 1")
 		}
 	})
 	return err

@@ -9,11 +9,11 @@
 // a captured counter can pass -race for months — while this analyzer
 // sees the capture statically.
 //
-// Known limitation, by design: mutation hidden behind a method call on a
-// captured receiver (w.dissem.PutQueue(s, ...)) is not traced; the
-// convention there is that the method's first argument is the shard and
-// the receiver partitions its state by it, which -race plus the
-// worker-count determinism suites cover.
+// Known limitation, by design: mutation behind a method call or a local
+// pointer taken from a captured table (n := w.nodes[id]; n.Table.Hear(...))
+// is not traced; the convention there is that a shard reaches only the
+// nodes whose IDs it owns, which -race plus the worker-count determinism
+// suites cover.
 package shardcapture
 
 import (

@@ -158,3 +158,41 @@ func TestProcessTraceRespectsStartRound(t *testing.T) {
 		t.Fatal("no churn after StartRound")
 	}
 }
+
+// FuzzReadTrace drives the -churntrace parser with arbitrary text: it must
+// never panic, a trace it accepts must pass Validate, and Rates must hold
+// the first and last rounds' values on either side of the recorded horizon.
+func FuzzReadTrace(f *testing.F) {
+	for _, m := range []*TraceModel{
+		ExponentialTrace(8, 20),
+		ParetoTrace(8, 1.5, 4),
+		DiurnalTrace(12, 6, 0.01, 0.07, 4, 0.25),
+	} {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("continustreaming-churn-trace v1\n# comment\n\n0 0.5 0\n"))
+	f.Add([]byte("continustreaming-churn-trace v1 x\n1 0.1 0.1\n"))
+	f.Add([]byte("continustreaming-churn-trace v1 x\n0 NaN 0.1\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted trace fails Validate: %v", err)
+		}
+		last := m.Rounds() - 1
+		for _, tc := range [][2]int{{-1, 0}, {last + 1, last}, {math.MaxInt, last}} {
+			gl, gj := m.Rates(tc[0])
+			wl, wj := m.Rates(tc[1])
+			if gl != wl || gj != wj {
+				t.Fatalf("Rates(%d) = (%v, %v), want round %d's (%v, %v)", tc[0], gl, gj, tc[1], wl, wj)
+			}
+		}
+	})
+}

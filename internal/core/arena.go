@@ -39,7 +39,7 @@ type roundArena struct {
 	nodes []overlay.NodeID
 
 	// deadScan snapshots one node's neighbour IDs ahead of dead-edge
-	// removal (removeEdge mutates the live cache mid-iteration).
+	// removal (removeEdge mutates the live list mid-iteration).
 	deadScan []overlay.NodeID
 
 	// provider is the shard's reusable maintenance view provider,
@@ -66,6 +66,12 @@ type roundArena struct {
 	// each supplier); suppliers the distinct supplier worklist.
 	asks      []transferReq
 	suppliers []overlay.NodeID
+
+	// carriers lists, ascending, this shard's suppliers whose serve left
+	// a non-empty carry queue on their node: with the next round's ask
+	// targets, the next round's worklist. Unlike its neighbours here it
+	// has to last from one serve stage to the next.
+	carriers []overlay.NodeID
 
 	// deliverScatter holds the serve stage's grants: deliverScatter[s]
 	// collects the transfers this supplier shard granted to receivers
@@ -411,9 +417,9 @@ type maintenanceProvider struct {
 
 func (p *maintenanceProvider) AppendNeighbors(dst []protocol.NeighborSupply) []protocol.NeighborSupply {
 	for _, nb := range p.n.Table.Neighbors() {
-		s := protocol.NeighborSupply{ID: nb.ID, Known: p.n.Ctrl.Known(int(nb.ID))}
+		s := protocol.NeighborSupply{ID: nb, Known: p.n.Ctrl.Known(int(nb))}
 		if s.Known {
-			s.Supply = p.n.Ctrl.Supply(int(nb.ID))
+			s.Supply = p.n.Ctrl.Supply(int(nb))
 		}
 		dst = append(dst, s)
 	}
@@ -451,5 +457,5 @@ func (p *maintenanceProvider) AppendRPCandidates(dst []overlay.NodeID, max int) 
 func (p *maintenanceProvider) Alive(id overlay.NodeID) bool { return p.w.nodes[id] != nil }
 
 func (p *maintenanceProvider) Connected(id overlay.NodeID) bool {
-	return containsSortedID(p.n.nbrs, id)
+	return p.n.Table.IsNeighbor(id)
 }

@@ -23,13 +23,10 @@ import (
 type PolicyKind int
 
 // Scheduling disciplines. UrgencyRarity is ContinuStreaming's Algorithm 1
-// ordering; RarestFirst is CoolStreaming's; the rest exist for ablations.
+// ordering; RarestFirst is CoolStreaming's.
 const (
 	PolicyUrgencyRarity PolicyKind = iota
 	PolicyRarestFirst
-	PolicyRandom
-	PolicyUrgencyOnly
-	PolicyRarityOnly
 )
 
 // String names the policy for experiment output.
@@ -39,12 +36,6 @@ func (p PolicyKind) String() string {
 		return "urgency-rarity"
 	case PolicyRarestFirst:
 		return "rarest-first"
-	case PolicyRandom:
-		return "random"
-	case PolicyUrgencyOnly:
-		return "urgency-only"
-	case PolicyRarityOnly:
-		return "rarity-only"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -93,7 +84,8 @@ type Config struct {
 	Nodes int
 	// Params are the protocol parameters the livenet reads too.
 	protocol.Params
-	// H is the overheard-list capacity (paper default 20).
+	// H is the overheard-list capacity. The paper: "H = 20 is usually
+	// enough according to our simulation experience."
 	H int
 	// Stream is the media stream; its Rate is p.
 	Stream segment.Stream
@@ -181,6 +173,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	if c.H <= 0 {
+		return fmt.Errorf("core: non-positive overheard-list capacity %d", c.H)
 	}
 	if err := c.Stream.Validate(); err != nil {
 		return err

@@ -66,8 +66,6 @@ func TestDebugMatrix(t *testing.T) {
 	}
 	profiles := []Profile{
 		ProfileCoolStreaming(),
-		{Name: "rarity-only", Policy: PolicyRarityOnly, Prefetch: false},
-		{Name: "urgency-only", Policy: PolicyUrgencyOnly, Prefetch: false},
 		ProfileSchedulingOnly(),
 		ProfileContinuStreaming(),
 	}

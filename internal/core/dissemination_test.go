@@ -116,7 +116,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	}
 	// Capacity 1: only the spill-adjusted single slot. Force it by
 	// charging one push send against the supplier.
-	w.dissem.ChargePush(w.shardOf(sup), sup, 1)
+	sn.pushSpent = 1
 	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, snaps, index, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
 		t.Fatalf("granted %+v, want the rare segment %d first", res.Granted, rare)
@@ -145,7 +145,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 	if len(res.Granted) != 2 {
 		t.Fatalf("granted %d, want 2", len(res.Granted))
 	}
-	if qn := w.dissem.QueueLen(shard, sup); qn != 2 { // QueueFactor 2 × Out 1
+	if qn := len(sn.carry); qn != 2 { // QueueFactor 2 × Out 1
 		t.Fatalf("queued %d, want QueueFactor·O = 2", qn)
 	}
 	if res.Evicted.Overflow != 1 {
@@ -156,7 +156,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 	if len(res2.Granted) != 2 || !res2.Granted[0].Carried || !res2.Granted[1].Carried {
 		t.Fatalf("carried requests not served next round: %+v", res2.Granted)
 	}
-	if w.dissem.QueueLen(shard, sup) != 0 {
+	if len(sn.carry) != 0 {
 		t.Fatal("queue not drained")
 	}
 }

@@ -82,7 +82,8 @@ func inFlight(w *World) [][]delivery {
 // order — and the round sample must be identical. The lists are written
 // by serve's neighbours in the pipeline (push, the pre-fetch claim stage,
 // every apply shard, churn), so a hand-off that depended on which worker
-// ran which shard would show here first.
+// ran which shard would show here first. Both worlds also pass
+// checkNodeState after every round.
 func TestDeliveryHandoffDeterministicAcrossWorkerCounts(t *testing.T) {
 	const rounds = 20
 	build := func(workers int) (*World, *sim.Engine) {
@@ -104,6 +105,8 @@ func TestDeliveryHandoffDeterministicAcrossWorkerCounts(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		e1.Run(1)
 		e4.Run(1)
+		checkNodeState(t, w1)
+		checkNodeState(t, w4)
 		if s1, s4 := w1.Collector().Samples()[r], w4.Collector().Samples()[r]; s1 != s4 {
 			t.Fatalf("round %d sample diverges:\n 1 worker: %+v\n4 workers: %+v", r, s1, s4)
 		}
@@ -219,7 +222,8 @@ func TestHandoffMatchesMergeSortOracle(t *testing.T) {
 // in flight to a node that leaves must be dropped there, before any
 // joiner can take the slot: after the phase no in-flight entry may be
 // addressed to a vacant slot or to a node that joined this very round (it
-// has asked nobody for anything yet).
+// has asked nobody for anything yet). The same recycling is the hazard
+// for node-owned serve state, so every round ends with checkNodeState.
 func TestInFlightDeliveryNeverReachesRecycledSlot(t *testing.T) {
 	cfg := smallConfig(100, ProfileContinuStreaming())
 	cfg.SpaceSize = 256
@@ -261,7 +265,11 @@ func TestInFlightDeliveryNeverReachesRecycledSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.NewEngine(w, cfg.Tau).Run(30)
+	engine := sim.NewEngine(w, cfg.Tau)
+	for r := 0; r < 30; r++ {
+		engine.Run(1)
+		checkNodeState(t, w)
+	}
 	if orphaned == 0 || recycled == 0 {
 		t.Fatalf("%d in-flight deliveries lost their receiver and %d of those slots were reused in the same phase; the test needs both to happen",
 			orphaned, recycled)

@@ -8,16 +8,20 @@ import (
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
-	"continustreaming/internal/scheduler"
+	"continustreaming/internal/protocol"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
 
 // Node is one overlay peer: the software architecture of Figure 1 — P2P
-// Overlay Manager (PeerTable), Data Scheduler (policy), Buffer, Rate
-// Controller, and VoD Data Backup — plus the simulation-side bookkeeping
-// (pending requests, arrival timestamps) a real implementation would keep
-// in its transport layer.
+// Overlay Manager (PeerTable), Buffer, Rate Controller, and VoD Data
+// Backup — plus the simulation-side bookkeeping (pending requests, arrival
+// timestamps, the supplier's carry queue) a real implementation would
+// keep in its transport layer. The Data Scheduler holds no per-node
+// state, so the world keeps the one policy its profile selects. Every
+// per-node fact lives here once: the neighbour set and DHT levels in
+// Table, everything keyed by segment in seg, the supplier-side round
+// state in carry and pushSpent.
 type Node struct {
 	// ID is the node's overlay identifier and its DHT ring position.
 	ID overlay.NodeID
@@ -39,17 +43,13 @@ type Node struct {
 	Buf *buffer.Buffer
 	// Ctrl estimates per-neighbour receiving rates.
 	Ctrl *bandwidth.Controller
-	// Alpha adapts the urgent ratio; Tags tracks pre-fetched segments for
-	// repeated-data detection. Both are nil for profiles without
-	// pre-fetch.
+	// Alpha adapts the urgent ratio; nil for profiles without pre-fetch
+	// (and for the source).
 	Alpha *prefetch.Alpha
-	Tags  *prefetch.Tags
 	// Backup is the node's VoD Data Backup store.
 	Backup *dht.Store
 	// RNG is the node's private randomness stream.
 	RNG *sim.RNG
-	// Policy is the node's scheduling discipline.
-	Policy scheduler.Policy
 
 	// Started reports whether playback has begun (§5.2: the system ramps
 	// up as nodes buffer enough to start; new joiners follow their
@@ -63,17 +63,26 @@ type Node struct {
 	// continuity metric.
 	JoinedRound int
 
-	// nbrs caches the node's connected neighbours, ascending — the same
-	// set as the world's edge map, maintained by addEdge/removeEdge so
-	// hot phases iterate it without rebuilding and sorting per call.
-	nbrs []overlay.NodeID
-
 	// seg tracks the per-segment transient state (pending requests,
-	// in-flight pre-fetches, arrival timestamps) in dense window-aligned
-	// arrays instead of maps: every live entry's ID sits inside the
-	// buffer window, so a circular array indexed by id mod slots holds
-	// them without hashing or per-entry allocation.
+	// in-flight pre-fetches, pre-fetch tags, arrival timestamps) in dense
+	// window-aligned arrays instead of maps: every live entry's ID sits
+	// inside the buffer window, so a circular array indexed by id mod
+	// slots holds them without hashing or per-entry allocation.
 	seg segTrack
+
+	// carry is the supplier-side carry queue: the requests this node
+	// could not serve inside its backlog horizon and keeps, in deadline
+	// order, for the next round (protocol.PlanServe bounds and revalidates
+	// it). It is the one piece of serve state that crosses rounds; it
+	// dies with the node, so a joiner recycling the ring slot starts
+	// empty. Only the serve shard that owns the node (or sequential phase
+	// code) touches it, and that shard lists the node in its arena's
+	// carriers while the queue is non-empty.
+	carry []protocol.Request
+	// pushSpent counts the eager-push transmissions this node made this
+	// round; serving subtracts it from the backlog horizon and queues
+	// grants behind it on the wire. Same ownership rule as carry.
+	pushSpent int
 
 	// overdue / repeated accumulate this round's α feedback.
 	overdue  int
@@ -122,6 +131,12 @@ type segTrack struct {
 	gossipExpiry     []int32    // retry round bound; 0 = no pending request
 	gossipExpectedAt []sim.Time // expected arrival; valid while gossipExpiry set
 	prefetchExpiry   []int32    // 0 = no pending pre-fetch
+	// tagged has one bit per slot: set when a pre-fetch was issued for the
+	// segment, so a gossip copy of it can be recognised as "repeated
+	// data" (§4.3 Case 2) — the pre-fetch was unnecessary and α should
+	// shrink. Unlike prefetchExpiry it survives the segment's arrival and
+	// is cleared when the repeat decision is made.
+	tagged []uint64
 }
 
 // openSegTrack returns a clear tracker whose window opens at lo (>= 0),
@@ -137,10 +152,12 @@ func openSegTrack(slots int, lo segment.ID, recycled segTrack) segTrack {
 			gossipExpiry:     make([]int32, slots),
 			gossipExpectedAt: make([]sim.Time, slots),
 			prefetchExpiry:   make([]int32, slots),
+			tagged:           make([]uint64, (slots+63)/64),
 		}
 	} else {
 		clear(t.gossipExpiry)
 		clear(t.prefetchExpiry)
+		clear(t.tagged)
 	}
 	for i := range t.arrived {
 		t.arrived[i] = -1
@@ -188,6 +205,7 @@ func (t *segTrack) advanceTo(lo segment.ID) {
 		t.arrived[s] = -1
 		t.gossipExpiry[s] = 0
 		t.prefetchExpiry[s] = 0
+		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
 		if s++; s == t.slots {
 			s = 0
 		}
@@ -241,8 +259,23 @@ func (n *Node) predictExcluded(id segment.ID, round int, now, deadline sim.Time)
 
 // markPrefetchPending records an in-flight pre-fetch and tags the segment.
 func (n *Node) markPrefetchPending(id segment.ID, round int) {
-	n.seg.prefetchExpiry[n.seg.mustSlot(id)] = int32(round + pendingExpiryRounds)
-	n.Tags.Mark(id)
+	s := n.seg.mustSlot(id)
+	n.seg.prefetchExpiry[s] = int32(round + pendingExpiryRounds)
+	n.seg.tagged[s>>6] |= 1 << (uint(s) & 63)
+}
+
+// prefetchTagged reports whether a pre-fetch was issued for id and the
+// repeat decision is still open.
+func (n *Node) prefetchTagged(id segment.ID) bool {
+	s, ok := n.seg.slot(id)
+	return ok && n.seg.tagged[s>>6]&(1<<(uint(s)&63)) != 0
+}
+
+// clearPrefetchTag closes id's repeat decision.
+func (n *Node) clearPrefetchTag(id segment.ID) {
+	if s, ok := n.seg.slot(id); ok {
+		n.seg.tagged[s>>6] &^= 1 << (uint(s) & 63)
+	}
 }
 
 // receive ingests a delivered segment at time at. It returns true when the
@@ -272,9 +305,6 @@ func (n *Node) noteArrived(id segment.ID, at sim.Time) {
 // pruneBelow drops all per-segment state older than floor.
 func (n *Node) pruneBelow(floor segment.ID) {
 	n.seg.advanceTo(floor)
-	if n.Tags != nil {
-		n.Tags.PruneBelow(floor)
-	}
 	n.Backup.PruneBelow(floor)
 }
 

@@ -1,0 +1,86 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"continustreaming/internal/dht"
+	"continustreaming/internal/overlay"
+	"continustreaming/internal/segment"
+)
+
+// checkNodeState asserts, on a world that has just finished a round, the
+// invariants of the state each node keeps once: the neighbour lists are
+// strictly ascending, name only alive nodes and are symmetric; a carry
+// queue holds only requests of alive requesters, within its bound, and its
+// holder is on its serve shard's worklist (a queue the list forgot would
+// never be served again); a node that joined this round carries nothing,
+// has spent nothing and has no pre-fetch tag, whoever held its ring slot or
+// its tracker's arrays before; the segment tracker covers the buffer's window and no
+// pre-fetch tag sits on a segment that does not exist yet (a tag the window
+// advance failed to wipe would, one buffer length ahead of the segment it
+// was set for); and the DHT's membership bitmap is the alive set.
+func checkNodeState(t *testing.T, w *World) {
+	t.Helper()
+	edge := w.fetchEdge(w.round)
+	for _, id := range w.order {
+		n := w.nodes[id]
+		nbrs := n.Table.Neighbors()
+		for i, nb := range nbrs {
+			if i > 0 && nbrs[i-1] >= nb {
+				t.Fatalf("round %d node %d: neighbours %v not strictly ascending", w.round, id, nbrs)
+			}
+			if peer := w.nodes[nb]; peer == nil {
+				t.Fatalf("round %d node %d: neighbour %d is dead", w.round, id, nb)
+			} else if !peer.Table.IsNeighbor(id) {
+				t.Fatalf("round %d: edge %d-%d has no reverse", w.round, id, nb)
+			}
+		}
+
+		if len(n.carry) > w.cfg.QueueFactor*n.Rates.Out {
+			t.Fatalf("round %d node %d: carries %d requests, bound %d", w.round, id, len(n.carry), w.cfg.QueueFactor*n.Rates.Out)
+		}
+		for _, r := range n.carry {
+			if w.nodes[r.Requester] == nil {
+				t.Fatalf("round %d node %d: carries %+v of a departed requester", w.round, id, r)
+			}
+		}
+		if len(n.carry) > 0 && w.arenas != nil {
+			if _, listed := slices.BinarySearch(w.arenas[w.shardOf(id)].carriers, id); !listed {
+				t.Fatalf("round %d node %d: carries %d requests but is not on its shard's worklist", w.round, id, len(n.carry))
+			}
+		}
+		if n.JoinedRound == w.round && (len(n.carry) > 0 || n.pushSpent != 0 || slices.Max(n.seg.tagged) != 0) {
+			t.Fatalf("round %d: joiner %d starts with %d carried requests, push spend %d, pre-fetch tags %x",
+				w.round, id, len(n.carry), n.pushSpent, n.seg.tagged)
+		}
+
+		if n.seg.lo != n.Buf.Lo() || n.seg.slots != n.Buf.Size() {
+			t.Fatalf("round %d node %d: tracker covers %d slots from %d, buffer %d from %d",
+				w.round, id, n.seg.slots, n.seg.lo, n.Buf.Size(), n.Buf.Lo())
+		}
+		for seg := max(edge, n.seg.lo); seg < n.seg.lo+segment.ID(n.seg.slots); seg++ {
+			if n.prefetchTagged(seg) {
+				t.Fatalf("round %d node %d: pre-fetch tag on segment %d, window opens at %d, fetch edge %d", w.round, id, seg, n.seg.lo, edge)
+			}
+		}
+		if pad := n.seg.slots & 63; pad != 0 && n.seg.tagged[len(n.seg.tagged)-1]>>pad != 0 {
+			t.Fatalf("round %d node %d: tag bits set past slot %d", w.round, id, n.seg.slots)
+		}
+	}
+	for s := range w.arenas {
+		if c := w.arenas[s].carriers; !slices.IsSorted(c) {
+			t.Fatalf("round %d shard %d: queue-holder worklist %v not ascending", w.round, s, c)
+		}
+	}
+	if w.dhtNet.Size() != len(w.order) {
+		t.Fatalf("round %d: DHT has %d members, world %d", w.round, w.dhtNet.Size(), len(w.order))
+	}
+	for id := range w.nodes {
+		// Owner reads the bitmap: a key is its own owner iff its bit is set.
+		owner, _ := w.dhtNet.Owner(dht.ID(id))
+		if member, alive := owner == dht.ID(id), w.nodes[id] != nil; member != alive {
+			t.Fatalf("round %d: ring ID %d alive=%v but DHT membership bit=%v", w.round, overlay.NodeID(id), alive, member)
+		}
+	}
+}

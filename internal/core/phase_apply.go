@@ -63,7 +63,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 				// Gossip beat the pre-fetch: repeated data.
 				local.Repeated++
 				n.repeated++
-				n.Tags.Clear(d.id)
+				n.clearPrefetchTag(d.id)
 			case stored && d.at > deadline && d.id >= pos:
 				// Arrived, but after its play moment: overdue.
 				local.Overdue++
@@ -76,7 +76,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 		}
 		local.DataBits += segBits
 		local.Deliveries++
-		tagged := n.Tags != nil && n.Tags.Tagged(d.id)
+		tagged := n.prefetchTagged(d.id)
 		already := n.Buf.Has(d.id)
 		stored := n.receive(d.id, d.at)
 		n.Ctrl.ObserveDelivery(int(d.from), (d.at - now).Seconds())
@@ -85,7 +85,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 			// handled (or is handling): repeated data.
 			local.Repeated++
 			n.repeated++
-			n.Tags.Clear(d.id)
+			n.clearPrefetchTag(d.id)
 		}
 		if stored {
 			n.maybeBackup(w.space, d.id, w.cfg.Replicas)
@@ -138,9 +138,6 @@ func (w *World) playbackPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 			n.Alpha.Apply(n.overdue, n.repeated)
 		}
 		n.Ctrl.Tick()
-		for _, nb := range n.Table.Neighbors() {
-			n.Table.UpdateSupply(nb.ID, n.Ctrl.Supply(int(nb.ID)))
-		}
 	})
 	// The warm variant excludes nodes still inside their post-join
 	// warm-up window — the joiner ramp-up drag that the plain metric

@@ -6,6 +6,7 @@ import (
 
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/protocol"
 	"continustreaming/internal/sim"
 )
 
@@ -42,8 +43,11 @@ func (w *World) churnPhase() {
 		}
 		// Same recycling hazard on the supplier side: carried requests
 		// from this round's leavers must go before any joiner can reuse
-		// their ring slots and pass the serve-time liveness check.
-		w.dissem.FilterRequesters(func(id overlay.NodeID) bool { return w.nodes[id] != nil })
+		// their ring slots and pass the serve-time liveness check. (w.seq
+		// still lists the leavers; their queues are as dead as they are.)
+		for _, n := range w.seq {
+			n.carry = slices.DeleteFunc(n.carry, func(r protocol.Request) bool { return w.nodes[r.Requester] == nil })
+		}
 	}
 	for j := 0; j < plan.Joins; j++ {
 		w.join()
@@ -70,7 +74,7 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 		}
 		w.rp.ReportFailure(id)
 	}
-	// Copy the live neighbour cache before tearing the edges down.
+	// Copy the neighbour list before tearing the edges down.
 	nbs := append([]overlay.NodeID(nil), w.neighborsOf(id)...)
 	for _, nb := range nbs {
 		w.removeEdge(id, nb)
@@ -81,9 +85,6 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	w.freeSeg = append(w.freeSeg, n.seg)
 	n.seg = segTrack{}
 	w.outUsed[id] = 0
-	// The carry queue held promises of this node's buffer; a joiner
-	// recycling the slot must not inherit them.
-	w.dissem.DropSupplier(w.shardOf(id), id)
 	// The ring slot is free again; without recycling, sustained churn
 	// exhausts the ID space long before the paper's 40-round tracks end.
 	// churnPhase purges the in-flight deliveries addressed to this round's
@@ -91,9 +92,10 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	// the ID (overheard peer-table entries, decaying rate estimates) are
 	// deliberately NOT scrubbed: that would cost a world scan per leaver,
 	// and the staleness models address reuse — rankings self-correct
-	// because addEdge measures latency fresh and supply credit decays
-	// every Tick, while the recycled node's own state is fully fresh
-	// (generation-salted streams below, empty buffers and ledgers).
+	// because latency is measured fresh and supply credit decays every
+	// Tick, while the recycled node's own state is fully fresh
+	// (generation-salted streams below, empty buffers, ledgers and carry
+	// queue — the promises of this node's buffer went with it).
 	w.rp.Release(id)
 	// A future joiner reusing this slot must not replay the dead node's
 	// random streams; the generation counter salts its derivations.
@@ -155,7 +157,7 @@ func (w *World) join() {
 	}
 	if donor != nil {
 		consider(donor.ID)
-		for _, nb := range donor.Table.NeighborIDs() {
+		for _, nb := range donor.Table.Neighbors() {
 			consider(nb)
 		}
 	}
@@ -172,7 +174,7 @@ func (w *World) join() {
 		return pool[i].id < pool[j].id
 	})
 	for _, c := range pool {
-		if len(n.nbrs) >= w.cfg.M {
+		if len(n.Table.Neighbors()) >= w.cfg.M {
 			break
 		}
 		w.addEdge(id, c.id)

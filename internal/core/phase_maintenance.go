@@ -57,9 +57,9 @@ func (w *World) maintenancePhase() {
 			for i := lo; i < hi; i++ {
 				n := w.nodes[w.order[i]]
 				// The neighbour snapshot is pinned at phase entry: nothing
-				// mutates edges until stage 2, so the live sorted cache is
+				// mutates edges until stage 2, so the table's own list is
 				// the snapshot.
-				protocol.GossipPicks(n.RNG, n.nbrs, alive, emit)
+				protocol.GossipPicks(n.RNG, n.Table.Neighbors(), alive, emit)
 			}
 			return struct{}{}
 		},
@@ -68,9 +68,8 @@ func (w *World) maintenancePhase() {
 	// Stage 2: shard-owned hear delivery, dead-neighbour cleanup, and
 	// intent computation. Every mutation in this stage touches only state
 	// owned by the executing shard (the node's own tables, its own
-	// neighbour cache, its own controller, its own arena). One sequential
-	// pass builds the per-shard work lists so each shard walks only its
-	// own nodes.
+	// controller, its own arena). One sequential pass builds the per-shard
+	// work lists so each shard walks only its own nodes.
 	w.shardWorkLists()
 	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseRewire),
 		func(s int, _ *sim.RNG) struct{} {
@@ -89,8 +88,8 @@ func (w *World) maintenancePhase() {
 			for _, id := range ar.nodes {
 				n := w.nodes[id]
 				// Snapshot the neighbour list before the dead scan:
-				// removeEdge rewrites the sorted cache mid-iteration.
-				ar.deadScan = append(ar.deadScan[:0], n.nbrs...)
+				// removeEdge rewrites it mid-iteration.
+				ar.deadScan = append(ar.deadScan[:0], n.Table.Neighbors()...)
 				for _, nb := range ar.deadScan {
 					if w.nodes[nb] == nil {
 						// The dead side's node is gone, so this edge
@@ -137,7 +136,7 @@ func (w *World) maintenanceView(n *Node, warm bool, prov protocol.ViewProvider) 
 		Warm:            warm,
 		Round:           w.round,
 		LastReplace:     n.lastReplace,
-		Degree:          len(n.nbrs),
+		Degree:          len(n.Table.Neighbors()),
 		DegreeTarget:    w.cfg.DegreeTarget(n.IsSource),
 		MissedLastRound: n.missedLastRound,
 		MissStreak:      n.missStreak,
@@ -172,14 +171,14 @@ func (w *World) applyRewire(intent protocol.RewireIntent) {
 		for next < len(intent.Adopt) {
 			c := intent.Adopt[next]
 			next++
-			if w.nodes[c] != nil && !containsSortedID(n.nbrs, c) && c != n.ID {
+			if w.nodes[c] != nil && !n.Table.IsNeighbor(c) && c != n.ID {
 				return c, true
 			}
 		}
 		return -1, false
 	}
 	for _, victim := range intent.Drop {
-		if !containsSortedID(n.nbrs, victim) {
+		if !n.Table.IsNeighbor(victim) {
 			continue // already gone (dead, or dropped from the other side)
 		}
 		cand, ok := takeCandidate()
@@ -191,7 +190,7 @@ func (w *World) applyRewire(intent protocol.RewireIntent) {
 		n.Table.TakeOverheard(cand)
 		w.addEdge(n.ID, cand)
 	}
-	for len(n.nbrs) < w.cfg.DegreeTarget(n.IsSource) {
+	for len(n.Table.Neighbors()) < w.cfg.DegreeTarget(n.IsSource) {
 		cand, ok := takeCandidate()
 		if !ok {
 			break

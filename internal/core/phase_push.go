@@ -93,7 +93,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 				var out []protocol.Send
 				for _, id := range byShard[s] {
 					n := w.nodes[id]
-					budget := pushBudget(n) - w.dissem.PushSpent(s, id)
+					budget := pushBudget(n) - n.pushSpent
 					if budget <= 0 {
 						continue
 					}
@@ -126,7 +126,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 						continue
 					}
 					// The planning shard owns both ledgers for its pushers.
-					w.dissem.ChargePush(s, id, len(sends))
+					n.pushSpent += len(sends)
 					//continulint:shardcapture dense ledger indexed by pusher ID; shard s owns exactly the IDs with shardOf(id)==s, so writes are disjoint
 					w.outUsed[id] += int32(len(sends))
 					out = append(out, sends...)

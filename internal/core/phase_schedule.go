@@ -136,7 +136,7 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 					JitterSeed:    w.cfg.Seed ^ uint64(n.ID)*0x9e3779b97f4a7c15 ^ n.Gen*0xd1342543de82ef95,
 					RarityNoise:   w.cfg.RarityNoise,
 				}
-				reqs := n.Policy.Schedule(in)
+				reqs := w.policy.Schedule(in)
 				for _, req := range reqs {
 					n.markGossipPending(req.ID, round, now+req.ExpectedAt)
 				}
@@ -196,7 +196,8 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 // candidatesFor call on the same arena — exactly the scheduling call that
 // consumes them.
 func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
-	if len(n.nbrs) == 0 {
+	nbrs := n.Table.Neighbors()
+	if len(nbrs) == 0 {
 		return nil
 	}
 	own := n.Buf
@@ -216,7 +217,7 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 	ar.candUnion = slices.Grow(ar.candUnion[:0], nWords)[:nWords]
 	union := ar.candUnion
 	clear(union)
-	for _, nb := range n.nbrs {
+	for _, nb := range nbrs {
 		j := index[nb]
 		if j < 0 {
 			continue // neighbour died this round; maintenance will repair

@@ -88,13 +88,13 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // index and w.order is sorted, concatenating a supplier shard's buckets in
 // scatter-shard order reproduces the requester-ascending arrival order a
 // sequential scan would produce. Stage 2 (serve) gives each supplier shard
-// exclusive ownership of its suppliers — including their carry queues and
-// push spend, which live in the engine's matching shard — so it runs the
-// service discipline and writes the ledger partition it owns; counters
-// are merged in shard order afterwards. Grants are not merged at all: the
-// serving shard appends each to the bucket of the shard that owns its
-// receiver (roundArena.deliverScatter), where the apply stage picks them
-// up — the same shard-to-shard hand-off as stage 1's, one stage later.
+// exclusive ownership of its suppliers — their nodes' carry queues and
+// push spend included — so it runs the service discipline and writes the
+// ledger partition it owns; counters are merged in shard order afterwards.
+// Grants are not merged at all: the serving shard appends each to the
+// bucket of the shard that owns its receiver (roundArena.deliverScatter),
+// where the apply stage picks them up — the same shard-to-shard hand-off
+// as stage 1's, one stage later.
 func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, snaps []buffer.Map, index []int32, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
@@ -141,9 +141,16 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 			// between the two MapReduce calls.
 			groupAsks(w.arenas, s, w.shardRank)
 			// The worklist is the union of carry-queue holders and fresh-ask
-			// targets, ascending and deduplicated — the same set (and order)
-			// the retired per-shard map produced.
-			ar.suppliers = append(ar.suppliers[:0], w.dissem.QueuedSuppliers(s)...)
+			// targets, ascending and deduplicated. Last round's walk listed
+			// the holders; churn since may have removed one, handed its slot
+			// to a joiner or emptied its queue of departed requesters.
+			ar.suppliers = ar.suppliers[:0]
+			for _, id := range ar.carriers {
+				if n := w.nodes[id]; n != nil && len(n.carry) > 0 {
+					ar.suppliers = append(ar.suppliers, id)
+				}
+			}
+			ar.carriers = ar.carriers[:0]
 			for i, tr := range ar.asks {
 				if i == 0 || tr.supplier != ar.asks[i-1].supplier {
 					ar.suppliers = append(ar.suppliers, tr.supplier)
@@ -167,6 +174,11 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 				}
 				sr := w.serveSupplier(ar, s, sup, ar.asks[askLo:askHi], snaps, index, start, horizon, pos, p)
 				askLo = askHi
+				if len(sr.Queued) > 0 {
+					// Suppliers ascend, so the list is next round's sorted
+					// worklist of queue holders as it stands.
+					ar.carriers = append(ar.carriers, sup)
+				}
 				// The serving shard owns ledger slot sup (shardOf(sup) == s),
 				// so this write races with nothing.
 				//continulint:shardcapture dense ledger indexed by supplier ID; shard s owns exactly the IDs with shardOf(id)==s, so writes are disjoint
@@ -183,7 +195,7 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 				// push spend, and completion times must agree with it or
 				// a pushing supplier's pulls would land impossibly early.
 				per := bandwidth.PerSegment(sn.Rates.Out, w.cfg.Tau)
-				backlog := sim.Time(w.dissem.PushSpent(s, sup))
+				backlog := sim.Time(sn.pushSpent)
 				for k, g := range sr.Granted {
 					if g.Carried {
 						res.queueServed++
@@ -212,15 +224,16 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 // predicates, snapshot views, the supplier's own neighbours' advertised
 // maps for the rarity term) and delegates the decision to
 // protocol.PlanServe — the same code path the livenet runtime serves
-// from — then stores the requests carried forward back into the engine.
+// from — then leaves the requests carried forward on the supplier's node.
 // It touches only state owned by shard s, so supplier shards invoke it
 // concurrently.
 func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh []transferReq, snaps []buffer.Map, index []int32, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
-	carried := w.dissem.TakeQueue(s, sup)
 	sn := w.nodes[sup]
 	if sn == nil || sn.Rates.Out <= 0 {
-		// A dead or mute supplier abandons everything addressed to it.
-		return protocol.ServeResult{Evicted: protocol.Evictions{Stale: int64(len(carried) + len(fresh))}}
+		// A dead or mute supplier abandons everything addressed to it. It
+		// carries nothing: a queue dies with its node, and the bound on a
+		// live one is a multiple of its outbound rate.
+		return protocol.ServeResult{Evicted: protocol.Evictions{Stale: int64(len(fresh))}}
 	}
 	if !w.cfg.Profile.Engine {
 		// Baseline profiles keep the published pull-only discipline:
@@ -260,11 +273,11 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 	ctx.cache = w.rarityCacheFor(s)
 	ctx.cache.begin(pos)
 	res := protocol.PlanServe(protocol.ServeInput{
-		Carried: carried,
+		Carried: sn.carry,
 		Fresh:   ar.planAsks,
 		// Backlog spill (up to one extra period of queued transmissions)
 		// minus what the push phase already transmitted this round.
-		Capacity:       2*sn.Rates.Out - w.dissem.PushSpent(s, sup),
+		Capacity:       2*sn.Rates.Out - sn.pushSpent,
 		QueueCap:       w.cfg.QueueFactor * sn.Rates.Out,
 		Horizon:        horizon,
 		SupplierHas:    ctx.supplierHas,
@@ -272,6 +285,6 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 		RequesterHas:   ctx.requesterHas,
 		Rarity:         ctx.rarity,
 	}, &ar.serve)
-	w.dissem.PutQueue(s, sup, res.Queued)
+	sn.carry = res.Queued
 	return res
 }

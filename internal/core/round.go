@@ -116,7 +116,6 @@ func (w *World) beginRound() {
 	pos := w.playbackPos(w.round)
 	live := w.liveEdge(w.round)
 	w.clearOutUsed()
-	w.dissem.BeginRound()
 	src := w.nodes[w.source]
 	w.pool.ForEach(len(w.order), func(i int) {
 		n := w.seq[i]
@@ -125,7 +124,7 @@ func (w *World) beginRound() {
 		// slides; unexpired entries are ignored lazily (expiry > round is
 		// checked at every read), so no eager expiry sweep is needed.
 		n.pruneBelow(pos)
-		n.overdue, n.repeated, n.pushReceived = 0, 0, 0
+		n.overdue, n.repeated, n.pushReceived, n.pushSpent = 0, 0, 0, 0
 	})
 	// Source ingestion happens after the window advance so new segments
 	// land inside the window: the source disseminates segments within the

@@ -105,7 +105,7 @@ func TestChurnMembershipEvolves(t *testing.T) {
 			if w.Node(nb) == nil {
 				t.Fatalf("edge to dead node %d", nb)
 			}
-			if !containsSortedID(w.neighborsOf(nb), id) {
+			if !w.Node(nb).Table.IsNeighbor(id) {
 				t.Fatalf("asymmetric edge %d-%d after churn", id, nb)
 			}
 		}

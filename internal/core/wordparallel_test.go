@@ -20,7 +20,7 @@ import (
 // assumes nothing about where a window opens.
 func candidatesOracle(n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
 	found := make(map[segment.ID][]scheduler.Supplier)
-	for _, nb := range n.nbrs {
+	for _, nb := range n.Table.Neighbors() {
 		j := index[nb]
 		if j < 0 {
 			continue
@@ -189,7 +189,7 @@ func TestMisalignedWindowTripsInvariant(t *testing.T) {
 	size := w.cfg.BufferSegments
 	win := segment.Window{Lo: 0, Hi: 20}
 	stale := slices.Clone(snaps)
-	stale[index[n.nbrs[0]]] = buffer.New(size, 10).Snapshot()
+	stale[index[n.Table.Neighbors()[0]]] = buffer.New(size, 10).Snapshot()
 
 	mustPanic := func(name, want string, f func()) {
 		t.Helper()

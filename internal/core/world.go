@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"continustreaming/internal/bandwidth"
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/churn"
@@ -27,7 +25,7 @@ type World struct {
 	// nodes is a dense table indexed by ring ID (nil = no node on that
 	// slot). Ring IDs are bounded by the identifier space, so a slice
 	// replaces the hash map every hot phase would otherwise probe; the
-	// connected-neighbour edge set lives in the nodes' sorted nbrs caches
+	// connected-neighbour edge set lives in the nodes' Peer Tables
 	// (symmetric by construction in addEdge/removeEdge).
 	nodes  []*Node
 	order  []overlay.NodeID // alive IDs, ascending (rebuilt on churn)
@@ -49,10 +47,10 @@ type World struct {
 	// may touch id's counter — so the parallel transfer-resolution shards
 	// write disjoint entries without locks.
 	outUsed []int32
-	// dissem is the dissemination engine's supplier-side state: per-
-	// supplier carry queues and push spend, sharded by the same supplier
-	// ownership rule as outUsed.
-	dissem *protocol.Engine
+	// policy is the data scheduling discipline the profile selects. The
+	// policies keep no state between calls, so one value serves every
+	// node on every shard.
+	policy scheduler.Policy
 	// rarity holds each serve shard's reusable rarity memo (see
 	// rarityCache); only the owning shard touches its entry.
 	rarity []rarityCache
@@ -125,9 +123,12 @@ func NewWorld(cfg Config) (*World, error) {
 		rng:       sim.DeriveRNG(cfg.Seed, 0x0571d),
 		collector: metrics.NewCollector(),
 		outUsed:   make([]int32, space.N()),
-		dissem:    protocol.NewEngine(phaseShards),
+		policy:    scheduler.Greedy{},
 		rarity:    make([]rarityCache, phaseShards),
 		idGen:     make([]uint64, space.N()),
+	}
+	if cfg.Profile.Policy == PolicyRarestFirst {
+		w.policy = scheduler.RarestFirst{}
 	}
 	w.shardRank, w.shardSize = shardRanks(space.N())
 	graph := topology.Generate(topology.GenerateConfig{
@@ -191,7 +192,7 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 		// round. A plain 0 would alias round-0 churn joiners with the
 		// pre-converged initial overlay in the warm-continuity check.
 		JoinedRound: -1,
-		Table:       overlay.NewPeerTable(w.space, id, cfg.M, cfg.H),
+		Table:       overlay.NewPeerTable(w.space, id, cfg.H),
 		Buf:         buffer.New(cfg.BufferSegments, 0),
 		Ctrl:        bandwidth.NewController(0.3, float64(cfg.Stream.Rate)),
 		Backup:      dht.NewStore(),
@@ -213,26 +214,8 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 			THop:          cfg.THop,
 			ExpectedNodes: cfg.Nodes,
 		})
-		n.Tags = prefetch.NewTags()
 	}
-	n.Policy = w.policyFor(n)
 	return n
-}
-
-// policyFor instantiates the node's scheduling policy.
-func (w *World) policyFor(n *Node) scheduler.Policy {
-	switch w.cfg.Profile.Policy {
-	case PolicyRarestFirst:
-		return scheduler.RarestFirst{}
-	case PolicyRandom:
-		return &scheduler.Random{RNG: sim.DeriveRNG(w.cfg.Seed, uint64(n.ID)+0x7a4d+n.Gen*0xd1342543de82ef95)}
-	case PolicyUrgencyOnly:
-		return scheduler.UrgencyOnly{}
-	case PolicyRarityOnly:
-		return scheduler.RarityOnly{}
-	default:
-		return scheduler.Greedy{}
-	}
 }
 
 // Config returns the active configuration.
@@ -311,78 +294,40 @@ func (w *World) Latency(u, v overlay.NodeID) sim.Time {
 	return d
 }
 
-// addEdge connects two nodes as gossip neighbours (symmetric). The nodes'
-// sorted nbrs caches are the authoritative edge set.
+// addEdge connects two alive nodes as gossip neighbours. The mesh's edge
+// set is the nodes' Peer Table neighbour lists, kept symmetric here and
+// in removeEdge.
 func (w *World) addEdge(u, v overlay.NodeID) {
-	if u == v {
-		return
+	if w.nodes[u].Table.AddNeighborLink(v) {
+		w.nodes[v].Table.AddNeighborLink(u)
 	}
-	nu, nv := w.nodes[u], w.nodes[v]
-	if containsSortedID(nu.nbrs, v) {
-		return
-	}
-	lat := w.Latency(u, v)
-	nu.Table.AddNeighborLink(overlay.PeerInfo{ID: v, Latency: lat})
-	nv.Table.AddNeighborLink(overlay.PeerInfo{ID: u, Latency: lat})
-	nu.nbrs = insertSortedID(nu.nbrs, v)
-	nv.nbrs = insertSortedID(nv.nbrs, u)
 }
 
-// insertSortedID inserts v into ascending s (callers guarantee v absent).
-func insertSortedID(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// removeSortedID deletes v from ascending s if present.
-func removeSortedID(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
-}
-
-// containsSortedID reports whether ascending s contains v.
-func containsSortedID(s []overlay.NodeID, v overlay.NodeID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-// removeEdge disconnects two nodes.
+// removeEdge disconnects two nodes; either may already be gone.
 func (w *World) removeEdge(u, v overlay.NodeID) {
 	if n := w.nodes[u]; n != nil {
 		n.Table.RemoveNeighbor(v)
 		n.Ctrl.Forget(int(v))
-		n.nbrs = removeSortedID(n.nbrs, v)
 	}
 	if n := w.nodes[v]; n != nil {
 		n.Table.RemoveNeighbor(u)
 		n.Ctrl.Forget(int(u))
-		n.nbrs = removeSortedID(n.nbrs, u)
 	}
 }
 
-// neighborsOf returns u's connected neighbours, ascending. The slice is
-// the node's live cache (mirroring the authoritative edge set): callers
-// must treat it as read-only and must not hold it across edge changes —
-// copy first when removing edges while iterating or retaining the list.
+// neighborsOf returns u's connected neighbours, ascending (nil if dead):
+// the Peer Table's own slice, read-only and not to be held across edge
+// changes — copy first when removing edges while iterating.
 func (w *World) neighborsOf(u overlay.NodeID) []overlay.NodeID {
 	if n := w.nodes[u]; n != nil {
-		return n.nbrs
+		return n.Table.Neighbors()
 	}
 	return nil
 }
 
 // degreeOf returns how many connected neighbours a node has (0 if dead).
 func (w *World) degreeOf(id overlay.NodeID) int {
-	if n := w.nodes[id]; n != nil {
-		return len(n.nbrs)
-	}
-	return 0
+	return len(w.neighborsOf(id))
 }
 
 // rebuildOrder refreshes the dense iteration order after membership

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -117,4 +118,58 @@ func TestParseManifestRejects(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseManifest drives the manifest decoder with arbitrary bytes: it
+// must never panic, and a manifest it accepts must resolve — a positive
+// period, at least one receiver, and an expansion with the source at ID 0
+// and the receivers numbered 1..Receivers() in order. The expansion is
+// skipped for audiences no host could fork (it allocates one entry per
+// node).
+func FuzzParseManifest(f *testing.F) {
+	f.Add([]byte(manifestExample))
+	hops := 1
+	written, err := json.Marshal(Manifest{Periods: 40, Period: "200ms", Seed: 3, ShapeSeed: 9, NoResync: true, Retry: 2, PushHops: &hops, Groups: []ManifestGroup{
+		{Name: "src", Count: 1, Source: true},
+		{Name: "stalled", Count: 3, Shape: "rate=1mbit", StallAt: 10, StallFor: 3, MinTail: 0.5, Tail: 8},
+		{Name: "late", Count: 2, JoinAt: 5, ExitAt: 30},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add([]byte(`{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 1, "minTial": 0.9}]}`))
+	f.Add([]byte(`{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 4000000000}]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		if d, err := m.PeriodDuration(); err != nil || d <= 0 {
+			t.Fatalf("accepted manifest resolves period %v, %v", d, err)
+		}
+		recv := m.Receivers()
+		if recv <= 0 {
+			t.Fatalf("accepted manifest has %d receivers", recv)
+		}
+		if recv > 1<<12 {
+			return
+		}
+		nodes := m.Nodes()
+		if len(nodes) != recv+1 {
+			t.Fatalf("expanded %d nodes for %d receivers and a source", len(nodes), recv)
+		}
+		next := 1
+		for _, n := range nodes {
+			switch {
+			case n.Source && n.ID != 0:
+				t.Fatalf("source placed at ID %d", n.ID)
+			case !n.Source && n.ID != next:
+				t.Fatalf("receiver placed at ID %d, want %d", n.ID, next)
+			case !n.Source:
+				next++
+			}
+		}
+	})
 }

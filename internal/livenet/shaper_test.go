@@ -216,3 +216,36 @@ func TestShaperCounters(t *testing.T) {
 		t.Fatalf("Links = %s, want [2 3]", got)
 	}
 }
+
+// FuzzParseShapeProfile drives the -shape flag and manifest "shape" parser
+// with arbitrary text: it must never panic, and a profile it accepts must
+// be one the shaper can run — validate passes, NewShaper builds (nil only
+// for a profile that shapes nothing) and a few sends over one link draw
+// fates without a negative delay.
+func FuzzParseShapeProfile(f *testing.F) {
+	for _, s := range []string{
+		"", "loss=2%,latency=50ms,jitter=20ms", "lat=10ms, jit=5ms", "loss=0.25", "rate=1mbit",
+		"rate=80kbit,burst=4000", "rate=2000000", "reorder=1%,latency=1h", "loss=100%",
+		"latency", "speed=1mbit", "loss=150%", "latency=-5ms", "burst=notanumber", "jitter=2562047h",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseShapeProfile(s)
+		if err != nil {
+			return
+		}
+		if err := p.validate(); err != nil {
+			t.Fatalf("ParseShapeProfile(%q) accepted %+v, which validate rejects: %v", s, p, err)
+		}
+		sh := NewShaper(p, 7, 1)
+		if (sh == nil) != p.IsZero() {
+			t.Fatalf("ParseShapeProfile(%q) = %+v: shaper nil=%v, profile zero=%v", s, p, sh == nil, p.IsZero())
+		}
+		for i := 0; i < 4; i++ {
+			if fate := sh.Shape(2, 1200, time.Duration(i)*time.Millisecond); fate.Delay < 0 {
+				t.Fatalf("ParseShapeProfile(%q): send %d delayed by %v", s, i, fate.Delay)
+			}
+		}
+	})
+}

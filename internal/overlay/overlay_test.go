@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,52 +13,45 @@ import (
 func space() dht.Space { return dht.NewSpace(1024) }
 
 func TestNewPeerTable(t *testing.T) {
-	pt := NewPeerTable(space(), 7, 5, 20)
-	if pt.Self() != 7 || pt.M() != 5 || len(pt.Neighbors()) != 0 {
-		t.Fatalf("fresh table wrong: self=%d m=%d", pt.Self(), pt.M())
+	pt := NewPeerTable(space(), 7, 20)
+	if pt.Self() != 7 || len(pt.Neighbors()) != 0 {
+		t.Fatalf("fresh table wrong: self=%d neighbours=%v", pt.Self(), pt.Neighbors())
 	}
 	if pt.DHT() == nil || pt.DHT().Self() != 7 {
 		t.Fatal("DHT table missing or misowned")
 	}
 }
 
-func TestNewPeerTablePanicsOnBadM(t *testing.T) {
+func TestNewPeerTablePanicsOnBadH(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("m=0 did not panic")
+			t.Fatal("h=0 did not panic")
 		}
 	}()
-	NewPeerTable(space(), 1, 0, 20)
-}
-
-func TestNewPeerTableDefaultsH(t *testing.T) {
-	pt := NewPeerTable(space(), 1, 5, 0)
-	for i := 0; i < 50; i++ {
-		pt.Hear(NodeID(100+i), sim.Time(i+1))
-	}
-	if got := len(pt.OverheardNodes()); got != DefaultH {
-		t.Fatalf("overheard capacity = %d, want %d", got, DefaultH)
-	}
+	NewPeerTable(space(), 1, 0)
 }
 
 func TestAddRemoveNeighbors(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 3, 20)
-	for _, id := range []NodeID{30, 10, 20} {
-		if !pt.AddNeighbor(PeerInfo{ID: id, Latency: sim.Time(id)}) {
-			t.Fatalf("AddNeighbor(%d) failed", id)
+	pt := NewPeerTable(space(), 0, 20)
+	pt.Hear(20, 5)
+	for _, id := range []NodeID{30, 10, 20, 40} {
+		if !pt.AddNeighborLink(id) {
+			t.Fatalf("AddNeighborLink(%d) failed", id)
 		}
 	}
-	ids := pt.NeighborIDs()
-	if len(ids) != 3 || ids[0] != 10 || ids[1] != 20 || ids[2] != 30 {
+	if ids := pt.Neighbors(); !slices.Equal(ids, []NodeID{10, 20, 30, 40}) {
 		t.Fatalf("neighbours not sorted: %v", ids)
 	}
-	if pt.AddNeighbor(PeerInfo{ID: 40}) {
-		t.Fatal("over-capacity add succeeded")
+	if len(pt.OverheardNodes()) != 0 {
+		t.Fatal("a connected neighbour lingers in the overheard list")
 	}
-	if pt.AddNeighbor(PeerInfo{ID: 20}) {
+	if pt.DHT().Filled() == 0 {
+		t.Fatal("connecting did not refresh the DHT levels")
+	}
+	if pt.AddNeighborLink(20) {
 		t.Fatal("duplicate add succeeded")
 	}
-	if pt.AddNeighbor(PeerInfo{ID: 0}) {
+	if pt.AddNeighborLink(0) {
 		t.Fatal("self add succeeded")
 	}
 	if !pt.RemoveNeighbor(20) || pt.IsNeighbor(20) {
@@ -66,23 +60,13 @@ func TestAddRemoveNeighbors(t *testing.T) {
 	if pt.RemoveNeighbor(20) {
 		t.Fatal("double remove succeeded")
 	}
-	if got := len(pt.Neighbors()); got != 2 {
-		t.Fatalf("%d neighbours left, want 2", got)
-	}
-}
-
-func TestUpdateSupply(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 3, 20)
-	pt.AddNeighbor(PeerInfo{ID: 5})
-	pt.UpdateSupply(5, 12.5)
-	pt.UpdateSupply(99, 3.0) // unknown: no-op
-	if got := pt.Neighbors()[0].SupplyRate; got != 12.5 {
-		t.Fatalf("supply = %v", got)
+	if ids := pt.Neighbors(); !slices.Equal(ids, []NodeID{10, 30, 40}) {
+		t.Fatalf("neighbours after remove: %v", ids)
 	}
 }
 
 func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 2, 3)
+	pt := NewPeerTable(space(), 0, 3)
 	pt.Hear(1, 10)
 	pt.Hear(2, 20)
 	pt.Hear(3, 30)
@@ -108,8 +92,8 @@ func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
 }
 
 func TestHearSelfAndNeighborsExcluded(t *testing.T) {
-	pt := NewPeerTable(space(), 9, 2, 5)
-	pt.AddNeighbor(PeerInfo{ID: 5})
+	pt := NewPeerTable(space(), 9, 5)
+	pt.AddNeighborLink(5)
 	pt.Hear(9, 10) // self
 	pt.Hear(5, 10) // neighbour
 	if len(pt.OverheardNodes()) != 0 {
@@ -123,7 +107,7 @@ func TestHearSelfAndNeighborsExcluded(t *testing.T) {
 }
 
 func TestTakeAndForgetOverheard(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 2, 5)
+	pt := NewPeerTable(space(), 0, 5)
 	pt.Hear(1, 10)
 	pt.Hear(2, 20)
 	o, ok := pt.TakeOverheard(1)
@@ -141,11 +125,11 @@ func TestTakeAndForgetOverheard(t *testing.T) {
 }
 
 func TestCloneFrom(t *testing.T) {
-	donor := NewPeerTable(space(), 50, 3, 10)
-	donor.AddNeighbor(PeerInfo{ID: 60})
-	donor.AddNeighbor(PeerInfo{ID: 70})
+	donor := NewPeerTable(space(), 50, 10)
+	donor.AddNeighborLink(60)
+	donor.AddNeighborLink(70)
 	donor.Hear(80, 15)
-	joiner := NewPeerTable(space(), 51, 3, 10)
+	joiner := NewPeerTable(space(), 51, 10)
 	joiner.CloneFrom(donor, func(id NodeID) sim.Time { return sim.Time(id) })
 	heard := joiner.OverheardNodes()
 	want := map[NodeID]bool{60: true, 70: true, 80: true, 50: true}
@@ -307,7 +291,7 @@ func TestRendezvousRegisterFailure(t *testing.T) {
 // Property: overheard list never exceeds H and never contains self.
 func TestOverheardInvariantsQuick(t *testing.T) {
 	f := func(events []uint16) bool {
-		pt := NewPeerTable(dht.NewSpace(256), 0, 2, 5)
+		pt := NewPeerTable(dht.NewSpace(256), 0, 5)
 		for _, e := range events {
 			pt.Hear(NodeID(e%256), sim.Time(e%97)+1)
 		}

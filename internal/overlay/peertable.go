@@ -19,17 +19,6 @@ import (
 // position (the RP server assigns unique IDs within the ring space).
 type NodeID int
 
-// PeerInfo is one row of the Connected Neighbors section of the Peer Table:
-// identity plus the link measurements the schedulers consume.
-type PeerInfo struct {
-	ID NodeID
-	// Latency is the measured one-way latency to the peer (RTT/2).
-	Latency sim.Time
-	// SupplyRate is the recent observed supply in segments/s, maintained by
-	// the Rate Controller and mirrored here for replacement decisions.
-	SupplyRate float64
-}
-
 // Overheard is one row of the Overheard Nodes section.
 type Overheard struct {
 	ID      NodeID
@@ -38,35 +27,33 @@ type Overheard struct {
 	Seq uint64
 }
 
-// DefaultH is the paper's overheard-list capacity: "H = 20 is usually
-// enough according to our simulation experience."
-const DefaultH = 20
-
-// PeerTable is a node's complete view of the overlay. It is not safe for
-// concurrent use; the simulation touches each table only from its owner's
-// phase goroutine.
+// PeerTable is a node's complete view of the overlay, and the one home of
+// each part of it: the connected-neighbour set (ascending IDs — the edge
+// set of the mesh is the union of these lists, kept symmetric by whoever
+// links two tables), the DHT peer levels, and the H latest-overheard
+// nodes. Link measurements live with the Rate Controller, not here. It is
+// not safe for concurrent use; the simulation touches each table only
+// from its owner's phase goroutine.
 type PeerTable struct {
 	self      NodeID
-	m         int // connected-neighbour capacity
-	h         int // overheard capacity
-	neighbors []PeerInfo
+	h         int      // overheard capacity
+	neighbors []NodeID // ascending
 	dhtPeers  *dht.Table
 	overheard []Overheard
 	seq       uint64
 }
 
-// NewPeerTable returns an empty table for node self with capacity m
-// connected neighbours and h overheard entries over the given ring space.
-func NewPeerTable(space dht.Space, self NodeID, m, h int) *PeerTable {
-	if m <= 0 {
-		panic(fmt.Sprintf("overlay: non-positive neighbour capacity %d", m))
-	}
+// NewPeerTable returns an empty table for node self with room for h
+// overheard entries over the given ring space. The connected-neighbour
+// list is unbounded: M is a degree target the maintenance rules steer
+// toward (trace hubs exceed it after the paper's augmentation step), not
+// a capacity.
+func NewPeerTable(space dht.Space, self NodeID, h int) *PeerTable {
 	if h <= 0 {
-		h = DefaultH
+		panic(fmt.Sprintf("overlay: non-positive overheard capacity %d", h))
 	}
 	return &PeerTable{
 		self:     self,
-		m:        m,
 		h:        h,
 		dhtPeers: dht.NewTable(space, dht.ID(self)),
 	}
@@ -75,24 +62,13 @@ func NewPeerTable(space dht.Space, self NodeID, m, h int) *PeerTable {
 // Self returns the table owner's ID.
 func (pt *PeerTable) Self() NodeID { return pt.self }
 
-// M returns the connected-neighbour capacity.
-func (pt *PeerTable) M() int { return pt.m }
-
 // DHT exposes the structured-overlay peer levels.
 func (pt *PeerTable) DHT() *dht.Table { return pt.dhtPeers }
 
-// Neighbors returns the connected neighbours in ID order. Callers must not
-// mutate the returned slice.
-func (pt *PeerTable) Neighbors() []PeerInfo { return pt.neighbors }
-
-// NeighborIDs returns just the connected neighbour IDs, ascending.
-func (pt *PeerTable) NeighborIDs() []NodeID {
-	out := make([]NodeID, len(pt.neighbors))
-	for i, p := range pt.neighbors {
-		out[i] = p.ID
-	}
-	return out
-}
+// Neighbors returns the connected neighbours, ascending. The slice is the
+// table's own: callers must not mutate it, and must copy it before
+// adding or removing links while iterating or retaining the list.
+func (pt *PeerTable) Neighbors() []NodeID { return pt.neighbors }
 
 // IsNeighbor reports whether id is a connected neighbour.
 func (pt *PeerTable) IsNeighbor(id NodeID) bool {
@@ -108,53 +84,36 @@ func (pt *PeerTable) findNeighbor(id NodeID) (int, bool) {
 	lo, hi := 0, len(nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if nbrs[mid].ID < id {
+		if nbrs[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(nbrs) && nbrs[lo].ID == id {
+	if lo < len(nbrs) && nbrs[lo] == id {
 		return lo, true
 	}
 	return lo, false
 }
 
-// AddNeighbor connects a new neighbour if capacity allows and it is not the
-// node itself or already connected. It reports success.
-func (pt *PeerTable) AddNeighbor(info PeerInfo) bool {
-	if info.ID == pt.self || len(pt.neighbors) >= pt.m {
+// AddNeighborLink connects id, reporting whether the link is new: self
+// and an already connected neighbour are rejected. The other endpoint's
+// table is the caller's to update.
+func (pt *PeerTable) AddNeighborLink(id NodeID) bool {
+	if id == pt.self {
 		return false
 	}
-	i, exists := pt.findNeighbor(info.ID)
+	i, exists := pt.findNeighbor(id)
 	if exists {
 		return false
 	}
-	pt.neighbors = append(pt.neighbors, PeerInfo{})
+	pt.neighbors = append(pt.neighbors, 0)
 	copy(pt.neighbors[i+1:], pt.neighbors[i:])
-	pt.neighbors[i] = info
-	return true
-}
-
-// AddNeighborLink inserts a neighbour without enforcing the M capacity.
-// The simulation's world owns the authoritative edge set (trace hubs may
-// exceed the M *target* after the paper's augmentation step); the peer
-// table mirrors it. It still rejects self and duplicates.
-func (pt *PeerTable) AddNeighborLink(info PeerInfo) bool {
-	if info.ID == pt.self {
-		return false
-	}
-	i, exists := pt.findNeighbor(info.ID)
-	if exists {
-		return false
-	}
-	pt.neighbors = append(pt.neighbors, PeerInfo{})
-	copy(pt.neighbors[i+1:], pt.neighbors[i:])
-	pt.neighbors[i] = info
+	pt.neighbors[i] = id
 	// A freshly connected neighbour also refreshes the DHT levels and must
 	// not linger in the overheard list.
-	pt.dhtPeers.Consider(dht.ID(info.ID))
-	pt.ForgetOverheard(info.ID)
+	pt.dhtPeers.Consider(dht.ID(id))
+	pt.ForgetOverheard(id)
 	return true
 }
 
@@ -166,13 +125,6 @@ func (pt *PeerTable) RemoveNeighbor(id NodeID) bool {
 	}
 	pt.neighbors = append(pt.neighbors[:i], pt.neighbors[i+1:]...)
 	return true
-}
-
-// UpdateSupply refreshes the recent-supply column for neighbour id.
-func (pt *PeerTable) UpdateSupply(id NodeID, rate float64) {
-	if i, ok := pt.findNeighbor(id); ok {
-		pt.neighbors[i].SupplyRate = rate
-	}
 }
 
 // Hear records an overheard node, evicting the oldest entry when the list
@@ -253,7 +205,7 @@ func (pt *PeerTable) TakeOverheard(id NodeID) (Overheard, bool) {
 // candidates, and the DHT levels are re-derived for the new owner.
 func (pt *PeerTable) CloneFrom(donor *PeerTable, latencyTo func(NodeID) sim.Time) {
 	for _, nb := range donor.Neighbors() {
-		pt.Hear(nb.ID, latencyTo(nb.ID))
+		pt.Hear(nb, latencyTo(nb))
 	}
 	for _, o := range donor.OverheardNodes() {
 		pt.Hear(o.ID, latencyTo(o.ID))

@@ -323,20 +323,3 @@ func TestRouteAllConcurrent(t *testing.T) {
 		t.Fatal("concurrent RouteAll differs from the sequential walks")
 	}
 }
-
-func TestTags(t *testing.T) {
-	tags := NewTags()
-	tags.Mark(5)
-	tags.Mark(9)
-	if !tags.Tagged(5) || tags.Tagged(6) || tags.Len() != 2 {
-		t.Fatal("mark/tagged wrong")
-	}
-	tags.Clear(5)
-	if tags.Tagged(5) || tags.Len() != 1 {
-		t.Fatal("clear failed")
-	}
-	tags.Mark(3)
-	if n := tags.PruneBelow(9); n != 1 || tags.Len() != 1 {
-		t.Fatalf("prune removed %d, len %d", n, tags.Len())
-	}
-}

@@ -169,38 +169,3 @@ func (r *Retriever) choose(sc *Scratch, id segment.ID, walks []Walk) LookupResul
 	}
 	return res
 }
-
-// Tags tracks which locally received segments arrived via pre-fetch, so
-// the scheduler can recognise "repeated data" (§4.3 Case 2): a tagged
-// segment later delivered by gossip in time means the pre-fetch was
-// unnecessary and α should shrink.
-type Tags struct {
-	tagged map[segment.ID]bool
-}
-
-// NewTags returns an empty tag set.
-func NewTags() *Tags { return &Tags{tagged: make(map[segment.ID]bool)} }
-
-// Mark tags id as pre-fetched.
-func (t *Tags) Mark(id segment.ID) { t.tagged[id] = true }
-
-// Tagged reports whether id was pre-fetched.
-func (t *Tags) Tagged(id segment.ID) bool { return t.tagged[id] }
-
-// Clear removes the tag for id (after the repeat decision is made).
-func (t *Tags) Clear(id segment.ID) { delete(t.tagged, id) }
-
-// PruneBelow drops tags older than floor and returns how many were removed.
-func (t *Tags) PruneBelow(floor segment.ID) int {
-	n := 0
-	for id := range t.tagged {
-		if id < floor {
-			delete(t.tagged, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Len reports the number of live tags.
-func (t *Tags) Len() int { return len(t.tagged) }

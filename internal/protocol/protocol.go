@@ -26,8 +26,10 @@
 //   - Supplier-side service — earliest-deadline-first serving with a
 //     neighbourhood-rarity tie-break and bounded carry queues
 //     (PlanServe), plus the published pull-only round-robin discipline the
-//     CoolStreaming baseline keeps (ServeRoundRobin), and the sharded
-//     supplier-state container (Engine).
+//     CoolStreaming baseline keeps (ServeRoundRobin). The state these
+//     decisions carry across rounds — a supplier's carry queue, its push
+//     spend — belongs to the runtime's node (core.Node, a livenet peer);
+//     the package holds none.
 //
 // Design notes for the dissemination engine (push + EDF serve + queueing)
 // live with the respective functions; the three are one coordinated

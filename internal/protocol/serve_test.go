@@ -130,57 +130,3 @@ func TestPlanPushSkipsHolders(t *testing.T) {
 		t.Fatalf("sends %+v, want exactly one to the only non-holder 2", sends)
 	}
 }
-
-func TestEngineQueueLifecycle(t *testing.T) {
-	e := NewEngine(4)
-	q := []Request{{Requester: 1, ID: 5, Deadline: 100}}
-	e.PutQueue(2, 7, q)
-	if got := e.QueuedSuppliers(2); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("queued suppliers %v", got)
-	}
-	if e.QueueLen(2, 7) != 1 {
-		t.Fatal("queue length wrong")
-	}
-	if got := e.TakeQueue(2, 7); !reflect.DeepEqual(got, q) {
-		t.Fatalf("TakeQueue = %+v", got)
-	}
-	if e.TakeQueue(2, 7) != nil || len(e.QueuedSuppliers(2)) != 0 {
-		t.Fatal("queue not cleared by take")
-	}
-	e.PutQueue(2, 7, q)
-	e.ChargePush(2, 7, 3)
-	e.DropSupplier(2, 7)
-	if e.QueueLen(2, 7) != 0 || e.PushSpent(2, 7) != 0 {
-		t.Fatal("DropSupplier left state behind")
-	}
-	e.ChargePush(1, 9, 2)
-	e.BeginRound()
-	if e.PushSpent(1, 9) != 0 {
-		t.Fatal("BeginRound kept push spend")
-	}
-	// PutQueue with an empty slice clears.
-	e.PutQueue(0, 3, []Request{{Requester: 1, ID: 1}})
-	e.PutQueue(0, 3, nil)
-	if len(e.QueuedSuppliers(0)) != 0 {
-		t.Fatal("empty PutQueue did not clear")
-	}
-}
-
-func TestEngineFilterRequesters(t *testing.T) {
-	e := NewEngine(2)
-	e.PutQueue(0, 4, []Request{
-		{Requester: 1, ID: 10},
-		{Requester: 2, ID: 11},
-		{Requester: 1, ID: 12},
-	})
-	e.PutQueue(1, 9, []Request{{Requester: 2, ID: 13}})
-	e.FilterRequesters(func(id overlay.NodeID) bool { return id != 2 })
-	if got := e.TakeQueue(0, 4); len(got) != 2 || got[0].Requester != 1 || got[1].Requester != 1 {
-		t.Fatalf("shard 0 queue after filter: %+v", got)
-	}
-	// Supplier 9's only entry was from the dropped requester; its queue
-	// entry must vanish entirely.
-	if len(e.QueuedSuppliers(1)) != 0 {
-		t.Fatal("empty post-filter queue not cleared")
-	}
-}

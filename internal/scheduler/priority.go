@@ -1,9 +1,8 @@
 // Package scheduler implements the data scheduling half of
 // ContinuStreaming (§4.2): the per-segment requesting priority that blends
 // urgency (equation 1) and rarity (equation 2), and the greedy supplier
-// assignment of Algorithm 1. It also provides the baselines the paper
-// compares against or that ablations need: CoolStreaming's rarest-first
-// rule and a random scheduler.
+// assignment of Algorithm 1. It also provides the baseline the paper
+// compares against: CoolStreaming's rarest-first rule.
 package scheduler
 
 import (
@@ -131,8 +130,8 @@ type Request struct {
 }
 
 // Policy is a pluggable scheduling discipline. Implementations must be
-// deterministic given their inputs (the random policy takes its RNG
-// explicitly).
+// deterministic given their inputs and keep no state between calls: the
+// simulator shares one value across every node and shard.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
