@@ -411,7 +411,7 @@ func (c *serveCtx) ensure(w *World) {
 type maintenanceProvider struct {
 	w *World
 	n *Node
-	// peerBuf is the reusable staging buffer for the two DHT peer tables.
+	// peerBuf is the reusable staging buffer for the DHT peer levels.
 	peerBuf []dht.ID
 }
 
@@ -434,13 +434,7 @@ func (p *maintenanceProvider) AppendOverheard(dst []protocol.CandidateSource) []
 }
 
 func (p *maintenanceProvider) AppendDHTPeers(dst []protocol.CandidateSource) []protocol.CandidateSource {
-	p.peerBuf = p.peerBuf[:0]
-	if t := p.n.Table.DHT(); t != nil {
-		p.peerBuf = t.AppendPeers(p.peerBuf)
-	}
-	if t := p.w.dhtNet.Table(dht.ID(p.n.ID)); t != nil {
-		p.peerBuf = t.AppendPeers(p.peerBuf)
-	}
+	p.peerBuf = p.n.Table.DHT().AppendPeers(p.peerBuf[:0])
 	for _, pr := range p.peerBuf {
 		c := overlay.NodeID(pr)
 		dst = append(dst, protocol.CandidateSource{ID: c, Latency: p.w.Latency(p.n.ID, c)})

@@ -36,8 +36,8 @@ func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 // those ask tallies stay, so the following real round's Tick folds them in
 // as asks that were never served and the suppliers' service estimates drop
 // (one probe call before two more rounds moves the Step10k world's result
-// fingerprint cd56af0a7dd25347 → 0dfc89e1b39e1045; EXPERIMENTS.md,
-// "Measurement harnesses (PR 18)").
+// fingerprint; EXPERIMENTS.md, "Measurement harnesses (PR 18)", has the
+// measurement).
 func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.round = clock.Round()
 	w.beginRound()

@@ -19,7 +19,8 @@ import (
 // its tracker's arrays before; the segment tracker covers the buffer's window and no
 // pre-fetch tag sits on a segment that does not exist yet (a tag the window
 // advance failed to wipe would, one buffer length ahead of the segment it
-// was set for); and the DHT's membership bitmap is the alive set.
+// was set for); the Peer Table's DHT levels are the table the DHT routes
+// through; and the DHT's membership bitmap is the alive set.
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	edge := w.fetchEdge(w.round)
@@ -53,6 +54,10 @@ func checkNodeState(t *testing.T, w *World) {
 		if n.JoinedRound == w.round && (len(n.carry) > 0 || n.pushSpent != 0 || slices.Max(n.seg.tagged) != 0) {
 			t.Fatalf("round %d: joiner %d starts with %d carried requests, push spend %d, pre-fetch tags %x",
 				w.round, id, len(n.carry), n.pushSpent, n.seg.tagged)
+		}
+
+		if n.Table.DHT() != w.dhtNet.Table(dht.ID(id)) {
+			t.Fatalf("round %d node %d: the Peer Table's DHT levels are not the table the network routes through", w.round, id)
 		}
 
 		if n.seg.lo != n.Buf.Lo() || n.seg.slots != n.Buf.Size() {

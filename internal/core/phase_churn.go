@@ -45,8 +45,9 @@ func (w *World) churnPhase() {
 		// from this round's leavers must go before any joiner can reuse
 		// their ring slots and pass the serve-time liveness check. (w.seq
 		// still lists the leavers; their queues are as dead as they are.)
+		departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
 		for _, n := range w.seq {
-			n.carry = slices.DeleteFunc(n.carry, func(r protocol.Request) bool { return w.nodes[r.Requester] == nil })
+			n.carry = slices.DeleteFunc(n.carry, departed)
 		}
 	}
 	for j := 0; j < plan.Joins; j++ {
@@ -126,9 +127,7 @@ func (w *World) join() {
 			w.rp.ReportFailure(c)
 		}
 	}
-	w.nodes[id] = n
-	w.rp.Register(id)
-	w.dhtNet.Join(dht.ID(id), w.rng)
+	w.admit(n)
 	if donor == nil {
 		// RP list was fully stale; fall back to a uniform alive node so
 		// the newcomer is never stranded.

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"continustreaming/internal/dht"
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/sim"
 )
 
 // dhtRepairPhase actively repairs the structured overlay after churn: on
-// every repair round (protocol.RepairDue) each node sweeps both its
-// routing table and its peer table's DHT levels, evicting dead entries
-// and refilling vacant arcs from alive members (dht.RepairTable). Without
-// this, 5%-per-round churn rots the tables faster than overheard traffic
-// renews them, greedy routing fails, and the pre-fetch path — the paper's
-// continuity backstop — silently dies; Figure 3's ≥95% query success is
-// only reachable under churn with the refresh running.
+// every repair round (protocol.RepairDue) each node sweeps its DHT peer
+// levels, evicting dead entries and refilling vacant arcs from alive
+// members. Without this, 5%-per-round churn rots the tables faster than
+// overheard traffic renews them, greedy routing fails, and the pre-fetch
+// path — the paper's continuity backstop — silently dies; Figure 3's
+// ≥95% query success is only reachable under churn with the refresh
+// running.
 //
 // Tables are sharded by owner ID and swept with per-shard RNG streams in
 // ascending ID order, so the phase is bit-identical at any worker count.
@@ -29,12 +28,10 @@ func (w *World) dhtRepairPhase() {
 		func(s int, rng *sim.RNG) struct{} {
 			for _, id := range w.arenas[s].nodes {
 				n := w.nodes[id]
-				if t := w.dhtNet.Table(dht.ID(id)); t != nil {
-					w.dhtNet.RepairTable(t, rng)
-				}
-				before, hadSucc := n.Table.DHT().Successor()
-				w.dhtNet.RepairTable(n.Table.DHT(), rng)
-				after, hasSucc := n.Table.DHT().Successor()
+				levels := n.Table.DHT()
+				before, hadSucc := levels.Successor()
+				w.dhtNet.RepairTable(levels, rng)
+				after, hasSucc := levels.Successor()
 				// Replica repair: backup responsibility is normally
 				// evaluated when a segment arrives, so when churn moves an
 				// arc boundary the new owner never backs up segments it

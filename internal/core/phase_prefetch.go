@@ -152,10 +152,11 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 // routePrefetch is the route stage: every triggered node's k hashed
 // walks per missed segment, fanned out over the predict phase's
 // contiguous index ranges. Walks only read the overlay — membership and
-// the dht.Network forwarding tables — and the claim stage writes neither:
-// its overhearing feeds a node's PeerTable DHT levels, a second table the
-// walks never consult. So a walk's outcome does not depend on when it
-// runs, and the stage can route everything before the first claim. Shard
+// the nodes' DHT peer levels — and nothing writes either while they run:
+// the claim stage, whose overhearing renews those same levels, starts
+// after the last walk has ended. So a walk's outcome does not depend on
+// when in the stage it runs, and every claim of the round sees routes
+// walked over the tables as the round found them. Shard
 // r appends its nodes' walks to its own arena in node × segment × replica
 // order, where the claim stage reads them back with a cursor. A walk
 // that meets a dead forwarding entry steps over it — to exactly the hop

@@ -146,10 +146,7 @@ func NewWorld(cfg Config) (*World, error) {
 	// The source is trace index 0.
 	for i := 0; i < graph.N(); i++ {
 		id := ringOf[i]
-		n := w.buildNode(id, graph.Nodes[i].Ping, i == 0)
-		w.nodes[id] = n
-		w.rp.Register(id)
-		w.dhtNet.Join(dht.ID(id), w.rng)
+		w.admit(w.buildNode(id, graph.Nodes[i].Ping, i == 0))
 	}
 	w.source = ringOf[0]
 	// Wire connected neighbours from the augmented trace graph.
@@ -171,7 +168,17 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// buildNode constructs a node with profile-appropriate components.
+// admit makes a built node a member: of the world's table, of the RP
+// server's list and of the DHT, whose levelled table for it becomes the
+// DHT section of its Peer Table.
+func (w *World) admit(n *Node) {
+	w.nodes[n.ID] = n
+	w.rp.Register(n.ID)
+	n.Table = overlay.NewPeerTable(n.ID, w.cfg.H, w.dhtNet.Join(dht.ID(n.ID), w.rng))
+}
+
+// buildNode constructs a node with profile-appropriate components, all
+// but its Peer Table, which admit adds.
 func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node {
 	cfg := w.cfg
 	var rates bandwidth.Rates
@@ -192,7 +199,6 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 		// round. A plain 0 would alias round-0 churn joiners with the
 		// pre-converged initial overlay in the warm-continuity check.
 		JoinedRound: -1,
-		Table:       overlay.NewPeerTable(w.space, id, cfg.H),
 		Buf:         buffer.New(cfg.BufferSegments, 0),
 		Ctrl:        bandwidth.NewController(0.3, float64(cfg.Stream.Rate)),
 		Backup:      dht.NewStore(),

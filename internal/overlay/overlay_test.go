@@ -13,12 +13,13 @@ import (
 func space() dht.Space { return dht.NewSpace(1024) }
 
 func TestNewPeerTable(t *testing.T) {
-	pt := NewPeerTable(space(), 7, 20)
+	levels := dht.NewTable(space(), 7)
+	pt := NewPeerTable(7, 20, levels)
 	if pt.Self() != 7 || len(pt.Neighbors()) != 0 {
 		t.Fatalf("fresh table wrong: self=%d neighbours=%v", pt.Self(), pt.Neighbors())
 	}
-	if pt.DHT() == nil || pt.DHT().Self() != 7 {
-		t.Fatal("DHT table missing or misowned")
+	if pt.DHT() != levels {
+		t.Fatal("the Peer Table copied its DHT levels instead of sharing the table it was given")
 	}
 }
 
@@ -28,11 +29,11 @@ func TestNewPeerTablePanicsOnBadH(t *testing.T) {
 			t.Fatal("h=0 did not panic")
 		}
 	}()
-	NewPeerTable(space(), 1, 0)
+	NewPeerTable(1, 0, dht.NewTable(space(), 1))
 }
 
 func TestAddRemoveNeighbors(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 20)
+	pt := NewPeerTable(0, 20, dht.NewTable(space(), 0))
 	pt.Hear(20, 5)
 	for _, id := range []NodeID{30, 10, 20, 40} {
 		if !pt.AddNeighborLink(id) {
@@ -66,7 +67,7 @@ func TestAddRemoveNeighbors(t *testing.T) {
 }
 
 func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 3)
+	pt := NewPeerTable(0, 3, dht.NewTable(space(), 0))
 	pt.Hear(1, 10)
 	pt.Hear(2, 20)
 	pt.Hear(3, 30)
@@ -92,7 +93,7 @@ func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
 }
 
 func TestHearSelfAndNeighborsExcluded(t *testing.T) {
-	pt := NewPeerTable(space(), 9, 5)
+	pt := NewPeerTable(9, 5, dht.NewTable(space(), 9))
 	pt.AddNeighborLink(5)
 	pt.Hear(9, 10) // self
 	pt.Hear(5, 10) // neighbour
@@ -107,7 +108,7 @@ func TestHearSelfAndNeighborsExcluded(t *testing.T) {
 }
 
 func TestTakeAndForgetOverheard(t *testing.T) {
-	pt := NewPeerTable(space(), 0, 5)
+	pt := NewPeerTable(0, 5, dht.NewTable(space(), 0))
 	pt.Hear(1, 10)
 	pt.Hear(2, 20)
 	o, ok := pt.TakeOverheard(1)
@@ -125,11 +126,11 @@ func TestTakeAndForgetOverheard(t *testing.T) {
 }
 
 func TestCloneFrom(t *testing.T) {
-	donor := NewPeerTable(space(), 50, 10)
+	donor := NewPeerTable(50, 10, dht.NewTable(space(), 50))
 	donor.AddNeighborLink(60)
 	donor.AddNeighborLink(70)
 	donor.Hear(80, 15)
-	joiner := NewPeerTable(space(), 51, 10)
+	joiner := NewPeerTable(51, 10, dht.NewTable(space(), 51))
 	joiner.CloneFrom(donor, func(id NodeID) sim.Time { return sim.Time(id) })
 	heard := joiner.OverheardNodes()
 	want := map[NodeID]bool{60: true, 70: true, 80: true, 50: true}
@@ -291,7 +292,7 @@ func TestRendezvousRegisterFailure(t *testing.T) {
 // Property: overheard list never exceeds H and never contains self.
 func TestOverheardInvariantsQuick(t *testing.T) {
 	f := func(events []uint16) bool {
-		pt := NewPeerTable(dht.NewSpace(256), 0, 5)
+		pt := NewPeerTable(0, 5, dht.NewTable(dht.NewSpace(256), 0))
 		for _, e := range events {
 			pt.Hear(NodeID(e%256), sim.Time(e%97)+1)
 		}

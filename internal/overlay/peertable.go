@@ -9,6 +9,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"continustreaming/internal/dht"
@@ -30,10 +31,12 @@ type Overheard struct {
 // PeerTable is a node's complete view of the overlay, and the one home of
 // each part of it: the connected-neighbour set (ascending IDs — the edge
 // set of the mesh is the union of these lists, kept symmetric by whoever
-// links two tables), the DHT peer levels, and the H latest-overheard
-// nodes. Link measurements live with the Rate Controller, not here. It is
-// not safe for concurrent use; the simulation touches each table only
-// from its owner's phase goroutine.
+// links two tables), the DHT peer levels — the very table the structured
+// overlay routes through, so what the node overhears renews the levels
+// its lookups walk — and the H latest-overheard nodes. Link measurements
+// live with the Rate Controller, not here. It is not safe for concurrent
+// use; the simulation touches each table only from its owner's phase
+// goroutine, and never while routes are being walked.
 type PeerTable struct {
 	self      NodeID
 	h         int      // overheard capacity
@@ -43,20 +46,17 @@ type PeerTable struct {
 	seq       uint64
 }
 
-// NewPeerTable returns an empty table for node self with room for h
-// overheard entries over the given ring space. The connected-neighbour
-// list is unbounded: M is a degree target the maintenance rules steer
-// toward (trace hubs exceed it after the paper's augmentation step), not
-// a capacity.
-func NewPeerTable(space dht.Space, self NodeID, h int) *PeerTable {
+// NewPeerTable returns a table for node self with no neighbours, room
+// for h overheard entries, and levels as its DHT peer levels — the table
+// the node's DHT membership gave it (dht.Network.Join), shared, not
+// copied. The connected-neighbour list is unbounded: M is a degree target
+// the maintenance rules steer toward (trace hubs exceed it after the
+// paper's augmentation step), not a capacity.
+func NewPeerTable(self NodeID, h int, levels *dht.Table) *PeerTable {
 	if h <= 0 {
 		panic(fmt.Sprintf("overlay: non-positive overheard capacity %d", h))
 	}
-	return &PeerTable{
-		self:     self,
-		h:        h,
-		dhtPeers: dht.NewTable(space, dht.ID(self)),
-	}
+	return &PeerTable{self: self, h: h, dhtPeers: levels}
 }
 
 // Self returns the table owner's ID.
@@ -72,28 +72,8 @@ func (pt *PeerTable) Neighbors() []NodeID { return pt.neighbors }
 
 // IsNeighbor reports whether id is a connected neighbour.
 func (pt *PeerTable) IsNeighbor(id NodeID) bool {
-	_, ok := pt.findNeighbor(id)
+	_, ok := slices.BinarySearch(pt.neighbors, id)
 	return ok
-}
-
-func (pt *PeerTable) findNeighbor(id NodeID) (int, bool) {
-	// Manual binary search: maintenance overhears every routed message, so
-	// this runs hot enough that sort.Search's per-probe closure call shows
-	// up in profiles.
-	nbrs := pt.neighbors
-	lo, hi := 0, len(nbrs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nbrs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(nbrs) && nbrs[lo] == id {
-		return lo, true
-	}
-	return lo, false
 }
 
 // AddNeighborLink connects id, reporting whether the link is new: self
@@ -103,13 +83,11 @@ func (pt *PeerTable) AddNeighborLink(id NodeID) bool {
 	if id == pt.self {
 		return false
 	}
-	i, exists := pt.findNeighbor(id)
+	i, exists := slices.BinarySearch(pt.neighbors, id)
 	if exists {
 		return false
 	}
-	pt.neighbors = append(pt.neighbors, 0)
-	copy(pt.neighbors[i+1:], pt.neighbors[i:])
-	pt.neighbors[i] = id
+	pt.neighbors = slices.Insert(pt.neighbors, i, id)
 	// A freshly connected neighbour also refreshes the DHT levels and must
 	// not linger in the overheard list.
 	pt.dhtPeers.Consider(dht.ID(id))
@@ -119,11 +97,11 @@ func (pt *PeerTable) AddNeighborLink(id NodeID) bool {
 
 // RemoveNeighbor disconnects id, reporting whether it was connected.
 func (pt *PeerTable) RemoveNeighbor(id NodeID) bool {
-	i, ok := pt.findNeighbor(id)
+	i, ok := slices.BinarySearch(pt.neighbors, id)
 	if !ok {
 		return false
 	}
-	pt.neighbors = append(pt.neighbors[:i], pt.neighbors[i+1:]...)
+	pt.neighbors = slices.Delete(pt.neighbors, i, i+1)
 	return true
 }
 
