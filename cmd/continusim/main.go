@@ -3,9 +3,12 @@
 // evaluation section. -scenario instead runs one named public-API
 // scenario (the same constructors library callers use), with an optional
 // population suffix or -nodes override — the path CI's scale smoke and
-// ad-hoc big runs go through. A flag the selected mode never reads (-sizes
-// under -scenario, -nodes under -experiment) is an error, not a silent run
-// at the defaults; so is -seed 0, which both modes would run as seed 1.
+// ad-hoc big runs go through. Every protocol flag is bound to the field of
+// the configuration the worlds are built from, so -help shows the real
+// defaults and a flag's value is the value used (-pushhops 0 is pull-only).
+// A flag the selected mode never reads (-sizes under -scenario, -nodes
+// under -experiment, -churntrace under a static scenario) is an error, not
+// a silent run at the defaults.
 //
 // Usage:
 //
@@ -20,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -34,148 +38,100 @@ import (
 )
 
 func main() {
-	var (
-		which    = flag.String("experiment", "all", "experiment to run: fig3|table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|flashcrowd10k|all (all = the paper's figures; flashcrowd10k runs only on request)")
-		scenario = flag.String("scenario", "", "named scenario instead of a paper experiment: "+strings.Join(continustreaming.Scenarios(), "|")+", with an optional population suffix (flashcrowd100k, hetdynamic8000)")
-		nodes    = flag.Int("nodes", 0, "population for -scenario (a suffix on the scenario name wins; 0 = scenario default)")
-		rounds   = flag.Int("rounds", 40, "scheduling periods per run")
-		tail     = flag.Int("tail", 10, "rounds in the stable-phase average")
-		seed     = flag.Uint64("seed", 1, "master random seed")
-		sizes    = flag.String("sizes", "", "comma-separated network sizes for the sweeps (default paper sweep)")
-		delay    = flag.Int("delay", 0, "playback delay D in rounds (0 = default)")
-		delaySeg = flag.Int("delayseg", 0, "playback delay in segments (overrides -delay)")
-		workers  = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS; results are identical at any setting)")
-		par      = flag.Int("par", 1, "concurrent sweep points per experiment (0 = GOMAXPROCS, 1 = sequential; tables are byte-identical at any setting)")
-		phasepro = flag.Bool("phaseprof", false, "print a per-phase wall-clock profile after a -scenario run")
-		pushHops = flag.Int("pushhops", 0, "dissemination-engine push depth H (0 = default 2, negative disables the push phase)")
-		queueFac = flag.Int("queuefactor", 0, "supplier carry-queue bound as a multiple of outbound rate (0 = default 2, negative disables queueing)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		churnTr  = flag.String("churntrace", "", "churn trace file (tracegen -churn output) driving the dynamic runs instead of uniform 5%/round")
-	)
-	flag.Parse()
-	if err := checkModeFlags(flag.CommandLine, *scenario != ""); err != nil {
-		fatalf("%v", err)
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "continusim: %v\n", err)
+		os.Exit(1)
 	}
+}
 
-	opts := experiment.Options{Rounds: *rounds, StableTail: *tail, Seed: *seed, Delay: *delay, DelaySegments: *delaySeg, Workers: *workers, Par: *par, PushHops: *pushHops, QueueFactor: *queueFac}
-	if *churnTr != "" {
-		f, err := os.Open(*churnTr)
-		if err != nil {
-			fatalf("churn trace: %v", err)
-		}
-		trace, err := churn.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fatalf("churn trace %s: %v", *churnTr, err)
-		}
-		opts.ChurnTrace = trace
-	}
-	if *sizes != "" {
-		for _, part := range strings.Split(*sizes, ",") {
+// invocation is a parsed command line. opts.Config is the configuration
+// the flags were bound to: the base of every sweep point under
+// -experiment, the scenario's complete configuration under -scenario.
+type invocation struct {
+	opts       experiment.Options
+	experiment string
+	scenario   string
+	csv        bool
+	phaseprof  bool
+}
+
+// parse binds the flags to the default options' fields, parses args and
+// applies the two rules a plain binding cannot express: the mode checks,
+// and -delay alone clearing the calibrated segment-granular delay that
+// would otherwise shadow it.
+func parse(args []string, stderr io.Writer) (invocation, error) {
+	inv := invocation{opts: experiment.DefaultOptions()}
+	o := &inv.opts
+	fs := flag.NewFlagSet("continusim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&inv.experiment, "experiment", "all", "experiment to run: "+strings.Join(experimentOrder, "|")+"|all")
+	fs.StringVar(&inv.scenario, "scenario", "", "named scenario instead of a paper experiment: "+strings.Join(continustreaming.Scenarios(), "|")+", with an optional population suffix (flashcrowd100k, hetdynamic8000)")
+	nodes := fs.Int("nodes", 0, "population for -scenario (a suffix on the scenario name wins; 0 = scenario default)")
+	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "scheduling periods per run")
+	fs.IntVar(&o.StableTail, "tail", o.StableTail, "rounds in the stable-phase average")
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "master random seed")
+	fs.Func("sizes", "comma-separated `list` of network sizes for the sweeps (default the paper's 100,500,1000,2000,4000,8000)", func(list string) error {
+		o.Sizes = nil
+		for _, part := range strings.Split(list, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n < 2 {
-				fatalf("bad -sizes entry %q", part)
+				return fmt.Errorf("bad entry %q", part)
 			}
-			opts.Sizes = append(opts.Sizes, n)
+			o.Sizes = append(o.Sizes, n)
 		}
-	}
-
-	if *scenario != "" {
-		cfg, err := continustreaming.ScenarioByName(*scenario, *nodes)
+		return nil
+	})
+	fs.IntVar(&o.PlaybackDelayRounds, "delay", o.PlaybackDelayRounds, "playback delay D in rounds (set alone, it replaces the segment-granular default)")
+	fs.IntVar(&o.PlaybackDelaySegments, "delayseg", o.PlaybackDelaySegments, "playback delay in segments (wins over -delay; 0 = -delay × stream rate)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "simulation worker pool width (0 = GOMAXPROCS; results are identical at any setting)")
+	fs.IntVar(&o.Par, "par", o.Par, "concurrent sweep points per experiment (0 = GOMAXPROCS, 1 = sequential; tables are byte-identical at any setting)")
+	fs.BoolVar(&inv.phaseprof, "phaseprof", false, "print a per-phase wall-clock profile after a -scenario run")
+	fs.IntVar(&o.PushHops, "pushhops", o.PushHops, "dissemination-engine push depth H (0 = pull-only)")
+	fs.IntVar(&o.QueueFactor, "queuefactor", o.QueueFactor, "supplier carry-queue bound as a multiple of outbound rate (0 = drop-and-retry)")
+	fs.BoolVar(&inv.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.Func("churntrace", "churn trace `file` (tracegen -churn output) driving the dynamic runs instead of uniform 5%/round", func(path string) error {
+		f, err := os.Open(path)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		cfg.PushHops = *pushHops
-		cfg.QueueFactor = *queueFac
-		cfg.Churn = opts.ChurnTrace
-		runScenario(*scenario, cfg, *rounds, *tail, *csv, *phasepro)
-		return
+		defer f.Close()
+		o.Churn.Trace, err = churn.ReadTrace(f)
+		return err
+	})
+	if err := fs.Parse(args); err != nil {
+		return inv, err
 	}
-	run := func(name string, fn func() (*metrics.Table, error)) {
-		tbl, err := fn()
+	static := false
+	if inv.scenario != "" {
+		sc, err := continustreaming.ScenarioByName(inv.scenario, *nodes)
 		if err != nil {
-			fatalf("%s: %v", name, err)
+			return inv, err
 		}
-		if *csv {
-			fmt.Print(tbl.RenderCSV())
-		} else {
-			fmt.Println(tbl.Render())
-		}
+		// A scenario is a population, a system and an environment; every
+		// other field is the flag-bound base's, as for a sweep point.
+		static = !sc.Churn.Enabled()
+		o.Config = o.ConfigFor(sc.Nodes, sc.Profile, !static)
+		o.Bandwidth.Homogeneous = sc.Bandwidth.Homogeneous
 	}
-
-	experiments := map[string]func() (*metrics.Table, error){
-		"fig3": func() (*metrics.Table, error) {
-			r := experiment.RunFigure3(opts)
-			return r.Table(), nil
-		},
-		"table1": func() (*metrics.Table, error) {
-			r, err := experiment.RunTable1(opts)
-			return r.Table(), err
-		},
-		"fig5": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure5(opts)
-			return r.Table(), err
-		},
-		"fig6": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure6(opts)
-			return r.Table(), err
-		},
-		"fig7": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure7(opts)
-			return r.Table(), err
-		},
-		"fig8": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure8(opts)
-			return r.Table(), err
-		},
-		"fig9": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure9(opts)
-			return r.Table(), err
-		},
-		"fig10": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure10(opts)
-			return r.Table(), err
-		},
-		"fig11": func() (*metrics.Table, error) {
-			r, err := experiment.RunFigure11(opts)
-			return r.Table(), err
-		},
-		"flashcrowd10k": func() (*metrics.Table, error) {
-			r, err := experiment.RunFlashCrowd10k(opts)
-			return r.Table(), err
-		},
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["delay"] && !set["delayseg"] {
+		o.PlaybackDelaySegments = 0
 	}
-
-	// "all" reproduces the paper's evaluation; the flash-crowd scale-out
-	// scenario is heavy and runs only when named explicitly.
-	order := []string{"fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
-	if *which == "all" {
-		for _, name := range order {
-			run(name, experiments[name])
-		}
-		return
-	}
-	fn, ok := experiments[*which]
-	if !ok {
-		fatalf("unknown experiment %q (want one of %s, flashcrowd10k, all)", *which, strings.Join(order, ", "))
-	}
-	run(*which, fn)
+	return inv, checkModeFlags(fs, inv.scenario != "", static)
 }
 
 // Flags only one of the two modes reads. Setting one in the other mode
 // would run, silently, at that mode's defaults.
 var (
-	experimentOnlyFlags = []string{"experiment", "sizes", "delay", "delayseg", "par"}
+	experimentOnlyFlags = []string{"experiment", "sizes", "par"}
 	scenarioOnlyFlags   = []string{"nodes", "phaseprof"}
 )
 
 // checkModeFlags returns an error naming the first flag set on the command
 // line whose value the run would not use: one the selected mode never
-// reads, or -seed 0, which the public Config and experiment.Options both
-// read as "unset" and replace with 1.
-func checkModeFlags(fs *flag.FlagSet, scenarioMode bool) error {
+// reads, or a churn trace under a scenario with fixed membership.
+func checkModeFlags(fs *flag.FlagSet, scenarioMode, staticScenario bool) error {
 	ignored, mode := scenarioOnlyFlags, "-experiment"
 	if scenarioMode {
 		ignored, mode = experimentOnlyFlags, "-scenario"
@@ -186,66 +142,130 @@ func checkModeFlags(fs *flag.FlagSet, scenarioMode bool) error {
 		case err != nil:
 		case slices.Contains(ignored, f.Name):
 			err = fmt.Errorf("-%s does nothing under %s", f.Name, mode)
-		case f.Name == "seed" && f.Value.String() == "0":
-			err = errors.New("-seed 0 would run as seed 1; seeds start at 1")
+		case f.Name == "churntrace" && staticScenario:
+			err = errors.New("-churntrace does nothing under a static scenario (membership is fixed)")
 		}
 	})
 	return err
 }
 
-// runScenario executes one named public-API scenario through
-// RunContext: rows accumulate via the OnRound hook as rounds complete,
-// and an interrupt (^C) stops the run at the next round boundary, still
-// printing the rounds that finished — the cancellation contract the
-// public API promises, exercised end to end.
-func runScenario(name string, cfg continustreaming.Config, rounds, tail int, csv, phaseprof bool) {
-	tbl := metrics.NewTable(
-		fmt.Sprintf("Scenario %s (%s, n=%d)", name, cfg.System, cfg.Nodes),
-		"t(s)", "continuity", "warm", "control", "prefetch")
-	cfg.OnRound = func(round int, s continustreaming.Snapshot) {
-		tbl.AddRow(round, s.Continuity, s.ContinuityWarm, s.ControlOverhead, s.PrefetchOverhead)
+// experimentOrder is the paper's evaluation section, in order — what
+// "all" runs.
+var experimentOrder = []string{"fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+
+var experiments = map[string]func(experiment.Options) (*metrics.Table, error){
+	"fig3": func(o experiment.Options) (*metrics.Table, error) {
+		return experiment.RunFigure3(o).Table(), nil
+	},
+	"table1": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunTable1(o)
+		return r.Table(), err
+	},
+	"fig5": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure5(o)
+		return r.Table(), err
+	},
+	"fig6": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure6(o)
+		return r.Table(), err
+	},
+	"fig7": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure7(o)
+		return r.Table(), err
+	},
+	"fig8": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure8(o)
+		return r.Table(), err
+	},
+	"fig9": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure9(o)
+		return r.Table(), err
+	},
+	"fig10": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure10(o)
+		return r.Table(), err
+	},
+	"fig11": func(o experiment.Options) (*metrics.Table, error) {
+		r, err := experiment.RunFigure11(o)
+		return r.Table(), err
+	},
+}
+
+// run is the whole command: args in, tables on stdout.
+func run(args []string, stdout io.Writer) error {
+	inv, err := parse(args, os.Stderr)
+	if err != nil {
+		return err
 	}
+	if inv.scenario != "" {
+		return runScenario(inv, stdout)
+	}
+	names := experimentOrder
+	if inv.experiment != "all" {
+		if experiments[inv.experiment] == nil {
+			return fmt.Errorf("unknown experiment %q (want one of %s, all)", inv.experiment, strings.Join(experimentOrder, ", "))
+		}
+		names = []string{inv.experiment}
+	}
+	for _, name := range names {
+		tbl, err := experiments[name](inv.opts)
+		if err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+		render(stdout, tbl, inv.csv)
+	}
+	return nil
+}
+
+func render(w io.Writer, tbl *metrics.Table, csv bool) {
+	if csv {
+		fmt.Fprint(w, tbl.RenderCSV())
+	} else {
+		fmt.Fprintln(w, tbl.Render())
+	}
+}
+
+// runScenario executes one named public-API scenario through
+// experiment.Run, the loop behind the public RunContext: rows accumulate
+// via the per-round hook as rounds complete, and an interrupt (^C) stops
+// the run at the next round boundary, still printing the rounds that
+// finished — the cancellation contract the public API promises,
+// exercised end to end.
+func runScenario(inv invocation, stdout io.Writer) error {
+	cfg, tail := inv.opts.Config, inv.opts.StableTail
+	tbl := metrics.NewTable(
+		fmt.Sprintf("Scenario %s (%s, n=%d)", inv.scenario, cfg.Profile.Name, cfg.Nodes),
+		"t(s)", "continuity", "warm", "control", "prefetch")
 	var prof *phaseProfiler
-	if phaseprof {
+	if inv.phaseprof {
 		prof = newPhaseProfiler()
 		cfg.PhaseProbe = prof.probe
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := continustreaming.RunContext(ctx, cfg, rounds)
+	res, err := experiment.Run(ctx, cfg, inv.opts.Rounds, tail, func(s metrics.RoundSample) {
+		tbl.AddRow(s.Round, s.Continuity(), s.ContinuityWarm(), s.ControlOverhead(), s.PrefetchOverhead())
+	})
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fatalf("scenario %s: %v", name, err)
+		return fmt.Errorf("scenario %s: %v", inv.scenario, err)
 	}
-	if csv {
-		fmt.Print(tbl.RenderCSV())
-	} else {
-		fmt.Println(tbl.Render())
+	render(stdout, tbl, inv.csv)
+	done := res.Continuity.Len()
+	if interrupted {
+		fmt.Fprintf(stdout, "interrupted after %d/%d rounds\n", done, inv.opts.Rounds)
 	}
-	if done := res.Continuity.Len(); interrupted {
-		fmt.Printf("interrupted after %d/%d rounds\n", done, rounds)
-	}
-	if tail > 0 {
-		if n := res.Continuity.Len(); n > 0 {
-			if tail > n {
-				tail = n
-			}
-			fmt.Printf("stable(last %d): continuity=%.4f warm=%.4f control=%.4f prefetch=%.4f\n",
-				tail, res.Continuity.TailMean(tail), res.ContinuityWarm.TailMean(tail),
-				res.ControlOverhead.TailMean(tail), res.PrefetchOverhead.TailMean(tail))
-		}
+	if tail > 0 && done > 0 {
+		fmt.Fprintf(stdout, "stable(last %d): continuity=%.4f warm=%.4f control=%.4f prefetch=%.4f\n",
+			min(tail, done), res.StableContinuity, res.StableContinuityWarm, res.StableControl, res.StablePrefetch)
 	}
 	if kb := peakRSSKB(); kb > 0 {
-		fmt.Printf("peak_rss_kb=%d\n", kb)
+		fmt.Fprintf(stdout, "peak_rss_kb=%d\n", kb)
 	}
 	if prof != nil {
-		ptbl := prof.table()
-		if csv {
-			fmt.Print(ptbl.RenderCSV())
-		} else {
-			fmt.Println(ptbl.Render())
-		}
+		render(stdout, prof.table(), inv.csv)
 	}
+	return nil
 }
 
 // phaseProfiler turns the simulation's PhaseProbe boundary calls into a
@@ -325,9 +345,4 @@ func peakRSSKB() int64 {
 		}
 	}
 	return 0
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "continusim: "+format+"\n", args...)
-	os.Exit(1)
 }

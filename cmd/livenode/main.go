@@ -26,18 +26,22 @@ import (
 	"continustreaming/internal/livenet"
 )
 
+// bindProtocolFlags binds the protocol flags straight to cfg's fields, so
+// -help shows the real defaults and a flag's value is the value used.
+func bindProtocolFlags(fs *flag.FlagSet, cfg *livenet.Config) {
+	fs.IntVar(&cfg.Peers, "peers", 8, "expected audience size (capacity scaling)")
+	fs.DurationVar(&cfg.Period, "period", cfg.Period, "scheduling period (scaled-down tau)")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "policy randomness seed")
+	fs.BoolVar(&cfg.Engine, "engine", cfg.Engine, "dissemination engine (push + EDF serve + carry queues)")
+	fs.BoolVar(&cfg.Repair, "repair", cfg.Repair, "mesh repair and DHT rescue")
+	fs.BoolVar(&cfg.Resync, "resync", cfg.Resync, "continuous clock re-sync from peer period stamps")
+	fs.IntVar(&cfg.RetryPeriods, "retry", cfg.RetryPeriods, "pull/rescue retry window in periods")
+	fs.IntVar(&cfg.PushHops, "pushhops", cfg.PushHops, "push depth (0 = pull-only)")
+}
+
 func main() {
-	// Protocol flags bind straight to the default config's fields, so
-	// -help shows the real defaults and a flag's value is the value used.
 	cfg := livenet.DefaultConfig()
-	flag.IntVar(&cfg.Peers, "peers", 8, "expected audience size (capacity scaling)")
-	flag.DurationVar(&cfg.Period, "period", cfg.Period, "scheduling period (scaled-down tau)")
-	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "policy randomness seed")
-	flag.BoolVar(&cfg.Engine, "engine", cfg.Engine, "dissemination engine (push + EDF serve + carry queues)")
-	flag.BoolVar(&cfg.Repair, "repair", cfg.Repair, "mesh repair and DHT rescue")
-	flag.BoolVar(&cfg.Resync, "resync", cfg.Resync, "continuous clock re-sync from peer period stamps")
-	flag.IntVar(&cfg.RetryPeriods, "retry", cfg.RetryPeriods, "pull/rescue retry window in periods")
-	flag.IntVar(&cfg.PushHops, "pushhops", cfg.PushHops, "push depth (0 = pull-only)")
+	bindProtocolFlags(flag.CommandLine, &cfg)
 	var (
 		id        = flag.Int("id", 0, "peer ID (0 = the source/RP)")
 		listen    = flag.String("listen", "127.0.0.1:0", "UDP address to bind (port 0 picks a free one)")

@@ -1,11 +1,7 @@
-// Command tracegen synthesizes Gnutella-like overlay traces — the stand-in
-// for the paper's 30 dss.clip2.com crawls (offline since 2001) — and
-// writes them in the repository's plain-text trace format. It also emits
-// churn traces: per-round leave/join schedules derived from session-length
-// distributions, consumed by continusim -churntrace and the public API.
+// Command tracegen emits churn traces: per-round leave/join schedules
+// derived from session-length distributions, in the plain-text format
+// continusim -churntrace and the public API's ReadChurnTrace consume.
 //
-//	tracegen -n 1000 -degree 2.5 -seed 7 > trace.txt
-//	tracegen -registry            # emit the standard 30-trace library list
 //	tracegen -churn pareto -rounds 40 -alpha 1.5 -minsession 2 > churn.txt
 //	tracegen -churn diurnal -rounds 40 -flashround 20 -flashfrac 0.3 > flash.txt
 package main
@@ -16,18 +12,11 @@ import (
 	"os"
 
 	"continustreaming/internal/churn"
-	"continustreaming/internal/topology"
 )
 
 func main() {
 	var (
-		n        = flag.Int("n", 1000, "number of nodes")
-		degree   = flag.Float64("degree", 2.5, "target average degree of the raw crawl graph")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		registry = flag.Bool("registry", false, "list the standard 30-trace library instead of generating")
-		name     = flag.String("name", "", "generate a named registry trace (e.g. trace-n1000-d2.5)")
-
-		churnModel = flag.String("churn", "", "emit a churn trace instead: exponential|pareto|diurnal")
+		churnModel = flag.String("churn", "", "session-length model: exponential|pareto|diurnal")
 		rounds     = flag.Int("rounds", 40, "churn trace length in scheduling periods")
 		mean       = flag.Float64("mean", 20, "exponential: mean session length in rounds")
 		alpha      = flag.Float64("alpha", 1.5, "pareto: shape (>1)")
@@ -40,70 +29,45 @@ func main() {
 	)
 	flag.Parse()
 
-	if *churnModel != "" {
-		// The model constructors panic on non-physical parameters (their
-		// callers are programs); a CLI user gets a clean one-line error.
-		fail := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-			os.Exit(1)
-		}
-		if *rounds <= 0 {
-			fail("-rounds must be positive, got %d", *rounds)
-		}
-		var m *churn.TraceModel
-		switch *churnModel {
-		case "exponential":
-			if *mean <= 0 {
-				fail("-mean must be positive, got %v", *mean)
-			}
-			m = churn.ExponentialTrace(*rounds, *mean)
-		case "pareto":
-			if *alpha <= 1 {
-				fail("-alpha must exceed 1 for a finite mean session, got %v", *alpha)
-			}
-			if *minSession <= 0 {
-				fail("-minsession must be positive, got %v", *minSession)
-			}
-			m = churn.ParetoTrace(*rounds, *alpha, *minSession)
-		case "diurnal":
-			if *period <= 0 {
-				fail("-period must be positive, got %d", *period)
-			}
-			if *base < 0 || *peak < *base || *peak >= 1 {
-				fail("need 0 <= -base <= -peak < 1, got base %v peak %v", *base, *peak)
-			}
-			if *flashFrac < 0 || *flashFrac >= 1 {
-				fail("-flashfrac must be in [0,1), got %v", *flashFrac)
-			}
-			m = churn.DiurnalTrace(*rounds, *period, *base, *peak, *flashRound, *flashFrac)
-		default:
-			fail("unknown churn model %q (want exponential, pareto or diurnal)", *churnModel)
-		}
-		if err := churn.WriteTrace(os.Stdout, m); err != nil {
-			fail("%v", err)
-		}
-		return
-	}
-
-	if *registry {
-		for _, e := range topology.DefaultRegistry().Entries {
-			fmt.Printf("%-22s n=%-6d avg-degree=%.1f seed=%#x\n", e.Name, e.N, e.AvgDegree, e.Seed)
-		}
-		return
-	}
-	var g *topology.Graph
-	if *name != "" {
-		entry, ok := topology.DefaultRegistry().Lookup(*name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tracegen: unknown registry trace %q\n", *name)
-			os.Exit(1)
-		}
-		g = entry.Build()
-	} else {
-		g = topology.Generate(topology.GenerateConfig{N: *n, AvgDegree: *degree, Seed: *seed})
-	}
-	if err := topology.WriteTrace(os.Stdout, g); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+	// The model constructors panic on non-physical parameters (their
+	// callers are programs); a CLI user gets a clean one-line error.
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
 		os.Exit(1)
+	}
+	if *rounds <= 0 {
+		fail("-rounds must be positive, got %d", *rounds)
+	}
+	var m *churn.TraceModel
+	switch *churnModel {
+	case "exponential":
+		if *mean <= 0 {
+			fail("-mean must be positive, got %v", *mean)
+		}
+		m = churn.ExponentialTrace(*rounds, *mean)
+	case "pareto":
+		if *alpha <= 1 {
+			fail("-alpha must exceed 1 for a finite mean session, got %v", *alpha)
+		}
+		if *minSession <= 0 {
+			fail("-minsession must be positive, got %v", *minSession)
+		}
+		m = churn.ParetoTrace(*rounds, *alpha, *minSession)
+	case "diurnal":
+		if *period <= 0 {
+			fail("-period must be positive, got %d", *period)
+		}
+		if *base < 0 || *peak < *base || *peak >= 1 {
+			fail("need 0 <= -base <= -peak < 1, got base %v peak %v", *base, *peak)
+		}
+		if *flashFrac < 0 || *flashFrac >= 1 {
+			fail("-flashfrac must be in [0,1), got %v", *flashFrac)
+		}
+		m = churn.DiurnalTrace(*rounds, *period, *base, *peak, *flashRound, *flashFrac)
+	default:
+		fail("-churn %q: want exponential, pareto or diurnal", *churnModel)
+	}
+	if err := churn.WriteTrace(os.Stdout, m); err != nil {
+		fail("%v", err)
 	}
 }

@@ -7,16 +7,17 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSystemStrings(t *testing.T) {
-	if ContinuStreaming.String() != "ContinuStreaming" ||
-		CoolStreaming.String() != "CoolStreaming" ||
-		ContinuStreamingNoPrefetch.String() != "ContinuStreaming-noprefetch" {
+	if ContinuStreaming().Name != "ContinuStreaming" ||
+		CoolStreaming().Name != "CoolStreaming" ||
+		ContinuStreamingNoPrefetch().Name != "ContinuStreaming-noprefetch" {
 		t.Fatal("system names wrong")
 	}
-	if System(99).String() == "" {
-		t.Fatal("unknown system has empty name")
+	if !ContinuStreaming().Prefetch || ContinuStreamingNoPrefetch().Prefetch || CoolStreaming().Engine {
+		t.Fatal("system axes wrong")
 	}
 }
 
@@ -39,13 +40,13 @@ func TestRunQuickstartShape(t *testing.T) {
 	if res.Continuity.Len() != 16 {
 		t.Fatalf("continuity rounds = %d", res.Continuity.Len())
 	}
-	if sc := res.StableContinuity(); sc <= 0.3 || sc > 1 {
+	if sc := res.StableContinuity; sc <= 0.3 || sc > 1 {
 		t.Fatalf("stable continuity = %v", sc)
 	}
-	if co := res.StableControlOverhead(); co <= 0 || co > 0.05 {
+	if co := res.StableControl; co <= 0 || co > 0.05 {
 		t.Fatalf("control overhead = %v", co)
 	}
-	if po := res.StablePrefetchOverhead(); po < 0 || po > 0.1 {
+	if po := res.StablePrefetch; po < 0 || po > 0.1 {
 		t.Fatalf("prefetch overhead = %v", po)
 	}
 }
@@ -54,7 +55,7 @@ func TestRunSystemsDiffer(t *testing.T) {
 	base := DefaultConfig(200)
 	base.Seed = 5
 	cool := base
-	cool.System = CoolStreaming
+	cool.Profile = CoolStreaming()
 	cRes, err := Run(cool, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -64,12 +65,12 @@ func TestRunSystemsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The full system must never lose to the baseline on this workload.
-	if full.StableContinuity() < cRes.StableContinuity()-0.05 {
+	if full.StableContinuity < cRes.StableContinuity-0.05 {
 		t.Fatalf("ContinuStreaming %.3f below CoolStreaming %.3f",
-			full.StableContinuity(), cRes.StableContinuity())
+			full.StableContinuity, cRes.StableContinuity)
 	}
 	// The baseline never pays prefetch overhead.
-	if cRes.StablePrefetchOverhead() != 0 {
+	if cRes.StablePrefetch != 0 {
 		t.Fatal("CoolStreaming reported prefetch overhead")
 	}
 }
@@ -93,8 +94,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRunWorkerCountInvariant(t *testing.T) {
-	base := DefaultConfig(150)
-	base.Dynamic = true
+	base := ScenarioHetDynamic(150)
 	base.Seed = 11
 	one := base
 	one.Workers = 1
@@ -113,15 +113,13 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 			t.Fatalf("round %d differs between 1 and 8 workers", i)
 		}
 	}
-	if a.StableControlOverhead() != b.StableControlOverhead() ||
-		a.StablePrefetchOverhead() != b.StablePrefetchOverhead() {
+	if a.StableControl != b.StableControl || a.StablePrefetch != b.StablePrefetch {
 		t.Fatal("overhead metrics differ between worker counts")
 	}
 }
 
 func TestRunDynamicEnvironment(t *testing.T) {
-	cfg := DefaultConfig(150)
-	cfg.Dynamic = true
+	cfg := ScenarioHetDynamic(150)
 	cfg.Seed = 9
 	res, err := Run(cfg, 16)
 	if err != nil {
@@ -147,7 +145,7 @@ func TestTheoreticalContinuityPaperValues(t *testing.T) {
 
 func TestNeighborsOverride(t *testing.T) {
 	cfg := DefaultConfig(100)
-	cfg.Neighbors = 4
+	cfg.M = 4
 	cfg.Seed = 2
 	if _, err := Run(cfg, 8); err != nil {
 		t.Fatal(err)
@@ -162,8 +160,8 @@ func TestEngineKnobsChangeOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := base
-	off.PushHops = -1
-	off.QueueFactor = -1
+	off.PushHops = 0
+	off.QueueFactor = 0
 	offRes, err := Run(off, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +184,7 @@ func TestEngineKnobsChangeOutcome(t *testing.T) {
 }
 
 func TestWarmContinuityReported(t *testing.T) {
-	cfg := DefaultConfig(150)
-	cfg.Dynamic = true
+	cfg := ScenarioHetDynamic(150)
 	cfg.Seed = 9
 	res, err := Run(cfg, 16)
 	if err != nil {
@@ -200,23 +197,39 @@ func TestWarmContinuityReported(t *testing.T) {
 	// continuously — from both sides of the ratio, so its stable phase
 	// sits at or above the plain metric up to a small tolerance (an
 	// instantly-caught-up joiner can nudge it fractionally below).
-	if res.StableContinuityWarm()+0.02 < res.StableContinuity() {
-		t.Fatalf("warm %.4f well below plain %.4f", res.StableContinuityWarm(), res.StableContinuity())
+	if res.StableContinuityWarm+0.02 < res.StableContinuity {
+		t.Fatalf("warm %.4f well below plain %.4f", res.StableContinuityWarm, res.StableContinuity)
 	}
 }
 
 func TestRunLiveKillAndRecover(t *testing.T) {
-	_, err := RunLive(context.Background(), LiveConfig{KillFraction: 0.3}, 20)
-	if err == nil {
-		t.Fatal("kill fraction without a kill period must be rejected")
+	cfg := DefaultLiveConfig()
+	cfg.Peers, cfg.Period, cfg.Seed = 16, 5*time.Millisecond, 7
+	for _, bad := range []LiveChurnEvent{
+		{KillFraction: 0.3},             // no period
+		{Period: 40, KillFraction: 0.3}, // the session has ended
+		{Period: 45, Join: 2},
+	} {
+		cfg.Churn = []LiveChurnEvent{bad}
+		if _, err := RunLive(context.Background(), cfg, LiveNode{}, 40); err == nil {
+			t.Fatalf("churn event %+v outside the session must be rejected", bad)
+		}
 	}
-	res, err := RunLive(context.Background(), LiveConfig{
-		Peers:        16,
-		PeriodMillis: 5,
-		Seed:         7,
-		KillAtPeriod: 15,
-		KillFraction: 0.3,
-	}, 40)
+	cfg.Churn = nil
+	if _, err := RunLive(context.Background(), cfg, LiveNode{Shape: "loss=2%"}, 40); err == nil {
+		t.Fatal("shaping an in-process session must be rejected")
+	}
+	if _, err := RunLive(context.Background(), cfg, LiveNode{}, 0); err == nil {
+		t.Fatal("zero periods accepted")
+	}
+	zero := cfg
+	zero.Period = 0
+	if _, err := RunLive(context.Background(), zero, LiveNode{}, 40); err == nil {
+		t.Fatal("a zero period is a zero, not a request for the default")
+	}
+
+	cfg.Churn = []LiveChurnEvent{{Period: 15, KillFraction: 0.3}}
+	res, err := RunLive(context.Background(), cfg, LiveNode{}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,46 +259,43 @@ func freeUDPPort(t *testing.T) int {
 }
 
 // TestRunLiveSocketPath drives the public multi-process surface: each
-// RunLive call with Listen set runs ONE peer over a real UDP socket,
-// here a source/RP plus three receivers sharing loopback — the same
-// shape cmd/livenode runs with one call per process.
+// RunLive call with LiveNode.Listen set runs ONE peer over a real UDP
+// socket, here a source/RP plus three receivers sharing loopback — the
+// same shape cmd/livenode runs with one call per process.
 func TestRunLiveSocketPath(t *testing.T) {
-	if _, err := RunLive(context.Background(), LiveConfig{
-		Listen: "127.0.0.1:0", KillAtPeriod: 5, KillFraction: 0.5,
-	}, 20); err == nil {
+	const receivers = 3
+	cfg := DefaultLiveConfig()
+	cfg.Peers, cfg.Period = receivers, 20*time.Millisecond
+	scripted := cfg
+	scripted.Churn = []LiveChurnEvent{{Period: 5, KillFraction: 0.5}}
+	if _, err := RunLive(context.Background(), scripted, LiveNode{Listen: "127.0.0.1:0", Source: true}, 20); err == nil {
 		t.Fatal("churn script on the socket path must be rejected")
 	}
-	if _, err := RunLive(context.Background(), LiveConfig{
-		Listen: "127.0.0.1:0", NodeID: 3,
-	}, 20); err == nil {
+	if _, err := RunLive(context.Background(), cfg, LiveNode{Listen: "127.0.0.1:0", ID: 3}, 20); err == nil {
 		t.Fatal("a bootstrap-less non-zero node must be rejected (only the RP runs without one)")
 	}
 
 	rp := fmt.Sprintf("127.0.0.1:%d", freeUDPPort(t))
-	const receivers = 3
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	results := make(map[int]LiveResult)
-	node := func(id int, cfg LiveConfig) {
+	results := make(map[int]LiveStats)
+	node := func(nc LiveNode) {
 		defer wg.Done()
-		cfg.Peers = receivers
-		cfg.PeriodMillis = 20
-		cfg.NodeID = id
-		res, err := RunLive(ctx, cfg, 40)
+		res, err := RunLive(ctx, cfg, nc, 40)
 		if err != nil {
-			t.Errorf("node %d: %v", id, err)
+			t.Errorf("node %d: %v", nc.ID, err)
 			return
 		}
 		mu.Lock()
-		results[id] = res
+		results[nc.ID] = res
 		mu.Unlock()
 	}
 	wg.Add(1 + receivers)
-	go node(0, LiveConfig{Listen: rp})
+	go node(LiveNode{Listen: rp, Source: true})
 	for i := 1; i <= receivers; i++ {
-		go node(i, LiveConfig{Listen: "127.0.0.1:0", Bootstrap: rp})
+		go node(LiveNode{ID: i, Listen: "127.0.0.1:0", Bootstrap: rp})
 	}
 	wg.Wait()
 	if len(results) != 1+receivers {

@@ -28,9 +28,8 @@ func main() {
 	}
 	fmt.Printf("ContinuStreaming, %d nodes, %d rounds:\n\n", nodes, rounds)
 	for _, tc := range traces {
-		cfg := continustreaming.DefaultConfig(nodes)
-		cfg.Dynamic = true
-		cfg.Churn = tc.trace
+		cfg := continustreaming.ScenarioHetDynamic(nodes)
+		cfg.Churn.Trace = tc.trace
 		cfg.Seed = 7
 		res, err := continustreaming.Run(cfg, rounds)
 		if err != nil {
@@ -42,7 +41,7 @@ func main() {
 				min = v
 			}
 		}
-		fmt.Printf("%-30s stable=%.3f worst-round=%.3f\n", tc.name, res.StableContinuity(), min)
+		fmt.Printf("%-30s stable=%.3f worst-round=%.3f\n", tc.name, res.StableContinuity, min)
 	}
 	fmt.Println("\nThe flash departure is the stress case: a third of the audience")
 	fmt.Println("leaves in one scheduling period and the repair pipeline regrows")

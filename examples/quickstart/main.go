@@ -13,19 +13,19 @@ import (
 
 func main() {
 	const nodes, rounds = 300, 25
-	for _, system := range []continustreaming.System{
-		continustreaming.CoolStreaming,
-		continustreaming.ContinuStreaming,
+	for _, system := range []continustreaming.Profile{
+		continustreaming.CoolStreaming(),
+		continustreaming.ContinuStreaming(),
 	} {
 		cfg := continustreaming.DefaultConfig(nodes)
-		cfg.System = system
+		cfg.Profile = system
 		cfg.Seed = 42
 		res, err := continustreaming.Run(cfg, rounds)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s continuity=%.3f control-overhead=%.4f prefetch-overhead=%.4f\n",
-			system, res.StableContinuity(), res.StableControlOverhead(), res.StablePrefetchOverhead())
+			system.Name, res.StableContinuity, res.StableControl, res.StablePrefetch)
 	}
 	pcOld, pcNew, err := continustreaming.TheoreticalContinuity(15, 10, 1, 4)
 	if err != nil {

@@ -50,14 +50,6 @@ func DefaultProfile() Profile {
 	}
 }
 
-// HomogeneousProfile returns the paper's homogeneous arrangement (used in
-// the §5.1 theory-versus-simulation table).
-func HomogeneousProfile() Profile {
-	p := DefaultProfile()
-	p.Homogeneous = true
-	return p
-}
-
 // Validate reports an error for non-physical profiles.
 func (p Profile) Validate() error {
 	if p.MeanIn <= 0 || p.MeanOut <= 0 || p.SourceOut <= 0 {

@@ -32,7 +32,8 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 }
 
 func TestHomogeneousDraw(t *testing.T) {
-	p := HomogeneousProfile()
+	p := DefaultProfile()
+	p.Homogeneous = true
 	rng := sim.NewRNG(1)
 	for i := 0; i < 100; i++ {
 		r := p.Draw(rng)

@@ -210,19 +210,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ApplyKnobOverride maps the public override convention for the engine
-// knobs onto a config field: positive overrides, zero keeps the default
-// already in *dst, negative disables (sets 0). The public API, the
-// experiment harness and the CLI all share it so the sentinel convention
-// cannot silently diverge between entry points.
-func ApplyKnobOverride(dst *int, override int) {
-	if override > 0 {
-		*dst = override
-	} else if override < 0 {
-		*dst = 0
-	}
-}
-
 // delaySegments resolves the playback delay in segments.
 func (c Config) delaySegments() int {
 	if c.PlaybackDelaySegments > 0 {

@@ -6,6 +6,7 @@ import (
 	"continustreaming/internal/churn"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
 
@@ -147,7 +148,12 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 	if leaver == nil {
 		t.Skip("no backups accumulated yet at this size")
 	}
-	held := leaver.Backup.Segments()
+	var held []segment.ID
+	for id := segment.ID(0); id < segment.ID(12*cfg.Stream.Rate); id++ {
+		if leaver.Backup.Has(id) {
+			held = append(held, id)
+		}
+	}
 	pred, ok := w.DHTNetwork().Owner(w.Space().Wrap(int(leaver.ID) - 1))
 	if !ok {
 		t.Fatal("no predecessor")

@@ -103,8 +103,8 @@ type delivery struct {
 	prefetch bool
 }
 
-// NewWorld builds a world from the configuration: synthesizes (or accepts)
-// the trace topology, augments it to the target degree, assigns ring IDs
+// NewWorld builds a world from the configuration: synthesizes the
+// Gnutella-like topology, augments it to the target degree, assigns ring IDs
 // via the RP server, wires connected neighbours from the augmented graph,
 // and populates every DHT peer table.
 func NewWorld(cfg Config) (*World, error) {

@@ -82,16 +82,6 @@ func (s *Store) PruneBelow(floor segment.ID) int {
 	return removed
 }
 
-// Segments returns the backed-up segment IDs in ascending order.
-func (s *Store) Segments() []segment.ID {
-	out := make([]segment.ID, 0, len(s.segs))
-	for id := range s.segs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Drain removes and returns every entry in ascending order, so a
 // graceful-leave handover replays identically across runs. Used for
 // graceful-leave handover: "it should first find the node n' which is

@@ -15,7 +15,9 @@ func TestFigureTracksWorkerCountInvariant(t *testing.T) {
 		t.Skip("1000-node tracks are slow in -short mode")
 	}
 	opts := func(workers int) Options {
-		return Options{Rounds: 6, StableTail: 3, Seed: 9, Workers: workers}
+		o := options(6, 3, 9)
+		o.Workers = workers
+		return o
 	}
 	wide := runtime.GOMAXPROCS(0)
 	if wide < 2 {

@@ -2,83 +2,71 @@
 // paper's evaluation (§5). Each runner builds worlds from internal/core,
 // executes them, and returns both structured results and a rendered
 // paper-style table. The top-level benchmarks and cmd/continusim are thin
-// wrappers over these runners.
+// wrappers over these runners, and Run is the one world-plus-engine loop
+// every road into a simulation goes through.
 package experiment
 
 import (
+	"context"
+	"fmt"
+
 	"continustreaming/internal/churn"
 	"continustreaming/internal/core"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/sim"
 )
 
-// Options tunes how heavy the experiment sweep is. Benchmarks use reduced
-// sizes to stay fast; cmd/continusim defaults to the paper's full sweep.
+// Options is the base configuration every run of a sweep is built from,
+// plus the shape of the sweep itself. Benchmarks use reduced sizes to stay
+// fast; cmd/continusim binds its flags to these fields and defaults to the
+// paper's full sweep. DefaultOptions is the only defaults mechanism: a zero
+// field is a zero.
 type Options struct {
+	// Config is the base every run copies (see ConfigFor): Seed, Workers,
+	// the playback delay, the engine knobs and the rest of the §5.2 table.
+	// Its Churn describes the dynamic environment — uniform 5%/round, or a
+	// trace-driven schedule in Churn.Trace (cmd/tracegen -churn) — and
+	// static runs clear it; Nodes and Profile are set per run.
+	core.Config
 	// Rounds is the number of scheduling periods per run (the paper's
 	// tracks span 30 s = 30 rounds; size sweeps measure stable phase).
 	Rounds int
 	// StableTail is how many final rounds define the stable phase average.
 	StableTail int
-	// Sizes overrides the network-size sweep (Figures 7, 8, 9, 11).
+	// Sizes is the network-size sweep (Figures 7, 8, 9, 11).
 	Sizes []int
-	// Seed drives all randomness.
-	Seed uint64
-	// Delay overrides the playback delay D in rounds (0 keeps the
-	// default); DelaySegments overrides at segment granularity and wins
-	// over Delay.
-	Delay         int
-	DelaySegments int
-	// Workers caps the simulation worker pool (0 = GOMAXPROCS). Purely a
-	// throughput knob: results are bit-identical at any setting.
-	Workers int
 	// Par caps how many sweep points run concurrently (0 = GOMAXPROCS,
 	// 1 = sequential). Each point is an independent simulation seeded by
 	// its own configuration and results are committed in point order, so
 	// every table is byte-identical at any setting. Memory-heavy points
 	// occupy proportionally more of the cap (see memWeight).
 	Par int
-	// ChurnTrace overrides the uniform 5%/round churn of dynamic runs
-	// with a per-round trace-driven schedule (see churn.TraceModel and
-	// cmd/tracegen -churn). Static runs ignore it.
-	ChurnTrace *churn.TraceModel
-	// PushHops overrides the dissemination engine's push depth: 0 keeps
-	// the config default, a negative value disables the push phase.
-	PushHops int
-	// QueueFactor overrides the supplier carry-queue bound: 0 keeps the
-	// config default, a negative value disables queueing.
-	QueueFactor int
 }
 
 // DefaultOptions mirrors the paper's settings.
 func DefaultOptions() Options {
+	base := core.DefaultConfig(0)
+	base.Churn = churn.DefaultConfig()
 	return Options{
+		Config:     base,
 		Rounds:     40,
 		StableTail: 10,
 		Sizes:      []int{100, 500, 1000, 2000, 4000, 8000},
-		Seed:       1,
+		Par:        1,
 	}
 }
 
-// normalized fills zero fields from the defaults.
-func (o Options) normalized() Options {
-	d := DefaultOptions()
-	if o.Rounds <= 0 {
-		o.Rounds = d.Rounds
+// ConfigFor is the configuration of one run: the base with its population
+// and system set, in the dynamic environment the base describes or, for a
+// static run, with no churn at all.
+func (o Options) ConfigFor(n int, profile core.Profile, dynamic bool) core.Config {
+	cfg := o.Config
+	cfg.Nodes = n
+	cfg.Profile = profile
+	if !dynamic {
+		cfg.Churn = churn.Config{}
 	}
-	if o.StableTail <= 0 {
-		o.StableTail = d.StableTail
-	}
-	if o.StableTail > o.Rounds {
-		o.StableTail = o.Rounds
-	}
-	if len(o.Sizes) == 0 {
-		o.Sizes = d.Sizes
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
+	return cfg
 }
 
 // RunResult is one simulated system execution.
@@ -103,15 +91,33 @@ type RunResult struct {
 	Totals        metrics.RoundSample
 }
 
-// runWorld executes one configuration and collapses its metrics.
-func runWorld(cfg core.Config, rounds, stableTail int) (RunResult, error) {
+// Run builds cfg's world and steps it for the given number of scheduling
+// periods, then collapses its metrics over the final stableTail rounds.
+// The context is checked at every round boundary: when it is cancelled the
+// run stops after the round in flight and returns the rounds that did
+// complete — a bit-identical prefix of the uninterrupted run — alongside
+// the context's error. onRound, when non-nil, is called after every
+// completed round with that round's sample, synchronously on the
+// simulation goroutine; it cannot affect the results.
+func Run(ctx context.Context, cfg core.Config, rounds, stableTail int, onRound func(metrics.RoundSample)) (RunResult, error) {
+	if rounds <= 0 {
+		return RunResult{}, fmt.Errorf("experiment: non-positive round count %d", rounds)
+	}
 	w, err := core.NewWorld(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
 	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(rounds)
 	col := w.Collector()
+	for r := 0; r < rounds; r++ {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		engine.Run(1)
+		if onRound != nil {
+			onRound(col.Samples()[r])
+		}
+	}
 	cont := col.ContinuitySeries()
 	warm := col.ContinuityWarmSeries()
 	ctl := col.ControlOverheadSeries()
@@ -130,28 +136,5 @@ func runWorld(cfg core.Config, rounds, stableTail int) (RunResult, error) {
 		StablePrefetch:       pf.TailMean(stableTail),
 		StableAtRound:        cont.StableRound(stableTail, 0.03),
 		Totals:               col.Totals(),
-	}, nil
-}
-
-// baseConfig assembles the shared paper configuration for a run.
-func baseConfig(n int, profile core.Profile, dynamic bool, o Options) core.Config {
-	cfg := core.DefaultConfig(n)
-	cfg.Profile = profile
-	cfg.Seed = o.Seed
-	cfg.Workers = o.Workers
-	// One delay override: segments win over rounds, and a rounds
-	// override clears the calibrated segment-granular default that would
-	// otherwise shadow it.
-	if o.DelaySegments > 0 {
-		cfg.PlaybackDelaySegments = o.DelaySegments
-	} else if o.Delay > 0 {
-		cfg.PlaybackDelayRounds, cfg.PlaybackDelaySegments = o.Delay, 0
-	}
-	core.ApplyKnobOverride(&cfg.PushHops, o.PushHops)
-	core.ApplyKnobOverride(&cfg.QueueFactor, o.QueueFactor)
-	if dynamic {
-		cfg.Churn = churn.DefaultConfig()
-		cfg.Churn.Trace = o.ChurnTrace
-	}
-	return cfg
+	}, err
 }

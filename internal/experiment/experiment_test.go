@@ -1,32 +1,58 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"continustreaming/internal/churn"
 	"continustreaming/internal/core"
 )
 
-// tinyOptions keeps integration runs fast; the qualitative assertions
-// below are size-independent.
-func tinyOptions() Options {
-	return Options{Rounds: 18, StableTail: 5, Sizes: []int{80, 150}, Seed: 3}
+// options is DefaultOptions at a test-sized sweep shape, points running
+// GOMAXPROCS-wide.
+func options(rounds, tail int, seed uint64, sizes ...int) Options {
+	o := DefaultOptions()
+	o.Rounds, o.StableTail, o.Seed, o.Sizes, o.Par = rounds, tail, seed, sizes, 0
+	return o
 }
 
-func TestOptionsNormalized(t *testing.T) {
-	o := Options{}.normalized()
-	d := DefaultOptions()
-	if o.Rounds != d.Rounds || o.Seed != d.Seed || len(o.Sizes) != len(d.Sizes) {
-		t.Fatalf("normalized zero options = %+v", o)
+// tinyOptions keeps integration runs fast; the qualitative assertions
+// below are size-independent.
+func tinyOptions() Options { return options(18, 5, 3, 80, 150) }
+
+// TestDefaultOptions: the base every run copies is the core's default
+// configuration in the paper's dynamic environment, a static run is that
+// minus the churn, and nothing fills a zero field in behind the caller.
+func TestDefaultOptions(t *testing.T) {
+	o := DefaultOptions()
+	want := core.DefaultConfig(300)
+	if got := o.ConfigFor(300, core.ProfileContinuStreaming(), false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("static run config = %+v, want core.DefaultConfig(300)", got)
 	}
-	o = Options{Rounds: 5, StableTail: 50}.normalized()
-	if o.StableTail != 5 {
-		t.Fatalf("stable tail not clamped: %d", o.StableTail)
+	want.Churn = churn.DefaultConfig()
+	want.Profile = core.ProfileCoolStreaming()
+	if got := o.ConfigFor(300, core.ProfileCoolStreaming(), true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dynamic run config = %+v, want the default plus churn.DefaultConfig()", got)
+	}
+	if o.Rounds != 40 || o.StableTail != 10 || len(o.Sizes) != 6 || o.Par != 1 {
+		t.Fatalf("sweep shape = %+v", o)
+	}
+	if _, err := RunFigure5(Options{}); err == nil {
+		t.Fatal("zero Options ran: something is still defaulting them")
+	}
+	// A tail longer than the run averages the whole run.
+	long, err := RunFigure7(options(8, 50, 3, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := long.Points[0].Continu.StableContinuity, long.Points[0].Continu.Continuity.Mean(); got != want {
+		t.Fatalf("over-long tail averaged %v, whole-run mean is %v", got, want)
 	}
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res := RunFigure3(Options{Seed: 2})
+	res := RunFigure3(options(0, 0, 2))
 	if res.SpaceSize != 8192 || len(res.Points) == 0 {
 		t.Fatalf("bad result: %+v", res)
 	}
@@ -53,7 +79,7 @@ func TestTable1TheoryRows(t *testing.T) {
 	// Check only the closed-form rows here (simulation rows are covered by
 	// the track tests); build with a minimal simulated environment set by
 	// reusing tiny options but verifying rows 0-1 numerically.
-	res, err := RunTable1(Options{Rounds: 12, StableTail: 4, Sizes: []int{60}, Seed: 2})
+	res, err := RunTable1(options(12, 4, 2, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,29 +127,32 @@ func TestFigure5TrackShape(t *testing.T) {
 	}
 }
 
-// TestDelayOverrideMovesPlayback: Options.Delay (continusim -delay) must
-// reach the playback position. It was a silent no-op while the default
-// config's segment-granular delay shadowed every rounds override.
+// TestDelayOverrideMovesPlayback: the base's playback delay must reach the
+// playback position, in rounds (continusim -delay N alone: the calibrated
+// segment-granular default cleared, or it would shadow N) and in segments,
+// which win when both are set.
 func TestDelayOverrideMovesPlayback(t *testing.T) {
-	track := func(o Options) string {
+	track := func(delayRounds, delaySegments int) string {
 		t.Helper()
-		o.Rounds, o.StableTail, o.Seed = 10, 4, 3
+		o := options(10, 4, 3)
+		o.PlaybackDelayRounds, o.PlaybackDelaySegments = delayRounds, delaySegments
 		res, err := RunFigure5(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Table().Render()
 	}
-	rate := core.DefaultConfig(2).Stream.Rate
-	base, rounds, segs := track(Options{}), track(Options{Delay: 3}), track(Options{DelaySegments: 3 * rate})
+	d := DefaultOptions()
+	rate := d.Stream.Rate
+	base, rounds, segs := track(d.PlaybackDelayRounds, d.PlaybackDelaySegments), track(3, 0), track(d.PlaybackDelayRounds, 3*rate)
 	if rounds == base {
-		t.Fatal("Delay: 3 left the track identical to the default delay")
+		t.Fatal("a 3-round delay left the track identical to the default delay")
 	}
 	if rounds != segs {
-		t.Fatalf("Delay: 3 and DelaySegments: %d disagree:\n%s\n%s", 3*rate, rounds, segs)
+		t.Fatalf("3 rounds and %d segments disagree:\n%s\n%s", 3*rate, rounds, segs)
 	}
-	if both := track(Options{Delay: 5, DelaySegments: 3 * rate}); both != segs {
-		t.Fatal("DelaySegments did not win over Delay")
+	if both := track(5, 3*rate); both != segs {
+		t.Fatal("the segment-granular delay did not win over the rounds")
 	}
 }
 

@@ -41,11 +41,10 @@ func RunFigure5(o Options) (TrackResult, error) { return runTrack(o, false) }
 func RunFigure6(o Options) (TrackResult, error) { return runTrack(o, true) }
 
 func runTrack(o Options, dynamic bool) (TrackResult, error) {
-	o = o.normalized()
 	const n = 1000
 	runs, err := runAll(o, []core.Config{
-		baseConfig(n, core.ProfileCoolStreaming(), dynamic, o),
-		baseConfig(n, core.ProfileContinuStreaming(), dynamic, o),
+		o.ConfigFor(n, core.ProfileCoolStreaming(), dynamic),
+		o.ConfigFor(n, core.ProfileContinuStreaming(), dynamic),
 	})
 	if err != nil {
 		return TrackResult{}, err
@@ -95,13 +94,12 @@ func RunFigure7(o Options) (SizeSweepResult, error) { return runSizeSweep(o, fal
 func RunFigure8(o Options) (SizeSweepResult, error) { return runSizeSweep(o, true) }
 
 func runSizeSweep(o Options, dynamic bool) (SizeSweepResult, error) {
-	o = o.normalized()
 	res := SizeSweepResult{Dynamic: dynamic}
 	cfgs := make([]core.Config, 0, 2*len(o.Sizes))
 	for _, n := range o.Sizes {
 		cfgs = append(cfgs,
-			baseConfig(n, core.ProfileCoolStreaming(), dynamic, o),
-			baseConfig(n, core.ProfileContinuStreaming(), dynamic, o))
+			o.ConfigFor(n, core.ProfileCoolStreaming(), dynamic),
+			o.ConfigFor(n, core.ProfileContinuStreaming(), dynamic))
 	}
 	runs, err := runAll(o, cfgs)
 	if err != nil {
@@ -140,12 +138,11 @@ func (r ControlSweepResult) Table() *metrics.Table {
 // network sizes (ContinuStreaming; the paper notes both systems' exchange
 // mechanisms — and therefore this metric — are essentially identical).
 func RunFigure9(o Options) (ControlSweepResult, error) {
-	o = o.normalized()
 	var res ControlSweepResult
 	var cfgs []core.Config
 	for _, m := range []int{4, 5, 6} {
 		for _, n := range o.Sizes {
-			cfg := baseConfig(n, core.ProfileContinuStreaming(), false, o)
+			cfg := o.ConfigFor(n, core.ProfileContinuStreaming(), false)
 			cfg.M = m
 			cfgs = append(cfgs, cfg)
 		}
@@ -184,11 +181,10 @@ func (r PrefetchTrackResult) Table() *metrics.Table {
 
 // RunFigure10 reproduces Figure 10.
 func RunFigure10(o Options) (PrefetchTrackResult, error) {
-	o = o.normalized()
 	const n = 1000
 	runs, err := runAll(o, []core.Config{
-		baseConfig(n, core.ProfileContinuStreaming(), false, o),
-		baseConfig(n, core.ProfileContinuStreaming(), true, o),
+		o.ConfigFor(n, core.ProfileContinuStreaming(), false),
+		o.ConfigFor(n, core.ProfileContinuStreaming(), true),
 	})
 	if err != nil {
 		return PrefetchTrackResult{}, err
@@ -221,13 +217,12 @@ func (r PrefetchSweepResult) Table() *metrics.Table {
 // RunFigure11 reproduces Figure 11: stable pre-fetch overhead across sizes
 // in both environments.
 func RunFigure11(o Options) (PrefetchSweepResult, error) {
-	o = o.normalized()
 	var res PrefetchSweepResult
 	cfgs := make([]core.Config, 0, 2*len(o.Sizes))
 	for _, n := range o.Sizes {
 		cfgs = append(cfgs,
-			baseConfig(n, core.ProfileContinuStreaming(), false, o),
-			baseConfig(n, core.ProfileContinuStreaming(), true, o))
+			o.ConfigFor(n, core.ProfileContinuStreaming(), false),
+			o.ConfigFor(n, core.ProfileContinuStreaming(), true))
 	}
 	runs, err := runAll(o, cfgs)
 	if err != nil {
@@ -277,7 +272,6 @@ func (r Figure3Result) Table() *metrics.Table {
 // so running points concurrently would change the results. It is also far
 // cheaper than a single streaming point, so there is nothing to win.
 func RunFigure3(o Options) Figure3Result {
-	o = o.normalized()
 	space := dht.NewSpace(8192)
 	sizes := []int{500, 1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}
 	res := Figure3Result{SpaceSize: space.N()}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
@@ -85,7 +86,7 @@ func runAll(o Options, cfgs []core.Config) ([]RunResult, error) {
 	forPoints(o.Par, len(cfgs),
 		func(i int) int { return memWeight(cfgs[i].Nodes) },
 		func(i int) {
-			res[i], errs[i] = runWorld(cfgs[i], o.Rounds, o.StableTail)
+			res[i], errs[i] = Run(context.Background(), cfgs[i], o.Rounds, o.StableTail, nil)
 		})
 	for _, err := range errs {
 		if err != nil {

@@ -58,7 +58,7 @@ func TestForPointsRespectsWeightCap(t *testing.T) {
 // results commit in point order. It compares a two-size Figure 7 sweep and
 // the Table 1 environment grid at Par=1 and Par=4.
 func TestSweepParallelMatchesSequential(t *testing.T) {
-	base := Options{Rounds: 8, StableTail: 4, Sizes: []int{60, 90}, Seed: 3}
+	base := options(8, 4, 3, 60, 90)
 
 	seqO, parO := base, base
 	seqO.Par = 1

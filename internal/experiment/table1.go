@@ -41,7 +41,6 @@ func (r Table1Result) Table() *metrics.Table {
 // static/dynamic, each measured as the stable continuity of the system
 // with pre-fetch disabled (PC_old) and enabled (PC_new).
 func RunTable1(o Options) (Table1Result, error) {
-	o = o.normalized()
 	var res Table1Result
 	for _, lambda := range []float64{15, 14} {
 		m := theory.ContinuityModel{Lambda: lambda, PlaybackRate: 10, TauSeconds: 1, Replicas: 4}
@@ -67,8 +66,8 @@ func RunTable1(o Options) (Table1Result, error) {
 	const n = 1000
 	cfgs := make([]core.Config, 0, 2*len(envs))
 	for _, e := range envs {
-		oldCfg := baseConfig(n, core.ProfileSchedulingOnly(), e.dynamic, o)
-		newCfg := baseConfig(n, core.ProfileContinuStreaming(), e.dynamic, o)
+		oldCfg := o.ConfigFor(n, core.ProfileSchedulingOnly(), e.dynamic)
+		newCfg := o.ConfigFor(n, core.ProfileContinuStreaming(), e.dynamic)
 		if e.homogeneous {
 			oldCfg.Bandwidth.Homogeneous = true
 			newCfg.Bandwidth.Homogeneous = true

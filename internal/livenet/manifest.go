@@ -122,7 +122,7 @@ func (m Manifest) validate() error {
 	if m.PushHops != nil && *m.PushHops < 0 {
 		return fmt.Errorf("livenet: manifest pushHops %d is negative", *m.PushHops)
 	}
-	sources := 0
+	sources, receivers := 0, 0
 	names := make(map[string]bool, len(m.Groups))
 	for _, g := range m.Groups {
 		if g.Name == "" {
@@ -134,6 +134,13 @@ func (m Manifest) validate() error {
 		names[g.Name] = true
 		if g.Count <= 0 {
 			return fmt.Errorf("livenet: group %q count %d (want > 0)", g.Name, g.Count)
+		}
+		// Compared by the room left, so the sum cannot overflow.
+		if !g.Source {
+			if g.Count > maxReceivers-receivers {
+				return fmt.Errorf("livenet: group %q brings the audience past %d receivers, the rescue ring's capacity", g.Name, maxReceivers)
+			}
+			receivers += g.Count
 		}
 		if _, err := ParseShapeProfile(g.Shape); err != nil {
 			return fmt.Errorf("livenet: group %q: %v", g.Name, err)
@@ -175,7 +182,7 @@ func (m Manifest) validate() error {
 	if sources != 1 {
 		return fmt.Errorf("livenet: manifest needs exactly one source group (got %d)", sources)
 	}
-	if m.Receivers() == 0 {
+	if receivers == 0 {
 		return fmt.Errorf("livenet: manifest has no receivers")
 	}
 	return nil
@@ -194,7 +201,13 @@ func (m Manifest) PeriodDuration() (time.Duration, error) {
 	return d, nil
 }
 
-// Receivers is the audience size: every node outside the source group.
+// maxReceivers is the largest audience a manifest may describe: with the
+// source, one peer per rescue-ring position. Past it two peer IDs hash to
+// the same position.
+const maxReceivers = ringSpace - 1
+
+// Receivers is the audience size: every node outside the source group
+// (at most maxReceivers in a parsed manifest).
 func (m Manifest) Receivers() int {
 	n := 0
 	for _, g := range m.Groups {

@@ -84,6 +84,18 @@ func TestParseManifestDefaultPeriod(t *testing.T) {
 	}
 }
 
+// TestParseManifestLargestAudience: the bound is inclusive — a manifest
+// filling the rescue ring parses and expands to one node per position.
+func TestParseManifestLargestAudience(t *testing.T) {
+	m, err := ParseManifest([]byte(`{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 16000}, {"name": "w", "count": 383}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Receivers() != maxReceivers || len(m.Nodes()) != ringSpace {
+		t.Fatalf("%d receivers, %d nodes; want %d and %d", m.Receivers(), len(m.Nodes()), maxReceivers, ringSpace)
+	}
+}
+
 func TestParseManifestRejects(t *testing.T) {
 	cases := []struct {
 		name, in, want string
@@ -98,6 +110,9 @@ func TestParseManifestRejects(t *testing.T) {
 		{"no receivers", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}]}`, "no receivers"},
 		{"nameless group", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"count": 1}]}`, "without a name"},
 		{"dup group", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 1}, {"name": "v", "count": 1}]}`, "duplicate"},
+		{"full ring", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 16384}]}`, "rescue ring"},
+		{"full ring in two groups", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 16383}, {"name": "w", "count": 1}]}`, "rescue ring"},
+		{"overflowing sum", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 9223372036854775807}, {"name": "w", "count": 9223372036854775807}, {"name": "x", "count": 2}]}`, "rescue ring"},
 		{"zero count", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 0}]}`, "count"},
 		{"bad shape", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 1, "shape": "speed=11"}]}`, "shape"},
 		{"bad minTail", `{"periods": 10, "groups": [{"name": "s", "count": 1, "source": true}, {"name": "v", "count": 1, "minTail": 1.5}]}`, "minTail"},
@@ -123,9 +138,8 @@ func TestParseManifestRejects(t *testing.T) {
 // FuzzParseManifest drives the manifest decoder with arbitrary bytes: it
 // must never panic, and a manifest it accepts must resolve — a positive
 // period, at least one receiver, and an expansion with the source at ID 0
-// and the receivers numbered 1..Receivers() in order. The expansion is
-// skipped for audiences no host could fork (it allocates one entry per
-// node).
+// and the receivers numbered 1..Receivers() in order. Every accepted
+// manifest is expanded: the parser bounds the audience at maxReceivers.
 func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(manifestExample))
 	hops := 1
@@ -150,11 +164,8 @@ func FuzzParseManifest(f *testing.F) {
 			t.Fatalf("accepted manifest resolves period %v, %v", d, err)
 		}
 		recv := m.Receivers()
-		if recv <= 0 {
+		if recv <= 0 || recv > maxReceivers {
 			t.Fatalf("accepted manifest has %d receivers", recv)
-		}
-		if recv > 1<<12 {
-			return
 		}
 		nodes := m.Nodes()
 		if len(nodes) != recv+1 {

@@ -14,7 +14,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RoundSample aggregates one scheduling period's raw counters across the
@@ -268,27 +267,6 @@ func (c *Collector) Totals() RoundSample {
 		t.QueueEvictedStale += s.QueueEvictedStale
 	}
 	return t
-}
-
-// Quantile returns the q-quantile (0..1) of the series values using
-// nearest-rank; it is used by dispersion checks in tests.
-func (s Series) Quantile(q float64) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.Values...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
 }
 
 // String summarizes a series for logs.

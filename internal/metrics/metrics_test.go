@@ -78,20 +78,6 @@ func TestStableRound(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	s := Series{Values: []float64{5, 1, 3, 2, 4}}
-	if s.Quantile(0) != 1 || s.Quantile(1) != 5 {
-		t.Fatal("extremes wrong")
-	}
-	if got := s.Quantile(0.5); got != 3 {
-		t.Fatalf("median = %v", got)
-	}
-	var empty Series
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile nonzero")
-	}
-}
-
 func TestCollector(t *testing.T) {
 	c := NewCollector()
 	c.Record(RoundSample{Round: 0, PlayingNodes: 10, ContinuousNodes: 5, DataBits: 100, ControlBits: 10})

@@ -58,15 +58,6 @@ func (s Stream) GeneratedAt(id ID) sim.Time {
 	return sim.Time(id) * s.Interval()
 }
 
-// LatestAt returns the newest segment that exists at time t (i.e. has been
-// emitted by the source), or None when t precedes segment 0.
-func (s Stream) LatestAt(t sim.Time) ID {
-	if t < 0 {
-		return None
-	}
-	return ID(t / s.Interval())
-}
-
 // CountIn returns how many segments the source emits in a half-open virtual
 // time window [from, to).
 func (s Stream) CountIn(from, to sim.Time) int {
@@ -87,11 +78,6 @@ func firstAtOrAfter(s Stream, t sim.Time) ID {
 	return ID((t + iv - 1) / iv)
 }
 
-// BitsPerRound returns the stream bits produced per scheduling period tau.
-func (s Stream) BitsPerRound(tau sim.Time) int64 {
-	return int64(s.Rate) * s.BitsPerSegment * int64(tau) / int64(sim.Second)
-}
-
 // Window is a half-open interval of segment IDs [Lo, Hi). It is used for
 // playback rounds ("the p segments due this round") and buffer coverage.
 type Window struct {
@@ -108,9 +94,6 @@ func (w Window) Len() int {
 
 // Contains reports whether id lies in the window.
 func (w Window) Contains(id ID) bool { return id >= w.Lo && id < w.Hi }
-
-// Empty reports whether the window contains no IDs.
-func (w Window) Empty() bool { return w.Hi <= w.Lo }
 
 // Intersect returns the overlap of two windows (possibly empty).
 func (w Window) Intersect(o Window) Window {
@@ -129,10 +112,3 @@ func (w Window) Intersect(o Window) Window {
 
 // String renders the window as "[lo,hi)".
 func (w Window) String() string { return fmt.Sprintf("[%d,%d)", w.Lo, w.Hi) }
-
-// PlaybackWindow returns the IDs a node at playback position play consumes
-// during one period of the stream: [play, play + p·tau).
-func (s Stream) PlaybackWindow(play ID, tau sim.Time) Window {
-	n := ID(s.CountIn(s.GeneratedAt(play), s.GeneratedAt(play)+tau))
-	return Window{Lo: play, Hi: play + n}
-}

@@ -14,9 +14,6 @@ type System interface {
 type Engine struct {
 	clock  *Clock
 	system System
-	// Observers run after each round with the clock still at that round's
-	// start time, letting metric collectors sample a consistent snapshot.
-	observers []func(clock *Clock)
 }
 
 // NewEngine builds an engine with a fresh clock of period tau.
@@ -27,18 +24,10 @@ func NewEngine(system System, tau Time) *Engine {
 // Clock exposes the engine's clock (read-only use expected).
 func (e *Engine) Clock() *Clock { return e.clock }
 
-// Observe registers fn to run after every round.
-func (e *Engine) Observe(fn func(clock *Clock)) {
-	e.observers = append(e.observers, fn)
-}
-
 // Run executes rounds scheduling periods and returns the final clock time.
 func (e *Engine) Run(rounds int) Time {
 	for r := 0; r < rounds; r++ {
 		e.system.Step(e.clock)
-		for _, fn := range e.observers {
-			fn(e.clock)
-		}
 		e.clock.Advance()
 	}
 	return e.clock.Now()

@@ -51,14 +51,10 @@ func (s *countingSystem) Step(c *Clock) {
 func TestEngineRunsRounds(t *testing.T) {
 	sys := &countingSystem{}
 	e := NewEngine(sys, Second)
-	observed := 0
-	e.Observe(func(c *Clock) { observed++ })
-	end := e.Run(5)
+	e.Run(2) // run in instalments: the clock carries on where it stopped
+	end := e.Run(3)
 	if sys.steps != 5 {
 		t.Fatalf("steps = %d, want 5", sys.steps)
-	}
-	if observed != 5 {
-		t.Fatalf("observer ran %d times, want 5", observed)
 	}
 	if end != 5*Second {
 		t.Fatalf("end time = %v", end)

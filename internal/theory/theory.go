@@ -113,24 +113,6 @@ func (m ContinuityModel) Validate() error {
 	return nil
 }
 
-// GossipCoverage returns the Kermarrec et al. result quoted in §2: when
-// each of n nodes gossips to log n + c others on average, the probability
-// that everyone receives the message converges to e^(−e^(−c)).
-func GossipCoverage(c float64) float64 {
-	return math.Exp(-math.Exp(-c))
-}
-
-// CoolStreamingCoverage returns the distance-d coverage ratio quoted from
-// the CoolStreaming analysis in §4.1: 1 − e^(−M(M−1)^(d−2) / ((M−2)n)) for
-// M connected neighbours and n overlay nodes (requires M > 2, d >= 2).
-func CoolStreamingCoverage(m int, d int, n int) float64 {
-	if m <= 2 || d < 2 || n <= 0 {
-		return 0
-	}
-	exp := float64(m) * math.Pow(float64(m-1), float64(d-2)) / (float64(m-2) * float64(n))
-	return 1 - math.Exp(-exp)
-}
-
 // RoutingHopBound returns the appendix's upper bound on greedy DHT routing:
 // log N / log(4/3) ≈ 2.41 · log₂ N hops for ring size n.
 func RoutingHopBound(n int) float64 {
@@ -156,12 +138,4 @@ func ExpectedRoutingHops(n int) float64 {
 func ControlOverheadEstimate(m, bufferSize, headerBits, playbackRate int, segmentBits int64) float64 {
 	mapBits := float64(headerBits + bufferSize)
 	return float64(m) * mapBits / (float64(playbackRate) * float64(segmentBits))
-}
-
-// PrefetchMessageCost returns §5.4.3's per-segment pre-fetch cost estimate
-// in bits: about k·(log₂(n)/2 + 1) + 1 routing messages of routingBits each
-// plus one segment payload.
-func PrefetchMessageCost(k, n int, routingBits, segmentBits int64) float64 {
-	msgs := float64(k)*(math.Log2(float64(n))/2+1) + 1
-	return msgs*float64(routingBits) + float64(segmentBits)
 }

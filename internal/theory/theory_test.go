@@ -137,34 +137,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestGossipCoverage(t *testing.T) {
-	// e^(-e^-0) = e^-1 ≈ 0.3679 at c=0; → 1 as c grows.
-	if got := GossipCoverage(0); math.Abs(got-math.Exp(-1)) > 1e-12 {
-		t.Fatalf("coverage(0) = %v", got)
-	}
-	if got := GossipCoverage(5); got < 0.99 {
-		t.Fatalf("coverage(5) = %v", got)
-	}
-	if GossipCoverage(2) <= GossipCoverage(1) {
-		t.Fatal("coverage not monotone")
-	}
-}
-
-func TestCoolStreamingCoverage(t *testing.T) {
-	// Coverage grows with distance d and shrinks with population n.
-	c4 := CoolStreamingCoverage(5, 4, 1000)
-	c6 := CoolStreamingCoverage(5, 6, 1000)
-	if c6 <= c4 {
-		t.Fatal("coverage not growing with distance")
-	}
-	if CoolStreamingCoverage(5, 8, 1000) < 0.99 {
-		t.Fatal("deep gossip should cover nearly everyone")
-	}
-	if CoolStreamingCoverage(2, 4, 1000) != 0 || CoolStreamingCoverage(5, 1, 1000) != 0 {
-		t.Fatal("invalid parameters should give 0")
-	}
-}
-
 func TestRoutingHopBound(t *testing.T) {
 	// log N / log(4/3) ≈ 2.409 · log2 N.
 	got := RoutingHopBound(8192)
@@ -196,17 +168,5 @@ func TestControlOverheadEstimate(t *testing.T) {
 	// The paper rounds to M/495.
 	if math.Abs(got-5.0/495) > 1e-4 {
 		t.Fatalf("estimate deviates from paper's M/495: %v", got)
-	}
-}
-
-func TestPrefetchMessageCost(t *testing.T) {
-	// §5.4.3: ≈ (4·(log2(n)/2+1)+1)·80 + 30·1024 ≈ 33000 bits for n ≤ 8000.
-	got := PrefetchMessageCost(4, 8000, 80, 30*1024)
-	if got < 31000 || got > 35000 {
-		t.Fatalf("cost = %v, want ≈33000", got)
-	}
-	// Dominated by the payload, so the routing share must be small.
-	if routing := got - 30*1024; routing > 3000 {
-		t.Fatalf("routing share = %v bits", routing)
 	}
 }

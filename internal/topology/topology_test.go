@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,89 +155,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g.Adj[4] = nil // asymmetric
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted asymmetric edge")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	g := Generate(GenerateConfig{N: 120, AvgDegree: 2.5, Seed: 11})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != g.N() || back.AvgDegree() != g.AvgDegree() {
-		t.Fatalf("round trip changed shape: %d/%v vs %d/%v", back.N(), back.AvgDegree(), g.N(), g.AvgDegree())
-	}
-	for i := range g.Nodes {
-		if g.Nodes[i] != back.Nodes[i] {
-			t.Fatalf("node %d differs after round trip", i)
-		}
-	}
-	if !sameAdj(g, back) {
-		t.Fatal("adjacency differs after round trip")
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	cases := []string{
-		"node 0\n",                             // wrong field count
-		"node 0 1.2.3.4 abc\n",                 // bad ping
-		"node 0 1.2.3.4 5\nnode 0 1.1.1.1 5\n", // duplicate
-		"edge 0 1\n",                           // unknown node
-		"node 0 1.2.3.4 5\nedge 0 0\n",         // self-loop
-		"blah 1 2\n",                           // unknown directive
-		"node x 1.2.3.4 5\n",                   // bad id
-		"node 0 1.2.3.4 5\nedge 0\n",           // bad edge arity
-	}
-	for _, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Fatalf("ReadTrace accepted %q", c)
-		}
-	}
-}
-
-func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# hello\n\nnode 0 1.2.3.4 10\nnode 1 1.2.3.5 20\n# mid\nedge 0 1\n"
-	g, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 2 || !g.HasEdge(0, 1) {
-		t.Fatalf("parsed graph wrong: n=%d", g.N())
-	}
-}
-
-func TestDefaultRegistry(t *testing.T) {
-	r := DefaultRegistry()
-	if len(r.Entries) != 30 {
-		t.Fatalf("registry has %d entries, want 30", len(r.Entries))
-	}
-	seen := map[string]bool{}
-	for _, e := range r.Entries {
-		if seen[e.Name] {
-			t.Fatalf("duplicate trace name %q", e.Name)
-		}
-		seen[e.Name] = true
-		if e.N < 100 || e.N > 10000 {
-			t.Fatalf("trace %q size %d outside 100..10000", e.Name, e.N)
-		}
-		if e.AvgDegree <= 0 || e.AvgDegree > 3.5 {
-			t.Fatalf("trace %q degree %v outside (0,3.5]", e.Name, e.AvgDegree)
-		}
-	}
-	e, ok := r.Lookup(r.Entries[3].Name)
-	if !ok || e != r.Entries[3] {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Fatal("Lookup found nonexistent trace")
-	}
-	g := r.Entries[0].Build()
-	if g.N() != r.Entries[0].N {
-		t.Fatalf("Build produced %d nodes", g.N())
 	}
 }
 

@@ -6,13 +6,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"continustreaming/internal/churn"
 )
 
 // Scenario constructors name the configurations the evaluation actually
 // runs, replacing ad-hoc field poking after DefaultConfig. Each returns a
-// plain Config — callers may still adjust knobs (Seed, Workers, PushHops)
-// before Run/RunContext — and each is a pure function of n, so the same
-// constructor always reproduces the same run.
+// plain Config — callers may still adjust fields (Seed, Workers, PushHops,
+// Churn.Trace) before Run/RunContext — and each is a pure function of n, so
+// the same constructor always reproduces the same run.
 //
 // The four environment constructors span the §5.1 evaluation grid
 // (bandwidth arrangement × membership):
@@ -29,15 +31,13 @@ import (
 
 // ScenarioHetStatic is the paper's default environment: heterogeneous
 // bandwidth, fixed membership, the full ContinuStreaming system.
-func ScenarioHetStatic(n int) Config {
-	return Config{Nodes: n, System: ContinuStreaming, Seed: 1}
-}
+func ScenarioHetStatic(n int) Config { return DefaultConfig(n) }
 
 // ScenarioHetDynamic is the heterogeneous dynamic environment: 5% of the
 // population leaves and rejoins every scheduling period.
 func ScenarioHetDynamic(n int) Config {
 	cfg := ScenarioHetStatic(n)
-	cfg.Dynamic = true
+	cfg.Churn = churn.DefaultConfig()
 	return cfg
 }
 
@@ -45,14 +45,14 @@ func ScenarioHetDynamic(n int) Config {
 // theory-versus-simulation table: every node gets the mean bandwidth.
 func ScenarioHomStatic(n int) Config {
 	cfg := ScenarioHetStatic(n)
-	cfg.Homogeneous = true
+	cfg.Bandwidth.Homogeneous = true
 	return cfg
 }
 
 // ScenarioHomDynamic is the homogeneous dynamic environment.
 func ScenarioHomDynamic(n int) Config {
 	cfg := ScenarioHomStatic(n)
-	cfg.Dynamic = true
+	cfg.Churn = churn.DefaultConfig()
 	return cfg
 }
 
@@ -69,7 +69,7 @@ func ScenarioFlashcrowd(n int) Config {
 // baseline the paper measures against, in the static environment.
 func ScenarioBaseline(n int) Config {
 	cfg := ScenarioHetStatic(n)
-	cfg.System = CoolStreaming
+	cfg.Profile = CoolStreaming()
 	return cfg
 }
 

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"continustreaming/internal/experiment"
 )
 
 // TestRunContextIsRun pins the wrapper contract: Run and an uncancelled
@@ -18,7 +20,7 @@ func TestRunContextIsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), cfg, 10)
+	b, err := RunContext(context.Background(), cfg, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestRunContextIsRun(t *testing.T) {
 func TestRunContextCancelledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, DefaultConfig(120), 10)
+	res, err := RunContext(ctx, DefaultConfig(120), 10, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -40,7 +42,7 @@ func TestRunContextCancelledUpFront(t *testing.T) {
 	}
 }
 
-// TestRunContextStopsAtRoundBoundary cancels mid-run from the OnRound
+// TestRunContextStopsAtRoundBoundary cancels mid-run from the per-round
 // hook and checks the partial result is a bit-identical prefix of the
 // uninterrupted run.
 func TestRunContextStopsAtRoundBoundary(t *testing.T) {
@@ -52,12 +54,11 @@ func TestRunContextStopsAtRoundBoundary(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.OnRound = func(round int, _ Snapshot) {
-		if round == 4 {
+	part, err := RunContext(ctx, cfg, 12, func(s Snapshot) {
+		if s.Round == 4 {
 			cancel()
 		}
-	}
-	part, err := RunContext(ctx, cfg, 12)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -66,7 +67,7 @@ func TestRunContextStopsAtRoundBoundary(t *testing.T) {
 	}
 	for i := 0; i < part.Continuity.Len(); i++ {
 		if part.Continuity.Values[i] != full.Continuity.Values[i] ||
-			part.ControlOverhead.Values[i] != full.ControlOverhead.Values[i] {
+			part.Control.Values[i] != full.Control.Values[i] {
 			t.Fatalf("round %d of the partial run diverges from the full run", i)
 		}
 	}
@@ -83,75 +84,89 @@ func TestOnRoundMatchesResultSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snaps []Snapshot
-	cfg.OnRound = func(round int, s Snapshot) {
-		if round != s.Round {
-			t.Fatalf("OnRound round arg %d != snapshot round %d", round, s.Round)
-		}
-		snaps = append(snaps, s)
-	}
-	hooked, err := Run(cfg, 10)
+	hooked, err := RunContext(context.Background(), cfg, 10, func(s Snapshot) { snaps = append(snaps, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) != 10 {
-		t.Fatalf("OnRound fired %d times for 10 rounds", len(snaps))
+		t.Fatalf("the hook fired %d times for 10 rounds", len(snaps))
 	}
 	for i, s := range snaps {
 		if s.Round != i {
 			t.Fatalf("snapshot %d has round %d", i, s.Round)
 		}
-		if s.Nodes <= 0 {
-			t.Fatalf("round %d snapshot has %d playing nodes", i, s.Nodes)
+		if s.PlayingNodes <= 0 {
+			t.Fatalf("round %d snapshot has %d playing nodes", i, s.PlayingNodes)
 		}
-		if s.Continuity != hooked.Continuity.Values[i] ||
-			s.ContinuityWarm != hooked.ContinuityWarm.Values[i] ||
-			s.ControlOverhead != hooked.ControlOverhead.Values[i] ||
-			s.PrefetchOverhead != hooked.PrefetchOverhead.Values[i] {
+		if s.Continuity() != hooked.Continuity.Values[i] ||
+			s.ContinuityWarm() != hooked.ContinuityWarm.Values[i] ||
+			s.ControlOverhead() != hooked.Control.Values[i] ||
+			s.PrefetchOverhead() != hooked.Prefetch.Values[i] {
 			t.Fatalf("snapshot %d disagrees with the result series", i)
 		}
 	}
 	if !reflect.DeepEqual(plain.Continuity, hooked.Continuity) {
-		t.Fatal("installing OnRound changed the simulation")
+		t.Fatal("installing the hook changed the simulation")
 	}
+}
+
+// scenarioGrid is what each scenario name means: the constructor behind
+// it, and its system, membership and bandwidth arrangement.
+var scenarioGrid = []struct {
+	name        string
+	ctor        func(int) Config
+	system      Profile
+	dynamic     bool
+	homogeneous bool
+}{
+	{"hetstatic", ScenarioHetStatic, ContinuStreaming(), false, false},
+	{"hetdynamic", ScenarioHetDynamic, ContinuStreaming(), true, false},
+	{"homstatic", ScenarioHomStatic, ContinuStreaming(), false, true},
+	{"homdynamic", ScenarioHomDynamic, ContinuStreaming(), true, true},
+	{"flashcrowd", ScenarioFlashcrowd, ContinuStreaming(), true, false},
+	{"baseline", ScenarioBaseline, CoolStreaming(), false, false},
 }
 
 // TestScenarioConstructorsSpanTheGrid pins each constructor's
 // environment knobs.
 func TestScenarioConstructorsSpanTheGrid(t *testing.T) {
-	cases := []struct {
-		name        string
-		cfg         Config
-		system      System
-		dynamic     bool
-		homogeneous bool
-	}{
-		{"hetstatic", ScenarioHetStatic(500), ContinuStreaming, false, false},
-		{"hetdynamic", ScenarioHetDynamic(500), ContinuStreaming, true, false},
-		{"homstatic", ScenarioHomStatic(500), ContinuStreaming, false, true},
-		{"homdynamic", ScenarioHomDynamic(500), ContinuStreaming, true, true},
-		{"flashcrowd", ScenarioFlashcrowd(500), ContinuStreaming, true, false},
-		{"baseline", ScenarioBaseline(500), CoolStreaming, false, false},
-	}
-	for _, c := range cases {
-		if c.cfg.Nodes != 500 {
-			t.Errorf("%s: nodes = %d", c.name, c.cfg.Nodes)
+	for _, c := range scenarioGrid {
+		cfg := c.ctor(500)
+		if cfg.Nodes != 500 {
+			t.Errorf("%s: nodes = %d", c.name, cfg.Nodes)
 		}
-		if c.cfg.System != c.system || c.cfg.Dynamic != c.dynamic || c.cfg.Homogeneous != c.homogeneous {
-			t.Errorf("%s: got (%v, dynamic=%v, homogeneous=%v)", c.name, c.cfg.System, c.cfg.Dynamic, c.cfg.Homogeneous)
-		}
-		if c.cfg.Seed == 0 {
-			t.Errorf("%s: zero seed (would fall back to the core default implicitly)", c.name)
+		if cfg.Profile != c.system || cfg.Churn.Enabled() != c.dynamic || cfg.Bandwidth.Homogeneous != c.homogeneous {
+			t.Errorf("%s: got (%v, dynamic=%v, homogeneous=%v)", c.name, cfg.Profile.Name, cfg.Churn.Enabled(), cfg.Bandwidth.Homogeneous)
 		}
 		byName, err := ScenarioByName(c.name, 500)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !reflect.DeepEqual(byName, c.cfg) {
+		if !reflect.DeepEqual(byName, cfg) {
 			t.Errorf("ScenarioByName(%q) disagrees with the constructor", c.name)
 		}
 	}
-	if got := len(Scenarios()); got != len(cases) {
-		t.Errorf("Scenarios() lists %d names, tests cover %d", got, len(cases))
+	if got := len(Scenarios()); got != len(scenarioGrid) {
+		t.Errorf("Scenarios() lists %d names, tests cover %d", got, len(scenarioGrid))
+	}
+}
+
+// TestScenarioConfigIsExperimentConfig: a scenario and the experiment
+// harness's run for the same population, system and environment are the
+// same configuration, field for field — `continusim -scenario hetdynamic`
+// and Figure 8's ContinuStreaming point build the same world. Comparable
+// at all because there is one config type from flag to world.
+func TestScenarioConfigIsExperimentConfig(t *testing.T) {
+	for _, c := range scenarioGrid {
+		got, err := ScenarioByName(c.name, 700)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := experiment.DefaultOptions().ConfigFor(700, c.system, c.dynamic)
+		want.Bandwidth.Homogeneous = c.homogeneous // Table 1 sets it the same way
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scenario %+v, experiment harness %+v", c.name, got, want)
+		}
 	}
 }
 
@@ -224,13 +239,13 @@ func FuzzScenarioByName(f *testing.F) {
 	})
 }
 
-// TestHomogeneousKnobChangesOutcome checks the new Config field reaches
-// the bandwidth profile: homogeneous and heterogeneous runs differ.
+// TestHomogeneousKnobChangesOutcome: homogeneous and heterogeneous runs
+// differ.
 func TestHomogeneousKnobChangesOutcome(t *testing.T) {
 	het := ScenarioHetStatic(200)
 	het.Seed = 9
 	hom := het
-	hom.Homogeneous = true
+	hom.Bandwidth.Homogeneous = true
 	a, err := Run(het, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +254,7 @@ func TestHomogeneousKnobChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.ControlOverhead, b.ControlOverhead) && reflect.DeepEqual(a.Continuity, b.Continuity) {
+	if reflect.DeepEqual(a.Control, b.Control) && reflect.DeepEqual(a.Continuity, b.Continuity) {
 		t.Fatal("homogeneous knob had no effect")
 	}
 }
