@@ -6,21 +6,18 @@
 // livenet demo runs over channels, now with process boundaries,
 // wire-encoded datagrams and gossip-routed membership.
 //
-// Two modes. The flag mode runs the classic kill scenario:
+// A run is one manifest, a testground-style composition — named node
+// groups with per-group traffic shaping, kill/join scripts and
+// continuity floors (see livenet.Manifest and manifests/*.json). The
+// default is the classic kill scenario: 8 peers, 3 of them failing
+// abruptly at period 30, the survivors' recovered tail held to 0.9.
 //
 //	go run ./examples/multiproc
-//	go run ./examples/multiproc -peers 8 -kill 3 -min-tail 0.9 -logdir multiproc-logs
-//
-// The manifest mode runs a testground-style composition — named node
-// groups with per-group traffic shaping, kill/join scripts and
-// continuity floors (see livenet.Manifest and manifests/*.json):
-//
-//	go run ./examples/multiproc -manifest manifests/shaped.json
+//	go run ./examples/multiproc -manifest examples/multiproc/manifests/shaped.json
 //
 // Exit status is non-zero when a peer crashes or a group's mean
 // recovered tail falls below its floor; per-peer logs land in -logdir
-// either way, and the manifest mode prints the shaping seed so a
-// failure replays exactly.
+// either way, and a failure prints the seeds that replay it exactly.
 package main
 
 import (
@@ -59,8 +56,7 @@ type proc struct {
 	err    error
 }
 
-// launcher forks livenode processes and scrapes their stdout; both
-// driver modes share it.
+// launcher forks livenode processes and scrapes their stdout.
 type launcher struct {
 	bin    string
 	logdir string
@@ -133,17 +129,10 @@ func buildLivenode(binPath string) (string, func()) {
 
 func main() {
 	var (
-		peers    = flag.Int("peers", 8, "audience size (the source is extra)")
-		kill     = flag.Int("kill", 3, "how many peers die abruptly mid-session")
-		killat   = flag.Int("killat", 30, "period at which the doomed peers drop off")
-		periods  = flag.Int("periods", 60, "session length in periods")
-		period   = flag.Duration("period", 50*time.Millisecond, "scheduling period")
-		seed     = flag.Uint64("seed", 1, "policy randomness seed")
-		tail     = flag.Int("tail", 15, "periods of recovered tail to average")
-		minTail  = flag.Float64("min-tail", 0.9, "required mean survivor tail continuity")
+		manifest = flag.String("manifest", "examples/multiproc/manifests/kill.json", "scenario manifest JSON")
+		tail     = flag.Int("tail", 15, "periods of recovered tail to average where a group names none")
 		binPath  = flag.String("livenode", "", "prebuilt livenode binary (empty = go build it)")
 		logdir   = flag.String("logdir", "multiproc-logs", "per-peer log directory")
-		manifest = flag.String("manifest", "", "scenario manifest JSON (overrides the kill-scenario flags)")
 	)
 	flag.Parse()
 	if err := os.MkdirAll(*logdir, 0o755); err != nil {
@@ -151,13 +140,7 @@ func main() {
 	}
 	bin, cleanup := buildLivenode(*binPath)
 	defer cleanup()
-	l := &launcher{bin: bin, logdir: *logdir}
-
-	if *manifest != "" {
-		runManifest(l, *manifest, *tail)
-		return
-	}
-	runKillScenario(l, *peers, *kill, *killat, *periods, *period, *seed, *tail, *minTail)
+	runManifest(&launcher{bin: bin, logdir: *logdir}, *manifest, *tail)
 }
 
 // runManifest launches a manifest composition and asserts every group's
@@ -323,82 +306,6 @@ func tailForGroup(m livenet.Manifest, name string, def int) int {
 		}
 	}
 	return def
-}
-
-// runKillScenario is the classic flag-driven scenario: kill a third of
-// the audience mid-session, assert the survivors' recovered tail.
-func runKillScenario(l *launcher, peers, kill, killat, periods int, period time.Duration, seed uint64, tail int, minTail float64) {
-	if kill >= peers {
-		fatalf("cannot kill %d of %d peers", kill, peers)
-	}
-	fmt.Printf("multiproc: %d peers + source over UDP loopback, killing %d at period %d/%d\n",
-		peers, kill, killat, periods)
-
-	base := []string{
-		"-peers", fmt.Sprint(peers),
-		"-periods", fmt.Sprint(periods),
-		"-period", period.String(),
-		"-seed", fmt.Sprint(seed),
-	}
-	src := l.start(0, "source", false, append(base, "-source", "-listen", "127.0.0.1:0")...)
-	rp := src.await()
-	fmt.Printf("source/RP listening on %s\n", rp)
-
-	procs := []*proc{src}
-	for i := 1; i <= peers; i++ {
-		args := append(append([]string{}, base...), "-bootstrap", rp, "-listen", "127.0.0.1:0")
-		doomed := i <= kill
-		if doomed {
-			args = append(args, "-exitat", fmt.Sprint(killat))
-		}
-		procs = append(procs, l.start(i, "peers", doomed, args...))
-	}
-	l.wg.Wait()
-
-	failures := 0
-	tailSum, survivors := 0.0, 0
-	fmt.Printf("%-6s %-8s %-9s %-10s %-8s %s\n", "peer", "fate", "periods", "continuity", "tail", "detail")
-	for _, p := range procs[1:] {
-		fate := "survived"
-		if p.doomed {
-			fate = "killed"
-		}
-		switch {
-		case p.doomed && p.err == nil && p.stats != nil:
-			fmt.Printf("%-6d %-8s %-9s %-10s %-8s dropped off at period %d\n", p.id, fate, "-", "-", "-", killat)
-		case p.doomed:
-			// A doomed peer still has to run cleanly up to its scripted
-			// exit; a crash or bootstrap failure before that is a real
-			// failure, not churn.
-			failures++
-			fmt.Printf("%-6d %-8s %-9s %-10s %-8s CRASHED before its scripted exit: %v\n", p.id, fate, "-", "-", "-", p.err)
-		case p.err != nil || p.stats == nil:
-			failures++
-			fmt.Printf("%-6d %-8s %-9s %-10s %-8s CRASHED: %v\n", p.id, fate, "-", "-", "-", p.err)
-		default:
-			survivors++
-			t := p.stats.TailContinuity(tail)
-			tailSum += t
-			fmt.Printf("%-6d %-8s %-9d %-10.3f %-8.3f push=%d rescued=%d replaced=%d deadLinks=%d\n",
-				p.id, fate, p.stats.Periods, p.stats.Continuity, t,
-				p.stats.PushDelivered, p.stats.Rescued, p.stats.Replaced, p.stats.EndDeadLinks)
-		}
-	}
-	if src.err != nil {
-		failures++
-		fmt.Printf("source CRASHED: %v\n", src.err)
-	}
-	if survivors == 0 {
-		fatalf("no survivors reported stats")
-	}
-	meanTail := tailSum / float64(survivors)
-	fmt.Printf("recovered-tail continuity (last %d periods, %d survivors): %.3f (require >= %.2f)\n",
-		tail, survivors, meanTail, minTail)
-	if failures > 0 || meanTail < minTail {
-		fmt.Printf("FAIL: %d crashes, tail %.3f\n", failures, meanTail)
-		os.Exit(1)
-	}
-	fmt.Println("PASS")
 }
 
 func fatalf(format string, args ...any) {

@@ -48,8 +48,8 @@ type Config struct {
 	// finds itself behind the newest stamp at a tick jumps its period
 	// counter forward (and re-phases its ticker). Without it a node's
 	// clock is synced exactly once, by the bootstrap handshake — the PR 5
-	// drift gap. DefaultConfig enables it; the in-process channel driver
-	// ignores it (one loop drives every peer's clock).
+	// drift gap. DefaultConfig enables it; an in-process session ignores
+	// it (one ticker drives every peer's clock).
 	Resync bool
 	// Engine enables the dissemination engine (push + EDF serve + carry
 	// queues); off, suppliers keep the published pull-only round-robin
@@ -136,6 +136,13 @@ func (c Config) fitAudience() Config {
 	c.M = min(c.M, c.Peers)
 	return c
 }
+
+// sightTTL is how many periods hearsay about a peer stays evidence that it
+// exists — an overheard adoption candidate, an address-book entry:
+// comfortably wider than the direct-neighbour silence bound so gossip
+// reach outlives a couple of dropped announcements, but finite so departed
+// (or fabricated) IDs age out.
+func (c Config) sightTTL() int { return 3 * c.DeadAfterPeriods }
 
 // posFor is the playback position at an absolute session period.
 func (c Config) posFor(period int) segment.ID {

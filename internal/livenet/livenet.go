@@ -1,8 +1,9 @@
 // Package livenet runs the streaming protocol over real message passing:
-// one goroutine per peer, channels as links, and a wall-clock ticker
-// driving scheduling periods (scaled down so demos finish in seconds). It
-// is the repro of the paper's planned PlanetLab deployment scaled to one
-// process — and it drives the same transport-agnostic decision core
+// one goroutine per peer and a wall-clock ticker driving scheduling
+// periods (scaled down so demos finish in seconds). One session loop runs
+// every period; Run hosts a whole mesh in it over channels, Node.Run one
+// peer over a UDP socket. It is the repro of the paper's planned PlanetLab
+// deployment — and it drives the same transport-agnostic decision core
 // (internal/protocol) as the deterministic simulator: mesh repair under
 // churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
 // (BackupResponsible + the urgent-line prediction), fresh-segment push
@@ -56,8 +57,9 @@ type Stats struct {
 	// Killed and Joined count scripted churn events applied.
 	Killed int
 	Joined int
-	// EndDeadLinks counts links still pointing at dead peers when the
-	// session drained — zero when mesh repair kept up with the churn.
+	// EndDeadLinks counts links still pointing at dead peers — gone from
+	// the membership view, or silent beyond DeadAfterPeriods — when the
+	// session drained: zero when mesh repair kept up with the churn.
 	EndDeadLinks int
 	// AsksSent/AsksReceived/GrantsSent/GrantsEvicted trace the pull
 	// funnel: requests scheduled, requests that reached a supplier, data
@@ -126,25 +128,35 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 		}
 		s.tick(period)
 	}
-	return s.close()
+	stats := s.close()
+	stats.TransportDropped = s.nw.dropped.Load()
+	return stats
 }
 
-// session is a driver-mode session: every peer of the mesh in one
-// process over the channel transport, with one loop driving every peer's
-// period clock.
+// session is the one period loop of the livenet: it drives the peers this
+// process hosts through the phases of each scheduling period over a
+// Transport, tallies their playback and drains them. Run hosts the whole
+// mesh over the channel transport; Node.Run hosts its one peer over UDP.
+// What differs between the two is the transport's answers — who is a
+// member, and whether a phase's messages can be waited for — and what
+// only a socket node has: the bootstrap handshake, its own ticker and
+// re-sync, and the half-period wait between plan and serve that stands in
+// for a barrier no socket can give.
 type session struct {
 	cfg   Config
 	space dht.Space
-	nw    *network
+	tr    Transport
 	st    *counters
 	peers map[int]*peer
-	src   *peer
 	wg    sync.WaitGroup
-	rng   *sim.RNG
-	// churnAt indexes the scripted churn by period.
+	// nw, rng and churnAt (the scripted churn by period) belong to a
+	// whole-mesh session: churn registers and unregisters peers on the
+	// channel transport itself.
+	nw      *network
+	rng     *sim.RNG
 	churnAt map[int][]ChurnEvent
 	// pos is the shared playback position; order the period's sweep
-	// order, the live peer IDs ascending.
+	// order, the hosted peer IDs ascending.
 	pos   segment.ID
 	order []int
 	stats Stats
@@ -153,22 +165,21 @@ type session struct {
 	continuous, playing int
 }
 
+// hostSession returns a session over tr that hosts no peer yet.
+func hostSession(cfg Config, tr Transport) *session {
+	return &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}, peers: make(map[int]*peer)}
+}
+
 // newSession builds the mesh: the source, cfg.Peers receivers, each
 // running its inbox loop, wired by the RP's initial contact lists.
 func newSession(cfg Config) *session {
 	cfg = cfg.fitAudience()
-	s := &session{
-		cfg:     cfg,
-		space:   dht.NewSpace(ringSpace),
-		nw:      newNetwork(),
-		st:      &counters{},
-		peers:   make(map[int]*peer),
-		rng:     sim.DeriveRNG(cfg.Seed, 0x11fe),
-		churnAt: make(map[int][]ChurnEvent),
-	}
-	s.src = s.spawn(true, 0, 0)
+	nw := newNetwork()
+	s := hostSession(cfg, nw)
+	s.nw, s.rng, s.churnAt = nw, sim.DeriveRNG(cfg.Seed, 0x11fe), make(map[int][]ChurnEvent)
+	s.join(true, 0, 0)
 	for i := 0; i < cfg.Peers; i++ {
-		s.spawn(false, 0, 0)
+		s.join(false, 0, 0)
 	}
 	// Bootstrap wiring (the RP's initial contact lists): every peer links
 	// to cfg.M others, the first M of them to the source so
@@ -188,7 +199,7 @@ func newSession(cfg Config) *session {
 	}
 	for i := 1; i <= cfg.Peers; i++ {
 		if i <= cfg.M {
-			connect(i, s.src.id)
+			connect(i, 0)
 		}
 		for len(s.peers[i].nbrs) < cfg.M {
 			connect(i, 1+s.rng.Intn(cfg.Peers))
@@ -200,22 +211,20 @@ func newSession(cfg Config) *session {
 	return s
 }
 
-// spawn registers a peer, starts its inbox loop and returns it.
-func (s *session) spawn(isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	id, inbox := s.nw.register(s.cfg.inboxCap(isSource))
-	p := newPeer(s.nw, id, inbox, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
-	if isSource {
-		// Driver mode's RP candidate pool is the registry oracle; the
-		// socket path replaces it with the peer's sighting history
-		// (see RunNode).
-		p.sample = func(max, exclude int) []int {
-			return s.nw.sample(p.rng, max, exclude)
-		}
-	}
-	s.peers[p.id] = p
+// spawn hosts a peer on a transport-provided identity and inbox, starts
+// its inbox loop and returns it.
+func (s *session) spawn(id int, inbox chan Message, isSource bool, openAt segment.ID, joinPeriod int) *peer {
+	p := newPeer(s.tr, id, inbox, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
+	s.peers[id] = p
 	s.wg.Add(1)
 	go p.loop(&s.wg)
 	return p
+}
+
+// join registers the next peer on the channel transport and spawns it.
+func (s *session) join(isSource bool, openAt segment.ID, joinPeriod int) *peer {
+	id, inbox := s.nw.register(s.cfg.inboxCap(isSource))
+	return s.spawn(id, inbox, isSource, openAt, joinPeriod)
 }
 
 // churn applies one period's scripted events: abrupt kills first
@@ -225,7 +234,7 @@ func (s *session) churn(period int) {
 		if ev.KillFraction > 0 {
 			var victims []int
 			for id := range s.peers {
-				if id != s.src.id {
+				if id != 0 {
 					victims = append(victims, id)
 				}
 			}
@@ -240,8 +249,8 @@ func (s *session) churn(period int) {
 			}
 		}
 		for j := 0; j < ev.Join; j++ {
-			np := s.spawn(false, s.pos, period)
-			for _, c := range s.nw.sample(s.rng, s.cfg.M+2, np.id) {
+			np := s.join(false, s.pos, period)
+			for _, c := range sampleIDs(s.rng, s.nw.Members(period), s.cfg.M+2, np.id, np.id) {
 				s.nw.Send(c, Message{From: np.id, Kind: msgConnect})
 			}
 			s.stats.Joined++
@@ -251,24 +260,21 @@ func (s *session) churn(period int) {
 
 // tick runs one scheduling period for the whole mesh.
 func (s *session) tick(period int) {
+	s.churn(period)
 	s.plan(period)
 	s.serve(period)
 }
 
-// plan applies the period's churn and runs its three planning phases,
-// returning once the transport has fallen quiet behind the last of them.
+// plan runs the period's three planning phases over the transport's
+// membership view, returning once the transport has fallen quiet behind
+// the last of them.
 func (s *session) plan(period int) {
-	s.churn(period)
-
-	members := s.nw.members()
+	members := s.tr.Members(period)
 	memberSet := make(map[int]bool, len(members))
 	for _, id := range members {
 		memberSet[id] = true
 	}
 	rv := newRingView(s.space, members)
-
-	// Source ingests this period's fresh segments.
-	s.src.ingestFresh(period)
 
 	s.pos = s.cfg.posFor(period)
 	s.order = s.order[:0]
@@ -281,23 +287,22 @@ func (s *session) plan(period int) {
 	s.sweep((*peer).periodSchedule)
 }
 
-// sweep runs one phase of the period over every peer, then waits until
-// the peer goroutines have handled what the phase sent (and what handling
-// it sent in turn: push forwards, connect replies). A period is four
-// such sweeps — begin (the source pushes), announce, schedule, serve, the
-// simulator's push → exchange → schedule → serve → playback round order
-// over real messages. Each phase reads what the one before it sent, and
-// nothing but the barrier makes that true; a sweep that merely takes long
-// enough for the inboxes to drain behind it hides the race only until the
-// sweep gets faster or the host slower. The barrier ends the moment the
-// transport falls quiet; half a period — the fixed wait a socket-path node
-// uses — bounds it, so a wedged peer costs the mesh late phases, not its
-// clock.
+// sweep runs one phase of the period over every hosted peer, then waits
+// until the peer goroutines have handled what the phase sent (and what
+// handling it sent in turn: push forwards, connect replies). A period is
+// four such sweeps — begin (the source pushes), announce, schedule, serve,
+// the simulator's push → exchange → schedule → serve → playback round
+// order over real messages. Each phase reads what the one before it sent,
+// and nothing but the barrier makes that true; a sweep that merely takes
+// long enough for the inboxes to drain behind it hides the race only until
+// the sweep gets faster or the host slower. The barrier ends the moment
+// the transport falls quiet; half a period bounds it, so a wedged peer
+// costs the mesh late phases, not its clock.
 func (s *session) sweep(phase func(*peer)) {
 	for _, id := range s.order {
 		phase(s.peers[id])
 	}
-	s.nw.awaitQuiet(s.cfg.Period / 2)
+	s.tr.AwaitQuiet(s.cfg.Period / 2)
 }
 
 // serve runs the period's serve phase and, once the grants have landed,
@@ -333,7 +338,7 @@ func (s *session) serve(period int) {
 }
 
 // close stops every peer, waits for the loops to drain and returns the
-// session's stats.
+// session's stats, less the transport's own counters.
 func (s *session) close() Stats {
 	for _, p := range s.peers {
 		close(p.stop)
@@ -342,13 +347,15 @@ func (s *session) close() Stats {
 
 	stats := s.stats
 	s.st.fill(&stats)
-	stats.TransportDropped = s.nw.dropped.Load()
 	if s.playing > 0 {
 		stats.Continuity = float64(s.continuous) / float64(s.playing)
 	}
 	for _, p := range s.peers {
-		for _, nb := range p.nbrs {
-			if !s.nw.alive(nb.id) {
+		if p.members == nil {
+			continue // never began a period: no view to judge a link by
+		}
+		for i := range p.nbrs {
+			if p.dead(&p.nbrs[i], p.curPeriod) {
 				stats.EndDeadLinks++
 			}
 		}

@@ -81,7 +81,7 @@ type network struct {
 	// what is in flight. Messages are sent by the driver goroutine and by
 	// peers in the middle of handling one, so once the driver stops
 	// sending, equality means the whole session is quiet. quiet carries
-	// the wake-up for a driver parked in awaitQuiet (waiting).
+	// the wake-up for a driver parked in AwaitQuiet (waiting).
 	sent    atomic.Int64
 	handled atomic.Int64
 	waiting atomic.Bool
@@ -113,15 +113,6 @@ func (nw *network) unregister(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	delete(nw.inboxes, id)
-}
-
-// alive reports whether a peer is currently registered (the RP liveness
-// ping of the join/repair protocol).
-func (nw *network) alive(id int) bool {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	_, ok := nw.inboxes[id]
-	return ok
 }
 
 // Send delivers non-blockingly; false means the receiver is gone or
@@ -158,10 +149,9 @@ func (nw *network) Handled(n int) {
 	}
 }
 
-// awaitQuiet blocks until every message sent so far has been handled —
-// including the ones handling them sent in turn — or the bound expires.
-// Only the session driver calls it, between its own sends.
-func (nw *network) awaitQuiet(bound time.Duration) {
+// AwaitQuiet implements Transport on the in-flight count. Only the session
+// driver calls it, between its own sends.
+func (nw *network) AwaitQuiet(bound time.Duration) {
 	if nw.handled.Load() == nw.sent.Load() {
 		return
 	}
@@ -178,8 +168,8 @@ func (nw *network) awaitQuiet(bound time.Duration) {
 	}
 }
 
-// members returns the registered peer IDs in ascending order.
-func (nw *network) members() []int {
+// Members implements Transport: the registry, whatever the period.
+func (nw *network) Members(int) []int {
 	nw.mu.RLock()
 	out := make([]int, 0, len(nw.inboxes))
 	for id := range nw.inboxes {
@@ -190,18 +180,17 @@ func (nw *network) members() []int {
 	return out
 }
 
-// sample returns up to max random alive members excluding one ID — the
-// RP's candidate list for joins and source refills.
-func (nw *network) sample(rng *sim.RNG, max, exclude int) []int {
-	ms := nw.members()
+// sampleIDs draws up to max of members at random, leaving out exclude and
+// self — the rendezvous point's ConnectOK sample, the source's refill pool
+// and a scripted joiner's first contacts.
+func sampleIDs(rng *sim.RNG, members []int, max, exclude, self int) []int {
 	out := make([]int, 0, max)
-	for _, i := range rng.Perm(len(ms)) {
-		if ms[i] == exclude {
-			continue
-		}
-		out = append(out, ms[i])
+	for _, i := range rng.Perm(len(members)) {
 		if len(out) >= max {
 			break
+		}
+		if id := members[i]; id != exclude && id != self {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -225,7 +214,7 @@ func ringOf(space dht.Space, id int) dht.ID {
 	return dht.ID(uint64(id) * 0x9e3779b1 & uint64(space.N()-1))
 }
 
-// newRingView builds the snapshot from the registry's member list.
+// newRingView builds the snapshot from a transport's member list.
 func newRingView(space dht.Space, members []int) ringView {
 	type pos struct {
 		id   int

@@ -4,11 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
-
-	"continustreaming/internal/dht"
-	"continustreaming/internal/segment"
 )
 
 // NodeConfig places one peer of a multi-process session: which process
@@ -50,16 +46,13 @@ type NodeConfig struct {
 	LogEvery int
 }
 
-// Node is one process's half-open session: socket bound, peer built,
-// not yet running. Splitting construction from Run lets the caller
-// learn the bound address (to print, or to hand the driver) before the
-// clock starts.
+// Node is one process's half-open session: socket bound, peer not yet
+// built. Splitting construction from Run lets the caller learn the bound
+// address (to print, or to hand the driver) before the clock starts.
 type Node struct {
-	cfg   Config
-	nc    NodeConfig
-	tr    *udpTransport
-	st    *counters
-	space dht.Space
+	cfg Config
+	nc  NodeConfig
+	tr  *udpTransport
 }
 
 // NewNode binds the node's socket. The peer itself is built inside Run,
@@ -82,7 +75,7 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxCap(nc.Source))
+	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxCap(nc.Source), cfg.sightTTL())
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +83,10 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if nc.LogEvery <= 0 {
 		nc.LogEvery = 10
 	}
-	return &Node{cfg: cfg, nc: nc, tr: tr, st: &counters{}, space: dht.NewSpace(ringSpace)}, nil
+	if nc.Logf == nil {
+		nc.Logf = func(string, ...any) {}
+	}
+	return &Node{cfg: cfg, nc: nc, tr: tr}, nil
 }
 
 // Addr returns the bound UDP address.
@@ -110,20 +106,20 @@ const (
 // Run executes this process's side of the session until the absolute
 // session period count is reached (period numbering is shared across
 // processes: the source starts at 0 and joiners sync to the RP's clock
-// in the bootstrap handshake). It blocks until the node drains, the
-// scripted ExitAt fires, or ctx is cancelled.
+// in the bootstrap handshake). It hosts the node's one peer in a session
+// over the socket; what it adds is a socket node's own: the handshake,
+// the ticker and its re-sync, the scripted exit, and the half-period wait
+// before serving. It blocks until the node drains, the scripted ExitAt
+// fires, or ctx is cancelled.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
 	cfg, nc := n.cfg, n.nc
+	s := hostSession(cfg, n.tr)
 
 	start := 0
 	var p *peer
-	var backlog []Message
 	if nc.Source {
-		p = newPeer(n.tr, 0, n.tr.Inbox(), cfg, n.space, n.st, true, 0, 0)
-		p.nodeMode = true
-		p.rpServer = true
-		p.sample = p.sightedSample
+		p = s.spawn(0, n.tr.Inbox(), true, 0, 0)
 	} else {
 		// Bootstrap handshake: Connect to the RP until its ConnectOK
 		// arrives, carrying the current session period (our clock sync),
@@ -135,6 +131,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		if err := n.tr.Learn(0, nc.Bootstrap); err != nil {
 			return Stats{}, err
 		}
+		var backlog []Message
 		var hello *Message
 		for attempt := 0; hello == nil; {
 			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
@@ -161,8 +158,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			tick.Stop()
 		}
 		start = int(hello.Deadline) + 1
-		p = newPeer(n.tr, nc.ID, n.tr.Inbox(), cfg, n.space, n.st, false, cfg.posFor(start), start)
-		p.nodeMode = true
+		p = s.spawn(nc.ID, n.tr.Inbox(), false, cfg.posFor(start), start)
 		p.handle(*hello)
 		for _, m := range backlog {
 			p.handle(m)
@@ -184,23 +180,9 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	stopped := false
-	stop := func() {
-		if !stopped {
-			close(p.stop)
-			stopped = true
-		}
-	}
-	defer stop()
-	wg.Add(1)
-	go p.loop(&wg)
-
 	ticker := time.NewTicker(cfg.Period)
 	defer ticker.Stop()
-	stats := Stats{}
-	continuous, playingSamples := 0, 0
-	lag := cfg.PlaybackLagPeriods
+	behind, resyncs := 0, 0
 	for period := start; period < periods; period++ {
 		select {
 		case <-ctx.Done():
@@ -215,50 +197,29 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		// re-phase the ticker at the new anchor. In steady state the
 		// stamps match the local counter and no jump happens; stamps
 		// behind ours (a slower peer's) never move the clock backwards.
-		if p.clockPeriod() > period {
-			stats.BehindPeriods++
-		}
-		if cfg.Resync {
-			if seen := p.clockPeriod(); seen > period {
-				if seen >= periods {
-					seen = periods - 1
-				}
-				if nc.Logf != nil {
-					nc.Logf("resync: period %d -> %d", period, seen)
-				}
+		if seen := p.clockPeriod(); seen > period {
+			behind++
+			if cfg.Resync {
+				seen = min(seen, periods-1)
+				nc.Logf("resync: period %d -> %d", period, seen)
 				period = seen
-				p.mu.Lock()
-				p.resyncs++
-				p.mu.Unlock()
+				resyncs++
 				ticker.Reset(cfg.Period)
 			}
 		}
-		stats.Periods = period + 1 - start
 		if nc.ExitAt > 0 && period >= nc.ExitAt {
 			// Abrupt scripted failure: drop off the network mid-stream.
 			n.tr.Close()
-			return stats, nil
+			break
 		}
-
-		if nc.Source {
-			p.ingestFresh(period)
-		}
-		pos := cfg.posFor(period)
-		members := p.membershipView(period)
-		ids := make([]int, 0, len(members))
-		for id := range members {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		rv := newRingView(n.space, ids)
 
 		// Plan at the tick, serve half a period later: the temporal
-		// stand-in for the driver's barriers between phases. A node
-		// cannot count what is in flight across real sockets, so it
-		// runs the planning phases back to back and gives this period's
-		// requests half a period to reach their suppliers before the
-		// serve phase drains them.
-		p.periodPlan(period, pos, rv, members)
+		// stand-in for the barriers a counted transport puts between
+		// phases. A node cannot count what is in flight across real
+		// sockets, so the planning phases run back to back and this
+		// period's requests get half a period to reach their suppliers
+		// before the serve phase drains them.
+		s.plan(period)
 		half := time.NewTimer(cfg.Period / 2)
 		select {
 		case <-ctx.Done():
@@ -268,46 +229,19 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		p.periodServe()
-
-		if !nc.Source && period >= lag {
-			ok := p.evalPlayback(segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)})
-			playingSamples++
-			sample := 0.0
-			if ok {
-				continuous++
-				sample = 1
-			}
-			stats.PerPeriod = append(stats.PerPeriod, sample)
-			if nc.Logf != nil && period%nc.LogEvery == 0 {
-				nc.Logf("period %d: pos=%d links=%d members=%d continuous=%v",
-					period, pos, p.linkCount(), len(members), ok)
-			}
-		} else if nc.Logf != nil && period%nc.LogEvery == 0 {
-			nc.Logf("period %d: links=%d members=%d", period, p.linkCount(), len(members))
+		s.serve(period)
+		if period%nc.LogEvery == 0 {
+			nc.Logf("period %d: links=%d, played %d of %d periods", period, p.linkCount(), s.continuous, s.playing)
 		}
 	}
-	stop()
-	wg.Wait()
-
-	n.st.fill(&stats)
+	stats := s.close()
+	// The session counts absolute periods; a node reports the ones it ran.
+	stats.Periods = max(0, stats.Periods-start)
+	stats.BehindPeriods, stats.Resyncs = behind, resyncs
 	stats.TransportDropped = n.tr.Dropped()
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
-	if playingSamples > 0 {
-		stats.Continuity = float64(continuous) / float64(playingSamples)
-	}
-	p.mu.Lock()
-	for _, nb := range p.nbrs {
-		if p.curPeriod-nb.seen > p.cfg.DeadAfterPeriods {
-			stats.EndDeadLinks++
-		}
-	}
-	stats.Resyncs = p.resyncs
-	p.mu.Unlock()
-	if nc.Logf != nil {
-		nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, n.tr.Dropped())
-	}
+	nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, stats.TransportDropped)
 	return stats, nil
 }
 
@@ -316,60 +250,4 @@ func (p *peer) linkCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.nbrs)
-}
-
-// ingestFresh is the source's per-period segment generation.
-func (p *peer) ingestFresh(period int) {
-	p.mu.Lock()
-	for s := segment.ID(period * p.cfg.Rate); s < segment.ID((period+1)*p.cfg.Rate); s++ {
-		p.buf.Insert(s)
-	}
-	p.mu.Unlock()
-}
-
-// membershipView is the socket path's replacement for the registry
-// oracle: every peer this node has recent evidence of — a message
-// received or gossip naming it within the sighting TTL — plus itself
-// and the source (losing the source ends the session, not the
-// membership). Direct neighbours are still judged by the tighter
-// DeadAfterPeriods silence bound in mesh maintenance; this wider view
-// gates adoption, serving and ring placement.
-func (p *peer) membershipView(now int) map[int]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ttl := p.sightTTL()
-	view := map[int]bool{p.id: true, 0: true}
-	for id, seen := range p.sighted {
-		if now-seen <= ttl {
-			view[id] = true
-		}
-	}
-	return view
-}
-
-// sightTTL is how many periods a sighting stays membership evidence —
-// comfortably wider than the direct-neighbour silence bound so gossip
-// reach outlives a couple of dropped announcements, but finite so
-// departed (or fabricated) IDs age out of the view, the sample pool,
-// and the sighted map itself.
-func (p *peer) sightTTL() int { return 3 * p.cfg.DeadAfterPeriods }
-
-// sightedSample draws up to max recently-sighted peer IDs, excluding
-// the given ID and the sampler itself — node mode's version of the
-// registry sample behind RP candidate pools and bootstrap replies.
-// Callers hold p.mu (it runs inside handle and maintainMesh).
-func (p *peer) sightedSample(max, exclude int) []int {
-	ttl := p.sightTTL()
-	ids := make([]int, 0, len(p.sighted))
-	for id, seen := range p.sighted {
-		if id != exclude && id != p.id && p.curPeriod-seen <= ttl {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	if len(ids) > max {
-		ids = ids[:max]
-	}
-	return ids
 }

@@ -59,7 +59,7 @@ func startUDPSession(t *testing.T, cfg Config, n, periods int) (cancels []contex
 
 // TestUDPSessionDeliversAndPlays runs a whole session over real UDP
 // sockets on loopback: bootstrap handshake against the RP, membership
-// from gossip instead of the registry oracle, routed ring rescue — the
+// from the address book instead of a registry, routed ring rescue — the
 // socket path end to end, minus the process boundary.
 func TestUDPSessionDeliversAndPlays(t *testing.T) {
 	cfg := DefaultConfig()

@@ -83,21 +83,6 @@ type peer struct {
 	inbox    chan Message
 	stop     chan struct{}
 	rng      *sim.RNG
-	// sample draws up to max live peer IDs (excluding the given one and
-	// the peer itself) for the RP candidate pool and bootstrap replies.
-	// Driver mode backs it with the registry; node mode with the peer's
-	// own sighting history. Nil on peers that never act as RP.
-	sample func(max, exclude int) []int
-	// rpServer makes this peer answer msgConnect as a rendezvous point:
-	// the ConnectOK carries a membership sample and the current period,
-	// the bootstrap handshake a socket-path joiner syncs from. Only set
-	// in node mode (the driver wires in-process joins directly).
-	rpServer bool
-	// nodeMode marks a socket-path peer: gossip arrives from an open
-	// socket there, so sighting-derived state is pruned by TTL each
-	// period. Driver-mode peers skip the overheard pruning to keep the
-	// in-process candidate pools exactly as before the seam.
-	nodeMode bool
 
 	mu  sync.Mutex
 	buf *buffer.Buffer
@@ -109,17 +94,12 @@ type peer struct {
 	nbrs   []neighbour
 	nbrIDs []overlay.NodeID
 	// overheard is the adoption candidate pool: peer IDs learned from
-	// piggybacked membership gossip, stamped with the period heard.
+	// piggybacked membership gossip, stamped with the period heard and
+	// forgotten Config.sightTTL() periods later — gossip may come off an
+	// open socket, and the expiry bounds what it can make a peer hold.
 	overheard map[int]int
-	// sighted stamps every peer ID this peer has evidence of — a message
-	// received from it, or gossip naming it — with the period of the last
-	// sighting. Node mode derives its membership view from it (there is
-	// no registry oracle across processes); driver mode maintains it too
-	// but never reads it, keeping the two paths' message handling
-	// identical.
-	sighted map[int]int
-	ctrl    *bandwidth.Controller
-	alpha   *prefetch.Alpha
+	ctrl      *bandwidth.Controller
+	alpha     *prefetch.Alpha
 	// pending / rescuePending map in-flight pulls and rescues to their
 	// expiry period, after which the peer re-asks.
 	pending       map[segment.ID]int
@@ -132,12 +112,11 @@ type peer struct {
 	asks, asksSpare   []protocol.Ask
 
 	// clockSeen is the highest period stamp heard from any peer (wire
-	// v2 stamps every message with the sender's clock). Node mode
+	// v2 stamps every message with the sender's clock). Node.Run
 	// re-anchors its period counter to it at every tick — the
 	// continuous clock re-sync replacing trust in the one-shot
-	// bootstrap handshake. Resyncs counts the jumps taken.
+	// bootstrap handshake.
 	clockSeen int
-	resyncs   int
 
 	curPeriod    int
 	pos          segment.ID
@@ -260,11 +239,7 @@ func (v *peerView) AppendDHTPeers(dst []protocol.CandidateSource) []protocol.Can
 }
 
 func (v *peerView) AppendRPCandidates(dst []overlay.NodeID, max int) []overlay.NodeID {
-	p := v.p
-	if p.sample == nil {
-		return dst
-	}
-	for _, id := range p.sample(max, p.id) {
+	for _, id := range v.p.rpSample(max, v.p.id) {
 		dst = append(dst, overlay.NodeID(id))
 	}
 	return dst
@@ -292,7 +267,6 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		buf:           buffer.New(cfg.BufferSegments, openAt),
 		backup:        dht.NewStore(),
 		overheard:     make(map[int]int),
-		sighted:       make(map[int]int),
 		ctrl:          bandwidth.NewController(0.3, float64(cfg.Rate)),
 		pending:       make(map[segment.ID]int),
 		rescuePending: make(map[segment.ID]int),
@@ -443,18 +417,10 @@ func (p *peer) handle(m Message) {
 	if m.Period > p.clockSeen {
 		p.clockSeen = m.Period
 	}
-	// Every message is a sighting of its sender, and every gossip entry
-	// of the peer it names — the membership evidence node mode's view is
-	// built from. Gossip feeds the adoption pool regardless of which
-	// message carried it (in-process only map announcements do; the
-	// socket path's bootstrap ConnectOK rides a sample too).
-	p.sighted[m.From] = p.curPeriod
+	// Gossip feeds the adoption pool whichever message carried it: a map
+	// announcement, or the rendezvous point's ConnectOK sample.
 	for _, g := range m.Gossip {
-		if g == p.id {
-			continue
-		}
-		p.sighted[g] = p.curPeriod
-		if !p.linked(g) {
+		if g != p.id && !p.linked(g) {
 			p.overheard[g] = p.curPeriod
 		}
 	}
@@ -491,18 +457,16 @@ func (p *peer) handle(m Message) {
 	case msgConnect:
 		// Adoption is bidirectional, as in the simulator's addEdge; the
 		// accepting side replies with its current map so the newcomer can
-		// schedule against it immediately. A rendezvous point additionally
-		// stamps the reply with the current period (the joiner's clock
-		// sync) and a membership sample (its first adoption candidates) —
-		// the bootstrap handshake of the socket path.
+		// schedule against it immediately. The source is the rendezvous
+		// point: it additionally stamps the reply with the current period
+		// (a socket-path joiner's clock sync) and a membership sample (the
+		// joiner's first adoption candidates) — the bootstrap handshake.
 		p.link(m.From, p.curPeriod)
 		snap := p.buf.Snapshot()
 		reply := Message{From: p.id, Kind: msgConnectOK, Map: &snap}
-		if p.rpServer {
+		if p.isSource {
 			reply.Deadline = sim.Time(p.curPeriod)
-			if p.sample != nil {
-				reply.Gossip = p.sample(p.cfg.M+2, m.From)
-			}
+			reply.Gossip = p.rpSample(p.cfg.M+2, m.From)
 		}
 		p.send(m.From, reply)
 	case msgConnectOK:
@@ -588,20 +552,20 @@ func (p *peer) receiveData(m Message) {
 // A scheduling period runs in four phases, the simulator's round order
 // (push → exchange → schedule → serve) over real messages. Each phase
 // reads what the one before it sent, so the order only means something if
-// the runtime lets those messages land in between: the driver waits for
-// the channel transport to fall quiet after every phase (see
-// session.tick), and then a push lands before its receiver announces or
-// asks, every map a peer schedules against was announced this period, and
-// every ask is in its supplier's hands when that supplier serves — a pull
-// hop costs one period, not two. A socket-path node cannot see what is in
-// flight; it runs the first three phases back to back at its tick
-// (periodPlan) and serves half a period later. Message handling
-// interleaves concurrently under the same lock throughout.
+// the runtime lets those messages land in between: the session waits for
+// its transport to fall quiet after every phase (see session.sweep), and
+// over channels a push then lands before its receiver announces or asks,
+// every map a peer schedules against was announced this period, and every
+// ask is in its supplier's hands when that supplier serves — a pull hop
+// costs one period, not two. Over sockets nothing in flight can be seen:
+// the first three phases run back to back at the tick and Node.Run serves
+// half a period later. Message handling interleaves concurrently under the
+// same lock throughout.
 
 // periodBegin opens period now: advance the clock and the window, settle
-// the previous period's accounts, and — on the source — push the fresh
-// segments. rv and members are the period's ring and membership views;
-// the later phases read them from the peer.
+// the previous period's accounts, and — on the source — generate and push
+// the fresh segments. rv and members are the period's ring and membership
+// views; the later phases read them from the peer.
 func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int]bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -634,22 +598,9 @@ func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int
 			delete(p.rescuePending, seg)
 		}
 	}
-	// Sighting state is fed by untrusted gossip on the socket path;
-	// expiring it by TTL bounds what a hostile datagram stream can make
-	// a peer hold. sighted is node-mode-only state and always safe to
-	// prune; overheard shapes driver-mode adoption pools, so only node
-	// mode expires it.
-	ttl := p.sightTTL()
-	for id, seen := range p.sighted {
-		if now-seen > ttl {
-			delete(p.sighted, id)
-		}
-	}
-	if p.nodeMode {
-		for id, seen := range p.overheard {
-			if now-seen > ttl {
-				delete(p.overheard, id)
-			}
+	for id, seen := range p.overheard {
+		if now-seen > p.cfg.sightTTL() {
+			delete(p.overheard, id)
 		}
 	}
 	if p.alpha != nil {
@@ -657,6 +608,9 @@ func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int
 		p.overdue, p.repeated = 0, 0
 	}
 	if p.isSource {
+		for s := segment.ID(now * p.cfg.Rate); s < segment.ID((now+1)*p.cfg.Rate); s++ {
+			p.buf.Insert(s)
+		}
 		p.pushFresh(now)
 	}
 }
@@ -685,14 +639,6 @@ func (p *peer) periodSchedule() {
 	if p.cfg.Repair && now >= p.cfg.PlaybackLagPeriods {
 		p.rescueUrgent(now)
 	}
-}
-
-// periodPlan runs the three planning phases back to back, for a runtime
-// that cannot order them against the network.
-func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]bool) {
-	p.periodBegin(now, pos, rv, members)
-	p.periodAnnounce()
-	p.periodSchedule()
 }
 
 // periodServe drains the asks that arrived — including this period's —
@@ -794,16 +740,29 @@ func (p *peer) supplierRarity(seg segment.ID) float64 {
 	return protocol.SupplierRarity(p.cfg.BufferSegments, p.positions)
 }
 
-// maintainMesh drops neighbours discovered dead (registry failure or
-// silence beyond the staleness bound) and runs the shared rewire decision
-// — protocol.PlanRewire, the simulator's maintenance rules — over the
-// peer's locally learned view, sending Bye/Connect control messages for
-// the resulting intent.
+// rpSample is the rendezvous point's membership sample: up to max of the
+// transport's members as of now (not of the period's opening — a burst of
+// joiners hears of one another), never exclude or the peer itself.
+// Callers hold p.mu.
+func (p *peer) rpSample(max, exclude int) []int {
+	return sampleIDs(p.rng, p.tr.Members(p.curPeriod), max, exclude, p.id)
+}
+
+// dead is the one dead-link rule: the far side has left the membership
+// view, or the link has been silent beyond the staleness bound. Mesh
+// repair drops such links; Stats.EndDeadLinks counts the ones left.
+func (p *peer) dead(nb *neighbour, now int) bool {
+	return !p.members[nb.id] || now-nb.seen > p.cfg.DeadAfterPeriods
+}
+
+// maintainMesh drops neighbours discovered dead and runs the shared rewire
+// decision — protocol.PlanRewire, the simulator's maintenance rules — over
+// the peer's locally learned view, sending Bye/Connect control messages
+// for the resulting intent.
 func (p *peer) maintainMesh(now int) {
 	members := p.members
 	for i := len(p.nbrs) - 1; i >= 0; i-- {
-		nb := &p.nbrs[i]
-		if !members[nb.id] || now-nb.seen > p.cfg.DeadAfterPeriods {
+		if nb := &p.nbrs[i]; p.dead(nb, now) {
 			delete(p.overheard, nb.id)
 			p.unlink(i)
 			p.st.deadDropped.Add(1)
@@ -920,7 +879,7 @@ func supplierRotation(seed uint64, id, period, n int) int {
 // their windows open lower), the union of those words minus the own words
 // and the in-flight bits is what is wanted, and scheduler.FillCandidates
 // lists the suppliers. The own window opens at the playback position
-// (periodPlan has just advanced it), which is the fetch-window floor:
+// (periodBegin has just advanced it), which is the fetch-window floor:
 // segments behind it are pruned on both sides, and asking for them would
 // burn the inbound budget on unfulfillable requests.
 //

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
@@ -15,8 +16,10 @@ import (
 // nullTransport swallows everything a peer sends.
 type nullTransport struct{}
 
-func (nullTransport) Send(int, Message) bool { return true }
-func (nullTransport) Handled(int)            {}
+func (nullTransport) Send(int, Message) bool   { return true }
+func (nullTransport) Handled(int)              {}
+func (nullTransport) Members(int) []int        { return nil }
+func (nullTransport) AwaitQuiet(time.Duration) {}
 
 // candidatesPerID is the per-ID candidate enumerator the livenet ran before
 // it moved onto the word path, kept as the differential oracle: walk every
@@ -216,8 +219,8 @@ const periodAllocBound = 3
 
 // TestPeriodAllocations drives one peer through steady-state periods on
 // the channel transport — neighbours announce misaligned maps, ask it for
-// segments and grant what it asked for — and holds its periodPlan +
-// periodServe to periodAllocBound allocations.
+// segments and grant what it asked for — and holds its three planning
+// phases plus periodServe to periodAllocBound allocations.
 func TestPeriodAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	const self, nbrs = 4, 8
@@ -273,7 +276,9 @@ func TestPeriodAllocations(t *testing.T) {
 				p.handle(Message{From: id, Kind: msgRequest, Seg: seg, Deadline: p.playDeadline(seg), Period: period})
 			}
 		}
-		p.periodPlan(period, cfg.posFor(period), rv, members)
+		p.periodBegin(period, cfg.posFor(period), rv, members)
+		p.periodAnnounce()
+		p.periodSchedule()
 		p.periodServe()
 		for _, id := range ids {
 			for ch := inboxes[id]; len(ch) > 0; {

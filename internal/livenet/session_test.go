@@ -3,9 +3,11 @@ package livenet
 import (
 	"testing"
 	"time"
+
+	"continustreaming/internal/dht"
 )
 
-// manualSession builds a driver-mode mesh the test ticks by hand: no
+// manualSession builds an in-process mesh the test ticks by hand: no
 // ticker, and a period long enough that no barrier bound ever expires.
 func manualSession(peers int, seed uint64) *session {
 	cfg := DefaultConfig()
@@ -115,5 +117,73 @@ func TestInboxCapFollowsFanIn(t *testing.T) {
 	wide.M, wide.OutboundPerPeriod = 2*small.M, 2*small.OutboundPerPeriod
 	if wide.inboxCap(false) <= small.inboxCap(false) {
 		t.Fatal("a wider, faster peer did not get a larger inbox")
+	}
+}
+
+// TestOverheardExpiresInProcess pins the adoption pool's expiry on the
+// channel transport: an overheard ID nobody mentions again is forgotten
+// sightTTL periods later, one that keeps being mentioned is kept.
+func TestOverheardExpiresInProcess(t *testing.T) {
+	cfg := DefaultConfig()
+	nw := newNetwork()
+	id, inbox := nw.register(8)
+	p := newPeer(nw, id, inbox, cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	ttl := cfg.sightTTL()
+	p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
+	for now := 1; now <= ttl+1; now++ {
+		p.periodBegin(now, cfg.posFor(now), ringView{}, nil)
+		p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{51}, Period: now})
+		_, silent := p.overheard[50]
+		_, mentioned := p.overheard[51]
+		if silent != (now <= ttl) || !mentioned {
+			t.Fatalf("period %d (TTL %d): holds the ID last heard at period 0: %v, the ID heard this period: %v",
+				now, ttl, silent, mentioned)
+		}
+	}
+}
+
+// TestSourceAnswersConnectAsRendezvous pins the rendezvous reply on the
+// channel transport: the source's ConnectOK carries its period and a
+// sample of at most M+2 members that names neither the asker nor the
+// source; any other peer's carries neither.
+func TestSourceAnswersConnectAsRendezvous(t *testing.T) {
+	s := manualSession(12, 9)
+	defer s.close()
+	const last = 3
+	for period := 0; period <= last; period++ {
+		s.tick(period)
+	}
+	asker, inbox := s.nw.register(8)
+	connect := func(to int) Message {
+		t.Helper()
+		s.nw.Send(to, Message{From: asker, Kind: msgConnect})
+		select {
+		case m := <-inbox:
+			s.nw.Handled(1)
+			if m.Kind != msgConnectOK || m.From != to || m.Map == nil {
+				t.Fatalf("peer %d answered a Connect with %+v", to, m)
+			}
+			return m
+		case <-time.After(10 * time.Second):
+			t.Fatalf("peer %d never answered the Connect", to)
+			return Message{}
+		}
+	}
+	ok := connect(0)
+	if ok.Deadline != last {
+		t.Errorf("the source stamped period %d on its ConnectOK, want %d", ok.Deadline, last)
+	}
+	if n := len(ok.Gossip); n == 0 || n > s.cfg.M+2 {
+		t.Errorf("the source's sample has %d members, want 1..%d", n, s.cfg.M+2)
+	}
+	seen := map[int]bool{}
+	for _, g := range ok.Gossip {
+		if g == asker || g == 0 || seen[g] || s.peers[g] == nil {
+			t.Errorf("sample %v names the asker (%d), the source, a stranger or a member twice", ok.Gossip, asker)
+		}
+		seen[g] = true
+	}
+	if ok := connect(1); ok.Deadline != 0 || ok.Gossip != nil {
+		t.Errorf("a non-source ConnectOK carries period %d and sample %v, want neither", ok.Deadline, ok.Gossip)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,12 +18,12 @@ import (
 // channel transport discards into a full channel. Loss recovery stays
 // where the protocol puts it: retry, repair and rescue.
 //
-// The transport is also the address book the socket path substitutes
-// for the registry oracle: it learns peer addresses from the source
-// address of every datagram a peer sends and from the (id, addr) pairs
-// piggybacked on membership gossip, which it fills in on encode and
-// strips on decode — peers keep talking in small integer IDs on both
-// transports.
+// The transport is also the socket path's membership table: an address
+// book that learns peer addresses from the source address of every
+// datagram a peer sends and from the (id, addr) pairs piggybacked on
+// membership gossip, which it fills in on encode and strips on decode —
+// peers keep talking in small integer IDs on both transports — and
+// forgets a peer nothing has been heard of for ttl periods (Members).
 type udpTransport struct {
 	self    int
 	conn    *net.UDPConn
@@ -42,25 +43,34 @@ type udpTransport struct {
 
 	mu   sync.RWMutex
 	book map[int]bookEntry
+	ttl  int
 }
 
 // bookEntry is one peer's address on file, with the string form gossip
 // annotations carry rendered once per change rather than once per send.
+// heard marks an entry a datagram has reported since the last Members
+// call, which turns the mark into seen, the period of that call: the
+// read loop knows no clock, so a joiner's handshake-time entries are
+// stamped with the period the handshake synced it to.
 type bookEntry struct {
-	addr netip.AddrPort
-	text string
+	addr  netip.AddrPort
+	text  string
+	heard bool
+	seen  int
 }
 
 // maxBook bounds the address book. Gossip arrives from an open socket,
 // so the IDs it names are untrusted input; a full book stops learning
-// new peers (existing entries still refresh) instead of growing without
-// limit. Far above any loopback session, far below a memory problem.
+// new peers (existing entries still refresh) until Members has expired
+// some, instead of growing without limit. Far above any loopback session,
+// far below a memory problem.
 const maxBook = 8192
 
 // newUDPTransport binds listen ("host:port"; port 0 picks a free one)
 // and starts the read loop. The returned transport's inbox is the peer's
-// receive channel, capacity inboxCap with drop-on-overflow.
-func newUDPTransport(listen string, self, inboxCap int) (*udpTransport, error) {
+// receive channel, capacity inboxCap with drop-on-overflow; ttl is how
+// many periods an unheard-of peer stays in the book.
+func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("livenet: listen address %q: %v", listen, err)
@@ -75,6 +85,7 @@ func newUDPTransport(listen string, self, inboxCap int) (*udpTransport, error) {
 		local: conn.LocalAddr().String(),
 		inbox: make(chan Message, inboxCap),
 		book:  make(map[int]bookEntry),
+		ttl:   ttl,
 		epoch: time.Now(),
 	}
 	go t.readLoop()
@@ -105,8 +116,39 @@ func (t *udpTransport) Inbox() chan Message { return t.inbox }
 // inbox was full — the socket path's equivalent of channel-send drops.
 func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
-// Handled implements Transport; datagrams in flight cannot be counted.
-func (t *udpTransport) Handled(int) {}
+// Handled and AwaitQuiet implement Transport; datagrams in flight cannot
+// be counted.
+func (t *udpTransport) Handled(int)              {}
+func (t *udpTransport) AwaitQuiet(time.Duration) {}
+
+// Members implements Transport on the address book: the node itself, the
+// bootstrap address (ID 0 — losing the source ends the session, not the
+// membership) and every entry heard of within ttl periods of now. Older
+// entries leave the book, which is what lets a full one learn again.
+func (t *udpTransport) Members(now int) []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ids := append(make([]int, 0, len(t.book)+2), t.self)
+	if t.self != 0 {
+		ids = append(ids, 0)
+	}
+	for id, e := range t.book {
+		if id == 0 {
+			continue // listed above, and never expires
+		}
+		if e.heard {
+			e.heard, e.seen = false, now
+			t.book[id] = e
+		}
+		if now-e.seen > t.ttl {
+			delete(t.book, id)
+		} else {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
 
 // Learn records a peer's address ("host:port"), overwriting any previous
 // one (a peer that rebinds is reached at its latest known socket).
@@ -134,12 +176,16 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 	t.mu.RLock()
 	e, known := t.book[id]
 	t.mu.RUnlock()
-	if known && e.addr == addr {
+	if known && e.addr == addr && e.heard {
 		return // the steady state: every datagram re-reports a known address
 	}
 	t.mu.Lock()
 	if known || len(t.book) < maxBook {
-		t.book[id] = bookEntry{addr: addr, text: addr.String()}
+		if e.addr != addr {
+			e.addr, e.text = addr, addr.String()
+		}
+		e.heard = true
+		t.book[id] = e
 	}
 	t.mu.Unlock()
 }

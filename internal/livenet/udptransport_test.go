@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 )
@@ -45,7 +46,7 @@ func TestDelayQueueOrder(t *testing.T) {
 // (IPv4-mapped IPv6 sources unmap), its refusal of self and negative IDs,
 // and the maxBook bound that still refreshes known peers.
 func TestAddressBook(t *testing.T) {
-	tr, err := newUDPTransport("127.0.0.1:0", 7, 8)
+	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +74,88 @@ func TestAddressBook(t *testing.T) {
 	tr.learn(3, netip.MustParseAddrPort("127.0.0.1:4999"))
 	if tr.book[3].text != "127.0.0.1:4999" {
 		t.Fatalf("a full book did not refresh a known peer: %+v", tr.book[3])
+	}
+}
+
+// testTTL is the address-book TTL the transport tests run on.
+const testTTL = 9
+
+// TestAddressBookHealsAfterFlood pins the book's recovery from a full
+// table: a burst of fabricated (id, addr) gossip fills it and blinds the
+// node to a real sender, and once the fabricated entries have gone unheard
+// for more than the TTL they leave and the sender is learnable again.
+func TestAddressBookHealsAfterFlood(t *testing.T) {
+	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for id := 100; id < 100+maxBook; id++ {
+		tr.learn(id, netip.MustParseAddrPort("127.0.0.1:5000"))
+	}
+	sender := netip.MustParseAddrPort("127.0.0.1:5001")
+	tr.learn(3, sender)
+	if got := tr.Members(0); len(got) != maxBook+2 || slices.Contains(got, 3) {
+		t.Fatalf("%d members after the flood (want the %d fabricated IDs, self and 0), real sender among them: %v",
+			len(got), maxBook, slices.Contains(got, 3))
+	}
+	tr.learn(3, sender)
+	if slices.Contains(tr.Members(testTTL), 3) {
+		t.Fatal("a full book learned a new peer while the flood was inside its TTL")
+	}
+	if got := tr.Members(testTTL + 1); !slices.Equal(got, []int{0, 7}) {
+		t.Fatalf("%d members one period past the TTL, want only 0 and self", len(got))
+	}
+	tr.learn(3, sender)
+	if got := tr.Members(testTTL + 2); !slices.Equal(got, []int{0, 3, 7}) {
+		t.Fatalf("members %v after the flood expired, want the real sender learned: [0 3 7]", got)
+	}
+}
+
+// TestUDPMembersView pins what a socket node counts as a member: a peer
+// that sent it a datagram and a peer gossip named with an address, not one
+// gossip named without; both for TTL periods past the last word of them;
+// itself and the bootstrap ID always; ascending.
+func TestUDPMembersView(t *testing.T) {
+	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	from, err := newUDPTransport("127.0.0.1:0", 3, 8, testTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer from.Close()
+	if got := tr.Members(4); !slices.Equal(got, []int{0, 7}) {
+		t.Fatalf("members of a node that heard nothing: %v, want [0 7]", got)
+	}
+	// The sender can put an address to 21 and not to 22.
+	for id, addr := range map[int]string{7: tr.LocalAddr(), 21: "127.0.0.1:4021"} {
+		if err := from.Learn(id, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !from.Send(7, Message{From: 3, Kind: msgBye, Gossip: []int{21, 22}}) {
+		t.Fatal("send failed")
+	}
+	select {
+	case m := <-tr.Inbox():
+		if m.GossipAddrs != nil {
+			t.Fatalf("the peer was handed transport addresses: %v", m.GossipAddrs)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the datagram never arrived")
+	}
+	for _, now := range []int{5, 5 + testTTL} {
+		if got := tr.Members(now); !slices.Equal(got, []int{0, 3, 7, 21}) {
+			t.Fatalf("members at period %d: %v, want [0 3 7 21]", now, got)
+		}
+	}
+	if got := tr.Members(5 + testTTL + 1); !slices.Equal(got, []int{0, 7}) {
+		t.Fatalf("members one period past the TTL: %v, want [0 7]", got)
+	}
+	if tr.Send(21, Message{From: 7, Kind: msgBye}) {
+		t.Fatal("a send to an expired peer found an address")
 	}
 }
