@@ -5,7 +5,7 @@
 // different-but-valid runs). It runs four project-specific analyzers
 // over the module, test files included:
 //
-//	maporder      no order-sensitive map iteration in determinism-critical packages
+//	maporder      no range over a map in simulated paths
 //	wallclock     no wall clock / global math/rand in simulated paths
 //	shardcapture  sim.MapReduce map funcs write only shard-owned state
 //	wirebounds    wire-decoded lengths are bounds-checked before allocation

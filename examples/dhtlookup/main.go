@@ -41,30 +41,34 @@ func main() {
 		}
 	}
 
-	// Route lookups for every segment's first replica from random origins.
+	// Route lookups for every segment's first replica from random origins,
+	// recording each walk; the longest one is printed below.
 	totalHops, success, hits := 0, 0, 0
 	const queries = 2000
-	maxHops := 0
+	var longest []dht.ID
+	sc := dht.RouteScratch{RecordPath: true}
 	for q := 0; q < queries; q++ {
 		seg := segment.ID(q % 100)
 		origin := net.IDs()[rng.Intn(net.Size())]
-		res := net.Route(origin, dht.HashKey(space, seg, 1))
+		res := net.RouteTo(origin, dht.HashKey(space, seg, 1), &sc)
 		if !res.Success {
 			continue
 		}
 		success++
-		totalHops += res.Hops()
-		if res.Hops() > maxHops {
-			maxHops = res.Hops()
+		totalHops += res.Hops
+		if len(sc.Path) > len(longest) {
+			longest = append(longest[:0], sc.Path...) // Path is reused by the next walk
 		}
 		if stores[res.Final].Has(seg) {
 			hits++
 		}
 	}
+	maxHops := len(longest) - 1
 	fmt.Printf("queries:          %d\n", queries)
 	fmt.Printf("success rate:     %.3f\n", float64(success)/queries)
 	fmt.Printf("backup hit rate:  %.3f (owner holds the stored segment)\n", float64(hits)/float64(success))
 	fmt.Printf("avg hops:         %.2f (log2(n)/2 = %.2f)\n",
 		float64(totalHops)/float64(success), theory.ExpectedRoutingHops(net.Size()))
 	fmt.Printf("max hops:         %d (appendix bound %.1f)\n", maxHops, theory.RoutingHopBound(space.N()))
+	fmt.Printf("longest walk:     %v\n", longest)
 }

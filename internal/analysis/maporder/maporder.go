@@ -1,28 +1,26 @@
-// Package maporder flags range statements over maps in the
-// determinism-critical packages, where Go's randomized iteration order
-// can leak into simulation state or output and silently break the
+// Package maporder bans range statements over maps in simulated-path
+// packages, where Go's randomized iteration order can leak into
+// simulation state or output and silently break the
 // bit-identical-rounds guarantee — a class of bug -race can never see,
 // because every interleaving is race-free and "valid".
 //
-// A map range is accepted without a directive only when the analyzer can
-// see that the loop's combined effect is independent of visit order:
+// The rule is a ban, not a proof: every `range` whose operand is a map
+// (or a type parameter some map type satisfies) is a finding, whatever
+// its body does. Whether a loop's effect is independent of visit order
+// is not decidable from its shape — `if v > best { best = v; bestKey = k }`
+// looks like a running max and depends on the order whenever two values
+// tie; `out[int8(k)] = v` looks keyed by the loop key and is last-writer-
+// wins whenever two keys collide — so the analyzer does not guess. Code
+// that needs the keys ranges a sorted slice of them; the rare loop that
+// really is order-free carries a reasoned directive (the finding's text
+// spells it), and the reason is what a reviewer checks.
 //
-//   - every iteration only appends to slices that are sorted immediately
-//     after the loop (the canonical collect-then-sort idiom),
-//   - or writes map/slice entries indexed by the loop key (distinct keys,
-//     so the writes commute),
-//   - or accumulates with commutative integer operations (+=, -=, ^=,
-//     |=, &=, ++, --; floats stay flagged — float addition does not
-//     commute bitwise),
-//   - or assigns constants (idempotent), tracks a running min/max, or
-//     filters with conditions that read nothing the loop writes.
-//
-// Anything else needs a `//continulint:maporder <reason>` directive.
+// reflect's MapKeys/MapRange are out of the rule's sight; nothing on the
+// simulated path uses reflect.
 package maporder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"continustreaming/internal/analysis"
@@ -31,544 +29,48 @@ import (
 // Analyzer is the maporder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:   "maporder",
-	Doc:    "flags map iteration whose order can influence results in determinism-critical packages",
-	Filter: analysis.DeterminismCritical,
+	Doc:    "bans range over a map in simulated-path packages",
+	Filter: analysis.SimulatedPath,
 	Run:    run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		// following[s] lists the statements after s in its enclosing
-		// block, so the collect-then-sort idiom can look past the loop.
-		following := map[ast.Stmt][]ast.Stmt{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch n := n.(type) {
-			case *ast.BlockStmt:
-				list = n.List
-			case *ast.CaseClause:
-				list = n.Body
-			case *ast.CommClause:
-				list = n.Body
-			}
-			for i, s := range list {
-				following[s] = list[i+1:]
-			}
-			return true
-		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			t := pass.TypeOf(rs.X)
-			if t == nil {
-				return true
+			if t := pass.TypeOf(rs.X); t != nil && rangesMap(t) {
+				pass.Reportf(rs.Pos(),
+					"range over map %s: iteration order is nondeterministic and can break bit-identical rounds; range a sorted key slice or annotate //continulint:maporder <reason>",
+					types.ExprString(rs.X))
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			c := &checker{pass: pass, rs: rs, appended: map[string]bool{}}
-			if c.orderInsensitive(following[rs]) {
-				return true
-			}
-			pass.Reportf(rs.Pos(),
-				"range over map %s: iteration order is nondeterministic and can break bit-identical rounds; sort the keys first or annotate //continulint:maporder <reason>",
-				types.ExprString(rs.X))
 			return true
 		})
 	}
 	return nil
 }
 
-// checker evaluates one map-range statement for order-insensitivity.
-type checker struct {
-	pass *analysis.Pass
-	rs   *ast.RangeStmt
-
-	// appended collects outer slices the loop appends to (keyed by their
-	// canonical expression string, so field chains like w.order work);
-	// they are legal only if sorted immediately after the loop.
-	appended map[string]bool
-	// written collects every outer object the loop assigns, so filter
-	// conditions can be checked for independence from loop effects.
-	written map[types.Object]bool
-}
-
-func (c *checker) orderInsensitive(following []ast.Stmt) bool {
-	c.written = map[types.Object]bool{}
-	for _, s := range c.rs.Body.List {
-		c.collectWrites(s)
-	}
-	for _, s := range c.rs.Body.List {
-		if !c.stmtAllowed(s) {
-			return false
-		}
-	}
-	if len(c.appended) == 0 {
+// rangesMap reports whether ranging a value of type t can iterate a map:
+// t is a map, or a type parameter whose constraint admits one.
+func rangesMap(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Map:
 		return true
-	}
-	// Every appended slice must be sorted in the run of statements
-	// directly after the loop, before anything else happens.
-	sorted := map[string]bool{}
-	for _, s := range following {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			break
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok || !isSortCall(c.pass, call) {
-			break
-		}
-		for _, arg := range call.Args {
-			sorted[types.ExprString(arg)] = true
-		}
-	}
-	for expr := range c.appended {
-		if !sorted[expr] {
-			return false
-		}
-	}
-	return true
-}
-
-// collectWrites records outer objects assigned anywhere in the loop body.
-func (c *checker) collectWrites(s ast.Stmt) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		var targets []ast.Expr
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			targets = n.Lhs
-		case *ast.IncDecStmt:
-			targets = []ast.Expr{n.X}
-		}
-		for _, t := range targets {
-			if obj := c.rootObj(t); obj != nil && !c.isLocal(obj) {
-				c.written[obj] = true
-			}
-		}
-		return true
-	})
-}
-
-func (c *checker) stmtAllowed(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return c.assignAllowed(s)
-	case *ast.IncDecStmt:
-		return c.writeTargetAllowed(s.X, true, nil)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return false
-		}
-		for _, spec := range gd.Specs {
-			if vs, ok := spec.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					if !c.pureExpr(v) {
-						return false
+	case *types.Interface: // only a type parameter's constraint is rangeable
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			e := u.EmbeddedType(i)
+			if union, ok := e.(*types.Union); ok {
+				for j := 0; j < union.Len(); j++ {
+					if rangesMap(union.Term(j).Type()) {
+						return true
 					}
 				}
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		return c.ifAllowed(s)
-	case *ast.BlockStmt:
-		for _, inner := range s.List {
-			if !c.stmtAllowed(inner) {
-				return false
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		return s.Tok == token.CONTINUE && s.Label == nil
-	case *ast.ExprStmt:
-		// delete(other, key) commutes across distinct keys.
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "delete" {
-			return false
-		}
-		if _, builtin := c.pass.ObjectOf(id).(*types.Builtin); !builtin {
-			return false
-		}
-		return c.isKeyIdent(call.Args[1])
-	case *ast.RangeStmt:
-		// A nested range is fine as long as it is not itself over a map
-		// (that one gets its own report) and its body stays commutative
-		// with respect to the outer loop.
-		if t := c.pass.TypeOf(s.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				return false
-			}
-		}
-		if !c.pureExpr(s.X) {
-			return false
-		}
-		for _, inner := range s.Body.List {
-			if !c.stmtAllowed(inner) {
-				return false
-			}
-		}
-		return true
-	case *ast.ForStmt:
-		if s.Init != nil && !c.stmtAllowed(s.Init) {
-			return false
-		}
-		if s.Cond != nil && !c.pureExpr(s.Cond) {
-			return false
-		}
-		if s.Post != nil && !c.stmtAllowed(s.Post) {
-			return false
-		}
-		for _, inner := range s.Body.List {
-			if !c.stmtAllowed(inner) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func (c *checker) assignAllowed(s *ast.AssignStmt) bool {
-	if s.Tok == token.DEFINE {
-		for _, r := range s.Rhs {
-			if !c.pureExpr(r) {
-				return false
-			}
-		}
-		return true
-	}
-	if s.Tok != token.ASSIGN {
-		// Compound ops: commutative for integers only.
-		switch s.Tok {
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-		default:
-			return false
-		}
-		if len(s.Lhs) != 1 || !c.pureExpr(s.Rhs[0]) {
-			return false
-		}
-		return c.writeTargetAllowed(s.Lhs[0], true, nil)
-	}
-	if len(s.Lhs) != len(s.Rhs) {
-		return false
-	}
-	for i, l := range s.Lhs {
-		if !c.pureExpr(s.Rhs[i]) && !c.isSelfAppend(l, s.Rhs[i]) {
-			return false
-		}
-		if !c.writeTargetAllowed(l, false, s.Rhs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// writeTargetAllowed decides whether writing through target commutes
-// across iterations. commutativeOp marks += style updates (legal on outer
-// integers); rhs is the paired right-hand side for plain assignments.
-func (c *checker) writeTargetAllowed(target ast.Expr, commutativeOp bool, rhs ast.Expr) bool {
-	// Self-append works through any assignable chain (out, w.order, ...):
-	// local slices are free, outer ones must be sorted after the loop.
-	if rhs != nil && c.isSelfAppend(target, rhs) {
-		if root := c.rootObj(target); root != nil && c.isLocal(root) {
-			return true
-		}
-		c.appended[types.ExprString(ast.Unparen(target))] = true
-		return true
-	}
-	switch t := ast.Unparen(target).(type) {
-	case *ast.Ident:
-		obj := c.pass.ObjectOf(t)
-		if obj == nil || obj.Name() == "_" || c.isLocal(obj) {
-			return true
-		}
-		if commutativeOp {
-			return isInteger(obj.Type())
-		}
-		if rhs != nil {
-			// Assigning a constant is idempotent (`found = true`).
-			if tv, ok := c.pass.TypesInfo.Types[rhs]; ok && tv.Value != nil {
+			} else if rangesMap(e) {
 				return true
 			}
 		}
-		return false
-	case *ast.IndexExpr:
-		// Writes keyed by the loop key commute: distinct iterations hit
-		// distinct entries.
-		if !c.isKeyIdent(t.Index) {
-			root := c.rootObj(t)
-			return root != nil && c.isLocal(root)
-		}
-		return true
-	case *ast.SelectorExpr, *ast.StarExpr:
-		root := c.rootObj(target)
-		return root != nil && c.isLocal(root)
 	}
 	return false
-}
-
-// ifAllowed accepts running-min/max selection and filters whose
-// condition is independent of everything the loop writes.
-func (c *checker) ifAllowed(s *ast.IfStmt) bool {
-	if s.Init != nil {
-		as, ok := s.Init.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || !c.assignAllowed(as) {
-			return false
-		}
-	}
-	if !c.pureExpr(s.Cond) {
-		return false
-	}
-	if c.isMinMax(s) {
-		return true
-	}
-	// Generic filter: the condition must not read anything the loop
-	// writes, or the decision would depend on which iterations ran
-	// before this one.
-	condReadsWritten := false
-	ast.Inspect(s.Cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := c.pass.ObjectOf(id); obj != nil && c.written[obj] {
-				condReadsWritten = true
-			}
-		}
-		return true
-	})
-	if condReadsWritten {
-		return false
-	}
-	for _, inner := range s.Body.List {
-		if !c.stmtAllowed(inner) {
-			return false
-		}
-	}
-	switch e := s.Else.(type) {
-	case nil:
-		return true
-	case *ast.BlockStmt:
-		for _, inner := range e.List {
-			if !c.stmtAllowed(inner) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		return c.ifAllowed(e)
-	}
-	return false
-}
-
-// isMinMax matches `if v > best { best = v }` (any comparison direction,
-// optionally with a companion assignment like bestKey = k): a running
-// extremum is order-insensitive as long as the comparison is strict on
-// one side, which we approximate by requiring the tracked variable to
-// appear in the condition.
-func (c *checker) isMinMax(s *ast.IfStmt) bool {
-	cond, ok := s.Cond.(*ast.BinaryExpr)
-	if !ok || s.Else != nil || len(s.Body.List) == 0 {
-		return false
-	}
-	switch cond.Op {
-	case token.LSS, token.GTR, token.LEQ, token.GEQ:
-	default:
-		return false
-	}
-	var tracked types.Object
-	for _, inner := range s.Body.List {
-		as, ok := inner.(*ast.AssignStmt)
-		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
-			return false
-		}
-		for i, l := range as.Lhs {
-			if !c.pureExpr(as.Rhs[i]) {
-				return false
-			}
-			id, ok := ast.Unparen(l).(*ast.Ident)
-			if !ok {
-				return false
-			}
-			obj := c.pass.ObjectOf(id)
-			if obj == nil {
-				return false
-			}
-			if tracked == nil && (mentions(c.pass, cond.X, obj) || mentions(c.pass, cond.Y, obj)) {
-				tracked = obj
-			}
-		}
-	}
-	return tracked != nil
-}
-
-// pureExpr accepts expressions whose evaluation cannot observe or mutate
-// loop-external state ordering: no calls (except len/cap/min/max and
-// type conversions), no function literals, no address-taking.
-func (c *checker) pureExpr(e ast.Expr) bool {
-	pure := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.Ident:
-				if obj := c.pass.ObjectOf(fun); obj != nil {
-					if _, ok := obj.(*types.Builtin); ok {
-						switch fun.Name {
-						case "len", "cap", "min", "max", "append", "make":
-							return true
-						}
-					}
-					if _, ok := obj.(*types.TypeName); ok {
-						return true // conversion
-					}
-				}
-			case *ast.SelectorExpr:
-				if tv, ok := c.pass.TypesInfo.Types[fun]; ok && tv.IsType() {
-					return true // qualified conversion
-				}
-			}
-			pure = false
-			return false
-		case *ast.FuncLit, *ast.UnaryExpr:
-			if ue, ok := n.(*ast.UnaryExpr); ok && ue.Op != token.AND {
-				return true
-			}
-			pure = false
-			return false
-		}
-		return true
-	})
-	return pure
-}
-
-// isSelfAppend matches `x = append(x, ...)` with pure arguments, where x
-// may be any assignable chain (compared by canonical expression string).
-func (c *checker) isSelfAppend(lhs, rhs ast.Expr) bool {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || fn.Name != "append" {
-		return false
-	}
-	if _, builtin := c.pass.ObjectOf(fn).(*types.Builtin); !builtin {
-		return false
-	}
-	if types.ExprString(ast.Unparen(call.Args[0])) != types.ExprString(ast.Unparen(lhs)) {
-		return false
-	}
-	for _, a := range call.Args[1:] {
-		if !c.pureExpr(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// isKeyIdent reports whether e is the loop's key variable, possibly
-// wrapped in type conversions (`nbrMaps[int(id)] = ...` commutes just
-// like `nbrMaps[id] = ...`: conversions are injective enough for the
-// distinct-keys argument except for lossy numeric narrowing, which a
-// reviewer would catch in the directive-free diff).
-func (c *checker) isKeyIdent(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	for {
-		call, ok := e.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			break
-		}
-		tv, ok := c.pass.TypesInfo.Types[call.Fun]
-		if !ok || !tv.IsType() {
-			break
-		}
-		e = ast.Unparen(call.Args[0])
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	keyID, ok := c.rs.Key.(*ast.Ident)
-	if !ok || keyID.Name == "_" {
-		return false
-	}
-	ko, io := c.pass.ObjectOf(keyID), c.pass.ObjectOf(id)
-	return ko != nil && ko == io
-}
-
-// isLocal reports whether obj is declared inside the loop (including the
-// key/value variables), so writes to it cannot outlive an iteration's
-// visit order.
-func (c *checker) isLocal(obj types.Object) bool {
-	return obj.Pos() >= c.rs.Pos() && obj.Pos() <= c.rs.End()
-}
-
-// rootObj peels selectors, indexes, stars, and parens down to the base
-// identifier's object.
-func (c *checker) rootObj(e ast.Expr) types.Object {
-	for {
-		switch t := e.(type) {
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.Ident:
-			return c.pass.ObjectOf(t)
-		default:
-			return nil
-		}
-	}
-}
-
-// mentions reports whether expr references obj.
-func mentions(pass *analysis.Pass, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// isSortCall matches the stdlib sorters: sort.Sort/Stable/Slice/
-// SliceStable/Strings/Ints/Float64s and slices.Sort/SortFunc/
-// SortStableFunc.
-func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "sort":
-		switch fn.Name() {
-		case "Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s":
-			return true
-		}
-	case "slices":
-		switch fn.Name() {
-		case "Sort", "SortFunc", "SortStableFunc":
-			return true
-		}
-	}
-	return false
-}
-
-func isInteger(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
 }

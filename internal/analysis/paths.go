@@ -2,23 +2,6 @@ package analysis
 
 import "strings"
 
-// determinismCritical lists the package-path suffixes whose results feed
-// the bit-identical-rounds guarantee: any map iteration whose order can
-// leak into state or output is a reproducibility bug there. The list is
-// matched by suffix so analysistest fixtures (import path "internal/core")
-// and the real module packages ("continustreaming/internal/core") hit the
-// same rules.
-var determinismCritical = []string{
-	"internal/core",
-	"internal/protocol",
-	"internal/sim",
-	"internal/dht",
-	"internal/scheduler",
-	"internal/overlay",
-	"internal/prefetch",
-	"internal/experiment",
-}
-
 // PathHasSuffix reports whether pkgPath ends in the path suffix on a
 // path-segment boundary ("continustreaming/internal/core" matches
 // "internal/core"; "internal/corex" does not).
@@ -26,20 +9,9 @@ func PathHasSuffix(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
 }
 
-// DeterminismCritical reports whether pkgPath is one of the packages
-// where map-iteration order must not influence results (the maporder
-// contract).
-func DeterminismCritical(pkgPath string) bool {
-	for _, s := range determinismCritical {
-		if PathHasSuffix(pkgPath, s) {
-			return true
-		}
-	}
-	return false
-}
-
 // SimulatedPath reports whether pkgPath runs under the simulated clock
-// and the seeded RNG streams (the wallclock contract). Every internal
+// and the seeded RNG streams, or builds the world they run on: the scope
+// of both determinism rules (wallclock and maporder). Every internal
 // package qualifies except the livenet socket runtime — which talks to
 // real sockets and real time by design — and the analysis framework
 // itself. cmd/, examples/, and the public root package host wall-clock

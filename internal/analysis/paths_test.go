@@ -19,27 +19,6 @@ func TestPathHasSuffix(t *testing.T) {
 	}
 }
 
-func TestDeterminismCritical(t *testing.T) {
-	for _, path := range []string{
-		"continustreaming/internal/core",
-		"continustreaming/internal/protocol",
-		"internal/dht", // fixture form
-	} {
-		if !DeterminismCritical(path) {
-			t.Errorf("DeterminismCritical(%q) = false", path)
-		}
-	}
-	for _, path := range []string{
-		"continustreaming/internal/livenet",
-		"continustreaming/cmd/continusim",
-		"continustreaming",
-	} {
-		if DeterminismCritical(path) {
-			t.Errorf("DeterminismCritical(%q) = true", path)
-		}
-	}
-}
-
 func TestSimulatedPath(t *testing.T) {
 	for _, path := range []string{
 		"continustreaming/internal/core",

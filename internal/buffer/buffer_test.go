@@ -226,13 +226,8 @@ func TestBufferInvariantsQuick(t *testing.T) {
 			case 2: // advance by a small amount
 				nl := lo + segment.ID(op%5)
 				b.AdvanceTo(nl)
-				if nl > lo {
-					lo = nl
-					for pid := range present {
-						if pid < lo {
-							delete(present, pid)
-						}
-					}
+				for ; lo < nl; lo++ {
+					delete(present, lo)
 				}
 			}
 			if b.Held() != len(present) {

@@ -124,9 +124,11 @@ func TestDiagChurnTrack(t *testing.T) {
 					covered = true
 				}
 				from := w.Nodes()[(r*31+off*7+i)%w.Size()]
-				if res := w.dhtNet.Route(dht.ID(from), key); res.Success {
+				var sc dht.RouteScratch
+				if res := w.dhtNet.RouteTo(dht.ID(from), key, &sc); res.Success {
 					routeOK++
 				}
+				w.dhtNet.EvictStale(sc.Stale)
 			}
 			if covered {
 				segCovered++

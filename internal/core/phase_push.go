@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"continustreaming/internal/bandwidth"
@@ -64,27 +65,39 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	// k-th copy occupies its outbound wire for k+1 segment times, the
 	// same PerSegment accounting the pull and pre-fetch paths use.
 	sent := make(map[overlay.NodeID]int)
-	// Each frontier entry carries the instant its holder actually
-	// received the segment; hop h+1 sends anchor there, so no node ever
+	// The frontier lists every (holder, segment) pair the next hop
+	// forwards, sorted by holder and, within one holder, in arrival
+	// order; each entry carries the instant its holder actually received
+	// the segment, and hop h+1 sends anchor there, so no node ever
 	// forwards a copy at a simulated time before it arrived.
 	type pushSeg struct {
+		holder  overlay.NodeID
 		id      segment.ID
 		readyAt sim.Time
 	}
-	frontier := make(map[overlay.NodeID][]pushSeg, 1)
-	for _, id := range fresh {
-		frontier[w.source] = append(frontier[w.source], pushSeg{id: id, readyAt: start})
+	frontier := make([]pushSeg, len(fresh))
+	for i, id := range fresh {
+		frontier[i] = pushSeg{holder: w.source, id: id, readyAt: start}
+	}
+	// heldBy is the holder's run of the frontier.
+	heldBy := func(holder overlay.NodeID) []pushSeg {
+		i, _ := slices.BinarySearchFunc(frontier, holder, func(ps pushSeg, h overlay.NodeID) int {
+			return cmp.Compare(ps.holder, h)
+		})
+		j := i
+		for j < len(frontier) && frontier[j].holder == holder {
+			j++
+		}
+		return frontier[i:j]
 	}
 	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
-		pushers := make([]overlay.NodeID, 0, len(frontier))
-		for id := range frontier {
-			pushers = append(pushers, id)
-		}
-		slices.Sort(pushers)
+		// Pushers in ascending order, partitioned by owning shard.
 		byShard := make([][]overlay.NodeID, phaseShards)
-		for _, id := range pushers {
-			s := w.shardOf(id)
-			byShard[s] = append(byShard[s], id)
+		for i, ps := range frontier {
+			if i == 0 || ps.holder != frontier[i-1].holder {
+				s := w.shardOf(ps.holder)
+				byShard[s] = append(byShard[s], ps.holder)
+			}
 		}
 		seed := w.phaseSeed(phasePush ^ uint64(hop)<<20)
 		planned := make([][]protocol.Send, phaseShards)
@@ -97,8 +110,9 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 					if budget <= 0 {
 						continue
 					}
-					segs := make([]segment.ID, len(frontier[id]))
-					for i, ps := range frontier[id] {
+					held := heldBy(id)
+					segs := make([]segment.ID, len(held))
+					for i, ps := range held {
 						segs[i] = ps.id
 					}
 					// Salting the plan seed per pusher decorrelates target
@@ -136,17 +150,16 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 			func(s int, out []protocol.Send) { planned[s] = out })
 
 		// readyAt finds when a pusher obtained a segment by scanning its
-		// frontier entry — a handful of fresh segments, cheaper than a
-		// nested map rebuilt every hop.
+		// frontier run — a handful of fresh segments.
 		readyAt := func(from overlay.NodeID, id segment.ID) sim.Time {
-			for _, ps := range frontier[from] {
+			for _, ps := range heldBy(from) {
 				if ps.id == id {
 					return ps.readyAt
 				}
 			}
 			return start
 		}
-		next := make(map[overlay.NodeID][]pushSeg)
+		var next []pushSeg
 		for _, sends := range planned {
 			for _, snd := range sends {
 				t := w.nodes[snd.To]
@@ -181,9 +194,11 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 				sample.PushDeliveries++
 				t.Ctrl.ObserveDelivery(int(snd.From), (at - start).Seconds())
 				t.maybeBackup(w.space, snd.ID, w.cfg.Replicas)
-				next[snd.To] = append(next[snd.To], pushSeg{id: snd.ID, readyAt: at})
+				next = append(next, pushSeg{holder: snd.To, id: snd.ID, readyAt: at})
 			}
 		}
+		// Stable, so each new holder forwards in the order it received.
+		slices.SortStableFunc(next, func(a, b pushSeg) int { return cmp.Compare(a.holder, b.holder) })
 		frontier = next
 	}
 }

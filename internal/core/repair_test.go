@@ -77,7 +77,7 @@ func TestDHTRepairKeepsLookupsAliveUnderChurn(t *testing.T) {
 	succ := 0
 	for q := 0; q < queries; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
-		if res := net.Route(from, dht.ID(rng.Intn(w.Space().N()))); res.Success {
+		if res := net.RouteTo(from, dht.ID(rng.Intn(w.Space().N())), nil); res.Success {
 			succ++
 		}
 	}
@@ -106,7 +106,7 @@ func TestDHTRepairDisabledDegrades(t *testing.T) {
 		succ := 0
 		for q := 0; q < queries; q++ {
 			from := net.IDs()[rng.Intn(net.Size())]
-			if res := net.Route(from, dht.ID(rng.Intn(w.Space().N()))); res.Success {
+			if res := net.RouteTo(from, dht.ID(rng.Intn(w.Space().N())), nil); res.Success {
 				succ++
 			}
 		}

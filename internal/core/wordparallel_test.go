@@ -39,14 +39,11 @@ func candidatesOracle(n *Node, index []int32, snaps []buffer.Map, win segment.Wi
 			})
 		}
 	}
-	ids := make([]segment.ID, 0, len(found))
-	for id := range found {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	cands := make([]scheduler.Candidate, 0, len(ids))
-	for _, id := range ids {
-		cands = append(cands, scheduler.Candidate{ID: id, Suppliers: found[id]})
+	cands := make([]scheduler.Candidate, 0, len(found))
+	for id := win.Lo; id < win.Hi; id++ {
+		if sups, ok := found[id]; ok {
+			cands = append(cands, scheduler.Candidate{ID: id, Suppliers: sups})
+		}
 	}
 	return cands
 }

@@ -1,7 +1,7 @@
 package dht
 
 import (
-	"sort"
+	"slices"
 
 	"continustreaming/internal/segment"
 )
@@ -49,22 +49,30 @@ func Responsible(space Space, self, successor ID, id segment.ID, k int) bool {
 }
 
 // Store is a node's VoD Data Backup: the segments it holds on behalf of the
-// DHT. Entries are pruned as the stream moves on, since "old data segments
-// backuped ... gradually become useless".
+// DHT, kept ascending and duplicate-free — a handful of in-window IDs, so
+// a sorted slice beats a map and never needs its keys sorted. Entries are
+// pruned as the stream moves on, since "old data segments backuped ...
+// gradually become useless".
 type Store struct {
-	segs map[segment.ID]bool
+	segs []segment.ID
 }
 
 // NewStore returns an empty backup store.
-func NewStore() *Store {
-	return &Store{segs: make(map[segment.ID]bool)}
+func NewStore() *Store { return &Store{} }
+
+// Put records that the node backs up id; a second Put of the same id
+// changes nothing.
+func (s *Store) Put(id segment.ID) {
+	if i, found := slices.BinarySearch(s.segs, id); !found {
+		s.segs = slices.Insert(s.segs, i, id)
+	}
 }
 
-// Put records that the node backs up id.
-func (s *Store) Put(id segment.ID) { s.segs[id] = true }
-
 // Has reports whether id is backed up here.
-func (s *Store) Has(id segment.ID) bool { return s.segs[id] }
+func (s *Store) Has(id segment.ID) bool {
+	_, found := slices.BinarySearch(s.segs, id)
+	return found
+}
 
 // Len returns the number of backed-up segments.
 func (s *Store) Len() int { return len(s.segs) }
@@ -72,14 +80,9 @@ func (s *Store) Len() int { return len(s.segs) }
 // PruneBelow drops every segment older than floor (exclusive of floor
 // itself) and returns how many entries were removed.
 func (s *Store) PruneBelow(floor segment.ID) int {
-	removed := 0
-	for id := range s.segs {
-		if id < floor {
-			delete(s.segs, id)
-			removed++
-		}
-	}
-	return removed
+	n, _ := slices.BinarySearch(s.segs, floor)
+	s.segs = slices.Delete(s.segs, 0, n)
+	return n
 }
 
 // Drain removes and returns every entry in ascending order, so a
@@ -88,18 +91,14 @@ func (s *Store) PruneBelow(floor segment.ID) int {
 // counter-clockwise closest to n and then hand over the data segments
 // in its VoD Data Backup to n'".
 func (s *Store) Drain() []segment.ID {
-	out := make([]segment.ID, 0, len(s.segs))
-	for id := range s.segs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	s.segs = make(map[segment.ID]bool)
+	out := s.segs
+	s.segs = nil
 	return out
 }
 
 // Merge ingests the handed-over segments from a leaving neighbour.
 func (s *Store) Merge(ids []segment.ID) {
 	for _, id := range ids {
-		s.segs[id] = true
+		s.Put(id)
 	}
 }

@@ -126,6 +126,64 @@ func TestStoreDrainMerge(t *testing.T) {
 	}
 }
 
+// TestStoreMatchesMapReference drives a seeded random mix of every Store
+// operation against a plain map: the sorted slice must answer exactly as
+// a set does, and hand its entries over in ascending order.
+func TestStoreMatchesMapReference(t *testing.T) {
+	rng := sim.DeriveRNG(22, 0x5702e)
+	st := NewStore()
+	ref := map[segment.ID]bool{}
+	randID := func() segment.ID { return segment.ID(rng.Intn(64)) }
+	for op := 0; op < 20000; op++ {
+		switch rng.Intn(7) {
+		case 0, 1, 2: // Put, duplicates included
+			id := randID()
+			st.Put(id)
+			ref[id] = true
+		case 3: // Merge an unsorted batch with repeats
+			ids := make([]segment.ID, rng.Intn(6))
+			for i := range ids {
+				ids[i] = randID()
+				ref[ids[i]] = true
+			}
+			st.Merge(ids)
+		case 4, 5: // PruneBelow returns the reference's count
+			floor := randID()
+			want := 0
+			for id := segment.ID(0); id < floor; id++ {
+				if ref[id] {
+					delete(ref, id)
+					want++
+				}
+			}
+			if got := st.PruneBelow(floor); got != want {
+				t.Fatalf("op %d: PruneBelow(%d) = %d, reference removed %d", op, floor, got, want)
+			}
+		case 6: // now and then, Drain: ascending, complete, empties the store
+			if rng.Intn(8) == 0 {
+				got := st.Drain()
+				if len(got) != len(ref) || st.Len() != 0 {
+					t.Fatalf("op %d: Drain returned %d of %d entries and left %d", op, len(got), len(ref), st.Len())
+				}
+				for i, id := range got {
+					if !ref[id] || (i > 0 && got[i-1] >= id) {
+						t.Fatalf("op %d: Drain = %v, not the reference set ascending", op, got)
+					}
+				}
+				clear(ref)
+			}
+		}
+		if st.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, reference holds %d", op, st.Len(), len(ref))
+		}
+		for id := segment.ID(0); id < 64; id++ {
+			if st.Has(id) != ref[id] {
+				t.Fatalf("op %d: Has(%d) = %v, reference %v", op, id, st.Has(id), ref[id])
+			}
+		}
+	}
+}
+
 func TestExpectedReplicationFactor(t *testing.T) {
 	// With k=4 hashed keys, the expected number of distinct backup owners
 	// per segment approaches 4 on a large ring (collisions are rare).

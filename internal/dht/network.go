@@ -199,32 +199,14 @@ func (n *Network) randomInArc(lo, hi ID, rng *sim.RNG) (ID, bool) {
 	return ids[i2+k-(j1-i1)], true
 }
 
-// RouteResult describes one greedy routing attempt.
-type RouteResult struct {
-	// Path holds every node visited, starting with the origin and ending
-	// with the node where routing stopped.
-	Path []ID
-	// Target is the key that was routed toward.
-	Target ID
-	// Final is the node where greedy routing stopped.
-	Final ID
-	// Success reports whether Final is the true owner of Target.
-	Success bool
-}
-
-// Hops returns the number of forwarding steps taken.
-func (r RouteResult) Hops() int { return len(r.Path) - 1 }
-
 // RouteOutcome is the allocation-free routing result: everything a hot
 // caller needs without materialising the walked path.
 type RouteOutcome struct {
-	// Target is the key that was routed toward.
-	Target ID
 	// Final is the node where greedy routing stopped.
 	Final ID
 	// Hops is the number of forwarding steps taken.
 	Hops int
-	// Success reports whether Final is the true owner of Target.
+	// Success reports whether Final is the true owner of the target key.
 	Success bool
 }
 
@@ -262,14 +244,13 @@ type RouteScratch struct {
 // passes the collected list to EvictStale. It allocates nothing: sc may
 // be nil when the caller needs neither the path nor the stale list, and
 // a warm scratch's buffers are reused across calls. This is the routing
-// core the round pipeline's pre-fetch and rescue paths run on; Route
-// wraps it for tests and diagnostics.
+// core the round pipeline's pre-fetch and rescue paths run on.
 func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	record := sc != nil && sc.RecordPath
 	if record {
 		sc.Path = append(sc.Path[:0], from)
 	}
-	out := RouteOutcome{Target: target}
+	var out RouteOutcome
 	cur := from
 	maxHops := 4*n.space.Levels() + 4
 	for hops := 0; hops < maxHops; hops++ {
@@ -314,14 +295,4 @@ func (n *Network) EvictStale(stale []StaleHop) {
 			t.Evict(h.Peer)
 		}
 	}
-}
-
-// Route is the path-materialising wrapper around RouteTo: one fresh
-// RouteResult per call, safe to retain. It evicts the dead entries its
-// walk stepped over.
-func (n *Network) Route(from, target ID) RouteResult {
-	sc := RouteScratch{RecordPath: true}
-	out := n.RouteTo(from, target, &sc)
-	n.EvictStale(sc.Stale)
-	return RouteResult{Path: sc.Path, Target: out.Target, Final: out.Final, Success: out.Success}
 }

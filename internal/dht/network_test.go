@@ -111,10 +111,11 @@ func TestRouteReachesOwnerDenseRing(t *testing.T) {
 	fail := 0
 	const queries = 2000
 	maxHops := 0
+	sc := RouteScratch{RecordPath: true}
 	for q := 0; q < queries; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
 		target := ID(rng.Intn(s.N()))
-		res := net.Route(from, target)
+		res := net.RouteTo(from, target, &sc)
 		if !res.Success {
 			fail++
 			continue
@@ -123,11 +124,11 @@ func TestRouteReachesOwnerDenseRing(t *testing.T) {
 		if res.Final != owner {
 			t.Fatalf("success but final %d != owner %d", res.Final, owner)
 		}
-		if res.Hops() > maxHops {
-			maxHops = res.Hops()
+		if res.Hops > maxHops {
+			maxHops = res.Hops
 		}
-		if res.Path[0] != from {
-			t.Fatal("path does not start at origin")
+		if sc.Path[0] != from || len(sc.Path) != res.Hops+1 {
+			t.Fatalf("path %v does not start at origin %d or disagrees with %d hops", sc.Path, from, res.Hops)
 		}
 	}
 	if rate := 1 - float64(fail)/queries; rate < 0.9 {
@@ -149,9 +150,9 @@ func TestRouteHopsScaleAsHalfLogN(t *testing.T) {
 	const queries = 3000
 	for q := 0; q < queries; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
-		res := net.Route(from, ID(rng.Intn(s.N())))
+		res := net.RouteTo(from, ID(rng.Intn(s.N())), nil)
 		if res.Success {
-			total += res.Hops()
+			total += res.Hops
 			ok++
 		}
 	}
@@ -167,7 +168,7 @@ func TestRouteToDeadOriginFails(t *testing.T) {
 	net := buildNetwork(t, s, 8, 13)
 	from := net.IDs()[0]
 	net.Leave(from)
-	res := net.Route(from, 5)
+	res := net.RouteTo(from, 5, nil)
 	if res.Success {
 		t.Fatal("routing from a dead node succeeded")
 	}
@@ -186,16 +187,25 @@ func TestRouteEvictsDeadPeers(t *testing.T) {
 	}
 	succ := 0
 	const queries = 500
+	sc := RouteScratch{RecordPath: true}
 	for q := 0; q < queries; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
-		res := net.Route(from, ID(rng.Intn(s.N())))
+		target := ID(rng.Intn(s.N()))
+		res := net.RouteTo(from, target, &sc)
 		if res.Success {
 			succ++
 		}
-		for _, hop := range res.Path[1:] {
+		for _, hop := range sc.Path[1:] {
 			if !net.Alive(hop) {
 				t.Fatal("routed through a dead node")
 			}
+		}
+		// Evict-and-retry: with the dead entries gone, the same walk
+		// arrives at the same node and steps over nothing.
+		net.EvictStale(sc.Stale)
+		sc.Stale = sc.Stale[:0]
+		if again := net.RouteTo(from, target, &sc); again != res || len(sc.Stale) != 0 {
+			t.Fatalf("after eviction %+v with %d stale hops, before %+v", again, len(sc.Stale), res)
 		}
 	}
 	if succ == 0 {
@@ -219,11 +229,11 @@ func TestRoutePropertiesQuick(t *testing.T) {
 		}
 		from := net.IDs()[int(fromIdx)%net.Size()]
 		target := ID(targetRaw)
-		res := net.Route(from, target)
+		res := net.RouteTo(from, target, nil)
 		if !net.Alive(res.Final) {
 			return false
 		}
-		if res.Hops() > 4*s.Levels()+4 {
+		if res.Hops > 4*s.Levels()+4 {
 			return false
 		}
 		if res.Success {

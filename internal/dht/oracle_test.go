@@ -55,7 +55,7 @@ func successorSearch(n *Network, id ID) (ID, bool) {
 // routeEvictInline is the retired RouteTo: a hop to a dead peer evicts the
 // entry on the spot and retries from the same node.
 func routeEvictInline(n *Network, from, target ID) RouteOutcome {
-	out := RouteOutcome{Target: target}
+	var out RouteOutcome
 	cur := from
 	maxHops := 4*n.space.Levels() + 4
 	for hops := 0; hops < maxHops; hops++ {

@@ -23,11 +23,14 @@ func TestRepairRestoresLookupSuccess(t *testing.T) {
 	success := func() float64 {
 		const queries = 500
 		succ := 0
+		var sc RouteScratch
 		for q := 0; q < queries; q++ {
 			from := net.IDs()[rng.Intn(net.Size())]
-			if res := net.Route(from, ID(rng.Intn(s.N()))); res.Success {
+			if res := net.RouteTo(from, ID(rng.Intn(s.N())), &sc); res.Success {
 				succ++
 			}
+			net.EvictStale(sc.Stale)
+			sc.Stale = sc.Stale[:0]
 		}
 		return float64(succ) / queries
 	}

@@ -24,13 +24,12 @@ func churnedNetwork(t testing.TB, space Space, n int, seed uint64) *Network {
 	return net
 }
 
-// TestRouteToMatchesRoute pins the wrapper contract: RouteTo with a
-// recording scratch reports exactly what Route reports — same final,
-// same success, same hop count, same path — across clean and churned
-// walks. Route runs first, so its table evictions land before the
-// comparison; eviction is idempotent and both paths then walk the same
-// tables.
-func TestRouteToMatchesRoute(t *testing.T) {
+// TestRouteToRecordedPathMatchesOutcome pins what a recording scratch
+// adds to a walk, across clean and churned walks: the path starts at the
+// origin, ends at the outcome's final node and is one node longer than
+// the hop count, and recording changes nothing about the outcome.
+// (TestRouteEvictsDeadPeers covers the stale list.)
+func TestRouteToRecordedPathMatchesOutcome(t *testing.T) {
 	s := NewSpace(1024)
 	net := churnedNetwork(t, s, 512, 7)
 	rng := sim.DeriveRNG(7, 3)
@@ -38,17 +37,13 @@ func TestRouteToMatchesRoute(t *testing.T) {
 	for q := 0; q < 2000; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
 		target := ID(rng.Intn(s.N()))
-		want := net.Route(from, target)
-		got := net.RouteTo(from, target, &sc)
-		if got.Target != want.Target || got.Final != want.Final || got.Success != want.Success || got.Hops != want.Hops() {
-			t.Fatalf("RouteTo(%d→%d) = %+v, Route = %+v", from, target, got, want)
-		}
-		if !reflect.DeepEqual(sc.Path, want.Path) {
-			t.Fatalf("recorded path %v, Route path %v", sc.Path, want.Path)
-		}
 		bare := net.RouteTo(from, target, nil)
-		if bare != got {
-			t.Fatalf("nil-scratch outcome %+v differs from recording outcome %+v", bare, got)
+		got := net.RouteTo(from, target, &sc)
+		if got != bare {
+			t.Fatalf("RouteTo(%d→%d): recording outcome %+v, nil-scratch outcome %+v", from, target, got, bare)
+		}
+		if len(sc.Path) != got.Hops+1 || sc.Path[0] != from || sc.Path[got.Hops] != got.Final {
+			t.Fatalf("RouteTo(%d→%d) = %+v, recorded path %v", from, target, got, sc.Path)
 		}
 	}
 }

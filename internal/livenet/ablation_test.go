@@ -1,25 +1,19 @@
 package livenet
 
-import (
-	"context"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestAblationNumbers runs the kill scenario of EXPERIMENTS.md (32 peers,
 // a third killed at period 30 of 80) with the engine and the repair
 // pipeline switched off one at a time, logs the table row of each run
 // (-v), and asserts the columns that are structural: what a switched-off
 // half must leave at zero and what a switched-on half must achieve.
-// Continuity itself jitters with host load and is only held to a liveness
-// bar, on the full configuration.
+// The sessions are stepped, not paced (the numbers are per period, and
+// no peer reads the period's length); continuity still varies with
+// message interleaving and is only held to a liveness bar, on the full
+// configuration.
 func TestAblationNumbers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four 0.8 s sessions")
-	}
 	base := DefaultConfig()
 	base.Peers = 32
-	base.Period = 10 * time.Millisecond
 	base.Seed = 99
 	base.Churn = []ChurnEvent{{Period: 30, KillFraction: 0.33}}
 	for _, c := range []struct {
@@ -33,7 +27,7 @@ func TestAblationNumbers(t *testing.T) {
 	} {
 		cfg := base
 		cfg.Repair, cfg.Engine = c.repair, c.engine
-		st := Run(context.Background(), cfg, 80)
+		st := runStepped(cfg, 80)
 		t.Logf("%-14s continuity=%.3f tail15=%.3f push=%d rescued=%d queueServed=%d replaced=%d deadDropped=%d endDeadLinks=%d",
 			c.name, st.Continuity, st.TailContinuity(15), st.PushDelivered, st.Rescued,
 			st.QueueServed, st.Replaced, st.DeadDropped, st.EndDeadLinks)

@@ -7,12 +7,31 @@ import (
 	"continustreaming/internal/dht"
 )
 
-// manualSession builds an in-process mesh the test ticks by hand: no
-// ticker, and a period long enough that no barrier bound ever expires.
+// steppedSession builds cfg's in-process mesh for a test to tick by hand:
+// no ticker, and a period long enough that no barrier bound ever expires.
+// Nothing but the ticker and the barrier bound reads Config.Period, so
+// the peers decide exactly as they would at any other pace.
+func steppedSession(cfg Config) *session {
+	cfg.Period = 2 * time.Second
+	return newSession(cfg)
+}
+
+// manualSession is a stepped session of the default configuration.
 func manualSession(peers int, seed uint64) *session {
 	cfg := DefaultConfig()
-	cfg.Peers, cfg.Period, cfg.Seed = peers, 2*time.Second, seed
-	return newSession(cfg)
+	cfg.Peers, cfg.Seed = peers, seed
+	return steppedSession(cfg)
+}
+
+// runStepped is Run for tests that need periods, not pacing: the same
+// session, ticked back to back. TestLiveSessionDeliversAndPlays covers
+// Run and its ticker.
+func runStepped(cfg Config, periods int) Stats {
+	s := steppedSession(cfg)
+	for period := 0; period < periods; period++ {
+		s.tick(period)
+	}
+	return s.close()
 }
 
 // TestPlanServeBarrier pins the barrier between the planning phases and
