@@ -18,17 +18,18 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"time"
 
-	"continustreaming/internal/livenet"
+	"continustreaming"
 )
 
 func main() {
-	cfg := livenet.DefaultConfig()
+	cfg := continustreaming.DefaultLiveConfig()
 	cfg.Peers = 32
 	cfg.Period = 25 * time.Millisecond
 	cfg.Seed = 99
-	cfg.Churn = []livenet.ChurnEvent{
+	cfg.Churn = []continustreaming.LiveChurnEvent{
 		{Period: 30, KillFraction: 0.33}, // a third of the audience dies
 		{Period: 38, Join: 6},            // newcomers arrive mid-stream
 	}
@@ -37,7 +38,10 @@ func main() {
 		cfg.Peers, cfg.M, cfg.Period)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	stats := livenet.Run(ctx, cfg, 80)
+	stats, err := continustreaming.RunLive(ctx, cfg, continustreaming.LiveNode{}, 80)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("periods run:        %d\n", stats.Periods)
 	fmt.Printf("segments delivered: %d (push %d, rescue %d, queue-served %d)\n",
 		stats.Delivered, stats.PushDelivered, stats.Rescued, stats.QueueServed)

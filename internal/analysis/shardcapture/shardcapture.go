@@ -33,14 +33,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // mapFnArg is the position of the map function in sim.MapReduce's
-// signature: (pool, shards, seed, mapFn, reduce).
-const mapFnArg = 3
+// signature: (pool, shards, mapFn, reduce).
+const mapFnArg = 2
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 5 {
+			if !ok || len(call.Args) != 4 {
 				return true
 			}
 			if !isMapReduce(pass, call.Fun) {

@@ -7,13 +7,10 @@ package sim
 // Pool is a worker-pool stub.
 type Pool struct{}
 
-// RNG is a random-stream stub.
-type RNG struct{}
-
 // MapReduce mirrors the real signature: map funcs run concurrently, one
 // per shard; reduce runs sequentially in shard order.
-func MapReduce[T any](p *Pool, shards int, seed uint64, mapFn func(shard int, rng *RNG) T, reduce func(shard int, v T)) {
+func MapReduce[T any](p *Pool, shards int, mapFn func(shard int) T, reduce func(shard int, v T)) {
 	for s := 0; s < shards; s++ {
-		reduce(s, mapFn(s, &RNG{}))
+		reduce(s, mapFn(s))
 	}
 }

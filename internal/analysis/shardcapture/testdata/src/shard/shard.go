@@ -14,7 +14,7 @@ type Out struct {
 func Bad(p *sim.Pool, vals []int) int {
 	total := 0
 	var o Out
-	sim.MapReduce(p, 4, 1, func(s int, rng *sim.RNG) int {
+	sim.MapReduce(p, 4, func(s int) int {
 		total += vals[s] // want `map func writes captured "total"`
 		o.Used[0] = 1    // want `map func writes captured "o"`
 		return vals[s]
@@ -29,7 +29,7 @@ func Good(p *sim.Pool, vals []int) int {
 	out := make([]int, 4)
 	var o Out
 	total := 0
-	sim.MapReduce(p, 4, 1, func(s int, rng *sim.RNG) int {
+	sim.MapReduce(p, 4, func(s int) int {
 		local := vals[s] * 2 // := defines shard-locals
 		out[s] = local       // indexed by the shard argument
 		o.Used[s]++          // shard-indexed through a field chain
@@ -43,7 +43,7 @@ func Good(p *sim.Pool, vals []int) int {
 // Suppressed documents a deliberate exception with a reason.
 func Suppressed(p *sim.Pool) {
 	done := false
-	sim.MapReduce(p, 1, 1, func(s int, rng *sim.RNG) int {
+	sim.MapReduce(p, 1, func(s int) int {
 		//continulint:shardcapture fixture: single-shard call cannot race
 		done = true
 		return 0
@@ -54,7 +54,7 @@ func Suppressed(p *sim.Pool) {
 // MissingReason omits the justification, which is itself reported.
 func MissingReason(p *sim.Pool) {
 	count := 0
-	sim.MapReduce(p, 1, 1, func(s int, rng *sim.RNG) int {
+	sim.MapReduce(p, 1, func(s int) int {
 		//continulint:shardcapture
 		count++ // want `needs a reason`
 		return 0

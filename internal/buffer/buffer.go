@@ -11,6 +11,12 @@
 // number of window slots between the segment and the newest end: old
 // segments sit near the eviction end and therefore have a high probability
 // pij/B of being replaced soon.
+//
+// Track is the window's other half: what is in flight, tagged and when it
+// arrived, per in-window ID, for both runtimes. The availability bitmap
+// shifts as the window slides because it is read a word at a time against
+// neighbours' maps; the tracker is circular because it is probed an ID at
+// a time (see Track).
 package buffer
 
 import (

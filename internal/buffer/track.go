@@ -1,0 +1,218 @@
+package buffer
+
+import (
+	"fmt"
+	"math/bits"
+
+	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
+)
+
+// Track is a peer's per-segment transient record — is a gossip request
+// out, is a pre-fetch out, was the segment tagged by one, when did it first
+// arrive — for the IDs of its buffer window [lo, lo+B). Both runtimes keep
+// one beside their Buffer and slide the two together: the §4.3 machinery
+// (Urgent Line, "repeated data", "overdue") reads exactly these facts.
+//
+// Every live entry's ID lies inside the window: requests and pre-fetches
+// target in-window segments, and arrival times only matter while the
+// segment is buffered. The arrays hold exactly B slots — id maps to loSlot
+// plus its offset from lo, wrapping once — so the mapping is collision-free
+// across any window of in-window IDs without rounding B up to a power of
+// two, and needs no tag or hash (the package comment has why this half of
+// the window is circular and the bitmap is not).
+//
+// Expiry is a period index checked lazily at read time (expiry > round),
+// which makes an expired entry indistinguishable from an absent one. The
+// zero Track holds nothing; construct with OpenTrack.
+type Track struct {
+	lo     segment.ID // slots for ids < lo are clear; never decreases, >= 0
+	loSlot int        // index of lo's slot: int(lo) % slots
+	slots  int        // exactly the buffer size
+
+	arrived          []sim.Time // first arrival time; -1 = unrecorded
+	gossipExpiry     []int32    // retry bound; 0 = no pending request
+	gossipExpectedAt []sim.Time // expected arrival; valid while gossipExpiry set
+	prefetchExpiry   []int32    // 0 = no pending pre-fetch
+	// tagged has one bit per slot: set when a pre-fetch was issued for the
+	// segment, so a gossip copy of it can be recognised as "repeated
+	// data" (§4.3 Case 2) — the pre-fetch was unnecessary and α should
+	// shrink. Unlike prefetchExpiry it survives the segment's arrival and
+	// is cleared when the repeat decision is made.
+	tagged []uint64
+}
+
+// OpenTrack returns a clear tracker of slots entries whose window opens at
+// lo (>= 0), on recycled's arrays when it has any — a departed peer's, of
+// the same size — and on fresh ones otherwise. gossipExpectedAt is left as
+// found: it is read only under a set gossipExpiry, which rewrites it.
+func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
+	t := recycled
+	if t.arrived == nil {
+		t = Track{
+			slots:            slots,
+			arrived:          make([]sim.Time, slots),
+			gossipExpiry:     make([]int32, slots),
+			gossipExpectedAt: make([]sim.Time, slots),
+			prefetchExpiry:   make([]int32, slots),
+			tagged:           make([]uint64, (slots+63)/64),
+		}
+	} else {
+		clear(t.gossipExpiry)
+		clear(t.prefetchExpiry)
+		clear(t.tagged)
+	}
+	for i := range t.arrived {
+		t.arrived[i] = -1
+	}
+	t.lo, t.loSlot = lo, int(lo)%slots
+	return t
+}
+
+// Lo returns the lowest tracked ID.
+func (t *Track) Lo() segment.ID { return t.lo }
+
+// Size returns the number of slots: the buffer size the tracker was opened on.
+func (t *Track) Size() int { return t.slots }
+
+// slot maps id to its array index; ok is false outside the tracked range.
+func (t *Track) slot(id segment.ID) (int, bool) {
+	off := int(id - t.lo)
+	if off < 0 || off >= t.slots {
+		return 0, false
+	}
+	s := t.loSlot + off
+	if s >= t.slots {
+		s -= t.slots
+	}
+	return s, true
+}
+
+// mustSlot is slot for writers, whose IDs are in-window by construction.
+func (t *Track) mustSlot(id segment.ID) int {
+	s, ok := t.slot(id)
+	if !ok {
+		panic(fmt.Sprintf("buffer: segment %d outside tracked window [%d,%d)", id, t.lo, t.lo+segment.ID(t.slots)))
+	}
+	return s
+}
+
+// AdvanceTo slides the tracked window, wiping state for every ID the
+// window passed. Cost is O(min(shift, slots)). The first advance from a
+// negative or zero position establishes lo >= 0; later calls only grow
+// it, so loSlot stays a plain non-negative remainder.
+func (t *Track) AdvanceTo(lo segment.ID) {
+	if lo <= t.lo {
+		return
+	}
+	k := int(lo - t.lo)
+	if k > t.slots {
+		k = t.slots
+	}
+	s := t.loSlot
+	for i := 0; i < k; i++ {
+		t.arrived[s] = -1
+		t.gossipExpiry[s] = 0
+		t.prefetchExpiry[s] = 0
+		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
+		if s++; s == t.slots {
+			s = 0
+		}
+	}
+	t.lo = lo
+	t.loSlot = int(lo) % t.slots
+}
+
+// MarkGossip records a gossip request for id that stays in flight while
+// round < expiry, with the arrival time its supplier promised. An expiry of
+// zero withdraws the request.
+func (t *Track) MarkGossip(id segment.ID, expiry int, expectedAt sim.Time) {
+	s := t.mustSlot(id)
+	t.gossipExpiry[s] = int32(expiry)
+	t.gossipExpectedAt[s] = expectedAt
+}
+
+// MarkPrefetch records a pre-fetch for id that stays in flight while
+// round < expiry, and tags the segment.
+func (t *Track) MarkPrefetch(id segment.ID, expiry int) {
+	s := t.mustSlot(id)
+	t.prefetchExpiry[s] = int32(expiry)
+	t.tagged[s>>6] |= 1 << (uint(s) & 63)
+}
+
+// InFlight reports whether a gossip request or a pre-fetch for id is out
+// in round.
+func (t *Track) InFlight(id segment.ID, round int) bool {
+	s, ok := t.slot(id)
+	return ok && (int(t.gossipExpiry[s]) > round || int(t.prefetchExpiry[s]) > round)
+}
+
+// PrefetchPending reports whether a pre-fetch for id is out in round.
+func (t *Track) PrefetchPending(id segment.ID, round int) bool {
+	s, ok := t.slot(id)
+	return ok && int(t.prefetchExpiry[s]) > round
+}
+
+// GossipExpected returns the promised arrival time of the gossip request
+// out for id in round; ok is false when there is none.
+func (t *Track) GossipExpected(id segment.ID, round int) (at sim.Time, ok bool) {
+	s, ok := t.slot(id)
+	if !ok || int(t.gossipExpiry[s]) <= round {
+		return 0, false
+	}
+	return t.gossipExpectedAt[s], true
+}
+
+// MaskInFlight clears, in a wanted-segments bitmap whose bit i stands for
+// segment origin+i, every bit whose segment is in flight in round.
+func (t *Track) MaskInFlight(words []uint64, origin segment.ID, round int) {
+	for wi, word := range words {
+		for m := word; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			if t.InFlight(origin+segment.ID(wi<<6|k), round) {
+				word &^= 1 << uint(k)
+			}
+		}
+		words[wi] = word
+	}
+}
+
+// Received ends whatever was in flight for id: a copy of it has arrived,
+// by whichever path. IDs outside the window hold nothing to end.
+func (t *Track) Received(id segment.ID) {
+	if s, ok := t.slot(id); ok {
+		t.gossipExpiry[s] = 0
+		t.prefetchExpiry[s] = 0
+	}
+}
+
+// Tagged reports whether a pre-fetch was issued for id and the repeat
+// decision is still open.
+func (t *Track) Tagged(id segment.ID) bool {
+	s, ok := t.slot(id)
+	return ok && t.tagged[s>>6]&(1<<(uint(s)&63)) != 0
+}
+
+// ClearTag closes id's repeat decision.
+func (t *Track) ClearTag(id segment.ID) {
+	if s, ok := t.slot(id); ok {
+		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
+	}
+}
+
+// NoteArrived records id's first arrival time (later arrivals keep the
+// original timestamp).
+func (t *Track) NoteArrived(id segment.ID, at sim.Time) {
+	if s := t.mustSlot(id); t.arrived[s] < 0 {
+		t.arrived[s] = at
+	}
+}
+
+// Arrived returns id's first arrival time, or -1 when none is on record
+// (an untracked ID, or a segment that was present before tracking).
+func (t *Track) Arrived(id segment.ID) sim.Time {
+	if s, ok := t.slot(id); ok {
+		return t.arrived[s]
+	}
+	return -1
+}

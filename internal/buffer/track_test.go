@@ -1,0 +1,192 @@
+package buffer
+
+import (
+	"testing"
+
+	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
+)
+
+// refTrack is Track's reference model: the two expiry maps a livenet peer
+// kept before it shared the tracker (swept eagerly when the period turns,
+// so presence means in flight), plus a tag set, the promised arrivals and
+// the first-arrival times, all keyed by segment ID.
+type refTrack struct {
+	lo       segment.ID
+	size     int
+	pulls    map[segment.ID]int
+	rescues  map[segment.ID]int
+	promised map[segment.ID]sim.Time
+	tags     map[segment.ID]bool
+	arrived  map[segment.ID]sim.Time
+}
+
+func newRefTrack(size int, lo segment.ID) *refTrack {
+	return &refTrack{
+		lo: lo, size: size,
+		pulls: map[segment.ID]int{}, rescues: map[segment.ID]int{},
+		promised: map[segment.ID]sim.Time{}, tags: map[segment.ID]bool{}, arrived: map[segment.ID]sim.Time{},
+	}
+}
+
+// turn is the eager sweep at the start of round (every entry is in-window).
+func (r *refTrack) turn(round int) {
+	for _, m := range []map[segment.ID]int{r.pulls, r.rescues} {
+		for id := r.lo; id < r.lo+segment.ID(r.size); id++ {
+			if exp, ok := m[id]; ok && exp <= round {
+				delete(m, id)
+			}
+		}
+	}
+}
+
+func (r *refTrack) advanceTo(lo segment.ID) {
+	if lo <= r.lo {
+		return
+	}
+	for id := r.lo; id < lo && id < r.lo+segment.ID(r.size); id++ {
+		delete(r.pulls, id)
+		delete(r.rescues, id)
+		delete(r.tags, id)
+		delete(r.arrived, id)
+	}
+	r.lo = lo
+}
+
+// compare checks every query of t against r over the window and a margin
+// on both sides, the mask against the per-ID answers, and the tracker's own
+// arrays: no tag bit past the last slot.
+func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
+	t.Helper()
+	if tr.Lo() != r.lo || tr.Size() != r.size {
+		t.Fatalf("step %d: tracker covers %d slots from %d, reference %d from %d", step, tr.Size(), tr.Lo(), r.size, r.lo)
+	}
+	origin := r.lo - 70
+	words := make([]uint64, (r.size+140+63)/64)
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	tr.MaskInFlight(words, origin, round)
+	for id := origin; id < origin+segment.ID(64*len(words)); id++ {
+		_, pull := r.pulls[id]
+		_, rescue := r.rescues[id]
+		if got := tr.InFlight(id, round); got != (pull || rescue) {
+			t.Fatalf("step %d round %d seg %d: InFlight %v, reference pull %v rescue %v", step, round, id, got, pull, rescue)
+		}
+		if got := tr.PrefetchPending(id, round); got != rescue {
+			t.Fatalf("step %d round %d seg %d: PrefetchPending %v, reference %v", step, round, id, got, rescue)
+		}
+		if at, ok := tr.GossipExpected(id, round); ok != pull || ok && at != r.promised[id] {
+			t.Fatalf("step %d round %d seg %d: GossipExpected %d %v, reference %d %v", step, round, id, at, ok, r.promised[id], pull)
+		}
+		if got := tr.Tagged(id); got != r.tags[id] {
+			t.Fatalf("step %d seg %d: Tagged %v, reference %v", step, id, got, r.tags[id])
+		}
+		want, ok := r.arrived[id]
+		if !ok {
+			want = -1
+		}
+		if got := tr.Arrived(id); got != want {
+			t.Fatalf("step %d seg %d: Arrived %d, reference %d", step, id, got, want)
+		}
+		i := int(id - origin)
+		if kept := words[i>>6]&(1<<(uint(i)&63)) != 0; kept == (pull || rescue) {
+			t.Fatalf("step %d round %d seg %d: MaskInFlight kept the bit %v, in flight %v", step, round, id, kept, pull || rescue)
+		}
+	}
+	if pad := r.size & 63; pad != 0 && tr.tagged[len(tr.tagged)-1]>>pad != 0 {
+		t.Fatalf("step %d: tag bits set past slot %d", step, r.size)
+	}
+}
+
+// TestTrackMatchesMapReference drives a Track and the map reference through
+// the same random marks, withdrawals, arrivals, window advances (small, and
+// past a whole window), period turns and recyclings, comparing every query
+// after every step.
+func TestTrackMatchesMapReference(t *testing.T) {
+	rng := sim.DeriveRNG(1, 0x7ac4)
+	for trial := 0; trial < 40; trial++ {
+		size := 600
+		if trial%3 != 0 {
+			size = 1 + rng.Intn(200) // single slots, partial tag words
+		}
+		lo := segment.ID(rng.Intn(5000))
+		tr := OpenTrack(size, lo, Track{})
+		ref := newRefTrack(size, lo)
+		round := rng.Intn(50)
+		inWindow := func() segment.ID { return ref.lo + segment.ID(rng.Intn(size)) }
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 5:
+				id, exp, at := inWindow(), round+1+rng.Intn(3), sim.Time(rng.Intn(1000))
+				tr.MarkGossip(id, exp, at)
+				ref.pulls[id], ref.promised[id] = exp, at
+			case op < 8:
+				id, exp := inWindow(), round+1+rng.Intn(3)
+				tr.MarkPrefetch(id, exp)
+				ref.rescues[id], ref.tags[id] = exp, true
+			case op < 9:
+				id := inWindow()
+				tr.MarkGossip(id, 0, 0) // withdrawn
+				delete(ref.pulls, id)
+			case op < 12:
+				id := ref.lo + segment.ID(rng.Intn(size+40)) - 20 // may miss the window
+				tr.Received(id)
+				delete(ref.pulls, id)
+				delete(ref.rescues, id)
+			case op < 14:
+				id, at := inWindow(), sim.Time(rng.Intn(1000))
+				tr.NoteArrived(id, at)
+				if _, ok := ref.arrived[id]; !ok {
+					ref.arrived[id] = at
+				}
+			case op < 15:
+				id := inWindow()
+				tr.ClearTag(id)
+				delete(ref.tags, id)
+			case op < 18:
+				round++
+				ref.turn(round)
+				to := ref.lo + segment.ID(rng.Intn(12))
+				if rng.Intn(10) == 0 {
+					to = ref.lo + segment.ID(size+rng.Intn(2*size+1)) // past everything
+				}
+				tr.AdvanceTo(to)
+				ref.advanceTo(to)
+			case op < 19:
+				round++
+				ref.turn(round)
+			default:
+				// A departed peer's arrays reopen for a joiner elsewhere.
+				lo = segment.ID(rng.Intn(5000))
+				tr = OpenTrack(size, lo, tr)
+				ref = newRefTrack(size, lo)
+			}
+			ref.compare(t, step, &tr, round)
+		}
+	}
+}
+
+// TestTrackWritersPanicOutsideWindow pins the writers' contract: marks and
+// arrival notes name in-window IDs by construction, and one that does not
+// is a sequencing bug, not input.
+func TestTrackWritersPanicOutsideWindow(t *testing.T) {
+	tr := OpenTrack(10, 100, Track{})
+	for _, tc := range []struct {
+		name  string
+		write func()
+	}{
+		{"MarkGossip below", func() { tr.MarkGossip(99, 5, 0) }},
+		{"MarkPrefetch above", func() { tr.MarkPrefetch(110, 5) }},
+		{"NoteArrived above", func() { tr.NoteArrived(200, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.write()
+		}()
+	}
+}

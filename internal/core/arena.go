@@ -110,13 +110,11 @@ type roundArena struct {
 
 	// sched is the schedule phase's scratch (this index read as a
 	// contiguous range shard): the policy scratch whose request arena
-	// backs the round's scheduler output, plus the candidate-enumeration
-	// buffers reset per node.
-	sched     scheduler.Scratch
-	candLive  []scheduler.NeighborWords
-	candUnion []uint64
-	candSup   []scheduler.Supplier
-	cands     []scheduler.Candidate
+	// backs the round's scheduler output, plus the candidate enumeration
+	// and its neighbour-word list, reset per node.
+	sched    scheduler.Scratch
+	candLive []scheduler.NeighborWords
+	enum     scheduler.Enumeration
 
 	// predictIDs is the predict phase's missed-ID arena (per-node lists are
 	// capacity-capped carvings, alive until resolvePrefetch consumes them);
@@ -135,8 +133,7 @@ type roundArena struct {
 // predictCtx carries the per-node state the hoisted Urgent Line exclusion
 // callback reads. The closure is built once per shard (ensure) and
 // captures only the ctx pointer; predictPhase re-points the fields for
-// each node in turn, so the per-node closure allocation of the retired
-// sequential loop is gone.
+// each node in turn.
 type predictCtx struct {
 	w     *World
 	n     *Node
@@ -406,8 +403,6 @@ func (c *serveCtx) ensure(w *World) {
 
 // maintenanceProvider implements protocol.ViewProvider over shard-owned
 // world state: one long-lived value per shard, re-pointed at each node.
-// The append methods materialise exactly what the retired per-node
-// closures did, minus the per-call slice and closure allocations.
 type maintenanceProvider struct {
 	w *World
 	n *Node

@@ -24,9 +24,9 @@ func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 // window advance that opens it, buffer-map exchange, candidate enumeration,
 // and Algorithm 1 request selection — and returns how many requests were
 // scheduled. Before returning it unwinds the pending-request marks the
-// scheduler set (a gossipExpiry at or below the current round is
-// behaviourally identical to the zero "no pending request" state, so
-// resetting the scheduled IDs to 0 restores the candidate set), which makes
+// scheduler set (an expiry at or below the current round is behaviourally
+// identical to the zero "no pending request" state, so withdrawing the
+// scheduled IDs' requests restores the candidate set), which makes
 // repeated calls schedule identical work — the property a benchmark
 // iteration needs.
 //
@@ -53,9 +53,7 @@ func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 		total += len(reqs)
 		n := w.seq[i]
 		for _, req := range reqs {
-			if s, ok := n.seg.slot(req.ID); ok {
-				n.seg.gossipExpiry[s] = 0
-			}
+			n.seg.MarkGossip(req.ID, 0, 0)
 		}
 	}
 	return total

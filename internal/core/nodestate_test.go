@@ -16,11 +16,13 @@ import (
 // holder is on its serve shard's worklist (a queue the list forgot would
 // never be served again); a node that joined this round carries nothing,
 // has spent nothing and has no pre-fetch tag, whoever held its ring slot or
-// its tracker's arrays before; the segment tracker covers the buffer's window and no
-// pre-fetch tag sits on a segment that does not exist yet (a tag the window
-// advance failed to wipe would, one buffer length ahead of the segment it
-// was set for); the Peer Table's DHT levels are the table the DHT routes
-// through; and the DHT's membership bitmap is the alive set.
+// its tracker's arrays before; the segment tracker covers the buffer's
+// window and no pre-fetch tag sits on a segment that does not exist yet (a
+// tag the window advance failed to wipe would, one buffer length ahead of
+// the segment it was set for; buffer.TestTrackMatchesMapReference holds the
+// tracker's own arrays to account); the Peer Table's DHT levels are the
+// table the DHT routes through; and the DHT's membership bitmap is the
+// alive set.
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	edge := w.fetchEdge(w.round)
@@ -51,26 +53,29 @@ func checkNodeState(t *testing.T, w *World) {
 				t.Fatalf("round %d node %d: carries %d requests but is not on its shard's worklist", w.round, id, len(n.carry))
 			}
 		}
-		if n.JoinedRound == w.round && (len(n.carry) > 0 || n.pushSpent != 0 || slices.Max(n.seg.tagged) != 0) {
-			t.Fatalf("round %d: joiner %d starts with %d carried requests, push spend %d, pre-fetch tags %x",
-				w.round, id, len(n.carry), n.pushSpent, n.seg.tagged)
+		joiner := n.JoinedRound == w.round
+		if joiner && (len(n.carry) > 0 || n.pushSpent != 0) {
+			t.Fatalf("round %d: joiner %d starts with %d carried requests, push spend %d", w.round, id, len(n.carry), n.pushSpent)
 		}
 
 		if n.Table.DHT() != w.dhtNet.Table(dht.ID(id)) {
 			t.Fatalf("round %d node %d: the Peer Table's DHT levels are not the table the network routes through", w.round, id)
 		}
 
-		if n.seg.lo != n.Buf.Lo() || n.seg.slots != n.Buf.Size() {
+		lo := n.seg.Lo()
+		if lo != n.Buf.Lo() || n.seg.Size() != n.Buf.Size() {
 			t.Fatalf("round %d node %d: tracker covers %d slots from %d, buffer %d from %d",
-				w.round, id, n.seg.slots, n.seg.lo, n.Buf.Size(), n.Buf.Lo())
+				w.round, id, n.seg.Size(), lo, n.Buf.Size(), n.Buf.Lo())
 		}
-		for seg := max(edge, n.seg.lo); seg < n.seg.lo+segment.ID(n.seg.slots); seg++ {
-			if n.prefetchTagged(seg) {
-				t.Fatalf("round %d node %d: pre-fetch tag on segment %d, window opens at %d, fetch edge %d", w.round, id, seg, n.seg.lo, edge)
+		// A joiner has no tag anywhere; anyone else none past the fetch edge.
+		from := max(edge, lo)
+		if joiner {
+			from = lo
+		}
+		for seg := from; seg < lo+segment.ID(n.seg.Size()); seg++ {
+			if n.seg.Tagged(seg) {
+				t.Fatalf("round %d node %d (joined round %d): pre-fetch tag on segment %d, window opens at %d, fetch edge %d", w.round, id, n.JoinedRound, seg, lo, edge)
 			}
-		}
-		if pad := n.seg.slots & 63; pad != 0 && n.seg.tagged[len(n.seg.tagged)-1]>>pad != 0 {
-			t.Fatalf("round %d node %d: tag bits set past slot %d", w.round, id, n.seg.slots)
 		}
 	}
 	for s := range w.arenas {

@@ -28,8 +28,8 @@ func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	p := w.cfg.Stream.Rate
 	segBits := w.cfg.Stream.BitsPerSegment
 	now := clock.Now()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseApply),
-		func(s int, _ *sim.RNG) metrics.RoundSample {
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) metrics.RoundSample {
 			var local metrics.RoundSample
 			eachReceiverRun(w.arenas, s, w.shardRank, end, func(run []delivery) {
 				if n := w.nodes[run[0].to]; n != nil {
@@ -63,7 +63,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 				// Gossip beat the pre-fetch: repeated data.
 				local.Repeated++
 				n.repeated++
-				n.clearPrefetchTag(d.id)
+				n.seg.ClearTag(d.id)
 			case stored && d.at > deadline && d.id >= pos:
 				// Arrived, but after its play moment: overdue.
 				local.Overdue++
@@ -76,7 +76,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 		}
 		local.DataBits += segBits
 		local.Deliveries++
-		tagged := n.prefetchTagged(d.id)
+		tagged := n.seg.Tagged(d.id)
 		already := n.Buf.Has(d.id)
 		stored := n.receive(d.id, d.at)
 		n.Ctrl.ObserveDelivery(int(d.from), (d.at - now).Seconds())
@@ -85,7 +85,7 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 			// handled (or is handling): repeated data.
 			local.Repeated++
 			n.repeated++
-			n.clearPrefetchTag(d.id)
+			n.seg.ClearTag(d.id)
 		}
 		if stored {
 			n.maybeBackup(w.space, d.id, w.cfg.Replicas)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
@@ -84,7 +85,7 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	w.nodes[id] = nil
 	// The tracker's arrays go to the next joiner (buildNode).
 	w.freeSeg = append(w.freeSeg, n.seg)
-	n.seg = segTrack{}
+	n.seg = buffer.Track{}
 	w.outUsed[id] = 0
 	// The ring slot is free again; without recycling, sustained churn
 	// exhausts the ID space long before the paper's 40-round tracks end.

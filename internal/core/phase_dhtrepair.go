@@ -24,8 +24,10 @@ func (w *World) dhtRepairPhase() {
 	edge := w.fetchEdge(w.round)
 	w.ensureArenas()
 	w.shardWorkLists()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseRepair),
-		func(s int, rng *sim.RNG) struct{} {
+	seed := w.phaseSeed(phaseRepair)
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) struct{} {
+			rng := sim.ShardRNG(seed, s)
 			for _, id := range w.arenas[s].nodes {
 				n := w.nodes[id]
 				levels := n.Table.DHT()

@@ -43,8 +43,8 @@ func (w *World) maintenancePhase() {
 	// Events land in the scatter shard's arena buckets, bucketed by the
 	// shard that owns the hearing peer; the alive and emit callbacks are
 	// hoisted to one pair per shard instead of one per node.
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseGossip),
-		func(r int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.resetGossip()
 			alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
@@ -71,8 +71,8 @@ func (w *World) maintenancePhase() {
 	// controller, its own arena). One sequential pass builds the per-shard
 	// work lists so each shard walks only its own nodes.
 	w.shardWorkLists()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseRewire),
-		func(s int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) struct{} {
 			ar := &w.arenas[s]
 			for r := 0; r < phaseShards; r++ {
 				// Cross-shard read of stage-1 output, sequenced by the

@@ -120,7 +120,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			src := w.nodes[w.source]
 			if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
 				w.addOutUsed(w.source, 1)
-				n.markPrefetchPending(res.ID, w.round)
+				n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 				sample.SourceRescues++
 				sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
 				direct := w.Latency(n.ID, w.source)
@@ -136,7 +136,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			continue // leftover vanished since the lookup
 		}
 		w.addOutUsed(supplier, 1)
-		n.markPrefetchPending(res.ID, w.round)
+		n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 		// t_fetch = locate + reply + request + retrieve (eq. 6): the
 		// locate leg walks the routed path; the remaining three legs
 		// are direct exchanges with the chosen supplier.
@@ -167,8 +167,8 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 func (w *World) routePrefetch(plans []prefetch.Decision) {
 	retr := w.retr
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseRoute),
-		func(r int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.walks = ar.walks[:0]
 			ar.route.Stale = ar.route.Stale[:0]

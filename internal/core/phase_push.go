@@ -101,8 +101,8 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 		}
 		seed := w.phaseSeed(phasePush ^ uint64(hop)<<20)
 		planned := make([][]protocol.Send, phaseShards)
-		sim.MapReduce(w.pool, phaseShards, seed,
-			func(s int, _ *sim.RNG) []protocol.Send {
+		sim.MapReduce(w.pool, phaseShards,
+			func(s int) []protocol.Send {
 				var out []protocol.Send
 				for _, id := range byShard[s] {
 					n := w.nodes[id]

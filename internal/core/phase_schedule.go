@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	mathbits "math/bits"
-	"slices"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/metrics"
@@ -56,8 +54,8 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 	now := clock.Now()
 	round := w.round
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phasePredict),
-		func(r int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.predictIDs = ar.predictIDs[:0]
 			pc := &ar.predict
@@ -101,8 +99,8 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 	round := w.round
 	now := clock.Now()
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseSched),
-		func(r int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.sched.Reset()
 			lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
@@ -138,7 +136,7 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 				}
 				reqs := w.policy.Schedule(in)
 				for _, req := range reqs {
-					n.markGossipPending(req.ID, round, now+req.ExpectedAt)
+					n.seg.MarkGossip(req.ID, round+pendingExpiryRounds, now+req.ExpectedAt)
 				}
 				// Per-supplier ask tallies, grouped without a map: a node's
 				// requests name only a handful of suppliers, so the nested
@@ -173,96 +171,43 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 
 // candidatesFor enumerates the fresh segments any connected neighbour
 // advertises inside the fetch window, with per-supplier rate estimates and
-// FIFO positions.
-//
-// The hot path works word-at-a-time on aligned availability bitmaps:
-// beginRound advances every buffer to the shared playback position before
-// the exchange, so the neighbours' advertised words, the node's own words
-// and the fetch window share one bit origin. The union of neighbour words
-// minus the node's own words yields available-and-absent segments in a
-// few word operations; a pre-pass over the surviving bits clears the
-// pending requests (a dense array read each), and scheduler.FillCandidates
-// — the fill the livenet peer shares — lists per-segment suppliers in
-// ascending neighbour order. Bit enumeration ascends, so the output is
-// identical to the per-ID scan's (IDs ascending, suppliers in neighbour
-// order).
+// FIFO positions: it lines up the alive neighbours' snapshot words and
+// hands them, the node's own words and its tracker to the enumeration the
+// livenet peer shares (scheduler.Enumeration.Candidates). beginRound
+// advances every buffer to the shared playback position before the
+// exchange, so the neighbours' words, the node's own words and the fetch
+// window share one bit origin; the output lists IDs ascending and suppliers
+// in neighbour order, as a per-ID scan would.
 //
 // Alignment is an invariant of the round pipeline, not a case to handle:
 // a node or snapshot whose window opens elsewhere is a sequencing bug and
 // panics.
 //
-// ar supplies the enumeration buffers, reset here per node: the returned
-// candidates (and their supplier subslices) are valid only until the next
-// candidatesFor call on the same arena — exactly the scheduling call that
-// consumes them.
+// The returned candidates (and their supplier subslices) alias ar's
+// enumeration buffers and are valid only until the next candidatesFor call
+// on the same arena — exactly the scheduling call that consumes them.
 func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
-	nbrs := n.Table.Neighbors()
-	if len(nbrs) == 0 {
-		return nil
-	}
 	own := n.Buf
 	if hi := win.Lo + segment.ID(own.Size()); win.Hi > hi {
 		win.Hi = hi
-	}
-	width := int(win.Hi - win.Lo)
-	if width <= 0 {
-		return nil
 	}
 	if own.Lo() != win.Lo {
 		panic(fmt.Sprintf("core: node %d schedules window [%d,%d) with its buffer at %d; beginRound advances every buffer to the playback position first",
 			n.ID, win.Lo, win.Hi, own.Lo()))
 	}
-	nWords := (width + 63) / 64
 	live := ar.candLive[:0]
-	ar.candUnion = slices.Grow(ar.candUnion[:0], nWords)[:nWords]
-	union := ar.candUnion
-	clear(union)
-	for _, nb := range nbrs {
+	for _, nb := range n.Table.Neighbors() {
 		j := index[nb]
 		if j < 0 {
 			continue // neighbour died this round; maintenance will repair
 		}
-		bits := w.alignedWords(snaps[j], win.Lo, n.ID, nb)
-		for wi := 0; wi < nWords; wi++ {
-			union[wi] |= bits[wi]
-		}
-		live = append(live, scheduler.NeighborWords{Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: w.cfg.BufferSegments, Bits: bits})
+		live = append(live, scheduler.NeighborWords{
+			Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: w.cfg.BufferSegments,
+			Bits: w.alignedWords(snaps[j], win.Lo, n.ID, nb),
+		})
 	}
 	ar.candLive = live
-	if len(live) == 0 {
-		return nil
-	}
-	ownBits := own.Words()
-	for wi := 0; wi < nWords; wi++ {
-		union[wi] &^= ownBits[wi]
-	}
-	if r := uint(width) & 63; r != 0 {
-		union[nWords-1] &= 1<<r - 1
-	}
-	// Buffer absence is already encoded in the union; the pending-request
-	// half of Fresh is dropped per bit here, before any supplier work.
-	var any uint64
-	for wi := 0; wi < nWords; wi++ {
-		word := union[wi]
-		for m := word; m != 0; m &= m - 1 {
-			k := mathbits.TrailingZeros64(m)
-			if s, ok := n.seg.slot(win.Lo + segment.ID(wi*64+k)); ok &&
-				(int(n.seg.gossipExpiry[s]) > round || int(n.seg.prefetchExpiry[s]) > round) {
-				word &^= 1 << uint(k)
-			}
-		}
-		union[wi] = word
-		any |= word
-	}
-	if any == 0 {
-		// Every union bit has at least one advertising holder, so an empty
-		// union means no supplier entries.
-		return nil
-	}
-	// One arena for every supplier entry; per-candidate lists are
-	// capacity-capped subslices so later appends never alias them.
-	ar.candSup, ar.cands = scheduler.FillCandidates(ar.candSup[:0], ar.cands[:0], live, union, win.Lo)
-	return ar.cands
+	return ar.enum.Candidates(live, own.Words(), int(win.Hi-win.Lo), win.Lo, &n.seg, round)
 }
 
 // alignedWords returns the availability words of the snapshot reader holds

@@ -98,8 +98,8 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, snaps []buffer.Map, index []int32, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseScatter),
-		func(r int, _ *sim.RNG) struct{} {
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.resetServeScatter()
 			lo, hi := sim.ShardRange(n, phaseShards, r)
@@ -131,8 +131,8 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 	horizon := clock.RoundEnd()
 	pos := w.playbackPos(w.round)
 	p := w.cfg.Stream.Rate
-	sim.MapReduce(w.pool, phaseShards, w.phaseSeed(phaseServe),
-		func(s int, _ *sim.RNG) shardServe {
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) shardServe {
 			ar := &w.arenas[s]
 			// Reset ahead of the empty-worklist return below: a shard with
 			// nothing to serve hands apply nothing, not last round's grants.

@@ -244,8 +244,8 @@ func TestRouteStageAllocationFree(t *testing.T) {
 	}
 	w.routePrefetch(plans) // sizes the arenas for exactly this load
 	fanout := testing.AllocsPerRun(20, func() {
-		sim.MapReduce(w.pool, phaseShards, 1,
-			func(r int, _ *sim.RNG) struct{} { _ = w.arenas[r].walks; return struct{}{} },
+		sim.MapReduce(w.pool, phaseShards,
+			func(r int) struct{} { _ = w.arenas[r].walks; return struct{}{} },
 			func(r int, _ struct{}) { _ = w.arenas[r].walks })
 	})
 	stage := testing.AllocsPerRun(20, func() { w.routePrefetch(plans) })

@@ -14,24 +14,16 @@ import (
 // run's output bit-identical for a fixed seed at any parallelism.
 const phaseShards = 64
 
-// Phase tags keying the sharded phases' RNG streams.
+// Phase tags keying the seeds of the two phases that draw randomness.
 const (
-	phaseScatter = 0x7c41
-	phaseServe   = 0x5e12
-	phaseApply   = 0xde11
-	phaseGossip  = 0x6a55
-	phaseRewire  = 0x2d83
-	phaseRepair  = 0x3b97
-	phasePush    = 0x48c9
-	phaseSched   = 0x19f3
-	phasePredict = 0x33d7
-	phaseRoute   = 0x71a5
+	phaseRepair = 0x3b97
+	phasePush   = 0x48c9
 )
 
-// phaseSeed keys one sharded-phase invocation's RNG streams by (master
-// seed, round, phase), so no two MapReduce calls ever share a shard
-// stream. It is a pure function of configuration and round index, which
-// preserves the worker-count independence of the pipeline.
+// phaseSeed keys one phase invocation's randomness by (master seed, round,
+// phase), so no two phases ever share a stream. It is a pure function of
+// configuration and round index, which preserves the worker-count
+// independence of the pipeline.
 func (w *World) phaseSeed(phase uint64) uint64 {
 	return w.cfg.Seed ^ (uint64(w.round)+1)*0x9e3779b97f4a7c15 ^ phase*0xd1342543de82ef95
 }
@@ -119,11 +111,11 @@ func (w *World) beginRound() {
 	src := w.nodes[w.source]
 	w.pool.ForEach(len(w.order), func(i int) {
 		n := w.seq[i]
+		// The tracker slides with the buffer; request records the window
+		// has not passed expire lazily (expiry > round at every read).
 		n.Buf.AdvanceTo(pos)
-		// pruneBelow also wipes expired request records as the window
-		// slides; unexpired entries are ignored lazily (expiry > round is
-		// checked at every read), so no eager expiry sweep is needed.
-		n.pruneBelow(pos)
+		n.seg.AdvanceTo(pos)
+		n.Backup.PruneBelow(pos)
 		n.overdue, n.repeated, n.pushReceived, n.pushSpent = 0, 0, 0, 0
 	})
 	// Source ingestion happens after the window advance so new segments
@@ -134,7 +126,7 @@ func (w *World) beginRound() {
 			continue
 		}
 		if src.Buf.Insert(id) {
-			src.noteArrived(id, w.cfg.Stream.GeneratedAt(id))
+			src.seg.NoteArrived(id, w.cfg.Stream.GeneratedAt(id))
 			src.maybeBackup(w.space, id, w.cfg.Replicas)
 		}
 	}

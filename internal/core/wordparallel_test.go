@@ -28,7 +28,7 @@ func candidatesOracle(n *Node, index []int32, snaps []buffer.Map, win segment.Wi
 		snap := snaps[j]
 		wn := win.Intersect(snap.Window())
 		for id := wn.Lo; id < wn.Hi; id++ {
-			if !snap.Has(id) || !n.Fresh(id, round) {
+			if !snap.Has(id) || n.Buf.Has(id) || n.seg.InFlight(id, round) {
 				continue
 			}
 			pft, _ := snap.PositionFromTail(id)

@@ -71,7 +71,7 @@ type World struct {
 	// the bulk of a node's footprint) for the next joiners to reuse. Churn
 	// is sequential, so the list needs no shard discipline; it holds at
 	// most leavers minus joiners, memory that was live before they left.
-	freeSeg []segTrack
+	freeSeg []buffer.Track
 
 	// retr is the long-lived Algorithm 2 retriever with its reusable
 	// lookup scratch; resolvePrefetch's claim stage is sequential, so one
@@ -206,12 +206,12 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 	}
 	// The tracker opens where the node's window will: the stream start for
 	// the initial population, the playback position for a joiner.
-	var recycled segTrack
+	var recycled buffer.Track
 	if k := len(w.freeSeg) - 1; k >= 0 {
-		recycled, w.freeSeg[k] = w.freeSeg[k], segTrack{}
+		recycled, w.freeSeg[k] = w.freeSeg[k], buffer.Track{}
 		w.freeSeg = w.freeSeg[:k]
 	}
-	n.seg = openSegTrack(cfg.BufferSegments, w.playbackPos(w.round), recycled)
+	n.seg = buffer.OpenTrack(cfg.BufferSegments, w.playbackPos(w.round), recycled)
 	if cfg.Profile.Prefetch && !isSource {
 		n.Alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
 			PlaybackRate:  cfg.Stream.Rate,

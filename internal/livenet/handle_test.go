@@ -1,0 +1,187 @@
+package livenet
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"continustreaming/internal/buffer"
+	"continustreaming/internal/dht"
+	"continustreaming/internal/segment"
+)
+
+// sentMessage is one message a peer handed its transport.
+type sentMessage struct {
+	To int
+	M  Message
+}
+
+// recTransport records what a peer sends.
+type recTransport struct{ sent []sentMessage }
+
+func (r *recTransport) Send(to int, m Message) bool {
+	r.sent = append(r.sent, sentMessage{to, m})
+	return true
+}
+func (*recTransport) Handled(int)              {}
+func (*recTransport) Members(int) []int        { return nil }
+func (*recTransport) AwaitQuiet(time.Duration) {}
+
+// dataState is what a peer's data path leaves behind: the buffer, the
+// tracker's answer for every window ID, the delivery counters, the α
+// feedback and inbound-push tallies, and the pushes it forwarded.
+type dataState struct {
+	Buf                               []uint64
+	InFlight, Rescuing, Tagged        []segment.ID
+	Delivered, Rescued, PushDelivered int64
+	Repeated, PushReceived, PushSpent int
+	Forwarded                         []sentMessage
+}
+
+const (
+	handlePeriod = 10
+	handleLo     = segment.ID(700)
+	pulledSeg    = handleLo + 3  // a pull is out for it
+	rescuedSeg   = handleLo + 1  // a rescue is out for it
+	pushedSeg    = handleLo + 40 // nothing is out for it
+	idleAsk      = handleLo + 9  // a pull nobody answers: the mark must survive
+)
+
+// handlePeer builds a peer in period handlePeriod with four linked
+// neighbours that lack everything, a pull and a rescue in flight.
+func handlePeer() (*peer, *recTransport) {
+	cfg := DefaultConfig()
+	tr := &recTransport{}
+	space := dht.NewSpace(ringSpace)
+	p := newPeer(tr, 5, nil, cfg, space, &counters{}, false, handleLo, handlePeriod)
+	ids := []int{5, 6, 7, 8, 9}
+	members := map[int]bool{}
+	for _, id := range ids {
+		members[id] = true
+		if id != p.id {
+			p.link(id, handlePeriod).m = buffer.New(cfg.BufferSegments, handleLo).Snapshot()
+		}
+	}
+	p.periodBegin(handlePeriod, handleLo, newRingView(space, ids), members)
+	p.seg.MarkGossip(pulledSeg, handlePeriod+cfg.RetryPeriods, 0)
+	p.seg.MarkGossip(idleAsk, handlePeriod+cfg.RetryPeriods, 0)
+	p.seg.MarkPrefetch(rescuedSeg, handlePeriod+cfg.RetryPeriods)
+	return p, tr
+}
+
+func stateOf(p *peer, tr *recTransport) dataState {
+	st := dataState{
+		Buf:       p.buf.Snapshot().Bits,
+		Delivered: p.st.delivered.Load(), Rescued: p.st.rescued.Load(), PushDelivered: p.st.pushDelivered.Load(),
+		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.pushSpent,
+		Forwarded: tr.sent,
+	}
+	for id := p.buf.Lo(); id < p.buf.Hi(); id++ {
+		if p.seg.InFlight(id, p.curPeriod) {
+			st.InFlight = append(st.InFlight, id)
+		}
+		if p.seg.PrefetchPending(id, p.curPeriod) {
+			st.Rescuing = append(st.Rescuing, id)
+		}
+		if p.seg.Tagged(id) {
+			st.Tagged = append(st.Tagged, id)
+		}
+	}
+	return st
+}
+
+// TestDataMessagesIdempotent feeds a peer each kind of data message — a
+// pull grant, an eager-push copy, a rescue reply — duplicated and out of
+// order, and requires the state its data path leaves to equal the run that
+// saw each once: a duplicate stores nothing, counts nothing, forwards
+// nothing and re-opens nothing in the tracker (ROADMAP direction 4 (iv)).
+// Each message has its own sender, so the rate controller's per-neighbour
+// "latest offset" is order-free too.
+func TestDataMessagesIdempotent(t *testing.T) {
+	msgs := []Message{
+		{From: 6, Kind: msgData, Seg: pulledSeg, Deadline: 100, Period: handlePeriod},
+		{From: 7, Kind: msgData, Seg: pushedSeg, Hop: 1, Deadline: 50, Period: handlePeriod},
+		{From: 8, Kind: msgData, Seg: rescuedSeg, Rescue: true, Deadline: 70, Period: handlePeriod},
+	}
+	run := func(order []int) dataState {
+		p, tr := handlePeer()
+		for _, i := range order {
+			p.handle(msgs[i])
+		}
+		return stateOf(p, tr)
+	}
+	once := run([]int{0, 1, 2})
+	if once.Delivered != 3 || once.Rescued != 1 || once.PushDelivered != 1 || len(once.Forwarded) == 0 ||
+		!reflect.DeepEqual(once.InFlight, []segment.ID{idleAsk}) || len(once.Rescuing) != 0 {
+		t.Fatalf("the once-only run did not exercise the three paths: %+v", once)
+	}
+	for _, tc := range []struct {
+		name  string
+		order []int
+	}{
+		{"each twice in a row", []int{0, 0, 1, 1, 2, 2}},
+		{"reversed, then replayed", []int{2, 1, 0, 2, 1, 0}},
+		{"interleaved", []int{1, 0, 1, 2, 0, 2}},
+		{"replayed three times", []int{0, 1, 2, 0, 1, 2, 2, 1, 0}},
+	} {
+		if got := run(tc.order); !reflect.DeepEqual(got, once) {
+			t.Errorf("%s: state\n%+v\nonce-only run\n%+v", tc.name, got, once)
+		}
+	}
+}
+
+// TestRepeatedRescueLowersAlpha pins the one α feedback a livenet peer has,
+// §4.3's Case 2: a rescue reply that finds its segment already buffered
+// while the rescue is still marked out is repeated data, and the next
+// period folds it into α as one step down, never below the floor; a rescue
+// reply that fills its hole leaves α alone. (Case 1, an overdue reply,
+// cannot be observed: a reply below the window is not stored.)
+//
+// The last case records what reaches that branch today: nothing a peer
+// hears. Any data message clears the rescue mark before the buffer is
+// consulted, so the gossip copy that makes a rescue redundant also erases
+// the evidence. The tracker's tag bit outlives the arrival and is what the
+// simulator decides repeats on; ROADMAP direction 1c moves the livenet onto
+// it with a measurement, and this expectation flips with it.
+func TestRepeatedRescueLowersAlpha(t *testing.T) {
+	reply := Message{From: 8, Kind: msgData, Seg: rescuedSeg, Rescue: true, Deadline: 70, Period: handlePeriod}
+	next := func(p *peer) float64 {
+		p.periodBegin(handlePeriod+1, handleLo, p.rv, p.members)
+		return p.alpha.Value()
+	}
+
+	p, _ := handlePeer()
+	start, step := p.alpha.Value(), p.alpha.Step()
+	if start <= p.alpha.Min() {
+		t.Fatalf("α opens at %v, on its floor %v: a step down would not show", start, p.alpha.Min())
+	}
+	p.handle(reply)
+	if got := next(p); p.st.rescued.Load() != 1 || got != start {
+		t.Fatalf("a rescue reply that filled its hole: rescued %d, α %v -> %v", p.st.rescued.Load(), start, got)
+	}
+
+	p, _ = handlePeer()
+	p.buf.Insert(rescuedSeg) // buffered with the rescue still marked out
+	p.handle(reply)
+	if p.repeated != 1 {
+		t.Fatalf("a rescue reply for a buffered segment counted %d repeats, want 1", p.repeated)
+	}
+	if got, want := next(p), max(start-step, p.alpha.Min()); got != want || p.repeated != 0 {
+		t.Fatalf("α after one repeat %v (repeats left %d), want %v", got, p.repeated, want)
+	}
+	for i := 0; i < 1000; i++ {
+		p.repeated = 5
+		next(p)
+	}
+	if got := p.alpha.Value(); got != p.alpha.Min() {
+		t.Fatalf("α after many repeats %v, floor %v", got, p.alpha.Min())
+	}
+
+	p, _ = handlePeer()
+	p.handle(Message{From: 6, Kind: msgData, Seg: rescuedSeg, Deadline: 100, Period: handlePeriod}) // gossip beats the rescue
+	p.handle(reply)
+	if p.repeated != 0 || !p.seg.Tagged(rescuedSeg) {
+		t.Fatalf("gossip copy then rescue reply: %d repeats, tag %v; the mark the branch reads is cleared by the copy's arrival and only the tag remembers the rescue",
+			p.repeated, p.seg.Tagged(rescuedSeg))
+	}
+}

@@ -8,7 +8,7 @@
 // churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
 // (BackupResponsible + the urgent-line prediction), fresh-segment push
 // (PlanPushMask), pull scheduling over word-aligned neighbour maps
-// (scheduler.FillCandidates + Algorithm 1) and supplier-side EDF serving
+// (scheduler.Enumeration + Algorithm 1) and supplier-side EDF serving
 // with bounded carry queues (PlanServe). Only the input assembly and the
 // transport differ; the decisions are the shared code paths, which is
 // what the sim↔livenet parity tests pin.

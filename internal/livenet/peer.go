@@ -68,10 +68,10 @@ type neighbour struct {
 }
 
 // peer is one goroutine's protocol state: the same per-node architecture
-// the simulator hosts (buffer, rate controller, urgent-line α, VoD
-// backup), driven by messages instead of phases. All mutable state is
-// guarded by mu; the inbox goroutine and the driver's per-period call
-// both take it.
+// the simulator hosts (buffer and segment tracker, rate controller,
+// urgent-line α, VoD backup), driven by messages instead of phases. All
+// mutable state is guarded by mu; the inbox goroutine and the driver's
+// per-period call both take it.
 type peer struct {
 	id       int
 	ring     dht.ID
@@ -86,6 +86,9 @@ type peer struct {
 
 	mu  sync.Mutex
 	buf *buffer.Buffer
+	// seg is the per-segment record of buf's window — which pulls and
+	// rescues are out, each until its retry period — and slides with it.
+	seg buffer.Track
 	// backup is the peer's share of the VoD backup ring.
 	backup *dht.Store
 	// nbrs is the neighbour table: one row per linked peer, ascending by
@@ -100,10 +103,6 @@ type peer struct {
 	overheard map[int]int
 	ctrl      *bandwidth.Controller
 	alpha     *prefetch.Alpha
-	// pending / rescuePending map in-flight pulls and rescues to their
-	// expiry period, after which the peer re-asks.
-	pending       map[segment.ID]int
-	rescuePending map[segment.ID]int
 	// carry is the supplier-side bounded carry queue and carrySpare the
 	// storage the next one is built into (the two alternate); asks holds
 	// the fresh requests accumulated since the last serve, asksSpare the
@@ -124,7 +123,6 @@ type peer struct {
 	pushSpent    int
 	rescueSpent  int
 	pushReceived int
-	overdue      int
 	repeated     int
 	missedLast   bool
 	missStreak   int
@@ -147,14 +145,12 @@ type peer struct {
 	// allocates nothing but the payloads it hands to the transport (the
 	// announced snapshot and its gossip picks).
 
-	// live, words, sup and cands back the candidate enumeration: the
-	// linked neighbours' maps re-based at the peer's own buffer origin
-	// (words holds the union followed by one run per neighbour), and the
-	// arenas scheduler.FillCandidates carves exactly-sized runs from.
+	// live and words back the candidate enumeration's input — the linked
+	// neighbours' maps re-based at the peer's own buffer origin, one run of
+	// words per neighbour — and enum is the enumeration itself.
 	live  []scheduler.NeighborWords
 	words []uint64
-	sup   []scheduler.Supplier
-	cands []scheduler.Candidate
+	enum  scheduler.Enumeration
 	// sched is Algorithm 1's scratch; its request arena is reset before
 	// every schedule, after the previous period's requests were sent.
 	sched scheduler.Scratch
@@ -175,7 +171,7 @@ type peer struct {
 
 	aliveFn    func(overlay.NodeID) bool
 	gossipFn   func(to, about overlay.NodeID)
-	inFlightFn func(segment.ID) bool
+	askedFn    func(segment.ID) bool
 	nbrLacksFn func(overlay.NodeID) uint64
 	// pushBase is the first segment of the push frontier nbrLacksFn
 	// answers for, set before each PlanPushMask call.
@@ -254,25 +250,24 @@ func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)
 // the stream start.
 func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Space, st *counters, isSource bool, openAt segment.ID, joinPeriod int) *peer {
 	p := &peer{
-		id:            id,
-		ring:          ringOf(space, id),
-		isSource:      isSource,
-		tr:            tr,
-		cfg:           cfg,
-		space:         space,
-		st:            st,
-		inbox:         inbox,
-		stop:          make(chan struct{}),
-		rng:           sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
-		buf:           buffer.New(cfg.BufferSegments, openAt),
-		backup:        dht.NewStore(),
-		overheard:     make(map[int]int),
-		ctrl:          bandwidth.NewController(0.3, float64(cfg.Rate)),
-		pending:       make(map[segment.ID]int),
-		rescuePending: make(map[segment.ID]int),
-		curPeriod:     joinPeriod,
-		lastReplace:   joinPeriod - 1000, // no artificial cooldown at birth
+		id:          id,
+		ring:        ringOf(space, id),
+		isSource:    isSource,
+		tr:          tr,
+		cfg:         cfg,
+		space:       space,
+		st:          st,
+		inbox:       inbox,
+		stop:        make(chan struct{}),
+		rng:         sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
+		buf:         buffer.New(cfg.BufferSegments, openAt),
+		backup:      dht.NewStore(),
+		overheard:   make(map[int]int),
+		ctrl:        bandwidth.NewController(0.3, float64(cfg.Rate)),
+		curPeriod:   joinPeriod,
+		lastReplace: joinPeriod - 1000, // no artificial cooldown at birth
 	}
+	p.seg = buffer.OpenTrack(cfg.BufferSegments, p.buf.Lo(), buffer.Track{})
 	p.view.p = p
 	if !isSource {
 		p.alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
@@ -285,7 +280,7 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 	}
 	p.aliveFn = func(id overlay.NodeID) bool { return p.members[int(id)] }
 	p.gossipFn = p.noteGossipPick
-	p.inFlightFn = p.inFlight
+	p.askedFn = func(seg segment.ID) bool { return p.seg.InFlight(seg, p.curPeriod) }
 	p.nbrLacksFn = p.neighbourLacks
 	p.serveIn = protocol.ServeInput{
 		SupplierHas:    p.buf.Has,
@@ -486,12 +481,8 @@ func (p *peer) handle(m Message) {
 // bound — forward the fresh segment one hop further (the livenet mirror
 // of the simulator's pushPhase frontier).
 func (p *peer) receiveData(m Message) {
-	delete(p.pending, m.Seg)
-	wasRescue := false
-	if _, ok := p.rescuePending[m.Seg]; ok && m.Rescue {
-		wasRescue = true
-	}
-	delete(p.rescuePending, m.Seg)
+	wasRescue := m.Rescue && p.seg.PrefetchPending(m.Seg, p.curPeriod)
+	p.seg.Received(m.Seg)
 	already := p.buf.Has(m.Seg)
 	stored := p.buf.Insert(m.Seg)
 	if stored {
@@ -525,13 +516,8 @@ func (p *peer) receiveData(m Message) {
 			p.backup.Put(m.Seg)
 		}
 	}
-	if wasRescue {
-		switch {
-		case already:
-			p.repeated++ // gossip beat the rescue: repeated data
-		case stored && m.Seg < p.pos:
-			p.overdue++ // arrived after its play moment
-		}
+	if wasRescue && already {
+		p.repeated++ // gossip beat the rescue: repeated data
 	}
 	// Push forwarding: hop h receivers forward to hop h+1 while the hop
 	// bound allows, spending from the same per-period outbound the serve
@@ -587,25 +573,18 @@ func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int
 		}
 	}
 	p.buf.AdvanceTo(pos)
+	p.seg.AdvanceTo(pos)
 	p.backup.PruneBelow(pos)
-	for seg, exp := range p.pending {
-		if exp <= now {
-			delete(p.pending, seg)
-		}
-	}
-	for seg, exp := range p.rescuePending {
-		if exp <= now {
-			delete(p.rescuePending, seg)
-		}
-	}
 	for id, seen := range p.overheard {
 		if now-seen > p.cfg.sightTTL() {
 			delete(p.overheard, id)
 		}
 	}
 	if p.alpha != nil {
-		p.alpha.Apply(p.overdue, p.repeated)
-		p.overdue, p.repeated = 0, 0
+		// Only §4.3's Case 2 reaches a livenet peer: a rescue reply cannot
+		// be stored below the window, so none is ever seen to be overdue.
+		p.alpha.Apply(0, p.repeated)
+		p.repeated = 0
 	}
 	if p.isSource {
 		for s := segment.ID(now * p.cfg.Rate); s < segment.ID((now+1)*p.cfg.Rate); s++ {
@@ -874,24 +853,21 @@ func supplierRotation(seed uint64, id, period, n int) int {
 
 // candidates enumerates the fresh segments any linked neighbour advertises
 // inside the peer's own buffer window — available there, absent here, not
-// already asked for — on the simulator's word path: each neighbour's map
-// is re-based at the own buffer origin (maps arrive a period stale, so
-// their windows open lower), the union of those words minus the own words
-// and the in-flight bits is what is wanted, and scheduler.FillCandidates
-// lists the suppliers. The own window opens at the playback position
-// (periodBegin has just advanced it), which is the fetch-window floor:
-// segments behind it are pruned on both sides, and asking for them would
-// burn the inbound budget on unfulfillable requests.
+// already asked for — through the enumeration the simulator shares
+// (scheduler.Enumeration.Candidates): each neighbour's map is re-based at
+// the own buffer origin (maps arrive a period stale, so their windows open
+// lower) and listed from this period's supplier rotation on. The own
+// window opens at the playback position (periodBegin has just advanced
+// it), which is the fetch-window floor: segments behind it are pruned on
+// both sides, and asking for them would burn the inbound budget on
+// unfulfillable requests.
 //
 // The result aliases the peer's scratch and is valid until the next call.
 func (p *peer) candidates(now int) []scheduler.Candidate {
 	own := p.buf.Words()
 	nw := len(own)
 	origin := p.buf.Lo()
-	size := p.buf.Size()
-	p.words = slices.Grow(p.words[:0], nw*(len(p.nbrs)+1))[:nw]
-	union := p.words
-	clear(union)
+	p.words = slices.Grow(p.words[:0], nw*len(p.nbrs))
 	live := p.live[:0]
 	for i := range p.nbrs {
 		nb := &p.nbrs[i]
@@ -902,9 +878,6 @@ func (p *peer) candidates(now int) []scheduler.Candidate {
 		p.words = p.words[:at+nw]
 		bits := p.words[at : at+nw : at+nw]
 		nb.m.WordsFrom(bits, origin)
-		for wi, w := range bits {
-			union[wi] |= w
-		}
 		live = append(live, scheduler.NeighborWords{
 			Node: nb.id,
 			Rate: p.ctrl.Rate(nb.id),
@@ -916,33 +889,13 @@ func (p *peer) candidates(now int) []scheduler.Candidate {
 	if len(live) == 0 {
 		return nil
 	}
-	for wi := range union {
-		union[wi] &^= own[wi]
-	}
-	if r := uint(size) & 63; r != 0 {
-		union[nw-1] &= 1<<r - 1
-	}
-	for seg := range p.pending {
-		clearBit(union, int(seg-origin), size)
-	}
-	for seg := range p.rescuePending {
-		clearBit(union, int(seg-origin), size)
-	}
 	if k := supplierRotation(p.cfg.Seed, p.id, now, len(live)); k > 0 {
 		// Rotate left by k with three reversals.
 		slices.Reverse(live[:k])
 		slices.Reverse(live[k:])
 		slices.Reverse(live)
 	}
-	p.sup, p.cands = scheduler.FillCandidates(p.sup[:0], p.cands[:0], live, union, origin)
-	return p.cands
-}
-
-// clearBit clears bit i of words when 0 <= i < size.
-func clearBit(words []uint64, i, size int) {
-	if i >= 0 && i < size {
-		words[i>>6] &^= 1 << (uint(i) & 63)
-	}
+	return p.enum.Candidates(live, own, p.buf.Size(), origin, &p.seg, now)
 }
 
 // schedulePulls runs the paper's urgency+rarity scheduling policy over
@@ -974,7 +927,7 @@ func (p *peer) schedulePulls(now int) {
 	}
 	for _, r := range (scheduler.Greedy{}).Schedule(in) {
 		p.st.asksSent.Add(1)
-		p.pending[r.ID] = now + p.cfg.RetryPeriods
+		p.seg.MarkGossip(r.ID, now+p.cfg.RetryPeriods, 0) // the peer reads no promised arrival
 		if i, ok := p.nbrIndex(r.Supplier); ok {
 			p.nbrs[i].asked++
 		}
@@ -990,15 +943,6 @@ func (p *peer) playDeadline(seg segment.ID) sim.Time {
 	return sim.Time(int(seg)/p.cfg.Rate + p.cfg.PlaybackLagPeriods)
 }
 
-// inFlight reports whether a pull or a rescue for seg is outstanding.
-func (p *peer) inFlight(seg segment.ID) bool {
-	if _, ok := p.pending[seg]; ok {
-		return true
-	}
-	_, ok := p.rescuePending[seg]
-	return ok
-}
-
 // rescueUrgent runs the urgent-line prediction (the same α-adapted
 // prefetch.PredictInto the simulator drives) and fires DHT-backed retrievals
 // for the predicted-missed segments: each goes to the ring owner of one
@@ -1009,7 +953,7 @@ func (p *peer) rescueUrgent(now int) {
 		return
 	}
 	var plan prefetch.Decision
-	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.PrefetchLimit, p.inFlightFn)
+	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.PrefetchLimit, p.askedFn)
 	if !plan.Triggered {
 		return
 	}
@@ -1031,7 +975,7 @@ func (p *peer) rescueUrgent(now int) {
 		if target < 0 {
 			target = 0 // the source: the retrieval path of last resort
 		}
-		p.rescuePending[seg] = now + p.cfg.RetryPeriods
+		p.seg.MarkPrefetch(seg, now+p.cfg.RetryPeriods)
 		p.st.rescueAsked.Add(1)
 		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
 	}

@@ -29,14 +29,14 @@ func (nullTransport) AwaitQuiet(time.Duration) {}
 // applied, plus the ceiling the word path adds (a segment past the own
 // window cannot be stored, so asking for it wastes budget; on a live mesh
 // no map reaches that far). Suppliers are listed in the given neighbour
-// order.
-func candidatesPerID(p *peer, order []int) []scheduler.Candidate {
+// order; asked is the set of segments with a pull or a rescue out.
+func candidatesPerID(p *peer, order []int, asked map[segment.ID]bool) []scheduler.Candidate {
 	found := map[segment.ID][]scheduler.Supplier{}
 	for _, i := range order {
 		nb := p.nbrs[i]
 		w := nb.m.Window().Intersect(p.buf.Window())
 		for id := w.Lo; id < w.Hi; id++ {
-			if !nb.m.Has(id) || p.buf.Has(id) || p.inFlight(id) {
+			if !nb.m.Has(id) || p.buf.Has(id) || asked[id] {
 				continue
 			}
 			pft, _ := nb.m.PositionFromTail(id)
@@ -72,8 +72,11 @@ func rotatedOrder(p *peer, period int) []int {
 // randomPeer builds a peer mid-session: a half-full buffer, linked
 // neighbours whose maps are misaligned with it in both directions and
 // partially stale (some never announced, some whole windows behind),
-// differing rate estimates, and in-flight pulls and rescues.
-func randomPeer(rng *sim.RNG, size int) *peer {
+// differing rate estimates, and pulls and rescues marked in its tracker —
+// some still out in period, some whose retry bound has just passed. The
+// second result is the set still out: the oracle's in-flight record, kept
+// apart from the tracker under test.
+func randomPeer(rng *sim.RNG, size, period int) (*peer, map[segment.ID]bool) {
 	cfg := DefaultConfig()
 	cfg.BufferSegments = size
 	cfg.Seed = rng.Uint64()
@@ -101,13 +104,22 @@ func randomPeer(rng *sim.RNG, size int) *peer {
 		}
 	}
 	p.ctrl.Tick()
-	for n := rng.Intn(20); n > 0; n-- {
-		p.pending[lo+segment.ID(rng.Intn(size+20))-10] = 5
+	pulls, rescues := map[segment.ID]int{}, map[segment.ID]int{}
+	for n := rng.Intn(26); n > 0; n-- {
+		seg, expiry := lo+segment.ID(rng.Intn(size)), period+rng.Intn(3)
+		if n > 6 {
+			p.seg.MarkGossip(seg, expiry, 0)
+			pulls[seg] = expiry
+		} else {
+			p.seg.MarkPrefetch(seg, expiry)
+			rescues[seg] = expiry
+		}
 	}
-	for n := rng.Intn(6); n > 0; n-- {
-		p.rescuePending[lo+segment.ID(rng.Intn(size))] = 5
+	asked := map[segment.ID]bool{}
+	for seg := lo; seg < lo+segment.ID(size); seg++ {
+		asked[seg] = pulls[seg] > period || rescues[seg] > period
 	}
-	return p
+	return p, asked
 }
 
 func randomMap(rng *sim.RNG, size int, lo segment.ID) buffer.Map {
@@ -131,11 +143,11 @@ func TestCandidatesMatchPerIDOracle(t *testing.T) {
 		if trial%4 == 3 {
 			size = 1 + rng.Intn(300) // odd sizes: partial last words, single-word windows
 		}
-		p := randomPeer(rng, size)
 		period := rng.Intn(1000)
+		p, asked := randomPeer(rng, size, period)
 
 		got := p.candidates(period)
-		want := candidatesPerID(p, rotatedOrder(p, period))
+		want := candidatesPerID(p, rotatedOrder(p, period), asked)
 
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d candidates, oracle %d", trial, len(got), len(want))

@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -280,67 +279,4 @@ func (l *linkShaper) decide(p ShapeProfile, size int, now time.Duration) Fate {
 		delay = 0
 	}
 	return Fate{Delay: delay}
-}
-
-// Trace replays a synthetic send schedule through a fresh shaper and
-// returns the decision sequence, one Fate per call, in call order —
-// the replayable fingerprint of a (seed, profile) pair the determinism
-// tests compare byte for byte. Each entry of the schedule is one send:
-// (dst, size, virtual time). The receiver's shaper state is discarded.
-func Trace(profile ShapeProfile, seed uint64, src int, schedule []TracePacket) []Fate {
-	s := NewShaper(profile, seed, src)
-	out := make([]Fate, len(schedule))
-	for i, pkt := range schedule {
-		out[i] = s.Shape(pkt.Dst, pkt.Size, pkt.At)
-	}
-	return out
-}
-
-// TracePacket is one synthetic send in a Trace schedule.
-type TracePacket struct {
-	Dst  int
-	Size int
-	At   time.Duration
-}
-
-// FormatTrace renders a fate sequence in a canonical textual form (one
-// line per decision), so trace comparisons in tests and tooling are
-// byte comparisons.
-func FormatTrace(fates []Fate) string {
-	var b strings.Builder
-	for i, f := range fates {
-		if f.Drop {
-			fmt.Fprintf(&b, "%d drop\n", i)
-		} else {
-			fmt.Fprintf(&b, "%d delay=%dns\n", i, f.Delay.Nanoseconds())
-		}
-	}
-	return b.String()
-}
-
-// LinkCount reports how many distinct destinations this shaper has
-// shaped — telemetry for the stats line.
-func (s *Shaper) LinkCount() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.links)
-}
-
-// Links returns the shaped destinations in ascending order (debug
-// telemetry; the per-link RNG streams stay private).
-func (s *Shaper) Links() []int {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	out := make([]int, 0, len(s.links))
-	for dst := range s.links {
-		out = append(out, dst)
-	}
-	s.mu.Unlock()
-	sort.Ints(out)
-	return out
 }

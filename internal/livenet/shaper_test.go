@@ -7,13 +7,46 @@ import (
 	"time"
 )
 
+// tracePacket is one synthetic send of a trace schedule.
+type tracePacket struct {
+	Dst  int
+	Size int
+	At   time.Duration
+}
+
+// trace replays a synthetic send schedule through a fresh shaper and
+// returns the decision sequence, one Fate per send, in call order — the
+// replayable fingerprint of a (seed, profile) pair.
+func trace(profile ShapeProfile, seed uint64, src int, schedule []tracePacket) []Fate {
+	s := NewShaper(profile, seed, src)
+	out := make([]Fate, len(schedule))
+	for i, pkt := range schedule {
+		out[i] = s.Shape(pkt.Dst, pkt.Size, pkt.At)
+	}
+	return out
+}
+
+// formatTrace renders a fate sequence one line per decision, so trace
+// comparisons are byte comparisons.
+func formatTrace(fates []Fate) string {
+	var b strings.Builder
+	for i, f := range fates {
+		if f.Drop {
+			fmt.Fprintf(&b, "%d drop\n", i)
+		} else {
+			fmt.Fprintf(&b, "%d delay=%dns\n", i, f.Delay.Nanoseconds())
+		}
+	}
+	return b.String()
+}
+
 // traceSchedule builds a deterministic synthetic send schedule spread
 // over several destinations: frames of varying size at a steady cadence,
 // the shape of a real session's egress without any real session.
-func traceSchedule(n int) []TracePacket {
-	sched := make([]TracePacket, n)
+func traceSchedule(n int) []tracePacket {
+	sched := make([]tracePacket, n)
 	for i := range sched {
-		sched[i] = TracePacket{
+		sched[i] = tracePacket{
 			Dst:  1 + i%5,
 			Size: 200 + (i*97)%900,
 			At:   time.Duration(i) * 2 * time.Millisecond,
@@ -31,8 +64,8 @@ func TestShaperSameSeedIdenticalTrace(t *testing.T) {
 		Rate:    250_000,
 	}
 	sched := traceSchedule(400)
-	a := FormatTrace(Trace(profile, 42, 7, sched))
-	b := FormatTrace(Trace(profile, 42, 7, sched))
+	a := formatTrace(trace(profile, 42, 7, sched))
+	b := formatTrace(trace(profile, 42, 7, sched))
 	if a != b {
 		t.Fatalf("same (seed, profile, schedule) produced different traces:\n%s\nvs\n%s", a, b)
 	}
@@ -44,8 +77,8 @@ func TestShaperSameSeedIdenticalTrace(t *testing.T) {
 func TestShaperSeedChangesTrace(t *testing.T) {
 	profile := ShapeProfile{Latency: 50 * time.Millisecond, Jitter: 20 * time.Millisecond, Loss: 0.02}
 	sched := traceSchedule(400)
-	a := FormatTrace(Trace(profile, 1, 7, sched))
-	b := FormatTrace(Trace(profile, 2, 7, sched))
+	a := formatTrace(trace(profile, 1, 7, sched))
+	b := formatTrace(trace(profile, 2, 7, sched))
 	if a == b {
 		t.Fatal("different seeds produced byte-identical traces")
 	}
@@ -56,8 +89,8 @@ func TestShaperSrcChangesTrace(t *testing.T) {
 	// sharing one shape seed must not mirror each other's loss pattern.
 	profile := ShapeProfile{Loss: 0.5}
 	sched := traceSchedule(64)
-	a := FormatTrace(Trace(profile, 42, 1, sched))
-	b := FormatTrace(Trace(profile, 42, 2, sched))
+	a := formatTrace(trace(profile, 42, 1, sched))
+	b := formatTrace(trace(profile, 42, 2, sched))
 	if a == b {
 		t.Fatal("different source nodes produced byte-identical traces")
 	}
@@ -67,16 +100,16 @@ func TestShaperLinksIndependent(t *testing.T) {
 	// Interleaving sends to a second destination must not perturb the
 	// first link's decision sequence: per-link streams are isolated.
 	profile := ShapeProfile{Latency: 10 * time.Millisecond, Jitter: 5 * time.Millisecond, Loss: 0.1}
-	solo := make([]TracePacket, 100)
+	solo := make([]tracePacket, 100)
 	for i := range solo {
-		solo[i] = TracePacket{Dst: 1, Size: 500, At: time.Duration(i) * time.Millisecond}
+		solo[i] = tracePacket{Dst: 1, Size: 500, At: time.Duration(i) * time.Millisecond}
 	}
-	var mixed []TracePacket
+	var mixed []tracePacket
 	for i := range solo {
-		mixed = append(mixed, solo[i], TracePacket{Dst: 2, Size: 900, At: solo[i].At})
+		mixed = append(mixed, solo[i], tracePacket{Dst: 2, Size: 900, At: solo[i].At})
 	}
-	soloFates := Trace(profile, 9, 3, solo)
-	mixedFates := Trace(profile, 9, 3, mixed)
+	soloFates := trace(profile, 9, 3, solo)
+	mixedFates := trace(profile, 9, 3, mixed)
 	for i := range soloFates {
 		if soloFates[i] != mixedFates[2*i] {
 			t.Fatalf("send %d to dst 1 changed fate when dst 2 traffic interleaved: %+v vs %+v",
@@ -89,7 +122,7 @@ func TestShaperLatencyJitterBounds(t *testing.T) {
 	profile := ShapeProfile{Latency: 50 * time.Millisecond, Jitter: 20 * time.Millisecond}
 	lo, hi := 30*time.Millisecond, 70*time.Millisecond
 	seenLo, seenHi := false, false
-	for _, f := range Trace(profile, 7, 1, traceSchedule(500)) {
+	for _, f := range trace(profile, 7, 1, traceSchedule(500)) {
 		if f.Drop {
 			t.Fatal("lossless profile dropped a datagram")
 		}
@@ -113,7 +146,7 @@ func TestShaperTokenBucket(t *testing.T) {
 	// spends the burst, an immediate second one owes its full serialisation
 	// time (10ms), and after a long idle gap the bucket is full again.
 	profile := ShapeProfile{Rate: 100_000, Burst: 1000}
-	fates := Trace(profile, 1, 1, []TracePacket{
+	fates := trace(profile, 1, 1, []tracePacket{
 		{Dst: 1, Size: 1000, At: 0},
 		{Dst: 1, Size: 1000, At: 0},
 		{Dst: 1, Size: 1000, At: time.Second},
@@ -132,7 +165,7 @@ func TestShaperTokenBucket(t *testing.T) {
 func TestShaperReorderSkipsLatency(t *testing.T) {
 	// With reorder certain, every datagram skips the latency queue.
 	profile := ShapeProfile{Latency: 50 * time.Millisecond, Reorder: 1}
-	for i, f := range Trace(profile, 3, 1, traceSchedule(20)) {
+	for i, f := range trace(profile, 3, 1, traceSchedule(20)) {
 		if f.Drop || f.Delay != 0 {
 			t.Fatalf("send %d: reorder=1 should zero the delay, got %+v", i, f)
 		}
@@ -148,7 +181,7 @@ func TestNewShaperZeroProfileIsNil(t *testing.T) {
 	if f := s.Shape(1, 100, 0); f.Drop || f.Delay != 0 {
 		t.Fatalf("nil shaper shaped: %+v", f)
 	}
-	if s.Dropped() != 0 || s.Delayed() != 0 || s.LinkCount() != 0 || s.Links() != nil {
+	if s.Dropped() != 0 || s.Delayed() != 0 {
 		t.Fatal("nil shaper reported non-zero telemetry")
 	}
 }
@@ -209,11 +242,8 @@ func TestShaperCounters(t *testing.T) {
 	if s.Dropped() != 0 || s.Delayed() != 2 {
 		t.Fatalf("counters after 2 delayed sends: dropped=%d delayed=%d", s.Dropped(), s.Delayed())
 	}
-	if s.LinkCount() != 2 {
-		t.Fatalf("LinkCount = %d, want 2", s.LinkCount())
-	}
-	if got := fmt.Sprint(s.Links()); got != "[2 3]" {
-		t.Fatalf("Links = %s, want [2 3]", got)
+	if len(s.links) != 2 || s.links[2] == nil || s.links[3] == nil {
+		t.Fatalf("shaped links %v, want one each for destinations 2 and 3", s.links)
 	}
 }
 

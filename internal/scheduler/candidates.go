@@ -4,6 +4,7 @@ import (
 	mathbits "math/bits"
 	"slices"
 
+	"continustreaming/internal/buffer"
 	"continustreaming/internal/segment"
 )
 
@@ -24,19 +25,64 @@ type NeighborWords struct {
 	Bits []uint64
 }
 
-// FillCandidates materialises the candidates of one scheduling period from
-// the union words: bit i of union marks segment lo+i as wanted — advertised
-// by at least one live neighbour, absent locally and not already in flight
-// (the caller masks all three before calling) — and every wanted segment
-// becomes one Candidate listing the live neighbours that advertise it.
-// Candidates emerge with IDs ascending and suppliers in live order.
+// Enumeration is the one candidate enumeration both runtimes schedule
+// from, with the grow-only buffers it carves its output from; a requester
+// (or the shard scheduling it) keeps one and reuses it every period.
+type Enumeration struct {
+	union []uint64
+	sup   []Supplier
+	cands []Candidate
+}
+
+// Candidates lists the segments worth requesting this round among the
+// width IDs from origin, each with the live neighbours that advertise it.
+// A segment is wanted when some neighbour's word shows it and none of three
+// masks removes it: own, the requester's availability words at the same
+// origin (it already holds the segment); the tail of the last word past
+// width; and track, the requester's in-flight record (a request or a
+// pre-fetch for it is still out in round). Candidates emerge with IDs
+// ascending and suppliers in live order, and alias the Enumeration's
+// buffers until its next call.
+func (e *Enumeration) Candidates(live []NeighborWords, own []uint64, width int, origin segment.ID, track *buffer.Track, round int) []Candidate {
+	if len(live) == 0 || width <= 0 {
+		return nil
+	}
+	nw := (width + 63) / 64
+	e.union = slices.Grow(e.union[:0], nw)[:nw]
+	union := e.union
+	clear(union)
+	for i := range live {
+		for wi, w := range live[i].Bits[:nw] {
+			union[wi] |= w
+		}
+	}
+	for wi := range union {
+		union[wi] &^= own[wi]
+	}
+	if r := uint(width) & 63; r != 0 {
+		union[nw-1] &= 1<<r - 1
+	}
+	track.MaskInFlight(union, origin, round)
+	var any uint64
+	for _, w := range union {
+		any |= w
+	}
+	if any == 0 {
+		return nil
+	}
+	e.sup, e.cands = fillCandidates(e.sup[:0], e.cands[:0], live, union, origin)
+	return e.cands
+}
+
+// fillCandidates materialises one Candidate per set bit of union (bit i is
+// segment lo+i), listing the live neighbours that advertise it.
 //
 // Supplier entries are appended to arena and candidates to cands; both
 // grown slices are returned so callers can recycle them. Per-candidate
 // supplier lists are capacity-capped subslices of the arena, so later
 // appends never alias them; they stay valid until the caller truncates
 // the arena.
-func FillCandidates(arena []Supplier, cands []Candidate, live []NeighborWords, union []uint64, lo segment.ID) ([]Supplier, []Candidate) {
+func fillCandidates(arena []Supplier, cands []Candidate, live []NeighborWords, union []uint64, lo segment.ID) ([]Supplier, []Candidate) {
 	// The word fill counts holders in six bit planes.
 	if len(live) > 63 {
 		return fillCandidatesScalar(arena, cands, live, union, lo)

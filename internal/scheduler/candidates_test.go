@@ -85,7 +85,7 @@ func TestFillCandidatesWordMatchesScalar(t *testing.T) {
 func TestFillCandidatesWideNeighbourhood(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0xf112)
 	live, union := randomFillInput(rng, 70, 2)
-	_, got := FillCandidates(nil, nil, live, union, 40)
+	_, got := fillCandidates(nil, nil, live, union, 40)
 	_, want := fillCandidatesScalar(nil, nil, live, union, 40)
 	if len(got) != len(want) {
 		t.Fatalf("%d candidates, want %d", len(got), len(want))

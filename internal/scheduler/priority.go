@@ -3,6 +3,12 @@
 // urgency (equation 1) and rarity (equation 2), and the greedy supplier
 // assignment of Algorithm 1. It also provides the baseline the paper
 // compares against: CoolStreaming's rarest-first rule.
+//
+// Both runtimes reach Algorithm 1 through one enumeration of what is worth
+// asking for, Enumeration.Candidates: the union of the live neighbours'
+// availability words under three masks — what the requester holds, the
+// last word's tail past the fetch window, and what its buffer.Track says is
+// already in flight.
 package scheduler
 
 import (

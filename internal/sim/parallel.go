@@ -83,10 +83,20 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	return out
 }
 
-// shardStreamSalt keys the per-shard RNG streams handed out by MapReduce,
+// shardStreamSalt keys the per-shard RNG streams ShardRNG hands out,
 // keeping them disjoint from the node- and world-level streams derived
 // elsewhere from the same master seed.
 const shardStreamSalt = 0x5d1a7c0de
+
+// ShardRNG returns shard's private stream under seed, for MapReduce map
+// funcs that make stochastic shard-local decisions: the randomness depends
+// only on the shard assignment, never on which worker ran the shard or in
+// what order. The seed must be unique to the invocation (salt the master
+// seed with a phase tag and round index, as core.World.phaseSeed does);
+// reusing one would hand every phase the same streams.
+func ShardRNG(seed uint64, shard int) *RNG {
+	return DeriveRNG(seed, shardStreamSalt+uint64(shard))
+}
 
 // ShardIndex maps a 64-bit key onto one of shards buckets through a
 // splitmix-style finalizer, so adjacent keys (sequentially assigned node
@@ -121,24 +131,15 @@ func ShardRange(n, shards, s int) (lo, hi int) {
 // MapReduce is the sharded map/reduce primitive behind the deterministic
 // parallel round phases. It runs mapFn once per shard on the pool's workers
 // and then folds the per-shard results with reduce sequentially in
-// ascending shard order. Each shard receives a private RNG stream derived
-// from (seed, shard), so any stochastic shard-local decision consumes
-// randomness that depends only on the shard assignment — never on which
-// worker ran the shard or in what order. Callers that consume the streams
-// must pass a seed unique to the invocation (salt the master seed with a
-// phase tag and round index, as core.World.phaseSeed does); reusing one
-// seed across invocations would hand every phase the same streams.
-// Because shard count, shard streams, and the reduce order are all
-// independent of the pool's width, the combined outcome is bit-identical
-// at any worker count.
-func MapReduce[T any](p *Pool, shards int, seed uint64, mapFn func(shard int, rng *RNG) T, reduce func(shard int, v T)) {
+// ascending shard order. Because the shard count and the reduce order are
+// independent of the pool's width — and a map func that needs randomness
+// draws it from ShardRNG — the combined outcome is bit-identical at any
+// worker count.
+func MapReduce[T any](p *Pool, shards int, mapFn func(shard int) T, reduce func(shard int, v T)) {
 	if shards <= 0 {
 		return
 	}
-	results := Map(p, shards, func(s int) T {
-		return mapFn(s, DeriveRNG(seed, shardStreamSalt+uint64(s)))
-	})
-	for s, v := range results {
+	for s, v := range Map(p, shards, mapFn) {
 		reduce(s, v)
 	}
 }

@@ -52,15 +52,16 @@ func TestShardRangeCoversInOrder(t *testing.T) {
 }
 
 // TestMapReduceDeterministicAcrossWorkerCounts pins the primitive's core
-// contract: per-shard RNG streams and the shard-order reduce make the
-// combined outcome independent of the pool width executing it.
+// contract: per-shard RNG streams (ShardRNG) and the shard-order reduce
+// make the combined outcome independent of the pool width executing it.
 func TestMapReduceDeterministicAcrossWorkerCounts(t *testing.T) {
 	const shards = 32
 	run := func(workers int) ([]uint64, []int) {
 		p := NewPool(workers)
 		draws := make([]uint64, 0, shards)
 		order := make([]int, 0, shards)
-		MapReduce(p, shards, 99, func(s int, rng *RNG) uint64 {
+		MapReduce(p, shards, func(s int) uint64 {
+			rng := ShardRNG(99, s)
 			// Consume a shard-dependent amount of randomness so stream
 			// independence, not just seeding, is exercised.
 			var v uint64
@@ -89,13 +90,15 @@ func TestMapReduceDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestMapReduceShardStreamsIndependent checks that two shards never share
-// an RNG stream and that a different seed moves every stream.
+// an RNG stream, that a different seed moves every stream, and that the
+// derivation is the (seed, salt+shard) one the committed goldens were
+// recorded under.
 func TestMapReduceShardStreamsIndependent(t *testing.T) {
 	collect := func(seed uint64) []uint64 {
 		p := NewPool(2)
 		out := make([]uint64, 0, 16)
-		MapReduce(p, 16, seed, func(s int, rng *RNG) uint64 {
-			return rng.Uint64()
+		MapReduce(p, 16, func(s int) uint64 {
+			return ShardRNG(seed, s).Uint64()
 		}, func(s int, v uint64) { out = append(out, v) })
 		return out
 	}
@@ -117,6 +120,9 @@ func TestMapReduceShardStreamsIndependent(t *testing.T) {
 	if same == len(a) {
 		t.Fatal("changing the seed left every shard stream unchanged")
 	}
+	if got, want := a[3], DeriveRNG(7, 0x5d1a7c0de+3).Uint64(); got != want {
+		t.Fatalf("ShardRNG(7, 3) opens at %#x, DeriveRNG(7, salt+3) at %#x", got, want)
+	}
 }
 
 func TestMapReduceZeroShards(t *testing.T) {
@@ -124,7 +130,7 @@ func TestMapReduceZeroShards(t *testing.T) {
 	called := false
 	// The reduce func runs sequentially, so it may write the captured
 	// flag; the map func signals through its return value instead.
-	MapReduce(p, 0, 1, func(int, *RNG) int { return 1 }, func(int, int) { called = true })
+	MapReduce(p, 0, func(int) int { return 1 }, func(int, int) { called = true })
 	if called {
 		t.Fatal("MapReduce with zero shards must be a no-op")
 	}
