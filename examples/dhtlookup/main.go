@@ -23,13 +23,14 @@ func main() {
 	for net.Size() < 2000 {
 		net.Join(dht.ID(rng.Intn(space.N())), rng)
 	}
-	for _, id := range net.IDs() {
+	ids := net.IDs()
+	for _, id := range ids {
 		net.FillTable(net.Table(id), rng)
 	}
 
 	// Store backups for 100 segments at their k=4 hashed owners.
 	stores := map[dht.ID]*dht.Store{}
-	for _, id := range net.IDs() {
+	for _, id := range ids {
 		stores[id] = dht.NewStore()
 	}
 	const k = 4
@@ -49,7 +50,7 @@ func main() {
 	sc := dht.RouteScratch{RecordPath: true}
 	for q := 0; q < queries; q++ {
 		seg := segment.ID(q % 100)
-		origin := net.IDs()[rng.Intn(net.Size())]
+		origin := ids[rng.Intn(len(ids))]
 		res := net.RouteTo(origin, dht.HashKey(space, seg, 1), &sc)
 		if !res.Success {
 			continue

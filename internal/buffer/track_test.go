@@ -135,7 +135,8 @@ func TestTrackMatchesMapReference(t *testing.T) {
 				delete(ref.pulls, id)
 				delete(ref.rescues, id)
 			case op < 14:
-				id, at := inWindow(), sim.Time(rng.Intn(1000))
+				// Time zero is a recorded arrival, not the empty slot.
+				id, at := inWindow(), sim.Time(rng.Intn(1000)*rng.Intn(2))
 				tr.NoteArrived(id, at)
 				if _, ok := ref.arrived[id]; !ok {
 					ref.arrived[id] = at
@@ -157,7 +158,9 @@ func TestTrackMatchesMapReference(t *testing.T) {
 				round++
 				ref.turn(round)
 			default:
-				// A departed peer's arrays reopen for a joiner elsewhere.
+				// A departed peer's arrays reopen for a joiner elsewhere,
+				// and the comparison below finds no arrival, mark or tag
+				// of its on any slot.
 				lo = segment.ID(rng.Intn(5000))
 				tr = OpenTrack(size, lo, tr)
 				ref = newRefTrack(size, lo)

@@ -440,7 +440,7 @@ func (p *maintenanceProvider) AppendDHTPeers(dst []protocol.CandidateSource) []p
 func (p *maintenanceProvider) AppendRPCandidates(dst []overlay.NodeID, max int) []overlay.NodeID {
 	// Only the source consults the RP list — once per round — so the
 	// membership snapshot's allocation is not a steady-state cost.
-	return append(dst, p.w.rp.Candidates(p.n.ID, max)...)
+	return p.w.rp.AppendCandidates(dst, p.n.ID, max)
 }
 
 func (p *maintenanceProvider) Alive(id overlay.NodeID) bool { return p.w.nodes[id] != nil }

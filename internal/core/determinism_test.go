@@ -82,13 +82,13 @@ func TestRecycledIDDrawsFreshStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := w.Nodes()[1]
-	gen0a := w.buildNode(id, 10, false).RNG.Uint64()
-	gen0b := w.buildNode(id, 10, false).RNG.Uint64()
+	gen0a := w.buildNode(id, false).RNG.Uint64()
+	gen0b := w.buildNode(id, false).RNG.Uint64()
 	if gen0a != gen0b {
 		t.Fatal("same generation must derive the same stream")
 	}
 	w.idGen[id]++
-	reused := w.buildNode(id, 10, false)
+	reused := w.buildNode(id, false)
 	if reused.Gen != 1 {
 		t.Fatalf("reused node generation = %d, want 1", reused.Gen)
 	}

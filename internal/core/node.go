@@ -32,9 +32,6 @@ type Node struct {
 	IsSource bool
 	// Rates is the node's access capacity.
 	Rates bandwidth.Rates
-	// Ping is the node's trace ping time; pairwise latency derives from
-	// ping differences (§5.2).
-	Ping sim.Time
 	// Table is the Peer Table (connected neighbours + DHT peers +
 	// overheard nodes).
 	Table *overlay.PeerTable

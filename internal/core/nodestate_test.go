@@ -21,8 +21,8 @@ import (
 // tag the window advance failed to wipe would, one buffer length ahead of
 // the segment it was set for; buffer.TestTrackMatchesMapReference holds the
 // tracker's own arrays to account); the Peer Table's DHT levels are the
-// table the DHT routes through; and the DHT's membership bitmap is the
-// alive set.
+// table the DHT routes through; and the DHT's membership bitmap and the
+// slots of the ping table that hold a ping are the alive set.
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	edge := w.fetchEdge(w.round)
@@ -91,6 +91,9 @@ func checkNodeState(t *testing.T, w *World) {
 		owner, _ := w.dhtNet.Owner(dht.ID(id))
 		if member, alive := owner == dht.ID(id), w.nodes[id] != nil; member != alive {
 			t.Fatalf("round %d: ring ID %d alive=%v but DHT membership bit=%v", w.round, overlay.NodeID(id), alive, member)
+		}
+		if pinged, alive := w.ping[id] != 0, w.nodes[id] != nil; pinged != alive {
+			t.Fatalf("round %d: ring ID %d alive=%v but its ping table slot holds %d", w.round, overlay.NodeID(id), alive, w.ping[id])
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
@@ -11,45 +11,65 @@ import (
 	"continustreaming/internal/sim"
 )
 
+// joinCand is one peer a joiner may wire to, with its measured latency.
+type joinCand struct {
+	id  overlay.NodeID
+	lat sim.Time
+}
+
 // churnPhase executes the dynamic environment: the configured fractions
-// of leaves (graceful handover or abrupt failure) and joins (§5.2).
+// of leaves (graceful handover or abrupt failure) and joins (§5.2). The
+// event order — graceful leavers, abrupt leavers, joiners, each in plan
+// order — and the place of every w.rng draw in it are the contract the
+// goldens pin, so leaves and joins run one at a time on the spine; what
+// makes that affordable is that no event costs more than the handful of
+// nodes it touches: membership edits are bitmap words (dht.Members), a
+// joiner works out of the world's join scratch, and the one step that
+// does not depend on the order, purging what was in flight to the
+// departed, runs on the pool.
 func (w *World) churnPhase() {
 	if w.churnProc == nil {
 		return
 	}
-	candidates := make([]overlay.NodeID, 0, len(w.order)-1)
-	for _, id := range w.order {
-		if id != w.source {
-			candidates = append(candidates, id)
+	// The plan indexes the alive order with the source left out.
+	src, _ := slices.BinarySearch(w.order, w.source)
+	candidate := func(idx int) overlay.NodeID {
+		if idx >= src {
+			idx++
 		}
+		return w.order[idx]
 	}
-	plan := w.churnProc.Next(w.round, len(candidates))
+	plan := w.churnProc.Next(w.round, len(w.order)-1)
 	for _, idx := range plan.GracefulLeavers {
-		w.leave(candidates[idx], true)
+		w.leave(candidate(idx), true)
 	}
 	for _, idx := range plan.AbruptLeavers {
-		w.leave(candidates[idx], false)
+		w.leave(candidate(idx), false)
 	}
 	if plan.TotalLeavers() > 0 {
-		// Drop cross-round deliveries addressed to this round's departed
-		// nodes in one pass over the shards' in-flight lists: their
-		// connections are gone, and a joiner recycling a ring slot must
-		// not inherit them. One pass per round (not per leaver) keeps
-		// churn O(in flight + leavers). Transfers the dead sent while
-		// alive still arrive — packets already on the wire — matching the
-		// pre-recycling behaviour.
-		for s := range w.arenas {
-			ar := &w.arenas[s]
-			ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
-		}
-		// Same recycling hazard on the supplier side: carried requests
-		// from this round's leavers must go before any joiner can reuse
-		// their ring slots and pass the serve-time liveness check. (w.seq
-		// still lists the leavers; their queues are as dead as they are.)
-		departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
-		for _, n := range w.seq {
-			n.carry = slices.DeleteFunc(n.carry, departed)
-		}
+		// Drop what is addressed to this round's departed nodes in one
+		// pass per ownership shard, before any joiner can reuse a ring
+		// slot: the cross-round deliveries in flight to them — their
+		// connections are gone, and a recycled slot must not inherit them
+		// — and, on the supplier side, their carried requests, which
+		// would otherwise pass the serve-time liveness check once the slot
+		// is alive again. Every non-empty carry queue is on its shard's
+		// carriers list. Transfers the dead sent while alive still arrive:
+		// packets already on the wire.
+		w.ensureArenas()
+		sim.MapReduce(w.pool, phaseShards,
+			func(s int) struct{} {
+				ar := &w.arenas[s]
+				ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
+				departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
+				for _, id := range ar.carriers {
+					if n := w.nodes[id]; n != nil {
+						n.carry = slices.DeleteFunc(n.carry, departed)
+					}
+				}
+				return struct{}{}
+			},
+			func(int, struct{}) {})
 	}
 	for j := 0; j < plan.Joins; j++ {
 		w.join()
@@ -61,7 +81,9 @@ func (w *World) churnPhase() {
 
 // leave removes a node. Graceful leavers hand their VoD backup to the
 // counter-clockwise closest node (§4.3) and deregister from the RP; abrupt
-// failures just vanish — neighbours and the RP discover it later.
+// failures just vanish — neighbours and the RP discover it later. Each
+// neighbour drops its end of the edge; the leaver's end goes with its
+// table.
 func (w *World) leave(id overlay.NodeID, graceful bool) {
 	n := w.nodes[id]
 	if n == nil || id == w.source {
@@ -76,13 +98,14 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 		}
 		w.rp.ReportFailure(id)
 	}
-	// Copy the neighbour list before tearing the edges down.
-	nbs := append([]overlay.NodeID(nil), w.neighborsOf(id)...)
-	for _, nb := range nbs {
-		w.removeEdge(id, nb)
+	for _, nb := range n.Table.Neighbors() {
+		peer := w.nodes[nb]
+		peer.Table.RemoveNeighbor(id)
+		peer.Ctrl.Forget(int(id))
 	}
 	w.dhtNet.Leave(dht.ID(id))
 	w.nodes[id] = nil
+	w.ping[id] = 0
 	// The tracker's arrays go to the next joiner (buildNode).
 	w.freeSeg = append(w.freeSeg, n.seg)
 	n.seg = buffer.Track{}
@@ -105,19 +128,24 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 }
 
 // join admits one new node through the RP protocol: assign an ID, ping the
-// candidate list, adopt the nearest alive node's peer table as a base,
+// candidate list, adopt the first alive candidate's peer table as a base,
 // wire up to M neighbours, and join the DHT. The newcomer starts playback
 // once its buffer catches the shared position, "following its neighbours'
-// current steps" rather than fetching history.
+// current steps" rather than fetching history. Its lists are built on the
+// world's join scratch: churn is sequential, one set serves every joiner.
 func (w *World) join() {
 	id := w.rp.AssignID(w.rng)
 	ping := 10*sim.Millisecond + sim.Time(w.rng.Intn(191))
-	n := w.buildNode(id, ping, false)
+	n := w.buildNode(id, false)
 	n.JoinedRound = w.round
 	// The newcomer's buffer opens at the current playback position, where
 	// buildNode already opened its segment tracker.
 	n.Buf.AdvanceTo(w.playbackPos(w.round))
-	cands := w.rp.Candidates(id, 6)
+	cands := w.rp.AppendCandidates(w.joinCands[:0], id, 6)
+	w.joinCands = cands
+	// The joiner has no ping on record until it is admitted, so every
+	// candidate measures the floor latency and the nearest-candidate rule
+	// keeps the first alive one, the closest on the ring.
 	var donor *Node
 	for _, c := range cands {
 		if cn := w.nodes[c]; cn != nil {
@@ -128,50 +156,41 @@ func (w *World) join() {
 			w.rp.ReportFailure(c)
 		}
 	}
-	w.admit(n)
-	if donor == nil {
-		// RP list was fully stale; fall back to a uniform alive node so
-		// the newcomer is never stranded.
-		alive := w.order
-		if len(alive) > 0 {
-			donor = w.nodes[alive[w.rng.Intn(len(alive))]]
-		}
+	w.admit(n, ping)
+	if donor == nil && len(w.order) > 0 {
+		// RP list was fully stale; fall back to a uniform draw over the
+		// order the round began with. That order still lists this round's
+		// leavers, so the draw can land on a vacated slot and leave the
+		// newcomer without a donor: it then wires to nobody and waits for
+		// maintenance's RP refill (ROADMAP direction 4 has the count).
+		donor = w.nodes[w.order[w.rng.Intn(len(w.order))]]
 	}
-	if donor != nil {
-		n.Table.CloneFrom(donor.Table, func(o overlay.NodeID) sim.Time { return w.Latency(id, o) })
-		donor.Table.Hear(id, w.Latency(donor.ID, id))
-	}
-	// Connect up to M lowest-latency known peers.
-	type cand struct {
-		id  overlay.NodeID
-		lat sim.Time
-	}
-	var pool []cand
-	seen := map[overlay.NodeID]bool{id: true}
+	pool := w.joinPool[:0]
 	consider := func(c overlay.NodeID) {
-		if c < 0 || seen[c] || w.nodes[c] == nil {
+		if c == id || w.nodes[c] == nil || slices.ContainsFunc(pool, func(p joinCand) bool { return p.id == c }) {
 			return
 		}
-		seen[c] = true
-		pool = append(pool, cand{id: c, lat: w.Latency(id, c)})
+		pool = append(pool, joinCand{id: c, lat: w.Latency(id, c)})
 	}
 	if donor != nil {
+		w.joinHeard = n.Table.CloneFrom(donor.Table, w.joinHeard, func(o overlay.NodeID) sim.Time { return w.Latency(id, o) })
+		donor.Table.Hear(id, w.Latency(donor.ID, id))
 		consider(donor.ID)
 		for _, nb := range donor.Table.Neighbors() {
 			consider(nb)
 		}
 	}
-	for _, o := range n.Table.OverheardNodes() {
+	w.joinHeard = n.Table.OverheardNodes(w.joinHeard)
+	for _, o := range w.joinHeard {
 		consider(o.ID)
 	}
 	for _, c := range cands {
 		consider(c)
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].lat != pool[j].lat {
-			return pool[i].lat < pool[j].lat
-		}
-		return pool[i].id < pool[j].id
+	// Connect up to M lowest-latency known peers; IDs are distinct, so
+	// (latency, ID) is a total order.
+	slices.SortFunc(pool, func(a, b joinCand) int {
+		return cmp.Or(cmp.Compare(a.lat, b.lat), cmp.Compare(a.id, b.id))
 	})
 	for _, c := range pool {
 		if len(n.Table.Neighbors()) >= w.cfg.M {
@@ -179,4 +198,5 @@ func (w *World) join() {
 		}
 		w.addEdge(id, c.id)
 	}
+	w.joinPool = pool
 }

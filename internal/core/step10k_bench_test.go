@@ -115,6 +115,23 @@ func BenchmarkMaintenance10k(b *testing.B) {
 	}
 }
 
+// BenchmarkChurn10k isolates the churn phase on the same world: the
+// round's 5 % leaves (handover, edge teardown, DHT and RP departure), the
+// in-flight purge, as many joins (ID assignment, donor choice, table
+// clone, wiring) and the order rebuild. The phase is the sequential spine's
+// largest item, so ns/op is what Amdahl charges every worker count, and
+// allocs/op is most of what a churn round allocates outside the pool.
+// Every iteration replays the phase at one round index on the population
+// the previous one left, which the 5 % in and out keeps at 10,000.
+func BenchmarkChurn10k(b *testing.B) {
+	w, _ := warmedWorld(b, churnConfig(10000), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.churnPhase()
+	}
+}
+
 // heapPerOp calls f iters times and returns the heap allocations and bytes
 // per call. runtime.MemStats' Mallocs and TotalAlloc are monotonic, so the
 // deltas are exact whenever the collector runs inside the window.
@@ -146,9 +163,9 @@ func sampleFingerprint(w *World) string {
 // few more rounds: the fingerprint covers every counter of every round, so
 // a refactor of Config, DefaultConfig, any default value or any phase that
 // moves one of them fails the row by name; the ceilings sit 20 % above the
-// level measured when they were set (PR 23: Step1k 4 255 allocs and
-// 1.10 MB per round, Step10k 28 671 / 28 755 / 28 811 at 1/4/8 workers and
-// 8.81 MB; a few more under -race, which the margin absorbs). When a change
+// level measured when they were set (PR 24: Step1k 2 743 allocs and
+// 0.84 MB per round, Step10k 13 585 / 13 675 / 13 735 at 1/4/8 workers and
+// 6.19 MB; a few more under -race, which the margin absorbs). When a change
 // means to move a fingerprint or a ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	const step10k = "cfa6d8d2dd9779d9"
@@ -166,10 +183,10 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "03bc04f5a85e4c79", "", 5100, 1_320_000, nil},
-		{"Step10k-w1", 10000, 1, 2, step10k, "", 34500, 10_570_000, maintenanceCeiling},
-		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 34500, 10_570_000, nil},
-		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 34500, 10_570_000, nil},
+		{"Step1k", 1000, 1, 5, "03bc04f5a85e4c79", "", 3300, 1_004_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 16400, 7_430_000, phaseCeilings},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 16400, 7_430_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 16400, 7_430_000, nil},
 	}
 	measured := map[string]string{}
 	for _, row := range rows {
@@ -198,14 +215,22 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// maintenanceCeiling prices the neighbour-maintenance phase in place on a
-// world that is finished stepping (97 allocs per phase there when the
-// ceiling was set, 116 under -race).
-func maintenanceCeiling(t *testing.T, w *World) {
+// phaseCeilings prices the neighbour-maintenance phase and then the churn
+// phase in place, on a world that is finished stepping. Maintenance ran at
+// 97 allocs per phase when its ceiling was set (116 under -race); a churn
+// phase allocates once per component of each of its ~500 joiners, a few
+// times per grown neighbour list and nothing per leaver (7 637 allocs and
+// 0.87 MB when its ceilings were set, 20 % above that).
+func phaseCeilings(t *testing.T, w *World) {
 	allocs, bytes := heapPerOp(2, w.maintenancePhase)
 	t.Logf("Maintenance10k: %d allocs/op, %d B/op", allocs, bytes)
 	if allocs > 150 {
 		t.Errorf("Maintenance10k: %d allocs per phase, ceiling 150", allocs)
+	}
+	allocs, bytes = heapPerOp(2, w.churnPhase)
+	t.Logf("Churn10k: %d allocs/op, %d B/op", allocs, bytes)
+	if allocs > 9150 || bytes > 1_043_000 {
+		t.Errorf("Churn10k: %d allocs and %d B per phase, ceilings 9150 and 1043000", allocs, bytes)
 	}
 }
 

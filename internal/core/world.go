@@ -67,6 +67,20 @@ type World struct {
 	// reuse) leaves every derivation exactly as before.
 	idGen []uint64
 
+	// ping is each alive node's trace ping time by ring ID, zero on a
+	// vacant slot (trace pings start at 10 ms); pairwise latency derives
+	// from ping differences (§5.2). Dense because Latency is asked for
+	// arbitrary pairs from every phase: one load per end, where the node
+	// structs cost a dependent miss each.
+	ping []sim.Time
+
+	// joinCands, joinHeard and joinPool are join's working lists (the RP's
+	// candidates, an overheard list in recency order, the wiring pool),
+	// reused from joiner to joiner.
+	joinCands []overlay.NodeID
+	joinHeard []overlay.Overheard
+	joinPool  []joinCand
+
 	// freeSeg holds departed nodes' segment trackers (four B-slot arrays,
 	// the bulk of a node's footprint) for the next joiners to reuse. Churn
 	// is sequential, so the list needs no shard discipline; it holds at
@@ -126,6 +140,7 @@ func NewWorld(cfg Config) (*World, error) {
 		policy:    scheduler.Greedy{},
 		rarity:    make([]rarityCache, phaseShards),
 		idGen:     make([]uint64, space.N()),
+		ping:      make([]sim.Time, space.N()),
 	}
 	if cfg.Profile.Policy == PolicyRarestFirst {
 		w.policy = scheduler.RarestFirst{}
@@ -146,7 +161,7 @@ func NewWorld(cfg Config) (*World, error) {
 	// The source is trace index 0.
 	for i := 0; i < graph.N(); i++ {
 		id := ringOf[i]
-		w.admit(w.buildNode(id, graph.Nodes[i].Ping, i == 0))
+		w.admit(w.buildNode(id, i == 0), graph.Nodes[i].Ping)
 	}
 	w.source = ringOf[0]
 	// Wire connected neighbours from the augmented trace graph.
@@ -168,18 +183,19 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// admit makes a built node a member: of the world's table, of the RP
-// server's list and of the DHT, whose levelled table for it becomes the
-// DHT section of its Peer Table.
-func (w *World) admit(n *Node) {
+// admit makes a built node a member, at the given trace ping time: of the
+// world's tables, of the RP server's list and of the DHT, whose levelled
+// table for it becomes the DHT section of its Peer Table.
+func (w *World) admit(n *Node, ping sim.Time) {
 	w.nodes[n.ID] = n
+	w.ping[n.ID] = ping
 	w.rp.Register(n.ID)
 	n.Table = overlay.NewPeerTable(n.ID, w.cfg.H, w.dhtNet.Join(dht.ID(n.ID), w.rng))
 }
 
 // buildNode constructs a node with profile-appropriate components, all
 // but its Peer Table, which admit adds.
-func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node {
+func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 	cfg := w.cfg
 	var rates bandwidth.Rates
 	gen := w.idGen[id]
@@ -194,7 +210,6 @@ func (w *World) buildNode(id overlay.NodeID, ping sim.Time, isSource bool) *Node
 		Gen:      gen,
 		IsSource: isSource,
 		Rates:    rates,
-		Ping:     ping,
 		// Initial-population sentinel; join() overwrites with the join
 		// round. A plain 0 would alias round-0 churn joiners with the
 		// pre-converged initial overlay in the warm-continuity check.
@@ -284,20 +299,17 @@ func (w *World) clearOutUsed() {
 }
 
 // Latency returns the simulated one-way latency between two alive nodes:
-// the trace rule |ping_u − ping_v| with the topology package's floor.
+// the trace rule |ping_u − ping_v| with the topology package's floor,
+// which is also the answer when either ID names no alive node.
 func (w *World) Latency(u, v overlay.NodeID) sim.Time {
-	nu, nv := w.Node(u), w.Node(v)
-	if nu == nil || nv == nil {
+	if uint(u) >= uint(len(w.ping)) || uint(v) >= uint(len(w.ping)) || w.ping[u] == 0 || w.ping[v] == 0 {
 		return topology.MinLatency
 	}
-	d := nu.Ping - nv.Ping
+	d := w.ping[u] - w.ping[v]
 	if d < 0 {
 		d = -d
 	}
-	if d < topology.MinLatency {
-		return topology.MinLatency
-	}
-	return d
+	return max(d, topology.MinLatency)
 }
 
 // addEdge connects two alive nodes as gossip neighbours. The mesh's edge

@@ -7,19 +7,25 @@ import (
 )
 
 // Network is the simulated structured overlay: the set of alive nodes with
-// their peer tables, plus the ground-truth sorted membership used to define
-// arc ownership. It backs both the standalone DHT experiments (Figure 3)
-// and the on-demand retrieval path of the streaming system.
+// their peer tables, which is the ground-truth membership that defines arc
+// ownership. It backs both the standalone DHT experiments (Figure 3) and
+// the on-demand retrieval path of the streaming system.
 //
 // Network is not safe for concurrent mutation; the simulation mutates it
-// only between parallel phases. Everything routing touches — RouteTo,
-// Owner, Alive, Table.NextHop — only reads, so any number of goroutines
-// may route at once while nobody joins, leaves or edits a table.
+// only between parallel phases. Everything routing and table repair touch
+// — RouteTo, Owner, Alive, Table.NextHop, RepairTable's arc draws — only
+// reads, so any number of goroutines may do so at once while nobody joins,
+// leaves or edits a table.
 type Network struct {
 	space  Space
 	tables []*Table // dense, indexed by ID; nil = not a member
-	sorted []ID     // alive IDs, ascending
-	alive  []uint64 // membership bitmap, bit id set iff tables[id] != nil
+	alive  Members  // id is a member iff tables[id] != nil
+	// below[w] counts the members in bitmap words before w, which makes a
+	// member's rank two loads and a popcount and a join or leave a pass
+	// over one small counter per 64 ring slots — where a sorted ID list
+	// costs a binary search per rank and moves half the population per
+	// membership change.
+	below []int32
 }
 
 // NewNetwork returns an empty network over space. Membership is a dense
@@ -28,10 +34,12 @@ type Network struct {
 // routing and repair hot paths issue per hop become one bounds-checked
 // load instead of a map lookup.
 func NewNetwork(space Space) *Network {
+	alive := NewMembers(space)
 	return &Network{
 		space:  space,
 		tables: make([]*Table, space.N()),
-		alive:  make([]uint64, (space.N()+63)/64),
+		alive:  alive,
+		below:  make([]int32, len(alive.words)),
 	}
 }
 
@@ -39,7 +47,7 @@ func NewNetwork(space Space) *Network {
 func (n *Network) Space() Space { return n.space }
 
 // Size returns the number of alive nodes.
-func (n *Network) Size() int { return len(n.sorted) }
+func (n *Network) Size() int { return n.alive.Len() }
 
 // Alive reports whether id is currently a member.
 func (n *Network) Alive(id ID) bool {
@@ -54,9 +62,11 @@ func (n *Network) Table(id ID) *Table {
 	return n.tables[id]
 }
 
-// IDs returns the alive membership in ascending order. Callers must not
-// mutate the returned slice.
-func (n *Network) IDs() []ID { return n.sorted }
+// IDs returns the alive membership in ascending order, freshly listed:
+// hoist the call out of loops.
+func (n *Network) IDs() []ID {
+	return n.alive.AppendTo(make([]ID, 0, n.Size()))
+}
 
 // Join adds a node and fills its peer table with one uniformly random alive
 // node per non-empty level arc — the "loose" organisation: any node in the
@@ -66,13 +76,12 @@ func (n *Network) IDs() []ID { return n.sorted }
 // Join returns the new table, or nil if the id was already present.
 func (n *Network) Join(id ID, rng *sim.RNG) *Table {
 	n.space.check(id)
-	if n.Alive(id) {
+	if !n.alive.Add(id) {
 		return nil
 	}
+	n.shiftBelow(id, 1)
 	t := NewTable(n.space, id)
-	n.insertSorted(id)
 	n.tables[id] = t
-	n.alive[id>>6] |= 1 << (uint(id) & 63)
 	n.FillTable(t, rng)
 	return t
 }
@@ -97,106 +106,73 @@ func (n *Network) Leave(id ID) {
 		return
 	}
 	n.tables[id] = nil
-	n.alive[id>>6] &^= 1 << (uint(id) & 63)
-	i := searchIDs(n.sorted, id)
-	n.sorted = append(n.sorted[:i], n.sorted[i+1:]...)
+	n.alive.Remove(id)
+	n.shiftBelow(id, -1)
 }
 
-// searchIDs returns the first index i with ids[i] >= key: sort.Search
-// without the per-probe closure call, which matters on the routing and
-// repair paths that consult the membership every hop.
-func searchIDs(ids []ID, key ID) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < key {
-			lo = mid + 1
+// shiftBelow accounts for id joining (+1) or leaving (-1) in the counts of
+// the bitmap words after its own.
+func (n *Network) shiftBelow(id ID, by int32) {
+	for w := int(id)>>6 + 1; w < len(n.below); w++ {
+		n.below[w] += by
+	}
+}
+
+// rank returns how many members have IDs below id, which may be the space
+// size itself (an arc's exclusive upper end).
+func (n *Network) rank(id ID) int {
+	if int(id) >= n.space.N() {
+		return n.Size()
+	}
+	w := int(id) >> 6
+	return int(n.below[w]) + bits.OnesCount64(n.alive.words[w]&(1<<(uint(id)&63)-1))
+}
+
+// atRank returns the member with k members below it, 0 <= k < Size.
+func (n *Network) atRank(k int) ID {
+	lo, hi := 0, len(n.below)
+	for hi-lo > 1 { // the last word whose preceding count is <= k
+		if mid := int(uint(lo+hi) >> 1); int(n.below[mid]) <= k {
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo
-}
-
-func (n *Network) insertSorted(id ID) {
-	i := searchIDs(n.sorted, id)
-	n.sorted = append(n.sorted, 0)
-	copy(n.sorted[i+1:], n.sorted[i:])
-	n.sorted[i] = id
+	word := n.alive.words[lo]
+	for k -= int(n.below[lo]); k > 0; k-- {
+		word &= word - 1
+	}
+	return ID(lo<<6 + bits.TrailingZeros64(word))
 }
 
 // Owner returns the alive node that owns key: the node counter-clockwise
 // closest to it (the largest alive ID <= key, wrapping). The second result
-// is false when the network is empty. It reads the membership bitmap —
-// the highest set bit at or below key — because every route ends here.
-func (n *Network) Owner(key ID) (ID, bool) {
-	if len(n.sorted) == 0 {
-		return 0, false
-	}
-	wi := int(key) >> 6
-	word := n.alive[wi] & (^uint64(0) >> (63 - uint(key)&63))
-	for word == 0 {
-		// Nothing at or below key in this word: step down, wrapping past
-		// zero to the top of the ring. The network is non-empty, so the
-		// walk ends at the latest back in key's own word, whose bits above
-		// key are then the wrapped answer.
-		if wi--; wi < 0 {
-			wi = len(n.alive) - 1
-		}
-		word = n.alive[wi]
-	}
-	return ID(wi<<6 + 63 - bits.LeadingZeros64(word)), true
-}
+// is false when the network is empty. Every route ends here.
+func (n *Network) Owner(key ID) (ID, bool) { return n.alive.AtOrBelow(key) }
 
 // TrueSuccessor returns the alive node clockwise-closest after id (itself
 // excluded). Used for graceful-leave handover targets and invariant checks.
 func (n *Network) TrueSuccessor(id ID) (ID, bool) {
-	if len(n.sorted) == 0 {
-		return 0, false
-	}
-	// Lowest set bit strictly above id, wrapping; coming back round to id
-	// itself means it is the only member.
-	wi := int(id) >> 6
-	word := n.alive[wi] & (^uint64(1) << (uint(id) & 63))
-	for word == 0 {
-		if wi++; wi == len(n.alive) {
-			wi = 0
-		}
-		word = n.alive[wi]
-	}
-	succ := ID(wi<<6 + bits.TrailingZeros64(word))
-	return succ, succ != id
+	succ, ok := n.alive.Above(id)
+	return succ, ok && succ != id
 }
 
 // randomInArc picks a uniformly random alive node in the (possibly wrapped)
 // arc [lo, hi).
 func (n *Network) randomInArc(lo, hi ID, rng *sim.RNG) (ID, bool) {
-	ids := n.sorted
-	if len(ids) == 0 {
+	i := n.rank(lo)
+	total := n.rank(hi) - i
+	if lo >= hi {
+		total += n.Size() // wrapped: [lo, N) then [0, hi)
+	}
+	if total <= 0 {
 		return 0, false
 	}
-	pickRange := func(a, b ID) (int, int) { // indices of alive ids in [a,b)
-		return searchIDs(ids, a), searchIDs(ids, b)
+	k := i + rng.Intn(total)
+	if k >= n.Size() {
+		k -= n.Size()
 	}
-	if lo < hi {
-		i, j := pickRange(lo, hi)
-		if j <= i {
-			return 0, false
-		}
-		return ids[i+rng.Intn(j-i)], true
-	}
-	// Wrapped arc: [lo, N) ∪ [0, hi).
-	i1, j1 := pickRange(lo, ID(n.space.N()))
-	i2, j2 := pickRange(0, hi)
-	total := (j1 - i1) + (j2 - i2)
-	if total == 0 {
-		return 0, false
-	}
-	k := rng.Intn(total)
-	if k < j1-i1 {
-		return ids[i1+k], true
-	}
-	return ids[i2+k-(j1-i1)], true
+	return n.atRank(k), true
 }
 
 // RouteOutcome is the allocation-free routing result: everything a hot

@@ -8,8 +8,8 @@ import (
 )
 
 // This file keeps the retired routing code as differential oracles: the
-// level scan NextHop replaced, the sorted-membership searches Owner and
-// TrueSuccessor replaced, and the evict-inline walk RouteTo replaced.
+// level scan NextHop replaced, the sorted membership slice the bitmap and
+// its rank directory replaced, and the evict-inline walk RouteTo replaced.
 
 // nextHopScan is the retired NextHop: scan every level for the peer with
 // the smallest clockwise distance to the target that improves on self.
@@ -28,28 +28,86 @@ func nextHopScan(t *Table, target ID) (ID, bool) {
 	return best, best != Vacant
 }
 
-// ownerSearch and successorSearch are the retired binary searches over
-// the sorted membership.
-func ownerSearch(n *Network, key ID) (ID, bool) {
-	if len(n.sorted) == 0 {
-		return 0, false
+// sortedRef is the retired membership representation: the alive IDs as an
+// ascending slice, edited one member at a time with a binary search and a
+// memmove, and answering ownership, succession and uniform arc draws by
+// index arithmetic.
+type sortedRef []ID
+
+// search returns the first index i with ids[i] >= key.
+func (r sortedRef) search(key ID) int {
+	lo, hi := 0, len(r)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	i := searchIDs(n.sorted, key+1)
-	if i == 0 {
-		return n.sorted[len(n.sorted)-1], true
-	}
-	return n.sorted[i-1], true
+	return lo
 }
 
-func successorSearch(n *Network, id ID) (ID, bool) {
-	if len(n.sorted) == 0 || (len(n.sorted) == 1 && n.sorted[0] == id) {
+func (r *sortedRef) join(id ID) {
+	if i := r.search(id); i == len(*r) || (*r)[i] != id {
+		*r = append(*r, 0)
+		copy((*r)[i+1:], (*r)[i:])
+		(*r)[i] = id
+	}
+}
+
+func (r *sortedRef) leave(id ID) {
+	if i := r.search(id); i < len(*r) && (*r)[i] == id {
+		*r = append((*r)[:i], (*r)[i+1:]...)
+	}
+}
+
+func (r sortedRef) owner(key ID) (ID, bool) {
+	if len(r) == 0 {
 		return 0, false
 	}
-	i := searchIDs(n.sorted, id+1)
-	if i == len(n.sorted) {
+	i := r.search(key + 1)
+	if i == 0 {
+		return r[len(r)-1], true
+	}
+	return r[i-1], true
+}
+
+func (r sortedRef) successor(id ID) (ID, bool) {
+	if len(r) == 0 || (len(r) == 1 && r[0] == id) {
+		return 0, false
+	}
+	i := r.search(id + 1)
+	if i == len(r) {
 		i = 0
 	}
-	return n.sorted[i], true
+	return r[i], true
+}
+
+// randomInArc is the retired draw: count the members of [lo, hi) — of
+// [lo, N) and [0, hi) when the arc wraps — and index the k-th.
+func (r sortedRef) randomInArc(space Space, lo, hi ID, rng *sim.RNG) (ID, bool) {
+	if len(r) == 0 {
+		return 0, false
+	}
+	if lo < hi {
+		i, j := r.search(lo), r.search(hi)
+		if j <= i {
+			return 0, false
+		}
+		return r[i+rng.Intn(j-i)], true
+	}
+	i1, j1 := r.search(lo), r.search(ID(space.N()))
+	i2, j2 := r.search(0), r.search(hi)
+	total := (j1 - i1) + (j2 - i2)
+	if total == 0 {
+		return 0, false
+	}
+	k := rng.Intn(total)
+	if k < j1-i1 {
+		return r[i1+k], true
+	}
+	return r[i2+k-(j1-i1)], true
 }
 
 // routeEvictInline is the retired RouteTo: a hop to a dead peer evicts the
@@ -78,7 +136,7 @@ func routeEvictInline(n *Network, from, target ID) RouteOutcome {
 		}
 	}
 	out.Final = cur
-	owner, ok := ownerSearch(n, target)
+	owner, ok := sortedRef(n.IDs()).owner(target)
 	out.Success = ok && owner == cur
 	return out
 }
@@ -115,41 +173,74 @@ func TestNextHopMatchesLevelScan(t *testing.T) {
 	}
 }
 
-// TestBitmapOwnershipMatchesSortedSearch churns a network through random
-// joins and leaves — starting empty, passing through single-member states,
-// in a space small enough that the extremes of the ring are regularly the
-// only members — and checks Owner and TrueSuccessor against the sorted
-// searches for every key after every step.
+// TestBitmapOwnershipMatchesSortedSearch churns a network and the sorted
+// reference through the same random joins and leaves — starting empty,
+// passing through single-member states, in a space small enough that the
+// extremes of the ring are regularly the only members — and after every
+// step checks the listed membership, every ID's aliveness and table, Owner
+// and TrueSuccessor for every key, and, drawing from twin streams, the
+// uniform pick from straight, wrapped, empty and whole-ring arcs.
 func TestBitmapOwnershipMatchesSortedSearch(t *testing.T) {
 	for _, size := range []int{2, 64, 256} { // one partial word, one full word, several
 		s := NewSpace(size)
 		net := NewNetwork(s)
+		var ref sortedRef
 		rng := sim.DeriveRNG(12, uint64(size))
 		check := func(step int) {
 			t.Helper()
+			if got := net.IDs(); len(got) != len(ref) || len(ref) > 0 && !reflect.DeepEqual(got, []ID(ref)) {
+				t.Fatalf("N=%d step %d: IDs %v, reference %v", size, step, got, ref)
+			}
+			if net.Size() != len(ref) {
+				t.Fatalf("N=%d step %d: Size %d, reference holds %d", size, step, net.Size(), len(ref))
+			}
 			for key := ID(0); int(key) < size; key++ {
+				i := ref.search(key)
+				member := i < len(ref) && ref[i] == key
+				if net.Alive(key) != member || (net.Table(key) != nil) != member {
+					t.Fatalf("N=%d step %d members=%v: Alive(%d)=%v, table %v", size, step, ref, key, net.Alive(key), net.Table(key))
+				}
 				got, gotOK := net.Owner(key)
-				want, wantOK := ownerSearch(net, key)
+				want, wantOK := ref.owner(key)
 				if got != want || gotOK != wantOK {
 					t.Fatalf("N=%d step %d members=%v: Owner(%d)=(%d,%v), search=(%d,%v)",
-						size, step, net.IDs(), key, got, gotOK, want, wantOK)
+						size, step, ref, key, got, gotOK, want, wantOK)
 				}
 				got, gotOK = net.TrueSuccessor(key)
-				want, wantOK = successorSearch(net, key)
+				want, wantOK = ref.successor(key)
 				if gotOK != wantOK || (gotOK && got != want) {
 					t.Fatalf("N=%d step %d members=%v: TrueSuccessor(%d)=(%d,%v), search=(%d,%v)",
-						size, step, net.IDs(), key, got, gotOK, want, wantOK)
+						size, step, ref, key, got, gotOK, want, wantOK)
+				}
+			}
+			seed := uint64(step)
+			a, b := sim.DeriveRNG(seed, 1), sim.DeriveRNG(seed, 1)
+			for draw := 0; draw < 40; draw++ {
+				lo, hi := ID(rng.Intn(size)), ID(rng.Intn(size))
+				got, gotOK := net.randomInArc(lo, hi, a)
+				want, wantOK := ref.randomInArc(s, lo, hi, b)
+				if got != want || gotOK != wantOK || a.Uint64() != b.Uint64() {
+					t.Fatalf("N=%d step %d members=%v: randomInArc(%d,%d)=(%d,%v), reference (%d,%v), or the streams parted",
+						size, step, ref, lo, hi, got, gotOK, want, wantOK)
 				}
 			}
 		}
 		check(0)
 		for step := 1; step <= 300; step++ {
 			// Lean toward leaving once populated so the membership keeps
-			// returning to the empty and single-member states.
-			if net.Size() > 0 && rng.Intn(5) < 3 {
-				net.Leave(net.IDs()[rng.Intn(net.Size())])
+			// returning to the empty and single-member states; one leave in
+			// eight names a non-member, one join in many a member.
+			if len(ref) > 0 && rng.Intn(5) < 3 {
+				id := ref[rng.Intn(len(ref))]
+				if rng.Intn(8) == 0 {
+					id = ID(rng.Intn(size))
+				}
+				net.Leave(id)
+				ref.leave(id)
 			} else {
-				net.Join(ID(rng.Intn(size)), rng)
+				id := ID(rng.Intn(size))
+				net.Join(id, rng)
+				ref.join(id)
 			}
 			check(step)
 		}

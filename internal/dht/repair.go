@@ -1,10 +1,6 @@
 package dht
 
-import (
-	"sort"
-
-	"continustreaming/internal/sim"
-)
+import "continustreaming/internal/sim"
 
 // RepairStats summarises one table-repair sweep.
 type RepairStats struct {
@@ -34,7 +30,7 @@ func (s *RepairStats) Add(o RepairStats) {
 // treats dead next-hops as failures "unless the caller repairs tables";
 // this is that caller.
 //
-// The sweep touches only t and reads the shared sorted membership, so
+// The sweep touches only t and reads the shared membership, so
 // disjoint tables may be repaired concurrently as long as membership does
 // not change underneath them. Randomness comes solely from rng, keeping
 // the sweep deterministic for a fixed stream.
@@ -88,7 +84,7 @@ func (n *Network) Stale(t *Table) int {
 // its round pipeline instead.
 func (n *Network) RepairAll(rng *sim.RNG) RepairStats {
 	var stats RepairStats
-	for _, id := range n.sorted {
+	for _, id := range n.IDs() {
 		stats.Add(n.RepairTable(n.tables[id], rng))
 	}
 	return stats
@@ -98,9 +94,7 @@ func (n *Network) RepairAll(rng *sim.RNG) RepairStats {
 // any alive node other than self. It mirrors randomInArc's range split.
 func (n *Network) arcPopulated(lo, hi ID, self ID) bool {
 	count := func(a, b ID) int {
-		i := sort.Search(len(n.sorted), func(i int) bool { return n.sorted[i] >= a })
-		j := sort.Search(len(n.sorted), func(i int) bool { return n.sorted[i] >= b })
-		c := j - i
+		c := n.rank(b) - n.rank(a)
 		if self >= a && self < b {
 			c--
 		}

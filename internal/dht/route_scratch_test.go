@@ -91,18 +91,17 @@ func TestRouteToAllocationFree(t *testing.T) {
 	rng := sim.DeriveRNG(7, 5)
 	sc := RouteScratch{RecordPath: true}
 	// Warm the path buffer past any realistic walk length.
-	net.RouteTo(net.IDs()[0], ID(s.N()-1), &sc)
+	ids := net.IDs()
+	net.RouteTo(ids[0], ID(s.N()-1), &sc)
 	for _, tc := range []struct {
 		name string
 		f    func()
 	}{
 		{"warm-scratch", func() {
-			from := net.IDs()[rng.Intn(net.Size())]
-			net.RouteTo(from, ID(rng.Intn(s.N())), &sc)
+			net.RouteTo(ids[rng.Intn(len(ids))], ID(rng.Intn(s.N())), &sc)
 		}},
 		{"nil-scratch", func() {
-			from := net.IDs()[rng.Intn(net.Size())]
-			net.RouteTo(from, ID(rng.Intn(s.N())), nil)
+			net.RouteTo(ids[rng.Intn(len(ids))], ID(rng.Intn(s.N())), nil)
 		}},
 	} {
 		if avg := testing.AllocsPerRun(200, tc.f); avg != 0 {

@@ -284,13 +284,14 @@ func RunFigure3(o Options) Figure3Result {
 				joined++
 			}
 		}
-		for _, id := range net.IDs() {
+		ids := net.IDs()
+		for _, id := range ids {
 			net.FillTable(net.Table(id), rng)
 		}
 		queries := 2000
 		totalHops, success := 0, 0
 		for q := 0; q < queries; q++ {
-			from := net.IDs()[rng.Intn(net.Size())]
+			from := ids[rng.Intn(len(ids))]
 			target := dht.ID(rng.Intn(space.N()))
 			r := net.RouteTo(from, target, nil)
 			if r.Success {

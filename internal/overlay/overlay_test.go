@@ -43,7 +43,7 @@ func TestAddRemoveNeighbors(t *testing.T) {
 	if ids := pt.Neighbors(); !slices.Equal(ids, []NodeID{10, 20, 30, 40}) {
 		t.Fatalf("neighbours not sorted: %v", ids)
 	}
-	if len(pt.OverheardNodes()) != 0 {
+	if len(pt.OverheardNodes(nil)) != 0 {
 		t.Fatal("a connected neighbour lingers in the overheard list")
 	}
 	if pt.DHT().Filled() == 0 {
@@ -72,7 +72,7 @@ func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
 	pt.Hear(2, 20)
 	pt.Hear(3, 30)
 	pt.Hear(4, 40) // evicts oldest (1)
-	list := pt.OverheardNodes()
+	list := pt.OverheardNodes(nil)
 	if len(list) != 3 {
 		t.Fatalf("overheard size = %d", len(list))
 	}
@@ -86,9 +86,43 @@ func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
 	}
 	// Re-hearing refreshes recency instead of duplicating.
 	pt.Hear(2, 25)
-	list = pt.OverheardNodes()
+	list = pt.OverheardNodes(nil)
 	if list[0].ID != 2 || list[0].Latency != 25 || len(list) != 3 {
 		t.Fatalf("refresh wrong: %+v", list)
+	}
+}
+
+// TestOverheardNodesOrderIsTotal pins what lets OverheardNodes sort with
+// any algorithm: after random hears, refreshes, evictions and removals no
+// two entries share a Seq, the list comes back strictly newest first, it
+// is written over the scratch it was given, and the table's own storage
+// order is left alone.
+func TestOverheardNodesOrderIsTotal(t *testing.T) {
+	rng := sim.NewRNG(7)
+	pt := NewPeerTable(0, 20, dht.NewTable(space(), 0))
+	scratch := make([]Overheard, 0, 20)
+	for step := 0; step < 2000; step++ {
+		switch id := NodeID(1 + rng.Intn(60)); rng.Intn(6) {
+		case 0:
+			pt.ForgetOverheard(id)
+		case 1:
+			pt.TakeOverheard(id)
+		default:
+			pt.Hear(id, sim.Time(rng.Intn(100)))
+		}
+		raw := slices.Clone(pt.OverheardRaw())
+		list := pt.OverheardNodes(scratch)
+		if len(list) != len(raw) || len(list) > 0 && &list[0] != &scratch[:1][0] {
+			t.Fatalf("step %d: %d entries for %d stored, or the scratch was not used", step, len(list), len(raw))
+		}
+		for i := 1; i < len(list); i++ {
+			if list[i-1].Seq <= list[i].Seq {
+				t.Fatalf("step %d: Seq %d before %d: not strictly newest first: %+v", step, list[i-1].Seq, list[i].Seq, list)
+			}
+		}
+		if !slices.Equal(raw, pt.OverheardRaw()) {
+			t.Fatalf("step %d: listing reordered the table's storage", step)
+		}
 	}
 }
 
@@ -97,7 +131,7 @@ func TestHearSelfAndNeighborsExcluded(t *testing.T) {
 	pt.AddNeighborLink(5)
 	pt.Hear(9, 10) // self
 	pt.Hear(5, 10) // neighbour
-	if len(pt.OverheardNodes()) != 0 {
+	if len(pt.OverheardNodes(nil)) != 0 {
 		t.Fatal("self/neighbour entered overheard list")
 	}
 	// But hearing a non-neighbour still refreshes the DHT levels.
@@ -112,14 +146,14 @@ func TestTakeAndForgetOverheard(t *testing.T) {
 	pt.Hear(1, 10)
 	pt.Hear(2, 20)
 	o, ok := pt.TakeOverheard(1)
-	if !ok || o.ID != 1 || len(pt.OverheardNodes()) != 1 {
+	if !ok || o.ID != 1 || len(pt.OverheardNodes(nil)) != 1 {
 		t.Fatal("take failed")
 	}
 	if _, ok := pt.TakeOverheard(1); ok {
 		t.Fatal("double take succeeded")
 	}
 	pt.ForgetOverheard(2)
-	if len(pt.OverheardNodes()) != 0 {
+	if len(pt.OverheardNodes(nil)) != 0 {
 		t.Fatal("forget failed")
 	}
 	pt.ForgetOverheard(2) // idempotent
@@ -131,8 +165,8 @@ func TestCloneFrom(t *testing.T) {
 	donor.AddNeighborLink(70)
 	donor.Hear(80, 15)
 	joiner := NewPeerTable(51, 10, dht.NewTable(space(), 51))
-	joiner.CloneFrom(donor, func(id NodeID) sim.Time { return sim.Time(id) })
-	heard := joiner.OverheardNodes()
+	joiner.CloneFrom(donor, nil, func(id NodeID) sim.Time { return sim.Time(id) })
+	heard := joiner.OverheardNodes(nil)
 	want := map[NodeID]bool{60: true, 70: true, 80: true, 50: true}
 	if len(heard) != len(want) {
 		t.Fatalf("clone heard %d nodes: %+v", len(heard), heard)
@@ -191,21 +225,21 @@ func TestRendezvousCandidatesClosest(t *testing.T) {
 	for _, id := range []NodeID{10, 20, 30, 60} {
 		rp.Register(id)
 	}
-	got := rp.Candidates(12, 2)
+	got := rp.AppendCandidates(nil, 12, 2)
 	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("candidates = %v", got)
 	}
 	// Wrap-around distance: 60 is 12 away from 8 counter-clockwise? No:
 	// |8-60| on ring of 64 is min(52, 12) = 12; 10 is 2 away; 20 is 12.
-	got = rp.Candidates(8, 3)
+	got = rp.AppendCandidates(nil, 8, 3)
 	if got[0] != 10 {
 		t.Fatalf("closest to 8 = %v", got)
 	}
-	if rp.Candidates(5, 0) != nil {
+	if rp.AppendCandidates(nil, 5, 0) != nil {
 		t.Fatal("max=0 returned candidates")
 	}
 	// Excludes the asking ID itself.
-	got = rp.Candidates(10, 10)
+	got = rp.AppendCandidates(nil, 10, 10)
 	for _, id := range got {
 		if id == 10 {
 			t.Fatal("candidate list includes the joiner")
@@ -215,58 +249,95 @@ func TestRendezvousCandidatesClosest(t *testing.T) {
 
 // TestRendezvousCandidatesMatchesReferenceSort pins the two-ended ring
 // walk against the straightforward specification — sort every known node
-// by (min arc distance, ID) and truncate — across random memberships,
-// query points (members and non-members) and list lengths, including
-// max > membership and antipode-heavy rings where the walk's two ends
-// meet mid-list.
+// by (min arc distance, ID) and truncate — and the RP's bitmaps against a
+// map each, across random registration, failure-report, assignment and
+// release histories that pass through the empty and the single-member
+// list, query points (members and non-members, both ends of the ring) and
+// list lengths, including max > membership and antipode-heavy rings where
+// the walk's two ends meet mid-list. AssignID draws from a twin stream
+// beside a map-backed rejection loop: the bitmap must not move a draw.
 func TestRendezvousCandidatesMatchesReferenceSort(t *testing.T) {
 	rng := sim.NewRNG(42)
 	for trial := 0; trial < 200; trial++ {
 		space := dht.NewSpace(64)
 		rp := NewRendezvous(space)
-		members := rng.Intn(20)
-		for i := 0; i < members; i++ {
-			rp.Register(NodeID(rng.Intn(space.N())))
-		}
-		id := NodeID(rng.Intn(space.N()))
-		max := rng.Intn(25)
-		got := rp.Candidates(id, max)
+		known, used := map[NodeID]bool{}, map[NodeID]bool{}
+		draws, twin := sim.NewRNG(uint64(trial)), sim.NewRNG(uint64(trial))
+		for step, steps := 0, rng.Intn(60); step < steps; step++ {
+			id := NodeID(rng.Intn(space.N()))
+			if rng.Intn(4) == 0 {
+				id = NodeID(rng.Intn(2) * (space.N() - 1)) // the ring's two ends
+			}
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				rp.Register(id)
+				known[id] = true
+			case 3, 4:
+				rp.ReportFailure(id)
+				delete(known, id)
+			case 5:
+				rp.Release(id)
+				delete(used, id)
+			default:
+				if len(used) == space.N() {
+					continue
+				}
+				want := NodeID(twin.Intn(space.N()))
+				for used[want] {
+					want = NodeID(twin.Intn(space.N()))
+				}
+				used[want] = true
+				if got := rp.AssignID(draws); got != want {
+					t.Fatalf("trial %d step %d: AssignID %d, map-backed loop %d", trial, step, got, want)
+				}
+			}
+			var listed []NodeID
+			for _, k := range rp.known.AppendTo(nil) {
+				listed = append(listed, NodeID(k))
+			}
+			if len(listed) != len(known) || rp.known.Len() != len(known) || rp.used.Len() != len(used) {
+				t.Fatalf("trial %d step %d: RP lists %v (%d assigned), reference %v (%d)", trial, step, listed, rp.used.Len(), known, len(used))
+			}
 
-		type cand struct {
-			id   NodeID
-			dist int
-		}
-		var ref []cand
-		for _, k := range rp.known {
-			if k == id {
-				continue
+			id = NodeID(rng.Intn(space.N()))
+			max := rng.Intn(25)
+			got := rp.AppendCandidates(nil, id, max)
+
+			type cand struct {
+				id   NodeID
+				dist int
 			}
-			cw := space.Clockwise(dht.ID(id), dht.ID(k))
-			d := cw
-			if ccw := space.N() - cw; ccw < d {
-				d = ccw
+			var ref []cand
+			for _, k := range listed {
+				if !known[k] {
+					t.Fatalf("trial %d step %d: RP lists %d, never registered or reported failed", trial, step, k)
+				}
+				if k == id {
+					continue
+				}
+				cw := space.Clockwise(dht.ID(id), dht.ID(k))
+				ref = append(ref, cand{id: k, dist: min(cw, space.N()-cw)})
 			}
-			ref = append(ref, cand{id: k, dist: d})
-		}
-		sort.Slice(ref, func(i, j int) bool {
-			if ref[i].dist != ref[j].dist {
-				return ref[i].dist < ref[j].dist
+			sort.Slice(ref, func(i, j int) bool {
+				if ref[i].dist != ref[j].dist {
+					return ref[i].dist < ref[j].dist
+				}
+				return ref[i].id < ref[j].id
+			})
+			if len(ref) > max {
+				ref = ref[:max]
 			}
-			return ref[i].id < ref[j].id
-		})
-		if len(ref) > max {
-			ref = ref[:max]
-		}
-		want := make([]NodeID, len(ref))
-		for i, c := range ref {
-			want[i] = c.id
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (id=%d max=%d known=%v): got %v, want %v", trial, id, max, rp.known, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (id=%d max=%d known=%v): got %v, want %v", trial, id, max, rp.known, got, want)
+			want := make([]NodeID, len(ref))
+			for i, c := range ref {
+				want[i] = c.id
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (id=%d max=%d known=%v): got %v, want %v", trial, id, max, listed, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (id=%d max=%d known=%v): got %v, want %v", trial, id, max, listed, got, want)
+				}
 			}
 		}
 	}
@@ -276,12 +347,12 @@ func TestRendezvousRegisterFailure(t *testing.T) {
 	rp := NewRendezvous(dht.NewSpace(64))
 	rp.Register(5)
 	rp.Register(5)
-	if len(rp.known) != 1 {
+	if rp.known.Len() != 1 {
 		t.Fatal("duplicate register")
 	}
 	rp.ReportFailure(5)
 	rp.ReportFailure(5)
-	if len(rp.known) != 0 {
+	if rp.known.Len() != 0 {
 		t.Fatal("failure not removed")
 	}
 	if rp.String() == "" {
@@ -296,7 +367,7 @@ func TestOverheardInvariantsQuick(t *testing.T) {
 		for _, e := range events {
 			pt.Hear(NodeID(e%256), sim.Time(e%97)+1)
 		}
-		list := pt.OverheardNodes()
+		list := pt.OverheardNodes(nil)
 		if len(list) > 5 {
 			return false
 		}

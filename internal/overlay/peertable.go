@@ -8,9 +8,9 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"continustreaming/internal/dht"
 	"continustreaming/internal/sim"
@@ -133,17 +133,23 @@ func (pt *PeerTable) Hear(id NodeID, latency sim.Time) {
 	}
 	entry := Overheard{ID: id, Latency: latency, Seq: pt.seq}
 	if len(pt.overheard) < pt.h {
+		if pt.overheard == nil {
+			pt.overheard = make([]Overheard, 0, pt.h)
+		}
 		pt.overheard = append(pt.overheard, entry)
 		return
 	}
 	pt.overheard[oldest] = entry
 }
 
-// OverheardNodes returns the overheard list ordered newest first.
-func (pt *PeerTable) OverheardNodes() []Overheard {
-	out := append([]Overheard(nil), pt.overheard...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
-	return out
+// OverheardNodes returns the overheard list ordered newest first, written
+// over dst's backing array (nil allocates). Every Hear stamps the next Seq
+// of its table, so no two entries compare equal: the order is total and
+// the sorting algorithm cannot move it.
+func (pt *PeerTable) OverheardNodes(dst []Overheard) []Overheard {
+	dst = append(dst[:0], pt.overheard...)
+	slices.SortFunc(dst, func(a, b Overheard) int { return cmp.Compare(b.Seq, a.Seq) })
+	return dst
 }
 
 // OverheardRaw returns the overheard list in internal storage order —
@@ -180,13 +186,17 @@ func (pt *PeerTable) TakeOverheard(id NodeID) (Overheard, bool) {
 // join protocol — "A gets B's Peer Table as the base of its own Peer Table".
 // Neighbour links are NOT copied (connections are per-node TCP state);
 // instead the donor's neighbours and overheard nodes become overheard
-// candidates, and the DHT levels are re-derived for the new owner.
-func (pt *PeerTable) CloneFrom(donor *PeerTable, latencyTo func(NodeID) sim.Time) {
+// candidates, and the DHT levels are re-derived for the new owner. The
+// donor's overheard list is ordered on scratch, which is returned for the
+// next call.
+func (pt *PeerTable) CloneFrom(donor *PeerTable, scratch []Overheard, latencyTo func(NodeID) sim.Time) []Overheard {
 	for _, nb := range donor.Neighbors() {
 		pt.Hear(nb, latencyTo(nb))
 	}
-	for _, o := range donor.OverheardNodes() {
+	scratch = donor.OverheardNodes(scratch)
+	for _, o := range scratch {
 		pt.Hear(o.ID, latencyTo(o.ID))
 	}
 	pt.Hear(donor.Self(), latencyTo(donor.Self()))
+	return scratch
 }

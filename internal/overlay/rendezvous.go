@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 
 	"continustreaming/internal/dht"
 	"continustreaming/internal/sim"
@@ -12,21 +11,24 @@ import (
 // overlay ID and a short list of existing nodes with nearby IDs. It keeps
 // only a partial membership list — joiners report failures back ("tells the
 // RP server E's failure"), which is the server's only liveness feedback.
+// Both of its sets are bitmaps over the ring, so nothing churn asks of it —
+// an ID, a registration, a failure report, a release — costs more than a
+// word, and a candidate list a few words either side of the joiner.
 type Rendezvous struct {
 	space dht.Space
-	// known is the partial list of nodes the RP believes are alive, sorted.
-	known []NodeID
-	// used tracks the IDs of nodes currently assigned, keeping every alive
+	// known is the partial list of nodes the RP believes are alive.
+	known dht.Members
+	// used holds the IDs of nodes currently assigned, keeping every alive
 	// node's ID unique. A dead node's ID returns to the pool via Release —
 	// without recycling, a long churny run mints joiner IDs every round
 	// and eventually exhausts any fixed ring (5% joins on 8000 nodes
 	// allocate the paper's whole 16384-slot space within ~35 rounds).
-	used map[NodeID]bool
+	used dht.Members
 }
 
 // NewRendezvous returns an RP server for the given ring space.
 func NewRendezvous(space dht.Space) *Rendezvous {
-	return &Rendezvous{space: space, used: make(map[NodeID]bool)}
+	return &Rendezvous{space: space, known: dht.NewMembers(space), used: dht.NewMembers(space)}
 }
 
 // AssignID allocates a uniformly random ring ID not held by any current
@@ -34,110 +36,72 @@ func NewRendezvous(space dht.Space) *Rendezvous {
 // more simultaneous nodes than ring positions — a misconfiguration, not a
 // churn outcome.
 func (rp *Rendezvous) AssignID(rng *sim.RNG) NodeID {
-	if len(rp.used) >= rp.space.N() {
+	if rp.used.Len() >= rp.space.N() {
 		panic("overlay: ID space exhausted")
 	}
 	for {
-		id := NodeID(rng.Intn(rp.space.N()))
-		if !rp.used[id] {
-			rp.used[id] = true
-			return id
+		id := dht.ID(rng.Intn(rp.space.N()))
+		if rp.used.Add(id) {
+			return NodeID(id)
 		}
 	}
 }
 
-// Candidates returns up to max known nodes with IDs closest to id on the
-// ring (by minimum of the two arc distances), closest first — the "short
-// list of several existing nodes which have close IDs".
+// AppendCandidates appends to dst up to max known nodes with IDs closest
+// to id on the ring (by minimum of the two arc distances, the lower ID
+// first among equals), closest first, id itself excluded — the "short list
+// of several existing nodes which have close IDs".
 //
-// The list is kept sorted by ID, so the closest nodes are found by a
-// binary search followed by a two-ended greedy walk outward from the
-// insertion point: O(log known + max) instead of sorting the whole
-// membership per call, which dominated whole-round profiles at 10k nodes
-// (every join sorts the full list inside the sequential churn phase).
-// The walk reproduces the (distance, ID)-sorted order exactly: viewed
-// clockwise from id the candidates form one sequence whose clockwise
-// distances strictly increase front to back and whose counter-clockwise
-// distances strictly increase back to front, so the globally closest
-// unconsumed node is always at one of the two ends.
-func (rp *Rendezvous) Candidates(id NodeID, max int) []NodeID {
-	known := rp.known
-	if max <= 0 || len(known) == 0 {
-		return nil
-	}
-	n := len(known)
-	ringN := rp.space.N()
-	// start is the first index holding an ID >= id; the virtual sequence
-	// seq[t] = known[(start+t) % n] lists every known node in ascending
-	// clockwise distance from id, with id itself (if present) at seq[0].
-	start := sort.Search(n, func(i int) bool { return known[i] >= id })
-	remaining := n
-	if start < n && known[start] == id {
-		start++
+// The closest nodes are found by a two-ended greedy walk outward from id,
+// one cursor stepping clockwise through the known set and one counter-
+// clockwise: O(max) short bitmap scans. The walk reproduces the (distance,
+// ID)-sorted order exactly: clockwise distances strictly increase along
+// the first cursor's path and counter-clockwise distances along the
+// second's, so the globally closest unconsumed node is always under one of
+// the two.
+func (rp *Rendezvous) AppendCandidates(dst []NodeID, id NodeID, max int) []NodeID {
+	self := dht.ID(id)
+	remaining := rp.known.Len()
+	if rp.known.Has(self) {
 		remaining--
-	}
-	if remaining == 0 {
-		return nil
 	}
 	if max > remaining {
 		max = remaining
 	}
-	at := func(t int) NodeID { return known[(start+t)%n] }
-	minDist := func(k NodeID) int {
-		cw := rp.space.Clockwise(dht.ID(id), dht.ID(k))
-		if ccw := ringN - cw; ccw < cw {
-			return ccw
-		}
-		return cw
+	minDist := func(k dht.ID) int {
+		cw := rp.space.Clockwise(self, k)
+		return min(cw, rp.space.N()-cw)
 	}
-	out := make([]NodeID, 0, max)
-	f, b := 0, remaining-1
-	for f <= b && len(out) < max {
-		if f == b {
-			out = append(out, at(f))
-			break
-		}
-		ef, eb := at(f), at(b)
-		df, db := minDist(ef), minDist(eb)
-		if df < db || (df == db && ef < eb) {
-			out = append(out, ef)
-			f++
+	// With another known node left, neither cursor can come round to id
+	// or pass the other: they meet on the last one.
+	f, _ := rp.known.Above(self)
+	b, _ := rp.known.AtOrBelow(rp.space.Wrap(int(self) - 1))
+	for ; max > 0; max-- {
+		df, db := minDist(f), minDist(b)
+		if df < db || (df == db && f <= b) {
+			dst = append(dst, NodeID(f))
+			f, _ = rp.known.Above(f)
 		} else {
-			out = append(out, eb)
-			b--
+			dst = append(dst, NodeID(b))
+			b, _ = rp.known.AtOrBelow(rp.space.Wrap(int(b) - 1))
 		}
 	}
-	return out
+	return dst
 }
 
 // Register adds a successfully joined node to the partial list.
-func (rp *Rendezvous) Register(id NodeID) {
-	i := sort.Search(len(rp.known), func(i int) bool { return rp.known[i] >= id })
-	if i < len(rp.known) && rp.known[i] == id {
-		return
-	}
-	rp.known = append(rp.known, 0)
-	copy(rp.known[i+1:], rp.known[i:])
-	rp.known[i] = id
-}
+func (rp *Rendezvous) Register(id NodeID) { rp.known.Add(dht.ID(id)) }
 
 // Release returns a dead node's ID to the assignable pool. The simulation
 // calls it once the node is fully gone; the RP's membership list is
 // unaffected (liveness knowledge still only arrives via ReportFailure, so
 // the protocol's partial-knowledge realism is preserved).
-func (rp *Rendezvous) Release(id NodeID) {
-	delete(rp.used, id)
-}
+func (rp *Rendezvous) Release(id NodeID) { rp.used.Remove(dht.ID(id)) }
 
 // ReportFailure removes a node a joiner found dead.
-func (rp *Rendezvous) ReportFailure(id NodeID) {
-	i := sort.Search(len(rp.known), func(i int) bool { return rp.known[i] >= id })
-	if i < len(rp.known) && rp.known[i] == id {
-		rp.known = append(rp.known[:i], rp.known[i+1:]...)
-	}
-}
+func (rp *Rendezvous) ReportFailure(id NodeID) { rp.known.Remove(dht.ID(id)) }
 
 // String summarizes the RP state for logs.
 func (rp *Rendezvous) String() string {
-	return fmt.Sprintf("rendezvous{known=%d assigned=%d space=%d}", len(rp.known), len(rp.used), rp.space.N())
+	return fmt.Sprintf("rendezvous{known=%d assigned=%d space=%d}", rp.known.Len(), rp.used.Len(), rp.space.N())
 }

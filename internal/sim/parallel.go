@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,10 +29,21 @@ func NewPool(workers int) *Pool {
 // Workers reports the configured parallel width.
 func (p *Pool) Workers() int { return p.workers }
 
-// ForEach invokes fn(i) for every i in [0, n), distributing indices over the
-// pool's workers in contiguous-ish chunks via an atomic cursor. It returns
-// only after every call has finished. fn must not invoke ForEach on the same
-// pool recursively with interleaved writes to shared state.
+// ForEach invokes fn(i) for every i in [0, n), handing indices out to the
+// pool's workers through an atomic cursor, and returns only after every
+// call has finished. fn must not invoke ForEach on the same pool
+// recursively with interleaved writes to shared state.
+//
+// The hand-out unit follows from n and the width alone: a worker's fair
+// share n/workers is cut into log₂²(share) grabs. The grabs a call makes
+// therefore grow with the logarithm of the loop, not its length, while
+// the tail one worker can be left holding shrinks relative to its share
+// as the loop grows. A 64-shard MapReduce phase comes out at one shard per
+// grab at every width — each shard is a few hundred nodes' work, so any
+// configured worker can take one and a straggler holds up at most one —
+// and a loop over 10,000 nodes at 29 indices per grab on two workers, 10
+// on eight. Which worker runs which index never reaches a result: every
+// index writes only its own state.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -46,10 +58,9 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	// Chunked work stealing: grabbing batches amortises the atomic add while
-	// still balancing uneven per-node costs (e.g. nodes that trigger DHT
-	// routing do far more work than idle ones).
-	const chunk = 16
+	share := n / workers
+	log := bits.Len(uint(share))
+	unit := int64(max(1, share/(log*log)))
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -57,15 +68,13 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				start := int(cursor.Add(chunk)) - chunk
-				if start >= n {
+				end := cursor.Add(unit)
+				start := end - unit
+				if start >= int64(n) {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
+				stop := int(min(end, int64(n)))
+				for i := int(start); i < stop; i++ {
 					fn(i)
 				}
 			}

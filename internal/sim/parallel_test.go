@@ -2,8 +2,56 @@ package sim
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// TestForEachCoversEveryIndexOnce walks the hand-out rule's edges — no
+// work, fewer indices than workers, the 64-shard phase and its
+// neighbours, a per-node loop — at every pool width in use: each index is
+// visited exactly once whatever unit the rule picks.
+func TestForEachCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
+			visits := make([]atomic.Int32, n)
+			NewPool(workers).ForEach(n, func(i int) { visits[i].Add(1) })
+			for i := range visits {
+				if got := visits[i].Load(); got != 1 {
+					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestMapReduceUsesEveryWorker pins the hand-out unit of a 64-shard phase
+// to what lets the whole pool in: the map func's first eight callers wait
+// for one another, which only eight goroutines each holding a shard can
+// satisfy. Fixed chunks of 16 made the phase four work units, so four of
+// an eight-wide pool's goroutines found the cursor spent and the other
+// four waited out the timeout.
+func TestMapReduceUsesEveryWorker(t *testing.T) {
+	const shards, width = 64, 8
+	var arrived, lonely atomic.Int32
+	full := make(chan struct{})
+	MapReduce(NewPool(width), shards, func(int) bool {
+		if arrived.Add(1) == width {
+			close(full)
+		}
+		select {
+		case <-full:
+			return true
+		//continulint:wallclock the bound on a rendezvous that a narrower hand-out never completes; no simulated time passes here
+		case <-time.After(5 * time.Second):
+			lonely.Add(1)
+			return false
+		}
+	}, func(int, bool) {})
+	if n := lonely.Load(); n != 0 {
+		t.Fatalf("%d map calls never saw %d shards in flight at once: the pool's %d workers did not all receive work", n, width, width)
+	}
+}
 
 func TestShardIndexStableAndInRange(t *testing.T) {
 	const shards = 64
