@@ -64,13 +64,14 @@
 // goroutine per peer, channels as links, a wall-clock ticker as the
 // scheduling period — driving the identical transport-agnostic decision
 // core (internal/protocol) the simulator uses: mesh repair under churn,
-// DHT-backed rescue, fresh-segment push and EDF serving. LiveConfig.Churn
-// scripts a kill/join session; this is the in-process repro of the paper's
-// planned real-network validation. A LiveNode with Listen set switches to
-// the multi-process socket path: the process runs one peer over UDP,
-// bootstrapping through the rendezvous point at LiveNode.Bootstrap (see
-// cmd/livenode for the per-process binary and examples/multiproc for a
-// whole-session driver).
+// fresh-segment push and EDF serving; its rescue asks a ring-hashed peer
+// for a buffered segment (no VoD backup; EXPERIMENTS.md "Livenet ring").
+// LiveConfig.Churn scripts a kill/join session; this is the in-process
+// repro of the paper's planned real-network validation. A LiveNode with
+// Listen set switches to the multi-process socket path: the process runs
+// one peer over UDP, bootstrapping through the rendezvous point at
+// LiveNode.Bootstrap (see cmd/livenode for the per-process binary and
+// examples/multiproc for a whole-session driver).
 //
 // See cmd/continusim for the full experiment driver, examples/ for runnable
 // scenarios, and EXPERIMENTS.md for paper-versus-measured results.
@@ -202,13 +203,14 @@ func DefaultLiveConfig() LiveConfig { return livenet.DefaultConfig() }
 
 // RunLive executes the protocol over real message passing for the given
 // number of periods, with the same internal/protocol decision core as the
-// simulator (mesh repair, DHT rescue, push, EDF serving). With a zero node
-// it hosts the whole session in-process: one goroutine per peer, channels
-// as links, cfg.Churn scripting kills and joins. With node.Listen set this
-// process runs ONE peer bound to that UDP address instead — messages cross
-// real process boundaries as wire-encoded datagrams, membership comes from
-// the rendezvous bootstrap and gossip, and churn happens by processes
-// dying. It blocks until the session drains or ctx is cancelled.
+// simulator (mesh repair, push, EDF serving; a rescue asks a ring-hashed
+// peer for a buffered segment). With a zero node it hosts the whole
+// session in-process: one goroutine per peer, channels as links, cfg.Churn
+// scripting kills and joins. With node.Listen set this process runs ONE
+// peer bound to that UDP address instead — messages cross real process
+// boundaries as wire-encoded datagrams, membership comes from the
+// rendezvous bootstrap and gossip, and churn happens by processes dying.
+// It blocks until the session drains or ctx is cancelled.
 func RunLive(ctx context.Context, cfg LiveConfig, node LiveNode, periods int) (LiveStats, error) {
 	if periods <= 0 {
 		return LiveStats{}, fmt.Errorf("continustreaming: non-positive period count %d", periods)

@@ -4,13 +4,14 @@
 // period. This is the in-process stand-in for the paper's planned
 // PlanetLab deployment, and since the livenet port it drives the same
 // internal/protocol decision core as the simulator: fresh-segment push,
-// supplier-side EDF serving with carry queues, mesh repair and DHT-backed
-// rescue.
+// supplier-side EDF serving with carry queues, mesh repair and rescue of
+// urgent holes (a ring-hashed peer asked for a buffered segment; there is
+// no VoD backup — EXPERIMENTS.md, "Livenet ring").
 //
 // The session is a kill-and-recover demo: a third of the audience drops
 // dead mid-stream (abrupt failures — no goodbyes), a batch of newcomers
 // joins through the rendezvous path, and the repair pipeline rewires the
-// mesh while the rescue ring patches the urgent holes.
+// mesh while rescues patch the urgent holes.
 //
 //	go run ./examples/livestream
 package main

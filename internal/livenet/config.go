@@ -53,9 +53,10 @@ type Config struct {
 	Resync bool
 	// Engine enables the dissemination engine (push + EDF serve + carry
 	// queues); off, suppliers keep the published pull-only round-robin
-	// discipline. Repair enables mesh repair and the DHT rescue path.
-	// Both default on; the EXPERIMENTS kill-scenario comparison turns
-	// them off one at a time.
+	// discipline. Repair enables mesh repair and the rescue path (a
+	// ring-hashed peer asked for a buffered segment; EXPERIMENTS.md
+	// "Livenet ring"). Both default on; the EXPERIMENTS kill-scenario
+	// comparison turns them off one at a time.
 	Engine bool
 	Repair bool
 	// Churn scripts membership events the driver applies at period
@@ -109,9 +110,15 @@ func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("livenet: %w", err)
 	}
+	joins := 0 // in-process IDs go out in order: joiners need ring positions too
+	for _, ev := range c.Churn {
+		joins += max(0, ev.Join)
+	}
 	switch {
 	case c.Peers < 0:
 		return fmt.Errorf("livenet: negative audience size %d", c.Peers)
+	case c.Peers > maxReceivers-joins:
+		return fmt.Errorf("livenet: %d peers and %d joiners exceed the rescue ring's %d receivers", c.Peers, joins, maxReceivers)
 	case c.Period <= 0:
 		return fmt.Errorf("livenet: non-positive period %v", c.Period)
 	case c.Rate <= 0:

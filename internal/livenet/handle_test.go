@@ -55,14 +55,12 @@ func handlePeer() (*peer, *recTransport) {
 	space := dht.NewSpace(ringSpace)
 	p := newPeer(tr, 5, nil, cfg, space, &counters{}, false, handleLo, handlePeriod)
 	ids := []int{5, 6, 7, 8, 9}
-	members := map[int]bool{}
 	for _, id := range ids {
-		members[id] = true
 		if id != p.id {
 			p.link(id, handlePeriod).m = buffer.New(cfg.BufferSegments, handleLo).Snapshot()
 		}
 	}
-	p.periodBegin(handlePeriod, handleLo, newRingView(space, ids), members)
+	p.periodBegin(handlePeriod, handleLo, ringMembers(space, ids))
 	p.seg.MarkGossip(pulledSeg, handlePeriod+cfg.RetryPeriods, 0)
 	p.seg.MarkGossip(idleAsk, handlePeriod+cfg.RetryPeriods, 0)
 	p.seg.MarkPrefetch(rescuedSeg, handlePeriod+cfg.RetryPeriods)
@@ -130,6 +128,46 @@ func TestDataMessagesIdempotent(t *testing.T) {
 	}
 }
 
+// TestRescueRequestServedFromBuffer pins the rescue serve path: a
+// buffered segment, asked for while the 2·O outbound horizon has room, gets
+// one rescue data reply; an unbuffered one, or one asked for once pushes
+// and rescue replies have spent the horizon, gets none. The buffer is the
+// only thing a rescue is answered from.
+func TestRescueRequestServedFromBuffer(t *testing.T) {
+	const asker = 6
+	horizon := 2 * DefaultConfig().OutboundPerPeriod
+	for _, tc := range []struct {
+		name     string
+		buffered bool
+		spent    int // pushes and rescue replies already on the uplink
+		replies  int
+	}{
+		{"buffered", true, 0, 1},
+		{"buffered, one slot left", true, horizon - 1, 1},
+		{"not buffered", false, 0, 0},
+		{"buffered, horizon spent", true, horizon, 0},
+	} {
+		p, tr := handlePeer()
+		if tc.buffered {
+			p.buf.Insert(pushedSeg)
+		}
+		p.pushSpent = tc.spent
+		p.handle(Message{From: asker, Kind: msgRescueReq, Seg: pushedSeg, Period: handlePeriod})
+		if len(tr.sent) != tc.replies {
+			t.Fatalf("%s: %d replies %+v, want %d", tc.name, len(tr.sent), tr.sent, tc.replies)
+		}
+		if tc.replies == 0 {
+			continue
+		}
+		if r := tr.sent[0]; r.To != asker || r.M.Kind != msgData || r.M.Seg != pushedSeg || !r.M.Rescue || r.M.Hop != 0 {
+			t.Fatalf("%s: reply %+v, want rescue data for segment %d to peer %d", tc.name, r, pushedSeg, asker)
+		}
+		if p.rescueSpent != 1 {
+			t.Fatalf("%s: rescue spend %d after one reply", tc.name, p.rescueSpent)
+		}
+	}
+}
+
 // TestRepeatedRescueLowersAlpha pins the one α feedback a livenet peer has,
 // §4.3's Case 2: a rescue reply that finds its segment already buffered
 // while the rescue is still marked out is repeated data, and the next
@@ -146,7 +184,7 @@ func TestDataMessagesIdempotent(t *testing.T) {
 func TestRepeatedRescueLowersAlpha(t *testing.T) {
 	reply := Message{From: 8, Kind: msgData, Seg: rescuedSeg, Rescue: true, Deadline: 70, Period: handlePeriod}
 	next := func(p *peer) float64 {
-		p.periodBegin(handlePeriod+1, handleLo, p.rv, p.members)
+		p.periodBegin(handlePeriod+1, handleLo, p.members)
 		return p.alpha.Value()
 	}
 

@@ -5,8 +5,9 @@
 // peer over a UDP socket. It is the repro of the paper's planned PlanetLab
 // deployment — and it drives the same transport-agnostic decision core
 // (internal/protocol) as the deterministic simulator: mesh repair under
-// churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
-// (BackupResponsible + the urgent-line prediction), fresh-segment push
+// churn (PlanRewire + GossipPicks), rescue of urgent holes from a
+// ring-hashed peer's buffer (the urgent-line prediction; no VoD backup, see
+// EXPERIMENTS.md "Livenet ring"), fresh-segment push
 // (PlanPushMask), pull scheduling over word-aligned neighbour maps
 // (scheduler.Enumeration + Algorithm 1) and supplier-side EDF serving
 // with bounded carry queues (PlanServe). Only the input assembly and the
@@ -17,7 +18,6 @@ package livenet
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,8 +26,8 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// ringSpace is the rescue ring's identifier space: comfortably larger
-// than any in-process session so recycled peer IDs spread uniformly.
+// ringSpace is the rescue ring's identifier space and the bound on peer
+// IDs: the edges that admit IDs turn away any the ring cannot place.
 const ringSpace = 1 << 14
 
 // Stats summarises a finished session.
@@ -42,7 +42,7 @@ type Stats struct {
 	Continuity float64
 	PerPeriod  []float64
 	// PushDelivered counts first copies that arrived via the eager push,
-	// Rescued via the DHT backup path (RescueAsked the attempts).
+	// Rescued via rescue replies (RescueAsked the attempts).
 	PushDelivered int64
 	Rescued       int64
 	RescueAsked   int64
@@ -112,8 +112,8 @@ func (s Stats) TailContinuity(n int) float64 {
 // push-seeds them; peers exchange maps with piggybacked membership
 // gossip, schedule with the paper's urgency+rarity policy, pull over
 // channels, serve EDF with carry queues, repair their meshes, and rescue
-// urgent holes from the backup ring. Run blocks until the session drains;
-// it has no error return, so cfg must already pass Validate.
+// urgent holes from ring-hashed peers' buffers. Run blocks until the
+// session drains; it has no error return, so cfg must already pass Validate.
 func Run(ctx context.Context, cfg Config, periods int) Stats {
 	s := newSession(cfg)
 	ticker := time.NewTicker(s.cfg.Period)
@@ -147,7 +147,8 @@ type session struct {
 	space dht.Space
 	tr    Transport
 	st    *counters
-	peers map[int]*peer
+	// peers is indexed by peer ID (nil: not hosted); its walk is the sweep order.
+	peers []*peer
 	wg    sync.WaitGroup
 	// nw, rng and churnAt (the scripted churn by period) belong to a
 	// whole-mesh session: churn registers and unregisters peers on the
@@ -155,10 +156,8 @@ type session struct {
 	nw      *network
 	rng     *sim.RNG
 	churnAt map[int][]ChurnEvent
-	// pos is the shared playback position; order the period's sweep
-	// order, the hosted peer IDs ascending.
+	// pos is the shared playback position.
 	pos   segment.ID
-	order []int
 	stats Stats
 	// continuous / playing tally the playback samples behind
 	// Stats.Continuity.
@@ -167,7 +166,7 @@ type session struct {
 
 // hostSession returns a session over tr that hosts no peer yet.
 func hostSession(cfg Config, tr Transport) *session {
-	return &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}, peers: make(map[int]*peer)}
+	return &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}}
 }
 
 // newSession builds the mesh: the source, cfg.Peers receivers, each
@@ -215,6 +214,9 @@ func newSession(cfg Config) *session {
 // its inbox loop and returns it.
 func (s *session) spawn(id int, inbox chan Message, isSource bool, openAt segment.ID, joinPeriod int) *peer {
 	p := newPeer(s.tr, id, inbox, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
+	if id >= len(s.peers) {
+		s.peers = append(s.peers, make([]*peer, id+1-len(s.peers))...)
+	}
 	s.peers[id] = p
 	s.wg.Add(1)
 	go p.loop(&s.wg)
@@ -233,18 +235,17 @@ func (s *session) churn(period int) {
 	for _, ev := range s.churnAt[period] {
 		if ev.KillFraction > 0 {
 			var victims []int
-			for id := range s.peers {
-				if id != 0 {
+			for id, p := range s.peers {
+				if p != nil && id != 0 {
 					victims = append(victims, id)
 				}
 			}
-			sort.Ints(victims)
 			s.rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 			kill := int(math.Round(ev.KillFraction * float64(len(victims))))
 			for _, id := range victims[:min(kill, len(victims))] {
 				s.nw.unregister(id)
 				close(s.peers[id].stop)
-				delete(s.peers, id)
+				s.peers[id] = nil
 				s.stats.Killed++
 			}
 		}
@@ -266,23 +267,12 @@ func (s *session) tick(period int) {
 }
 
 // plan runs the period's three planning phases over the transport's
-// membership view, returning once the transport has fallen quiet behind
-// the last of them.
+// membership view, placed on the rescue ring once for every hosted peer,
+// returning once the transport has fallen quiet behind the last of them.
 func (s *session) plan(period int) {
-	members := s.tr.Members(period)
-	memberSet := make(map[int]bool, len(members))
-	for _, id := range members {
-		memberSet[id] = true
-	}
-	rv := newRingView(s.space, members)
-
+	members := ringMembers(s.space, s.tr.Members(period))
 	s.pos = s.cfg.posFor(period)
-	s.order = s.order[:0]
-	for id := range s.peers {
-		s.order = append(s.order, id)
-	}
-	sort.Ints(s.order)
-	s.sweep(func(p *peer) { p.periodBegin(period, s.pos, rv, memberSet) })
+	s.sweep(func(p *peer) { p.periodBegin(period, s.pos, members) })
 	s.sweep((*peer).periodAnnounce)
 	s.sweep((*peer).periodSchedule)
 }
@@ -299,8 +289,10 @@ func (s *session) plan(period int) {
 // the transport falls quiet; half a period bounds it, so a wedged peer
 // costs the mesh late phases, not its clock.
 func (s *session) sweep(phase func(*peer)) {
-	for _, id := range s.order {
-		phase(s.peers[id])
+	for _, p := range s.peers {
+		if p != nil {
+			phase(p)
+		}
 	}
 	s.tr.AwaitQuiet(s.cfg.Period / 2)
 }
@@ -320,9 +312,8 @@ func (s *session) serve(period int) {
 	}
 	win := segment.Window{Lo: s.pos, Hi: s.pos + segment.ID(cfg.Rate)}
 	periodContinuous, periodPlaying := 0, 0
-	for _, id := range s.order {
-		p := s.peers[id]
-		if p.isSource {
+	for _, p := range s.peers {
+		if p == nil || p.isSource {
 			continue
 		}
 		periodPlaying++
@@ -341,7 +332,9 @@ func (s *session) serve(period int) {
 // session's stats, less the transport's own counters.
 func (s *session) close() Stats {
 	for _, p := range s.peers {
-		close(p.stop)
+		if p != nil {
+			close(p.stop)
+		}
 	}
 	s.wg.Wait()
 
@@ -351,8 +344,8 @@ func (s *session) close() Stats {
 		stats.Continuity = float64(s.continuous) / float64(s.playing)
 	}
 	for _, p := range s.peers {
-		if p.members == nil {
-			continue // never began a period: no view to judge a link by
+		if p == nil || p.members == nil {
+			continue // gone, or never began a period: no view to judge a link by
 		}
 		for i := range p.nbrs {
 			if p.dead(&p.nbrs[i], p.curPeriod) {

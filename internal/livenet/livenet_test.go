@@ -74,6 +74,9 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative distress", func(c *Config) { c.Maintenance.MaxDistressReplacements = -1 }},
 		{"zero t_hop", func(c *Config) { c.THop = 0 }},
 		{"zero prefetch limit", func(c *Config) { c.PrefetchLimit = 0 }},
+		{"audience past the ring", func(c *Config) {
+			c.Peers, c.Churn = maxReceivers-3, []ChurnEvent{{Period: 5, Join: 2}, {Period: 9, Join: 2}}
+		}},
 	}
 	for _, c := range bad {
 		cfg := DefaultConfig()
@@ -95,6 +98,12 @@ func TestConfigValidateRejects(t *testing.T) {
 	off.PushHops, off.QueueFactor, off.Peers = 0, 0, 0
 	if err := off.Validate(); err != nil {
 		t.Fatalf("push/queue off rejected: %v", err)
+	}
+	// Receivers and joiners that fill the ring exactly fit it.
+	full := DefaultConfig()
+	full.Peers, full.Churn = maxReceivers-4, []ChurnEvent{{Period: 5, Join: 2}, {Period: 9, Join: 2}}
+	if err := full.Validate(); err != nil {
+		t.Fatalf("an audience that fills the ring rejected: %v", err)
 	}
 }
 

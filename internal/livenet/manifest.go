@@ -201,9 +201,9 @@ func (m Manifest) PeriodDuration() (time.Duration, error) {
 	return d, nil
 }
 
-// maxReceivers is the largest audience a manifest may describe: with the
-// source, one peer per rescue-ring position. Past it two peer IDs hash to
-// the same position.
+// maxReceivers is the largest audience a manifest or an in-process session
+// may describe: with the source, one peer per rescue-ring position. Past it
+// a peer ID has no position of its own.
 const maxReceivers = ringSpace - 1
 
 // Receivers is the audience size: every node outside the source group

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,9 @@ type MsgKind uint8
 
 // The livenet wire protocol: the periodic buffer-map exchange (with
 // piggybacked membership gossip), pull requests and data grants, the
-// DHT-backed rescue pair, and the mesh-repair control messages.
+// rescue request (a ring-hashed peer asked for a buffered segment; see
+// EXPERIMENTS.md "Livenet ring") with its data reply, and the
+// mesh-repair control messages.
 const (
 	msgMap MsgKind = iota
 	msgRequest
@@ -55,7 +56,7 @@ type Message struct {
 	// to the max stamp heard — the continuous re-sync that keeps EDF
 	// deadlines and playback positions aligned when a node misses ticks.
 	Period int
-	// Rescue marks data served from the DHT backup path.
+	// Rescue marks data served in reply to a rescue request.
 	Rescue bool
 	// GossipAddrs optionally parallels Gossip with transport addresses
 	// for the named peers. Peers never set it: the UDP transport fills
@@ -73,8 +74,7 @@ type Message struct {
 // mirrors).
 type network struct {
 	mu      sync.RWMutex
-	inboxes map[int]chan Message
-	nextID  int
+	inboxes []chan Message // by peer ID; nil once unregistered
 
 	// sent counts the messages accepted into an inbox and handled those
 	// their receivers are done with (Transport.Handled); the difference is
@@ -93,18 +93,16 @@ type network struct {
 }
 
 func newNetwork() *network {
-	return &network{inboxes: make(map[int]chan Message), quiet: make(chan struct{}, 1)}
+	return &network{quiet: make(chan struct{}, 1)}
 }
 
-// register allocates the next peer ID and its inbox.
+// register allocates the next peer ID (one past the last) and its inbox.
 func (nw *network) register(inboxCap int) (int, chan Message) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	id := nw.nextID
-	nw.nextID++
 	ch := make(chan Message, inboxCap)
-	nw.inboxes[id] = ch
-	return id, ch
+	nw.inboxes = append(nw.inboxes, ch)
+	return len(nw.inboxes) - 1, ch
 }
 
 // unregister removes a departed peer; sends to it fail from now on, which
@@ -112,7 +110,7 @@ func (nw *network) register(inboxCap int) (int, chan Message) {
 func (nw *network) unregister(id int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	delete(nw.inboxes, id)
+	nw.inboxes[id] = nil
 }
 
 // Send delivers non-blockingly; false means the receiver is gone or
@@ -122,15 +120,14 @@ func (nw *network) unregister(id int) {
 func (nw *network) Send(to int, m Message) bool {
 	nw.mu.RLock()
 	defer nw.mu.RUnlock()
-	ch, ok := nw.inboxes[to]
-	if !ok {
+	if to < 0 || to >= len(nw.inboxes) || nw.inboxes[to] == nil {
 		return false
 	}
 	// Counted before the message can be received, so handled never runs
 	// ahead of sent.
 	nw.sent.Add(1)
 	select {
-	case ch <- m:
+	case nw.inboxes[to] <- m:
 		return true
 	default:
 		nw.sent.Add(-1)
@@ -168,15 +165,16 @@ func (nw *network) AwaitQuiet(bound time.Duration) {
 	}
 }
 
-// Members implements Transport: the registry, whatever the period.
+// Members implements Transport: the registry in ID order, whatever the period.
 func (nw *network) Members(int) []int {
 	nw.mu.RLock()
+	defer nw.mu.RUnlock()
 	out := make([]int, 0, len(nw.inboxes))
-	for id := range nw.inboxes {
-		out = append(out, id)
+	for id, ch := range nw.inboxes {
+		if ch != nil {
+			out = append(out, id)
+		}
 	}
-	nw.mu.RUnlock()
-	sort.Ints(out)
 	return out
 }
 
@@ -196,71 +194,31 @@ func sampleIDs(rng *sim.RNG, members []int, max, exclude, self int) []int {
 	return out
 }
 
-// ringView is one period's snapshot of the rescue ring: every member's
-// position in the DHT identifier space, sorted clockwise. Peers derive
-// their backup responsibility (successor arc) and rescue targets (key
-// owners) from it — the livenet stand-in for the structured overlay's
-// routed lookups, scaled to one process.
-type ringView struct {
-	space dht.Space
-	ids   []int    // member peer IDs, sorted by ring position
-	rings []dht.ID // ring positions, ascending
-}
-
-// ringOf spreads peer IDs uniformly over the identifier space: an odd
-// multiplier modulo a power of two is a bijection, so consecutive peer
-// IDs land on well-separated ring arcs.
+// ringOf places a peer ID on the rescue ring: an odd multiplier modulo a
+// power of two is a bijection, so consecutive IDs land on well-separated
+// arcs and peerOf inverts it. An ID outside [0, ringSpace) would alias an
+// in-range one; Config.Validate, NewNode and the UDP address book refuse it.
 func ringOf(space dht.Space, id int) dht.ID {
 	return dht.ID(uint64(id) * 0x9e3779b1 & uint64(space.N()-1))
 }
 
-// newRingView builds the snapshot from a transport's member list.
-func newRingView(space dht.Space, members []int) ringView {
-	type pos struct {
-		id   int
-		ring dht.ID
-	}
-	ps := make([]pos, len(members))
-	for i, id := range members {
-		ps[i] = pos{id: id, ring: ringOf(space, id)}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].ring != ps[j].ring {
-			return ps[i].ring < ps[j].ring
+// peerOf is ringOf's inverse: 0x0e8b2f51 · 0x9e3779b1 ≡ 1 (mod 2³²).
+func peerOf(space dht.Space, ring dht.ID) int {
+	return int(uint64(ring) * 0x0e8b2f51 & uint64(space.N()-1))
+}
+
+// onRing reports whether id has a rescue-ring position of its own.
+func onRing(id int) bool { return id >= 0 && id < ringSpace }
+
+// ringMembers places a transport's member list on the rescue ring as one
+// dht.Members bitmap, the period's membership for every reader. An ID off
+// the ring is nobody's member.
+func ringMembers(space dht.Space, ids []int) *dht.Members {
+	m := dht.NewMembers(space)
+	for _, id := range ids {
+		if onRing(id) {
+			m.Add(ringOf(space, id))
 		}
-		return ps[i].id < ps[j].id
-	})
-	rv := ringView{space: space, ids: make([]int, len(ps)), rings: make([]dht.ID, len(ps))}
-	for i, p := range ps {
-		rv.ids[i] = p.id
-		rv.rings[i] = p.ring
 	}
-	return rv
-}
-
-// successor returns the clockwise next ring position after ring (the arc
-// bound the backup rule needs), or false with fewer than two members.
-func (rv ringView) successor(ring dht.ID) (dht.ID, bool) {
-	if len(rv.rings) < 2 {
-		return 0, false
-	}
-	i := sort.Search(len(rv.rings), func(i int) bool { return rv.rings[i] > ring })
-	if i == len(rv.rings) {
-		i = 0
-	}
-	return rv.rings[i], true
-}
-
-// owner returns the peer responsible for a key: the one whose arc
-// (predecessor, self] contains it — i.e. the first member at or clockwise
-// after the key.
-func (rv ringView) owner(key dht.ID) (int, bool) {
-	if len(rv.ids) == 0 {
-		return 0, false
-	}
-	i := sort.Search(len(rv.rings), func(i int) bool { return rv.rings[i] >= key })
-	if i == len(rv.rings) {
-		i = 0
-	}
-	return rv.ids[i], true
+	return &m
 }

@@ -58,8 +58,8 @@ type Node struct {
 // NewNode binds the node's socket. The peer itself is built inside Run,
 // after the bootstrap handshake has synced the session clock.
 func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
-	if nc.ID < 0 {
-		return nil, fmt.Errorf("livenet: negative node ID %d", nc.ID)
+	if !onRing(nc.ID) {
+		return nil, fmt.Errorf("livenet: node ID %d outside the rescue ring [0, %d)", nc.ID, ringSpace)
 	}
 	if nc.Source != (nc.ID == 0) {
 		return nil, fmt.Errorf("livenet: the source must be node 0 (got id=%d source=%v)", nc.ID, nc.Source)

@@ -89,8 +89,13 @@ func TestUDPSessionShaped(t *testing.T) {
 // malformed shape string must fail loudly, not run a clean network.
 func TestNewNodeRejectsBadShape(t *testing.T) {
 	cfg := DefaultConfig()
-	_, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true, Shape: "loss=200%"})
-	if err == nil {
-		t.Fatal("NewNode accepted an invalid shape profile")
+	for _, nc := range []NodeConfig{
+		{ID: 0, Listen: "127.0.0.1:0", Source: true, Shape: "loss=200%"},
+		{ID: ringSpace, Listen: "127.0.0.1:0", Bootstrap: "127.0.0.1:1"}, // no position on the rescue ring
+	} {
+		if n, err := NewNode(cfg, nc); err == nil {
+			n.Close()
+			t.Errorf("NewNode accepted %+v", nc)
+		}
 	}
 }

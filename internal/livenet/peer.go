@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -69,9 +68,9 @@ type neighbour struct {
 
 // peer is one goroutine's protocol state: the same per-node architecture
 // the simulator hosts (buffer and segment tracker, rate controller,
-// urgent-line α, VoD backup), driven by messages instead of phases. All
-// mutable state is guarded by mu; the inbox goroutine and the driver's
-// per-period call both take it.
+// urgent-line α; no VoD backup, see rescueUrgent), driven by messages
+// instead of phases. All mutable state is guarded by mu; the inbox
+// goroutine and the session's per-period calls both take it.
 type peer struct {
 	id       int
 	ring     dht.ID
@@ -89,8 +88,6 @@ type peer struct {
 	// seg is the per-segment record of buf's window — which pulls and
 	// rescues are out, each until its retry period — and slides with it.
 	seg buffer.Track
-	// backup is the peer's share of the VoD backup ring.
-	backup *dht.Store
 	// nbrs is the neighbour table: one row per linked peer, ascending by
 	// ID; nbrIDs mirrors the IDs in the overlay form the protocol
 	// functions take. Both change only through link and unlink.
@@ -119,7 +116,6 @@ type peer struct {
 
 	curPeriod    int
 	pos          segment.ID
-	rv           ringView
 	pushSpent    int
 	rescueSpent  int
 	pushReceived int
@@ -128,10 +124,10 @@ type peer struct {
 	missStreak   int
 	lastReplace  int
 
-	// members is the current period's membership view (set by
-	// periodBegin, read-only): who the peer may adopt, gossip about and
-	// serve.
-	members map[int]bool
+	// members is the period's membership on the rescue ring (set by
+	// periodBegin, read-only, shared by the session's peers): who the peer
+	// may adopt, gossip about, serve and rescue from, and its DHT walk.
+	members *dht.Members
 
 	// view and rewireScratch are the peer's reusable maintenance seam:
 	// the view provider PlanRewire consults past its fast path, and the
@@ -180,7 +176,7 @@ type peer struct {
 
 // peerView implements protocol.ViewProvider over what this peer learned
 // through its channels: supply estimates from the rate controller, the
-// gossip-fed overheard pool, the ring view's clockwise successors, and —
+// gossip-fed overheard pool, the ring's clockwise successors, and —
 // for the source — the RP membership sample.
 type peerView struct {
 	p *peer
@@ -219,10 +215,10 @@ func (v *peerView) AppendDHTPeers(dst []protocol.CandidateSource) []protocol.Can
 	// membership view of last resort.
 	p := v.p
 	base := len(dst)
-	n := len(p.rv.ids)
-	start := sort.Search(n, func(i int) bool { return p.rv.rings[i] > p.ring })
-	for k := 0; k < n && len(dst)-base < 4; k++ {
-		id := p.rv.ids[(start+k)%n]
+	at := p.ring
+	for k := 0; k < p.members.Len() && len(dst)-base < 4; k++ {
+		at, _ = p.members.Above(at)
+		id := peerOf(p.space, at)
 		if id == p.id {
 			continue
 		}
@@ -241,7 +237,7 @@ func (v *peerView) AppendRPCandidates(dst []overlay.NodeID, max int) []overlay.N
 	return dst
 }
 
-func (v *peerView) Alive(id overlay.NodeID) bool { return v.p.members[int(id)] }
+func (v *peerView) Alive(id overlay.NodeID) bool { return v.p.alive(int(id)) }
 
 func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)) }
 
@@ -261,7 +257,6 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		stop:        make(chan struct{}),
 		rng:         sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
 		buf:         buffer.New(cfg.BufferSegments, openAt),
-		backup:      dht.NewStore(),
 		overheard:   make(map[int]int),
 		ctrl:        bandwidth.NewController(0.3, float64(cfg.Rate)),
 		curPeriod:   joinPeriod,
@@ -278,7 +273,7 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 			ExpectedNodes: cfg.Peers,
 		})
 	}
-	p.aliveFn = func(id overlay.NodeID) bool { return p.members[int(id)] }
+	p.aliveFn = p.view.Alive
 	p.gossipFn = p.noteGossipPick
 	p.askedFn = func(seg segment.ID) bool { return p.seg.InFlight(seg, p.curPeriod) }
 	p.nbrLacksFn = p.neighbourLacks
@@ -438,14 +433,13 @@ func (p *peer) handle(m Message) {
 	case msgData:
 		p.receiveData(m)
 	case msgRescueReq:
-		// The rescue serve path: a backup (or buffer) holder answers a
-		// routed retrieval directly, exactly the paper's on-demand
-		// retrieval exchange. Rescue grants draw on the same 2·O
-		// outbound horizon the serve and push paths share — the
-		// simulator debits its supplier ledger identically — so a hot
-		// backup owner degrades to next-period retries instead of
-		// serving unbounded copies for free.
-		if p.pushSpent+p.rescueSpent < 2*p.outbound() && (p.buf.Has(m.Seg) || p.backup.Has(m.Seg)) {
+		// The rescue serve path: the asked peer answers from its buffer,
+		// directly, as the paper's on-demand retrieval exchange does.
+		// Rescue grants draw on the same 2·O outbound horizon the serve
+		// and push paths share — the simulator debits its supplier ledger
+		// identically — so a hot ring position degrades to next-period
+		// retries instead of serving unbounded copies for free.
+		if p.pushSpent+p.rescueSpent < 2*p.outbound() && p.buf.Has(m.Seg) {
 			p.rescueSpent++
 			p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.wireAt(p.pushSpent + p.rescueSpent)})
 		}
@@ -476,10 +470,9 @@ func (p *peer) handle(m Message) {
 	}
 }
 
-// receiveData ingests one data message: store, account, back up under the
-// §4.3 responsibility rule, and — for eager-push copies below the hop
-// bound — forward the fresh segment one hop further (the livenet mirror
-// of the simulator's pushPhase frontier).
+// receiveData ingests one data message: store, account, and — for
+// eager-push copies below the hop bound — forward the fresh segment one
+// hop further (the livenet mirror of the simulator's pushPhase frontier).
 func (p *peer) receiveData(m Message) {
 	wasRescue := m.Rescue && p.seg.PrefetchPending(m.Seg, p.curPeriod)
 	p.seg.Received(m.Seg)
@@ -510,10 +503,6 @@ func (p *peer) receiveData(m Message) {
 		if m.Hop > 0 {
 			p.st.pushDelivered.Add(1)
 			p.pushReceived++
-		}
-		if succ, ok := p.rv.successor(p.ring); ok &&
-			protocol.BackupResponsible(p.space, p.ring, succ, m.Seg, p.cfg.Replicas) {
-			p.backup.Put(m.Seg)
 		}
 	}
 	if wasRescue && already {
@@ -550,14 +539,13 @@ func (p *peer) receiveData(m Message) {
 
 // periodBegin opens period now: advance the clock and the window, settle
 // the previous period's accounts, and — on the source — generate and push
-// the fresh segments. rv and members are the period's ring and membership
-// views; the later phases read them from the peer.
-func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int]bool) {
+// the fresh segments. members is the period's membership on the rescue
+// ring; the later phases read it from the peer.
+func (p *peer) periodBegin(now int, pos segment.ID, members *dht.Members) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.curPeriod = now
 	p.pos = pos
-	p.rv = rv
 	p.members = members
 	// A livenet supplier serves at its next period boundary, so a
 	// request's data arrives one period after the ask; crediting the rate
@@ -574,7 +562,6 @@ func (p *peer) periodBegin(now int, pos segment.ID, rv ringView, members map[int
 	}
 	p.buf.AdvanceTo(pos)
 	p.seg.AdvanceTo(pos)
-	p.backup.PruneBelow(pos)
 	for id, seen := range p.overheard {
 		if now-seen > p.cfg.sightTTL() {
 			delete(p.overheard, id)
@@ -606,7 +593,7 @@ func (p *peer) periodAnnounce() {
 }
 
 // periodSchedule schedules the period's pulls over the neighbour maps and
-// fires DHT rescues for urgent holes.
+// fires rescues for urgent holes.
 func (p *peer) periodSchedule() {
 	if p.isSource {
 		return
@@ -727,11 +714,16 @@ func (p *peer) rpSample(max, exclude int) []int {
 	return sampleIDs(p.rng, p.tr.Members(p.curPeriod), max, exclude, p.id)
 }
 
+// alive reports whether id is in the period's membership; no off-ring ID is.
+func (p *peer) alive(id int) bool {
+	return onRing(id) && p.members.Has(ringOf(p.space, id))
+}
+
 // dead is the one dead-link rule: the far side has left the membership
 // view, or the link has been silent beyond the staleness bound. Mesh
 // repair drops such links; Stats.EndDeadLinks counts the ones left.
 func (p *peer) dead(nb *neighbour, now int) bool {
-	return !p.members[nb.id] || now-nb.seen > p.cfg.DeadAfterPeriods
+	return !p.alive(nb.id) || now-nb.seen > p.cfg.DeadAfterPeriods
 }
 
 // maintainMesh drops neighbours discovered dead and runs the shared rewire
@@ -739,7 +731,6 @@ func (p *peer) dead(nb *neighbour, now int) bool {
 // the peer's locally learned view, sending Bye/Connect control messages
 // for the resulting intent.
 func (p *peer) maintainMesh(now int) {
-	members := p.members
 	for i := len(p.nbrs) - 1; i >= 0; i-- {
 		if nb := &p.nbrs[i]; p.dead(nb, now) {
 			delete(p.overheard, nb.id)
@@ -770,7 +761,7 @@ func (p *peer) maintainMesh(now int) {
 		for next < len(intent.Adopt) {
 			c := int(intent.Adopt[next])
 			next++
-			if members[c] && !p.linked(c) && c != p.id {
+			if p.alive(c) && !p.linked(c) && c != p.id {
 				return c, true
 			}
 		}
@@ -944,10 +935,11 @@ func (p *peer) playDeadline(seg segment.ID) sim.Time {
 }
 
 // rescueUrgent runs the urgent-line prediction (the same α-adapted
-// prefetch.PredictInto the simulator drives) and fires DHT-backed retrievals
-// for the predicted-missed segments: each goes to the ring owner of one
-// of its k backup keys, falling back to the source when the ring is too
-// thin to locate one.
+// prefetch.PredictInto the simulator drives) and asks, for each
+// predicted-missed segment, a ring-hashed peer (keyHolder of one of its k
+// keys, else the source) to answer from its buffer. There is no backup, and
+// that peer is seldom the one §4.3's placement rule would have store the
+// segment (EXPERIMENTS.md "Livenet ring").
 func (p *peer) rescueUrgent(now int) {
 	if p.alpha == nil {
 		return
@@ -959,16 +951,14 @@ func (p *peer) rescueUrgent(now int) {
 	}
 	for _, seg := range plan.Missed {
 		// Spread load across the k replicas: start from a replica keyed
-		// by (segment, period) and take the first owner that is not us.
-		// Replica indices are 1..k — the §4.3 placement rule the backup
-		// side (BackupResponsible) stores under; index 0 would hash to a
-		// segment-independent constant key.
+		// by (segment, period) and take the first holder that is not us.
+		// Replica indices are 1..k, the §4.3 keys (dht.HashKey); index 0
+		// would hash to a segment-independent constant key.
 		target := -1
 		for r := 0; r < p.cfg.Replicas; r++ {
 			replica := 1 + (int(seg)+now+r)%p.cfg.Replicas
-			key := dht.HashKey(p.space, seg, replica)
-			if owner, ok := p.rv.owner(key); ok && owner != p.id {
-				target = owner
+			if holder, ok := p.keyHolder(dht.HashKey(p.space, seg, replica)); ok && holder != p.id {
+				target = holder
 				break
 			}
 		}
@@ -979,4 +969,14 @@ func (p *peer) rescueUrgent(now int) {
 		p.st.rescueAsked.Add(1)
 		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
 	}
+}
+
+// keyHolder is the peer a rescue for a ring key asks: the first member at
+// or clockwise after the key. False when the ring is empty.
+func (p *peer) keyHolder(key dht.ID) (int, bool) {
+	at, ok := key, p.members.Has(key)
+	if !ok {
+		at, ok = p.members.Above(key)
+	}
+	return peerOf(p.space, at), ok
 }

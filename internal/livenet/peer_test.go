@@ -237,16 +237,14 @@ func TestPeriodAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	const self, nbrs = 4, 8
 	nw := newNetwork()
-	members := map[int]bool{}
 	var ids []int
-	inboxes := map[int]chan Message{}
+	var inboxes []chan Message
 	for i := 0; i <= nbrs; i++ {
 		id, ch := nw.register(256)
-		members[id], inboxes[id] = true, ch
-		ids = append(ids, id)
+		ids, inboxes = append(ids, id), append(inboxes, ch)
 	}
 	p := newPeer(nw, self, inboxes[self], cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
-	rv := newRingView(p.space, ids)
+	members := ringMembers(p.space, ids)
 	for _, id := range ids {
 		if id != self {
 			p.link(id, 0)
@@ -288,7 +286,7 @@ func TestPeriodAllocations(t *testing.T) {
 				p.handle(Message{From: id, Kind: msgRequest, Seg: seg, Deadline: p.playDeadline(seg), Period: period})
 			}
 		}
-		p.periodBegin(period, cfg.posFor(period), rv, members)
+		p.periodBegin(period, cfg.posFor(period), members)
 		p.periodAnnounce()
 		p.periodSchedule()
 		p.periodServe()

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -54,9 +55,11 @@ func TestPlanServeBarrier(t *testing.T) {
 		}
 		queued := int64(0)
 		for _, p := range s.peers {
-			p.mu.Lock()
-			queued += int64(len(p.asks))
-			p.mu.Unlock()
+			if p != nil {
+				p.mu.Lock()
+				queued += int64(len(p.asks))
+				p.mu.Unlock()
+			}
 		}
 		if queued != sent {
 			t.Fatalf("period %d: %d asks sent by the schedule pass, %d in their suppliers' hands at serve time", period, sent, queued)
@@ -98,7 +101,9 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 }
 
 // TestSaturatedInboxCounted checks that a send into a full inbox is
-// counted as a transport drop, and a send to a vanished peer is not.
+// counted as a transport drop, and a send to a vanished peer — or to an ID
+// the registry never handed out — is not; and that the registry lists its
+// members ascending whatever order they came and went in.
 func TestSaturatedInboxCounted(t *testing.T) {
 	nw := newNetwork()
 	id, _ := nw.register(2)
@@ -112,11 +117,35 @@ func TestSaturatedInboxCounted(t *testing.T) {
 		t.Fatalf("sent = %d, want the 2 accepted messages", got)
 	}
 	nw.unregister(id)
-	if nw.Send(id, Message{Kind: msgBye}) {
-		t.Fatal("send to an unregistered peer succeeded")
+	for _, to := range []struct {
+		name string
+		id   int
+	}{
+		{"an unregistered peer", id},
+		{"a negative ID", -1},
+		{"one past the registry", id + 1},
+	} {
+		if nw.Send(to.id, Message{Kind: msgBye}) {
+			t.Fatalf("send to %s succeeded", to.name)
+		}
+		if got := nw.dropped.Load(); got != 3 {
+			t.Fatalf("dropped = %d after a send to %s, want it unchanged at 3", got, to.name)
+		}
 	}
-	if got := nw.dropped.Load(); got != 3 {
-		t.Fatalf("dropped = %d after a send to a vanished peer, want it unchanged at 3", got)
+
+	const reg = -1 // register the next ID; any other op unregisters that ID
+	var want []int
+	for step, op := range []int{reg, reg, reg, 2, reg, 1, reg, reg, 5, 3} {
+		if op == reg {
+			next, _ := nw.register(1)
+			want = append(want, next)
+		} else {
+			nw.unregister(op)
+			want = slices.DeleteFunc(want, func(id int) bool { return id == op })
+		}
+		if got := nw.Members(step); !slices.Equal(got, want) {
+			t.Fatalf("step %d: members %v, want %v", step, got, want)
+		}
 	}
 }
 
@@ -150,7 +179,7 @@ func TestOverheardExpiresInProcess(t *testing.T) {
 	ttl := cfg.sightTTL()
 	p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
 	for now := 1; now <= ttl+1; now++ {
-		p.periodBegin(now, cfg.posFor(now), ringView{}, nil)
+		p.periodBegin(now, cfg.posFor(now), ringMembers(p.space, nil))
 		p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{51}, Period: now})
 		_, silent := p.overheard[50]
 		_, mentioned := p.overheard[51]

@@ -23,8 +23,9 @@ type Transport interface {
 	// nothing is in flight; the UDP transport ignores it.
 	Handled(n int)
 	// Members returns, ascending, the peer IDs reachable as of period
-	// now — the membership view a period's adoption, serving and ring
-	// placement are gated on. The channel transport answers with its
+	// now. The session places it on the rescue ring once a period as one
+	// dht.Members bitmap (ringMembers), the view its peers' adoption,
+	// serving and rescues read. The channel transport answers with its
 	// registry, exact and shared by every peer of the process. The UDP
 	// transport answers with its address book: itself, the bootstrap
 	// address (ID 0) and every ID it can put an address to that it heard

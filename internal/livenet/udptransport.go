@@ -153,7 +153,7 @@ func (t *udpTransport) Members(now int) []int {
 // Learn records a peer's address ("host:port"), overwriting any previous
 // one (a peer that rebinds is reached at its latest known socket).
 func (t *udpTransport) Learn(id int, addr string) error {
-	if id < 0 || id == t.self {
+	if !onRing(id) || id == t.self {
 		return fmt.Errorf("livenet: cannot learn address for peer %d", id)
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -165,9 +165,9 @@ func (t *udpTransport) Learn(id int, addr string) error {
 }
 
 // learn is Learn for an address already in binary form: a datagram's
-// source, or a parsed gossip annotation.
+// source, or a parsed gossip annotation. An off-ring ID takes no book slot.
 func (t *udpTransport) learn(id int, addr netip.AddrPort) {
-	if id < 0 || id == t.self || !addr.IsValid() {
+	if !onRing(id) || id == t.self || !addr.IsValid() {
 		return
 	}
 	// One form per address whatever socket family reported it: a

@@ -43,8 +43,8 @@ func TestDelayQueueOrder(t *testing.T) {
 }
 
 // TestAddressBook checks the address book's single form per address
-// (IPv4-mapped IPv6 sources unmap), its refusal of self and negative IDs,
-// and the maxBook bound that still refreshes known peers.
+// (IPv4-mapped IPv6 sources unmap), its refusal of self, negative and
+// off-ring IDs, and the maxBook bound that still refreshes known peers.
 func TestAddressBook(t *testing.T) {
 	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
 	if err != nil {
@@ -57,9 +57,13 @@ func TestAddressBook(t *testing.T) {
 	}
 	tr.learn(7, netip.MustParseAddrPort("127.0.0.1:4001"))
 	tr.learn(-1, netip.MustParseAddrPort("127.0.0.1:4002"))
+	tr.learn(ringSpace, netip.MustParseAddrPort("127.0.0.1:4002"))
 	tr.learn(5, netip.AddrPort{})
 	if len(tr.book) != 1 {
-		t.Fatalf("book holds %d entries after self, negative and invalid learns, want 1", len(tr.book))
+		t.Fatalf("book holds %d entries after self, negative, off-ring and invalid learns, want 1", len(tr.book))
+	}
+	if err := tr.Learn(ringSpace, "127.0.0.1:4002"); err == nil {
+		t.Fatal("Learn took an ID with no rescue-ring position")
 	}
 	if err := tr.Learn(4, "localhost:4003"); err != nil || !tr.book[4].addr.IsValid() {
 		t.Fatalf("Learn with a host name: err=%v entry=%+v", err, tr.book[4])
@@ -67,8 +71,8 @@ func TestAddressBook(t *testing.T) {
 	for id := 100; len(tr.book) < maxBook; id++ {
 		tr.learn(id, netip.MustParseAddrPort("127.0.0.1:5000"))
 	}
-	tr.learn(99999, netip.MustParseAddrPort("127.0.0.1:5001"))
-	if _, ok := tr.book[99999]; ok {
+	tr.learn(9999, netip.MustParseAddrPort("127.0.0.1:5001"))
+	if _, ok := tr.book[9999]; ok {
 		t.Fatal("a full book learned a new peer")
 	}
 	tr.learn(3, netip.MustParseAddrPort("127.0.0.1:4999"))

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"continustreaming/internal/dht"
-	"continustreaming/internal/segment"
-)
+import "continustreaming/internal/dht"
 
 // RepairDue reports whether a node should run its DHT refresh this
 // scheduling period: every interval periods, counted so interval 1 means
@@ -24,13 +21,4 @@ func RepairDue(round, interval int) bool {
 // arc, so the scan is skipped.
 func SuccessorMoved(before dht.ID, hadBefore bool, after dht.ID, hasAfter bool) bool {
 	return hasAfter && (!hadBefore || before != after)
-}
-
-// BackupResponsible is the §4.3 backup placement rule both runtimes
-// apply on every segment arrival: the node stores a replica when one of
-// the k hash keys of the segment lands in its arc (self, successor].
-// It is a thin alias for dht.Responsible so the protocol package is the
-// one import a runtime needs for its decision surface.
-func BackupResponsible(space dht.Space, self, successor dht.ID, id segment.ID, k int) bool {
-	return dht.Responsible(space, self, successor, id, k)
 }
