@@ -60,14 +60,16 @@
 //
 // # Live runtime
 //
-// RunLive executes the same protocol over real message passing — one
-// goroutine per peer, channels as links, a wall-clock ticker as the
-// scheduling period — driving the identical transport-agnostic decision
+// RunLive executes the same protocol over real message passing — peers
+// exchanging protocol messages, a wall-clock ticker as the scheduling
+// period — driving the identical transport-agnostic decision
 // core (internal/protocol) the simulator uses: mesh repair under churn,
 // fresh-segment push and EDF serving; its rescue asks a ring-hashed peer
 // for a buffered segment (no VoD backup; EXPERIMENTS.md "Livenet ring").
 // LiveConfig.Churn scripts a kill/join session; this is the in-process
-// repro of the paper's planned real-network validation. A LiveNode with
+// repro of the paper's planned real-network validation, run on the
+// caller's goroutine with messages handled in send order, so a seed
+// replays the same session at any pace. A LiveNode with
 // Listen set switches to the multi-process socket path: the process runs
 // one peer over UDP, bootstrapping through the rendezvous point at
 // LiveNode.Bootstrap (see cmd/livenode for the per-process binary and
@@ -183,8 +185,8 @@ func RunContext(ctx context.Context, cfg Config, rounds int, onRound func(Snapsh
 
 // The live runtime's types, re-exported like the simulator's.
 type (
-	// LiveConfig parameterises a live (goroutine-per-peer, wall-clock) run
-	// of the protocol. Start from DefaultLiveConfig; LiveConfig.Churn
+	// LiveConfig parameterises a live (message-passing, wall-clock paced)
+	// run of the protocol. Start from DefaultLiveConfig; LiveConfig.Churn
 	// scripts kill and join events for in-process sessions.
 	LiveConfig = livenet.Config
 	// LiveChurnEvent is one scripted membership change of LiveConfig.Churn.
@@ -205,8 +207,9 @@ func DefaultLiveConfig() LiveConfig { return livenet.DefaultConfig() }
 // number of periods, with the same internal/protocol decision core as the
 // simulator (mesh repair, push, EDF serving; a rescue asks a ring-hashed
 // peer for a buffered segment). With a zero node it hosts the whole
-// session in-process: one goroutine per peer, channels as links, cfg.Churn
-// scripting kills and joins. With node.Listen set this process runs ONE
+// session in-process on the calling goroutine: messages queue in send
+// order and are handled between phase calls, and cfg.Churn scripts kills
+// and joins. With node.Listen set this process runs ONE
 // peer bound to that UDP address instead — messages cross real process
 // boundaries as wire-encoded datagrams, membership comes from the
 // rendezvous bootstrap and gossip, and churn happens by processes dying.

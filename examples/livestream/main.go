@@ -1,7 +1,8 @@
-// Livestream: runs the protocol over real goroutine message passing (the
-// livenet runtime) instead of the deterministic simulator — one goroutine
-// per peer, channels as links, a wall-clock ticker as the scheduling
-// period. This is the in-process stand-in for the paper's planned
+// Livestream: runs the protocol over real message passing (the livenet
+// runtime) instead of the deterministic simulator — peers exchanging
+// protocol messages through an in-process queue, handled in send order,
+// and a wall-clock ticker as the scheduling period, so a seed replays the
+// same session. This is the in-process stand-in for the paper's planned
 // PlanetLab deployment, and since the livenet port it drives the same
 // internal/protocol decision core as the simulator: fresh-segment push,
 // supplier-side EDF serving with carry queues, mesh repair and rescue of

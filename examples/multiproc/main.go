@@ -3,7 +3,7 @@
 // one livenode process per peer on loopback (the source doubling as
 // rendezvous point), scripts churn, and asserts that the audience's
 // recovered tail plays continuously: the same scenarios the in-process
-// livenet demo runs over channels, now with process boundaries,
+// livenet demo runs over its message queue, now with process boundaries,
 // wire-encoded datagrams and gossip-routed membership.
 //
 // A run is one manifest, a testground-style composition — named node

@@ -8,9 +8,9 @@ import "testing"
 // (-v), and asserts the columns that are structural: what a switched-off
 // half must leave at zero and what a switched-on half must achieve.
 // The sessions are stepped, not paced (the numbers are per period, and
-// no peer reads the period's length); continuity still varies with
-// message interleaving and is only held to a liveness bar, on the full
-// configuration.
+// no peer reads the period's length), and replay exactly per seed;
+// continuity is held to a liveness bar, on the full configuration, so
+// the test tracks the structure rather than one seed's numbers.
 func TestAblationNumbers(t *testing.T) {
 	base := DefaultConfig()
 	base.Peers = 32

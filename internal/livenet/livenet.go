@@ -1,8 +1,10 @@
-// Package livenet runs the streaming protocol over real message passing:
-// one goroutine per peer and a wall-clock ticker driving scheduling
-// periods (scaled down so demos finish in seconds). One session loop runs
-// every period; Run hosts a whole mesh in it over channels, Node.Run one
-// peer over a UDP socket. It is the repro of the paper's planned PlanetLab
+// Package livenet runs the streaming protocol over real message passing,
+// with a wall-clock ticker driving scheduling periods (scaled down so
+// demos finish in seconds). One session loop runs every period. Run hosts
+// a whole mesh in it on one goroutine, its messages queued in send order
+// and handed over between phase calls, so a seed replays the same
+// session; Node.Run hosts one peer over a UDP socket, received by a loop
+// of its own. It is the repro of the paper's planned PlanetLab
 // deployment — and it drives the same transport-agnostic decision core
 // (internal/protocol) as the deterministic simulator: mesh repair under
 // churn (PlanRewire + GossipPicks), rescue of urgent holes from a
@@ -18,7 +20,6 @@ package livenet
 import (
 	"context"
 	"math"
-	"sync"
 	"time"
 
 	"continustreaming/internal/dht"
@@ -76,7 +77,7 @@ type Stats struct {
 	// shaper consumed as injected link loss, ShapeDelayed datagrams it
 	// released late (latency, jitter or bandwidth queueing). Resyncs
 	// counts clock re-anchor jumps taken (see Config.Resync). The shaper
-	// and re-sync figures are zero on the in-process channel path.
+	// and re-sync figures are zero on the in-process path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64
@@ -110,9 +111,11 @@ func (s Stats) TailContinuity(n int) float64 {
 // Run executes a live session for the given number of periods and returns
 // its stats. The source emits cfg.Rate fresh segments per period and
 // push-seeds them; peers exchange maps with piggybacked membership
-// gossip, schedule with the paper's urgency+rarity policy, pull over
-// channels, serve EDF with carry queues, repair their meshes, and rescue
-// urgent holes from ring-hashed peers' buffers. Run blocks until the
+// gossip, schedule with the paper's urgency+rarity policy, pull, serve
+// EDF with carry queues, repair their meshes, and rescue urgent holes
+// from ring-hashed peers' buffers. The session runs on the calling
+// goroutine and reads the clock only to pace its periods, so the Stats
+// are those of the same session ticked back to back. Run blocks until the
 // session drains; it has no error return, so cfg must already pass Validate.
 func Run(ctx context.Context, cfg Config, periods int) Stats {
 	s := newSession(cfg)
@@ -128,20 +131,18 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 		}
 		s.tick(period)
 	}
-	stats := s.close()
-	stats.TransportDropped = s.nw.dropped.Load()
-	return stats
+	return s.result()
 }
 
 // session is the one period loop of the livenet: it drives the peers this
 // process hosts through the phases of each scheduling period over a
-// Transport, tallies their playback and drains them. Run hosts the whole
-// mesh over the channel transport; Node.Run hosts its one peer over UDP.
-// What differs between the two is the transport's answers — who is a
-// member, and whether a phase's messages can be waited for — and what
-// only a socket node has: the bootstrap handshake, its own ticker and
-// re-sync, and the half-period wait between plan and serve that stands in
-// for a barrier no socket can give.
+// Transport and tallies their playback. Run hosts the whole mesh over the
+// in-process queue; Node.Run hosts its one peer over UDP. What differs
+// between the two is the transport's answers — who is a member, and
+// whether a phase's messages can be handed over before the next phase —
+// and what only a socket node has: the bootstrap handshake, its receive
+// loop, its own ticker and re-sync, and the half-period wait between plan
+// and serve that stands in for a barrier no socket can give.
 type session struct {
 	cfg   Config
 	space dht.Space
@@ -149,10 +150,12 @@ type session struct {
 	st    *counters
 	// peers is indexed by peer ID (nil: not hosted); its walk is the sweep order.
 	peers []*peer
-	wg    sync.WaitGroup
+	// deliverFn is deliver, bound once: the sweeps hand it to AwaitQuiet
+	// after every phase call, and a method value made per call allocates.
+	deliverFn func(int, Message)
 	// nw, rng and churnAt (the scripted churn by period) belong to a
 	// whole-mesh session: churn registers and unregisters peers on the
-	// channel transport itself.
+	// in-process transport itself.
 	nw      *network
 	rng     *sim.RNG
 	churnAt map[int][]ChurnEvent
@@ -166,11 +169,13 @@ type session struct {
 
 // hostSession returns a session over tr that hosts no peer yet.
 func hostSession(cfg Config, tr Transport) *session {
-	return &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}}
+	s := &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}}
+	s.deliverFn = s.deliver
+	return s
 }
 
-// newSession builds the mesh: the source, cfg.Peers receivers, each
-// running its inbox loop, wired by the RP's initial contact lists.
+// newSession builds the mesh: the source and cfg.Peers receivers, wired
+// by the RP's initial contact lists.
 func newSession(cfg Config) *session {
 	cfg = cfg.fitAudience()
 	nw := newNetwork()
@@ -184,16 +189,10 @@ func newSession(cfg Config) *session {
 	// to cfg.M others, the first M of them to the source so
 	// content has an exit. Links are installed directly on both sides —
 	// this is the session's construction, not a protocol message.
-	link := func(a, b int) {
-		p := s.peers[a]
-		p.mu.Lock()
-		p.link(b, 0)
-		p.mu.Unlock()
-	}
 	connect := func(a, b int) {
 		if a != b {
-			link(a, b)
-			link(b, a)
+			s.peers[a].link(b, 0)
+			s.peers[b].link(a, 0)
 		}
 	}
 	for i := 1; i <= cfg.Peers; i++ {
@@ -210,27 +209,41 @@ func newSession(cfg Config) *session {
 	return s
 }
 
-// spawn hosts a peer on a transport-provided identity and inbox, starts
-// its inbox loop and returns it.
-func (s *session) spawn(id int, inbox chan Message, isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	p := newPeer(s.tr, id, inbox, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
+// spawn hosts a peer on a transport-provided identity and returns it.
+func (s *session) spawn(id int, isSource bool, openAt segment.ID, joinPeriod int) *peer {
+	p := newPeer(s.tr, id, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
 	if id >= len(s.peers) {
 		s.peers = append(s.peers, make([]*peer, id+1-len(s.peers))...)
 	}
 	s.peers[id] = p
-	s.wg.Add(1)
-	go p.loop(&s.wg)
 	return p
 }
 
-// join registers the next peer on the channel transport and spawns it.
+// join registers the next peer on the in-process transport and spawns it.
 func (s *session) join(isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	id, inbox := s.nw.register(s.cfg.inboxCap(isSource))
-	return s.spawn(id, inbox, isSource, openAt, joinPeriod)
+	return s.spawn(s.nw.register(s.cfg.inboxCap(isSource)), isSource, openAt, joinPeriod)
+}
+
+// kill takes a peer off the in-process transport without a goodbye: what
+// is queued for it is never handled, and sends to it fail from now on.
+func (s *session) kill(id int) {
+	s.nw.unregister(id)
+	s.peers[id] = nil
+	s.stats.Killed++
+}
+
+// deliver hands m to the peer it is addressed to, unless that peer has
+// been killed since m was sent.
+func (s *session) deliver(to int, m Message) {
+	if p := s.peers[to]; p != nil {
+		p.handle(m)
+	}
 }
 
 // churn applies one period's scripted events: abrupt kills first
-// (silence, not goodbyes), then rendezvous-path joins.
+// (silence, not goodbyes), then rendezvous-path joins, whose handshakes
+// complete before the period plans — a burst of joiners all registered
+// before any Connect is handled, so the RP's samples name one another.
 func (s *session) churn(period int) {
 	for _, ev := range s.churnAt[period] {
 		if ev.KillFraction > 0 {
@@ -243,10 +256,7 @@ func (s *session) churn(period int) {
 			s.rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 			kill := int(math.Round(ev.KillFraction * float64(len(victims))))
 			for _, id := range victims[:min(kill, len(victims))] {
-				s.nw.unregister(id)
-				close(s.peers[id].stop)
-				s.peers[id] = nil
-				s.stats.Killed++
+				s.kill(id)
 			}
 		}
 		for j := 0; j < ev.Join; j++ {
@@ -257,6 +267,7 @@ func (s *session) churn(period int) {
 			s.stats.Joined++
 		}
 	}
+	s.nw.AwaitQuiet(s.deliverFn)
 }
 
 // tick runs one scheduling period for the whole mesh.
@@ -267,8 +278,7 @@ func (s *session) tick(period int) {
 }
 
 // plan runs the period's three planning phases over the transport's
-// membership view, placed on the rescue ring once for every hosted peer,
-// returning once the transport has fallen quiet behind the last of them.
+// membership view, placed on the rescue ring once for every hosted peer.
 func (s *session) plan(period int) {
 	members := ringMembers(s.space, s.tr.Members(period))
 	s.pos = s.cfg.posFor(period)
@@ -277,24 +287,24 @@ func (s *session) plan(period int) {
 	s.sweep((*peer).periodSchedule)
 }
 
-// sweep runs one phase of the period over every hosted peer, then waits
-// until the peer goroutines have handled what the phase sent (and what
-// handling it sent in turn: push forwards, connect replies). A period is
-// four such sweeps — begin (the source pushes), announce, schedule, serve,
-// the simulator's push → exchange → schedule → serve → playback round
-// order over real messages. Each phase reads what the one before it sent,
-// and nothing but the barrier makes that true; a sweep that merely takes
-// long enough for the inboxes to drain behind it hides the race only until
-// the sweep gets faster or the host slower. The barrier ends the moment
-// the transport falls quiet; half a period bounds it, so a wedged peer
-// costs the mesh late phases, not its clock.
+// sweep runs one phase of the period over every hosted peer in ID order,
+// and after each peer's call lets the transport hand over what the call
+// sent (and what handling it sent in turn: push forwards, connect
+// replies). A period is four such sweeps — begin (the source pushes),
+// announce, schedule, serve — the simulator's push → exchange → schedule →
+// serve → playback round order over real messages. Each phase reads what
+// the one before it sent, which the hand-over after every call makes
+// true; it also lets a peer see what lower IDs sent earlier in the same
+// sweep, the zero-latency limit of peers running side by side. Handing
+// over once at the end of a sweep instead doubles the replacements a
+// churned session makes (EXPERIMENTS.md "Livenet delivery").
 func (s *session) sweep(phase func(*peer)) {
 	for _, p := range s.peers {
 		if p != nil {
 			phase(p)
+			s.tr.AwaitQuiet(s.deliverFn)
 		}
 	}
-	s.tr.AwaitQuiet(s.cfg.Period / 2)
 }
 
 // serve runs the period's serve phase and, once the grants have landed,
@@ -328,18 +338,14 @@ func (s *session) serve(period int) {
 	}
 }
 
-// close stops every peer, waits for the loops to drain and returns the
-// session's stats, less the transport's own counters.
-func (s *session) close() Stats {
-	for _, p := range s.peers {
-		if p != nil {
-			close(p.stop)
-		}
-	}
-	s.wg.Wait()
-
+// result returns the session's stats. The socket transport's own counters
+// are Node.Run's to add; the in-process one's drops are counted here.
+func (s *session) result() Stats {
 	stats := s.stats
 	s.st.fill(&stats)
+	if s.nw != nil {
+		stats.TransportDropped = s.nw.dropped
+	}
 	if s.playing > 0 {
 		stats.Continuity = float64(s.continuous) / float64(s.playing)
 	}

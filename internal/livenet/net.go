@@ -1,10 +1,6 @@
 package livenet
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/segment"
@@ -68,110 +64,91 @@ type Message struct {
 
 // network is the in-process Transport and rendezvous: the address book
 // every real deployment reaches through its RP server and DHT routing,
-// scaled to one process. Sends are non-blocking — a saturated or dead
-// receiver drops the message, and the protocol's retry/repair paths are
-// what recover, exactly as over UDP (the drop model udpTransport
-// mirrors).
+// scaled to one process. It belongs to the one goroutine that drives the
+// session: Send appends to a single queue in send order and returns, and
+// AwaitQuiet hands the queue over, so the order messages are handled in
+// is the order they were sent, whatever the host's scheduler does. Sends
+// are non-blocking — a saturated or dead receiver drops the message, and
+// the protocol's retry/repair paths are what recover, exactly as over UDP
+// (the drop model udpTransport mirrors).
 type network struct {
-	mu      sync.RWMutex
-	inboxes []chan Message // by peer ID; nil once unregistered
-
-	// sent counts the messages accepted into an inbox and handled those
-	// their receivers are done with (Transport.Handled); the difference is
-	// what is in flight. Messages are sent by the driver goroutine and by
-	// peers in the middle of handling one, so once the driver stops
-	// sending, equality means the whole session is quiet. quiet carries
-	// the wake-up for a driver parked in AwaitQuiet (waiting).
-	sent    atomic.Int64
-	handled atomic.Int64
-	waiting atomic.Bool
-	quiet   chan struct{}
-	// dropped counts messages discarded because the receiver's inbox was
-	// full — overload made visible; a vanished receiver is churn, not a
-	// drop.
-	dropped atomic.Int64
+	// boxes is the registry by peer ID.
+	boxes []mailbox
+	// queue holds the messages sent and not yet handed over, in send
+	// order, from head on.
+	queue []envelope
+	head  int
+	// dropped counts messages discarded because the receiver already had
+	// its inbox's worth queued — overload made visible; a vanished
+	// receiver is churn, not a drop.
+	dropped int64
 }
 
-func newNetwork() *network {
-	return &network{quiet: make(chan struct{}, 1)}
+// mailbox is one registered ID's share of the queue: cap messages at
+// most, queued of them there now. cap is 0 for an ID no longer
+// registered.
+type mailbox struct {
+	cap, queued int
 }
 
-// register allocates the next peer ID (one past the last) and its inbox.
-func (nw *network) register(inboxCap int) (int, chan Message) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	ch := make(chan Message, inboxCap)
-	nw.inboxes = append(nw.inboxes, ch)
-	return len(nw.inboxes) - 1, ch
+// envelope is one queued message and its receiver.
+type envelope struct {
+	to int
+	m  Message
+}
+
+func newNetwork() *network { return &network{} }
+
+// register allocates the next peer ID (one past the last), with room for
+// inboxCap (at least 1) queued messages.
+func (nw *network) register(inboxCap int) int {
+	nw.boxes = append(nw.boxes, mailbox{cap: inboxCap})
+	return len(nw.boxes) - 1
 }
 
 // unregister removes a departed peer; sends to it fail from now on, which
 // is how the rest of the mesh eventually notices.
 func (nw *network) unregister(id int) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.inboxes[id] = nil
+	nw.boxes[id].cap = 0
 }
 
-// Send delivers non-blockingly; false means the receiver is gone or
-// saturated and the message was dropped. The registry lock is held across
-// the channel operation, so nothing enters an inbox after unregister
-// returns — a stopping peer's leftover count is exact.
+// Send queues m for peer to and returns; false means the receiver is gone
+// or saturated and the message was dropped. It never hands a message over
+// itself: the sender may be in the middle of handling one, holding its
+// own peer's lock, and what it sends waits its turn behind everything
+// sent before it.
 func (nw *network) Send(to int, m Message) bool {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	if to < 0 || to >= len(nw.inboxes) || nw.inboxes[to] == nil {
+	if to < 0 || to >= len(nw.boxes) || nw.boxes[to].cap == 0 {
 		return false
 	}
-	// Counted before the message can be received, so handled never runs
-	// ahead of sent.
-	nw.sent.Add(1)
-	select {
-	case nw.inboxes[to] <- m:
-		return true
-	default:
-		nw.sent.Add(-1)
-		nw.dropped.Add(1)
+	b := &nw.boxes[to]
+	if b.queued >= b.cap {
+		nw.dropped++
 		return false
 	}
+	b.queued++
+	nw.queue = append(nw.queue, envelope{to, m})
+	return true
 }
 
-// Handled implements Transport.
-func (nw *network) Handled(n int) {
-	if nw.handled.Add(int64(n)) == nw.sent.Load() && nw.waiting.Load() {
-		select {
-		case nw.quiet <- struct{}{}:
-		default:
-		}
+// AwaitQuiet implements Transport: it hands the queue to deliver in send
+// order, including what handling it sends in turn, until nothing is left.
+func (nw *network) AwaitQuiet(deliver func(to int, m Message)) {
+	for nw.head < len(nw.queue) {
+		e := nw.queue[nw.head]
+		nw.queue[nw.head] = envelope{} // the payloads are the receiver's now
+		nw.head++
+		nw.boxes[e.to].queued--
+		deliver(e.to, e.m)
 	}
-}
-
-// AwaitQuiet implements Transport on the in-flight count. Only the session
-// driver calls it, between its own sends.
-func (nw *network) AwaitQuiet(bound time.Duration) {
-	if nw.handled.Load() == nw.sent.Load() {
-		return
-	}
-	nw.waiting.Store(true)
-	defer nw.waiting.Store(false)
-	timer := time.NewTimer(bound)
-	defer timer.Stop()
-	for nw.handled.Load() != nw.sent.Load() {
-		select {
-		case <-nw.quiet:
-		case <-timer.C:
-			return
-		}
-	}
+	nw.queue, nw.head = nw.queue[:0], 0
 }
 
 // Members implements Transport: the registry in ID order, whatever the period.
 func (nw *network) Members(int) []int {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	out := make([]int, 0, len(nw.inboxes))
-	for id, ch := range nw.inboxes {
-		if ch != nil {
+	out := make([]int, 0, len(nw.boxes))
+	for id, b := range nw.boxes {
+		if b.cap > 0 {
 			out = append(out, id)
 		}
 	}

@@ -108,9 +108,9 @@ const (
 // processes: the source starts at 0 and joiners sync to the RP's clock
 // in the bootstrap handshake). It hosts the node's one peer in a session
 // over the socket; what it adds is a socket node's own: the handshake,
-// the ticker and its re-sync, the scripted exit, and the half-period wait
-// before serving. It blocks until the node drains, the scripted ExitAt
-// fires, or ctx is cancelled.
+// the receive loop, the ticker and its re-sync, the scripted exit, and
+// the half-period wait before serving. It blocks until the node drains,
+// the scripted ExitAt fires, or ctx is cancelled.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
 	cfg, nc := n.cfg, n.nc
@@ -119,7 +119,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	start := 0
 	var p *peer
 	if nc.Source {
-		p = s.spawn(0, n.tr.Inbox(), true, 0, 0)
+		p = s.spawn(0, true, 0, 0)
 	} else {
 		// Bootstrap handshake: Connect to the RP until its ConnectOK
 		// arrives, carrying the current session period (our clock sync),
@@ -127,7 +127,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		// the transport has absorbed. Messages that race ahead of the
 		// handshake (the RP links us immediately, so its announcements
 		// and pushes start at once) are replayed into the peer after
-		// construction.
+		// construction, before its receive loop starts.
 		if err := n.tr.Learn(0, nc.Bootstrap); err != nil {
 			return Stats{}, err
 		}
@@ -158,19 +158,17 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			tick.Stop()
 		}
 		start = int(hello.Deadline) + 1
-		p = s.spawn(nc.ID, n.tr.Inbox(), false, cfg.posFor(start), start)
+		p = s.spawn(nc.ID, false, cfg.posFor(start), start)
 		p.handle(*hello)
 		for _, m := range backlog {
 			p.handle(m)
 		}
 		// First adoptions from the RP's sample; mesh maintenance tops the
 		// degree up from gossip once the session is rolling.
-		p.mu.Lock()
 		dial := make([]int, 0, len(p.overheard))
 		for id := range p.overheard {
 			dial = append(dial, id)
 		}
-		p.mu.Unlock()
 		sort.Ints(dial)
 		if len(dial) > cfg.M {
 			dial = dial[:cfg.M]
@@ -179,6 +177,11 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
 		}
 	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		p.loop(n.tr.Inbox(), stop)
+	}()
 
 	ticker := time.NewTicker(cfg.Period)
 	defer ticker.Stop()
@@ -214,8 +217,8 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		}
 
 		// Plan at the tick, serve half a period later: the temporal
-		// stand-in for the barriers a counted transport puts between
-		// phases. A node cannot count what is in flight across real
+		// stand-in for the hand-over the in-process queue makes between
+		// phases. A node cannot see what is in flight across real
 		// sockets, so the planning phases run back to back and this
 		// period's requests get half a period to reach their suppliers
 		// before the serve phase drains them.
@@ -234,7 +237,9 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			nc.Logf("period %d: links=%d, played %d of %d periods", period, p.linkCount(), s.continuous, s.playing)
 		}
 	}
-	stats := s.close()
+	close(stop)
+	<-stopped
+	stats := s.result()
 	// The session counts absolute periods; a node reports the ones it ran.
 	stats.Periods = max(0, stats.Periods-start)
 	stats.BehindPeriods, stats.Resyncs = behind, resyncs

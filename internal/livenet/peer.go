@@ -16,7 +16,9 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// counters aggregates session telemetry across all peer goroutines.
+// counters aggregates the telemetry of every peer a session hosts. A
+// socket node's receive loop and its session count side by side, hence
+// the atomics; in-process, one goroutine does all the counting.
 type counters struct {
 	delivered     atomic.Int64
 	pushDelivered atomic.Int64
@@ -66,11 +68,13 @@ type neighbour struct {
 	asked int
 }
 
-// peer is one goroutine's protocol state: the same per-node architecture
-// the simulator hosts (buffer and segment tracker, rate controller,
-// urgent-line α; no VoD backup, see rescueUrgent), driven by messages
-// instead of phases. All mutable state is guarded by mu; the inbox
-// goroutine and the session's per-period calls both take it.
+// peer is one peer's protocol state: the same per-node architecture the
+// simulator hosts (buffer and segment tracker, rate controller,
+// urgent-line α; no VoD backup, see rescueUrgent), driven by messages as
+// well as by the session's per-period calls. All mutable state is guarded
+// by mu, which handle and the period calls take: in-process both run on
+// the session's goroutine, and on a socket node handle runs on the
+// receive loop (loop) beside the session.
 type peer struct {
 	id       int
 	ring     dht.ID
@@ -79,8 +83,6 @@ type peer struct {
 	cfg      Config
 	space    dht.Space
 	st       *counters
-	inbox    chan Message
-	stop     chan struct{}
 	rng      *sim.RNG
 
 	mu  sync.Mutex
@@ -175,7 +177,7 @@ type peer struct {
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
-// through its channels: supply estimates from the rate controller, the
+// from its messages: supply estimates from the rate controller, the
 // gossip-fed overheard pool, the ring's clockwise successors, and —
 // for the source — the RP membership sample.
 type peerView struct {
@@ -241,10 +243,10 @@ func (v *peerView) Alive(id overlay.NodeID) bool { return v.p.alive(int(id)) }
 
 func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)) }
 
-// newPeer constructs a peer on a transport-provided identity and inbox;
-// joiners open their buffer at the shared playback position instead of
-// the stream start.
-func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Space, st *counters, isSource bool, openAt segment.ID, joinPeriod int) *peer {
+// newPeer constructs a peer on a transport-provided identity; joiners
+// open their buffer at the shared playback position instead of the stream
+// start.
+func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *counters, isSource bool, openAt segment.ID, joinPeriod int) *peer {
 	p := &peer{
 		id:          id,
 		ring:        ringOf(space, id),
@@ -253,8 +255,6 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		cfg:         cfg,
 		space:       space,
 		st:          st,
-		inbox:       inbox,
-		stop:        make(chan struct{}),
 		rng:         sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
 		buf:         buffer.New(cfg.BufferSegments, openAt),
 		overheard:   make(map[int]int),
@@ -357,37 +357,23 @@ func (p *peer) neighbourLacks(id overlay.NodeID) uint64 {
 	return ^word[0]
 }
 
-// loop drains the inbox until the peer is stopped, reporting each drained
-// burst to the transport (see Transport.Handled).
-func (p *peer) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
+// loop hands the peer what arrives on inbox until stop is closed: a socket
+// node's receive path (Node.Run), running beside its session.
+func (p *peer) loop(inbox <-chan Message, stop <-chan struct{}) {
 	for {
 		select {
-		case <-p.stop:
-			// What is still queued will never be handled; say so, so the
-			// transport's in-flight count does not wait for it.
-			p.tr.Handled(len(p.inbox))
+		case <-stop:
 			return
-		case m := <-p.inbox:
+		case m := <-inbox:
 			p.handle(m)
-			n := 1
-			for more := true; more; {
-				select {
-				case m = <-p.inbox:
-					p.handle(m)
-					n++
-				default:
-					more = false
-				}
-			}
-			p.tr.Handled(n)
 		}
 	}
 }
 
 // send stamps m with the peer's current period clock — the wire v2
 // re-sync beacon every message carries — and transmits it. Callers hold
-// p.mu (every protocol send site does).
+// p.mu (every protocol send site does), so the transport must not hand a
+// message over from inside Send.
 func (p *peer) send(to int, m Message) bool {
 	m.Period = p.curPeriod
 	return p.tr.Send(to, m)
@@ -527,15 +513,15 @@ func (p *peer) receiveData(m Message) {
 // A scheduling period runs in four phases, the simulator's round order
 // (push → exchange → schedule → serve) over real messages. Each phase
 // reads what the one before it sent, so the order only means something if
-// the runtime lets those messages land in between: the session waits for
-// its transport to fall quiet after every phase (see session.sweep), and
-// over channels a push then lands before its receiver announces or asks,
-// every map a peer schedules against was announced this period, and every
-// ask is in its supplier's hands when that supplier serves — a pull hop
-// costs one period, not two. Over sockets nothing in flight can be seen:
-// the first three phases run back to back at the tick and Node.Run serves
-// half a period later. Message handling interleaves concurrently under the
-// same lock throughout.
+// the runtime lets those messages land in between: in-process, the session
+// hands over everything a peer's phase call sent before the next call
+// (see session.sweep), so a push lands before its receiver announces or
+// asks, every map a peer schedules against was announced this period, and
+// every ask is in its supplier's hands when that supplier serves — a pull
+// hop costs one period, not two. Over sockets nothing in flight can be
+// seen: the first three phases run back to back at the tick, Node.Run
+// serves half a period later, and the receive loop handles messages
+// concurrently under the same lock throughout.
 
 // periodBegin opens period now: advance the clock and the window, settle
 // the previous period's accounts, and — on the source — generate and push

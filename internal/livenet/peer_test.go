@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
@@ -16,10 +15,9 @@ import (
 // nullTransport swallows everything a peer sends.
 type nullTransport struct{}
 
-func (nullTransport) Send(int, Message) bool   { return true }
-func (nullTransport) Handled(int)              {}
-func (nullTransport) Members(int) []int        { return nil }
-func (nullTransport) AwaitQuiet(time.Duration) {}
+func (nullTransport) Send(int, Message) bool        { return true }
+func (nullTransport) Members(int) []int             { return nil }
+func (nullTransport) AwaitQuiet(func(int, Message)) {}
 
 // candidatesPerID is the per-ID candidate enumerator the livenet ran before
 // it moved onto the word path, kept as the differential oracle: walk every
@@ -81,7 +79,7 @@ func randomPeer(rng *sim.RNG, size, period int) (*peer, map[segment.ID]bool) {
 	cfg.BufferSegments = size
 	cfg.Seed = rng.Uint64()
 	lo := segment.ID(rng.Intn(3000))
-	p := newPeer(nullTransport{}, 1+rng.Intn(500), nil, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 1+rng.Intn(500), cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
 	for i := 0; i < size; i++ {
 		if rng.Intn(2) == 0 {
 			p.buf.Insert(lo + segment.ID(i))
@@ -174,7 +172,7 @@ func TestSupplierRotation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	const lo = segment.ID(700)
-	p := newPeer(nullTransport{}, 17, nil, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 17, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
 	// One segment every neighbour holds and the peer lacks, so its
 	// candidate lists the whole supplier order.
 	seg := lo + 100
@@ -230,20 +228,18 @@ func TestSupplierRotation(t *testing.T) {
 const periodAllocBound = 3
 
 // TestPeriodAllocations drives one peer through steady-state periods on
-// the channel transport — neighbours announce misaligned maps, ask it for
-// segments and grant what it asked for — and holds its three planning
+// the in-process transport — neighbours announce misaligned maps, ask it
+// for segments and grant what it asked for — and holds its three planning
 // phases plus periodServe to periodAllocBound allocations.
 func TestPeriodAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	const self, nbrs = 4, 8
 	nw := newNetwork()
 	var ids []int
-	var inboxes []chan Message
 	for i := 0; i <= nbrs; i++ {
-		id, ch := nw.register(256)
-		ids, inboxes = append(ids, id), append(inboxes, ch)
+		ids = append(ids, nw.register(256))
 	}
-	p := newPeer(nw, self, inboxes[self], cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
 	members := ringMembers(p.space, ids)
 	for _, id := range ids {
 		if id != self {
@@ -268,7 +264,12 @@ func TestPeriodAllocations(t *testing.T) {
 			maps[at] = append(maps[at], Message{From: id, Kind: msgMap, Map: &m, Period: at})
 		}
 	}
-	var asked []Message // the peer's asks, answered next period
+	var asked []Message // the peer's asks, read off the queue and answered next period
+	collect := func(to int, m Message) {
+		if m.Kind == msgRequest {
+			asked = append(asked, Message{From: to, Seg: m.Seg})
+		}
+	}
 	period := 0
 	step := func() {
 		// What the network delivers between two ticks: the neighbours'
@@ -290,13 +291,7 @@ func TestPeriodAllocations(t *testing.T) {
 		p.periodAnnounce()
 		p.periodSchedule()
 		p.periodServe()
-		for _, id := range ids {
-			for ch := inboxes[id]; len(ch) > 0; {
-				if m := <-ch; m.Kind == msgRequest {
-					asked = append(asked, Message{From: id, Seg: m.Seg})
-				}
-			}
-		}
+		nw.AwaitQuiet(collect)
 		period++
 	}
 	for period < 60 {

@@ -1,48 +1,55 @@
 package livenet
 
 import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"continustreaming/internal/dht"
+	"continustreaming/internal/segment"
 )
 
-// steppedSession builds cfg's in-process mesh for a test to tick by hand:
-// no ticker, and a period long enough that no barrier bound ever expires.
-// Nothing but the ticker and the barrier bound reads Config.Period, so
-// the peers decide exactly as they would at any other pace.
-func steppedSession(cfg Config) *session {
-	cfg.Period = 2 * time.Second
-	return newSession(cfg)
-}
-
-// manualSession is a stepped session of the default configuration.
+// manualSession is an in-process session of the default configuration,
+// for a test to tick by hand.
 func manualSession(peers int, seed uint64) *session {
 	cfg := DefaultConfig()
 	cfg.Peers, cfg.Seed = peers, seed
-	return steppedSession(cfg)
+	return newSession(cfg)
 }
 
 // runStepped is Run for tests that need periods, not pacing: the same
-// session, ticked back to back. TestLiveSessionDeliversAndPlays covers
-// Run and its ticker.
+// session, ticked back to back. Nothing but Run's ticker reads
+// Config.Period, so the peers decide exactly as they would at any pace
+// (TestRunMatchesStepped).
 func runStepped(cfg Config, periods int) Stats {
-	s := steppedSession(cfg)
+	s := newSession(cfg)
 	for period := 0; period < periods; period++ {
 		s.tick(period)
 	}
-	return s.close()
+	return s.result()
 }
 
+// churnedConfig is the churned session the reproducibility tests replay:
+// 120 peers, a quarter killed at period 20, 30 joiners at period 24.
+func churnedConfig(seed uint64) Config {
+	cfg := DefaultConfig()
+	cfg.Peers, cfg.Seed = 120, seed
+	cfg.Churn = []ChurnEvent{{Period: 20, KillFraction: 0.25}, {Period: 24, Join: 30}}
+	return cfg
+}
+
+const churnedPeriods = 60
+
 // TestPlanServeBarrier pins the barrier between the planning phases and
-// the serve phase: when a period's serve pass starts, every ask the
-// schedule pass sent is in its supplier's asks — none still in an inbox,
-// none in the hands of a goroutine that has not run yet — and nothing at
-// all is in flight.
+// the serve phase: when a period's serve pass starts, nothing is queued
+// and every ask the schedule pass sent is in its supplier's asks.
 func TestPlanServeBarrier(t *testing.T) {
 	s := manualSession(60, 3)
-	defer s.close()
 	total := int64(0)
 	for period := 0; period < 30; period++ {
 		before := s.st.asksSent.Load()
@@ -50,15 +57,13 @@ func TestPlanServeBarrier(t *testing.T) {
 
 		sent := s.st.asksSent.Load() - before
 		total += sent
-		if got, want := s.nw.handled.Load(), s.nw.sent.Load(); got != want {
-			t.Fatalf("period %d: %d of %d messages handled when the serve pass starts", period, got, want)
+		if n := len(s.nw.queue); n != 0 {
+			t.Fatalf("period %d: %d messages still queued when the serve pass starts", period, n)
 		}
 		queued := int64(0)
 		for _, p := range s.peers {
 			if p != nil {
-				p.mu.Lock()
 				queued += int64(len(p.asks))
-				p.mu.Unlock()
 			}
 		}
 		if queued != sent {
@@ -72,30 +77,44 @@ func TestPlanServeBarrier(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no ask was ever sent; the barrier test exercised nothing")
 	}
-	if d := s.nw.dropped.Load(); d != 0 {
-		t.Fatalf("%d messages dropped into saturated inboxes on an idle host", d)
+	if d := s.nw.dropped; d != 0 {
+		t.Fatalf("%d messages dropped into saturated inboxes", d)
 	}
 }
 
-// TestKilledPeerDoesNotWedgeBarrier checks the in-flight accounting across
-// a kill: messages left in a stopped peer's inbox, and sends to it after
-// it is gone, must not leave the barrier waiting out its bound.
+// TestKilledPeerDoesNotWedgeBarrier checks the queue across a kill: mail
+// queued to a peer killed mid-period is never handled, sends to it
+// afterwards fail without counting as drops, and scripted churn around it
+// still runs its course.
 func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 	s := manualSession(40, 5)
 	s.churnAt[8] = []ChurnEvent{{Period: 8, KillFraction: 0.3}}
 	s.churnAt[10] = []ChurnEvent{{Period: 10, Join: 6}}
-	defer s.close()
 	for period := 0; period < 16; period++ {
-		start := time.Now()
-		s.tick(period)
-		if took := time.Since(start); took > s.cfg.Period/2 {
-			t.Fatalf("period %d took %v: a barrier waited out its %v bound", period, took, s.cfg.Period/2)
+		s.churn(period)
+		s.plan(period)
+		if period == 4 {
+			const victim, asker = 7, 3
+			p := s.peers[victim]
+			asks, received := len(p.asks), s.st.asksReceived.Load()
+			for i := 0; i < 3; i++ {
+				if !s.nw.Send(victim, Message{From: asker, Kind: msgRequest, Seg: p.buf.Lo(), Period: period}) {
+					t.Fatal("a send to a live peer was refused")
+				}
+			}
+			s.kill(victim)
+			s.nw.AwaitQuiet(s.deliverFn)
+			if len(p.asks) != asks || s.st.asksReceived.Load() != received {
+				t.Fatalf("a killed peer handled mail queued before its death: asks %d -> %d, received %d -> %d",
+					asks, len(p.asks), received, s.st.asksReceived.Load())
+			}
+			if s.nw.Send(victim, Message{From: asker, Kind: msgRequest}) || s.nw.dropped != 0 {
+				t.Fatalf("a send to the killed peer was accepted or counted as a drop (%d)", s.nw.dropped)
+			}
 		}
-		if got, want := s.nw.handled.Load(), s.nw.sent.Load(); got > want {
-			t.Fatalf("period %d: %d messages handled, only %d sent", period, got, want)
-		}
+		s.serve(period)
 	}
-	if s.stats.Killed == 0 || s.stats.Joined != 6 {
+	if s.stats.Killed < 2 || s.stats.Joined != 6 {
 		t.Fatalf("churn not applied: killed=%d joined=%d", s.stats.Killed, s.stats.Joined)
 	}
 }
@@ -106,15 +125,15 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 // members ascending whatever order they came and went in.
 func TestSaturatedInboxCounted(t *testing.T) {
 	nw := newNetwork()
-	id, _ := nw.register(2)
+	id := nw.register(2)
 	for i := 0; i < 5; i++ {
 		nw.Send(id, Message{Kind: msgBye})
 	}
-	if got := nw.dropped.Load(); got != 3 {
+	if got := nw.dropped; got != 3 {
 		t.Fatalf("dropped = %d after 5 sends into a 2-slot inbox, want 3", got)
 	}
-	if got := nw.sent.Load(); got != 2 {
-		t.Fatalf("sent = %d, want the 2 accepted messages", got)
+	if got := len(nw.queue); got != 2 {
+		t.Fatalf("queued = %d, want the 2 accepted messages", got)
 	}
 	nw.unregister(id)
 	for _, to := range []struct {
@@ -128,7 +147,7 @@ func TestSaturatedInboxCounted(t *testing.T) {
 		if nw.Send(to.id, Message{Kind: msgBye}) {
 			t.Fatalf("send to %s succeeded", to.name)
 		}
-		if got := nw.dropped.Load(); got != 3 {
+		if got := nw.dropped; got != 3 {
 			t.Fatalf("dropped = %d after a send to %s, want it unchanged at 3", got, to.name)
 		}
 	}
@@ -137,8 +156,7 @@ func TestSaturatedInboxCounted(t *testing.T) {
 	var want []int
 	for step, op := range []int{reg, reg, reg, 2, reg, 1, reg, reg, 5, 3} {
 		if op == reg {
-			next, _ := nw.register(1)
-			want = append(want, next)
+			want = append(want, nw.register(1))
 		} else {
 			nw.unregister(op)
 			want = slices.DeleteFunc(want, func(id int) bool { return id == op })
@@ -146,6 +164,126 @@ func TestSaturatedInboxCounted(t *testing.T) {
 		if got := nw.Members(step); !slices.Equal(got, want) {
 			t.Fatalf("step %d: members %v, want %v", step, got, want)
 		}
+	}
+}
+
+// TestDeliveryIsSendOrder pins the in-process queue's contract: messages
+// are handed over in the order they were sent, whoever they are for; what
+// is sent while handling waits behind what was already queued and is
+// handed over in the same drain; and a handler may send while holding its
+// own peer's lock, because nothing is handed over from inside Send.
+func TestDeliveryIsSendOrder(t *testing.T) {
+	nw := newNetwork()
+	for i := 0; i < 4; i++ {
+		nw.register(16)
+	}
+	type hop struct{ to, seg int }
+	var got []hop
+	record := func(to int, m Message) {
+		got = append(got, hop{to, int(m.Seg)})
+		if m.Seg < 10 {
+			nw.Send((to+1)%4, Message{Seg: m.Seg + 10}) // a reply, sent while handling
+		}
+	}
+	for _, h := range []hop{{3, 0}, {1, 1}, {3, 2}, {0, 3}} {
+		nw.Send(h.to, Message{Seg: segment.ID(h.seg)})
+	}
+	nw.AwaitQuiet(record)
+	want := []hop{{3, 0}, {1, 1}, {3, 2}, {0, 3}, {0, 10}, {2, 11}, {0, 12}, {1, 13}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("handed over %v, want send order %v", got, want)
+	}
+	if len(nw.queue) != 0 {
+		t.Fatalf("%d messages left queued after the drain", len(nw.queue))
+	}
+
+	// A peer that answers a Connect sends its ConnectOK from inside handle,
+	// under its own lock — here once to itself, which a hand-over from
+	// inside Send would deadlock on.
+	s := manualSession(30, 1)
+	stranger := 2
+	for s.peers[1].linked(stranger) {
+		stranger++
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.nw.Send(2, Message{From: 2, Kind: msgConnect})
+		s.nw.Send(stranger, Message{From: 1, Kind: msgConnect})
+		s.nw.AwaitQuiet(s.deliverFn)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a handler sending under its own lock deadlocked the drain")
+	}
+	if !s.peers[stranger].linked(1) || !s.peers[1].linked(stranger) {
+		t.Fatalf("peer %d's ConnectOK, sent while handling the Connect, was not handled in the same drain", stranger)
+	}
+}
+
+// TestInProcessSessionStartsNoGoroutines: an in-process session runs on
+// its caller's goroutine, however many peers it hosts.
+func TestInProcessSessionStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := manualSession(400, 2)
+	s.churnAt[3] = []ChurnEvent{{Period: 3, KillFraction: 0.25, Join: 40}}
+	for period := 0; period < 6; period++ {
+		s.tick(period)
+		if n := runtime.NumGoroutine(); n > before+2 {
+			t.Fatalf("period %d: %d goroutines running, %d before the 400-peer session", period, n, before)
+		}
+	}
+}
+
+// TestSteppedSessionReproducible: an in-process session is a function of
+// its configuration. Three runs of one churned seed return identical
+// Stats; another seed returns different ones.
+func TestSteppedSessionReproducible(t *testing.T) {
+	first := runStepped(churnedConfig(7), churnedPeriods)
+	if first.Killed == 0 || first.Joined != 30 || first.Delivered == 0 {
+		t.Fatalf("the churn script did not run: %+v", first)
+	}
+	for run := 2; run <= 3; run++ {
+		if again := runStepped(churnedConfig(7), churnedPeriods); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d of seed 7 differs:\n%+v\nfirst run:\n%+v", run, again, first)
+		}
+	}
+	if other := runStepped(churnedConfig(8), churnedPeriods); reflect.DeepEqual(other, first) {
+		t.Fatal("seeds 7 and 8 returned identical Stats")
+	}
+}
+
+// TestRunMatchesStepped: the ticker paces Run and decides nothing, so a
+// paced session returns the stepped session's Stats.
+func TestRunMatchesStepped(t *testing.T) {
+	cfg := churnedConfig(7)
+	cfg.Period = 3 * time.Millisecond
+	paced := Run(context.Background(), cfg, churnedPeriods)
+	stepped := runStepped(cfg, churnedPeriods)
+	if paced.TransportDropped != 0 || stepped.TransportDropped != 0 {
+		t.Fatalf("drops: paced %d, stepped %d", paced.TransportDropped, stepped.TransportDropped)
+	}
+	if !reflect.DeepEqual(paced, stepped) {
+		t.Fatalf("Run at %v:\n%+v\nstepped:\n%+v", cfg.Period, paced, stepped)
+	}
+}
+
+// TestLiveSessionGolden pins the churned session of seed 7 the way the
+// simulator's Step1k row pins its world: the FNV-1a hash of its Stats, so
+// any change to what an in-process session decides shows up as a changed
+// constant. Re-record it only when a change means to move the livenet's
+// decisions, and say so.
+func TestLiveSessionGolden(t *testing.T) {
+	const golden = "ba1625c16a8fab61"
+	st := runStepped(churnedConfig(7), churnedPeriods)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", st)
+	got := fmt.Sprintf("%016x", h.Sum64())
+	t.Logf("continuity %.4f, delivered %d, rescued %d/%d, replaced %d, fingerprint %s",
+		st.Continuity, st.Delivered, st.Rescued, st.RescueAsked, st.Replaced, got)
+	if got != golden {
+		t.Errorf("fingerprint %s, want %s: the in-process session no longer reproduces the golden run", got, golden)
 	}
 }
 
@@ -169,13 +307,12 @@ func TestInboxCapFollowsFanIn(t *testing.T) {
 }
 
 // TestOverheardExpiresInProcess pins the adoption pool's expiry on the
-// channel transport: an overheard ID nobody mentions again is forgotten
+// in-process transport: an overheard ID nobody mentions again is forgotten
 // sightTTL periods later, one that keeps being mentioned is kept.
 func TestOverheardExpiresInProcess(t *testing.T) {
 	cfg := DefaultConfig()
 	nw := newNetwork()
-	id, inbox := nw.register(8)
-	p := newPeer(nw, id, inbox, cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	p := newPeer(nw, nw.register(8), cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
 	ttl := cfg.sightTTL()
 	p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
 	for now := 1; now <= ttl+1; now++ {
@@ -191,31 +328,28 @@ func TestOverheardExpiresInProcess(t *testing.T) {
 }
 
 // TestSourceAnswersConnectAsRendezvous pins the rendezvous reply on the
-// channel transport: the source's ConnectOK carries its period and a
+// in-process transport: the source's ConnectOK carries its period and a
 // sample of at most M+2 members that names neither the asker nor the
 // source; any other peer's carries neither.
 func TestSourceAnswersConnectAsRendezvous(t *testing.T) {
 	s := manualSession(12, 9)
-	defer s.close()
 	const last = 3
 	for period := 0; period <= last; period++ {
 		s.tick(period)
 	}
-	asker, inbox := s.nw.register(8)
+	asker := s.nw.register(8) // registered, hosted by nobody: its mail is read off the queue
 	connect := func(to int) Message {
 		t.Helper()
-		s.nw.Send(to, Message{From: asker, Kind: msgConnect})
-		select {
-		case m := <-inbox:
-			s.nw.Handled(1)
-			if m.Kind != msgConnectOK || m.From != to || m.Map == nil {
-				t.Fatalf("peer %d answered a Connect with %+v", to, m)
-			}
-			return m
-		case <-time.After(10 * time.Second):
-			t.Fatalf("peer %d never answered the Connect", to)
-			return Message{}
+		s.peers[to].handle(Message{From: asker, Kind: msgConnect})
+		if len(s.nw.queue) != 1 {
+			t.Fatalf("peer %d queued %d messages answering a Connect, want 1", to, len(s.nw.queue))
 		}
+		e := s.nw.queue[0]
+		s.nw.AwaitQuiet(func(int, Message) {})
+		if m := e.m; e.to != asker || m.Kind != msgConnectOK || m.From != to || m.Map == nil {
+			t.Fatalf("peer %d answered a Connect with %+v to %d", to, m, e.to)
+		}
+		return e.m
 	}
 	ok := connect(0)
 	if ok.Deadline != last {

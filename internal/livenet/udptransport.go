@@ -11,11 +11,11 @@ import (
 )
 
 // udpTransport carries Messages across process boundaries as one wire
-// frame per UDP datagram. It keeps the channel transport's drop model
+// frame per UDP datagram. It keeps the in-process transport's drop model
 // exactly: Send never blocks and returns false when the message cannot
 // be delivered — no address on file, a socket error, or (on the receive
 // side) a saturated inbox, where the datagram is discarded just as the
-// channel transport discards into a full channel. Loss recovery stays
+// in-process transport discards past a receiver's inbox share. Loss recovery stays
 // where the protocol puts it: retry, repair and rescue.
 //
 // The transport is also the socket path's membership table: an address
@@ -113,13 +113,11 @@ func (t *udpTransport) LocalAddr() string { return t.local }
 func (t *udpTransport) Inbox() chan Message { return t.inbox }
 
 // Dropped returns how many decoded messages were discarded because the
-// inbox was full — the socket path's equivalent of channel-send drops.
+// inbox was full — the socket path's equivalent of the in-process drops.
 func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
-// Handled and AwaitQuiet implement Transport; datagrams in flight cannot
-// be counted.
-func (t *udpTransport) Handled(int)              {}
-func (t *udpTransport) AwaitQuiet(time.Duration) {}
+// AwaitQuiet implements Transport; datagrams in flight cannot be counted.
+func (t *udpTransport) AwaitQuiet(func(int, Message)) {}
 
 // Members implements Transport on the address book: the node itself, the
 // bootstrap address (ID 0 — losing the source ends the session, not the
@@ -194,7 +192,7 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 // address. Gossip entries are annotated with the addresses on file so
 // the receiver can reach the peers the gossip names. False means the
 // message was dropped (unknown address, encode failure, socket error) —
-// the same contract as the channel transport.
+// the same contract as the in-process transport.
 func (t *udpTransport) Send(to int, m Message) bool {
 	if t.closed.Load() {
 		return false

@@ -1,7 +1,7 @@
 // Package protocol is the transport-agnostic core of the streaming
 // protocol: the per-node decision functions and state machines that both
 // runtimes — the deterministic BSP simulator (internal/core) and the
-// goroutine-per-peer livenet runtime (internal/livenet) — drive with their
+// message-passing livenet runtime (internal/livenet) — drive with their
 // own notion of time, membership and message passing.
 //
 // Everything here is pure with respect to the hosting runtime: functions

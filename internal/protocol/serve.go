@@ -122,7 +122,7 @@ type Ask struct {
 // ServeInput is everything one supplier's engine-profile serve decision
 // depends on, expressed as explicit views so both runtimes can build it:
 // the simulator from its round snapshots, livenet from the buffer maps
-// its peers announced over channels.
+// its peers announced in messages.
 type ServeInput struct {
 	// Carried is the supplier's carry queue from the previous round (in
 	// stored order); Fresh this round's new asks (in arrival order).
