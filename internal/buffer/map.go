@@ -67,6 +67,11 @@ func (m Map) PositionFromTail(id segment.ID) (int, bool) {
 // to a period, so their origins trail the reader's). IDs outside the map's
 // window read as absent, exactly as Has reports them, and stray bits past
 // Size in the last word (a decoded map's padding is untrusted) are masked.
+//
+// When lo is a whole number of words from the map's origin — in-process,
+// where every map is announced at the shared playback position, that is
+// every read — the words are copied as they stand; any other origin (a
+// stale or misaligned map, the socket case) reads each word from two.
 func (m Map) WordsFrom(dst []uint64, lo segment.ID) {
 	span := segment.Window{Lo: lo, Hi: lo + segment.ID(64*len(dst))}
 	if iv := span.Intersect(m.Window()); iv.Lo >= iv.Hi {
@@ -75,6 +80,18 @@ func (m Map) WordsFrom(dst []uint64, lo segment.ID) {
 	}
 	// The windows overlap, so the origins are less than a window apart.
 	shift := int(lo - m.Lo)
+	if shift&63 == 0 {
+		// dst[a:b] is the overlap: map words q+a .. q+b-1.
+		q, n := shift>>6, (m.Size+63)>>6
+		a, b := max(0, -q), min(len(dst), n-q)
+		clear(dst[:a])
+		copy(dst[a:b], m.Bits[q+a:q+b])
+		clear(dst[b:])
+		if q+b == n {
+			dst[b-1] = m.word(n - 1)
+		}
+		return
+	}
 	for wi := range dst {
 		dst[wi] = m.bitsAt(shift + wi*64)
 	}

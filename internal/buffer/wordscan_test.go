@@ -104,9 +104,12 @@ func TestMissingMaskMatchesReference(t *testing.T) {
 // over random sizes, origins and shifts in both directions — origins behind
 // the map (a staler reader), ahead of it, whole windows apart — with stray
 // padding bits set past Size the way an untrusted decoded map may carry
-// them.
+// them. Half the origins are word-aligned with the map (m.Lo itself, or
+// m.Lo ± 64k), the word-copy path, with dst both longer and shorter than
+// the map.
 func TestWordsFromMatchesHas(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0x5f17)
+	aligned, longer, shorter := 0, 0, 0
 	for trial := 0; trial < 4000; trial++ {
 		size := 1 + rng.Intn(700)
 		lo := segment.ID(rng.Intn(2000))
@@ -116,6 +119,19 @@ func TestWordsFromMatchesHas(t *testing.T) {
 		}
 		origin := lo + segment.ID(rng.Intn(2*size+200)) - segment.ID(size+100)
 		dst := make([]uint64, 1+rng.Intn(13))
+		if trial%2 == 0 {
+			nw := len(m.Bits)
+			origin = lo + segment.ID(64*(rng.Intn(2*nw+3)-nw-1))
+			if origin == lo || rng.Intn(4) == 0 {
+				origin = lo
+				aligned++
+				if len(dst) > nw {
+					longer++
+				} else if len(dst) < nw {
+					shorter++
+				}
+			}
+		}
 		for i := range dst {
 			dst[i] = ^uint64(0) // WordsFrom must overwrite, not OR into, dst
 		}
@@ -129,5 +145,9 @@ func TestWordsFromMatchesHas(t *testing.T) {
 					trial, size, lo, origin, len(dst), i, origin+segment.ID(i), got, want)
 			}
 		}
+	}
+	if aligned == 0 || longer == 0 || shorter == 0 {
+		t.Fatalf("%d reads at the map's own origin (%d with dst longer than the map, %d shorter): the aligned cases went untested",
+			aligned, longer, shorter)
 	}
 }

@@ -1,9 +1,26 @@
 package livenet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
+
+// warmMesh is the 400-peer in-process mesh BenchmarkPeerPeriod and
+// TestPeerPeriodCeiling price: the default configuration at a 50 ms
+// period, ticked back to back past three playback delays so every peer's
+// scratch has reached its steady-state size. It returns the session and
+// the next period to tick.
+func warmMesh() (*session, int) {
+	cfg := DefaultConfig()
+	cfg.Peers, cfg.Period = 400, 50*time.Millisecond
+	s := newSession(cfg)
+	period := 0
+	for ; period < 3*cfg.PlaybackLagPeriods; period++ {
+		s.tick(period)
+	}
+	return s, period
+}
 
 // BenchmarkPeerPeriod prices the livenet's period work: one op is one
 // scheduling period of a warmed 400-peer mesh on the in-process transport
@@ -13,13 +30,7 @@ import (
 // cost the 50 ms budget of a live session has to cover; allocs/op over 401
 // stays near periodAllocBound plus the push forwards.
 func BenchmarkPeerPeriod(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Peers, cfg.Period = 400, 50*time.Millisecond
-	s := newSession(cfg)
-	period := 0
-	for ; period < 3*cfg.PlaybackLagPeriods; period++ {
-		s.tick(period)
-	}
+	s, period := warmMesh()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,5 +40,46 @@ func BenchmarkPeerPeriod(b *testing.B) {
 	b.StopTimer()
 	if d := s.nw.dropped; d != 0 {
 		b.Fatalf("%d messages dropped into saturated inboxes", d)
+	}
+}
+
+// The allocation side of BenchmarkPeerPeriod, held as a ceiling: the
+// announced snapshots and gossip arenas every peer hands the transport,
+// the push forwards' one-segment lists, and what churn-free repair and the
+// source's fresh-segment list cost — about 1 300 allocations and 113 KB a
+// period when the ceiling was set.
+const (
+	peerPeriodAllocCeiling = 1400
+	peerPeriodBytesCeiling = 120 << 10
+)
+
+// TestPeerPeriodCeiling holds a warmed 400-peer period (BenchmarkPeerPeriod's
+// op) to peerPeriodAllocCeiling allocations and peerPeriodBytesCeiling
+// bytes, averaged over a run of periods, and logs the measured values. The
+// first periods past warmMesh still grow a few scratch buffers, about 5 KB
+// a period, so the run starts after them, where the benchmark's long runs
+// average.
+func TestPeerPeriodCeiling(t *testing.T) {
+	s, period := warmMesh()
+	const periods = 20
+	for end := period + periods; period < end; period++ {
+		s.tick(period)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := period + periods; period < end; period++ {
+		s.tick(period)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / periods
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / periods
+	t.Logf("a warmed 400-peer period: %.0f allocs, %.1f KB (ceilings %d, %d KB)",
+		allocs, bytes/1024, peerPeriodAllocCeiling, peerPeriodBytesCeiling>>10)
+	if allocs > peerPeriodAllocCeiling || bytes > peerPeriodBytesCeiling {
+		t.Errorf("a warmed 400-peer period allocates %.0f times and %.1f KB, ceilings %d and %d KB",
+			allocs, bytes/1024, peerPeriodAllocCeiling, peerPeriodBytesCeiling>>10)
+	}
+	if d := s.nw.dropped; d != 0 {
+		t.Fatalf("%d messages dropped into saturated inboxes", d)
 	}
 }

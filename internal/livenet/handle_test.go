@@ -23,8 +23,8 @@ func (r *recTransport) Send(to int, m Message) bool {
 	r.sent = append(r.sent, sentMessage{to, m})
 	return true
 }
-func (*recTransport) Members(int) []int             { return nil }
-func (*recTransport) AwaitQuiet(func(int, Message)) {}
+func (*recTransport) Members(int) []int              { return nil }
+func (*recTransport) AwaitQuiet(func(int, *Message)) {}
 
 // dataState is what a peer's data path leaves behind: the buffer, the
 // tracker's answer for every window ID, the delivery counters, the α
@@ -103,7 +103,7 @@ func TestDataMessagesIdempotent(t *testing.T) {
 	run := func(order []int) dataState {
 		p, tr := handlePeer()
 		for _, i := range order {
-			p.handle(msgs[i])
+			p.handle(&msgs[i])
 		}
 		return stateOf(p, tr)
 	}
@@ -132,7 +132,7 @@ func TestDataMessagesIdempotent(t *testing.T) {
 // adoption pool, the rate controller and the clock stamp heard.
 type controlState struct {
 	Nbrs      []neighbour
-	Overheard map[int]int
+	Overheard []int32
 	Ctrl      *bandwidth.Controller
 	ClockSeen int
 }
@@ -156,7 +156,7 @@ func TestControlMessagesIdempotent(t *testing.T) {
 		for times := 1; times <= 2; times++ {
 			p, _ := handlePeer()
 			for i := 0; i < times; i++ {
-				p.handle(m)
+				p.handle(&m)
 			}
 			states[times-1] = controlState{p.nbrs, p.overheard, p.ctrl, p.clockSeen}
 		}
@@ -177,8 +177,8 @@ func TestReplayedRequestGrantedTwice(t *testing.T) {
 	p, tr := handlePeer()
 	p.buf.Insert(pushedSeg)
 	ask := Message{From: 6, Kind: msgRequest, Seg: pushedSeg, Deadline: p.playDeadline(pushedSeg), Period: handlePeriod}
-	p.handle(ask)
-	p.handle(ask)
+	p.handle(&ask)
+	p.handle(&ask)
 	p.periodServe()
 	grants := 0
 	for _, s := range tr.sent {
@@ -215,7 +215,7 @@ func TestRescueRequestServedFromBuffer(t *testing.T) {
 			p.buf.Insert(pushedSeg)
 		}
 		p.pushSpent = tc.spent
-		p.handle(Message{From: asker, Kind: msgRescueReq, Seg: pushedSeg, Period: handlePeriod})
+		p.handle(&Message{From: asker, Kind: msgRescueReq, Seg: pushedSeg, Period: handlePeriod})
 		if len(tr.sent) != tc.replies {
 			t.Fatalf("%s: %d replies %+v, want %d", tc.name, len(tr.sent), tr.sent, tc.replies)
 		}
@@ -256,14 +256,14 @@ func TestRepeatedRescueLowersAlpha(t *testing.T) {
 	if start <= p.alpha.Min() {
 		t.Fatalf("α opens at %v, on its floor %v: a step down would not show", start, p.alpha.Min())
 	}
-	p.handle(reply)
+	p.handle(&reply)
 	if got := next(p); p.st.rescued.Load() != 1 || got != start {
 		t.Fatalf("a rescue reply that filled its hole: rescued %d, α %v -> %v", p.st.rescued.Load(), start, got)
 	}
 
 	p, _ = handlePeer()
 	p.buf.Insert(rescuedSeg) // buffered with the rescue still marked out
-	p.handle(reply)
+	p.handle(&reply)
 	if p.repeated != 1 {
 		t.Fatalf("a rescue reply for a buffered segment counted %d repeats, want 1", p.repeated)
 	}
@@ -279,8 +279,8 @@ func TestRepeatedRescueLowersAlpha(t *testing.T) {
 	}
 
 	p, _ = handlePeer()
-	p.handle(Message{From: 6, Kind: msgData, Seg: rescuedSeg, Deadline: 100, Period: handlePeriod}) // gossip beats the rescue
-	p.handle(reply)
+	p.handle(&Message{From: 6, Kind: msgData, Seg: rescuedSeg, Deadline: 100, Period: handlePeriod}) // gossip beats the rescue
+	p.handle(&reply)
 	if p.repeated != 0 || !p.seg.Tagged(rescuedSeg) {
 		t.Fatalf("gossip copy then rescue reply: %d repeats, tag %v; the mark the branch reads is cleared by the copy's arrival and only the tag remembers the rescue",
 			p.repeated, p.seg.Tagged(rescuedSeg))

@@ -152,7 +152,7 @@ type session struct {
 	peers []*peer
 	// deliverFn is deliver, bound once: the sweeps hand it to AwaitQuiet
 	// after every phase call, and a method value made per call allocates.
-	deliverFn func(int, Message)
+	deliverFn func(int, *Message)
 	// nw, rng and churnAt (the scripted churn by period) belong to a
 	// whole-mesh session: churn registers and unregisters peers on the
 	// in-process transport itself.
@@ -234,7 +234,7 @@ func (s *session) kill(id int) {
 
 // deliver hands m to the peer it is addressed to, unless that peer has
 // been killed since m was sent.
-func (s *session) deliver(to int, m Message) {
+func (s *session) deliver(to int, m *Message) {
 	if p := s.peers[to]; p != nil {
 		p.handle(m)
 	}

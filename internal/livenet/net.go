@@ -133,13 +133,18 @@ func (nw *network) Send(to int, m Message) bool {
 
 // AwaitQuiet implements Transport: it hands the queue to deliver in send
 // order, including what handling it sends in turn, until nothing is left.
-func (nw *network) AwaitQuiet(deliver func(to int, m Message)) {
+// Each message is handed over in place, as a pointer into its queue slot.
+func (nw *network) AwaitQuiet(deliver func(to int, m *Message)) {
 	for nw.head < len(nw.queue) {
-		e := nw.queue[nw.head]
-		nw.queue[nw.head] = envelope{} // the payloads are the receiver's now
+		i := nw.head
 		nw.head++
-		nw.boxes[e.to].queued--
-		deliver(e.to, e.m)
+		to := nw.queue[i].to
+		nw.boxes[to].queued--
+		deliver(to, &nw.queue[i].m)
+		// Cleared by index, not through the pointer handed over: the
+		// handler's sends may have moved the queue, and the slot that
+		// outlives this call is the one in the current backing array.
+		nw.queue[i] = envelope{}
 	}
 	nw.queue, nw.head = nw.queue[:0], 0
 }

@@ -3,7 +3,6 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -159,22 +158,22 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		}
 		start = int(hello.Deadline) + 1
 		p = s.spawn(nc.ID, false, cfg.posFor(start), start)
-		p.handle(*hello)
-		for _, m := range backlog {
-			p.handle(m)
+		p.handle(hello)
+		for i := range backlog {
+			p.handle(&backlog[i])
 		}
-		// First adoptions from the RP's sample; mesh maintenance tops the
-		// degree up from gossip once the session is rolling.
-		dial := make([]int, 0, len(p.overheard))
-		for id := range p.overheard {
-			dial = append(dial, id)
-		}
-		sort.Ints(dial)
-		if len(dial) > cfg.M {
-			dial = dial[:cfg.M]
-		}
-		for _, id := range dial {
-			n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
+		// First adoptions from the RP's sample, lowest IDs first; mesh
+		// maintenance tops the degree up from gossip once the session is
+		// rolling.
+		dialed, floor := 0, p.overheardFloor()
+		for id, heard := range p.overheard {
+			if dialed == cfg.M {
+				break
+			}
+			if heard > floor {
+				n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
+				dialed++
+			}
 		}
 	}
 	stop, stopped := make(chan struct{}), make(chan struct{})

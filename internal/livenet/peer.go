@@ -95,11 +95,14 @@ type peer struct {
 	// functions take. Both change only through link and unlink.
 	nbrs   []neighbour
 	nbrIDs []overlay.NodeID
-	// overheard is the adoption candidate pool: peer IDs learned from
-	// piggybacked membership gossip, stamped with the period heard and
-	// forgotten Config.sightTTL() periods later — gossip may come off an
-	// open socket, and the expiry bounds what it can make a peer hold.
-	overheard map[int]int
+	// overheard is the adoption candidate pool, by peer ID: the period
+	// piggybacked membership gossip last named the ID, plus one (0: never,
+	// or forgotten since). An ID stays in the pool for Config.sightTTL()
+	// periods after it was last named — gossip may come off an open socket,
+	// and the expiry bounds what it can make a peer hold — which readers
+	// test against overheardFloor, so expiry needs no sweep. The table
+	// grows to the highest ID heard, which hear keeps below ringSpace.
+	overheard []int32
 	ctrl      *bandwidth.Controller
 	alpha     *prefetch.Alpha
 	// carry is the supplier-side bounded carry queue and carrySpare the
@@ -198,11 +201,15 @@ func (v *peerView) AppendNeighbors(dst []protocol.NeighborSupply) []protocol.Nei
 
 func (v *peerView) AppendOverheard(dst []protocol.CandidateSource) []protocol.CandidateSource {
 	p := v.p
-	for id := range p.overheard {
+	floor := p.overheardFloor()
+	for id, heard := range p.overheard {
+		if heard <= floor {
+			continue
+		}
 		// Livenet links have no measured latency; a per-pair hash stands
 		// in so different peers prefer different candidates instead of
-		// all adopting the lowest ID. Map order is immaterial: PlanRewire
-		// dedups by ID and ranks by (latency, ID).
+		// all adopting the lowest ID. The ascending order is immaterial:
+		// PlanRewire dedups by ID and ranks by (latency, ID).
 		dst = append(dst, protocol.CandidateSource{
 			ID:      overlay.NodeID(id),
 			Latency: sim.Time(scheduler.Jitter(p.cfg.Seed, uint64(p.id), uint64(id)) % 1000),
@@ -257,7 +264,6 @@ func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *counters, is
 		st:          st,
 		rng:         sim.DeriveRNG(cfg.Seed, uint64(id)+0x9000),
 		buf:         buffer.New(cfg.BufferSegments, openAt),
-		overheard:   make(map[int]int),
 		ctrl:        bandwidth.NewController(0.3, float64(cfg.Rate)),
 		curPeriod:   joinPeriod,
 		lastReplace: joinPeriod - 1000, // no artificial cooldown at birth
@@ -325,10 +331,37 @@ func (p *peer) link(id, now int) *neighbour {
 	if !ok {
 		p.nbrs = slices.Insert(p.nbrs, i, neighbour{id: id})
 		p.nbrIDs = slices.Insert(p.nbrIDs, i, overlay.NodeID(id))
-		delete(p.overheard, id)
+		p.forget(id)
 	}
 	p.nbrs[i].seen = now
 	return &p.nbrs[i]
+}
+
+// hear puts id in the adoption pool as of the current period. An ID off
+// the rescue ring is refused here, where gossip enters, as the other
+// edges that admit IDs refuse it.
+func (p *peer) hear(id int) {
+	if !onRing(id) {
+		return
+	}
+	if id >= len(p.overheard) {
+		p.overheard = append(p.overheard, make([]int32, id+1-len(p.overheard))...)
+	}
+	p.overheard[id] = int32(p.curPeriod) + 1
+}
+
+// forget takes id out of the adoption pool.
+func (p *peer) forget(id int) {
+	if id >= 0 && id < len(p.overheard) {
+		p.overheard[id] = 0
+	}
+}
+
+// overheardFloor is the adoption pool's bound this period: an ID is in the
+// pool iff its overheard entry exceeds it, that is, it was last named no
+// more than Config.sightTTL() periods ago.
+func (p *peer) overheardFloor() int32 {
+	return int32(max(0, p.curPeriod-p.cfg.sightTTL()))
 }
 
 // unlink drops the neighbour at table index i with everything learned
@@ -365,7 +398,7 @@ func (p *peer) loop(inbox <-chan Message, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case m := <-inbox:
-			p.handle(m)
+			p.handle(&m)
 		}
 	}
 }
@@ -386,8 +419,12 @@ func (p *peer) clockPeriod() int {
 	return p.clockSeen
 }
 
-// handle applies one incoming message under the peer's lock.
-func (p *peer) handle(m Message) {
+// handle applies one incoming message under the peer's lock. m is the
+// sender's message in place (a queue slot in-process, the receive loop's
+// own copy over UDP): handle reads it and may keep what its Map and Gossip
+// point to, which senders never write again, but never keeps m, which
+// the transport reuses once handle returns.
+func (p *peer) handle(m *Message) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if m.Period > p.clockSeen {
@@ -397,7 +434,7 @@ func (p *peer) handle(m Message) {
 	// announcement, or the rendezvous point's ConnectOK sample.
 	for _, g := range m.Gossip {
 		if g != p.id && !p.linked(g) {
-			p.overheard[g] = p.curPeriod
+			p.hear(g)
 		}
 	}
 	switch m.Kind {
@@ -459,7 +496,7 @@ func (p *peer) handle(m Message) {
 // receiveData ingests one data message: store, account, and — for
 // eager-push copies below the hop bound — forward the fresh segment one
 // hop further (the livenet mirror of the simulator's pushPhase frontier).
-func (p *peer) receiveData(m Message) {
+func (p *peer) receiveData(m *Message) {
 	wasRescue := m.Rescue && p.seg.PrefetchPending(m.Seg, p.curPeriod)
 	p.seg.Received(m.Seg)
 	already := p.buf.Has(m.Seg)
@@ -548,11 +585,6 @@ func (p *peer) periodBegin(now int, pos segment.ID, members *dht.Members) {
 	}
 	p.buf.AdvanceTo(pos)
 	p.seg.AdvanceTo(pos)
-	for id, seen := range p.overheard {
-		if now-seen > p.cfg.sightTTL() {
-			delete(p.overheard, id)
-		}
-	}
 	if p.alpha != nil {
 		// Only §4.3's Case 2 reaches a livenet peer: a rescue reply cannot
 		// be stored below the window, so none is ever seen to be overdue.
@@ -719,7 +751,7 @@ func (p *peer) dead(nb *neighbour, now int) bool {
 func (p *peer) maintainMesh(now int) {
 	for i := len(p.nbrs) - 1; i >= 0; i-- {
 		if nb := &p.nbrs[i]; p.dead(nb, now) {
-			delete(p.overheard, nb.id)
+			p.forget(nb.id)
 			p.unlink(i)
 			p.st.deadDropped.Add(1)
 		}
@@ -766,7 +798,7 @@ func (p *peer) maintainMesh(now int) {
 		p.st.replaced.Add(1)
 		p.unlink(vi)
 		p.send(int(victim), Message{From: p.id, Kind: msgBye})
-		delete(p.overheard, cand)
+		p.forget(cand)
 		p.send(cand, Message{From: p.id, Kind: msgConnect})
 	}
 	for want := p.cfg.DegreeTarget(p.isSource) - len(p.nbrs); want > 0; want-- {
@@ -774,7 +806,7 @@ func (p *peer) maintainMesh(now int) {
 		if !ok {
 			break
 		}
-		delete(p.overheard, cand)
+		p.forget(cand)
 		p.send(cand, Message{From: p.id, Kind: msgConnect})
 	}
 }

@@ -1,12 +1,16 @@
 package livenet
 
 import (
+	"cmp"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
+	"continustreaming/internal/overlay"
+	"continustreaming/internal/protocol"
 	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
@@ -15,9 +19,9 @@ import (
 // nullTransport swallows everything a peer sends.
 type nullTransport struct{}
 
-func (nullTransport) Send(int, Message) bool        { return true }
-func (nullTransport) Members(int) []int             { return nil }
-func (nullTransport) AwaitQuiet(func(int, Message)) {}
+func (nullTransport) Send(int, Message) bool         { return true }
+func (nullTransport) Members(int) []int              { return nil }
+func (nullTransport) AwaitQuiet(func(int, *Message)) {}
 
 // candidatesPerID is the per-ID candidate enumerator the livenet ran before
 // it moved onto the word path, kept as the differential oracle: walk every
@@ -165,6 +169,111 @@ func TestCandidatesMatchPerIDOracle(t *testing.T) {
 	}
 }
 
+// TestOverheardMatchesMapReference drives the dense adoption pool through
+// random histories — gossip heard from linked and unlinked senders, naming
+// self, off-ring and negative IDs and the same ID twice; links, unlinks and
+// forgets; periods that expire some entries — against the map[int]int it
+// replaced, with the one intended difference that an off-ring ID is refused
+// where gossip enters. After every step the held IDs with their periods,
+// and the candidates AppendOverheard lists, must match the reference's.
+func TestOverheardMatchesMapReference(t *testing.T) {
+	rng := sim.DeriveRNG(1, 0x0e4d)
+	cfg := DefaultConfig()
+	ttl := cfg.sightTTL()
+	const self = 5
+	pick := func() int {
+		switch rng.Intn(10) {
+		case 0:
+			return self
+		case 1:
+			return []int{-1, -7, ringSpace, ringSpace + 3}[rng.Intn(4)]
+		case 2:
+			return ringSpace - 1 - rng.Intn(3)
+		default:
+			return rng.Intn(40)
+		}
+	}
+	held, listed := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		space := dht.NewSpace(ringSpace)
+		p := newPeer(nullTransport{}, self, cfg, space, &counters{}, false, 0, 0)
+		members := ringMembers(space, nil)
+		ref := map[int]int{} // the retired pool: ID -> period heard
+		now := 0
+		for step := 0; step < 200; step++ {
+			switch rng.Intn(6) {
+			case 0, 1:
+				gossip := make([]int, rng.Intn(5))
+				for i := range gossip {
+					gossip[i] = pick()
+				}
+				if len(gossip) > 1 && rng.Intn(3) == 0 {
+					gossip[1] = gossip[0]
+				}
+				p.handle(&Message{From: rng.Intn(40), Kind: msgMap, Gossip: gossip, Period: now})
+				for _, g := range gossip {
+					if g != self && !p.linked(g) && onRing(g) {
+						ref[g] = now
+					}
+				}
+			case 2:
+				if id := rng.Intn(40); id != self {
+					p.link(id, now)
+					delete(ref, id)
+				}
+			case 3:
+				if len(p.nbrs) > 0 {
+					p.unlink(rng.Intn(len(p.nbrs)))
+				}
+			case 4:
+				id := pick()
+				p.forget(id)
+				delete(ref, id)
+			case 5:
+				now += 1 + rng.Intn(ttl)
+				p.periodBegin(now, cfg.posFor(now), members)
+				for id, seen := range ref {
+					if now-seen > ttl {
+						delete(ref, id)
+					}
+				}
+			}
+
+			got, floor := map[int]int{}, p.overheardFloor()
+			for id, heard := range p.overheard {
+				if heard > floor {
+					got[id] = int(heard) - 1
+				}
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("trial %d step %d (period %d): pool %v, reference %v", trial, step, now, got, ref)
+			}
+			if len(p.overheard) > ringSpace {
+				t.Fatalf("trial %d step %d: the table grew to %d entries, past the ring", trial, step, len(p.overheard))
+			}
+			cands := p.view.AppendOverheard(nil)
+			var want []protocol.CandidateSource
+			for id := range ref {
+				want = append(want, protocol.CandidateSource{
+					ID:      overlay.NodeID(id),
+					Latency: sim.Time(scheduler.Jitter(cfg.Seed, self, uint64(id)) % 1000),
+				})
+			}
+			byID := func(a, b protocol.CandidateSource) int { return cmp.Compare(a.ID, b.ID) }
+			slices.SortFunc(cands, byID)
+			slices.SortFunc(want, byID)
+			if !slices.Equal(cands, want) {
+				t.Fatalf("trial %d step %d: AppendOverheard %v, reference %v", trial, step, cands, want)
+			}
+			held += len(ref)
+			listed += len(cands)
+		}
+	}
+	if held == 0 || listed == 0 {
+		t.Fatal("the histories never held an overheard ID; the reference test exercised nothing")
+	}
+}
+
 // TestSupplierRotation pins the supplier order as a pure function of
 // (seed, peer, period): the ascending neighbour list rotated by
 // supplierRotation, the same on every call, and not the same every period.
@@ -265,7 +374,7 @@ func TestPeriodAllocations(t *testing.T) {
 		}
 	}
 	var asked []Message // the peer's asks, read off the queue and answered next period
-	collect := func(to int, m Message) {
+	collect := func(to int, m *Message) {
 		if m.Kind == msgRequest {
 			asked = append(asked, Message{From: to, Seg: m.Seg})
 		}
@@ -276,15 +385,15 @@ func TestPeriodAllocations(t *testing.T) {
 		// maps, grants for last period's asks, and asks for what the
 		// peer holds.
 		for _, m := range maps[period] {
-			p.handle(m)
+			p.handle(&m)
 		}
 		for k, a := range asked {
-			p.handle(Message{From: a.From, Kind: msgData, Seg: a.Seg, Period: period, Deadline: sim.Time(70 * (k + 1))})
+			p.handle(&Message{From: a.From, Kind: msgData, Seg: a.Seg, Period: period, Deadline: sim.Time(70 * (k + 1))})
 		}
 		asked = asked[:0]
 		for k, id := range ids {
 			if seg := cfg.posFor(period) + segment.ID(k); id != self && p.buf.Has(seg) {
-				p.handle(Message{From: id, Kind: msgRequest, Seg: seg, Deadline: p.playDeadline(seg), Period: period})
+				p.handle(&Message{From: id, Kind: msgRequest, Seg: seg, Deadline: p.playDeadline(seg), Period: period})
 			}
 		}
 		p.periodBegin(period, cfg.posFor(period), members)

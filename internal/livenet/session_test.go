@@ -179,7 +179,7 @@ func TestDeliveryIsSendOrder(t *testing.T) {
 	}
 	type hop struct{ to, seg int }
 	var got []hop
-	record := func(to int, m Message) {
+	record := func(to int, m *Message) {
 		got = append(got, hop{to, int(m.Seg)})
 		if m.Seg < 10 {
 			nw.Send((to+1)%4, Message{Seg: m.Seg + 10}) // a reply, sent while handling
@@ -314,12 +314,12 @@ func TestOverheardExpiresInProcess(t *testing.T) {
 	nw := newNetwork()
 	p := newPeer(nw, nw.register(8), cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
 	ttl := cfg.sightTTL()
-	p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
+	p.handle(&Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
 	for now := 1; now <= ttl+1; now++ {
 		p.periodBegin(now, cfg.posFor(now), ringMembers(p.space, nil))
-		p.handle(Message{From: 1, Kind: msgMap, Gossip: []int{51}, Period: now})
-		_, silent := p.overheard[50]
-		_, mentioned := p.overheard[51]
+		p.handle(&Message{From: 1, Kind: msgMap, Gossip: []int{51}, Period: now})
+		floor := p.overheardFloor()
+		silent, mentioned := p.overheard[50] > floor, p.overheard[51] > floor
 		if silent != (now <= ttl) || !mentioned {
 			t.Fatalf("period %d (TTL %d): holds the ID last heard at period 0: %v, the ID heard this period: %v",
 				now, ttl, silent, mentioned)
@@ -340,12 +340,12 @@ func TestSourceAnswersConnectAsRendezvous(t *testing.T) {
 	asker := s.nw.register(8) // registered, hosted by nobody: its mail is read off the queue
 	connect := func(to int) Message {
 		t.Helper()
-		s.peers[to].handle(Message{From: asker, Kind: msgConnect})
+		s.peers[to].handle(&Message{From: asker, Kind: msgConnect})
 		if len(s.nw.queue) != 1 {
 			t.Fatalf("peer %d queued %d messages answering a Connect, want 1", to, len(s.nw.queue))
 		}
 		e := s.nw.queue[0]
-		s.nw.AwaitQuiet(func(int, Message) {})
+		s.nw.AwaitQuiet(func(int, *Message) {})
 		if m := e.m; e.to != asker || m.Kind != msgConnectOK || m.From != to || m.Map == nil {
 			t.Fatalf("peer %d answered a Connect with %+v to %d", to, m, e.to)
 		}

@@ -30,6 +30,8 @@ type Transport interface {
 	// once none is left — the session's barrier between phases. Datagrams
 	// crossing sockets cannot be held back or counted, so the UDP
 	// transport returns at once, and Node.Run waits half a period between
-	// planning and serving instead.
-	AwaitQuiet(deliver func(to int, m Message))
+	// planning and serving instead. m points into the transport's queue
+	// and is valid only until deliver returns: deliver may read it and
+	// keep what its fields point to, never m itself.
+	AwaitQuiet(deliver func(to int, m *Message))
 }

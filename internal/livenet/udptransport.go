@@ -44,6 +44,8 @@ type udpTransport struct {
 	mu   sync.RWMutex
 	book map[int]bookEntry
 	ttl  int
+	// swept is the period of the latest Members call.
+	swept int
 }
 
 // bookEntry is one peer's address on file, with the string form gossip
@@ -51,7 +53,10 @@ type udpTransport struct {
 // heard marks an entry a datagram has reported since the last Members
 // call, which turns the mark into seen, the period of that call: the
 // read loop knows no clock, so a joiner's handshake-time entries are
-// stamped with the period the handshake synced it to.
+// stamped with the period the handshake synced it to. An entry is silent
+// when it is neither heard nor seen at the latest call — nothing reported
+// it since the sweep before that one — and only a silent entry's address
+// can change (see learn).
 type bookEntry struct {
 	addr  netip.AddrPort
 	text  string
@@ -117,7 +122,7 @@ func (t *udpTransport) Inbox() chan Message { return t.inbox }
 func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
 // AwaitQuiet implements Transport; datagrams in flight cannot be counted.
-func (t *udpTransport) AwaitQuiet(func(int, Message)) {}
+func (t *udpTransport) AwaitQuiet(func(int, *Message)) {}
 
 // Members implements Transport on the address book: the node itself, the
 // bootstrap address (ID 0 — losing the source ends the session, not the
@@ -126,17 +131,18 @@ func (t *udpTransport) AwaitQuiet(func(int, Message)) {}
 func (t *udpTransport) Members(now int) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.swept = now
 	ids := append(make([]int, 0, len(t.book)+2), t.self)
 	if t.self != 0 {
 		ids = append(ids, 0)
 	}
 	for id, e := range t.book {
-		if id == 0 {
-			continue // listed above, and never expires
-		}
 		if e.heard {
 			e.heard, e.seen = false, now
 			t.book[id] = e
+		}
+		if id == 0 {
+			continue // listed above, and never expires
 		}
 		if now-e.seen > t.ttl {
 			delete(t.book, id)
@@ -148,8 +154,8 @@ func (t *udpTransport) Members(now int) []int {
 	return ids
 }
 
-// Learn records a peer's address ("host:port"), overwriting any previous
-// one (a peer that rebinds is reached at its latest known socket).
+// Learn records a peer's address ("host:port") by the rule learn applies
+// to what the network reports.
 func (t *udpTransport) Learn(id int, addr string) error {
 	if !onRing(id) || id == t.self {
 		return fmt.Errorf("livenet: cannot learn address for peer %d", id)
@@ -164,6 +170,12 @@ func (t *udpTransport) Learn(id int, addr string) error {
 
 // learn is Learn for an address already in binary form: a datagram's
 // source, or a parsed gossip annotation. An off-ring ID takes no book slot.
+//
+// Message.From is self-declared, so a different address replaces a known
+// one only once the entry has gone silent (see bookEntry): otherwise one
+// datagram stamped with a live peer's ID would redirect everything meant
+// for that peer to its sender. A peer that genuinely rebinds is reached at
+// its new socket after one sweep interval without word from the old one.
 func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 	if !onRing(id) || id == t.self || !addr.IsValid() {
 		return
@@ -178,14 +190,18 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 		return // the steady state: every datagram re-reports a known address
 	}
 	t.mu.Lock()
-	if known || len(t.book) < maxBook {
-		if e.addr != addr {
-			e.addr, e.text = addr, addr.String()
-		}
-		e.heard = true
-		t.book[id] = e
+	defer t.mu.Unlock()
+	if e, known = t.book[id]; !known && len(t.book) >= maxBook {
+		return // full: no new peer until Members expires some
 	}
-	t.mu.Unlock()
+	if e.addr != addr {
+		if known && (e.heard || e.seen >= t.swept) {
+			return // the entry is not silent: keep the address it was heard at
+		}
+		e.addr, e.text = addr, addr.String()
+	}
+	e.heard = true
+	t.book[id] = e
 }
 
 // Send encodes m and writes it as one datagram to the peer's known

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"continustreaming/internal/segment"
 )
 
 // TestDelayQueueOrder pins the release order of shaped datagrams: by due
@@ -44,7 +46,9 @@ func TestDelayQueueOrder(t *testing.T) {
 
 // TestAddressBook checks the address book's single form per address
 // (IPv4-mapped IPv6 sources unmap), its refusal of self, negative and
-// off-ring IDs, and the maxBook bound that still refreshes known peers.
+// off-ring IDs, and the maxBook bound that still refreshes known peers
+// (a new address once the entry has gone silent, see
+// TestAddressBookIgnoresSpoofedSource).
 func TestAddressBook(t *testing.T) {
 	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
 	if err != nil {
@@ -75,6 +79,8 @@ func TestAddressBook(t *testing.T) {
 	if _, ok := tr.book[9999]; ok {
 		t.Fatal("a full book learned a new peer")
 	}
+	tr.Members(0)
+	tr.Members(1) // nothing heard of peer 3 since the sweep before: silent
 	tr.learn(3, netip.MustParseAddrPort("127.0.0.1:4999"))
 	if tr.book[3].text != "127.0.0.1:4999" {
 		t.Fatalf("a full book did not refresh a known peer: %+v", tr.book[3])
@@ -83,6 +89,84 @@ func TestAddressBook(t *testing.T) {
 
 // testTTL is the address-book TTL the transport tests run on.
 const testTTL = 9
+
+// TestAddressBookIgnoresSpoofedSource pins the defence against spoofed
+// sender IDs (ROADMAP 4 (ii)): a second socket sending datagrams stamped
+// From a live peer's ID does not move that peer's book entry, so the node
+// keeps reaching the real socket — while the peer was heard since the last
+// sweep, and still after one sweep. Once the real peer has been silent for
+// a whole sweep interval, the new source is taken as a rebind.
+func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
+	const self, victim = 7, 3
+	open := func(id int) *udpTransport {
+		t.Helper()
+		tr, err := newUDPTransport("127.0.0.1:0", id, 8, testTTL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
+	}
+	tr, real, spoofer := open(self), open(victim), open(9)
+	for _, from := range []*udpTransport{real, spoofer} {
+		if err := from.Learn(self, tr.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// hearFrom sends a datagram stamped From the victim and waits until the
+	// node has read it (the read loop learns before it delivers).
+	hearFrom := func(from *udpTransport, what string) {
+		t.Helper()
+		if !from.Send(self, Message{From: victim, Kind: msgBye}) {
+			t.Fatalf("%s: send failed", what)
+		}
+		select {
+		case <-tr.Inbox():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never arrived", what)
+		}
+	}
+	// reaches sends to the victim's ID and reports which socket got it.
+	seq := segment.ID(0)
+	reaches := func() *udpTransport {
+		t.Helper()
+		seq++
+		if !tr.Send(victim, Message{From: self, Kind: msgData, Seg: seq}) {
+			t.Fatal("no address on file for the victim")
+		}
+		select {
+		case m := <-real.Inbox():
+			if m.Seg != seq {
+				t.Fatalf("the real socket got segment %d, want %d", m.Seg, seq)
+			}
+			return real
+		case m := <-spoofer.Inbox():
+			if m.Seg != seq {
+				t.Fatalf("the spoofer got segment %d, want %d", m.Seg, seq)
+			}
+			return spoofer
+		case <-time.After(10 * time.Second):
+			t.Fatal("the send to the victim never arrived anywhere")
+			return nil
+		}
+	}
+
+	hearFrom(real, "the real peer's datagram")
+	hearFrom(spoofer, "the spoofed datagram")
+	if reaches() != real {
+		t.Fatal("a spoofed datagram redirected a peer heard since the last sweep")
+	}
+	tr.Members(1)
+	hearFrom(spoofer, "the spoofed datagram after a sweep")
+	if reaches() != real {
+		t.Fatal("a spoofed datagram redirected a peer heard in the interval before the last sweep")
+	}
+	tr.Members(2) // the real peer has said nothing since the sweep at period 1
+	hearFrom(spoofer, "the rebind")
+	if reaches() != spoofer {
+		t.Fatal("a peer silent for a whole sweep interval was not rebound to its new source")
+	}
+}
 
 // TestAddressBookHealsAfterFlood pins the book's recovery from a full
 // table: a burst of fabricated (id, addr) gossip fills it and blinds the

@@ -1,14 +1,12 @@
 package scheduler
 
 import (
-	"cmp"
-	"slices"
-
+	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
 
-// Greedy is Algorithm 1: candidates are sorted by descending requesting
-// priority, then each is assigned the supplier that can deliver it earliest
+// Greedy is Algorithm 1: candidates are taken in descending requesting
+// priority, and each is assigned the supplier that can deliver it earliest
 // — the supplier minimising queueing time τ(j) plus transfer time 1/R(j) —
 // subject to the whole transfer completing inside the scheduling period.
 // Assigning a segment advances that supplier's queueing time, so later
@@ -22,13 +20,15 @@ func (Greedy) Name() string { return "urgency-rarity-greedy" }
 
 // Schedule implements Policy.
 func (Greedy) Schedule(in Input) []Request {
-	scored := scoreCandidates(&in, combinedPriority)
-	sortByPriority(in, scored)
-	return assignGreedy(in, scored)
+	scored := scoreCandidates(&in)
+	for i := range scored {
+		scored[i].priority = combinedPriority(&in, in.Candidates[scored[i].at])
+	}
+	return assignGreedy(&in, scored)
 }
 
 // combinedPriority is equation (3) over the perturbed terms.
-func combinedPriority(in Input, c Candidate) float64 {
+func combinedPriority(in *Input, c Candidate) float64 {
 	p := noisyUrgency(in, c)
 	if r := noisyRarity(in, c); r > p {
 		p = r
@@ -36,9 +36,28 @@ func combinedPriority(in Input, c Candidate) float64 {
 	return p
 }
 
+// scoredCandidate is one candidate's rank keys — the policy's priority,
+// the node's jitter key for it (see Input.JitterSeed), hashed once per
+// candidate, and its ID — and where it sits in Input.Candidates.
 type scoredCandidate struct {
-	c        Candidate
 	priority float64
+	jitter   uint64
+	id       segment.ID
+	at       int
+}
+
+// ranksBefore reports whether a is assigned before b: higher priority
+// first, ties broken by the node's jitter so neighbouring peers diverge,
+// then by ID for full determinism. Priorities are finite: equations (1)–(3)
+// over a validated configuration (positive playback rate and buffer size).
+func ranksBefore(a, b *scoredCandidate) bool {
+	if a.priority != b.priority {
+		return a.priority > b.priority
+	}
+	if a.jitter != b.jitter {
+		return a.jitter < b.jitter
+	}
+	return a.id < b.id
 }
 
 // supplierLoad is one supplier's accumulated queueing time during a
@@ -66,41 +85,19 @@ type Scratch struct {
 // invalidated.
 func (sc *Scratch) Reset() { sc.reqs = sc.reqs[:0] }
 
-// sortByPriority orders candidates by descending priority, breaking ties
-// with the node's jitter so neighbouring peers diverge, then by ID for
-// full determinism.
-func sortByPriority(in Input, scored []scoredCandidate) {
-	slices.SortFunc(scored, func(a, b scoredCandidate) int {
-		if a.priority != b.priority {
-			return cmp.Compare(b.priority, a.priority)
-		}
-		ja := Jitter(in.JitterSeed, uint64(a.c.ID), 0)
-		jb := Jitter(in.JitterSeed, uint64(b.c.ID), 0)
-		if ja != jb {
-			return cmp.Compare(ja, jb)
-		}
-		return cmp.Compare(a.c.ID, b.c.ID)
-	})
-}
-
-// scoreCandidates lists the candidates that have a supplier, each with the
-// priority the policy's function gives it (nil: unranked), in the call's
+// scoreCandidates lists the candidates that have a supplier, each with its
+// jitter key and a zero priority for the policy to fill in, in the call's
 // scratch. Every policy enters through here, so a nil in.Scratch becomes a
 // one-call scratch at this one place and nothing downstream tests for it.
-func scoreCandidates(in *Input, priority func(Input, Candidate) float64) []scoredCandidate {
+func scoreCandidates(in *Input) []scoredCandidate {
 	if in.Scratch == nil {
 		in.Scratch = &Scratch{}
 	}
 	out := in.Scratch.scored[:0]
-	for _, c := range in.Candidates {
-		if len(c.Suppliers) == 0 {
-			continue
+	for i, c := range in.Candidates {
+		if len(c.Suppliers) > 0 {
+			out = append(out, scoredCandidate{jitter: Jitter(in.JitterSeed, uint64(c.ID), 0), id: c.ID, at: i})
 		}
-		sc := scoredCandidate{c: c}
-		if priority != nil {
-			sc.priority = priority(*in, c)
-		}
-		out = append(out, sc)
 	}
 	in.Scratch.scored = out
 	return out
@@ -109,14 +106,18 @@ func scoreCandidates(in *Input, priority func(Input, Candidate) float64) []score
 // assignGreedy runs the supplier-selection loop shared by every policy:
 // only the candidate ORDER differs between policies, which is exactly the
 // paper's framing (CoolStreaming orders by rarity alone; ContinuStreaming
-// by the combined priority).
-func assignGreedy(in Input, ordered []scoredCandidate) []Request {
-	limit := in.InboundBudget
-	if len(ordered) < limit {
-		limit = len(ordered)
-	}
-	if limit <= 0 {
+// by the combined priority). It takes the scored candidates in ranksBefore
+// order off a binary heap built over them in O(n), and stops once the
+// inbound budget is spent, so the candidates past the budget are never
+// ordered; the result is the full sort's (TestHeapAssignmentMatchesSortedOracle).
+// scored is reordered in place.
+func assignGreedy(in *Input, scored []scoredCandidate) []Request {
+	budget := in.InboundBudget
+	if budget <= 0 || len(scored) == 0 {
 		return nil
+	}
+	for i := len(scored)/2 - 1; i >= 0; i-- {
+		siftDown(scored, i)
 	}
 	tauMS := float64(in.Tau)
 	// queue tracks supplier -> queueing time τ(j) in ms; reqs doubles as
@@ -124,13 +125,16 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 	queue := in.Scratch.queue[:0]
 	reqs := in.Scratch.reqs
 	start := len(reqs)
-	for _, sc := range ordered {
-		if len(reqs)-start >= limit {
-			break
-		}
+	for heap := scored; len(heap) > 0 && len(reqs)-start < budget; {
+		// Pop: the top moves to the heap's last slot, which leaves the heap.
+		last := len(heap) - 1
+		heap[0], heap[last] = heap[last], heap[0]
+		sc := &heap[last]
+		heap = heap[:last]
+		siftDown(heap, 0)
 		dup := false
 		for _, r := range reqs[start:] {
-			if r.ID == sc.c.ID {
+			if r.ID == sc.id {
 				dup = true
 				break
 			}
@@ -141,7 +145,7 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 		bestAt := unreachable
 		bestSupplier := -1
 		bestJitter := uint64(0)
-		for _, s := range sc.c.Suppliers {
+		for _, s := range in.Candidates[sc.at].Suppliers {
 			if s.Rate <= 0 {
 				continue
 			}
@@ -162,7 +166,7 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 			if at >= tauMS {
 				continue
 			}
-			j := Jitter(in.JitterSeed, uint64(sc.c.ID), uint64(s.Node)+1)
+			j := Jitter(in.JitterSeed, uint64(sc.id), uint64(s.Node)+1)
 			if at < bestAt || (at == bestAt && j < bestJitter) {
 				bestAt = at
 				bestSupplier = s.Node
@@ -184,7 +188,7 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 			queue = append(queue, supplierLoad{node: bestSupplier, at: bestAt})
 		}
 		reqs = append(reqs, Request{
-			ID:         sc.c.ID,
+			ID:         sc.id,
 			Supplier:   bestSupplier,
 			ExpectedAt: sim.Time(bestAt),
 		})
@@ -195,6 +199,25 @@ func assignGreedy(in Input, ordered []scoredCandidate) []Request {
 		return nil
 	}
 	return reqs[start:len(reqs):len(reqs)]
+}
+
+// siftDown moves h[i] down until it ranks before both its children: the
+// heap step of assignGreedy, whose top is the candidate that ranks first.
+func siftDown(h []scoredCandidate, i int) {
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && ranksBefore(&h[l], &h[top]) {
+			top = l
+		}
+		if r := 2*i + 2; r < len(h) && ranksBefore(&h[r], &h[top]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 // unreachable is an expected completion time no real transfer has.

@@ -182,7 +182,7 @@ type Input struct {
 
 // perturb applies the configured multiplicative noise to one priority
 // term. The stream index keeps urgency and rarity noise independent.
-func perturb(in Input, c Candidate, v float64, stream uint64) float64 {
+func perturb(in *Input, c Candidate, v float64, stream uint64) float64 {
 	if in.RarityNoise <= 0 || v == 0 {
 		return v
 	}
@@ -191,14 +191,14 @@ func perturb(in Input, c Candidate, v float64, stream uint64) float64 {
 }
 
 // noisyRarity applies the perturbation to rarity.
-func noisyRarity(in Input, c Candidate) float64 {
+func noisyRarity(in *Input, c Candidate) float64 {
 	return perturb(in, c, Rarity(in.PriorityInput, c), 3)
 }
 
 // noisyUrgency applies the perturbation to urgency. Saturated urgencies
 // (segments at or past their deadline) stay saturated: noise reorders
 // near-equal slacks, it does not un-urgent a due segment.
-func noisyUrgency(in Input, c Candidate) float64 {
+func noisyUrgency(in *Input, c Candidate) float64 {
 	u := Urgency(in.PriorityInput, c)
 	if u >= MaxUrgency {
 		return u
