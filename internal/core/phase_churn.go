@@ -160,10 +160,16 @@ func (w *World) join() {
 	if donor == nil && len(w.order) > 0 {
 		// RP list was fully stale; fall back to a uniform draw over the
 		// order the round began with. That order still lists this round's
-		// leavers, so the draw can land on a vacated slot and leave the
-		// newcomer without a donor: it then wires to nobody and waits for
-		// maintenance's RP refill (ROADMAP direction 4 has the count).
-		donor = w.nodes[w.order[w.rng.Intn(len(w.order))]]
+		// leavers, and the joiner may have taken one's slot, so from the
+		// drawn entry the walk goes on, wrapping, to the first node alive
+		// and not the joiner: a draw on a live node keeps it, and one on a
+		// vacated slot no longer strands the newcomer.
+		at := w.rng.Intn(len(w.order))
+		for k := 0; k < len(w.order) && donor == nil; k++ {
+			if c := w.order[(at+k)%len(w.order)]; c != id {
+				donor = w.nodes[c]
+			}
+		}
 	}
 	pool := w.joinPool[:0]
 	consider := func(c overlay.NodeID) {

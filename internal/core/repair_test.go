@@ -152,3 +152,65 @@ func TestStepDeterministicAcrossWorkerCountsTraceChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinFallbackSkipsVacatedSlots pins ROADMAP direction 4's join
+// invariant on its worst case: every RP candidate is stale, and the
+// fallback draw over the round's opening order lands on a slot vacated
+// this round. The joiner must still leave join wired to a live node.
+func TestJoinFallbackSkipsVacatedSlots(t *testing.T) {
+	w, err := NewWorld(smallConfig(60, ProfileContinuStreaming()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := append([]overlay.NodeID(nil), w.order...)
+	keep := order[len(order)/2]
+	for _, id := range order {
+		if id != keep {
+			w.leave(id, false) // the source stays: leave refuses it
+		}
+	}
+	// Abrupt leavers stay on the RP's list; taking the two live nodes off
+	// it leaves the RP nothing but stale candidates to hand out.
+	w.rp.ReportFailure(keep)
+	w.rp.ReportFailure(w.source)
+	before := *w.rng
+	w.join()
+	after := *w.rng
+
+	// The fallback's Intn(len(order)) is join's last draw: find the stream
+	// position it was taken from and what it drew there.
+	drawn := -1
+	for probe, i := before, 0; drawn < 0 && i < 1<<16; i++ {
+		at := probe
+		if x := at.Intn(len(order)); at == after {
+			drawn = x
+		}
+		probe.Uint64()
+	}
+	if drawn < 0 {
+		t.Fatal("the fallback draw was not join's last")
+	}
+	if c := order[drawn]; c == keep || c == w.source {
+		t.Fatalf("the draw landed on live node %d; the test needs a vacated slot", c)
+	}
+	var joiner *Node
+	for _, n := range w.nodes {
+		if n != nil && n.ID != keep && n.ID != w.source {
+			joiner = n
+		}
+	}
+	if joiner == nil {
+		t.Fatal("no joiner was admitted")
+	}
+	nbrs := joiner.Table.Neighbors()
+	if len(nbrs) == 0 {
+		t.Fatalf("joiner %d left join with no neighbour (the draw landed on %d)", joiner.ID, order[drawn])
+	}
+	for _, nb := range nbrs {
+		if w.nodes[nb] == nil || nb == joiner.ID {
+			t.Fatalf("joiner %d wired to %d, not a live peer", joiner.ID, nb)
+		}
+	}
+	w.rebuildOrder()
+	checkNodeState(t, w)
+}

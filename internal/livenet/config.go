@@ -45,11 +45,12 @@ type Config struct {
 	RetryPeriods int
 	// Resync enables continuous clock re-sync on the socket path: every
 	// wire message carries the sender's period stamp, and a node that
-	// finds itself behind the newest stamp at a tick jumps its period
-	// counter forward (and re-phases its ticker). Without it a node's
-	// clock is synced exactly once, by the bootstrap handshake — the PR 5
-	// drift gap. DefaultConfig enables it; an in-process session ignores
-	// it (one ticker drives every peer's clock).
+	// finds itself behind the period its links vouch for at a tick (the
+	// second-highest linked stamp, see Stats.BehindPeriods) jumps its
+	// period counter forward (and re-phases its ticker). Without it a
+	// node's clock is synced exactly once, by the bootstrap handshake —
+	// the PR 5 drift gap. DefaultConfig enables it; an in-process session
+	// ignores it (one ticker drives every peer's clock).
 	Resync bool
 	// Engine enables the dissemination engine (push + EDF serve + carry
 	// queues); off, suppliers keep the published pull-only round-robin
@@ -165,7 +166,7 @@ func (c Config) posFor(period int) segment.ID {
 // asks than it could grant or carry (its 2·O backlog horizon — what lies
 // beyond is evicted on arrival anyway), and the data it asked for (its
 // inbound budget O, plus the pushes and rescues riding the same link).
-// Two periods' worth absorbs an inbox loop that is scheduled late. The
+// Two periods' worth absorbs a hand-over that comes late. The
 // source doubles as rendezvous point, so it also takes a Connect from
 // every joiner of a bootstrap burst. Stats.TransportDropped counts what
 // overflows.

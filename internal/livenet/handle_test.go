@@ -52,7 +52,7 @@ func handlePeer() (*peer, *recTransport) {
 	cfg := DefaultConfig()
 	tr := &recTransport{}
 	space := dht.NewSpace(ringSpace)
-	p := newPeer(tr, 5, cfg, space, &counters{}, false, handleLo, handlePeriod)
+	p := newPeer(tr, 5, cfg, space, &Stats{}, false, handleLo, handlePeriod)
 	ids := []int{5, 6, 7, 8, 9}
 	for _, id := range ids {
 		if id != p.id {
@@ -69,7 +69,7 @@ func handlePeer() (*peer, *recTransport) {
 func stateOf(p *peer, tr *recTransport) dataState {
 	st := dataState{
 		Buf:       p.buf.Snapshot().Bits,
-		Delivered: p.st.delivered.Load(), Rescued: p.st.rescued.Load(), PushDelivered: p.st.pushDelivered.Load(),
+		Delivered: p.st.Delivered, Rescued: p.st.Rescued, PushDelivered: p.st.PushDelivered,
 		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.pushSpent,
 		Forwarded: tr.sent,
 	}
@@ -128,13 +128,12 @@ func TestDataMessagesIdempotent(t *testing.T) {
 }
 
 // controlState is what the control messages leave in a peer: the
-// neighbour table with each link's latest map and sign of life, the
-// adoption pool, the rate controller and the clock stamp heard.
+// neighbour table with each link's latest map, sign of life and period
+// stamp, the adoption pool and the rate controller.
 type controlState struct {
 	Nbrs      []neighbour
 	Overheard []int32
 	Ctrl      *bandwidth.Controller
-	ClockSeen int
 }
 
 // TestControlMessagesIdempotent replays each control message — a map
@@ -158,11 +157,55 @@ func TestControlMessagesIdempotent(t *testing.T) {
 			for i := 0; i < times; i++ {
 				p.handle(&m)
 			}
-			states[times-1] = controlState{p.nbrs, p.overheard, p.ctrl, p.clockSeen}
+			states[times-1] = controlState{p.nbrs, p.overheard, p.ctrl}
 		}
 		if !reflect.DeepEqual(states[0], states[1]) {
 			t.Errorf("kind %d applied twice:\n%+v\nonce:\n%+v", m.Kind, states[1], states[0])
 		}
+	}
+}
+
+// TestResyncNeedsTwoLinkedStamps pins the bound on the period a socket
+// node re-syncs to (ROADMAP direction 4 (i)): one linked sender stamping a
+// frame far ahead, or any number of unlinked senders, leave it where the
+// links put it; a second linked sender ahead moves it to the lower of the
+// two. A link's stamp leaves with its row.
+func TestResyncNeedsTwoLinkedStamps(t *testing.T) {
+	const far = 1 << 20
+	p, _ := handlePeer()
+	for _, nb := range []int{6, 7, 8, 9} {
+		p.handle(&Message{From: nb, Kind: msgMap, Period: handlePeriod})
+	}
+	if got := p.networkPeriod(); got != handlePeriod {
+		t.Fatalf("four links stamped %d, target %d", handlePeriod, got)
+	}
+	p.handle(&Message{From: 6, Kind: msgMap, Period: far})
+	if got := p.networkPeriod(); got != handlePeriod {
+		t.Fatalf("one linked frame stamped %d moved the target to %d", far, got)
+	}
+	for from, kind := range []MsgKind{msgMap, msgRequest, msgData, msgRescueReq, msgBye} {
+		p.handle(&Message{From: 20 + from, Kind: kind, Seg: pushedSeg, Period: far})
+	}
+	if got := p.networkPeriod(); got != handlePeriod {
+		t.Fatalf("unlinked senders' stamps moved the target to %d", got)
+	}
+	p.handle(&Message{From: 7, Kind: msgMap, Period: handlePeriod + 3})
+	if got := p.networkPeriod(); got != handlePeriod+3 {
+		t.Fatalf("a second linked sender ahead: target %d, want %d", got, handlePeriod+3)
+	}
+	p.handle(&Message{From: 6, Kind: msgBye, Period: far})
+	if got := p.networkPeriod(); got != handlePeriod {
+		t.Fatalf("after the far sender unlinked: target %d, want %d", got, handlePeriod)
+	}
+
+	// A peer with one link follows that link's stamp.
+	p, _ = handlePeer()
+	for _, nb := range []int{7, 8, 9} {
+		p.handle(&Message{From: nb, Kind: msgBye})
+	}
+	p.handle(&Message{From: 6, Kind: msgMap, Period: handlePeriod + 2})
+	if got := p.networkPeriod(); got != handlePeriod+2 {
+		t.Fatalf("the only link stamped %d, target %d", handlePeriod+2, got)
 	}
 }
 
@@ -186,8 +229,8 @@ func TestReplayedRequestGrantedTwice(t *testing.T) {
 			grants++
 		}
 	}
-	if grants != 2 || p.st.grantsSent.Load() != 2 {
-		t.Fatalf("a replayed ask was granted %d times (%d grants counted); recorded behaviour is 2", grants, p.st.grantsSent.Load())
+	if grants != 2 || p.st.GrantsSent != 2 {
+		t.Fatalf("a replayed ask was granted %d times (%d grants counted); recorded behaviour is 2", grants, p.st.GrantsSent)
 	}
 }
 
@@ -257,8 +300,8 @@ func TestRepeatedRescueLowersAlpha(t *testing.T) {
 		t.Fatalf("α opens at %v, on its floor %v: a step down would not show", start, p.alpha.Min())
 	}
 	p.handle(&reply)
-	if got := next(p); p.st.rescued.Load() != 1 || got != start {
-		t.Fatalf("a rescue reply that filled its hole: rescued %d, α %v -> %v", p.st.rescued.Load(), start, got)
+	if got := next(p); p.st.Rescued != 1 || got != start {
+		t.Fatalf("a rescue reply that filled its hole: rescued %d, α %v -> %v", p.st.Rescued, start, got)
 	}
 
 	p, _ = handlePeer()

@@ -3,13 +3,13 @@
 // demos finish in seconds). One session loop runs every period. Run hosts
 // a whole mesh in it on one goroutine, its messages queued in send order
 // and handed over between phase calls, so a seed replays the same
-// session; Node.Run hosts one peer over a UDP socket, received by a loop
-// of its own. It is the repro of the paper's planned PlanetLab
-// deployment — and it drives the same transport-agnostic decision core
-// (internal/protocol) as the deterministic simulator: mesh repair under
-// churn (PlanRewire + GossipPicks), rescue of urgent holes from a
-// ring-hashed peer's buffer (the urgent-line prediction; no VoD backup, see
-// EXPERIMENTS.md "Livenet ring"), fresh-segment push
+// session; Node.Run hosts one peer over a UDP socket, on the goroutine
+// that also takes its datagrams. It is the repro of the paper's planned
+// PlanetLab deployment — and it drives the same transport-agnostic
+// decision core (internal/protocol) as the deterministic simulator: mesh
+// repair under churn (PlanRewire + GossipPicks), rescue of urgent holes
+// from a ring-hashed peer's buffer (the urgent-line prediction; no VoD
+// backup, see EXPERIMENTS.md "Livenet ring"), fresh-segment push
 // (PlanPushMask), pull scheduling over word-aligned neighbour maps
 // (scheduler.Enumeration + Algorithm 1) and supplier-side EDF serving
 // with bounded carry queues (PlanServe). Only the input assembly and the
@@ -83,11 +83,14 @@ type Stats struct {
 	ShapeDelayed     int64
 	Resyncs          int
 	// BehindPeriods counts scheduling ticks at which this node's period
-	// counter trailed the newest period stamp heard from the network —
-	// the liveness drift a stalled node accumulates. With Resync on, a
-	// node is behind for at most the tick that re-anchors it; without,
-	// a stall leaves it behind (playing late against a deep buffer, so
-	// local continuity alone cannot see it) for the rest of the run.
+	// counter trailed the period its links vouch for: the second-highest
+	// period stamp its linked neighbours have sent (the one link's, with
+	// one link; an unlinked sender's stamp never counts, so no single
+	// frame can move it) — the liveness drift a stalled node accumulates.
+	// With Resync on, a node is behind for at most the tick that
+	// re-anchors it; without, a stall leaves it behind (playing late
+	// against a deep buffer, so local continuity alone cannot see it) for
+	// the rest of the run.
 	BehindPeriods int
 }
 
@@ -140,14 +143,13 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 // in-process queue; Node.Run hosts its one peer over UDP. What differs
 // between the two is the transport's answers — who is a member, and
 // whether a phase's messages can be handed over before the next phase —
-// and what only a socket node has: the bootstrap handshake, its receive
-// loop, its own ticker and re-sync, and the half-period wait between plan
-// and serve that stands in for a barrier no socket can give.
+// and what only a socket node has: the bootstrap handshake, its ticker and
+// re-sync, datagrams handed over as they arrive, and the half-period wait
+// between plan and serve that stands in for a barrier no socket can give.
 type session struct {
 	cfg   Config
 	space dht.Space
 	tr    Transport
-	st    *counters
 	// peers is indexed by peer ID (nil: not hosted); its walk is the sweep order.
 	peers []*peer
 	// deliverFn is deliver, bound once: the sweeps hand it to AwaitQuiet
@@ -160,7 +162,8 @@ type session struct {
 	rng     *sim.RNG
 	churnAt map[int][]ChurnEvent
 	// pos is the shared playback position.
-	pos   segment.ID
+	pos segment.ID
+	// stats is what the session returns; its hosted peers count into it.
 	stats Stats
 	// continuous / playing tally the playback samples behind
 	// Stats.Continuity.
@@ -169,7 +172,7 @@ type session struct {
 
 // hostSession returns a session over tr that hosts no peer yet.
 func hostSession(cfg Config, tr Transport) *session {
-	s := &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr, st: &counters{}}
+	s := &session{cfg: cfg, space: dht.NewSpace(ringSpace), tr: tr}
 	s.deliverFn = s.deliver
 	return s
 }
@@ -211,7 +214,7 @@ func newSession(cfg Config) *session {
 
 // spawn hosts a peer on a transport-provided identity and returns it.
 func (s *session) spawn(id int, isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	p := newPeer(s.tr, id, s.cfg, s.space, s.st, isSource, openAt, joinPeriod)
+	p := newPeer(s.tr, id, s.cfg, s.space, &s.stats, isSource, openAt, joinPeriod)
 	if id >= len(s.peers) {
 		s.peers = append(s.peers, make([]*peer, id+1-len(s.peers))...)
 	}
@@ -342,7 +345,6 @@ func (s *session) serve(period int) {
 // are Node.Run's to add; the in-process one's drops are counted here.
 func (s *session) result() Stats {
 	stats := s.stats
-	s.st.fill(&stats)
 	if s.nw != nil {
 		stats.TransportDropped = s.nw.dropped
 	}

@@ -48,8 +48,9 @@ type Message struct {
 	Hop int
 	// Period is the sender's current session period, stamped on every
 	// message a running peer sends (bootstrap Connects go out before a
-	// clock exists and carry 0). Receivers re-anchor their period clock
-	// to the max stamp heard — the continuous re-sync that keeps EDF
+	// clock exists and carry 0). A socket node re-anchors its period
+	// clock to the second-highest stamp its links have sent
+	// (peer.networkPeriod) — the continuous re-sync that keeps EDF
 	// deadlines and playback positions aligned when a node misses ticks.
 	Period int
 	// Rescue marks data served in reply to a rescue request.
@@ -114,9 +115,8 @@ func (nw *network) unregister(id int) {
 
 // Send queues m for peer to and returns; false means the receiver is gone
 // or saturated and the message was dropped. It never hands a message over
-// itself: the sender may be in the middle of handling one, holding its
-// own peer's lock, and what it sends waits its turn behind everything
-// sent before it.
+// itself: the sender may be in the middle of handling one, and what it
+// sends waits its turn behind everything sent before it.
 func (nw *network) Send(to int, m Message) bool {
 	if to < 0 || to >= len(nw.boxes) || nw.boxes[to].cap == 0 {
 		return false

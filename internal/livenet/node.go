@@ -106,138 +106,130 @@ const (
 // session period count is reached (period numbering is shared across
 // processes: the source starts at 0 and joiners sync to the RP's clock
 // in the bootstrap handshake). It hosts the node's one peer in a session
-// over the socket; what it adds is a socket node's own: the handshake,
-// the receive loop, the ticker and its re-sync, the scripted exit, and
-// the half-period wait before serving. It blocks until the node drains,
-// the scripted ExitAt fires, or ctx is cancelled.
+// over the socket, on the calling goroutine: the transport's read loop
+// and, when shaped, its delay sender are the node's only other goroutines,
+// and neither touches the peer or the address book. What Run adds is a
+// socket node's own: the handshake, the ticker and its re-sync, the
+// scripted exit, and the half-period wait before serving — three clocks
+// waited on in one select, which hands datagrams over as they arrive. It
+// blocks until the node drains, the scripted ExitAt fires, or ctx is
+// cancelled.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
 	cfg, nc := n.cfg, n.nc
 	s := hostSession(cfg, n.tr)
 
-	start := 0
+	// The three clocks, created stopped; a nil channel is a clock not
+	// running. The bootstrap retry runs until the RP's ConnectOK arrives,
+	// the period ticker from then on, and the half-period timer between a
+	// period's plan and its serve, while the ticker's channel keeps any
+	// tick that falls in between.
+	var retry, tick, half <-chan time.Time
+	retryTimer, halfTimer, ticker := time.NewTimer(time.Hour), time.NewTimer(time.Hour), time.NewTicker(time.Hour)
+	retryTimer.Stop()
+	halfTimer.Stop()
+	ticker.Stop()
+	defer retryTimer.Stop()
+	defer halfTimer.Stop()
+	defer ticker.Stop()
+
 	var p *peer
+	start, period, attempt, behind, resyncs := 0, 0, 0, 0, 0
+	// deliver takes the datagrams: the session's peer once it exists, and
+	// before that the handshake's collector of hello (the RP's ConnectOK)
+	// and the backlog that raced ahead of it.
+	deliver := s.deliverFn
+	var hello *Message
+	var backlog []Message
 	if nc.Source {
 		p = s.spawn(0, true, 0, 0)
+		tick = ticker.C
+		ticker.Reset(cfg.Period)
 	} else {
-		// Bootstrap handshake: Connect to the RP until its ConnectOK
-		// arrives, carrying the current session period (our clock sync),
-		// the RP's buffer map, and a membership sample whose addresses
-		// the transport has absorbed. Messages that race ahead of the
-		// handshake (the RP links us immediately, so its announcements
-		// and pushes start at once) are replayed into the peer after
-		// construction, before its receive loop starts.
+		// Bootstrap handshake: Connect to the RP, again every bootstrapTick,
+		// until its ConnectOK arrives (see join).
 		if err := n.tr.Learn(0, nc.Bootstrap); err != nil {
 			return Stats{}, err
 		}
-		var backlog []Message
-		var hello *Message
-		for attempt := 0; hello == nil; {
-			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
-			tick := time.NewTimer(bootstrapTick)
-		recv:
-			for hello == nil {
-				select {
-				case <-ctx.Done():
-					tick.Stop()
-					return Stats{}, ctx.Err()
-				case <-tick.C:
-					if attempt++; attempt >= bootstrapAttempts {
-						return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
-					}
-					break recv
-				case m := <-n.tr.Inbox():
-					if m.Kind == msgConnectOK && m.From == 0 {
-						hello = &m
-					} else if len(backlog) < 1024 {
-						backlog = append(backlog, m)
-					}
-				}
-			}
-			tick.Stop()
-		}
-		start = int(hello.Deadline) + 1
-		p = s.spawn(nc.ID, false, cfg.posFor(start), start)
-		p.handle(hello)
-		for i := range backlog {
-			p.handle(&backlog[i])
-		}
-		// First adoptions from the RP's sample, lowest IDs first; mesh
-		// maintenance tops the degree up from gossip once the session is
-		// rolling.
-		dialed, floor := 0, p.overheardFloor()
-		for id, heard := range p.overheard {
-			if dialed == cfg.M {
-				break
-			}
-			if heard > floor {
-				n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
-				dialed++
+		deliver = func(_ int, m *Message) {
+			if hello == nil && m.Kind == msgConnectOK && m.From == 0 {
+				h := *m
+				hello = &h
+			} else if len(backlog) < 1024 {
+				backlog = append(backlog, *m)
 			}
 		}
+		n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+		retry = retryTimer.C
+		retryTimer.Reset(bootstrapTick)
 	}
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		p.loop(n.tr.Inbox(), stop)
-	}()
 
-	ticker := time.NewTicker(cfg.Period)
-	defer ticker.Stop()
-	behind, resyncs := 0, 0
-	for period := start; period < periods; period++ {
+run:
+	for ctx.Err() == nil && (p == nil || period < periods) {
 		select {
 		case <-ctx.Done():
-		case <-ticker.C:
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		// Clock re-sync: if the network's newest period stamp is ahead of
-		// this node's counter, the node missed ticks (scheduler stall,
-		// loss-delayed handshake, slow period work) — jump forward and
-		// re-phase the ticker at the new anchor. In steady state the
-		// stamps match the local counter and no jump happens; stamps
-		// behind ours (a slower peer's) never move the clock backwards.
-		if seen := p.clockPeriod(); seen > period {
-			behind++
-			if cfg.Resync {
-				seen = min(seen, periods-1)
-				nc.Logf("resync: period %d -> %d", period, seen)
-				period = seen
-				resyncs++
+		case d := <-n.tr.inbox:
+			n.tr.handOver(d, deliver)
+			if p == nil && hello != nil {
+				start = int(hello.Deadline) + 1
+				p = n.join(s, start, hello, backlog)
+				period, deliver = start, s.deliverFn
+				retryTimer.Stop()
+				retry, tick = nil, ticker.C
 				ticker.Reset(cfg.Period)
 			}
-		}
-		if nc.ExitAt > 0 && period >= nc.ExitAt {
-			// Abrupt scripted failure: drop off the network mid-stream.
-			n.tr.Close()
-			break
-		}
-
-		// Plan at the tick, serve half a period later: the temporal
-		// stand-in for the hand-over the in-process queue makes between
-		// phases. A node cannot see what is in flight across real
-		// sockets, so the planning phases run back to back and this
-		// period's requests get half a period to reach their suppliers
-		// before the serve phase drains them.
-		s.plan(period)
-		half := time.NewTimer(cfg.Period / 2)
-		select {
-		case <-ctx.Done():
-		case <-half.C:
-		}
-		half.Stop()
-		if ctx.Err() != nil {
-			break
-		}
-		s.serve(period)
-		if period%nc.LogEvery == 0 {
-			nc.Logf("period %d: links=%d, played %d of %d periods", period, p.linkCount(), s.continuous, s.playing)
+		case <-retry:
+			if attempt++; attempt >= bootstrapAttempts {
+				return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
+			}
+			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+			retryTimer.Reset(bootstrapTick)
+		case <-tick:
+			n.tr.AwaitQuiet(deliver) // the stamps that have arrived
+			// Clock re-sync: if the period the node's links vouch for is
+			// ahead of its counter, the node missed ticks (scheduler stall,
+			// loss-delayed handshake, slow period work) — jump forward and
+			// re-phase the ticker at the new anchor. In steady state the
+			// stamps match the local counter and no jump happens; stamps
+			// behind ours (a slower peer's) never move the clock backwards,
+			// and one link's stamp alone never moves it unless it is the
+			// node's only link (peer.networkPeriod).
+			if seen := p.networkPeriod(); seen > period {
+				behind++
+				if cfg.Resync {
+					seen = min(seen, periods-1)
+					nc.Logf("resync: period %d -> %d", period, seen)
+					period = seen
+					resyncs++
+					ticker.Reset(cfg.Period)
+				}
+			}
+			if nc.ExitAt > 0 && period >= nc.ExitAt {
+				// Abrupt scripted failure: drop off the network mid-stream.
+				n.tr.Close()
+				break run
+			}
+			// Plan at the tick, serve half a period later: the temporal
+			// stand-in for the hand-over the in-process queue makes between
+			// phases. A node cannot see what is in flight across real
+			// sockets, so the planning phases run back to back and this
+			// period's requests get half a period to reach their suppliers
+			// before the serve phase drains them.
+			s.plan(period)
+			tick, half = nil, halfTimer.C
+			halfTimer.Reset(cfg.Period / 2)
+		case <-half:
+			tick, half = ticker.C, nil
+			s.serve(period)
+			if period%nc.LogEvery == 0 {
+				nc.Logf("period %d: links=%d, played %d of %d periods", period, len(p.nbrs), s.continuous, s.playing)
+			}
+			period++
 		}
 	}
-	close(stop)
-	<-stopped
+	if p == nil {
+		return Stats{}, ctx.Err()
+	}
 	stats := s.result()
 	// The session counts absolute periods; a node reports the ones it ran.
 	stats.Periods = max(0, stats.Periods-start)
@@ -249,9 +241,30 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	return stats, nil
 }
 
-// linkCount is the peer's current degree, for the node's progress log.
-func (p *peer) linkCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.nbrs)
+// join builds a joiner's peer once the bootstrap handshake has synced its
+// clock to start: hello is the RP's ConnectOK — the current session
+// period, the RP's buffer map and a membership sample whose addresses the
+// transport has absorbed — and backlog what raced ahead of it (the RP
+// links the joiner at once, so its announcements and pushes start before
+// the peer exists), replayed into the peer after hello.
+func (n *Node) join(s *session, start int, hello *Message, backlog []Message) *peer {
+	p := s.spawn(n.nc.ID, false, n.cfg.posFor(start), start)
+	p.handle(hello)
+	for i := range backlog {
+		p.handle(&backlog[i])
+	}
+	// First adoptions from the RP's sample, lowest IDs first; mesh
+	// maintenance tops the degree up from gossip once the session is
+	// rolling.
+	dialed, floor := 0, p.overheardFloor()
+	for id, heard := range p.overheard {
+		if dialed == n.cfg.M {
+			break
+		}
+		if heard > floor {
+			n.tr.Send(id, Message{From: n.nc.ID, Kind: msgConnect})
+			dialed++
+		}
+	}
+	return p
 }

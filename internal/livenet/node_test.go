@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -129,5 +130,66 @@ func TestUDPSessionKillRecovery(t *testing.T) {
 	// 0.9 with real process kills.
 	if tail < 0.5 {
 		t.Fatalf("survivor tail continuity %.3f after killing a third over UDP", tail)
+	}
+}
+
+// TestNodeStartsOnlyIOGoroutines: a socket node's session runs on the
+// goroutine that calls Run. A running source (shaped, so its delay sender
+// runs too) and two running receivers add no goroutines beyond each node's
+// Run, its read loop and the source's delay sender — the socket twin of
+// TestInProcessSessionStartsNoGoroutines.
+func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Peers = 2
+	cfg.Period = 20 * time.Millisecond
+	const periods = 25
+	before := runtime.NumGoroutine()
+	src, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true, Shape: "latency=2ms", ShapeSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*Node{src}
+	for id := 1; id <= cfg.Peers; id++ {
+		node, err := NewNode(cfg, NodeConfig{ID: id, Listen: "127.0.0.1:0", Bootstrap: src.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+	}
+	const allowed = 3*2 + 1 // Run and the read loop per node, the source's delay sender
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	stats := make([]Stats, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], errs[i] = node.Run(ctx, periods)
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	peak := 0
+	for sampling := true; sampling; {
+		select {
+		case <-done:
+			sampling = false
+		case <-time.After(cfg.Period / 4):
+			// The sampler and the waiter above are the test's own.
+			peak = max(peak, runtime.NumGoroutine()-before-2)
+		}
+	}
+	if peak > allowed {
+		t.Fatalf("%d goroutines beyond the test's while three nodes ran, want at most %d", peak, allowed)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if i > 0 && stats[i].Delivered == 0 {
+			t.Fatalf("node %d ran %d periods and received nothing", i, stats[i].Periods)
+		}
 	}
 }

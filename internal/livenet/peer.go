@@ -2,8 +2,6 @@ package livenet
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"continustreaming/internal/bandwidth"
 	"continustreaming/internal/buffer"
@@ -15,40 +13,6 @@ import (
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
-
-// counters aggregates the telemetry of every peer a session hosts. A
-// socket node's receive loop and its session count side by side, hence
-// the atomics; in-process, one goroutine does all the counting.
-type counters struct {
-	delivered     atomic.Int64
-	pushDelivered atomic.Int64
-	rescued       atomic.Int64
-	rescueAsked   atomic.Int64
-	queueServed   atomic.Int64
-	queueCarried  atomic.Int64
-	replaced      atomic.Int64
-	deadDropped   atomic.Int64
-	asksSent      atomic.Int64
-	asksReceived  atomic.Int64
-	grantsSent    atomic.Int64
-	grantsEvicted atomic.Int64
-}
-
-// fill copies the counters into the stats a session or node returns.
-func (c *counters) fill(st *Stats) {
-	st.Delivered = c.delivered.Load()
-	st.PushDelivered = c.pushDelivered.Load()
-	st.Rescued = c.rescued.Load()
-	st.RescueAsked = c.rescueAsked.Load()
-	st.QueueServed = c.queueServed.Load()
-	st.QueueCarried = c.queueCarried.Load()
-	st.DeadDropped = c.deadDropped.Load()
-	st.Replaced = c.replaced.Load()
-	st.AsksSent = c.asksSent.Load()
-	st.AsksReceived = c.asksReceived.Load()
-	st.GrantsSent = c.grantsSent.Load()
-	st.GrantsEvicted = c.grantsEvicted.Load()
-}
 
 // neighbour is one linked peer's row in the peer's neighbour table.
 type neighbour struct {
@@ -66,15 +30,17 @@ type neighbour struct {
 	// periodBegin), so the tally is handed to the rate controller when the
 	// next period begins.
 	asked int
+	// stamp is the highest period stamp (Message.Period) the neighbour's
+	// frames have carried while linked; networkPeriod reads it.
+	stamp int
 }
 
 // peer is one peer's protocol state: the same per-node architecture the
 // simulator hosts (buffer and segment tracker, rate controller,
 // urgent-line α; no VoD backup, see rescueUrgent), driven by messages as
-// well as by the session's per-period calls. All mutable state is guarded
-// by mu, which handle and the period calls take: in-process both run on
-// the session's goroutine, and on a socket node handle runs on the
-// receive loop (loop) beside the session.
+// well as by the session's per-period calls. It belongs to the goroutine
+// that runs its session: handle and the period calls all run there, on
+// either transport, so nothing in it is locked.
 type peer struct {
 	id       int
 	ring     dht.ID
@@ -82,10 +48,10 @@ type peer struct {
 	tr       Transport
 	cfg      Config
 	space    dht.Space
-	st       *counters
-	rng      *sim.RNG
+	// st is the hosting session's Stats, which the peer counts into.
+	st  *Stats
+	rng *sim.RNG
 
-	mu  sync.Mutex
 	buf *buffer.Buffer
 	// seg is the per-segment record of buf's window — which pulls and
 	// rescues are out, each until its retry period — and slides with it.
@@ -112,13 +78,6 @@ type peer struct {
 	carry, carrySpare []protocol.Request
 	asks, asksSpare   []protocol.Ask
 
-	// clockSeen is the highest period stamp heard from any peer (wire
-	// v2 stamps every message with the sender's clock). Node.Run
-	// re-anchors its period counter to it at every tick — the
-	// continuous clock re-sync replacing trust in the one-shot
-	// bootstrap handshake.
-	clockSeen int
-
 	curPeriod    int
 	pos          segment.ID
 	pushSpent    int
@@ -140,8 +99,8 @@ type peer struct {
 	view          peerView
 	rewireScratch protocol.RewireScratch
 
-	// The rest is round-lived scratch, touched only under mu by the plan
-	// and serve passes: every buffer is grow-only and reset per use, and
+	// The rest is round-lived scratch, touched only by the plan and serve
+	// passes: every buffer is grow-only and reset per use, and
 	// the callbacks are built once in newPeer, so a steady-state period
 	// allocates nothing but the payloads it hands to the transport (the
 	// announced snapshot and its gossip picks).
@@ -253,7 +212,7 @@ func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)
 // newPeer constructs a peer on a transport-provided identity; joiners
 // open their buffer at the shared playback position instead of the stream
 // start.
-func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *counters, isSource bool, openAt segment.ID, joinPeriod int) *peer {
+func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSource bool, openAt segment.ID, joinPeriod int) *peer {
 	p := &peer{
 		id:          id,
 		ring:        ringOf(space, id),
@@ -390,46 +349,21 @@ func (p *peer) neighbourLacks(id overlay.NodeID) uint64 {
 	return ^word[0]
 }
 
-// loop hands the peer what arrives on inbox until stop is closed: a socket
-// node's receive path (Node.Run), running beside its session.
-func (p *peer) loop(inbox <-chan Message, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case m := <-inbox:
-			p.handle(&m)
-		}
-	}
-}
-
 // send stamps m with the peer's current period clock — the wire v2
-// re-sync beacon every message carries — and transmits it. Callers hold
-// p.mu (every protocol send site does), so the transport must not hand a
+// re-sync beacon every message carries — and transmits it. Send sites
+// run inside handle and the phase calls, so the transport must not hand a
 // message over from inside Send.
 func (p *peer) send(to int, m Message) bool {
 	m.Period = p.curPeriod
 	return p.tr.Send(to, m)
 }
 
-// clockPeriod returns the newest period stamp heard so far.
-func (p *peer) clockPeriod() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.clockSeen
-}
-
-// handle applies one incoming message under the peer's lock. m is the
-// sender's message in place (a queue slot in-process, the receive loop's
-// own copy over UDP): handle reads it and may keep what its Map and Gossip
-// point to, which senders never write again, but never keeps m, which
-// the transport reuses once handle returns.
+// handle applies one incoming message. m is the sender's message in place
+// (a queue slot in-process, the decoded datagram over UDP): handle reads
+// it and may keep what its Map and Gossip point to, which senders never
+// write again, but never keeps m, which the transport reuses once handle
+// returns.
 func (p *peer) handle(m *Message) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if m.Period > p.clockSeen {
-		p.clockSeen = m.Period
-	}
 	// Gossip feeds the adoption pool whichever message carried it: a map
 	// announcement, or the rendezvous point's ConnectOK sample.
 	for _, g := range m.Gossip {
@@ -449,7 +383,7 @@ func (p *peer) handle(m *Message) {
 			p.nbrs[i].seen = p.curPeriod
 		}
 	case msgRequest:
-		p.st.asksReceived.Add(1)
+		p.st.AsksReceived++
 		p.asks = append(p.asks, protocol.Ask{
 			Requester: overlay.NodeID(m.From), ID: m.Seg, Deadline: m.Deadline,
 		})
@@ -491,6 +425,30 @@ func (p *peer) handle(m *Message) {
 			p.unlink(i)
 		}
 	}
+	// The period stamp counts once the sender is linked, the Connect or
+	// ConnectOK that links it included; an unlinked sender's never does.
+	if i, ok := p.nbrIndex(m.From); ok && m.Period > p.nbrs[i].stamp {
+		p.nbrs[i].stamp = m.Period
+	}
+}
+
+// networkPeriod is the period the peer's links vouch for, which Node.Run
+// re-syncs to: the second-highest period stamp among its neighbour rows,
+// the one row's with a single link, 0 with none. One frame stamped far
+// ahead moves nothing; it takes two linked senders ahead to move it.
+func (p *peer) networkPeriod() int {
+	first, second := 0, 0
+	for i := range p.nbrs {
+		if s := p.nbrs[i].stamp; s > first {
+			first, second = s, first
+		} else if s > second {
+			second = s
+		}
+	}
+	if len(p.nbrs) == 1 {
+		return first
+	}
+	return second
 }
 
 // receiveData ingests one data message: store, account, and — for
@@ -502,7 +460,7 @@ func (p *peer) receiveData(m *Message) {
 	already := p.buf.Has(m.Seg)
 	stored := p.buf.Insert(m.Seg)
 	if stored {
-		p.st.delivered.Add(1)
+		p.st.Delivered++
 		// Credit the delivery at the offset its sender's uplink finished
 		// it (see wireAt) — the livenet mirror of the simulator's
 		// (d.at - now).Seconds(). The rate controller divides deliveries
@@ -521,10 +479,10 @@ func (p *peer) receiveData(m *Message) {
 		}
 		p.ctrl.ObserveDelivery(m.From, off)
 		if m.Rescue {
-			p.st.rescued.Add(1)
+			p.st.Rescued++
 		}
 		if m.Hop > 0 {
-			p.st.pushDelivered.Add(1)
+			p.st.PushDelivered++
 			p.pushReceived++
 		}
 	}
@@ -556,17 +514,16 @@ func (p *peer) receiveData(m *Message) {
 // asks, every map a peer schedules against was announced this period, and
 // every ask is in its supplier's hands when that supplier serves — a pull
 // hop costs one period, not two. Over sockets nothing in flight can be
-// seen: the first three phases run back to back at the tick, Node.Run
-// serves half a period later, and the receive loop handles messages
-// concurrently under the same lock throughout.
+// seen: the first three phases run back to back at the tick, handed only
+// what had already arrived after each call, Node.Run serves half a period
+// later, and in between it hands datagrams over as they arrive — all on
+// the one goroutine that runs the session.
 
 // periodBegin opens period now: advance the clock and the window, settle
 // the previous period's accounts, and — on the source — generate and push
 // the fresh segments. members is the period's membership on the rescue
 // ring; the later phases read it from the peer.
 func (p *peer) periodBegin(now int, pos segment.ID, members *dht.Members) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.curPeriod = now
 	p.pos = pos
 	p.members = members
@@ -602,8 +559,6 @@ func (p *peer) periodBegin(now int, pos segment.ID, members *dht.Members) {
 // periodAnnounce is the exchange phase: repair the mesh, then announce
 // the buffer map with piggybacked membership gossip.
 func (p *peer) periodAnnounce() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.cfg.Repair {
 		p.maintainMesh(p.curPeriod)
 	}
@@ -616,8 +571,6 @@ func (p *peer) periodSchedule() {
 	if p.isSource {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	now := p.curPeriod
 	p.schedulePulls(now)
 	if p.cfg.Repair && now >= p.cfg.PlaybackLagPeriods {
@@ -629,8 +582,6 @@ func (p *peer) periodSchedule() {
 // through the supplier-side service discipline, then folds the period's
 // rate observations.
 func (p *peer) periodServe() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.servePeriod(p.curPeriod)
 	p.ctrl.Tick()
 	p.pushSpent, p.rescueSpent, p.pushReceived = 0, 0, 0
@@ -640,8 +591,6 @@ func (p *peer) periodServe() {
 // segment of win — and records the outcome in the miss state mesh
 // maintenance reads.
 func (p *peer) evalPlayback(win segment.Window) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	ok := p.buf.HasAll(win)
 	p.missedLast = !ok
 	if ok {
@@ -688,7 +637,7 @@ func (p *peer) servePeriod(now int) {
 		in.Horizon = sim.Time(now)
 		res = protocol.PlanServe(*in, &p.serveScratch)
 		p.carry, p.carrySpare = res.Queued, p.carry[:0]
-		p.st.queueCarried.Add(int64(len(res.Queued)))
+		p.st.QueueCarried += int64(len(res.Queued))
 	} else {
 		reqs := make([]protocol.Request, len(asks))
 		for i, a := range asks {
@@ -698,14 +647,14 @@ func (p *peer) servePeriod(now int) {
 		p.carry = p.carry[:0]
 	}
 	p.asksSpare = asks[:0]
-	p.st.grantsEvicted.Add(res.Evicted.Total())
+	p.st.GrantsEvicted += res.Evicted.Total()
 	backlog := p.pushSpent + p.rescueSpent
 	for k, g := range res.Granted {
 		if g.Carried {
-			p.st.queueServed.Add(1)
+			p.st.QueueServed++
 		}
 		if p.buf.Has(g.ID) {
-			p.st.grantsSent.Add(1)
+			p.st.GrantsSent++
 			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.wireAt(backlog + k + 1)})
 		}
 	}
@@ -727,7 +676,6 @@ func (p *peer) supplierRarity(seg segment.ID) float64 {
 // rpSample is the rendezvous point's membership sample: up to max of the
 // transport's members as of now (not of the period's opening — a burst of
 // joiners hears of one another), never exclude or the peer itself.
-// Callers hold p.mu.
 func (p *peer) rpSample(max, exclude int) []int {
 	return sampleIDs(p.rng, p.tr.Members(p.curPeriod), max, exclude, p.id)
 }
@@ -753,7 +701,7 @@ func (p *peer) maintainMesh(now int) {
 		if nb := &p.nbrs[i]; p.dead(nb, now) {
 			p.forget(nb.id)
 			p.unlink(i)
-			p.st.deadDropped.Add(1)
+			p.st.DeadDropped++
 		}
 	}
 	view := protocol.MaintenanceView{
@@ -795,7 +743,7 @@ func (p *peer) maintainMesh(now int) {
 			break
 		}
 		p.lastReplace = now
-		p.st.replaced.Add(1)
+		p.st.Replaced++
 		p.unlink(vi)
 		p.send(int(victim), Message{From: p.id, Kind: msgBye})
 		p.forget(cand)
@@ -935,7 +883,7 @@ func (p *peer) schedulePulls(now int) {
 		RarityNoise:   p.cfg.RarityNoise,
 	}
 	for _, r := range (scheduler.Greedy{}).Schedule(in) {
-		p.st.asksSent.Add(1)
+		p.st.AsksSent++
 		p.seg.MarkGossip(r.ID, now+p.cfg.RetryPeriods, 0) // the peer reads no promised arrival
 		if i, ok := p.nbrIndex(r.Supplier); ok {
 			p.nbrs[i].asked++
@@ -984,7 +932,7 @@ func (p *peer) rescueUrgent(now int) {
 			target = 0 // the source: the retrieval path of last resort
 		}
 		p.seg.MarkPrefetch(seg, now+p.cfg.RetryPeriods)
-		p.st.rescueAsked.Add(1)
+		p.st.RescueAsked++
 		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
 	}
 }

@@ -83,7 +83,7 @@ func randomPeer(rng *sim.RNG, size, period int) (*peer, map[segment.ID]bool) {
 	cfg.BufferSegments = size
 	cfg.Seed = rng.Uint64()
 	lo := segment.ID(rng.Intn(3000))
-	p := newPeer(nullTransport{}, 1+rng.Intn(500), cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 1+rng.Intn(500), cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0)
 	for i := 0; i < size; i++ {
 		if rng.Intn(2) == 0 {
 			p.buf.Insert(lo + segment.ID(i))
@@ -196,7 +196,7 @@ func TestOverheardMatchesMapReference(t *testing.T) {
 	held, listed := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		space := dht.NewSpace(ringSpace)
-		p := newPeer(nullTransport{}, self, cfg, space, &counters{}, false, 0, 0)
+		p := newPeer(nullTransport{}, self, cfg, space, &Stats{}, false, 0, 0)
 		members := ringMembers(space, nil)
 		ref := map[int]int{} // the retired pool: ID -> period heard
 		now := 0
@@ -281,7 +281,7 @@ func TestSupplierRotation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	const lo = segment.ID(700)
-	p := newPeer(nullTransport{}, 17, cfg, dht.NewSpace(ringSpace), &counters{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 17, cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0)
 	// One segment every neighbour holds and the peer lacks, so its
 	// candidate lists the whole supplier order.
 	seg := lo + 100
@@ -348,7 +348,7 @@ func TestPeriodAllocations(t *testing.T) {
 	for i := 0; i <= nbrs; i++ {
 		ids = append(ids, nw.register(256))
 	}
-	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0)
 	members := ringMembers(p.space, ids)
 	for _, id := range ids {
 		if id != self {
@@ -406,16 +406,16 @@ func TestPeriodAllocations(t *testing.T) {
 	for period < 60 {
 		step() // warm every scratch buffer to its steady-state size
 	}
-	delivered, asks, grants := p.st.delivered.Load(), p.st.asksSent.Load(), p.st.grantsSent.Load()
+	delivered, asks, grants := p.st.Delivered, p.st.AsksSent, p.st.GrantsSent
 
 	avg := testing.AllocsPerRun(periods-60-1, step)
 
-	t.Logf("allocs per period: %.2f; delivered %d asks %d grants %d", avg, p.st.delivered.Load()-delivered, p.st.asksSent.Load()-asks, p.st.grantsSent.Load()-grants)
+	t.Logf("allocs per period: %.2f; delivered %d asks %d grants %d", avg, p.st.Delivered-delivered, p.st.AsksSent-asks, p.st.GrantsSent-grants)
 	if avg > periodAllocBound {
 		t.Errorf("a steady-state period allocates %.1f times, bound %d", avg, periodAllocBound)
 	}
-	if p.st.delivered.Load() == delivered || p.st.asksSent.Load() == asks || p.st.grantsSent.Load() == grants {
+	if p.st.Delivered == delivered || p.st.AsksSent == asks || p.st.GrantsSent == grants {
 		t.Fatalf("the measured periods moved no data: delivered %d->%d, asks %d->%d, grants %d->%d",
-			delivered, p.st.delivered.Load(), asks, p.st.asksSent.Load(), grants, p.st.grantsSent.Load())
+			delivered, p.st.Delivered, asks, p.st.AsksSent, grants, p.st.GrantsSent)
 	}
 }

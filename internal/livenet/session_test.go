@@ -52,10 +52,10 @@ func TestPlanServeBarrier(t *testing.T) {
 	s := manualSession(60, 3)
 	total := int64(0)
 	for period := 0; period < 30; period++ {
-		before := s.st.asksSent.Load()
+		before := s.stats.AsksSent
 		s.plan(period)
 
-		sent := s.st.asksSent.Load() - before
+		sent := s.stats.AsksSent - before
 		total += sent
 		if n := len(s.nw.queue); n != 0 {
 			t.Fatalf("period %d: %d messages still queued when the serve pass starts", period, n)
@@ -69,7 +69,7 @@ func TestPlanServeBarrier(t *testing.T) {
 		if queued != sent {
 			t.Fatalf("period %d: %d asks sent by the schedule pass, %d in their suppliers' hands at serve time", period, sent, queued)
 		}
-		if got := s.st.asksReceived.Load(); got != before+sent {
+		if got := s.stats.AsksReceived; got != before+sent {
 			t.Fatalf("period %d: %d asks received of %d sent", period, got, before+sent)
 		}
 		s.serve(period)
@@ -96,7 +96,7 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 		if period == 4 {
 			const victim, asker = 7, 3
 			p := s.peers[victim]
-			asks, received := len(p.asks), s.st.asksReceived.Load()
+			asks, received := len(p.asks), s.stats.AsksReceived
 			for i := 0; i < 3; i++ {
 				if !s.nw.Send(victim, Message{From: asker, Kind: msgRequest, Seg: p.buf.Lo(), Period: period}) {
 					t.Fatal("a send to a live peer was refused")
@@ -104,9 +104,9 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 			}
 			s.kill(victim)
 			s.nw.AwaitQuiet(s.deliverFn)
-			if len(p.asks) != asks || s.st.asksReceived.Load() != received {
+			if len(p.asks) != asks || s.stats.AsksReceived != received {
 				t.Fatalf("a killed peer handled mail queued before its death: asks %d -> %d, received %d -> %d",
-					asks, len(p.asks), received, s.st.asksReceived.Load())
+					asks, len(p.asks), received, s.stats.AsksReceived)
 			}
 			if s.nw.Send(victim, Message{From: asker, Kind: msgRequest}) || s.nw.dropped != 0 {
 				t.Fatalf("a send to the killed peer was accepted or counted as a drop (%d)", s.nw.dropped)
@@ -170,8 +170,8 @@ func TestSaturatedInboxCounted(t *testing.T) {
 // TestDeliveryIsSendOrder pins the in-process queue's contract: messages
 // are handed over in the order they were sent, whoever they are for; what
 // is sent while handling waits behind what was already queued and is
-// handed over in the same drain; and a handler may send while holding its
-// own peer's lock, because nothing is handed over from inside Send.
+// handed over in the same drain; and a handler may send from inside
+// handle, because nothing is handed over from inside Send.
 func TestDeliveryIsSendOrder(t *testing.T) {
 	nw := newNetwork()
 	for i := 0; i < 4; i++ {
@@ -197,9 +197,9 @@ func TestDeliveryIsSendOrder(t *testing.T) {
 		t.Fatalf("%d messages left queued after the drain", len(nw.queue))
 	}
 
-	// A peer that answers a Connect sends its ConnectOK from inside handle,
-	// under its own lock — here once to itself, which a hand-over from
-	// inside Send would deadlock on.
+	// A peer that answers a Connect sends its ConnectOK from inside handle
+	// — here once to itself, which a hand-over from inside Send would
+	// re-enter handle with, half-way through the Connect.
 	s := manualSession(30, 1)
 	stranger := 2
 	for s.peers[1].linked(stranger) {
@@ -215,7 +215,7 @@ func TestDeliveryIsSendOrder(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a handler sending under its own lock deadlocked the drain")
+		t.Fatal("a handler sending from inside handle hung the drain")
 	}
 	if !s.peers[stranger].linked(1) || !s.peers[1].linked(stranger) {
 		t.Fatalf("peer %d's ConnectOK, sent while handling the Connect, was not handled in the same drain", stranger)
@@ -312,7 +312,7 @@ func TestInboxCapFollowsFanIn(t *testing.T) {
 func TestOverheardExpiresInProcess(t *testing.T) {
 	cfg := DefaultConfig()
 	nw := newNetwork()
-	p := newPeer(nw, nw.register(8), cfg, dht.NewSpace(ringSpace), &counters{}, false, 0, 0)
+	p := newPeer(nw, nw.register(8), cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0)
 	ttl := cfg.sightTTL()
 	p.handle(&Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
 	for now := 1; now <= ttl+1; now++ {

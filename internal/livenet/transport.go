@@ -9,9 +9,10 @@ package livenet
 // dropped — receiver gone, inbox saturated, or (over sockets) the address
 // unknown — leaving recovery to the retry and repair paths.
 //
-// Receiving is per transport. In-process, the queue hands every message
-// to the session at each AwaitQuiet; over UDP, the node's receive loop
-// reads the channel the transport decodes datagrams into.
+// Receiving is one rule on both: the transport queues what arrives, and
+// AwaitQuiet hands it over to the session on the session's goroutine,
+// which alone touches the peers. In-process, the queue is every message
+// sent; over UDP, the datagrams the read loop has decoded.
 type Transport interface {
 	// Send delivers m to peer to, non-blockingly. False means dropped.
 	Send(to int, m Message) bool
@@ -25,13 +26,15 @@ type Transport interface {
 	// from, or heard named with an address, in the last
 	// Config.sightTTL() periods.
 	Members(now int) []int
-	// AwaitQuiet hands every message sent so far to deliver, in send
-	// order, including the ones handling them sends in turn, and returns
-	// once none is left — the session's barrier between phases. Datagrams
+	// AwaitQuiet hands queued messages to deliver in arrival order, the
+	// session's hand-over between phases. In-process the queue is in send
+	// order and AwaitQuiet drains it, including the messages handling them
+	// sends in turn, returning once none is left — a barrier. Datagrams
 	// crossing sockets cannot be held back or counted, so the UDP
-	// transport returns at once, and Node.Run waits half a period between
-	// planning and serving instead. m points into the transport's queue
-	// and is valid only until deliver returns: deliver may read it and
-	// keep what its fields point to, never m itself.
+	// transport hands over what had arrived when it was called, and
+	// Node.Run waits half a period between planning and serving instead,
+	// handing datagrams over as they arrive. m is valid only until deliver
+	// returns: deliver may read it and keep what its fields point to,
+	// never m itself.
 	AwaitQuiet(deliver func(to int, m *Message))
 }

@@ -21,14 +21,19 @@ import (
 // The transport is also the socket path's membership table: an address
 // book that learns peer addresses from the source address of every
 // datagram a peer sends and from the (id, addr) pairs piggybacked on
-// membership gossip, which it fills in on encode and strips on decode —
+// membership gossip, which it fills in on encode and strips on hand-over —
 // peers keep talking in small integer IDs on both transports — and
 // forgets a peer nothing has been heard of for ttl periods (Members).
+//
+// The read loop only reads: it decodes each datagram and queues it with
+// its source address on inbox. Everything else — the book, Send, Members
+// and the hand-over that learns from what the loop queued — belongs to the
+// goroutine that runs the node's session, so the book takes no lock.
 type udpTransport struct {
 	self    int
 	conn    *net.UDPConn
 	local   string // the bound address, rendered once
-	inbox   chan Message
+	inbox   chan datagram
 	closed  atomic.Bool
 	dropped atomic.Int64
 
@@ -41,18 +46,24 @@ type udpTransport struct {
 	epoch   time.Time
 	delayed delayQueue
 
-	mu   sync.RWMutex
 	book map[int]bookEntry
 	ttl  int
 	// swept is the period of the latest Members call.
 	swept int
 }
 
+// datagram is one decoded frame the read loop queued, with the address it
+// came from.
+type datagram struct {
+	src netip.AddrPort
+	m   Message
+}
+
 // bookEntry is one peer's address on file, with the string form gossip
 // annotations carry rendered once per change rather than once per send.
 // heard marks an entry a datagram has reported since the last Members
 // call, which turns the mark into seen, the period of that call: the
-// read loop knows no clock, so a joiner's handshake-time entries are
+// hand-over knows no clock, so a joiner's handshake-time entries are
 // stamped with the period the handshake synced it to. An entry is silent
 // when it is neither heard nor seen at the latest call — nothing reported
 // it since the sweep before that one — and only a silent entry's address
@@ -72,9 +83,9 @@ type bookEntry struct {
 const maxBook = 8192
 
 // newUDPTransport binds listen ("host:port"; port 0 picks a free one)
-// and starts the read loop. The returned transport's inbox is the peer's
-// receive channel, capacity inboxCap with drop-on-overflow; ttl is how
-// many periods an unheard-of peer stays in the book.
+// and starts the read loop. The inbox holds inboxCap datagrams not yet
+// handed over, with drop-on-overflow; ttl is how many periods an
+// unheard-of peer stays in the book.
 func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
@@ -88,7 +99,7 @@ func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, err
 		self:  self,
 		conn:  conn,
 		local: conn.LocalAddr().String(),
-		inbox: make(chan Message, inboxCap),
+		inbox: make(chan datagram, inboxCap),
 		book:  make(map[int]bookEntry),
 		ttl:   ttl,
 		epoch: time.Now(),
@@ -114,23 +125,42 @@ func (t *udpTransport) setShaper(s *Shaper) {
 // LocalAddr returns the bound socket address ("ip:port").
 func (t *udpTransport) LocalAddr() string { return t.local }
 
-// Inbox returns the receive channel the read loop delivers into.
-func (t *udpTransport) Inbox() chan Message { return t.inbox }
-
 // Dropped returns how many decoded messages were discarded because the
 // inbox was full — the socket path's equivalent of the in-process drops.
 func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
-// AwaitQuiet implements Transport; datagrams in flight cannot be counted.
-func (t *udpTransport) AwaitQuiet(func(int, *Message)) {}
+// AwaitQuiet implements Transport: it hands over the datagrams queued when
+// it is called, and no more — datagrams in flight cannot be counted, and
+// what arrives meanwhile waits for the next call.
+func (t *udpTransport) AwaitQuiet(deliver func(to int, m *Message)) {
+	for n := len(t.inbox); n > 0; n-- {
+		t.handOver(<-t.inbox, deliver)
+	}
+}
+
+// handOver learns the sender's address from the datagram's source and the
+// gossiped (id, addr) pairs from the frame, then hands deliver the
+// transport-clean message.
+func (t *udpTransport) handOver(d datagram, deliver func(to int, m *Message)) {
+	m := &d.m
+	t.learn(m.From, d.src)
+	for i, g := range m.Gossip {
+		if m.GossipAddrs == nil || m.GossipAddrs[i] == "" {
+			continue
+		}
+		if ap, err := netip.ParseAddrPort(m.GossipAddrs[i]); err == nil {
+			t.learn(g, ap)
+		}
+	}
+	m.GossipAddrs = nil
+	deliver(t.self, m)
+}
 
 // Members implements Transport on the address book: the node itself, the
 // bootstrap address (ID 0 — losing the source ends the session, not the
 // membership) and every entry heard of within ttl periods of now. Older
 // entries leave the book, which is what lets a full one learn again.
 func (t *udpTransport) Members(now int) []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.swept = now
 	ids := append(make([]int, 0, len(t.book)+2), t.self)
 	if t.self != 0 {
@@ -183,15 +213,8 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 	// One form per address whatever socket family reported it: a
 	// dual-stack socket shows IPv4 peers as IPv4-mapped IPv6.
 	addr = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
-	t.mu.RLock()
 	e, known := t.book[id]
-	t.mu.RUnlock()
-	if known && e.addr == addr && e.heard {
-		return // the steady state: every datagram re-reports a known address
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, known = t.book[id]; !known && len(t.book) >= maxBook {
+	if !known && len(t.book) >= maxBook {
 		return // full: no new peer until Members expires some
 	}
 	if e.addr != addr {
@@ -213,7 +236,6 @@ func (t *udpTransport) Send(to int, m Message) bool {
 	if t.closed.Load() {
 		return false
 	}
-	t.mu.RLock()
 	dst, ok := t.book[to]
 	var addrs []string
 	if ok && len(m.Gossip) > 0 {
@@ -226,7 +248,6 @@ func (t *udpTransport) Send(to int, m Message) bool {
 			}
 		}
 	}
-	t.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -270,11 +291,10 @@ func (t *udpTransport) Close() error {
 	return err
 }
 
-// readLoop decodes datagrams into the inbox, learning the sender's
-// address from every packet and the gossiped (id, addr) pairs from the
-// frame before handing the peer a transport-clean message. Malformed
-// datagrams are dropped silently: over UDP anyone can write to the
-// socket, and the codec's strict bounds checks are the defence.
+// readLoop decodes datagrams into the inbox with their source addresses,
+// dropping them when it is full; the hand-over learns from them. Malformed
+// datagrams are dropped silently: over UDP anyone can write to the socket,
+// and the codec's strict bounds checks are the defence.
 func (t *udpTransport) readLoop() {
 	buf := make([]byte, maxFrame)
 	for {
@@ -289,18 +309,8 @@ func (t *udpTransport) readLoop() {
 		if err != nil || m.From == t.self {
 			continue
 		}
-		t.learn(m.From, src)
-		for i, g := range m.Gossip {
-			if m.GossipAddrs == nil || m.GossipAddrs[i] == "" {
-				continue
-			}
-			if ap, err := netip.ParseAddrPort(m.GossipAddrs[i]); err == nil {
-				t.learn(g, ap)
-			}
-		}
-		m.GossipAddrs = nil
 		select {
-		case t.inbox <- m:
+		case t.inbox <- datagram{src, m}:
 		default:
 			t.dropped.Add(1)
 		}

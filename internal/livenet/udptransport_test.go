@@ -44,25 +44,66 @@ func TestDelayQueueOrder(t *testing.T) {
 	}
 }
 
+// hear hands tr a datagram from src stamped From id the way the read loop
+// queues one, through the delivery path that learns from it.
+func hear(t *testing.T, tr *udpTransport, id int, src netip.AddrPort) {
+	t.Helper()
+	handed := 0
+	tr.handOver(datagram{src, Message{From: id, Kind: msgBye}}, func(to int, m *Message) {
+		if to != tr.self || m.From != id || m.GossipAddrs != nil {
+			t.Fatalf("handed %+v to %d for a datagram from %d", m, to, id)
+		}
+		handed++
+	})
+	if handed != 1 {
+		t.Fatalf("a datagram was handed over %d times", handed)
+	}
+}
+
+// awaitHandOver waits until one of trs has a datagram queued and returns
+// which one and what its delivery path handed the peer. The peer is never
+// handed transport addresses.
+func awaitHandOver(t *testing.T, what string, trs ...*udpTransport) (*udpTransport, Message) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, tr := range trs {
+			var got []Message
+			tr.AwaitQuiet(func(_ int, m *Message) { got = append(got, *m) })
+			if len(got) > 1 {
+				t.Fatalf("%s: %d datagrams handed over, want 1", what, len(got))
+			}
+			if len(got) == 1 {
+				if got[0].GossipAddrs != nil {
+					t.Fatalf("%s: the peer was handed transport addresses: %v", what, got[0].GossipAddrs)
+				}
+				return tr, got[0]
+			}
+		}
+	}
+	t.Fatalf("%s never arrived", what)
+	return nil, Message{}
+}
+
 // TestAddressBook checks the address book's single form per address
 // (IPv4-mapped IPv6 sources unmap), its refusal of self, negative and
 // off-ring IDs, and the maxBook bound that still refreshes known peers
 // (a new address once the entry has gone silent, see
-// TestAddressBookIgnoresSpoofedSource).
+// TestAddressBookIgnoresSpoofedSource) — learning from datagram sources
+// through the delivery path.
 func TestAddressBook(t *testing.T) {
 	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.learn(3, netip.MustParseAddrPort("[::ffff:127.0.0.1]:4000"))
+	hear(t, tr, 3, netip.MustParseAddrPort("[::ffff:127.0.0.1]:4000"))
 	if e := tr.book[3]; e.text != "127.0.0.1:4000" || !e.addr.Addr().Is4() {
 		t.Fatalf("mapped source stored as %+v, want the plain IPv4 form", e)
 	}
-	tr.learn(7, netip.MustParseAddrPort("127.0.0.1:4001"))
-	tr.learn(-1, netip.MustParseAddrPort("127.0.0.1:4002"))
-	tr.learn(ringSpace, netip.MustParseAddrPort("127.0.0.1:4002"))
-	tr.learn(5, netip.AddrPort{})
+	hear(t, tr, 7, netip.MustParseAddrPort("127.0.0.1:4001"))
+	hear(t, tr, -1, netip.MustParseAddrPort("127.0.0.1:4002"))
+	hear(t, tr, ringSpace, netip.MustParseAddrPort("127.0.0.1:4002"))
+	hear(t, tr, 5, netip.AddrPort{})
 	if len(tr.book) != 1 {
 		t.Fatalf("book holds %d entries after self, negative, off-ring and invalid learns, want 1", len(tr.book))
 	}
@@ -73,15 +114,15 @@ func TestAddressBook(t *testing.T) {
 		t.Fatalf("Learn with a host name: err=%v entry=%+v", err, tr.book[4])
 	}
 	for id := 100; len(tr.book) < maxBook; id++ {
-		tr.learn(id, netip.MustParseAddrPort("127.0.0.1:5000"))
+		hear(t, tr, id, netip.MustParseAddrPort("127.0.0.1:5000"))
 	}
-	tr.learn(9999, netip.MustParseAddrPort("127.0.0.1:5001"))
+	hear(t, tr, 9999, netip.MustParseAddrPort("127.0.0.1:5001"))
 	if _, ok := tr.book[9999]; ok {
 		t.Fatal("a full book learned a new peer")
 	}
 	tr.Members(0)
 	tr.Members(1) // nothing heard of peer 3 since the sweep before: silent
-	tr.learn(3, netip.MustParseAddrPort("127.0.0.1:4999"))
+	hear(t, tr, 3, netip.MustParseAddrPort("127.0.0.1:4999"))
 	if tr.book[3].text != "127.0.0.1:4999" {
 		t.Fatalf("a full book did not refresh a known peer: %+v", tr.book[3])
 	}
@@ -114,17 +155,13 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 		}
 	}
 	// hearFrom sends a datagram stamped From the victim and waits until the
-	// node has read it (the read loop learns before it delivers).
+	// node's delivery path has handed it over (it learns before it hands).
 	hearFrom := func(from *udpTransport, what string) {
 		t.Helper()
 		if !from.Send(self, Message{From: victim, Kind: msgBye}) {
 			t.Fatalf("%s: send failed", what)
 		}
-		select {
-		case <-tr.Inbox():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s never arrived", what)
-		}
+		awaitHandOver(t, what, tr)
 	}
 	// reaches sends to the victim's ID and reports which socket got it.
 	seq := segment.ID(0)
@@ -134,21 +171,11 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 		if !tr.Send(victim, Message{From: self, Kind: msgData, Seg: seq}) {
 			t.Fatal("no address on file for the victim")
 		}
-		select {
-		case m := <-real.Inbox():
-			if m.Seg != seq {
-				t.Fatalf("the real socket got segment %d, want %d", m.Seg, seq)
-			}
-			return real
-		case m := <-spoofer.Inbox():
-			if m.Seg != seq {
-				t.Fatalf("the spoofer got segment %d, want %d", m.Seg, seq)
-			}
-			return spoofer
-		case <-time.After(10 * time.Second):
-			t.Fatal("the send to the victim never arrived anywhere")
-			return nil
+		at, m := awaitHandOver(t, "the send to the victim", real, spoofer)
+		if m.Seg != seq {
+			t.Fatalf("segment %d arrived, want %d", m.Seg, seq)
 		}
+		return at
 	}
 
 	hearFrom(real, "the real peer's datagram")
@@ -227,13 +254,8 @@ func TestUDPMembersView(t *testing.T) {
 	if !from.Send(7, Message{From: 3, Kind: msgBye, Gossip: []int{21, 22}}) {
 		t.Fatal("send failed")
 	}
-	select {
-	case m := <-tr.Inbox():
-		if m.GossipAddrs != nil {
-			t.Fatalf("the peer was handed transport addresses: %v", m.GossipAddrs)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the datagram never arrived")
+	if _, m := awaitHandOver(t, "the datagram", tr); !slices.Equal(m.Gossip, []int{21, 22}) {
+		t.Fatalf("the peer was handed gossip %v, want [21 22]", m.Gossip)
 	}
 	for _, now := range []int{5, 5 + testTTL} {
 		if got := tr.Members(now); !slices.Equal(got, []int{0, 3, 7, 21}) {
