@@ -34,7 +34,6 @@ func bindProtocolFlags(fs *flag.FlagSet, cfg *livenet.Config) {
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "policy randomness seed")
 	fs.BoolVar(&cfg.Engine, "engine", cfg.Engine, "dissemination engine (push + EDF serve + carry queues)")
 	fs.BoolVar(&cfg.Repair, "repair", cfg.Repair, "mesh repair, and rescue of urgent holes from a ring-hashed peer's buffer")
-	fs.BoolVar(&cfg.Resync, "resync", cfg.Resync, "continuous clock re-sync from peer period stamps")
 	fs.IntVar(&cfg.RetryPeriods, "retry", cfg.RetryPeriods, "pull/rescue retry window in periods")
 	fs.IntVar(&cfg.PushHops, "pushhops", cfg.PushHops, "push depth (0 = pull-only)")
 }

@@ -167,9 +167,6 @@ func runManifest(l *launcher, path string, defTail int) {
 		"-periods", fmt.Sprint(m.Periods),
 		"-period", dur.String(),
 		"-seed", fmt.Sprint(m.Seed),
-		// Boolean flags must be one token: "-resync true" would end
-		// flag parsing at the bare word.
-		fmt.Sprintf("-resync=%v", !m.NoResync),
 	}
 	// An unset manifest field leaves livenode's own default in force.
 	if m.Retry > 0 {

@@ -124,10 +124,8 @@ type roundArena struct {
 
 	// walks holds the pre-fetch route stage's outcomes for this index
 	// range — node × segment × replica order, consumed by the claim stage
-	// in the same round — and route is the stage's walk scratch, whose
-	// Stale list the stage's reduce evicts.
+	// in the same round.
 	walks []prefetch.Walk
-	route dht.RouteScratch
 }
 
 // predictCtx carries the per-node state the hoisted Urgent Line exclusion

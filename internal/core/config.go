@@ -112,22 +112,12 @@ type Config struct {
 	Profile Profile
 	// Seed drives all randomness.
 	Seed uint64
-	// DHTRepairIntervalRounds is how often (in scheduling periods) every
-	// node actively repairs its DHT peer levels — evicting dead entries
-	// and refilling vacant arcs from alive members — so greedy routing
-	// (and with it the pre-fetch continuity backstop) survives sustained
-	// churn. 0 disables active repair and leaves only the passive
-	// overheard-traffic renewal, the pre-repair behaviour.
-	DHTRepairIntervalRounds int
 	// WarmupRounds is how long after joining a node is excluded from the
 	// warm continuity metric (metrics.RoundSample.ContinuityWarm): a
 	// joiner needs a round or two of catch-up before its misses say
 	// anything about dissemination quality. It only affects reporting,
 	// never scheduling.
 	WarmupRounds int
-	// RoutingMessageBits is the wire size of one DHT routing message
-	// (paper: 10 bytes = 80 bits).
-	RoutingMessageBits int64
 	// Workers caps the worker-pool width of the parallel round phases;
 	// <= 0 selects GOMAXPROCS. The sharded pipeline's shard count is fixed
 	// independently of this, so results are bit-identical for a fixed seed
@@ -150,19 +140,17 @@ type Config struct {
 func DefaultConfig(n int) Config {
 	d := protocol.Default()
 	return Config{
-		Nodes:                   n,
-		Params:                  d.Params,
-		H:                       d.H,
-		Stream:                  segment.DefaultStream(),
-		Tau:                     sim.Second,
-		Bandwidth:               bandwidth.DefaultProfile(),
-		PlaybackDelayRounds:     7,
-		PlaybackDelaySegments:   65,
-		Profile:                 ProfileContinuStreaming(),
-		Seed:                    1,
-		DHTRepairIntervalRounds: d.DHTRepairIntervalRounds,
-		WarmupRounds:            d.WarmupRounds,
-		RoutingMessageBits:      80,
+		Nodes:                 n,
+		Params:                d.Params,
+		H:                     d.H,
+		Stream:                segment.DefaultStream(),
+		Tau:                   sim.Second,
+		Bandwidth:             bandwidth.DefaultProfile(),
+		PlaybackDelayRounds:   7,
+		PlaybackDelaySegments: 65,
+		Profile:               ProfileContinuStreaming(),
+		Seed:                  1,
+		WarmupRounds:          d.WarmupRounds,
 	}
 }
 
@@ -195,14 +183,8 @@ func (c Config) Validate() error {
 	if err := c.Churn.Validate(); err != nil {
 		return err
 	}
-	if c.RoutingMessageBits <= 0 {
-		return fmt.Errorf("core: non-positive routing message size %d", c.RoutingMessageBits)
-	}
 	if c.PlaybackDelaySegments < 0 {
 		return fmt.Errorf("core: negative playback delay %d segments", c.PlaybackDelaySegments)
-	}
-	if c.DHTRepairIntervalRounds < 0 {
-		return fmt.Errorf("core: negative DHT repair interval %d", c.DHTRepairIntervalRounds)
 	}
 	if c.WarmupRounds < 0 {
 		return fmt.Errorf("core: negative warmup rounds %d", c.WarmupRounds)

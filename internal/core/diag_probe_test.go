@@ -13,7 +13,7 @@ import (
 
 // TestDiagTail runs the heterogeneous dynamic PC_new configuration with
 // env-var knob overrides and prints the stable-tail continuity (DIAG=1,
-// optional SRCDEG / DISTRESS / COOLDOWN / REPAIR integer overrides).
+// optional SRCDEG / DISTRESS / COOLDOWN integer overrides).
 func TestDiagTail(t *testing.T) {
 	if os.Getenv("DIAG") == "" {
 		t.Skip("set DIAG=1 to run the diagnostic probe")
@@ -33,7 +33,6 @@ func TestDiagTail(t *testing.T) {
 	cfg.SourceDegreeTarget = envInt("SRCDEG", cfg.SourceDegreeTarget)
 	cfg.Maintenance.MaxDistressReplacements = envInt("DISTRESS", cfg.Maintenance.MaxDistressReplacements)
 	cfg.Maintenance.ReplaceCooldownRounds = envInt("COOLDOWN", cfg.Maintenance.ReplaceCooldownRounds)
-	cfg.DHTRepairIntervalRounds = envInt("REPAIR", cfg.DHTRepairIntervalRounds)
 	if v := os.Getenv("THRESH"); v != "" {
 		fmt.Sscanf(v, "%f", &cfg.Maintenance.LowSupplyThreshold)
 	}
@@ -43,9 +42,9 @@ func TestDiagTail(t *testing.T) {
 	}
 	sim.NewEngine(w, cfg.Tau).Run(40)
 	cont := w.Collector().ContinuitySeries()
-	fmt.Printf("tail10=%.4f srcdeg=%d distress=%d cooldown=%d repair=%d thresh=%.2f\n",
+	fmt.Printf("tail10=%.4f srcdeg=%d distress=%d cooldown=%d thresh=%.2f\n",
 		cont.TailMean(10), cfg.SourceDegreeTarget, cfg.Maintenance.MaxDistressReplacements,
-		cfg.Maintenance.ReplaceCooldownRounds, cfg.DHTRepairIntervalRounds, cfg.Maintenance.LowSupplyThreshold)
+		cfg.Maintenance.ReplaceCooldownRounds, cfg.Maintenance.LowSupplyThreshold)
 }
 
 // TestDiagChurnTrack (DIAG=1) prints per-round health of the dynamic
@@ -124,11 +123,9 @@ func TestDiagChurnTrack(t *testing.T) {
 					covered = true
 				}
 				from := w.Nodes()[(r*31+off*7+i)%w.Size()]
-				var sc dht.RouteScratch
-				if res := w.dhtNet.RouteTo(dht.ID(from), key, &sc); res.Success {
+				if res := w.dhtNet.RouteTo(dht.ID(from), key, nil); res.Success {
 					routeOK++
 				}
-				w.dhtNet.EvictStale(sc.Stale)
 			}
 			if covered {
 				segCovered++

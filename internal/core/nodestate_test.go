@@ -21,8 +21,10 @@ import (
 // tag the window advance failed to wipe would, one buffer length ahead of
 // the segment it was set for; buffer.TestTrackMatchesMapReference holds the
 // tracker's own arrays to account); the Peer Table's DHT levels are the
-// table the DHT routes through; and the DHT's membership bitmap and the
-// slots of the ping table that hold a ping are the alive set.
+// table the DHT routes through, and every level is vacant or names an
+// alive node (the repair phase has swept out what churn left, so the next
+// round's walks meet no dead entry); and the DHT's membership bitmap and
+// the slots of the ping table that hold a ping are the alive set.
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	edge := w.fetchEdge(w.round)
@@ -60,6 +62,11 @@ func checkNodeState(t *testing.T, w *World) {
 
 		if n.Table.DHT() != w.dhtNet.Table(dht.ID(id)) {
 			t.Fatalf("round %d node %d: the Peer Table's DHT levels are not the table the network routes through", w.round, id)
+		}
+		for _, p := range n.Table.DHT().Peers() {
+			if !w.dhtNet.Alive(p) {
+				t.Fatalf("round %d node %d: DHT level names departed node %d", w.round, id, p)
+			}
 		}
 
 		lo := n.seg.Lo()

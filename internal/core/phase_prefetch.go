@@ -10,6 +10,10 @@ import (
 	"continustreaming/internal/sim"
 )
 
+// routingMessageBits is the wire size of one DHT routing message (paper:
+// 10 bytes).
+const routingMessageBits = 80
+
 // worldDirectory adapts the world to the prefetch.Directory interface:
 // whether a ring node holds a backup and how much outbound it can still
 // spare this round.
@@ -61,9 +65,8 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 	}
 	if w.retr == nil {
 		w.retr = &prefetch.Retriever{
-			Space:    w.space,
+			Net:      w.dhtNet,
 			Replicas: w.cfg.Replicas,
-			Router:   w.dhtNet,
 			Dir:      worldDirectory{w},
 			Scratch:  &w.retrScratch,
 		}
@@ -97,7 +100,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 	sample.LookupAttempts += int64(len(results))
 	ar := &w.arenas[w.shardOf(n.ID)]
 	for _, res := range results {
-		sample.PrefetchRoutingBits += int64(res.RoutingMessages) * w.cfg.RoutingMessageBits
+		sample.PrefetchRoutingBits += int64(res.RoutingMessages) * routingMessageBits
 		if !res.Found {
 			// Classify the failure — the repair pipeline's health
 			// telemetry: routing rot, replica loss, and capacity
@@ -122,7 +125,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 				w.addOutUsed(w.source, 1)
 				n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 				sample.SourceRescues++
-				sample.PrefetchRoutingBits += w.cfg.RoutingMessageBits
+				sample.PrefetchRoutingBits += routingMessageBits
 				direct := w.Latency(n.ID, w.source)
 				transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
 				at := start + 2*direct + transfer + direct
@@ -156,14 +159,11 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 // the claim stage, whose overhearing renews those same levels, starts
 // after the last walk has ended. So a walk's outcome does not depend on
 // when in the stage it runs, and every claim of the round sees routes
-// walked over the tables as the round found them. Shard
-// r appends its nodes' walks to its own arena in node × segment × replica
-// order, where the claim stage reads them back with a cursor. A walk
-// that meets a dead forwarding entry steps over it — to exactly the hop
-// that evicting it and retrying would reach — and lists it; the reduce
-// evicts the listed entries in shard order. Eviction is idempotent, so
-// entries listed by several walks cost nothing and the tables leave the
-// phase without any dead entry a walk met, whatever the worker count.
+// walked over the tables as the round found them. Shard r appends its
+// nodes' walks to its own arena in node × segment × replica order, where
+// the claim stage reads them back with a cursor; the stage has nothing
+// to reduce. The last round's repair phase has swept every table after
+// churn, so no level a walk reads names a departed node.
 func (w *World) routePrefetch(plans []prefetch.Decision) {
 	retr := w.retr
 	w.ensureArenas()
@@ -171,18 +171,15 @@ func (w *World) routePrefetch(plans []prefetch.Decision) {
 		func(r int) struct{} {
 			ar := &w.arenas[r]
 			ar.walks = ar.walks[:0]
-			ar.route.Stale = ar.route.Stale[:0]
 			lo, hi := sim.ShardRange(len(plans), phaseShards, r)
 			for i := lo; i < hi; i++ {
 				if plans[i].Triggered {
-					ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed, &ar.route)
+					ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed)
 				}
 			}
 			return struct{}{}
 		},
-		func(r int, _ struct{}) {
-			w.dhtNet.EvictStale(w.arenas[r].route.Stale)
-		})
+		func(int, struct{}) {})
 }
 
 // overhearRoute feeds routing-path observations into peer tables: each

@@ -172,20 +172,14 @@ func forwardingTables(w *World) map[dht.ID][]dht.ID {
 
 // TestPrefetchPipelineDeterministicAcrossWorkerCounts steps a 600-node
 // world under churn at Workers 1 and 4 in lockstep. The route stage runs
-// its walks in whatever order the pool schedules them and evicts dead
-// forwarding entries only afterwards, so beyond the samples the test
-// compares what that could disturb: every forwarding table, after every
-// round. It also insists the run had lookups to route and dead entries to
-// evict.
+// its walks in whatever order the pool schedules them, so beyond the
+// samples the test compares the tables they read: every forwarding
+// table, after every round. It also insists the run had lookups to route.
 func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	const nodes, rounds = 600, 24
 	build := func(workers int) (*World, *sim.Engine) {
 		cfg := smallConfig(nodes, ProfileContinuStreaming())
 		cfg.Churn = churn.DefaultConfig()
-		// At the default cadence the repair phase sweeps every table every
-		// round, so no walk ever meets a dead entry; repairing every third
-		// round leaves the walks of the rounds between something to evict.
-		cfg.DHTRepairIntervalRounds = 3
 		cfg.Workers = workers
 		w, err := NewWorld(cfg)
 		if err != nil {
@@ -196,7 +190,6 @@ func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	w1, e1 := build(1)
 	w4, e4 := build(4)
 	var lookups int64
-	evictions := 0
 	for r := 0; r < rounds; r++ {
 		e1.Run(1)
 		e4.Run(1)
@@ -208,21 +201,17 @@ func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("round %d: forwarding tables diverge between 1 and 4 workers", r)
 		}
 		lookups += s1[r].LookupAttempts
-		for s := range w4.arenas {
-			evictions += len(w4.arenas[s].route.Stale)
-		}
 	}
-	if lookups == 0 || evictions == 0 {
-		t.Fatalf("run exercised %d lookups and %d stale entries; need both", lookups, evictions)
+	if lookups == 0 {
+		t.Fatal("run routed no lookup")
 	}
 }
 
 // TestRouteStageAllocationFree pins the route stage's steady state on a
-// warmed static world: its walk and stale arenas are grow-only, so a
-// repeat of the stage costs the fixed price of a sim.MapReduce fan-out
-// (the per-shard RNG streams and the two capturing closures) and not one
-// allocation more. The stage only reads the world, so re-running it on
-// the same plans is a faithful repeat.
+// warmed static world: its walk arenas are grow-only, so a repeat of the
+// stage costs the fixed price of a sim.MapReduce fan-out (the capturing
+// closures) and not one allocation more. The stage only reads the world,
+// so re-running it on the same plans is a faithful repeat.
 func TestRouteStageAllocationFree(t *testing.T) {
 	cfg := smallConfig(400, ProfileContinuStreaming())
 	cfg.Workers = 1

@@ -42,7 +42,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.PrefetchLimit = 0 },
 		func(c *Config) { c.PlaybackDelayRounds = 0 },
 		func(c *Config) { c.THop = 0 },
-		func(c *Config) { c.RoutingMessageBits = 0 },
 		func(c *Config) { c.Stream.Rate = 0 },
 		func(c *Config) { c.Stream.Rate = 65 }, // past the push planner's one-word frontier
 		func(c *Config) { c.Bandwidth.MeanIn = 0 },

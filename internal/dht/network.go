@@ -98,9 +98,9 @@ func (n *Network) FillTable(t *Table, rng *sim.RNG) {
 	}
 }
 
-// Leave removes a node. Other nodes' tables may still point at it; routing
-// treats dead next-hops as failures unless the caller repairs tables, which
-// mirrors reality and is what makes query success dip below 1.0 under churn.
+// Leave removes a node. Other nodes' tables may still point at it until
+// RepairTable evicts the entry; RouteTo steps over such a dead next hop to
+// the best alive closer peer, so a walk fails only when none is left.
 func (n *Network) Leave(id ID) {
 	if !n.Alive(id) {
 		return
@@ -186,41 +186,30 @@ type RouteOutcome struct {
 	Success bool
 }
 
-// StaleHop names a forwarding-table entry a walk found dead: node At's
-// table still lists Peer, which has left.
-type StaleHop struct {
-	At, Peer ID
-}
-
 // RouteScratch is reusable routing state a caller threads through
 // repeated RouteTo calls. Zero value is ready to use. With RecordPath
 // set, each RouteTo resets and refills Path in place, so the recorded
 // path is valid only until the next RouteTo with the same scratch;
-// callers that retain paths must copy them out. Stale is append-only:
-// the caller drains it with EvictStale and resets it.
+// callers that retain paths must copy them out.
 type RouteScratch struct {
 	// RecordPath enables path recording into Path.
 	RecordPath bool
 	// Path holds the last recorded walk, origin first.
 	Path []ID
-	// Stale accumulates every dead entry the walks stepped over.
-	Stale []StaleHop
 }
 
 // RouteTo performs greedy clockwise routing from the alive node from
 // toward key target, walking real peer tables. A dead peer is stepped
 // over — the walk takes the best alive closer peer, which is the one an
-// evict-and-retry would reach — and listed in sc.Stale; if no alive
-// closer peer remains, routing stops there. The walk is bounded by
-// 4·log₂N + 4 hops (comfortably above the appendix bound of
-// 2.41·log₂N) as a defensive guard against table corruption.
+// evict-and-retry would reach — and stays in the table until RepairTable
+// evicts it; if no alive closer peer remains, routing stops there. The
+// walk is bounded by 4·log₂N + 4 hops (comfortably above the appendix
+// bound of 2.41·log₂N) as a defensive guard against table corruption.
 //
 // RouteTo writes nothing but sc, so routes with distinct scratches may
-// run concurrently; the dead entries stay in the tables until the caller
-// passes the collected list to EvictStale. It allocates nothing: sc may
-// be nil when the caller needs neither the path nor the stale list, and
-// a warm scratch's buffers are reused across calls. This is the routing
-// core the round pipeline's pre-fetch and rescue paths run on.
+// run concurrently. It allocates nothing: sc may be nil when the caller
+// needs no path, and a warm scratch's buffer is reused across calls.
+// This is the routing core the round pipeline's pre-fetch path runs on.
 func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	record := sc != nil && sc.RecordPath
 	if record {
@@ -237,9 +226,6 @@ func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 		d := n.space.Clockwise(cur, target)
 		next, level := t.hopAtOrBelow(d, bits.Len(uint(d)))
 		for level != 0 && !n.Alive(next) {
-			if sc != nil {
-				sc.Stale = append(sc.Stale, StaleHop{At: cur, Peer: next})
-			}
 			next, level = t.hopAtOrBelow(d, level-1)
 		}
 		if level == 0 {
@@ -259,16 +245,4 @@ func (n *Network) RouteTo(from, target ID, sc *RouteScratch) RouteOutcome {
 	owner, ok := n.Owner(target)
 	out.Success = ok && owner == cur
 	return out
-}
-
-// EvictStale removes the listed dead entries from their forwarding
-// tables. Entries already gone (listed by several walks) or whose peer
-// ID is a member again are left alone, so applying a list twice changes
-// nothing.
-func (n *Network) EvictStale(stale []StaleHop) {
-	for _, h := range stale {
-		if t := n.Table(h.At); t != nil && !n.Alive(h.Peer) {
-			t.Evict(h.Peer)
-		}
-	}
 }

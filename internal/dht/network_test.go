@@ -174,11 +174,13 @@ func TestRouteToDeadOriginFails(t *testing.T) {
 	}
 }
 
-func TestRouteEvictsDeadPeers(t *testing.T) {
+// TestRouteSkipsDeadPeers kills a third of the nodes without repairing
+// anyone's tables: no walk may pass through a dead node, and some must
+// still succeed.
+func TestRouteSkipsDeadPeers(t *testing.T) {
 	s := NewSpace(256)
 	net := buildNetwork(t, s, 64, 17)
 	rng := sim.DeriveRNG(17, 3)
-	// Kill a third of the nodes without repairing anyone's tables.
 	ids := append([]ID(nil), net.IDs()...)
 	for i, id := range ids {
 		if i%3 == 0 && net.Size() > 2 {
@@ -190,8 +192,7 @@ func TestRouteEvictsDeadPeers(t *testing.T) {
 	sc := RouteScratch{RecordPath: true}
 	for q := 0; q < queries; q++ {
 		from := net.IDs()[rng.Intn(net.Size())]
-		target := ID(rng.Intn(s.N()))
-		res := net.RouteTo(from, target, &sc)
+		res := net.RouteTo(from, ID(rng.Intn(s.N())), &sc)
 		if res.Success {
 			succ++
 		}
@@ -199,13 +200,6 @@ func TestRouteEvictsDeadPeers(t *testing.T) {
 			if !net.Alive(hop) {
 				t.Fatal("routed through a dead node")
 			}
-		}
-		// Evict-and-retry: with the dead entries gone, the same walk
-		// arrives at the same node and steps over nothing.
-		net.EvictStale(sc.Stale)
-		sc.Stale = sc.Stale[:0]
-		if again := net.RouteTo(from, target, &sc); again != res || len(sc.Stale) != 0 {
-			t.Fatalf("after eviction %+v with %d stale hops, before %+v", again, len(sc.Stale), res)
 		}
 	}
 	if succ == 0 {

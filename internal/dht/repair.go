@@ -26,9 +26,8 @@ func (s *RepairStats) Add(o RepairStats) {
 // the passive overheard-traffic renewal — under sustained churn the
 // overheard stream alone cannot keep log N levels alive, and greedy
 // routing (and with it the pre-fetch continuity backstop) degrades until
-// someone repairs the tables. Leave's doc comment has always said routing
-// treats dead next-hops as failures "unless the caller repairs tables";
-// this is that caller.
+// someone repairs the tables. RouteTo steps over a dead entry without
+// evicting it; this sweep is what evicts one.
 //
 // The sweep touches only t and reads the shared membership, so
 // disjoint tables may be repaired concurrently as long as membership does

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRepairRestoresLookupSuccess is the repair counterpart to
-// TestRouteEvictsDeadPeers: kill a third of the members without telling
+// TestRouteSkipsDeadPeers: kill a third of the members without telling
 // anyone, measure query success, run one repair sweep, and require
 // success to recover to near-perfect.
 func TestRepairRestoresLookupSuccess(t *testing.T) {
@@ -23,14 +23,11 @@ func TestRepairRestoresLookupSuccess(t *testing.T) {
 	success := func() float64 {
 		const queries = 500
 		succ := 0
-		var sc RouteScratch
 		for q := 0; q < queries; q++ {
 			from := net.IDs()[rng.Intn(net.Size())]
-			if res := net.RouteTo(from, ID(rng.Intn(s.N())), &sc); res.Success {
+			if res := net.RouteTo(from, ID(rng.Intn(s.N())), nil); res.Success {
 				succ++
 			}
-			net.EvictStale(sc.Stale)
-			sc.Stale = sc.Stale[:0]
 		}
 		return float64(succ) / queries
 	}

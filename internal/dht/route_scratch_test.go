@@ -28,7 +28,6 @@ func churnedNetwork(t testing.TB, space Space, n int, seed uint64) *Network {
 // adds to a walk, across clean and churned walks: the path starts at the
 // origin, ends at the outcome's final node and is one node longer than
 // the hop count, and recording changes nothing about the outcome.
-// (TestRouteEvictsDeadPeers covers the stale list.)
 func TestRouteToRecordedPathMatchesOutcome(t *testing.T) {
 	s := NewSpace(1024)
 	net := churnedNetwork(t, s, 512, 7)

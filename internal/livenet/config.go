@@ -43,15 +43,6 @@ type Config struct {
 	// double-requested; under heavy loss keep it tight so dropped grants
 	// re-fire quickly.
 	RetryPeriods int
-	// Resync enables continuous clock re-sync on the socket path: every
-	// wire message carries the sender's period stamp, and a node that
-	// finds itself behind the period its links vouch for at a tick (the
-	// second-highest linked stamp, see Stats.BehindPeriods) jumps its
-	// period counter forward (and re-phases its ticker). Without it a
-	// node's clock is synced exactly once, by the bootstrap handshake —
-	// the PR 5 drift gap. DefaultConfig enables it; an in-process session
-	// ignores it (one ticker drives every peer's clock).
-	Resync bool
 	// Engine enables the dissemination engine (push + EDF serve + carry
 	// queues); off, suppliers keep the published pull-only round-robin
 	// discipline. Repair enables mesh repair and the rescue path (a
@@ -94,7 +85,6 @@ func DefaultConfig() Config {
 		RetryPeriods:       2,
 		Engine:             true,
 		Repair:             true,
-		Resync:             true,
 		Seed:               1,
 	}
 	// The root's edges are where fresh segments enter the mesh; the
@@ -160,8 +150,8 @@ func (c Config) posFor(period int) segment.ID {
 	return 0
 }
 
-// inboxCap sizes a peer's inbox from that peer's own fan-in, not from the
-// population. Per period a peer hears one map per neighbour (adoption is
+// inboxCap sizes a UDP node's inbox from that node's own fan-in, not from
+// the population. Per period a peer hears one map per neighbour (adoption is
 // bidirectional, so a degree runs to about twice its target), no more
 // asks than it could grant or carry (its 2·O backlog horizon — what lies
 // beyond is evicted on arrival anyway), and the data it asked for (its

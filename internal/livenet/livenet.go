@@ -69,15 +69,14 @@ type Stats struct {
 	AsksReceived  int64
 	GrantsSent    int64
 	GrantsEvicted int64
-	// Loss accounting, separable by mechanism so a CI gate (or a human
-	// reading the stats line) can tell WAN loss from local overload:
-	// TransportDropped counts messages discarded because the receiving
-	// inbox was full (on the socket path the node's own, on the
-	// in-process path any peer's), ShapeDropped datagrams the traffic
+	// Loss accounting on the socket path, separable by mechanism so a CI
+	// gate (or a human reading the stats line) can tell WAN loss from
+	// local overload: TransportDropped counts datagrams discarded because
+	// the node's inbox was full, ShapeDropped datagrams the traffic
 	// shaper consumed as injected link loss, ShapeDelayed datagrams it
 	// released late (latency, jitter or bandwidth queueing). Resyncs
-	// counts clock re-anchor jumps taken (see Config.Resync). The shaper
-	// and re-sync figures are zero on the in-process path.
+	// counts clock re-anchor jumps taken. All four are zero on the
+	// in-process path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64
@@ -87,10 +86,9 @@ type Stats struct {
 	// period stamp its linked neighbours have sent (the one link's, with
 	// one link; an unlinked sender's stamp never counts, so no single
 	// frame can move it) — the liveness drift a stalled node accumulates.
-	// With Resync on, a node is behind for at most the tick that
-	// re-anchors it; without, a stall leaves it behind (playing late
-	// against a deep buffer, so local continuity alone cannot see it) for
-	// the rest of the run.
+	// A node is behind only until re-sync re-anchors it; without re-sync
+	// a stall would leave it behind (playing late against a deep buffer,
+	// so local continuity alone cannot see it) for the rest of the run.
 	BehindPeriods int
 }
 
@@ -224,7 +222,7 @@ func (s *session) spawn(id int, isSource bool, openAt segment.ID, joinPeriod int
 
 // join registers the next peer on the in-process transport and spawns it.
 func (s *session) join(isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	return s.spawn(s.nw.register(s.cfg.inboxCap(isSource)), isSource, openAt, joinPeriod)
+	return s.spawn(s.nw.register(), isSource, openAt, joinPeriod)
 }
 
 // kill takes a peer off the in-process transport without a goodbye: what
@@ -342,12 +340,9 @@ func (s *session) serve(period int) {
 }
 
 // result returns the session's stats. The socket transport's own counters
-// are Node.Run's to add; the in-process one's drops are counted here.
+// are Node.Run's to add.
 func (s *session) result() Stats {
 	stats := s.stats
-	if s.nw != nil {
-		stats.TransportDropped = s.nw.dropped
-	}
 	if s.playing > 0 {
 		stats.Continuity = float64(s.continuous) / float64(s.playing)
 	}

@@ -37,9 +37,6 @@ type Manifest struct {
 	// flake replays exactly.
 	Seed      uint64 `json:"seed,omitempty"`
 	ShapeSeed uint64 `json:"shapeSeed,omitempty"`
-	// NoResync disables the continuous clock re-sync (Config.Resync),
-	// reproducing the drift-prone pre-resync behaviour for A/B runs.
-	NoResync bool `json:"noResync,omitempty"`
 	// Retry overrides Config.RetryPeriods (0 = livenode's default);
 	// PushHops, when non-nil, overrides the push depth (explicit 0 =
 	// pull-only, the WAN acceptance scenario's configuration).

@@ -143,7 +143,7 @@ func TestParseManifestRejects(t *testing.T) {
 func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(manifestExample))
 	hops := 1
-	written, err := json.Marshal(Manifest{Periods: 40, Period: "200ms", Seed: 3, ShapeSeed: 9, NoResync: true, Retry: 2, PushHops: &hops, Groups: []ManifestGroup{
+	written, err := json.Marshal(Manifest{Periods: 40, Period: "200ms", Seed: 3, ShapeSeed: 9, Retry: 2, PushHops: &hops, Groups: []ManifestGroup{
 		{Name: "src", Count: 1, Source: true},
 		{Name: "stalled", Count: 3, Shape: "rate=1mbit", StallAt: 10, StallFor: 3, MinTail: 0.5, Tail: 8},
 		{Name: "late", Count: 2, JoinAt: 5, ExitAt: 30},

@@ -68,28 +68,17 @@ type Message struct {
 // scaled to one process. It belongs to the one goroutine that drives the
 // session: Send appends to a single queue in send order and returns, and
 // AwaitQuiet hands the queue over, so the order messages are handled in
-// is the order they were sent, whatever the host's scheduler does. Sends
-// are non-blocking — a saturated or dead receiver drops the message, and
-// the protocol's retry/repair paths are what recover, exactly as over UDP
-// (the drop model udpTransport mirrors).
+// is the order they were sent, whatever the host's scheduler does. The
+// queue is drained after every phase call, so it holds one call's sends
+// and needs no bound. A send to a departed peer is dropped, and the
+// protocol's retry/repair paths are what recover, exactly as over UDP.
 type network struct {
-	// boxes is the registry by peer ID.
-	boxes []mailbox
+	// live is the registry by peer ID: true while the ID is registered.
+	live []bool
 	// queue holds the messages sent and not yet handed over, in send
 	// order, from head on.
 	queue []envelope
 	head  int
-	// dropped counts messages discarded because the receiver already had
-	// its inbox's worth queued — overload made visible; a vanished
-	// receiver is churn, not a drop.
-	dropped int64
-}
-
-// mailbox is one registered ID's share of the queue: cap messages at
-// most, queued of them there now. cap is 0 for an ID no longer
-// registered.
-type mailbox struct {
-	cap, queued int
 }
 
 // envelope is one queued message and its receiver.
@@ -100,33 +89,26 @@ type envelope struct {
 
 func newNetwork() *network { return &network{} }
 
-// register allocates the next peer ID (one past the last), with room for
-// inboxCap (at least 1) queued messages.
-func (nw *network) register(inboxCap int) int {
-	nw.boxes = append(nw.boxes, mailbox{cap: inboxCap})
-	return len(nw.boxes) - 1
+// register allocates the next peer ID (one past the last).
+func (nw *network) register() int {
+	nw.live = append(nw.live, true)
+	return len(nw.live) - 1
 }
 
 // unregister removes a departed peer; sends to it fail from now on, which
 // is how the rest of the mesh eventually notices.
 func (nw *network) unregister(id int) {
-	nw.boxes[id].cap = 0
+	nw.live[id] = false
 }
 
 // Send queues m for peer to and returns; false means the receiver is gone
-// or saturated and the message was dropped. It never hands a message over
-// itself: the sender may be in the middle of handling one, and what it
-// sends waits its turn behind everything sent before it.
+// and the message was dropped. It never hands a message over itself: the
+// sender may be in the middle of handling one, and what it sends waits
+// its turn behind everything sent before it.
 func (nw *network) Send(to int, m Message) bool {
-	if to < 0 || to >= len(nw.boxes) || nw.boxes[to].cap == 0 {
+	if to < 0 || to >= len(nw.live) || !nw.live[to] {
 		return false
 	}
-	b := &nw.boxes[to]
-	if b.queued >= b.cap {
-		nw.dropped++
-		return false
-	}
-	b.queued++
 	nw.queue = append(nw.queue, envelope{to, m})
 	return true
 }
@@ -138,9 +120,7 @@ func (nw *network) AwaitQuiet(deliver func(to int, m *Message)) {
 	for nw.head < len(nw.queue) {
 		i := nw.head
 		nw.head++
-		to := nw.queue[i].to
-		nw.boxes[to].queued--
-		deliver(to, &nw.queue[i].m)
+		deliver(nw.queue[i].to, &nw.queue[i].m)
 		// Cleared by index, not through the pointer handed over: the
 		// handler's sends may have moved the queue, and the slot that
 		// outlives this call is the one in the current backing array.
@@ -151,9 +131,9 @@ func (nw *network) AwaitQuiet(deliver func(to int, m *Message)) {
 
 // Members implements Transport: the registry in ID order, whatever the period.
 func (nw *network) Members(int) []int {
-	out := make([]int, 0, len(nw.boxes))
-	for id, b := range nw.boxes {
-		if b.cap > 0 {
+	out := make([]int, 0, len(nw.live))
+	for id, live := range nw.live {
+		if live {
 			out = append(out, id)
 		}
 	}

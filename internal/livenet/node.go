@@ -196,13 +196,11 @@ run:
 			// node's only link (peer.networkPeriod).
 			if seen := p.networkPeriod(); seen > period {
 				behind++
-				if cfg.Resync {
-					seen = min(seen, periods-1)
-					nc.Logf("resync: period %d -> %d", period, seen)
-					period = seen
-					resyncs++
-					ticker.Reset(cfg.Period)
-				}
+				seen = min(seen, periods-1)
+				nc.Logf("resync: period %d -> %d", period, seen)
+				period = seen
+				resyncs++
+				ticker.Reset(cfg.Period)
 			}
 			if nc.ExitAt > 0 && period >= nc.ExitAt {
 				// Abrupt scripted failure: drop off the network mid-stream.

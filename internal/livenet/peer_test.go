@@ -346,7 +346,7 @@ func TestPeriodAllocations(t *testing.T) {
 	nw := newNetwork()
 	var ids []int
 	for i := 0; i <= nbrs; i++ {
-		ids = append(ids, nw.register(256))
+		ids = append(ids, nw.register())
 	}
 	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0)
 	members := ringMembers(p.space, ids)

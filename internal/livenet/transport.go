@@ -6,8 +6,8 @@ package livenet
 // queue (network) and the UDP transport (udpTransport), which crosses
 // real process boundaries. Both share the drop model the protocol is
 // built against: Send never blocks, and false means the message was
-// dropped — receiver gone, inbox saturated, or (over sockets) the address
-// unknown — leaving recovery to the retry and repair paths.
+// dropped — receiver gone or (over sockets) the address unknown —
+// leaving recovery to the retry and repair paths.
 //
 // Receiving is one rule on both: the transport queues what arrives, and
 // AwaitQuiet hands it over to the session on the session's goroutine,

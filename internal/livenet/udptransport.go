@@ -11,12 +11,12 @@ import (
 )
 
 // udpTransport carries Messages across process boundaries as one wire
-// frame per UDP datagram. It keeps the in-process transport's drop model
-// exactly: Send never blocks and returns false when the message cannot
-// be delivered — no address on file, a socket error, or (on the receive
-// side) a saturated inbox, where the datagram is discarded just as the
-// in-process transport discards past a receiver's inbox share. Loss recovery stays
-// where the protocol puts it: retry, repair and rescue.
+// frame per UDP datagram. It keeps the in-process transport's drop model:
+// Send never blocks and returns false when the message cannot be
+// delivered — no address on file or a socket error — and on the receive
+// side a datagram that finds the inbox full is discarded (Dropped counts
+// it). Loss recovery stays where the protocol puts it: retry, repair and
+// rescue.
 //
 // The transport is also the socket path's membership table: an address
 // book that learns peer addresses from the source address of every

@@ -214,7 +214,7 @@ func buildRing(t *testing.T, space dht.Space, ids []dht.ID) *dht.Network {
 // locate is Algorithm 2 end to end for one segment: route, then choose.
 func locate(r *Retriever, from dht.ID, id segment.ID) LookupResult {
 	missed := []segment.ID{id}
-	return r.Choose(missed, r.RouteAll(nil, from, missed, nil))[0]
+	return r.Choose(missed, r.RouteAll(nil, from, missed))[0]
 }
 
 func TestRetrieverPicksHighestRateHolder(t *testing.T) {
@@ -240,7 +240,7 @@ func TestRetrieverPicksHighestRateHolder(t *testing.T) {
 	dir.rates[owners[0]] = 3.0
 	dir.backups[owners[1]] = map[segment.ID]bool{segID: true}
 	dir.rates[owners[1]] = 9.0
-	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
+	r := &Retriever{Net: net, Replicas: 4, Dir: dir}
 	res := locate(r, ids[0], segID)
 	if !res.Found {
 		t.Fatal("segment not found")
@@ -264,7 +264,7 @@ func TestRetrieverNotFound(t *testing.T) {
 	}
 	net := buildRing(t, space, ids)
 	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
-	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir}
+	r := &Retriever{Net: net, Replicas: 4, Dir: dir}
 	res := locate(r, ids[0], 123)
 	if res.Found || res.Held {
 		t.Fatalf("segment nobody holds: Found=%v Held=%v", res.Found, res.Held)
@@ -296,11 +296,11 @@ func TestRouteAllConcurrent(t *testing.T) {
 	}
 	net := buildRing(t, space, ids)
 	dir := &fakeDirectory{backups: map[dht.ID]map[segment.ID]bool{}, rates: map[dht.ID]float64{}}
-	r := &Retriever{Space: space, Replicas: 4, Router: net, Dir: dir, Scratch: &Scratch{}}
+	r := &Retriever{Net: net, Replicas: 4, Dir: dir, Scratch: &Scratch{}}
 	missed := []segment.ID{3, 7, 9, 40, 41}
 	want := make([][]Walk, len(ids))
 	for i, from := range ids {
-		want[i] = r.RouteAll(nil, from, missed, nil)
+		want[i] = r.RouteAll(nil, from, missed)
 		if len(want[i]) != len(missed)*r.Replicas {
 			t.Fatalf("RouteAll returned %d walks for %d segments x %d replicas", len(want[i]), len(missed), r.Replicas)
 		}
@@ -312,9 +312,8 @@ func TestRouteAllConcurrent(t *testing.T) {
 	for g := 0; g < workers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			var sc dht.RouteScratch
 			for i := g; i < len(ids); i += workers {
-				got[i] = r.RouteAll(nil, ids[i], missed, &sc)
+				got[i] = r.RouteAll(nil, ids[i], missed)
 			}
 		}(g)
 	}

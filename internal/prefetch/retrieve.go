@@ -7,12 +7,6 @@ import (
 	"continustreaming/internal/segment"
 )
 
-// Router is the DHT routing substrate Algorithm 2 runs on: one greedy
-// walk from an alive node toward a ring key. *dht.Network implements it.
-type Router interface {
-	RouteTo(from, key dht.ID, sc *dht.RouteScratch) dht.RouteOutcome
-}
-
 // Directory answers what Algorithm 2's routed messages discover at the arc
 // owner: whether it holds the wanted segment in its VoD backup, and the
 // sending rate it can spare for a direct UDP transfer.
@@ -64,15 +58,15 @@ type Scratch struct {
 	results []LookupResult
 }
 
-// Retriever executes Algorithm 2 against a Router and Directory, in two
+// Retriever executes Algorithm 2 against a DHT and a Directory, in two
 // steps: RouteAll walks the DHT, Choose asks the located owners. The
 // split lets a caller route for many nodes at once — walks only read the
 // overlay — and keep the order-sensitive supplier choice sequential.
 type Retriever struct {
-	Space dht.Space
+	// Net is the DHT the hashed lookups walk.
+	Net *dht.Network
 	// Replicas is k, the number of hashed backup keys per segment.
 	Replicas int
-	Router   Router
 	Dir      Directory
 	// Scratch makes Choose allocation-free in the steady state (see the
 	// Scratch reuse contract). Nil is a fresh scratch per Choose call,
@@ -83,14 +77,13 @@ type Retriever struct {
 // RouteAll runs the k hashed lookups of every missed segment from node
 // from and appends their outcomes to dst, Replicas per segment in
 // missed × replica-index order. It reads the Retriever's configuration
-// and writes only dst and sc, so any number of RouteAll calls may run
-// concurrently given a dst and sc each. sc may be nil; otherwise the
-// dead forwarding entries the walks stepped over accumulate in sc.Stale
-// for the caller to evict.
-func (r *Retriever) RouteAll(dst []Walk, from dht.ID, missed []segment.ID, sc *dht.RouteScratch) []Walk {
+// and the DHT and writes only dst, so any number of RouteAll calls may
+// run concurrently given a dst each.
+func (r *Retriever) RouteAll(dst []Walk, from dht.ID, missed []segment.ID) []Walk {
+	space := r.Net.Space()
 	for _, id := range missed {
 		for i := 1; i <= r.Replicas; i++ {
-			route := r.Router.RouteTo(from, dht.HashKey(r.Space, id, i), sc)
+			route := r.Net.RouteTo(from, dht.HashKey(space, id, i), nil)
 			w := Walk{owner: -1, hops: int32(route.Hops)}
 			if route.Success {
 				w.owner = int32(route.Final)

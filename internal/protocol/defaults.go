@@ -76,11 +76,9 @@ type Defaults struct {
 	Rate              int
 	OutboundPerPeriod int
 	SourceOutbound    int
-	// DHTRepairIntervalRounds is the simulator's active DHT refresh
-	// cadence and WarmupRounds the post-join exclusion window of its warm
-	// continuity metric.
-	DHTRepairIntervalRounds int
-	WarmupRounds            int
+	// WarmupRounds is the post-join exclusion window of the simulator's
+	// warm continuity metric.
+	WarmupRounds int
 }
 
 // Default returns the protocol defaults. Stream and bandwidth numbers are
@@ -104,12 +102,11 @@ func Default() Defaults {
 			RarityNoise:        0.3,
 			THop:               50 * sim.Millisecond,
 		},
-		H:                       20,
-		Rate:                    segment.DefaultStream().Rate,
-		OutboundPerPeriod:       bw.MeanOut,
-		SourceOutbound:          bw.SourceOut,
-		DHTRepairIntervalRounds: 1,
-		WarmupRounds:            2,
+		H:                 20,
+		Rate:              segment.DefaultStream().Rate,
+		OutboundPerPeriod: bw.MeanOut,
+		SourceOutbound:    bw.SourceOut,
+		WarmupRounds:      2,
 	}
 }
 

@@ -17,9 +17,6 @@
 //   - Membership maintenance — SCAMP-style membership gossip picks
 //     (GossipPicks) and the paper's neighbour maintenance rules with
 //     distress-scaled low-supply replacement (PlanRewire).
-//   - DHT upkeep — refresh cadence (RepairDue) and the backup
-//     re-evaluation trigger when a node's believed successor moves
-//     (SuccessorMoved), which stops replica decay under arc reshuffle.
 //   - Fresh-segment push — breadth-first eager forwarding plans for newly
 //     generated segments (PlanPushMask), the dissemination engine's answer to
 //     the pull-epidemic depth gap at 8000+ nodes.
