@@ -204,7 +204,7 @@ func runManifest(l *launcher, path string, defTail int) {
 		procs = append(procs, p)
 		if n.StallAt > 0 {
 			// Scripted clock stall: freeze the process kernel-side for
-			// StallFor periods, then resume it — its ticker misses those
+			// StallFor periods, then resume it — its period clock misses those
 			// periods, the drift the continuous re-sync re-anchors.
 			stallWG.Add(1)
 			go func(p *proc, at, dur time.Duration) {

@@ -8,8 +8,8 @@ import (
 )
 
 // The stall script freezes a livenode kernel-side: SIGSTOP suspends the
-// whole process (its ticker keeps firing into the void), SIGCONT
-// resumes it with its period counter behind real time.
+// whole process (its period deadlines pass unseen), SIGCONT resumes
+// it with its period counter behind real time.
 var (
 	sigStop os.Signal = syscall.SIGSTOP
 	sigCont os.Signal = syscall.SIGCONT

@@ -103,7 +103,15 @@ func (c Config) Validate() error {
 	}
 	joins := 0 // in-process IDs go out in order: joiners need ring positions too
 	for _, ev := range c.Churn {
-		joins += max(0, ev.Join)
+		switch {
+		case ev.Period < 0:
+			return fmt.Errorf("livenet: churn event at negative period %d", ev.Period)
+		case !(ev.KillFraction >= 0 && ev.KillFraction <= 1): // NaN too
+			return fmt.Errorf("livenet: churn kill fraction %v outside [0, 1]", ev.KillFraction)
+		case ev.Join < 0:
+			return fmt.Errorf("livenet: churn event joins %d peers", ev.Join)
+		}
+		joins += ev.Join
 	}
 	switch {
 	case c.Peers < 0:

@@ -141,7 +141,7 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 // in-process queue; Node.Run hosts its one peer over UDP. What differs
 // between the two is the transport's answers — who is a member, and
 // whether a phase's messages can be handed over before the next phase —
-// and what only a socket node has: the bootstrap handshake, its ticker and
+// and what only a socket node has: the bootstrap handshake, its clock and
 // re-sync, datagrams handed over as they arrive, and the half-period wait
 // between plan and serve that stands in for a barrier no socket can give.
 type session struct {

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,11 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"audience past the ring", func(c *Config) {
 			c.Peers, c.Churn = maxReceivers-3, []ChurnEvent{{Period: 5, Join: 2}, {Period: 9, Join: 2}}
 		}},
+		{"negative kill fraction", func(c *Config) { c.Churn = []ChurnEvent{{Period: 5, KillFraction: -0.1}} }},
+		{"kill fraction past one", func(c *Config) { c.Churn = []ChurnEvent{{Period: 5, KillFraction: 1.5}} }},
+		{"NaN kill fraction", func(c *Config) { c.Churn = []ChurnEvent{{Period: 5, KillFraction: math.NaN()}} }},
+		{"negative join", func(c *Config) { c.Churn = []ChurnEvent{{Period: 5, Join: -1}} }},
+		{"churn at a negative period", func(c *Config) { c.Churn = []ChurnEvent{{Period: -1, Join: 1}} }},
 	}
 	for _, c := range bad {
 		cfg := DefaultConfig()

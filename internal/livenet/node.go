@@ -78,7 +78,7 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr.setShaper(NewShaper(profile, nc.ShapeSeed, nc.ID))
+	tr.shaper = NewShaper(profile, nc.ShapeSeed, nc.ID)
 	if nc.LogEvery <= 0 {
 		nc.LogEvery = 10
 	}
@@ -106,32 +106,35 @@ const (
 // session period count is reached (period numbering is shared across
 // processes: the source starts at 0 and joiners sync to the RP's clock
 // in the bootstrap handshake). It hosts the node's one peer in a session
-// over the socket, on the calling goroutine: the transport's read loop
-// and, when shaped, its delay sender are the node's only other goroutines,
-// and neither touches the peer or the address book. What Run adds is a
-// socket node's own: the handshake, the ticker and its re-sync, the
-// scripted exit, and the half-period wait before serving — three clocks
-// waited on in one select, which hands datagrams over as they arrive. It
-// blocks until the node drains, the scripted ExitAt fires, or ctx is
-// cancelled.
+// over the socket, on the calling goroutine: the transport's read loop is
+// the node's only other goroutine, and it touches neither the peer, the
+// address book nor the shaper. What Run adds is a socket node's own: the
+// handshake, the period clock and its re-sync, the scripted exit, and the
+// half-period wait before serving. Its deadlines — the bootstrap retry,
+// the next tick, the serve and the earliest frame the shaper holds back —
+// share one timer, waited on in one select that also hands datagrams over
+// as they arrive. Each wake-up reads the clock once, stamps the transport
+// with it and releases the frames due by then before it handles its
+// event. Run blocks until the node drains, the scripted ExitAt fires, or
+// ctx is cancelled.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
 	cfg, nc := n.cfg, n.nc
 	s := hostSession(cfg, n.tr)
 
-	// The three clocks, created stopped; a nil channel is a clock not
-	// running. The bootstrap retry runs until the RP's ConnectOK arrives,
-	// the period ticker from then on, and the half-period timer between a
-	// period's plan and its serve, while the ticker's channel keeps any
-	// tick that falls in between.
-	var retry, tick, half <-chan time.Time
-	retryTimer, halfTimer, ticker := time.NewTimer(time.Hour), time.NewTimer(time.Hour), time.NewTicker(time.Hour)
-	retryTimer.Stop()
-	halfTimer.Stop()
-	ticker.Stop()
-	defer retryTimer.Stop()
-	defer halfTimer.Stop()
-	defer ticker.Stop()
+	// The deadlines, zero when not set: the bootstrap retry until the RP's
+	// ConnectOK arrives, the next tick from then on, and the serve half a
+	// period after each tick's plan. A tick waits while a serve is set, so
+	// one that falls due in between fires once the serve is done; armed is
+	// the deadline the timer is set for, zero when it is not.
+	var retryAt, tickAt, serveAt, armed time.Time
+	timer := time.NewTimer(time.Hour) // armed for real on the first pass
+	defer timer.Stop()
+	// stamp is a wake-up's one clock reading, handed to the transport.
+	var now time.Time
+	stamp := func() { now = time.Now(); n.tr.advance(now) }
+	due := func(d time.Time) bool { return !d.IsZero() && !now.Before(d) }
+	stamp()
 
 	var p *peer
 	start, period, attempt, behind, resyncs := 0, 0, 0, 0, 0
@@ -143,8 +146,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	var backlog []Message
 	if nc.Source {
 		p = s.spawn(0, true, 0, 0)
-		tick = ticker.C
-		ticker.Reset(cfg.Period)
+		tickAt = now.Add(cfg.Period)
 	} else {
 		// Bootstrap handshake: Connect to the RP, again every bootstrapTick,
 		// until its ConnectOK arrives (see join).
@@ -160,69 +162,91 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 			}
 		}
 		n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
-		retry = retryTimer.C
-		retryTimer.Reset(bootstrapTick)
+		retryAt = now.Add(bootstrapTick)
 	}
 
 run:
 	for ctx.Err() == nil && (p == nil || period < periods) {
+		clock := tickAt
+		if !serveAt.IsZero() {
+			clock = serveAt
+		}
+		if wake := earliest(retryAt, clock, n.tr.delayed.next()); !wake.Equal(armed) {
+			// Stop and drain before Reset: a timer channel holds one stale
+			// fire until it is read (a stray one wakes the loop, which
+			// finds nothing due and re-arms).
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(wake.Sub(now))
+			armed = wake
+		}
 		select {
 		case <-ctx.Done():
 		case d := <-n.tr.inbox:
+			stamp()
 			n.tr.handOver(d, deliver)
 			if p == nil && hello != nil {
 				start = int(hello.Deadline) + 1
 				p = n.join(s, start, hello, backlog)
 				period, deliver = start, s.deliverFn
-				retryTimer.Stop()
-				retry, tick = nil, ticker.C
-				ticker.Reset(cfg.Period)
+				retryAt, tickAt = time.Time{}, now.Add(cfg.Period)
 			}
-		case <-retry:
-			if attempt++; attempt >= bootstrapAttempts {
-				return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
+		case <-timer.C:
+			armed = time.Time{}
+			stamp()
+			switch {
+			case due(retryAt):
+				if attempt++; attempt >= bootstrapAttempts {
+					return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
+				}
+				n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+				retryAt = now.Add(bootstrapTick)
+			case due(serveAt):
+				serveAt = time.Time{}
+				s.serve(period)
+				if period%nc.LogEvery == 0 {
+					nc.Logf("period %d: links=%d, played %d of %d periods", period, len(p.nbrs), s.continuous, s.playing)
+				}
+				period++
+			case serveAt.IsZero() && due(tickAt):
+				// The next tick keeps the clock's phase, and the ticks a
+				// stall missed collapse into this one.
+				tickAt = tickAt.Add((now.Sub(tickAt)/cfg.Period + 1) * cfg.Period)
+				n.tr.AwaitQuiet(deliver) // the stamps that have arrived
+				// Clock re-sync: if the period the node's links vouch for is
+				// ahead of its counter, the node missed ticks (scheduler stall,
+				// loss-delayed handshake, slow period work) — jump forward and
+				// re-phase the clock at the new anchor. In steady state the
+				// stamps match the local counter and no jump happens; stamps
+				// behind ours (a slower peer's) never move the clock backwards,
+				// and one link's stamp alone never moves it unless it is the
+				// node's only link (peer.networkPeriod).
+				if seen := p.networkPeriod(); seen > period {
+					behind++
+					seen = min(seen, periods-1)
+					nc.Logf("resync: period %d -> %d", period, seen)
+					period = seen
+					resyncs++
+					tickAt = now.Add(cfg.Period)
+				}
+				if nc.ExitAt > 0 && period >= nc.ExitAt {
+					// Abrupt scripted failure: drop off the network mid-stream.
+					n.tr.Close()
+					break run
+				}
+				// Plan at the tick, serve half a period later: the temporal
+				// stand-in for the hand-over the in-process queue makes between
+				// phases. A node cannot see what is in flight across real
+				// sockets, so the planning phases run back to back and this
+				// period's requests get half a period to reach their suppliers
+				// before the serve phase drains them.
+				s.plan(period)
+				serveAt = now.Add(cfg.Period / 2)
 			}
-			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
-			retryTimer.Reset(bootstrapTick)
-		case <-tick:
-			n.tr.AwaitQuiet(deliver) // the stamps that have arrived
-			// Clock re-sync: if the period the node's links vouch for is
-			// ahead of its counter, the node missed ticks (scheduler stall,
-			// loss-delayed handshake, slow period work) — jump forward and
-			// re-phase the ticker at the new anchor. In steady state the
-			// stamps match the local counter and no jump happens; stamps
-			// behind ours (a slower peer's) never move the clock backwards,
-			// and one link's stamp alone never moves it unless it is the
-			// node's only link (peer.networkPeriod).
-			if seen := p.networkPeriod(); seen > period {
-				behind++
-				seen = min(seen, periods-1)
-				nc.Logf("resync: period %d -> %d", period, seen)
-				period = seen
-				resyncs++
-				ticker.Reset(cfg.Period)
-			}
-			if nc.ExitAt > 0 && period >= nc.ExitAt {
-				// Abrupt scripted failure: drop off the network mid-stream.
-				n.tr.Close()
-				break run
-			}
-			// Plan at the tick, serve half a period later: the temporal
-			// stand-in for the hand-over the in-process queue makes between
-			// phases. A node cannot see what is in flight across real
-			// sockets, so the planning phases run back to back and this
-			// period's requests get half a period to reach their suppliers
-			// before the serve phase drains them.
-			s.plan(period)
-			tick, half = nil, halfTimer.C
-			halfTimer.Reset(cfg.Period / 2)
-		case <-half:
-			tick, half = ticker.C, nil
-			s.serve(period)
-			if period%nc.LogEvery == 0 {
-				nc.Logf("period %d: links=%d, played %d of %d periods", period, len(p.nbrs), s.continuous, s.playing)
-			}
-			period++
 		}
 	}
 	if p == nil {
@@ -237,6 +261,17 @@ run:
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
 	nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, stats.TransportDropped)
 	return stats, nil
+}
+
+// earliest returns the earliest of the set deadlines, zero when none is.
+func earliest(deadlines ...time.Time) time.Time {
+	var e time.Time
+	for _, d := range deadlines {
+		if !d.IsZero() && (e.IsZero() || d.Before(e)) {
+			e = d
+		}
+	}
+	return e
 }
 
 // join builds a joiner's peer once the bootstrap handshake has synced its

@@ -134,10 +134,10 @@ func TestUDPSessionKillRecovery(t *testing.T) {
 }
 
 // TestNodeStartsOnlyIOGoroutines: a socket node's session runs on the
-// goroutine that calls Run. A running source (shaped, so its delay sender
-// runs too) and two running receivers add no goroutines beyond each node's
-// Run, its read loop and the source's delay sender — the socket twin of
-// TestInProcessSessionStartsNoGoroutines.
+// goroutine that calls Run, and so does the release of what its shaper
+// delays. A running source (shaped) and two running receivers add no
+// goroutines beyond each node's Run and its read loop — the socket twin
+// of TestInProcessSessionStartsNoGoroutines.
 func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Peers = 2
@@ -156,7 +156,7 @@ func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 		}
 		nodes = append(nodes, node)
 	}
-	const allowed = 3*2 + 1 // Run and the read loop per node, the source's delay sender
+	const allowed = 3 * 2 // Run and the read loop per node
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	stats := make([]Stats, len(nodes))
@@ -177,8 +177,9 @@ func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 		case <-done:
 			sampling = false
 		case <-time.After(cfg.Period / 4):
-			// The sampler and the waiter above are the test's own.
-			peak = max(peak, runtime.NumGoroutine()-before-2)
+			// The waiter above is the test's own; the sampler is the
+			// test's goroutine, counted in before.
+			peak = max(peak, runtime.NumGoroutine()-before-1)
 		}
 	}
 	if peak > allowed {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"continustreaming/internal/sim"
@@ -165,19 +163,16 @@ type linkShaper struct {
 }
 
 // Shaper applies one ShapeProfile to every egress link of one node,
-// with an isolated deterministic RNG stream per destination. It is safe
-// for concurrent use; per-link decision sequences are serialised by the
-// shaper lock (a node's sends to one destination are ordered anyway).
+// with an isolated deterministic RNG stream per destination. Like the
+// address book it belongs to the goroutine that runs the node's session,
+// which makes every Send, so it takes no lock.
 type Shaper struct {
 	profile ShapeProfile
 	seed    uint64
 	src     int
+	links   map[int]*linkShaper
 
-	mu    sync.Mutex
-	links map[int]*linkShaper
-
-	dropped atomic.Int64
-	delayed atomic.Int64
+	dropped, delayed int64
 }
 
 // NewShaper builds the egress shaper for node src. A zero profile
@@ -199,7 +194,7 @@ func (s *Shaper) Dropped() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.dropped.Load()
+	return s.dropped
 }
 
 // Delayed returns how many datagrams left late (latency, jitter or
@@ -208,19 +203,18 @@ func (s *Shaper) Delayed() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.delayed.Load()
+	return s.delayed
 }
 
 // Shape decides the fate of a size-byte datagram sent to dst at link
-// time now (any monotonic clock; the transport uses time-since-start,
-// the determinism tests a synthetic schedule). It consumes the link's
-// RNG stream and token bucket, so identical call sequences against
-// identical seeds produce identical fates.
+// time now (any monotonic clock; the transport uses its latest clock
+// stamp less its first, the determinism tests a synthetic schedule). It
+// consumes the link's RNG stream and token bucket, so identical call
+// sequences against identical seeds produce identical fates.
 func (s *Shaper) Shape(dst int, size int, now time.Duration) Fate {
 	if s == nil {
 		return Fate{}
 	}
-	s.mu.Lock()
 	l, ok := s.links[dst]
 	if !ok {
 		l = &linkShaper{
@@ -231,11 +225,10 @@ func (s *Shaper) Shape(dst int, size int, now time.Duration) Fate {
 		s.links[dst] = l
 	}
 	f := l.decide(s.profile, size, now)
-	s.mu.Unlock()
 	if f.Drop {
-		s.dropped.Add(1)
+		s.dropped++
 	} else if f.Delay > 0 {
-		s.delayed.Add(1)
+		s.delayed++
 	}
 	return f
 }
@@ -261,15 +254,19 @@ func (l *linkShaper) decide(p ShapeProfile, size int, now time.Duration) Fate {
 	if p.Rate > 0 {
 		// Refill since the last send, capped at the burst depth; then
 		// spend. A negative balance is the uplink queue: the datagram
-		// departs when its last byte's token would have accrued.
+		// departs when its last byte's token would have accrued. The
+		// bucket's clock moves on only by the time the whole bytes it
+		// credited took, so a fraction of a byte carries over to the next
+		// send: sends closer together than one byte's time still refill.
 		if dt := now - l.tokenTime; dt > 0 {
 			refill := int64(float64(dt) / float64(time.Second) * float64(p.Rate))
-			l.tokens += refill
-			if burst := p.burstBytes(); l.tokens > burst {
-				l.tokens = burst
+			if burst := p.burstBytes(); l.tokens+refill >= burst {
+				l.tokens, l.tokenTime = burst, now
+			} else {
+				l.tokens += refill
+				l.tokenTime = min(now, l.tokenTime+time.Duration(float64(refill)/float64(p.Rate)*float64(time.Second)))
 			}
 		}
-		l.tokenTime = now
 		l.tokens -= int64(size)
 		if l.tokens < 0 {
 			delay += time.Duration(float64(-l.tokens) / float64(p.Rate) * float64(time.Second))

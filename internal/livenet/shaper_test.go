@@ -162,6 +162,28 @@ func TestShaperTokenBucket(t *testing.T) {
 	}
 }
 
+// TestShaperTokenBucketKeepsFractionalCredit sends faster than one byte's
+// time apart, so no gap between two sends accrues a whole byte: each
+// datagram must still wait out the closed-form backlog (bytes sent −
+// burst − Rate·elapsed)/Rate, to within one byte's time. A bucket that
+// drops the fraction at every send never refills and owes more each time.
+func TestShaperTokenBucketKeepsFractionalCredit(t *testing.T) {
+	const rate, burst, size = 100_000, 1000, 100
+	gap := 9 * time.Microsecond // 0.9 bytes of credit per send
+	s := NewShaper(ShapeProfile{Rate: rate, Burst: burst}, 1, 1)
+	byteTime := float64(time.Second) / rate
+	for i := 0; i < 1000; i++ {
+		at := time.Duration(i) * gap
+		fate := s.Shape(2, size, at)
+		backlog := float64((i+1)*size-burst) - rate*at.Seconds()
+		want := max(0, backlog) * byteTime
+		if d := float64(fate.Delay) - want; d < -byteTime || d > byteTime {
+			t.Fatalf("send %d at %v delayed %v, want %v (the backlog of %.1f bytes)",
+				i, at, fate.Delay, time.Duration(want), backlog)
+		}
+	}
+}
+
 func TestShaperReorderSkipsLatency(t *testing.T) {
 	// With reorder certain, every datagram skips the latency queue.
 	profile := ShapeProfile{Latency: 50 * time.Millisecond, Reorder: 1}

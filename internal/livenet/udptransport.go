@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -26,9 +25,11 @@ import (
 // forgets a peer nothing has been heard of for ttl periods (Members).
 //
 // The read loop only reads: it decodes each datagram and queues it with
-// its source address on inbox. Everything else — the book, Send, Members
-// and the hand-over that learns from what the loop queued — belongs to the
-// goroutine that runs the node's session, so the book takes no lock.
+// its source address on inbox. Everything else — the book, Send, the
+// shaper and its delayed frames, Members and the hand-over that learns
+// from what the loop queued — belongs to the goroutine that runs the
+// node's session, so none of it takes a lock. The transport reads no
+// clock: that goroutine stamps it with the time of each wake-up (advance).
 type udpTransport struct {
 	self    int
 	conn    *net.UDPConn
@@ -39,12 +40,13 @@ type udpTransport struct {
 
 	// shaper, when non-nil, injects WAN conditions on the egress path:
 	// seeded per-link loss, latency/jitter, reorder and bandwidth caps
-	// applied between encode and the socket write. epoch anchors the
-	// shaper's link clock (the token buckets run on time-since-bind).
-	// Frames the shaper holds back wait in delayed.
-	shaper  *Shaper
-	epoch   time.Time
-	delayed delayQueue
+	// applied between encode and the socket write. Frames it holds back
+	// wait in delayed until a stamp passes their due time. now is the
+	// latest stamp and epoch the first, so the shaper's link clock (the
+	// token buckets') is now − epoch.
+	shaper     *Shaper
+	epoch, now time.Time
+	delayed    delayQueue
 
 	book map[int]bookEntry
 	ttl  int
@@ -102,23 +104,27 @@ func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, err
 		inbox: make(chan datagram, inboxCap),
 		book:  make(map[int]bookEntry),
 		ttl:   ttl,
-		epoch: time.Now(),
 	}
 	go t.readLoop()
 	return t, nil
 }
 
-// setShaper installs an egress traffic shaper (nil = clean network) and
-// starts the goroutine that releases the frames it delays. Call before
-// the first Send; the transport never swaps shapers while datagrams are
-// in flight.
-func (t *udpTransport) setShaper(s *Shaper) {
-	t.shaper = s
-	if s != nil {
-		t.delayed.wake = make(chan struct{}, 1)
-		t.delayed.done = make(chan struct{})
-		t.delayed.exited = make(chan struct{})
-		go t.delayed.run(t.conn)
+// advance stamps the transport with the owning goroutine's clock reading
+// — the time the sends that follow are shaped at — and writes every
+// delayed frame due by then, in (due, arrival) order.
+func (t *udpTransport) advance(now time.Time) {
+	if t.epoch.IsZero() {
+		t.epoch = now
+	}
+	t.now = now
+	for {
+		f, ok := t.delayed.pop(now)
+		if !ok {
+			return
+		}
+		// A datagram the socket refuses is a datagram the network lost:
+		// nobody is left to tell, and the protocol retries.
+		_, _ = t.conn.WriteToUDPAddrPort(f.frame, f.dst)
 	}
 }
 
@@ -257,7 +263,7 @@ func (t *udpTransport) Send(to int, m Message) bool {
 		return false
 	}
 	if t.shaper != nil {
-		fate := t.shaper.Shape(to, len(frame), time.Since(t.epoch))
+		fate := t.shaper.Shape(to, len(frame), t.now.Sub(t.epoch))
 		if fate.Drop {
 			// Link loss, not a send failure: the datagram left this host
 			// and died in the network, so the sender reports success —
@@ -269,7 +275,7 @@ func (t *udpTransport) Send(to int, m Message) bool {
 			// The frame is freshly allocated per Send, so the queue owns
 			// it. Frames still queued at Close are discarded — the same
 			// silence an in-flight datagram meets when its sender dies.
-			t.delayed.push(time.Now().Add(fate.Delay), frame, dst.addr)
+			t.delayed.push(t.now.Add(fate.Delay), frame, dst.addr)
 			return true
 		}
 	}
@@ -277,18 +283,12 @@ func (t *udpTransport) Send(to int, m Message) bool {
 	return err == nil
 }
 
-// Close shuts the socket down; the read loop and the delay queue exit
-// and Send refuses.
+// Close shuts the socket down; the read loop exits and Send refuses.
 func (t *udpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	err := t.conn.Close()
-	if t.delayed.done != nil {
-		close(t.delayed.done)
-		<-t.delayed.exited
-	}
-	return err
+	return t.conn.Close()
 }
 
 // readLoop decodes datagrams into the inbox with their source addresses,
@@ -326,28 +326,20 @@ type delayedFrame struct {
 }
 
 func (a *delayedFrame) before(b *delayedFrame) bool {
-	if !a.due.Equal(b.due) {
-		return a.due.Before(b.due)
-	}
-	return a.seq < b.seq
+	return a.due.Before(b.due) || a.due.Equal(b.due) && a.seq < b.seq
 }
 
-// delayQueue releases shaped datagrams at their due times: one binary
-// min-heap ordered by (due, arrival) and one goroutine that sleeps until
-// the earliest entry is due — in place of a timer and a goroutine per
-// delayed datagram.
+// delayQueue holds shaped datagrams until their due times: one binary
+// min-heap ordered by (due, arrival). It has no goroutine and no timer of
+// its own: the session goroutine that pushes is the one that pops, and it
+// waits on next among its other deadlines.
 type delayQueue struct {
-	mu   sync.Mutex
 	heap []delayedFrame
 	seq  uint64
-	// wake tells the sender the earliest due time moved up; done stops
-	// it, and exited is closed once it has returned.
-	wake, done, exited chan struct{}
 }
 
 // push queues a frame for release at due.
 func (q *delayQueue) push(due time.Time, frame []byte, dst netip.AddrPort) {
-	q.mu.Lock()
 	q.seq++
 	q.heap = append(q.heap, delayedFrame{due: due, seq: q.seq, frame: frame, dst: dst})
 	i := len(q.heap) - 1
@@ -359,26 +351,20 @@ func (q *delayQueue) push(due time.Time, frame []byte, dst netip.AddrPort) {
 		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
 		i = parent
 	}
-	q.mu.Unlock()
-	if i == 0 {
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// pop removes and returns the earliest frame if it is due at now;
-// otherwise it reports how long until one is (zero when the queue is
-// empty).
-func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool, wait time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// next returns the earliest due time, zero when the queue is empty.
+func (q *delayQueue) next() time.Time {
 	if len(q.heap) == 0 {
-		return f, false, 0
+		return time.Time{}
 	}
-	if wait = q.heap[0].due.Sub(now); wait > 0 {
-		return f, false, wait
+	return q.heap[0].due
+}
+
+// pop removes and returns the earliest frame if it is due at now.
+func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool) {
+	if len(q.heap) == 0 || q.heap[0].due.After(now) {
+		return f, false
 	}
 	f = q.heap[0]
 	last := len(q.heap) - 1
@@ -398,32 +384,5 @@ func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool, wait time.Dura
 		q.heap[i], q.heap[least] = q.heap[least], q.heap[i]
 		i = least
 	}
-	return f, true, 0
-}
-
-// run is the sender goroutine: write everything due, then sleep until the
-// next due time, an earlier arrival, or Close.
-func (q *delayQueue) run(conn *net.UDPConn) {
-	defer close(q.exited)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		f, ok, wait := q.pop(time.Now())
-		if ok {
-			// A datagram the socket refuses is a datagram the network
-			// lost: nobody is left to tell, and the protocol retries.
-			_, _ = conn.WriteToUDPAddrPort(f.frame, f.dst)
-			continue
-		}
-		if wait <= 0 {
-			wait = time.Hour // empty: park until a push wakes us
-		}
-		timer.Reset(wait)
-		select {
-		case <-q.done:
-			return
-		case <-q.wake:
-		case <-timer.C:
-		}
-	}
+	return f, true
 }

@@ -12,28 +12,28 @@ import (
 // TestDelayQueueOrder pins the release order of shaped datagrams: by due
 // time, equal due times in arrival order, and nothing before it is due.
 func TestDelayQueueOrder(t *testing.T) {
-	q := delayQueue{wake: make(chan struct{}, 1)}
+	var q delayQueue
 	t0 := time.Now()
 	dst := netip.MustParseAddrPort("127.0.0.1:9")
 	dues := []time.Duration{30, 10, 10, 20, 10, 5, 30}
 	for i, d := range dues {
 		q.push(t0.Add(d*time.Millisecond), []byte{byte(i)}, dst)
 	}
-	if _, ok, wait := q.pop(t0); ok || wait != 5*time.Millisecond {
-		t.Fatalf("pop before anything is due: ok=%v wait=%v, want a 5ms wait", ok, wait)
+	if _, ok := q.pop(t0); ok || !q.next().Equal(t0.Add(5*time.Millisecond)) {
+		t.Fatalf("pop before anything is due: ok=%v next=%v, want the 5ms frame next", ok, q.next().Sub(t0))
 	}
-	if f, ok, _ := q.pop(t0.Add(7 * time.Millisecond)); !ok || f.frame[0] != 5 {
+	if f, ok := q.pop(t0.Add(7 * time.Millisecond)); !ok || f.frame[0] != 5 {
 		t.Fatalf("pop at 7ms: ok=%v frame=%v, want frame 5", ok, f.frame)
 	}
-	if _, ok, wait := q.pop(t0.Add(7 * time.Millisecond)); ok || wait != 3*time.Millisecond {
-		t.Fatalf("second pop at 7ms: ok=%v wait=%v, want a 3ms wait", ok, wait)
+	if _, ok := q.pop(t0.Add(7 * time.Millisecond)); ok || !q.next().Equal(t0.Add(10*time.Millisecond)) {
+		t.Fatalf("second pop at 7ms: ok=%v next=%v, want the 10ms frames next", ok, q.next().Sub(t0))
 	}
 	var got []byte
 	for {
-		f, ok, wait := q.pop(t0.Add(time.Second))
+		f, ok := q.pop(t0.Add(time.Second))
 		if !ok {
-			if wait != 0 {
-				t.Fatalf("empty queue reports a %v wait", wait)
+			if !q.next().IsZero() {
+				t.Fatalf("empty queue reports a frame due at %v", q.next())
 			}
 			break
 		}
@@ -41,6 +41,68 @@ func TestDelayQueueOrder(t *testing.T) {
 	}
 	if want := []byte{1, 2, 4, 3, 0, 6}; string(got) != string(want) {
 		t.Fatalf("release order %v, want %v (by due time, ties in arrival order)", got, want)
+	}
+}
+
+// TestShapedSendWaitsForRelease stamps a shaped transport's clock by hand:
+// a delayed Send reaches the socket only once a stamp passes its due time,
+// and the frames a stamp releases leave in (due, arrival) order. A twin
+// shaper on the same seed replays the transport's draws to name each
+// frame's delay.
+func TestShapedSendWaitsForRelease(t *testing.T) {
+	const self, to = 1, 2
+	tr, rx := openUDP(t, self), openUDP(t, to)
+	if err := tr.Learn(to, rx.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	profile := ShapeProfile{Latency: 20 * time.Millisecond, Jitter: 15 * time.Millisecond}
+	tr.shaper = NewShaper(profile, 5, self)
+	twin := NewShaper(profile, 5, self)
+
+	type held struct {
+		seg segment.ID
+		due time.Time
+	}
+	var want []held
+	// Sends 100µs apart, all inside the least delay (5ms), so no stamp of
+	// the sending loop releases anything. Any origin: the transport reads
+	// no clock of its own.
+	t0, at := time.Now(), time.Time{}
+	for i := 0; i < 12; i++ {
+		at = t0.Add(time.Duration(i) * 100 * time.Microsecond)
+		tr.advance(at)
+		m := Message{From: self, Kind: msgData, Seg: segment.ID(i)}
+		frame, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fate := twin.Shape(to, len(frame), at.Sub(t0))
+		if !tr.Send(to, m) {
+			t.Fatalf("send %d failed", i)
+		}
+		want = append(want, held{m.Seg, at.Add(fate.Delay)})
+	}
+	slices.SortStableFunc(want, func(a, b held) int { return a.due.Compare(b.due) })
+	for next := 0; next < len(want); at = at.Add(2 * time.Millisecond) {
+		tr.advance(at)
+		for ; next < len(want) && !want[next].due.After(at); next++ {
+			select {
+			case d := <-rx.inbox:
+				if d.m.Seg != want[next].seg {
+					t.Fatalf("stamp %v released segment %d, want %d", at.Sub(t0), d.m.Seg, want[next].seg)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("segment %d, due by stamp %v, never arrived", want[next].seg, at.Sub(t0))
+			}
+		}
+		if got := len(tr.delayed.heap); got != len(want)-next {
+			t.Fatalf("stamp %v: %d frames held, want the %d not yet due", at.Sub(t0), got, len(want)-next)
+		}
+	}
+	select {
+	case d := <-rx.inbox:
+		t.Fatalf("segment %d arrived twice", d.m.Seg)
+	default:
 	}
 }
 
@@ -131,6 +193,18 @@ func TestAddressBook(t *testing.T) {
 // testTTL is the address-book TTL the transport tests run on.
 const testTTL = 9
 
+// openUDP binds a loopback transport for peer id, closed when the test
+// ends.
+func openUDP(t *testing.T, id int) *udpTransport {
+	t.Helper()
+	tr, err := newUDPTransport("127.0.0.1:0", id, 64, testTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 // TestAddressBookIgnoresSpoofedSource pins the defence against spoofed
 // sender IDs (ROADMAP 4 (ii)): a second socket sending datagrams stamped
 // From a live peer's ID does not move that peer's book entry, so the node
@@ -139,16 +213,7 @@ const testTTL = 9
 // a whole sweep interval, the new source is taken as a rebind.
 func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 	const self, victim = 7, 3
-	open := func(id int) *udpTransport {
-		t.Helper()
-		tr, err := newUDPTransport("127.0.0.1:0", id, 8, testTTL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		return tr
-	}
-	tr, real, spoofer := open(self), open(victim), open(9)
+	tr, real, spoofer := openUDP(t, self), openUDP(t, victim), openUDP(t, 9)
 	for _, from := range []*udpTransport{real, spoofer} {
 		if err := from.Learn(self, tr.LocalAddr()); err != nil {
 			t.Fatal(err)
