@@ -13,10 +13,11 @@
 // pij/B of being replaced soon.
 //
 // Track is the window's other half: what is in flight, tagged and when it
-// arrived, per in-window ID, for both runtimes. The availability bitmap
-// shifts as the window slides because it is read a word at a time against
-// neighbours' maps; the tracker is circular because it is probed an ID at
-// a time (see Track).
+// arrived, per ID of a span that opens at Lo — as much of the window as
+// the caller can touch, all of it or less (see Track) — for both
+// runtimes. The availability bitmap shifts as the window slides because it
+// is read a word at a time against neighbours' maps; the tracker is
+// circular because it is probed an ID at a time.
 package buffer
 
 import (

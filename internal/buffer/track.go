@@ -10,17 +10,23 @@ import (
 
 // Track is a peer's per-segment transient record — is a gossip request
 // out, is a pre-fetch out, was the segment tagged by one, when did it first
-// arrive — for the IDs of its buffer window [lo, lo+B). Both runtimes keep
-// one beside their Buffer and slide the two together: the §4.3 machinery
-// (Urgent Line, "repeated data", "overdue") reads exactly these facts.
+// arrive — for the IDs of a window [lo, lo+size) that opens at its buffer's
+// lo and slides with it. Both runtimes keep one beside their Buffer: the
+// §4.3 machinery (Urgent Line, "repeated data", "overdue") reads exactly
+// these facts.
 //
-// Every live entry's ID lies inside the window: requests and pre-fetches
-// target in-window segments, and arrival times only matter while the
-// segment is buffered. The arrays hold exactly B slots — id maps to loSlot
-// plus its offset from lo, wrapping once — so the mapping is collision-free
-// across any window of in-window IDs without rounding B up to a power of
+// The span is the caller's choice, at most the buffer size: it must cover
+// every ID the peer can request, pre-fetch, tag or take in while the
+// window opens at lo. The simulator opens it on its fetch span (playback
+// delay plus one period's segments), the only IDs that exist between
+// playback and the fetch edge; a livenet peer on its whole buffer, since a
+// socket peer that lags its source is handed segments past its own fetch
+// edge. The arrays hold exactly size slots — id maps to loSlot plus its
+// offset from lo, wrapping once — so the mapping is collision-free across
+// any window of tracked IDs without rounding the span up to a power of
 // two, and needs no tag or hash (the package comment has why this half of
-// the window is circular and the bitmap is not).
+// the window is circular and the bitmap is not). Readers treat an ID past
+// the span as untracked; writers panic on one.
 //
 // Expiry is a period index checked lazily at read time (expiry > round),
 // which makes an expired entry indistinguishable from an absent one. The
@@ -28,7 +34,7 @@ import (
 type Track struct {
 	lo     segment.ID // slots for ids < lo are clear; never decreases, >= 0
 	loSlot int        // index of lo's slot: int(lo) % slots
-	slots  int        // exactly the buffer size
+	slots  int        // the span OpenTrack was given
 
 	arrived          []sim.Time // first arrival time plus one; 0 = unrecorded
 	gossipExpiry     []int32    // retry bound; 0 = no pending request
@@ -42,11 +48,12 @@ type Track struct {
 	tagged []uint64
 }
 
-// OpenTrack returns a clear tracker of slots entries whose window opens at
-// lo (>= 0), on recycled's arrays when it has any — a departed peer's, of
-// the same size — and on fresh ones otherwise. Every array's clear state is
-// zero, so reopening is four memory clears. gossipExpectedAt is left as
-// found: it is read only under a set gossipExpiry, which rewrites it.
+// OpenTrack returns a clear tracker of slots entries (the span, see Track)
+// whose window opens at lo (>= 0), on recycled's arrays when it has any — a
+// departed peer's, opened on the same span — and on fresh ones otherwise.
+// Every array's clear state is zero, so reopening is four memory clears.
+// gossipExpectedAt is left as found: it is read only under a set
+// gossipExpiry, which rewrites it.
 func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
 	t := recycled
 	if t.arrived == nil {
@@ -71,7 +78,7 @@ func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
 // Lo returns the lowest tracked ID.
 func (t *Track) Lo() segment.ID { return t.lo }
 
-// Size returns the number of slots: the buffer size the tracker was opened on.
+// Size returns the number of slots: the span the tracker was opened on.
 func (t *Track) Size() int { return t.slots }
 
 // slot maps id to its array index; ok is false outside the tracked range.
@@ -87,7 +94,7 @@ func (t *Track) slot(id segment.ID) (int, bool) {
 	return s, true
 }
 
-// mustSlot is slot for writers, whose IDs are in-window by construction.
+// mustSlot is slot for writers, whose IDs are in the span by construction.
 func (t *Track) mustSlot(id segment.ID) int {
 	s, ok := t.slot(id)
 	if !ok {

@@ -90,13 +90,15 @@ type roundArena struct {
 	later []delivery
 
 	// planAsks and rrReqs stage one supplier's fresh asks for PlanServe /
-	// ServeRoundRobin; serve is the PlanServe request scratch; sctx backs
-	// the hoisted ServeInput callbacks (one closure set per shard, fields
-	// re-pointed per supplier).
-	planAsks []protocol.Ask
-	rrReqs   []protocol.Request
-	serve    protocol.ServeScratch
-	sctx     serveCtx
+	// ServeRoundRobin, and rrGranted backs the latter's grants; serve is
+	// the PlanServe request scratch; sctx backs the hoisted ServeInput
+	// callbacks (one closure set per shard, fields re-pointed per
+	// supplier).
+	planAsks  []protocol.Ask
+	rrReqs    []protocol.Request
+	rrGranted []protocol.Request
+	serve     protocol.ServeScratch
+	sctx      serveCtx
 
 	// applyBucket holds the deliveries this ownership shard's receivers
 	// take in this round, collected by the shard itself, grouped by

@@ -189,6 +189,13 @@ func (c Config) Validate() error {
 	if c.WarmupRounds < 0 {
 		return fmt.Errorf("core: negative warmup rounds %d", c.WarmupRounds)
 	}
+	if c.fetchSpan() > c.BufferSegments {
+		// The window opens at the playback position, so a longer delay
+		// leaves the live edge past the buffer: the source never takes
+		// it in, and playback stops once it reaches the gap.
+		return fmt.Errorf("core: playback delay %d segments plus one round's %d exceeds the %d-segment buffer",
+			c.delaySegments(), c.Stream.Rate, c.BufferSegments)
+	}
 	return nil
 }
 
@@ -198,6 +205,14 @@ func (c Config) delaySegments() int {
 		return c.PlaybackDelaySegments
 	}
 	return c.PlaybackDelayRounds * c.Stream.Rate
+}
+
+// fetchSpan is fetchEdge(r) − playbackPos(r) once playback has begun: the
+// IDs a node can request, pre-fetch, tag or take in during a round, and
+// the span its segment tracker opens on. Before playback the clamped
+// position leaves the span shorter.
+func (c Config) fetchSpan() int {
+	return c.delaySegments() + c.Stream.Rate
 }
 
 // spaceSize resolves the DHT ring size.

@@ -61,7 +61,9 @@ type Node struct {
 
 	// seg tracks the per-segment transient state (pending requests,
 	// in-flight pre-fetches, pre-fetch tags, arrival timestamps) of the
-	// IDs inside Buf's window; beginRound slides it with the buffer.
+	// fetch span at the bottom of Buf's window, the only IDs that exist
+	// ahead of playback (Config.fetchSpan); beginRound slides it with the
+	// buffer.
 	seg buffer.Track
 
 	// carry is the supplier-side carry queue: the requests this node

@@ -16,18 +16,20 @@ import (
 // holder is on its serve shard's worklist (a queue the list forgot would
 // never be served again); a node that joined this round carries nothing,
 // has spent nothing and has no pre-fetch tag, whoever held its ring slot or
-// its tracker's arrays before; the segment tracker covers the buffer's
-// window and no pre-fetch tag sits on a segment that does not exist yet (a
-// tag the window advance failed to wipe would, one buffer length ahead of
-// the segment it was set for; buffer.TestTrackMatchesMapReference holds the
-// tracker's own arrays to account); the Peer Table's DHT levels are the
-// table the DHT routes through, and every level is vacant or names an
-// alive node (the repair phase has swept out what churn left, so the next
-// round's walks meet no dead entry); and the DHT's membership bitmap and
-// the slots of the ping table that hold a ping are the alive set.
+// its tracker's arrays before; the segment tracker opens at the buffer's
+// lo and spans the fetch span, and no pre-fetch tag sits on a segment the
+// source generated this round, [liveEdge, fetchEdge) (a tag the window
+// advance failed to wipe would land there, one span ahead of a segment
+// played last round; no pre-fetch reaches that far ahead of playback, and
+// buffer.TestTrackMatchesMapReference holds the tracker's own arrays to
+// account); the Peer Table's DHT levels are the table the DHT routes
+// through, and every level is vacant or names an alive node (the repair
+// phase has swept out what churn left, so the next round's walks meet no
+// dead entry); and the DHT's membership bitmap and the slots of the ping
+// table that hold a ping are the alive set.
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
-	edge := w.fetchEdge(w.round)
+	live, edge := w.liveEdge(w.round), w.fetchEdge(w.round)
 	for _, id := range w.order {
 		n := w.nodes[id]
 		nbrs := n.Table.Neighbors()
@@ -70,16 +72,17 @@ func checkNodeState(t *testing.T, w *World) {
 		}
 
 		lo := n.seg.Lo()
-		if lo != n.Buf.Lo() || n.seg.Size() != n.Buf.Size() {
-			t.Fatalf("round %d node %d: tracker covers %d slots from %d, buffer %d from %d",
-				w.round, id, n.seg.Size(), lo, n.Buf.Size(), n.Buf.Lo())
+		if lo != n.Buf.Lo() || n.seg.Size() != w.cfg.fetchSpan() {
+			t.Fatalf("round %d node %d: tracker covers %d slots from %d, want %d from the buffer's %d",
+				w.round, id, n.seg.Size(), lo, w.cfg.fetchSpan(), n.Buf.Lo())
 		}
-		// A joiner has no tag anywhere; anyone else none past the fetch edge.
-		from := max(edge, lo)
+		// A joiner has no tag anywhere; anyone else none on this round's
+		// segments.
+		from, to := max(live, lo), edge
 		if joiner {
-			from = lo
+			from, to = lo, lo+segment.ID(n.seg.Size())
 		}
-		for seg := from; seg < lo+segment.ID(n.seg.Size()); seg++ {
+		for seg := from; seg < to; seg++ {
 			if n.seg.Tagged(seg) {
 				t.Fatalf("round %d node %d (joined round %d): pre-fetch tag on segment %d, window opens at %d, fetch edge %d", w.round, id, n.JoinedRound, seg, lo, edge)
 			}

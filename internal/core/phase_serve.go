@@ -239,14 +239,17 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 		// Baseline profiles keep the published pull-only discipline:
 		// fair-queued round-robin across requesters within the backlog
 		// horizon, drop-and-retry beyond it, no carry queue. Granted
-		// aliases the staging buffer, consumed before the next supplier.
+		// aliases the shard's grant buffer, consumed before the next
+		// supplier.
 		ar.rrReqs = ar.rrReqs[:0]
 		for _, tr := range fresh {
 			ar.rrReqs = append(ar.rrReqs, protocol.Request{
 				Requester: tr.requester, ID: tr.id, Expected: tr.expected,
 			})
 		}
-		return protocol.ServeRoundRobin(ar.rrReqs, 2*sn.Rates.Out)
+		res := protocol.ServeRoundRobin(ar.rrReqs, 2*sn.Rates.Out, ar.rrGranted)
+		ar.rrGranted = res.Granted
+		return res
 	}
 	ar.planAsks = ar.planAsks[:0]
 	for _, tr := range fresh {

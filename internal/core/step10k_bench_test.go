@@ -234,6 +234,24 @@ func phaseCeilings(t *testing.T, w *World) {
 	}
 }
 
+// TestNewWorldBytesCeiling holds what NewWorld allocates for the default
+// 1000-node churn world, per node, to a ceiling 20 % above the level
+// measured when it was set (3.7 KB per node, with segment trackers on the
+// 75-segment fetch span). Trackers on the whole 600-segment buffer cost
+// 14.5 KB more per node and fail it.
+func TestNewWorldBytesCeiling(t *testing.T) {
+	const nodes, ceiling = 1000, 4_500
+	var err error
+	_, bytes := heapPerOp(1, func() { _, err = NewWorld(churnConfig(nodes)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("NewWorld1k: %d B/node", bytes/nodes)
+	if bytes/nodes > ceiling {
+		t.Errorf("NewWorld1k: %d B per node, ceiling %d", bytes/nodes, ceiling)
+	}
+}
+
 // TestSchedule10kGoldenAndCeiling pins the scheduling slice of the warmed
 // 10,000-node world: the number of requests Algorithm 1 selects, hashed
 // over two probe calls (equal, since the probe unwinds its marks), and the

@@ -81,10 +81,10 @@ type World struct {
 	joinHeard []overlay.Overheard
 	joinPool  []joinCand
 
-	// freeSeg holds departed nodes' segment trackers (four B-slot arrays,
-	// the bulk of a node's footprint) for the next joiners to reuse. Churn
-	// is sequential, so the list needs no shard discipline; it holds at
-	// most leavers minus joiners, memory that was live before they left.
+	// freeSeg holds departed nodes' segment trackers (four arrays over the
+	// fetch span) for the next joiners to reuse. Churn is sequential, so
+	// the list needs no shard discipline; it holds at most leavers minus
+	// joiners, memory that was live before they left.
 	freeSeg []buffer.Track
 
 	// retr is the long-lived Algorithm 2 retriever with its reusable
@@ -220,13 +220,15 @@ func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 		RNG:         nodeRNG,
 	}
 	// The tracker opens where the node's window will: the stream start for
-	// the initial population, the playback position for a joiner.
+	// the initial population, the playback position for a joiner. It spans
+	// the fetch span, not the buffer: no ID at or past the fetch edge
+	// exists, and the window's lo is the playback position.
 	var recycled buffer.Track
 	if k := len(w.freeSeg) - 1; k >= 0 {
 		recycled, w.freeSeg[k] = w.freeSeg[k], buffer.Track{}
 		w.freeSeg = w.freeSeg[:k]
 	}
-	n.seg = buffer.OpenTrack(cfg.BufferSegments, w.playbackPos(w.round), recycled)
+	n.seg = buffer.OpenTrack(cfg.fetchSpan(), w.playbackPos(w.round), recycled)
 	if cfg.Profile.Prefetch && !isSource {
 		n.Alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
 			PlaybackRate:  cfg.Stream.Rate,

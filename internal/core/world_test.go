@@ -46,6 +46,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.Stream.Rate = 65 }, // past the push planner's one-word frontier
 		func(c *Config) { c.Bandwidth.MeanIn = 0 },
 		func(c *Config) { c.Churn.LeaveFraction = -1 },
+		func(c *Config) { c.PlaybackDelaySegments = 591 }, // the live edge would lie past the 600-segment buffer
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(100)

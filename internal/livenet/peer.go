@@ -53,8 +53,11 @@ type peer struct {
 	rng *sim.RNG
 
 	buf *buffer.Buffer
-	// seg is the per-segment record of buf's window — which pulls and
-	// rescues are out, each until its retry period — and slides with it.
+	// seg is the per-segment record of buf's whole window — which pulls
+	// and rescues are out, each until its retry period — and slides with
+	// it. Unlike the simulator's it spans the buffer, not the fetch span:
+	// a peer that lags its source is handed segments past its own fetch
+	// edge.
 	seg buffer.Track
 	// nbrs is the neighbour table: one row per linked peer, ascending by
 	// ID; nbrIDs mirrors the IDs in the overlay form the protocol
@@ -643,7 +646,7 @@ func (p *peer) servePeriod(now int) {
 		for i, a := range asks {
 			reqs[i] = protocol.Request{Requester: a.Requester, ID: a.ID, Expected: a.Deadline}
 		}
-		res = protocol.ServeRoundRobin(reqs, 2*p.outbound())
+		res = protocol.ServeRoundRobin(reqs, 2*p.outbound(), nil)
 		p.carry = p.carry[:0]
 	}
 	p.asksSpare = asks[:0]

@@ -238,9 +238,12 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 // concurrently, so service interleaves round-robin across requesters
 // (each requester's own asks stay in its expected-time priority order)
 // up to the capacity, and everything beyond is dropped for the requester
-// to time out and retry. reqs is reordered in place.
-func ServeRoundRobin(reqs []Request, capacity int) ServeResult {
-	var res ServeResult
+// to time out and retry. reqs is reordered in place. The grants are
+// appended to granted from length zero (nil allocates fresh), so a caller
+// serving many suppliers threads one buffer through and the result's
+// Granted aliases it until the next call.
+func ServeRoundRobin(reqs []Request, capacity int, granted []Request) ServeResult {
+	res := ServeResult{Granted: granted[:0]}
 	if capacity <= 0 {
 		res.Evicted.Overflow = int64(len(reqs))
 		return res
@@ -254,28 +257,21 @@ func ServeRoundRobin(reqs []Request, capacity int) ServeResult {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	perRequester := make(map[overlay.NodeID][]Request)
-	var order []overlay.NodeID
-	for _, r := range reqs {
-		if _, ok := perRequester[r.Requester]; !ok {
-			order = append(order, r.Requester)
-		}
-		perRequester[r.Requester] = append(perRequester[r.Requester], r)
-	}
-	served := 0
-	for depth := 0; served < capacity; depth++ {
+	// Each requester's asks are now one contiguous run in priority order,
+	// runs by ascending requester: pass depth grants every run's depth-th
+	// ask, until the capacity is spent or no run is that long.
+	for depth := 0; len(res.Granted) < capacity; depth++ {
 		progressed := false
-		for _, req := range order {
-			q := perRequester[req]
-			if depth >= len(q) {
-				continue
+		for start := 0; start < len(reqs) && len(res.Granted) < capacity; {
+			end := start + 1
+			for end < len(reqs) && reqs[end].Requester == reqs[start].Requester {
+				end++
 			}
-			progressed = true
-			if served >= capacity {
-				break
+			if depth < end-start {
+				progressed = true
+				res.Granted = append(res.Granted, reqs[start+depth])
 			}
-			served++
-			res.Granted = append(res.Granted, q[depth])
+			start = end
 		}
 		if !progressed {
 			break
