@@ -29,15 +29,16 @@ func main() {
 	}
 
 	// Store backups for 100 segments at their k=4 hashed owners.
-	stores := map[dht.ID]*dht.Store{}
-	for _, id := range ids {
-		stores[id] = dht.NewStore()
+	type backup struct {
+		node dht.ID
+		seg  segment.ID
 	}
+	stored := map[backup]bool{}
 	const k = 4
 	for seg := segment.ID(0); seg < 100; seg++ {
 		for _, key := range dht.BackupKeys(space, seg, k) {
 			if owner, ok := net.Owner(key); ok {
-				stores[owner].Put(seg)
+				stored[backup{owner, seg}] = true
 			}
 		}
 	}
@@ -60,7 +61,7 @@ func main() {
 		if len(sc.Path) > len(longest) {
 			longest = append(longest[:0], sc.Path...) // Path is reused by the next walk
 		}
-		if stores[res.Final].Has(seg) {
+		if stored[backup{res.Final, seg}] {
 			hits++
 		}
 	}

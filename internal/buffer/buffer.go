@@ -12,9 +12,9 @@
 // segments sit near the eviction end and therefore have a high probability
 // pij/B of being replaced soon.
 //
-// Track is the window's other half: what is in flight, tagged and when it
-// arrived, per ID of a span that opens at Lo — as much of the window as
-// the caller can touch, all of it or less (see Track) — for both
+// Track is the window's other half: what is in flight, tagged, backed up
+// and when it arrived, per ID of a span that opens at Lo — as much of the
+// window as the caller can touch, all of it or less (see Track) — for both
 // runtimes. The availability bitmap shifts as the window slides because it
 // is read a word at a time against neighbours' maps; the tracker is
 // circular because it is probed an ID at a time.
@@ -159,18 +159,6 @@ func shiftDown(w []uint64, shift int) {
 	}
 }
 
-// PositionFromTail returns pij, the paper's FIFO position of segment id
-// measured from the insertion (newest) end of the window: old segments —
-// those about to be evicted — have positions near B, so pij/B is the
-// probability the segment is replaced soon. The second result is false when
-// the id is outside the window or absent.
-func (b *Buffer) PositionFromTail(id segment.ID) (int, bool) {
-	if !b.Has(id) {
-		return 0, false
-	}
-	return int(b.Hi() - id), true
-}
-
 // AppendMissingIn appends the IDs in w (clipped to the buffer window) that
 // are absent to dst, in ascending order, and returns the extended slice.
 // The scan runs word-at-a-time over the complemented availability bits, so
@@ -235,15 +223,6 @@ func (b *Buffer) MissingMask(w segment.Window) uint64 {
 		present = got << uint(iv.Lo-w.Lo)
 	}
 	return mask &^ present
-}
-
-// CountIn returns how many segments in w (clipped to the window) are held.
-func (b *Buffer) CountIn(w segment.Window) int {
-	w = w.Intersect(b.Window())
-	if w.Lo >= w.Hi {
-		return 0
-	}
-	return b.onesBelow(int(w.Hi-b.lo)) - b.onesBelow(int(w.Lo-b.lo))
 }
 
 // HasAll reports whether every ID in w (not clipped) is held: an ID outside

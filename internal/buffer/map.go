@@ -50,9 +50,12 @@ func (m Map) Count() int {
 	return n
 }
 
-// PositionFromTail mirrors Buffer.PositionFromTail for a received map: the
-// requesting node computes its neighbours' FIFO positions from their
-// advertised windows.
+// PositionFromTail returns pij, the paper's FIFO position of segment id
+// measured from the insertion (newest) end of the advertised window: old
+// segments — those about to be evicted — have positions near B, so pij/B
+// is the probability the segment is replaced soon. The requesting node
+// computes its neighbours' positions from their maps; the second result is
+// false when the id is outside the window or absent.
 func (m Map) PositionFromTail(id segment.ID) (int, bool) {
 	if !m.Has(id) {
 		return 0, false

@@ -8,12 +8,12 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// Track is a peer's per-segment transient record — is a gossip request
-// out, is a pre-fetch out, was the segment tagged by one, when did it first
-// arrive — for the IDs of a window [lo, lo+size) that opens at its buffer's
-// lo and slides with it. Both runtimes keep one beside their Buffer: the
-// §4.3 machinery (Urgent Line, "repeated data", "overdue") reads exactly
-// these facts.
+// Track is a peer's per-segment record — is a gossip request out, is a
+// pre-fetch out, was the segment tagged by one, when did it first arrive,
+// does the peer back it up for the DHT — for the IDs of a window
+// [lo, lo+size) that opens at its buffer's lo and slides with it. Both
+// runtimes keep one beside their Buffer: the §4.3 machinery (Urgent Line,
+// "repeated data", "overdue", VoD Data Backup) reads exactly these facts.
 //
 // The span is the caller's choice, at most the buffer size: it must cover
 // every ID the peer can request, pre-fetch, tag or take in while the
@@ -46,12 +46,19 @@ type Track struct {
 	// shrink. Unlike prefetchExpiry it survives the segment's arrival and
 	// is cleared when the repeat decision is made.
 	tagged []uint64
+	// backup has one bit per slot: set while the peer holds the segment
+	// in its VoD Data Backup (§4.3) on behalf of the DHT. The window's
+	// slide drops it with the segment — "old data segments backuped ...
+	// gradually become useless" — and a graceful leaver hands its bits to
+	// its heir (HandBackupTo). Only the simulator writes it: a livenet
+	// peer rescues from buffers and keeps no backup.
+	backup []uint64
 }
 
 // OpenTrack returns a clear tracker of slots entries (the span, see Track)
 // whose window opens at lo (>= 0), on recycled's arrays when it has any — a
 // departed peer's, opened on the same span — and on fresh ones otherwise.
-// Every array's clear state is zero, so reopening is four memory clears.
+// Every array's clear state is zero, so reopening is five memory clears.
 // gossipExpectedAt is left as found: it is read only under a set
 // gossipExpiry, which rewrites it.
 func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
@@ -64,12 +71,14 @@ func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
 			gossipExpectedAt: make([]sim.Time, slots),
 			prefetchExpiry:   make([]int32, slots),
 			tagged:           make([]uint64, (slots+63)/64),
+			backup:           make([]uint64, (slots+63)/64),
 		}
 	} else {
 		clear(t.arrived)
 		clear(t.gossipExpiry)
 		clear(t.prefetchExpiry)
 		clear(t.tagged)
+		clear(t.backup)
 	}
 	t.lo, t.loSlot = lo, int(lo)%slots
 	return t
@@ -121,6 +130,7 @@ func (t *Track) AdvanceTo(lo segment.ID) {
 		t.gossipExpiry[s] = 0
 		t.prefetchExpiry[s] = 0
 		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
+		t.backup[s>>6] &^= 1 << (uint(s) & 63)
 		if s++; s == t.slots {
 			s = 0
 		}
@@ -221,4 +231,30 @@ func (t *Track) Arrived(id segment.ID) sim.Time {
 		return t.arrived[s] - 1
 	}
 	return -1
+}
+
+// Back records that the peer backs up id, an ID inside the span.
+func (t *Track) Back(id segment.ID) {
+	s := t.mustSlot(id)
+	t.backup[s>>6] |= 1 << (uint(s) & 63)
+}
+
+// BackedUp reports whether the peer backs up id.
+func (t *Track) BackedUp(id segment.ID) bool {
+	s, ok := t.slot(id)
+	return ok && t.backup[s>>6]&(1<<(uint(s)&63)) != 0
+}
+
+// HandBackupTo moves every backed-up ID to to, a tracker whose window
+// opens at the same lo on the same span (so the slots line up), and
+// clears the giver's backup: the graceful-leave handover of §4.3, which
+// "hand[s] over the data segments in its VoD Data Backup to n'".
+func (t *Track) HandBackupTo(to *Track) {
+	if to.lo != t.lo || to.slots != t.slots {
+		panic(fmt.Sprintf("buffer: backup handover from window [%d,+%d) to [%d,+%d)", t.lo, t.slots, to.lo, to.slots))
+	}
+	for i, w := range t.backup {
+		to.backup[i] |= w
+	}
+	clear(t.backup)
 }

@@ -9,8 +9,8 @@ import (
 
 // refTrack is Track's reference model: the two expiry maps a livenet peer
 // kept before it shared the tracker (swept eagerly when the period turns,
-// so presence means in flight), plus a tag set, the promised arrivals and
-// the first-arrival times, all keyed by segment ID.
+// so presence means in flight), plus a tag set, the promised arrivals, the
+// first-arrival times and the backup set, all keyed by segment ID.
 type refTrack struct {
 	lo       segment.ID
 	size     int
@@ -19,6 +19,7 @@ type refTrack struct {
 	promised map[segment.ID]sim.Time
 	tags     map[segment.ID]bool
 	arrived  map[segment.ID]sim.Time
+	backups  map[segment.ID]bool
 }
 
 func newRefTrack(size int, lo segment.ID) *refTrack {
@@ -26,6 +27,7 @@ func newRefTrack(size int, lo segment.ID) *refTrack {
 		lo: lo, size: size,
 		pulls: map[segment.ID]int{}, rescues: map[segment.ID]int{},
 		promised: map[segment.ID]sim.Time{}, tags: map[segment.ID]bool{}, arrived: map[segment.ID]sim.Time{},
+		backups: map[segment.ID]bool{},
 	}
 }
 
@@ -49,13 +51,14 @@ func (r *refTrack) advanceTo(lo segment.ID) {
 		delete(r.rescues, id)
 		delete(r.tags, id)
 		delete(r.arrived, id)
+		delete(r.backups, id)
 	}
 	r.lo = lo
 }
 
 // compare checks every query of t against r over the window and a margin
 // on both sides, the mask against the per-ID answers, and the tracker's own
-// arrays: no tag bit past the last slot.
+// arrays: no tag or backup bit past the last slot.
 func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
 	t.Helper()
 	if tr.Lo() != r.lo || tr.Size() != r.size {
@@ -82,6 +85,9 @@ func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
 		if got := tr.Tagged(id); got != r.tags[id] {
 			t.Fatalf("step %d seg %d: Tagged %v, reference %v", step, id, got, r.tags[id])
 		}
+		if got := tr.BackedUp(id); got != r.backups[id] {
+			t.Fatalf("step %d seg %d: BackedUp %v, reference %v", step, id, got, r.backups[id])
+		}
 		want, ok := r.arrived[id]
 		if !ok {
 			want = -1
@@ -94,15 +100,15 @@ func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
 			t.Fatalf("step %d round %d seg %d: MaskInFlight kept the bit %v, in flight %v", step, round, id, kept, pull || rescue)
 		}
 	}
-	if pad := r.size & 63; pad != 0 && tr.tagged[len(tr.tagged)-1]>>pad != 0 {
-		t.Fatalf("step %d: tag bits set past slot %d", step, r.size)
+	if pad := r.size & 63; pad != 0 && (tr.tagged[len(tr.tagged)-1]|tr.backup[len(tr.backup)-1])>>pad != 0 {
+		t.Fatalf("step %d: tag or backup bits set past slot %d", step, r.size)
 	}
 }
 
 // TestTrackMatchesMapReference drives a Track and the map reference through
-// the same random marks, withdrawals, arrivals, window advances (small, and
-// past a whole window), period turns and recyclings, comparing every query
-// after every step.
+// the same random marks, withdrawals, arrivals, backups, backup handovers,
+// window advances (small, and past a whole window), period turns and
+// recyclings, comparing every query after every step.
 func TestTrackMatchesMapReference(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0x7ac4)
 	for trial := 0; trial < 40; trial++ {
@@ -113,10 +119,11 @@ func TestTrackMatchesMapReference(t *testing.T) {
 		lo := segment.ID(rng.Intn(5000))
 		tr := OpenTrack(size, lo, Track{})
 		ref := newRefTrack(size, lo)
+		var heir Track // recycled by every handover
 		round := rng.Intn(50)
 		inWindow := func() segment.ID { return ref.lo + segment.ID(rng.Intn(size)) }
 		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(23); {
 			case op < 5:
 				id, exp, at := inWindow(), round+1+rng.Intn(3), sim.Time(rng.Intn(1000))
 				tr.MarkGossip(id, exp, at)
@@ -157,6 +164,30 @@ func TestTrackMatchesMapReference(t *testing.T) {
 			case op < 19:
 				round++
 				ref.turn(round)
+			case op < 21:
+				id := inWindow()
+				tr.Back(id)
+				ref.backups[id] = true
+			case op < 22:
+				// A graceful leaver hands its backup to an heir that
+				// backs some segments up already, and the heir — on
+				// the arrays of the previous handover's heir — hands
+				// the union back: the giver ends with nothing, the
+				// taker with both sets.
+				heir = OpenTrack(size, ref.lo, heir)
+				for k := rng.Intn(8); k > 0; k-- {
+					id := inWindow()
+					heir.Back(id)
+					ref.backups[id] = true
+				}
+				tr.HandBackupTo(&heir)
+				for id := ref.lo - 1; id <= ref.lo+segment.ID(size); id++ {
+					if tr.BackedUp(id) || heir.BackedUp(id) != ref.backups[id] {
+						t.Fatalf("step %d seg %d: after the handover the giver backs up %v, the heir %v, reference %v",
+							step, id, tr.BackedUp(id), heir.BackedUp(id), ref.backups[id])
+					}
+				}
+				heir.HandBackupTo(&tr)
 			default:
 				// A departed peer's arrays reopen for a joiner elsewhere,
 				// and the comparison below finds no arrival, mark or tag
@@ -170,9 +201,10 @@ func TestTrackMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestTrackWritersPanicOutsideWindow pins the writers' contract: marks and
-// arrival notes name in-window IDs by construction, and one that does not
-// is a sequencing bug, not input.
+// TestTrackWritersPanicOutsideWindow pins the writers' contract: marks,
+// arrival notes and backups name in-window IDs by construction, and a
+// backup handover joins trackers whose slots line up; anything else is a
+// sequencing bug, not input.
 func TestTrackWritersPanicOutsideWindow(t *testing.T) {
 	tr := OpenTrack(10, 100, Track{})
 	for _, tc := range []struct {
@@ -182,6 +214,15 @@ func TestTrackWritersPanicOutsideWindow(t *testing.T) {
 		{"MarkGossip below", func() { tr.MarkGossip(99, 5, 0) }},
 		{"MarkPrefetch above", func() { tr.MarkPrefetch(110, 5) }},
 		{"NoteArrived above", func() { tr.NoteArrived(200, 1) }},
+		{"Back above", func() { tr.Back(110) }},
+		{"HandBackupTo another lo", func() {
+			to := OpenTrack(10, 101, Track{})
+			tr.HandBackupTo(&to)
+		}},
+		{"HandBackupTo another span", func() {
+			to := OpenTrack(11, 100, Track{})
+			tr.HandBackupTo(&to)
+		}},
 	} {
 		func() {
 			defer func() {

@@ -23,14 +23,11 @@ type Config struct {
 	// backup handover; the remainder fail abruptly. The paper does not
 	// split the 5%, so the default model uses an even mix.
 	GracefulFraction float64
-	// StartRound suppresses churn before the system has formed; the paper
-	// applies churn from the beginning, so the default is 0.
-	StartRound int
 	// Trace, when set, overrides the fixed fractions with a per-round
 	// schedule (session-length-distribution models or a file loaded from
-	// cmd/tracegen output). Round r of the process reads the trace at
-	// r - StartRound; the graceful/abrupt split still comes from
-	// GracefulFraction.
+	// cmd/tracegen output). Round r of the process reads the trace at r —
+	// the paper applies churn from the beginning; the graceful/abrupt
+	// split still comes from GracefulFraction.
 	Trace *TraceModel
 }
 
@@ -49,9 +46,6 @@ func (c Config) Validate() error {
 	}
 	if c.GracefulFraction < 0 || c.GracefulFraction > 1 {
 		return fmt.Errorf("churn: graceful fraction %v outside [0,1]", c.GracefulFraction)
-	}
-	if c.StartRound < 0 {
-		return fmt.Errorf("churn: negative start round %d", c.StartRound)
 	}
 	if c.Trace != nil {
 		if err := c.Trace.Validate(); err != nil {
@@ -74,11 +68,10 @@ func (c Config) Enabled() bool {
 	return c.LeaveFraction > 0 || c.JoinFraction > 0
 }
 
-// rates resolves the effective leave/join fractions for process round r
-// (relative to StartRound when trace-driven).
+// rates resolves the effective leave/join fractions for process round r.
 func (c Config) rates(r int) (leave, join float64) {
 	if c.Trace != nil {
-		return c.Trace.Rates(r - c.StartRound)
+		return c.Trace.Rates(r)
 	}
 	return c.LeaveFraction, c.JoinFraction
 }
@@ -118,14 +111,11 @@ func NewProcess(cfg Config, rng *sim.RNG) *Process {
 	return &Process{cfg: cfg, rng: rng}
 }
 
-// Config returns the active configuration.
-func (p *Process) Config() Config { return p.cfg }
-
 // Next produces the plan for `round` over a population of `candidates`
 // eligible leavers (the caller excludes the source). Candidate indices are
 // sampled without replacement.
 func (p *Process) Next(round, candidates int) Plan {
-	if round < p.cfg.StartRound || candidates <= 0 || !p.cfg.Enabled() {
+	if candidates <= 0 || !p.cfg.Enabled() {
 		return Plan{}
 	}
 	leaveF, joinF := p.cfg.rates(round)

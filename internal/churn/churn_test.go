@@ -31,7 +31,6 @@ func TestValidateRejects(t *testing.T) {
 		{JoinFraction: 1.5},
 		{GracefulFraction: -1},
 		{GracefulFraction: 2},
-		{StartRound: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -104,25 +103,6 @@ func TestFractionalCarrySmallPopulations(t *testing.T) {
 	}
 	if total < 35 || total > 65 {
 		t.Fatalf("small-population leavers = %d, want ~50", total)
-	}
-}
-
-func TestStartRoundSuppression(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StartRound = 10
-	p := NewProcess(cfg, sim.NewRNG(13))
-	for r := 0; r < 10; r++ {
-		plan := p.Next(r, 1000)
-		if plan.TotalLeavers() != 0 || plan.Joins != 0 {
-			t.Fatalf("round %d churned before start", r)
-		}
-	}
-	churnedAfter := 0
-	for r := 10; r < 20; r++ {
-		churnedAfter += p.Next(r, 1000).TotalLeavers()
-	}
-	if churnedAfter == 0 {
-		t.Fatal("no churn after start round")
 	}
 }
 

@@ -140,25 +140,6 @@ func TestProcessFollowsTrace(t *testing.T) {
 	}
 }
 
-func TestProcessTraceRespectsStartRound(t *testing.T) {
-	trace := ExponentialTrace(4, 5)
-	cfg := Config{GracefulFraction: 0.5, StartRound: 3, Trace: trace}
-	p := NewProcess(cfg, sim.DeriveRNG(2, 2))
-	for r := 0; r < 3; r++ {
-		if plan := p.Next(r, 100); plan.TotalLeavers() != 0 || plan.Joins != 0 {
-			t.Fatalf("round %d churned before StartRound", r)
-		}
-	}
-	churned := 0
-	for r := 3; r < 20; r++ {
-		plan := p.Next(r, 100)
-		churned += plan.TotalLeavers()
-	}
-	if churned == 0 {
-		t.Fatal("no churn after StartRound")
-	}
-}
-
 // FuzzReadTrace drives the -churntrace parser with arbitrary text: it must
 // never panic, a trace it accepts must pass Validate, and Rates must hold
 // the first and last rounds' values on either side of the recorded horizon.

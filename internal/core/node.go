@@ -13,14 +13,14 @@ import (
 
 // Node is one overlay peer: the software architecture of Figure 1 — P2P
 // Overlay Manager (PeerTable), Buffer, Rate Controller, and VoD Data
-// Backup — plus the bookkeeping a real implementation keeps beside them
-// (the livenet peer does): the in-flight and arrival record of the window's
-// segments and the supplier's carry queue. The Data Scheduler holds no
-// per-node state, so the world keeps the one policy its profile selects.
-// Every per-node fact lives here once: the neighbour set and DHT levels in
-// Table, everything keyed by segment in seg — the buffer.Track the livenet
-// peer keeps too — and the supplier-side round state in carry and
-// pushSpent.
+// Backup (a plane of seg) — plus the bookkeeping a real implementation
+// keeps beside them (the livenet peer does): the in-flight and arrival
+// record of the window's segments and the supplier's carry queue. The Data
+// Scheduler holds no per-node state, so the world keeps the one policy its
+// profile selects. Every per-node fact lives here once: the neighbour set
+// and DHT levels in Table, everything keyed by segment in seg — the
+// buffer.Track the livenet peer keeps too — and the supplier-side round
+// state in carry and pushSpent.
 type Node struct {
 	// ID is the node's overlay identifier and its DHT ring position.
 	ID overlay.NodeID
@@ -42,8 +42,6 @@ type Node struct {
 	// Alpha adapts the urgent ratio; nil for profiles without pre-fetch
 	// (and for the source).
 	Alpha *prefetch.Alpha
-	// Backup is the node's VoD Data Backup store.
-	Backup *dht.Store
 	// RNG is the node's private randomness stream.
 	RNG *sim.RNG
 
@@ -51,19 +49,17 @@ type Node struct {
 	// up as nodes buffer enough to start; new joiners follow their
 	// neighbours' current position).
 	Started bool
-	// StartedRound records when playback began, for diagnostics.
-	StartedRound int
 	// JoinedRound records when the node entered the overlay (-1 for the
 	// initial population, which is warm by construction). Nodes within
 	// Config.WarmupRounds of joining are excluded from the warm
 	// continuity metric.
 	JoinedRound int
 
-	// seg tracks the per-segment transient state (pending requests,
-	// in-flight pre-fetches, pre-fetch tags, arrival timestamps) of the
-	// fetch span at the bottom of Buf's window, the only IDs that exist
-	// ahead of playback (Config.fetchSpan); beginRound slides it with the
-	// buffer.
+	// seg tracks the per-segment state (pending requests, in-flight
+	// pre-fetches, pre-fetch tags, arrival timestamps, the VoD backup) of
+	// the fetch span at the bottom of Buf's window, the only IDs that
+	// exist ahead of playback (Config.fetchSpan); beginRound slides it
+	// with the buffer.
 	seg buffer.Track
 
 	// carry is the supplier-side carry queue: the requests this node
@@ -145,14 +141,14 @@ func (n *Node) believedSuccessor() (dht.ID, bool) {
 	return n.Table.DHT().Successor()
 }
 
-// maybeBackup stores id in the VoD backup when the hash rule makes this
-// node responsible for it.
+// maybeBackup backs id up when the hash rule makes this node responsible
+// for it.
 func (n *Node) maybeBackup(space dht.Space, id segment.ID, replicas int) {
 	succ, ok := n.believedSuccessor()
 	if !ok {
 		return
 	}
 	if dht.Responsible(space, dht.ID(n.ID), succ, id, replicas) {
-		n.Backup.Put(id)
+		n.seg.Back(id)
 	}
 }

@@ -107,3 +107,15 @@ func checkNodeState(t *testing.T, w *World) {
 		}
 	}
 }
+
+// backedUp lists, ascending, the segments n holds in its VoD backup: the
+// backup plane of its tracker, read over the tracker's span.
+func backedUp(n *Node) []segment.ID {
+	var ids []segment.ID
+	for id := n.seg.Lo(); id < n.seg.Lo()+segment.ID(n.seg.Size()); id++ {
+		if n.seg.BackedUp(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}

@@ -8,7 +8,7 @@ import (
 
 // applyDeliveries ingests every arrival of the round, in canonical
 // (timestamp, segment, sender) order per receiver, updating buffers,
-// backup stores, α feedback and the traffic counters. Deliveries landing
+// backup planes, α feedback and the traffic counters. Deliveries landing
 // after the round boundary wait in the receiver shard's in-flight list
 // (roundArena.later) for the round they land in.
 //
@@ -105,7 +105,6 @@ func (w *World) playbackPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 		continuous bool
 	}
 	results := make([]result, len(w.order))
-	round := w.round
 	w.pool.ForEach(len(w.order), func(i int) {
 		n := w.seq[i]
 		if n.IsSource {
@@ -113,7 +112,6 @@ func (w *World) playbackPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 		}
 		if !n.Started && playingBegun && n.Buf.Has(pos) {
 			n.Started = true
-			n.StartedRound = round
 		}
 		results[i].playing = n.Started
 		if n.Started {

@@ -93,7 +93,7 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 		// Predecessor: owner of the key just before our ID.
 		if pred, ok := w.dhtNet.Owner(w.space.Wrap(int(id) - 1)); ok && overlay.NodeID(pred) != id {
 			if pn := w.nodes[overlay.NodeID(pred)]; pn != nil {
-				pn.Backup.Merge(n.Backup.Drain())
+				n.seg.HandBackupTo(&pn.seg)
 			}
 		}
 		w.rp.ReportFailure(id)

@@ -29,7 +29,7 @@ func (d worldDirectory) HasBackup(node dht.ID, id segment.ID) bool {
 	if n.IsSource {
 		return n.Buf.Has(id)
 	}
-	return n.Backup.Has(id)
+	return n.seg.BackedUp(id)
 }
 
 func (d worldDirectory) AvailableRate(node dht.ID) float64 {

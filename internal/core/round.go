@@ -111,11 +111,11 @@ func (w *World) beginRound() {
 	src := w.nodes[w.source]
 	w.pool.ForEach(len(w.order), func(i int) {
 		n := w.seq[i]
-		// The tracker slides with the buffer; request records the window
-		// has not passed expire lazily (expiry > round at every read).
+		// The tracker slides with the buffer and drops the backups the
+		// window passed; request records the window has not passed
+		// expire lazily (expiry > round at every read).
 		n.Buf.AdvanceTo(pos)
 		n.seg.AdvanceTo(pos)
-		n.Backup.PruneBelow(pos)
 		n.overdue, n.repeated, n.pushReceived, n.pushSpent = 0, 0, 0, 0
 	})
 	// Source ingestion happens after the window advance so new segments
@@ -127,7 +127,6 @@ func (w *World) beginRound() {
 		}
 		if src.Buf.Insert(id) {
 			src.seg.NoteArrived(id, w.cfg.Stream.GeneratedAt(id))
-			src.maybeBackup(w.space, id, w.cfg.Replicas)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"continustreaming/internal/churn"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
-	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
 
@@ -140,7 +139,7 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 	var leaver *Node
 	for _, id := range w.Nodes() {
 		n := w.Node(id)
-		if !n.IsSource && n.Backup.Len() > 0 {
+		if !n.IsSource && len(backedUp(n)) > 0 {
 			leaver = n
 			break
 		}
@@ -148,20 +147,15 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 	if leaver == nil {
 		t.Skip("no backups accumulated yet at this size")
 	}
-	var held []segment.ID
-	for id := segment.ID(0); id < segment.ID(12*cfg.Stream.Rate); id++ {
-		if leaver.Backup.Has(id) {
-			held = append(held, id)
-		}
-	}
+	held := backedUp(leaver)
 	pred, ok := w.DHTNetwork().Owner(w.Space().Wrap(int(leaver.ID) - 1))
 	if !ok {
 		t.Fatal("no predecessor")
 	}
-	predStore := w.Node(overlay.NodeID(pred)).Backup
-	before := predStore.Len()
+	heir := w.Node(overlay.NodeID(pred))
+	before := len(backedUp(heir))
 	w.leave(leaver.ID, true)
-	if after := predStore.Len(); after < before {
+	if after := len(backedUp(heir)); after < before {
 		t.Fatalf("handover shrank the predecessor's store: %d -> %d", before, after)
 	}
 	if pred != dht.ID(leaver.ID) {
@@ -169,7 +163,7 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 		// (replica repair may mean the predecessor held them already —
 		// duplication is fine, loss is not).
 		for _, id := range held {
-			if !predStore.Has(id) {
+			if !heir.seg.BackedUp(id) {
 				t.Fatalf("segment %d lost in handover (leaver had %d)", id, len(held))
 			}
 		}
@@ -216,7 +210,7 @@ func TestBackupsRespectResponsibilityRule(t *testing.T) {
 			continue
 		}
 		for seg := n.Buf.Lo(); seg < n.Buf.Hi() && checked < 2000; seg++ {
-			if n.Backup.Has(seg) {
+			if n.seg.BackedUp(seg) {
 				checked++
 				if !dht.Responsible(w.Space(), dht.ID(id), succ, seg, cfg.Replicas) {
 					// The believed successor may have changed since the

@@ -216,7 +216,6 @@ func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 		JoinedRound: -1,
 		Buf:         buffer.New(cfg.BufferSegments, 0),
 		Ctrl:        bandwidth.NewController(0.3, float64(cfg.Stream.Rate)),
-		Backup:      dht.NewStore(),
 		RNG:         nodeRNG,
 	}
 	// The tracker opens where the node's window will: the stream start for

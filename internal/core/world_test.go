@@ -269,7 +269,7 @@ func TestBackupsPopulated(t *testing.T) {
 	engine.Run(20)
 	total := 0
 	for _, id := range w.Nodes() {
-		total += w.Node(id).Backup.Len()
+		total += len(backedUp(w.Node(id)))
 	}
 	if total == 0 {
 		t.Fatal("no VoD backups stored anywhere")

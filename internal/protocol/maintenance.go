@@ -196,9 +196,8 @@ func (sc *RewireScratch) carve(start int) []overlay.NodeID {
 //
 // The at-target-degree fast path decides the common case — no deficit,
 // no shedding possible — from the view's scalar fields alone, before
-// touching the provider or the scratch. sc may be nil, in which case the
-// returned intent is freshly allocated and safe to retain indefinitely;
-// with a scratch, see the RewireScratch reuse contract.
+// touching the provider or the scratch; see the RewireScratch reuse
+// contract for how long the returned intent stays valid.
 func PlanRewire(v MaintenanceView, t MaintenanceTuning, sc *RewireScratch) (RewireIntent, bool) {
 	deficit := v.DegreeTarget - v.Degree
 	// Shedding requires warmth (a supply signal worth acting on),
@@ -211,9 +210,6 @@ func PlanRewire(v MaintenanceView, t MaintenanceTuning, sc *RewireScratch) (Rewi
 		v.Round-v.LastReplace >= t.ReplaceCooldownRounds
 	if deficit <= 0 && !mayShed {
 		return RewireIntent{}, false
-	}
-	if sc == nil {
-		sc = &RewireScratch{}
 	}
 	intent := RewireIntent{Node: v.Node}
 	if mayShed {

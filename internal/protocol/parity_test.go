@@ -302,7 +302,7 @@ func TestPlanRewire(t *testing.T) {
 	}
 	tuning := MaintenanceTuning{LowSupplyThreshold: 1, ReplaceCooldownRounds: 8, MaxDistressReplacements: 3}
 
-	intent, ok := PlanRewire(base, tuning, nil)
+	intent, ok := PlanRewire(base, tuning, &RewireScratch{})
 	if !ok {
 		t.Fatal("rewire not planned despite deficit and distress")
 	}
@@ -318,7 +318,7 @@ func TestPlanRewire(t *testing.T) {
 
 	cooled := base
 	cooled.LastReplace = 15 // within the 8-round cooldown
-	intent, _ = PlanRewire(cooled, tuning, nil)
+	intent, _ = PlanRewire(cooled, tuning, &RewireScratch{})
 	if len(intent.Drop) != 0 {
 		t.Fatalf("drop = %v during cooldown, want none", intent.Drop)
 	}
@@ -330,14 +330,14 @@ func TestPlanRewire(t *testing.T) {
 	satisfied.Degree = 5
 	satisfied.MissedLastRound = false
 	satisfied.Provider = nil
-	if _, ok := PlanRewire(satisfied, tuning, nil); ok {
+	if _, ok := PlanRewire(satisfied, tuning, &RewireScratch{}); ok {
 		t.Fatal("rewire planned for a healthy full-degree node")
 	}
 }
 
 // TestPlanRewireScratchReuse pins the scratch semantics: planning
-// through a shared scratch yields decisions identical to scratch-free
-// planning, intents from one batch stay intact as later plans are
+// through a shared scratch yields decisions identical to planning each
+// node on a fresh scratch, intents from one batch stay intact as later plans are
 // carved from the same arena, and Reset recycles the arena storage.
 func TestPlanRewireScratchReuse(t *testing.T) {
 	tuning := MaintenanceTuning{LowSupplyThreshold: 1, ReplaceCooldownRounds: 8, MaxDistressReplacements: 3}
@@ -369,12 +369,12 @@ func TestPlanRewireScratchReuse(t *testing.T) {
 		if in, ok := PlanRewire(mkView(node), tuning, &sc); ok {
 			batch = append(batch, in)
 		}
-		if in, ok := PlanRewire(mkView(node), tuning, nil); ok {
+		if in, ok := PlanRewire(mkView(node), tuning, &RewireScratch{}); ok {
 			fresh = append(fresh, in)
 		}
 	}
 	if !reflect.DeepEqual(batch, fresh) {
-		t.Fatalf("scratch batch %v differs from scratch-free plans %v", batch, fresh)
+		t.Fatalf("scratch batch %v differs from fresh-scratch plans %v", batch, fresh)
 	}
 	if len(batch) != 8 {
 		t.Fatalf("planned %d intents, want 8", len(batch))
@@ -412,7 +412,7 @@ func TestPlanRewireFastPathNoProviderCalls(t *testing.T) {
 			Provider: prov,
 		}
 		tc.mut(&v)
-		if _, ok := PlanRewire(v, tuning, nil); ok {
+		if _, ok := PlanRewire(v, tuning, &RewireScratch{}); ok {
 			t.Fatalf("%s: rewire planned on the fast path", tc.name)
 		}
 		if prov.calls != 0 {

@@ -58,26 +58,6 @@ func (s Stream) GeneratedAt(id ID) sim.Time {
 	return sim.Time(id) * s.Interval()
 }
 
-// CountIn returns how many segments the source emits in a half-open virtual
-// time window [from, to).
-func (s Stream) CountIn(from, to sim.Time) int {
-	if to <= from {
-		return 0
-	}
-	first := firstAtOrAfter(s, from)
-	last := firstAtOrAfter(s, to)
-	return int(last - first)
-}
-
-// firstAtOrAfter returns the first segment generated at or after t.
-func firstAtOrAfter(s Stream, t sim.Time) ID {
-	if t <= 0 {
-		return 0
-	}
-	iv := s.Interval()
-	return ID((t + iv - 1) / iv)
-}
-
 // Window is a half-open interval of segment IDs [Lo, Hi). It is used for
 // playback rounds ("the p segments due this round") and buffer coverage.
 type Window struct {

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"testing"
-	"testing/quick"
 
 	"continustreaming/internal/sim"
 )
@@ -28,55 +27,13 @@ func TestValidateRejectsBadStreams(t *testing.T) {
 	}
 }
 
-func TestCountIn(t *testing.T) {
-	s := DefaultStream()
-	cases := []struct {
-		from, to sim.Time
-		want     int
-	}{
-		{0, sim.Second, 10},
-		{0, 0, 0},
-		{sim.Second, 0, 0},
-		{0, 50 * sim.Millisecond, 1}, // segment 0 at t=0
-		{50, 150, 1},                 // segment 1 at t=100
-		{100, 200, 1},                // [100,200) holds segment 1 only
-		{0, 30 * sim.Second, 300},
-	}
-	for _, c := range cases {
-		if got := s.CountIn(c.from, c.to); got != c.want {
-			t.Fatalf("CountIn(%v,%v) = %d, want %d", c.from, c.to, got, c.want)
-		}
-	}
-}
-
-func TestCountInAdditiveProperty(t *testing.T) {
-	// Property: counting over [a,b) + [b,c) equals counting over [a,c).
-	s := DefaultStream()
-	f := func(a, b, c uint16) bool {
-		ta, tb, tc := sim.Time(a), sim.Time(b), sim.Time(c)
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if tb > tc {
-			tb, tc = tc, tb
-		}
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		return s.CountIn(ta, tb)+s.CountIn(tb, tc) == s.CountIn(ta, tc)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPlaybackWindow(t *testing.T) {
 	// The segments a node at playback position 120 consumes in one
-	// period: those emitted in the period starting at 120's emission.
+	// period: the Rate segments emitted in the second from 120's emission.
 	s := DefaultStream()
-	w := Window{Lo: 120, Hi: 120 + ID(s.CountIn(s.GeneratedAt(120), s.GeneratedAt(120)+sim.Second))}
-	if w.Lo != 120 || w.Hi != 130 {
-		t.Fatalf("PlaybackWindow = %v", w)
+	w := Window{Lo: 120, Hi: 120 + ID(s.Rate)}
+	if s.GeneratedAt(w.Hi)-s.GeneratedAt(w.Lo) != sim.Second {
+		t.Fatalf("PlaybackWindow %v spans %v of emission", w, s.GeneratedAt(w.Hi)-s.GeneratedAt(w.Lo))
 	}
 	if w.Len() != 10 || !w.Contains(125) || w.Contains(130) || w.Contains(119) {
 		t.Fatalf("window predicate failure: %v", w)
