@@ -3,7 +3,7 @@
 // shard's map function, so it may mutate only state its shard owns.
 // Writes to captured outer variables are legal only through an index
 // chain that mentions the map function's shard argument (the
-// `w.outUsed[s][sup]` partition idiom); everything else must flow back
+// `w.arenas[s]` partition idiom); everything else must flow back
 // through the sequential reduce function. The dedicated -race CI job
 // exercises this contract only probabilistically — two shards racing on
 // a captured counter can pass -race for months — while this analyzer

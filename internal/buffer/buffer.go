@@ -18,6 +18,9 @@
 // runtimes. The availability bitmap shifts as the window slides because it
 // is read a word at a time against neighbours' maps; the tracker is
 // circular because it is probed an ID at a time.
+//
+// A livenet peer sends Snapshot copies in its buffer-map messages; the
+// simulator reads its neighbours' Words in place and copies nothing.
 package buffer
 
 import (
@@ -30,22 +33,14 @@ import (
 // Buffer is a sliding-window segment store. The zero value is unusable;
 // construct with New.
 //
-// Availability is held as a bitmap in the same word layout as Map, so
-// snapshotting is a word copy rather than a bool-by-bool repack, and
-// window queries run word-at-a-time.
+// Availability is held as a bitmap in the same word layout as Map, so a
+// snapshot is a word copy, window queries run word-at-a-time, and a
+// reader at the same origin runs word algebra on Words in place.
 type Buffer struct {
 	size int
 	lo   segment.ID // lowest ID currently covered by the window
 	bits []uint64   // bit i = presence of segment lo+i; bits at i >= size stay zero
 	held int        // number of set bits
-
-	// version counts observable mutations (stores and window moves). The
-	// cached snapshot below is recopied only when it lags the version, so
-	// snapshotting a buffer that did not change since the last call is
-	// free — the incremental half of the buffer-map exchange.
-	version uint64
-	snap    Map
-	snapVer uint64
 }
 
 // New returns an empty buffer of capacity size whose window starts at lo.
@@ -56,7 +51,7 @@ func New(size int, lo segment.ID) *Buffer {
 	if lo < 0 {
 		lo = 0
 	}
-	return &Buffer{size: size, lo: lo, bits: make([]uint64, (size+63)/64), version: 1}
+	return &Buffer{size: size, lo: lo, bits: make([]uint64, (size+63)/64)}
 }
 
 // Size returns the buffer capacity B.
@@ -103,7 +98,6 @@ func (b *Buffer) Insert(id segment.ID) bool {
 	}
 	b.bits[w] |= m
 	b.held++
-	b.version++
 	return true
 }
 
@@ -115,7 +109,6 @@ func (b *Buffer) AdvanceTo(lo segment.ID) int {
 		return 0
 	}
 	shift := int(lo - b.lo)
-	b.version++
 	if shift >= b.size {
 		evicted := b.held
 		clear(b.bits)
@@ -250,23 +243,4 @@ func (b *Buffer) Snapshot() Map {
 	m := Map{Lo: b.lo, Bits: make([]uint64, len(b.bits)), Size: b.size}
 	copy(m.Bits, b.bits)
 	return m
-}
-
-// SnapshotShared returns the buffer's availability as a Map whose Bits
-// alias a cache owned by the buffer. The cache is recopied only when the
-// buffer changed since the previous call, so a node whose buffer is
-// untouched between exchanges advertises its map at zero cost. The
-// returned Map must be treated as read-only; it stays valid until the
-// first SnapshotShared call that follows a later mutation. Callers that
-// need an independent copy use Snapshot.
-func (b *Buffer) SnapshotShared() Map {
-	if b.snapVer != b.version {
-		if b.snap.Bits == nil {
-			b.snap = Map{Bits: make([]uint64, len(b.bits)), Size: b.size}
-		}
-		b.snap.Lo = b.lo
-		copy(b.snap.Bits, b.bits)
-		b.snapVer = b.version
-	}
-	return b.snap
 }

@@ -3,7 +3,6 @@ package buffer
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"continustreaming/internal/segment"
 )
@@ -36,20 +35,6 @@ func (m Map) Has(id segment.ID) bool {
 	return m.Bits[i/64]&(1<<(i%64)) != 0
 }
 
-// Window returns the ID range the map describes.
-func (m Map) Window() segment.Window {
-	return segment.Window{Lo: m.Lo, Hi: m.Lo + segment.ID(m.Size)}
-}
-
-// Count returns the number of advertised segments.
-func (m Map) Count() int {
-	n := 0
-	for _, w := range m.Bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // PositionFromTail returns pij, the paper's FIFO position of segment id
 // measured from the insertion (newest) end of the advertised window: old
 // segments — those about to be evicted — have positions near B, so pij/B
@@ -77,7 +62,7 @@ func (m Map) PositionFromTail(id segment.ID) (int, bool) {
 // stale or misaligned map, the socket case) reads each word from two.
 func (m Map) WordsFrom(dst []uint64, lo segment.ID) {
 	span := segment.Window{Lo: lo, Hi: lo + segment.ID(64*len(dst))}
-	if iv := span.Intersect(m.Window()); iv.Lo >= iv.Hi {
+	if iv := span.Intersect(segment.Window{Lo: m.Lo, Hi: m.Lo + segment.ID(m.Size)}); iv.Lo >= iv.Hi {
 		clear(dst)
 		return
 	}

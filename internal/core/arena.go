@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
@@ -333,11 +332,10 @@ func (ar *roundArena) resetDeliverScatter() { ar.deliverScatter = resetBuckets(a
 // callbacks read. The closures are built once per shard (ensure) and
 // capture only the ctx pointer; serveSupplier re-points the fields for
 // each supplier in turn, so the per-supplier closure allocations the old
-// inline literals paid are gone.
+// inline literals paid are gone. Requesters' and neighbours' buffers are
+// read in place through w.nodes; a nil entry is a node that died this round.
 type serveCtx struct {
 	w          *World
-	snaps      []buffer.Map
-	index      []int32
 	sn         *Node
 	neighbours []overlay.NodeID
 	cache      *rarityCache
@@ -353,15 +351,15 @@ type serveCtx struct {
 	rarity         func(segment.ID) float64
 }
 
-// prepRarity gathers the current supplier's live neighbours' words. Every
-// snapshot shares the playback origin and window size (alignedWords), so a
-// segment's position-from-tail is identical in each holder and rarity
+// prepRarity gathers the current supplier's live neighbours' buffer words.
+// Every buffer shares the playback origin and window size (alignedWords),
+// so a segment's position-from-tail is identical in each holder and rarity
 // needs only a holder count.
 func (c *serveCtx) prepRarity() {
 	c.nbWords = c.nbWords[:0]
 	for _, nb := range c.neighbours {
-		if j := c.index[nb]; j >= 0 {
-			c.nbWords = append(c.nbWords, c.w.alignedWords(c.snaps[j], c.pos, c.sn.ID, nb))
+		if m := c.w.nodes[nb]; m != nil {
+			c.nbWords = append(c.nbWords, c.w.alignedWords(m.Buf, c.pos, c.sn.ID, nb))
 		}
 	}
 }
@@ -375,8 +373,8 @@ func (c *serveCtx) ensure(w *World) {
 	c.supplierHas = func(id segment.ID) bool { return c.sn.Buf.Has(id) }
 	c.requesterAlive = func(id overlay.NodeID) bool { return c.w.nodes[id] != nil }
 	c.requesterHas = func(id overlay.NodeID, seg segment.ID) bool {
-		j := c.index[id]
-		return j >= 0 && c.snaps[j].Has(seg)
+		m := c.w.nodes[id]
+		return m != nil && m.Buf.Has(seg)
 	}
 	c.rarity = func(id segment.ID) float64 {
 		if r, ok := c.cache.get(id); ok {

@@ -42,9 +42,8 @@ func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.round = clock.Round()
 	w.beginRound()
 	var sample metrics.RoundSample
-	snaps := w.exchangePhase(&sample)
-	index := w.buildIndex()
-	requests := w.schedulePhase(clock, snaps, index)
+	w.exchangePhase(&sample)
+	requests := w.schedulePhase(clock)
 	total := 0
 	for i, reqs := range requests {
 		if len(reqs) == 0 {

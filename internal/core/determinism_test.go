@@ -97,8 +97,9 @@ func TestRecycledIDDrawsFreshStreams(t *testing.T) {
 	}
 }
 
-// TestOutboundLedgerConsistent checks the sharded outbound ledger's
-// invariants. Without the pre-fetch path, a supplier's per-round spend is
+// TestOutboundLedgerConsistent checks the outbound ledger's invariants
+// (Node.outUsed, written by the push and serve shards that own the node
+// and by the sequential pre-fetch claim stage). Without the pre-fetch path, a supplier's per-round spend is
 // bounded by its gossip backlog horizon 2·O. With pre-fetch enabled the
 // grants land before gossip serving and each requires spend < 2·O at grant
 // time, so the combined spend stays under 4·O (this pre-dates the sharding
@@ -120,7 +121,7 @@ func TestOutboundLedgerConsistent(t *testing.T) {
 		engine.Run(10)
 		for _, id := range w.Nodes() {
 			n := w.Node(id)
-			used := w.outUsedOf(id)
+			used := n.outUsed
 			if used < 0 || used > tc.factor*n.Rates.Out {
 				t.Fatalf("%s: node %d spent %d outbound slots, bound is %d",
 					tc.profile.Name, id, used, tc.factor*n.Rates.Out)

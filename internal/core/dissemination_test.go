@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"continustreaming/internal/buffer"
 	"continustreaming/internal/churn"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/segment"
@@ -12,9 +11,9 @@ import (
 )
 
 // serveFixture builds a world at playback position pos — every buffer
-// advanced there, as beginRound leaves them — plus the snapshot/index
-// context serveSupplier needs, and picks a non-source supplier.
-func serveFixture(t *testing.T, workers int, pos segment.ID) (*World, overlay.NodeID, []buffer.Map, []int32) {
+// advanced there, as beginRound leaves them — and picks a non-source
+// supplier.
+func serveFixture(t *testing.T, workers int, pos segment.ID) (*World, overlay.NodeID) {
 	t.Helper()
 	cfg := smallConfig(30, ProfileContinuStreaming())
 	cfg.Workers = workers
@@ -32,13 +31,10 @@ func serveFixture(t *testing.T, workers int, pos segment.ID) (*World, overlay.No
 	if sup < 0 {
 		t.Fatal("no usable supplier")
 	}
-	snaps := make([]buffer.Map, len(w.Nodes()))
-	index := w.buildIndex()
-	for i, id := range w.Nodes() {
+	for _, id := range w.Nodes() {
 		w.Node(id).Buf.AdvanceTo(pos)
-		snaps[i] = w.Node(id).Buf.Snapshot()
 	}
-	return w, sup, snaps, index
+	return w, sup
 }
 
 // TestSupplierServesEarliestDeadlineFirst pins the engine's service
@@ -51,7 +47,7 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 	var first []segment.ID
 	for _, workers := range []int{1, 4} {
 		pos := segment.ID(100)
-		w, sup, snaps, index := serveFixture(t, workers, pos)
+		w, sup := serveFixture(t, workers, pos)
 		sn := w.Node(sup)
 		sn.Rates.Out = 1 // capacity 2 with backlog spill
 		p := w.cfg.Stream.Rate
@@ -65,7 +61,7 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 				id:        id,
 			})
 		}
-		res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, snaps, index, 0, sim.Time(w.cfg.Tau), pos, p)
+		res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 		if len(res.Granted) != 2 {
 			t.Fatalf("granted %d, want capacity 2", len(res.Granted))
 		}
@@ -95,20 +91,15 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 // neighbour advertises, one for a segment none do — the rare segment
 // must win the single grant slot.
 func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
-	w, sup, _, index := serveFixture(t, 1, 0)
+	w, sup := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
 	pos := segment.ID(0)
 	p := w.cfg.Stream.Rate
 	common, rare := pos+2, pos+3 // same round => same deadline
-	// Rebuild snapshots with every neighbour of sup advertising the
-	// common segment.
+	// Every neighbour of sup advertises the common segment.
 	for _, nb := range w.neighborsOf(sup) {
 		w.Node(nb).Buf.Insert(common)
-	}
-	snaps := make([]buffer.Map, len(w.Nodes()))
-	for i, id := range w.Nodes() {
-		snaps[i] = w.Node(id).Buf.Snapshot()
 	}
 	fresh := []transferReq{
 		{supplier: sup, requester: w.Nodes()[0], id: common},
@@ -117,7 +108,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	// Capacity 1: only the spill-adjusted single slot. Force it by
 	// charging one push send against the supplier.
 	sn.pushSpent = 1
-	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, snaps, index, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
 		t.Fatalf("granted %+v, want the rare segment %d first", res.Granted, rare)
 	}
@@ -127,7 +118,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 // overload beyond the backlog horizon is carried (earliest deadlines
 // first) and served from the queue on the next call, rather than dropped.
 func TestQueueCarriesUnservedRequests(t *testing.T) {
-	w, sup, snaps, index := serveFixture(t, 1, 0)
+	w, sup := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
 	pos := segment.ID(0)
@@ -141,7 +132,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 		fresh = append(fresh, transferReq{supplier: sup, requester: w.Nodes()[i], id: id})
 	}
 	shard := w.shardOf(sup)
-	res := w.serveSupplier(&roundArena{}, shard, sup, fresh, snaps, index, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(&roundArena{}, shard, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 2 {
 		t.Fatalf("granted %d, want 2", len(res.Granted))
 	}
@@ -152,7 +143,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 		t.Fatalf("overflow evictions = %d, want 1", res.Evicted.Overflow)
 	}
 	// Next round: no fresh asks; the carried pair is served first.
-	res2 := w.serveSupplier(&roundArena{}, shard, sup, nil, snaps, index, sim.Time(w.cfg.Tau), 2*sim.Time(w.cfg.Tau), pos, p)
+	res2 := w.serveSupplier(&roundArena{}, shard, sup, nil, sim.Time(w.cfg.Tau), 2*sim.Time(w.cfg.Tau), pos, p)
 	if len(res2.Granted) != 2 || !res2.Granted[0].Carried || !res2.Granted[1].Carried {
 		t.Fatalf("carried requests not served next round: %+v", res2.Granted)
 	}

@@ -109,7 +109,6 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	// The tracker's arrays go to the next joiner (buildNode).
 	w.freeSeg = append(w.freeSeg, n.seg)
 	n.seg = buffer.Track{}
-	w.outUsed[id] = 0
 	// The ring slot is free again; without recycling, sustained churn
 	// exhausts the ID space long before the paper's 40-round tracks end.
 	// churnPhase purges the in-flight deliveries addressed to this round's

@@ -41,7 +41,7 @@ func (d worldDirectory) AvailableRate(node dht.ID) float64 {
 	// round); whatever is left of it is spare capacity a pre-fetch may
 	// claim, reported as an effective sending rate capped at the line
 	// rate.
-	spare := 2*n.Rates.Out - d.w.outUsedOf(overlay.NodeID(node))
+	spare := 2*n.Rates.Out - n.outUsed
 	if spare <= 0 {
 		return 0
 	}
@@ -121,8 +121,8 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			// as every other transfer, so the source's gossip serving
 			// shrinks correspondingly.
 			src := w.nodes[w.source]
-			if src.Buf.Has(res.ID) && w.outUsedOf(w.source) < 2*src.Rates.Out {
-				w.addOutUsed(w.source, 1)
+			if src.Buf.Has(res.ID) && src.outUsed < 2*src.Rates.Out {
+				src.outUsed++
 				n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 				sample.SourceRescues++
 				sample.PrefetchRoutingBits += routingMessageBits
@@ -135,10 +135,11 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 		}
 		sample.LookupFound++
 		supplier := overlay.NodeID(res.Supplier)
-		if w.outUsedOf(supplier) >= 2*w.nodes[supplier].Rates.Out {
+		sup := w.nodes[supplier]
+		if sup.outUsed >= 2*sup.Rates.Out {
 			continue // leftover vanished since the lookup
 		}
-		w.addOutUsed(supplier, 1)
+		sup.outUsed++
 		n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 		// t_fetch = locate + reply + request + retrieve (eq. 6): the
 		// locate leg walks the routed path; the remaining three legs

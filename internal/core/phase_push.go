@@ -14,9 +14,10 @@ import (
 
 // pushBudget is how much of a node's outbound the push phase may spend in
 // one round: one period's worth (O), leaving the second period of the
-// 2·O backlog horizon for pull serving. The spend is charged against the
-// shared outbound ledger, so push, gossip serving and pre-fetch grants
-// together never exceed the horizons the ledger invariants pin.
+// 2·O backlog horizon for pull serving. The spend is charged to the
+// node's outbound ledger (Node.outUsed), so push, gossip serving and
+// pre-fetch grants together never exceed the horizons the ledger
+// invariants pin.
 func pushBudget(n *Node) int { return n.Rates.Out }
 
 // pushPhase eagerly forwards this round's freshly generated segments
@@ -31,7 +32,7 @@ func pushBudget(n *Node) int { return n.Rates.Out }
 //
 // Each hop runs as a sharded map/reduce: pushers are partitioned by the
 // supplier-ownership shard, each shard plans its pushers' sends (pure
-// reads of target buffers) and charges its own outbound-ledger partition,
+// reads of target buffers) and charges its own pushers' outbound ledgers,
 // and the sends are applied sequentially in shard order afterwards, so
 // the phase is bit-identical at any worker count. Two same-hop pushers in
 // different shards may race a copy to the same target; the loser is
@@ -141,8 +142,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 					}
 					// The planning shard owns both ledgers for its pushers.
 					n.pushSpent += len(sends)
-					//continulint:shardcapture dense ledger indexed by pusher ID; shard s owns exactly the IDs with shardOf(id)==s, so writes are disjoint
-					w.outUsed[id] += int32(len(sends))
+					n.outUsed += len(sends)
 					out = append(out, sends...)
 				}
 				return out

@@ -12,18 +12,14 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// exchangePhase snapshots every node's buffer map (the per-round "periodic
-// buffer information exchange") and accounts its control cost: each node
-// receives one 620-bit map from every connected neighbour. Snapshots are
-// the buffers' shared cached maps — recopied only for buffers that changed
-// since the previous round — and are read-only for the rest of the round;
-// every later phase that mutates buffers (deliveries, playback, churn)
-// runs after the last snapshot reader.
-func (w *World) exchangePhase(sample *metrics.RoundSample) []buffer.Map {
-	snaps := make([]buffer.Map, len(w.order))
-	w.pool.ForEach(len(w.order), func(i int) {
-		snaps[i] = w.seq[i].Buf.SnapshotShared()
-	})
+// exchangePhase is the per-round "periodic buffer information exchange":
+// it accounts the exchange's control cost — each node receives one
+// 620-bit map from every connected neighbour. The maps it stands for are
+// the buffers themselves: no phase from here to the apply phase writes a
+// buffer (push ran before, deliveries land in apply), so the schedule and
+// serve phases read each neighbour's Buf in place and see exactly what an
+// exchanged map would advertise.
+func (w *World) exchangePhase(sample *metrics.RoundSample) {
 	var control int64
 	for _, id := range w.order {
 		if id == w.source {
@@ -32,7 +28,6 @@ func (w *World) exchangePhase(sample *metrics.RoundSample) []buffer.Map {
 		control += int64(w.degreeOf(id)) * buffer.WireBits(w.cfg.BufferSegments)
 	}
 	sample.ControlBits = control
-	return snaps
 }
 
 // predictPhase runs the Urgent Line on every pre-fetch-enabled node.
@@ -82,7 +77,7 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 }
 
 // schedulePhase runs each node's scheduling policy against its neighbours'
-// snapshots. The inbound budget reserves room for this round's pre-fetches
+// buffers. The inbound budget reserves room for this round's pre-fetches
 // ("the on-demand data retrieval algorithm shares the inbound rate with
 // the data scheduling algorithm").
 //
@@ -91,7 +86,7 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 // the policy scratch whose request arena backs out[i] until the transfer
 // resolution consumes it. Every write still lands in the node's own slot,
 // so the output is identical at any worker count.
-func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int32) [][]scheduler.Request {
+func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
 	pos := w.playbackPos(w.round)
 	vpos := w.virtualPos(w.round)
 	fetchWin := segment.Window{Lo: pos, Hi: w.fetchEdge(w.round)}
@@ -116,7 +111,7 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 				if budget <= 0 {
 					continue
 				}
-				cands := w.candidatesFor(ar, n, index, snaps, fetchWin, round)
+				cands := w.candidatesFor(ar, n, fetchWin, round)
 				if len(cands) == 0 {
 					continue
 				}
@@ -171,22 +166,23 @@ func (w *World) schedulePhase(clock *sim.Clock, snaps []buffer.Map, index []int3
 
 // candidatesFor enumerates the fresh segments any connected neighbour
 // advertises inside the fetch window, with per-supplier rate estimates and
-// FIFO positions: it lines up the alive neighbours' snapshot words and
-// hands them, the node's own words and its tracker to the enumeration the
-// livenet peer shares (scheduler.Enumeration.Candidates). beginRound
-// advances every buffer to the shared playback position before the
-// exchange, so the neighbours' words, the node's own words and the fetch
-// window share one bit origin; the output lists IDs ascending and suppliers
-// in neighbour order, as a per-ID scan would.
+// FIFO positions: it lines up the alive neighbours' live buffer words
+// (read in place; see exchangePhase) and hands them, the node's own words
+// and its tracker to the enumeration the livenet peer shares
+// (scheduler.Enumeration.Candidates). beginRound advances every buffer to
+// the shared playback position before the exchange, so the neighbours'
+// words, the node's own words and the fetch window share one bit origin;
+// the output lists IDs ascending and suppliers in neighbour order, as a
+// per-ID scan would.
 //
 // Alignment is an invariant of the round pipeline, not a case to handle:
-// a node or snapshot whose window opens elsewhere is a sequencing bug and
-// panics.
+// a node or neighbour buffer whose window opens elsewhere is a sequencing
+// bug and panics.
 //
 // The returned candidates (and their supplier subslices) alias ar's
 // enumeration buffers and are valid only until the next candidatesFor call
 // on the same arena — exactly the scheduling call that consumes them.
-func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
+func (w *World) candidatesFor(ar *roundArena, n *Node, win segment.Window, round int) []scheduler.Candidate {
 	own := n.Buf
 	if hi := win.Lo + segment.ID(own.Size()); win.Hi > hi {
 		win.Hi = hi
@@ -197,29 +193,30 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, index []int32, snaps []bu
 	}
 	live := ar.candLive[:0]
 	for _, nb := range n.Table.Neighbors() {
-		j := index[nb]
-		if j < 0 {
+		m := w.nodes[nb]
+		if m == nil {
 			continue // neighbour died this round; maintenance will repair
 		}
 		live = append(live, scheduler.NeighborWords{
 			Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: w.cfg.BufferSegments,
-			Bits: w.alignedWords(snaps[j], win.Lo, n.ID, nb),
+			Bits: w.alignedWords(m.Buf, win.Lo, n.ID, nb),
 		})
 	}
 	ar.candLive = live
 	return ar.enum.Candidates(live, own.Words(), int(win.Hi-win.Lo), win.Lo, &n.seg, round)
 }
 
-// alignedWords returns the availability words of the snapshot reader holds
-// of its neighbour nb, after checking the invariant the word paths rest on:
-// every snapshot of a round opens at the round's playback position pos at
-// full window size, because beginRound advances every buffer before the
-// exchange. A snapshot that opens elsewhere is a sequencing bug, not input,
-// and panics.
-func (w *World) alignedWords(snap buffer.Map, pos segment.ID, reader, nb overlay.NodeID) []uint64 {
-	if snap.Lo != pos || snap.Size != w.cfg.BufferSegments {
-		panic(fmt.Sprintf("core: node %d reads neighbour %d's snapshot [%d,%d) in a round whose windows open at %d with %d segments",
-			reader, nb, snap.Lo, snap.Lo+segment.ID(snap.Size), pos, w.cfg.BufferSegments))
+// alignedWords returns the live availability words of reader's neighbour
+// nb's buffer buf, after checking the invariant the word paths rest on:
+// every buffer opens at the round's playback position pos at full window
+// size, because beginRound advances every buffer before the exchange. A
+// buffer that opens elsewhere is a sequencing bug, not input, and panics.
+// The words are read in place, so the caller must not hold them past the
+// serve phase: the apply phase writes buffers next.
+func (w *World) alignedWords(buf *buffer.Buffer, pos segment.ID, reader, nb overlay.NodeID) []uint64 {
+	if buf.Lo() != pos || buf.Size() != w.cfg.BufferSegments {
+		panic(fmt.Sprintf("core: node %d reads neighbour %d's buffer [%d,%d) in a round whose windows open at %d with %d segments",
+			reader, nb, buf.Lo(), buf.Hi(), pos, w.cfg.BufferSegments))
 	}
-	return snap.Bits
+	return buf.Words()
 }

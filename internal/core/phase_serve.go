@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"continustreaming/internal/bandwidth"
-	"continustreaming/internal/buffer"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
@@ -88,14 +87,15 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // index and w.order is sorted, concatenating a supplier shard's buckets in
 // scatter-shard order reproduces the requester-ascending arrival order a
 // sequential scan would produce. Stage 2 (serve) gives each supplier shard
-// exclusive ownership of its suppliers — their nodes' carry queues and
-// push spend included — so it runs the service discipline and writes the
-// ledger partition it owns; counters are merged in shard order afterwards.
+// exclusive ownership of its suppliers — their nodes' carry queues, push
+// spend and outbound ledgers included — so it runs the service discipline
+// and charges its own suppliers' ledgers; counters are merged in shard
+// order afterwards.
 // Grants are not merged at all: the serving shard appends each to the
 // bucket of the shard that owns its receiver (roundArena.deliverScatter),
 // where the apply stage picks them up — the same shard-to-shard hand-off
 // as stage 1's, one stage later.
-func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, snaps []buffer.Map, index []int32, sample *metrics.RoundSample) {
+func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
 	sim.MapReduce(w.pool, phaseShards,
@@ -172,17 +172,13 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 				for askHi < len(ar.asks) && ar.asks[askHi].supplier == sup {
 					askHi++
 				}
-				sr := w.serveSupplier(ar, s, sup, ar.asks[askLo:askHi], snaps, index, start, horizon, pos, p)
+				sr := w.serveSupplier(ar, s, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
 				askLo = askHi
 				if len(sr.Queued) > 0 {
 					// Suppliers ascend, so the list is next round's sorted
 					// worklist of queue holders as it stands.
 					ar.carriers = append(ar.carriers, sup)
 				}
-				// The serving shard owns ledger slot sup (shardOf(sup) == s),
-				// so this write races with nothing.
-				//continulint:shardcapture dense ledger indexed by supplier ID; shard s owns exactly the IDs with shardOf(id)==s, so writes are disjoint
-				w.outUsed[sup] += int32(len(sr.Granted))
 				res.queueCarried += int64(len(sr.Queued))
 				res.evicted.Add(sr.Evicted)
 				res.dropped += sr.Evicted.Total()
@@ -190,6 +186,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 				if sn == nil {
 					continue
 				}
+				// The serving shard owns sup (shardOf(sup) == s), so this
+				// write races with nothing.
+				sn.outUsed += len(sr.Granted)
 				// Grants queue behind the wire time the push phase
 				// already consumed: capacity accounting subtracts the
 				// push spend, and completion times must agree with it or
@@ -221,13 +220,13 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 
 // serveSupplier runs one supplier's scheduling period: it assembles the
 // protocol.ServeInput from shard-owned world state (carry queue, buffer
-// predicates, snapshot views, the supplier's own neighbours' advertised
-// maps for the rarity term) and delegates the decision to
-// protocol.PlanServe — the same code path the livenet runtime serves
-// from — then leaves the requests carried forward on the supplier's node.
-// It touches only state owned by shard s, so supplier shards invoke it
-// concurrently.
-func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh []transferReq, snaps []buffer.Map, index []int32, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
+// predicates) and the requesters' and the supplier's neighbours' buffers,
+// read in place (the advertised maps; see exchangePhase), and delegates
+// the decision to protocol.PlanServe — the same code path the livenet
+// runtime serves from — then leaves the requests carried forward on the
+// supplier's node. It writes only state owned by shard s, so supplier
+// shards invoke it concurrently.
+func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh []transferReq, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
 	sn := w.nodes[sup]
 	if sn == nil || sn.Rates.Out <= 0 {
 		// A dead or mute supplier abandons everything addressed to it. It
@@ -269,7 +268,7 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 	// this supplier.
 	ctx := &ar.sctx
 	ctx.ensure(w)
-	ctx.snaps, ctx.index, ctx.pos = snaps, index, pos
+	ctx.pos = pos
 	ctx.sn = sn
 	ctx.neighbours = w.neighborsOf(sup)
 	ctx.prepRarity()

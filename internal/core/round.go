@@ -41,8 +41,9 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // runs deterministically single-threaded. No phase needs the round's
 // deliveries in one sequence: a receiver applies its arrivals in
 // compareArrival order, which is total, so between the serve and
-// playback probes the spine does no per-delivery work. The per-phase
-// drivers live in the phase_*.go files of this package.
+// playback probes the spine does no per-delivery work, and the schedule
+// and serve phases read neighbours' buffers in place (see exchangePhase).
+// The per-phase drivers live in the phase_*.go files of this package.
 func (w *World) Step(clock *sim.Clock) {
 	w.round = clock.Round()
 	sample := metrics.RoundSample{Round: w.round}
@@ -52,14 +53,13 @@ func (w *World) Step(clock *sim.Clock) {
 	// The fresh-segment push runs before the buffer-map exchange: the
 	// source and its first-generation holders eagerly forward this
 	// round's new segments for their first PushHops mesh hops, so the
-	// snapshots below already advertise a several-generation-deep
-	// epidemic and pull scheduling starts from dozens of seeded copies
-	// instead of one.
+	// buffers the exchange advertises already hold a several-generation-
+	// deep epidemic and pull scheduling starts from dozens of seeded
+	// copies instead of one.
 	w.probe("push")
 	w.pushPhase(clock, &sample)
 	w.probe("exchange")
-	snaps := w.exchangePhase(&sample)
-	index := w.buildIndex()
+	w.exchangePhase(&sample)
 	// The Urgent Line runs before scheduling: segments it predicts missed
 	// — holes at the deadline edge that no in-flight transfer will cover
 	// (§1's three motivating cases) — go to the DHT retrieval path, and
@@ -73,12 +73,12 @@ func (w *World) Step(clock *sim.Clock) {
 	w.probe("prefetch")
 	w.resolvePrefetch(clock, plans, &sample)
 	w.probe("schedule")
-	requests := w.schedulePhase(clock, snaps, index)
+	requests := w.schedulePhase(clock)
 	for _, reqs := range requests {
 		sample.Requests += int64(len(reqs))
 	}
 	w.probe("serve")
-	w.resolveTransfers(clock, requests, snaps, index, &sample)
+	w.resolveTransfers(clock, requests, &sample)
 	w.probe("apply")
 	w.applyDeliveries(clock, &sample)
 	w.probe("playback")
@@ -107,7 +107,6 @@ func (w *World) probe(phase string) {
 func (w *World) beginRound() {
 	pos := w.playbackPos(w.round)
 	live := w.liveEdge(w.round)
-	w.clearOutUsed()
 	src := w.nodes[w.source]
 	w.pool.ForEach(len(w.order), func(i int) {
 		n := w.seq[i]
@@ -116,7 +115,7 @@ func (w *World) beginRound() {
 		// expire lazily (expiry > round at every read).
 		n.Buf.AdvanceTo(pos)
 		n.seg.AdvanceTo(pos)
-		n.overdue, n.repeated, n.pushReceived, n.pushSpent = 0, 0, 0, 0
+		n.overdue, n.repeated, n.pushReceived, n.pushSpent, n.outUsed = 0, 0, 0, 0, 0
 	})
 	// Source ingestion happens after the window advance so new segments
 	// land inside the window: the source disseminates segments within the

@@ -7,7 +7,6 @@ import (
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/churn"
-	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/scheduler"
@@ -16,17 +15,18 @@ import (
 )
 
 // candidatesOracle is candidatesFor's differential oracle: a per-ID scan
-// of every neighbour snapshot that shares no code with the word path and
-// assumes nothing about where a window opens.
-func candidatesOracle(n *Node, index []int32, snaps []buffer.Map, win segment.Window, round int) []scheduler.Candidate {
+// of a fresh Snapshot copy of every live neighbour's buffer, which shares
+// no code with the word path and assumes nothing about where a window
+// opens.
+func candidatesOracle(w *World, n *Node, win segment.Window, round int) []scheduler.Candidate {
 	found := make(map[segment.ID][]scheduler.Supplier)
 	for _, nb := range n.Table.Neighbors() {
-		j := index[nb]
-		if j < 0 {
+		m := w.nodes[nb]
+		if m == nil {
 			continue
 		}
-		snap := snaps[j]
-		wn := win.Intersect(snap.Window())
+		snap := m.Buf.Snapshot()
+		wn := win.Intersect(segment.Window{Lo: snap.Lo, Hi: snap.Lo + segment.ID(snap.Size)})
 		for id := wn.Lo; id < wn.Hi; id++ {
 			if !snap.Has(id) || n.Buf.Has(id) || n.seg.InFlight(id, round) {
 				continue
@@ -49,15 +49,16 @@ func candidatesOracle(n *Node, index []int32, snaps []buffer.Map, win segment.Wi
 }
 
 // rarityOracle is the serve-side rarity's differential oracle: equation
-// (2) over the positions gathered from each neighbour snapshot.
-func rarityOracle(w *World, sup overlay.NodeID, index []int32, snaps []buffer.Map, id segment.ID) float64 {
+// (2) over the positions gathered from a Snapshot copy of each live
+// neighbour's buffer.
+func rarityOracle(w *World, sup overlay.NodeID, id segment.ID) float64 {
 	var positions []int
 	for _, nb := range w.neighborsOf(sup) {
-		j := index[nb]
-		if j < 0 {
+		m := w.nodes[nb]
+		if m == nil {
 			continue
 		}
-		if pft, ok := snaps[j].PositionFromTail(id); ok {
+		if pft, ok := m.Buf.Snapshot().PositionFromTail(id); ok {
 			positions = append(positions, pft)
 		}
 	}
@@ -97,9 +98,6 @@ func TestCandidatesWordMatchesOracle(t *testing.T) {
 		if phase != "schedule" {
 			return
 		}
-		var sample metrics.RoundSample
-		snaps := w.exchangePhase(&sample)
-		index := w.buildIndex()
 		pos := w.playbackPos(w.round)
 		fetchWin := segment.Window{Lo: pos, Hi: w.fetchEdge(w.round)}
 		for _, id := range w.order {
@@ -113,8 +111,8 @@ func TestCandidatesWordMatchesOracle(t *testing.T) {
 				t.Fatalf("round %d node %d: buffer opens at %d, window at %d; the test is not driving the word path",
 					w.round, id, n.Buf.Lo(), pos)
 			}
-			fast := w.candidatesFor(&ar, n, index, snaps, fetchWin, w.round)
-			slow := candidatesOracle(n, index, snaps, fetchWin, w.round)
+			fast := w.candidatesFor(&ar, n, fetchWin, w.round)
+			slow := candidatesOracle(w, n, fetchWin, w.round)
 			if len(fast) != len(slow) {
 				t.Fatalf("round %d node %d: fast enumerated %d candidates, oracle %d",
 					w.round, id, len(fast), len(slow))
@@ -141,7 +139,7 @@ func TestCandidatesWordMatchesOracle(t *testing.T) {
 // TestServeRarityMatchesOracle differentially tests the serve phase's
 // holder-count rarity against the position-gathering oracle, for every
 // supplier and every in-window segment (plus one ID either side), on the
-// snapshots the serve phase reads.
+// buffers the serve phase reads.
 func TestServeRarityMatchesOracle(t *testing.T) {
 	var ctx serveCtx
 	compared := 0
@@ -149,13 +147,10 @@ func TestServeRarityMatchesOracle(t *testing.T) {
 		if phase != "serve" {
 			return
 		}
-		var sample metrics.RoundSample
-		snaps := w.exchangePhase(&sample)
-		index := w.buildIndex()
 		pos := w.playbackPos(w.round)
 		size := w.cfg.BufferSegments
 		ctx.ensure(w)
-		ctx.snaps, ctx.index, ctx.pos = snaps, index, pos
+		ctx.pos = pos
 		ctx.cache = &rarityCache{vals: make([]float64, size), stamp: make([]int32, size)}
 		for _, sup := range w.order {
 			ctx.sn = w.nodes[sup]
@@ -163,7 +158,7 @@ func TestServeRarityMatchesOracle(t *testing.T) {
 			ctx.prepRarity()
 			ctx.cache.begin(pos)
 			for id := pos - 1; id <= pos+segment.ID(size); id++ {
-				if got, want := ctx.rarity(id), rarityOracle(w, sup, index, snaps, id); got != want {
+				if got, want := ctx.rarity(id), rarityOracle(w, sup, id); got != want {
 					t.Fatalf("round %d supplier %d segment %d: rarity %v, oracle %v", w.round, sup, id, got, want)
 				}
 				compared++
@@ -176,17 +171,59 @@ func TestServeRarityMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBuffersQuietFromExchangeToApply pins the invariant the schedule and
+// serve phases rest on when they read neighbours' buffers in place: no
+// phase between the buffer-map exchange and delivery application writes a
+// buffer. It copies every live node's buffer just after the exchange and
+// requires the same window origin and words when the apply phase opens.
+func TestBuffersQuietFromExchangeToApply(t *testing.T) {
+	type copied struct {
+		id  overlay.NodeID
+		buf buffer.Map
+	}
+	var at []copied
+	compared, held := 0, 0
+	w, engine := churnWorld(t, func(w *World, phase string) {
+		switch phase {
+		case "predict":
+			at = at[:0]
+			for _, id := range w.order {
+				at = append(at, copied{id, w.nodes[id].Buf.Snapshot()})
+			}
+		case "apply":
+			if len(at) != len(w.order) {
+				t.Fatalf("round %d: %d live nodes after the exchange, %d at apply", w.round, len(at), len(w.order))
+			}
+			for _, c := range at {
+				n := w.nodes[c.id]
+				if n == nil {
+					t.Fatalf("round %d: node %d died between the exchange and apply", w.round, c.id)
+				}
+				if n.Buf.Lo() != c.buf.Lo || !slices.Equal(n.Buf.Words(), c.buf.Bits) {
+					t.Fatalf("round %d: node %d's buffer changed between the exchange and apply (origin %d -> %d)",
+						w.round, c.id, c.buf.Lo, n.Buf.Lo())
+				}
+				compared++
+				held += n.Buf.Held()
+			}
+		}
+	})
+	rounds := w.cfg.PlaybackDelayRounds + 8
+	engine.Run(rounds)
+	if compared < rounds*w.cfg.Nodes/2 || held == 0 {
+		t.Fatalf("compared %d buffers holding %d segments over %d rounds; want at least %d non-empty buffers",
+			compared, held, rounds, rounds*w.cfg.Nodes/2)
+	}
+}
+
 // TestMisalignedWindowTripsInvariant pins the alignment invariant: a node
 // scheduling or serving against a window its buffer or a neighbour's
-// snapshot does not open at is a sequencing bug, and panics naming the
+// buffer does not open at is a sequencing bug, and panics naming the
 // node, the window and the stray origin.
 func TestMisalignedWindowTripsInvariant(t *testing.T) {
-	w, sup, snaps, index := serveFixture(t, 1, 0)
+	w, sup := serveFixture(t, 1, 0)
 	n := w.Node(sup)
-	size := w.cfg.BufferSegments
 	win := segment.Window{Lo: 0, Hi: 20}
-	stale := slices.Clone(snaps)
-	stale[index[n.Table.Neighbors()[0]]] = buffer.New(size, 10).Snapshot()
 
 	mustPanic := func(name, want string, f func()) {
 		t.Helper()
@@ -199,15 +236,17 @@ func TestMisalignedWindowTripsInvariant(t *testing.T) {
 		f()
 	}
 	mustPanic("own buffer behind the window", "with its buffer at 0", func() {
-		w.candidatesFor(&roundArena{}, n, index, snaps, segment.Window{Lo: 10, Hi: 30}, 0)
+		w.candidatesFor(&roundArena{}, n, segment.Window{Lo: 10, Hi: 30}, 0)
 	})
-	mustPanic("neighbour snapshot ahead of the window", "snapshot [10,610) in a round whose windows open at 0", func() {
-		w.candidatesFor(&roundArena{}, n, index, stale, win, 0)
-	})
-	mustPanic("serve against a stray snapshot", "snapshot [10,610) in a round whose windows open at 0", func() {
-		w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, nil, stale, index, 0, sim.Time(w.cfg.Tau), 0, w.cfg.Stream.Rate)
-	})
-	if got := w.candidatesFor(&roundArena{}, n, index, snaps, win, 0); got != nil {
+	if got := w.candidatesFor(&roundArena{}, n, win, 0); got != nil {
 		t.Fatalf("aligned empty world enumerated %d candidates", len(got))
 	}
+	// One neighbour's buffer runs ahead of the round's shared origin.
+	w.Node(n.Table.Neighbors()[0]).Buf.AdvanceTo(10)
+	mustPanic("neighbour buffer ahead of the window", "buffer [10,610) in a round whose windows open at 0", func() {
+		w.candidatesFor(&roundArena{}, n, win, 0)
+	})
+	mustPanic("serve against a stray buffer", "buffer [10,610) in a round whose windows open at 0", func() {
+		w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, nil, 0, sim.Time(w.cfg.Tau), 0, w.cfg.Stream.Rate)
+	})
 }

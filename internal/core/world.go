@@ -30,7 +30,6 @@ type World struct {
 	nodes  []*Node
 	order  []overlay.NodeID // alive IDs, ascending (rebuilt on churn)
 	seq    []*Node          // nodes aligned with order, for hot per-index loops
-	index  []int32          // ring ID -> position in order; -1 = dead (rebuilt per round)
 	dhtNet *dht.Network
 	rp     *overlay.Rendezvous
 	source overlay.NodeID
@@ -40,13 +39,6 @@ type World struct {
 	churnProc *churn.Process
 	collector *metrics.Collector
 
-	// outUsed tracks each node's outbound spend within the current round
-	// (push seeding and gossip serving first, then pre-fetch takes the
-	// leftovers). The dense ledger is indexed by ring ID and sharded by
-	// ownership rule — only shard shardOf(id) (or sequential phase code)
-	// may touch id's counter — so the parallel transfer-resolution shards
-	// write disjoint entries without locks.
-	outUsed []int32
 	// policy is the data scheduling discipline the profile selects. The
 	// policies keep no state between calls, so one value serves every
 	// node on every shard.
@@ -130,13 +122,11 @@ func NewWorld(cfg Config) (*World, error) {
 		cfg:       cfg,
 		space:     space,
 		nodes:     make([]*Node, space.N()),
-		index:     make([]int32, space.N()),
 		dhtNet:    dht.NewNetwork(space),
 		rp:        overlay.NewRendezvous(space),
 		pool:      sim.NewPool(cfg.Workers),
 		rng:       sim.DeriveRNG(cfg.Seed, 0x0571d),
 		collector: metrics.NewCollector(),
-		outUsed:   make([]int32, space.N()),
 		policy:    scheduler.Greedy{},
 		rarity:    make([]rarityCache, phaseShards),
 		idGen:     make([]uint64, space.N()),
@@ -283,22 +273,6 @@ func (w *World) shardOf(id overlay.NodeID) int {
 	return sim.ShardIndex(uint64(id), phaseShards)
 }
 
-// outUsedOf reads a supplier's outbound spend this round.
-func (w *World) outUsedOf(id overlay.NodeID) int {
-	return int(w.outUsed[id])
-}
-
-// addOutUsed charges n transmissions to a supplier's outbound ledger. Only
-// the shard that owns the supplier (or sequential phase code) may call it.
-func (w *World) addOutUsed(id overlay.NodeID, n int) {
-	w.outUsed[id] += int32(n)
-}
-
-// clearOutUsed resets the ledger at the start of a round.
-func (w *World) clearOutUsed() {
-	clear(w.outUsed)
-}
-
 // Latency returns the simulated one-way latency between two alive nodes:
 // the trace rule |ping_u − ping_v| with the topology package's floor,
 // which is also the answer when either ID names no alive node.
@@ -360,19 +334,6 @@ func (w *World) rebuildOrder() {
 			w.seq = append(w.seq, n)
 		}
 	}
-}
-
-// buildIndex refreshes and returns the ring-ID -> order-position table for
-// the current round (-1 marks dead slots). The table is only valid until
-// the next churn; Step rebuilds it each round.
-func (w *World) buildIndex() []int32 {
-	for i := range w.index {
-		w.index[i] = -1
-	}
-	for i, id := range w.order {
-		w.index[id] = int32(i)
-	}
-	return w.index
 }
 
 // playbackPos returns the synchronized playback position for round r:

@@ -36,7 +36,7 @@ func candidatesPerID(p *peer, order []int, asked map[segment.ID]bool) []schedule
 	found := map[segment.ID][]scheduler.Supplier{}
 	for _, i := range order {
 		nb := p.nbrs[i]
-		w := nb.m.Window().Intersect(p.buf.Window())
+		w := segment.Window{Lo: nb.m.Lo, Hi: nb.m.Lo + segment.ID(nb.m.Size)}.Intersect(p.buf.Window())
 		for id := w.Lo; id < w.Hi; id++ {
 			if !nb.m.Has(id) || p.buf.Has(id) || asked[id] {
 				continue

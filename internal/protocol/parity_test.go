@@ -147,7 +147,7 @@ func (w *parityWorld) liveServeInput() ServeInput {
 // identical no matter which runtime assembled its inputs.
 func TestServeParitySimVsLivenet(t *testing.T) {
 	w := newParityWorld(t)
-	simRes := PlanServe(w.simServeInput(), nil)
+	simRes := PlanServe(w.simServeInput(), &ServeScratch{})
 	liveRes := PlanServe(w.liveServeInput(), &ServeScratch{})
 	if !reflect.DeepEqual(simRes, liveRes) {
 		t.Fatalf("serve decisions diverged:\nsim  %+v\nlive %+v", simRes, liveRes)

@@ -121,8 +121,8 @@ type Ask struct {
 
 // ServeInput is everything one supplier's engine-profile serve decision
 // depends on, expressed as explicit views so both runtimes can build it:
-// the simulator from its round snapshots, livenet from the buffer maps
-// its peers announced in messages.
+// the simulator from its nodes' buffers, read in place, livenet from the
+// buffer maps its peers announced in messages.
 type ServeInput struct {
 	// Carried is the supplier's carry queue from the previous round (in
 	// stored order); Fresh this round's new asks (in arrival order).
@@ -172,12 +172,9 @@ type ServeScratch struct {
 // supplier-side rarity, and run the earliest-deadline-first service
 // discipline with bounded carry. Both the simulator's serveSupplier
 // driver and the livenet peer serve path call it — the decision is the
-// shared protocol; only the input assembly differs. A nil sc is a one-call
-// scratch; see ServeScratch for the aliasing contract.
+// shared protocol; only the input assembly differs. See ServeScratch for
+// the aliasing contract.
 func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
-	if sc == nil {
-		sc = &ServeScratch{}
-	}
 	reqs := sc.reqs[:0]
 	var stale int64
 	for _, c := range in.Carried {
@@ -185,7 +182,7 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 		// slid out of the supplier's buffer while queued, or the
 		// requester may have obtained the segment elsewhere meanwhile
 		// (push, prefetch rescue, a retry at another supplier) — its
-		// current buffer-map snapshot says so, and serving it anyway
+		// current buffer map says so, and serving it anyway
 		// would burn a grant slot on repeated data. Only survivors join
 		// the dedupe prefix — a fresh re-ask that matches a stale entry
 		// must not be swallowed with it.

@@ -11,9 +11,9 @@ import (
 // NeighborWords is one live neighbour's advertised availability during
 // candidate enumeration, aligned to the requester's fetch-window origin:
 // bit i of Bits reports the neighbour holding segment origin+i. Both
-// runtimes build it — the simulator from round snapshots that already
-// share the origin, the livenet from period-stale maps re-based with
-// buffer.Map.WordsFrom.
+// runtimes build it — the simulator from the neighbours' live buffer
+// words, which already share the origin, the livenet from period-stale
+// maps re-based with buffer.Map.WordsFrom.
 type NeighborWords struct {
 	// Node is the neighbour's ID and Rate its estimated service rate
 	// (the Supplier fields every entry of this neighbour carries).
