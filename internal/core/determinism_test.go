@@ -97,35 +97,57 @@ func TestRecycledIDDrawsFreshStreams(t *testing.T) {
 	}
 }
 
-// TestOutboundLedgerConsistent checks the outbound ledger's invariants
-// (Node.outUsed, written by the push and serve shards that own the node
-// and by the sequential pre-fetch claim stage). Without the pre-fetch path, a supplier's per-round spend is
-// bounded by its gossip backlog horizon 2·O. With pre-fetch enabled the
-// grants land before gossip serving and each requires spend < 2·O at grant
-// time, so the combined spend stays under 4·O (this pre-dates the sharding
-// rework: gossip serving has never subtracted earlier pre-fetch grants).
+// TestOutboundLedgerConsistent checks every node's uplink where the
+// round's last charge has landed (the serve phase; the probe reads it as
+// the apply phase opens). The per-class rules always hold: pushes spend at
+// most O, a rescue reply is charged only while the ledger is under 2·O, so
+// pushes and rescue replies together stay within 2·O, and grants spend at
+// most 2·O less the pushes. Without pre-fetch (CoolStreaming) the whole
+// spend stays within 2·O. With it, serve sizes grants by the push class
+// alone and ignores the rescue replies charged before it, so in the
+// ContinuStreaming churn world below (120 nodes, seed 42, 20 rounds) some
+// node-rounds end above 2·O, and every one of them carries rescue spend.
+// Direction 6a makes serve read Uplink.Spare, and that expectation flips.
 func TestOutboundLedgerConsistent(t *testing.T) {
 	for _, tc := range []struct {
 		profile Profile
-		factor  int
+		overrun bool
 	}{
-		{ProfileCoolStreaming(), 2},
-		{ProfileContinuStreaming(), 4},
+		{ProfileCoolStreaming(), false},
+		{ProfileContinuStreaming(), true},
 	} {
 		cfg := smallConfig(120, tc.profile)
-		w, err := NewWorld(cfg)
-		if err != nil {
+		cfg.Churn = churn.DefaultConfig()
+		var w *World
+		over := 0
+		cfg.PhaseProbe = func(phase string) {
+			if phase != "apply" {
+				return
+			}
+			for _, id := range w.Nodes() {
+				n := w.Node(id)
+				up, o := &n.up, n.Rates.Out
+				if up.Pushed() > o || up.Pushed()+up.Rescued() > 2*o || up.Granted() > 2*o-up.Pushed() {
+					t.Fatalf("%s round %d node %d: spent %d push, %d rescue, %d grant of O = %d",
+						tc.profile.Name, w.round, id, up.Pushed(), up.Rescued(), up.Granted(), o)
+				}
+				if up.Used() > 2*o {
+					over++
+					if up.Rescued() == 0 {
+						t.Fatalf("%s round %d node %d: spent %d of 2·O = %d with no rescue spend",
+							tc.profile.Name, w.round, id, up.Used(), 2*o)
+					}
+				}
+			}
+		}
+		var err error
+		if w, err = NewWorld(cfg); err != nil {
 			t.Fatal(err)
 		}
-		engine := sim.NewEngine(w, cfg.Tau)
-		engine.Run(10)
-		for _, id := range w.Nodes() {
-			n := w.Node(id)
-			used := n.outUsed
-			if used < 0 || used > tc.factor*n.Rates.Out {
-				t.Fatalf("%s: node %d spent %d outbound slots, bound is %d",
-					tc.profile.Name, id, used, tc.factor*n.Rates.Out)
-			}
+		sim.NewEngine(w, cfg.Tau).Run(20)
+		t.Logf("%s: %d node-rounds above 2·O", tc.profile.Name, over)
+		if (over > 0) != tc.overrun {
+			t.Fatalf("%s: %d node-rounds ended above 2·O, want overrun %v", tc.profile.Name, over, tc.overrun)
 		}
 	}
 }

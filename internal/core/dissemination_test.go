@@ -107,7 +107,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	}
 	// Capacity 1: only the spill-adjusted single slot. Force it by
 	// charging one push send against the supplier.
-	sn.pushSpent = 1
+	sn.up.ChargePush()
 	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
 		t.Fatalf("granted %+v, want the rare segment %d first", res.Granted, rare)

@@ -20,8 +20,8 @@ import (
 // profile selects. Every per-node fact lives here once: the neighbour set
 // and DHT levels in Table, everything keyed by segment in seg — the
 // buffer.Track the livenet peer keeps too — and the supplier-side round
-// state in carry, pushSpent and outUsed. Other nodes' schedule and serve
-// shards read Buf in place (see exchangePhase); nothing copies it.
+// state in carry and up. Other nodes' schedule and serve shards read Buf
+// in place (see exchangePhase); nothing copies it.
 type Node struct {
 	// ID is the node's overlay identifier and its DHT ring position.
 	ID overlay.NodeID
@@ -72,15 +72,10 @@ type Node struct {
 	// code) touches it, and that shard lists the node in its arena's
 	// carriers while the queue is non-empty.
 	carry []protocol.Request
-	// pushSpent counts the eager-push transmissions this node made this
-	// round; serving subtracts it from the backlog horizon and queues
-	// grants behind it on the wire. Same ownership rule as carry.
-	pushSpent int
-	// outUsed is the round's outbound ledger: push sends, gossip grants,
-	// then the pre-fetch claims that take what is left of the 2·O horizon.
-	// beginRound zeroes it. Same ownership rule as carry; the sequential
-	// pre-fetch claim stage writes it for the suppliers it picks.
-	outUsed int
+	// up is the round's outbound ledger, opened by beginRound and charged
+	// by the push phase's sequential loop, the pre-fetch claim stage and the
+	// serve shard that owns the node.
+	up protocol.Uplink
 
 	// overdue / repeated accumulate this round's α feedback.
 	overdue  int

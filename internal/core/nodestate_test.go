@@ -58,8 +58,8 @@ func checkNodeState(t *testing.T, w *World) {
 			}
 		}
 		joiner := n.JoinedRound == w.round
-		if joiner && (len(n.carry) > 0 || n.pushSpent != 0) {
-			t.Fatalf("round %d: joiner %d starts with %d carried requests, push spend %d", w.round, id, len(n.carry), n.pushSpent)
+		if joiner && (len(n.carry) > 0 || n.up.Used() != 0) {
+			t.Fatalf("round %d: joiner %d starts with %d carried requests, outbound spend %d", w.round, id, len(n.carry), n.up.Used())
 		}
 
 		if n.Table.DHT() != w.dhtNet.Table(dht.ID(id)) {

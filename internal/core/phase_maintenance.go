@@ -115,11 +115,12 @@ func (w *World) maintenancePhase() {
 	// in the shard arenas and stay valid until stage 2 resets them next
 	// round.
 	for s := range w.arenas {
-		for _, intent := range w.arenas[s].intents {
+		ar := &w.arenas[s]
+		for _, intent := range ar.intents {
 			if w.testRewireIntentHook != nil {
 				w.testRewireIntentHook(intent)
 			}
-			w.applyRewire(intent)
+			w.applyRewire(intent, &ar.provider)
 		}
 	}
 }
@@ -157,45 +158,20 @@ func (w *World) shardWorkLists() {
 	}
 }
 
-// applyRewire executes one intent against the live edge set: replacements
-// first (victim out only when a candidate comes in), then refills up to
-// the M target. Candidates consumed here are removed from the overheard
-// list, preserving the promote-on-connect invariant.
-func (w *World) applyRewire(intent protocol.RewireIntent) {
-	n := w.nodes[intent.Node]
-	if n == nil {
-		return
-	}
-	next := 0
-	takeCandidate := func() (overlay.NodeID, bool) {
-		for next < len(intent.Adopt) {
-			c := intent.Adopt[next]
-			next++
-			if w.nodes[c] != nil && !n.Table.IsNeighbor(c) && c != n.ID {
-				return c, true
-			}
-		}
-		return -1, false
-	}
-	for _, victim := range intent.Drop {
-		if !n.Table.IsNeighbor(victim) {
-			continue // already gone (dead, or dropped from the other side)
-		}
-		cand, ok := takeCandidate()
-		if !ok {
-			break
-		}
-		n.lastReplace = w.round
-		w.removeEdge(n.ID, victim)
+// applyRewire executes one intent against the live edge set through
+// protocol.ApplyRewire, prov re-pointed at its node. Adopted candidates
+// leave the overheard list, preserving the promote-on-connect invariant.
+func (w *World) applyRewire(intent protocol.RewireIntent, prov *maintenanceProvider) {
+	n := w.nodes[intent.Node] // stage 2 planned it for a live node
+	prov.n = n
+	adopt := func(cand overlay.NodeID) {
 		n.Table.TakeOverheard(cand)
 		w.addEdge(n.ID, cand)
 	}
-	for len(n.Table.Neighbors()) < w.cfg.DegreeTarget(n.IsSource) {
-		cand, ok := takeCandidate()
-		if !ok {
-			break
-		}
-		n.Table.TakeOverheard(cand)
-		w.addEdge(n.ID, cand)
-	}
+	protocol.ApplyRewire(intent, prov, func() int { return len(n.Table.Neighbors()) }, w.cfg.DegreeTarget(n.IsSource),
+		func(victim, cand overlay.NodeID) {
+			n.lastReplace = w.round
+			w.removeEdge(n.ID, victim)
+			adopt(cand)
+		}, adopt)
 }

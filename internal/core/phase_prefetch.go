@@ -37,18 +37,9 @@ func (d worldDirectory) AvailableRate(node dht.ID) float64 {
 	if n == nil {
 		return 0
 	}
-	// The outbound ledger spans the gossip backlog horizon (2·O per
-	// round); whatever is left of it is spare capacity a pre-fetch may
-	// claim, reported as an effective sending rate capped at the line
-	// rate.
-	spare := 2*n.Rates.Out - n.outUsed
-	if spare <= 0 {
-		return 0
-	}
-	if spare > n.Rates.Out {
-		spare = n.Rates.Out
-	}
-	return float64(spare)
+	// Whatever is left of the uplink's 2·O horizon is spare capacity a
+	// pre-fetch may claim, reported as a sending rate capped at line rate.
+	return float64(max(0, min(n.up.Spare(), n.Rates.Out)))
 }
 
 // resolvePrefetch executes Algorithm 2 for every triggered node as a
@@ -92,10 +83,10 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 	}
 }
 
-// claimPrefetch commits node n's resolved lookups: it charges the chosen
-// suppliers' outbound ledgers, falls back to the source where a lookup
-// failed, counts every outcome, and puts the resulting transfers in
-// flight to n (sequential code, so it may write n's shard's list).
+// claimPrefetch commits node n's resolved lookups: it charges a rescue
+// reply to each chosen supplier's uplink, falls back to the source where
+// a lookup failed, counts every outcome, and puts the resulting transfers
+// in flight to n (sequential code, so it may write n's shard's list).
 func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start sim.Time, sample *metrics.RoundSample) {
 	sample.LookupAttempts += int64(len(results))
 	ar := &w.arenas[w.shardOf(n.ID)]
@@ -117,12 +108,12 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			// deployment has this path — the source generated the
 			// segment and its address is channel metadata — and it is
 			// what makes a segment whose k arc owners all churned away
-			// recoverable at all. Charged to the same outbound ledger
-			// as every other transfer, so the source's gossip serving
-			// shrinks correspondingly.
+			// recoverable at all. Charged to the source's uplink as a
+			// rescue reply, refused once its 2·O horizon is spent; the
+			// serve phase still sizes the source's gossip serving by
+			// its push spend alone (see serveSupplier).
 			src := w.nodes[w.source]
-			if src.Buf.Has(res.ID) && src.outUsed < 2*src.Rates.Out {
-				src.outUsed++
+			if src.Buf.Has(res.ID) && src.up.ChargeRescue() > 0 {
 				n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 				sample.SourceRescues++
 				sample.PrefetchRoutingBits += routingMessageBits
@@ -136,10 +127,9 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 		sample.LookupFound++
 		supplier := overlay.NodeID(res.Supplier)
 		sup := w.nodes[supplier]
-		if sup.outUsed >= 2*sup.Rates.Out {
+		if sup.up.ChargeRescue() == 0 {
 			continue // leftover vanished since the lookup
 		}
-		sup.outUsed++
 		n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)
 		// t_fetch = locate + reply + request + retrieve (eq. 6): the
 		// locate leg walks the routed path; the remaining three legs

@@ -4,21 +4,12 @@ import (
 	"cmp"
 	"slices"
 
-	"continustreaming/internal/bandwidth"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
-
-// pushBudget is how much of a node's outbound the push phase may spend in
-// one round: one period's worth (O), leaving the second period of the
-// 2·O backlog horizon for pull serving. The spend is charged to the
-// node's outbound ledger (Node.outUsed), so push, gossip serving and
-// pre-fetch grants together never exceed the horizons the ledger
-// invariants pin.
-func pushBudget(n *Node) int { return n.Rates.Out }
 
 // pushPhase eagerly forwards this round's freshly generated segments
 // along mesh edges for their first PushHops hops — the dissemination
@@ -27,13 +18,13 @@ func pushBudget(n *Node) int { return n.Rates.Out }
 // 8000+ nodes, while a push-seeded one starts several generations deep.
 // Hop 1 is the source spraying its connected neighbours; hop h+1 is every
 // hop-h receiver forwarding what it just received. The per-pusher send
-// plan is protocol.PlanPushMask; this driver owns the sharding, the ledgers
-// and the wire-time bookkeeping.
+// plan is protocol.PlanPushMask, within the pusher's Uplink.PushRoom; this
+// driver owns the sharding and the delivery bookkeeping.
 //
 // Each hop runs as a sharded map/reduce: pushers are partitioned by the
 // supplier-ownership shard, each shard plans its pushers' sends (pure
-// reads of target buffers) and charges its own pushers' outbound ledgers,
-// and the sends are applied sequentially in shard order afterwards, so
+// reads of target buffers), and the sends are applied sequentially in
+// shard order afterwards, each charged to its pusher's uplink there, so
 // the phase is bit-identical at any worker count. Two same-hop pushers in
 // different shards may race a copy to the same target; the loser is
 // counted as a push duplicate, exactly the redundancy a real eager-push
@@ -62,10 +53,6 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	start := clock.Now()
 	end := clock.RoundEnd()
 	segBits := w.cfg.Stream.BitsPerSegment
-	// Per-pusher send serialization across the whole phase: a pusher's
-	// k-th copy occupies its outbound wire for k+1 segment times, the
-	// same PerSegment accounting the pull and pre-fetch paths use.
-	sent := make(map[overlay.NodeID]int)
 	// The frontier lists every (holder, segment) pair the next hop
 	// forwards, sorted by holder and, within one holder, in arrival
 	// order; each entry carries the instant its holder actually received
@@ -107,7 +94,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 				var out []protocol.Send
 				for _, id := range byShard[s] {
 					n := w.nodes[id]
-					budget := pushBudget(n) - n.pushSpent
+					budget := n.up.PushRoom()
 					if budget <= 0 {
 						continue
 					}
@@ -137,12 +124,6 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 							}
 							return t.Buf.MissingMask(segment.Window{Lo: lo, Hi: hi})
 						}, budget)
-					if len(sends) == 0 {
-						continue
-					}
-					// The planning shard owns both ledgers for its pushers.
-					n.pushSpent += len(sends)
-					n.outUsed += len(sends)
 					out = append(out, sends...)
 				}
 				return out
@@ -170,10 +151,9 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 				// pusher's wire slot and the target's inbound —
 				// duplicates included; the pull scheduler's budget below
 				// shrinks accordingly.
-				sent[snd.From]++
+				up := &w.nodes[snd.From].up
 				t.pushReceived++
-				wire := sim.Time(sent[snd.From]) * bandwidth.PerSegment(w.nodes[snd.From].Rates.Out, w.cfg.Tau)
-				at := readyAt(snd.From, snd.ID) + wire + w.Latency(snd.From, snd.To)
+				at := readyAt(snd.From, snd.ID) + up.WireAt(up.ChargePush()) + w.Latency(snd.From, snd.To)
 				if at > end {
 					// The pusher's wire ran past the round boundary: the
 					// copy is an ordinary transfer in flight, applied,

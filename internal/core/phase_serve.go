@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"continustreaming/internal/bandwidth"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
@@ -87,10 +86,9 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // index and w.order is sorted, concatenating a supplier shard's buckets in
 // scatter-shard order reproduces the requester-ascending arrival order a
 // sequential scan would produce. Stage 2 (serve) gives each supplier shard
-// exclusive ownership of its suppliers — their nodes' carry queues, push
-// spend and outbound ledgers included — so it runs the service discipline
-// and charges its own suppliers' ledgers; counters are merged in shard
-// order afterwards.
+// exclusive ownership of its suppliers — their nodes' carry queues and
+// uplinks included — so it runs the service discipline and charges its own
+// suppliers' uplinks; counters are merged in shard order afterwards.
 // Grants are not merged at all: the serving shard appends each to the
 // bucket of the shard that owns its receiver (roundArena.deliverScatter),
 // where the apply stage picks them up — the same shard-to-shard hand-off
@@ -187,20 +185,15 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 					continue
 				}
 				// The serving shard owns sup (shardOf(sup) == s), so this
-				// write races with nothing.
-				sn.outUsed += len(sr.Granted)
-				// Grants queue behind the wire time the push phase
-				// already consumed: capacity accounting subtracts the
-				// push spend, and completion times must agree with it or
-				// a pushing supplier's pulls would land impossibly early.
-				per := bandwidth.PerSegment(sn.Rates.Out, w.cfg.Tau)
-				backlog := sim.Time(sn.pushSpent)
+				// write races with nothing. Grants queue behind the push
+				// class alone, as serveSupplier's capacity does.
+				sn.up.ChargeGrants(len(sr.Granted))
+				slot := sn.up.Pushed() + 1
 				for k, g := range sr.Granted {
 					if g.Carried {
 						res.queueServed++
 					}
-					done := (backlog + sim.Time(k+1)) * per
-					at := start + done + w.Latency(sup, g.Requester)
+					at := start + sn.up.WireAt(slot+k) + w.Latency(sup, g.Requester)
 					rs := w.shardOf(g.Requester)
 					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; receiver shards read it only after the serve barrier
 					ar.deliverScatter[rs] = append(ar.deliverScatter[rs], delivery{to: g.Requester, from: sup, id: g.ID, at: at})
@@ -278,8 +271,8 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 		Carried: sn.carry,
 		Fresh:   ar.planAsks,
 		// Backlog spill (up to one extra period of queued transmissions)
-		// minus what the push phase already transmitted this round.
-		Capacity:       2*sn.Rates.Out - sn.pushSpent,
+		// minus this round's pushes; its rescue replies are not subtracted.
+		Capacity:       2*sn.Rates.Out - sn.up.Pushed(),
 		QueueCap:       w.cfg.QueueFactor * sn.Rates.Out,
 		Horizon:        horizon,
 		SupplierHas:    ctx.supplierHas,

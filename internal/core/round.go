@@ -115,7 +115,8 @@ func (w *World) beginRound() {
 		// expire lazily (expiry > round at every read).
 		n.Buf.AdvanceTo(pos)
 		n.seg.AdvanceTo(pos)
-		n.overdue, n.repeated, n.pushReceived, n.pushSpent, n.outUsed = 0, 0, 0, 0, 0
+		n.overdue, n.repeated, n.pushReceived = 0, 0, 0
+		n.up.Open(n.Rates.Out, w.cfg.Tau)
 	})
 	// Source ingestion happens after the window advance so new segments
 	// land inside the window: the source disseminates segments within the

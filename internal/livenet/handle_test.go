@@ -70,7 +70,7 @@ func stateOf(p *peer, tr *recTransport) dataState {
 	st := dataState{
 		Buf:       p.buf.Snapshot().Bits,
 		Delivered: p.st.Delivered, Rescued: p.st.Rescued, PushDelivered: p.st.PushDelivered,
-		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.pushSpent,
+		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.up.Pushed(),
 		Forwarded: tr.sent,
 	}
 	for id := p.buf.Lo(); id < p.buf.Hi(); id++ {
@@ -257,7 +257,9 @@ func TestRescueRequestServedFromBuffer(t *testing.T) {
 		if tc.buffered {
 			p.buf.Insert(pushedSeg)
 		}
-		p.pushSpent = tc.spent
+		for range tc.spent {
+			p.up.ChargePush()
+		}
 		p.handle(&Message{From: asker, Kind: msgRescueReq, Seg: pushedSeg, Period: handlePeriod})
 		if len(tr.sent) != tc.replies {
 			t.Fatalf("%s: %d replies %+v, want %d", tc.name, len(tr.sent), tr.sent, tc.replies)
@@ -265,11 +267,12 @@ func TestRescueRequestServedFromBuffer(t *testing.T) {
 		if tc.replies == 0 {
 			continue
 		}
-		if r := tr.sent[0]; r.To != asker || r.M.Kind != msgData || r.M.Seg != pushedSeg || !r.M.Rescue || r.M.Hop != 0 {
+		r := tr.sent[0]
+		if r.To != asker || r.M.Kind != msgData || r.M.Seg != pushedSeg || !r.M.Rescue || r.M.Hop != 0 {
 			t.Fatalf("%s: reply %+v, want rescue data for segment %d to peer %d", tc.name, r, pushedSeg, asker)
 		}
-		if p.rescueSpent != 1 {
-			t.Fatalf("%s: rescue spend %d after one reply", tc.name, p.rescueSpent)
+		if p.up.Rescued() != 1 || r.M.Deadline != p.up.WireAt(tc.spent+1) {
+			t.Fatalf("%s: rescue spend %d, stamp %v after one reply, want 1 at slot %d", tc.name, p.up.Rescued(), r.M.Deadline, tc.spent+1)
 		}
 	}
 }

@@ -86,9 +86,7 @@ type Stats struct {
 	// period stamp its linked neighbours have sent (the one link's, with
 	// one link; an unlinked sender's stamp never counts, so no single
 	// frame can move it) — the liveness drift a stalled node accumulates.
-	// A node is behind only until re-sync re-anchors it; without re-sync
-	// a stall would leave it behind (playing late against a deep buffer,
-	// so local continuity alone cannot see it) for the rest of the run.
+	// Every such tick re-syncs at once, so it always equals Resyncs.
 	BehindPeriods int
 }
 

@@ -40,8 +40,9 @@ type Message struct {
 	// Deadline is the one time-valued field, read per kind: on a request
 	// the period in which Seg plays at the requester (the supplier-side
 	// EDF key), on data the offset into the period at which the sender's
-	// uplink finished the segment (peer.wireAt, the receiver's rate
-	// observation), on a rendezvous point's ConnectOK its current period.
+	// uplink finished the segment (protocol.Uplink.WireAt, the receiver's
+	// rate observation), on a rendezvous point's ConnectOK its current
+	// period.
 	Deadline sim.Time
 	// Hop is the push-hop counter on data (0 = pull grant or rescue
 	// reply; h >= 1 = eager push, forwarded while h < PushHops).

@@ -137,7 +137,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	stamp()
 
 	var p *peer
-	start, period, attempt, behind, resyncs := 0, 0, 0, 0, 0
+	start, period, attempt, resyncs := 0, 0, 0, 0
 	// deliver takes the datagrams: the session's peer once it exists, and
 	// before that the handshake's collector of hello (the RP's ConnectOK)
 	// and the backlog that raced ahead of it.
@@ -226,7 +226,6 @@ run:
 				// and one link's stamp alone never moves it unless it is the
 				// node's only link (peer.networkPeriod).
 				if seen := p.networkPeriod(); seen > period {
-					behind++
 					seen = min(seen, periods-1)
 					nc.Logf("resync: period %d -> %d", period, seen)
 					period = seen
@@ -255,7 +254,7 @@ run:
 	stats := s.result()
 	// The session counts absolute periods; a node reports the ones it ran.
 	stats.Periods = max(0, stats.Periods-start)
-	stats.BehindPeriods, stats.Resyncs = behind, resyncs
+	stats.BehindPeriods, stats.Resyncs = resyncs, resyncs
 	stats.TransportDropped = n.tr.Dropped()
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()

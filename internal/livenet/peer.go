@@ -81,10 +81,13 @@ type peer struct {
 	carry, carrySpare []protocol.Request
 	asks, asksSpare   []protocol.Ask
 
-	curPeriod    int
-	pos          segment.ID
-	pushSpent    int
-	rescueSpent  int
+	curPeriod int
+	pos       segment.ID
+	// up is the period's outbound ledger, opened at birth and after every
+	// serve: pushes, rescue replies and grants charge it. Each data message
+	// carries its wire time (Uplink.WireAt) in Deadline, the sender's own
+	// claim, which the receiver takes as the arrival offset (receiveData).
+	up           protocol.Uplink
 	pushReceived int
 	repeated     int
 	missedLast   bool
@@ -231,6 +234,7 @@ func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSou
 		lastReplace: joinPeriod - 1000, // no artificial cooldown at birth
 	}
 	p.seg = buffer.OpenTrack(cfg.BufferSegments, p.buf.Lo(), buffer.Track{})
+	p.up.Open(p.outbound(), sim.Second)
 	p.view.p = p
 	if !isSource {
 		p.alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
@@ -260,18 +264,6 @@ func (p *peer) outbound() int {
 		return p.cfg.SourceOutbound
 	}
 	return p.cfg.OutboundPerPeriod
-}
-
-// wireAt is when, measured from the start of the period, the peer's
-// uplink finishes the slot-th segment it transmits in it: pushes, rescue
-// replies and grants share the one uplink, each segment occupying it for
-// τ/O — the simulator's wire model (its serve phase's done, its push
-// phase's wire). Every data message carries its wireAt in Deadline, and
-// the receiver's rate controller takes it as the arrival offset. The
-// stamp is the sender's own claim: a false one distorts nobody's standing
-// but the sender's.
-func (p *peer) wireAt(slot int) sim.Time {
-	return sim.Time(slot) * bandwidth.PerSegment(p.outbound(), sim.Second)
 }
 
 // nbrIndex returns the neighbour table index of id, or the insertion
@@ -395,13 +387,15 @@ func (p *peer) handle(m *Message) {
 	case msgRescueReq:
 		// The rescue serve path: the asked peer answers from its buffer,
 		// directly, as the paper's on-demand retrieval exchange does.
-		// Rescue grants draw on the same 2·O outbound horizon the serve
-		// and push paths share — the simulator debits its supplier ledger
-		// identically — so a hot ring position degrades to next-period
-		// retries instead of serving unbounded copies for free.
-		if p.pushSpent+p.rescueSpent < 2*p.outbound() && p.buf.Has(m.Seg) {
-			p.rescueSpent++
-			p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.wireAt(p.pushSpent + p.rescueSpent)})
+		// Rescue replies draw on the same 2·O outbound horizon the serve
+		// and push paths share — the simulator's pre-fetch claims charge
+		// their supplier's uplink the same way — so a hot ring position
+		// degrades to next-period retries instead of serving unbounded
+		// copies for free.
+		if p.buf.Has(m.Seg) {
+			if slot := p.up.ChargeRescue(); slot > 0 {
+				p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.up.WireAt(slot)})
+			}
 		}
 	case msgConnect:
 		// Adoption is bidirectional, as in the simulator's addEdge; the
@@ -465,7 +459,7 @@ func (p *peer) receiveData(m *Message) {
 	if stored {
 		p.st.Delivered++
 		// Credit the delivery at the offset its sender's uplink finished
-		// it (see wireAt) — the livenet mirror of the simulator's
+		// it (Uplink.WireAt) — the livenet mirror of the simulator's
 		// (d.at - now).Seconds(). The rate controller divides deliveries
 		// by the latest offset, so a neighbour whose uplink is crowded
 		// reads as slow and Algorithm 1 steers asks away from it; that
@@ -496,14 +490,12 @@ func (p *peer) receiveData(m *Message) {
 	// bound allows, spending from the same per-period outbound the serve
 	// path draws on.
 	if p.cfg.Engine && m.Hop > 0 && m.Hop < p.cfg.PushHops && stored {
-		budget := p.outbound() - p.pushSpent
 		p.pushBase = m.Seg
 		sends := protocol.PlanPushMask(
 			p.cfg.Seed^uint64(p.id)*0x9e3779b97f4a7c15^uint64(p.curPeriod),
-			overlay.NodeID(p.id), m.Seg, []segment.ID{m.Seg}, p.nbrIDs, p.nbrLacksFn, budget)
+			overlay.NodeID(p.id), m.Seg, []segment.ID{m.Seg}, p.nbrIDs, p.nbrLacksFn, p.up.PushRoom())
 		for _, s := range sends {
-			p.pushSpent++
-			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.wireAt(p.pushSpent+p.rescueSpent)})
+			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.up.WireAt(p.up.ChargePush())})
 		}
 	}
 }
@@ -587,7 +579,8 @@ func (p *peer) periodSchedule() {
 func (p *peer) periodServe() {
 	p.servePeriod(p.curPeriod)
 	p.ctrl.Tick()
-	p.pushSpent, p.rescueSpent, p.pushReceived = 0, 0, 0
+	p.up.Open(p.outbound(), sim.Second)
+	p.pushReceived = 0
 }
 
 // evalPlayback evaluates one period's playback — does the peer hold every
@@ -617,10 +610,9 @@ func (p *peer) pushFresh(now int) {
 		}
 	}
 	sends := protocol.PlanPushMask(
-		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), p.pushBase, fresh, p.nbrIDs, p.nbrLacksFn, p.outbound())
+		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), p.pushBase, fresh, p.nbrIDs, p.nbrLacksFn, p.up.PushRoom())
 	for _, s := range sends {
-		p.pushSpent++
-		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.wireAt(p.pushSpent)})
+		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.up.WireAt(p.up.ChargePush())})
 	}
 }
 
@@ -635,7 +627,7 @@ func (p *peer) servePeriod(now int) {
 	if p.cfg.Engine {
 		in := &p.serveIn
 		in.Carried, in.Fresh, in.QueueInto = p.carry, asks, p.carrySpare
-		in.Capacity = 2*p.outbound() - p.pushSpent - p.rescueSpent
+		in.Capacity = p.up.Spare()
 		in.QueueCap = p.cfg.QueueFactor * p.outbound()
 		in.Horizon = sim.Time(now)
 		res = protocol.PlanServe(*in, &p.serveScratch)
@@ -651,14 +643,14 @@ func (p *peer) servePeriod(now int) {
 	}
 	p.asksSpare = asks[:0]
 	p.st.GrantsEvicted += res.Evicted.Total()
-	backlog := p.pushSpent + p.rescueSpent
+	slot := p.up.ChargeGrants(len(res.Granted))
 	for k, g := range res.Granted {
 		if g.Carried {
 			p.st.QueueServed++
 		}
 		if p.buf.Has(g.ID) {
 			p.st.GrantsSent++
-			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.wireAt(backlog + k + 1)})
+			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.up.WireAt(slot + k)})
 		}
 	}
 }
@@ -697,8 +689,9 @@ func (p *peer) dead(nb *neighbour, now int) bool {
 
 // maintainMesh drops neighbours discovered dead and runs the shared rewire
 // decision — protocol.PlanRewire, the simulator's maintenance rules — over
-// the peer's locally learned view, sending Bye/Connect control messages
-// for the resulting intent.
+// the peer's locally learned view, then applies the intent through
+// protocol.ApplyRewire with Bye/Connect control messages. A new link lands
+// only on its ConnectOK, so a swap lowers the degree the refill reads.
 func (p *peer) maintainMesh(now int) {
 	for i := len(p.nbrs) - 1; i >= 0; i-- {
 		if nb := &p.nbrs[i]; p.dead(nb, now) {
@@ -725,41 +718,19 @@ func (p *peer) maintainMesh(now int) {
 	if !ok {
 		return
 	}
-	next := 0
-	takeCandidate := func() (int, bool) {
-		for next < len(intent.Adopt) {
-			c := int(intent.Adopt[next])
-			next++
-			if p.alive(c) && !p.linked(c) && c != p.id {
-				return c, true
-			}
-		}
-		return -1, false
+	connect := func(cand overlay.NodeID) {
+		p.forget(int(cand))
+		p.send(int(cand), Message{From: p.id, Kind: msgConnect})
 	}
-	for _, victim := range intent.Drop {
-		vi, ok := p.nbrIndex(int(victim))
-		if !ok {
-			continue
-		}
-		cand, ok := takeCandidate()
-		if !ok {
-			break
-		}
-		p.lastReplace = now
-		p.st.Replaced++
-		p.unlink(vi)
-		p.send(int(victim), Message{From: p.id, Kind: msgBye})
-		p.forget(cand)
-		p.send(cand, Message{From: p.id, Kind: msgConnect})
-	}
-	for want := p.cfg.DegreeTarget(p.isSource) - len(p.nbrs); want > 0; want-- {
-		cand, ok := takeCandidate()
-		if !ok {
-			break
-		}
-		p.forget(cand)
-		p.send(cand, Message{From: p.id, Kind: msgConnect})
-	}
+	protocol.ApplyRewire(intent, &p.view, func() int { return len(p.nbrs) }, view.DegreeTarget,
+		func(victim, cand overlay.NodeID) {
+			p.lastReplace = now
+			p.st.Replaced++
+			vi, _ := p.nbrIndex(int(victim)) // Connected, so linked
+			p.unlink(vi)
+			p.send(int(victim), Message{From: p.id, Kind: msgBye})
+			connect(cand)
+		}, connect)
 }
 
 // announce sends the buffer map to every neighbour, with membership

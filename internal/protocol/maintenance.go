@@ -290,17 +290,6 @@ func usableCand(v *MaintenanceView, sc *RewireScratch, c overlay.NodeID) bool {
 	return true
 }
 
-// rankCandidates orders a pool by (latency, ID) — the paper's
-// lowest-latency replacement rule with a deterministic tie-break.
-func rankCandidates(cands []CandidateSource) {
-	slices.SortFunc(cands, func(a, b CandidateSource) int {
-		if a.Latency != b.Latency {
-			return cmp.Compare(a.Latency, b.Latency)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-}
-
 // adoptionCandidates assembles up to want connection candidates in
 // preference order from the provider's pools. Pools are filtered in
 // priority order and deduplicated across pools: an overheard candidate
@@ -314,42 +303,16 @@ func adoptionCandidates(v *MaintenanceView, want int, sc *RewireScratch) []overl
 	sc.seen = sc.seen[:0]
 	start := len(sc.ids)
 	sc.cands = v.Provider.AppendOverheard(sc.cands[:0])
-	cands := sc.cands
-	n := 0
-	for _, o := range cands {
-		if usableCand(v, sc, o.ID) {
-			cands[n] = o
-			n++
-		}
-	}
-	cands = cands[:n]
-	rankCandidates(cands)
-	for _, c := range cands {
-		if len(sc.ids)-start >= want {
-			return sc.carve(start)
-		}
-		sc.ids = append(sc.ids, c.ID)
+	if appendRanked(v, sc, start, want) {
+		return sc.carve(start)
 	}
 	// Eager refill: the structured overlay's peer levels survive churn
 	// (the repair cadence keeps them alive), so they are the membership
 	// view of last resort when gossip has not overheard enough fresh
 	// nodes.
 	sc.cands = v.Provider.AppendDHTPeers(sc.cands[:0])
-	cands = sc.cands
-	n = 0
-	for _, p := range cands {
-		if usableCand(v, sc, p.ID) {
-			cands[n] = p
-			n++
-		}
-	}
-	cands = cands[:n]
-	rankCandidates(cands)
-	for _, c := range cands {
-		if len(sc.ids)-start >= want {
-			return sc.carve(start)
-		}
-		sc.ids = append(sc.ids, c.ID)
+	if appendRanked(v, sc, start, want) {
+		return sc.carve(start)
 	}
 	if v.IsSource {
 		sc.rp = v.Provider.AppendRPCandidates(sc.rp[:0], 2*want)
@@ -363,4 +326,68 @@ func adoptionCandidates(v *MaintenanceView, want int, sc *RewireScratch) []overl
 		}
 	}
 	return sc.carve(start)
+}
+
+// appendRanked filters the pool in sc.cands through usableCand, ranks it
+// by (latency, ID) — the paper's lowest-latency replacement rule with a
+// deterministic tie-break — and lists it after start until want are
+// listed. It reports whether a usable candidate was left over at the cut,
+// the one case that ends the search before the next pool.
+func appendRanked(v *MaintenanceView, sc *RewireScratch, start, want int) bool {
+	n := 0
+	for _, c := range sc.cands {
+		if usableCand(v, sc, c.ID) {
+			sc.cands[n] = c
+			n++
+		}
+	}
+	cands := sc.cands[:n]
+	slices.SortFunc(cands, func(a, b CandidateSource) int {
+		return cmp.Or(cmp.Compare(a.Latency, b.Latency), cmp.Compare(a.ID, b.ID))
+	})
+	for _, c := range cands {
+		if len(sc.ids)-start >= want {
+			return true
+		}
+		sc.ids = append(sc.ids, c.ID)
+	}
+	return false
+}
+
+// ApplyRewire executes one intent, revalidating every entry through view
+// (earlier intents or remote connects may have moved the edge set): each
+// victim still Connected is swapped for the next candidate that is Alive,
+// not Connected and not the node, then candidates are adopted until
+// degree() — read once, after the swaps — reaches target. A simulator swap
+// keeps the degree; a livenet one lowers it until ConnectOK, so there each
+// swap brings one extra refill adoption.
+func ApplyRewire(intent RewireIntent, view ViewProvider, degree func() int, target int,
+	swap func(victim, cand overlay.NodeID), adopt func(cand overlay.NodeID)) {
+	next := 0
+	take := func() (overlay.NodeID, bool) {
+		for ; next < len(intent.Adopt); next++ {
+			if c := intent.Adopt[next]; c != intent.Node && view.Alive(c) && !view.Connected(c) {
+				next++
+				return c, true
+			}
+		}
+		return -1, false
+	}
+	for _, victim := range intent.Drop {
+		if !view.Connected(victim) {
+			continue // already gone (dead, or dropped from the other side)
+		}
+		cand, ok := take()
+		if !ok {
+			return
+		}
+		swap(victim, cand)
+	}
+	for want := target - degree(); want > 0; want-- {
+		cand, ok := take()
+		if !ok {
+			return
+		}
+		adopt(cand)
+	}
 }

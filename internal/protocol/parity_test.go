@@ -12,10 +12,10 @@ import (
 
 // The parity tests pin the tentpole contract of the protocol extraction:
 // the simulator and the livenet runtime feed the same decision functions
-// through differently shaped adapters — the simulator from its per-round
-// snapshot slice indexed by order position, livenet from the per-peer map
-// of announced buffer maps — and identical situations must yield
-// identical decisions. If either runtime's input assembly drifts (a
+// through differently shaped adapters — the simulator from the nodes'
+// live buffers, read in place, livenet from the buffer maps its neighbours
+// last announced, one per row of its neighbour table — and identical
+// situations must yield identical decisions. If either runtime's input assembly drifts (a
 // filter lost, an order changed), these tests fail before the divergence
 // can hide inside end-to-end noise.
 

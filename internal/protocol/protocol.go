@@ -16,7 +16,7 @@
 //
 //   - Membership maintenance — SCAMP-style membership gossip picks
 //     (GossipPicks) and the paper's neighbour maintenance rules with
-//     distress-scaled low-supply replacement (PlanRewire).
+//     distress-scaled low-supply replacement (PlanRewire, ApplyRewire).
 //   - Fresh-segment push — breadth-first eager forwarding plans for newly
 //     generated segments (PlanPushMask), the dissemination engine's answer to
 //     the pull-epidemic depth gap at 8000+ nodes.
@@ -24,9 +24,9 @@
 //     neighbourhood-rarity tie-break and bounded carry queues
 //     (PlanServe), plus the published pull-only round-robin discipline the
 //     CoolStreaming baseline keeps (ServeRoundRobin). The state these
-//     decisions carry across rounds — a supplier's carry queue, its push
-//     spend — belongs to the runtime's node (core.Node, a livenet peer);
-//     the package holds none.
+//     decisions carry — a supplier's carry queue, the period's Uplink
+//     that push, rescue and serve charge — belongs to the runtime's node
+//     (core.Node, a livenet peer); the package holds none.
 //
 // Design notes for the dissemination engine (push + EDF serve + queueing)
 // live with the respective functions; the three are one coordinated
