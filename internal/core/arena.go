@@ -359,7 +359,7 @@ func (c *serveCtx) prepRarity() {
 	c.nbWords = c.nbWords[:0]
 	for _, nb := range c.neighbours {
 		if m := c.w.nodes[nb]; m != nil {
-			c.nbWords = append(c.nbWords, c.w.alignedWords(m.Buf, c.pos, c.sn.ID, nb))
+			c.nbWords = append(c.nbWords, c.w.alignedWords(&m.Buf, c.pos, c.sn.ID, nb))
 		}
 	}
 }

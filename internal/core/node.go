@@ -22,6 +22,15 @@ import (
 // buffer.Track the livenet peer keeps too — and the supplier-side round
 // state in carry and up. Other nodes' schedule and serve shards read Buf
 // in place (see exchangePhase); nothing copies it.
+//
+// Each component the round touches — Table, Buf, Ctrl, RNG, seg, up — is
+// a value field, so it sits in the Node's own allocation: a phase that
+// has loaded the node reads it without a further pointer hop (the
+// components' own slices, the buffer's words and the tracker's arrays,
+// are still one hop away). Table's DHT section stays the dht.Table the
+// network routes through, an object of its own: routing walks touch only
+// tables, and run faster over small ones than through whole nodes. A node
+// is always handled as a *Node, never copied.
 type Node struct {
 	// ID is the node's overlay identifier and its DHT ring position.
 	ID overlay.NodeID
@@ -35,16 +44,16 @@ type Node struct {
 	Rates bandwidth.Rates
 	// Table is the Peer Table (connected neighbours + DHT peers +
 	// overheard nodes).
-	Table *overlay.PeerTable
+	Table overlay.PeerTable
 	// Buf is the sliding segment buffer.
-	Buf *buffer.Buffer
+	Buf buffer.Buffer
 	// Ctrl estimates per-neighbour receiving rates.
-	Ctrl *bandwidth.Controller
+	Ctrl bandwidth.Controller
 	// Alpha adapts the urgent ratio; nil for profiles without pre-fetch
 	// (and for the source).
 	Alpha *prefetch.Alpha
 	// RNG is the node's private randomness stream.
-	RNG *sim.RNG
+	RNG sim.RNG
 
 	// Started reports whether playback has begun (§5.2: the system ramps
 	// up as nodes buffer enough to start; new joiners follow their

@@ -16,7 +16,8 @@ import (
 // holder is on its serve shard's worklist (a queue the list forgot would
 // never be served again); a node that joined this round carries nothing,
 // has spent nothing and has no pre-fetch tag, whoever held its ring slot or
-// its tracker's arrays before; the segment tracker opens at the buffer's
+// its tracker's arrays before, and has a neighbour unless it is alone with
+// nobody to link to; the segment tracker opens at the buffer's
 // lo and spans the fetch span, and no pre-fetch tag sits on a segment the
 // source generated this round, [liveEdge, fetchEdge) (a tag the window
 // advance failed to wipe would land there, one span ahead of a segment
@@ -60,6 +61,11 @@ func checkNodeState(t *testing.T, w *World) {
 		joiner := n.JoinedRound == w.round
 		if joiner && (len(n.carry) > 0 || n.up.Used() != 0) {
 			t.Fatalf("round %d: joiner %d starts with %d carried requests, outbound spend %d", w.round, id, len(n.carry), n.up.Used())
+		}
+		// join wires a newcomer to someone whenever anyone else is alive,
+		// even when every RP candidate is stale.
+		if joiner && len(nbrs) == 0 && len(w.order) > 1 {
+			t.Fatalf("round %d: joiner %d has no neighbour though %d other nodes are alive", w.round, id, len(w.order)-1)
 		}
 
 		if n.Table.DHT() != w.dhtNet.Table(dht.ID(id)) {

@@ -178,7 +178,7 @@ func (w *World) join() {
 		pool = append(pool, joinCand{id: c, lat: w.Latency(id, c)})
 	}
 	if donor != nil {
-		w.joinHeard = n.Table.CloneFrom(donor.Table, w.joinHeard, func(o overlay.NodeID) sim.Time { return w.Latency(id, o) })
+		w.joinHeard = n.Table.CloneFrom(&donor.Table, w.joinHeard, func(o overlay.NodeID) sim.Time { return w.Latency(id, o) })
 		donor.Table.Hear(id, w.Latency(donor.ID, id))
 		consider(donor.ID)
 		for _, nb := range donor.Table.Neighbors() {

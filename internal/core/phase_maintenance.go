@@ -59,7 +59,7 @@ func (w *World) maintenancePhase() {
 				// The neighbour snapshot is pinned at phase entry: nothing
 				// mutates edges until stage 2, so the table's own list is
 				// the snapshot.
-				protocol.GossipPicks(n.RNG, n.Table.Neighbors(), alive, emit)
+				protocol.GossipPicks(&n.RNG, n.Table.Neighbors(), alive, emit)
 			}
 			return struct{}{}
 		},

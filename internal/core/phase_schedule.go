@@ -66,7 +66,7 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 				}
 				pc.n = n
 				var d prefetch.Decision
-				d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
+				d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, &n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
 				//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
 				plans[i] = d
 			}
@@ -183,7 +183,7 @@ func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
 // enumeration buffers and are valid only until the next candidatesFor call
 // on the same arena — exactly the scheduling call that consumes them.
 func (w *World) candidatesFor(ar *roundArena, n *Node, win segment.Window, round int) []scheduler.Candidate {
-	own := n.Buf
+	own := &n.Buf
 	if hi := win.Lo + segment.ID(own.Size()); win.Hi > hi {
 		win.Hi = hi
 	}
@@ -199,7 +199,7 @@ func (w *World) candidatesFor(ar *roundArena, n *Node, win segment.Window, round
 		}
 		live = append(live, scheduler.NeighborWords{
 			Node: int(nb), Rate: n.Ctrl.Rate(int(nb)), Tail: w.cfg.BufferSegments,
-			Bits: w.alignedWords(m.Buf, win.Lo, n.ID, nb),
+			Bits: w.alignedWords(&m.Buf, win.Lo, n.ID, nb),
 		})
 	}
 	ar.candLive = live

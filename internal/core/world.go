@@ -180,7 +180,7 @@ func (w *World) admit(n *Node, ping sim.Time) {
 	w.nodes[n.ID] = n
 	w.ping[n.ID] = ping
 	w.rp.Register(n.ID)
-	n.Table = overlay.NewPeerTable(n.ID, w.cfg.H, w.dhtNet.Join(dht.ID(n.ID), w.rng))
+	n.Table = *overlay.NewPeerTable(n.ID, w.cfg.H, w.dhtNet.Join(dht.ID(n.ID), w.rng))
 }
 
 // buildNode constructs a node with profile-appropriate components, all
@@ -204,9 +204,9 @@ func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 		// round. A plain 0 would alias round-0 churn joiners with the
 		// pre-converged initial overlay in the warm-continuity check.
 		JoinedRound: -1,
-		Buf:         buffer.New(cfg.BufferSegments, 0),
-		Ctrl:        bandwidth.NewController(0.3, float64(cfg.Stream.Rate)),
-		RNG:         nodeRNG,
+		Buf:         *buffer.New(cfg.BufferSegments, 0),
+		Ctrl:        *bandwidth.NewController(0.3, float64(cfg.Stream.Rate)),
+		RNG:         *nodeRNG,
 	}
 	// The tracker opens where the node's window will: the stream start for
 	// the initial population, the playback position for a joiner. It spans

@@ -8,19 +8,39 @@ import (
 )
 
 // This file keeps the retired routing code as differential oracles: the
-// level scan NextHop replaced, the sorted membership slice the bitmap and
-// its rank directory replaced, and the evict-inline walk RouteTo replaced.
+// level scans NextHop and Successor replaced, the sorted membership slice
+// the bitmap and its rank directory replaced, and the evict-inline walk
+// RouteTo replaced.
 
 // nextHopScan is the retired NextHop: scan every level for the peer with
 // the smallest clockwise distance to the target that improves on self.
 func nextHopScan(t *Table, target ID) (ID, bool) {
 	best := Vacant
 	bestDist := t.space.Clockwise(t.self, target)
-	for _, p := range t.peers {
+	for level := 1; level <= t.space.Levels(); level++ {
+		p := t.Peer(level)
 		if p == Vacant {
 			continue
 		}
 		if d := t.space.Clockwise(p, target); d < bestDist {
+			bestDist = d
+			best = p
+		}
+	}
+	return best, best != Vacant
+}
+
+// successorScan is the retired Successor: scan every level for the peer
+// with the smallest clockwise distance from self.
+func successorScan(t *Table) (ID, bool) {
+	best := Vacant
+	bestDist := t.space.N() + 1
+	for level := 1; level <= t.space.Levels(); level++ {
+		p := t.Peer(level)
+		if p == Vacant {
+			continue
+		}
+		if d := t.space.Clockwise(t.self, p); d < bestDist {
 			bestDist = d
 			best = p
 		}
@@ -147,7 +167,8 @@ func routeEvictInline(n *Network, from, target ID) (RouteOutcome, int) {
 // TestNextHopMatchesLevelScan drives the level-indexed NextHop against the
 // scan on random tables with vacant levels, over every target of the ring
 // — which covers target = self, target = a peer, target one short of a
-// peer, and targets on both sides of the wrap for every self.
+// peer, and targets on both sides of the wrap for every self — and the
+// lowest-level Successor against its scan on the same tables.
 func TestNextHopMatchesLevelScan(t *testing.T) {
 	rng := sim.DeriveRNG(11, 1)
 	for _, size := range []int{2, 16, 256, 1024} {
@@ -164,12 +185,17 @@ func TestNextHopMatchesLevelScan(t *testing.T) {
 				width := 1 << (level - 1)
 				tb.Consider(s.Wrap(int(self) + width + rng.Intn(width)))
 			}
+			succ, succOK := tb.Successor()
+			if want, wantOK := successorScan(tb); succ != want || succOK != wantOK {
+				t.Fatalf("N=%d self=%d peers=%v: Successor=(%d,%v), scan=(%d,%v)",
+					size, self, levelsOf(tb), succ, succOK, want, wantOK)
+			}
 			for target := ID(0); int(target) < size; target++ {
 				got, gotOK := tb.NextHop(target)
 				want, wantOK := nextHopScan(tb, target)
 				if got != want || gotOK != wantOK {
 					t.Fatalf("N=%d self=%d peers=%v target=%d: NextHop=(%d,%v), scan=(%d,%v)",
-						size, self, tb.peers, target, got, gotOK, want, wantOK)
+						size, self, levelsOf(tb), target, got, gotOK, want, wantOK)
 				}
 			}
 		}
@@ -250,11 +276,20 @@ func TestBitmapOwnershipMatchesSortedSearch(t *testing.T) {
 	}
 }
 
+// levelsOf lists t's peer levels in order, Vacant included.
+func levelsOf(t *Table) []ID {
+	out := make([]ID, t.space.Levels())
+	for i := range out {
+		out[i] = t.Peer(i + 1)
+	}
+	return out
+}
+
 // tablesOf snapshots every member's peer levels.
 func tablesOf(n *Network) map[ID][]ID {
 	out := make(map[ID][]ID, n.Size())
 	for _, id := range n.IDs() {
-		out[id] = append([]ID(nil), n.Table(id).peers...)
+		out[id] = levelsOf(n.Table(id))
 	}
 	return out
 }

@@ -28,12 +28,17 @@ type Space struct {
 
 // NewSpace returns the ring of size n. It panics unless n is a power of two
 // and at least 2, matching the paper's "N is the maximum number of nodes the
-// overlay can accommodate, i.e. the size of ID space".
+// overlay can accommodate, i.e. the size of ID space", and unless its IDs
+// fit the 32-bit levels a Table holds inline (n <= 2^31).
 func NewSpace(n int) Space {
 	if n < 2 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("dht: space size %d is not a power of two >= 2", n))
 	}
-	return Space{n: n, levels: bits.Len(uint(n)) - 1}
+	levels := bits.Len(uint(n)) - 1
+	if levels > maxLevels {
+		panic(fmt.Sprintf("dht: space size %d holds IDs past the %d levels a table keeps inline", n, maxLevels))
+	}
+	return Space{n: n, levels: levels}
 }
 
 // N returns the size of the identifier space.

@@ -7,11 +7,20 @@ import "math/bits"
 // stresses the node "has much freedom in choosing its DHT peers", so any
 // alive node in the arc is valid and entries are refreshed opportunistically
 // from overheard routing traffic.
+//
+// The levels sit inline as 32-bit IDs, so a routing hop reads the table
+// it already loaded instead of following a second pointer to a slice.
 type Table struct {
 	space Space
 	self  ID
-	peers []ID // index level-1; Vacant marks an empty slot
+	// peers is indexed by level-1, and Vacant marks an empty slot; only
+	// the space's first Levels() slots are used.
+	peers [maxLevels]int32
 }
+
+// maxLevels is how many levels a Table holds inline: the widest space
+// whose IDs fit its int32 slots, 2^31 (NewSpace refuses a wider one).
+const maxLevels = 31
 
 // Vacant marks an unfilled peer level.
 const Vacant ID = -1
@@ -19,11 +28,11 @@ const Vacant ID = -1
 // NewTable returns an empty peer table for node self.
 func NewTable(space Space, self ID) *Table {
 	space.check(self)
-	peers := make([]ID, space.Levels())
-	for i := range peers {
-		peers[i] = Vacant
+	t := &Table{space: space, self: self}
+	for i := range t.peers {
+		t.peers[i] = int32(Vacant)
 	}
-	return &Table{space: space, self: self, peers: peers}
+	return t
 }
 
 // Self returns the owning node's ID.
@@ -31,22 +40,25 @@ func (t *Table) Self() ID { return t.self }
 
 // Peer returns the current peer at the 1-based level, or Vacant.
 func (t *Table) Peer(level int) ID {
-	return t.peers[level-1]
+	return ID(t.levels()[level-1])
 }
+
+// levels returns the space's levels of the inline array.
+func (t *Table) levels() []int32 { return t.peers[:t.space.levels] }
 
 // Peers returns all non-vacant peers in level order. The slice is freshly
 // allocated.
 func (t *Table) Peers() []ID {
-	return t.AppendPeers(make([]ID, 0, len(t.peers)))
+	return t.AppendPeers(make([]ID, 0, t.space.levels))
 }
 
 // AppendPeers appends all non-vacant peers in level order to dst and
 // returns the extended slice — the allocation-free form of Peers for
 // callers that thread a reusable buffer.
 func (t *Table) AppendPeers(dst []ID) []ID {
-	for _, p := range t.peers {
-		if p != Vacant {
-			dst = append(dst, p)
+	for _, p := range t.levels() {
+		if ID(p) != Vacant {
+			dst = append(dst, ID(p))
 		}
 	}
 	return dst
@@ -55,8 +67,8 @@ func (t *Table) AppendPeers(dst []ID) []ID {
 // Filled returns the number of non-vacant levels.
 func (t *Table) Filled() int {
 	n := 0
-	for _, p := range t.peers {
-		if p != Vacant {
+	for _, p := range t.levels() {
+		if ID(p) != Vacant {
 			n++
 		}
 	}
@@ -75,7 +87,7 @@ func (t *Table) Consider(id ID) bool {
 	if level == 0 {
 		return false
 	}
-	t.peers[level-1] = id
+	t.peers[level-1] = int32(id)
 	return true
 }
 
@@ -83,29 +95,24 @@ func (t *Table) Consider(id ID) bool {
 // discovered dead). It reports whether anything changed.
 func (t *Table) Evict(id ID) bool {
 	level := t.space.LevelOf(t.self, id)
-	if level == 0 || t.peers[level-1] != id {
+	if level == 0 || ID(t.peers[level-1]) != id {
 		return false
 	}
-	t.peers[level-1] = Vacant
+	t.peers[level-1] = int32(Vacant)
 	return true
 }
 
 // Successor returns the clockwise-closest peer in the table — the node n1 of
 // §4.3 that delimits this node's backup arc [self, n1). The second result is
-// false when the table is empty.
+// false when the table is empty. Levels are disjoint distance bands that
+// widen upward (see hopAtOrBelow), so the lowest occupied level holds it.
 func (t *Table) Successor() (ID, bool) {
-	best := Vacant
-	bestDist := t.space.N() + 1
-	for _, p := range t.peers {
-		if p == Vacant {
-			continue
-		}
-		if d := t.space.Clockwise(t.self, p); d < bestDist {
-			bestDist = d
-			best = p
+	for _, p := range t.levels() {
+		if ID(p) != Vacant {
+			return ID(p), true
 		}
 	}
-	return best, best != Vacant
+	return Vacant, false
 }
 
 // NextHop returns the peer that is clockwise-closest to target and strictly
@@ -128,7 +135,7 @@ func (t *Table) NextHop(target ID) (ID, bool) {
 // the returned peer unusable continues the search from level-1.
 func (t *Table) hopAtOrBelow(d, level int) (ID, int) {
 	for ; level >= 1; level-- {
-		p := t.peers[level-1]
+		p := ID(t.peers[level-1])
 		if p != Vacant && t.space.Clockwise(t.self, p) <= d {
 			return p, level
 		}

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,66 @@ func TestNewTableEmpty(t *testing.T) {
 	}
 	if _, ok := tb.NextHop(33); ok {
 		t.Fatal("empty table has a next hop")
+	}
+}
+
+// TestNewSpaceCapsInlineLevels pins the widest space a Table can hold:
+// its levels are int32 IDs, so 2^31 slots (31 levels) is accepted and
+// 2^32 panics rather than storing IDs that wrap.
+func TestNewSpaceCapsInlineLevels(t *testing.T) {
+	if bits.UintSize < 64 {
+		t.Skip("a 2^31 space needs 64-bit ints")
+	}
+	widest := 1
+	widest <<= maxLevels
+	if s := NewSpace(widest); s.Levels() != maxLevels {
+		t.Fatalf("NewSpace(2^%d).Levels() = %d", maxLevels, s.Levels())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewSpace(2^%d) did not panic", maxLevels+1)
+		}
+	}()
+	NewSpace(widest << 1)
+}
+
+// TestWidestTableFillsAndRoutesTopLevel fills every level of a table on
+// the widest space — from the arc's last ID, the one an int32 slot holds
+// only just — and routes through the top level to both ends of its arc,
+// which is half the ring.
+func TestWidestTableFillsAndRoutesTopLevel(t *testing.T) {
+	if bits.UintSize < 64 {
+		t.Skip("a 2^31 space needs 64-bit ints")
+	}
+	widest := 1
+	widest <<= maxLevels
+	s := NewSpace(widest)
+	self := ID(5)
+	tb := NewTable(s, self)
+	for level := 1; level <= maxLevels; level++ {
+		last := s.Wrap(int(self) + 1<<level - 1)
+		if !tb.Consider(last) || tb.Peer(level) != last {
+			t.Fatalf("level %d: Consider(%d) left Peer = %d", level, last, tb.Peer(level))
+		}
+	}
+	if tb.Filled() != maxLevels || len(tb.Peers()) != maxLevels {
+		t.Fatalf("filled = %d, peers = %d, want %d", tb.Filled(), len(tb.Peers()), maxLevels)
+	}
+	top := tb.Peer(maxLevels) // self + 2^31 - 1 wraps to self - 1
+	if top != self-1 {
+		t.Fatalf("top level peer = %d, want %d", top, self-1)
+	}
+	lo, _ := s.LevelArc(self, maxLevels)
+	// The top arc's first ID is past every lower level's peer, so the hop
+	// toward it is the level below; its last ID is the top peer itself.
+	if hop, ok := tb.NextHop(lo); !ok || hop != tb.Peer(maxLevels-1) {
+		t.Fatalf("NextHop(%d) = %d,%v, want level %d's %d", lo, hop, ok, maxLevels-1, tb.Peer(maxLevels-1))
+	}
+	if hop, ok := tb.NextHop(top); !ok || hop != top {
+		t.Fatalf("NextHop(%d) = %d,%v, want the top peer", top, hop, ok)
+	}
+	if !tb.Evict(top) || tb.Peer(maxLevels) != Vacant || tb.Filled() != maxLevels-1 {
+		t.Fatalf("evicting the top peer left Peer = %d, filled = %d", tb.Peer(maxLevels), tb.Filled())
 	}
 }
 
