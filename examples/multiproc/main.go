@@ -258,7 +258,7 @@ func runManifest(l *launcher, path string, defTail int) {
 		}
 		t := p.stats.TailContinuity(tailForGroup(m, p.group, defTail))
 		groupTails[p.group] = append(groupTails[p.group], t)
-		fmt.Printf("%-12s %-6d %-8s %-9d %-10.3f %-8.3f push=%d rescued=%d resyncs=%d behind=%d shapeDrop=%d inboxDrop=%d\n",
+		fmt.Printf("%-12s %-6d %-8s %-9d %-10.3f %-8.3f push=%d rescued=%d resyncs=%d behind=%d shapeDrop=%d refused=%d\n",
 			p.group, p.id, fate, p.stats.Periods, p.stats.Continuity, t,
 			p.stats.PushDelivered, p.stats.Rescued, p.stats.Resyncs, p.stats.BehindPeriods,
 			p.stats.ShapeDropped, p.stats.TransportDropped)

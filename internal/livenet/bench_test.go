@@ -76,3 +76,32 @@ func TestPeerPeriodCeiling(t *testing.T) {
 			allocs, bytes/1024, peerPeriodAllocCeiling, peerPeriodBytesCeiling>>10)
 	}
 }
+
+// BenchmarkUDPSendWait prices the socket path one frame at a time: one op
+// is one data frame that a loopback transport encodes and sends and a
+// second one receives through its wait, decodes and hands over — the
+// per-datagram cost under every socket node's period, without the shaper.
+func BenchmarkUDPSendWait(b *testing.B) {
+	tx, rx := openUDP(b, 1), openUDP(b, 2)
+	if err := tx.Learn(2, rx.LocalAddr()); err != nil {
+		b.Fatal(err)
+	}
+	m := Message{From: 1, Kind: msgData, Seg: 7, Period: 3}
+	handed := 0
+	deliver := func(int, *Message) { handed++ }
+	until := time.Now().Add(time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tx.Send(2, m) {
+			b.Fatal("send failed")
+		}
+		if !rx.receive(until) {
+			b.Fatal("the frame never arrived")
+		}
+		rx.handOver(deliver)
+	}
+	if handed != b.N {
+		b.Fatalf("%d of %d frames handed over", handed, b.N)
+	}
+}

@@ -157,22 +157,3 @@ func (c Config) posFor(period int) segment.ID {
 	}
 	return 0
 }
-
-// inboxCap sizes a UDP node's inbox from that node's own fan-in, not from
-// the population. Per period a peer hears one map per neighbour (adoption is
-// bidirectional, so a degree runs to about twice its target), no more
-// asks than it could grant or carry (its 2·O backlog horizon — what lies
-// beyond is evicted on arrival anyway), and the data it asked for (its
-// inbound budget O, plus the pushes and rescues riding the same link).
-// Two periods' worth absorbs a hand-over that comes late. The
-// source doubles as rendezvous point, so it also takes a Connect from
-// every joiner of a bootstrap burst. Stats.TransportDropped counts what
-// overflows.
-func (c Config) inboxCap(isSource bool) int {
-	out, burst := c.OutboundPerPeriod, 0
-	if isSource {
-		out, burst = c.SourceOutbound, c.Peers
-	}
-	perPeriod := 2*c.DegreeTarget(isSource) + 2*out + c.OutboundPerPeriod + c.PrefetchLimit
-	return max(64, 2*perPeriod+burst)
-}

@@ -4,7 +4,7 @@
 // a whole mesh in it on one goroutine, its messages queued in send order
 // and handed over between phase calls, so a seed replays the same
 // session; Node.Run hosts one peer over a UDP socket, on the goroutine
-// that also takes its datagrams. It is the repro of the paper's planned
+// that also reads that socket, its only one. It is the repro of the paper's planned
 // PlanetLab deployment — and it drives the same transport-agnostic
 // decision core (internal/protocol) as the deterministic simulator: mesh
 // repair under churn (PlanRewire + GossipPicks), rescue of urgent holes
@@ -71,12 +71,13 @@ type Stats struct {
 	GrantsEvicted int64
 	// Loss accounting on the socket path, separable by mechanism so a CI
 	// gate (or a human reading the stats line) can tell WAN loss from
-	// local overload: TransportDropped counts datagrams discarded because
-	// the node's inbox was full, ShapeDropped datagrams the traffic
-	// shaper consumed as injected link loss, ShapeDelayed datagrams it
-	// released late (latency, jitter or bandwidth queueing). Resyncs
-	// counts clock re-anchor jumps taken. All four are zero on the
-	// in-process path.
+	// local trouble: TransportDropped counts sends the node's own socket
+	// refused (what arrives waits in the kernel's socket buffer, and a
+	// datagram that overflows it is the network's loss, counted by the
+	// kernel), ShapeDropped datagrams the traffic shaper consumed as
+	// injected link loss, ShapeDelayed datagrams it released late
+	// (latency, jitter or bandwidth queueing). Resyncs counts clock
+	// re-anchor jumps taken. All four are zero on the in-process path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64

@@ -41,8 +41,6 @@ func TestDefaultConfig(t *testing.T) {
 		{"low-supply threshold", cfg.Maintenance.LowSupplyThreshold, 1},
 		{"distress cap", float64(cfg.Maintenance.MaxDistressReplacements), 3},
 		{"t_hop (ms)", float64(cfg.THop / sim.Millisecond), 50},
-		{"receiver inbox", float64(cfg.inboxCap(false)), 120},
-		{"source inbox", float64(cfg.inboxCap(true)), 504},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 )
@@ -74,7 +75,7 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxCap(nc.Source), cfg.sightTTL())
+	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.sightTTL())
 	if err != nil {
 		return nil, err
 	}
@@ -91,8 +92,9 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 // Addr returns the bound UDP address.
 func (n *Node) Addr() string { return n.tr.LocalAddr() }
 
-// Close releases the socket (Run closes it on return; Close is for
-// callers that abandon a node before running it).
+// Close releases the socket. Run closes it on return; Close is for
+// callers that abandon a node before running it, or that stop a running
+// one from another goroutine, which makes its Run return.
 func (n *Node) Close() error { return n.tr.Close() }
 
 // The join handshake retries its Connect until the RP's ConnectOK
@@ -106,30 +108,28 @@ const (
 // session period count is reached (period numbering is shared across
 // processes: the source starts at 0 and joiners sync to the RP's clock
 // in the bootstrap handshake). It hosts the node's one peer in a session
-// over the socket, on the calling goroutine: the transport's read loop is
-// the node's only other goroutine, and it touches neither the peer, the
-// address book nor the shaper. What Run adds is a socket node's own: the
-// handshake, the period clock and its re-sync, the scripted exit, and the
-// half-period wait before serving. Its deadlines — the bootstrap retry,
-// the next tick, the serve and the earliest frame the shaper holds back —
-// share one timer, waited on in one select that also hands datagrams over
-// as they arrive. Each wake-up reads the clock once, stamps the transport
-// with it and releases the frames due by then before it handles its
-// event. Run blocks until the node drains, the scripted ExitAt fires, or
-// ctx is cancelled.
+// over the socket, on the calling goroutine, which is the node's only
+// one. What Run adds is a socket node's own: the handshake, the period
+// clock and its re-sync, the scripted exit, and the half-period wait
+// before serving. Its deadlines — the bootstrap retry, the next tick, the
+// serve and the earliest frame the shaper holds back — bound one blocking
+// read of the socket. Each wake-up reads the clock once, stamps the
+// transport with it and releases the frames due by then, then hands the
+// datagram over or, when the read timed out, handles the deadline. Run
+// blocks until the node drains, the scripted ExitAt fires, ctx is
+// cancelled or the node is closed; a cancel closes the socket, which is
+// what ends the read.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
+	defer context.AfterFunc(ctx, func() { n.tr.Close() })()
 	cfg, nc := n.cfg, n.nc
 	s := hostSession(cfg, n.tr)
 
 	// The deadlines, zero when not set: the bootstrap retry until the RP's
 	// ConnectOK arrives, the next tick from then on, and the serve half a
 	// period after each tick's plan. A tick waits while a serve is set, so
-	// one that falls due in between fires once the serve is done; armed is
-	// the deadline the timer is set for, zero when it is not.
-	var retryAt, tickAt, serveAt, armed time.Time
-	timer := time.NewTimer(time.Hour) // armed for real on the first pass
-	defer timer.Stop()
+	// one that falls due in between fires once the serve is done.
+	var retryAt, tickAt, serveAt time.Time
 	// stamp is a wake-up's one clock reading, handed to the transport.
 	var now time.Time
 	stamp := func() { now = time.Now(); n.tr.advance(now) }
@@ -166,99 +166,89 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	}
 
 run:
-	for ctx.Err() == nil && (p == nil || period < periods) {
+	for p == nil || period < periods {
 		clock := tickAt
 		if !serveAt.IsZero() {
 			clock = serveAt
 		}
-		if wake := earliest(retryAt, clock, n.tr.delayed.next()); !wake.Equal(armed) {
-			// Stop and drain before Reset: a timer channel holds one stale
-			// fire until it is read (a stray one wakes the loop, which
-			// finds nothing due and re-arms).
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wake.Sub(now))
-			armed = wake
+		got := n.tr.receive(earliest(retryAt, clock, n.tr.delayed.next()))
+		if n.tr.closed.Load() {
+			break // cancelled, or closed from another goroutine
 		}
-		select {
-		case <-ctx.Done():
-		case d := <-n.tr.inbox:
-			stamp()
-			n.tr.handOver(d, deliver)
+		stamp()
+		if got {
+			n.tr.handOver(deliver)
 			if p == nil && hello != nil {
 				start = int(hello.Deadline) + 1
 				p = n.join(s, start, hello, backlog)
 				period, deliver = start, s.deliverFn
 				retryAt, tickAt = time.Time{}, now.Add(cfg.Period)
 			}
-		case <-timer.C:
-			armed = time.Time{}
-			stamp()
-			switch {
-			case due(retryAt):
-				if attempt++; attempt >= bootstrapAttempts {
-					return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
-				}
-				n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
-				retryAt = now.Add(bootstrapTick)
-			case due(serveAt):
-				serveAt = time.Time{}
-				s.serve(period)
-				if period%nc.LogEvery == 0 {
-					nc.Logf("period %d: links=%d, played %d of %d periods", period, len(p.nbrs), s.continuous, s.playing)
-				}
-				period++
-			case serveAt.IsZero() && due(tickAt):
-				// The next tick keeps the clock's phase, and the ticks a
-				// stall missed collapse into this one.
-				tickAt = tickAt.Add((now.Sub(tickAt)/cfg.Period + 1) * cfg.Period)
-				n.tr.AwaitQuiet(deliver) // the stamps that have arrived
-				// Clock re-sync: if the period the node's links vouch for is
-				// ahead of its counter, the node missed ticks (scheduler stall,
-				// loss-delayed handshake, slow period work) — jump forward and
-				// re-phase the clock at the new anchor. In steady state the
-				// stamps match the local counter and no jump happens; stamps
-				// behind ours (a slower peer's) never move the clock backwards,
-				// and one link's stamp alone never moves it unless it is the
-				// node's only link (peer.networkPeriod).
-				if seen := p.networkPeriod(); seen > period {
-					seen = min(seen, periods-1)
-					nc.Logf("resync: period %d -> %d", period, seen)
-					period = seen
-					resyncs++
-					tickAt = now.Add(cfg.Period)
-				}
-				if nc.ExitAt > 0 && period >= nc.ExitAt {
-					// Abrupt scripted failure: drop off the network mid-stream.
-					n.tr.Close()
-					break run
-				}
-				// Plan at the tick, serve half a period later: the temporal
-				// stand-in for the hand-over the in-process queue makes between
-				// phases. A node cannot see what is in flight across real
-				// sockets, so the planning phases run back to back and this
-				// period's requests get half a period to reach their suppliers
-				// before the serve phase drains them.
-				s.plan(period)
-				serveAt = now.Add(cfg.Period / 2)
+			continue
+		}
+		switch {
+		case due(retryAt):
+			if attempt++; attempt >= bootstrapAttempts {
+				return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
 			}
+			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+			retryAt = now.Add(bootstrapTick)
+		case due(serveAt):
+			serveAt = time.Time{}
+			s.serve(period)
+			if period%nc.LogEvery == 0 {
+				nc.Logf("period %d: links=%d, played %d of %d periods", period, len(p.nbrs), s.continuous, s.playing)
+			}
+			period++
+		case serveAt.IsZero() && due(tickAt):
+			// The next tick keeps the clock's phase, and the ticks a
+			// stall missed collapse into this one.
+			tickAt = tickAt.Add((now.Sub(tickAt)/cfg.Period + 1) * cfg.Period)
+			n.tr.AwaitQuiet(deliver) // the stamps queued at the socket
+			// Clock re-sync: if the period the node's links vouch for is
+			// ahead of its counter, the node missed ticks (scheduler stall,
+			// loss-delayed handshake, slow period work) — jump forward and
+			// re-phase the clock at the new anchor. In steady state the
+			// stamps match the local counter and no jump happens; stamps
+			// behind ours (a slower peer's) never move the clock backwards,
+			// and one link's stamp alone never moves it unless it is the
+			// node's only link (peer.networkPeriod).
+			if seen := p.networkPeriod(); seen > period {
+				seen = min(seen, periods-1)
+				nc.Logf("resync: period %d -> %d", period, seen)
+				period = seen
+				resyncs++
+				tickAt = now.Add(cfg.Period)
+			}
+			if nc.ExitAt > 0 && period >= nc.ExitAt {
+				// Abrupt scripted failure: drop off the network mid-stream.
+				n.tr.Close()
+				break run
+			}
+			// Plan at the tick, serve half a period later: the temporal
+			// stand-in for the hand-over the in-process queue makes between
+			// phases. A node cannot see what is in flight across real
+			// sockets, so the planning phases run back to back and this
+			// period's requests get half a period to reach their suppliers
+			// before the serve phase drains them.
+			s.plan(period)
+			serveAt = now.Add(cfg.Period / 2)
 		}
 	}
 	if p == nil {
-		return Stats{}, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return Stats{}, err
+		}
+		return Stats{}, errors.New("livenet: node closed before it joined")
 	}
 	stats := s.result()
 	// The session counts absolute periods; a node reports the ones it ran.
 	stats.Periods = max(0, stats.Periods-start)
 	stats.BehindPeriods, stats.Resyncs = resyncs, resyncs
-	stats.TransportDropped = n.tr.Dropped()
+	stats.TransportDropped = n.tr.refused
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
-	nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, stats.TransportDropped)
+	nc.Logf("drained: %d deliveries, %d sends refused", stats.Delivered, stats.TransportDropped)
 	return stats, nil
 }
 

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -134,10 +135,10 @@ func TestUDPSessionKillRecovery(t *testing.T) {
 }
 
 // TestNodeStartsOnlyIOGoroutines: a socket node's session runs on the
-// goroutine that calls Run, and so does the release of what its shaper
-// delays. A running source (shaped) and two running receivers add no
-// goroutines beyond each node's Run and its read loop — the socket twin
-// of TestInProcessSessionStartsNoGoroutines.
+// goroutine that calls Run, and so do the reads of its socket and the
+// release of what its shaper delays. A running source (shaped) and two
+// running receivers add no goroutine beyond each node's Run — the socket
+// twin of TestInProcessSessionStartsNoGoroutines.
 func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Peers = 2
@@ -156,7 +157,7 @@ func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 		}
 		nodes = append(nodes, node)
 	}
-	const allowed = 3 * 2 // Run and the read loop per node
+	const allowed = 3 // Run, one per node
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	stats := make([]Stats, len(nodes))
@@ -192,5 +193,83 @@ func TestNodeStartsOnlyIOGoroutines(t *testing.T) {
 		if i > 0 && stats[i].Delivered == 0 {
 			t.Fatalf("node %d ran %d periods and received nothing", i, stats[i].Periods)
 		}
+	}
+}
+
+// TestNodeRunHonoursContextWhileIdle: a node whose socket is silent and
+// whose next deadline is an hour away is blocked in its read, and a cancel
+// of its context, or a Close from another goroutine, ends that read: Run
+// returns within 100 ms.
+func TestNodeRunHonoursContextWhileIdle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Period = time.Hour
+	for _, c := range []struct {
+		name string
+		stop func(cancel context.CancelFunc, n *Node)
+	}{
+		{"cancel", func(cancel context.CancelFunc, _ *Node) { cancel() }},
+		{"Close", func(_ context.CancelFunc, n *Node) { n.Close() }},
+	} {
+		n, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := n.Run(ctx, 10)
+			done <- err
+		}()
+		time.Sleep(50 * time.Millisecond) // Run is waiting on its silent socket
+		stopped := time.Now()
+		c.stop(cancel, n)
+		select {
+		case err := <-done:
+			if took := time.Since(stopped); took > 100*time.Millisecond {
+				t.Errorf("%s: Run returned %v after it, want within 100ms", c.name, took)
+			}
+			if err != nil {
+				t.Errorf("%s: the running source returned %v", c.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Run still waiting 5s after it", c.name)
+		}
+		cancel()
+	}
+}
+
+// TestTickHandsOverQueuedDatagrams: datagrams already at a node's socket
+// when its tick fires are handed over before that tick's plan, so the
+// tick's re-sync reads their period stamps. Two peers Connect to a source
+// with frames stamped period 5 before it runs; at a 1 ns period every
+// deadline has passed when the node reads, and a read past its deadline
+// takes no datagram, so only the tick's drain can hand them over. Handed
+// over by then, they link two neighbours that vouch for period 5 and the
+// first tick re-syncs from period 0; handed over any later, inside the
+// plan, they miss the period's membership view, their links are dropped
+// and no tick re-syncs.
+func TestTickHandsOverQueuedDatagrams(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Period = time.Nanosecond
+	var logged []string
+	n, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true,
+		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= 2; id++ {
+		from := openUDP(t, id)
+		if err := from.Learn(0, n.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if !from.Send(0, Message{From: id, Kind: msgConnect, Period: 5}) {
+			t.Fatalf("peer %d: send failed", id)
+		}
+	}
+	if _, err := n.Run(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) == 0 || logged[0] != "resync: period 0 -> 5" {
+		t.Fatalf("log %q, want it to open with the first tick's re-sync, period 0 -> 5", logged)
 	}
 }

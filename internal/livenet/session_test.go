@@ -273,25 +273,6 @@ func TestLiveSessionGolden(t *testing.T) {
 	}
 }
 
-// TestInboxCapFollowsFanIn pins the inbox sizing as a function of the
-// peer's own fan-in: a receiver's inbox does not grow with the audience,
-// and the source's grows only by the bootstrap burst.
-func TestInboxCapFollowsFanIn(t *testing.T) {
-	small, large := DefaultConfig(), DefaultConfig()
-	small.Peers, large.Peers = 24, 4000
-	if a, b := small.inboxCap(false), large.inboxCap(false); a != b {
-		t.Fatalf("receiver inbox grows with the audience: %d at 24 peers, %d at 4000", a, b)
-	}
-	if a, b := small.inboxCap(true), large.inboxCap(true); b-a != large.Peers-small.Peers {
-		t.Fatalf("source inbox %d at 24 peers, %d at 4000: want the difference to be the bootstrap burst", a, b)
-	}
-	wide := small
-	wide.M, wide.OutboundPerPeriod = 2*small.M, 2*small.OutboundPerPeriod
-	if wide.inboxCap(false) <= small.inboxCap(false) {
-		t.Fatal("a wider, faster peer did not get a larger inbox")
-	}
-}
-
 // TestOverheardExpiresInProcess pins the adoption pool's expiry on the
 // in-process transport: an overheard ID nobody mentions again is forgotten
 // sightTTL periods later, one that keeps being mentioned is kept.

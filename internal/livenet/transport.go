@@ -9,10 +9,11 @@ package livenet
 // dropped — receiver gone or (over sockets) the address unknown —
 // leaving recovery to the retry and repair paths.
 //
-// Receiving is one rule on both: the transport queues what arrives, and
+// Receiving is one rule on both: what arrives waits in a queue, and
 // AwaitQuiet hands it over to the session on the session's goroutine,
 // which alone touches the peers. In-process, the queue is every message
-// sent; over UDP, the datagrams the read loop has decoded.
+// sent; over UDP, the kernel's buffer of the node's socket, which the
+// same goroutine reads.
 type Transport interface {
 	// Send delivers m to peer to, non-blockingly. False means dropped.
 	Send(to int, m Message) bool
@@ -31,10 +32,10 @@ type Transport interface {
 	// order and AwaitQuiet drains it, including the messages handling them
 	// sends in turn, returning once none is left — a barrier. Datagrams
 	// crossing sockets cannot be held back or counted, so the UDP
-	// transport hands over what had arrived when it was called, and
-	// Node.Run waits half a period between planning and serving instead,
-	// handing datagrams over as they arrive. m is valid only until deliver
-	// returns: deliver may read it and keep what its fields point to,
-	// never m itself.
+	// transport hands over what is queued at its socket when called,
+	// without waiting, and Node.Run waits half a period between planning
+	// and serving instead, reading the socket and handing datagrams over
+	// as they arrive. m is valid only until deliver returns: deliver may
+	// read it and keep what its fields point to, never m itself.
 	AwaitQuiet(deliver func(to int, m *Message))
 }

@@ -1,9 +1,11 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -12,10 +14,11 @@ import (
 // udpTransport carries Messages across process boundaries as one wire
 // frame per UDP datagram. It keeps the in-process transport's drop model:
 // Send never blocks and returns false when the message cannot be
-// delivered — no address on file or a socket error — and on the receive
-// side a datagram that finds the inbox full is discarded (Dropped counts
-// it). Loss recovery stays where the protocol puts it: retry, repair and
-// rescue.
+// delivered — no address on file, or a socket that refuses the write
+// (refused counts those). What arrives waits in the kernel's socket
+// buffer until the node reads it, and a datagram that finds that buffer
+// full is the network's loss. Loss recovery stays where the protocol puts
+// it: retry, repair and rescue.
 //
 // The transport is also the socket path's membership table: an address
 // book that learns peer addresses from the source address of every
@@ -24,19 +27,29 @@ import (
 // peers keep talking in small integer IDs on both transports — and
 // forgets a peer nothing has been heard of for ttl periods (Members).
 //
-// The read loop only reads: it decodes each datagram and queues it with
-// its source address on inbox. Everything else — the book, Send, the
-// shaper and its delayed frames, Members and the hand-over that learns
-// from what the loop queued — belongs to the goroutine that runs the
-// node's session, so none of it takes a lock. The transport reads no
-// clock: that goroutine stamps it with the time of each wake-up (advance).
+// It has no goroutine of its own. The goroutine that runs the node's
+// session reads the socket (receive, and AwaitQuiet for what is already
+// queued), hands each datagram over, and owns the book, Send, the shaper
+// and its delayed frames and Members, so none of it takes a lock; only
+// Close may come from another goroutine. The transport reads no clock:
+// that goroutine stamps it with the time of each wake-up (advance) and
+// names the time receive may wait until.
 type udpTransport struct {
-	self    int
-	conn    *net.UDPConn
-	local   string // the bound address, rendered once
-	inbox   chan datagram
-	closed  atomic.Bool
-	dropped atomic.Int64
+	self   int
+	conn   *net.UDPConn
+	local  string // the bound address, rendered once
+	closed atomic.Bool
+	// refused counts the writes the socket refused while open.
+	refused int64
+
+	// buf is the read buffer; in and from are the datagram receive or
+	// readQueued last decoded and the address it came from, which
+	// handOver hands over. deadline is the read deadline the socket is
+	// set to.
+	buf      []byte
+	in       Message
+	from     netip.AddrPort
+	deadline time.Time
 
 	// shaper, when non-nil, injects WAN conditions on the egress path:
 	// seeded per-link loss, latency/jitter, reorder and bandwidth caps
@@ -52,13 +65,6 @@ type udpTransport struct {
 	ttl  int
 	// swept is the period of the latest Members call.
 	swept int
-}
-
-// datagram is one decoded frame the read loop queued, with the address it
-// came from.
-type datagram struct {
-	src netip.AddrPort
-	m   Message
 }
 
 // bookEntry is one peer's address on file, with the string form gossip
@@ -84,11 +90,16 @@ type bookEntry struct {
 // far below a memory problem.
 const maxBook = 8192
 
-// newUDPTransport binds listen ("host:port"; port 0 picks a free one)
-// and starts the read loop. The inbox holds inboxCap datagrams not yet
-// handed over, with drop-on-overflow; ttl is how many periods an
-// unheard-of peer stays in the book.
-func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, error) {
+// readBuffer is the socket receive buffer a transport asks for; the
+// kernel may grant less. That buffer is the only queue between the
+// network and the node's one goroutine, so it holds what arrives while
+// the goroutine runs a phase or waits for a processor: a source hears a
+// few hundred datagrams a period at the defaults.
+const readBuffer = 1 << 20
+
+// newUDPTransport binds listen ("host:port"; port 0 picks a free one);
+// ttl is how many periods an unheard-of peer stays in the book.
+func newUDPTransport(listen string, self, ttl int) (*udpTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("livenet: listen address %q: %v", listen, err)
@@ -97,16 +108,16 @@ func newUDPTransport(listen string, self, inboxCap, ttl int) (*udpTransport, err
 	if err != nil {
 		return nil, fmt.Errorf("livenet: bind %q: %v", listen, err)
 	}
-	t := &udpTransport{
+	// A refusal leaves the system's default buffer, which still works.
+	_ = conn.SetReadBuffer(readBuffer)
+	return &udpTransport{
 		self:  self,
 		conn:  conn,
 		local: conn.LocalAddr().String(),
-		inbox: make(chan datagram, inboxCap),
+		buf:   make([]byte, maxFrame),
 		book:  make(map[int]bookEntry),
 		ttl:   ttl,
-	}
-	go t.readLoop()
-	return t, nil
+	}, nil
 }
 
 // advance stamps the transport with the owning goroutine's clock reading
@@ -122,34 +133,79 @@ func (t *udpTransport) advance(now time.Time) {
 		if !ok {
 			return
 		}
-		// A datagram the socket refuses is a datagram the network lost:
-		// nobody is left to tell, and the protocol retries.
-		_, _ = t.conn.WriteToUDPAddrPort(f.frame, f.dst)
+		t.write(f.frame, f.dst)
 	}
+}
+
+// write puts one frame on the socket. A frame the socket refuses is a
+// datagram the network lost — nobody is left to tell, and the protocol
+// retries — and counts in refused unless the transport is closed.
+func (t *udpTransport) write(frame []byte, dst netip.AddrPort) bool {
+	if _, err := t.conn.WriteToUDPAddrPort(frame, dst); err != nil {
+		if !t.closed.Load() {
+			t.refused++
+		}
+		return false
+	}
+	return true
 }
 
 // LocalAddr returns the bound socket address ("ip:port").
 func (t *udpTransport) LocalAddr() string { return t.local }
 
-// Dropped returns how many decoded messages were discarded because the
-// inbox was full — the socket path's equivalent of the in-process drops.
-func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
+// receive blocks until a datagram arrives or the clock passes until,
+// whichever comes first, and reports whether one arrived; handOver then
+// hands it over. It also returns false once the socket is closed, by
+// Close from any goroutine.
+func (t *udpTransport) receive(until time.Time) bool {
+	if !until.Equal(t.deadline) {
+		// Fails only on a closed socket, which the read reports.
+		_ = t.conn.SetReadDeadline(until)
+		t.deadline = until
+	}
+	for {
+		n, src, err := t.conn.ReadFromUDPAddrPort(t.buf)
+		if err != nil {
+			if t.closed.Load() || errors.Is(err, os.ErrDeadlineExceeded) {
+				return false
+			}
+			continue
+		}
+		if t.take(t.buf[:n], src) {
+			return true
+		}
+	}
+}
 
-// AwaitQuiet implements Transport: it hands over the datagrams queued when
-// it is called, and no more — datagrams in flight cannot be counted, and
-// what arrives meanwhile waits for the next call.
+// take decodes a datagram from src into the hand-over slot and reports
+// whether handOver has a message. Malformed datagrams and ones stamped
+// with the node's own ID are skipped: over UDP anyone can write to the
+// socket, and the codec's strict bounds checks are the defence.
+func (t *udpTransport) take(frame []byte, src netip.AddrPort) bool {
+	m, err := DecodeMessage(frame)
+	if err != nil || m.From == t.self {
+		return false
+	}
+	t.in, t.from = m, src
+	return true
+}
+
+// AwaitQuiet implements Transport: it hands over the datagrams queued at
+// the socket when it is called, and no more, without waiting — datagrams
+// in flight cannot be counted, and what arrives meanwhile waits for the
+// next receive.
 func (t *udpTransport) AwaitQuiet(deliver func(to int, m *Message)) {
-	for n := len(t.inbox); n > 0; n-- {
-		t.handOver(<-t.inbox, deliver)
+	for t.readQueued() {
+		t.handOver(deliver)
 	}
 }
 
 // handOver learns the sender's address from the datagram's source and the
 // gossiped (id, addr) pairs from the frame, then hands deliver the
 // transport-clean message.
-func (t *udpTransport) handOver(d datagram, deliver func(to int, m *Message)) {
-	m := &d.m
-	t.learn(m.From, d.src)
+func (t *udpTransport) handOver(deliver func(to int, m *Message)) {
+	m := &t.in
+	t.learn(m.From, t.from)
 	for i, g := range m.Gossip {
 		if m.GossipAddrs == nil || m.GossipAddrs[i] == "" {
 			continue
@@ -236,8 +292,8 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 // Send encodes m and writes it as one datagram to the peer's known
 // address. Gossip entries are annotated with the addresses on file so
 // the receiver can reach the peers the gossip names. False means the
-// message was dropped (unknown address, encode failure, socket error) —
-// the same contract as the in-process transport.
+// message was dropped (unknown address, encode failure, a write the
+// socket refused) — the same contract as the in-process transport.
 func (t *udpTransport) Send(to int, m Message) bool {
 	if t.closed.Load() {
 		return false
@@ -279,42 +335,16 @@ func (t *udpTransport) Send(to int, m Message) bool {
 			return true
 		}
 	}
-	_, err = t.conn.WriteToUDPAddrPort(frame, dst.addr)
-	return err == nil
+	return t.write(frame, dst.addr)
 }
 
-// Close shuts the socket down; the read loop exits and Send refuses.
+// Close shuts the socket down: a receive waiting on it returns, and Send
+// refuses. It is the one method safe to call from any goroutine.
 func (t *udpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	return t.conn.Close()
-}
-
-// readLoop decodes datagrams into the inbox with their source addresses,
-// dropping them when it is full; the hand-over learns from them. Malformed
-// datagrams are dropped silently: over UDP anyone can write to the socket,
-// and the codec's strict bounds checks are the defence.
-func (t *udpTransport) readLoop() {
-	buf := make([]byte, maxFrame)
-	for {
-		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			if t.closed.Load() {
-				return
-			}
-			continue
-		}
-		m, err := DecodeMessage(buf[:n])
-		if err != nil || m.From == t.self {
-			continue
-		}
-		select {
-		case t.inbox <- datagram{src, m}:
-		default:
-			t.dropped.Add(1)
-		}
-	}
 }
 
 // delayedFrame is one datagram the shaper is holding back.
@@ -331,8 +361,8 @@ func (a *delayedFrame) before(b *delayedFrame) bool {
 
 // delayQueue holds shaped datagrams until their due times: one binary
 // min-heap ordered by (due, arrival). It has no goroutine and no timer of
-// its own: the session goroutine that pushes is the one that pops, and it
-// waits on next among its other deadlines.
+// its own: the session goroutine that pushes is the one that pops, and its
+// socket read waits until next at the latest.
 type delayQueue struct {
 	heap []delayedFrame
 	seq  uint64

@@ -86,32 +86,27 @@ func TestShapedSendWaitsForRelease(t *testing.T) {
 	for next := 0; next < len(want); at = at.Add(2 * time.Millisecond) {
 		tr.advance(at)
 		for ; next < len(want) && !want[next].due.After(at); next++ {
-			select {
-			case d := <-rx.inbox:
-				if d.m.Seg != want[next].seg {
-					t.Fatalf("stamp %v released segment %d, want %d", at.Sub(t0), d.m.Seg, want[next].seg)
-				}
-			case <-time.After(10 * time.Second):
+			if !rx.receive(time.Now().Add(10 * time.Second)) {
 				t.Fatalf("segment %d, due by stamp %v, never arrived", want[next].seg, at.Sub(t0))
+			}
+			if rx.in.Seg != want[next].seg {
+				t.Fatalf("stamp %v released segment %d, want %d", at.Sub(t0), rx.in.Seg, want[next].seg)
 			}
 		}
 		if got := len(tr.delayed.heap); got != len(want)-next {
 			t.Fatalf("stamp %v: %d frames held, want the %d not yet due", at.Sub(t0), got, len(want)-next)
 		}
 	}
-	select {
-	case d := <-rx.inbox:
-		t.Fatalf("segment %d arrived twice", d.m.Seg)
-	default:
-	}
+	rx.AwaitQuiet(func(_ int, m *Message) { t.Fatalf("segment %d arrived twice", m.Seg) })
 }
 
-// hear hands tr a datagram from src stamped From id the way the read loop
-// queues one, through the delivery path that learns from it.
+// hear hands tr a datagram from src stamped From id the way receive takes
+// one, through the delivery path that learns from it.
 func hear(t *testing.T, tr *udpTransport, id int, src netip.AddrPort) {
 	t.Helper()
 	handed := 0
-	tr.handOver(datagram{src, Message{From: id, Kind: msgBye}}, func(to int, m *Message) {
+	tr.in, tr.from = Message{From: id, Kind: msgBye}, src
+	tr.handOver(func(to int, m *Message) {
 		if to != tr.self || m.From != id || m.GossipAddrs != nil {
 			t.Fatalf("handed %+v to %d for a datagram from %d", m, to, id)
 		}
@@ -122,24 +117,28 @@ func hear(t *testing.T, tr *udpTransport, id int, src netip.AddrPort) {
 	}
 }
 
-// awaitHandOver waits until one of trs has a datagram queued and returns
-// which one and what its delivery path handed the peer. The peer is never
-// handed transport addresses.
+// awaitHandOver waits, a millisecond at a time on each of trs in turn,
+// until one of them receives a datagram, and returns which one and what
+// its delivery path handed the peer. The peer is never handed transport
+// addresses, and nothing else may be queued behind the datagram.
 func awaitHandOver(t *testing.T, what string, trs ...*udpTransport) (*udpTransport, Message) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 		for _, tr := range trs {
+			if !tr.receive(time.Now().Add(time.Millisecond)) {
+				continue
+			}
 			var got []Message
-			tr.AwaitQuiet(func(_ int, m *Message) { got = append(got, *m) })
+			collect := func(_ int, m *Message) { got = append(got, *m) }
+			tr.handOver(collect)
+			tr.AwaitQuiet(collect)
 			if len(got) > 1 {
 				t.Fatalf("%s: %d datagrams handed over, want 1", what, len(got))
 			}
-			if len(got) == 1 {
-				if got[0].GossipAddrs != nil {
-					t.Fatalf("%s: the peer was handed transport addresses: %v", what, got[0].GossipAddrs)
-				}
-				return tr, got[0]
+			if got[0].GossipAddrs != nil {
+				t.Fatalf("%s: the peer was handed transport addresses: %v", what, got[0].GossipAddrs)
 			}
+			return tr, got[0]
 		}
 	}
 	t.Fatalf("%s never arrived", what)
@@ -153,7 +152,7 @@ func awaitHandOver(t *testing.T, what string, trs ...*udpTransport) (*udpTranspo
 // TestAddressBookIgnoresSpoofedSource) — learning from datagram sources
 // through the delivery path.
 func TestAddressBook(t *testing.T) {
-	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
+	tr, err := newUDPTransport("127.0.0.1:0", 7, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +194,9 @@ const testTTL = 9
 
 // openUDP binds a loopback transport for peer id, closed when the test
 // ends.
-func openUDP(t *testing.T, id int) *udpTransport {
+func openUDP(t testing.TB, id int) *udpTransport {
 	t.Helper()
-	tr, err := newUDPTransport("127.0.0.1:0", id, 64, testTTL)
+	tr, err := newUDPTransport("127.0.0.1:0", id, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +264,7 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 // node to a real sender, and once the fabricated entries have gone unheard
 // for more than the TTL they leave and the sender is learnable again.
 func TestAddressBookHealsAfterFlood(t *testing.T) {
-	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
+	tr, err := newUDPTransport("127.0.0.1:0", 7, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +296,12 @@ func TestAddressBookHealsAfterFlood(t *testing.T) {
 // gossip named without; both for TTL periods past the last word of them;
 // itself and the bootstrap ID always; ascending.
 func TestUDPMembersView(t *testing.T) {
-	tr, err := newUDPTransport("127.0.0.1:0", 7, 8, testTTL)
+	tr, err := newUDPTransport("127.0.0.1:0", 7, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	from, err := newUDPTransport("127.0.0.1:0", 3, 8, testTTL)
+	from, err := newUDPTransport("127.0.0.1:0", 3, testTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
