@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 
 	"continustreaming/internal/dht"
@@ -15,10 +17,18 @@ import (
 
 // roundArena is one ownership shard's reusable round-lived scratch, plus
 // the one list that outlives a round: the shard's in-flight deliveries
-// (later). Every buffer in it is grow-only: phases reset slices to [:0]
-// (or re-point per-bucket heads, or compact in place) instead of
-// reallocating, so after warm-up the round pipeline's recurring
-// transients cost no allocation at all.
+// (later). Its scratch buffers are grow-only: phases reset slices to [:0]
+// (or compact in place) instead of reallocating, so after warm-up the
+// round pipeline's recurring transients cost no allocation at all.
+//
+// The round's three many-to-many exchanges — membership gossip, asks to
+// suppliers, grants back to receivers — pass between shards as one
+// hand-off list per producing shard (gossip, serveScatter,
+// deliverScatter), ordered by destination shard, and the serve and apply
+// stages regroup what they receive into asks and applyBucket. Those five
+// lists are not grow-only: each round lays them out at the size it needs
+// and carves them from the world's roundLists pools, so what they hold
+// follows the world's load rather than every shard's busiest round.
 //
 // Ownership follows the shard rule everywhere else in the pipeline: only
 // the shard that owns arena index s (or sequential phase code between
@@ -27,11 +37,10 @@ import (
 // again in the next round, which is exactly as long as their consumers
 // need them.
 type roundArena struct {
-	// gossip holds the maintenance scatter buckets: gossip[s] collects
-	// the hear events this scatter shard emits toward ownership shard s.
-	// The outer slice is sized to phaseShards once; stage 1 resets each
-	// bucket per round.
-	gossip [][]hearEvent
+	// gossip is the maintenance scatter's hand-off list: gossip.to(s)
+	// holds the hear events this scatter shard emits toward ownership
+	// shard s.
+	gossip handoff[hearEvent]
 
 	// nodes is this shard's work list: the alive IDs it owns, ascending.
 	// Rebuilt sequentially each maintenance round.
@@ -54,11 +63,10 @@ type roundArena struct {
 	// apply stage.
 	intents []protocol.RewireIntent
 
-	// serveScatter holds the transfer-resolution scatter buckets:
-	// serveScatter[s] collects the asks this requester-range shard emits
-	// toward supplier-ownership shard s. Sized to phaseShards once; the
-	// scatter stage resets each bucket per round.
-	serveScatter [][]transferReq
+	// serveScatter is the transfer-resolution scatter's hand-off list:
+	// serveScatter.to(s) holds the asks this requester-range shard emits
+	// toward supplier-ownership shard s.
+	serveScatter handoff[transferReq]
 
 	// asks is the serve stage's merged fresh-ask list for this supplier
 	// shard, grouped by supplier ascending (arrival order preserved within
@@ -72,12 +80,11 @@ type roundArena struct {
 	// has to last from one serve stage to the next.
 	carriers []overlay.NodeID
 
-	// deliverScatter holds the serve stage's grants: deliverScatter[s]
-	// collects the transfers this supplier shard granted to receivers
-	// owned by shard s, alive until the round's apply phase reads them.
-	// Sized to phaseShards once; the serve stage resets each bucket at the
-	// top of its map func, ahead of every return.
-	deliverScatter [][]delivery
+	// deliverScatter is the serve stage's hand-off list of grants:
+	// deliverScatter.to(s) holds the transfers this supplier shard granted
+	// to receivers owned by shard s, alive until the round's apply phase
+	// reads them.
+	deliverScatter handoff[delivery]
 
 	// later holds the deliveries in flight to this ownership shard's
 	// receivers that no serve shard hands over this round: transfers that
@@ -127,6 +134,130 @@ type roundArena struct {
 	// range — node × segment × replica order, consumed by the claim stage
 	// in the same round.
 	walks []prefetch.Walk
+}
+
+// handoff is one producing shard's list of one hand-off stream for the
+// round, in CSR form: recs[off[d]:end[d]] are its records for ownership
+// shard d, in emission order. A round lays the list out before filling it
+// — the producer reserves a count or an upper bound per destination, then
+// layout carves recs from the stream's pool and turns the reservations
+// into offsets — so each destination's records sit contiguously however
+// the producer interleaves them, and a bound that was not reached leaves
+// a hole at the segment's end that no reader sees.
+type handoff[T any] struct {
+	recs []T
+	off  [phaseShards + 1]int32
+	// end is each segment's fill cursor; between clearBounds and layout it
+	// accumulates the reservations instead.
+	end [phaseShards]int32
+}
+
+// clearBounds opens a new round's reservations.
+func (h *handoff[T]) clearBounds() { clear(h.end[:]) }
+
+// reserve adds n slots to destination d's segment (before layout only).
+func (h *handoff[T]) reserve(d int, n int32) { h.end[d] += n }
+
+// put appends rec to destination d's segment. Filling a segment past what
+// was reserved for it is a layout bug, and it panics rather than overwrite
+// the next segment.
+func (h *handoff[T]) put(d int, rec T) {
+	i := h.end[d]
+	if i == h.off[d+1] {
+		panic(fmt.Sprintf("core: hand-off segment for shard %d is full at its %d reserved slots", d, h.off[d+1]-h.off[d]))
+	}
+	h.recs[i] = rec
+	h.end[d] = i + 1
+}
+
+// to returns the records destined for ownership shard d.
+func (h *handoff[T]) to(d int) []T { return h.recs[h.off[d]:h.end[d]] }
+
+// pool is the world-level backing store of one record stream: each round,
+// every shard's list of the stream is carved from its chunks. The world's
+// total is far steadier than any one shard's share of it, so one pool
+// holds close to what the round uses where 64 grow-only lists would each
+// keep their own busiest round: at 2 000 nodes under churn, the shards'
+// largest ask lists so far add up to 15–26 % more than a round's asks by
+// round 30, while the largest total so far stays within 6 % of it. A
+// round whose layout does not fit adds one chunk, sized to what is left
+// to carve plus an eighth of the round's total, and keeps the chunks it
+// has: growing allocates the shortfall, not a new buffer for the whole
+// stream.
+type pool[T any] struct {
+	chunks [][]T
+	used   []int // records carved from each chunk this round
+	total  int   // the round's layout, in records
+	left   int   // records of it not carved yet
+}
+
+// open starts a round's layout of n records in total.
+func (p *pool[T]) open(n int) {
+	clear(p.used)
+	p.total, p.left = n, n
+}
+
+// take carves the next n records of the round's layout from the first
+// chunk with room, capacity-capped so no append can run into the next
+// carving.
+func (p *pool[T]) take(n int) []T {
+	for c, chunk := range p.chunks {
+		if u := p.used[c]; len(chunk)-u >= n {
+			p.used[c] = u + n
+			p.left -= n
+			return chunk[u : u+n : u+n]
+		}
+	}
+	p.chunks = append(p.chunks, make([]T, p.left+p.total/8))
+	p.used = append(p.used, 0)
+	return p.take(n)
+}
+
+// roundLists is the world's pool for each hand-off stream and each grouped
+// copy; sequential phase code carves them between the parallel stages.
+type roundLists struct {
+	hear    pool[hearEvent]   // roundArena.gossip
+	asks    pool[transferReq] // roundArena.serveScatter
+	grouped pool[transferReq] // roundArena.asks
+	grants  pool[delivery]    // roundArena.deliverScatter
+	due     pool[delivery]    // roundArena.applyBucket
+}
+
+// layout carves every producer's list of one hand-off stream from p once
+// all of them have reserved their segments, and turns each producer's
+// reservations into offsets with empty fill cursors. Sequential code only,
+// between the reserving and the filling MapReduce calls.
+func layout[T any](p *pool[T], arenas []roundArena, list func(*roundArena) *handoff[T]) {
+	total := 0
+	for s := range arenas {
+		for _, n := range list(&arenas[s]).end {
+			total += int(n)
+		}
+	}
+	p.open(total)
+	for s := range arenas {
+		h := list(&arenas[s])
+		at := int32(0)
+		for d, n := range h.end {
+			h.off[d], h.end[d] = at, at
+			at += n
+		}
+		h.off[phaseShards] = at
+		h.recs = p.take(int(at))
+	}
+}
+
+// carveGroups sizes every shard's grouped copy of one stream from p: shard
+// s gets n[s] records. Sequential code only.
+func carveGroups[T any](p *pool[T], arenas []roundArena, n *[phaseShards]int, list func(*roundArena) *[]T) {
+	total := 0
+	for _, c := range n {
+		total += c
+	}
+	p.open(total)
+	for s := range arenas {
+		*list(&arenas[s]) = p.take(n[s])
+	}
 }
 
 // predictCtx carries the per-node state the hoisted Urgent Line exclusion
@@ -196,27 +327,26 @@ func startOffsets(cnt []int32) int {
 	return int(total)
 }
 
-// groupAsks builds supplier shard s's fresh-ask list for the round in
-// arenas[s].asks: every ask the scatter stage bucketed for s, grouped by
-// supplier ascending, each supplier's asks in arrival order. Reading the
-// scatter buckets in scatter-shard order reproduces the
-// requester-ascending arrival order a sequential scan would produce, and
-// the counting sort is stable, so the result is the one a stable sort of
-// the concatenated buckets by supplier gives — without the concatenated
-// copy or the log factor. Only shard s's serve stage calls it, after the
-// scatter barrier.
+// groupAsks fills supplier shard s's fresh-ask list for the round,
+// arenas[s].asks (carved to the size of what the scatter stage handed s):
+// every ask in the scatter shards' lists for s, grouped by supplier
+// ascending, each supplier's asks in arrival order. Reading the lists in
+// scatter-shard order reproduces the requester-ascending arrival order a
+// sequential scan would produce, and the counting sort is stable, so the
+// result is the one a stable sort of the concatenated segments by
+// supplier gives — without the concatenated copy or the log factor. Only
+// shard s's serve stage calls it, after the scatter barrier.
 func groupAsks(arenas []roundArena, s int, rank []int32) {
 	ar := &arenas[s]
 	cnt := ar.groupCnt
 	for r := range arenas {
-		for _, tr := range arenas[r].serveScatter[s] {
+		for _, tr := range arenas[r].serveScatter.to(s) {
 			cnt[rank[tr.supplier]]++
 		}
 	}
-	total := startOffsets(cnt)
-	ar.asks = slices.Grow(ar.asks[:0], total)[:total]
+	startOffsets(cnt)
 	for r := range arenas {
-		for _, tr := range arenas[r].serveScatter[s] {
+		for _, tr := range arenas[r].serveScatter.to(s) {
 			k := rank[tr.supplier]
 			ar.asks[cnt[k]] = tr
 			cnt[k]++
@@ -225,43 +355,53 @@ func groupAsks(arenas []roundArena, s int, rank []int32) {
 	clear(cnt)
 }
 
-// eachReceiverRun hands receiver shard s its arrivals of the round ending
-// at end: it calls fn once per receiver, receivers ascending, with that
-// receiver's deliveries in canonical arrival order (timestamp, segment,
-// sender, prefetch first) — the runs a sort of everything due by
-// (receiver, timestamp, segment, sender, prefetch) would contain. The
-// sources are the shard's own in-flight list and what each serve shard
-// granted its receivers (a cross-shard read of serve output, sequenced
-// by the barrier between the serve and apply MapReduce calls); whatever
-// lands after end stays in — or joins — the in-flight list, compacted in
-// place. Like groupAsks it is a counting sort straight from the sources
-// into owner order: one pass counts the due deliveries per receiver, a
-// second places them in applyBucket, and each run (about ten entries) is
-// sorted where it lies. The order the sources are read in is free:
-// compareArrival is a total order, so a receiver's sorted run is the
-// same however its deliveries were assembled — which is what lets every
-// shard collect its own without a sequential merge. Only shard s's apply
-// stage calls it; run is valid only during the call.
-func eachReceiverRun(arenas []roundArena, s int, rank []int32, end sim.Time, fn func(run []delivery)) {
+// countArrivals is the first pass of receiver shard s's apply hand-off: it
+// counts, per receiver, the deliveries due by end in the shard's in-flight
+// list and in what each serve shard granted its receivers, turns the
+// counts into run offsets in groupCnt, and returns their total — the size
+// of the grouped copy (applyBucket) eachReceiverRun fills. The sources are
+// a cross-shard read of serve output, sequenced by the barrier between
+// the serve and apply MapReduce calls.
+func countArrivals(arenas []roundArena, s int, rank []int32, end sim.Time) int {
 	ar := &arenas[s]
 	cnt := ar.groupCnt
 	for _, d := range ar.later {
-		if d.at <= end {
+		if sim.Time(d.at) <= end {
 			cnt[rank[d.to]]++
 		}
 	}
 	for r := range arenas {
-		for _, d := range arenas[r].deliverScatter[s] {
-			if d.at <= end {
+		for _, d := range arenas[r].deliverScatter.to(s) {
+			if sim.Time(d.at) <= end {
 				cnt[rank[d.to]]++
 			}
 		}
 	}
-	total := startOffsets(cnt)
-	due := slices.Grow(ar.applyBucket[:0], total)[:total]
+	return startOffsets(cnt)
+}
+
+// eachReceiverRun hands receiver shard s its arrivals of the round ending
+// at end, once countArrivals has counted them and applyBucket has been
+// carved to their total: it calls fn once per receiver, receivers
+// ascending, with that receiver's deliveries in canonical arrival order
+// (timestamp, segment, sender, prefetch first) — the runs a sort of
+// everything due by (receiver, timestamp, segment, sender, prefetch)
+// would contain. Whatever lands after end stays in — or joins — the
+// in-flight list, compacted in place. Like groupAsks it is a counting
+// sort straight from the sources into owner order: countArrivals counted,
+// this pass places the due deliveries in applyBucket, and each run (about
+// ten entries) is sorted where it lies. The order the sources are read in
+// is free: compareArrival is a total order, so a receiver's sorted run is
+// the same however its deliveries were assembled — which is what lets
+// every shard collect its own without a sequential merge. Only shard s's
+// apply stage calls it; run is valid only during the call.
+func eachReceiverRun(arenas []roundArena, s int, rank []int32, end sim.Time, fn func(run []delivery)) {
+	ar := &arenas[s]
+	cnt := ar.groupCnt
+	due := ar.applyBucket
 	kept := ar.later[:0]
 	for _, d := range ar.later {
-		if d.at > end {
+		if sim.Time(d.at) > end {
 			kept = append(kept, d)
 			continue
 		}
@@ -270,8 +410,8 @@ func eachReceiverRun(arenas []roundArena, s int, rank []int32, end sim.Time, fn 
 		cnt[k]++
 	}
 	for r := range arenas {
-		for _, d := range arenas[r].deliverScatter[s] {
-			if d.at > end {
+		for _, d := range arenas[r].deliverScatter.to(s) {
+			if sim.Time(d.at) > end {
 				kept = append(kept, d)
 				continue
 			}
@@ -280,7 +420,7 @@ func eachReceiverRun(arenas []roundArena, s int, rank []int32, end sim.Time, fn 
 			cnt[k]++
 		}
 	}
-	ar.applyBucket, ar.later = due, kept
+	ar.later = kept
 	// cnt[k] is now the end of rank k's run, the previous rank's end its
 	// start.
 	lo := int32(0)
@@ -311,22 +451,24 @@ func compareArrival(a, b delivery) int {
 	return btoi(b.prefetch) - btoi(a.prefetch)
 }
 
-// resetBuckets readies one shard's per-destination-shard buckets for a
-// new round: sized to phaseShards on first use, every bucket emptied with
-// its capacity kept.
-func resetBuckets[T any](buckets [][]T) [][]T {
-	if buckets == nil {
-		buckets = make([][]T, phaseShards)
+// seg32 narrows a segment ID to a hand-off record's int32 field. At the
+// default 10 segments per second the bound is 6.8 years of stream; past it
+// the records cannot hold the ID, and the round stops rather than wrap.
+func seg32(id segment.ID) int32 {
+	if id < math.MinInt32 || id > math.MaxInt32 {
+		panic(fmt.Sprintf("core: segment ID %d is past the int32 bound %d of a hand-off record", id, math.MaxInt32))
 	}
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	return buckets
+	return int32(id)
 }
 
-func (ar *roundArena) resetGossip()         { ar.gossip = resetBuckets(ar.gossip) }
-func (ar *roundArena) resetServeScatter()   { ar.serveScatter = resetBuckets(ar.serveScatter) }
-func (ar *roundArena) resetDeliverScatter() { ar.deliverScatter = resetBuckets(ar.deliverScatter) }
+// ms32 narrows a millisecond stamp or latency to a hand-off record's int32
+// field; the bound is 24.8 days of simulated time.
+func ms32(t sim.Time) int32 {
+	if t < math.MinInt32 || t > math.MaxInt32 {
+		panic(fmt.Sprintf("core: time %d ms is past the int32 bound %d ms of a hand-off record", int64(t), math.MaxInt32))
+	}
+	return int32(t)
+}
 
 // serveCtx carries the per-supplier state the hoisted ServeInput
 // callbacks read. The closures are built once per shard (ensure) and

@@ -1,0 +1,247 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
+)
+
+// filled lists the records a hand-off list holds, destination shards
+// ascending.
+func filled[T any](h *handoff[T]) []T {
+	var out []T
+	for d := range phaseShards {
+		out = append(out, h.to(d)...)
+	}
+	return out
+}
+
+// onlyTo returns recs when d is the shard under test, nothing otherwise.
+func onlyTo[T any](d, shard int, recs []T) []T {
+	if d != shard {
+		return nil
+	}
+	return recs
+}
+
+// handOff lays out and fills one stream's hand-off lists in every arena,
+// the way the phases do but from a pool of its own: recs(r, d) is what
+// producer r hands shard d.
+func handOff[T any](arenas []roundArena, list func(*roundArena) *handoff[T], recs func(r, d int) []T) {
+	for r := range arenas {
+		h := list(&arenas[r])
+		h.clearBounds()
+		for d := range phaseShards {
+			h.reserve(d, int32(len(recs(r, d))))
+		}
+	}
+	var p pool[T]
+	layout(&p, arenas, list)
+	for r := range arenas {
+		for d := range phaseShards {
+			for _, rec := range recs(r, d) {
+				list(&arenas[r]).put(d, rec)
+			}
+		}
+	}
+}
+
+// receiverRuns runs receiver shard s's two apply passes over arenas, its
+// grouped copy allocated at the size the first pass counts.
+func receiverRuns(arenas []roundArena, s int, rank []int32, end sim.Time, fn func([]delivery)) {
+	arenas[s].applyBucket = make([]delivery, countArrivals(arenas, s, rank, end))
+	eachReceiverRun(arenas, s, rank, end, fn)
+}
+
+// TestHandoffKeepsEmissionOrderPerDestination fills hand-off lists with
+// records for random destinations, interleaved, against reservations that
+// are sometimes larger than what arrives: each destination's segment must
+// read back exactly its records in emission order, the holes unseen, and
+// a put past a segment's reservation must panic rather than spill into
+// the next one.
+func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
+	const emitted = 500
+	rng := sim.DeriveRNG(23, 1)
+	arenas := make([]roundArena, 3)
+	dest := make([][emitted]int, len(arenas)) // record i of producer r goes to dest[r][i]
+	want := make([][phaseShards][]int32, len(arenas))
+	for r := range arenas {
+		for i := range dest[r] {
+			d := rng.Intn(phaseShards / 2) // half the shards get nothing
+			dest[r][i] = d
+			want[r][d] = append(want[r][d], int32(r*emitted+i))
+		}
+	}
+	gossipOf := func(ar *roundArena) *handoff[hearEvent] { return &ar.gossip }
+	var p pool[hearEvent]
+	for round := 0; round < 2; round++ { // the second round reuses the pool
+		for r := range arenas {
+			h := &arenas[r].gossip
+			h.clearBounds()
+			for d, recs := range want[r] {
+				h.reserve(d, int32(len(recs)+rng.Intn(3))) // a bound, not a count
+			}
+		}
+		layout(&p, arenas, gossipOf)
+		for r := range arenas {
+			for i, d := range dest[r] {
+				arenas[r].gossip.put(d, hearEvent{to: int32(r*emitted + i)})
+			}
+			for d := range phaseShards {
+				var got []int32
+				for _, ev := range arenas[r].gossip.to(d) {
+					got = append(got, ev.to)
+				}
+				if !slices.Equal(got, want[r][d]) {
+					t.Fatalf("round %d producer %d shard %d: read back %v, emitted %v", round, r, d, got, want[r][d])
+				}
+			}
+		}
+	}
+	one := make([]roundArena, 1)
+	one[0].gossip.reserve(0, 1)
+	one[0].gossip.reserve(1, 1)
+	layout(&p, one, gossipOf)
+	one[0].gossip.put(0, hearEvent{to: 1})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "shard 0 is full at its 1 reserved slots") {
+			t.Fatalf("overfilling a segment: recovered %q, want the full-segment panic", msg)
+		}
+		if got := one[0].gossip.to(1); len(got) != 0 {
+			t.Fatalf("the overfill reached shard 1's segment: %v", got)
+		}
+	}()
+	one[0].gossip.put(0, hearEvent{to: 2})
+}
+
+// TestRecordNarrowingGuards pins the int32 fields of the hand-off records:
+// the largest segment ID and millisecond stamp they hold round-trip, and
+// an ask or a delivery one past either bound panics naming it instead of
+// wrapping.
+func TestRecordNarrowingGuards(t *testing.T) {
+	const top = math.MaxInt32
+	if a := newAsk(1, 2, top, top); segment.ID(a.id) != top || sim.Time(a.expected) != top {
+		t.Fatalf("newAsk at the bound stored id %d, expected %d", a.id, a.expected)
+	}
+	if d := newDelivery(1, 2, top, top, true); segment.ID(d.id) != top || sim.Time(d.at) != top || !d.prefetch {
+		t.Fatalf("newDelivery at the bound stored %+v", d)
+	}
+	bound := fmt.Sprint(top)
+	for _, tc := range []struct {
+		name string
+		mk   func()
+	}{
+		{"ask segment", func() { newAsk(1, 2, top+1, 0) }},
+		{"ask stamp", func() { newAsk(1, 2, 0, top+1) }},
+		{"delivery segment", func() { newDelivery(1, 2, top+1, 0, false) }},
+		{"delivery stamp", func() { newDelivery(1, 2, 0, top+1, false) }},
+		{"negative stamp", func() { newDelivery(1, 2, 0, math.MinInt32-1, false) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "int32 bound "+bound) {
+					t.Errorf("%s: recovered %q, want a panic naming the int32 bound %s", tc.name, msg, bound)
+				}
+			}()
+			tc.mk()
+		}()
+	}
+	if got := unsafe.Sizeof(hearEvent{}) + unsafe.Sizeof(transferReq{}) + unsafe.Sizeof(delivery{}); got != 12+16+20 {
+		t.Errorf("hear event, ask and delivery records take %d bytes together, want 48", got)
+	}
+}
+
+// poolRecords is a pool's capacity in records.
+func poolRecords[T any](p *pool[T]) int {
+	n := 0
+	for _, c := range p.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// streamBytes is one record stream's footprint after a round: held is the
+// capacity of its world pool, sent the bytes of the records the round put
+// in it (fills, not reservations).
+type streamBytes struct {
+	name       string
+	held, sent int64
+}
+
+// handoffBytes measures a stepped world's hand-off lists and grouped
+// copies. Every one of them still holds the last round's records: each is
+// refilled only when its phase runs again in the next round.
+func handoffBytes(w *World) []streamBytes {
+	var hear, asks, grouped, grants, due int
+	for s := range w.arenas {
+		ar := &w.arenas[s]
+		for d := range phaseShards {
+			hear += len(ar.gossip.to(d))
+			asks += len(ar.serveScatter.to(d))
+			grants += len(ar.deliverScatter.to(d))
+		}
+		grouped += len(ar.asks)
+		due += len(ar.applyBucket)
+	}
+	hs, ts, ds := int64(unsafe.Sizeof(hearEvent{})), int64(unsafe.Sizeof(transferReq{})), int64(unsafe.Sizeof(delivery{}))
+	l := &w.lists
+	return []streamBytes{
+		{"gossip", int64(poolRecords(&l.hear)) * hs, int64(hear) * hs},
+		{"asks", int64(poolRecords(&l.asks)) * ts, int64(asks) * ts},
+		{"grouped asks", int64(poolRecords(&l.grouped)) * ts, int64(grouped) * ts},
+		{"grants", int64(poolRecords(&l.grants)) * ds, int64(grants) * ds},
+		{"due", int64(poolRecords(&l.due)) * ds, int64(due) * ds},
+	}
+}
+
+// TestRoundArenaCeiling holds the round's hand-off lists and their grouped
+// copies to the round's size on a 2 000-node churn world at two workers:
+// from round 10 on, what their pools hold may be at most 1.3 times the
+// bytes of the records the round handed off through them, and it may not
+// grow from round 20 to round 30. Grow-only lists fail both: the 64×64
+// per-pair buckets this replaced held 1.97 times the records at round 10
+// and 2.57 at round 30, growing from 8.27 to 9.06 MB over the last ten
+// rounds.
+func TestRoundArenaCeiling(t *testing.T) {
+	const nodes, rounds, ratio = 2000, 30, 1.3
+	cfg := churnConfig(nodes)
+	cfg.Workers = 2
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine(w, cfg.Tau)
+	var held20 int64
+	for r := 1; r <= rounds; r++ {
+		engine.Run(1)
+		var held, sent int64
+		var line strings.Builder
+		for _, sb := range handoffBytes(w) {
+			held += sb.held
+			sent += sb.sent
+			fmt.Fprintf(&line, " %s %d/%d", sb.name, sb.held, sb.sent)
+		}
+		if r%10 == 0 {
+			t.Logf("round %d: held/sent bytes%s; %d/%d in all (%.3f)", r, line.String(), held, sent, float64(held)/float64(sent))
+		}
+		if r >= 10 && float64(held) > ratio*float64(sent) {
+			t.Errorf("round %d: hand-off pools hold %d B for %d B of records, %.2f times, ceiling %.1f", r, held, sent, float64(held)/float64(sent), ratio)
+		}
+		switch r {
+		case 20:
+			held20 = held
+		case rounds:
+			if held > held20 {
+				t.Errorf("hand-off pools grew from %d B at round 20 to %d B at round %d", held20, held, r)
+			}
+		}
+	}
+}

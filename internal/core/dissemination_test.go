@@ -55,11 +55,7 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 		// deadlines (ids 1, 2, 3 rounds ahead of pos).
 		var fresh []transferReq
 		for i, id := range []segment.ID{pos + 25, pos + 15, pos + 35, pos + 12, pos + 22, pos + 32} {
-			fresh = append(fresh, transferReq{
-				supplier:  sup,
-				requester: w.Nodes()[i],
-				id:        id,
-			})
+			fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
 		}
 		res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 		if len(res.Granted) != 2 {
@@ -102,8 +98,8 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 		w.Node(nb).Buf.Insert(common)
 	}
 	fresh := []transferReq{
-		{supplier: sup, requester: w.Nodes()[0], id: common},
-		{supplier: sup, requester: w.Nodes()[1], id: rare},
+		newAsk(sup, w.Nodes()[0], common, 0),
+		newAsk(sup, w.Nodes()[1], rare, 0),
 	}
 	// Capacity 1: only the spill-adjusted single slot. Force it by
 	// charging one push send against the supplier.
@@ -129,7 +125,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id := pos + segment.ID(40+i)
 		sn.Buf.Insert(id)
-		fresh = append(fresh, transferReq{supplier: sup, requester: w.Nodes()[i], id: id})
+		fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
 	}
 	shard := w.shardOf(sup)
 	res := w.serveSupplier(&roundArena{}, shard, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"continustreaming/internal/churn"
+	"continustreaming/internal/overlay"
 	"continustreaming/internal/sim"
 )
 
@@ -38,15 +39,13 @@ func TestServeHandsOverOnlyThisRoundsGrants(t *testing.T) {
 			now := engine.Clock().Now()
 			for s := range w.arenas {
 				ar := &w.arenas[s]
-				for _, bucket := range ar.deliverScatter {
-					for _, d := range bucket {
-						grants++
-						if _, served := slices.BinarySearch(ar.suppliers, d.from); !served {
-							stale++
-						}
-						if d.at < now {
-							early++
-						}
+				for _, d := range filled(&ar.deliverScatter) {
+					grants++
+					if _, served := slices.BinarySearch(ar.suppliers, overlay.NodeID(d.from)); !served {
+						stale++
+					}
+					if sim.Time(d.at) < now {
+						early++
 					}
 				}
 			}
@@ -153,12 +152,9 @@ func TestHandoffMatchesMergeSortOracle(t *testing.T) {
 			// The oracle: sequential merge, one partition, one sort.
 			var due, spill []delivery
 			for s := range w.arenas {
-				merged := slices.Clone(w.arenas[s].later)
-				for _, bucket := range w.arenas[s].deliverScatter {
-					merged = append(merged, bucket...)
-				}
+				merged := append(slices.Clone(w.arenas[s].later), filled(&w.arenas[s].deliverScatter)...)
 				for _, d := range merged {
-					if d.at > end {
+					if sim.Time(d.at) > end {
 						spill = append(spill, d)
 					} else {
 						due = append(due, d)
@@ -172,18 +168,16 @@ func TestHandoffMatchesMergeSortOracle(t *testing.T) {
 			scratch := make([]roundArena, len(w.arenas))
 			for s := range scratch {
 				scratch[s].later = slices.Clone(w.arenas[s].later)
-				scratch[s].deliverScatter = make([][]delivery, phaseShards)
-				for rs, bucket := range w.arenas[s].deliverScatter {
-					scratch[s].deliverScatter[rs] = slices.Clone(bucket)
-				}
+				scratch[s].deliverScatter = w.arenas[s].deliverScatter
+				scratch[s].deliverScatter.recs = slices.Clone(w.arenas[s].deliverScatter.recs)
 				scratch[s].groupCnt = make([]int32, w.shardSize[s])
 			}
 			var got, kept []delivery
 			predicted = predicted[:0]
 			for s := range scratch {
-				eachReceiverRun(scratch, s, w.shardRank, end, func(run []delivery) {
-					if w.shardOf(run[0].to) != s {
-						t.Fatalf("round %d: shard %d was handed receiver %d of shard %d", w.round, s, run[0].to, w.shardOf(run[0].to))
+				receiverRuns(scratch, s, w.shardRank, end, func(run []delivery) {
+					if rs := w.shardOf(overlay.NodeID(run[0].to)); rs != s {
+						t.Fatalf("round %d: shard %d was handed receiver %d of shard %d", w.round, s, run[0].to, rs)
 					}
 					got = append(got, run...)
 					runs++

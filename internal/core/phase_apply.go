@@ -12,13 +12,15 @@ import (
 // after the round boundary wait in the receiver shard's in-flight list
 // (roundArena.later) for the round they land in.
 //
-// Receivers are partitioned into shards by node ID, and the phase is one
-// parallel stage with no sequential prologue: every shard collects its
-// own arrivals — its due in-flight deliveries plus what each serve shard
-// granted its receivers — grouped by receiver, each receiver's run in
-// canonical order (eachReceiverRun), and applies them while accumulating
-// into a private metric sample; the per-shard samples are folded in
-// shard order afterwards. A receiver belongs to exactly one shard, so
+// Receivers are partitioned into shards by node ID, and every shard
+// collects its own arrivals — its due in-flight deliveries plus what each
+// serve shard granted its receivers. A first parallel stage counts them
+// per receiver (countArrivals); sequential code carves each shard's
+// grouped copy from the world's pool at that size; the second stage
+// places them grouped by receiver, each receiver's run in canonical order
+// (eachReceiverRun), and applies them while accumulating into a private
+// metric sample; the per-shard samples are folded in shard order
+// afterwards. A receiver belongs to exactly one shard, so
 // all per-node mutation stays shard-local, and because compareArrival is
 // a total order the outcome does not depend on the order the arrivals
 // were collected in.
@@ -28,6 +30,11 @@ func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	p := w.cfg.Stream.Rate
 	segBits := w.cfg.Stream.BitsPerSegment
 	now := clock.Now()
+	var due [phaseShards]int
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) int { return countArrivals(w.arenas, s, w.shardRank, end) },
+		func(s, n int) { due[s] = n })
+	carveGroups(&w.lists.due, w.arenas, &due, func(ar *roundArena) *[]delivery { return &ar.applyBucket })
 	sim.MapReduce(w.pool, phaseShards,
 		func(s int) metrics.RoundSample {
 			var local metrics.RoundSample
@@ -52,43 +59,44 @@ func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 // traffic counters into local. Only the shard owning the receiver calls it.
 func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, segBits int64, now sim.Time, local *metrics.RoundSample) {
 	for _, d := range ds {
-		deadline := w.deadlineOf(d.id, pos, p, now)
+		id, at := segment.ID(d.id), sim.Time(d.at)
+		deadline := w.deadlineOf(id, pos, p, now)
 		if d.prefetch {
 			local.PrefetchDataBits += segBits
 			local.Prefetches++
-			already := n.Buf.Has(d.id)
-			stored := n.receive(d.id, d.at)
+			already := n.Buf.Has(id)
+			stored := n.receive(id, at)
 			switch {
 			case already:
 				// Gossip beat the pre-fetch: repeated data.
 				local.Repeated++
 				n.repeated++
-				n.seg.ClearTag(d.id)
-			case stored && d.at > deadline && d.id >= pos:
+				n.seg.ClearTag(id)
+			case stored && at > deadline && id >= pos:
 				// Arrived, but after its play moment: overdue.
 				local.Overdue++
 				n.overdue++
 			}
 			if stored {
-				n.maybeBackup(w.space, d.id, w.cfg.Replicas)
+				n.maybeBackup(w.space, id, w.cfg.Replicas)
 			}
 			continue
 		}
 		local.DataBits += segBits
 		local.Deliveries++
-		tagged := n.seg.Tagged(d.id)
-		already := n.Buf.Has(d.id)
-		stored := n.receive(d.id, d.at)
-		n.Ctrl.ObserveDelivery(int(d.from), (d.at - now).Seconds())
-		if tagged && (already || (stored && d.at <= deadline)) {
+		tagged := n.seg.Tagged(id)
+		already := n.Buf.Has(id)
+		stored := n.receive(id, at)
+		n.Ctrl.ObserveDelivery(int(d.from), (at - now).Seconds())
+		if tagged && (already || (stored && at <= deadline)) {
 			// The scheduler delivered a segment the pre-fetch also
 			// handled (or is handling): repeated data.
 			local.Repeated++
 			n.repeated++
-			n.seg.ClearTag(d.id)
+			n.seg.ClearTag(id)
 		}
 		if stored {
-			n.maybeBackup(w.space, d.id, w.cfg.Replicas)
+			n.maybeBackup(w.space, id, w.cfg.Replicas)
 		}
 	}
 }

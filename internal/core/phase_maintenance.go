@@ -7,10 +7,12 @@ import (
 )
 
 // hearEvent is one membership-gossip notification: `to` learns that
-// `about` exists at the given latency.
+// `about` exists at the given latency (milliseconds). Its fields are int32,
+// 12 bytes a record: ring IDs fit because dht.NewSpace caps the ring at
+// 2^31 slots, and ms32 guards the latency.
 type hearEvent struct {
-	to, about overlay.NodeID
-	lat       sim.Time
+	to, about int32
+	lat       int32
 }
 
 // maintenancePhase applies the paper's neighbour maintenance rules as a
@@ -24,8 +26,10 @@ type hearEvent struct {
 //     phase entry, tells every alive neighbour about two of its other
 //     neighbours (the SCAMP-style membership gossip CoolStreaming builds
 //     on, riding inside the existing buffer-map exchange and excluded from
-//     the 620-bit control costing). Events are bucketed by the shard that
-//     owns the hearing peer.
+//     the 620-bit control costing). Each scatter shard files its events
+//     in its hand-off list under the shard that owns the hearing peer;
+//     the list is laid out first, at two slots per alive neighbour, the
+//     most GossipPicks emits.
 //  2. shard-owned apply — each ownership shard delivers the hear events to
 //     its own nodes (in scatter-shard order, reproducing a sequential
 //     scan), drops neighbours discovered dead, and computes rewire
@@ -40,18 +44,37 @@ func (w *World) maintenancePhase() {
 	// Stage 1: membership-gossip scatter over contiguous index ranges.
 	// Each node's picks consume its own RNG stream, so the draw sequence
 	// is a function of the node alone, never of worker interleaving.
-	// Events land in the scatter shard's arena buckets, bucketed by the
-	// shard that owns the hearing peer; the alive and emit callbacks are
-	// hoisted to one pair per shard instead of one per node.
+	// Nothing changes an edge or a node's liveness until stage 2, so the
+	// bounds reserved in the first pass hold for the second. The alive
+	// and emit callbacks are hoisted to one pair per shard instead of one
+	// per node.
 	sim.MapReduce(w.pool, phaseShards,
 		func(r int) struct{} {
 			ar := &w.arenas[r]
-			ar.resetGossip()
+			ar.gossip.clearBounds()
+			lo, hi := sim.ShardRange(nOrder, phaseShards, r)
+			for i := lo; i < hi; i++ {
+				nbs := w.nodes[w.order[i]].Table.Neighbors()
+				if len(nbs) < 2 {
+					continue // GossipPicks needs a second neighbour to name
+				}
+				for _, nb := range nbs {
+					if w.nodes[nb] != nil {
+						ar.gossip.reserve(w.shardOf(nb), 2)
+					}
+				}
+			}
+			return struct{}{}
+		},
+		func(int, struct{}) {})
+	layout(&w.lists.hear, w.arenas, func(ar *roundArena) *handoff[hearEvent] { return &ar.gossip })
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
+			ar := &w.arenas[r]
 			alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
 			emit := func(to, about overlay.NodeID) {
-				ss := w.shardOf(to)
 				//continulint:shardcapture ar aliases w.arenas[r], the map shard's own arena; no other shard touches it
-				ar.gossip[ss] = append(ar.gossip[ss], hearEvent{to: to, about: about, lat: w.Latency(to, about)})
+				ar.gossip.put(w.shardOf(to), hearEvent{to: int32(to), about: int32(about), lat: ms32(w.Latency(to, about))})
 			}
 			lo, hi := sim.ShardRange(nOrder, phaseShards, r)
 			for i := lo; i < hi; i++ {
@@ -77,9 +100,9 @@ func (w *World) maintenancePhase() {
 			for r := 0; r < phaseShards; r++ {
 				// Cross-shard read of stage-1 output, sequenced by the
 				// barrier between the two MapReduce calls.
-				for _, ev := range w.arenas[r].gossip[s] {
+				for _, ev := range w.arenas[r].gossip.to(s) {
 					if n := w.nodes[ev.to]; n != nil {
-						n.Table.Hear(ev.about, ev.lat)
+						n.Table.Hear(overlay.NodeID(ev.about), sim.Time(ev.lat))
 					}
 				}
 			}

@@ -120,7 +120,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 				direct := w.Latency(n.ID, w.source)
 				transfer := bandwidth.PerSegment(src.Rates.Out, sim.Second)
 				at := start + 2*direct + transfer + direct
-				ar.later = append(ar.later, delivery{to: n.ID, from: w.source, id: res.ID, at: at, prefetch: true})
+				ar.later = append(ar.later, newDelivery(n.ID, w.source, res.ID, at, true))
 			}
 			continue
 		}
@@ -137,7 +137,7 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 		direct := w.Latency(n.ID, supplier)
 		transfer := bandwidth.PerSegment(int(res.Rate), sim.Second)
 		at := start + sim.Time(res.LocateHops)*w.cfg.THop + 2*direct + transfer + direct
-		ar.later = append(ar.later, delivery{to: n.ID, from: supplier, id: res.ID, at: at, prefetch: true})
+		ar.later = append(ar.later, newDelivery(n.ID, supplier, res.ID, at, true))
 		// Everyone on the winning route overhears the exchange.
 		w.overhearRoute(n.ID, res)
 	}

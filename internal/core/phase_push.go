@@ -162,7 +162,7 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 					// Landing it now would let the next hop (and this
 					// round's snapshots) see a segment before it arrived.
 					ar := &w.arenas[w.shardOf(snd.To)]
-					ar.later = append(ar.later, delivery{to: snd.To, from: snd.From, id: snd.ID, at: at})
+					ar.later = append(ar.later, newDelivery(snd.To, snd.From, snd.ID, at, false))
 					continue
 				}
 				sample.DataBits += segBits

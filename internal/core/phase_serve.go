@@ -11,12 +11,19 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// transferReq is one requester->supplier ask, ordered deterministically.
+// transferReq is one requester->supplier ask: 16 bytes of int32 fields
+// (see newAsk).
 type transferReq struct {
-	supplier  overlay.NodeID
-	requester overlay.NodeID
-	id        segment.ID
-	expected  sim.Time
+	supplier, requester int32
+	id                  int32
+	expected            int32
+}
+
+// newAsk builds an ask record. Ring IDs fit int32 because dht.NewSpace caps
+// the ring at 2^31 slots; the segment ID and the expected-arrival stamp
+// are checked (seg32, ms32).
+func newAsk(supplier, requester overlay.NodeID, id segment.ID, expected sim.Time) transferReq {
+	return transferReq{supplier: int32(supplier), requester: int32(requester), id: seg32(id), expected: ms32(expected)}
 }
 
 // rarityCache memoises supplier-side rarity for one serve shard: a dense
@@ -80,63 +87,71 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // deadline-hopeless and overflow entries are evicted and the requester
 // times out and retries.
 //
-// The phase runs as a two-stage sharded pipeline. Stage 1 (scatter)
-// partitions requesters into contiguous index ranges and buckets their
-// asks by the owning supplier shard; because ranges ascend with the shard
-// index and w.order is sorted, concatenating a supplier shard's buckets in
-// scatter-shard order reproduces the requester-ascending arrival order a
-// sequential scan would produce. Stage 2 (serve) gives each supplier shard
-// exclusive ownership of its suppliers — their nodes' carry queues and
-// uplinks included — so it runs the service discipline and charges its own
-// suppliers' uplinks; counters are merged in shard order afterwards.
-// Grants are not merged at all: the serving shard appends each to the
-// bucket of the shard that owns its receiver (roundArena.deliverScatter),
-// where the apply stage picks them up — the same shard-to-shard hand-off
-// as stage 1's, one stage later.
+// The phase runs as a sharded pipeline whose shard-to-shard hand-offs
+// are laid out before they are filled (see handoff). Stage 1 (scatter)
+// partitions requesters into contiguous index ranges: a first pass counts
+// each range's asks per owning supplier shard, sequential code carves the
+// ranges' hand-off lists at those sizes, and a second pass fills them;
+// because ranges ascend with the shard index and w.order is sorted,
+// reading a supplier shard's segments in scatter-shard order reproduces
+// the requester-ascending arrival order a sequential scan would produce.
+// Stage 2 (serve) gives each supplier shard exclusive ownership of its
+// suppliers — their nodes' carry queues and uplinks included. Its first
+// pass groups the shard's asks by supplier into a copy carved at their
+// count (groupAsks), lists the worklist and reserves, per receiver shard,
+// one grant slot for every fresh ask and carried request it could grant —
+// PlanServe and ServeRoundRobin grant from nothing else; after the grant
+// lists are carved, the second pass runs the service discipline, charges
+// its own suppliers' uplinks and hands each grant to the segment of the
+// shard that owns its receiver (roundArena.deliverScatter), where the
+// apply stage picks it up. Counters are merged in shard order.
 func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
 	sim.MapReduce(w.pool, phaseShards,
 		func(r int) struct{} {
 			ar := &w.arenas[r]
-			ar.resetServeScatter()
+			ar.serveScatter.clearBounds()
+			lo, hi := sim.ShardRange(n, phaseShards, r)
+			for _, reqs := range requests[lo:hi] {
+				for _, req := range reqs {
+					ar.serveScatter.reserve(w.shardOf(overlay.NodeID(req.Supplier)), 1)
+				}
+			}
+			return struct{}{}
+		},
+		func(int, struct{}) {})
+	layout(&w.lists.asks, w.arenas, func(ar *roundArena) *handoff[transferReq] { return &ar.serveScatter })
+	sim.MapReduce(w.pool, phaseShards,
+		func(r int) struct{} {
+			ar := &w.arenas[r]
 			lo, hi := sim.ShardRange(n, phaseShards, r)
 			for i := lo; i < hi; i++ {
-				if len(requests[i]) == 0 {
-					continue
-				}
 				requester := w.order[i]
 				for _, req := range requests[i] {
 					s := overlay.NodeID(req.Supplier)
-					ss := w.shardOf(s)
 					//continulint:shardcapture ar aliases w.arenas[r], the map shard's own arena; no other shard touches it
-					ar.serveScatter[ss] = append(ar.serveScatter[ss], transferReq{
-						supplier: s, requester: requester, id: req.ID, expected: req.ExpectedAt,
-					})
+					ar.serveScatter.put(w.shardOf(s), newAsk(s, requester, req.ID, req.ExpectedAt))
 				}
 			}
 			return struct{}{}
 		},
 		func(int, struct{}) {})
 
-	type shardServe struct {
-		dropped      int64
-		queueServed  int64
-		queueCarried int64
-		evicted      protocol.Evictions
+	// Each supplier shard's grouped copy holds exactly what the scatter
+	// handed it.
+	var asks [phaseShards]int
+	for r := range w.arenas {
+		for s := range asks {
+			asks[s] += len(w.arenas[r].serveScatter.to(s))
+		}
 	}
-	start := clock.Now()
-	horizon := clock.RoundEnd()
-	pos := w.playbackPos(w.round)
-	p := w.cfg.Stream.Rate
+	carveGroups(&w.lists.grouped, w.arenas, &asks, func(ar *roundArena) *[]transferReq { return &ar.asks })
 	sim.MapReduce(w.pool, phaseShards,
-		func(s int) shardServe {
+		func(s int) struct{} {
 			ar := &w.arenas[s]
-			// Reset ahead of the empty-worklist return below: a shard with
-			// nothing to serve hands apply nothing, not last round's grants.
-			ar.resetDeliverScatter()
 			// Cross-shard read of scatter output, sequenced by the barrier
-			// between the two MapReduce calls.
+			// between the MapReduce calls.
 			groupAsks(w.arenas, s, w.shardRank)
 			// The worklist is the union of carry-queue holders and fresh-ask
 			// targets, ascending and deduplicated. Last round's walk listed
@@ -151,23 +166,51 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 			ar.carriers = ar.carriers[:0]
 			for i, tr := range ar.asks {
 				if i == 0 || tr.supplier != ar.asks[i-1].supplier {
-					ar.suppliers = append(ar.suppliers, tr.supplier)
+					ar.suppliers = append(ar.suppliers, overlay.NodeID(tr.supplier))
 				}
-			}
-			if len(ar.suppliers) == 0 {
-				return shardServe{}
 			}
 			slices.Sort(ar.suppliers)
 			ar.suppliers = slices.Compact(ar.suppliers)
+			// A shard with nothing to serve reserves nothing, so it hands
+			// apply nothing, not last round's grants.
+			ar.deliverScatter.clearBounds()
+			for _, tr := range ar.asks {
+				ar.deliverScatter.reserve(w.shardOf(overlay.NodeID(tr.requester)), 1)
+			}
+			for _, sup := range ar.suppliers {
+				if sn := w.nodes[sup]; sn != nil {
+					for _, req := range sn.carry {
+						ar.deliverScatter.reserve(w.shardOf(req.Requester), 1)
+					}
+				}
+			}
+			return struct{}{}
+		},
+		func(int, struct{}) {})
+	layout(&w.lists.grants, w.arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter })
+
+	type shardServe struct {
+		dropped      int64
+		queueServed  int64
+		queueCarried int64
+		evicted      protocol.Evictions
+	}
+	start := clock.Now()
+	horizon := clock.RoundEnd()
+	pos := w.playbackPos(w.round)
+	p := w.cfg.Stream.Rate
+	sim.MapReduce(w.pool, phaseShards,
+		func(s int) shardServe {
+			ar := &w.arenas[s]
 			var res shardServe
 			askLo := 0
 			for _, sup := range ar.suppliers {
 				// Two-pointer walk: suppliers and asks ascend together.
-				for askLo < len(ar.asks) && ar.asks[askLo].supplier < sup {
+				for askLo < len(ar.asks) && overlay.NodeID(ar.asks[askLo].supplier) < sup {
 					askLo++
 				}
 				askHi := askLo
-				for askHi < len(ar.asks) && ar.asks[askHi].supplier == sup {
+				for askHi < len(ar.asks) && overlay.NodeID(ar.asks[askHi].supplier) == sup {
 					askHi++
 				}
 				sr := w.serveSupplier(ar, s, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
@@ -194,9 +237,8 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 						res.queueServed++
 					}
 					at := start + sn.up.WireAt(slot+k) + w.Latency(sup, g.Requester)
-					rs := w.shardOf(g.Requester)
 					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; receiver shards read it only after the serve barrier
-					ar.deliverScatter[rs] = append(ar.deliverScatter[rs], delivery{to: g.Requester, from: sup, id: g.ID, at: at})
+					ar.deliverScatter.put(w.shardOf(g.Requester), newDelivery(g.Requester, sup, g.ID, at, false))
 				}
 			}
 			return res
@@ -236,7 +278,7 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 		ar.rrReqs = ar.rrReqs[:0]
 		for _, tr := range fresh {
 			ar.rrReqs = append(ar.rrReqs, protocol.Request{
-				Requester: tr.requester, ID: tr.id, Expected: tr.expected,
+				Requester: overlay.NodeID(tr.requester), ID: segment.ID(tr.id), Expected: sim.Time(tr.expected),
 			})
 		}
 		res := protocol.ServeRoundRobin(ar.rrReqs, 2*sn.Rates.Out, ar.rrGranted)
@@ -245,10 +287,11 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 	}
 	ar.planAsks = ar.planAsks[:0]
 	for _, tr := range fresh {
+		id := segment.ID(tr.id)
 		ar.planAsks = append(ar.planAsks, protocol.Ask{
-			Requester: tr.requester,
-			ID:        tr.id,
-			Deadline:  w.deadlineOf(tr.id, pos, p, start),
+			Requester: overlay.NodeID(tr.requester),
+			ID:        id,
+			Deadline:  w.deadlineOf(id, pos, p, start),
 		})
 	}
 	// Supplier-side rarity, once per distinct segment: equation (2) over

@@ -25,11 +25,11 @@ func ownedIDs(n, s int) []overlay.NodeID {
 }
 
 // TestGroupAsksMatchesStableSort checks the serve stage's counting sort
-// against the stable comparison sort it replaced: the same asks, scattered
-// over the same buckets, must come out in the same order — suppliers
-// ascending, arrival order within a supplier — for random sets full of
-// repeated suppliers, a single supplier, and no asks at all; and the count
-// table must be left clean for the next use.
+// against the stable comparison sort it replaced: the same asks, handed
+// over through the same scatter lists, must come out in the same order —
+// suppliers ascending, arrival order within a supplier — for random sets
+// full of repeated suppliers, a single supplier, and no asks at all; and
+// the count table must be left clean for the next use.
 func TestGroupAsksMatchesStableSort(t *testing.T) {
 	const spaceN, shard = 2048, 5
 	rank, size := shardRanks(spaceN)
@@ -47,23 +47,21 @@ func TestGroupAsksMatchesStableSort(t *testing.T) {
 		{"empty", 0, 1},
 	} {
 		var concat []transferReq
-		for r := range arenas {
-			arenas[r].resetServeScatter()
-		}
+		bySource := make([][]transferReq, phaseShards)
 		for i := 0; i < tc.asks; i++ {
-			tr := transferReq{
-				supplier:  owned[rng.Intn(tc.suppliers)],
-				requester: overlay.NodeID(i), // distinct: identifies arrival order
-				id:        segment.ID(rng.Intn(50)),
-			}
+			// Distinct requesters identify arrival order.
+			tr := newAsk(owned[rng.Intn(tc.suppliers)], overlay.NodeID(i), segment.ID(rng.Intn(50)), 0)
 			// Scatter shards fill in ascending order, like requester ranges.
 			r := i * phaseShards / tc.asks
-			arenas[r].serveScatter[shard] = append(arenas[r].serveScatter[shard], tr)
+			bySource[r] = append(bySource[r], tr)
 			concat = append(concat, tr)
 		}
+		handOff(arenas, func(ar *roundArena) *handoff[transferReq] { return &ar.serveScatter },
+			func(r, d int) []transferReq { return onlyTo(d, shard, bySource[r]) })
 		slices.SortStableFunc(concat, func(a, b transferReq) int {
 			return cmp.Compare(a.supplier, b.supplier)
 		})
+		arenas[shard].asks = make([]transferReq, len(concat))
 		groupAsks(arenas, shard, rank)
 		if got := arenas[shard].asks; !slices.Equal(got, concat) {
 			t.Fatalf("%s: grouped asks differ from the stable sort", tc.name)
@@ -79,7 +77,7 @@ func TestGroupAsksMatchesStableSort(t *testing.T) {
 // TestReceiverRunsMatchFullSort checks the apply stage's collect, group
 // and per-run sort against a whole-set comparison sort: with a shard's
 // arrivals spread over its own in-flight list and every serve shard's
-// grant bucket, concatenating the runs eachReceiverRun hands out must
+// grant list, concatenating the runs eachReceiverRun hands out must
 // reproduce the due deliveries sorted by (receiver, timestamp, segment,
 // sender, prefetch), and the in-flight list must come out holding exactly
 // the late ones — on random sets dense with ties in every key, a single
@@ -100,31 +98,31 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 		{"one-receiver", 150, 1},
 		{"empty", 0, 1},
 	} {
-		for r := range arenas {
-			arenas[r].resetDeliverScatter()
-		}
+		bySource := make([][]delivery, phaseShards)
 		arenas[shard].later = arenas[shard].later[:0]
 		var want, wantLate []delivery
 		for i := 0; i < tc.deliveries; i++ {
-			d := delivery{
-				to:       owned[rng.Intn(tc.receiver)],
-				from:     overlay.NodeID(rng.Intn(4)),
-				id:       segment.ID(rng.Intn(6)),
-				at:       sim.Time(rng.Intn(4)), // 3 is past the round's end
-				prefetch: rng.Intn(2) == 0,
-			}
+			d := newDelivery(
+				owned[rng.Intn(tc.receiver)],
+				overlay.NodeID(rng.Intn(4)),
+				segment.ID(rng.Intn(6)),
+				sim.Time(rng.Intn(4)), // 3 is past the round's end
+				rng.Intn(2) == 0,
+			)
 			// One source in five is the shard's own in-flight list.
 			if r := rng.Intn(phaseShards * 5 / 4); r < phaseShards {
-				arenas[r].deliverScatter[shard] = append(arenas[r].deliverScatter[shard], d)
+				bySource[r] = append(bySource[r], d)
 			} else {
 				arenas[shard].later = append(arenas[shard].later, d)
 			}
-			if d.at > end {
+			if sim.Time(d.at) > end {
 				wantLate = append(wantLate, d)
 			} else {
 				want = append(want, d)
 			}
 		}
+		handOff(arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter },
+			func(r, d int) []delivery { return onlyTo(d, shard, bySource[r]) })
 		byReceiverArrival := func(a, b delivery) int {
 			return cmp.Or(
 				cmp.Compare(a.to, b.to),
@@ -136,7 +134,7 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 		}
 		slices.SortFunc(want, byReceiverArrival)
 		var got []delivery
-		eachReceiverRun(arenas, shard, rank, end, func(run []delivery) {
+		receiverRuns(arenas, shard, rank, end, func(run []delivery) {
 			for _, d := range run[1:] {
 				if d.to != run[0].to {
 					t.Fatalf("%s: run mixes receivers %d and %d", tc.name, run[0].to, d.to)

@@ -34,11 +34,12 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // over the worker pool; transfer resolution and delivery application run
 // as a sharded map/reduce pipeline partitioned by node ID, whose stages
 // hand work from shard to shard — requesters' asks to supplier shards,
-// suppliers' grants to receiver shards — through per-pair buckets read
-// after a barrier, with only counters merged in shard order; the
-// pre-fetch phase routes its DHT lookups the same way and then commits
-// supplier claims in node order; churn, which rewires shared structures,
-// runs deterministically single-threaded. No phase needs the round's
+// suppliers' grants to receiver shards — through per-producer lists laid
+// out by destination shard at the round's size and read after a barrier,
+// with only counters merged in shard order; the pre-fetch phase routes
+// its DHT lookups the same way and then commits supplier claims in node
+// order; churn, which rewires shared structures, runs deterministically
+// single-threaded. No phase needs the round's
 // deliveries in one sequence: a receiver applies its arrivals in
 // compareArrival order, which is total, so between the serve and
 // playback probes the spine does no per-delivery work, and the schedule

@@ -90,6 +90,9 @@ type World struct {
 	// than the one that granted them (see roundArena); only shard s (or
 	// sequential phase code) touches arenas[s]. Built lazily on first use.
 	arenas []roundArena
+	// lists backs the arenas' hand-off lists and grouped copies, one pool
+	// per record stream (see roundLists).
+	lists roundLists
 
 	// round mirrors the engine clock for code that needs the index between
 	// phases.
@@ -101,12 +104,20 @@ type World struct {
 	testRewireIntentHook func(protocol.RewireIntent)
 }
 
-// delivery is one segment transfer in flight.
+// delivery is one segment transfer in flight, arriving at `at`
+// (milliseconds): 20 bytes of int32 fields and a flag (see newDelivery).
 type delivery struct {
-	to, from overlay.NodeID
-	id       segment.ID
-	at       sim.Time
+	to, from int32
+	id       int32
+	at       int32
 	prefetch bool
+}
+
+// newDelivery builds a delivery record. Ring IDs fit int32 because
+// dht.NewSpace caps the ring at 2^31 slots; the segment ID and the arrival
+// stamp are checked (seg32, ms32).
+func newDelivery(to, from overlay.NodeID, id segment.ID, at sim.Time, prefetch bool) delivery {
+	return delivery{to: int32(to), from: int32(from), id: seg32(id), at: ms32(at), prefetch: prefetch}
 }
 
 // NewWorld builds a world from the configuration: synthesizes the
