@@ -2,6 +2,7 @@ package bandwidth
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"continustreaming/internal/sim"
@@ -220,5 +221,36 @@ func TestPerSegment(t *testing.T) {
 	// Floored at the 1 ms simulation resolution.
 	if got := PerSegment(int(2*sim.Second), sim.Second); got != 1 {
 		t.Fatalf("sub-millisecond transfer not floored: %v", got)
+	}
+}
+
+// TestControllerIDBound pins the int32 narrowing of a row's neighbour ID:
+// the largest ID is tracked and read back beside the smallest, a writer
+// handed one past the bound panics with a message that names it, and a
+// reader asking about such an ID finds nothing.
+func TestControllerIDBound(t *testing.T) {
+	c := NewController(0.5, 10)
+	for _, id := range []int{math.MaxInt32, math.MinInt32, 0} {
+		c.NoteRequested(id, 1)
+		c.ObserveDelivery(id, 0.5)
+	}
+	c.Tick()
+	for _, id := range []int{math.MaxInt32, math.MinInt32, 0} {
+		if !c.Known(id) || c.Supply(id) != 0.5 {
+			t.Fatalf("neighbour %d: known %v, supply %v; want known, 0.5", id, c.Known(id), c.Supply(id))
+		}
+	}
+	if c.Known(math.MaxInt32+1) || c.Rate(math.MaxInt32+1) != 10 || c.Supply(math.MinInt32-1) != 0 {
+		t.Fatal("a neighbour past the int32 bound reads as tracked")
+	}
+	for _, id := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "int32 bound 2147483647") {
+					t.Errorf("NoteRequested(%d): panic %q, want one naming the int32 bound", id, msg)
+				}
+			}()
+			c.NoteRequested(id, 1)
+		}()
 	}
 }

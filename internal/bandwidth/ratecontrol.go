@@ -1,5 +1,10 @@
 package bandwidth
 
+import (
+	"fmt"
+	"math"
+)
+
 // Controller is the node's Rate Controller (Figure 1): it "monitors and
 // estimates the receiving rate from each connected neighbor". It keeps two
 // estimates per neighbour, because two different consumers need different
@@ -37,12 +42,14 @@ type Controller struct {
 // neighbourStats folds one neighbour's running estimates and per-period
 // scratch. hasService/hasSupply mirror the retired maps' key presence:
 // service is meaningful (and the neighbour "known") only after a period
-// that requested from it, supply only after a delivery credited it.
+// that requested from it, supply only after a delivery credited it. The
+// id is an int32 packed behind the float64 estimates, so a row is 40
+// bytes; entry panics on an ID past the bound.
 type neighbourStats struct {
-	id         int
 	service    float64
 	supply     float64
 	lastAt     float64 // latest arrival offset in seconds, this period
+	id         int32
 	requested  int32
 	delivered  int32
 	hasService bool
@@ -74,7 +81,7 @@ func (c *Controller) find(id int) int {
 	lo, hi := 0, len(c.stats)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.stats[mid].id < id {
+		if int(c.stats[mid].id) < id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -84,16 +91,25 @@ func (c *Controller) find(id int) int {
 }
 
 // entry returns the stats for id, inserting a zero entry if absent. The
-// pointer is valid until the next insertion or removal.
+// pointer is valid until the next insertion or removal. An id past the
+// int32 bound of a row panics.
 func (c *Controller) entry(id int) *neighbourStats {
 	i := c.find(id)
-	if i < len(c.stats) && c.stats[i].id == id {
+	if c.has(i, id) {
 		return &c.stats[i]
+	}
+	if id < math.MinInt32 || id > math.MaxInt32 {
+		panic(fmt.Sprintf("bandwidth: neighbour ID %d is past the int32 bound %d of a rate-controller row", id, math.MaxInt32))
 	}
 	c.stats = append(c.stats, neighbourStats{})
 	copy(c.stats[i+1:], c.stats[i:])
-	c.stats[i] = neighbourStats{id: id}
+	c.stats[i] = neighbourStats{id: int32(id)}
 	return &c.stats[i]
+}
+
+// has reports whether stats[i] is id's row.
+func (c *Controller) has(i, id int) bool {
+	return i < len(c.stats) && int(c.stats[i].id) == id
 }
 
 // NoteRequested records that `count` segments were requested from
@@ -163,7 +179,7 @@ func (c *Controller) Tick() {
 // per second; unknown neighbours get the optimistic prior.
 func (c *Controller) Rate(id int) float64 {
 	i := c.find(id)
-	if i < len(c.stats) && c.stats[i].id == id && c.stats[i].hasService {
+	if c.has(i, id) && c.stats[i].hasService {
 		return c.stats[i].service
 	}
 	return c.prior
@@ -173,7 +189,7 @@ func (c *Controller) Rate(id int) float64 {
 // unknown neighbours).
 func (c *Controller) Supply(id int) float64 {
 	i := c.find(id)
-	if i < len(c.stats) && c.stats[i].id == id {
+	if c.has(i, id) {
 		return c.stats[i].supply
 	}
 	return 0
@@ -182,13 +198,13 @@ func (c *Controller) Supply(id int) float64 {
 // Known reports whether the controller has ever exercised neighbour id.
 func (c *Controller) Known(id int) bool {
 	i := c.find(id)
-	return i < len(c.stats) && c.stats[i].id == id && c.stats[i].hasService
+	return c.has(i, id) && c.stats[i].hasService
 }
 
 // Forget removes all state about a departed neighbour.
 func (c *Controller) Forget(id int) {
 	i := c.find(id)
-	if i < len(c.stats) && c.stats[i].id == id {
+	if c.has(i, id) {
 		c.stats = append(c.stats[:i], c.stats[i+1:]...)
 	}
 }

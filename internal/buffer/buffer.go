@@ -17,7 +17,9 @@
 // window as the caller can touch, all of it or less (see Track) — for both
 // runtimes. The availability bitmap shifts as the window slides because it
 // is read a word at a time against neighbours' maps; the tracker is
-// circular because it is probed an ID at a time.
+// circular because it is probed an ID at a time, and keeps a slot's timed
+// facts in one 16-byte record because a probe reads several of them at
+// once.
 //
 // A livenet peer sends Snapshot copies in its buffer-map messages; the
 // simulator reads its neighbours' Words in place and copies nothing.

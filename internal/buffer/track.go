@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"continustreaming/internal/segment"
@@ -21,12 +22,17 @@ import (
 // delay plus one period's segments), the only IDs that exist between
 // playback and the fetch edge; a livenet peer on its whole buffer, since a
 // socket peer that lags its source is handed segments past its own fetch
-// edge. The arrays hold exactly size slots — id maps to loSlot plus its
+// edge. The tracker holds exactly size slots — id maps to loSlot plus its
 // offset from lo, wrapping once — so the mapping is collision-free across
 // any window of tracked IDs without rounding the span up to a power of
 // two, and needs no tag or hash (the package comment has why this half of
 // the window is circular and the bitmap is not). Readers treat an ID past
 // the span as untracked; writers panic on one.
+//
+// A slot is one 16-byte slotRec, and the two one-bit planes share one
+// word slice, so a tracker is two allocations. Its millisecond stamps are
+// int32: a stamp past math.MaxInt32 ms (24.8 days) panics at the writer
+// rather than wrap.
 //
 // Expiry is a period index checked lazily at read time (expiry > round),
 // which makes an expired entry indistinguishable from an absent one. The
@@ -36,52 +42,69 @@ type Track struct {
 	loSlot int        // index of lo's slot: int(lo) % slots
 	slots  int        // the span OpenTrack was given
 
-	arrived          []sim.Time // first arrival time plus one; 0 = unrecorded
-	gossipExpiry     []int32    // retry bound; 0 = no pending request
-	gossipExpectedAt []sim.Time // expected arrival; valid while gossipExpiry set
-	prefetchExpiry   []int32    // 0 = no pending pre-fetch
-	// tagged has one bit per slot: set when a pre-fetch was issued for the
-	// segment, so a gossip copy of it can be recognised as "repeated
-	// data" (§4.3 Case 2) — the pre-fetch was unnecessary and α should
-	// shrink. Unlike prefetchExpiry it survives the segment's arrival and
-	// is cleared when the repeat decision is made.
-	tagged []uint64
-	// backup has one bit per slot: set while the peer holds the segment
-	// in its VoD Data Backup (§4.3) on behalf of the DHT. The window's
-	// slide drops it with the segment — "old data segments backuped ...
-	// gradually become useless" — and a graceful leaver hands its bits to
-	// its heir (HandBackupTo). Only the simulator writes it: a livenet
-	// peer rescues from buffers and keeps no backup.
-	backup []uint64
+	recs []slotRec
+	// bits holds two planes of one bit per slot, the tag plane in its
+	// first half and the backup plane in its second (see tagWord and
+	// backupWord).
+	//
+	// A tag is set when a pre-fetch was issued for the segment, so a
+	// gossip copy of it can be recognised as "repeated data" (§4.3 Case
+	// 2) — the pre-fetch was unnecessary and α should shrink. Unlike
+	// prefetchExpiry it survives the segment's arrival and is cleared
+	// when the repeat decision is made.
+	//
+	// A backup bit is set while the peer holds the segment in its VoD
+	// Data Backup (§4.3) on behalf of the DHT. The window's slide drops
+	// it with the segment — "old data segments backuped ... gradually
+	// become useless" — and a graceful leaver hands its bits to its heir
+	// (HandBackupTo). Only the simulator writes it: a livenet peer
+	// rescues from buffers and keeps no backup.
+	bits []uint64
+}
+
+// slotRec is one slot's timed facts. Every field's clear state is zero.
+type slotRec struct {
+	arrived          int32 // first arrival time plus one; 0 = unrecorded
+	gossipExpiry     int32 // retry bound; 0 = no pending request
+	gossipExpectedAt int32 // promised arrival; valid while gossipExpiry set
+	prefetchExpiry   int32 // 0 = no pending pre-fetch
 }
 
 // OpenTrack returns a clear tracker of slots entries (the span, see Track)
-// whose window opens at lo (>= 0), on recycled's arrays when it has any — a
-// departed peer's, opened on the same span — and on fresh ones otherwise.
-// Every array's clear state is zero, so reopening is five memory clears.
-// gossipExpectedAt is left as found: it is read only under a set
-// gossipExpiry, which rewrites it.
+// whose window opens at lo (>= 0), on recycled's slices when it has any —
+// a departed peer's, opened on the same span — and on fresh ones
+// otherwise. Every field's clear state is zero, so reopening is two
+// memory clears.
 func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
 	t := recycled
-	if t.arrived == nil {
+	if t.recs == nil {
 		t = Track{
-			slots:            slots,
-			arrived:          make([]sim.Time, slots),
-			gossipExpiry:     make([]int32, slots),
-			gossipExpectedAt: make([]sim.Time, slots),
-			prefetchExpiry:   make([]int32, slots),
-			tagged:           make([]uint64, (slots+63)/64),
-			backup:           make([]uint64, (slots+63)/64),
+			slots: slots,
+			recs:  make([]slotRec, slots),
+			bits:  make([]uint64, 2*((slots+63)/64)),
 		}
 	} else {
-		clear(t.arrived)
-		clear(t.gossipExpiry)
-		clear(t.prefetchExpiry)
-		clear(t.tagged)
-		clear(t.backup)
+		clear(t.recs)
+		clear(t.bits)
 	}
 	t.lo, t.loSlot = lo, int(lo)%slots
 	return t
+}
+
+// tagWord and backupWord return the index in bits of the word holding
+// slot s's tag and backup bit.
+func (t *Track) tagWord(s int) int    { return s >> 6 }
+func (t *Track) backupWord(s int) int { return len(t.bits)>>1 + s>>6 }
+
+// slotBit is slot s's bit within its plane word.
+func slotBit(s int) uint64 { return 1 << (uint(s) & 63) }
+
+// stamp32 narrows a millisecond stamp to a slot's int32 field.
+func stamp32(at sim.Time) int32 {
+	if at < math.MinInt32 || at > math.MaxInt32 {
+		panic(fmt.Sprintf("buffer: time %d ms is past the int32 bound %d ms of a tracker slot", int64(at), math.MaxInt32))
+	}
+	return int32(at)
 }
 
 // Lo returns the lowest tracked ID.
@@ -126,11 +149,9 @@ func (t *Track) AdvanceTo(lo segment.ID) {
 	}
 	s := t.loSlot
 	for i := 0; i < k; i++ {
-		t.arrived[s] = 0
-		t.gossipExpiry[s] = 0
-		t.prefetchExpiry[s] = 0
-		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
-		t.backup[s>>6] &^= 1 << (uint(s) & 63)
+		t.recs[s] = slotRec{}
+		t.bits[t.tagWord(s)] &^= slotBit(s)
+		t.bits[t.backupWord(s)] &^= slotBit(s)
 		if s++; s == t.slots {
 			s = 0
 		}
@@ -141,42 +162,42 @@ func (t *Track) AdvanceTo(lo segment.ID) {
 
 // MarkGossip records a gossip request for id that stays in flight while
 // round < expiry, with the arrival time its supplier promised. An expiry of
-// zero withdraws the request.
+// zero withdraws the request. A promised time past the int32 bound panics.
 func (t *Track) MarkGossip(id segment.ID, expiry int, expectedAt sim.Time) {
-	s := t.mustSlot(id)
-	t.gossipExpiry[s] = int32(expiry)
-	t.gossipExpectedAt[s] = expectedAt
+	r := &t.recs[t.mustSlot(id)]
+	r.gossipExpiry = int32(expiry)
+	r.gossipExpectedAt = stamp32(expectedAt)
 }
 
 // MarkPrefetch records a pre-fetch for id that stays in flight while
 // round < expiry, and tags the segment.
 func (t *Track) MarkPrefetch(id segment.ID, expiry int) {
 	s := t.mustSlot(id)
-	t.prefetchExpiry[s] = int32(expiry)
-	t.tagged[s>>6] |= 1 << (uint(s) & 63)
+	t.recs[s].prefetchExpiry = int32(expiry)
+	t.bits[t.tagWord(s)] |= slotBit(s)
 }
 
 // InFlight reports whether a gossip request or a pre-fetch for id is out
 // in round.
 func (t *Track) InFlight(id segment.ID, round int) bool {
 	s, ok := t.slot(id)
-	return ok && (int(t.gossipExpiry[s]) > round || int(t.prefetchExpiry[s]) > round)
+	return ok && (int(t.recs[s].gossipExpiry) > round || int(t.recs[s].prefetchExpiry) > round)
 }
 
 // PrefetchPending reports whether a pre-fetch for id is out in round.
 func (t *Track) PrefetchPending(id segment.ID, round int) bool {
 	s, ok := t.slot(id)
-	return ok && int(t.prefetchExpiry[s]) > round
+	return ok && int(t.recs[s].prefetchExpiry) > round
 }
 
 // GossipExpected returns the promised arrival time of the gossip request
 // out for id in round; ok is false when there is none.
 func (t *Track) GossipExpected(id segment.ID, round int) (at sim.Time, ok bool) {
 	s, ok := t.slot(id)
-	if !ok || int(t.gossipExpiry[s]) <= round {
+	if !ok || int(t.recs[s].gossipExpiry) <= round {
 		return 0, false
 	}
-	return t.gossipExpectedAt[s], true
+	return sim.Time(t.recs[s].gossipExpectedAt), true
 }
 
 // MaskInFlight clears, in a wanted-segments bitmap whose bit i stands for
@@ -197,8 +218,8 @@ func (t *Track) MaskInFlight(words []uint64, origin segment.ID, round int) {
 // by whichever path. IDs outside the window hold nothing to end.
 func (t *Track) Received(id segment.ID) {
 	if s, ok := t.slot(id); ok {
-		t.gossipExpiry[s] = 0
-		t.prefetchExpiry[s] = 0
+		t.recs[s].gossipExpiry = 0
+		t.recs[s].prefetchExpiry = 0
 	}
 }
 
@@ -206,21 +227,22 @@ func (t *Track) Received(id segment.ID) {
 // decision is still open.
 func (t *Track) Tagged(id segment.ID) bool {
 	s, ok := t.slot(id)
-	return ok && t.tagged[s>>6]&(1<<(uint(s)&63)) != 0
+	return ok && t.bits[t.tagWord(s)]&slotBit(s) != 0
 }
 
 // ClearTag closes id's repeat decision.
 func (t *Track) ClearTag(id segment.ID) {
 	if s, ok := t.slot(id); ok {
-		t.tagged[s>>6] &^= 1 << (uint(s) & 63)
+		t.bits[t.tagWord(s)] &^= slotBit(s)
 	}
 }
 
 // NoteArrived records id's first arrival time, at >= 0 (later arrivals
-// keep the original timestamp).
+// keep the original timestamp). The stored at+1 must fit the int32
+// bound, so at = math.MaxInt32 panics.
 func (t *Track) NoteArrived(id segment.ID, at sim.Time) {
-	if s := t.mustSlot(id); t.arrived[s] == 0 {
-		t.arrived[s] = at + 1
+	if r := &t.recs[t.mustSlot(id)]; r.arrived == 0 {
+		r.arrived = stamp32(at + 1)
 	}
 }
 
@@ -228,7 +250,7 @@ func (t *Track) NoteArrived(id segment.ID, at sim.Time) {
 // (an untracked ID, or a segment that was present before tracking).
 func (t *Track) Arrived(id segment.ID) sim.Time {
 	if s, ok := t.slot(id); ok {
-		return t.arrived[s] - 1
+		return sim.Time(t.recs[s].arrived) - 1
 	}
 	return -1
 }
@@ -236,13 +258,13 @@ func (t *Track) Arrived(id segment.ID) sim.Time {
 // Back records that the peer backs up id, an ID inside the span.
 func (t *Track) Back(id segment.ID) {
 	s := t.mustSlot(id)
-	t.backup[s>>6] |= 1 << (uint(s) & 63)
+	t.bits[t.backupWord(s)] |= slotBit(s)
 }
 
 // BackedUp reports whether the peer backs up id.
 func (t *Track) BackedUp(id segment.ID) bool {
 	s, ok := t.slot(id)
-	return ok && t.backup[s>>6]&(1<<(uint(s)&63)) != 0
+	return ok && t.bits[t.backupWord(s)]&slotBit(s) != 0
 }
 
 // HandBackupTo moves every backed-up ID to to, a tracker whose window
@@ -253,8 +275,9 @@ func (t *Track) HandBackupTo(to *Track) {
 	if to.lo != t.lo || to.slots != t.slots {
 		panic(fmt.Sprintf("buffer: backup handover from window [%d,+%d) to [%d,+%d)", t.lo, t.slots, to.lo, to.slots))
 	}
-	for i, w := range t.backup {
-		to.backup[i] |= w
+	half := len(t.bits) >> 1
+	for i, w := range t.bits[half:] {
+		to.bits[half+i] |= w
 	}
-	clear(t.backup)
+	clear(t.bits[half:])
 }

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"continustreaming/internal/segment"
@@ -58,7 +60,7 @@ func (r *refTrack) advanceTo(lo segment.ID) {
 
 // compare checks every query of t against r over the window and a margin
 // on both sides, the mask against the per-ID answers, and the tracker's own
-// arrays: no tag or backup bit past the last slot.
+// slices: no tag or backup bit past the last slot.
 func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
 	t.Helper()
 	if tr.Lo() != r.lo || tr.Size() != r.size {
@@ -100,9 +102,20 @@ func (r *refTrack) compare(t *testing.T, step int, tr *Track, round int) {
 			t.Fatalf("step %d round %d seg %d: MaskInFlight kept the bit %v, in flight %v", step, round, id, kept, pull || rescue)
 		}
 	}
-	if pad := r.size & 63; pad != 0 && (tr.tagged[len(tr.tagged)-1]|tr.backup[len(tr.backup)-1])>>pad != 0 {
+	if pad := r.size & 63; pad != 0 && (tr.bits[tr.tagWord(r.size-1)]|tr.bits[tr.backupWord(r.size-1)])>>pad != 0 {
 		t.Fatalf("step %d: tag or backup bits set past slot %d", step, r.size)
 	}
+}
+
+// nearBound returns, one time in four, a stamp within a second of top,
+// the largest a tracker slot stores, and small otherwise: a slot that
+// truncated its stamp would hand back a different time from the
+// reference's.
+func nearBound(rng *sim.RNG, small, top sim.Time) sim.Time {
+	if rng.Intn(4) == 0 {
+		return top - sim.Time(rng.Intn(1000))
+	}
+	return small
 }
 
 // TestTrackMatchesMapReference drives a Track and the map reference through
@@ -125,7 +138,7 @@ func TestTrackMatchesMapReference(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(23); {
 			case op < 5:
-				id, exp, at := inWindow(), round+1+rng.Intn(3), sim.Time(rng.Intn(1000))
+				id, exp, at := inWindow(), round+1+rng.Intn(3), nearBound(rng, sim.Time(rng.Intn(1000)), math.MaxInt32)
 				tr.MarkGossip(id, exp, at)
 				ref.pulls[id], ref.promised[id] = exp, at
 			case op < 8:
@@ -142,8 +155,10 @@ func TestTrackMatchesMapReference(t *testing.T) {
 				delete(ref.pulls, id)
 				delete(ref.rescues, id)
 			case op < 14:
-				// Time zero is a recorded arrival, not the empty slot.
-				id, at := inWindow(), sim.Time(rng.Intn(1000)*rng.Intn(2))
+				// Time zero is a recorded arrival, not the empty slot,
+				// and the latest storable one is a millisecond short of
+				// the bound, since the slot holds at+1.
+				id, at := inWindow(), nearBound(rng, sim.Time(rng.Intn(1000)*rng.Intn(2)), math.MaxInt32-1)
 				tr.NoteArrived(id, at)
 				if _, ok := ref.arrived[id]; !ok {
 					ref.arrived[id] = at
@@ -171,7 +186,7 @@ func TestTrackMatchesMapReference(t *testing.T) {
 			case op < 22:
 				// A graceful leaver hands its backup to an heir that
 				// backs some segments up already, and the heir — on
-				// the arrays of the previous handover's heir — hands
+				// the slices of the previous handover's heir — hands
 				// the union back: the giver ends with nothing, the
 				// taker with both sets.
 				heir = OpenTrack(size, ref.lo, heir)
@@ -189,7 +204,7 @@ func TestTrackMatchesMapReference(t *testing.T) {
 				}
 				heir.HandBackupTo(&tr)
 			default:
-				// A departed peer's arrays reopen for a joiner elsewhere,
+				// A departed peer's slices reopen for a joiner elsewhere,
 				// and the comparison below finds no arrival, mark or tag
 				// of its on any slot.
 				lo = segment.ID(rng.Intn(5000))
@@ -228,6 +243,40 @@ func TestTrackWritersPanicOutsideWindow(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.write()
+		}()
+	}
+}
+
+// TestTrackTimeBounds pins the int32 narrowing of a slot's millisecond
+// stamps: the largest promised arrival and the largest first arrival a
+// slot can hold come back intact, and one millisecond more panics with a
+// message that names the bound instead of wrapping.
+func TestTrackTimeBounds(t *testing.T) {
+	tr := OpenTrack(10, 100, Track{})
+	tr.MarkGossip(101, 5, math.MaxInt32)
+	if at, ok := tr.GossipExpected(101, 0); !ok || at != math.MaxInt32 {
+		t.Fatalf("GossipExpected %d %v, want %d true", at, ok, int64(math.MaxInt32))
+	}
+	tr.NoteArrived(102, math.MaxInt32-1)
+	if got := tr.Arrived(102); got != math.MaxInt32-1 {
+		t.Fatalf("Arrived %d, want %d", got, int64(math.MaxInt32-1))
+	}
+	for _, tc := range []struct {
+		name  string
+		write func()
+	}{
+		{"MarkGossip past the bound", func() { tr.MarkGossip(103, 5, math.MaxInt32+1) }},
+		{"MarkGossip below the bound", func() { tr.MarkGossip(103, 5, math.MinInt32-1) }},
+		{"NoteArrived at the bound", func() { tr.NoteArrived(104, math.MaxInt32) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "int32 bound 2147483647") {
+					t.Errorf("%s: panic %q, want one naming the int32 bound", tc.name, msg)
 				}
 			}()
 			tc.write()

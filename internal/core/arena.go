@@ -546,8 +546,10 @@ func (c *serveCtx) ensure(w *World) {
 type maintenanceProvider struct {
 	w *World
 	n *Node
-	// peerBuf is the reusable staging buffer for the DHT peer levels.
-	peerBuf []dht.ID
+	// peerBuf and heardBuf are the reusable staging buffers for the DHT
+	// peer levels and the overheard rows.
+	peerBuf  []dht.ID
+	heardBuf []overlay.Overheard
 }
 
 func (p *maintenanceProvider) AppendNeighbors(dst []protocol.NeighborSupply) []protocol.NeighborSupply {
@@ -562,7 +564,8 @@ func (p *maintenanceProvider) AppendNeighbors(dst []protocol.NeighborSupply) []p
 }
 
 func (p *maintenanceProvider) AppendOverheard(dst []protocol.CandidateSource) []protocol.CandidateSource {
-	for _, o := range p.n.Table.OverheardRaw() {
+	p.heardBuf = p.n.Table.OverheardRaw(p.heardBuf[:0])
+	for _, o := range p.heardBuf {
 		dst = append(dst, protocol.CandidateSource{ID: o.ID, Latency: o.Latency})
 	}
 	return dst

@@ -26,7 +26,7 @@ import (
 // Each component the round touches — Table, Buf, Ctrl, RNG, seg, up — is
 // a value field, so it sits in the Node's own allocation: a phase that
 // has loaded the node reads it without a further pointer hop (the
-// components' own slices, the buffer's words and the tracker's arrays,
+// components' own slices, the buffer's words and the tracker's slots,
 // are still one hop away). Table's DHT section stays the dht.Table the
 // network routes through, an object of its own: routing walks touch only
 // tables, and run faster over small ones than through whole nodes. A node

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"reflect"
 	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 
+	"continustreaming/internal/bandwidth"
+	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
 )
 
 // checkNodeState asserts, on a world that has just finished a round, the
@@ -16,14 +22,17 @@ import (
 // holder is on its serve shard's worklist (a queue the list forgot would
 // never be served again); a node that joined this round carries nothing,
 // has spent nothing and has no pre-fetch tag, whoever held its ring slot or
-// its tracker's arrays before, and has a neighbour unless it is alone with
-// nobody to link to; the segment tracker opens at the buffer's
-// lo and spans the fetch span, and no pre-fetch tag sits on a segment the
-// source generated this round, [liveEdge, fetchEdge) (a tag the window
-// advance failed to wipe would land there, one span ahead of a segment
-// played last round; no pre-fetch reaches that far ahead of playback, and
-// buffer.TestTrackMatchesMapReference holds the tracker's own arrays to
-// account); the Peer Table's DHT levels are the table the DHT routes
+// its tracker's slices before, and has a neighbour unless it is alone with
+// nobody to link to; the segment tracker opens at the buffer's lo and
+// spans the fetch span, records an arrival only for a buffered segment
+// and never after the round's end, has no gossip request or pre-fetch in
+// flight for a buffered segment (a path that stored a copy without ending
+// its requests would leave one), and has no pre-fetch tag on a segment
+// the source generated this round, [liveEdge, fetchEdge) (a tag the
+// window advance failed to wipe would land there, one span ahead of a
+// segment played last round; no pre-fetch reaches that far ahead of
+// playback, and buffer.TestTrackMatchesMapReference holds the tracker's
+// own slots to account); the Peer Table's DHT levels are the table the DHT routes
 // through, and every level is vacant or names an alive node (the repair
 // phase has swept out what churn left, so the next round's walks meet no
 // dead entry); and the DHT's membership bitmap and the slots of the ping
@@ -31,6 +40,7 @@ import (
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	live, edge := w.liveEdge(w.round), w.fetchEdge(w.round)
+	roundEnd := sim.Time(w.round+1) * w.cfg.Tau
 	for _, id := range w.order {
 		n := w.nodes[id]
 		nbrs := n.Table.Neighbors()
@@ -93,6 +103,16 @@ func checkNodeState(t *testing.T, w *World) {
 				t.Fatalf("round %d node %d (joined round %d): pre-fetch tag on segment %d, window opens at %d, fetch edge %d", w.round, id, n.JoinedRound, seg, lo, edge)
 			}
 		}
+		// The tracker agrees with the buffer on every slot of the span.
+		for seg := lo; seg < lo+segment.ID(n.seg.Size()); seg++ {
+			buffered := n.Buf.Has(seg)
+			if at := n.seg.Arrived(seg); at >= 0 && (!buffered || at > roundEnd) {
+				t.Fatalf("round %d node %d: arrival at %d ms recorded for segment %d, buffered %v, round ends at %d ms", w.round, id, at, seg, buffered, roundEnd)
+			}
+			if buffered && n.seg.InFlight(seg, w.round) {
+				t.Fatalf("round %d node %d: segment %d is buffered but a request for it is still in flight (pre-fetch %v)", w.round, id, seg, n.seg.PrefetchPending(seg, w.round))
+			}
+		}
 	}
 	for s := range w.arenas {
 		if c := w.arenas[s].carriers; !slices.IsSorted(c) {
@@ -124,4 +144,40 @@ func backedUp(n *Node) []segment.ID {
 		}
 	}
 	return ids
+}
+
+// TestNodeStateLayout pins the size of the per-node state a world holds
+// once per node: the tracker's slot record, the Peer Table's overheard row
+// and the Rate Controller's neighbour row — each read through the element
+// type of the slice that holds it, since all three are unexported — and
+// the Node itself, whose 480-byte limit is a malloc size class. A field
+// that widens one of them fails here before it shows as resident memory.
+// The limits assume 8-byte words.
+func TestNodeStateLayout(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the limits are for 64-bit builds")
+	}
+	elem := func(owner any, field string) uintptr {
+		f, ok := reflect.TypeOf(owner).FieldByName(field)
+		if !ok || f.Type.Kind() != reflect.Slice {
+			t.Errorf("%T has no slice field %s", owner, field)
+			return 0
+		}
+		return f.Type.Elem().Size()
+	}
+	for _, row := range []struct {
+		name  string
+		size  uintptr
+		limit uintptr
+	}{
+		{"tracker slot record", elem(buffer.Track{}, "recs"), 16},
+		{"overheard row", elem(overlay.PeerTable{}, "overheard"), 16},
+		{"rate-controller row", elem(bandwidth.Controller{}, "stats"), 40},
+		{"core.Node", unsafe.Sizeof(Node{}), 480},
+	} {
+		t.Logf("%s: %d B", row.name, row.size)
+		if row.size > row.limit {
+			t.Errorf("%s takes %d B, limit %d", row.name, row.size, row.limit)
+		}
+	}
 }

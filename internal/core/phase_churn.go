@@ -106,7 +106,7 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	w.dhtNet.Leave(dht.ID(id))
 	w.nodes[id] = nil
 	w.ping[id] = 0
-	// The tracker's arrays go to the next joiner (buildNode).
+	// The tracker's slices go to the next joiner (buildNode).
 	w.freeSeg = append(w.freeSeg, n.seg)
 	n.seg = buffer.Track{}
 	// The ring slot is free again; without recycling, sustained churn

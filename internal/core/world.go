@@ -73,7 +73,7 @@ type World struct {
 	joinHeard []overlay.Overheard
 	joinPool  []joinCand
 
-	// freeSeg holds departed nodes' segment trackers (four arrays over the
+	// freeSeg holds departed nodes' segment trackers (two slices over the
 	// fetch span) for the next joiners to reuse. Churn is sequential, so
 	// the list needs no shard discipline; it holds at most leavers minus
 	// joiners, memory that was live before they left.

@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -110,7 +112,7 @@ func TestOverheardNodesOrderIsTotal(t *testing.T) {
 		default:
 			pt.Hear(id, sim.Time(rng.Intn(100)))
 		}
-		raw := slices.Clone(pt.OverheardRaw())
+		raw := pt.OverheardRaw(nil)
 		list := pt.OverheardNodes(scratch)
 		if len(list) != len(raw) || len(list) > 0 && &list[0] != &scratch[:1][0] {
 			t.Fatalf("step %d: %d entries for %d stored, or the scratch was not used", step, len(list), len(raw))
@@ -120,9 +122,49 @@ func TestOverheardNodesOrderIsTotal(t *testing.T) {
 				t.Fatalf("step %d: Seq %d before %d: not strictly newest first: %+v", step, list[i-1].Seq, list[i].Seq, list)
 			}
 		}
-		if !slices.Equal(raw, pt.OverheardRaw()) {
+		if !slices.Equal(raw, pt.OverheardRaw(nil)) {
 			t.Fatalf("step %d: listing reordered the table's storage", step)
 		}
+	}
+}
+
+// TestOverheardRowBounds pins the int32 narrowing of a stored overheard
+// row: the largest latency comes back intact, OverheardRaw appends after
+// what dst already holds, a latency or an ID past the bound panics with a
+// message that names it instead of wrapping, and a lookup of such an ID
+// finds nothing.
+func TestOverheardRowBounds(t *testing.T) {
+	pt := NewPeerTable(0, 4, dht.NewTable(space(), 0))
+	pt.Hear(3, math.MaxInt32)
+	pt.Hear(5, 0)
+	prefix := Overheard{ID: 99}
+	got := pt.OverheardRaw([]Overheard{prefix})
+	want := []Overheard{prefix, {ID: 3, Latency: math.MaxInt32, Seq: 1}, {ID: 5, Latency: 0, Seq: 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("OverheardRaw = %+v, want %+v", got, want)
+	}
+	for _, tc := range []struct {
+		name string
+		id   NodeID
+		lat  sim.Time
+	}{
+		{"latency past the bound", 6, math.MaxInt32 + 1},
+		{"latency below the bound", 6, math.MinInt32 - 1},
+		{"ID past the bound", math.MaxInt32 + 1, 10},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "int32 bound 2147483647") {
+					t.Errorf("%s: panic %q, want one naming the int32 bound", tc.name, msg)
+				}
+			}()
+			pt.Hear(tc.id, tc.lat)
+		}()
+	}
+	// MaxInt32+3 wraps to MinInt32+2 in an int32.
+	pt.Hear(math.MinInt32+2, 1)
+	if _, ok := pt.TakeOverheard(math.MaxInt32 + 3); ok {
+		t.Fatal("TakeOverheard matched an ID past the bound to the row its int32 wraps to")
 	}
 }
 

@@ -10,6 +10,7 @@ package overlay
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"continustreaming/internal/dht"
@@ -20,12 +21,26 @@ import (
 // position (the RP server assigns unique IDs within the ring space).
 type NodeID int
 
-// Overheard is one row of the Overheard Nodes section.
+// Overheard is one row of the Overheard Nodes section, as the table hands
+// it out (OverheardNodes, OverheardRaw, TakeOverheard).
 type Overheard struct {
 	ID      NodeID
 	Latency sim.Time
 	// Seq orders entries by recency; larger is newer.
 	Seq uint64
+}
+
+// heardRow is how the table stores an Overheard row, in 16 bytes: its ID
+// and latency are narrowed to int32 by Hear, which panics on either past
+// the bound.
+type heardRow struct {
+	id  int32
+	lat int32 // ms
+	seq uint64
+}
+
+func (r heardRow) view() Overheard {
+	return Overheard{ID: NodeID(r.id), Latency: sim.Time(r.lat), Seq: r.seq}
 }
 
 // PeerTable is a node's complete view of the overlay, and the one home of
@@ -37,12 +52,15 @@ type Overheard struct {
 // live with the Rate Controller, not here. It is not safe for concurrent
 // use; the simulation touches each table only from its owner's phase
 // goroutine, and never while routes are being walked.
+//
+// The overheard rows are stored compact (heardRow) and handed out as
+// Overheard copies; no method returns the table's own row storage.
 type PeerTable struct {
 	self      NodeID
 	h         int      // overheard capacity
 	neighbors []NodeID // ascending
 	dhtPeers  *dht.Table
-	overheard []Overheard
+	overheard []heardRow
 	seq       uint64
 }
 
@@ -108,7 +126,8 @@ func (pt *PeerTable) RemoveNeighbor(id NodeID) bool {
 // Hear records an overheard node, evicting the oldest entry when the list
 // is full. Hearing about self or a current neighbour still refreshes the
 // DHT levels but is not stored in the overheard list (neighbours are
-// already tracked with better information).
+// already tracked with better information). An ID or a latency (ms) past
+// the int32 bound of a stored row panics.
 func (pt *PeerTable) Hear(id NodeID, latency sim.Time) {
 	if id == pt.self {
 		return
@@ -117,24 +136,25 @@ func (pt *PeerTable) Hear(id NodeID, latency sim.Time) {
 	if pt.IsNeighbor(id) {
 		return
 	}
+	id32, lat32 := narrow32("node ID", int64(id)), narrow32("latency (ms)", int64(latency))
 	pt.seq++
 	// One scan finds both the entry to refresh and, should the list be
 	// full and id new, the oldest entry to replace (first among equals).
 	oldest := 0
 	for i := range pt.overheard {
-		if pt.overheard[i].ID == id {
-			pt.overheard[i].Latency = latency
-			pt.overheard[i].Seq = pt.seq
+		if pt.overheard[i].id == id32 {
+			pt.overheard[i].lat = lat32
+			pt.overheard[i].seq = pt.seq
 			return
 		}
-		if pt.overheard[i].Seq < pt.overheard[oldest].Seq {
+		if pt.overheard[i].seq < pt.overheard[oldest].seq {
 			oldest = i
 		}
 	}
-	entry := Overheard{ID: id, Latency: latency, Seq: pt.seq}
+	entry := heardRow{id: id32, lat: lat32, seq: pt.seq}
 	if len(pt.overheard) < pt.h {
 		if pt.overheard == nil {
-			pt.overheard = make([]Overheard, 0, pt.h)
+			pt.overheard = make([]heardRow, 0, pt.h)
 		}
 		pt.overheard = append(pt.overheard, entry)
 		return
@@ -142,44 +162,70 @@ func (pt *PeerTable) Hear(id NodeID, latency sim.Time) {
 	pt.overheard[oldest] = entry
 }
 
+// narrow32 narrows v, a node ID or a latency in ms, to a stored row's
+// int32 field.
+func narrow32(what string, v int64) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("overlay: %s %d is past the int32 bound %d of an overheard row", what, v, math.MaxInt32))
+	}
+	return int32(v)
+}
+
 // OverheardNodes returns the overheard list ordered newest first, written
 // over dst's backing array (nil allocates). Every Hear stamps the next Seq
 // of its table, so no two entries compare equal: the order is total and
 // the sorting algorithm cannot move it.
 func (pt *PeerTable) OverheardNodes(dst []Overheard) []Overheard {
-	dst = append(dst[:0], pt.overheard...)
+	dst = pt.OverheardRaw(dst[:0])
 	slices.SortFunc(dst, func(a, b Overheard) int { return cmp.Compare(b.Seq, a.Seq) })
 	return dst
 }
 
-// OverheardRaw returns the overheard list in internal storage order —
-// deterministic for a deterministic operation history, but without the
-// newest-first presentation of OverheardNodes. The allocation-free form
-// for consumers that rank candidates themselves (PlanRewire dedups by ID
-// and sorts by latency, so presentation order cannot affect it). Callers
-// must not mutate the returned slice.
-func (pt *PeerTable) OverheardRaw() []Overheard { return pt.overheard }
+// OverheardRaw appends the overheard list to dst in internal storage
+// order — deterministic for a deterministic operation history, but
+// without the newest-first presentation of OverheardNodes — and returns
+// the extended slice. The sort-free form for consumers that rank
+// candidates themselves (PlanRewire dedups by ID and sorts by latency, so
+// presentation order cannot affect it); over scratch with room for the
+// list it allocates nothing.
+func (pt *PeerTable) OverheardRaw(dst []Overheard) []Overheard {
+	for _, r := range pt.overheard {
+		dst = append(dst, r.view())
+	}
+	return dst
+}
+
+// find returns the index of id's overheard row, or -1. An ID past the
+// int32 bound cannot have been heard.
+func (pt *PeerTable) find(id NodeID) int {
+	if id < math.MinInt32 || id > math.MaxInt32 {
+		return -1
+	}
+	for i := range pt.overheard {
+		if pt.overheard[i].id == int32(id) {
+			return i
+		}
+	}
+	return -1
+}
 
 // ForgetOverheard drops id from the overheard list (e.g. discovered dead).
 func (pt *PeerTable) ForgetOverheard(id NodeID) {
-	for i := range pt.overheard {
-		if pt.overheard[i].ID == id {
-			pt.overheard = append(pt.overheard[:i], pt.overheard[i+1:]...)
-			return
-		}
+	if i := pt.find(id); i >= 0 {
+		pt.overheard = append(pt.overheard[:i], pt.overheard[i+1:]...)
 	}
 }
 
 // TakeOverheard removes and returns the entry for id, used when promoting
 // an overheard node to a connected neighbour.
 func (pt *PeerTable) TakeOverheard(id NodeID) (Overheard, bool) {
-	for i, o := range pt.overheard {
-		if o.ID == id {
-			pt.overheard = append(pt.overheard[:i], pt.overheard[i+1:]...)
-			return o, true
-		}
+	i := pt.find(id)
+	if i < 0 {
+		return Overheard{}, false
 	}
-	return Overheard{}, false
+	o := pt.overheard[i].view()
+	pt.overheard = append(pt.overheard[:i], pt.overheard[i+1:]...)
+	return o, true
 }
 
 // CloneFrom seeds this (fresh) table from an existing node's table: the
