@@ -11,9 +11,11 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// TestDiagTail runs the heterogeneous dynamic PC_new configuration with
-// env-var knob overrides and prints the stable-tail continuity (DIAG=1,
-// optional SRCDEG / DISTRESS / COOLDOWN integer overrides).
+// TestDiagTail runs the heterogeneous dynamic PC_new configuration (the
+// hetdynamic scenario) for 40 rounds with env-var overrides and prints the
+// stable-tail continuity and the failed-lookup split (DIAG=1, optional
+// NODES / SEED / SRCDEG / DISTRESS / COOLDOWN integer overrides; NODES
+// defaults to 1000, SEED to 1).
 func TestDiagTail(t *testing.T) {
 	if os.Getenv("DIAG") == "" {
 		t.Skip("set DIAG=1 to run the diagnostic probe")
@@ -26,10 +28,10 @@ func TestDiagTail(t *testing.T) {
 		}
 		return def
 	}
-	cfg := DefaultConfig(1000)
+	cfg := DefaultConfig(envInt("NODES", 1000))
 	cfg.Profile = ProfileContinuStreaming()
 	cfg.Churn = churn.DefaultConfig()
-	cfg.Seed = 1
+	cfg.Seed = uint64(envInt("SEED", 1))
 	cfg.SourceDegreeTarget = envInt("SRCDEG", cfg.SourceDegreeTarget)
 	cfg.Maintenance.MaxDistressReplacements = envInt("DISTRESS", cfg.Maintenance.MaxDistressReplacements)
 	cfg.Maintenance.ReplaceCooldownRounds = envInt("COOLDOWN", cfg.Maintenance.ReplaceCooldownRounds)
@@ -42,8 +44,10 @@ func TestDiagTail(t *testing.T) {
 	}
 	sim.NewEngine(w, cfg.Tau).Run(40)
 	cont := w.Collector().ContinuitySeries()
-	fmt.Printf("tail10=%.4f srcdeg=%d distress=%d cooldown=%d thresh=%.2f\n",
-		cont.TailMean(10), cfg.SourceDegreeTarget, cfg.Maintenance.MaxDistressReplacements,
+	tot := w.Collector().Totals()
+	fmt.Printf("nodes=%d seed=%d tail10=%.4f no_rate=%d no_backup=%d no_route=%d srcdeg=%d distress=%d cooldown=%d thresh=%.2f\n",
+		cfg.Nodes, cfg.Seed, cont.TailMean(10), tot.LookupNoRate, tot.LookupNoBackup, tot.LookupNoRoute,
+		cfg.SourceDegreeTarget, cfg.Maintenance.MaxDistressReplacements,
 		cfg.Maintenance.ReplaceCooldownRounds, cfg.Maintenance.LowSupplyThreshold)
 }
 

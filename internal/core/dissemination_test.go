@@ -49,7 +49,8 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 		pos := segment.ID(100)
 		w, sup := serveFixture(t, workers, pos)
 		sn := w.Node(sup)
-		sn.Rates.Out = 1 // capacity 2 with backlog spill
+		sn.Rates.Out = 1                    // capacity 2 with backlog spill
+		sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
 		p := w.cfg.Stream.Rate
 		// Six contending requesters asking for segments at increasing
 		// deadlines (ids 1, 2, 3 rounds ahead of pos).
@@ -90,6 +91,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	w, sup := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
+	sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
 	pos := segment.ID(0)
 	p := w.cfg.Stream.Rate
 	common, rare := pos+2, pos+3 // same round => same deadline
@@ -101,8 +103,8 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 		newAsk(sup, w.Nodes()[0], common, 0),
 		newAsk(sup, w.Nodes()[1], rare, 0),
 	}
-	// Capacity 1: only the spill-adjusted single slot. Force it by
-	// charging one push send against the supplier.
+	// Capacity 1: one push send charged against the supplier leaves one
+	// slot of its 2·O horizon.
 	sn.up.ChargePush()
 	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
@@ -117,6 +119,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 	w, sup := serveFixture(t, 1, 0)
 	sn := w.Node(sup)
 	sn.Rates.Out = 1
+	sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
 	pos := segment.ID(0)
 	p := w.cfg.Stream.Rate
 	// Far-future deadlines so nothing is deadline-evicted; supplier must

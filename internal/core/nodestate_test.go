@@ -20,11 +20,12 @@ import (
 // strictly ascending, name only alive nodes and are symmetric; a carry
 // queue holds only requests of alive requesters, within its bound, and its
 // holder is on its serve shard's worklist (a queue the list forgot would
-// never be served again); a node that joined this round carries nothing,
-// has spent nothing and has no pre-fetch tag, whoever held its ring slot or
-// its tracker's slices before, and has a neighbour unless it is alone with
-// nobody to link to; the segment tracker opens at the buffer's lo and
-// spans the fetch span, records an arrival only for a buffered segment
+// never be served again); the round's outbound spend stays within the
+// uplink's 2·O horizon, pushes within O; a node that joined this round
+// carries nothing, has spent nothing and has no pre-fetch tag, whoever
+// held its ring slot or its tracker's slices before, and has a neighbour
+// unless it is alone with nobody to link to; the segment tracker opens
+// at the buffer's lo and spans the fetch span, records an arrival only for a buffered segment
 // and never after the round's end, has no gossip request or pre-fetch in
 // flight for a buffered segment (a path that stored a copy without ending
 // its requests would leave one), and has no pre-fetch tag on a segment
@@ -67,6 +68,12 @@ func checkNodeState(t *testing.T, w *World) {
 			if _, listed := slices.BinarySearch(w.arenas[w.shardOf(id)].carriers, id); !listed {
 				t.Fatalf("round %d node %d: carries %d requests but is not on its shard's worklist", w.round, id, len(n.carry))
 			}
+		}
+		if n.up.Used() > 2*n.Rates.Out {
+			t.Fatalf("round %d node %d: outbound spend %d past the 2·O horizon %d", w.round, id, n.up.Used(), 2*n.Rates.Out)
+		}
+		if n.up.PushRoom() < 0 {
+			t.Fatalf("round %d node %d: pushes overran O = %d by %d", w.round, id, n.Rates.Out, -n.up.PushRoom())
 		}
 		joiner := n.JoinedRound == w.round
 		if joiner && (len(n.carry) > 0 || n.up.Used() != 0) {

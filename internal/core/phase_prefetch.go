@@ -109,9 +109,8 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 			// segment and its address is channel metadata — and it is
 			// what makes a segment whose k arc owners all churned away
 			// recoverable at all. Charged to the source's uplink as a
-			// rescue reply, refused once its 2·O horizon is spent; the
-			// serve phase still sizes the source's gossip serving by
-			// its push spend alone (see serveSupplier).
+			// rescue reply, refused once its 2·O horizon is spent, and
+			// so taken from what the serve phase may grant.
 			src := w.nodes[w.source]
 			if src.Buf.Has(res.ID) && src.up.ChargeRescue() > 0 {
 				n.seg.MarkPrefetch(res.ID, w.round+pendingExpiryRounds)

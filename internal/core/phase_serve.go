@@ -81,8 +81,8 @@ func (w *World) rarityCacheFor(s int) *rarityCache {
 // ties, computed from its own neighbours' buffer maps) at its real
 // service rate; like a pipelined TCP supplier it keeps transmitting into
 // the next period (slots past τ arrive next round via the receiver
-// shard's in-flight list) up to one extra period's worth of backlog,
-// minus whatever the push phase already spent. Requests beyond the
+// shard's in-flight list) up to what its uplink's 2·O horizon has left
+// after the round's pushes and rescue replies. Requests beyond the
 // horizon are carried in a bounded per-supplier queue to the next round —
 // deadline-hopeless and overflow entries are evicted and the requester
 // times out and retries.
@@ -228,10 +228,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 					continue
 				}
 				// The serving shard owns sup (shardOf(sup) == s), so this
-				// write races with nothing. Grants queue behind the push
-				// class alone, as serveSupplier's capacity does.
-				sn.up.ChargeGrants(len(sr.Granted))
-				slot := sn.up.Pushed() + 1
+				// write races with nothing. Grants queue behind everything
+				// the uplink has already charged this round.
+				slot := sn.up.ChargeGrants(len(sr.Granted))
 				for k, g := range sr.Granted {
 					if g.Carried {
 						res.queueServed++
@@ -281,7 +280,7 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 				Requester: overlay.NodeID(tr.requester), ID: segment.ID(tr.id), Expected: sim.Time(tr.expected),
 			})
 		}
-		res := protocol.ServeRoundRobin(ar.rrReqs, 2*sn.Rates.Out, ar.rrGranted)
+		res := protocol.ServeRoundRobin(ar.rrReqs, sn.up.Spare(), ar.rrGranted)
 		ar.rrGranted = res.Granted
 		return res
 	}
@@ -311,11 +310,9 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 	ctx.cache = w.rarityCacheFor(s)
 	ctx.cache.begin(pos)
 	res := protocol.PlanServe(protocol.ServeInput{
-		Carried: sn.carry,
-		Fresh:   ar.planAsks,
-		// Backlog spill (up to one extra period of queued transmissions)
-		// minus this round's pushes; its rescue replies are not subtracted.
-		Capacity:       2*sn.Rates.Out - sn.up.Pushed(),
+		Carried:        sn.carry,
+		Fresh:          ar.planAsks,
+		Capacity:       sn.up.Spare(),
 		QueueCap:       w.cfg.QueueFactor * sn.Rates.Out,
 		Horizon:        horizon,
 		SupplierHas:    ctx.supplierHas,

@@ -170,7 +170,7 @@ func sampleFingerprint(w *World) string {
 // 4.75 MB per round, 4.78 under -race). When a change means to move a
 // fingerprint or a ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
-	const step10k = "cfa6d8d2dd9779d9"
+	const step10k = "dddfc5521a99ec03"
 	rows := []struct {
 		name        string
 		nodes       int
@@ -185,7 +185,7 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "03bc04f5a85e4c79", "", 1850, 622_000, nil},
+		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1850, 622_000, nil},
 		{"Step10k-w1", 10000, 1, 2, step10k, "", 13424, 5_696_000, phaseCeilings},
 		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 13424, 5_696_000, nil},
 		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 13424, 5_696_000, nil},
@@ -275,7 +275,7 @@ func TestSchedule10kGoldenAndCeiling(t *testing.T) {
 	if allocs > 1325 {
 		t.Errorf("Schedule10k: %d allocs per call, ceiling 1325", allocs)
 	}
-	if got, want := fmt.Sprintf("%016x", h.Sum64()), "e79002e8e5445ae5"; got != want {
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "fd738a2ac4fd2a59"; got != want {
 		t.Errorf("Schedule10k: fingerprint %s, want %s: the scheduler selects a different request load", got, want)
 	}
 }

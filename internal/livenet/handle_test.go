@@ -70,7 +70,7 @@ func stateOf(p *peer, tr *recTransport) dataState {
 	st := dataState{
 		Buf:       p.buf.Snapshot().Bits,
 		Delivered: p.st.Delivered, Rescued: p.st.Rescued, PushDelivered: p.st.PushDelivered,
-		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.up.Pushed(),
+		Repeated: p.repeated, PushReceived: p.pushReceived, PushSpent: p.outbound() - p.up.PushRoom(),
 		Forwarded: tr.sent,
 	}
 	for id := p.buf.Lo(); id < p.buf.Hi(); id++ {
@@ -271,8 +271,8 @@ func TestRescueRequestServedFromBuffer(t *testing.T) {
 		if r.To != asker || r.M.Kind != msgData || r.M.Seg != pushedSeg || !r.M.Rescue || r.M.Hop != 0 {
 			t.Fatalf("%s: reply %+v, want rescue data for segment %d to peer %d", tc.name, r, pushedSeg, asker)
 		}
-		if p.up.Rescued() != 1 || r.M.Deadline != p.up.WireAt(tc.spent+1) {
-			t.Fatalf("%s: rescue spend %d, stamp %v after one reply, want 1 at slot %d", tc.name, p.up.Rescued(), r.M.Deadline, tc.spent+1)
+		if p.up.Used() != tc.spent+1 || r.M.Deadline != p.up.WireAt(tc.spent+1) {
+			t.Fatalf("%s: spend %d, stamp %v after one reply, want %d at slot %d", tc.name, p.up.Used(), r.M.Deadline, tc.spent+1, tc.spent+1)
 		}
 	}
 }

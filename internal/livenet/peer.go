@@ -638,7 +638,7 @@ func (p *peer) servePeriod(now int) {
 		for i, a := range asks {
 			reqs[i] = protocol.Request{Requester: a.Requester, ID: a.ID, Expected: a.Deadline}
 		}
-		res = protocol.ServeRoundRobin(reqs, 2*p.outbound(), nil)
+		res = protocol.ServeRoundRobin(reqs, p.up.Spare(), nil)
 		p.carry = p.carry[:0]
 	}
 	p.asksSpare = asks[:0]

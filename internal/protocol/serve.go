@@ -129,7 +129,7 @@ type ServeInput struct {
 	Carried []Request
 	Fresh   []Ask
 	// Capacity is how many grants the supplier can transmit within its
-	// backlog horizon this round (already net of any push spend);
+	// backlog horizon this round: its Uplink's Spare();
 	// QueueCap bounds the carry queue; Horizon is the end of the current
 	// round (deadlines at or before it cannot be saved by queueing).
 	Capacity int

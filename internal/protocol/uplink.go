@@ -22,13 +22,11 @@ func (u *Uplink) Open(out int, tau sim.Time) {
 	*u = Uplink{out: out, per: bandwidth.PerSegment(out, tau)}
 }
 
-// Used is the spend over every class; Pushed, Rescued and Granted split it.
-func (u *Uplink) Used() int    { return u.push + u.rescue + u.grant }
-func (u *Uplink) Pushed() int  { return u.push }
-func (u *Uplink) Rescued() int { return u.rescue }
-func (u *Uplink) Granted() int { return u.grant }
+// Used is the spend over every class.
+func (u *Uplink) Used() int { return u.push + u.rescue + u.grant }
 
-// Spare is what is left of the 2·O horizon, negative once it is overrun.
+// Spare is what is left of the 2·O horizon, negative once it is overrun:
+// every serve sizes its grants by it, in both runtimes.
 func (u *Uplink) Spare() int { return 2*u.out - u.Used() }
 
 // PushRoom is what pushes may still spend: one period's O, which leaves
@@ -44,7 +42,7 @@ func (u *Uplink) ChargePush() int {
 // ChargeRescue charges one rescue reply and returns its wire slot, or 0,
 // charging nothing, once the horizon is spent (slots start at 1).
 func (u *Uplink) ChargeRescue() int {
-	if u.Used() >= 2*u.out {
+	if u.Spare() <= 0 {
 		return 0
 	}
 	u.rescue++

@@ -65,10 +65,10 @@ func TestUplink(t *testing.T) {
 				t.Fatalf("%s: WireAt(%d) = %v, want %v", tc.name, slot, got, want)
 			}
 		}
-		if u.Pushed() != tc.push || u.Rescued() != tc.rescue || u.Granted() != tc.grant ||
+		if u.push != tc.push || u.rescue != tc.rescue || u.grant != tc.grant ||
 			u.Used() != tc.push+tc.rescue+tc.grant || u.Spare() != tc.spare || u.PushRoom() != tc.room {
 			t.Fatalf("%s: spent %d/%d/%d (used %d), spare %d, push room %d; want %d/%d/%d, spare %d, push room %d",
-				tc.name, u.Pushed(), u.Rescued(), u.Granted(), u.Used(), u.Spare(), u.PushRoom(),
+				tc.name, u.push, u.rescue, u.grant, u.Used(), u.Spare(), u.PushRoom(),
 				tc.push, tc.rescue, tc.grant, tc.spare, tc.room)
 		}
 	}
