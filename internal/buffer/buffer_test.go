@@ -183,7 +183,7 @@ func TestMapMarshalRoundTrip(t *testing.T) {
 		b.Insert(id)
 	}
 	m := b.Snapshot()
-	data := m.Marshal()
+	data := m.AppendMarshal(nil)
 	got, err := UnmarshalMap(data)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestUnmarshalMapRejectsGarbage(t *testing.T) {
 	}
 	// Valid header but truncated bitmap.
 	m := New(600, 0).Snapshot()
-	data := m.Marshal()
+	data := m.AppendMarshal(nil)
 	if _, err := UnmarshalMap(data[:len(data)-8]); err == nil {
 		t.Fatal("truncated accepted")
 	}
@@ -264,7 +264,7 @@ func TestSnapshotRoundTripQuick(t *testing.T) {
 			b.Insert(lo + segment.ID(raw%100))
 		}
 		m := b.Snapshot()
-		back, err := UnmarshalMap(m.Marshal())
+		back, err := UnmarshalMap(m.AppendMarshal(nil))
 		if err != nil {
 			return false
 		}

@@ -111,21 +111,24 @@ func (m Map) word(i int) uint64 {
 	return w
 }
 
-// Marshal encodes the map into the compact wire format: a 4-byte window
-// size, an 8-byte head ID (of which only HeadIDBits are semantically
-// meaningful on a real wire; we keep whole bytes for simplicity and cost
-// accounting uses WireBits, not len(bytes)), then the bitmap.
-func (m Map) Marshal() []byte {
-	out := make([]byte, 4+8+8*len(m.Bits))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(m.Size))
-	binary.LittleEndian.PutUint64(out[4:12], uint64(m.Lo))
-	for i, w := range m.Bits {
-		binary.LittleEndian.PutUint64(out[12+8*i:], w)
+// AppendMarshal appends the map in the compact wire format to dst, so an
+// encoder writes it into the frame it is building: a 4-byte window size,
+// an 8-byte head ID (of which only HeadIDBits are semantically meaningful
+// on a real wire; we keep whole bytes for simplicity and cost accounting
+// uses WireBits, not len(bytes)), then the bitmap.
+func (m Map) AppendMarshal(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Size))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Lo))
+	for _, w := range m.Bits {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out
+	return dst
 }
 
-// UnmarshalMap decodes a map previously produced by Marshal.
+// MarshalLen is the length of the bytes AppendMarshal appends.
+func (m Map) MarshalLen() int { return 4 + 8 + 8*len(m.Bits) }
+
+// UnmarshalMap decodes a map previously produced by AppendMarshal.
 func UnmarshalMap(data []byte) (Map, error) {
 	if len(data) < 12 {
 		return Map{}, fmt.Errorf("buffer: map too short: %d bytes", len(data))

@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"continustreaming/internal/buffer"
+	"continustreaming/internal/segment"
 )
 
 // warmMesh is the 400-peer in-process mesh BenchmarkPeerPeriod and
@@ -96,6 +99,7 @@ func BenchmarkUDPSendWait(b *testing.B) {
 		if !tx.Send(2, m) {
 			b.Fatal("send failed")
 		}
+		tx.flush()
 		if !rx.receive(until) {
 			b.Fatal("the frame never arrived")
 		}
@@ -103,5 +107,37 @@ func BenchmarkUDPSendWait(b *testing.B) {
 	}
 	if handed != b.N {
 		b.Fatalf("%d of %d frames handed over", handed, b.N)
+	}
+}
+
+// BenchmarkSendFlush prices a socket node's egress, the side
+// BenchmarkUDPSendWait pays per frame: one op is one wake-up's frames to
+// one peer — a map announcement with gossip and a request — packed into
+// one datagram and written, without the shaper. Nothing reads the
+// receiving socket, so the kernel drops what its full buffer cannot hold;
+// the cost measured is the encode, the packing and the write. It
+// allocates nothing (TestSendFlushAllocations).
+func BenchmarkSendFlush(b *testing.B) {
+	tx, rx := openUDP(b, 1), openUDP(b, 2)
+	if err := tx.Learn(2, rx.LocalAddr()); err != nil {
+		b.Fatal(err)
+	}
+	buf := buffer.New(600, 0)
+	for s := segment.ID(0); s < 300; s += 3 {
+		buf.Insert(s)
+	}
+	snap := buf.Snapshot()
+	announce := Message{From: 1, Kind: msgMap, Map: &snap, Gossip: []int{2, 1}, Period: 3}
+	request := Message{From: 1, Kind: msgRequest, Seg: 9, Deadline: 40, Period: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tx.Send(2, announce) || !tx.Send(2, request) {
+			b.Fatal("send failed")
+		}
+		tx.flush()
+	}
+	if tx.datagrams != int64(b.N) || tx.refused != 0 {
+		b.Fatalf("%d datagrams for %d ops, %d refused", tx.datagrams, b.N, tx.refused)
 	}
 }

@@ -71,13 +71,15 @@ type Stats struct {
 	GrantsEvicted int64
 	// Loss accounting on the socket path, separable by mechanism so a CI
 	// gate (or a human reading the stats line) can tell WAN loss from
-	// local trouble: TransportDropped counts sends the node's own socket
-	// refused (what arrives waits in the kernel's socket buffer, and a
-	// datagram that overflows it is the network's loss, counted by the
-	// kernel), ShapeDropped datagrams the traffic shaper consumed as
-	// injected link loss, ShapeDelayed datagrams it released late
-	// (latency, jitter or bandwidth queueing). Resyncs counts clock
-	// re-anchor jumps taken. All four are zero on the in-process path.
+	// local trouble: TransportDropped counts datagram writes the node's
+	// own socket refused (what arrives waits in the kernel's socket
+	// buffer, and a datagram that overflows it is the network's loss,
+	// counted by the kernel), ShapeDropped datagrams the traffic shaper
+	// consumed as injected link loss, ShapeDelayed datagrams it released
+	// late (latency, jitter or bandwidth queueing). A datagram carries
+	// every frame one wake-up sent one peer, so it is one message or
+	// several. Resyncs counts clock re-anchor jumps taken. All four are
+	// zero on the in-process path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64

@@ -112,10 +112,11 @@ const (
 // one. What Run adds is a socket node's own: the handshake, the period
 // clock and its re-sync, the scripted exit, and the half-period wait
 // before serving. Its deadlines — the bootstrap retry, the next tick, the
-// serve and the earliest frame the shaper holds back — bound one blocking
-// read of the socket. Each wake-up reads the clock once, stamps the
-// transport with it and releases the frames due by then, then hands the
-// datagram over or, when the read timed out, handles the deadline. Run
+// serve and the earliest datagram the shaper holds back — bound one
+// blocking read of the socket. Each wake-up reads the clock once, stamps
+// the transport with it and releases the datagrams due by then, then hands
+// a frame over or, when the read timed out, handles the deadline; what it
+// sent leaves before the next read, one datagram a peer (flush). Run
 // blocks until the node drains, the scripted ExitAt fires, ctx is
 // cancelled or the node is closed; a cancel closes the socket, which is
 // what ends the read.
@@ -171,6 +172,7 @@ run:
 		if !serveAt.IsZero() {
 			clock = serveAt
 		}
+		n.tr.flush() // what the last wake-up sent, one datagram a peer
 		got := n.tr.receive(earliest(retryAt, clock, n.tr.delayed.next()))
 		if n.tr.closed.Load() {
 			break // cancelled, or closed from another goroutine
@@ -235,6 +237,7 @@ run:
 			serveAt = now.Add(cfg.Period / 2)
 		}
 	}
+	n.tr.flush()
 	if p == nil {
 		if err := ctx.Err(); err != nil {
 			return Stats{}, err
@@ -248,7 +251,8 @@ run:
 	stats.TransportDropped = n.tr.refused
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
-	nc.Logf("drained: %d deliveries, %d sends refused", stats.Delivered, stats.TransportDropped)
+	nc.Logf("drained: %d deliveries, %d sends refused, %d frames in %d datagrams",
+		stats.Delivered, stats.TransportDropped, n.tr.frames, n.tr.datagrams)
 	return stats, nil
 }
 

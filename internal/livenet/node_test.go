@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"continustreaming/internal/sim"
 )
 
 // startUDPSession spawns a source plus n receiver nodes, every one on
@@ -265,11 +267,65 @@ func TestTickHandsOverQueuedDatagrams(t *testing.T) {
 		if !from.Send(0, Message{From: id, Kind: msgConnect, Period: 5}) {
 			t.Fatalf("peer %d: send failed", id)
 		}
+		from.flush()
 	}
 	if _, err := n.Run(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if len(logged) == 0 || logged[0] != "resync: period 0 -> 5" {
 		t.Fatalf("log %q, want it to open with the first tick's re-sync, period 0 -> 5", logged)
+	}
+}
+
+// TestNodeRunFlushesItsLastServe: what a node's last wake-up sends — the
+// grants of its final serve — leaves before Run returns. A socket links
+// to a source and then asks it every 2 ms for the whole session for the
+// segment at the playback position one period past the latest stamp it
+// heard, which the source holds; every grant the source counts must
+// arrive, the final serve's included.
+func TestNodeRunFlushesItsLastServe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Period = 20 * time.Millisecond
+	src, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const asker = 5
+	tr := openUDP(t, asker)
+	if err := tr.Learn(0, src.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Stats, 1)
+	go func() {
+		st, err := src.Run(context.Background(), 10)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- st
+	}()
+	granted, heard := int64(0), 0
+	count := func(_ int, m *Message) {
+		heard = max(heard, m.Period)
+		if m.Kind == msgData && m.Hop == 0 && !m.Rescue {
+			granted++ // not a push
+		}
+	}
+	tr.Send(0, Message{From: asker, Kind: msgConnect})
+	var st Stats
+	for running := true; running; {
+		tr.Send(0, Message{From: asker, Kind: msgRequest, Seg: cfg.posFor(heard + 1), Deadline: sim.Time(time.Hour / time.Millisecond)})
+		tr.flush()
+		select {
+		case st = <-done:
+			running = false
+		case <-time.After(2 * time.Millisecond):
+		}
+		tr.AwaitQuiet(count)
+	}
+	for tr.receive(time.Now().Add(100 * time.Millisecond)) {
+		tr.handOver(count)
+	}
+	if st.GrantsSent == 0 || granted != st.GrantsSent {
+		t.Fatalf("the source counted %d grants and %d arrived, want all of them and more than none", st.GrantsSent, granted)
 	}
 }

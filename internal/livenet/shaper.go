@@ -189,7 +189,8 @@ func NewShaper(profile ShapeProfile, seed uint64, src int) *Shaper {
 	}
 }
 
-// Dropped returns how many datagrams the shaper consumed as link loss.
+// Dropped returns how many datagrams the shaper consumed as link loss;
+// every frame packed in one is lost with it.
 func (s *Shaper) Dropped() int64 {
 	if s == nil {
 		return 0

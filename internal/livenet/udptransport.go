@@ -1,24 +1,28 @@
 package livenet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"os"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// udpTransport carries Messages across process boundaries as one wire
-// frame per UDP datagram. It keeps the in-process transport's drop model:
-// Send never blocks and returns false when the message cannot be
-// delivered — no address on file, or a socket that refuses the write
-// (refused counts those). What arrives waits in the kernel's socket
-// buffer until the node reads it, and a datagram that finds that buffer
-// full is the network's loss. Loss recovery stays where the protocol puts
-// it: retry, repair and rescue.
+// udpTransport carries Messages across process boundaries as wire frames
+// packed into UDP datagrams: the frames one wake-up sends a peer leave
+// together, in send order, as few datagrams of at most maxDatagram bytes
+// as hold them (a larger frame goes alone). It keeps the in-process
+// transport's drop model: Send never blocks and returns false when the
+// message cannot be delivered — no address on file, or a closed
+// transport; a write the socket refuses at flush counts in refused. What
+// arrives waits in the kernel's socket buffer until the node reads it,
+// and a datagram that finds that buffer full is the network's loss. Loss
+// recovery stays where the protocol puts it: retry, repair and rescue.
 //
 // The transport is also the socket path's membership table: an address
 // book that learns peer addresses from the source address of every
@@ -29,10 +33,11 @@ import (
 //
 // It has no goroutine of its own. The goroutine that runs the node's
 // session reads the socket (receive, and AwaitQuiet for what is already
-// queued), hands each datagram over, and owns the book, Send, the shaper
-// and its delayed frames and Members, so none of it takes a lock; only
-// Close may come from another goroutine. The transport reads no clock:
-// that goroutine stamps it with the time of each wake-up (advance) and
+// queued), hands each frame over, and owns the book, Send and flush, the
+// shaper and its delayed datagrams and Members, so none of it takes a
+// lock; only Close may come from another goroutine. The transport reads
+// no clock: that goroutine stamps it with the time of each wake-up
+// (advance), flushes what the wake-up sent before it reads again, and
 // names the time receive may wait until.
 type udpTransport struct {
 	self   int
@@ -42,21 +47,33 @@ type udpTransport struct {
 	// refused counts the writes the socket refused while open.
 	refused int64
 
-	// buf is the read buffer; in and from are the datagram receive or
-	// readQueued last decoded and the address it came from, which
-	// handOver hands over. deadline is the read deadline the socket is
-	// set to.
+	// buf is the read buffer and rest the frames of the datagram in it
+	// not yet handed over, all from one sender; in and from are the frame
+	// receive or readQueued last decoded and the address its datagram came
+	// from, which handOver hands over. deadline is the read deadline the
+	// socket is set to.
 	buf      []byte
+	rest     []byte
 	in       Message
 	from     netip.AddrPort
 	deadline time.Time
 
+	// pending holds the datagrams this wake-up's Sends built, in
+	// first-send order, until flush; free holds datagram buffers for
+	// reuse, and addrs is Send's scratch for gossip annotations.
+	pending []datagram
+	free    [][]byte
+	addrs   []string
+	// frames counts the frames Send packed, datagrams the datagrams flush
+	// shaped and sent (link loss and delay included).
+	frames, datagrams int64
+
 	// shaper, when non-nil, injects WAN conditions on the egress path:
 	// seeded per-link loss, latency/jitter, reorder and bandwidth caps
-	// applied between encode and the socket write. Frames it holds back
-	// wait in delayed until a stamp passes their due time. now is the
-	// latest stamp and epoch the first, so the shaper's link clock (the
-	// token buckets') is now − epoch.
+	// applied to each datagram between flush and the socket write.
+	// Datagrams it holds back wait in delayed until a stamp passes their
+	// due time. now is the latest stamp and epoch the first, so the
+	// shaper's link clock (the token buckets') is now − epoch.
 	shaper     *Shaper
 	epoch, now time.Time
 	delayed    delayQueue
@@ -82,6 +99,25 @@ type bookEntry struct {
 	heard bool
 	seen  int
 }
+
+// datagram is one datagram a wake-up is building for peer to at dst: a
+// chain of frames.
+type datagram struct {
+	to  int
+	dst netip.AddrPort
+	buf []byte
+}
+
+// maxDatagram caps the datagrams Send packs: the payload every IPv6 path
+// carries without fragmentation. A frame that would push a datagram past
+// it starts the next one, and a frame larger than it goes alone.
+const maxDatagram = 1200
+
+// newDatagramCap is the capacity a fresh datagram buffer starts at: a map
+// announcement and a few small frames. A buffer a longer chain grows
+// keeps its size on the free list, so the buffers a node cycles through
+// settle at the sizes it sends, well under maxDatagram each.
+const newDatagramCap = 256
 
 // maxBook bounds the address book. Gossip arrives from an open socket,
 // so the IDs it names are untrusted input; a full book stops learning
@@ -121,8 +157,8 @@ func newUDPTransport(listen string, self, ttl int) (*udpTransport, error) {
 }
 
 // advance stamps the transport with the owning goroutine's clock reading
-// — the time the sends that follow are shaped at — and writes every
-// delayed frame due by then, in (due, arrival) order.
+// — the time the datagrams flushed next are shaped at — and writes every
+// delayed datagram due by then, in (due, arrival) order.
 func (t *udpTransport) advance(now time.Time) {
 	if t.epoch.IsZero() {
 		t.epoch = now
@@ -137,27 +173,30 @@ func (t *udpTransport) advance(now time.Time) {
 	}
 }
 
-// write puts one frame on the socket. A frame the socket refuses is a
-// datagram the network lost — nobody is left to tell, and the protocol
-// retries — and counts in refused unless the transport is closed.
-func (t *udpTransport) write(frame []byte, dst netip.AddrPort) bool {
-	if _, err := t.conn.WriteToUDPAddrPort(frame, dst); err != nil {
-		if !t.closed.Load() {
-			t.refused++
-		}
-		return false
+// write puts one datagram on the socket and returns its buffer to the
+// free list. A datagram the socket refuses is one the network lost —
+// nobody is left to tell, and the protocol retries — and counts in
+// refused unless the transport is closed.
+func (t *udpTransport) write(datagram []byte, dst netip.AddrPort) {
+	if _, err := t.conn.WriteToUDPAddrPort(datagram, dst); err != nil && !t.closed.Load() {
+		t.refused++
 	}
-	return true
+	t.free = append(t.free, datagram[:0])
 }
 
 // LocalAddr returns the bound socket address ("ip:port").
 func (t *udpTransport) LocalAddr() string { return t.local }
 
-// receive blocks until a datagram arrives or the clock passes until,
-// whichever comes first, and reports whether one arrived; handOver then
-// hands it over. It also returns false once the socket is closed, by
-// Close from any goroutine.
+// receive decodes the next frame into the hand-over slot and reports
+// whether there is one; handOver then hands it over. A frame left from
+// the datagram read last comes first, at once; otherwise receive blocks
+// until a datagram arrives or the clock passes until, whichever comes
+// first. It also returns false once the socket is closed, by Close from
+// any goroutine.
 func (t *udpTransport) receive(until time.Time) bool {
+	if t.next() {
+		return true
+	}
 	if !until.Equal(t.deadline) {
 		// Fails only on a closed socket, which the read reports.
 		_ = t.conn.SetReadDeadline(until)
@@ -171,29 +210,71 @@ func (t *udpTransport) receive(until time.Time) bool {
 			}
 			continue
 		}
-		if t.take(t.buf[:n], src) {
+		t.take(t.buf[:n], src)
+		if t.next() {
 			return true
 		}
 	}
 }
 
-// take decodes a datagram from src into the hand-over slot and reports
-// whether handOver has a message. Malformed datagrams and ones stamped
-// with the node's own ID are skipped: over UDP anyone can write to the
-// socket, and the codec's strict bounds checks are the defence.
-func (t *udpTransport) take(frame []byte, src netip.AddrPort) bool {
-	m, err := DecodeMessage(frame)
-	if err != nil || m.From == t.self {
-		return false
+// take queues the frames of a datagram from src for hand-over, after one
+// walk of its prefix chain that reads each frame's From at its fixed
+// offset and decodes nothing. It skips the whole datagram when the chain
+// does not end exactly at its last byte, when its frames name more than
+// one From, or when that From is the node's own ID: over UDP anyone can
+// write to the socket, and these checks and the codec's strict bounds
+// checks are the defence.
+func (t *udpTransport) take(datagram []byte, src netip.AddrPort) {
+	from := -1
+	for off := 0; off < len(datagram); {
+		f := datagram[off:]
+		if len(f) < 4+wireHeaderLen {
+			return
+		}
+		n := binary.LittleEndian.Uint32(f)
+		if n < wireHeaderLen || uint64(n) > uint64(len(f)-4) {
+			return
+		}
+		// From sits after the prefix, the version, the kind and the flags.
+		id := int(int32(binary.LittleEndian.Uint32(f[7:11])))
+		if from >= 0 && id != from || id < 0 {
+			return
+		}
+		from = id
+		off += 4 + int(n)
 	}
-	t.in, t.from = m, src
-	return true
+	if from < 0 || from == t.self {
+		return
+	}
+	t.rest, t.from = datagram, src
 }
 
-// AwaitQuiet implements Transport: it hands over the datagrams queued at
-// the socket when it is called, and no more, without waiting — datagrams
-// in flight cannot be counted, and what arrives meanwhile waits for the
-// next receive.
+// pop splits the next frame off the datagram take queued; the chain is
+// already checked.
+func (t *udpTransport) pop() []byte {
+	n := 4 + int(binary.LittleEndian.Uint32(t.rest))
+	f := t.rest[:n]
+	t.rest = t.rest[n:]
+	return f
+}
+
+// next decodes the next frame of the queued datagram into the hand-over
+// slot and reports whether there was one. A frame the codec rejects is
+// skipped.
+func (t *udpTransport) next() bool {
+	for len(t.rest) > 0 {
+		if m, err := DecodeMessage(t.pop()); err == nil {
+			t.in = m
+			return true
+		}
+	}
+	return false
+}
+
+// AwaitQuiet implements Transport: it hands over the frames queued at the
+// socket when it is called, and no more, without waiting — datagrams in
+// flight cannot be counted, and what arrives meanwhile waits for the next
+// receive.
 func (t *udpTransport) AwaitQuiet(deliver func(to int, m *Message)) {
 	for t.readQueued() {
 		t.handOver(deliver)
@@ -289,57 +370,100 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 	t.book[id] = e
 }
 
-// Send encodes m and writes it as one datagram to the peer's known
-// address. Gossip entries are annotated with the addresses on file so
-// the receiver can reach the peers the gossip names. False means the
-// message was dropped (unknown address, encode failure, a write the
-// socket refused) — the same contract as the in-process transport.
+// Send encodes m onto the datagram this wake-up is building for the
+// peer's known address; flush sends it. Gossip entries are annotated with
+// the addresses on file so the receiver can reach the peers the gossip
+// names. False means the message was dropped (unknown address, encode
+// failure, a closed transport) — the same contract as the in-process
+// transport.
 func (t *udpTransport) Send(to int, m Message) bool {
 	if t.closed.Load() {
 		return false
 	}
 	dst, ok := t.book[to]
-	var addrs []string
-	if ok && len(m.Gossip) > 0 {
-		addrs = make([]string, len(m.Gossip))
-		for i, g := range m.Gossip {
-			if e, ok := t.book[g]; ok {
-				addrs[i] = e.text
-			} else if g == t.self {
-				addrs[i] = t.local
-			}
-		}
-	}
 	if !ok {
 		return false
 	}
-	m.GossipAddrs = addrs
-	frame, err := EncodeMessage(m)
+	m.GossipAddrs = nil
+	if len(m.Gossip) > 0 {
+		t.addrs = t.addrs[:0]
+		for _, g := range m.Gossip {
+			addr := ""
+			if e, ok := t.book[g]; ok {
+				addr = e.text
+			} else if g == t.self {
+				addr = t.local
+			}
+			t.addrs = append(t.addrs, addr)
+		}
+		m.GossipAddrs = t.addrs
+	}
+	size, err := frameSize(m)
 	if err != nil {
 		return false
 	}
-	if t.shaper != nil {
-		fate := t.shaper.Shape(to, len(frame), t.now.Sub(t.epoch))
-		if fate.Drop {
-			// Link loss, not a send failure: the datagram left this host
-			// and died in the network, so the sender reports success —
-			// exactly the knowledge a real WAN sender has. Shaper.Dropped
-			// keeps the count separable from transport drops.
-			return true
-		}
-		if fate.Delay > 0 {
-			// The frame is freshly allocated per Send, so the queue owns
-			// it. Frames still queued at Close are discarded — the same
-			// silence an in-flight datagram meets when its sender dies.
-			t.delayed.push(t.now.Add(fate.Delay), frame, dst.addr)
-			return true
-		}
-	}
-	return t.write(frame, dst.addr)
+	d := t.datagramFor(to, dst.addr, size)
+	d.buf = appendFrame(slices.Grow(d.buf, size), m, size)
+	t.frames++
+	return true
 }
 
-// Close shuts the socket down: a receive waiting on it returns, and Send
-// refuses. It is the one method safe to call from any goroutine.
+// datagramFor returns the pending datagram for peer to that has room for
+// a size-byte frame: the latest one built for it this wake-up, or a new
+// one on a buffer from the free list.
+func (t *udpTransport) datagramFor(to int, dst netip.AddrPort, size int) *datagram {
+	for i := len(t.pending) - 1; i >= 0; i-- {
+		if d := &t.pending[i]; d.to == to {
+			if len(d.buf)+size <= maxDatagram {
+				return d
+			}
+			break
+		}
+	}
+	var buf []byte
+	if n := len(t.free); n > 0 {
+		buf, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		buf = make([]byte, 0, newDatagramCap)
+	}
+	t.pending = append(t.pending, datagram{to: to, dst: dst, buf: buf})
+	return &t.pending[len(t.pending)-1]
+}
+
+// flush sends the datagrams this wake-up built, in first-send order. The
+// shaper, when set, decides each one's fate once at the latest stamp: a
+// lost datagram loses every frame in it, as on a real link.
+func (t *udpTransport) flush() {
+	for i := range t.pending {
+		d := &t.pending[i]
+		if t.closed.Load() {
+			t.free = append(t.free, d.buf[:0])
+			continue
+		}
+		t.datagrams++
+		fate := t.shaper.Shape(d.to, len(d.buf), t.now.Sub(t.epoch))
+		switch {
+		case fate.Drop:
+			// Link loss, not a send failure: the datagram left this host
+			// and died in the network, as Send reported — exactly the
+			// knowledge a real WAN sender has. Shaper.Dropped keeps the
+			// count separable from transport drops.
+			t.free = append(t.free, d.buf[:0])
+		case fate.Delay > 0:
+			// Datagrams still queued at Close are discarded — the same
+			// silence an in-flight datagram meets when its sender dies.
+			t.delayed.push(t.now.Add(fate.Delay), d.buf, d.dst)
+		default:
+			t.write(d.buf, d.dst)
+		}
+	}
+	clear(t.pending)
+	t.pending = t.pending[:0]
+}
+
+// Close shuts the socket down: a receive waiting on it returns, Send
+// refuses and flush discards. It is the one method safe to call from any
+// goroutine.
 func (t *udpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -368,7 +492,7 @@ type delayQueue struct {
 	seq  uint64
 }
 
-// push queues a frame for release at due.
+// push queues a datagram for release at due.
 func (q *delayQueue) push(due time.Time, frame []byte, dst netip.AddrPort) {
 	q.seq++
 	q.heap = append(q.heap, delayedFrame{due: due, seq: q.seq, frame: frame, dst: dst})
@@ -391,7 +515,7 @@ func (q *delayQueue) next() time.Time {
 	return q.heap[0].due
 }
 
-// pop removes and returns the earliest frame if it is due at now.
+// pop removes and returns the earliest datagram if it is due at now.
 func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool) {
 	if len(q.heap) == 0 || q.heap[0].due.After(now) {
 		return f, false
@@ -399,7 +523,7 @@ func (q *delayQueue) pop(now time.Time) (f delayedFrame, ok bool) {
 	f = q.heap[0]
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
-	q.heap[last] = delayedFrame{} // release the frame
+	q.heap[last] = delayedFrame{} // release the buffer
 	q.heap = q.heap[:last]
 	for i := 0; ; {
 		least := i

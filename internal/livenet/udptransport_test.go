@@ -80,6 +80,7 @@ func TestShapedSendWaitsForRelease(t *testing.T) {
 		if !tr.Send(to, m) {
 			t.Fatalf("send %d failed", i)
 		}
+		tr.flush()
 		want = append(want, held{m.Seg, at.Add(fate.Delay)})
 	}
 	slices.SortStableFunc(want, func(a, b held) int { return a.due.Compare(b.due) })
@@ -225,6 +226,7 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 		if !from.Send(self, Message{From: victim, Kind: msgBye}) {
 			t.Fatalf("%s: send failed", what)
 		}
+		from.flush()
 		awaitHandOver(t, what, tr)
 	}
 	// reaches sends to the victim's ID and reports which socket got it.
@@ -235,6 +237,7 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 		if !tr.Send(victim, Message{From: self, Kind: msgData, Seg: seq}) {
 			t.Fatal("no address on file for the victim")
 		}
+		tr.flush()
 		at, m := awaitHandOver(t, "the send to the victim", real, spoofer)
 		if m.Seg != seq {
 			t.Fatalf("segment %d arrived, want %d", m.Seg, seq)
@@ -318,6 +321,7 @@ func TestUDPMembersView(t *testing.T) {
 	if !from.Send(7, Message{From: 3, Kind: msgBye, Gossip: []int{21, 22}}) {
 		t.Fatal("send failed")
 	}
+	from.flush()
 	if _, m := awaitHandOver(t, "the datagram", tr); !slices.Equal(m.Gossip, []int{21, 22}) {
 		t.Fatalf("the peer was handed gossip %v, want [21 22]", m.Gossip)
 	}

@@ -8,12 +8,15 @@ import (
 	"syscall"
 )
 
-// readQueued decodes the next datagram already queued at the socket into
-// the hand-over slot, and reports false, without waiting, once none is
-// left. It reads with MSG_DONTWAIT on the socket's descriptor, because a
-// read through the net package waits, and one under an expired deadline
-// fails before it looks.
+// readQueued decodes the next frame already queued — left from the
+// datagram read last, or at the socket — into the hand-over slot, and
+// reports false, without waiting, once none is left. It reads with
+// MSG_DONTWAIT on the socket's descriptor, because a read through the net
+// package waits, and one under an expired deadline fails before it looks.
 func (t *udpTransport) readQueued() bool {
+	if t.next() {
+		return true
+	}
 	rc, err := t.conn.SyscallConn()
 	if err != nil {
 		return false
@@ -42,7 +45,8 @@ func (t *udpTransport) readQueued() bool {
 			}
 			src = netip.AddrPortFrom(ip, uint16(sa.Port))
 		}
-		if t.take(t.buf[:n], src) {
+		t.take(t.buf[:n], src)
+		if t.next() {
 			return true
 		}
 	}

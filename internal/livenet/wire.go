@@ -3,6 +3,7 @@ package livenet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/segment"
@@ -10,10 +11,11 @@ import (
 )
 
 // Wire format: every Message crosses a process boundary as one
-// length-prefixed binary frame, so the same codec serves datagram
-// transports (one frame per packet, the prefix doubling as an integrity
-// check against truncation) and any future stream transport (the prefix
-// is the delimiter). Layout, all integers little-endian:
+// length-prefixed binary frame. The prefix is the delimiter: the UDP
+// transport packs the frames it sends one peer in one wake-up into one
+// datagram, a chain of frames whose prefixes must end exactly at its last
+// byte (a check against truncation), and a stream transport would chain
+// them the same way. Layout, all integers little-endian:
 //
 //	uint32  payload length n (bytes after this prefix)
 //	byte    version (wireVersion)
@@ -26,7 +28,7 @@ import (
 //	int32   Period
 //	uint16  gossip entry count
 //	  per entry: int32 peer ID, uint8 address length, address bytes
-//	if Map present: uint32 map length, then buffer.Map.Marshal bytes
+//	if Map present: uint32 map length, then buffer.Map.AppendMarshal bytes
 //
 // Period is the sender's current session period, stamped on every
 // message: the continuous clock re-sync that replaces trusting the
@@ -63,50 +65,77 @@ const (
 	flagRescue = 1 << 1
 )
 
-// EncodeMessage renders m as one wire frame. It fails on values the
-// format cannot carry (negative or over-int32 IDs, oversized gossip
-// lists or addresses) rather than truncating silently.
+// EncodeMessage renders m as one wire frame: AppendMessage(nil, m).
 func EncodeMessage(m Message) ([]byte, error) {
+	return AppendMessage(nil, m)
+}
+
+// AppendMessage appends m's wire frame to dst and returns the extended
+// slice, growing it at most once and allocating nothing when dst has the
+// room. It fails on values the format cannot carry (negative or
+// over-int32 IDs, oversized gossip lists or addresses) rather than
+// truncating silently, and then returns dst unchanged.
+func AppendMessage(dst []byte, m Message) ([]byte, error) {
+	size, err := frameSize(m)
+	if err != nil {
+		return dst, err
+	}
+	return appendFrame(slices.Grow(dst, size), m, size), nil
+}
+
+// frameSize checks that the format can carry m and returns the length of
+// its frame, prefix included.
+func frameSize(m Message) (int, error) {
 	if m.Kind > msgBye {
-		return nil, fmt.Errorf("livenet: unknown message kind %d", m.Kind)
+		return 0, fmt.Errorf("livenet: unknown message kind %d", m.Kind)
 	}
 	if m.From < 0 || int64(m.From) > int64(1<<31-1) {
-		return nil, fmt.Errorf("livenet: peer ID %d outside wire range", m.From)
+		return 0, fmt.Errorf("livenet: peer ID %d outside wire range", m.From)
 	}
 	if m.Hop < 0 || m.Hop > 255 {
-		return nil, fmt.Errorf("livenet: hop count %d outside wire range", m.Hop)
+		return 0, fmt.Errorf("livenet: hop count %d outside wire range", m.Hop)
 	}
 	if m.Period < 0 || int64(m.Period) > int64(1<<31-1) {
-		return nil, fmt.Errorf("livenet: period stamp %d outside wire range", m.Period)
+		return 0, fmt.Errorf("livenet: period stamp %d outside wire range", m.Period)
 	}
 	if len(m.Gossip) > maxGossipEntries {
-		return nil, fmt.Errorf("livenet: %d gossip entries exceed the wire cap %d", len(m.Gossip), maxGossipEntries)
+		return 0, fmt.Errorf("livenet: %d gossip entries exceed the wire cap %d", len(m.Gossip), maxGossipEntries)
 	}
 	if m.GossipAddrs != nil && len(m.GossipAddrs) != len(m.Gossip) {
-		return nil, fmt.Errorf("livenet: %d gossip addresses for %d entries", len(m.GossipAddrs), len(m.Gossip))
+		return 0, fmt.Errorf("livenet: %d gossip addresses for %d entries", len(m.GossipAddrs), len(m.Gossip))
 	}
+	size := 4 + wireHeaderLen + 5*len(m.Gossip)
+	for _, g := range m.Gossip {
+		if g < 0 || int64(g) > int64(1<<31-1) {
+			return 0, fmt.Errorf("livenet: gossip peer ID %d outside wire range", g)
+		}
+	}
+	for _, a := range m.GossipAddrs {
+		if len(a) > 255 {
+			return 0, fmt.Errorf("livenet: gossip address %q longer than 255 bytes", a)
+		}
+		size += len(a)
+	}
+	if m.Map != nil {
+		size += 4 + m.Map.MarshalLen()
+	}
+	if size > maxFrame {
+		return 0, fmt.Errorf("livenet: %d-byte frame exceeds the %d-byte cap", size, maxFrame)
+	}
+	return size, nil
+}
 
-	var mapBytes []byte
+// appendFrame appends the frame of m, which frameSize has passed as size
+// bytes long.
+func appendFrame(out []byte, m Message, size int) []byte {
 	flags := byte(0)
 	if m.Rescue {
 		flags |= flagRescue
 	}
 	if m.Map != nil {
 		flags |= flagHasMap
-		mapBytes = m.Map.Marshal()
 	}
-
-	// Exact frame size, so the per-period hot path (one map announcement
-	// per neighbour) encodes in a single allocation.
-	size := 4 + wireHeaderLen
-	for _, a := range m.GossipAddrs {
-		size += len(a)
-	}
-	size += 5 * len(m.Gossip)
-	if m.Map != nil {
-		size += 4 + len(mapBytes)
-	}
-	out := make([]byte, 4, size)
+	out = binary.LittleEndian.AppendUint32(out, uint32(size-4))
 	out = append(out, wireVersion, byte(m.Kind), flags)
 	out = binary.LittleEndian.AppendUint32(out, uint32(m.From))
 	out = binary.LittleEndian.AppendUint64(out, uint64(m.Seg))
@@ -115,33 +144,23 @@ func EncodeMessage(m Message) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(m.Period))
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(m.Gossip)))
 	for i, g := range m.Gossip {
-		if g < 0 || int64(g) > int64(1<<31-1) {
-			return nil, fmt.Errorf("livenet: gossip peer ID %d outside wire range", g)
-		}
 		addr := ""
 		if m.GossipAddrs != nil {
 			addr = m.GossipAddrs[i]
-		}
-		if len(addr) > 255 {
-			return nil, fmt.Errorf("livenet: gossip address %q longer than 255 bytes", addr)
 		}
 		out = binary.LittleEndian.AppendUint32(out, uint32(g))
 		out = append(out, byte(len(addr)))
 		out = append(out, addr...)
 	}
 	if m.Map != nil {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(mapBytes)))
-		out = append(out, mapBytes...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(m.Map.MarshalLen()))
+		out = m.Map.AppendMarshal(out)
 	}
-	if len(out) > maxFrame {
-		return nil, fmt.Errorf("livenet: %d-byte frame exceeds the %d-byte cap", len(out), maxFrame)
-	}
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(out)-4))
-	return out, nil
+	return out
 }
 
 // DecodeMessage parses one complete frame (length prefix included), as
-// read from a datagram. Every length is validated before the allocation
+// split from a datagram. Every length is validated before the allocation
 // it sizes, and the frame must be consumed exactly.
 func DecodeMessage(data []byte) (Message, error) {
 	if len(data) < 4 {

@@ -2,6 +2,8 @@ package livenet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net/netip"
 	"reflect"
 	"testing"
 
@@ -68,6 +70,60 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !bytes.Equal(frame, f2) {
 			t.Fatalf("encode not stable:\nfirst  %x\nsecond %x", frame, f2)
+		}
+	})
+}
+
+// FuzzDatagram drives a socket node's ingress with arbitrary datagrams:
+// take splits one into its chain of frames, and receive's step decodes
+// them one at a time. Neither may panic. A datagram take keeps must be
+// covered exactly by its prefix chain, and every frame of it must name
+// one From other than the receiver's; every frame handed over must be the
+// one DecodeMessage makes of those bytes and re-encode to them exactly.
+// The seed corpus under testdata/fuzz/FuzzDatagram holds packed chains as
+// flush sends them (a map, requests and data from one sender; a ConnectOK
+// past the cap, alone; the control kinds) and the near misses take must
+// refuse (two senders, the receiver's own ID, a trailing byte) or pass
+// with one frame skipped (a malformed middle frame).
+func FuzzDatagram(f *testing.F) {
+	const self = 1
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		split := &udpTransport{self: self}
+		split.take(data, netip.AddrPort{})
+		if len(split.rest) == 0 {
+			return // refused, or empty
+		}
+		var frames [][]byte
+		covered := 0
+		for len(split.rest) > 0 {
+			frame := split.pop()
+			frames = append(frames, frame)
+			covered += len(frame)
+			if from := int32(binary.LittleEndian.Uint32(frame[7:11])); from == self || from != int32(binary.LittleEndian.Uint32(frames[0][7:11])) {
+				t.Fatalf("kept a datagram whose frame %d names From %d", len(frames)-1, from)
+			}
+		}
+		if covered != len(data) {
+			t.Fatalf("kept a datagram its %d frames cover %d of %d bytes of", len(frames), covered, len(data))
+		}
+		rx := &udpTransport{self: self}
+		rx.take(data, netip.AddrPort{})
+		for _, frame := range frames {
+			m, err := DecodeMessage(frame)
+			if err != nil {
+				continue // skipped by next as well
+			}
+			if !rx.next() || !reflect.DeepEqual(rx.in, m) {
+				t.Fatalf("the hand-over step did not hand over frame %x as %+v", frame, m)
+			}
+			again, err := EncodeMessage(m)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("a handed-over frame re-encodes differently (%v)\nframe  %x\nagain  %x", err, frame, again)
+			}
+		}
+		if rx.next() {
+			t.Fatalf("the hand-over step handed over a frame past the chain: %+v", rx.in)
 		}
 	})
 }

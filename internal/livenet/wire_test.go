@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -63,7 +64,9 @@ func randomMessage(rng *sim.RNG, kind MsgKind) Message {
 }
 
 // TestWireRoundTripAllKinds is the property test: every message kind,
-// with randomized field contents, survives encode→decode unchanged.
+// with randomized field contents, survives encode→decode unchanged, and
+// AppendMessage onto any prefix, with or without the room, writes that
+// prefix followed by EncodeMessage's frame.
 func TestWireRoundTripAllKinds(t *testing.T) {
 	rng := sim.DeriveRNG(42, 0x319e)
 	for kind := msgMap; kind <= msgBye; kind++ {
@@ -79,6 +82,18 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			}
 			if !reflect.DeepEqual(m, got) {
 				t.Fatalf("kind %d trial %d: round trip changed the message\nsent %+v\ngot  %+v", kind, trial, m, got)
+			}
+			prefix := make([]byte, rng.Intn(80), 80+rng.Intn(2)*len(frame))
+			for i := range prefix {
+				prefix[i] = byte(rng.Intn(256))
+			}
+			want := append(append([]byte(nil), prefix...), frame...)
+			appended, err := AppendMessage(prefix, m)
+			if err != nil {
+				t.Fatalf("kind %d trial %d: append: %v", kind, trial, err)
+			}
+			if !bytes.Equal(appended, want) {
+				t.Fatalf("kind %d trial %d: AppendMessage onto %d bytes is not the prefix and the frame", kind, trial, len(prefix))
 			}
 		}
 	}
@@ -202,7 +217,7 @@ func encodeMessageV1(t *testing.T, m Message) []byte {
 		out = append(out, addr...)
 	}
 	if m.Map != nil {
-		mb := m.Map.Marshal()
+		mb := m.Map.AppendMarshal(nil)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(mb)))
 		out = append(out, mb...)
 	}
@@ -247,9 +262,13 @@ func TestWireEncodeRejectsUncarriableValues(t *testing.T) {
 			Kind: msgMap, Gossip: []int{1}, GossipAddrs: []string{string(make([]byte, 256))},
 		},
 	}
+	prefix := []byte{1, 2, 3}
 	for name, m := range cases {
 		if _, err := EncodeMessage(m); err == nil {
 			t.Errorf("%s: encoded without error", name)
+		}
+		if got, err := AppendMessage(prefix, m); err == nil || !bytes.Equal(got, prefix) {
+			t.Errorf("%s: AppendMessage returned %v, %v; want the prefix unchanged and an error", name, got, err)
 		}
 	}
 }
