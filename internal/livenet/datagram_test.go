@@ -242,6 +242,56 @@ func TestFlushPacksPerDestination(t *testing.T) {
 	}
 }
 
+// TestDatagramForwardsLeaveAsOneDatagram: what the frames of one datagram
+// set off leaves, a peer at a time, as one datagram once the node waits
+// again. A hop-1 node takes the source's datagram of k pushes and forwards
+// each frame to the same peer as it hands it over; that peer reads one
+// datagram of the k forwards, in order.
+func TestDatagramForwardsLeaveAsOneDatagram(t *testing.T) {
+	const k = 6
+	src, hop1, next := openUDP(t, 0), openUDP(t, 1), openUDP(t, 2)
+	if err := src.Learn(1, hop1.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := hop1.Learn(2, next.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	var want []Message
+	for i := range k {
+		push := Message{From: 0, Kind: msgData, Seg: segment.ID(i), Hop: 2, Period: 3}
+		if !src.Send(1, push) {
+			t.Fatal("send failed")
+		}
+		want = append(want, Message{From: 1, Kind: msgData, Seg: push.Seg, Hop: 1, Period: 3})
+	}
+	src.flush()
+	forward := func(_ int, m *Message) {
+		if !hop1.Send(2, Message{From: 1, Kind: msgData, Seg: m.Seg, Hop: m.Hop - 1, Period: m.Period}) {
+			t.Fatalf("forward of segment %d failed", m.Seg)
+		}
+	}
+	far := time.Now().Add(10 * time.Second)
+	for i := range k {
+		if !hop1.receive(far) {
+			t.Fatalf("push %d of %d never arrived", i+1, k)
+		}
+		hop1.handOver(forward)
+	}
+	if hop1.receive(time.Now().Add(20 * time.Millisecond)) {
+		t.Fatalf("a frame past the %d in the datagram", k)
+	}
+	var got [][]Message
+	for _, d := range readDatagrams(t, next) {
+		got = append(got, takeAll(2, d))
+	}
+	if !reflect.DeepEqual(got, [][]Message{want}) {
+		t.Fatalf("the peer received %d datagrams %+v, want one of the %d forwards", len(got), got, k)
+	}
+	if hop1.frames != k || hop1.datagrams != 1 {
+		t.Fatalf("the hop-1 node sent %d frames in %d datagrams, want %d in 1", hop1.frames, hop1.datagrams, k)
+	}
+}
+
 // TestSendFlushAllocations holds a socket node's egress to no allocation:
 // a map announcement with gossip and a request, sent to a known peer and
 // flushed, on a clean network and in a shaped steady state where each

@@ -234,6 +234,33 @@ func TestReplayedRequestGrantedTwice(t *testing.T) {
 	}
 }
 
+// TestUnlinkedAskDrawsNoGrant: only a linked neighbour's ask is counted
+// and served. A sender that never linked asks for a buffered segment and
+// draws no grant, while a linked neighbour's ask for it is granted; a
+// rescue request stays open to any peer (TestRescueRequestServedFromBuffer).
+func TestUnlinkedAskDrawsNoGrant(t *testing.T) {
+	const linked, stranger = 6, 20
+	p, tr := handlePeer()
+	p.buf.Insert(pushedSeg)
+	if p.linked(stranger) || !p.linked(linked) {
+		t.Fatalf("peer %d linked %v, peer %d linked %v", stranger, p.linked(stranger), linked, p.linked(linked))
+	}
+	for _, from := range []int{stranger, linked} {
+		p.handle(&Message{From: from, Kind: msgRequest, Seg: pushedSeg, Deadline: p.playDeadline(pushedSeg), Period: handlePeriod})
+	}
+	p.periodServe()
+	var to []int
+	for _, s := range tr.sent {
+		if s.M.Kind == msgData && s.M.Seg == pushedSeg {
+			to = append(to, s.To)
+		}
+	}
+	if !reflect.DeepEqual(to, []int{linked}) || p.st.AsksReceived != 1 || p.st.GrantsSent != 1 {
+		t.Fatalf("grants to %v, %d asks and %d grants counted; want one grant, to the linked peer %d, on its ask alone",
+			to, p.st.AsksReceived, p.st.GrantsSent, linked)
+	}
+}
+
 // TestRescueRequestServedFromBuffer pins the rescue serve path: a
 // buffered segment, asked for while the 2·O outbound horizon has room, gets
 // one rescue data reply; an unbuffered one, or one asked for once pushes

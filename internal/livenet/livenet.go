@@ -77,9 +77,9 @@ type Stats struct {
 	// counted by the kernel), ShapeDropped datagrams the traffic shaper
 	// consumed as injected link loss, ShapeDelayed datagrams it released
 	// late (latency, jitter or bandwidth queueing). A datagram carries
-	// every frame one wake-up sent one peer, so it is one message or
-	// several. Resyncs counts clock re-anchor jumps taken. All four are
-	// zero on the in-process path.
+	// every frame a node sent one peer between two waits, so it is one
+	// message or several. Resyncs counts clock re-anchor jumps taken. All
+	// four are zero on the in-process path.
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64

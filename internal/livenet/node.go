@@ -111,15 +111,16 @@ const (
 // over the socket, on the calling goroutine, which is the node's only
 // one. What Run adds is a socket node's own: the handshake, the period
 // clock and its re-sync, the scripted exit, and the half-period wait
-// before serving. Its deadlines — the bootstrap retry, the next tick, the
-// serve and the earliest datagram the shaper holds back — bound one
-// blocking read of the socket. Each wake-up reads the clock once, stamps
-// the transport with it and releases the datagrams due by then, then hands
-// a frame over or, when the read timed out, handles the deadline; what it
-// sent leaves before the next read, one datagram a peer (flush). Run
-// blocks until the node drains, the scripted ExitAt fires, ctx is
-// cancelled or the node is closed; a cancel closes the socket, which is
-// what ends the read.
+// before serving. Its deadlines — the bootstrap retry, the next tick and
+// the serve — bound one blocking read of the socket, which the transport
+// also ends at the earliest datagram the shaper holds back. Each wake-up
+// reads the clock once, stamps the transport with it and releases the
+// datagrams due by then, then hands a frame over or, when the read timed
+// out, handles the deadline; what the wake-ups sent leaves before the node
+// waits again, one datagram a peer (receive flushes once the datagram read
+// last has no frame left). Run blocks until the node drains, the scripted
+// ExitAt fires, ctx is cancelled or the node is closed; a cancel closes
+// the socket, which is what ends the read.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	defer n.tr.Close()
 	defer context.AfterFunc(ctx, func() { n.tr.Close() })()
@@ -172,8 +173,7 @@ run:
 		if !serveAt.IsZero() {
 			clock = serveAt
 		}
-		n.tr.flush() // what the last wake-up sent, one datagram a peer
-		got := n.tr.receive(earliest(retryAt, clock, n.tr.delayed.next()))
+		got := n.tr.receive(earliest(retryAt, clock))
 		if n.tr.closed.Load() {
 			break // cancelled, or closed from another goroutine
 		}
@@ -182,6 +182,7 @@ run:
 			n.tr.handOver(deliver)
 			if p == nil && hello != nil {
 				start = int(hello.Deadline) + 1
+				nc.Logf("joined: period %d, on Connect %d", start, attempt+1)
 				p = n.join(s, start, hello, backlog)
 				period, deliver = start, s.deliverFn
 				retryAt, tickAt = time.Time{}, now.Add(cfg.Period)

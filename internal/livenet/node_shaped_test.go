@@ -2,6 +2,8 @@ package livenet
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +84,58 @@ func TestUDPSessionShaped(t *testing.T) {
 	}
 	if cont < 0.2 {
 		t.Fatalf("mean continuity %.3f under shaping — the session did not survive the weather", cont)
+	}
+}
+
+// TestShapedJoinersLinkOnFirstConnect: a shaped joiner's Connect waits in
+// its delay queue, and the node's wait ends at the Connect's due time, not
+// at the bootstrap retry 100 ms on, so on a delayed, lossless network
+// every joiner links on its first Connect.
+func TestShapedJoinersLinkOnFirstConnect(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Peers = 4
+	cfg.Period = 40 * time.Millisecond
+	cfg.Seed = 31
+	const periods, shape = 5, "latency=5ms"
+	src, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true, Shape: shape, ShapeSeed: 9})
+	if err != nil {
+		t.Fatalf("source: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	joined := make(map[int]string)
+	run := func(id int, node *Node) {
+		defer wg.Done()
+		if _, err := node.Run(ctx, periods); err != nil {
+			t.Errorf("node %d: %v", id, err)
+		}
+	}
+	wg.Add(1)
+	go run(0, src)
+	for id := 1; id <= cfg.Peers; id++ {
+		logf := func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "joined:") {
+				mu.Lock()
+				joined[id] = line
+				mu.Unlock()
+			}
+		}
+		node, err := NewNode(cfg, NodeConfig{ID: id, Listen: "127.0.0.1:0", Bootstrap: src.Addr(),
+			Shape: shape, ShapeSeed: 9, Logf: logf})
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		wg.Add(1)
+		go run(id, node)
+	}
+	wg.Wait()
+	for id := 1; id <= cfg.Peers; id++ {
+		if line := joined[id]; !strings.HasSuffix(line, "on Connect 1") {
+			t.Errorf("joiner %d logged %q, want it linked on its first Connect", id, line)
+		}
 	}
 }
 

@@ -378,6 +378,13 @@ func (p *peer) handle(m *Message) {
 			p.nbrs[i].seen = p.curPeriod
 		}
 	case msgRequest:
+		// Only a linked neighbour's ask is served: the serve spends the
+		// uplink the links share, and over UDP anyone can write to the
+		// socket. A rescue request stays open to any peer, because rescues
+		// go to ring-hashed peers by design.
+		if !p.linked(m.From) {
+			break
+		}
 		p.st.AsksReceived++
 		p.asks = append(p.asks, protocol.Ask{
 			Requester: overlay.NodeID(m.From), ID: m.Seg, Deadline: m.Deadline,

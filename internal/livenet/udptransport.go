@@ -14,15 +14,16 @@ import (
 )
 
 // udpTransport carries Messages across process boundaries as wire frames
-// packed into UDP datagrams: the frames one wake-up sends a peer leave
-// together, in send order, as few datagrams of at most maxDatagram bytes
-// as hold them (a larger frame goes alone). It keeps the in-process
-// transport's drop model: Send never blocks and returns false when the
-// message cannot be delivered — no address on file, or a closed
-// transport; a write the socket refuses at flush counts in refused. What
-// arrives waits in the kernel's socket buffer until the node reads it,
-// and a datagram that finds that buffer full is the network's loss. Loss
-// recovery stays where the protocol puts it: retry, repair and rescue.
+// packed into UDP datagrams: the frames a node sends a peer between two
+// waits leave together, in send order, as few datagrams of at most
+// maxDatagram bytes as hold them (a larger frame goes alone). It keeps
+// the in-process transport's drop model: Send never blocks and returns
+// false when the message cannot be delivered — no address on file, or a
+// closed transport; a write the socket refuses at flush counts in
+// refused. What arrives waits in the kernel's socket buffer until the
+// node reads it, and a datagram that finds that buffer full is the
+// network's loss. Loss recovery stays where the protocol puts it: retry,
+// repair and rescue.
 //
 // The transport is also the socket path's membership table: an address
 // book that learns peer addresses from the source address of every
@@ -37,8 +38,10 @@ import (
 // shaper and its delayed datagrams and Members, so none of it takes a
 // lock; only Close may come from another goroutine. The transport reads
 // no clock: that goroutine stamps it with the time of each wake-up
-// (advance), flushes what the wake-up sent before it reads again, and
-// names the time receive may wait until.
+// (advance) and names the time receive may wait until; receive flushes
+// what the node sent before it waits — once the datagram read last has
+// no frame left — and waits no later than the earliest datagram the
+// shaper holds back.
 type udpTransport struct {
 	self   int
 	conn   *net.UDPConn
@@ -48,9 +51,10 @@ type udpTransport struct {
 	refused int64
 
 	// buf is the read buffer and rest the frames of the datagram in it
-	// not yet handed over, all from one sender; in and from are the frame
-	// receive or readQueued last decoded and the address its datagram came
-	// from, which handOver hands over. deadline is the read deadline the
+	// not yet handed over, all from one sender; in is the frame receive or
+	// readQueued last decoded, which handOver hands over, and from the
+	// address its datagram came from until the datagram's first hand-over
+	// has learned it, invalid after. deadline is the read deadline the
 	// socket is set to.
 	buf      []byte
 	rest     []byte
@@ -58,7 +62,7 @@ type udpTransport struct {
 	from     netip.AddrPort
 	deadline time.Time
 
-	// pending holds the datagrams this wake-up's Sends built, in
+	// pending holds the datagrams the Sends since the last wait built, in
 	// first-send order, until flush; free holds datagram buffers for
 	// reuse, and addrs is Send's scratch for gossip annotations.
 	pending []datagram
@@ -100,7 +104,7 @@ type bookEntry struct {
 	seen  int
 }
 
-// datagram is one datagram a wake-up is building for peer to at dst: a
+// datagram is one datagram the node is building for peer to at dst: a
 // chain of frames.
 type datagram struct {
 	to  int
@@ -189,14 +193,25 @@ func (t *udpTransport) LocalAddr() string { return t.local }
 
 // receive decodes the next frame into the hand-over slot and reports
 // whether there is one; handOver then hands it over. A frame left from
-// the datagram read last comes first, at once; otherwise receive blocks
-// until a datagram arrives or the clock passes until, whichever comes
-// first. It also returns false once the socket is closed, by Close from
-// any goroutine.
+// the datagram read last comes first, at once. Otherwise the node is
+// about to wait: receive flushes what it sent since the last wait, so
+// everything the frames of one datagram set off leaves as one datagram a
+// peer, and blocks until a datagram arrives or the clock passes until or
+// the earliest delayed datagram's due time, whichever comes first — the
+// flush may have just delayed one. It also returns false once the socket
+// is closed, by Close from any goroutine.
 func (t *udpTransport) receive(until time.Time) bool {
 	if t.next() {
 		return true
 	}
+	t.flush()
+	return t.read(earliest(until, t.delayed.next()))
+}
+
+// read blocks until a datagram with a frame to hand over arrives, and
+// decodes that frame into the hand-over slot, or until the clock passes
+// until or the socket is closed, and reports false.
+func (t *udpTransport) read(until time.Time) bool {
 	if !until.Equal(t.deadline) {
 		// Fails only on a closed socket, which the read reports.
 		_ = t.conn.SetReadDeadline(until)
@@ -281,12 +296,14 @@ func (t *udpTransport) AwaitQuiet(deliver func(to int, m *Message)) {
 	}
 }
 
-// handOver learns the sender's address from the datagram's source and the
-// gossiped (id, addr) pairs from the frame, then hands deliver the
-// transport-clean message.
+// handOver learns the sender's address from the datagram's source — at
+// its first frame handed over; take has checked that every frame names
+// the same From — and the gossiped (id, addr) pairs from the frame, then
+// hands deliver the transport-clean message.
 func (t *udpTransport) handOver(deliver func(to int, m *Message)) {
 	m := &t.in
 	t.learn(m.From, t.from)
+	t.from = netip.AddrPort{} // learn takes no invalid address
 	for i, g := range m.Gossip {
 		if m.GossipAddrs == nil || m.GossipAddrs[i] == "" {
 			continue
@@ -365,14 +382,16 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 			return // the entry is not silent: keep the address it was heard at
 		}
 		e.addr, e.text = addr, addr.String()
+	} else if e.heard {
+		return // heard at this address since the last sweep: nothing to write
 	}
 	e.heard = true
 	t.book[id] = e
 }
 
-// Send encodes m onto the datagram this wake-up is building for the
-// peer's known address; flush sends it. Gossip entries are annotated with
-// the addresses on file so the receiver can reach the peers the gossip
+// Send encodes m onto the datagram the node is building for the peer's
+// known address; flush sends it. Gossip entries are annotated with the
+// addresses on file so the receiver can reach the peers the gossip
 // names. False means the message was dropped (unknown address, encode
 // failure, a closed transport) — the same contract as the in-process
 // transport.
@@ -409,8 +428,8 @@ func (t *udpTransport) Send(to int, m Message) bool {
 }
 
 // datagramFor returns the pending datagram for peer to that has room for
-// a size-byte frame: the latest one built for it this wake-up, or a new
-// one on a buffer from the free list.
+// a size-byte frame: the latest one built for it since the last wait, or
+// a new one on a buffer from the free list.
 func (t *udpTransport) datagramFor(to int, dst netip.AddrPort, size int) *datagram {
 	for i := len(t.pending) - 1; i >= 0; i-- {
 		if d := &t.pending[i]; d.to == to {
@@ -430,9 +449,9 @@ func (t *udpTransport) datagramFor(to int, dst netip.AddrPort, size int) *datagr
 	return &t.pending[len(t.pending)-1]
 }
 
-// flush sends the datagrams this wake-up built, in first-send order. The
-// shaper, when set, decides each one's fate once at the latest stamp: a
-// lost datagram loses every frame in it, as on a real link.
+// flush sends the datagrams built since the last wait, in first-send
+// order. The shaper, when set, decides each one's fate once at the latest
+// stamp: a lost datagram loses every frame in it, as on a real link.
 func (t *udpTransport) flush() {
 	for i := range t.pending {
 		d := &t.pending[i]

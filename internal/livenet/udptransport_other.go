@@ -15,5 +15,5 @@ const queuedWait = time.Millisecond
 // for one, so it may leave behind a datagram that arrives in that moment
 // or, on a stalled host, one that was queued.
 func (t *udpTransport) readQueued() bool {
-	return t.receive(t.now.Add(queuedWait))
+	return t.next() || t.read(t.now.Add(queuedWait))
 }

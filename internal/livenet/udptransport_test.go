@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"testing"
@@ -101,20 +102,31 @@ func TestShapedSendWaitsForRelease(t *testing.T) {
 	rx.AwaitQuiet(func(_ int, m *Message) { t.Fatalf("segment %d arrived twice", m.Seg) })
 }
 
-// hear hands tr a datagram from src stamped From id the way receive takes
-// one, through the delivery path that learns from it.
+// hear hands tr a one-frame datagram from src stamped From id the way
+// receive takes one, through the delivery path that learns from it. take
+// drops a datagram stamped with the node's own ID or a negative one, so
+// nothing of those is handed over.
 func hear(t *testing.T, tr *udpTransport, id int, src netip.AddrPort) {
 	t.Helper()
+	// From is stamped at its fixed offset: the codec encodes no negative ID.
+	d := chain(t, Message{Kind: msgBye})
+	binary.LittleEndian.PutUint32(d[7:11], uint32(int32(id)))
 	handed := 0
-	tr.in, tr.from = Message{From: id, Kind: msgBye}, src
-	tr.handOver(func(to int, m *Message) {
-		if to != tr.self || m.From != id || m.GossipAddrs != nil {
-			t.Fatalf("handed %+v to %d for a datagram from %d", m, to, id)
-		}
-		handed++
-	})
-	if handed != 1 {
-		t.Fatalf("a datagram was handed over %d times", handed)
+	tr.take(d, src)
+	for tr.next() {
+		tr.handOver(func(to int, m *Message) {
+			if to != tr.self || m.From != id || m.GossipAddrs != nil {
+				t.Fatalf("handed %+v to %d for a datagram from %d", m, to, id)
+			}
+			handed++
+		})
+	}
+	want := 1
+	if id < 0 || id == tr.self {
+		want = 0
+	}
+	if handed != want {
+		t.Fatalf("a datagram from %d was handed over %d times, want %d", id, handed, want)
 	}
 }
 
@@ -187,6 +199,89 @@ func TestAddressBook(t *testing.T) {
 	hear(t, tr, 3, netip.MustParseAddrPort("127.0.0.1:4999"))
 	if tr.book[3].text != "127.0.0.1:4999" {
 		t.Fatalf("a full book did not refresh a known peer: %+v", tr.book[3])
+	}
+}
+
+// TestAddressBookLearnsOncePerDatagram: a datagram teaches its sender's
+// address once, at its first frame handed over — take has checked that
+// every frame names the same From. A sweep between two frames of one
+// datagram leaves the entry unheard, and the next datagram marks it heard
+// again; a datagram with no frame that decodes teaches nothing.
+func TestAddressBookLearnsOncePerDatagram(t *testing.T) {
+	const self, sender = 7, 3
+	tr := openUDP(t, self)
+	src := netip.MustParseAddrPort("127.0.0.1:4000")
+	bye := Message{From: sender, Kind: msgBye}
+	handOver := func(what string) {
+		t.Helper()
+		if !tr.next() {
+			t.Fatalf("%s: no frame to hand over", what)
+		}
+		tr.handOver(func(int, *Message) {})
+	}
+
+	undecodable := chain(t, bye)
+	undecodable[4] = wireVersion + 1
+	tr.take(append(undecodable, undecodable...), src)
+	if tr.next() {
+		t.Fatal("a frame of the wrong version decoded")
+	}
+	if _, ok := tr.book[sender]; ok {
+		t.Fatal("a datagram with no decodable frame taught its source")
+	}
+
+	tr.take(chain(t, bye, bye), src)
+	handOver("the first frame")
+	if e := tr.book[sender]; !e.heard || e.addr != src {
+		t.Fatalf("the first frame handed over left the entry %+v, want it heard at %v", e, src)
+	}
+	tr.Members(1)
+	handOver("the second frame")
+	if tr.book[sender].heard {
+		t.Fatal("the second frame of one datagram taught its source again")
+	}
+	if tr.next() {
+		t.Fatal("a third frame in a datagram of two")
+	}
+	tr.take(chain(t, bye), src)
+	handOver("the next datagram")
+	if !tr.book[sender].heard {
+		t.Fatal("the next datagram did not teach its source")
+	}
+}
+
+// TestDelayedDatagramEndsTheWait: a shaped Send waits in the delay queue
+// after the flush that opens the node's wait, and that wait ends at the
+// datagram's due time however far the caller's own deadline is, so the
+// stamp that follows writes it: the peer has the frame within the latency
+// plus slack. A wait bounded before the flush would sleep to the caller's
+// deadline with the datagram held.
+func TestDelayedDatagramEndsTheWait(t *testing.T) {
+	const self, to = 1, 2
+	const latency, slack = 30 * time.Millisecond, time.Second
+	tr, rx := openUDP(t, self), openUDP(t, to)
+	if err := tr.Learn(to, rx.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	tr.shaper = NewShaper(ShapeProfile{Latency: latency}, 1, self)
+	sent := time.Now()
+	tr.advance(sent)
+	if !tr.Send(to, Message{From: self, Kind: msgData, Seg: 7, Period: 1}) {
+		t.Fatal("send failed")
+	}
+	if tr.receive(sent.Add(5 * time.Second)) {
+		t.Fatal("the wait handed over a frame nobody sent")
+	}
+	woke := time.Now()
+	if took := woke.Sub(sent); took < latency || took > latency+slack {
+		t.Fatalf("the wait ended %v after the send, want at the datagram's due time, %v", took, latency)
+	}
+	tr.advance(woke)
+	if !rx.receive(sent.Add(latency + slack)) {
+		t.Fatalf("the peer did not have the frame %v after the send", latency+slack)
+	}
+	if rx.in.Seg != 7 {
+		t.Fatalf("the peer received segment %d, want 7", rx.in.Seg)
 	}
 }
 

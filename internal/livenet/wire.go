@@ -12,10 +12,10 @@ import (
 
 // Wire format: every Message crosses a process boundary as one
 // length-prefixed binary frame. The prefix is the delimiter: the UDP
-// transport packs the frames it sends one peer in one wake-up into one
-// datagram, a chain of frames whose prefixes must end exactly at its last
-// byte (a check against truncation), and a stream transport would chain
-// them the same way. Layout, all integers little-endian:
+// transport packs the frames it sends one peer between two waits into
+// one datagram, a chain of frames whose prefixes must end exactly at its
+// last byte (a check against truncation), and a stream transport would
+// chain them the same way. Layout, all integers little-endian:
 //
 //	uint32  payload length n (bytes after this prefix)
 //	byte    version (wireVersion)
