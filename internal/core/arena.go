@@ -480,7 +480,6 @@ type serveCtx struct {
 	w          *World
 	sn         *Node
 	neighbours []overlay.NodeID
-	cache      *rarityCache
 	pos        segment.ID
 
 	// nbWords holds the live neighbours' advertised availability words; the
@@ -519,9 +518,6 @@ func (c *serveCtx) ensure(w *World) {
 		return m != nil && m.Buf.Has(seg)
 	}
 	c.rarity = func(id segment.ID) float64 {
-		if r, ok := c.cache.get(id); ok {
-			return r
-		}
 		// Holder count via one bit probe per neighbour word; an ID outside
 		// the shared window has no holders and keeps the empty product's 1.
 		size := c.w.cfg.BufferSegments
@@ -535,9 +531,7 @@ func (c *serveCtx) ensure(w *World) {
 				}
 			}
 		}
-		r := protocol.SupplierRarityUniform(size, size-i, count)
-		c.cache.put(id, r)
-		return r
+		return protocol.SupplierRarityUniform(size, size-i, count)
 	}
 }
 

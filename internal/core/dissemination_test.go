@@ -58,7 +58,7 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 		for i, id := range []segment.ID{pos + 25, pos + 15, pos + 35, pos + 12, pos + 22, pos + 32} {
 			fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
 		}
-		res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+		res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 		if len(res.Granted) != 2 {
 			t.Fatalf("granted %d, want capacity 2", len(res.Granted))
 		}
@@ -106,7 +106,7 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	// Capacity 1: one push send charged against the supplier leaves one
 	// slot of its 2·O horizon.
 	sn.up.ChargePush()
-	res := w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
 		t.Fatalf("granted %+v, want the rare segment %d first", res.Granted, rare)
 	}
@@ -130,8 +130,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 		sn.Buf.Insert(id)
 		fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
 	}
-	shard := w.shardOf(sup)
-	res := w.serveSupplier(&roundArena{}, shard, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
 	if len(res.Granted) != 2 {
 		t.Fatalf("granted %d, want 2", len(res.Granted))
 	}
@@ -142,7 +141,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 		t.Fatalf("overflow evictions = %d, want 1", res.Evicted.Overflow)
 	}
 	// Next round: no fresh asks; the carried pair is served first.
-	res2 := w.serveSupplier(&roundArena{}, shard, sup, nil, sim.Time(w.cfg.Tau), 2*sim.Time(w.cfg.Tau), pos, p)
+	res2 := w.serveSupplier(&roundArena{}, sup, nil, sim.Time(w.cfg.Tau), 2*sim.Time(w.cfg.Tau), pos, p)
 	if len(res2.Granted) != 2 || !res2.Granted[0].Carried || !res2.Granted[1].Carried {
 		t.Fatalf("carried requests not served next round: %+v", res2.Granted)
 	}

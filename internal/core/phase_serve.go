@@ -26,54 +26,6 @@ func newAsk(supplier, requester overlay.NodeID, id segment.ID, expected sim.Time
 	return transferReq{supplier: int32(supplier), requester: int32(requester), id: seg32(id), expected: ms32(expected)}
 }
 
-// rarityCache memoises supplier-side rarity for one serve shard: a dense
-// window-indexed array stamped per supplier, so successive suppliers (and
-// rounds) reuse the same storage with no clearing. Only the owning shard
-// touches its cache, preserving the phase's share-nothing discipline.
-type rarityCache struct {
-	base  segment.ID
-	epoch int32
-	vals  []float64
-	stamp []int32
-}
-
-// begin opens a new supplier's memo window at pos.
-func (c *rarityCache) begin(pos segment.ID) {
-	c.base = pos
-	c.epoch++
-	if c.epoch == 0 { // wrapped; stamps from the old era could alias
-		clear(c.stamp)
-		c.epoch = 1
-	}
-}
-
-func (c *rarityCache) get(id segment.ID) (float64, bool) {
-	i := int(id - c.base)
-	if i < 0 || i >= len(c.vals) || c.stamp[i] != c.epoch {
-		return 0, false
-	}
-	return c.vals[i], true
-}
-
-func (c *rarityCache) put(id segment.ID, r float64) {
-	i := int(id - c.base)
-	if i < 0 || i >= len(c.vals) {
-		return // out-of-window oddball: recomputed on repeat, still correct
-	}
-	c.vals[i] = r
-	c.stamp[i] = c.epoch
-}
-
-// rarityCacheFor returns shard s's cache, sized on first use.
-func (w *World) rarityCacheFor(s int) *rarityCache {
-	c := &w.rarity[s]
-	if c.vals == nil {
-		c.vals = make([]float64, w.cfg.BufferSegments)
-		c.stamp = make([]int32, w.cfg.BufferSegments)
-	}
-	return c
-}
-
 // resolveTransfers enforces supplier outbound budgets with the
 // dissemination engine's supplier-side service discipline. Each supplier
 // merges its round's fresh asks with the carry queue it kept from the
@@ -213,7 +165,7 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 				for askHi < len(ar.asks) && overlay.NodeID(ar.asks[askHi].supplier) == sup {
 					askHi++
 				}
-				sr := w.serveSupplier(ar, s, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
+				sr := w.serveSupplier(ar, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
 				askLo = askHi
 				if len(sr.Queued) > 0 {
 					// Suppliers ascend, so the list is next round's sorted
@@ -258,9 +210,9 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 // read in place (the advertised maps; see exchangePhase), and delegates
 // the decision to protocol.PlanServe — the same code path the livenet
 // runtime serves from — then leaves the requests carried forward on the
-// supplier's node. It writes only state owned by shard s, so supplier
-// shards invoke it concurrently.
-func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh []transferReq, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
+// supplier's node. It writes only the supplier's node and ar, the arena of
+// the shard that owns it, so supplier shards invoke it concurrently.
+func (w *World) serveSupplier(ar *roundArena, sup overlay.NodeID, fresh []transferReq, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
 	sn := w.nodes[sup]
 	if sn == nil || sn.Rates.Out <= 0 {
 		// A dead or mute supplier abandons everything addressed to it. It
@@ -293,22 +245,16 @@ func (w *World) serveSupplier(ar *roundArena, s int, sup overlay.NodeID, fresh [
 			Deadline:  w.deadlineOf(id, pos, p, start),
 		})
 	}
-	// Supplier-side rarity, once per distinct segment: equation (2) over
-	// the advertised buffers of the supplier's own neighbours. The memo is
-	// the shard's reusable window-dense cache — every rarity-bearing ID
-	// lies in [pos, pos+B) (carried survivors passed SupplierHas, fresh
-	// asks come from in-window candidates) — stamped per supplier so no
-	// clearing or allocation happens between suppliers or rounds. The
-	// input callbacks are the shard's hoisted closure set, re-pointed at
-	// this supplier.
+	// Supplier-side rarity: equation (2) over the advertised buffers of
+	// the supplier's own neighbours, which PlanServe evaluates once per
+	// distinct segment. The input callbacks are the shard's hoisted closure
+	// set, re-pointed at this supplier.
 	ctx := &ar.sctx
 	ctx.ensure(w)
 	ctx.pos = pos
 	ctx.sn = sn
 	ctx.neighbours = w.neighborsOf(sup)
 	ctx.prepRarity()
-	ctx.cache = w.rarityCacheFor(s)
-	ctx.cache.begin(pos)
 	res := protocol.PlanServe(protocol.ServeInput{
 		Carried:        sn.carry,
 		Fresh:          ar.planAsks,

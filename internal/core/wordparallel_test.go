@@ -151,12 +151,10 @@ func TestServeRarityMatchesOracle(t *testing.T) {
 		size := w.cfg.BufferSegments
 		ctx.ensure(w)
 		ctx.pos = pos
-		ctx.cache = &rarityCache{vals: make([]float64, size), stamp: make([]int32, size)}
 		for _, sup := range w.order {
 			ctx.sn = w.nodes[sup]
 			ctx.neighbours = w.neighborsOf(sup)
 			ctx.prepRarity()
-			ctx.cache.begin(pos)
 			for id := pos - 1; id <= pos+segment.ID(size); id++ {
 				if got, want := ctx.rarity(id), rarityOracle(w, sup, id); got != want {
 					t.Fatalf("round %d supplier %d segment %d: rarity %v, oracle %v", w.round, sup, id, got, want)
@@ -247,6 +245,6 @@ func TestMisalignedWindowTripsInvariant(t *testing.T) {
 		w.candidatesFor(&roundArena{}, n, win, 0)
 	})
 	mustPanic("serve against a stray buffer", "buffer [10,610) in a round whose windows open at 0", func() {
-		w.serveSupplier(&roundArena{}, w.shardOf(sup), sup, nil, 0, sim.Time(w.cfg.Tau), 0, w.cfg.Stream.Rate)
+		w.serveSupplier(&roundArena{}, sup, nil, 0, sim.Time(w.cfg.Tau), 0, w.cfg.Stream.Rate)
 	})
 }

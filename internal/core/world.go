@@ -43,9 +43,6 @@ type World struct {
 	// policies keep no state between calls, so one value serves every
 	// node on every shard.
 	policy scheduler.Policy
-	// rarity holds each serve shard's reusable rarity memo (see
-	// rarityCache); only the owning shard touches its entry.
-	rarity []rarityCache
 	// shardRank numbers every ring ID within its ownership shard and
 	// shardSize counts each shard's IDs (see shardRanks); read-only after
 	// construction.
@@ -139,7 +136,6 @@ func NewWorld(cfg Config) (*World, error) {
 		rng:       sim.DeriveRNG(cfg.Seed, 0x0571d),
 		collector: metrics.NewCollector(),
 		policy:    scheduler.Greedy{},
-		rarity:    make([]rarityCache, phaseShards),
 		idGen:     make([]uint64, space.N()),
 		ping:      make([]sim.Time, space.N()),
 	}

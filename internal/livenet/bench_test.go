@@ -96,7 +96,7 @@ func BenchmarkUDPSendWait(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !tx.Send(2, m) {
+		if !tx.Send(2, &m) {
 			b.Fatal("send failed")
 		}
 		tx.flush()
@@ -132,7 +132,7 @@ func BenchmarkSendFlush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !tx.Send(2, announce) || !tx.Send(2, request) {
+		if !tx.Send(2, &announce) || !tx.Send(2, &request) {
 			b.Fatal("send failed")
 		}
 		tx.flush()

@@ -155,7 +155,7 @@ func TestFlushPacksPerDestination(t *testing.T) {
 	send := func(to int, ms ...Message) {
 		t.Helper()
 		for _, m := range ms {
-			if !tx.Send(to, m) {
+			if !tx.Send(to, &m) {
 				t.Fatalf("send to %d failed", to)
 			}
 		}
@@ -259,14 +259,14 @@ func TestDatagramForwardsLeaveAsOneDatagram(t *testing.T) {
 	var want []Message
 	for i := range k {
 		push := Message{From: 0, Kind: msgData, Seg: segment.ID(i), Hop: 2, Period: 3}
-		if !src.Send(1, push) {
+		if !src.Send(1, &push) {
 			t.Fatal("send failed")
 		}
 		want = append(want, Message{From: 1, Kind: msgData, Seg: push.Seg, Hop: 1, Period: 3})
 	}
 	src.flush()
 	forward := func(_ int, m *Message) {
-		if !hop1.Send(2, Message{From: 1, Kind: msgData, Seg: m.Seg, Hop: m.Hop - 1, Period: m.Period}) {
+		if !hop1.Send(2, &Message{From: 1, Kind: msgData, Seg: m.Seg, Hop: m.Hop - 1, Period: m.Period}) {
 			t.Fatalf("forward of segment %d failed", m.Seg)
 		}
 	}
@@ -315,7 +315,7 @@ func TestSendFlushAllocations(t *testing.T) {
 	wake := func() {
 		at = at.Add(20 * time.Millisecond)
 		tx.advance(at)
-		if !tx.Send(2, announce) || !tx.Send(2, request) {
+		if !tx.Send(2, &announce) || !tx.Send(2, &request) {
 			t.Fatal("send failed")
 		}
 		tx.flush()
@@ -347,7 +347,7 @@ func TestDatagramFramesHandedOverBeforeNextRead(t *testing.T) {
 	}
 	for _, drain := range []string{"receive", "AwaitQuiet"} {
 		for seg := segment.ID(1); seg <= 4; seg++ {
-			if !tx.Send(2, Message{From: 1, Kind: msgData, Seg: seg, Period: 1}) {
+			if !tx.Send(2, &Message{From: 1, Kind: msgData, Seg: seg, Period: 1}) {
 				t.Fatal("send failed")
 			}
 			if seg%2 == 0 {

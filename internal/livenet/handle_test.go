@@ -8,6 +8,7 @@ import (
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/segment"
+	"continustreaming/internal/sim"
 )
 
 // sentMessage is one message a peer handed its transport.
@@ -19,8 +20,8 @@ type sentMessage struct {
 // recTransport records what a peer sends.
 type recTransport struct{ sent []sentMessage }
 
-func (r *recTransport) Send(to int, m Message) bool {
-	r.sent = append(r.sent, sentMessage{to, m})
+func (r *recTransport) Send(to int, m *Message) bool {
+	r.sent = append(r.sent, sentMessage{to, *m})
 	return true
 }
 func (*recTransport) Members(int) []int              { return nil }
@@ -48,8 +49,10 @@ const (
 
 // handlePeer builds a peer in period handlePeriod with four linked
 // neighbours that lack everything, a pull and a rescue in flight.
-func handlePeer() (*peer, *recTransport) {
-	cfg := DefaultConfig()
+func handlePeer() (*peer, *recTransport) { return handlePeerWith(DefaultConfig()) }
+
+// handlePeerWith is handlePeer under cfg.
+func handlePeerWith(cfg Config) (*peer, *recTransport) {
 	tr := &recTransport{}
 	space := dht.NewSpace(ringSpace)
 	p := newPeer(tr, 5, cfg, space, &Stats{}, false, handleLo, handlePeriod)
@@ -258,6 +261,37 @@ func TestUnlinkedAskDrawsNoGrant(t *testing.T) {
 	if !reflect.DeepEqual(to, []int{linked}) || p.st.AsksReceived != 1 || p.st.GrantsSent != 1 {
 		t.Fatalf("grants to %v, %d asks and %d grants counted; want one grant, to the linked peer %d, on its ask alone",
 			to, p.st.AsksReceived, p.st.GrantsSent, linked)
+	}
+}
+
+// TestClaimedOffsetFloored pins the floor on a data frame's claimed wire
+// offset (ROADMAP direction 4 (iii)): the rate controller is credited no
+// earlier than the sender's first wire slot, so a linked neighbour stamping
+// 1 ms on its frames reads no faster than one stamping the earliest slot
+// its outbound allows. At 4 segments a period that slot is 250 ms, past the
+// controller's 100 ms observation floor, where a claim below it would
+// count. The source's slot follows its own outbound.
+func TestClaimedOffsetFloored(t *testing.T) {
+	const cheat, honest, grants = 6, 7, 3
+	cfg := DefaultConfig()
+	cfg.OutboundPerPeriod = 4
+	p, _ := handlePeerWith(cfg)
+	slot := p.firstSlot(honest)
+	if slot != 250 || p.firstSlot(0) != bandwidth.PerSegment(cfg.SourceOutbound, sim.Second) {
+		t.Fatalf("first slots %v for a peer, %v for the source; want 250ms and the source outbound's", slot, p.firstSlot(0))
+	}
+	for i := segment.ID(0); i < grants; i++ {
+		p.handle(&Message{From: cheat, Kind: msgData, Seg: handleLo + 50 + i, Deadline: 1, Period: handlePeriod})
+		p.handle(&Message{From: honest, Kind: msgData, Seg: handleLo + 60 + i, Deadline: slot, Period: handlePeriod})
+	}
+	if p.st.Delivered != 2*grants {
+		t.Fatalf("%d frames stored, want %d", p.st.Delivered, 2*grants)
+	}
+	p.ctrl.NoteRequested(cheat, grants)
+	p.ctrl.NoteRequested(honest, grants)
+	p.ctrl.Tick()
+	if c, h := p.ctrl.Rate(cheat), p.ctrl.Rate(honest); c > h {
+		t.Fatalf("the 1 ms claimant reads %.2f segments/s, the first-slot sender %.2f", c, h)
 	}
 }
 

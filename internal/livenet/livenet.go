@@ -164,6 +164,8 @@ type session struct {
 	pos segment.ID
 	// stats is what the session returns; its hosted peers count into it.
 	stats Stats
+	// scratch is the plan and serve storage its peers share (planScratch).
+	scratch planScratch
 	// continuous / playing tally the playback samples behind
 	// Stats.Continuity.
 	continuous, playing int
@@ -214,6 +216,7 @@ func newSession(cfg Config) *session {
 // spawn hosts a peer on a transport-provided identity and returns it.
 func (s *session) spawn(id int, isSource bool, openAt segment.ID, joinPeriod int) *peer {
 	p := newPeer(s.tr, id, s.cfg, s.space, &s.stats, isSource, openAt, joinPeriod)
+	p.sc = &s.scratch
 	if id >= len(s.peers) {
 		s.peers = append(s.peers, make([]*peer, id+1-len(s.peers))...)
 	}
@@ -264,7 +267,7 @@ func (s *session) churn(period int) {
 		for j := 0; j < ev.Join; j++ {
 			np := s.join(false, s.pos, period)
 			for _, c := range sampleIDs(s.rng, s.nw.Members(period), s.cfg.M+2, np.id, np.id) {
-				s.nw.Send(c, Message{From: np.id, Kind: msgConnect})
+				s.nw.Send(c, &Message{From: np.id, Kind: msgConnect})
 			}
 			s.stats.Joined++
 		}

@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"slices"
+
 	"continustreaming/internal/buffer"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/segment"
@@ -106,11 +108,17 @@ func (nw *network) unregister(id int) {
 // and the message was dropped. It never hands a message over itself: the
 // sender may be in the middle of handling one, and what it sends waits
 // its turn behind everything sent before it.
-func (nw *network) Send(to int, m Message) bool {
+func (nw *network) Send(to int, m *Message) bool {
 	if to < 0 || to >= len(nw.live) || !nw.live[to] {
 		return false
 	}
-	nw.queue = append(nw.queue, envelope{to, m})
+	// Filled in place: an envelope literal would be built on the stack and
+	// copied again.
+	n := len(nw.queue)
+	nw.queue = slices.Grow(nw.queue, 1)[:n+1]
+	e := &nw.queue[n]
+	e.to = to
+	e.m = *m
 	return true
 }
 

@@ -163,7 +163,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 				backlog = append(backlog, *m)
 			}
 		}
-		n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+		n.tr.Send(0, &Message{From: nc.ID, Kind: msgConnect})
 		retryAt = now.Add(bootstrapTick)
 	}
 
@@ -194,7 +194,7 @@ run:
 			if attempt++; attempt >= bootstrapAttempts {
 				return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
 			}
-			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
+			n.tr.Send(0, &Message{From: nc.ID, Kind: msgConnect})
 			retryAt = now.Add(bootstrapTick)
 		case due(serveAt):
 			serveAt = time.Time{}
@@ -289,7 +289,7 @@ func (n *Node) join(s *session, start int, hello *Message, backlog []Message) *p
 			break
 		}
 		if heard > floor {
-			n.tr.Send(id, Message{From: n.nc.ID, Kind: msgConnect})
+			n.tr.Send(id, &Message{From: n.nc.ID, Kind: msgConnect})
 			dialed++
 		}
 	}

@@ -264,7 +264,7 @@ func TestTickHandsOverQueuedDatagrams(t *testing.T) {
 		if err := from.Learn(0, n.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		if !from.Send(0, Message{From: id, Kind: msgConnect, Period: 5}) {
+		if !from.Send(0, &Message{From: id, Kind: msgConnect, Period: 5}) {
 			t.Fatalf("peer %d: send failed", id)
 		}
 		from.flush()
@@ -310,10 +310,10 @@ func TestNodeRunFlushesItsLastServe(t *testing.T) {
 			granted++ // not a push
 		}
 	}
-	tr.Send(0, Message{From: asker, Kind: msgConnect})
+	tr.Send(0, &Message{From: asker, Kind: msgConnect})
 	var st Stats
 	for running := true; running; {
-		tr.Send(0, Message{From: asker, Kind: msgRequest, Seg: cfg.posFor(heard + 1), Deadline: sim.Time(time.Hour / time.Millisecond)})
+		tr.Send(0, &Message{From: asker, Kind: msgRequest, Seg: cfg.posFor(heard + 1), Deadline: sim.Time(time.Hour / time.Millisecond)})
 		tr.flush()
 		select {
 		case st = <-done:

@@ -105,35 +105,16 @@ type peer struct {
 	view          peerView
 	rewireScratch protocol.RewireScratch
 
-	// The rest is round-lived scratch, touched only by the plan and serve
-	// passes: every buffer is grow-only and reset per use, and
-	// the callbacks are built once in newPeer, so a steady-state period
-	// allocates nothing but the payloads it hands to the transport (the
-	// announced snapshot and its gossip picks).
-
-	// live and words back the candidate enumeration's input — the linked
-	// neighbours' maps re-based at the peer's own buffer origin, one run of
-	// words per neighbour — and enum is the enumeration itself.
-	live  []scheduler.NeighborWords
-	words []uint64
-	enum  scheduler.Enumeration
-	// sched is Algorithm 1's scratch; its request arena is reset before
-	// every schedule, after the previous period's requests were sent.
-	sched scheduler.Scratch
-	// serveScratch backs PlanServe's request staging across periods; the
-	// granted slice it aliases is consumed before the next period plans.
-	serveScratch protocol.ServeScratch
-	serveIn      protocol.ServeInput
-	// positions is the supplier-side rarity's reusable position list.
-	positions []int
+	// sc is the plan and serve passes' working storage (planScratch), and
+	// serveIn the serve's input, its callbacks bound once in newPeer.
+	sc      *planScratch
+	serveIn protocol.ServeInput
 	// gossip is the latest announce's pick arena (a payload, allocated per
 	// announce) and gossipEnd where each neighbour's picks end in it;
 	// gossipAt is the neighbour GossipPicks is currently emitting for.
 	gossipEnd []int
 	gossip    []int
 	gossipAt  int
-	// rescueIDs backs the urgent-line prediction's missed-ID list.
-	rescueIDs []segment.ID
 
 	aliveFn    func(overlay.NodeID) bool
 	gossipFn   func(to, about overlay.NodeID)
@@ -142,6 +123,34 @@ type peer struct {
 	// pushBase is the first segment of the push frontier nbrLacksFn
 	// answers for, set before each PlanPushMask call.
 	pushBase segment.ID
+	// out is the outgoing message each send site builds and send hands
+	// the transport by pointer (see send).
+	out Message
+}
+
+// planScratch is the working storage of a peer's plan and serve passes.
+// Nothing in it outlives the pass that fills it: every buffer is grow-only
+// and reset per use, and what a pass returns from it is consumed before
+// the pass ends. So the peers a session runs one after another on its
+// goroutine share one (session.scratch), which stays warm in cache, where
+// each peer's own would be touched once a period.
+type planScratch struct {
+	// live and words back the candidate enumeration's input — the linked
+	// neighbours' maps re-based at the peer's own buffer origin, one run of
+	// words per neighbour — and enum is the enumeration itself.
+	live  []scheduler.NeighborWords
+	words []uint64
+	enum  scheduler.Enumeration
+	// sched is Algorithm 1's scratch; its request arena is reset before
+	// every schedule, after the previous schedule's requests were sent.
+	sched scheduler.Scratch
+	// serve backs PlanServe's request staging; the granted slice it
+	// aliases is consumed before the serve pass returns.
+	serve protocol.ServeScratch
+	// positions is the supplier-side rarity's position list.
+	positions []int
+	// rescueIDs backs the urgent-line prediction's missed-ID list.
+	rescueIDs []segment.ID
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
@@ -232,6 +241,7 @@ func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSou
 		ctrl:        bandwidth.NewController(0.3, float64(cfg.Rate)),
 		curPeriod:   joinPeriod,
 		lastReplace: joinPeriod - 1000, // no artificial cooldown at birth
+		sc:          new(planScratch),
 	}
 	p.seg = buffer.OpenTrack(cfg.BufferSegments, p.buf.Lo(), buffer.Track{})
 	p.up.Open(p.outbound(), sim.Second)
@@ -266,10 +276,37 @@ func (p *peer) outbound() int {
 	return p.cfg.OutboundPerPeriod
 }
 
+// firstSlot is the earliest wire offset peer from can honestly stamp on a
+// data frame: Uplink.WireAt(1) at the outbound the configuration gives it
+// (the source is always peer 0).
+func (p *peer) firstSlot(from int) sim.Time {
+	out := p.cfg.OutboundPerPeriod
+	if from == 0 {
+		out = p.cfg.SourceOutbound
+	}
+	return bandwidth.PerSegment(out, sim.Second)
+}
+
 // nbrIndex returns the neighbour table index of id, or the insertion
-// point and false when id is not linked.
+// point and false when id is not linked. A table holds a handful of rows,
+// so a forward scan of the IDs beats a binary search's unpredictable
+// branches on every message.
 func (p *peer) nbrIndex(id int) (int, bool) {
-	return slices.BinarySearch(p.nbrIDs, overlay.NodeID(id))
+	for i, nb := range p.nbrIDs {
+		if int(nb) >= id {
+			return i, int(nb) == id
+		}
+	}
+	return len(p.nbrIDs), false
+}
+
+// row returns id's neighbour row, or nil when id is not linked. The
+// pointer is valid until the next link or unlink.
+func (p *peer) row(id int) *neighbour {
+	if i, ok := p.nbrIndex(id); ok {
+		return &p.nbrs[i]
+	}
+	return nil
 }
 
 // linked reports whether id is a connected neighbour.
@@ -329,8 +366,8 @@ func (p *peer) unlink(i int) {
 // neighbourHas reports whether a linked neighbour's latest map shows a
 // segment (the serve path's "already has it" probe).
 func (p *peer) neighbourHas(id overlay.NodeID, seg segment.ID) bool {
-	i, ok := p.nbrIndex(int(id))
-	return ok && p.nbrs[i].m.Has(seg)
+	nb := p.row(int(id))
+	return nb != nil && nb.m.Has(seg)
 }
 
 // neighbourLacks is the push planner's probe: bit i set when a linked
@@ -338,26 +375,28 @@ func (p *peer) neighbourHas(id overlay.NodeID, seg segment.ID) bool {
 // to a period stale, so it is re-based at the frontier.
 func (p *peer) neighbourLacks(id overlay.NodeID) uint64 {
 	var word [1]uint64
-	if i, ok := p.nbrIndex(int(id)); ok {
-		p.nbrs[i].m.WordsFrom(word[:], p.pushBase)
+	if nb := p.row(int(id)); nb != nil {
+		nb.m.WordsFrom(word[:], p.pushBase)
 	}
 	return ^word[0]
 }
 
-// send stamps m with the peer's current period clock — the wire v2
-// re-sync beacon every message carries — and transmits it. Send sites
-// run inside handle and the phase calls, so the transport must not hand a
-// message over from inside Send.
-func (p *peer) send(to int, m Message) bool {
-	m.Period = p.curPeriod
-	return p.tr.Send(to, m)
+// send stamps the message built in p.out with the peer's current period
+// clock — the wire v2 re-sync beacon every message carries — and transmits
+// it. The transport reads the slot through its pointer, so its own copy is
+// the only one a send makes. Send sites run inside handle and the phase
+// calls, so the transport must not hand a message over from inside Send.
+func (p *peer) send(to int) bool {
+	p.out.Period = p.curPeriod
+	return p.tr.Send(to, &p.out)
 }
 
 // handle applies one incoming message. m is the sender's message in place
 // (a queue slot in-process, the decoded datagram over UDP): handle reads
 // it and may keep what its Map and Gossip point to, which senders never
 // write again, but never keeps m, which the transport reuses once handle
-// returns.
+// returns. The sender's neighbour row is looked up once; only a link or an
+// unlink replaces it.
 func (p *peer) handle(m *Message) {
 	// Gossip feeds the adoption pool whichever message carried it: a map
 	// announcement, or the rendezvous point's ConnectOK sample.
@@ -366,23 +405,24 @@ func (p *peer) handle(m *Message) {
 			p.hear(g)
 		}
 	}
+	nb := p.row(m.From)
 	switch m.Kind {
 	case msgMap:
 		// Only linked neighbours' maps are kept: a peer this one has
 		// already dropped may announce once more before the Bye reaches
 		// it, and that map would never be read.
-		if i, ok := p.nbrIndex(m.From); ok {
+		if nb != nil {
 			if m.Map != nil {
-				p.nbrs[i].m = *m.Map
+				nb.m = *m.Map
 			}
-			p.nbrs[i].seen = p.curPeriod
+			nb.seen = p.curPeriod
 		}
 	case msgRequest:
 		// Only a linked neighbour's ask is served: the serve spends the
 		// uplink the links share, and over UDP anyone can write to the
 		// socket. A rescue request stays open to any peer, because rescues
 		// go to ring-hashed peers by design.
-		if !p.linked(m.From) {
+		if nb == nil {
 			break
 		}
 		p.st.AsksReceived++
@@ -401,7 +441,8 @@ func (p *peer) handle(m *Message) {
 		// copies for free.
 		if p.buf.Has(m.Seg) {
 			if slot := p.up.ChargeRescue(); slot > 0 {
-				p.send(m.From, Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.up.WireAt(slot)})
+				p.out = Message{From: p.id, Kind: msgData, Seg: m.Seg, Rescue: true, Deadline: p.up.WireAt(slot)}
+				p.send(m.From)
 			}
 		}
 	case msgConnect:
@@ -411,16 +452,16 @@ func (p *peer) handle(m *Message) {
 		// point: it additionally stamps the reply with the current period
 		// (a socket-path joiner's clock sync) and a membership sample (the
 		// joiner's first adoption candidates) — the bootstrap handshake.
-		p.link(m.From, p.curPeriod)
+		nb = p.link(m.From, p.curPeriod)
 		snap := p.buf.Snapshot()
-		reply := Message{From: p.id, Kind: msgConnectOK, Map: &snap}
+		p.out = Message{From: p.id, Kind: msgConnectOK, Map: &snap}
 		if p.isSource {
-			reply.Deadline = sim.Time(p.curPeriod)
-			reply.Gossip = p.rpSample(p.cfg.M+2, m.From)
+			p.out.Deadline = sim.Time(p.curPeriod)
+			p.out.Gossip = p.rpSample(p.cfg.M+2, m.From)
 		}
-		p.send(m.From, reply)
+		p.send(m.From)
 	case msgConnectOK:
-		nb := p.link(m.From, p.curPeriod)
+		nb = p.link(m.From, p.curPeriod)
 		if m.Map != nil {
 			nb.m = *m.Map
 		}
@@ -428,11 +469,12 @@ func (p *peer) handle(m *Message) {
 		if i, ok := p.nbrIndex(m.From); ok {
 			p.unlink(i)
 		}
+		nb = nil
 	}
 	// The period stamp counts once the sender is linked, the Connect or
 	// ConnectOK that links it included; an unlinked sender's never does.
-	if i, ok := p.nbrIndex(m.From); ok && m.Period > p.nbrs[i].stamp {
-		p.nbrs[i].stamp = m.Period
+	if nb != nil && m.Period > nb.stamp {
+		nb.stamp = m.Period
 	}
 }
 
@@ -476,12 +518,16 @@ func (p *peer) receiveData(m *Message) {
 		// where in the period the runtime happened to serve, and the
 		// estimates (and with them evictions and replacements) moved
 		// with the speed of the code and of the host. Unstamped data
-		// credits the whole period.
-		off := m.Deadline.Seconds()
-		if off <= 0 {
-			off = 1
+		// credits the whole period. A stamp is floored at the sender's
+		// first wire slot, where the earliest honest grant, push or rescue
+		// reply leaves: a sender claiming faster than its outbound allows
+		// would otherwise attract every ask. There is no upper clamp — a
+		// multi-hop push honestly accumulates offsets past the 2·O horizon.
+		off := sim.Second
+		if m.Deadline > 0 {
+			off = max(m.Deadline, p.firstSlot(m.From))
 		}
-		p.ctrl.ObserveDelivery(m.From, off)
+		p.ctrl.ObserveDelivery(m.From, off.Seconds())
 		if m.Rescue {
 			p.st.Rescued++
 		}
@@ -502,7 +548,8 @@ func (p *peer) receiveData(m *Message) {
 			p.cfg.Seed^uint64(p.id)*0x9e3779b97f4a7c15^uint64(p.curPeriod),
 			overlay.NodeID(p.id), m.Seg, []segment.ID{m.Seg}, p.nbrIDs, p.nbrLacksFn, p.up.PushRoom())
 		for _, s := range sends {
-			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.up.WireAt(p.up.ChargePush())})
+			p.out = Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1, Deadline: m.Deadline + p.up.WireAt(p.up.ChargePush())}
+			p.send(int(s.To))
 		}
 	}
 }
@@ -619,7 +666,8 @@ func (p *peer) pushFresh(now int) {
 	sends := protocol.PlanPushMask(
 		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), p.pushBase, fresh, p.nbrIDs, p.nbrLacksFn, p.up.PushRoom())
 	for _, s := range sends {
-		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.up.WireAt(p.up.ChargePush())})
+		p.out = Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1, Deadline: p.up.WireAt(p.up.ChargePush())}
+		p.send(int(s.To))
 	}
 }
 
@@ -637,7 +685,7 @@ func (p *peer) servePeriod(now int) {
 		in.Capacity = p.up.Spare()
 		in.QueueCap = p.cfg.QueueFactor * p.outbound()
 		in.Horizon = sim.Time(now)
-		res = protocol.PlanServe(*in, &p.serveScratch)
+		res = protocol.PlanServe(*in, &p.sc.serve)
 		p.carry, p.carrySpare = res.Queued, p.carry[:0]
 		p.st.QueueCarried += int64(len(res.Queued))
 	} else {
@@ -657,7 +705,8 @@ func (p *peer) servePeriod(now int) {
 		}
 		if p.buf.Has(g.ID) {
 			p.st.GrantsSent++
-			p.send(int(g.Requester), Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.up.WireAt(slot + k)})
+			p.out = Message{From: p.id, Kind: msgData, Seg: g.ID, Deadline: p.up.WireAt(slot + k)}
+			p.send(int(g.Requester))
 		}
 	}
 }
@@ -666,13 +715,13 @@ func (p *peer) servePeriod(now int) {
 // product, over the linked neighbours advertising it, of its eviction
 // probability in each one's window (protocol.SupplierRarity).
 func (p *peer) supplierRarity(seg segment.ID) float64 {
-	p.positions = p.positions[:0]
+	p.sc.positions = p.sc.positions[:0]
 	for i := range p.nbrs {
 		if pft, ok := p.nbrs[i].m.PositionFromTail(seg); ok {
-			p.positions = append(p.positions, pft)
+			p.sc.positions = append(p.sc.positions, pft)
 		}
 	}
-	return protocol.SupplierRarity(p.cfg.BufferSegments, p.positions)
+	return protocol.SupplierRarity(p.cfg.BufferSegments, p.sc.positions)
 }
 
 // rpSample is the rendezvous point's membership sample: up to max of the
@@ -727,7 +776,8 @@ func (p *peer) maintainMesh(now int) {
 	}
 	connect := func(cand overlay.NodeID) {
 		p.forget(int(cand))
-		p.send(int(cand), Message{From: p.id, Kind: msgConnect})
+		p.out = Message{From: p.id, Kind: msgConnect}
+		p.send(int(cand))
 	}
 	protocol.ApplyRewire(intent, &p.view, func() int { return len(p.nbrs) }, view.DegreeTarget,
 		func(victim, cand overlay.NodeID) {
@@ -735,7 +785,8 @@ func (p *peer) maintainMesh(now int) {
 			p.st.Replaced++
 			vi, _ := p.nbrIndex(int(victim)) // Connected, so linked
 			p.unlink(vi)
-			p.send(int(victim), Message{From: p.id, Kind: msgBye})
+			p.out = Message{From: p.id, Kind: msgBye}
+			p.send(int(victim))
 			connect(cand)
 		}, connect)
 }
@@ -765,7 +816,8 @@ func (p *peer) announce() {
 			g = p.gossip[start:end:end]
 		}
 		start = end
-		p.send(p.nbrs[i].id, Message{From: p.id, Kind: msgMap, Map: &snap, Gossip: g})
+		p.out = Message{From: p.id, Kind: msgMap, Map: &snap, Gossip: g}
+		p.send(p.nbrs[i].id)
 	}
 }
 
@@ -805,16 +857,16 @@ func (p *peer) candidates(now int) []scheduler.Candidate {
 	own := p.buf.Words()
 	nw := len(own)
 	origin := p.buf.Lo()
-	p.words = slices.Grow(p.words[:0], nw*len(p.nbrs))
-	live := p.live[:0]
+	p.sc.words = slices.Grow(p.sc.words[:0], nw*len(p.nbrs))
+	live := p.sc.live[:0]
 	for i := range p.nbrs {
 		nb := &p.nbrs[i]
 		if nb.m.Size == 0 {
 			continue // linked, no map heard yet
 		}
-		at := len(p.words)
-		p.words = p.words[:at+nw]
-		bits := p.words[at : at+nw : at+nw]
+		at := len(p.sc.words)
+		p.sc.words = p.sc.words[:at+nw]
+		bits := p.sc.words[at : at+nw : at+nw]
 		nb.m.WordsFrom(bits, origin)
 		live = append(live, scheduler.NeighborWords{
 			Node: nb.id,
@@ -823,7 +875,7 @@ func (p *peer) candidates(now int) []scheduler.Candidate {
 			Bits: bits,
 		})
 	}
-	p.live = live
+	p.sc.live = live
 	if len(live) == 0 {
 		return nil
 	}
@@ -833,7 +885,7 @@ func (p *peer) candidates(now int) []scheduler.Candidate {
 		slices.Reverse(live[k:])
 		slices.Reverse(live)
 	}
-	return p.enum.Candidates(live, own, p.buf.Size(), origin, &p.seg, now)
+	return p.sc.enum.Candidates(live, own, p.buf.Size(), origin, &p.seg, now)
 }
 
 // schedulePulls runs the paper's urgency+rarity scheduling policy over
@@ -848,7 +900,7 @@ func (p *peer) schedulePulls(now int) {
 	if len(cands) == 0 {
 		return
 	}
-	p.sched.Reset()
+	p.sc.sched.Reset()
 	in := scheduler.Input{
 		PriorityInput: scheduler.PriorityInput{
 			Play:         p.pos,
@@ -859,19 +911,18 @@ func (p *peer) schedulePulls(now int) {
 		Tau:           sim.Second,
 		InboundBudget: budget,
 		Candidates:    cands,
-		Scratch:       &p.sched,
+		Scratch:       &p.sc.sched,
 		JitterSeed:    p.cfg.Seed ^ uint64(p.id)*0x9e3779b97f4a7c15,
 		RarityNoise:   p.cfg.RarityNoise,
 	}
 	for _, r := range (scheduler.Greedy{}).Schedule(in) {
 		p.st.AsksSent++
 		p.seg.MarkGossip(r.ID, now+p.cfg.RetryPeriods, 0) // the peer reads no promised arrival
-		if i, ok := p.nbrIndex(r.Supplier); ok {
-			p.nbrs[i].asked++
+		if nb := p.row(r.Supplier); nb != nil {
+			nb.asked++
 		}
-		p.send(r.Supplier, Message{
-			From: p.id, Kind: msgRequest, Seg: r.ID, Deadline: p.playDeadline(r.ID),
-		})
+		p.out = Message{From: p.id, Kind: msgRequest, Seg: r.ID, Deadline: p.playDeadline(r.ID)}
+		p.send(r.Supplier)
 	}
 }
 
@@ -892,7 +943,7 @@ func (p *peer) rescueUrgent(now int) {
 		return
 	}
 	var plan prefetch.Decision
-	plan, p.rescueIDs = prefetch.PredictInto(p.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.PrefetchLimit, p.askedFn)
+	plan, p.sc.rescueIDs = prefetch.PredictInto(p.sc.rescueIDs[:0], p.buf, p.pos, p.alpha.Value(), p.cfg.PrefetchLimit, p.askedFn)
 	if !plan.Triggered {
 		return
 	}
@@ -914,7 +965,8 @@ func (p *peer) rescueUrgent(now int) {
 		}
 		p.seg.MarkPrefetch(seg, now+p.cfg.RetryPeriods)
 		p.st.RescueAsked++
-		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
+		p.out = Message{From: p.id, Kind: msgRescueReq, Seg: seg}
+		p.send(target)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // nullTransport swallows everything a peer sends.
 type nullTransport struct{}
 
-func (nullTransport) Send(int, Message) bool         { return true }
+func (nullTransport) Send(int, *Message) bool        { return true }
 func (nullTransport) Members(int) []int              { return nil }
 func (nullTransport) AwaitQuiet(func(int, *Message)) {}
 
@@ -418,4 +418,48 @@ func TestPeriodAllocations(t *testing.T) {
 		t.Fatalf("the measured periods moved no data: delivered %d->%d, asks %d->%d, grants %d->%d",
 			delivered, p.st.Delivered, asks, p.st.AsksSent, grants, p.st.GrantsSent)
 	}
+}
+
+// TestServeRarityMatchesNeighbourMaps checks the rarity the serve attaches
+// to every ask on a warmed 400-peer mesh — PlanServe's once-per-segment
+// memo over the peer's own callback — against protocol.SupplierRarity over
+// the positions-from-tail of the segment in the peer's neighbours' maps,
+// evaluated per ask. Each peer's period asks are served through its own
+// serve input with room to grant them all, so every rarity shows.
+func TestServeRarityMatchesNeighbourMaps(t *testing.T) {
+	s, period := warmMesh()
+	s.churn(period)
+	s.plan(period) // every ask of the period is in its supplier's hands
+	var sc protocol.ServeScratch
+	asks, shared := 0, 0
+	for _, p := range s.peers {
+		if p == nil {
+			continue
+		}
+		in := p.serveIn
+		in.Carried, in.Fresh, in.QueueInto = p.carry, p.asks, nil
+		in.Capacity = len(p.carry) + len(p.asks)
+		seen := map[segment.ID]bool{}
+		for _, r := range protocol.PlanServe(in, &sc).Granted {
+			var positions []int
+			for _, nb := range p.nbrs {
+				if pft, ok := nb.m.PositionFromTail(r.ID); ok {
+					positions = append(positions, pft)
+				}
+			}
+			if want := protocol.SupplierRarity(p.cfg.BufferSegments, positions); r.Rarity != want {
+				t.Fatalf("peer %d serves segment %d to %d at rarity %v; its neighbours' maps give %v",
+					p.id, r.ID, r.Requester, r.Rarity, want)
+			}
+			asks++
+			if seen[r.ID] {
+				shared++
+			}
+			seen[r.ID] = true
+		}
+	}
+	if asks < 1000 || shared == 0 {
+		t.Fatalf("compared %d asks, %d of them for a segment asked of the same peer before; want > 1000 and some", asks, shared)
+	}
+	t.Logf("%d asks compared, %d served from the memo", asks, shared)
 }

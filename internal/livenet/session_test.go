@@ -94,7 +94,7 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 			p := s.peers[victim]
 			asks, received := len(p.asks), s.stats.AsksReceived
 			for i := 0; i < 3; i++ {
-				if !s.nw.Send(victim, Message{From: asker, Kind: msgRequest, Seg: p.buf.Lo(), Period: period}) {
+				if !s.nw.Send(victim, &Message{From: asker, Kind: msgRequest, Seg: p.buf.Lo(), Period: period}) {
 					t.Fatal("a send to a live peer was refused")
 				}
 			}
@@ -104,7 +104,7 @@ func TestKilledPeerDoesNotWedgeBarrier(t *testing.T) {
 				t.Fatalf("a killed peer handled mail queued before its death: asks %d -> %d, received %d -> %d",
 					asks, len(p.asks), received, s.stats.AsksReceived)
 			}
-			if s.nw.Send(victim, Message{From: asker, Kind: msgRequest}) {
+			if s.nw.Send(victim, &Message{From: asker, Kind: msgRequest}) {
 				t.Fatal("a send to the killed peer was accepted")
 			}
 		}
@@ -130,7 +130,7 @@ func TestSaturatedInboxCounted(t *testing.T) {
 		{"a negative ID", -1},
 		{"one past the registry", id + 1},
 	} {
-		if nw.Send(to.id, Message{Kind: msgBye}) {
+		if nw.Send(to.id, &Message{Kind: msgBye}) {
 			t.Fatalf("send to %s succeeded", to.name)
 		}
 	}
@@ -168,11 +168,11 @@ func TestDeliveryIsSendOrder(t *testing.T) {
 	record := func(to int, m *Message) {
 		got = append(got, hop{to, int(m.Seg)})
 		if m.Seg < 10 {
-			nw.Send((to+1)%4, Message{Seg: m.Seg + 10}) // a reply, sent while handling
+			nw.Send((to+1)%4, &Message{Seg: m.Seg + 10}) // a reply, sent while handling
 		}
 	}
 	for _, h := range []hop{{3, 0}, {1, 1}, {3, 2}, {0, 3}} {
-		nw.Send(h.to, Message{Seg: segment.ID(h.seg)})
+		nw.Send(h.to, &Message{Seg: segment.ID(h.seg)})
 	}
 	nw.AwaitQuiet(record)
 	want := []hop{{3, 0}, {1, 1}, {3, 2}, {0, 3}, {0, 10}, {2, 11}, {0, 12}, {1, 13}}
@@ -194,8 +194,8 @@ func TestDeliveryIsSendOrder(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.nw.Send(2, Message{From: 2, Kind: msgConnect})
-		s.nw.Send(stranger, Message{From: 1, Kind: msgConnect})
+		s.nw.Send(2, &Message{From: 2, Kind: msgConnect})
+		s.nw.Send(stranger, &Message{From: 1, Kind: msgConnect})
 		s.nw.AwaitQuiet(s.deliverFn)
 	}()
 	select {

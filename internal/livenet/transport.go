@@ -16,7 +16,9 @@ package livenet
 // same goroutine reads.
 type Transport interface {
 	// Send delivers m to peer to, non-blockingly. False means dropped.
-	Send(to int, m Message) bool
+	// Send reads m during the call only: it neither keeps nor writes it,
+	// so a sender may build every message in one slot.
+	Send(to int, m *Message) bool
 	// Members returns, ascending, the peer IDs reachable as of period
 	// now. The session places it on the rescue ring once a period as one
 	// dht.Members bitmap (ringMembers), the view its peers' adoption,

@@ -395,7 +395,7 @@ func (t *udpTransport) learn(id int, addr netip.AddrPort) {
 // names. False means the message was dropped (unknown address, encode
 // failure, a closed transport) — the same contract as the in-process
 // transport.
-func (t *udpTransport) Send(to int, m Message) bool {
+func (t *udpTransport) Send(to int, sent *Message) bool {
 	if t.closed.Load() {
 		return false
 	}
@@ -403,6 +403,7 @@ func (t *udpTransport) Send(to int, m Message) bool {
 	if !ok {
 		return false
 	}
+	m := *sent // annotated below; the sender's message is not written
 	m.GossipAddrs = nil
 	if len(m.Gossip) > 0 {
 		t.addrs = t.addrs[:0]

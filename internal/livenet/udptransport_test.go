@@ -78,7 +78,7 @@ func TestShapedSendWaitsForRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		fate := twin.Shape(to, len(frame), at.Sub(t0))
-		if !tr.Send(to, m) {
+		if !tr.Send(to, &m) {
 			t.Fatalf("send %d failed", i)
 		}
 		tr.flush()
@@ -266,7 +266,7 @@ func TestDelayedDatagramEndsTheWait(t *testing.T) {
 	tr.shaper = NewShaper(ShapeProfile{Latency: latency}, 1, self)
 	sent := time.Now()
 	tr.advance(sent)
-	if !tr.Send(to, Message{From: self, Kind: msgData, Seg: 7, Period: 1}) {
+	if !tr.Send(to, &Message{From: self, Kind: msgData, Seg: 7, Period: 1}) {
 		t.Fatal("send failed")
 	}
 	if tr.receive(sent.Add(5 * time.Second)) {
@@ -318,7 +318,7 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 	// node's delivery path has handed it over (it learns before it hands).
 	hearFrom := func(from *udpTransport, what string) {
 		t.Helper()
-		if !from.Send(self, Message{From: victim, Kind: msgBye}) {
+		if !from.Send(self, &Message{From: victim, Kind: msgBye}) {
 			t.Fatalf("%s: send failed", what)
 		}
 		from.flush()
@@ -329,7 +329,7 @@ func TestAddressBookIgnoresSpoofedSource(t *testing.T) {
 	reaches := func() *udpTransport {
 		t.Helper()
 		seq++
-		if !tr.Send(victim, Message{From: self, Kind: msgData, Seg: seq}) {
+		if !tr.Send(victim, &Message{From: self, Kind: msgData, Seg: seq}) {
 			t.Fatal("no address on file for the victim")
 		}
 		tr.flush()
@@ -413,7 +413,7 @@ func TestUDPMembersView(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !from.Send(7, Message{From: 3, Kind: msgBye, Gossip: []int{21, 22}}) {
+	if !from.Send(7, &Message{From: 3, Kind: msgBye, Gossip: []int{21, 22}}) {
 		t.Fatal("send failed")
 	}
 	from.flush()
@@ -428,7 +428,7 @@ func TestUDPMembersView(t *testing.T) {
 	if got := tr.Members(5 + testTTL + 1); !slices.Equal(got, []int{0, 7}) {
 		t.Fatalf("members one period past the TTL: %v, want [0 7]", got)
 	}
-	if tr.Send(21, Message{From: 7, Kind: msgBye}) {
+	if tr.Send(21, &Message{From: 7, Kind: msgBye}) {
 		t.Fatal("a send to an expired peer found an address")
 	}
 }

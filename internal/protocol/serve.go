@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"continustreaming/internal/overlay"
@@ -15,26 +16,150 @@ import (
 // descending equation-(1) urgency agree), rarest first among equal
 // deadlines, carried-before-new among equal rarities (a queued request
 // has already waited a round), then (requester, segment) for full
-// determinism.
+// determinism. Requests equal on all five keys keep their input order.
 func Order(reqs []Request) {
-	slices.SortStableFunc(reqs, func(a, b Request) int {
-		if a.Deadline != b.Deadline {
-			return cmp.Compare(a.Deadline, b.Deadline)
+	var o orderScratch
+	o.order(reqs)
+}
+
+// orderKey is one request's place in the service order, computed once so
+// the sort compares flat integers instead of whole Requests: deadline,
+// rarity (rarityKey), carried first, requester, segment, and last the
+// request's input index, which makes the order total — any sort of the
+// keys lands exactly where a stable sort of the requests would.
+type orderKey struct {
+	deadline  sim.Time
+	rarity    uint64
+	requester overlay.NodeID
+	id        segment.ID
+	at        int32
+	fresh     bool
+}
+
+// rarityKey maps a rarity to an integer that ascends in service order:
+// rarer (larger) first. -0 and +0 share a key, as they compare equal; NaN
+// sorts after every number and ties every other NaN, so among equal
+// deadlines NaN-rarity requests keep their input order — what the
+// comparator Order implements did with them.
+func rarityKey(r float64) uint64 {
+	if r != r {
+		return nanRarity
+	}
+	if r == 0 {
+		r = 0
+	}
+	b := math.Float64bits(r)
+	if b>>63 != 0 {
+		return b // negative: the larger the magnitude, the later
+	}
+	return ^b &^ (1 << 63) // non-negative: the larger, the earlier
+}
+
+// nanRarity is rarityKey's NaN.
+const nanRarity = math.MaxUint64
+
+// before reports whether a precedes b in the service order.
+func (a *orderKey) before(b *orderKey) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
+	}
+	if a.rarity != b.rarity {
+		return a.rarity < b.rarity
+	}
+	if a.fresh != b.fresh {
+		return b.fresh
+	}
+	if a.requester != b.requester {
+		return a.requester < b.requester
+	}
+	if a.id != b.id {
+		return a.id < b.id
+	}
+	return a.at < b.at
+}
+
+// orderScratch is Order's reusable working storage: the keys and the
+// merge buffer.
+type orderScratch struct {
+	keys, buf []orderKey
+}
+
+// order sorts reqs in place into the service order (see Order).
+func (o *orderScratch) order(reqs []Request) {
+	if len(reqs) > math.MaxInt32 {
+		panic("protocol: too many requests to order")
+	}
+	n := len(reqs)
+	o.keys = slices.Grow(o.keys[:0], n)[:n]
+	o.buf = slices.Grow(o.buf[:0], n)[:n]
+	keys := o.keys
+	for i := range reqs {
+		r := &reqs[i]
+		keys[i] = orderKey{deadline: r.Deadline, rarity: rarityKey(r.Rarity), at: int32(i)}
+		if keys[i].rarity != nanRarity {
+			// NaN rarity ends the comparison: only the index breaks its ties.
+			keys[i].requester, keys[i].id, keys[i].fresh = r.Requester, r.ID, !r.Carried
 		}
-		if a.Rarity != b.Rarity {
-			return cmp.Compare(b.Rarity, a.Rarity)
+	}
+	sortKeys(keys, o.buf)
+	// Position i takes the request keys[i].at names. The permutation is
+	// applied cycle by cycle, each key marked done (at = its position) as
+	// its request lands.
+	for i := range keys {
+		if int(keys[i].at) == i {
+			continue
 		}
-		if a.Carried != b.Carried {
-			if a.Carried {
-				return -1
+		first, j := reqs[i], i
+		for {
+			k := int(keys[j].at)
+			keys[j].at = int32(j)
+			if k == i {
+				reqs[j] = first
+				break
 			}
-			return 1
+			reqs[j] = reqs[k]
+			j = k
 		}
-		if a.Requester != b.Requester {
-			return cmp.Compare(a.Requester, b.Requester)
+	}
+}
+
+// sortKeys sorts keys by before, through buf of the same length: insertion
+// sort over short runs, then bottom-up merges, O(n log n) on any input
+// with the comparison inlined. The keys are distinct, so any correct sort
+// lands on the one order.
+func sortKeys(keys, buf []orderKey) {
+	const run = 12
+	n := len(keys)
+	for lo := 0; lo < n; lo += run {
+		hi := min(lo+run, n)
+		for i := lo + 1; i < hi; i++ {
+			k, j := keys[i], i
+			for ; j > lo && k.before(&keys[j-1]); j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
 		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	}
+	src, dst := keys, buf
+	for width := run; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j := lo, mid
+			for k := lo; k < hi; k++ {
+				if j == hi || i < mid && src[i].before(&src[j]) {
+					dst[k] = src[i]
+					i++
+				} else {
+					dst[k] = src[j]
+					j++
+				}
+			}
+		}
+		src, dst = dst, src
+	}
+	if n > 0 && &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // Evictions classifies the requests a supplier abandoned this round.
@@ -80,10 +205,10 @@ type ServeResult struct {
 // its backlog horizon this round; queueCap bounds the carry queue; any
 // request beyond both that cannot arrive after horizon (the end of the
 // current round) in time for its deadline is evicted rather than carried.
-// reqs is reordered in place; the carry queue is appended to queued (from
-// length zero; nil allocates fresh).
-func serve(reqs []Request, capacity, queueCap int, horizon sim.Time, queued []Request) ServeResult {
-	Order(reqs)
+// reqs is reordered in place through o; the carry queue is appended to
+// queued (from length zero; nil allocates fresh).
+func serve(reqs []Request, capacity, queueCap int, horizon sim.Time, queued []Request, o *orderScratch) ServeResult {
+	o.order(reqs)
 	res := ServeResult{Queued: queued[:0]}
 	if capacity < 0 {
 		capacity = 0
@@ -154,28 +279,83 @@ type ServeInput struct {
 }
 
 // ServeScratch is PlanServe's reusable working storage: one grow-only
-// request buffer a caller serving many suppliers (the simulator's serve
-// shards, a livenet peer across periods) recycles instead of
-// reallocating. A result's Granted slice aliases the scratch, so it is
-// valid only until the next PlanServe call through the same scratch —
-// exactly the consume-immediately lifetime both runtimes have. Queued is
-// never scratch-backed: it outlives the call inside carry queues (a caller
+// request buffer, the service-order keys, and the rarity memo, which a
+// caller serving many suppliers (the simulator's serve shards, a livenet
+// peer across periods) recycles instead of reallocating. A result's
+// Granted slice aliases the scratch, so it is valid only until the next
+// PlanServe call through the same scratch — exactly the
+// consume-immediately lifetime both runtimes have. Queued is never
+// scratch-backed: it outlives the call inside carry queues (a caller
 // recycling its own queue storage passes ServeInput.QueueInto).
 type ServeScratch struct {
-	reqs []Request
+	reqs   []Request
+	order  orderScratch
+	rarity rarityMemo
+}
+
+// rarityMemo remembers, for one PlanServe call, which request first
+// carried each segment, so ServeInput.Rarity is evaluated once per
+// distinct segment and later requests copy that request's Rarity: an
+// open-addressed table of request indices keyed by segment, at most half
+// full, stamped with the call's epoch so no call has to clear it.
+type rarityMemo struct {
+	at    []int32
+	stamp []uint32
+	epoch uint32
+	shift uint
+}
+
+// begin opens the memo for a call evaluating at most n distinct segments.
+func (m *rarityMemo) begin(n int) {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	if 1<<bits > len(m.at) {
+		m.at = make([]int32, 1<<bits)
+		m.stamp = make([]uint32, 1<<bits)
+		m.epoch = 0
+	}
+	for 1<<bits < len(m.at) {
+		bits++
+	}
+	m.shift = 64 - bits
+	m.epoch++
+	if m.epoch == 0 { // wrapped: stamps from the old era could alias
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+// get returns the rarity of reqs[i]'s segment: the Rarity of the first
+// request for it this call, or, for the first, rarity's answer, which the
+// caller stores in reqs[i].Rarity before the next get.
+func (m *rarityMemo) get(reqs []Request, i int, rarity func(segment.ID) float64) float64 {
+	id := reqs[i].ID
+	mask := uint64(len(m.at) - 1)
+	for s := uint64(id) * 0x9e3779b97f4a7c15 >> m.shift; ; s = (s + 1) & mask {
+		if m.stamp[s] != m.epoch {
+			m.at[s], m.stamp[s] = int32(i), m.epoch
+			return rarity(id)
+		}
+		if r := &reqs[m.at[s]]; r.ID == id {
+			return r.Rarity
+		}
+	}
 }
 
 // PlanServe runs one supplier's full engine-profile scheduling period as
 // a pure decision: revalidate the carry queue against membership and
 // buffer drift, merge the surviving entries with this round's fresh asks
 // (re-asks that match a carried twin are deduplicated into it), attach
-// supplier-side rarity, and run the earliest-deadline-first service
-// discipline with bounded carry. Both the simulator's serveSupplier
-// driver and the livenet peer serve path call it — the decision is the
-// shared protocol; only the input assembly differs. See ServeScratch for
-// the aliasing contract.
+// supplier-side rarity — evaluated once per distinct segment — and run
+// the earliest-deadline-first service discipline with bounded carry.
+// Both the simulator's serveSupplier and the livenet peer's serve path
+// call it — the decision is the shared protocol; only the input
+// assembly differs. See ServeScratch for the aliasing contract.
 func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 	reqs := sc.reqs[:0]
+	sc.rarity.begin(len(in.Carried) + len(in.Fresh))
 	var stale int64
 	for _, c := range in.Carried {
 		// Revalidate: the requester may have died, the segment may have
@@ -195,11 +375,9 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 			continue
 		}
 		reqs = append(reqs, c)
+		reqs[len(reqs)-1].Rarity = sc.rarity.get(reqs, len(reqs)-1, in.Rarity)
 	}
 	carried := len(reqs)
-	for i := range reqs {
-		reqs[i].Rarity = in.Rarity(reqs[i].ID)
-	}
 	for _, a := range in.Fresh {
 		// The surviving carried entries form the dedupe set: a fresh
 		// re-ask matching one merges into its queued twin and shares its
@@ -216,15 +394,11 @@ func PlanServe(in ServeInput, sc *ServeScratch) ServeResult {
 		if dup {
 			continue
 		}
-		reqs = append(reqs, Request{
-			Requester: a.Requester,
-			ID:        a.ID,
-			Deadline:  a.Deadline,
-			Rarity:    in.Rarity(a.ID),
-		})
+		reqs = append(reqs, Request{Requester: a.Requester, ID: a.ID, Deadline: a.Deadline})
+		reqs[len(reqs)-1].Rarity = sc.rarity.get(reqs, len(reqs)-1, in.Rarity)
 	}
 	sc.reqs = reqs
-	res := serve(reqs, in.Capacity, in.QueueCap, in.Horizon, in.QueueInto)
+	res := serve(reqs, in.Capacity, in.QueueCap, in.Horizon, in.QueueInto, &sc.order)
 	res.Evicted.Stale += stale
 	return res
 }

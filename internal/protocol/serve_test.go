@@ -48,7 +48,7 @@ func TestServeGrantsCapacityThenQueues(t *testing.T) {
 		{Requester: 4, ID: 13, Deadline: 500}, // earliest deadline: granted first
 		{Requester: 5, ID: 14, Deadline: 8000},
 	}
-	res := serve(reqs, 2, 1, 1000, nil)
+	res := serve(reqs, 2, 1, 1000, nil, new(orderScratch))
 	if len(res.Granted) != 2 || res.Granted[0].ID != 13 || res.Granted[1].ID != 10 {
 		t.Fatalf("granted %+v, want EDF order [13 10]", res.Granted)
 	}
@@ -67,7 +67,7 @@ func TestServeEvictsPastDeadline(t *testing.T) {
 		{Requester: 1, ID: 10, Deadline: 900},
 		{Requester: 2, ID: 11, Deadline: 950},
 	}
-	res := serve(reqs, 0, 8, 1000, nil)
+	res := serve(reqs, 0, 8, 1000, nil, new(orderScratch))
 	if len(res.Granted) != 0 || len(res.Queued) != 0 {
 		t.Fatalf("granted %d queued %d, want none", len(res.Granted), len(res.Queued))
 	}
