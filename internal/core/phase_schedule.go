@@ -130,30 +130,12 @@ func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
 					RarityNoise:   w.cfg.RarityNoise,
 				}
 				reqs := w.policy.Schedule(in)
+				// NoteRequested only adds to the supplier's row, and the
+				// controller keeps its rows sorted by ID, so the order the
+				// asks are tallied in cannot matter.
 				for _, req := range reqs {
 					n.seg.MarkGossip(req.ID, round+pendingExpiryRounds, now+req.ExpectedAt)
-				}
-				// Per-supplier ask tallies, grouped without a map: a node's
-				// requests name only a handful of suppliers, so the nested
-				// scan stays cheap and the notification order (first
-				// appearance) is deterministic.
-				for j, req := range reqs {
-					count := 0
-					for k := j; k < len(reqs); k++ {
-						if reqs[k].Supplier == req.Supplier {
-							count++
-						}
-					}
-					seen := false
-					for k := 0; k < j; k++ {
-						if reqs[k].Supplier == req.Supplier {
-							seen = true
-							break
-						}
-					}
-					if !seen {
-						n.Ctrl.NoteRequested(req.Supplier, count)
-					}
+					n.Ctrl.NoteRequested(req.Supplier, 1)
 				}
 				//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
 				out[i] = reqs

@@ -265,6 +265,7 @@ func (w *World) serveSupplier(ar *roundArena, sup overlay.NodeID, fresh []transf
 		RequesterAlive: ctx.requesterAlive,
 		RequesterHas:   ctx.requesterHas,
 		Rarity:         ctx.rarity,
+		QueueInto:      sn.carry[:0],
 	}, &ar.serve)
 	sn.carry = res.Queued
 	return res

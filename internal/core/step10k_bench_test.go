@@ -163,11 +163,11 @@ func sampleFingerprint(w *World) string {
 // few more rounds: the fingerprint covers every counter of every round, so
 // a refactor of Config, DefaultConfig, any default value or any phase that
 // moves one of them fails the row by name; the ceilings sit 20 % above the
-// level measured when they were set (Step1k 1 542 allocs and 0.52 MB per
-// round, under -race 1 640 and 0.52 MB, once the hand-off lists were sized
-// to the round; Step10k 11 047 / 11 131 / 11 187 allocs at 1/4/8 workers,
-// under -race 12 007 / 12 094 / 12 149, which the margin absorbs, and
-// 4.75 MB per round, 4.78 under -race). When a change means to move a
+// level measured when they were set (Step1k 1 279 allocs and 0.41 MB per
+// round, under -race 1 385 and 0.41 MB, once each supplier rebuilt its
+// carry queue in place; Step10k 8 804 / 8 912 / 8 984 allocs at 1/4/8
+// workers, under -race 9 774 / 9 888 / 9 954, which the margin absorbs,
+// and 3.81 MB per round, 3.85 under -race). When a change means to move a
 // fingerprint or a ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	const step10k = "dddfc5521a99ec03"
@@ -185,10 +185,10 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1850, 622_000, nil},
-		{"Step10k-w1", 10000, 1, 2, step10k, "", 13424, 5_696_000, phaseCeilings},
-		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 13424, 5_696_000, nil},
-		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 13424, 5_696_000, nil},
+		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1535, 489_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 10781, 4_572_000, phaseCeilings},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10781, 4_572_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10781, 4_572_000, nil},
 	}
 	measured := map[string]string{}
 	for _, row := range rows {

@@ -35,11 +35,11 @@ type Options struct {
 	StableTail int
 	// Sizes is the network-size sweep (Figures 7, 8, 9, 11).
 	Sizes []int
-	// Par caps how many sweep points run concurrently (0 = GOMAXPROCS,
-	// 1 = sequential). Each point is an independent simulation seeded by
-	// its own configuration and results are committed in point order, so
-	// every table is byte-identical at any setting. Memory-heavy points
-	// occupy proportionally more of the cap (see memWeight).
+	// Par is how many workers of the sweep's sim.Pool run points
+	// concurrently (0 = GOMAXPROCS, 1 = sequential). Each point is an
+	// independent simulation seeded by its own configuration and results
+	// are committed in point order, so every table is byte-identical at
+	// any setting.
 	Par int
 }
 

@@ -74,12 +74,11 @@ type peer struct {
 	overheard []int32
 	ctrl      *bandwidth.Controller
 	alpha     *prefetch.Alpha
-	// carry is the supplier-side bounded carry queue and carrySpare the
-	// storage the next one is built into (the two alternate); asks holds
-	// the fresh requests accumulated since the last serve, asksSpare the
-	// emptied list the serve pass swaps in.
-	carry, carrySpare []protocol.Request
-	asks, asksSpare   []protocol.Ask
+	// carry is the supplier-side bounded carry queue, rebuilt in place by
+	// each serve; asks holds the fresh requests accumulated since the last
+	// serve, asksSpare the emptied list the serve pass swaps in.
+	carry           []protocol.Request
+	asks, asksSpare []protocol.Ask
 
 	curPeriod int
 	pos       segment.ID
@@ -681,12 +680,12 @@ func (p *peer) servePeriod(now int) {
 	var res protocol.ServeResult
 	if p.cfg.Engine {
 		in := &p.serveIn
-		in.Carried, in.Fresh, in.QueueInto = p.carry, asks, p.carrySpare
+		in.Carried, in.Fresh, in.QueueInto = p.carry, asks, p.carry[:0]
 		in.Capacity = p.up.Spare()
 		in.QueueCap = p.cfg.QueueFactor * p.outbound()
 		in.Horizon = sim.Time(now)
 		res = protocol.PlanServe(*in, &p.sc.serve)
-		p.carry, p.carrySpare = res.Queued, p.carry[:0]
+		p.carry = res.Queued
 		p.st.QueueCarried += int64(len(res.Queued))
 	} else {
 		reqs := make([]protocol.Request, len(asks))

@@ -13,8 +13,8 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// orderReference is the service order as Order computed it before it
-// sorted precomputed keys: a stable sort of whole Requests under the
+// orderReference is the service order as it was computed before the sort
+// ran on precomputed keys: a stable sort of whole Requests under the
 // five-key comparator.
 func orderReference(reqs []Request) {
 	slices.SortStableFunc(reqs, func(a, b Request) int {
@@ -66,10 +66,10 @@ func randomRequests(rng *rand.Rand, n int) []Request {
 	return reqs
 }
 
-// TestOrderMatchesStableComparator holds Order to the retired stable
-// comparator sort over random requests of every size the insertion and
-// quicksort paths take, compared field by field (NaN equal to NaN) so the
-// Expected each request carries must travel with it.
+// TestOrderMatchesStableComparator holds orderScratch.order to the retired
+// stable comparator sort over random requests of every size the insertion
+// and quicksort paths take, compared field by field (NaN equal to NaN) so
+// the Expected each request carries must travel with it.
 func TestOrderMatchesStableComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var o orderScratch
@@ -79,7 +79,7 @@ func TestOrderMatchesStableComparator(t *testing.T) {
 		orderReference(want)
 		got := slices.Clone(reqs)
 		if trial%2 == 0 {
-			Order(got)
+			new(orderScratch).order(got)
 		} else {
 			o.order(got) // the reused scratch PlanServe sorts through
 		}
@@ -103,57 +103,21 @@ func TestOrderMatchesStableComparator(t *testing.T) {
 // evaluation gives it.
 func TestPlanServeRarityOncePerSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rarityOf := func(id segment.ID) float64 { return 1 / float64(2+uint64(id)%1000003) }
 	var sc ServeScratch
 	for trial := 0; trial < 200; trial++ {
-		// Segments from a window, as both runtimes ask, or scattered over
-		// the whole ID range, so the memo's table sees colliding slots.
-		pool := make([]segment.ID, 30)
-		for i := range pool {
-			pool[i] = segment.ID(100 + i)
-			if trial%2 == 1 {
-				pool[i] = segment.ID(rng.Uint64())
-			}
-		}
-		var carried []Request
-		for i := rng.Intn(12); i > 0; i-- {
-			carried = append(carried, Request{
-				Requester: overlay.NodeID(rng.Intn(6)),
-				ID:        pool[rng.Intn(len(pool))],
-				Deadline:  sim.Time(1000 + rng.Intn(3)*1000),
-				Carried:   true,
-			})
-		}
-		var fresh []Ask
-		for i := rng.Intn(60); i > 0; i-- {
-			fresh = append(fresh, Ask{
-				Requester: overlay.NodeID(rng.Intn(6)),
-				ID:        pool[rng.Intn(len(pool))],
-				Deadline:  sim.Time(1000 + rng.Intn(3)*1000),
-			})
-		}
+		in := randomServeInput(rng, trial)
 		calls := map[segment.ID]int{}
-		in := ServeInput{
-			Carried:        carried,
-			Fresh:          fresh,
-			Capacity:       rng.Intn(len(carried) + len(fresh) + 1),
-			QueueCap:       8,
-			Horizon:        1500,
-			SupplierHas:    func(id segment.ID) bool { return id%7 != 0 },
-			RequesterAlive: func(r overlay.NodeID) bool { return r != 5 },
-			RequesterHas:   func(r overlay.NodeID, id segment.ID) bool { return int(r)+int(id)%5 == 0 },
-			Rarity: func(id segment.ID) float64 {
-				calls[id]++
-				return rarityOf(id)
-			},
+		in.Rarity = func(id segment.ID) float64 {
+			calls[id]++
+			return serveRarity(id)
 		}
 		PlanServe(in, &sc)
 
 		attached := map[segment.ID]bool{}
 		for _, r := range sc.reqs { // every request PlanServe attached a rarity to
 			attached[r.ID] = true
-			if r.Rarity != rarityOf(r.ID) {
-				t.Fatalf("trial %d: segment %d served with rarity %v, per-ask evaluation %v", trial, r.ID, r.Rarity, rarityOf(r.ID))
+			if r.Rarity != serveRarity(r.ID) {
+				t.Fatalf("trial %d: segment %d served with rarity %v, per-ask evaluation %v", trial, r.ID, r.Rarity, serveRarity(r.ID))
 			}
 		}
 		evaluated := sortedKeys(calls)
@@ -168,10 +132,78 @@ func TestPlanServeRarityOncePerSegment(t *testing.T) {
 
 		// The same input through the retired per-ask evaluation and stable
 		// sort reaches the same decision.
-		in.Rarity = rarityOf
+		in.Rarity = serveRarity
 		if got, want := PlanServe(in, &sc), planServeReference(in); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: served %+v, the per-ask reference %+v", trial, got, want)
 		}
+	}
+}
+
+// TestPlanServeQueueIntoAliasesCarried holds PlanServe to the reference
+// decision when the carry queue is rebuilt in its own storage — QueueInto
+// is Carried[:0], as both runtimes pass it — so writing Queued can never
+// clobber a carried request before PlanServe has read it.
+func TestPlanServeQueueIntoAliasesCarried(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var sc ServeScratch
+	for trial := 0; trial < 200; trial++ {
+		in := randomServeInput(rng, trial)
+		want := planServeReference(in)
+		in.Carried = slices.Clone(in.Carried)
+		in.QueueInto = in.Carried[:0]
+		got := PlanServe(in, &sc)
+		if len(got.Queued) == 0 {
+			got.Queued = nil // the reference queues into nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: served %+v in the carried storage, the reference %+v", trial, got, want)
+		}
+	}
+}
+
+// serveRarity is the supplier-side rarity randomServeInput's segments
+// carry: distinct per segment, so the service order depends on it.
+func serveRarity(id segment.ID) float64 { return 1 / float64(2+uint64(id)%1000003) }
+
+// randomServeInput draws one supplier's round: up to 11 carried requests
+// and 59 fresh asks from six requesters, with segments from a window, as
+// both runtimes ask, on even trials, or scattered over the whole ID range
+// on odd ones, so the rarity memo's table sees colliding slots.
+func randomServeInput(rng *rand.Rand, trial int) ServeInput {
+	pool := make([]segment.ID, 30)
+	for i := range pool {
+		pool[i] = segment.ID(100 + i)
+		if trial%2 == 1 {
+			pool[i] = segment.ID(rng.Uint64())
+		}
+	}
+	var carried []Request
+	for i := rng.Intn(12); i > 0; i-- {
+		carried = append(carried, Request{
+			Requester: overlay.NodeID(rng.Intn(6)),
+			ID:        pool[rng.Intn(len(pool))],
+			Deadline:  sim.Time(1000 + rng.Intn(3)*1000),
+			Carried:   true,
+		})
+	}
+	var fresh []Ask
+	for i := rng.Intn(60); i > 0; i-- {
+		fresh = append(fresh, Ask{
+			Requester: overlay.NodeID(rng.Intn(6)),
+			ID:        pool[rng.Intn(len(pool))],
+			Deadline:  sim.Time(1000 + rng.Intn(3)*1000),
+		})
+	}
+	return ServeInput{
+		Carried:        carried,
+		Fresh:          fresh,
+		Capacity:       rng.Intn(len(carried) + len(fresh) + 1),
+		QueueCap:       8,
+		Horizon:        1500,
+		SupplierHas:    func(id segment.ID) bool { return id%7 != 0 },
+		RequesterAlive: func(r overlay.NodeID) bool { return r != 5 },
+		RequesterHas:   func(r overlay.NodeID, id segment.ID) bool { return int(r)+int(id)%5 == 0 },
+		Rarity:         serveRarity,
 	}
 }
 

@@ -10,18 +10,6 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// Order sorts requests into the supplier-side service order: earliest
-// deadline first (the serve-side analogue of the requesting-priority
-// urgency term — 1/slack is monotone in the deadline, so EDF and
-// descending equation-(1) urgency agree), rarest first among equal
-// deadlines, carried-before-new among equal rarities (a queued request
-// has already waited a round), then (requester, segment) for full
-// determinism. Requests equal on all five keys keep their input order.
-func Order(reqs []Request) {
-	var o orderScratch
-	o.order(reqs)
-}
-
 // orderKey is one request's place in the service order, computed once so
 // the sort compares flat integers instead of whole Requests: deadline,
 // rarity (rarityKey), carried first, requester, segment, and last the
@@ -78,13 +66,19 @@ func (a *orderKey) before(b *orderKey) bool {
 	return a.at < b.at
 }
 
-// orderScratch is Order's reusable working storage: the keys and the
-// merge buffer.
+// orderScratch is the service order's reusable working storage: the keys
+// and the merge buffer.
 type orderScratch struct {
 	keys, buf []orderKey
 }
 
-// order sorts reqs in place into the service order (see Order).
+// order sorts reqs in place into the supplier-side service order:
+// earliest deadline first (the serve-side analogue of the
+// requesting-priority urgency term — 1/slack is monotone in the deadline,
+// so EDF and descending equation-(1) urgency agree), rarest first among
+// equal deadlines, carried-before-new among equal rarities (a queued
+// request has already waited a round), then (requester, segment) for full
+// determinism. Requests equal on all five keys keep their input order.
 func (o *orderScratch) order(reqs []Request) {
 	if len(reqs) > math.MaxInt32 {
 		panic("protocol: too many requests to order")
@@ -271,10 +265,10 @@ type ServeInput struct {
 	// supplier's own neighbours' advertised maps (SupplierRarity).
 	Rarity func(segment.ID) float64
 	// QueueInto, when non-nil, is the storage the result's Queued is
-	// appended to (from length zero) instead of a fresh slice: a caller
-	// that owns a single carry queue — a livenet peer — alternates two
-	// buffers between Carried and QueueInto and never allocates. It must
-	// not alias Carried.
+	// appended to (from length zero) instead of a fresh slice. It may
+	// alias Carried — PlanServe copies Carried into its scratch before it
+	// writes Queued — so a caller that owns a carry queue passes that
+	// queue's own storage, Carried[:0], and rebuilds it in place.
 	QueueInto []Request
 }
 

@@ -17,7 +17,7 @@ func TestOrderEDFThenRarity(t *testing.T) {
 		{Requester: 7, ID: 21, Deadline: 2000, Rarity: 0.8},
 		{Requester: 1, ID: 22, Deadline: 2000, Rarity: 0.8, Carried: true},
 	}
-	Order(reqs)
+	new(orderScratch).order(reqs)
 	// Earliest deadline first; rarity breaks the 2000 tie; carried beats
 	// new at equal rarity.
 	wantIDs := []segment.ID{10, 22, 21, 20, 30}

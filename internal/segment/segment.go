@@ -15,10 +15,6 @@ import (
 // generation order, so comparisons on IDs are comparisons on stream time.
 type ID int64
 
-// None is the sentinel "no segment" value used where an optional ID is
-// needed (e.g. empty buffers).
-const None ID = -1
-
 // String renders the ID for logs and error messages.
 func (id ID) String() string { return fmt.Sprintf("seg#%d", int64(id)) }
 

@@ -7,10 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a reusable goroutine worker pool for the bulk-synchronous round
-// phases. Each phase fans a pure per-index function out over the node set
-// and waits for all workers; because every worker writes only to its own
-// index's state, the result is independent of interleaving and therefore
+// Pool is the module's one goroutine worker pool. The bulk-synchronous
+// round phases fan a pure per-index function out over the node set, and
+// the experiment sweeps fan their independent simulations out over the
+// sweep points; either way every call writes only its own index's state,
+// so the result is independent of interleaving and therefore
 // deterministic for a fixed seed.
 type Pool struct {
 	workers int
