@@ -1,6 +1,8 @@
 // Command continusim regenerates the paper's tables and figures from the
 // simulation. Select an experiment with -experiment; "all" runs the whole
-// evaluation section. -scenario instead runs one named public-API
+// evaluation section, simulating a point several figures share once, and
+// -experiment X alone prints the same bytes as X's part of "all".
+// -scenario instead runs one named public-API
 // scenario (the same constructors library callers use), with an optional
 // population suffix or -nodes override — the path CI's scale smoke and
 // ad-hoc big runs go through. Every protocol flag is bound to the field of

@@ -20,7 +20,11 @@ import (
 // plus the shape of the sweep itself. Benchmarks use reduced sizes to stay
 // fast; cmd/continusim binds its flags to these fields and defaults to the
 // paper's full sweep. DefaultOptions is the only defaults mechanism: a zero
-// field is a zero.
+// field is a zero. DefaultOptions also opens a record of simulated points
+// (see runAll) that its copies share, so the drivers of a sweep simulate
+// each distinct point once and the copies drive one sweep at a time; a
+// zero Options{} has none. A loaded Churn.Trace must not be mutated after
+// a run: the record holds it by pointer.
 type Options struct {
 	// Config is the base every run copies (see ConfigFor): Seed, Workers,
 	// the playback delay, the engine knobs and the rest of the §5.2 table.
@@ -40,7 +44,8 @@ type Options struct {
 	// independent simulation seeded by its own configuration and results
 	// are committed in point order, so every table is byte-identical at
 	// any setting.
-	Par int
+	Par  int
+	runs *[]ran
 }
 
 // DefaultOptions mirrors the paper's settings.
@@ -53,6 +58,7 @@ func DefaultOptions() Options {
 		StableTail: 10,
 		Sizes:      []int{100, 500, 1000, 2000, 4000, 8000},
 		Par:        1,
+		runs:       new([]ran),
 	}
 }
 
