@@ -7,7 +7,7 @@
 //
 //	maporder      no range over a map in simulated paths
 //	wallclock     no wall clock / global math/rand in simulated paths
-//	shardcapture  sim.MapReduce map funcs write only shard-owned state
+//	shardcapture  sim.ForShards shard funcs write only shard-owned state
 //	wirebounds    wire-decoded lengths are bounds-checked before allocation
 //
 // Usage:

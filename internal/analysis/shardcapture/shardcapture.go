@@ -1,10 +1,10 @@
 // Package shardcapture guards the shard-ownership contract of
-// sim.MapReduce: a map function runs concurrently with every other
-// shard's map function, so it may mutate only state its shard owns.
-// Writes to captured outer variables are legal only through an index
-// chain that mentions the map function's shard argument (the
-// `w.arenas[s]` partition idiom); everything else must flow back
-// through the sequential reduce function. The dedicated -race CI job
+// sim.ForShards: a shard function runs concurrently with every other
+// shard's, so it may mutate only state its shard owns. Writes to
+// captured outer variables are legal only through an index chain that
+// mentions the shard function's shard argument (the `w.arenas[s]`
+// partition idiom); a per-shard result goes to the shard's own slot for
+// the caller to fold after the call. The dedicated -race CI job
 // exercises this contract only probabilistically — two shards racing on
 // a captured counter can pass -race for months — while this analyzer
 // sees the capture statically.
@@ -25,28 +25,28 @@ import (
 )
 
 // Analyzer is the shardcapture pass. It applies everywhere: calling
-// sim.MapReduce with a leaky map function is a bug in any package.
+// sim.ForShards with a leaky shard function is a bug in any package.
 var Analyzer = &analysis.Analyzer{
 	Name: "shardcapture",
-	Doc:  "flags sim.MapReduce map funcs that write captured variables outside their shard",
+	Doc:  "flags sim.ForShards shard funcs that write captured variables outside their shard",
 	Run:  run,
 }
 
-// mapFnArg is the position of the map function in sim.MapReduce's
-// signature: (pool, shards, mapFn, reduce).
-const mapFnArg = 2
+// shardFnArg is the position of the shard function in sim.ForShards's
+// signature: (pool, shards, fn).
+const shardFnArg = 2
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 4 {
+			if !ok || len(call.Args) != shardFnArg+1 {
 				return true
 			}
-			if !isMapReduce(pass, call.Fun) {
+			if !isForShards(pass, call.Fun) {
 				return true
 			}
-			lit, ok := ast.Unparen(call.Args[mapFnArg]).(*ast.FuncLit)
+			lit, ok := ast.Unparen(call.Args[shardFnArg]).(*ast.FuncLit)
 			if !ok {
 				return true // a named function cannot capture locals
 			}
@@ -57,30 +57,28 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isMapReduce resolves fn to the MapReduce function of the sim package
+// isForShards resolves fn to the ForShards function of the sim package
 // (matched by path suffix so the analysistest fixtures' stand-in
 // qualifies too).
-func isMapReduce(pass *analysis.Pass, fn ast.Expr) bool {
+func isForShards(pass *analysis.Pass, fn ast.Expr) bool {
 	var id *ast.Ident
 	switch fn := ast.Unparen(fn).(type) {
 	case *ast.Ident:
 		id = fn
 	case *ast.SelectorExpr:
 		id = fn.Sel
-	case *ast.IndexExpr: // explicit instantiation: sim.MapReduce[T](...)
-		return isMapReduce(pass, fn.X)
 	default:
 		return false
 	}
 	obj, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || obj.Name() != "MapReduce" || obj.Pkg() == nil {
+	if !ok || obj.Name() != "ForShards" || obj.Pkg() == nil {
 		return false
 	}
 	return analysis.PathHasSuffix(obj.Pkg().Path(), "internal/sim") ||
 		obj.Pkg().Path() == "sim"
 }
 
-// check walks one map function literal for writes that escape the shard.
+// check walks one shard function literal for writes that escape the shard.
 func check(pass *analysis.Pass, lit *ast.FuncLit) {
 	var shardObj types.Object
 	if params := lit.Type.Params.List; len(params) > 0 && len(params[0].Names) > 0 {
@@ -146,7 +144,7 @@ loop:
 		return
 	}
 	pass.Reportf(target.Pos(),
-		"sim.MapReduce map func writes captured %q: map funcs own only their shard — index the write by the shard argument or return the value through the reduce func",
+		"sim.ForShards shard func writes captured %q: shard funcs own only their shard — index the write by the shard argument, such as the shard's own slot or arena",
 		id.Name)
 }
 

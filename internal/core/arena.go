@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"continustreaming/internal/dht"
+	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
 	"continustreaming/internal/protocol"
@@ -134,6 +135,20 @@ type roundArena struct {
 	// range — node × segment × replica order, consumed by the claim stage
 	// in the same round.
 	walks []prefetch.Walk
+
+	// counts is this shard's partial of the round's metric counters: a
+	// counting phase (serve, apply, playback) resets it, fills it from its
+	// shard's own nodes, and World.foldCounts adds it into the round's
+	// sample in ascending shard order.
+	counts metrics.RoundSample
+}
+
+// foldCounts adds every shard's counts into sample in ascending shard
+// order. Sequential code only, after a counting phase's ForShards.
+func (w *World) foldCounts(sample *metrics.RoundSample) {
+	for s := range w.arenas {
+		sample.Add(w.arenas[s].counts)
+	}
 }
 
 // handoff is one producing shard's list of one hand-off stream for the
@@ -226,7 +241,7 @@ type roundLists struct {
 // layout carves every producer's list of one hand-off stream from p once
 // all of them have reserved their segments, and turns each producer's
 // reservations into offsets with empty fill cursors. Sequential code only,
-// between the reserving and the filling MapReduce calls.
+// between the reserving and the filling ForShards calls.
 func layout[T any](p *pool[T], arenas []roundArena, list func(*roundArena) *handoff[T]) {
 	total := 0
 	for s := range arenas {
@@ -361,7 +376,7 @@ func groupAsks(arenas []roundArena, s int, rank []int32) {
 // counts into run offsets in groupCnt, and returns their total — the size
 // of the grouped copy (applyBucket) eachReceiverRun fills. The sources are
 // a cross-shard read of serve output, sequenced by the barrier between
-// the serve and apply MapReduce calls.
+// the serve and apply ForShards calls.
 func countArrivals(arenas []roundArena, s int, rank []int32, end sim.Time) int {
 	ar := &arenas[s]
 	cnt := ar.groupCnt

@@ -112,12 +112,6 @@ type Config struct {
 	Profile Profile
 	// Seed drives all randomness.
 	Seed uint64
-	// WarmupRounds is how long after joining a node is excluded from the
-	// warm continuity metric (metrics.RoundSample.ContinuityWarm): a
-	// joiner needs a round or two of catch-up before its misses say
-	// anything about dissemination quality. It only affects reporting,
-	// never scheduling.
-	WarmupRounds int
 	// Workers caps the worker-pool width of the parallel round phases;
 	// <= 0 selects GOMAXPROCS. The sharded pipeline's shard count is fixed
 	// independently of this, so results are bit-identical for a fixed seed
@@ -150,7 +144,6 @@ func DefaultConfig(n int) Config {
 		PlaybackDelaySegments: 65,
 		Profile:               ProfileContinuStreaming(),
 		Seed:                  1,
-		WarmupRounds:          d.WarmupRounds,
 	}
 }
 
@@ -185,9 +178,6 @@ func (c Config) Validate() error {
 	}
 	if c.PlaybackDelaySegments < 0 {
 		return fmt.Errorf("core: negative playback delay %d segments", c.PlaybackDelaySegments)
-	}
-	if c.WarmupRounds < 0 {
-		return fmt.Errorf("core: negative warmup rounds %d", c.WarmupRounds)
 	}
 	if c.fetchSpan() > c.BufferSegments {
 		// The window opens at the playback position, so a longer delay

@@ -61,8 +61,8 @@ type Node struct {
 	Started bool
 	// JoinedRound records when the node entered the overlay (-1 for the
 	// initial population, which is warm by construction). Nodes within
-	// Config.WarmupRounds of joining are excluded from the warm
-	// continuity metric.
+	// warmupRounds of joining are excluded from the warm continuity
+	// metric.
 	JoinedRound int
 
 	// seg tracks the per-segment state (pending requests, in-flight
@@ -108,6 +108,12 @@ type Node struct {
 // pendingExpiryRounds is how many rounds a request stays pending before the
 // node gives up and becomes willing to re-request the segment.
 const pendingExpiryRounds = 2
+
+// warmupRounds is how long after joining a node is excluded from the warm
+// continuity metric (RoundSample.WarmNodes): a joiner needs a round or two
+// of catch-up before its misses say anything about dissemination quality.
+// It only affects reporting, never scheduling.
+const warmupRounds = 2
 
 // predictExcluded reports whether the Urgent Line should skip id: a
 // pre-fetch is already in flight, or a gossip request exists whose

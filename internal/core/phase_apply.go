@@ -18,12 +18,11 @@ import (
 // per receiver (countArrivals); sequential code carves each shard's
 // grouped copy from the world's pool at that size; the second stage
 // places them grouped by receiver, each receiver's run in canonical order
-// (eachReceiverRun), and applies them while accumulating into a private
-// metric sample; the per-shard samples are folded in shard order
-// afterwards. A receiver belongs to exactly one shard, so
-// all per-node mutation stays shard-local, and because compareArrival is
-// a total order the outcome does not depend on the order the arrivals
-// were collected in.
+// (eachReceiverRun), and applies them while counting into the shard's
+// arena; foldCounts adds the shards' counts in shard order afterwards. A
+// receiver belongs to exactly one shard, so all per-node mutation stays
+// shard-local, and because compareArrival is a total order the outcome
+// does not depend on the order the arrivals were collected in.
 func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	end := clock.RoundEnd()
 	pos := w.playbackPos(w.round)
@@ -31,32 +30,25 @@ func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	segBits := w.cfg.Stream.BitsPerSegment
 	now := clock.Now()
 	var due [phaseShards]int
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) int { return countArrivals(w.arenas, s, w.shardRank, end) },
-		func(s, n int) { due[s] = n })
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		due[s] = countArrivals(w.arenas, s, w.shardRank, end)
+	})
 	carveGroups(&w.lists.due, w.arenas, &due, func(ar *roundArena) *[]delivery { return &ar.applyBucket })
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) metrics.RoundSample {
-			var local metrics.RoundSample
-			eachReceiverRun(w.arenas, s, w.shardRank, end, func(run []delivery) {
-				if n := w.nodes[run[0].to]; n != nil {
-					w.applyToReceiver(n, run, pos, p, segBits, now, &local)
-				}
-			})
-			return local
-		},
-		func(_ int, local metrics.RoundSample) {
-			sample.DataBits += local.DataBits
-			sample.PrefetchDataBits += local.PrefetchDataBits
-			sample.Deliveries += local.Deliveries
-			sample.Prefetches += local.Prefetches
-			sample.Overdue += local.Overdue
-			sample.Repeated += local.Repeated
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		c := &w.arenas[s].counts
+		*c = metrics.RoundSample{}
+		eachReceiverRun(w.arenas, s, w.shardRank, end, func(run []delivery) {
+			if n := w.nodes[run[0].to]; n != nil {
+				w.applyToReceiver(n, run, pos, p, segBits, now, c)
+			}
 		})
+	})
+	w.foldCounts(sample)
 }
 
 // applyToReceiver ingests one receiver's ordered arrivals, accumulating the
-// traffic counters into local. Only the shard owning the receiver calls it.
+// traffic counters into local, its shard's counts. Only the shard owning
+// the receiver calls it.
 func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, segBits int64, now sim.Time, local *metrics.RoundSample) {
 	for _, d := range ds {
 		id, at := segment.ID(d.id), sim.Time(d.at)
@@ -102,78 +94,70 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 }
 
 // playbackPhase evaluates the continuity metric, starts nodes whose
-// buffers have caught up, and applies α feedback.
+// buffers have caught up, and applies α feedback. Nodes fan out over
+// contiguous index ranges, each shard counting its own nodes into its
+// arena; foldCounts adds the shards' counts in shard order.
+//
+// The warm variant excludes nodes still inside their post-join warm-up
+// window — the joiner ramp-up drag that the plain metric charges against
+// the protocol. A round-r joiner is first evaluated here in round r+1, so
+// warmth begins strictly after warmupRounds evaluated rounds (round -
+// joined > warmupRounds); the initial population (JoinedRound -1) is warm
+// from the start — the world is constructed converged, so its first rounds
+// are not catch-up. In practice warm continuity sits at or above the plain
+// metric (excluded joiners almost never play continuously), but that is an
+// empirical tendency, not an enforced invariant: a joiner that catches up
+// instantly counts in the plain numerator while excluded from the warm
+// one.
 func (w *World) playbackPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	pos := w.playbackPos(w.round)
 	p := w.cfg.Stream.Rate
 	roundEnd := clock.RoundEnd()
 	playingBegun := w.virtualPos(w.round) >= 0
-	type result struct {
-		playing    bool
-		continuous bool
-	}
-	results := make([]result, len(w.order))
-	w.pool.ForEach(len(w.order), func(i int) {
-		n := w.seq[i]
-		if n.IsSource {
-			return
-		}
-		if !n.Started && playingBegun && n.Buf.Has(pos) {
-			n.Started = true
-		}
-		results[i].playing = n.Started
-		if n.Started {
-			// The node played this round continuously iff every due
-			// segment arrived by the end of the round it played in.
-			continuous := true
-			for off := 0; off < p; off++ {
-				if !n.arrivedInTime(pos+segment.ID(off), roundEnd) {
-					continuous = false
-					break
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		c := &w.arenas[r].counts
+		*c = metrics.RoundSample{}
+		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
+		for _, n := range w.seq[lo:hi] {
+			if n.IsSource {
+				continue
+			}
+			c.PlayingNodes++ // denominator: every alive non-source node
+			warm := n.JoinedRound < 0 || w.round-n.JoinedRound > warmupRounds
+			if warm {
+				c.WarmNodes++
+			}
+			if !n.Started && playingBegun && n.Buf.Has(pos) {
+				n.Started = true
+			}
+			if n.Started {
+				// The node played this round continuously iff every due
+				// segment arrived by the end of the round it played in.
+				continuous := true
+				for off := 0; off < p; off++ {
+					if !n.arrivedInTime(pos+segment.ID(off), roundEnd) {
+						continuous = false
+						break
+					}
+				}
+				n.missedLastRound = !continuous
+				if continuous {
+					n.missStreak = 0
+					c.ContinuousNodes++
+					if warm {
+						c.ContinuousWarmNodes++
+					}
+				} else {
+					n.missStreak++
 				}
 			}
-			results[i].continuous = continuous
-			n.missedLastRound = !continuous
-			if continuous {
-				n.missStreak = 0
-			} else {
-				n.missStreak++
+			if n.Alpha != nil {
+				n.Alpha.Apply(n.overdue, n.repeated)
 			}
+			n.Ctrl.Tick()
 		}
-		if n.Alpha != nil {
-			n.Alpha.Apply(n.overdue, n.repeated)
-		}
-		n.Ctrl.Tick()
 	})
-	// The warm variant excludes nodes still inside their post-join
-	// warm-up window — the joiner ramp-up drag that the plain metric
-	// charges against the protocol. A round-r joiner is first evaluated
-	// here in round r+1, so warmth begins strictly after WarmupRounds
-	// evaluated rounds (round - joined > WarmupRounds); the initial
-	// population (JoinedRound -1) is warm from the start — the world is
-	// constructed converged, so its first rounds are not catch-up. In
-	// practice warm continuity sits at or above the plain metric
-	// (excluded joiners almost never play continuously), but that is an
-	// empirical tendency, not an enforced invariant: a joiner that
-	// catches up instantly counts in the plain numerator while excluded
-	// from the warm one.
-	for i, id := range w.order {
-		if id == w.source {
-			continue
-		}
-		sample.PlayingNodes++ // denominator: every alive non-source node
-		n := w.nodes[id]
-		warm := n.JoinedRound < 0 || w.round-n.JoinedRound > w.cfg.WarmupRounds
-		if warm {
-			sample.WarmNodes++
-		}
-		if results[i].playing && results[i].continuous {
-			sample.ContinuousNodes++
-			if warm {
-				sample.ContinuousWarmNodes++
-			}
-		}
-	}
+	w.foldCounts(sample)
 }
 
 // btoi maps a bool onto {0, 1} for comparator arithmetic.

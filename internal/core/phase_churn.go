@@ -57,19 +57,16 @@ func (w *World) churnPhase() {
 		// carriers list. Transfers the dead sent while alive still arrive:
 		// packets already on the wire.
 		w.ensureArenas()
-		sim.MapReduce(w.pool, phaseShards,
-			func(s int) struct{} {
-				ar := &w.arenas[s]
-				ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
-				departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
-				for _, id := range ar.carriers {
-					if n := w.nodes[id]; n != nil {
-						n.carry = slices.DeleteFunc(n.carry, departed)
-					}
+		sim.ForShards(w.pool, phaseShards, func(s int) {
+			ar := &w.arenas[s]
+			ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
+			departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
+			for _, id := range ar.carriers {
+				if n := w.nodes[id]; n != nil {
+					n.carry = slices.DeleteFunc(n.carry, departed)
 				}
-				return struct{}{}
-			},
-			func(int, struct{}) {})
+			}
+		})
 	}
 	for j := 0; j < plan.Joins; j++ {
 		w.join()

@@ -20,31 +20,28 @@ func (w *World) dhtRepairPhase() {
 	w.ensureArenas()
 	w.shardWorkLists()
 	seed := w.phaseSeed(phaseRepair)
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) struct{} {
-			rng := sim.ShardRNG(seed, s)
-			for _, id := range w.arenas[s].nodes {
-				n := w.nodes[id]
-				levels := n.Table.DHT()
-				before, hadSucc := levels.Successor()
-				w.dhtNet.RepairTable(levels, rng)
-				after, hasSucc := levels.Successor()
-				// Replica repair: backup responsibility is normally
-				// evaluated when a segment arrives, so when churn moves an
-				// arc boundary the new owner never backs up segments it
-				// already holds and the replica set decays round by round.
-				// Re-evaluating the live window when the believed
-				// successor moves stops the leak; an unchanged successor
-				// means an unchanged arc, so the scan is skipped.
-				if hasSucc && (!hadSucc || before != after) {
-					for seg := pos; seg < edge; seg++ {
-						if seg >= 0 && n.Buf.Has(seg) {
-							n.maybeBackup(w.space, seg, w.cfg.Replicas)
-						}
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		rng := sim.ShardRNG(seed, s)
+		for _, id := range w.arenas[s].nodes {
+			n := w.nodes[id]
+			levels := n.Table.DHT()
+			before, hadSucc := levels.Successor()
+			w.dhtNet.RepairTable(levels, rng)
+			after, hasSucc := levels.Successor()
+			// Replica repair: backup responsibility is normally
+			// evaluated when a segment arrives, so when churn moves an
+			// arc boundary the new owner never backs up segments it
+			// already holds and the replica set decays round by round.
+			// Re-evaluating the live window when the believed
+			// successor moves stops the leak; an unchanged successor
+			// means an unchanged arc, so the scan is skipped.
+			if hasSucc && (!hadSucc || before != after) {
+				for seg := pos; seg < edge; seg++ {
+					if seg >= 0 && n.Buf.Has(seg) {
+						n.maybeBackup(w.space, seg, w.cfg.Replicas)
 					}
 				}
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 }

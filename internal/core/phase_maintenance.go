@@ -16,7 +16,7 @@ type hearEvent struct {
 }
 
 // maintenancePhase applies the paper's neighbour maintenance rules as a
-// three-stage sharded pipeline on sim.MapReduce, deterministic and
+// three-stage sharded pipeline on sim.ForShards, deterministic and
 // bit-identical at any worker count like the rest of the round pipeline.
 // The decisions — gossip picks and rewire intents — are
 // protocol.GossipPicks and protocol.PlanRewire; this driver owns the
@@ -48,45 +48,38 @@ func (w *World) maintenancePhase() {
 	// bounds reserved in the first pass hold for the second. The alive
 	// and emit callbacks are hoisted to one pair per shard instead of one
 	// per node.
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			ar.gossip.clearBounds()
-			lo, hi := sim.ShardRange(nOrder, phaseShards, r)
-			for i := lo; i < hi; i++ {
-				nbs := w.nodes[w.order[i]].Table.Neighbors()
-				if len(nbs) < 2 {
-					continue // GossipPicks needs a second neighbour to name
-				}
-				for _, nb := range nbs {
-					if w.nodes[nb] != nil {
-						ar.gossip.reserve(w.shardOf(nb), 2)
-					}
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		ar.gossip.clearBounds()
+		lo, hi := sim.ShardRange(nOrder, phaseShards, r)
+		for i := lo; i < hi; i++ {
+			nbs := w.nodes[w.order[i]].Table.Neighbors()
+			if len(nbs) < 2 {
+				continue // GossipPicks needs a second neighbour to name
+			}
+			for _, nb := range nbs {
+				if w.nodes[nb] != nil {
+					ar.gossip.reserve(w.shardOf(nb), 2)
 				}
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 	layout(&w.lists.hear, w.arenas, func(ar *roundArena) *handoff[hearEvent] { return &ar.gossip })
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
-			emit := func(to, about overlay.NodeID) {
-				//continulint:shardcapture ar aliases w.arenas[r], the map shard's own arena; no other shard touches it
-				ar.gossip.put(w.shardOf(to), hearEvent{to: int32(to), about: int32(about), lat: ms32(w.Latency(to, about))})
-			}
-			lo, hi := sim.ShardRange(nOrder, phaseShards, r)
-			for i := lo; i < hi; i++ {
-				n := w.nodes[w.order[i]]
-				// The neighbour snapshot is pinned at phase entry: nothing
-				// mutates edges until stage 2, so the table's own list is
-				// the snapshot.
-				protocol.GossipPicks(&n.RNG, n.Table.Neighbors(), alive, emit)
-			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
+		emit := func(to, about overlay.NodeID) {
+			ar.gossip.put(w.shardOf(to), hearEvent{to: int32(to), about: int32(about), lat: ms32(w.Latency(to, about))})
+		}
+		lo, hi := sim.ShardRange(nOrder, phaseShards, r)
+		for i := lo; i < hi; i++ {
+			n := w.nodes[w.order[i]]
+			// The neighbour snapshot is pinned at phase entry: nothing
+			// mutates edges until stage 2, so the table's own list is
+			// the snapshot.
+			protocol.GossipPicks(&n.RNG, n.Table.Neighbors(), alive, emit)
+		}
+	})
 
 	// Stage 2: shard-owned hear delivery, dead-neighbour cleanup, and
 	// intent computation. Every mutation in this stage touches only state
@@ -94,42 +87,38 @@ func (w *World) maintenancePhase() {
 	// controller, its own arena). One sequential pass builds the per-shard
 	// work lists so each shard walks only its own nodes.
 	w.shardWorkLists()
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) struct{} {
-			ar := &w.arenas[s]
-			for r := 0; r < phaseShards; r++ {
-				// Cross-shard read of stage-1 output, sequenced by the
-				// barrier between the two MapReduce calls.
-				for _, ev := range w.arenas[r].gossip.to(s) {
-					if n := w.nodes[ev.to]; n != nil {
-						n.Table.Hear(overlay.NodeID(ev.about), sim.Time(ev.lat))
-					}
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
+		for r := 0; r < phaseShards; r++ {
+			// Cross-shard read of stage-1 output, sequenced by the
+			// barrier between the two ForShards calls.
+			for _, ev := range w.arenas[r].gossip.to(s) {
+				if n := w.nodes[ev.to]; n != nil {
+					n.Table.Hear(overlay.NodeID(ev.about), sim.Time(ev.lat))
 				}
 			}
-			ar.intents = ar.intents[:0]
-			ar.rewire.Reset()
-			for _, id := range ar.nodes {
-				n := w.nodes[id]
-				// Snapshot the neighbour list before the dead scan:
-				// removeEdge rewrites it mid-iteration.
-				ar.deadScan = append(ar.deadScan[:0], n.Table.Neighbors()...)
-				for _, nb := range ar.deadScan {
-					if w.nodes[nb] == nil {
-						// The dead side's node is gone, so this edge
-						// removal mutates only shard-owned state.
-						w.removeEdge(id, nb)
-						n.Table.ForgetOverheard(nb)
-					}
-				}
-				ar.provider.n = n
-				if intent, ok := protocol.PlanRewire(w.maintenanceView(n, warm, &ar.provider), w.cfg.Maintenance, &ar.rewire); ok {
-					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; no other shard touches it
-					ar.intents = append(ar.intents, intent)
+		}
+		ar.intents = ar.intents[:0]
+		ar.rewire.Reset()
+		for _, id := range ar.nodes {
+			n := w.nodes[id]
+			// Snapshot the neighbour list before the dead scan:
+			// removeEdge rewrites it mid-iteration.
+			ar.deadScan = append(ar.deadScan[:0], n.Table.Neighbors()...)
+			for _, nb := range ar.deadScan {
+				if w.nodes[nb] == nil {
+					// The dead side's node is gone, so this edge
+					// removal mutates only shard-owned state.
+					w.removeEdge(id, nb)
+					n.Table.ForgetOverheard(nb)
 				}
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+			ar.provider.n = n
+			if intent, ok := protocol.PlanRewire(w.maintenanceView(n, warm, &ar.provider), w.cfg.Maintenance, &ar.rewire); ok {
+				ar.intents = append(ar.intents, intent)
+			}
+		}
+	})
 
 	// Stage 3: apply intents sequentially in shard order. Revalidation at
 	// apply time keeps the pass safe against intents interacting (an

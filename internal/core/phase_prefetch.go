@@ -152,24 +152,21 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 // walked over the tables as the round found them. Shard r appends its
 // nodes' walks to its own arena in node × segment × replica order, where
 // the claim stage reads them back with a cursor; the stage has nothing
-// to reduce. The last round's repair phase has swept every table after
+// to fold. The last round's repair phase has swept every table after
 // churn, so no level a walk reads names a departed node.
 func (w *World) routePrefetch(plans []prefetch.Decision) {
 	retr := w.retr
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			ar.walks = ar.walks[:0]
-			lo, hi := sim.ShardRange(len(plans), phaseShards, r)
-			for i := lo; i < hi; i++ {
-				if plans[i].Triggered {
-					ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed)
-				}
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		ar.walks = ar.walks[:0]
+		lo, hi := sim.ShardRange(len(plans), phaseShards, r)
+		for i := lo; i < hi; i++ {
+			if plans[i].Triggered {
+				ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed)
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 }
 
 // overhearRoute feeds routing-path observations into peer tables: each

@@ -21,14 +21,14 @@ import (
 // plan is protocol.PlanPushMask, within the pusher's Uplink.PushRoom; this
 // driver owns the sharding and the delivery bookkeeping.
 //
-// Each hop runs as a sharded map/reduce: pushers are partitioned by the
+// Each hop fans out over shards: pushers are partitioned by the
 // supplier-ownership shard, each shard plans its pushers' sends (pure
-// reads of target buffers), and the sends are applied sequentially in
-// shard order afterwards, each charged to its pusher's uplink there, so
-// the phase is bit-identical at any worker count. Two same-hop pushers in
-// different shards may race a copy to the same target; the loser is
-// counted as a push duplicate, exactly the redundancy a real eager-push
-// mesh pays.
+// reads of target buffers) into its own slot, and the sends are applied
+// sequentially in shard order afterwards, each charged to its pusher's
+// uplink there, so the phase is bit-identical at any worker count. Two
+// same-hop pushers in different shards may race a copy to the same
+// target; the loser is counted as a push duplicate, exactly the
+// redundancy a real eager-push mesh pays.
 func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	hops := w.cfg.PushHops
 	if hops <= 0 || !w.cfg.Profile.Engine {
@@ -89,46 +89,44 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 		}
 		seed := w.phaseSeed(phasePush ^ uint64(hop)<<20)
 		planned := make([][]protocol.Send, phaseShards)
-		sim.MapReduce(w.pool, phaseShards,
-			func(s int) []protocol.Send {
-				var out []protocol.Send
-				for _, id := range byShard[s] {
-					n := w.nodes[id]
-					budget := n.up.PushRoom()
-					if budget <= 0 {
-						continue
-					}
-					held := heldBy(id)
-					segs := make([]segment.ID, len(held))
-					for i, ps := range held {
-						segs[i] = ps.id
-					}
-					// Salting the plan seed per pusher decorrelates target
-					// orders, so pushers sharing neighbours spray different
-					// prefixes instead of racing to the same targets.
-					//
-					// The fresh window is one round's worth of segments
-					// (Config.Validate bounds Stream.Rate to 64), so the
-					// availability probe is one missing-mask word per
-					// neighbour. pushReceived lags the current hop's own sends
-					// (cross-shard state, constant while the hop plans), which
-					// only lets the final hop overshoot by the in-flight few —
-					// counted on arrival below.
-					sends := protocol.PlanPushMask(seed^uint64(id)*0x9e3779b97f4a7c15, id, lo, segs, w.neighborsOf(id),
-						func(to overlay.NodeID) uint64 {
-							t := w.nodes[to]
-							// A dead or inbound-saturated target accepts
-							// nothing this hop.
-							if t == nil || t.pushReceived >= t.Rates.In {
-								return 0
-							}
-							return t.Buf.MissingMask(segment.Window{Lo: lo, Hi: hi})
-						}, budget)
-					out = append(out, sends...)
+		sim.ForShards(w.pool, phaseShards, func(s int) {
+			var out []protocol.Send
+			for _, id := range byShard[s] {
+				n := w.nodes[id]
+				budget := n.up.PushRoom()
+				if budget <= 0 {
+					continue
 				}
-				return out
-			},
-			func(s int, out []protocol.Send) { planned[s] = out })
+				held := heldBy(id)
+				segs := make([]segment.ID, len(held))
+				for i, ps := range held {
+					segs[i] = ps.id
+				}
+				// Salting the plan seed per pusher decorrelates target
+				// orders, so pushers sharing neighbours spray different
+				// prefixes instead of racing to the same targets.
+				//
+				// The fresh window is one round's worth of segments
+				// (Config.Validate bounds Stream.Rate to 64), so the
+				// availability probe is one missing-mask word per
+				// neighbour. pushReceived lags the current hop's own sends
+				// (cross-shard state, constant while the hop plans), which
+				// only lets the final hop overshoot by the in-flight few —
+				// counted on arrival below.
+				sends := protocol.PlanPushMask(seed^uint64(id)*0x9e3779b97f4a7c15, id, lo, segs, w.neighborsOf(id),
+					func(to overlay.NodeID) uint64 {
+						t := w.nodes[to]
+						// A dead or inbound-saturated target accepts
+						// nothing this hop.
+						if t == nil || t.pushReceived >= t.Rates.In {
+							return 0
+						}
+						return t.Buf.MissingMask(segment.Window{Lo: lo, Hi: hi})
+					}, budget)
+				out = append(out, sends...)
+			}
+			planned[s] = out
+		})
 
 		// readyAt finds when a pusher obtained a segment by scanning its
 		// frontier run — a handful of fresh segments.

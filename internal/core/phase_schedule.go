@@ -49,30 +49,27 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 	now := clock.Now()
 	round := w.round
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			ar.predictIDs = ar.predictIDs[:0]
-			pc := &ar.predict
-			pc.ensure(w)
-			pc.pos, pc.p, pc.now, pc.round = pos, p, now, round
-			lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
-			for i := lo; i < hi; i++ {
-				n := w.seq[i]
-				if n.IsSource || n.Alpha == nil || !n.Started {
-					// The Urgent Line protects an active playback; a node
-					// that has not started yet has no deadlines to defend.
-					continue
-				}
-				pc.n = n
-				var d prefetch.Decision
-				d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, &n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
-				//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
-				plans[i] = d
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		ar.predictIDs = ar.predictIDs[:0]
+		pc := &ar.predict
+		pc.ensure(w)
+		pc.pos, pc.p, pc.now, pc.round = pos, p, now, round
+		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
+		for i := lo; i < hi; i++ {
+			n := w.seq[i]
+			if n.IsSource || n.Alpha == nil || !n.Started {
+				// The Urgent Line protects an active playback; a node
+				// that has not started yet has no deadlines to defend.
+				continue
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+			pc.n = n
+			var d prefetch.Decision
+			d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, &n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
+			//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
+			plans[i] = d
+		}
+	})
 	return plans
 }
 
@@ -94,55 +91,52 @@ func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
 	round := w.round
 	now := clock.Now()
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			ar.sched.Reset()
-			lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
-			for i := lo; i < hi; i++ {
-				n := w.seq[i]
-				if n.IsSource {
-					continue
-				}
-				// Push and pull share the inbound rate: segments the eager
-				// push already landed on this node's link this round come
-				// out of the same I·τ the scheduler may spend.
-				budget := n.Rates.In - n.pushReceived
-				if budget <= 0 {
-					continue
-				}
-				cands := w.candidatesFor(ar, n, fetchWin, round)
-				if len(cands) == 0 {
-					continue
-				}
-				in := scheduler.Input{
-					PriorityInput: scheduler.PriorityInput{
-						Play:         vpos,
-						PlaybackRate: w.cfg.Stream.Rate,
-						BufferSize:   w.cfg.BufferSegments,
-						NoPlayback:   !n.Started,
-					},
-					Tau:           w.cfg.Tau,
-					InboundBudget: budget,
-					Candidates:    cands,
-					Scratch:       &ar.sched,
-					JitterSeed:    w.cfg.Seed ^ uint64(n.ID)*0x9e3779b97f4a7c15 ^ n.Gen*0xd1342543de82ef95,
-					RarityNoise:   w.cfg.RarityNoise,
-				}
-				reqs := w.policy.Schedule(in)
-				// NoteRequested only adds to the supplier's row, and the
-				// controller keeps its rows sorted by ID, so the order the
-				// asks are tallied in cannot matter.
-				for _, req := range reqs {
-					n.seg.MarkGossip(req.ID, round+pendingExpiryRounds, now+req.ExpectedAt)
-					n.Ctrl.NoteRequested(req.Supplier, 1)
-				}
-				//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
-				out[i] = reqs
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		ar.sched.Reset()
+		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
+		for i := lo; i < hi; i++ {
+			n := w.seq[i]
+			if n.IsSource {
+				continue
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+			// Push and pull share the inbound rate: segments the eager
+			// push already landed on this node's link this round come
+			// out of the same I·τ the scheduler may spend.
+			budget := n.Rates.In - n.pushReceived
+			if budget <= 0 {
+				continue
+			}
+			cands := w.candidatesFor(ar, n, fetchWin, round)
+			if len(cands) == 0 {
+				continue
+			}
+			in := scheduler.Input{
+				PriorityInput: scheduler.PriorityInput{
+					Play:         vpos,
+					PlaybackRate: w.cfg.Stream.Rate,
+					BufferSize:   w.cfg.BufferSegments,
+					NoPlayback:   !n.Started,
+				},
+				Tau:           w.cfg.Tau,
+				InboundBudget: budget,
+				Candidates:    cands,
+				Scratch:       &ar.sched,
+				JitterSeed:    w.cfg.Seed ^ uint64(n.ID)*0x9e3779b97f4a7c15 ^ n.Gen*0xd1342543de82ef95,
+				RarityNoise:   w.cfg.RarityNoise,
+			}
+			reqs := w.policy.Schedule(in)
+			// NoteRequested only adds to the supplier's row, and the
+			// controller keeps its rows sorted by ID, so the order the
+			// asks are tallied in cannot matter.
+			for _, req := range reqs {
+				n.seg.MarkGossip(req.ID, round+pendingExpiryRounds, now+req.ExpectedAt)
+				n.Ctrl.NoteRequested(req.Supplier, 1)
+			}
+			//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
+			out[i] = reqs
+		}
+	})
 	return out
 }
 

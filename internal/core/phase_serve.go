@@ -56,39 +56,33 @@ func newAsk(supplier, requester overlay.NodeID, id segment.ID, expected sim.Time
 // lists are carved, the second pass runs the service discipline, charges
 // its own suppliers' uplinks and hands each grant to the segment of the
 // shard that owns its receiver (roundArena.deliverScatter), where the
-// apply stage picks it up. Counters are merged in shard order.
+// apply stage picks it up. Each shard counts into its arena, and
+// foldCounts adds the shards' counts in shard order.
 func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, sample *metrics.RoundSample) {
 	n := len(requests)
 	w.ensureArenas()
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			ar.serveScatter.clearBounds()
-			lo, hi := sim.ShardRange(n, phaseShards, r)
-			for _, reqs := range requests[lo:hi] {
-				for _, req := range reqs {
-					ar.serveScatter.reserve(w.shardOf(overlay.NodeID(req.Supplier)), 1)
-				}
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		ar.serveScatter.clearBounds()
+		lo, hi := sim.ShardRange(n, phaseShards, r)
+		for _, reqs := range requests[lo:hi] {
+			for _, req := range reqs {
+				ar.serveScatter.reserve(w.shardOf(overlay.NodeID(req.Supplier)), 1)
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 	layout(&w.lists.asks, w.arenas, func(ar *roundArena) *handoff[transferReq] { return &ar.serveScatter })
-	sim.MapReduce(w.pool, phaseShards,
-		func(r int) struct{} {
-			ar := &w.arenas[r]
-			lo, hi := sim.ShardRange(n, phaseShards, r)
-			for i := lo; i < hi; i++ {
-				requester := w.order[i]
-				for _, req := range requests[i] {
-					s := overlay.NodeID(req.Supplier)
-					//continulint:shardcapture ar aliases w.arenas[r], the map shard's own arena; no other shard touches it
-					ar.serveScatter.put(w.shardOf(s), newAsk(s, requester, req.ID, req.ExpectedAt))
-				}
+	sim.ForShards(w.pool, phaseShards, func(r int) {
+		ar := &w.arenas[r]
+		lo, hi := sim.ShardRange(n, phaseShards, r)
+		for i := lo; i < hi; i++ {
+			requester := w.order[i]
+			for _, req := range requests[i] {
+				s := overlay.NodeID(req.Supplier)
+				ar.serveScatter.put(w.shardOf(s), newAsk(s, requester, req.ID, req.ExpectedAt))
 			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 
 	// Each supplier shard's grouped copy holds exactly what the scatter
 	// handed it.
@@ -99,109 +93,93 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 		}
 	}
 	carveGroups(&w.lists.grouped, w.arenas, &asks, func(ar *roundArena) *[]transferReq { return &ar.asks })
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) struct{} {
-			ar := &w.arenas[s]
-			// Cross-shard read of scatter output, sequenced by the barrier
-			// between the MapReduce calls.
-			groupAsks(w.arenas, s, w.shardRank)
-			// The worklist is the union of carry-queue holders and fresh-ask
-			// targets, ascending and deduplicated. Last round's walk listed
-			// the holders; churn since may have removed one, handed its slot
-			// to a joiner or emptied its queue of departed requesters.
-			ar.suppliers = ar.suppliers[:0]
-			for _, id := range ar.carriers {
-				if n := w.nodes[id]; n != nil && len(n.carry) > 0 {
-					ar.suppliers = append(ar.suppliers, id)
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
+		// Cross-shard read of scatter output, sequenced by the barrier
+		// between the ForShards calls.
+		groupAsks(w.arenas, s, w.shardRank)
+		// The worklist is the union of carry-queue holders and fresh-ask
+		// targets, ascending and deduplicated. Last round's walk listed
+		// the holders; churn since may have removed one, handed its slot
+		// to a joiner or emptied its queue of departed requesters.
+		ar.suppliers = ar.suppliers[:0]
+		for _, id := range ar.carriers {
+			if n := w.nodes[id]; n != nil && len(n.carry) > 0 {
+				ar.suppliers = append(ar.suppliers, id)
+			}
+		}
+		ar.carriers = ar.carriers[:0]
+		for i, tr := range ar.asks {
+			if i == 0 || tr.supplier != ar.asks[i-1].supplier {
+				ar.suppliers = append(ar.suppliers, overlay.NodeID(tr.supplier))
+			}
+		}
+		slices.Sort(ar.suppliers)
+		ar.suppliers = slices.Compact(ar.suppliers)
+		// A shard with nothing to serve reserves nothing, so it hands
+		// apply nothing, not last round's grants.
+		ar.deliverScatter.clearBounds()
+		for _, tr := range ar.asks {
+			ar.deliverScatter.reserve(w.shardOf(overlay.NodeID(tr.requester)), 1)
+		}
+		for _, sup := range ar.suppliers {
+			if sn := w.nodes[sup]; sn != nil {
+				for _, req := range sn.carry {
+					ar.deliverScatter.reserve(w.shardOf(req.Requester), 1)
 				}
 			}
-			ar.carriers = ar.carriers[:0]
-			for i, tr := range ar.asks {
-				if i == 0 || tr.supplier != ar.asks[i-1].supplier {
-					ar.suppliers = append(ar.suppliers, overlay.NodeID(tr.supplier))
-				}
-			}
-			slices.Sort(ar.suppliers)
-			ar.suppliers = slices.Compact(ar.suppliers)
-			// A shard with nothing to serve reserves nothing, so it hands
-			// apply nothing, not last round's grants.
-			ar.deliverScatter.clearBounds()
-			for _, tr := range ar.asks {
-				ar.deliverScatter.reserve(w.shardOf(overlay.NodeID(tr.requester)), 1)
-			}
-			for _, sup := range ar.suppliers {
-				if sn := w.nodes[sup]; sn != nil {
-					for _, req := range sn.carry {
-						ar.deliverScatter.reserve(w.shardOf(req.Requester), 1)
-					}
-				}
-			}
-			return struct{}{}
-		},
-		func(int, struct{}) {})
+		}
+	})
 	layout(&w.lists.grants, w.arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter })
 
-	type shardServe struct {
-		dropped      int64
-		queueServed  int64
-		queueCarried int64
-		evicted      protocol.Evictions
-	}
 	start := clock.Now()
 	horizon := clock.RoundEnd()
 	pos := w.playbackPos(w.round)
 	p := w.cfg.Stream.Rate
-	sim.MapReduce(w.pool, phaseShards,
-		func(s int) shardServe {
-			ar := &w.arenas[s]
-			var res shardServe
-			askLo := 0
-			for _, sup := range ar.suppliers {
-				// Two-pointer walk: suppliers and asks ascend together.
-				for askLo < len(ar.asks) && overlay.NodeID(ar.asks[askLo].supplier) < sup {
-					askLo++
-				}
-				askHi := askLo
-				for askHi < len(ar.asks) && overlay.NodeID(ar.asks[askHi].supplier) == sup {
-					askHi++
-				}
-				sr := w.serveSupplier(ar, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
-				askLo = askHi
-				if len(sr.Queued) > 0 {
-					// Suppliers ascend, so the list is next round's sorted
-					// worklist of queue holders as it stands.
-					ar.carriers = append(ar.carriers, sup)
-				}
-				res.queueCarried += int64(len(sr.Queued))
-				res.evicted.Add(sr.Evicted)
-				res.dropped += sr.Evicted.Total()
-				sn := w.nodes[sup]
-				if sn == nil {
-					continue
-				}
-				// The serving shard owns sup (shardOf(sup) == s), so this
-				// write races with nothing. Grants queue behind everything
-				// the uplink has already charged this round.
-				slot := sn.up.ChargeGrants(len(sr.Granted))
-				for k, g := range sr.Granted {
-					if g.Carried {
-						res.queueServed++
-					}
-					at := start + sn.up.WireAt(slot+k) + w.Latency(sup, g.Requester)
-					//continulint:shardcapture ar aliases w.arenas[s], the map shard's own arena; receiver shards read it only after the serve barrier
-					ar.deliverScatter.put(w.shardOf(g.Requester), newDelivery(g.Requester, sup, g.ID, at, false))
-				}
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
+		c := &ar.counts
+		*c = metrics.RoundSample{}
+		askLo := 0
+		for _, sup := range ar.suppliers {
+			// Two-pointer walk: suppliers and asks ascend together.
+			for askLo < len(ar.asks) && overlay.NodeID(ar.asks[askLo].supplier) < sup {
+				askLo++
 			}
-			return res
-		},
-		func(s int, res shardServe) {
-			sample.Dropped += res.dropped
-			sample.QueueServed += res.queueServed
-			sample.QueueCarried += res.queueCarried
-			sample.QueueEvictedDeadline += res.evicted.Deadline
-			sample.QueueEvictedOverflow += res.evicted.Overflow
-			sample.QueueEvictedStale += res.evicted.Stale
-		})
+			askHi := askLo
+			for askHi < len(ar.asks) && overlay.NodeID(ar.asks[askHi].supplier) == sup {
+				askHi++
+			}
+			sr := w.serveSupplier(ar, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
+			askLo = askHi
+			if len(sr.Queued) > 0 {
+				// Suppliers ascend, so the list is next round's sorted
+				// worklist of queue holders as it stands.
+				ar.carriers = append(ar.carriers, sup)
+			}
+			c.QueueCarried += int64(len(sr.Queued))
+			c.QueueEvictedDeadline += sr.Evicted.Deadline
+			c.QueueEvictedOverflow += sr.Evicted.Overflow
+			c.QueueEvictedStale += sr.Evicted.Stale
+			c.Dropped += sr.Evicted.Total()
+			sn := w.nodes[sup]
+			if sn == nil {
+				continue
+			}
+			// The serving shard owns sup (shardOf(sup) == s), so this
+			// write races with nothing. Grants queue behind everything
+			// the uplink has already charged this round.
+			slot := sn.up.ChargeGrants(len(sr.Granted))
+			for k, g := range sr.Granted {
+				if g.Carried {
+					c.QueueServed++
+				}
+				at := start + sn.up.WireAt(slot+k) + w.Latency(sup, g.Requester)
+				ar.deliverScatter.put(w.shardOf(g.Requester), newDelivery(g.Requester, sup, g.ID, at, false))
+			}
+		}
+	})
+	w.foldCounts(sample)
 }
 
 // serveSupplier runs one supplier's scheduling period: it assembles the

@@ -207,7 +207,7 @@ func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestRouteStageAllocationFree pins the route stage's steady state on a
 // warmed static world: its walk arenas are grow-only, so a repeat of the
-// stage costs the fixed price of a sim.MapReduce fan-out (the capturing
+// stage costs the fixed price of a sim.ForShards fan-out (the capturing
 // closures) and not one allocation more. The stage only reads the world,
 // so re-running it on the same plans is a faithful repeat.
 func TestRouteStageAllocationFree(t *testing.T) {
@@ -231,12 +231,10 @@ func TestRouteStageAllocationFree(t *testing.T) {
 	}
 	w.routePrefetch(plans) // sizes the arenas for exactly this load
 	fanout := testing.AllocsPerRun(20, func() {
-		sim.MapReduce(w.pool, phaseShards,
-			func(r int) struct{} { _ = w.arenas[r].walks; return struct{}{} },
-			func(r int, _ struct{}) { _ = w.arenas[r].walks })
+		sim.ForShards(w.pool, phaseShards, func(r int) { _ = w.arenas[r].walks })
 	})
 	stage := testing.AllocsPerRun(20, func() { w.routePrefetch(plans) })
 	if stage > fanout {
-		t.Fatalf("route stage allocates %.0f per run, an empty MapReduce %.0f", stage, fanout)
+		t.Fatalf("route stage allocates %.0f per run, an empty ForShards %.0f", stage, fanout)
 	}
 }

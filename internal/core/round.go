@@ -32,7 +32,7 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // phases. Each phase is a thin sharded driver over the decision functions
 // in internal/protocol: phases that touch only per-node state fan out
 // over the worker pool; transfer resolution and delivery application run
-// as a sharded map/reduce pipeline partitioned by node ID, whose stages
+// as a sharded pipeline partitioned by node ID, whose stages
 // hand work from shard to shard — requesters' asks to supplier shards,
 // suppliers' grants to receiver shards — through per-producer lists laid
 // out by destination shard at the round's size and read after a barrier,

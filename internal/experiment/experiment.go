@@ -81,7 +81,7 @@ type RunResult struct {
 	Nodes      int
 	Dynamic    bool
 	Continuity metrics.Series
-	// ContinuityWarm excludes nodes in their first WarmupRounds of
+	// ContinuityWarm excludes nodes in their first two rounds of
 	// post-join catch-up — the joiner ramp-up drag the plain metric
 	// charges against the protocol.
 	ContinuityWarm metrics.Series

@@ -55,7 +55,7 @@ func handlePeer() (*peer, *recTransport) { return handlePeerWith(DefaultConfig()
 func handlePeerWith(cfg Config) (*peer, *recTransport) {
 	tr := &recTransport{}
 	space := dht.NewSpace(ringSpace)
-	p := newPeer(tr, 5, cfg, space, &Stats{}, false, handleLo, handlePeriod)
+	p := newPeer(tr, 5, cfg, space, &Stats{}, false, handleLo, handlePeriod, new(planScratch))
 	ids := []int{5, 6, 7, 8, 9}
 	for _, id := range ids {
 		if id != p.id {

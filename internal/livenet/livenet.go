@@ -215,8 +215,7 @@ func newSession(cfg Config) *session {
 
 // spawn hosts a peer on a transport-provided identity and returns it.
 func (s *session) spawn(id int, isSource bool, openAt segment.ID, joinPeriod int) *peer {
-	p := newPeer(s.tr, id, s.cfg, s.space, &s.stats, isSource, openAt, joinPeriod)
-	p.sc = &s.scratch
+	p := newPeer(s.tr, id, s.cfg, s.space, &s.stats, isSource, openAt, joinPeriod, &s.scratch)
 	if id >= len(s.peers) {
 		s.peers = append(s.peers, make([]*peer, id+1-len(s.peers))...)
 	}

@@ -225,8 +225,9 @@ func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.linked(int(id)
 
 // newPeer constructs a peer on a transport-provided identity; joiners
 // open their buffer at the shared playback position instead of the stream
-// start.
-func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSource bool, openAt segment.ID, joinPeriod int) *peer {
+// start. sc is the plan and serve scratch the peer shares with its
+// session's other peers.
+func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSource bool, openAt segment.ID, joinPeriod int, sc *planScratch) *peer {
 	p := &peer{
 		id:          id,
 		ring:        ringOf(space, id),
@@ -240,7 +241,7 @@ func newPeer(tr Transport, id int, cfg Config, space dht.Space, st *Stats, isSou
 		ctrl:        bandwidth.NewController(0.3, float64(cfg.Rate)),
 		curPeriod:   joinPeriod,
 		lastReplace: joinPeriod - 1000, // no artificial cooldown at birth
-		sc:          new(planScratch),
+		sc:          sc,
 	}
 	p.seg = buffer.OpenTrack(cfg.BufferSegments, p.buf.Lo(), buffer.Track{})
 	p.up.Open(p.outbound(), sim.Second)

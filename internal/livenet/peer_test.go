@@ -83,7 +83,7 @@ func randomPeer(rng *sim.RNG, size, period int) (*peer, map[segment.ID]bool) {
 	cfg.BufferSegments = size
 	cfg.Seed = rng.Uint64()
 	lo := segment.ID(rng.Intn(3000))
-	p := newPeer(nullTransport{}, 1+rng.Intn(500), cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 1+rng.Intn(500), cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0, new(planScratch))
 	for i := 0; i < size; i++ {
 		if rng.Intn(2) == 0 {
 			p.buf.Insert(lo + segment.ID(i))
@@ -196,7 +196,7 @@ func TestOverheardMatchesMapReference(t *testing.T) {
 	held, listed := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		space := dht.NewSpace(ringSpace)
-		p := newPeer(nullTransport{}, self, cfg, space, &Stats{}, false, 0, 0)
+		p := newPeer(nullTransport{}, self, cfg, space, &Stats{}, false, 0, 0, new(planScratch))
 		members := ringMembers(space, nil)
 		ref := map[int]int{} // the retired pool: ID -> period heard
 		now := 0
@@ -281,7 +281,7 @@ func TestSupplierRotation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	const lo = segment.ID(700)
-	p := newPeer(nullTransport{}, 17, cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0)
+	p := newPeer(nullTransport{}, 17, cfg, dht.NewSpace(ringSpace), &Stats{}, false, lo, 0, new(planScratch))
 	// One segment every neighbour holds and the peer lacks, so its
 	// candidate lists the whole supplier order.
 	seg := lo + 100
@@ -348,7 +348,7 @@ func TestPeriodAllocations(t *testing.T) {
 	for i := 0; i <= nbrs; i++ {
 		ids = append(ids, nw.register())
 	}
-	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0)
+	p := newPeer(nw, self, cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0, new(planScratch))
 	members := ringMembers(p.space, ids)
 	for _, id := range ids {
 		if id != self {

@@ -279,7 +279,7 @@ func TestLiveSessionGolden(t *testing.T) {
 func TestOverheardExpiresInProcess(t *testing.T) {
 	cfg := DefaultConfig()
 	nw := newNetwork()
-	p := newPeer(nw, nw.register(), cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0)
+	p := newPeer(nw, nw.register(), cfg, dht.NewSpace(ringSpace), &Stats{}, false, 0, 0, new(planScratch))
 	ttl := cfg.sightTTL()
 	p.handle(&Message{From: 1, Kind: msgMap, Gossip: []int{50, 51}})
 	for now := 1; now <= ttl+1; now++ {

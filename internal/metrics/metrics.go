@@ -73,7 +73,7 @@ type RoundSample struct {
 	QueueEvictedOverflow int64
 	QueueEvictedStale    int64
 	// WarmNodes is the continuity denominator excluding nodes still in
-	// their first WarmupRounds after joining (the joiner ramp-up drag);
+	// their first two rounds after joining (the joiner ramp-up drag);
 	// ContinuousWarmNodes of them held every due segment.
 	WarmNodes           int
 	ContinuousWarmNodes int
@@ -89,7 +89,7 @@ func (s RoundSample) Continuity() float64 {
 }
 
 // ContinuityWarm returns the round's playback continuity over the warm
-// population only: nodes past their first WarmupRounds of catch-up after
+// population only: nodes past their first two rounds of catch-up after
 // joining. It separates dissemination quality from joiner ramp-up drag —
 // under churn a constant fraction of the population is always a fresh
 // joiner with an empty buffer, and the plain Continuity denominator
@@ -117,6 +117,39 @@ func (s RoundSample) PrefetchOverhead() float64 {
 		return 0
 	}
 	return float64(s.PrefetchRoutingBits+s.PrefetchDataBits) / float64(s.DataBits)
+}
+
+// Add adds o's counters into s: every field but Round. It is the one
+// place that lists the counters, so the world's per-shard partials and
+// the collector's totals fold through it.
+func (s *RoundSample) Add(o RoundSample) {
+	s.PlayingNodes += o.PlayingNodes
+	s.ContinuousNodes += o.ContinuousNodes
+	s.ControlBits += o.ControlBits
+	s.DataBits += o.DataBits
+	s.PrefetchRoutingBits += o.PrefetchRoutingBits
+	s.PrefetchDataBits += o.PrefetchDataBits
+	s.Deliveries += o.Deliveries
+	s.Prefetches += o.Prefetches
+	s.Overdue += o.Overdue
+	s.Repeated += o.Repeated
+	s.Requests += o.Requests
+	s.Dropped += o.Dropped
+	s.LookupAttempts += o.LookupAttempts
+	s.LookupFound += o.LookupFound
+	s.LookupNoRoute += o.LookupNoRoute
+	s.LookupNoBackup += o.LookupNoBackup
+	s.LookupNoRate += o.LookupNoRate
+	s.SourceRescues += o.SourceRescues
+	s.PushDeliveries += o.PushDeliveries
+	s.PushDuplicates += o.PushDuplicates
+	s.QueueServed += o.QueueServed
+	s.QueueCarried += o.QueueCarried
+	s.QueueEvictedDeadline += o.QueueEvictedDeadline
+	s.QueueEvictedOverflow += o.QueueEvictedOverflow
+	s.QueueEvictedStale += o.QueueEvictedStale
+	s.WarmNodes += o.WarmNodes
+	s.ContinuousWarmNodes += o.ContinuousWarmNodes
 }
 
 // Series is an ordered per-round trace of one scalar metric.
@@ -202,69 +235,40 @@ func (c *Collector) Samples() []RoundSample { return c.samples }
 // Rounds reports how many rounds were recorded.
 func (c *Collector) Rounds() int { return len(c.samples) }
 
-// ContinuitySeries returns the playback-continuity trace.
-func (c *Collector) ContinuitySeries() Series {
-	s := Series{Name: "playback-continuity"}
+// series traces one per-round scalar under name.
+func (c *Collector) series(name string, f func(RoundSample) float64) Series {
+	s := Series{Name: name}
 	for _, smp := range c.samples {
-		s.Append(smp.Continuity())
+		s.Append(f(smp))
 	}
 	return s
+}
+
+// ContinuitySeries returns the playback-continuity trace.
+func (c *Collector) ContinuitySeries() Series {
+	return c.series("playback-continuity", RoundSample.Continuity)
 }
 
 // ContinuityWarmSeries returns the warm-population continuity trace.
 func (c *Collector) ContinuityWarmSeries() Series {
-	s := Series{Name: "playback-continuity-warm"}
-	for _, smp := range c.samples {
-		s.Append(smp.ContinuityWarm())
-	}
-	return s
+	return c.series("playback-continuity-warm", RoundSample.ContinuityWarm)
 }
 
 // ControlOverheadSeries returns the control-overhead trace.
 func (c *Collector) ControlOverheadSeries() Series {
-	s := Series{Name: "control-overhead"}
-	for _, smp := range c.samples {
-		s.Append(smp.ControlOverhead())
-	}
-	return s
+	return c.series("control-overhead", RoundSample.ControlOverhead)
 }
 
 // PrefetchOverheadSeries returns the pre-fetch-overhead trace.
 func (c *Collector) PrefetchOverheadSeries() Series {
-	s := Series{Name: "prefetch-overhead"}
-	for _, smp := range c.samples {
-		s.Append(smp.PrefetchOverhead())
-	}
-	return s
+	return c.series("prefetch-overhead", RoundSample.PrefetchOverhead)
 }
 
-// Totals sums the raw counters across all rounds.
+// Totals sums every counter across all rounds; its Round is 0.
 func (c *Collector) Totals() RoundSample {
 	var t RoundSample
 	for _, s := range c.samples {
-		t.ControlBits += s.ControlBits
-		t.DataBits += s.DataBits
-		t.PrefetchRoutingBits += s.PrefetchRoutingBits
-		t.PrefetchDataBits += s.PrefetchDataBits
-		t.Deliveries += s.Deliveries
-		t.Prefetches += s.Prefetches
-		t.Overdue += s.Overdue
-		t.Repeated += s.Repeated
-		t.Requests += s.Requests
-		t.Dropped += s.Dropped
-		t.LookupAttempts += s.LookupAttempts
-		t.LookupFound += s.LookupFound
-		t.LookupNoRoute += s.LookupNoRoute
-		t.LookupNoBackup += s.LookupNoBackup
-		t.LookupNoRate += s.LookupNoRate
-		t.SourceRescues += s.SourceRescues
-		t.PushDeliveries += s.PushDeliveries
-		t.PushDuplicates += s.PushDuplicates
-		t.QueueServed += s.QueueServed
-		t.QueueCarried += s.QueueCarried
-		t.QueueEvictedDeadline += s.QueueEvictedDeadline
-		t.QueueEvictedOverflow += s.QueueEvictedOverflow
-		t.QueueEvictedStale += s.QueueEvictedStale
+		t.Add(s)
 	}
 	return t
 }

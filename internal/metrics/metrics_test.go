@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,37 @@ func TestRoundSampleZeroDenominators(t *testing.T) {
 	var s RoundSample
 	if s.Continuity() != 0 || s.ControlOverhead() != 0 || s.PrefetchOverhead() != 0 {
 		t.Fatal("zero sample should produce zero ratios")
+	}
+}
+
+// TestRoundSampleAddSumsEveryCounter sets every integer counter to a
+// distinct value and adds the sample to itself twice over: each counter
+// must come out doubled and Round untouched, so a counter added to
+// RoundSample without a line in Add fails here.
+func TestRoundSampleAddSumsEveryCounter(t *testing.T) {
+	var one RoundSample
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanInt() {
+			f.SetInt(int64(i + 1))
+		}
+	}
+	sum := RoundSample{Round: one.Round}
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).CanInt() {
+			continue
+		}
+		name := v.Type().Field(i).Name
+		want := 2 * v.Field(i).Int()
+		if name == "Round" {
+			want = v.Field(i).Int()
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("%s = %d after adding %d twice, want %d", name, got.Field(i).Int(), v.Field(i).Int(), want)
+		}
 	}
 }
 
@@ -101,6 +133,10 @@ func TestCollector(t *testing.T) {
 	if totals.DataBits != 400 || totals.ControlBits != 20 || totals.Deliveries != 7 ||
 		totals.Prefetches != 2 || totals.Overdue != 1 || totals.Repeated != 1 {
 		t.Fatalf("totals = %+v", totals)
+	}
+	if totals.PlayingNodes != 20 || totals.ContinuousNodes != 15 || totals.Continuity() != 0.75 {
+		t.Fatalf("totals node counts = %d playing, %d continuous (continuity %v); want 20, 15 (0.75)",
+			totals.PlayingNodes, totals.ContinuousNodes, totals.Continuity())
 	}
 	if got := totals.ControlOverhead(); math.Abs(got-0.05) > 1e-12 {
 		t.Fatalf("aggregate control = %v", got)

@@ -76,9 +76,6 @@ type Defaults struct {
 	Rate              int
 	OutboundPerPeriod int
 	SourceOutbound    int
-	// WarmupRounds is the post-join exclusion window of the simulator's
-	// warm continuity metric.
-	WarmupRounds int
 }
 
 // Default returns the protocol defaults. Stream and bandwidth numbers are
@@ -106,7 +103,6 @@ func Default() Defaults {
 		Rate:              segment.DefaultStream().Rate,
 		OutboundPerPeriod: bw.MeanOut,
 		SourceOutbound:    bw.SourceOut,
-		WarmupRounds:      2,
 	}
 }
 

@@ -8,7 +8,7 @@
 // take explicit inputs (local views, buffer-map snapshots, an RNG stream,
 // clock values) and return intents (sends, grants, rewires) that the
 // caller executes over whatever transport it owns. The package knows
-// nothing of sim.MapReduce, goroutines or channels; that is what makes the
+// nothing of sim.ForShards, goroutines or channels; that is what makes the
 // same code paths runnable inside a bit-deterministic sharded pipeline and
 // across real message passing.
 //

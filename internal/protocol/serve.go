@@ -176,13 +176,6 @@ type Evictions struct {
 // Total sums all eviction classes.
 func (e Evictions) Total() int64 { return e.Deadline + e.Overflow + e.Stale }
 
-// Add accumulates another supplier's evictions.
-func (e *Evictions) Add(o Evictions) {
-	e.Deadline += o.Deadline
-	e.Overflow += o.Overflow
-	e.Stale += o.Stale
-}
-
 // ServeResult is the outcome of one supplier's scheduling period.
 type ServeResult struct {
 	// Granted are the requests transmitted this round, in service order.

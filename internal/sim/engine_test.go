@@ -89,13 +89,3 @@ func TestPoolForEachEmpty(t *testing.T) {
 		t.Fatal("ForEach called fn for non-positive n")
 	}
 }
-
-func TestPoolMapOrdering(t *testing.T) {
-	p := NewPool(8)
-	out := Map(p, 100, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}

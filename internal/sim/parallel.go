@@ -39,7 +39,7 @@ func (p *Pool) Workers() int { return p.workers }
 // share n/workers is cut into log₂²(share) grabs. The grabs a call makes
 // therefore grow with the logarithm of the loop, not its length, while
 // the tail one worker can be left holding shrinks relative to its share
-// as the loop grows. A 64-shard MapReduce phase comes out at one shard per
+// as the loop grows. A 64-shard ForShards phase comes out at one shard per
 // grab at every width — each shard is a few hundred nodes' work, so any
 // configured worker can take one and a straggler holds up at most one —
 // and a loop over 10,000 nodes at 29 indices per grab on two workers, 10
@@ -84,21 +84,12 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Map applies fn to every index and collects the results into a slice,
-// preserving index order. It is a convenience over ForEach for phases that
-// produce one value per node.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // shardStreamSalt keys the per-shard RNG streams ShardRNG hands out,
 // keeping them disjoint from the node- and world-level streams derived
 // elsewhere from the same master seed.
 const shardStreamSalt = 0x5d1a7c0de
 
-// ShardRNG returns shard's private stream under seed, for MapReduce map
+// ShardRNG returns shard's private stream under seed, for ForShards shard
 // funcs that make stochastic shard-local decisions: the randomness depends
 // only on the shard assignment, never on which worker ran the shard or in
 // what order. The seed must be unique to the invocation (salt the master
@@ -112,7 +103,7 @@ func ShardRNG(seed uint64, shard int) *RNG {
 // splitmix-style finalizer, so adjacent keys (sequentially assigned node
 // IDs, say) spread evenly instead of clustering. The mapping depends only
 // on (key, shards): it is stable across runs and worker counts, which makes
-// it the supported way to assign simulation entities to MapReduce shards.
+// it the supported way to assign simulation entities to ForShards shards.
 func ShardIndex(key uint64, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -138,18 +129,15 @@ func ShardRange(n, shards, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// MapReduce is the sharded map/reduce primitive behind the deterministic
-// parallel round phases. It runs mapFn once per shard on the pool's workers
-// and then folds the per-shard results with reduce sequentially in
-// ascending shard order. Because the shard count and the reduce order are
-// independent of the pool's width — and a map func that needs randomness
-// draws it from ShardRNG — the combined outcome is bit-identical at any
-// worker count.
-func MapReduce[T any](p *Pool, shards int, mapFn func(shard int) T, reduce func(shard int, v T)) {
-	if shards <= 0 {
-		return
-	}
-	for s, v := range Map(p, shards, mapFn) {
-		reduce(s, v)
-	}
+// ForShards is the one fan-out behind the deterministic parallel round
+// phases: it runs fn once per shard on the pool's workers and returns when
+// every shard has finished. fn may write only state its shard owns — a
+// chain indexed by the shard argument, such as the shard's own arena — and
+// a phase that produces per-shard results leaves them there for the
+// caller to fold sequentially in ascending shard order. Because the shard
+// count and the fold order are independent of the pool's width — and a
+// shard func that needs randomness draws it from ShardRNG — the combined
+// outcome is bit-identical at any worker count.
+func ForShards(p *Pool, shards int, fn func(shard int)) {
+	p.ForEach(shards, fn)
 }

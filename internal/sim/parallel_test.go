@@ -25,31 +25,29 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestMapReduceUsesEveryWorker pins the hand-out unit of a 64-shard phase
-// to what lets the whole pool in: the map func's first eight callers wait
-// for one another, which only eight goroutines each holding a shard can
-// satisfy. Fixed chunks of 16 made the phase four work units, so four of
-// an eight-wide pool's goroutines found the cursor spent and the other
+// TestForShardsUsesEveryWorker pins the hand-out unit of a 64-shard phase
+// to what lets the whole pool in: the shard func's first eight callers
+// wait for one another, which only eight goroutines each holding a shard
+// can satisfy. Fixed chunks of 16 made the phase four work units, so four
+// of an eight-wide pool's goroutines found the cursor spent and the other
 // four waited out the timeout.
-func TestMapReduceUsesEveryWorker(t *testing.T) {
+func TestForShardsUsesEveryWorker(t *testing.T) {
 	const shards, width = 64, 8
 	var arrived, lonely atomic.Int32
 	full := make(chan struct{})
-	MapReduce(NewPool(width), shards, func(int) bool {
+	ForShards(NewPool(width), shards, func(int) {
 		if arrived.Add(1) == width {
 			close(full)
 		}
 		select {
 		case <-full:
-			return true
 		//continulint:wallclock the bound on a rendezvous that a narrower hand-out never completes; no simulated time passes here
 		case <-time.After(5 * time.Second):
 			lonely.Add(1)
-			return false
 		}
-	}, func(int, bool) {})
+	})
 	if n := lonely.Load(); n != 0 {
-		t.Fatalf("%d map calls never saw %d shards in flight at once: the pool's %d workers did not all receive work", n, width, width)
+		t.Fatalf("%d shard calls never saw %d shards in flight at once: the pool's %d workers did not all receive work", n, width, width)
 	}
 }
 
@@ -99,55 +97,50 @@ func TestShardRangeCoversInOrder(t *testing.T) {
 	}
 }
 
-// TestMapReduceDeterministicAcrossWorkerCounts pins the primitive's core
-// contract: per-shard RNG streams (ShardRNG) and the shard-order reduce
-// make the combined outcome independent of the pool width executing it.
-func TestMapReduceDeterministicAcrossWorkerCounts(t *testing.T) {
+// TestForShardsDeterministicAcrossWorkerCounts pins the primitive's core
+// contract: per-shard RNG streams (ShardRNG) written to per-shard slots
+// make the outcome independent of the pool width executing it, and each
+// slot holds its own shard's stream.
+func TestForShardsDeterministicAcrossWorkerCounts(t *testing.T) {
 	const shards = 32
-	run := func(workers int) ([]uint64, []int) {
-		p := NewPool(workers)
-		draws := make([]uint64, 0, shards)
-		order := make([]int, 0, shards)
-		MapReduce(p, shards, func(s int) uint64 {
-			rng := ShardRNG(99, s)
-			// Consume a shard-dependent amount of randomness so stream
-			// independence, not just seeding, is exercised.
-			var v uint64
-			for i := 0; i <= s%5; i++ {
-				v = rng.Uint64()
-			}
-			return v
-		}, func(s int, v uint64) {
-			draws = append(draws, v)
-			order = append(order, s)
-		})
-		return draws, order
+	// Consume a shard-dependent amount of randomness so stream
+	// independence, not just seeding, is exercised.
+	draw := func(s int) uint64 {
+		rng := ShardRNG(99, s)
+		var v uint64
+		for i := 0; i <= s%5; i++ {
+			v = rng.Uint64()
+		}
+		return v
 	}
-	baseDraws, baseOrder := run(1)
-	for s, want := range baseOrder {
-		if s != want {
-			t.Fatalf("reduce visited shard %d at position %d; must fold in ascending shard order", want, s)
+	run := func(workers int) []uint64 {
+		slots := make([]uint64, shards)
+		ForShards(NewPool(workers), shards, func(s int) { slots[s] = draw(s) })
+		return slots
+	}
+	base := run(1)
+	for s, v := range base {
+		if v != draw(s) {
+			t.Fatalf("shard %d's slot holds %#x, its own stream's draw is %#x", s, v, draw(s))
 		}
 	}
 	for _, workers := range []int{3, 8} {
-		draws, order := run(workers)
-		if !reflect.DeepEqual(baseDraws, draws) || !reflect.DeepEqual(baseOrder, order) {
-			t.Fatalf("workers=%d produced different map/reduce outcome", workers)
+		if got := run(workers); !reflect.DeepEqual(base, got) {
+			t.Fatalf("workers=%d produced different per-shard results", workers)
 		}
 	}
 }
 
-// TestMapReduceShardStreamsIndependent checks that two shards never share
+// TestForShardsShardStreamsIndependent checks that two shards never share
 // an RNG stream, that a different seed moves every stream, and that the
 // derivation is the (seed, salt+shard) one the committed goldens were
 // recorded under.
-func TestMapReduceShardStreamsIndependent(t *testing.T) {
+func TestForShardsShardStreamsIndependent(t *testing.T) {
 	collect := func(seed uint64) []uint64 {
-		p := NewPool(2)
-		out := make([]uint64, 0, 16)
-		MapReduce(p, 16, func(s int) uint64 {
-			return ShardRNG(seed, s).Uint64()
-		}, func(s int, v uint64) { out = append(out, v) })
+		out := make([]uint64, 16)
+		ForShards(NewPool(2), 16, func(s int) {
+			out[s] = ShardRNG(seed, s).Uint64()
+		})
 		return out
 	}
 	a := collect(7)
@@ -173,13 +166,10 @@ func TestMapReduceShardStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestMapReduceZeroShards(t *testing.T) {
-	p := NewPool(4)
-	called := false
-	// The reduce func runs sequentially, so it may write the captured
-	// flag; the map func signals through its return value instead.
-	MapReduce(p, 0, func(int) int { return 1 }, func(int, int) { called = true })
-	if called {
-		t.Fatal("MapReduce with zero shards must be a no-op")
+func TestForShardsZeroShards(t *testing.T) {
+	var calls atomic.Int32
+	ForShards(NewPool(4), 0, func(int) { calls.Add(1) })
+	if calls.Load() != 0 {
+		t.Fatal("ForShards with zero shards must be a no-op")
 	}
 }
