@@ -16,7 +16,9 @@
 //
 // A finding is suppressed by a `//continulint:<analyzer> <reason>`
 // comment on the flagged line or the line above; the reason is
-// mandatory. Exit status is non-zero when any finding survives. Under
+// mandatory, and a directive that suppresses nothing — its finding gone,
+// its analyzer filtered off the package or unknown — is a finding itself.
+// Exit status is non-zero when any finding survives. Under
 // GitHub Actions each finding is additionally emitted as an ::error
 // workflow command so it annotates the checks UI.
 //

@@ -28,11 +28,15 @@ func (f Finding) String() string {
 // policy is uniform: a `//continulint:<name> <reason>` directive on the
 // finding's line or the line above silences that analyzer's finding; the
 // same directive without a reason is converted into a finding of its
-// own, so undocumented exceptions cannot accumulate.
+// own, so undocumented exceptions cannot accumulate. Once a package's
+// analyzers have run, every directive in it that silenced nothing is a
+// finding too (staleDirectives), so an exception outlives neither the
+// code it excused nor the analyzer it names.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, pkg := range pkgs {
 		dirs := directive.Build(pkg.Fset, pkg.Files)
+		used := map[token.Pos]bool{}
 		for _, a := range analyzers {
 			if a.Filter != nil && !a.Filter(pkg.Path) {
 				continue
@@ -53,6 +57,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			for _, d := range raw {
 				pos := pkg.Fset.Position(d.Pos)
 				if sup, ok := dirs.For(a.Name, pos); ok {
+					used[sup.Pos] = true
 					if sup.Reason != "" {
 						continue
 					}
@@ -68,6 +73,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 			}
 		}
+		findings = append(findings, staleDirectives(pkg, dirs, used, analyzers)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -83,4 +89,33 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return findings, nil
+}
+
+// staleDirectives reports every directive of pkg that silenced no finding
+// (used holds the positions of those that did): one whose analyzer ran on
+// the package and found nothing there, one whose analyzer's filter skips
+// the package, and one naming no analyzer in the run. The finding sits on
+// the directive, the line to delete.
+func staleDirectives(pkg *Package, dirs directive.Index, used map[token.Pos]bool, analyzers []*Analyzer) []Finding {
+	var findings []Finding
+	for _, byLine := range dirs {
+		for _, d := range byLine {
+			if used[d.Pos] {
+				continue
+			}
+			name := directive.Prefix[2:] + d.Analyzer
+			msg := fmt.Sprintf("directive %s names no registered analyzer", name)
+			for _, a := range analyzers {
+				if a.Name != d.Analyzer {
+					continue
+				}
+				msg = fmt.Sprintf("directive %s suppresses no finding; delete it", name)
+				if a.Filter != nil && !a.Filter(pkg.Path) {
+					msg = fmt.Sprintf("directive %s suppresses nothing: %s does not run on %s", name, a.Name, pkg.Path)
+				}
+			}
+			findings = append(findings, Finding{Analyzer: d.Analyzer, Pos: pkg.Fset.Position(d.Pos), Message: msg})
+		}
+	}
+	return findings
 }

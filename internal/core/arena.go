@@ -22,11 +22,15 @@ import (
 // (or compact in place) instead of reallocating, so after warm-up the
 // round pipeline's recurring transients cost no allocation at all.
 //
-// The round's three many-to-many exchanges — membership gossip, asks to
-// suppliers, grants back to receivers — pass between shards as one
-// hand-off list per producing shard (gossip, serveScatter,
-// deliverScatter), ordered by destination shard, and the serve and apply
-// stages regroup what they receive into asks and applyBucket. Those five
+// Of the round's three many-to-many exchanges, two are reads in place:
+// a node pulls the membership-gossip picks its neighbours drew for it
+// from their shards' gossip rows, and a supplier pulls the asks addressed
+// to it from its neighbours' scheduled requests (Node.asks). Neighbour
+// lists are symmetric and name only alive nodes, so a node's neighbours
+// are exactly the nodes that can have produced something for it. The
+// third, grants back to receivers, passes between shards as one hand-off
+// list per serve shard (deliverScatter), ordered by receiver shard, and
+// the apply stage regroups what it receives into applyBucket. Those two
 // lists are not grow-only: each round lays them out at the size it needs
 // and carves them from the world's roundLists pools, so what they hold
 // follows the world's load rather than every shard's busiest round.
@@ -34,22 +38,24 @@ import (
 // Ownership follows the shard rule everywhere else in the pipeline: only
 // the shard that owns arena index s (or sequential phase code between
 // parallel sections) may touch w.arenas[s]. Results carved from an arena
-// (rewire intents, serve asks) stay valid until the owning phase runs
+// (rewire intents, gossip rows) stay valid until the owning phase runs
 // again in the next round, which is exactly as long as their consumers
 // need them.
 type roundArena struct {
-	// gossip is the maintenance scatter's hand-off list: gossip.to(s)
-	// holds the hear events this scatter shard emits toward ownership
-	// shard s.
-	gossip handoff[hearEvent]
-
 	// nodes is this shard's work list: the alive IDs it owns, ascending.
-	// Rebuilt sequentially each maintenance round.
+	// rebuildOrder rebuilds it with the world's order, so it holds from
+	// one membership change to the next: serve, the churn purge and
+	// maintenance all walk it.
 	nodes []overlay.NodeID
 
-	// deadScan snapshots one node's neighbour IDs ahead of dead-edge
-	// removal (removeEdge mutates the live list mid-iteration).
-	deadScan []overlay.NodeID
+	// gossip holds the membership-gossip picks this shard's nodes drew in
+	// maintenance stage 1, one row per (node, neighbour): nodes in
+	// work-list order, each node's rows in its neighbour order.
+	// gossipAt[rank] and gossipAt[rank+1] bound the rows of the node with
+	// that shard rank (World.shardRank), so a hearing neighbour finds them
+	// without touching the node (pulledHears).
+	gossip   []gossipRow
+	gossipAt []int32
 
 	// provider is the shard's reusable maintenance view provider,
 	// re-pointed at each node in turn.
@@ -63,23 +69,6 @@ type roundArena struct {
 	// intents collects this shard's planned rewires for the sequential
 	// apply stage.
 	intents []protocol.RewireIntent
-
-	// serveScatter is the transfer-resolution scatter's hand-off list:
-	// serveScatter.to(s) holds the asks this requester-range shard emits
-	// toward supplier-ownership shard s.
-	serveScatter handoff[transferReq]
-
-	// asks is the serve stage's merged fresh-ask list for this supplier
-	// shard, grouped by supplier ascending (arrival order preserved within
-	// each supplier); suppliers the distinct supplier worklist.
-	asks      []transferReq
-	suppliers []overlay.NodeID
-
-	// carriers lists, ascending, this shard's suppliers whose serve left
-	// a non-empty carry queue on their node: with the next round's ask
-	// targets, the next round's worklist. Unlike its neighbours here it
-	// has to last from one serve stage to the next.
-	carriers []overlay.NodeID
 
 	// deliverScatter is the serve stage's hand-off list of grants:
 	// deliverScatter.to(s) holds the transfers this supplier shard granted
@@ -96,11 +85,17 @@ type roundArena struct {
 	// addressed to departed nodes.
 	later []delivery
 
-	// planAsks and rrReqs stage one supplier's fresh asks for PlanServe /
-	// ServeRoundRobin, and rrGranted backs the latter's grants; serve is
-	// the PlanServe request scratch; sctx backs the hoisted ServeInput
-	// callbacks (one closure set per shard, fields re-pointed per
-	// supplier).
+	// asksTo counts, per supplier shard, the asks this shard's nodes
+	// scheduled this round, and carryTo, per receiver shard, the requests
+	// they carry into it: the schedule phase's tallies that size the
+	// serve phase's grant hand-off.
+	asksTo, carryTo [phaseShards]int32
+
+	// planAsks and rrReqs stage one supplier's fresh asks (pullAsks) for
+	// PlanServe / ServeRoundRobin, and rrGranted backs the latter's
+	// grants; serve is the PlanServe request scratch; sctx backs the
+	// hoisted ServeInput callbacks (one closure set per shard, fields
+	// re-pointed per supplier).
 	planAsks  []protocol.Ask
 	rrReqs    []protocol.Request
 	rrGranted []protocol.Request
@@ -112,9 +107,9 @@ type roundArena struct {
 	// receiver and applied shard-locally (eachReceiverRun).
 	applyBucket []delivery
 
-	// groupCnt is the counting-sort table of the two group-by-owner
-	// passes (serve by supplier, apply by receiver), one slot per ring ID
-	// this shard owns, indexed by World.shardRank. All zero between uses.
+	// groupCnt is the counting-sort table of the apply stage's
+	// group-by-receiver pass, one slot per ring ID this shard owns,
+	// indexed by World.shardRank. All zero between uses.
 	groupCnt []int32
 
 	// sched is the schedule phase's scratch (this index read as a
@@ -193,8 +188,9 @@ func (h *handoff[T]) to(d int) []T { return h.recs[h.off[d]:h.end[d]] }
 // total is far steadier than any one shard's share of it, so one pool
 // holds close to what the round uses where 64 grow-only lists would each
 // keep their own busiest round: at 2 000 nodes under churn, the shards'
-// largest ask lists so far add up to 15–26 % more than a round's asks by
-// round 30, while the largest total so far stays within 6 % of it. A
+// largest lists so far of the ask stream, which the grants followed,
+// added up to 15–26 % more than a round's asks by round 30, while the
+// largest total so far stayed within 6 % of it. A
 // round whose layout does not fit adds one chunk, sized to what is left
 // to carve plus an eighth of the round's total, and keeps the chunks it
 // has: growing allocates the shortfall, not a new buffer for the whole
@@ -228,14 +224,12 @@ func (p *pool[T]) take(n int) []T {
 	return p.take(n)
 }
 
-// roundLists is the world's pool for each hand-off stream and each grouped
-// copy; sequential phase code carves them between the parallel stages.
+// roundLists is the world's pool for the grant hand-off and for its
+// grouped copy; sequential phase code carves them between the parallel
+// stages.
 type roundLists struct {
-	hear    pool[hearEvent]   // roundArena.gossip
-	asks    pool[transferReq] // roundArena.serveScatter
-	grouped pool[transferReq] // roundArena.asks
-	grants  pool[delivery]    // roundArena.deliverScatter
-	due     pool[delivery]    // roundArena.applyBucket
+	grants pool[delivery] // roundArena.deliverScatter
+	due    pool[delivery] // roundArena.applyBucket
 }
 
 // layout carves every producer's list of one hand-off stream from p once
@@ -302,15 +296,14 @@ func (c *predictCtx) ensure(w *World) {
 	}
 }
 
-// ensureArenas sizes the per-shard arena table on first use (sequential
-// code only) and wires each shard's provider to the world.
-func (w *World) ensureArenas() {
-	if w.arenas == nil {
-		w.arenas = make([]roundArena, phaseShards)
-		for s := range w.arenas {
-			w.arenas[s].provider.w = w
-			w.arenas[s].groupCnt = make([]int32, w.shardSize[s])
-		}
+// buildArenas sizes the per-shard arena table and wires each shard's
+// provider to the world; NewWorld calls it once, after shardRanks.
+func (w *World) buildArenas() {
+	w.arenas = make([]roundArena, phaseShards)
+	for s := range w.arenas {
+		w.arenas[s].provider.w = w
+		w.arenas[s].groupCnt = make([]int32, w.shardSize[s])
+		w.arenas[s].gossipAt = make([]int32, w.shardSize[s]+1)
 	}
 }
 
@@ -318,9 +311,10 @@ func (w *World) ensureArenas() {
 // ascending ID order: rank[id] is id's number within shard shardOf(id),
 // size[s] how many IDs shard s owns. The assignment depends only on the
 // identifier space, so it is computed once per world. It is what lets a
-// shard group its asks or deliveries by owner with a counting sort over
-// a table as small as the shard (and private to it) rather than one
-// slot per ring ID: within a shard, ascending rank is ascending ID.
+// shard group its deliveries by receiver with a counting sort over a
+// table as small as the shard (and private to it) rather than one slot
+// per ring ID — within a shard, ascending rank is ascending ID — and
+// index its nodes' gossip rows the same way.
 func shardRanks(spaceN int) (rank []int32, size [phaseShards]int32) {
 	rank = make([]int32, spaceN)
 	for id := range rank {
@@ -340,34 +334,6 @@ func startOffsets(cnt []int32) int {
 		total += c
 	}
 	return int(total)
-}
-
-// groupAsks fills supplier shard s's fresh-ask list for the round,
-// arenas[s].asks (carved to the size of what the scatter stage handed s):
-// every ask in the scatter shards' lists for s, grouped by supplier
-// ascending, each supplier's asks in arrival order. Reading the lists in
-// scatter-shard order reproduces the requester-ascending arrival order a
-// sequential scan would produce, and the counting sort is stable, so the
-// result is the one a stable sort of the concatenated segments by
-// supplier gives — without the concatenated copy or the log factor. Only
-// shard s's serve stage calls it, after the scatter barrier.
-func groupAsks(arenas []roundArena, s int, rank []int32) {
-	ar := &arenas[s]
-	cnt := ar.groupCnt
-	for r := range arenas {
-		for _, tr := range arenas[r].serveScatter.to(s) {
-			cnt[rank[tr.supplier]]++
-		}
-	}
-	startOffsets(cnt)
-	for r := range arenas {
-		for _, tr := range arenas[r].serveScatter.to(s) {
-			k := rank[tr.supplier]
-			ar.asks[cnt[k]] = tr
-			cnt[k]++
-		}
-	}
-	clear(cnt)
 }
 
 // countArrivals is the first pass of receiver shard s's apply hand-off: it
@@ -402,8 +368,8 @@ func countArrivals(arenas []roundArena, s int, rank []int32, end sim.Time) int {
 // (timestamp, segment, sender, prefetch first) — the runs a sort of
 // everything due by (receiver, timestamp, segment, sender, prefetch)
 // would contain. Whatever lands after end stays in — or joins — the
-// in-flight list, compacted in place. Like groupAsks it is a counting
-// sort straight from the sources into owner order: countArrivals counted,
+// in-flight list, compacted in place. It is a counting sort straight
+// from the sources into owner order: countArrivals counted,
 // this pass places the due deliveries in applyBucket, and each run (about
 // ten entries) is sorted where it lies. The order the sources are read in
 // is free: compareArrival is a total order, so a receiver's sorted run is
@@ -476,8 +442,7 @@ func seg32(id segment.ID) int32 {
 	return int32(id)
 }
 
-// ms32 narrows a millisecond stamp or latency to a hand-off record's int32
-// field; the bound is 24.8 days of simulated time.
+// ms32 narrows a millisecond stamp to a hand-off record's int32 field; the bound is 24.8 days of simulated time.
 func ms32(t sim.Time) int32 {
 	if t < math.MinInt32 || t > math.MaxInt32 {
 		panic(fmt.Sprintf("core: time %d ms is past the int32 bound %d ms of a hand-off record", int64(t), math.MaxInt32))

@@ -78,25 +78,25 @@ func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
 			want[r][d] = append(want[r][d], int32(r*emitted+i))
 		}
 	}
-	gossipOf := func(ar *roundArena) *handoff[hearEvent] { return &ar.gossip }
-	var p pool[hearEvent]
+	grantsOf := func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter }
+	var p pool[delivery]
 	for round := 0; round < 2; round++ { // the second round reuses the pool
 		for r := range arenas {
-			h := &arenas[r].gossip
+			h := &arenas[r].deliverScatter
 			h.clearBounds()
 			for d, recs := range want[r] {
 				h.reserve(d, int32(len(recs)+rng.Intn(3))) // a bound, not a count
 			}
 		}
-		layout(&p, arenas, gossipOf)
+		layout(&p, arenas, grantsOf)
 		for r := range arenas {
 			for i, d := range dest[r] {
-				arenas[r].gossip.put(d, hearEvent{to: int32(r*emitted + i)})
+				arenas[r].deliverScatter.put(d, delivery{to: int32(r*emitted + i)})
 			}
 			for d := range phaseShards {
 				var got []int32
-				for _, ev := range arenas[r].gossip.to(d) {
-					got = append(got, ev.to)
+				for _, g := range arenas[r].deliverScatter.to(d) {
+					got = append(got, g.to)
 				}
 				if !slices.Equal(got, want[r][d]) {
 					t.Fatalf("round %d producer %d shard %d: read back %v, emitted %v", round, r, d, got, want[r][d])
@@ -105,31 +105,28 @@ func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
 		}
 	}
 	one := make([]roundArena, 1)
-	one[0].gossip.reserve(0, 1)
-	one[0].gossip.reserve(1, 1)
-	layout(&p, one, gossipOf)
-	one[0].gossip.put(0, hearEvent{to: 1})
+	one[0].deliverScatter.reserve(0, 1)
+	one[0].deliverScatter.reserve(1, 1)
+	layout(&p, one, grantsOf)
+	one[0].deliverScatter.put(0, delivery{to: 1})
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "shard 0 is full at its 1 reserved slots") {
 			t.Fatalf("overfilling a segment: recovered %q, want the full-segment panic", msg)
 		}
-		if got := one[0].gossip.to(1); len(got) != 0 {
+		if got := one[0].deliverScatter.to(1); len(got) != 0 {
 			t.Fatalf("the overfill reached shard 1's segment: %v", got)
 		}
 	}()
-	one[0].gossip.put(0, hearEvent{to: 2})
+	one[0].deliverScatter.put(0, delivery{to: 2})
 }
 
-// TestRecordNarrowingGuards pins the int32 fields of the hand-off records:
-// the largest segment ID and millisecond stamp they hold round-trip, and
-// an ask or a delivery one past either bound panics naming it instead of
+// TestRecordNarrowingGuards pins the int32 fields of the hand-off record:
+// the largest segment ID and millisecond stamp a delivery holds
+// round-trip, and one past either bound panics naming it instead of
 // wrapping.
 func TestRecordNarrowingGuards(t *testing.T) {
 	const top = math.MaxInt32
-	if a := newAsk(1, 2, top, top); segment.ID(a.id) != top || sim.Time(a.expected) != top {
-		t.Fatalf("newAsk at the bound stored id %d, expected %d", a.id, a.expected)
-	}
 	if d := newDelivery(1, 2, top, top, true); segment.ID(d.id) != top || sim.Time(d.at) != top || !d.prefetch {
 		t.Fatalf("newDelivery at the bound stored %+v", d)
 	}
@@ -138,8 +135,6 @@ func TestRecordNarrowingGuards(t *testing.T) {
 		name string
 		mk   func()
 	}{
-		{"ask segment", func() { newAsk(1, 2, top+1, 0) }},
-		{"ask stamp", func() { newAsk(1, 2, 0, top+1) }},
 		{"delivery segment", func() { newDelivery(1, 2, top+1, 0, false) }},
 		{"delivery stamp", func() { newDelivery(1, 2, 0, top+1, false) }},
 		{"negative stamp", func() { newDelivery(1, 2, 0, math.MinInt32-1, false) }},
@@ -154,8 +149,8 @@ func TestRecordNarrowingGuards(t *testing.T) {
 			tc.mk()
 		}()
 	}
-	if got := unsafe.Sizeof(hearEvent{}) + unsafe.Sizeof(transferReq{}) + unsafe.Sizeof(delivery{}); got != 12+16+20 {
-		t.Errorf("hear event, ask and delivery records take %d bytes together, want 48", got)
+	if got := unsafe.Sizeof(delivery{}); got != 20 {
+		t.Errorf("a delivery record takes %d bytes, want 20", got)
 	}
 }
 
@@ -176,34 +171,29 @@ type streamBytes struct {
 	held, sent int64
 }
 
-// handoffBytes measures a stepped world's hand-off lists and grouped
-// copies. Every one of them still holds the last round's records: each is
+// handoffBytes measures a stepped world's grant hand-off lists and their
+// grouped copies. Both still hold the last round's records: each is
 // refilled only when its phase runs again in the next round.
 func handoffBytes(w *World) []streamBytes {
-	var hear, asks, grouped, grants, due int
+	var grants, due int
 	for s := range w.arenas {
 		ar := &w.arenas[s]
 		for d := range phaseShards {
-			hear += len(ar.gossip.to(d))
-			asks += len(ar.serveScatter.to(d))
 			grants += len(ar.deliverScatter.to(d))
 		}
-		grouped += len(ar.asks)
 		due += len(ar.applyBucket)
 	}
-	hs, ts, ds := int64(unsafe.Sizeof(hearEvent{})), int64(unsafe.Sizeof(transferReq{})), int64(unsafe.Sizeof(delivery{}))
+	ds := int64(unsafe.Sizeof(delivery{}))
 	l := &w.lists
 	return []streamBytes{
-		{"gossip", int64(poolRecords(&l.hear)) * hs, int64(hear) * hs},
-		{"asks", int64(poolRecords(&l.asks)) * ts, int64(asks) * ts},
-		{"grouped asks", int64(poolRecords(&l.grouped)) * ts, int64(grouped) * ts},
 		{"grants", int64(poolRecords(&l.grants)) * ds, int64(grants) * ds},
 		{"due", int64(poolRecords(&l.due)) * ds, int64(due) * ds},
 	}
 }
 
-// TestRoundArenaCeiling holds the round's hand-off lists and their grouped
-// copies to the round's size on a 2 000-node churn world at two workers:
+// TestRoundArenaCeiling holds the round's grant hand-off lists and their
+// grouped copies to the round's size on a 2 000-node churn world at two
+// workers:
 // from round 10 on, what their pools hold may be at most 1.3 times the
 // bytes of the records the round handed off through them, and it may not
 // grow from round 20 to round 30. Grow-only lists fail both: the 64×64

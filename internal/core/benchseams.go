@@ -43,15 +43,11 @@ func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.beginRound()
 	var sample metrics.RoundSample
 	w.exchangePhase(&sample)
-	requests := w.schedulePhase(clock)
+	w.schedulePhase(clock)
 	total := 0
-	for i, reqs := range requests {
-		if len(reqs) == 0 {
-			continue
-		}
-		total += len(reqs)
-		n := w.seq[i]
-		for _, req := range reqs {
+	for _, n := range w.seq {
+		total += len(n.asks)
+		for _, req := range n.asks {
 			n.seg.MarkGossip(req.ID, 0, 0)
 		}
 	}

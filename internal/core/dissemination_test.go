@@ -6,6 +6,7 @@ import (
 
 	"continustreaming/internal/churn"
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/protocol"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
@@ -37,6 +38,18 @@ func serveFixture(t *testing.T, workers int, pos segment.ID) (*World, overlay.No
 	return w, sup
 }
 
+// freshAsks stages asks for ids from the world's first nodes, one each, as
+// pullAsks stages an engine-profile supplier's fresh asks for
+// serveSupplier: deadlines for a round that starts at 0 with playback at
+// pos.
+func freshAsks(w *World, pos segment.ID, ids ...segment.ID) *roundArena {
+	ar := &roundArena{}
+	for i, id := range ids {
+		ar.planAsks = append(ar.planAsks, protocol.Ask{Requester: w.Nodes()[i], ID: id, Deadline: w.deadlineOf(id, pos, w.cfg.Stream.Rate, 0)})
+	}
+	return ar
+}
+
 // TestSupplierServesEarliestDeadlineFirst pins the engine's service
 // discipline on a contended supplier: with more asks than outbound
 // capacity, the earliest-deadline requests are granted (in deadline
@@ -51,14 +64,10 @@ func TestSupplierServesEarliestDeadlineFirst(t *testing.T) {
 		sn := w.Node(sup)
 		sn.Rates.Out = 1                    // capacity 2 with backlog spill
 		sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
-		p := w.cfg.Stream.Rate
 		// Six contending requesters asking for segments at increasing
 		// deadlines (ids 1, 2, 3 rounds ahead of pos).
-		var fresh []transferReq
-		for i, id := range []segment.ID{pos + 25, pos + 15, pos + 35, pos + 12, pos + 22, pos + 32} {
-			fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
-		}
-		res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+		ar := freshAsks(w, pos, pos+25, pos+15, pos+35, pos+12, pos+22, pos+32)
+		res := w.serveSupplier(ar, sn, sim.Time(w.cfg.Tau), pos)
 		if len(res.Granted) != 2 {
 			t.Fatalf("granted %d, want capacity 2", len(res.Granted))
 		}
@@ -93,20 +102,16 @@ func TestSupplierBreaksDeadlineTiesByRarity(t *testing.T) {
 	sn.Rates.Out = 1
 	sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
 	pos := segment.ID(0)
-	p := w.cfg.Stream.Rate
 	common, rare := pos+2, pos+3 // same round => same deadline
 	// Every neighbour of sup advertises the common segment.
 	for _, nb := range w.neighborsOf(sup) {
 		w.Node(nb).Buf.Insert(common)
 	}
-	fresh := []transferReq{
-		newAsk(sup, w.Nodes()[0], common, 0),
-		newAsk(sup, w.Nodes()[1], rare, 0),
-	}
+	ar := freshAsks(w, pos, common, rare)
 	// Capacity 1: one push send charged against the supplier leaves one
 	// slot of its 2·O horizon.
 	sn.up.ChargePush()
-	res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(ar, sn, sim.Time(w.cfg.Tau), pos)
 	if len(res.Granted) != 1 || res.Granted[0].ID != rare {
 		t.Fatalf("granted %+v, want the rare segment %d first", res.Granted, rare)
 	}
@@ -121,16 +126,15 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 	sn.Rates.Out = 1
 	sn.up.Open(sn.Rates.Out, w.cfg.Tau) // as beginRound does
 	pos := segment.ID(0)
-	p := w.cfg.Stream.Rate
 	// Far-future deadlines so nothing is deadline-evicted; supplier must
 	// hold the segments for the carried entries to survive revalidation.
-	var fresh []transferReq
+	var ids []segment.ID
 	for i := 0; i < 5; i++ {
 		id := pos + segment.ID(40+i)
 		sn.Buf.Insert(id)
-		fresh = append(fresh, newAsk(sup, w.Nodes()[i], id, 0))
+		ids = append(ids, id)
 	}
-	res := w.serveSupplier(&roundArena{}, sup, fresh, 0, sim.Time(w.cfg.Tau), pos, p)
+	res := w.serveSupplier(freshAsks(w, pos, ids...), sn, sim.Time(w.cfg.Tau), pos)
 	if len(res.Granted) != 2 {
 		t.Fatalf("granted %d, want 2", len(res.Granted))
 	}
@@ -141,7 +145,7 @@ func TestQueueCarriesUnservedRequests(t *testing.T) {
 		t.Fatalf("overflow evictions = %d, want 1", res.Evicted.Overflow)
 	}
 	// Next round: no fresh asks; the carried pair is served first.
-	res2 := w.serveSupplier(&roundArena{}, sup, nil, sim.Time(w.cfg.Tau), 2*sim.Time(w.cfg.Tau), pos, p)
+	res2 := w.serveSupplier(&roundArena{}, sn, 2*sim.Time(w.cfg.Tau), pos)
 	if len(res2.Granted) != 2 || !res2.Granted[0].Carried || !res2.Granted[1].Carried {
 		t.Fatalf("carried requests not served next round: %+v", res2.Granted)
 	}

@@ -14,10 +14,11 @@ import (
 // fix: a supplier shard with nothing to serve (at 100 nodes under churn,
 // a shard whose only node left) must hand apply nothing, not last round's
 // grants again. At the serve→apply boundary every grant comes from a
-// supplier on its shard's worklist of this round, and none arrives before
-// the round began — a replayed grant inflates DataBits, feeds the rate
-// controller a negative transfer time and can land on a joiner that
-// recycled the ring ID.
+// supplier its shard served this round — one with fresh asks or a carry
+// queue when the serve phase began — and none arrives before the round
+// began: a replayed grant inflates DataBits, feeds the rate controller a
+// negative transfer time and can land on a joiner that recycled the ring
+// ID.
 //
 // (to, from, id, at) itself is not unique across rounds: a grant that
 // spills into the next period and a fresh grant of the same segment by
@@ -32,20 +33,28 @@ func TestServeHandsOverOnlyThisRoundsGrants(t *testing.T) {
 		var w *World
 		var engine *sim.Engine
 		grants, stale, early := 0, 0, 0
+		var served []bool // by ring ID: had work when the serve phase began
 		cfg.PhaseProbe = func(phase string) {
-			if phase != "apply" {
-				return
-			}
-			now := engine.Clock().Now()
-			for s := range w.arenas {
-				ar := &w.arenas[s]
-				for _, d := range filled(&ar.deliverScatter) {
-					grants++
-					if _, served := slices.BinarySearch(ar.suppliers, overlay.NodeID(d.from)); !served {
-						stale++
+			switch phase {
+			case "serve":
+				served = make([]bool, len(w.nodes))
+				for _, n := range w.seq {
+					served[n.ID] = served[n.ID] || len(n.carry) > 0
+					for _, req := range n.asks {
+						served[req.Supplier] = true
 					}
-					if sim.Time(d.at) < now {
-						early++
+				}
+			case "apply":
+				now := engine.Clock().Now()
+				for s := range w.arenas {
+					for _, d := range filled(&w.arenas[s].deliverScatter) {
+						grants++
+						if !served[d.from] || w.shardOf(overlay.NodeID(d.from)) != s {
+							stale++
+						}
+						if sim.Time(d.at) < now {
+							early++
+						}
 					}
 				}
 			}
@@ -60,7 +69,7 @@ func TestServeHandsOverOnlyThisRoundsGrants(t *testing.T) {
 			t.Fatalf("seed %d: no grant ever crossed the serve→apply boundary", seed)
 		}
 		if stale != 0 || early != 0 {
-			t.Fatalf("seed %d: of %d grants handed to apply, %d come from a supplier that served nothing this round and %d arrive before their round began",
+			t.Fatalf("seed %d: of %d grants handed to apply, %d come from a supplier its shard did not serve this round and %d arrive before their round began",
 				seed, grants, stale, early)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/prefetch"
 	"continustreaming/internal/protocol"
+	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
@@ -78,8 +79,8 @@ type Node struct {
 	// it). It is the one piece of serve state that crosses rounds; it
 	// dies with the node, so a joiner recycling the ring slot starts
 	// empty. Only the serve shard that owns the node (or sequential phase
-	// code) touches it, and that shard lists the node in its arena's
-	// carriers while the queue is non-empty.
+	// code) touches it; that shard visits every node it owns, so a queue
+	// needs no list of its holders.
 	carry []protocol.Request
 	// up is the round's outbound ledger, opened by beginRound and charged
 	// by the push phase's sequential loop, the pre-fetch claim stage and the
@@ -103,6 +104,12 @@ type Node struct {
 	// missStreak counts consecutive discontinuous rounds; two or more is
 	// playback distress, which unlocks multi-replacement in maintenance.
 	missStreak int
+	// asks is the round's scheduled requests of this node, each to a
+	// connected neighbour: set by schedulePhase (nil when the node
+	// scheduled nothing) and read in place by those neighbours' serve
+	// shards (pullAsks). It aliases its schedule shard's request arena,
+	// valid until the next round's schedule phase.
+	asks []scheduler.Request
 }
 
 // pendingExpiryRounds is how many rounds a request stays pending before the

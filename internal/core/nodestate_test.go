@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -18,9 +17,8 @@ import (
 // checkNodeState asserts, on a world that has just finished a round, the
 // invariants of the state each node keeps once: the neighbour lists are
 // strictly ascending, name only alive nodes and are symmetric; a carry
-// queue holds only requests of alive requesters, within its bound, and its
-// holder is on its serve shard's worklist (a queue the list forgot would
-// never be served again); the round's outbound spend stays within the
+// queue holds only requests of alive requesters, within its bound; the
+// round's outbound spend stays within the
 // uplink's 2·O horizon, pushes within O; a node that joined this round
 // carries nothing, has spent nothing and has no pre-fetch tag, whoever
 // held its ring slot or its tracker's slices before, and has a neighbour
@@ -62,11 +60,6 @@ func checkNodeState(t *testing.T, w *World) {
 		for _, r := range n.carry {
 			if w.nodes[r.Requester] == nil {
 				t.Fatalf("round %d node %d: carries %+v of a departed requester", w.round, id, r)
-			}
-		}
-		if len(n.carry) > 0 && w.arenas != nil {
-			if _, listed := slices.BinarySearch(w.arenas[w.shardOf(id)].carriers, id); !listed {
-				t.Fatalf("round %d node %d: carries %d requests but is not on its shard's worklist", w.round, id, len(n.carry))
 			}
 		}
 		if n.up.Used() > 2*n.Rates.Out {
@@ -119,11 +112,6 @@ func checkNodeState(t *testing.T, w *World) {
 			if buffered && n.seg.InFlight(seg, w.round) {
 				t.Fatalf("round %d node %d: segment %d is buffered but a request for it is still in flight (pre-fetch %v)", w.round, id, seg, n.seg.PrefetchPending(seg, w.round))
 			}
-		}
-	}
-	for s := range w.arenas {
-		if c := w.arenas[s].carriers; !slices.IsSorted(c) {
-			t.Fatalf("round %d shard %d: queue-holder worklist %v not ascending", w.round, s, c)
 		}
 	}
 	if w.dhtNet.Size() != len(w.order) {

@@ -53,15 +53,15 @@ func (w *World) churnPhase() {
 		// connections are gone, and a recycled slot must not inherit them
 		// — and, on the supplier side, their carried requests, which
 		// would otherwise pass the serve-time liveness check once the slot
-		// is alive again. Every non-empty carry queue is on its shard's
-		// carriers list. Transfers the dead sent while alive still arrive:
-		// packets already on the wire.
-		w.ensureArenas()
+		// is alive again. The shards' work lists still list the nodes
+		// alive at the round's start, so every carry queue is on one.
+		// Transfers the dead sent while alive still arrive: packets
+		// already on the wire.
 		sim.ForShards(w.pool, phaseShards, func(s int) {
 			ar := &w.arenas[s]
 			ar.later = slices.DeleteFunc(ar.later, func(d delivery) bool { return w.nodes[d.to] == nil })
 			departed := func(r protocol.Request) bool { return w.nodes[r.Requester] == nil }
-			for _, id := range ar.carriers {
+			for _, id := range ar.nodes {
 				if n := w.nodes[id]; n != nil {
 					n.carry = slices.DeleteFunc(n.carry, departed)
 				}

@@ -17,8 +17,6 @@ import "continustreaming/internal/sim"
 func (w *World) dhtRepairPhase() {
 	pos := w.playbackPos(w.round)
 	edge := w.fetchEdge(w.round)
-	w.ensureArenas()
-	w.shardWorkLists()
 	seed := w.phaseSeed(phaseRepair)
 	sim.ForShards(w.pool, phaseShards, func(s int) {
 		rng := sim.ShardRNG(seed, s)

@@ -1,18 +1,23 @@
 package core
 
 import (
+	"fmt"
+
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
 	"continustreaming/internal/sim"
 )
 
-// hearEvent is one membership-gossip notification: `to` learns that
-// `about` exists at the given latency (milliseconds). Its fields are int32,
-// 12 bytes a record: ring IDs fit because dht.NewSpace caps the ring at
-// 2^31 slots, and ms32 guards the latency.
-type hearEvent struct {
-	to, about int32
-	lat       int32
+// gossipRow is one neighbour's share of a node's membership-gossip draw:
+// the two candidates the node drew for neighbour `to`, in draw order. A
+// pick equal to `to` names nothing — GossipPicks skips a draw that lands
+// on the neighbour itself, and a node with fewer than two neighbours
+// draws none — so the row starts as {to, to} and the draws overwrite it.
+// Its fields are int32: ring IDs fit because dht.NewSpace caps the ring
+// at 2^31 slots.
+type gossipRow struct {
+	to    int32
+	picks [2]int32
 }
 
 // maintenancePhase applies the paper's neighbour maintenance rules as a
@@ -22,97 +27,38 @@ type hearEvent struct {
 // protocol.GossipPicks and protocol.PlanRewire; this driver owns the
 // sharding, the view assembly and the sequential intent application:
 //
-//  1. gossip scatter — each node, from a neighbour snapshot pinned at
-//     phase entry, tells every alive neighbour about two of its other
-//     neighbours (the SCAMP-style membership gossip CoolStreaming builds
-//     on, riding inside the existing buffer-map exchange and excluded from
-//     the 620-bit control costing). Each scatter shard files its events
-//     in its hand-off list under the shard that owns the hearing peer;
-//     the list is laid out first, at two slots per alive neighbour, the
-//     most GossipPicks emits.
-//  2. shard-owned apply — each ownership shard delivers the hear events to
-//     its own nodes (in scatter-shard order, reproducing a sequential
-//     scan), drops neighbours discovered dead, and computes rewire
-//     intents from each node's local view (protocol.PlanRewire).
+//  1. gossip draw — each node, from its neighbour list as it stands at
+//     phase entry, picks two of its other neighbours to tell every
+//     neighbour about (the SCAMP-style membership gossip CoolStreaming
+//     builds on, riding inside the existing buffer-map exchange and
+//     excluded from the 620-bit control costing). Each ownership shard
+//     writes its nodes' picks into its own arena, one gossipRow per
+//     neighbour.
+//  2. shard-owned hear and plan — each node pulls the picks its
+//     neighbours drew for it, in place (pulledHears), adds them to its
+//     overheard list, and computes its rewire intent from its local view
+//     (protocol.PlanRewire). Neighbour lists name only alive nodes
+//     (churn and maintenance keep them so), so no neighbour list changes
+//     before stage 3.
 //  3. sequential rewire — intents are applied in shard order, revalidated
 //     against the live edge set, because edge flips touch both endpoints.
 func (w *World) maintenancePhase() {
 	warm := w.virtualPos(w.round) > 0
-	nOrder := len(w.order)
-	w.ensureArenas()
+	w.drawGossip()
 
-	// Stage 1: membership-gossip scatter over contiguous index ranges.
-	// Each node's picks consume its own RNG stream, so the draw sequence
-	// is a function of the node alone, never of worker interleaving.
-	// Nothing changes an edge or a node's liveness until stage 2, so the
-	// bounds reserved in the first pass hold for the second. The alive
-	// and emit callbacks are hoisted to one pair per shard instead of one
-	// per node.
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
-		ar.gossip.clearBounds()
-		lo, hi := sim.ShardRange(nOrder, phaseShards, r)
-		for i := lo; i < hi; i++ {
-			nbs := w.nodes[w.order[i]].Table.Neighbors()
-			if len(nbs) < 2 {
-				continue // GossipPicks needs a second neighbour to name
-			}
-			for _, nb := range nbs {
-				if w.nodes[nb] != nil {
-					ar.gossip.reserve(w.shardOf(nb), 2)
-				}
-			}
-		}
-	})
-	layout(&w.lists.hear, w.arenas, func(ar *roundArena) *handoff[hearEvent] { return &ar.gossip })
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
-		alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
-		emit := func(to, about overlay.NodeID) {
-			ar.gossip.put(w.shardOf(to), hearEvent{to: int32(to), about: int32(about), lat: ms32(w.Latency(to, about))})
-		}
-		lo, hi := sim.ShardRange(nOrder, phaseShards, r)
-		for i := lo; i < hi; i++ {
-			n := w.nodes[w.order[i]]
-			// The neighbour snapshot is pinned at phase entry: nothing
-			// mutates edges until stage 2, so the table's own list is
-			// the snapshot.
-			protocol.GossipPicks(&n.RNG, n.Table.Neighbors(), alive, emit)
-		}
-	})
-
-	// Stage 2: shard-owned hear delivery, dead-neighbour cleanup, and
-	// intent computation. Every mutation in this stage touches only state
-	// owned by the executing shard (the node's own tables, its own
-	// controller, its own arena). One sequential pass builds the per-shard
-	// work lists so each shard walks only its own nodes.
-	w.shardWorkLists()
+	// Stage 2: shard-owned hear delivery and intent computation. Every
+	// mutation in this stage touches only state owned by the executing
+	// shard (the node's own tables, its own arena); other shards' gossip
+	// rows are read after the barrier that ends stage 1.
 	sim.ForShards(w.pool, phaseShards, func(s int) {
 		ar := &w.arenas[s]
-		for r := 0; r < phaseShards; r++ {
-			// Cross-shard read of stage-1 output, sequenced by the
-			// barrier between the two ForShards calls.
-			for _, ev := range w.arenas[r].gossip.to(s) {
-				if n := w.nodes[ev.to]; n != nil {
-					n.Table.Hear(overlay.NodeID(ev.about), sim.Time(ev.lat))
-				}
-			}
-		}
 		ar.intents = ar.intents[:0]
 		ar.rewire.Reset()
 		for _, id := range ar.nodes {
 			n := w.nodes[id]
-			// Snapshot the neighbour list before the dead scan:
-			// removeEdge rewrites it mid-iteration.
-			ar.deadScan = append(ar.deadScan[:0], n.Table.Neighbors()...)
-			for _, nb := range ar.deadScan {
-				if w.nodes[nb] == nil {
-					// The dead side's node is gone, so this edge
-					// removal mutates only shard-owned state.
-					w.removeEdge(id, nb)
-					n.Table.ForgetOverheard(nb)
-				}
-			}
+			w.pulledHears(id, n.Table.Neighbors(), func(about overlay.NodeID) {
+				n.Table.Hear(about, w.Latency(id, about))
+			})
 			ar.provider.n = n
 			if intent, ok := protocol.PlanRewire(w.maintenanceView(n, warm, &ar.provider), w.cfg.Maintenance, &ar.rewire); ok {
 				ar.intents = append(ar.intents, intent)
@@ -133,6 +79,81 @@ func (w *World) maintenancePhase() {
 				w.testRewireIntentHook(intent)
 			}
 			w.applyRewire(intent, &ar.provider)
+		}
+	}
+}
+
+// drawGossip is maintenance stage 1: every node draws protocol.GossipPicks
+// from its own RNG stream, so the draw sequence is a function of the node
+// alone, never of worker interleaving, and its shard files the picks as
+// one gossipRow per neighbour. The list is sized from the shard's degree
+// sum before it is filled: a round that outgrows it reallocates it at
+// that sum plus an eighth, the headroom the hand-off pools keep, so a
+// mesh whose degrees drift up reallocates it rarely and it carries no
+// more slack than that. The emit callback is hoisted to one per shard:
+// GossipPicks emits in neighbour order, so a cursor walks the node's rows
+// along with it.
+func (w *World) drawGossip() {
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
+		rows := 0
+		for _, id := range ar.nodes {
+			rows += len(w.nodes[id].Table.Neighbors())
+		}
+		if cap(ar.gossip) < rows {
+			ar.gossip = make([]gossipRow, 0, rows+rows/8)
+		}
+		ar.gossip = ar.gossip[:0]
+		var row, draw int
+		alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
+		emit := func(to, about overlay.NodeID) {
+			for ar.gossip[row].to != int32(to) {
+				row, draw = row+1, 0
+			}
+			ar.gossip[row].picks[draw] = int32(about)
+			draw++
+		}
+		// gossipAt is a CSR offset table over the shard's ranks: a rank
+		// with no node gets an empty span.
+		rank := 0
+		for _, id := range ar.nodes {
+			for ; rank <= int(w.shardRank[id]); rank++ {
+				ar.gossipAt[rank] = int32(len(ar.gossip))
+			}
+			nbs := w.nodes[id].Table.Neighbors()
+			row, draw = len(ar.gossip), 0
+			for _, nb := range nbs {
+				ar.gossip = append(ar.gossip, gossipRow{to: int32(nb), picks: [2]int32{int32(nb), int32(nb)}})
+			}
+			protocol.GossipPicks(&w.nodes[id].RNG, nbs, alive, emit)
+		}
+		for ; rank < len(ar.gossipAt); rank++ {
+			ar.gossipAt[rank] = int32(len(ar.gossip))
+		}
+	})
+}
+
+// pulledHears calls fn with every pick x's neighbours drew for it in
+// stage 1, in a fixed order: neighbours ascending, each neighbour's draw-0
+// pick before its draw-1 pick. Neighbour lists are symmetric, so each of
+// x's neighbours has a row for x; a missing row is a broken mesh
+// invariant and panics.
+func (w *World) pulledHears(x overlay.NodeID, nbs []overlay.NodeID, fn func(about overlay.NodeID)) {
+	for _, y := range nbs {
+		ar := &w.arenas[w.shardOf(y)]
+		k := w.shardRank[y]
+		rows := ar.gossip[ar.gossipAt[k]:ar.gossipAt[k+1]]
+		i := 0
+		for i < len(rows) && rows[i].to != int32(x) {
+			i++
+		}
+		if i == len(rows) {
+			panic(fmt.Sprintf("core: node %d lists neighbour %d, which does not list it back", x, y))
+		}
+		for _, p := range rows[i].picks {
+			if p != int32(x) {
+				fn(overlay.NodeID(p))
+			}
 		}
 	}
 }
@@ -159,7 +180,7 @@ func (w *World) maintenanceView(n *Node, warm bool, prov protocol.ViewProvider) 
 
 // shardWorkLists partitions the alive order into the shard arenas' work
 // lists in one sequential pass; w.order is sorted, so each shard's list
-// ascends. Callers run ensureArenas first.
+// ascends.
 func (w *World) shardWorkLists() {
 	for s := range w.arenas {
 		w.arenas[s].nodes = w.arenas[s].nodes[:0]

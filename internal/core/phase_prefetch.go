@@ -156,7 +156,6 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 // churn, so no level a walk reads names a departed node.
 func (w *World) routePrefetch(plans []prefetch.Decision) {
 	retr := w.retr
-	w.ensureArenas()
 	sim.ForShards(w.pool, phaseShards, func(r int) {
 		ar := &w.arenas[r]
 		ar.walks = ar.walks[:0]

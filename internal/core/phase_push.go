@@ -49,7 +49,6 @@ func (w *World) pushPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	if len(fresh) == 0 {
 		return
 	}
-	w.ensureArenas()
 	start := clock.Now()
 	end := clock.RoundEnd()
 	segBits := w.cfg.Stream.BitsPerSegment

@@ -48,7 +48,6 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 	p := w.cfg.Stream.Rate
 	now := clock.Now()
 	round := w.round
-	w.ensureArenas()
 	sim.ForShards(w.pool, phaseShards, func(r int) {
 		ar := &w.arenas[r]
 		ar.predictIDs = ar.predictIDs[:0]
@@ -74,29 +73,39 @@ func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
 }
 
 // schedulePhase runs each node's scheduling policy against its neighbours'
-// buffers. The inbound budget reserves room for this round's pre-fetches
-// ("the on-demand data retrieval algorithm shares the inbound rate with
-// the data scheduling algorithm").
+// buffers and leaves the requests on the node (Node.asks), where its
+// suppliers' serve shards read them. The inbound budget reserves room for
+// this round's pre-fetches ("the on-demand data retrieval algorithm
+// shares the inbound rate with the data scheduling algorithm").
 //
-// Nodes fan out over contiguous index ranges so each range shard owns a
-// reusable scratch: the candidate-enumeration buffers reset per node, and
-// the policy scratch whose request arena backs out[i] until the transfer
-// resolution consumes it. Every write still lands in the node's own slot,
-// so the output is identical at any worker count.
-func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
+// Each ownership shard schedules its own nodes with a reusable scratch:
+// the candidate-enumeration buffers reset per node, and the policy
+// scratch whose request arena backs the nodes' asks until the transfer
+// resolution consumes them. Every node write lands on the node being
+// scheduled, so the output is identical at any worker count. The shard
+// also tallies what the serve phase's grant hand-off must hold room for:
+// the asks its nodes send each supplier shard (asksTo) and the requests
+// they carry for each receiver shard (carryTo); and it opens the round's
+// counts with its nodes' requests, which the serve phase adds to.
+func (w *World) schedulePhase(clock *sim.Clock) {
 	pos := w.playbackPos(w.round)
 	vpos := w.virtualPos(w.round)
 	fetchWin := segment.Window{Lo: pos, Hi: w.fetchEdge(w.round)}
-	out := make([][]scheduler.Request, len(w.order))
 	round := w.round
 	now := clock.Now()
-	w.ensureArenas()
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
 		ar.sched.Reset()
-		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
-		for i := lo; i < hi; i++ {
-			n := w.seq[i]
+		clear(ar.asksTo[:])
+		clear(ar.carryTo[:])
+		c := &ar.counts
+		*c = metrics.RoundSample{}
+		for _, id := range ar.nodes {
+			n := w.nodes[id]
+			n.asks = nil
+			for _, req := range n.carry {
+				ar.carryTo[w.shardOf(req.Requester)]++
+			}
 			if n.IsSource {
 				continue
 			}
@@ -132,12 +141,12 @@ func (w *World) schedulePhase(clock *sim.Clock) [][]scheduler.Request {
 			for _, req := range reqs {
 				n.seg.MarkGossip(req.ID, round+pendingExpiryRounds, now+req.ExpectedAt)
 				n.Ctrl.NoteRequested(req.Supplier, 1)
+				ar.asksTo[w.shardOf(overlay.NodeID(req.Supplier))]++
 			}
-			//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
-			out[i] = reqs
+			n.asks = reqs
+			c.Requests += int64(len(reqs))
 		}
 	})
-	return out
 }
 
 // candidatesFor enumerates the fresh segments any connected neighbour

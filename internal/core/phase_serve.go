@@ -1,30 +1,12 @@
 package core
 
 import (
-	"slices"
-
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/overlay"
 	"continustreaming/internal/protocol"
-	"continustreaming/internal/scheduler"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
-
-// transferReq is one requester->supplier ask: 16 bytes of int32 fields
-// (see newAsk).
-type transferReq struct {
-	supplier, requester int32
-	id                  int32
-	expected            int32
-}
-
-// newAsk builds an ask record. Ring IDs fit int32 because dht.NewSpace caps
-// the ring at 2^31 slots; the segment ID and the expected-arrival stamp
-// are checked (seg32, ms32).
-func newAsk(supplier, requester overlay.NodeID, id segment.ID, expected sim.Time) transferReq {
-	return transferReq{supplier: int32(supplier), requester: int32(requester), id: seg32(id), expected: ms32(expected)}
-}
 
 // resolveTransfers enforces supplier outbound budgets with the
 // dissemination engine's supplier-side service discipline. Each supplier
@@ -39,97 +21,34 @@ func newAsk(supplier, requester overlay.NodeID, id segment.ID, expected sim.Time
 // deadline-hopeless and overflow entries are evicted and the requester
 // times out and retries.
 //
-// The phase runs as a sharded pipeline whose shard-to-shard hand-offs
-// are laid out before they are filled (see handoff). Stage 1 (scatter)
-// partitions requesters into contiguous index ranges: a first pass counts
-// each range's asks per owning supplier shard, sequential code carves the
-// ranges' hand-off lists at those sizes, and a second pass fills them;
-// because ranges ascend with the shard index and w.order is sorted,
-// reading a supplier shard's segments in scatter-shard order reproduces
-// the requester-ascending arrival order a sequential scan would produce.
-// Stage 2 (serve) gives each supplier shard exclusive ownership of its
-// suppliers — their nodes' carry queues and uplinks included. Its first
-// pass groups the shard's asks by supplier into a copy carved at their
-// count (groupAsks), lists the worklist and reserves, per receiver shard,
-// one grant slot for every fresh ask and carried request it could grant —
-// PlanServe and ServeRoundRobin grant from nothing else; after the grant
-// lists are carved, the second pass runs the service discipline, charges
-// its own suppliers' uplinks and hands each grant to the segment of the
-// shard that owns its receiver (roundArena.deliverScatter), where the
-// apply stage picks it up. Each shard counts into its arena, and
-// foldCounts adds the shards' counts in shard order.
-func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Request, sample *metrics.RoundSample) {
-	n := len(requests)
-	w.ensureArenas()
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
-		ar.serveScatter.clearBounds()
-		lo, hi := sim.ShardRange(n, phaseShards, r)
-		for _, reqs := range requests[lo:hi] {
-			for _, req := range reqs {
-				ar.serveScatter.reserve(w.shardOf(overlay.NodeID(req.Supplier)), 1)
-			}
-		}
-	})
-	layout(&w.lists.asks, w.arenas, func(ar *roundArena) *handoff[transferReq] { return &ar.serveScatter })
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
-		lo, hi := sim.ShardRange(n, phaseShards, r)
-		for i := lo; i < hi; i++ {
-			requester := w.order[i]
-			for _, req := range requests[i] {
-				s := overlay.NodeID(req.Supplier)
-				ar.serveScatter.put(w.shardOf(s), newAsk(s, requester, req.ID, req.ExpectedAt))
-			}
-		}
-	})
-
-	// Each supplier shard's grouped copy holds exactly what the scatter
-	// handed it.
-	var asks [phaseShards]int
-	for r := range w.arenas {
-		for s := range asks {
-			asks[s] += len(w.arenas[r].serveScatter.to(s))
+// Each ownership shard serves its own suppliers — their nodes' carry
+// queues and uplinks included — walking its work list. A supplier reads
+// the asks addressed to it in place, from its neighbours' scheduled
+// requests (pullAsks): Algorithm 1 asks only connected neighbours, and
+// neighbour lists are symmetric. The grants go back to their receivers
+// through the one hand-off list laid out before it is filled (see
+// handoff), with one grant slot per receiver shard for every fresh ask
+// and carried request a supplier could grant — PlanServe and
+// ServeRoundRobin grant from nothing else — from the tallies the
+// schedule phase took (roundArena.asksTo, carryTo). After the grant lists
+// are carved, each shard pulls each supplier's asks, runs the service
+// discipline for every supplier that has fresh asks or a carry queue,
+// charges its uplink and hands each grant to the segment of the shard
+// that owns its receiver (roundArena.deliverScatter), where the apply
+// stage picks it up. Each shard adds to the counts its schedule shard
+// opened, and foldCounts adds the shards' counts in shard order.
+func (w *World) resolveTransfers(clock *sim.Clock, sample *metrics.RoundSample) {
+	// Supplier shard s may grant each fresh ask the nodes of shard d sent
+	// it and each request it carries for them. A shard with nothing to
+	// serve reserves nothing, so it hands apply nothing, not last round's
+	// grants.
+	for s := range w.arenas {
+		h := &w.arenas[s].deliverScatter
+		h.clearBounds()
+		for d := range w.arenas {
+			h.reserve(d, w.arenas[d].asksTo[s]+w.arenas[s].carryTo[d])
 		}
 	}
-	carveGroups(&w.lists.grouped, w.arenas, &asks, func(ar *roundArena) *[]transferReq { return &ar.asks })
-	sim.ForShards(w.pool, phaseShards, func(s int) {
-		ar := &w.arenas[s]
-		// Cross-shard read of scatter output, sequenced by the barrier
-		// between the ForShards calls.
-		groupAsks(w.arenas, s, w.shardRank)
-		// The worklist is the union of carry-queue holders and fresh-ask
-		// targets, ascending and deduplicated. Last round's walk listed
-		// the holders; churn since may have removed one, handed its slot
-		// to a joiner or emptied its queue of departed requesters.
-		ar.suppliers = ar.suppliers[:0]
-		for _, id := range ar.carriers {
-			if n := w.nodes[id]; n != nil && len(n.carry) > 0 {
-				ar.suppliers = append(ar.suppliers, id)
-			}
-		}
-		ar.carriers = ar.carriers[:0]
-		for i, tr := range ar.asks {
-			if i == 0 || tr.supplier != ar.asks[i-1].supplier {
-				ar.suppliers = append(ar.suppliers, overlay.NodeID(tr.supplier))
-			}
-		}
-		slices.Sort(ar.suppliers)
-		ar.suppliers = slices.Compact(ar.suppliers)
-		// A shard with nothing to serve reserves nothing, so it hands
-		// apply nothing, not last round's grants.
-		ar.deliverScatter.clearBounds()
-		for _, tr := range ar.asks {
-			ar.deliverScatter.reserve(w.shardOf(overlay.NodeID(tr.requester)), 1)
-		}
-		for _, sup := range ar.suppliers {
-			if sn := w.nodes[sup]; sn != nil {
-				for _, req := range sn.carry {
-					ar.deliverScatter.reserve(w.shardOf(req.Requester), 1)
-				}
-			}
-		}
-	})
 	layout(&w.lists.grants, w.arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter })
 
 	start := clock.Now()
@@ -139,33 +58,17 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 	sim.ForShards(w.pool, phaseShards, func(s int) {
 		ar := &w.arenas[s]
 		c := &ar.counts
-		*c = metrics.RoundSample{}
-		askLo := 0
-		for _, sup := range ar.suppliers {
-			// Two-pointer walk: suppliers and asks ascend together.
-			for askLo < len(ar.asks) && overlay.NodeID(ar.asks[askLo].supplier) < sup {
-				askLo++
+		for _, sup := range ar.nodes {
+			sn := w.nodes[sup]
+			if w.pullAsks(ar, sn, start, pos, p) == 0 && len(sn.carry) == 0 {
+				continue
 			}
-			askHi := askLo
-			for askHi < len(ar.asks) && overlay.NodeID(ar.asks[askHi].supplier) == sup {
-				askHi++
-			}
-			sr := w.serveSupplier(ar, sup, ar.asks[askLo:askHi], start, horizon, pos, p)
-			askLo = askHi
-			if len(sr.Queued) > 0 {
-				// Suppliers ascend, so the list is next round's sorted
-				// worklist of queue holders as it stands.
-				ar.carriers = append(ar.carriers, sup)
-			}
+			sr := w.serveSupplier(ar, sn, horizon, pos)
 			c.QueueCarried += int64(len(sr.Queued))
 			c.QueueEvictedDeadline += sr.Evicted.Deadline
 			c.QueueEvictedOverflow += sr.Evicted.Overflow
 			c.QueueEvictedStale += sr.Evicted.Stale
 			c.Dropped += sr.Evicted.Total()
-			sn := w.nodes[sup]
-			if sn == nil {
-				continue
-			}
 			// The serving shard owns sup (shardOf(sup) == s), so this
 			// write races with nothing. Grants queue behind everything
 			// the uplink has already charged this round.
@@ -182,21 +85,45 @@ func (w *World) resolveTransfers(clock *sim.Clock, requests [][]scheduler.Reques
 	w.foldCounts(sample)
 }
 
-// serveSupplier runs one supplier's scheduling period: it assembles the
-// protocol.ServeInput from shard-owned world state (carry queue, buffer
-// predicates) and the requesters' and the supplier's neighbours' buffers,
-// read in place (the advertised maps; see exchangePhase), and delegates
-// the decision to protocol.PlanServe — the same code path the livenet
-// runtime serves from — then leaves the requests carried forward on the
-// supplier's node. It writes only the supplier's node and ar, the arena of
-// the shard that owns it, so supplier shards invoke it concurrently.
-func (w *World) serveSupplier(ar *roundArena, sup overlay.NodeID, fresh []transferReq, start, horizon sim.Time, pos segment.ID, p int) protocol.ServeResult {
-	sn := w.nodes[sup]
-	if sn == nil || sn.Rates.Out <= 0 {
-		// A dead or mute supplier abandons everything addressed to it. It
-		// carries nothing: a queue dies with its node, and the bound on a
-		// live one is a multiple of its outbound rate.
-		return protocol.ServeResult{Evicted: protocol.Evictions{Stale: int64(len(fresh))}}
+// pullAsks stages the round's fresh asks addressed to supplier sn in ar —
+// as PlanServe asks (planAsks) under the engine profile, as
+// ServeRoundRobin requests (rrReqs) under a baseline one, the other list
+// left empty — and returns how many there are. It reads them in place
+// from sn's neighbours' scheduled requests: neighbours ascending, each
+// neighbour's asks to sn in its scheduled order.
+func (w *World) pullAsks(ar *roundArena, sn *Node, start sim.Time, pos segment.ID, p int) int {
+	ar.planAsks, ar.rrReqs = ar.planAsks[:0], ar.rrReqs[:0]
+	engine := w.cfg.Profile.Engine
+	for _, nb := range sn.Table.Neighbors() {
+		for _, req := range w.nodes[nb].asks {
+			if overlay.NodeID(req.Supplier) != sn.ID {
+				continue
+			}
+			if engine {
+				ar.planAsks = append(ar.planAsks, protocol.Ask{Requester: nb, ID: req.ID, Deadline: w.deadlineOf(req.ID, pos, p, start)})
+			} else {
+				ar.rrReqs = append(ar.rrReqs, protocol.Request{Requester: nb, ID: req.ID, Expected: req.ExpectedAt})
+			}
+		}
+	}
+	return len(ar.planAsks) + len(ar.rrReqs)
+}
+
+// serveSupplier runs one supplier's scheduling period on the fresh asks
+// pullAsks staged in ar: it assembles the protocol.ServeInput from
+// shard-owned world state (carry queue, buffer predicates) and the
+// requesters' and the supplier's neighbours' buffers, read in place (the
+// advertised maps; see exchangePhase), and delegates the decision to
+// protocol.PlanServe — the same code path the livenet runtime serves from
+// — then leaves the requests carried forward on the supplier's node. It
+// writes only the supplier's node and ar, the arena of the shard that
+// owns it, so supplier shards invoke it concurrently.
+func (w *World) serveSupplier(ar *roundArena, sn *Node, horizon sim.Time, pos segment.ID) protocol.ServeResult {
+	if sn.Rates.Out <= 0 {
+		// A mute supplier abandons everything addressed to it. It carries
+		// nothing: the bound on a queue is a multiple of its outbound
+		// rate.
+		return protocol.ServeResult{Evicted: protocol.Evictions{Stale: int64(len(ar.planAsks) + len(ar.rrReqs))}}
 	}
 	if !w.cfg.Profile.Engine {
 		// Baseline profiles keep the published pull-only discipline:
@@ -204,24 +131,9 @@ func (w *World) serveSupplier(ar *roundArena, sup overlay.NodeID, fresh []transf
 		// horizon, drop-and-retry beyond it, no carry queue. Granted
 		// aliases the shard's grant buffer, consumed before the next
 		// supplier.
-		ar.rrReqs = ar.rrReqs[:0]
-		for _, tr := range fresh {
-			ar.rrReqs = append(ar.rrReqs, protocol.Request{
-				Requester: overlay.NodeID(tr.requester), ID: segment.ID(tr.id), Expected: sim.Time(tr.expected),
-			})
-		}
 		res := protocol.ServeRoundRobin(ar.rrReqs, sn.up.Spare(), ar.rrGranted)
 		ar.rrGranted = res.Granted
 		return res
-	}
-	ar.planAsks = ar.planAsks[:0]
-	for _, tr := range fresh {
-		id := segment.ID(tr.id)
-		ar.planAsks = append(ar.planAsks, protocol.Ask{
-			Requester: overlay.NodeID(tr.requester),
-			ID:        id,
-			Deadline:  w.deadlineOf(id, pos, p, start),
-		})
 	}
 	// Supplier-side rarity: equation (2) over the advertised buffers of
 	// the supplier's own neighbours, which PlanServe evaluates once per
@@ -231,7 +143,7 @@ func (w *World) serveSupplier(ar *roundArena, sup overlay.NodeID, fresh []transf
 	ctx.ensure(w)
 	ctx.pos = pos
 	ctx.sn = sn
-	ctx.neighbours = w.neighborsOf(sup)
+	ctx.neighbours = sn.Table.Neighbors()
 	ctx.prepRarity()
 	res := protocol.PlanServe(protocol.ServeInput{
 		Carried:        sn.carry,

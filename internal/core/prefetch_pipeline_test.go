@@ -24,56 +24,6 @@ func ownedIDs(n, s int) []overlay.NodeID {
 	return ids
 }
 
-// TestGroupAsksMatchesStableSort checks the serve stage's counting sort
-// against the stable comparison sort it replaced: the same asks, handed
-// over through the same scatter lists, must come out in the same order —
-// suppliers ascending, arrival order within a supplier — for random sets
-// full of repeated suppliers, a single supplier, and no asks at all; and
-// the count table must be left clean for the next use.
-func TestGroupAsksMatchesStableSort(t *testing.T) {
-	const spaceN, shard = 2048, 5
-	rank, size := shardRanks(spaceN)
-	owned := ownedIDs(spaceN, shard)
-	rng := sim.DeriveRNG(21, 1)
-	arenas := make([]roundArena, phaseShards)
-	arenas[shard].groupCnt = make([]int32, size[shard])
-	for _, tc := range []struct {
-		name            string
-		asks, suppliers int
-	}{
-		{"random", 900, len(owned)},
-		{"heavy-ties", 900, 3},
-		{"one-supplier", 200, 1},
-		{"empty", 0, 1},
-	} {
-		var concat []transferReq
-		bySource := make([][]transferReq, phaseShards)
-		for i := 0; i < tc.asks; i++ {
-			// Distinct requesters identify arrival order.
-			tr := newAsk(owned[rng.Intn(tc.suppliers)], overlay.NodeID(i), segment.ID(rng.Intn(50)), 0)
-			// Scatter shards fill in ascending order, like requester ranges.
-			r := i * phaseShards / tc.asks
-			bySource[r] = append(bySource[r], tr)
-			concat = append(concat, tr)
-		}
-		handOff(arenas, func(ar *roundArena) *handoff[transferReq] { return &ar.serveScatter },
-			func(r, d int) []transferReq { return onlyTo(d, shard, bySource[r]) })
-		slices.SortStableFunc(concat, func(a, b transferReq) int {
-			return cmp.Compare(a.supplier, b.supplier)
-		})
-		arenas[shard].asks = make([]transferReq, len(concat))
-		groupAsks(arenas, shard, rank)
-		if got := arenas[shard].asks; !slices.Equal(got, concat) {
-			t.Fatalf("%s: grouped asks differ from the stable sort", tc.name)
-		}
-		for k, c := range arenas[shard].groupCnt {
-			if c != 0 {
-				t.Fatalf("%s: count table slot %d left at %d", tc.name, k, c)
-			}
-		}
-	}
-}
-
 // TestReceiverRunsMatchFullSort checks the apply stage's collect, group
 // and per-run sort against a whole-set comparison sort: with a shard's
 // arrivals spread over its own in-flight list and every serve shard's

@@ -32,11 +32,14 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // phases. Each phase is a thin sharded driver over the decision functions
 // in internal/protocol: phases that touch only per-node state fan out
 // over the worker pool; transfer resolution and delivery application run
-// as a sharded pipeline partitioned by node ID, whose stages
-// hand work from shard to shard — requesters' asks to supplier shards,
-// suppliers' grants to receiver shards — through per-producer lists laid
-// out by destination shard at the round's size and read after a barrier,
-// with only counters merged in shard order; the pre-fetch phase routes
+// as a sharded pipeline partitioned by node ID: a supplier's shard reads
+// the asks addressed to it in place from its neighbours' scheduled
+// requests, as a node's shard reads the gossip its neighbours drew for it
+// in maintenance, and suppliers' grants pass to receiver shards through
+// per-producer lists laid out by destination shard at the round's size
+// and read after a barrier, with only counters merged in shard order;
+// every sharded phase between two membership changes walks the same
+// per-shard work lists (rebuildOrder); the pre-fetch phase routes
 // its DHT lookups the same way and then commits supplier claims in node
 // order; churn, which rewires shared structures, runs deterministically
 // single-threaded. No phase needs the round's
@@ -74,12 +77,9 @@ func (w *World) Step(clock *sim.Clock) {
 	w.probe("prefetch")
 	w.resolvePrefetch(clock, plans, &sample)
 	w.probe("schedule")
-	requests := w.schedulePhase(clock)
-	for _, reqs := range requests {
-		sample.Requests += int64(len(reqs))
-	}
+	w.schedulePhase(clock)
 	w.probe("serve")
-	w.resolveTransfers(clock, requests, &sample)
+	w.resolveTransfers(clock, &sample)
 	w.probe("apply")
 	w.applyDeliveries(clock, &sample)
 	w.probe("playback")

@@ -100,9 +100,10 @@ func BenchmarkSchedule10k(b *testing.B) {
 }
 
 // BenchmarkMaintenance10k isolates the neighbour-maintenance phase on a
-// warmed 10,000-node world under churn: membership-gossip scatter, hear
-// delivery and dead-neighbour cleanup, rewire planning through the
-// provider seam, and the sequential intent application. The phase runs
+// warmed 10,000-node world under churn: the membership-gossip draw, each
+// node's in-place pull of what its neighbours drew for it, rewire
+// planning through the provider seam, and the sequential intent
+// application. The phase runs
 // entirely out of the round-lived shard arenas, so allocs/op is the
 // headline number — it must stay near zero as the planning fast path and
 // arena reuse carry the steady state.

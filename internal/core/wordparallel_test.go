@@ -245,6 +245,6 @@ func TestMisalignedWindowTripsInvariant(t *testing.T) {
 		w.candidatesFor(&roundArena{}, n, win, 0)
 	})
 	mustPanic("serve against a stray buffer", "buffer [10,610) in a round whose windows open at 0", func() {
-		w.serveSupplier(&roundArena{}, sup, nil, 0, sim.Time(w.cfg.Tau), 0, w.cfg.Stream.Rate)
+		w.serveSupplier(&roundArena{}, w.Node(sup), sim.Time(w.cfg.Tau), 0)
 	})
 }

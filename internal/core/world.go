@@ -85,10 +85,10 @@ type World struct {
 	// arenas holds each ownership shard's round-lived scratch and its
 	// in-flight deliveries — the transfers that land in a later round
 	// than the one that granted them (see roundArena); only shard s (or
-	// sequential phase code) touches arenas[s]. Built lazily on first use.
+	// sequential phase code) touches arenas[s].
 	arenas []roundArena
-	// lists backs the arenas' hand-off lists and grouped copies, one pool
-	// per record stream (see roundLists).
+	// lists backs the arenas' grant hand-off lists and their grouped
+	// copies (see roundLists).
 	lists roundLists
 
 	// round mirrors the engine clock for code that needs the index between
@@ -143,6 +143,7 @@ func NewWorld(cfg Config) (*World, error) {
 		w.policy = scheduler.RarestFirst{}
 	}
 	w.shardRank, w.shardSize = shardRanks(space.N())
+	w.buildArenas()
 	graph := topology.Generate(topology.GenerateConfig{
 		N:         cfg.Nodes,
 		AvgDegree: 2.5,
@@ -330,8 +331,9 @@ func (w *World) degreeOf(id overlay.NodeID) int {
 	return len(w.neighborsOf(id))
 }
 
-// rebuildOrder refreshes the dense iteration order after membership
-// changes. Walking the ID-indexed table yields ascending order directly.
+// rebuildOrder refreshes the dense iteration order, and the shards' work
+// lists with it, after membership changes. Walking the ID-indexed table
+// yields ascending order directly.
 func (w *World) rebuildOrder() {
 	w.order = w.order[:0]
 	w.seq = w.seq[:0]
@@ -341,6 +343,7 @@ func (w *World) rebuildOrder() {
 			w.seq = append(w.seq, n)
 		}
 	}
+	w.shardWorkLists()
 }
 
 // playbackPos returns the synchronized playback position for round r:
