@@ -44,8 +44,8 @@ import (
 type roundArena struct {
 	// nodes is this shard's work list: the alive IDs it owns, ascending.
 	// rebuildOrder rebuilds it with the world's order, so it holds from
-	// one membership change to the next: serve, the churn purge and
-	// maintenance all walk it.
+	// one membership change to the next: every parallel phase of the
+	// round walks it.
 	nodes []overlay.NodeID
 
 	// gossip holds the membership-gossip picks this shard's nodes drew in
@@ -112,23 +112,24 @@ type roundArena struct {
 	// indexed by World.shardRank. All zero between uses.
 	groupCnt []int32
 
-	// sched is the schedule phase's scratch (this index read as a
-	// contiguous range shard): the policy scratch whose request arena
-	// backs the round's scheduler output, plus the candidate enumeration
-	// and its neighbour-word list, reset per node.
+	// sched is the schedule phase's scratch: the policy scratch whose
+	// request arena backs the round's scheduler output, plus the
+	// candidate enumeration and its neighbour-word list, reset per node.
 	sched    scheduler.Scratch
 	candLive []scheduler.NeighborWords
 	enum     scheduler.Enumeration
 
-	// predictIDs is the predict phase's missed-ID arena (per-node lists are
-	// capacity-capped carvings, alive until resolvePrefetch consumes them);
-	// predict backs its hoisted exclusion callback.
+	// plans holds the Urgent Line's decision for each work-list node,
+	// aligned with nodes; predictIDs is the missed-ID arena their lists
+	// are carved from (capacity-capped, alive until resolvePrefetch
+	// consumes them); predict backs the hoisted exclusion callback.
+	plans      []prefetch.Decision
 	predictIDs []segment.ID
 	predict    predictCtx
 
-	// walks holds the pre-fetch route stage's outcomes for this index
-	// range — node × segment × replica order, consumed by the claim stage
-	// in the same round.
+	// walks holds the pre-fetch route stage's outcomes for this shard's
+	// plans — work-list × segment × replica order, consumed by the claim
+	// stage in the same round.
 	walks []prefetch.Walk
 
 	// counts is this shard's partial of the round's metric counters: a

@@ -45,7 +45,8 @@ func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.exchangePhase(&sample)
 	w.schedulePhase(clock)
 	total := 0
-	for _, n := range w.seq {
+	for _, id := range w.order {
+		n := w.nodes[id]
 		total += len(n.asks)
 		for _, req := range n.asks {
 			n.seg.MarkGossip(req.ID, 0, 0)

@@ -38,7 +38,8 @@ func TestServeHandsOverOnlyThisRoundsGrants(t *testing.T) {
 			switch phase {
 			case "serve":
 				served = make([]bool, len(w.nodes))
-				for _, n := range w.seq {
+				for _, id := range w.order {
+					n := w.nodes[id]
 					served[n.ID] = served[n.ID] || len(n.carry) > 0
 					for _, req := range n.asks {
 						served[req.Supplier] = true

@@ -94,9 +94,9 @@ func (w *World) applyToReceiver(n *Node, ds []delivery, pos segment.ID, p int, s
 }
 
 // playbackPhase evaluates the continuity metric, starts nodes whose
-// buffers have caught up, and applies α feedback. Nodes fan out over
-// contiguous index ranges, each shard counting its own nodes into its
-// arena; foldCounts adds the shards' counts in shard order.
+// buffers have caught up, and applies α feedback. Each ownership shard
+// counts its work list's nodes into its arena; foldCounts adds the
+// shards' counts in shard order.
 //
 // The warm variant excludes nodes still inside their post-join warm-up
 // window — the joiner ramp-up drag that the plain metric charges against
@@ -114,11 +114,12 @@ func (w *World) playbackPhase(clock *sim.Clock, sample *metrics.RoundSample) {
 	p := w.cfg.Stream.Rate
 	roundEnd := clock.RoundEnd()
 	playingBegun := w.virtualPos(w.round) >= 0
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		c := &w.arenas[r].counts
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
+		c := &ar.counts
 		*c = metrics.RoundSample{}
-		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
-		for _, n := range w.seq[lo:hi] {
+		for _, id := range ar.nodes {
+			n := w.nodes[id]
 			if n.IsSource {
 				continue
 			}

@@ -43,14 +43,17 @@ func (d worldDirectory) AvailableRate(node dht.ID) float64 {
 }
 
 // resolvePrefetch executes Algorithm 2 for every triggered node as a
-// two-stage pipeline. The route stage (routePrefetch) walks the DHT for
-// all of them in parallel; the claim stage below then visits the nodes
-// in w.order, asks the located owners, and commits — supplier choice
-// reads the outbound ledger earlier claims have already charged, so it
-// is the half that needs an order. Each committed transfer joins the
+// two-stage pipeline over the plans predictPhase left in the shards'
+// arenas. The route stage (routePrefetch) walks the DHT for all of them
+// in parallel; the claim stage below then visits the nodes in w.order,
+// asks the located owners, and commits — supplier choice reads the
+// outbound ledger earlier claims have already charged, so it is the half
+// that needs an order. A shard's work list is the ascending run of
+// w.order it owns, so one cursor per shard finds each node's plan and
+// walks where its shard left them. Each committed transfer joins the
 // in-flight list of the shard that owns its receiver, where the round's
 // apply stage finds it.
-func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sample *metrics.RoundSample) {
+func (w *World) resolvePrefetch(clock *sim.Clock, sample *metrics.RoundSample) {
 	if !w.cfg.Profile.Prefetch {
 		return
 	}
@@ -63,23 +66,23 @@ func (w *World) resolvePrefetch(clock *sim.Clock, plans []prefetch.Decision, sam
 		}
 	}
 	retr := w.retr
-	w.routePrefetch(plans)
+	w.routePrefetch()
 	start := clock.Now()
-	for r := range w.arenas {
-		walks := w.arenas[r].walks
-		lo, hi := sim.ShardRange(len(plans), phaseShards, r)
-		for i := lo; i < hi; i++ {
-			plan := plans[i]
-			if !plan.Triggered {
-				continue
-			}
-			// All of a node's segments are resolved against the ledger as
-			// it stands before the node's first claim.
-			k := len(plan.Missed) * retr.Replicas
-			results := retr.Choose(plan.Missed, walks[:k])
-			walks = walks[k:]
-			w.claimPrefetch(w.seq[i], results, start, sample)
+	var planned, walked [phaseShards]int
+	for _, id := range w.order {
+		s := w.shardOf(id)
+		ar := &w.arenas[s]
+		plan := ar.plans[planned[s]]
+		planned[s]++
+		if !plan.Triggered {
+			continue
 		}
+		// All of a node's segments are resolved against the ledger as it
+		// stands before the node's first claim.
+		k := len(plan.Missed) * retr.Replicas
+		results := retr.Choose(plan.Missed, ar.walks[walked[s]:walked[s]+k])
+		walked[s] += k
+		w.claimPrefetch(w.nodes[id], results, start, sample)
 	}
 }
 
@@ -143,26 +146,25 @@ func (w *World) claimPrefetch(n *Node, results []prefetch.LookupResult, start si
 }
 
 // routePrefetch is the route stage: every triggered node's k hashed
-// walks per missed segment, fanned out over the predict phase's
-// contiguous index ranges. Walks only read the overlay — membership and
-// the nodes' DHT peer levels — and nothing writes either while they run:
-// the claim stage, whose overhearing renews those same levels, starts
-// after the last walk has ended. So a walk's outcome does not depend on
-// when in the stage it runs, and every claim of the round sees routes
-// walked over the tables as the round found them. Shard r appends its
-// nodes' walks to its own arena in node × segment × replica order, where
-// the claim stage reads them back with a cursor; the stage has nothing
-// to fold. The last round's repair phase has swept every table after
-// churn, so no level a walk reads names a departed node.
-func (w *World) routePrefetch(plans []prefetch.Decision) {
+// walks per missed segment, fanned out over the ownership shards' plans.
+// Walks only read the overlay — membership and the nodes' DHT peer
+// levels — and nothing writes either while they run: the claim stage,
+// whose overhearing renews those same levels, starts after the last walk
+// has ended. So a walk's outcome does not depend on when in the stage it
+// runs, and every claim of the round sees routes walked over the tables
+// as the round found them. Shard s appends its nodes' walks to its own
+// arena in work-list × segment × replica order, where the claim stage
+// reads them back with a cursor; the stage has nothing to fold. The last
+// round's repair phase has swept every table after churn, so no level a
+// walk reads names a departed node.
+func (w *World) routePrefetch() {
 	retr := w.retr
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
 		ar.walks = ar.walks[:0]
-		lo, hi := sim.ShardRange(len(plans), phaseShards, r)
-		for i := lo; i < hi; i++ {
-			if plans[i].Triggered {
-				ar.walks = retr.RouteAll(ar.walks, dht.ID(w.order[i]), plans[i].Missed)
+		for k, plan := range ar.plans {
+			if plan.Triggered {
+				ar.walks = retr.RouteAll(ar.walks, dht.ID(ar.nodes[k]), plan.Missed)
 			}
 		}
 	})

@@ -30,46 +30,42 @@ func (w *World) exchangePhase(sample *metrics.RoundSample) {
 	sample.ControlBits = control
 }
 
-// predictPhase runs the Urgent Line on every pre-fetch-enabled node.
-// Returned decisions align with w.order; nodes without pre-fetch get zero
-// decisions.
+// predictPhase runs the Urgent Line on every pre-fetch-enabled node and
+// leaves one decision per work-list node in its shard's arena
+// (roundArena.plans, aligned with roundArena.nodes); nodes without
+// pre-fetch get zero decisions.
 //
-// Nodes fan out over contiguous index ranges so each range shard owns the
-// word-scan scratch: missed-ID lists are carved from the shard's grow-only
-// arena (valid until the shard's next round, after resolvePrefetch has
-// consumed them) and the exclusion callback is the shard's hoisted
-// closure, re-pointed per node.
-func (w *World) predictPhase(clock *sim.Clock) []prefetch.Decision {
-	plans := make([]prefetch.Decision, len(w.order))
+// Each ownership shard owns its word-scan scratch: missed-ID lists are
+// carved from the shard's grow-only arena (valid until the shard's next
+// round, after resolvePrefetch has consumed them) and the exclusion
+// callback is the shard's hoisted closure, re-pointed per node.
+func (w *World) predictPhase(clock *sim.Clock) {
 	if !w.cfg.Profile.Prefetch {
-		return plans
+		return
 	}
 	pos := w.playbackPos(w.round)
 	p := w.cfg.Stream.Rate
 	now := clock.Now()
 	round := w.round
-	sim.ForShards(w.pool, phaseShards, func(r int) {
-		ar := &w.arenas[r]
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		ar := &w.arenas[s]
 		ar.predictIDs = ar.predictIDs[:0]
+		ar.plans = ar.plans[:0]
 		pc := &ar.predict
 		pc.ensure(w)
 		pc.pos, pc.p, pc.now, pc.round = pos, p, now, round
-		lo, hi := sim.ShardRange(len(w.order), phaseShards, r)
-		for i := lo; i < hi; i++ {
-			n := w.seq[i]
-			if n.IsSource || n.Alpha == nil || !n.Started {
-				// The Urgent Line protects an active playback; a node
-				// that has not started yet has no deadlines to defend.
-				continue
-			}
-			pc.n = n
+		for _, id := range ar.nodes {
+			n := w.nodes[id]
 			var d prefetch.Decision
-			d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, &n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
-			//continulint:shardcapture each node writes only its own slot i, and shards own disjoint index ranges
-			plans[i] = d
+			// The Urgent Line protects an active playback; a node that
+			// has not started yet has no deadlines to defend.
+			if !n.IsSource && n.Alpha != nil && n.Started {
+				pc.n = n
+				d, ar.predictIDs = prefetch.PredictInto(ar.predictIDs, &n.Buf, pos, n.Alpha.Value(), w.cfg.PrefetchLimit, pc.exclude)
+			}
+			ar.plans = append(ar.plans, d)
 		}
 	})
-	return plans
 }
 
 // schedulePhase runs each node's scheduling policy against its neighbours'

@@ -9,6 +9,7 @@ import (
 	"continustreaming/internal/churn"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/overlay"
+	"continustreaming/internal/prefetch"
 	"continustreaming/internal/segment"
 	"continustreaming/internal/sim"
 )
@@ -155,11 +156,14 @@ func TestPrefetchPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRouteStageAllocationFree pins the route stage's steady state on a
-// warmed static world: its walk arenas are grow-only, so a repeat of the
-// stage costs the fixed price of a sim.ForShards fan-out (the capturing
-// closures) and not one allocation more. The stage only reads the world,
-// so re-running it on the same plans is a faithful repeat.
+// TestRouteStageAllocationFree pins both pre-fetch stages' steady state
+// on a warmed static world: the plan lists, missed-ID arenas and walk
+// arenas are grow-only, so a repeat of the predict and route stages costs
+// the fixed price of their two sim.ForShards fan-outs (the capturing
+// closures) and not one allocation more. Both stages only read the world,
+// so re-running them is a faithful repeat. It also checks that every
+// shard's plans line up with its work list: each node's plan is the one a
+// direct Urgent Line call gives for that node.
 func TestRouteStageAllocationFree(t *testing.T) {
 	cfg := smallConfig(400, ProfileContinuStreaming())
 	cfg.Workers = 1
@@ -169,22 +173,46 @@ func TestRouteStageAllocationFree(t *testing.T) {
 	}
 	engine := sim.NewEngine(w, cfg.Tau)
 	engine.Run(cfg.PlaybackDelayRounds + 6)
-	plans := w.predictPhase(engine.Clock())
+	clock := engine.Clock()
+	w.predictPhase(clock)
+	pc := predictCtx{pos: w.playbackPos(w.round), p: cfg.Stream.Rate, now: clock.Now(), round: w.round}
+	pc.ensure(w)
 	routed := 0
-	for _, p := range plans {
-		if p.Triggered {
-			routed += len(p.Missed)
+	for s := range w.arenas {
+		ar := &w.arenas[s]
+		if len(ar.plans) != len(ar.nodes) {
+			t.Fatalf("shard %d holds %d plans for %d work-list nodes", s, len(ar.plans), len(ar.nodes))
+		}
+		for k, id := range ar.nodes {
+			n, got := w.nodes[id], ar.plans[k]
+			var want prefetch.Decision
+			if !n.IsSource && n.Alpha != nil && n.Started {
+				pc.n = n
+				want, _ = prefetch.PredictInto(nil, &n.Buf, pc.pos, n.Alpha.Value(), cfg.PrefetchLimit, pc.exclude)
+			}
+			if got.Triggered != want.Triggered || !slices.Equal(got.Missed, want.Missed) {
+				t.Fatalf("shard %d node %d: plan %+v, the Urgent Line gives %+v", s, id, got, want)
+			}
+			if got.Triggered {
+				routed += len(got.Missed)
+			}
 		}
 	}
 	if routed == 0 {
-		t.Fatal("no node triggered a pre-fetch; the stage would route nothing")
+		t.Fatal("no node triggered a pre-fetch; the stages would route nothing")
 	}
-	w.routePrefetch(plans) // sizes the arenas for exactly this load
-	fanout := testing.AllocsPerRun(20, func() {
-		sim.ForShards(w.pool, phaseShards, func(r int) { _ = w.arenas[r].walks })
+	w.routePrefetch() // sizes the arenas for exactly this load
+	fanouts := testing.AllocsPerRun(20, func() {
+		for range 2 {
+			sim.ForShards(w.pool, phaseShards, func(r int) { _ = w.arenas[r].walks })
+		}
 	})
-	stage := testing.AllocsPerRun(20, func() { w.routePrefetch(plans) })
-	if stage > fanout {
-		t.Fatalf("route stage allocates %.0f per run, an empty ForShards %.0f", stage, fanout)
+	stages := testing.AllocsPerRun(20, func() {
+		w.predictPhase(clock)
+		w.routePrefetch()
+	})
+	t.Logf("predict+route: %.0f allocs per run, two empty fan-outs %.0f", stages, fanouts)
+	if stages > fanouts {
+		t.Fatalf("predict and route stages allocate %.0f per run, two empty ForShards %.0f", stages, fanouts)
 	}
 }

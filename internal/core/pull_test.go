@@ -54,9 +54,10 @@ func TestPulledHearsMatchScatter(t *testing.T) {
 					return
 				}
 				want := make([][]heard, len(w.nodes))
-				saved := make([]sim.RNG, len(w.seq))
+				saved := make([]sim.RNG, len(w.order))
 				alive := func(id overlay.NodeID) bool { return w.nodes[id] != nil }
-				for i, n := range w.seq {
+				for i, id := range w.order {
+					n := w.nodes[id]
 					saved[i] = n.RNG
 					rng := n.RNG
 					protocol.GossipPicks(&rng, n.Table.Neighbors(), alive, func(to, about overlay.NodeID) {
@@ -64,8 +65,8 @@ func TestPulledHearsMatchScatter(t *testing.T) {
 					})
 				}
 				w.drawGossip()
-				for i, n := range w.seq {
-					n.RNG = saved[i]
+				for i, id := range w.order {
+					w.nodes[id].RNG = saved[i]
 				}
 				for _, id := range w.order {
 					var got []heard
@@ -112,7 +113,8 @@ func TestPulledAsksMatchScatter(t *testing.T) {
 				start := engine.Clock().Now()
 				pos, p := w.playbackPos(w.round), w.cfg.Stream.Rate
 				want := make([][]string, len(w.nodes))
-				for _, n := range w.seq {
+				for _, id := range w.order {
+					n := w.nodes[id]
 					for _, req := range n.asks {
 						rec := fmt.Sprint(n.ID, req.ID, req.ExpectedAt)
 						if w.cfg.Profile.Engine {
@@ -122,7 +124,8 @@ func TestPulledAsksMatchScatter(t *testing.T) {
 					}
 				}
 				ar := &roundArena{}
-				for _, n := range w.seq {
+				for _, id := range w.order {
+					n := w.nodes[id]
 					k := w.pullAsks(ar, n, start, pos, p)
 					var got []string
 					for _, a := range ar.planAsks {

@@ -30,20 +30,19 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 
 // Step executes one scheduling period as a sequence of barrier-separated
 // phases. Each phase is a thin sharded driver over the decision functions
-// in internal/protocol: phases that touch only per-node state fan out
-// over the worker pool; transfer resolution and delivery application run
-// as a sharded pipeline partitioned by node ID: a supplier's shard reads
-// the asks addressed to it in place from its neighbours' scheduled
-// requests, as a node's shard reads the gossip its neighbours drew for it
-// in maintenance, and suppliers' grants pass to receiver shards through
+// in internal/protocol, and every parallel phase fans the same ownership
+// shards out over the worker pool: shard s walks its work list
+// (roundArena.nodes, rebuilt by rebuildOrder at each membership change)
+// and writes only what the shard owns. A supplier's shard reads the asks
+// addressed to it in place from its neighbours' scheduled requests, as a
+// node's shard reads the gossip its neighbours drew for it in
+// maintenance, and suppliers' grants pass to receiver shards through
 // per-producer lists laid out by destination shard at the round's size
 // and read after a barrier, with only counters merged in shard order;
-// every sharded phase between two membership changes walks the same
-// per-shard work lists (rebuildOrder); the pre-fetch phase routes
-// its DHT lookups the same way and then commits supplier claims in node
-// order; churn, which rewires shared structures, runs deterministically
-// single-threaded. No phase needs the round's
-// deliveries in one sequence: a receiver applies its arrivals in
+// the pre-fetch phase predicts and routes per shard and then commits
+// supplier claims in ascending ID order; churn, which rewires shared
+// structures, runs deterministically single-threaded. No phase needs the
+// round's deliveries in one sequence: a receiver applies its arrivals in
 // compareArrival order, which is total, so between the serve and
 // playback probes the spine does no per-delivery work, and the schedule
 // and serve phases read neighbours' buffers in place (see exchangePhase).
@@ -73,9 +72,9 @@ func (w *World) Step(clock *sim.Clock) {
 	// flowing; off-loading deadline rescue to the DHT is exactly the
 	// division of labour the paper's design argues for.
 	w.probe("predict")
-	plans := w.predictPhase(clock)
+	w.predictPhase(clock)
 	w.probe("prefetch")
-	w.resolvePrefetch(clock, plans, &sample)
+	w.resolvePrefetch(clock, &sample)
 	w.probe("schedule")
 	w.schedulePhase(clock)
 	w.probe("serve")
@@ -109,15 +108,17 @@ func (w *World) beginRound() {
 	pos := w.playbackPos(w.round)
 	live := w.liveEdge(w.round)
 	src := w.nodes[w.source]
-	w.pool.ForEach(len(w.order), func(i int) {
-		n := w.seq[i]
-		// The tracker slides with the buffer and drops the backups the
-		// window passed; request records the window has not passed
-		// expire lazily (expiry > round at every read).
-		n.Buf.AdvanceTo(pos)
-		n.seg.AdvanceTo(pos)
-		n.overdue, n.repeated, n.pushReceived = 0, 0, 0
-		n.up.Open(n.Rates.Out, w.cfg.Tau)
+	sim.ForShards(w.pool, phaseShards, func(s int) {
+		for _, id := range w.arenas[s].nodes {
+			n := w.nodes[id]
+			// The tracker slides with the buffer and drops the backups
+			// the window passed; request records the window has not
+			// passed expire lazily (expiry > round at every read).
+			n.Buf.AdvanceTo(pos)
+			n.seg.AdvanceTo(pos)
+			n.overdue, n.repeated, n.pushReceived = 0, 0, 0
+			n.up.Open(n.Rates.Out, w.cfg.Tau)
+		}
 	})
 	// Source ingestion happens after the window advance so new segments
 	// land inside the window: the source disseminates segments within the

@@ -164,12 +164,15 @@ func sampleFingerprint(w *World) string {
 // few more rounds: the fingerprint covers every counter of every round, so
 // a refactor of Config, DefaultConfig, any default value or any phase that
 // moves one of them fails the row by name; the ceilings sit 20 % above the
-// level measured when they were set (Step1k 1 279 allocs and 0.41 MB per
-// round, under -race 1 385 and 0.41 MB, once each supplier rebuilt its
-// carry queue in place; Step10k 8 804 / 8 912 / 8 984 allocs at 1/4/8
-// workers, under -race 9 774 / 9 888 / 9 954, which the margin absorbs,
-// and 3.81 MB per round, 3.85 under -race). When a change means to move a
-// fingerprint or a ceiling, update the row and say so.
+// level measured when they were set. The allocation ceilings date from
+// when each supplier rebuilt its carry queue in place: Step1k 1 279
+// allocs per round, under -race 1 385; Step10k 8 804 / 8 912 / 8 984 at
+// 1/4/8 workers, under -race 9 774 / 9 888 / 9 954, which the margin
+// absorbs. The byte ceilings date from when the Urgent Line's plans moved
+// into the shards' grow-only arenas: Step1k 334 464 B per round, 339 561
+// under -race; Step10k 3 285 660 / 3 288 692 / 3 291 372 B at 1/4/8
+// workers, under -race 3 322 216 / 3 325 352 / 3 328 264. When a change
+// means to move a fingerprint or a ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	const step10k = "dddfc5521a99ec03"
 	rows := []struct {
@@ -186,10 +189,10 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1535, 489_000, nil},
-		{"Step10k-w1", 10000, 1, 2, step10k, "", 10781, 4_572_000, phaseCeilings},
-		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10781, 4_572_000, nil},
-		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10781, 4_572_000, nil},
+		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1535, 408_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 10781, 3_994_000, phaseCeilings},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10781, 3_994_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10781, 3_994_000, nil},
 	}
 	measured := map[string]string{}
 	for _, row := range rows {

@@ -29,7 +29,6 @@ type World struct {
 	// (symmetric by construction in addEdge/removeEdge).
 	nodes  []*Node
 	order  []overlay.NodeID // alive IDs, ascending (rebuilt on churn)
-	seq    []*Node          // nodes aligned with order, for hot per-index loops
 	dhtNet *dht.Network
 	rp     *overlay.Rendezvous
 	source overlay.NodeID
@@ -336,11 +335,9 @@ func (w *World) degreeOf(id overlay.NodeID) int {
 // yields ascending order directly.
 func (w *World) rebuildOrder() {
 	w.order = w.order[:0]
-	w.seq = w.seq[:0]
 	for id, n := range w.nodes {
 		if n != nil {
 			w.order = append(w.order, overlay.NodeID(id))
-			w.seq = append(w.seq, n)
 		}
 	}
 	w.shardWorkLists()

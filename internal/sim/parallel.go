@@ -8,11 +8,11 @@ import (
 )
 
 // Pool is the module's one goroutine worker pool. The bulk-synchronous
-// round phases fan a pure per-index function out over the node set, and
-// the experiment sweeps fan their independent simulations out over the
-// sweep points; either way every call writes only its own index's state,
-// so the result is independent of interleaving and therefore
-// deterministic for a fixed seed.
+// round phases fan their shards out over it (ForShards), and the
+// experiment sweeps fan their independent simulations out over the sweep
+// points; either way every call writes only its own index's state, so
+// the result is independent of interleaving and therefore deterministic
+// for a fixed seed.
 type Pool struct {
 	workers int
 }
@@ -41,10 +41,9 @@ func (p *Pool) Workers() int { return p.workers }
 // the tail one worker can be left holding shrinks relative to its share
 // as the loop grows. A 64-shard ForShards phase comes out at one shard per
 // grab at every width — each shard is a few hundred nodes' work, so any
-// configured worker can take one and a straggler holds up at most one —
-// and a loop over 10,000 nodes at 29 indices per grab on two workers, 10
-// on eight. Which worker runs which index never reaches a result: every
-// index writes only its own state.
+// configured worker can take one and a straggler holds up at most one.
+// Which worker runs which index never reaches a result: every index
+// writes only its own state.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -114,19 +113,6 @@ func ShardIndex(key uint64, shards int) int {
 	key *= 0xc4ceb9fe1a85ec53
 	key ^= key >> 33
 	return int(key % uint64(shards))
-}
-
-// ShardRange splits [0, n) into shards near-equal contiguous slices and
-// returns the half-open bounds of shard s. It is the order-preserving
-// counterpart to ShardIndex: concatenating the shards' outputs in ascending
-// shard order reproduces the original index order exactly.
-func ShardRange(n, shards, s int) (lo, hi int) {
-	if shards <= 0 {
-		shards = 1
-	}
-	lo = s * n / shards
-	hi = (s + 1) * n / shards
-	return lo, hi
 }
 
 // ForShards is the one fan-out behind the deterministic parallel round

@@ -76,27 +76,6 @@ func TestShardIndexStableAndInRange(t *testing.T) {
 	}
 }
 
-func TestShardRangeCoversInOrder(t *testing.T) {
-	for _, tc := range []struct{ n, shards int }{
-		{0, 4}, {1, 4}, {7, 3}, {64, 64}, {100, 64}, {10000, 64}, {5, 8},
-	} {
-		prev := 0
-		for s := 0; s < tc.shards; s++ {
-			lo, hi := ShardRange(tc.n, tc.shards, s)
-			if lo != prev {
-				t.Fatalf("n=%d shards=%d: shard %d starts at %d, want %d", tc.n, tc.shards, s, lo, prev)
-			}
-			if hi < lo {
-				t.Fatalf("n=%d shards=%d: shard %d has hi %d < lo %d", tc.n, tc.shards, s, hi, lo)
-			}
-			prev = hi
-		}
-		if prev != tc.n {
-			t.Fatalf("n=%d shards=%d: ranges cover [0,%d), want [0,%d)", tc.n, tc.shards, prev, tc.n)
-		}
-	}
-}
-
 // TestForShardsDeterministicAcrossWorkerCounts pins the primitive's core
 // contract: per-shard RNG streams (ShardRNG) written to per-shard slots
 // make the outcome independent of the pool width executing it, and each
