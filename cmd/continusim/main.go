@@ -66,7 +66,7 @@ func parse(args []string, stderr io.Writer) (invocation, error) {
 	o := &inv.opts
 	fs := flag.NewFlagSet("continusim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&inv.experiment, "experiment", "all", "experiment to run: "+strings.Join(experimentOrder, "|")+"|all")
+	fs.StringVar(&inv.experiment, "experiment", "all", "experiment to run: "+strings.Join(experimentNames(), "|")+"|all")
 	fs.StringVar(&inv.scenario, "scenario", "", "named scenario instead of a paper experiment: "+strings.Join(continustreaming.Scenarios(), "|")+", with an optional population suffix (flashcrowd100k, hetdynamic8000)")
 	nodes := fs.Int("nodes", 0, "population for -scenario (a suffix on the scenario name wins; 0 = scenario default)")
 	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "scheduling periods per run")
@@ -151,46 +151,38 @@ func checkModeFlags(fs *flag.FlagSet, scenarioMode, staticScenario bool) error {
 	return err
 }
 
-// experimentOrder is the paper's evaluation section, in order — what
-// "all" runs.
-var experimentOrder = []string{"fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+// experiments is the paper's evaluation section, in order — what "all"
+// runs.
+var experiments = []struct {
+	name string
+	run  func(experiment.Options) (*metrics.Table, error)
+}{
+	{"fig3", func(o experiment.Options) (*metrics.Table, error) { return experiment.RunFigure3(o).Table(), nil }},
+	{"table1", tabled(experiment.RunTable1)},
+	{"fig5", tabled(experiment.RunFigure5)},
+	{"fig6", tabled(experiment.RunFigure6)},
+	{"fig7", tabled(experiment.RunFigure7)},
+	{"fig8", tabled(experiment.RunFigure8)},
+	{"fig9", tabled(experiment.RunFigure9)},
+	{"fig10", tabled(experiment.RunFigure10)},
+	{"fig11", tabled(experiment.RunFigure11)},
+}
 
-var experiments = map[string]func(experiment.Options) (*metrics.Table, error){
-	"fig3": func(o experiment.Options) (*metrics.Table, error) {
-		return experiment.RunFigure3(o).Table(), nil
-	},
-	"table1": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunTable1(o)
+// tabled adapts an experiment runner to the table it renders.
+func tabled[R interface{ Table() *metrics.Table }](run func(experiment.Options) (R, error)) func(experiment.Options) (*metrics.Table, error) {
+	return func(o experiment.Options) (*metrics.Table, error) {
+		r, err := run(o)
 		return r.Table(), err
-	},
-	"fig5": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure5(o)
-		return r.Table(), err
-	},
-	"fig6": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure6(o)
-		return r.Table(), err
-	},
-	"fig7": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure7(o)
-		return r.Table(), err
-	},
-	"fig8": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure8(o)
-		return r.Table(), err
-	},
-	"fig9": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure9(o)
-		return r.Table(), err
-	},
-	"fig10": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure10(o)
-		return r.Table(), err
-	},
-	"fig11": func(o experiment.Options) (*metrics.Table, error) {
-		r, err := experiment.RunFigure11(o)
-		return r.Table(), err
-	},
+	}
+}
+
+// experimentNames lists the experiments' names in order.
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }
 
 // run is the whole command: args in, tables on stdout.
@@ -202,19 +194,20 @@ func run(args []string, stdout io.Writer) error {
 	if inv.scenario != "" {
 		return runScenario(inv, stdout)
 	}
-	names := experimentOrder
-	if inv.experiment != "all" {
-		if experiments[inv.experiment] == nil {
-			return fmt.Errorf("unknown experiment %q (want one of %s, all)", inv.experiment, strings.Join(experimentOrder, ", "))
+	found := false
+	for _, e := range experiments {
+		if inv.experiment != "all" && e.name != inv.experiment {
+			continue
 		}
-		names = []string{inv.experiment}
-	}
-	for _, name := range names {
-		tbl, err := experiments[name](inv.opts)
+		found = true
+		tbl, err := e.run(inv.opts)
 		if err != nil {
-			return fmt.Errorf("%s: %v", name, err)
+			return fmt.Errorf("%s: %v", e.name, err)
 		}
 		render(stdout, tbl, inv.csv)
+	}
+	if !found {
+		return fmt.Errorf("unknown experiment %q (want one of %s, all)", inv.experiment, strings.Join(experimentNames(), ", "))
 	}
 	return nil
 }

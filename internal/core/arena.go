@@ -57,6 +57,15 @@ type roundArena struct {
 	gossip   []gossipRow
 	gossipAt []int32
 
+	// held is this shard's push frontier: the (holder, segment, ready-at)
+	// entries the next push hop forwards, holders ascending and each
+	// holder's run in arrival order once pushHop has sorted it, and
+	// empty between push phases. sends is the hop's planned sends, and
+	// segs one pusher's segment list for PlanPushMask.
+	held  []pushSeg
+	sends []pushSend
+	segs  []segment.ID
+
 	// provider is the shard's reusable maintenance view provider,
 	// re-pointed at each node in turn.
 	provider maintenanceProvider
@@ -74,7 +83,7 @@ type roundArena struct {
 	// deliverScatter.to(s) holds the transfers this supplier shard granted
 	// to receivers owned by shard s, alive until the round's apply phase
 	// reads them.
-	deliverScatter handoff[delivery]
+	deliverScatter handoff
 
 	// later holds the deliveries in flight to this ownership shard's
 	// receivers that no serve shard hands over this round: transfers that
@@ -147,16 +156,16 @@ func (w *World) foldCounts(sample *metrics.RoundSample) {
 	}
 }
 
-// handoff is one producing shard's list of one hand-off stream for the
-// round, in CSR form: recs[off[d]:end[d]] are its records for ownership
-// shard d, in emission order. A round lays the list out before filling it
-// — the producer reserves a count or an upper bound per destination, then
-// layout carves recs from the stream's pool and turns the reservations
-// into offsets — so each destination's records sit contiguously however
-// the producer interleaves them, and a bound that was not reached leaves
-// a hole at the segment's end that no reader sees.
-type handoff[T any] struct {
-	recs []T
+// handoff is one serve shard's list of the round's grants, in CSR form:
+// recs[off[d]:end[d]] are its grants to receivers owned by shard d, in
+// emission order. A round lays the list out before filling it — the serve
+// shard reserves an upper bound per destination, then layout carves recs
+// from the grant pool and turns the reservations into offsets — so each
+// destination's grants sit contiguously however the shard interleaves
+// them, and a bound that was not reached leaves a hole at the segment's
+// end that no reader sees.
+type handoff struct {
+	recs []delivery
 	off  [phaseShards + 1]int32
 	// end is each segment's fill cursor; between clearBounds and layout it
 	// accumulates the reservations instead.
@@ -164,15 +173,15 @@ type handoff[T any] struct {
 }
 
 // clearBounds opens a new round's reservations.
-func (h *handoff[T]) clearBounds() { clear(h.end[:]) }
+func (h *handoff) clearBounds() { clear(h.end[:]) }
 
 // reserve adds n slots to destination d's segment (before layout only).
-func (h *handoff[T]) reserve(d int, n int32) { h.end[d] += n }
+func (h *handoff) reserve(d int, n int32) { h.end[d] += n }
 
 // put appends rec to destination d's segment. Filling a segment past what
 // was reserved for it is a layout bug, and it panics rather than overwrite
 // the next segment.
-func (h *handoff[T]) put(d int, rec T) {
+func (h *handoff) put(d int, rec delivery) {
 	i := h.end[d]
 	if i == h.off[d+1] {
 		panic(fmt.Sprintf("core: hand-off segment for shard %d is full at its %d reserved slots", d, h.off[d+1]-h.off[d]))
@@ -182,29 +191,28 @@ func (h *handoff[T]) put(d int, rec T) {
 }
 
 // to returns the records destined for ownership shard d.
-func (h *handoff[T]) to(d int) []T { return h.recs[h.off[d]:h.end[d]] }
+func (h *handoff) to(d int) []delivery { return h.recs[h.off[d]:h.end[d]] }
 
-// pool is the world-level backing store of one record stream: each round,
-// every shard's list of the stream is carved from its chunks. The world's
-// total is far steadier than any one shard's share of it, so one pool
-// holds close to what the round uses where 64 grow-only lists would each
-// keep their own busiest round: at 2 000 nodes under churn, the shards'
-// largest lists so far of the ask stream, which the grants followed,
-// added up to 15–26 % more than a round's asks by round 30, while the
-// largest total so far stayed within 6 % of it. A
-// round whose layout does not fit adds one chunk, sized to what is left
-// to carve plus an eighth of the round's total, and keeps the chunks it
-// has: growing allocates the shortfall, not a new buffer for the whole
-// stream.
-type pool[T any] struct {
-	chunks [][]T
+// pool is a world-level backing store of delivery records: each round,
+// every shard's grant list (or grouped copy) is carved from its chunks.
+// The world's total is far steadier than any one shard's share of it, so
+// one pool holds close to what the round uses where 64 grow-only lists
+// would each keep their own busiest round: at 2 000 nodes under churn,
+// the shards' largest lists so far of the ask stream, which the grants
+// followed, added up to 15–26 % more than a round's asks by round 30,
+// while the largest total so far stayed within 6 % of it. A round whose
+// layout does not fit adds one chunk, sized to what is left to carve plus
+// an eighth of the round's total, and keeps the chunks it has: growing
+// allocates the shortfall, not a new buffer for the whole stream.
+type pool struct {
+	chunks [][]delivery
 	used   []int // records carved from each chunk this round
 	total  int   // the round's layout, in records
 	left   int   // records of it not carved yet
 }
 
 // open starts a round's layout of n records in total.
-func (p *pool[T]) open(n int) {
+func (p *pool) open(n int) {
 	clear(p.used)
 	p.total, p.left = n, n
 }
@@ -212,7 +220,7 @@ func (p *pool[T]) open(n int) {
 // take carves the next n records of the round's layout from the first
 // chunk with room, capacity-capped so no append can run into the next
 // carving.
-func (p *pool[T]) take(n int) []T {
+func (p *pool) take(n int) []delivery {
 	for c, chunk := range p.chunks {
 		if u := p.used[c]; len(chunk)-u >= n {
 			p.used[c] = u + n
@@ -220,7 +228,7 @@ func (p *pool[T]) take(n int) []T {
 			return chunk[u : u+n : u+n]
 		}
 	}
-	p.chunks = append(p.chunks, make([]T, p.left+p.total/8))
+	p.chunks = append(p.chunks, make([]delivery, p.left+p.total/8))
 	p.used = append(p.used, 0)
 	return p.take(n)
 }
@@ -229,24 +237,24 @@ func (p *pool[T]) take(n int) []T {
 // grouped copy; sequential phase code carves them between the parallel
 // stages.
 type roundLists struct {
-	grants pool[delivery] // roundArena.deliverScatter
-	due    pool[delivery] // roundArena.applyBucket
+	grants pool // roundArena.deliverScatter
+	due    pool // roundArena.applyBucket
 }
 
-// layout carves every producer's list of one hand-off stream from p once
-// all of them have reserved their segments, and turns each producer's
-// reservations into offsets with empty fill cursors. Sequential code only,
-// between the reserving and the filling ForShards calls.
-func layout[T any](p *pool[T], arenas []roundArena, list func(*roundArena) *handoff[T]) {
+// layout carves every serve shard's grant list from p once all of them
+// have reserved their segments, and turns each shard's reservations into
+// offsets with empty fill cursors. Sequential code only, between the
+// reserving and the filling ForShards calls.
+func layout(p *pool, arenas []roundArena) {
 	total := 0
 	for s := range arenas {
-		for _, n := range list(&arenas[s]).end {
+		for _, n := range arenas[s].deliverScatter.end {
 			total += int(n)
 		}
 	}
 	p.open(total)
 	for s := range arenas {
-		h := list(&arenas[s])
+		h := &arenas[s].deliverScatter
 		at := int32(0)
 		for d, n := range h.end {
 			h.off[d], h.end[d] = at, at
@@ -257,16 +265,16 @@ func layout[T any](p *pool[T], arenas []roundArena, list func(*roundArena) *hand
 	}
 }
 
-// carveGroups sizes every shard's grouped copy of one stream from p: shard
+// carveGroups sizes every shard's grouped copy (applyBucket) from p: shard
 // s gets n[s] records. Sequential code only.
-func carveGroups[T any](p *pool[T], arenas []roundArena, n *[phaseShards]int, list func(*roundArena) *[]T) {
+func carveGroups(p *pool, arenas []roundArena, n *[phaseShards]int) {
 	total := 0
 	for _, c := range n {
 		total += c
 	}
 	p.open(total)
 	for s := range arenas {
-		*list(&arenas[s]) = p.take(n[s])
+		arenas[s].applyBucket = p.take(n[s])
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 	"continustreaming/internal/sim"
 )
 
-// filled lists the records a hand-off list holds, destination shards
+// filled lists the grants a hand-off list holds, destination shards
 // ascending.
-func filled[T any](h *handoff[T]) []T {
-	var out []T
+func filled(h *handoff) []delivery {
+	var out []delivery
 	for d := range phaseShards {
 		out = append(out, h.to(d)...)
 	}
@@ -23,30 +23,30 @@ func filled[T any](h *handoff[T]) []T {
 }
 
 // onlyTo returns recs when d is the shard under test, nothing otherwise.
-func onlyTo[T any](d, shard int, recs []T) []T {
+func onlyTo(d, shard int, recs []delivery) []delivery {
 	if d != shard {
 		return nil
 	}
 	return recs
 }
 
-// handOff lays out and fills one stream's hand-off lists in every arena,
-// the way the phases do but from a pool of its own: recs(r, d) is what
-// producer r hands shard d.
-func handOff[T any](arenas []roundArena, list func(*roundArena) *handoff[T], recs func(r, d int) []T) {
+// handOff lays out and fills the grant hand-off lists in every arena, the
+// way the serve phase does but from a pool of its own: recs(r, d) is what
+// serve shard r hands shard d.
+func handOff(arenas []roundArena, recs func(r, d int) []delivery) {
 	for r := range arenas {
-		h := list(&arenas[r])
+		h := &arenas[r].deliverScatter
 		h.clearBounds()
 		for d := range phaseShards {
 			h.reserve(d, int32(len(recs(r, d))))
 		}
 	}
-	var p pool[T]
-	layout(&p, arenas, list)
+	var p pool
+	layout(&p, arenas)
 	for r := range arenas {
 		for d := range phaseShards {
 			for _, rec := range recs(r, d) {
-				list(&arenas[r]).put(d, rec)
+				arenas[r].deliverScatter.put(d, rec)
 			}
 		}
 	}
@@ -78,8 +78,7 @@ func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
 			want[r][d] = append(want[r][d], int32(r*emitted+i))
 		}
 	}
-	grantsOf := func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter }
-	var p pool[delivery]
+	var p pool
 	for round := 0; round < 2; round++ { // the second round reuses the pool
 		for r := range arenas {
 			h := &arenas[r].deliverScatter
@@ -88,7 +87,7 @@ func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
 				h.reserve(d, int32(len(recs)+rng.Intn(3))) // a bound, not a count
 			}
 		}
-		layout(&p, arenas, grantsOf)
+		layout(&p, arenas)
 		for r := range arenas {
 			for i, d := range dest[r] {
 				arenas[r].deliverScatter.put(d, delivery{to: int32(r*emitted + i)})
@@ -107,7 +106,7 @@ func TestHandoffKeepsEmissionOrderPerDestination(t *testing.T) {
 	one := make([]roundArena, 1)
 	one[0].deliverScatter.reserve(0, 1)
 	one[0].deliverScatter.reserve(1, 1)
-	layout(&p, one, grantsOf)
+	layout(&p, one)
 	one[0].deliverScatter.put(0, delivery{to: 1})
 	defer func() {
 		msg, _ := recover().(string)
@@ -155,7 +154,7 @@ func TestRecordNarrowingGuards(t *testing.T) {
 }
 
 // poolRecords is a pool's capacity in records.
-func poolRecords[T any](p *pool[T]) int {
+func poolRecords(p *pool) int {
 	n := 0
 	for _, c := range p.chunks {
 		n += len(c)

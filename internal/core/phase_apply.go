@@ -33,7 +33,7 @@ func (w *World) applyDeliveries(clock *sim.Clock, sample *metrics.RoundSample) {
 	sim.ForShards(w.pool, phaseShards, func(s int) {
 		due[s] = countArrivals(w.arenas, s, w.shardRank, end)
 	})
-	carveGroups(&w.lists.due, w.arenas, &due, func(ar *roundArena) *[]delivery { return &ar.applyBucket })
+	carveGroups(&w.lists.due, w.arenas, &due)
 	sim.ForShards(w.pool, phaseShards, func(s int) {
 		c := &w.arenas[s].counts
 		*c = metrics.RoundSample{}

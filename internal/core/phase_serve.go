@@ -49,7 +49,7 @@ func (w *World) resolveTransfers(clock *sim.Clock, sample *metrics.RoundSample) 
 			h.reserve(d, w.arenas[d].asksTo[s]+w.arenas[s].carryTo[d])
 		}
 	}
-	layout(&w.lists.grants, w.arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter })
+	layout(&w.lists.grants, w.arenas)
 
 	start := clock.Now()
 	horizon := clock.RoundEnd()

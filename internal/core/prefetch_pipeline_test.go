@@ -72,8 +72,7 @@ func TestReceiverRunsMatchFullSort(t *testing.T) {
 				want = append(want, d)
 			}
 		}
-		handOff(arenas, func(ar *roundArena) *handoff[delivery] { return &ar.deliverScatter },
-			func(r, d int) []delivery { return onlyTo(d, shard, bySource[r]) })
+		handOff(arenas, func(r, d int) []delivery { return onlyTo(d, shard, bySource[r]) })
 		byReceiverArrival := func(a, b delivery) int {
 			return cmp.Or(
 				cmp.Compare(a.to, b.to),

@@ -32,21 +32,23 @@ func (w *World) phaseSeed(phase uint64) uint64 {
 // phases. Each phase is a thin sharded driver over the decision functions
 // in internal/protocol, and every parallel phase fans the same ownership
 // shards out over the worker pool: shard s walks its work list
-// (roundArena.nodes, rebuilt by rebuildOrder at each membership change)
-// and writes only what the shard owns. A supplier's shard reads the asks
-// addressed to it in place from its neighbours' scheduled requests, as a
-// node's shard reads the gossip its neighbours drew for it in
-// maintenance, and suppliers' grants pass to receiver shards through
-// per-producer lists laid out by destination shard at the round's size
-// and read after a barrier, with only counters merged in shard order;
-// the pre-fetch phase predicts and routes per shard and then commits
-// supplier claims in ascending ID order; churn, which rewires shared
-// structures, runs deterministically single-threaded. No phase needs the
-// round's deliveries in one sequence: a receiver applies its arrivals in
-// compareArrival order, which is total, so between the serve and
-// playback probes the spine does no per-delivery work, and the schedule
-// and serve phases read neighbours' buffers in place (see exchangePhase).
-// The per-phase drivers live in the phase_*.go files of this package.
+// (roundArena.nodes, rebuilt by rebuildOrder at each membership change),
+// or in a push hop its push frontier (roundArena.held, refilled by the
+// hop's sequential apply), and writes only what the shard owns. A
+// supplier's shard reads the asks addressed to it in place from its
+// neighbours' scheduled requests, as a node's shard reads the gossip its
+// neighbours drew for it in maintenance, and suppliers' grants pass to
+// receiver shards through per-producer lists laid out by destination
+// shard at the round's size and read after a barrier, with only counters
+// merged in shard order; the pre-fetch phase predicts and routes per
+// shard and then commits supplier claims in ascending ID order; churn,
+// which rewires shared structures, runs deterministically
+// single-threaded. No phase needs the round's deliveries in one sequence:
+// a receiver applies its arrivals in compareArrival order, which is
+// total, so between the serve and playback probes the spine does no
+// per-delivery work, and the schedule and serve phases read neighbours'
+// buffers in place (see exchangePhase). The per-phase drivers live in the
+// phase_*.go files of this package.
 func (w *World) Step(clock *sim.Clock) {
 	w.round = clock.Round()
 	sample := metrics.RoundSample{Round: w.round}

@@ -164,15 +164,19 @@ func sampleFingerprint(w *World) string {
 // few more rounds: the fingerprint covers every counter of every round, so
 // a refactor of Config, DefaultConfig, any default value or any phase that
 // moves one of them fails the row by name; the ceilings sit 20 % above the
-// level measured when they were set. The allocation ceilings date from
-// when each supplier rebuilt its carry queue in place: Step1k 1 279
-// allocs per round, under -race 1 385; Step10k 8 804 / 8 912 / 8 984 at
-// 1/4/8 workers, under -race 9 774 / 9 888 / 9 954, which the margin
-// absorbs. The byte ceilings date from when the Urgent Line's plans moved
-// into the shards' grow-only arenas: Step1k 334 464 B per round, 339 561
-// under -race; Step10k 3 285 660 / 3 288 692 / 3 291 372 B at 1/4/8
-// workers, under -race 3 322 216 / 3 325 352 / 3 328 264. When a change
-// means to move a fingerprint or a ceiling, update the row and say so.
+// level measured when they were set: the allocation ceilings above the
+// plain build's level, which the margin holds the -race build's to, and
+// the byte ceilings above the higher -race level. They were set when each
+// supplier rebuilt its carry queue in place (allocations: Step1k 1 279
+// per round, Step10k 8 984 at the busiest width), then when the Urgent
+// Line's plans moved into the shards' grow-only arenas (bytes under
+// -race: Step1k 339 561, Step10k 3 328 264), and last when the push
+// frontier moved into them: Step1k 1 158 allocs per round (1 263 under
+// -race) and 296 716 B (301 616 under -race); Step10k 8 694 / 8 786 /
+// 8 835 allocs at 1/4/8 workers (under -race 9 663 / 9 755 / 9 803) and
+// 3 251 560 / 3 258 520 / 3 257 728 B (under -race 3 287 988 /
+// 3 294 580 / 3 294 036). When a change means to move a fingerprint or a
+// ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	const step10k = "dddfc5521a99ec03"
 	rows := []struct {
@@ -189,10 +193,10 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1535, 408_000, nil},
-		{"Step10k-w1", 10000, 1, 2, step10k, "", 10781, 3_994_000, phaseCeilings},
-		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10781, 3_994_000, nil},
-		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10781, 3_994_000, nil},
+		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1390, 362_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 10602, 3_954_000, phaseCeilings},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10602, 3_954_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10602, 3_954_000, nil},
 	}
 	measured := map[string]string{}
 	for _, row := range rows {

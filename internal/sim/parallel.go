@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,15 +34,10 @@ func (p *Pool) Workers() int { return p.workers }
 // call has finished. fn must not invoke ForEach on the same pool
 // recursively with interleaved writes to shared state.
 //
-// The hand-out unit follows from n and the width alone: a worker's fair
-// share n/workers is cut into log₂²(share) grabs. The grabs a call makes
-// therefore grow with the logarithm of the loop, not its length, while
-// the tail one worker can be left holding shrinks relative to its share
-// as the loop grows. A 64-shard ForShards phase comes out at one shard per
-// grab at every width — each shard is a few hundred nodes' work, so any
-// configured worker can take one and a straggler holds up at most one.
-// Which worker runs which index never reaches a result: every index
-// writes only its own state.
+// Each grab hands out one index: a 64-shard ForShards phase gives any
+// configured worker a shard of a few hundred nodes' work, and a straggler
+// holds up at most one. Which worker runs which index never reaches a
+// result: every index writes only its own state.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -58,9 +52,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	share := n / workers
-	log := bits.Len(uint(share))
-	unit := int64(max(1, share/(log*log)))
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -68,15 +59,11 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				end := cursor.Add(unit)
-				start := end - unit
-				if start >= int64(n) {
+				i := int(cursor.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				stop := int(min(end, int64(n)))
-				for i := int(start); i < stop; i++ {
-					fn(i)
-				}
+				fn(i)
 			}
 		}()
 	}

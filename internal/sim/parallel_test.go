@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// TestForEachCoversEveryIndexOnce walks the hand-out rule's edges — no
-// work, fewer indices than workers, the 64-shard phase and its
-// neighbours, a per-node loop — at every pool width in use: each index is
-// visited exactly once whatever unit the rule picks.
+// TestForEachCoversEveryIndexOnce walks the hand-out's edges — no work,
+// fewer indices than workers, the 64-shard phase and its neighbours, a
+// long loop — at every pool width in use: each index is visited exactly
+// once.
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 63, 64, 65, 1000} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
