@@ -30,9 +30,9 @@ import (
 // the span as untracked; writers panic on one.
 //
 // A slot is one 16-byte slotRec, and the two one-bit planes share one
-// word slice, so a tracker is two allocations. Its millisecond stamps are
-// int32: a stamp past math.MaxInt32 ms (24.8 days) panics at the writer
-// rather than wrap.
+// word slice, so a tracker is two allocations (or two pieces of a
+// TrackStore's). Its millisecond stamps are int32: a stamp past
+// math.MaxInt32 ms (24.8 days) panics at the writer rather than wrap.
 //
 // Expiry is a period index checked lazily at read time (expiry > round),
 // which makes an expired entry indistinguishable from an absent one. The
@@ -72,22 +72,46 @@ type slotRec struct {
 
 // OpenTrack returns a clear tracker of slots entries (the span, see Track)
 // whose window opens at lo (>= 0), on recycled's slices when it has any —
-// a departed peer's, opened on the same span — and on fresh ones
-// otherwise. Every field's clear state is zero, so reopening is two
-// memory clears.
+// a departed peer's opened on the same span, or a TrackStore's — and on
+// fresh ones otherwise. Every field's clear state is zero, so reopening is
+// two memory clears.
 func OpenTrack(slots int, lo segment.ID, recycled Track) Track {
 	t := recycled
 	if t.recs == nil {
-		t = Track{
-			slots: slots,
-			recs:  make([]slotRec, slots),
-			bits:  make([]uint64, 2*((slots+63)/64)),
-		}
+		t = Track{slots: slots, recs: make([]slotRec, slots), bits: make([]uint64, planeWords(slots))}
 	} else {
 		clear(t.recs)
 		clear(t.bits)
 	}
 	t.lo, t.loSlot = lo, int(lo)%slots
+	return t
+}
+
+// TrackStore holds the slices of many trackers on one span in two
+// allocations, their slot records in one and their bit planes in the
+// other, and hands them out in order, so trackers opened one after
+// another lie one after another.
+type TrackStore struct {
+	slots int
+	recs  []slotRec
+	bits  []uint64
+}
+
+// NewTrackStore returns a store of n trackers' slices on a span of slots.
+func NewTrackStore(slots, n int) *TrackStore {
+	return &TrackStore{slots: slots, recs: make([]slotRec, n*slots), bits: make([]uint64, n*planeWords(slots))}
+}
+
+// planeWords is the length of a tracker's bits on a span of slots: two
+// planes of one bit per slot.
+func planeWords(slots int) int { return 2 * ((slots + 63) / 64) }
+
+// Take returns the next tracker's clear slices, as a tracker for
+// OpenTrack to reopen. It panics once the store's n are handed out.
+func (s *TrackStore) Take() Track {
+	words := planeWords(s.slots)
+	t := Track{slots: s.slots, recs: s.recs[:s.slots:s.slots], bits: s.bits[:words:words]}
+	s.recs, s.bits = s.recs[s.slots:], s.bits[words:]
 	return t
 }
 

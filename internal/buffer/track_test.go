@@ -283,3 +283,32 @@ func TestTrackTimeBounds(t *testing.T) {
 		}()
 	}
 }
+
+// TestTrackStoreHandsOutDisjointTrackers opens every tracker of a store
+// and checks that each keeps its own facts: the stores' slices do not
+// overlap, and OpenTrack reopens a store's tracker on the same span.
+func TestTrackStoreHandsOutDisjointTrackers(t *testing.T) {
+	const span, n = 75, 4
+	store := NewTrackStore(span, n)
+	tracks := make([]Track, n)
+	for i := range tracks {
+		tracks[i] = OpenTrack(span, segment.ID(100*i), store.Take())
+		id := segment.ID(100*i + i)
+		tracks[i].MarkGossip(id, 5, 1000)
+		tracks[i].Back(id)
+	}
+	for i := range tracks {
+		for j := range tracks {
+			id := segment.ID(100*i + j)
+			if got := tracks[i].BackedUp(id); got != (i == j) {
+				t.Fatalf("tracker %d: segment %d backed up %v", i, id, got)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a store of 4 handed out a fifth tracker")
+		}
+	}()
+	store.Take()
+}

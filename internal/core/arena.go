@@ -60,11 +60,13 @@ type roundArena struct {
 	// held is this shard's push frontier: the (holder, segment, ready-at)
 	// entries the next push hop forwards, holders ascending and each
 	// holder's run in arrival order once pushHop has sorted it, and
-	// empty between push phases. sends is the hop's planned sends, and
-	// segs one pusher's segment list for PlanPushMask.
+	// empty between push phases. sends is the hop's planned sends, segs
+	// one pusher's segment list and push the scratch its plan is made on
+	// (protocol.PushScratch).
 	held  []pushSeg
 	sends []pushSend
 	segs  []segment.ID
+	push  protocol.PushScratch
 
 	// provider is the shard's reusable maintenance view provider,
 	// re-pointed at each node in turn.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"continustreaming/internal/buffer"
 	"continustreaming/internal/churn"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/sim"
@@ -82,13 +83,13 @@ func TestRecycledIDDrawsFreshStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := w.Nodes()[1]
-	gen0a := w.buildNode(id, false).RNG.Uint64()
-	gen0b := w.buildNode(id, false).RNG.Uint64()
+	gen0a := w.buildNode(new(Node), buffer.Track{}, id, false).RNG.Uint64()
+	gen0b := w.buildNode(new(Node), buffer.Track{}, id, false).RNG.Uint64()
 	if gen0a != gen0b {
 		t.Fatal("same generation must derive the same stream")
 	}
 	w.idGen[id]++
-	reused := w.buildNode(id, false)
+	reused := w.buildNode(new(Node), buffer.Track{}, id, false)
 	if reused.Gen != 1 {
 		t.Fatalf("reused node generation = %d, want 1", reused.Gen)
 	}

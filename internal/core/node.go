@@ -25,13 +25,19 @@ import (
 // in place (see exchangePhase); nothing copies it.
 //
 // Each component the round touches — Table, Buf, Ctrl, RNG, seg, up — is
-// a value field, so it sits in the Node's own allocation: a phase that
-// has loaded the node reads it without a further pointer hop (the
-// components' own slices, the buffer's words and the tracker's slots,
-// are still one hop away). Table's DHT section stays the dht.Table the
-// network routes through, an object of its own: routing walks touch only
-// tables, and run faster over small ones than through whole nodes. A node
-// is always handled as a *Node, never copied.
+// a value field, so it sits in the Node itself: a phase that has loaded
+// the node reads it without a further pointer hop (the components' own
+// slices, the buffer's words, the tracker's slots, the neighbour list and
+// the controller rows, are still one hop away). Nodes are laid out in the
+// order the round walks them: each lives in a slot of its ownership
+// shard's slab (see slab), and NewWorld builds the initial population
+// shard by shard in work-list order, allocating those slices in the same
+// order, so an owner walk reads memory front to back. Table's DHT section
+// stays the dht.Table the network routes through, an object of its own:
+// routing walks touch only tables, and run faster over small ones than
+// through whole nodes. A node is always handled as a *Node, never copied,
+// and the pointer is good only while the node is alive: leave zeroes the
+// slot and a later joiner reuses it.
 type Node struct {
 	// ID is the node's overlay identifier and its DHT ring position.
 	ID overlay.NodeID

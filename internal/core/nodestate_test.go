@@ -34,8 +34,9 @@ import (
 // own slots to account); the Peer Table's DHT levels are the table the DHT routes
 // through, and every level is vacant or names an alive node (the repair
 // phase has swept out what churn left, so the next round's walks meet no
-// dead entry); and the DHT's membership bitmap and the slots of the ping
-// table that hold a ping are the alive set.
+// dead entry); the DHT's membership bitmap and the slots of the ping
+// table that hold a ping are the alive set; and every node lies in its
+// shard's slab (checkSlabs).
 func checkNodeState(t *testing.T, w *World) {
 	t.Helper()
 	live, edge := w.liveEdge(w.round), w.fetchEdge(w.round)
@@ -125,6 +126,61 @@ func checkNodeState(t *testing.T, w *World) {
 		}
 		if pinged, alive := w.ping[id] != 0, w.nodes[id] != nil; pinged != alive {
 			t.Fatalf("round %d: ring ID %d alive=%v but its ping table slot holds %d", w.round, overlay.NodeID(id), alive, w.ping[id])
+		}
+	}
+	checkSlabs(t, w)
+}
+
+// checkSlabs asserts the node layout (see slab): every alive node sits in
+// a slot of its own shard's slab, and no two share one; every slot a slab
+// has handed out holds an alive node or is on its free list, once; and a
+// free slot, on the list or not handed out yet, holds a zeroed node.
+func checkSlabs(t *testing.T, w *World) {
+	t.Helper()
+	shard := map[*Node]int{}
+	var handed [phaseShards]int
+	for s := range w.slabs {
+		sl := &w.slabs[s]
+		for c, chunk := range sl.chunks {
+			for i := range chunk {
+				shard[&chunk[i]] = s
+				if c < len(sl.chunks)-1 || i < sl.used {
+					handed[s]++
+				} else if !reflect.ValueOf(chunk[i]).IsZero() {
+					t.Fatalf("round %d shard %d: slot %d of chunk %d is not handed out yet but holds node %d", w.round, s, i, c, chunk[i].ID)
+				}
+			}
+		}
+	}
+	owner := map[*Node]overlay.NodeID{}
+	var alive [phaseShards]int
+	for _, id := range w.order {
+		n := w.nodes[id]
+		if s, ok := shard[n]; !ok || s != w.shardOf(id) {
+			t.Fatalf("round %d: node %d of shard %d is not in its shard's slab (in a slab: %v, shard %d)", w.round, id, w.shardOf(id), ok, s)
+		}
+		if other, ok := owner[n]; ok {
+			t.Fatalf("round %d: nodes %d and %d share a slot", w.round, other, id)
+		}
+		owner[n] = id
+		alive[w.shardOf(id)]++
+	}
+	for s := range w.slabs {
+		free := w.slabs[s].free
+		for _, f := range free {
+			if fs, ok := shard[f]; !ok || fs != s {
+				t.Fatalf("round %d shard %d: a free slot lies outside the shard's slab", w.round, s)
+			}
+			if id, ok := owner[f]; ok {
+				t.Fatalf("round %d shard %d: free slot holds alive node %d, or is listed twice", w.round, s, id)
+			}
+			if !reflect.ValueOf(*f).IsZero() {
+				t.Fatalf("round %d shard %d: free slot holds node %d, not a zeroed node", w.round, s, f.ID)
+			}
+			owner[f] = -1
+		}
+		if handed[s] != alive[s]+len(free) {
+			t.Fatalf("round %d shard %d: %d slots handed out, %d alive nodes and %d free slots", w.round, s, handed[s], alive[s], len(free))
 		}
 	}
 }

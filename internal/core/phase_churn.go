@@ -80,7 +80,8 @@ func (w *World) churnPhase() {
 // counter-clockwise closest node (§4.3) and deregister from the RP; abrupt
 // failures just vanish — neighbours and the RP discover it later. Each
 // neighbour drops its end of the edge; the leaver's end goes with its
-// table.
+// table. The leaver's Node is zeroed in place and its slot freed in its
+// shard's slab, so no *Node to it may be held past the call.
 func (w *World) leave(id overlay.NodeID, graceful bool) {
 	n := w.nodes[id]
 	if n == nil || id == w.source {
@@ -103,9 +104,11 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 	w.dhtNet.Leave(dht.ID(id))
 	w.nodes[id] = nil
 	w.ping[id] = 0
-	// The tracker's slices go to the next joiner (buildNode).
+	// The tracker's slices go to the next joiner, and the node's slab
+	// slot, zeroed, to the next joiner whose ring ID falls in this shard
+	// (join).
 	w.freeSeg = append(w.freeSeg, n.seg)
-	n.seg = buffer.Track{}
+	w.slabs[w.shardOf(id)].release(n)
 	// The ring slot is free again; without recycling, sustained churn
 	// exhausts the ID space long before the paper's 40-round tracks end.
 	// churnPhase purges the in-flight deliveries addressed to this round's
@@ -127,12 +130,19 @@ func (w *World) leave(id overlay.NodeID, graceful bool) {
 // candidate list, adopt the first alive candidate's peer table as a base,
 // wire up to M neighbours, and join the DHT. The newcomer starts playback
 // once its buffer catches the shared position, "following its neighbours'
-// current steps" rather than fetching history. Its lists are built on the
-// world's join scratch: churn is sequential, one set serves every joiner.
+// current steps" rather than fetching history. It is built into a free
+// slot of the shard its ring ID falls in (see slab), on the tracker a
+// leaver left last, and its lists on the world's join scratch: churn is
+// sequential, one set serves every joiner.
 func (w *World) join() {
 	id := w.rp.AssignID(w.rng)
 	ping := 10*sim.Millisecond + sim.Time(w.rng.Intn(191))
-	n := w.buildNode(id, false)
+	var recycled buffer.Track
+	if k := len(w.freeSeg) - 1; k >= 0 {
+		recycled, w.freeSeg[k] = w.freeSeg[k], buffer.Track{}
+		w.freeSeg = w.freeSeg[:k]
+	}
+	n := w.buildNode(w.slabs[w.shardOf(id)].take(), recycled, id, false)
 	n.JoinedRound = w.round
 	// The newcomer's buffer opens at the current playback position, where
 	// buildNode already opened its segment tracker.
@@ -153,6 +163,7 @@ func (w *World) join() {
 		}
 	}
 	w.admit(n, ping)
+	n.Table.Reserve(w.cfg.M + linkSlack)
 	if donor == nil && len(w.order) > 0 {
 		// RP list was fully stale; fall back to a uniform draw over the
 		// order the round began with. That order still lists this round's

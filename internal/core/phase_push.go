@@ -33,8 +33,9 @@ type pushSend struct {
 // 8000+ nodes, while a push-seeded one starts several generations deep.
 // Hop 1 is the source spraying its connected neighbours; hop h+1 is every
 // hop-h receiver forwarding what it just received. The per-pusher send
-// plan is protocol.PlanPushMask, within the pusher's Uplink.PushRoom; this
-// driver owns the sharding and the delivery bookkeeping.
+// plan is protocol.PlanPushMask, made on the shard's PushScratch within
+// the pusher's Uplink.PushRoom; this phase owns the sharding and the
+// delivery bookkeeping.
 //
 // The frontier lives in the ownership shards' arenas (roundArena.held):
 // hop 1 seeds the source's shard (seedPush), and each hop's shards walk
@@ -123,7 +124,7 @@ func (w *World) pushHop(hop int, forward bool, clock *sim.Clock, sample *metrics
 			// Salting the plan seed per pusher decorrelates target
 			// orders, so pushers sharing neighbours spray different
 			// prefixes instead of racing to the same targets.
-			for _, snd := range protocol.PlanPushMask(seed^uint64(id)*0x9e3779b97f4a7c15, id, win.Lo, ar.segs, w.neighborsOf(id), lacks, budget) {
+			for _, snd := range ar.push.Plan(seed^uint64(id)*0x9e3779b97f4a7c15, id, win.Lo, ar.segs, w.neighborsOf(id), lacks, budget) {
 				k := slices.IndexFunc(run, func(ps pushSeg) bool { return ps.id == snd.ID })
 				ar.sends = append(ar.sends, pushSend{Send: snd, readyAt: run[k].readyAt})
 			}

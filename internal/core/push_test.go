@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -226,5 +227,54 @@ func TestPushFrontierMatchesReference(t *testing.T) {
 		if sends == 0 || held == 0 || late == 0 {
 			t.Fatalf("workers %d: %d sends, %d frontier entries, %d late copies: the comparison was partly vacuous", workers, sends, held, late)
 		}
+	}
+}
+
+// TestPushHopAllocationFree pins the push phase's steady state: the
+// frontier, the sends, each pusher's segment list and the planner's
+// protocol.PushScratch are grow-only shard arenas, so on a warmed static
+// world a round's push costs the fixed price of each hop's sim.ForShards
+// fan-out and availability probe, and not one allocation per pusher. The
+// phase runs at its probe, once, and the round's own call is skipped.
+func TestPushHopAllocationFree(t *testing.T) {
+	cfg := smallConfig(400, ProfileContinuStreaming())
+	cfg.Workers = 1
+	measured := cfg.PlaybackDelayRounds + 10
+	var w *World
+	var engine *sim.Engine
+	var allocs uint64
+	var sends int
+	cfg.PhaseProbe = func(phase string) {
+		switch {
+		case phase == "push" && w.round == measured:
+			var before, after runtime.MemStats
+			var sample metrics.RoundSample
+			runtime.ReadMemStats(&before)
+			w.pushPhase(engine.Clock(), &sample)
+			runtime.ReadMemStats(&after)
+			allocs, sends = after.Mallocs-before.Mallocs, int(sample.Deliveries)
+			w.cfg.PushHops = 0
+		case phase == "exchange":
+			w.cfg.PushHops = cfg.PushHops
+		}
+	}
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine = sim.NewEngine(w, cfg.Tau)
+	engine.Run(measured + 1)
+	// One hop's fixed price: a fan-out whose closure captures the world
+	// and a probe closure, as pushHop's does.
+	probe := func(overlay.NodeID) uint64 { return uint64(w.round) }
+	fanout := testing.AllocsPerRun(20, func() {
+		sim.ForShards(w.pool, phaseShards, func(s int) { _ = probe(overlay.NodeID(s)) + uint64(len(w.arenas[s].sends)) })
+	})
+	t.Logf("push phase: %d allocs for %d delivered copies over %d hops; one fan-out %.0f", allocs, sends, cfg.PushHops, fanout)
+	if sends == 0 {
+		t.Fatal("the measured push delivered nothing")
+	}
+	if limit := uint64(cfg.PushHops) * uint64(fanout+1); allocs > limit {
+		t.Fatalf("push phase allocates %d times, %d hops' fan-outs and probes cost %d", allocs, cfg.PushHops, limit)
 	}
 }

@@ -154,11 +154,12 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 	}
 	heir := w.Node(overlay.NodeID(pred))
 	before := len(backedUp(heir))
-	w.leave(leaver.ID, true)
+	gone := leaver.ID // leave zeroes the leaver's Node
+	w.leave(gone, true)
 	if after := len(backedUp(heir)); after < before {
 		t.Fatalf("handover shrank the predecessor's store: %d -> %d", before, after)
 	}
-	if pred != dht.ID(leaver.ID) {
+	if pred != dht.ID(gone) {
 		// Every segment the leaver held must survive at the predecessor
 		// (replica repair may mean the predecessor held them already —
 		// duplication is fine, loss is not).
@@ -168,7 +169,7 @@ func TestGracefulLeaveHandsOverBackups(t *testing.T) {
 			}
 		}
 	}
-	if w.Node(leaver.ID) != nil {
+	if w.Node(gone) != nil {
 		t.Fatal("leaver still alive")
 	}
 }

@@ -77,7 +77,9 @@ func BenchmarkStep1k(b *testing.B) { benchStepWidths(b, churnConfig(1000)) }
 // sim_static_8k world — at every available core. With churn idle the
 // round is schedule, serve, apply and the pre-fetch rescue path, so this
 // is the benchmark (and, with -cpuprofile, the profile) for work on those
-// phases.
+// phases, and for the node layout they walk: with no joiner, every node
+// is where NewWorld built it, in its shard's first slab chunk in
+// work-list order.
 func BenchmarkStepStatic8k(b *testing.B) {
 	benchStep(b, DefaultConfig(8000), runtime.GOMAXPROCS(0))
 }
@@ -170,12 +172,15 @@ func sampleFingerprint(w *World) string {
 // supplier rebuilt its carry queue in place (allocations: Step1k 1 279
 // per round, Step10k 8 984 at the busiest width), then when the Urgent
 // Line's plans moved into the shards' grow-only arenas (bytes under
-// -race: Step1k 339 561, Step10k 3 328 264), and last when the push
-// frontier moved into them: Step1k 1 158 allocs per round (1 263 under
-// -race) and 296 716 B (301 616 under -race); Step10k 8 694 / 8 786 /
-// 8 835 allocs at 1/4/8 workers (under -race 9 663 / 9 755 / 9 803) and
-// 3 251 560 / 3 258 520 / 3 257 728 B (under -race 3 287 988 /
-// 3 294 580 / 3 294 036). When a change means to move a fingerprint or a
+// -race: Step1k 339 561, Step10k 3 328 264), then when the push
+// frontier moved into them (Step1k 1 158 allocs per round, Step10k
+// 8 835 at the busiest width; under -race 301 616 and 3 294 580 B), and
+// last when nodes moved into the shard slabs and the push planner into
+// the shards' PushScratch: Step1k 871 allocs per round (898 under -race)
+// and 240 675 B (245 248 under -race); Step10k 6 543 / 6 627 / 6 684
+// allocs at 1/4/8 workers (under -race 6 656 / 6 740 / 6 796) and
+// 2 973 160 / 2 976 184 / 2 978 920 B (under -race 2 984 164 /
+// 2 987 300 / 2 989 988). When a change means to move a fingerprint or a
 // ceiling, update the row and say so.
 func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 	const step10k = "dddfc5521a99ec03"
@@ -193,10 +198,10 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 		maxBytes  uint64
 		after     func(*testing.T, *World) // further checks on the stepped world
 	}{
-		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1390, 362_000, nil},
-		{"Step10k-w1", 10000, 1, 2, step10k, "", 10602, 3_954_000, phaseCeilings},
-		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 10602, 3_954_000, nil},
-		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 10602, 3_954_000, nil},
+		{"Step1k", 1000, 1, 5, "440b0ce7ad1f0d20", "", 1046, 295_000, nil},
+		{"Step10k-w1", 10000, 1, 2, step10k, "", 8021, 3_588_000, phaseCeilings},
+		{"Step10k-w4", 10000, 4, 2, step10k, "Step10k-w1", 8021, 3_588_000, nil},
+		{"Step10k-w8", 10000, 8, 2, step10k, "Step10k-w1", 8021, 3_588_000, nil},
 	}
 	measured := map[string]string{}
 	for _, row := range rows {
@@ -227,25 +232,26 @@ func TestDefaultConfigGoldenFingerprint(t *testing.T) {
 
 // phaseCeilings prices the neighbour-maintenance phase and then the churn
 // phase in place, on a world that is finished stepping. Maintenance ran at
-// 27 allocs per phase when its ceiling was set and at 47 under -race, so
-// its ceiling sits 20 % above the -race level (the hand-off buckets'
-// growth made up most of the 97 it ran at before); a churn
-// phase allocates for each of its ~500 joiners — the Node, the buffer's
-// bitmap, the DHT table and what the constructors it dereferences hand
-// back — a few times per grown neighbour list and nothing per leaver
-// (5 635 allocs when the allocation ceiling was set, 6 526 under -race;
-// 0.72 MB when the byte ceiling was, with 16-byte tracker slots, 0.75
-// under -race; 20 % above each).
+// 15 allocs per phase when its ceiling was set and at 27 under -race, so
+// its ceiling sits 20 % above the -race level (a neighbour list that
+// outgrows its reserved room makes most of the rest); a churn phase
+// allocates for each of its ~500 joiners — the buffer's bitmap, the DHT
+// table, the neighbour list it reserves and what the constructors it
+// dereferences hand back, but not the Node, which takes a slot of its
+// shard's slab — and nothing per leaver (3 603 allocs when the ceilings
+// were set, 3 668 under -race, and 0.49 MB both ways; the allocation
+// ceiling 20 % above the plain level, the byte ceiling above the -race
+// one).
 func phaseCeilings(t *testing.T, w *World) {
 	allocs, bytes := heapPerOp(2, w.maintenancePhase)
 	t.Logf("Maintenance10k: %d allocs/op, %d B/op", allocs, bytes)
-	if allocs > 57 {
-		t.Errorf("Maintenance10k: %d allocs per phase, ceiling 57", allocs)
+	if allocs > 33 {
+		t.Errorf("Maintenance10k: %d allocs per phase, ceiling 33", allocs)
 	}
 	allocs, bytes = heapPerOp(2, w.churnPhase)
 	t.Logf("Churn10k: %d allocs/op, %d B/op", allocs, bytes)
-	if allocs > 6762 || bytes > 866_000 {
-		t.Errorf("Churn10k: %d allocs and %d B per phase, ceilings 6762 and 866000", allocs, bytes)
+	if allocs > 4324 || bytes > 591_000 {
+		t.Errorf("Churn10k: %d allocs and %d B per phase, ceilings 4324 and 591000", allocs, bytes)
 	}
 }
 

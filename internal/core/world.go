@@ -69,10 +69,16 @@ type World struct {
 	joinHeard []overlay.Overheard
 	joinPool  []joinCand
 
+	// slabs holds each ownership shard's Node values (see slab): every
+	// *Node in nodes points into its own shard's slab.
+	slabs [phaseShards]slab
+
 	// freeSeg holds departed nodes' segment trackers (two slices over the
-	// fetch span) for the next joiners to reuse. Churn is sequential, so
-	// the list needs no shard discipline; it holds at most leavers minus
-	// joiners, memory that was live before they left.
+	// fetch span) for the next joiners to reuse, whatever their shard: a
+	// tracker kept with its slot would idle on the free list of a shard
+	// that shrank while one that grew allocated new ones. Churn is
+	// sequential, so the list needs no shard discipline; it holds at most
+	// leavers minus joiners, memory that was live before they left.
 	freeSeg []buffer.Track
 
 	// retr is the long-lived Algorithm 2 retriever with its reusable
@@ -155,10 +161,30 @@ func NewWorld(cfg Config) (*World, error) {
 	for i := range ringOf {
 		ringOf[i] = w.rp.AssignID(w.rng)
 	}
-	// The source is trace index 0.
-	for i := 0; i < graph.N(); i++ {
+	// Build the nodes into the shard slabs in the order the round walks
+	// them, each shard's initial population filling one chunk. Their
+	// trackers are cut from one store and their buffer words allocated in
+	// the same order, and after admit their neighbour lists are reserved
+	// in it (the trace degree plus slack), so an owner walk reads each
+	// kind of node state front to back. (The controller and overheard rows
+	// are first allocated inside the schedule and maintenance shard walks,
+	// in walk order already.) Building draws only each node's own stream;
+	// admit draws w.rng, so it keeps trace order. The source is trace
+	// index 0.
+	walk, shardLen := w.initialWalk(ringOf)
+	for s, n := range shardLen {
+		w.slabs[s].grow(n)
+	}
+	segs := buffer.NewTrackStore(cfg.fetchSpan(), len(walk))
+	for _, i := range walk {
 		id := ringOf[i]
-		w.admit(w.buildNode(id, i == 0), graph.Nodes[i].Ping)
+		w.nodes[id] = w.buildNode(w.slabs[w.shardOf(id)].take(), segs.Take(), id, i == 0)
+	}
+	for i, id := range ringOf {
+		w.admit(w.nodes[id], graph.Nodes[i].Ping)
+	}
+	for _, i := range walk {
+		w.nodes[ringOf[i]].Table.Reserve(len(graph.Adj[i]) + linkSlack)
 	}
 	w.source = ringOf[0]
 	// Wire connected neighbours from the augmented trace graph.
@@ -182,7 +208,9 @@ func NewWorld(cfg Config) (*World, error) {
 
 // admit makes a built node a member, at the given trace ping time: of the
 // world's tables, of the RP server's list and of the DHT, whose levelled
-// table for it becomes the DHT section of its Peer Table.
+// table for it becomes the DHT section of its Peer Table. The DHT join
+// draws w.rng, so NewWorld admits its nodes in trace order, whatever order
+// it built them in.
 func (w *World) admit(n *Node, ping sim.Time) {
 	w.nodes[n.ID] = n
 	w.ping[n.ID] = ping
@@ -190,9 +218,12 @@ func (w *World) admit(n *Node, ping sim.Time) {
 	n.Table = *overlay.NewPeerTable(n.ID, w.cfg.H, w.dhtNet.Join(dht.ID(n.ID), w.rng))
 }
 
-// buildNode constructs a node with profile-appropriate components, all
-// but its Peer Table, which admit adds.
-func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
+// buildNode constructs a node in n, a zeroed slot of its shard's slab,
+// with profile-appropriate components, all but its Peer Table, which
+// admit adds. recycled is the tracker it opens: a departed node's, one
+// cut from a TrackStore, or zero for a new one. The node draws only its
+// own stream, so the order nodes are built in decides nothing.
+func (w *World) buildNode(n *Node, recycled buffer.Track, id overlay.NodeID, isSource bool) *Node {
 	cfg := w.cfg
 	var rates bandwidth.Rates
 	gen := w.idGen[id]
@@ -202,7 +233,7 @@ func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 	} else {
 		rates = cfg.Bandwidth.Draw(nodeRNG)
 	}
-	n := &Node{
+	*n = Node{
 		ID:       id,
 		Gen:      gen,
 		IsSource: isSource,
@@ -219,11 +250,6 @@ func (w *World) buildNode(id overlay.NodeID, isSource bool) *Node {
 	// the initial population, the playback position for a joiner. It spans
 	// the fetch span, not the buffer: no ID at or past the fetch edge
 	// exists, and the window's lo is the playback position.
-	var recycled buffer.Track
-	if k := len(w.freeSeg) - 1; k >= 0 {
-		recycled, w.freeSeg[k] = w.freeSeg[k], buffer.Track{}
-		w.freeSeg = w.freeSeg[:k]
-	}
 	n.seg = buffer.OpenTrack(cfg.fetchSpan(), w.playbackPos(w.round), recycled)
 	if cfg.Profile.Prefetch && !isSource {
 		n.Alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
@@ -254,7 +280,8 @@ func (w *World) Size() int { return len(w.order) }
 
 // Node returns the node with the given ID, or nil. Unlike the internal
 // table (whose indices are live ring IDs by construction), it tolerates
-// arbitrary IDs.
+// arbitrary IDs. The pointer is valid only while that node is alive: a
+// leaver's Node is zeroed in place, and a later joiner may reuse the slot.
 func (w *World) Node(id overlay.NodeID) *Node {
 	if id < 0 || int(id) >= len(w.nodes) {
 		return nil

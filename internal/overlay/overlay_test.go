@@ -68,6 +68,32 @@ func TestAddRemoveNeighbors(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsNeighbours checks Reserve: the links already made
+// survive it in order, and links up to the reserved count allocate
+// nothing.
+func TestReserveKeepsNeighbours(t *testing.T) {
+	pt := NewPeerTable(0, 20, dht.NewTable(space(), 0))
+	pt.AddNeighborLink(5)
+	pt.Reserve(11)
+	if ids := pt.Neighbors(); !slices.Equal(ids, []NodeID{5}) || cap(ids) < 11 {
+		t.Fatalf("after Reserve(11): neighbours %v, capacity %d", ids, cap(ids))
+	}
+	next := NodeID(6)
+	// AllocsPerRun calls the function twice: ten links in all.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range 5 {
+			pt.AddNeighborLink(next)
+			next++
+		}
+	}); allocs != 0 {
+		t.Fatalf("links into reserved room allocated %.0f times", allocs)
+	}
+	pt.Reserve(2) // never shrinks
+	if ids := pt.Neighbors(); !slices.Equal(ids, []NodeID{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}) {
+		t.Fatalf("neighbours %v", ids)
+	}
+}
+
 func TestHearMaintainsRecencyAndCapacity(t *testing.T) {
 	pt := NewPeerTable(0, 3, dht.NewTable(space(), 0))
 	pt.Hear(1, 10)

@@ -88,6 +88,14 @@ func (pt *PeerTable) DHT() *dht.Table { return pt.dhtPeers }
 // adding or removing links while iterating or retaining the list.
 func (pt *PeerTable) Neighbors() []NodeID { return pt.neighbors }
 
+// Reserve makes room in the neighbour list for n links in all, so the
+// links added up to that many allocate nothing.
+func (pt *PeerTable) Reserve(n int) {
+	if n > cap(pt.neighbors) {
+		pt.neighbors = append(make([]NodeID, 0, n), pt.neighbors...)
+	}
+}
+
 // IsNeighbor reports whether id is a connected neighbour.
 func (pt *PeerTable) IsNeighbor(id NodeID) bool {
 	_, ok := slices.BinarySearch(pt.neighbors, id)

@@ -24,6 +24,19 @@ func compareRanked(a, b ranked) int {
 	return cmp.Compare(a.to, b.to)
 }
 
+// PushScratch is PlanPushMask's reusable working storage: the neighbour
+// masks, the ranked arena and its offsets, and the sends, grow-only. The
+// sends Plan returns alias it, so they are valid only until the next Plan
+// call through the same scratch: the simulator's push hop keeps one per
+// ownership shard and consumes each pusher's sends before planning the
+// next.
+type PushScratch struct {
+	masks []uint64
+	arena []ranked
+	off   []int
+	out   []Send
+}
+
 // PlanPushMask computes one pusher's eager transmissions for one hop of
 // the fresh-segment push: for every fresh segment it holds, the pusher
 // forwards copies to neighbours that lack the segment, breadth-first
@@ -43,41 +56,49 @@ func compareRanked(a, b ranked) int {
 // which the caller counts as a push duplicate on arrival). Every segment
 // must satisfy base <= s < base+64: a push frontier is one period's fresh
 // segments, and both runtimes bound the period to one word.
+//
+// It allocates its working storage afresh on every call; PushScratch.Plan
+// is the same plan on reused storage.
 func PlanPushMask(seed uint64, from overlay.NodeID, base segment.ID, segs []segment.ID, neighbours []overlay.NodeID, lacks func(overlay.NodeID) uint64, budget int) []Send {
+	return new(PushScratch).Plan(seed, from, base, segs, neighbours, lacks, budget)
+}
+
+// Plan is PlanPushMask on the scratch's storage; the sends it returns
+// alias the scratch (see PushScratch).
+func (sc *PushScratch) Plan(seed uint64, from overlay.NodeID, base segment.ID, segs []segment.ID, neighbours []overlay.NodeID, lacks func(overlay.NodeID) uint64, budget int) []Send {
 	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
 		return nil
 	}
-	masks := make([]uint64, len(neighbours))
-	for j, nb := range neighbours {
-		masks[j] = lacks(nb)
+	sc.masks = slices.Grow(sc.masks[:0], len(neighbours))
+	for _, nb := range neighbours {
+		sc.masks = append(sc.masks, lacks(nb))
 	}
-	arena := make([]ranked, 0, len(segs)*len(neighbours))
-	off := make([]int, len(segs)+1)
-	for i, s := range segs {
+	arena := slices.Grow(sc.arena[:0], len(segs)*len(neighbours))
+	off := append(slices.Grow(sc.off[:0], len(segs)+1), 0)
+	for _, s := range segs {
 		bit := uint64(1) << uint(s-base)
+		start := len(arena)
 		for j, nb := range neighbours {
-			if masks[j]&bit == 0 {
+			if sc.masks[j]&bit == 0 {
 				continue
 			}
 			arena = append(arena, ranked{to: nb, key: scheduler.Jitter(seed, uint64(s), uint64(nb))})
 		}
-		off[i+1] = len(arena)
-		slices.SortFunc(arena[off[i]:], compareRanked)
+		off = append(off, len(arena))
+		slices.SortFunc(arena[start:], compareRanked)
 	}
-	return emitPush(from, segs, arena, off, budget)
-}
-
-// emitPush walks the ranked arena breadth-first — each segment's first
-// copy goes out before any segment's second — until the budget runs out.
-func emitPush(from overlay.NodeID, segs []segment.ID, arena []ranked, off []int, budget int) []Send {
-	total := len(arena)
-	if total == 0 {
+	sc.arena, sc.off = arena, off
+	if len(arena) == 0 {
 		return nil
 	}
-	if total > budget {
-		total = budget
-	}
-	out := make([]Send, 0, total)
+	sc.out = emitPush(slices.Grow(sc.out[:0], min(len(arena), budget)), from, segs, arena, off, budget)
+	return sc.out
+}
+
+// emitPush appends to out the sends of a walk over the ranked arena,
+// breadth-first — each segment's first copy goes out before any segment's
+// second — until the budget runs out.
+func emitPush(out []Send, from overlay.NodeID, segs []segment.ID, arena []ranked, off []int, budget int) []Send {
 	for depth := 0; budget > 0; depth++ {
 		progressed := false
 		for i, s := range segs {

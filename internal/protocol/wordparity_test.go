@@ -57,15 +57,17 @@ func planPushProbe(seed uint64, from overlay.NodeID, segs []segment.ID, neighbou
 		off[i+1] = len(arena)
 		slices.SortFunc(arena[off[i]:], compareRanked)
 	}
-	return emitPush(from, segs, arena, off, budget)
+	return emitPush(nil, from, segs, arena, off, budget)
 }
 
 // TestPlanPushMaskMatchesPlanPush cross-checks the one-word availability
 // probe against the per-(segment, neighbour) oracle on random frontiers:
 // random neighbour sets, random per-neighbour holdings, random budgets.
-// The two must emit identical Send sequences.
+// The two must emit identical Send sequences, and so must one
+// PushScratch planning every trial in turn.
 func TestPlanPushMaskMatchesPlanPush(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0x9a5e)
+	var sc PushScratch
 	for trial := 0; trial < 3000; trial++ {
 		base := segment.ID(rng.Intn(1000))
 		nSegs := 1 + rng.Intn(10)
@@ -102,13 +104,29 @@ func TestPlanPushMaskMatchesPlanPush(t *testing.T) {
 		word := PlanPushMask(seed, from, base, segs, neighbours,
 			func(nb overlay.NodeID) uint64 { return ^holds[nb] }, budget)
 
-		if len(scalar) != len(word) {
-			t.Fatalf("trial %d: scalar planned %d sends, mask planned %d", trial, len(scalar), len(word))
+		reused := sc.Plan(seed, from, base, segs, neighbours,
+			func(nb overlay.NodeID) uint64 { return ^holds[nb] }, budget)
+
+		if len(scalar) != len(word) || len(word) != len(reused) {
+			t.Fatalf("trial %d: scalar planned %d sends, mask %d, mask on a reused scratch %d", trial, len(scalar), len(word), len(reused))
 		}
 		for i := range scalar {
-			if scalar[i] != word[i] {
-				t.Fatalf("trial %d: send %d differs: scalar %+v, mask %+v", trial, i, scalar[i], word[i])
+			if scalar[i] != word[i] || word[i] != reused[i] {
+				t.Fatalf("trial %d: send %d differs: scalar %+v, mask %+v, reused scratch %+v", trial, i, scalar[i], word[i], reused[i])
 			}
 		}
+	}
+}
+
+// TestPushScratchAllocationFree holds a warm PushScratch to no allocation
+// per plan.
+func TestPushScratchAllocationFree(t *testing.T) {
+	segs := []segment.ID{100, 101, 102, 103}
+	neighbours := []overlay.NodeID{3, 8, 13, 21, 34, 55}
+	lacks := func(nb overlay.NodeID) uint64 { return ^uint64(nb) }
+	var sc PushScratch
+	sc.Plan(7, 1, 100, segs, neighbours, lacks, 12)
+	if allocs := testing.AllocsPerRun(100, func() { sc.Plan(7, 1, 100, segs, neighbours, lacks, 12) }); allocs != 0 {
+		t.Fatalf("a warm PushScratch plan allocates %.0f times", allocs)
 	}
 }
